@@ -81,7 +81,7 @@ func telemetryExperiment() error {
 		}
 		tb.AddRow(stratCell(strat, w.GroupSize()),
 			fmt.Sprintf("%d/%d", sm.DegreeFwd, sm.DegreeBwd),
-			fmt.Sprintf("%.1f", sm.WallMS()),
+			fmt.Sprintf("%.1f", sm.WallMS),
 			fmt.Sprintf("%.1f", sm.TailMS),
 			fmt.Sprintf("%.2f", sm.OverlapRatio),
 			fmt.Sprintf("%.1f", sm.SerialMS),

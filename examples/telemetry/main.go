@@ -56,7 +56,7 @@ func main() {
 		}
 		sm := res.Metrics
 		fmt.Printf("step %d (%s): wall %.1f ms, overlap %.2f (serial %.1f ms), tail %.1f ms\n",
-			sm.Step, sm.Strategy, sm.WallMS(), sm.OverlapRatio, sm.SerialMS, sm.TailMS)
+			sm.Step, sm.Strategy, sm.WallMS, sm.OverlapRatio, sm.SerialMS, sm.TailMS)
 		fmt.Printf("  expert tokens %v  entropy %.3f  imbalance %.2f  dropped %d\n",
 			sm.ExpertTokens[0], sm.ExpertEntropy, sm.ExpertImbalance, sm.DroppedTokens)
 		lastTraces = res.Traces

@@ -127,6 +127,34 @@
 // parameter in BeginChunked/BeginSharded and route their GEMMs through it
 // (nil means the shared default pool, preserving old behavior).
 //
+// # Training steps and resident state
+//
+// StepStack (World.Step for one layer) is the §5 training step: forward,
+// backward with the Gradient-AllReduce sliced into the backward plans'
+// slack, the exposed tail, an SGD update of every rank's replica. What
+// does not change from one step to the next is kept on the stack, not
+// rebuilt. The §5 byte plan (StepResult.Report.Gar) is solved once per
+// distinct input — the sync strategy, models, degree cap, chunk and
+// slice settings of StepConfig together with every layer's shapes and
+// padded batch capacity — and solved again exactly when one of those
+// compares different (another batch size, another StepConfig, a
+// Recover to fewer ranks); treat it as read-only, later steps share it.
+// Each rank owns one flat buffer in the RankParams layout that is, in
+// turn, its partial gradient, its synchronized gradient (the ring
+// reduces in place) and its post-step replica.
+//
+// Ownership: StepResult.RankParams and SyncReport.LayerGrads are views
+// of those stack-owned buffers, not copies. They are valid until the
+// next StepStack, Step or SyncGradients on the same worlds, which
+// overwrites them; copy what must outlive the call. Comparing replicas
+// within one step, or across two different stacks, needs no copy.
+//
+// StepResult.WallMS is the measured wall of the whole call (telemetry
+// emission excluded); ForwardMS, BackwardMS and TailMS are the parts of
+// it inside measured stream plans and the exposed tail, and StepMS() —
+// backward plus tail — is the quantity the §5 strategy comparison uses,
+// not a wall time.
+//
 // # Fault tolerance
 //
 // The executable World survives injected failure. NewFaultPlan compiles a
@@ -204,7 +232,8 @@
 // # Observability
 //
 // The runtime reports what it executed. Set WorldConfig.Sink and every
-// Step / StepWorlds call builds one *StepMetrics — wall/tail times,
+// Step / StepWorlds call builds one *StepMetrics — the measured wall, its
+// forward/backward/tail parts and the remainder outside them (OutsideMS),
 // per-stream busy fractions, the overlap ratio vs the serialized task
 // time, per-expert token loads with utilization entropy and imbalance,
 // fault/retry/degraded tallies and the planned pool split — returns it on

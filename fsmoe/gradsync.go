@@ -13,13 +13,17 @@ type (
 	// StepConfig tunes one overlapped training step (learning rate,
 	// strategy, partitioning models, chunk sizes).
 	StepConfig = moe.StepConfig
-	// StepResult is one measured step: forward/backward/tail times, the
-	// sync report, per-rank post-step parameter replicas, and the
-	// backward plans with their embedded AllReduce slices.
+	// StepResult is one measured step: the wall time and its
+	// forward/backward/tail parts, the sync report, per-rank post-step
+	// parameter replicas, and the backward plans with their embedded
+	// AllReduce slices. RankParams are views of stack-owned buffers that
+	// the next step or sync on the same worlds overwrites; copy to retain.
 	StepResult = moe.StepResult
 	// SyncStrategy selects how Gradient-AllReduce is scheduled.
 	SyncStrategy = gradsync.Strategy
-	// SyncReport is the outcome of a blocking SyncGradients call.
+	// SyncReport is the outcome of a blocking SyncGradients call. Its
+	// LayerGrads are views of the same stack-owned buffers as
+	// StepResult.RankParams, under the same rule.
 	SyncReport = moe.SyncReport
 	// GradSyncReport summarizes bytes hidden vs exposed and ring traffic.
 	GradSyncReport = gradsync.Report
@@ -52,7 +56,10 @@ func (w *World) Step(x, dy *Tensor, cfg StepConfig) (*StepResult, error) {
 // partial contribution, reconstructing the full-batch gradient exactly
 // (no 1/R scaling — the per-rank partials already split one batch), so
 // every rank ends with bit-identical parameters under every strategy;
-// only the measured wall time differs.
+// only the measured wall time differs. The §5 byte plan is solved on the
+// first step and again only when the sync configuration or a layer's
+// shapes change; see "Training steps and resident state" in the package
+// documentation for what the stack keeps between steps and who owns it.
 func StepStack(worlds []*World, x, dy *Tensor, cfg StepConfig) (*StepResult, error) {
 	return moe.StepWorlds(inners(worlds), x, dy, cfg)
 }

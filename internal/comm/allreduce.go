@@ -3,8 +3,6 @@ package comm
 import (
 	"fmt"
 	"sync/atomic"
-
-	"repro/internal/tensor"
 )
 
 // This file layers chunked, asynchronous Ring-AllReduce on top of the
@@ -21,10 +19,6 @@ import (
 //     restricts which elements move, and every ring operation is
 //     element-wise — so each element sees exactly the monolithic sequence
 //     of copies and additions no matter how the buffer is sliced.
-//
-// Staging copies are drawn from the shared tensor free-list, keeping
-// allocation churn out of measured AllReduce intervals (the same
-// measurement-fidelity treatment as the chunked AlltoAll staging).
 
 // SplitFlat partitions a flat buffer of n elements into at most chunks
 // contiguous, near-equal, non-empty ranges — SplitRows over elements
@@ -68,63 +62,37 @@ func RingAllReduceChunk(data [][]float64, gpusPerNode int, rr RowRange) (Stats, 
 		}
 		return lo, hi
 	}
-	staged := make([]*tensor.Tensor, p)
 	// Phase 1: reduce-scatter. At step s, rank r sends its slice of ring
-	// chunk (r-s) mod p to rank r+1, which accumulates. All sends of one
-	// step use pre-step data, so stage them first (pooled copies).
+	// chunk (r-s) mod p to rank r+1, which accumulates. Every send of a step
+	// must read pre-step data, and does without a staging copy: within one
+	// step rank r's buffer is read only in chunk r-s and written only in
+	// chunk r-1-s (what rank r-1 sends it), which are disjoint for p >= 2.
 	for s := 0; s < p-1; s++ {
 		for r := 0; r < p; r++ {
-			c := ((r-s)%p + p) % p
-			lo, hi := clip(c)
+			lo, hi := clip(((r-s)%p + p) % p)
 			if lo >= hi {
-				staged[r] = nil
-				continue
-			}
-			cp := tensor.GetUninit(hi - lo)
-			copy(cp.Data(), data[r][lo:hi])
-			staged[r] = cp
-		}
-		for r := 0; r < p; r++ {
-			if staged[r] == nil {
 				continue
 			}
 			dst := (r + 1) % p
-			c := ((r-s)%p + p) % p
-			lo, _ := clip(c)
-			sd := staged[r].Data()
-			dchunk := data[dst][lo : lo+len(sd)]
-			for i, v := range sd {
+			src, dchunk := data[r][lo:hi], data[dst][lo:hi]
+			for i, v := range src {
 				dchunk[i] += v
 			}
-			st.add(w.sameNode(r, dst), len(sd))
-			tensor.Put(staged[r])
+			st.add(w.sameNode(r, dst), hi-lo)
 		}
 	}
 	// After phase 1, rank r holds the fully reduced slice of ring chunk
-	// (r+1) mod p. Phase 2: allgather the reduced slices around the ring.
+	// (r+1) mod p. Phase 2: allgather the reduced slices around the ring;
+	// rank r reads chunk r+1-s and is written in chunk r-s, disjoint again.
 	for s := 0; s < p-1; s++ {
 		for r := 0; r < p; r++ {
-			c := ((r+1-s)%p + p) % p
-			lo, hi := clip(c)
+			lo, hi := clip(((r+1-s)%p + p) % p)
 			if lo >= hi {
-				staged[r] = nil
-				continue
-			}
-			cp := tensor.GetUninit(hi - lo)
-			copy(cp.Data(), data[r][lo:hi])
-			staged[r] = cp
-		}
-		for r := 0; r < p; r++ {
-			if staged[r] == nil {
 				continue
 			}
 			dst := (r + 1) % p
-			c := ((r+1-s)%p + p) % p
-			lo, _ := clip(c)
-			sd := staged[r].Data()
-			copy(data[dst][lo:lo+len(sd)], sd)
-			st.add(w.sameNode(r, dst), len(sd))
-			tensor.Put(staged[r])
+			copy(data[dst][lo:hi], data[r][lo:hi])
+			st.add(w.sameNode(r, dst), hi-lo)
 		}
 	}
 	return st, nil

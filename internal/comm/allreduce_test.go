@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/xrand"
@@ -58,6 +59,62 @@ func TestChunkedRingAllReduceBitIdentical(t *testing.T) {
 						p, n, chunks, st.IntraVolume+st.InterVolume, wantSt.IntraVolume+wantSt.InterVolume)
 				}
 			}
+		}
+	}
+}
+
+// TestRingAllReduceChunkProperty: for random rank counts, buffer lengths the
+// rank count does not divide and random tilings reduced in random order,
+// every rank ends with exactly the ring's sum of each element — ring chunk
+// c = the chunk of the full buffer the element lies in, accumulated from
+// rank c around the ring in rank order — and with exactly the ring's
+// traffic. The reference shares no code with the collective: it is the
+// definition the in-place, staging-free schedule must still meet.
+func TestRingAllReduceChunkProperty(t *testing.T) {
+	rng := xrand.New(41)
+	for trial := 0; trial < 200; trial++ {
+		p := []int{2, 3, 4, 8}[rng.Intn(4)]
+		n := 1 + rng.Intn(300)
+		if n%p == 0 {
+			n++
+		}
+		ref := randRanks(uint64(1000+trial), p, n)
+		want := make([]float64, n)
+		for c := 0; c < p; c++ {
+			for k := c * n / p; k < (c+1)*n/p; k++ {
+				acc := ref[c][k]
+				for j := 1; j < p; j++ {
+					acc = ref[(c+j)%p][k] + acc
+				}
+				want[k] = acc
+			}
+		}
+		// A random tiling of [0, n): random cut points, empty tiles allowed.
+		cuts := []int{0, n}
+		for i := rng.Intn(6); i > 0; i-- {
+			cuts = append(cuts, rng.Intn(n+1))
+		}
+		sort.Ints(cuts)
+		got := cloneRanks(ref)
+		var st Stats
+		for _, i := range rng.Perm(len(cuts) - 1) {
+			cst, err := RingAllReduceChunk(got, 2, RowRange{Lo: cuts[i], Hi: cuts[i+1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Merge(cst)
+		}
+		for r := range got {
+			for k := range got[r] {
+				if got[r][k] != want[k] {
+					t.Fatalf("trial %d (p=%d n=%d cuts=%v): rank %d elem %d = %v, ring sum %v",
+						trial, p, n, cuts, r, k, got[r][k], want[k])
+				}
+			}
+		}
+		// Every element crosses p−1 links in each phase.
+		if vol := st.IntraVolume + st.InterVolume; vol != float64(2*(p-1)*n) {
+			t.Fatalf("trial %d (p=%d n=%d cuts=%v): moved %v elements, ring moves %d", trial, p, n, cuts, vol, 2*(p-1)*n)
 		}
 	}
 }

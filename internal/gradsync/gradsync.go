@@ -9,7 +9,9 @@
 //
 // The package is deliberately ignorant of the MoE layer: a consumer
 // registers one LayerSpec per generalized layer (element counts plus the
-// §5 byte-accounting volumes), then drives the Syncer in backward order —
+// §5 byte-accounting volumes) and solves the byte plan once per distinct
+// (Config, specs) — Solve, then Plan.For on every later step — then cuts a
+// Syncer per backward pass (Plan.NewSyncer) and drives it in backward order —
 // StartLayer(i) before layer i's plan is built, EmitAt while it is built
 // (the hook a stream-plan builder calls at inter-stream slack points),
 // Collect(i) once layer i's gradients exist, and Finish() for the exposed
@@ -21,6 +23,7 @@ package gradsync
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/comm"
@@ -134,8 +137,23 @@ type Syncer struct {
 	rep      Report
 }
 
-// New validates the layer specs and computes the strategy's byte plan.
-func New(cfg Config, specs []LayerSpec) (*Syncer, error) {
+// Plan is a strategy's solved byte plan together with the inputs it was
+// solved for. Nothing in it changes from one step to the next while the
+// configuration and the layer shapes hold, so a training loop solves it
+// once (Solve), asks For on every step, and cuts a fresh Syncer from it per
+// backward pass. A Plan is immutable once built; Syncers and Reports share
+// its GarPlan.
+type Plan struct {
+	cfg   Config // defaults applied
+	specs []LayerSpec
+	total float64       // accounting bytes across all layers
+	gar   *core.GarPlan // nil for no-overlap
+}
+
+// Solve validates the layer specs and computes the strategy's byte plan —
+// for StrategyFSMoE the §5 differential-evolution partition, the one
+// expensive call of the package.
+func Solve(cfg Config, specs []LayerSpec) (*Plan, error) {
 	cfg = cfg.withDefaults()
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("gradsync: no layers")
@@ -151,42 +169,60 @@ func New(cfg Config, specs []LayerSpec) (*Syncer, error) {
 			return nil, err
 		}
 	}
-	s := &Syncer{cfg: cfg, specs: specs, grads: make([][][]float64, len(specs))}
+	p := &Plan{cfg: cfg, specs: slices.Clone(specs)}
 	cores := make([]core.LayerSpec, len(specs))
-	total := 0.0
 	for i, sp := range specs {
 		cores[i] = core.LayerSpec{V: sp.V}
-		total += float64(sp.Elems) * cfg.ElemBytes
+		p.total += float64(sp.Elems) * cfg.ElemBytes
 	}
-	s.rep = Report{Strategy: cfg.Strategy, TotalBytes: total}
 	switch cfg.Strategy {
 	case StrategyFSMoE:
-		s.plan = cfg.Models.PartitionGradients(cores, cfg.RMax)
+		p.gar = cfg.Models.PartitionGradients(cores, cfg.RMax)
 	case StrategyFixedChunk:
-		s.plan = cfg.Models.FixedChunkGarPlan(cores, cfg.ChunkBytes)
+		p.gar = cfg.Models.FixedChunkGarPlan(cores, cfg.ChunkBytes)
 	case StrategyNoOverlap:
-		s.plan = nil
 	default:
 		return nil, fmt.Errorf("gradsync: unknown strategy %q (valid: %s, %s, %s)",
 			cfg.Strategy, StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap)
 	}
-	s.rep.Gar = s.plan
-	return s, nil
+	return p, nil
+}
+
+// For returns the plan for (cfg, specs): p itself when it was solved for
+// exactly these inputs, compared by value, and a fresh Solve otherwise (a
+// nil p always solves). Reuse never rests on the caller's word that
+// nothing changed.
+func (p *Plan) For(cfg Config, specs []LayerSpec) (*Plan, error) {
+	if p != nil && p.cfg == cfg.withDefaults() && slices.Equal(p.specs, specs) {
+		return p, nil
+	}
+	return Solve(cfg, specs)
+}
+
+// NewSyncer starts one backward pass's synchronization under the plan.
+func (p *Plan) NewSyncer() *Syncer {
+	return &Syncer{
+		cfg:   p.cfg,
+		specs: p.specs,
+		plan:  p.gar,
+		grads: make([][][]float64, len(p.specs)),
+		rep:   Report{Strategy: p.cfg.Strategy, TotalBytes: p.total, Gar: p.gar},
+	}
+}
+
+// New solves the plan for (cfg, specs) and starts a Syncer under it — the
+// one-shot form for callers with no step loop to keep the Plan across.
+func New(cfg Config, specs []LayerSpec) (*Syncer, error) {
+	p, err := Solve(cfg, specs)
+	if err != nil {
+		return nil, err
+	}
+	return p.NewSyncer(), nil
 }
 
 // Report returns the running synchronization summary (complete after
 // Finish).
 func (s *Syncer) Report() Report { return s.rep }
-
-// LayerGrads returns layer i's per-rank gradient buffers as registered by
-// Collect (nil before then). After Finish they hold the synchronized
-// full gradient, identical on every rank.
-func (s *Syncer) LayerGrads(i int) [][]float64 {
-	if i < 0 || i >= len(s.grads) {
-		return nil
-	}
-	return s.grads[i]
-}
 
 // budgetElems returns how many pending elements layer i's backward window
 // may hide, per the strategy.

@@ -265,6 +265,7 @@ func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int)
 	w.egrp = newEgrp
 	w.strat = strat
 	w.planResources()
+	w.countGradElems()
 	w.faults = w.faults.WithoutDown()
 	w.ResetHealth()
 

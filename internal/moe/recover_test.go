@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -35,14 +36,15 @@ func TestWorldSnapshotRestore(t *testing.T) {
 	}
 
 	// Two more (noisy, so RNG-consuming) steps from the snapshot point,
-	// recording the post-step replicas.
-	r1, err := w.Step(x, dy, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := w.Step(x, dy, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// recording the post-step replicas (copied: RankParams is the world's
+	// resident buffer, which the next step overwrites).
+	var timeline [][]float64
+	for s := 0; s < 2; s++ {
+		res, err := w.Step(x, dy, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		timeline = append(timeline, slices.Clone(res.RankParams[0]))
 	}
 
 	// Roll back and replay: the same two steps must be bit-identical —
@@ -53,13 +55,13 @@ func TestWorldSnapshotRestore(t *testing.T) {
 	if w.steps != 1 {
 		t.Fatalf("restored steps = %d, want 1", w.steps)
 	}
-	for i, want := range []*StepResult{r1, r2} {
+	for i, want := range timeline {
 		got, err := w.Step(x, dy, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := range want.RankParams[0] {
-			if got.RankParams[0][k] != want.RankParams[0][k] {
+		for k := range want {
+			if got.RankParams[0][k] != want[k] {
 				t.Fatalf("replayed step %d param %d diverges from original timeline", i, k)
 			}
 		}

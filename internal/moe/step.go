@@ -10,10 +10,16 @@ package moe
 // strategy, because each flat gradient element has exactly one non-zero
 // contributor (RankGrads) and the restricted ring is byte-identical under
 // any slicing (comm.RingAllReduceChunk).
+//
+// What is identical from one step to the next is resident on the stack
+// (resident, below): the solved §5 byte plan and one flat buffer per rank
+// that is, in turn, the rank's partial gradient, its synchronized gradient
+// and its post-step replica. A step allocates neither.
 
 import (
 	"fmt"
 	"reflect"
+	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
@@ -80,14 +86,28 @@ func (c StepConfig) withDefaults() StepConfig {
 
 // StepResult is one measured training step.
 type StepResult struct {
+	// WallMS is the step's full measured wall time, from entry into
+	// StepWorlds to the end of the SGD update and any checkpoint write —
+	// everything but the telemetry emission itself. ForwardMS, BackwardMS
+	// and TailMS are the parts of it spent inside measured stream plans and
+	// the exposed tail; the rest (gate and order work, padding, gradient
+	// collection, the SGD update, the checkpoint) is WallMS minus the three.
+	WallMS     float64
 	ForwardMS  float64 // summed measured forward-plan makespans
 	BackwardMS float64 // summed measured backward-plan makespans (incl. hidden AllReduce)
 	TailMS     float64 // measured exposed Gradient-AllReduce tail
-	Report     gradsync.Report
+
+	// Report is the §5 synchronization summary. Report.Gar is the stack's
+	// resident byte plan, shared by every step solved for the same
+	// configuration and shapes: read-only.
+	Report gradsync.Report
 
 	// RankParams[r] is rank r's post-step parameter replica in the
 	// GradElems layout, layers concatenated in stack order. All rows are
-	// bit-identical across ranks and across strategies.
+	// bit-identical across ranks and across strategies. The rows are the
+	// stack's resident per-rank buffers, not copies: the next StepWorlds or
+	// SyncWorlds on the same worlds overwrites them, so copy what must
+	// outlive the step.
 	RankParams [][]float64
 
 	// Plans and Traces hold each layer's backward stream plan and measured
@@ -118,10 +138,59 @@ type StepResult struct {
 	Metrics *telemetry.StepMetrics
 }
 
-// StepMS is the step's measured wall time: backward plus the exposed
-// tail. Forward is reported separately — gradient synchronization never
-// touches it.
+// StepMS is the quantity the §5 strategy tables compare: the backward
+// plans' makespans plus the exposed tail, the only parts of a step that
+// gradient synchronization can lengthen or shorten. It is not the step's
+// wall time — that is WallMS, which also holds the forward pass and
+// everything that runs outside the measured plans.
 func (r *StepResult) StepMS() float64 { return r.BackwardMS + r.TailMS }
+
+// resident is the training state a stack keeps from one step to the next,
+// held on the stack's first world: the solved §5 byte plan, reused while
+// the sync configuration and layer specs compare equal, and one arena per
+// rank in the RankParams layout. Within a step an arena holds the rank's
+// partial gradients (RankGrads), then the synchronized gradients (the ring
+// reduces in place), then the post-step replica (applySGD).
+type resident struct {
+	plan  *gradsync.Plan
+	arena [][]float64   // [rank][Σ layer GradElems]
+	views [][][]float64 // views[i][r]: layer i's span of arena[r], what Collect registers
+}
+
+// residentFor returns the stack's resident state with the arenas cut for
+// the stack as it is now: they are reallocated whenever the rank count or
+// a layer's gradient length differs from what they were cut for (a
+// recovery to R′, another stack sharing the first world), never assumed.
+func residentFor(worlds []*World) *resident {
+	w0 := worlds[0]
+	if w0.resident == nil {
+		w0.resident = &resident{}
+	}
+	st := w0.resident
+	ranks := w0.cfg.Ranks
+	fits := len(st.arena) == ranks && len(st.views) == len(worlds)
+	total := 0
+	for i, w := range worlds {
+		n, _ := w.GradElems()
+		fits = fits && len(st.views[i][0]) == n
+		total += n
+	}
+	if fits {
+		return st
+	}
+	st.arena = wireBuffers(ranks, total)
+	st.views = make([][][]float64, len(worlds))
+	off := 0
+	for i, w := range worlds {
+		n, _ := w.GradElems()
+		st.views[i] = make([][]float64, ranks)
+		for r, a := range st.arena {
+			st.views[i][r] = a[off : off+n : off+n]
+		}
+		off += n
+	}
+	return st
+}
 
 // Step runs a single-layer training step; see StepWorlds.
 func (w *World) Step(x, dy *tensor.Tensor, cfg StepConfig) (*StepResult, error) {
@@ -137,15 +206,10 @@ func (w *World) Step(x, dy *tensor.Tensor, cfg StepConfig) (*StepResult, error) 
 // greedy fill of §5.2; layer 0's own gradients (and any unhidden
 // remainder) are the tail.
 func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepResult, error) {
+	t0 := time.Now()
 	cfg = cfg.withDefaults()
-	if len(worlds) == 0 {
-		return nil, fmt.Errorf("moe: step needs at least one world")
-	}
-	ranks := worlds[0].cfg.Ranks
-	for i, w := range worlds {
-		if w.cfg.Ranks != ranks {
-			return nil, fmt.Errorf("moe: world %d has %d ranks, world 0 has %d", i, w.cfg.Ranks, ranks)
-		}
+	if err := checkStack("step", worlds); err != nil {
+		return nil, err
 	}
 	// The executor mode is scoped to this step; restore whatever the
 	// caller had configured on the worlds afterwards.
@@ -189,13 +253,18 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	res.Y = cur
 
 	// Register every layer with the syncer using live volumes (the padded
-	// capacity each forward actually dispatched).
+	// capacity each forward actually dispatched). The byte plan is solved
+	// only when these inputs differ from the ones the resident plan was
+	// solved for — another batch capacity, another StepConfig, a recovery
+	// to R′.
+	st := residentFor(worlds)
 	specs := make([]gradsync.LayerSpec, len(worlds))
 	for i, w := range worlds {
 		total, dense := w.GradElems()
 		specs[i] = gradsync.LayerSpec{Elems: total, DenseElems: dense, V: stepVolumes(w, caches[i].tpad)}
 	}
-	syncer, err := gradsync.New(gradsync.Config{
+	var err error
+	st.plan, err = st.plan.For(gradsync.Config{
 		Strategy:    cfg.Strategy,
 		Models:      cfg.Models,
 		RMax:        cfg.RMax,
@@ -207,6 +276,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	if err != nil {
 		return nil, err
 	}
+	syncer := st.plan.NewSyncer()
 
 	// Backward chain in reverse, overlapping the pending pool into each
 	// layer's plan, then collecting the layer's own partial gradients.
@@ -231,7 +301,8 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 			res.BackwardMS += deg.RecoveryMS
 			res.Degraded = append(res.Degraded, deg)
 		}
-		if err := syncer.Collect(i, w.RankGrads()); err != nil {
+		w.RankGrads(st.views[i])
+		if err := syncer.Collect(i, st.views[i]); err != nil {
 			return nil, err
 		}
 		dcur = dx
@@ -245,9 +316,8 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	res.Report = rep
 	res.TailMS = rep.TailMS
 
-	if err := applySGD(worlds, syncer, cfg.LR, ranks, res); err != nil {
-		return nil, err
-	}
+	applySGD(worlds, st.arena, cfg.LR)
+	res.RankParams = st.arena
 	step := worlds[0].steps
 	for _, w := range worlds {
 		w.steps++
@@ -272,6 +342,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 			res.CheckpointPath = path
 		}
 	}
+	res.WallMS = float64(time.Since(t0)) / 1e6
 	if sinks != nil {
 		res.Metrics = buildStepMetrics(worlds, caches, fwdTraces, res, step, recovs)
 		for _, s := range sinks {
@@ -279,6 +350,20 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 		}
 	}
 	return res, nil
+}
+
+// checkStack validates what op needs of a stack before touching its
+// resident state: at least one world, all at one rank count.
+func checkStack(op string, worlds []*World) error {
+	if len(worlds) == 0 {
+		return fmt.Errorf("moe: %s needs at least one world", op)
+	}
+	for i, w := range worlds {
+		if w.cfg.Ranks != worlds[0].cfg.Ranks {
+			return fmt.Errorf("moe: world %d has %d ranks, world 0 has %d", i, w.cfg.Ranks, worlds[0].cfg.Ranks)
+		}
+	}
+	return nil
 }
 
 // stepSinks collects the distinct non-nil telemetry sinks configured
@@ -335,7 +420,7 @@ func buildStepMetrics(worlds []*World, caches []*WorldCache, fwdTraces []*sim.Tr
 		GroupSize: w0.GroupSize(),
 	}
 	m.DegreeFwd, m.DegreeBwd = w0.Degrees()
-	m.ForwardMS, m.BackwardMS, m.TailMS = res.ForwardMS, res.BackwardMS, res.TailMS
+	m.WallMS, m.ForwardMS, m.BackwardMS, m.TailMS = res.WallMS, res.ForwardMS, res.BackwardMS, res.TailMS
 	for _, tr := range fwdTraces {
 		m.AddTrace(tr)
 	}
@@ -361,48 +446,31 @@ func buildStepMetrics(worlds []*World, caches []*WorldCache, fwdTraces []*sim.Tr
 	return m
 }
 
-// applySGD builds every rank's post-step replica from the synchronized
-// gradients and writes the (identical) rank-0 replica back into the
-// shared parameters, so the stack trains for real.
-func applySGD(worlds []*World, syncer *gradsync.Syncer, lr float64, ranks int, res *StepResult) error {
-	total := 0
-	for _, w := range worlds {
-		n, _ := w.GradElems()
-		total += n
-	}
-	res.RankParams = make([][]float64, ranks)
-	for r := range res.RankParams {
-		res.RankParams[r] = make([]float64, 0, total)
-	}
-	for i, w := range worlds {
-		grads := syncer.LayerGrads(i)
-		if grads == nil {
-			return fmt.Errorf("moe: layer %d has no synchronized gradients", i)
-		}
+// applySGD turns every rank's synchronized gradients into its post-step
+// replica in place — arena[r][k] becomes w[k] − lr·arena[r][k], the ranks
+// run concurrently — and writes the (identical) rank-0 replica back into
+// the shared parameters, so the stack trains for real.
+func applySGD(worlds []*World, arena [][]float64, lr float64) {
+	tensor.ParallelFor(len(arena), func(r int) {
 		off := 0
-		for _, p := range w.layer.Params() {
-			wd := p.W.Data()
-			for r := 0; r < ranks; r++ {
-				g := grads[r][off : off+len(wd)]
-				buf := res.RankParams[r]
+		for _, w := range worlds {
+			for _, p := range w.layer.Params() {
+				wd := p.W.Data()
+				g := arena[r][off : off+len(wd)]
 				for k, v := range wd {
-					buf = append(buf, v-lr*g[k])
+					g[k] = v - lr*g[k]
 				}
-				res.RankParams[r] = buf
+				off += len(wd)
 			}
-			off += len(wd)
 		}
-	}
+	})
 	// The replicas are bit-identical; commit rank 0's to the live layers.
 	off := 0
 	for _, w := range worlds {
 		for _, p := range w.layer.Params() {
-			wd := p.W.Data()
-			copy(wd, res.RankParams[0][off:off+len(wd)])
-			off += len(wd)
+			off += copy(p.W.Data(), arena[0][off:])
 		}
 	}
-	return nil
 }
 
 // stepVolumes derives the §5 accounting volumes for one world from its
@@ -441,7 +509,9 @@ func stepVolumes(w *World, tpad int) core.Volumes {
 type SyncReport struct {
 	Report gradsync.Report
 	// LayerGrads[i][r] is layer i's synchronized flat gradient on rank r
-	// (identical across ranks).
+	// (identical across ranks). The slices are views of the stack's
+	// resident per-rank buffers: the next SyncWorlds or StepWorlds on the
+	// same worlds overwrites them, so copy what must outlive the call.
 	LayerGrads [][][]float64
 }
 
@@ -452,8 +522,8 @@ type SyncReport struct {
 // gradient; use StepWorlds to overlap the synchronization instead.
 func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	cfg = cfg.withDefaults()
-	if len(worlds) == 0 {
-		return nil, fmt.Errorf("moe: sync needs at least one world")
+	if err := checkStack("sync", worlds); err != nil {
+		return nil, err
 	}
 	specs := make([]gradsync.LayerSpec, len(worlds))
 	for i, w := range worlds {
@@ -472,9 +542,10 @@ func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &SyncReport{LayerGrads: make([][][]float64, len(worlds))}
+	st := residentFor(worlds)
 	for i, w := range worlds {
-		if err := syncer.Collect(i, w.RankGrads()); err != nil {
+		w.RankGrads(st.views[i])
+		if err := syncer.Collect(i, st.views[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -482,9 +553,5 @@ func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.Report = rep
-	for i := range worlds {
-		out.LayerGrads[i] = syncer.LayerGrads(i)
-	}
-	return out, nil
+	return &SyncReport{Report: rep, LayerGrads: st.views}, nil
 }

@@ -126,6 +126,16 @@ func TestStepMetricsStrategies(t *testing.T) {
 			if want := mtr.SerialMS / (mtr.ForwardMS + mtr.BackwardMS); math.Abs(mtr.OverlapRatio-want) > 1e-9 {
 				t.Fatalf("overlap ratio %v inconsistent with serial/wall = %v", mtr.OverlapRatio, want)
 			}
+			// The wall is measured around the whole step, so it holds the
+			// plans, the tail and a positive remainder outside them; the
+			// sink's gauge observes that wall, not the sum of the parts.
+			if mtr.WallMS != res.WallMS || mtr.OutsideMS() <= 0 {
+				t.Fatalf("wall %v (result %v) = fwd %v + bwd %v + tail %v + outside %v",
+					mtr.WallMS, res.WallMS, mtr.ForwardMS, mtr.BackwardMS, mtr.TailMS, mtr.OutsideMS())
+			}
+			if g := reg.Gauge("step_wall_ms").Value(); g != res.WallMS {
+				t.Fatalf("step_wall_ms gauge = %v, measured wall %v", g, res.WallMS)
+			}
 			// Sequential execution cannot overlap anything: its wall is at
 			// least the serial task time, so the ratio tops out at 1.
 			seqRes, err := w.Step(x, dy, StepConfig{LR: 0.01, Sequential: true})

@@ -77,6 +77,15 @@ type World struct {
 
 	steps int // completed training steps on this world (telemetry ordinal)
 
+	// gradOff[e] is the offset of expert e's first parameter in the flat
+	// GradElems layout: gradOff[0] is the dense (gate) prefix length and
+	// gradOff[E] the total. Counted at NewWorld and at the Recover commit.
+	gradOff []int
+
+	// resident is the stack-level training state kept from one step to the
+	// next (step.go); it lives on the stack's first world.
+	resident *resident
+
 	// recov accumulates elastic-recovery reports (recover.go) until the
 	// next completed step drains them into telemetry.
 	recov []*RecoveryReport
@@ -199,6 +208,7 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 		Kinds:       []string{KindA2A, KindAG, KindRS, gradsync.KindAllReduce},
 	}
 	w.planResources()
+	w.countGradElems()
 	return w, nil
 }
 
@@ -666,21 +676,30 @@ func unpadBlocks(src *tensor.Tensor, e, t, tpad, m int) *tensor.Tensor {
 // parameters in Params() order followed by each expert's parameters in
 // expert-index order, matching MOELayer.Params.
 func (w *World) GradElems() (total, dense int) {
-	for _, p := range w.layer.cfg.Gate.Params() {
-		dense += len(p.G.Data())
-	}
-	total = dense
-	for _, ex := range w.layer.cfg.Experts {
-		for _, p := range ex.Params() {
-			total += len(p.G.Data())
-		}
-	}
-	return total, dense
+	return w.gradOff[len(w.gradOff)-1], w.gradOff[0]
 }
 
-// RankGrads materializes the per-rank partial parameter gradients of the
-// most recent backward pass in the GradElems layout: rank j contributes
-// the full gradient of its own expert shard (experts [j·Eg, (j+1)·Eg))
+// countGradElems walks the parameter list once for GradElems and RankGrads;
+// NewWorld and the Recover commit call it, the step path only reads the
+// result.
+func (w *World) countGradElems() {
+	off := 0
+	for _, p := range w.layer.cfg.Gate.Params() {
+		off += len(p.G.Data())
+	}
+	w.gradOff = append(w.gradOff[:0], off)
+	for _, ex := range w.layer.cfg.Experts {
+		for _, p := range ex.Params() {
+			off += len(p.G.Data())
+		}
+		w.gradOff = append(w.gradOff, off)
+	}
+}
+
+// RankGrads writes the per-rank partial parameter gradients of the most
+// recent backward pass into out[r] (one buffer of GradElems' total length
+// per rank, whatever it held before; the ranks fill concurrently): rank j
+// contributes the full gradient of its own expert shard (experts [j·Eg, (j+1)·Eg))
 // and a disjoint element shard of the dense (gate) gradient, zeros
 // elsewhere. Every element therefore has exactly one non-zero
 // contributor, so a Ring-AllReduce sum reconstructs the full-batch
@@ -692,28 +711,29 @@ func (w *World) GradElems() (total, dense int) {
 // strategy accumulates an expert's parameter gradients on its owner rank
 // j = e/Eg — EP computes them there, ESP designates that shard-group
 // member — so the one-contributor invariant holds for all of them.)
-func (w *World) RankGrads() [][]float64 {
-	total, _ := w.GradElems()
+func (w *World) RankGrads(out [][]float64) {
 	R := w.cfg.Ranks
-	out := make([][]float64, R)
-	for r := range out {
-		out[r] = make([]float64, total)
-	}
-	off := 0
-	for _, p := range w.layer.cfg.Gate.Params() {
-		g := p.G.Data()
-		for r, rr := range comm.SplitFlat(len(g), R) {
-			copy(out[r][off+rr.Lo:off+rr.Hi], g[rr.Lo:rr.Hi])
-		}
-		off += len(g)
-	}
-	for e, ex := range w.layer.cfg.Experts {
-		owner := e / w.egrp
-		for _, p := range ex.Params() {
+	gate := w.layer.cfg.Gate.Params()
+	tensor.ParallelFor(R, func(r int) {
+		// Rank r's own expert shard [lo, hi) is overwritten whole below;
+		// everything else must read zero.
+		buf := out[r]
+		lo, hi := w.gradOff[r*w.egrp], w.gradOff[(r+1)*w.egrp]
+		clear(buf[:lo])
+		clear(buf[hi:])
+		off := 0
+		for _, p := range gate {
 			g := p.G.Data()
-			copy(out[owner][off:off+len(g)], g)
+			if shards := comm.SplitFlat(len(g), R); r < len(shards) {
+				rr := shards[r]
+				copy(buf[off+rr.Lo:off+rr.Hi], g[rr.Lo:rr.Hi])
+			}
 			off += len(g)
 		}
-	}
-	return out
+		for _, ex := range w.layer.cfg.Experts[r*w.egrp : (r+1)*w.egrp] {
+			for _, p := range ex.Params() {
+				lo += copy(buf[lo:], p.G.Data())
+			}
+		}
+	})
 }

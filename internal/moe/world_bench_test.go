@@ -11,7 +11,7 @@ import (
 // benchWorldLayer builds a communication-heavy layer: a wide embedding
 // with a modest hidden size keeps the AlltoAll + (un)pack volume
 // comparable to the expert GEMMs, the regime where pipelining pays.
-func benchWorldLayer(b *testing.B, m, h, e int) *MOELayer {
+func benchWorldLayer(b testing.TB, m, h, e int) *MOELayer {
 	b.Helper()
 	rng := xrand.New(7)
 	gate, err := NewGShardGate(GateConfig{Experts: e, TopK: 2, Factor: 1.2}, m, rng)

@@ -249,8 +249,8 @@ func (s *RegistrySink) OnStep(m *StepMetrics) {
 	s.entropy.Set(m.ExpertEntropy)
 	s.imbalance.Set(m.ExpertImbalance)
 	s.tail.Set(m.TailMS)
-	s.wall.Set(m.WallMS())
-	s.stepMS.Observe(m.WallMS())
+	s.wall.Set(m.WallMS)
+	s.stepMS.Observe(m.WallMS)
 	for _, layer := range m.ExpertTokens {
 		for _, n := range layer {
 			s.load.Observe(float64(n))

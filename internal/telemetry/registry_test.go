@@ -106,7 +106,7 @@ func TestRegistrySinkZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	s := NewRegistrySink(r)
 	m := &StepMetrics{
-		ForwardMS: 3, BackwardMS: 5, TailMS: 1,
+		WallMS: 20, ForwardMS: 3, BackwardMS: 5, TailMS: 1,
 		Retries: 2, Faults: 1,
 		OverlapRatio: 1.5, ExpertEntropy: 0.9, ExpertImbalance: 1.3,
 		ExpertTokens: [][]int{{10, 20, 30, 40}},
@@ -116,6 +116,11 @@ func TestRegistrySinkZeroAlloc(t *testing.T) {
 	}
 	if got := r.Counter("step_total").Value(); got < 100 {
 		t.Fatalf("steps counter = %d, want >= 100", got)
+	}
+	// The wall gauge and histogram observe the measured wall, not the sum
+	// of the in-plan parts.
+	if got := r.Gauge("step_wall_ms").Value(); got != 20 {
+		t.Fatalf("step_wall_ms = %v, want the measured 20", got)
 	}
 }
 
@@ -162,7 +167,7 @@ func TestLoadStats(t *testing.T) {
 }
 
 func TestStepMetricsFinalize(t *testing.T) {
-	m := &StepMetrics{ForwardMS: 4, BackwardMS: 6}
+	m := &StepMetrics{WallMS: 25, ForwardMS: 4, BackwardMS: 6, TailMS: 2}
 	m.SerialMS = 15
 	m.StreamBusyMS = map[string]float64{"compute:0": 10, "inter": 5}
 	m.AddExpertLoad([]int{3, 1})
@@ -176,7 +181,7 @@ func TestStepMetricsFinalize(t *testing.T) {
 	if m.ExpertImbalance <= 1 {
 		t.Fatalf("imbalance = %v, want > 1", m.ExpertImbalance)
 	}
-	if m.WallMS() != 10 {
-		t.Fatalf("wall = %v, want 10", m.WallMS())
+	if m.OutsideMS() != 13 {
+		t.Fatalf("outside = %v, want 25 - 4 - 6 - 2", m.OutsideMS())
 	}
 }

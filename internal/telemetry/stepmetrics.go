@@ -22,7 +22,11 @@ type StepMetrics struct {
 	DegreeFwd int    `json:"degree_fwd"`           // forward pipeline degree r
 	DegreeBwd int    `json:"degree_bwd"`
 
-	// Wall-time decomposition (ms, measured).
+	// Wall-time decomposition (ms, measured). WallMS is the step's full
+	// wall, entry to StepWorlds through the SGD update and any checkpoint
+	// write; the three below it are the parts spent inside measured stream
+	// plans and the exposed tail, and OutsideMS reads out the remainder.
+	WallMS     float64 `json:"wall_ms"`
 	ForwardMS  float64 `json:"forward_ms"`  // summed forward-plan makespans
 	BackwardMS float64 `json:"backward_ms"` // summed backward-plan makespans (hidden AllReduce included)
 	TailMS     float64 `json:"tail_ms"`     // exposed Gradient-AllReduce tail (§5)
@@ -78,11 +82,12 @@ type StepMetrics struct {
 	SyncTailBytes   float64 `json:"sync_tail_bytes"`
 }
 
-// WallMS is the step's full measured wall time: backward plus the exposed
-// tail plus forward (forward is reported separately in the §5 tables
-// because gradient synchronization never touches it, but the wall a user
-// waits for includes it).
-func (m *StepMetrics) WallMS() float64 { return m.ForwardMS + m.BackwardMS + m.TailMS }
+// OutsideMS is the part of the step's wall spent outside the measured
+// plans and the exposed tail: gate and order work, padding, gradient
+// collection, the SGD update, a checkpoint write.
+func (m *StepMetrics) OutsideMS() float64 {
+	return m.WallMS - m.ForwardMS - m.BackwardMS - m.TailMS
+}
 
 // AddTrace folds one measured trace's intervals and incident events into
 // the serial-time, per-stream-busy and fault tallies. Call once per

@@ -2,8 +2,9 @@
 // and Scalable Training System for Sparse Mixture-of-Experts Models"
 // (Pan et al., ASPLOS 2025).
 //
-// The public API lives in repro/fsmoe; the benchmark harness regenerating
-// every table and figure of the paper's evaluation lives in
-// cmd/fsmoe-bench and in the root-level bench_test.go. See README.md,
-// DESIGN.md and EXPERIMENTS.md.
+// The public API lives in repro/fsmoe; the harness regenerating every
+// table and figure of the paper's evaluation lives in cmd/fsmoe-bench and
+// in the root-level bench_test.go; the repository benchmark that judges a
+// commit against its parent lives in bench/. See README.md, the fsmoe
+// package documentation and bench/README.md.
 package repro
