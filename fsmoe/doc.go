@@ -149,6 +149,25 @@
 // overwrites them; copy what must outlive the call. Comparing replicas
 // within one step, or across two different stacks, needs no copy.
 //
+// The token path is resident the same way. Every buffer a pass moves
+// tokens through — the padded expert-major buffers, the per-rank expert
+// blocks, the sharded strategies' wire and exchange buffers — belongs to
+// one workspace per World, cut for the live shape (ranks, experts, batch
+// capacity, width, pipeline degrees, strategy) and reused while that shape
+// holds: a warm pass allocates none of them. Forward checks the workspace
+// out into the WorldCache it returns and that cache's Backward hands it
+// back, so a WorldCache, and the task closures of the plans in
+// StepResult.Plans and World.LastPlan, view world-owned memory that is
+// valid until that cache's Backward returns — afterwards the next Forward
+// overwrites it. A Forward while an earlier cache is still outstanding
+// (forward-only evaluation, Forward→Forward→Backward) starts a fresh
+// workspace instead, so nothing a live cache points at is reused; Close
+// and Recover drop the workspace. What a pass returns is still the
+// caller's: the Forward output, StepResult.Y and StepResult.DX are fresh
+// tensors. Under StrategyEP (hence DenseSlots and Hybrid at GroupSize 1) a
+// token row is copied once per AlltoAll hop, straight between the
+// expert-major buffer and the owning rank's expert block.
+//
 // StepResult.WallMS is the measured wall of the whole call (telemetry
 // emission excluded); ForwardMS, BackwardMS and TailMS are the parts of
 // it inside measured stream plans and the exposed tail, and StepMS() —

@@ -44,43 +44,99 @@ func allocRanks(p, n int) [][]float64 {
 	return out
 }
 
+// tiles addresses every rank's AlltoAll endpoint as a list of p·k tiles of
+// elems elements each: tile d·k+j is the j-th tile the rank exchanges with
+// peer d. A dense rank buffer is the special case of consecutive tiles; a
+// block list names each tile's memory, so a collective can read and write
+// buffers that are laid out for their consumers instead of for the wire.
+type tiles struct {
+	dense [][]float64   // per rank, p·k consecutive tiles; used when lists is nil
+	lists [][][]float64 // per rank, the p·k tiles
+	elems int
+}
+
+func (t tiles) at(r, i int) []float64 {
+	if t.lists != nil {
+		return t.lists[r][i]
+	}
+	return t.dense[r][i*t.elems : (i+1)*t.elems]
+}
+
+// a2aMove is one AlltoAll over tile endpoints, restricted to the element
+// window [lo, hi) of every tile: p ranks, k tiles per peer, nodes of g. The
+// monolithic collectives are the window [0, elems) of k = 1 dense tiles;
+// the row-chunked ones (chunked.go) pass a row range's elements. Elements
+// outside the window are neither read nor written.
+type a2aMove struct {
+	dst, src tiles
+	p, k, g  int
+	lo, hi   int
+}
+
+// perPeer is the element count one rank sends one peer.
+func (m a2aMove) perPeer() int { return m.k * (m.hi - m.lo) }
+
+// pack copies the window of the k tiles rank s sends to d into slot;
+// unpack lands slot in the window of the k tiles d receives from s.
+func (m a2aMove) pack(slot []float64, s, d int) {
+	n := m.hi - m.lo
+	for j := 0; j < m.k; j++ {
+		copy(slot[j*n:(j+1)*n], m.src.at(s, d*m.k+j)[m.lo:m.hi])
+	}
+}
+
+func (m a2aMove) unpack(slot []float64, s, d int) {
+	n := m.hi - m.lo
+	for j := 0; j < m.k; j++ {
+		copy(m.dst.at(d, s*m.k+j)[m.lo:m.hi], slot[j*n:(j+1)*n])
+	}
+}
+
+// run dispatches to the named algorithm.
+func (m a2aMove) run(algo A2AAlgo) (Stats, error) {
+	switch algo {
+	case A2ADirect:
+		return m.direct(), nil
+	case A2A1DH:
+		return m.hier1D()
+	case A2A2DH:
+		return m.hier2D()
+	default:
+		return Stats{}, fmt.Errorf("comm: unknown alltoall algorithm %q", algo)
+	}
+}
+
+// nodes validates the node shape of the hierarchical algorithms.
+func (m a2aMove) nodes() (int, error) {
+	if m.g <= 0 || m.p%m.g != 0 {
+		return 0, fmt.Errorf("comm: %d ranks not divisible into nodes of %d", m.p, m.g)
+	}
+	return m.p / m.g, nil
+}
+
 // DirectAlltoAll is the flat NCCL algorithm: every rank sends block d
 // straight to rank d — p·(p-1) point-to-point messages.
 // out[d] = data[0][d] ‖ data[1][d] ‖ … (blocks ordered by source).
 func DirectAlltoAll(data [][]float64, gpusPerNode int) ([][]float64, Stats, error) {
-	b, err := blockView(data)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	out := allocRanks(len(data), b*len(data))
-	st, err := DirectAlltoAllInto(out, data, gpusPerNode)
-	return out, st, err
+	return AlltoAll(A2ADirect, data, gpusPerNode)
 }
 
-// DirectAlltoAllInto is DirectAlltoAll writing into caller-owned result
-// buffers (out[d] must be b·p elements), so pipelined callers can draw
-// them from the tensor free-list instead of allocating inside measured
-// collective intervals.
-func DirectAlltoAllInto(out, data [][]float64, gpusPerNode int) (Stats, error) {
+// direct moves every window straight from its source tile to its
+// destination tile: one copy per (source, destination, tile).
+func (m a2aMove) direct() Stats {
 	var st Stats
-	b, err := blockView(data)
-	if err != nil {
-		return st, err
-	}
-	p := len(data)
-	if err := checkInto(out, p, b); err != nil {
-		return st, err
-	}
-	w := world{g: gpusPerNode}
-	for s := 0; s < p; s++ {
-		for d := 0; d < p; d++ {
-			copy(out[d][s*b:(s+1)*b], data[s][d*b:(d+1)*b])
+	w := world{g: m.g}
+	for s := 0; s < m.p; s++ {
+		for d := 0; d < m.p; d++ {
+			for j := 0; j < m.k; j++ {
+				copy(m.dst.at(d, s*m.k+j)[m.lo:m.hi], m.src.at(s, d*m.k+j)[m.lo:m.hi])
+			}
 			if s != d {
-				st.add(w.sameNode(s, d), b)
+				st.add(w.sameNode(s, d), m.perPeer())
 			}
 		}
 	}
-	return st, nil
+	return st
 }
 
 // Hierarchical1DAlltoAll is Hetu's 1DH algorithm: GPUs in a node first
@@ -89,39 +145,23 @@ func DirectAlltoAllInto(out, data [][]float64, gpusPerNode int) (Stats, error) {
 // arrivals within its node. It trades 2 extra intra-node hops for
 // nodes·(nodes-1) instead of p·(p-1) inter-node messages.
 func Hierarchical1DAlltoAll(data [][]float64, gpusPerNode int) ([][]float64, Stats, error) {
-	b, err := blockView(data)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	out := allocRanks(len(data), b*len(data))
-	st, err := Hierarchical1DAlltoAllInto(out, data, gpusPerNode)
-	return out, st, err
+	return AlltoAll(A2A1DH, data, gpusPerNode)
 }
 
-// Hierarchical1DAlltoAllInto is Hierarchical1DAlltoAll with caller-owned
-// result buffers. The leader and arrival staging arenas come from the
-// shared tensor free-list (one dense arena per node instead of p² block
-// allocations), keeping GC churn out of measured intervals; the byte
-// movement and Stats are identical to the allocating variant.
-func Hierarchical1DAlltoAllInto(out, data [][]float64, gpusPerNode int) (Stats, error) {
+// hier1D runs the three 1DH hops on window-sized arenas from the shared
+// tensor free-list (one leader and one arrival arena per node), keeping
+// allocation churn out of measured intervals.
+func (m a2aMove) hier1D() (Stats, error) {
 	var st Stats
-	b, err := blockView(data)
+	nodes, err := m.nodes()
 	if err != nil {
 		return st, err
 	}
-	p := len(data)
-	if err := checkInto(out, p, b); err != nil {
-		return st, err
-	}
-	g := gpusPerNode
-	if g <= 0 || p%g != 0 {
-		return st, fmt.Errorf("comm: %d ranks not divisible into nodes of %d", p, g)
-	}
-	nodes := p / g
-	// leader[nd] holds, on the node leader, every block of node nd's g
-	// sources: slot ((s - nd·g)·p + d) is the block from source s to
-	// destination d. arrived[nd] holds, after the leader exchange, every
-	// block destined to node nd's g ranks: slot (s·g + (d - nd·g)).
+	p, g, b := m.p, m.g, m.perPeer()
+	// leader[nd] holds, on the node leader, every slot of node nd's g
+	// sources: slot ((s - nd·g)·p + d) is what source s sends destination d.
+	// arrived[nd] holds, after the leader exchange, every slot destined to
+	// node nd's g ranks: slot (s·g + (d - nd·g)).
 	leader := make([]*tensor.Tensor, nodes)
 	arrived := make([]*tensor.Tensor, nodes)
 	for nd := 0; nd < nodes; nd++ {
@@ -141,7 +181,7 @@ func Hierarchical1DAlltoAllInto(out, data [][]float64, gpusPerNode int) (Stats, 
 		ld := leader[nd].Data()
 		for d := 0; d < p; d++ {
 			off := ((s-nd*g)*p + d) * b
-			copy(ld[off:off+b], data[s][d*b:(d+1)*b])
+			m.pack(ld[off:off+b], s, d)
 			if s != lead {
 				st.add(true, b)
 			}
@@ -174,7 +214,7 @@ func Hierarchical1DAlltoAllInto(out, data [][]float64, gpusPerNode int) (Stats, 
 		ad := arrived[nd].Data()
 		for s := 0; s < p; s++ {
 			off := (s*g + (d - nd*g)) * b
-			copy(out[d][s*b:(s+1)*b], ad[off:off+b])
+			m.unpack(ad[off:off+b], s, d)
 			if d != lead {
 				st.add(true, b)
 			}
@@ -193,37 +233,21 @@ func Hierarchical1DAlltoAllInto(out, data [][]float64, gpusPerNode int) (Stats, 
 //	  aggregated per-node messages — nodes·(nodes-1) large messages per
 //	  local index instead of p·(p-1) small ones.
 func Hierarchical2DAlltoAll(data [][]float64, gpusPerNode int) ([][]float64, Stats, error) {
-	b, err := blockView(data)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	out := allocRanks(len(data), b*len(data))
-	st, err := Hierarchical2DAlltoAllInto(out, data, gpusPerNode)
-	return out, st, err
+	return AlltoAll(A2A2DH, data, gpusPerNode)
 }
 
-// Hierarchical2DAlltoAllInto is Hierarchical2DAlltoAll with caller-owned
-// result buffers and pooled regrouping arenas (one dense arena per rank
-// instead of p² block allocations); byte movement and Stats are identical
-// to the allocating variant.
-func Hierarchical2DAlltoAllInto(out, data [][]float64, gpusPerNode int) (Stats, error) {
+// hier2D runs the two 2DH hops on window-sized pooled regrouping arenas,
+// one per rank.
+func (m a2aMove) hier2D() (Stats, error) {
 	var st Stats
-	b, err := blockView(data)
+	nodes, err := m.nodes()
 	if err != nil {
 		return st, err
 	}
-	p := len(data)
-	if err := checkInto(out, p, b); err != nil {
-		return st, err
-	}
-	g := gpusPerNode
-	if g <= 0 || p%g != 0 {
-		return st, fmt.Errorf("comm: %d ranks not divisible into nodes of %d", p, g)
-	}
-	nodes := p / g
-	// mid[r] for r = (nd, l) holds, after phase 1, every block from node
+	p, g, b := m.p, m.g, m.perPeer()
+	// mid[r] for r = (nd, l) holds, after phase 1, every slot from node
 	// nd's g sources destined to a rank with local index l: slot
-	// ((s - nd·g)·nodes + d/g) is the block from source s to destination d
+	// ((s - nd·g)·nodes + d/g) is what source s sends destination d
 	// (d ≡ l mod g, so d/g identifies it).
 	mid := make([]*tensor.Tensor, p)
 	for r := 0; r < p; r++ {
@@ -237,30 +261,27 @@ func Hierarchical2DAlltoAllInto(out, data [][]float64, gpusPerNode int) (Stats, 
 	for s := 0; s < p; s++ {
 		nd := s / g
 		for d := 0; d < p; d++ {
-			l := d % g
-			holder := nd*g + l
-			md := mid[holder].Data()
+			holder := nd*g + d%g
 			off := ((s-nd*g)*nodes + d/g) * b
-			copy(md[off:off+b], data[s][d*b:(d+1)*b])
+			m.pack(mid[holder].Data()[off:off+b], s, d)
 			if holder != s {
 				st.add(true, b)
 			}
 		}
 	}
-	// Phase 2: rank (node, l) sends to (node', l) all held blocks destined
-	// to node'. Because every held block's destination has local index l,
+	// Phase 2: rank (node, l) sends to (node', l) all held slots destined
+	// to node'. Because every held slot's destination has local index l,
 	// the only in-node' destination is rank (node', l) itself, so the
 	// arrivals land directly in the source-ordered output layout.
 	for nd := 0; nd < nodes; nd++ {
 		for l := 0; l < g; l++ {
-			r := nd*g + l
-			md := mid[r].Data()
+			md := mid[nd*g+l].Data()
 			for nd2 := 0; nd2 < nodes; nd2++ {
 				peer := nd2*g + l
 				moved := 0
 				for s := nd * g; s < (nd+1)*g; s++ {
 					off := ((s-nd*g)*nodes + nd2) * b
-					copy(out[peer][s*b:(s+1)*b], md[off:off+b])
+					m.unpack(md[off:off+b], s, peer)
 					moved += b
 				}
 				if nd != nd2 && moved > 0 {
@@ -282,31 +303,31 @@ const (
 	A2A2DH    A2AAlgo = "2dh-tutel"
 )
 
-// AlltoAll dispatches to the named algorithm, allocating the result.
+// AlltoAll runs the named algorithm, allocating the result.
 func AlltoAll(algo A2AAlgo, data [][]float64, gpusPerNode int) ([][]float64, Stats, error) {
-	switch algo {
-	case A2ADirect:
-		return DirectAlltoAll(data, gpusPerNode)
-	case A2A1DH:
-		return Hierarchical1DAlltoAll(data, gpusPerNode)
-	case A2A2DH:
-		return Hierarchical2DAlltoAll(data, gpusPerNode)
-	default:
-		return nil, Stats{}, fmt.Errorf("comm: unknown alltoall algorithm %q", algo)
+	b, err := blockView(data)
+	if err != nil {
+		return nil, Stats{}, err
 	}
+	out := allocRanks(len(data), b*len(data))
+	st, err := AlltoAllInto(algo, out, data, gpusPerNode)
+	if err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
 }
 
-// AlltoAllInto dispatches to the named algorithm's Into variant, writing
-// into caller-owned (typically pooled) result buffers.
+// AlltoAllInto runs the named algorithm writing into caller-owned result
+// buffers (out[d] must be b·p elements, the layout AlltoAll returns).
 func AlltoAllInto(algo A2AAlgo, out, data [][]float64, gpusPerNode int) (Stats, error) {
-	switch algo {
-	case A2ADirect:
-		return DirectAlltoAllInto(out, data, gpusPerNode)
-	case A2A1DH:
-		return Hierarchical1DAlltoAllInto(out, data, gpusPerNode)
-	case A2A2DH:
-		return Hierarchical2DAlltoAllInto(out, data, gpusPerNode)
-	default:
-		return Stats{}, fmt.Errorf("comm: unknown alltoall algorithm %q", algo)
+	b, err := blockView(data)
+	if err != nil {
+		return Stats{}, err
 	}
+	p := len(data)
+	if err := checkInto(out, p, b); err != nil {
+		return Stats{}, err
+	}
+	m := a2aMove{dst: tiles{dense: out, elems: b}, src: tiles{dense: data, elems: b}, p: p, k: 1, g: gpusPerNode, lo: 0, hi: b}
+	return m.run(algo)
 }

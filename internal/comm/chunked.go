@@ -3,11 +3,9 @@ package comm
 import (
 	"fmt"
 	"sync/atomic"
-
-	"repro/internal/tensor"
 )
 
-// This file layers chunked, asynchronous AlltoAll on top of the monolithic
+// This file layers chunked, asynchronous AlltoAll on top of the
 // Direct/1DH/2DH algorithms — the communication half of the paper's §4
 // fine-grained task scheduling. The token dimension of every per-destination
 // block is split into r contiguous row chunks; each chunk is a complete
@@ -16,6 +14,16 @@ import (
 // chunking only restricts the same permutation to disjoint row sets, the
 // reassembled result is byte-identical to the monolithic collective for
 // every algorithm.
+//
+// A chunk moves in place: the algorithms (alltoall.go) run on an element
+// window of their endpoints, so a row range travels straight from the
+// caller's send buffer to its receive buffer with no packed copy on either
+// side. Endpoints come in two layouts. Dense: each rank's buffer is p
+// consecutive (Rows × Width) blocks (AlltoAllRows). Block list: each rank
+// names its p·k tiles of (Rows × Width) elements individually
+// (AlltoAllTiles), which lets a caller exchange buffers laid out for their
+// consumers — internal/moe's expert-major activations and per-rank expert
+// blocks — directly.
 
 // BlockDims describes the shape of each per-destination block of an
 // AlltoAll buffer: Rows token rows of Width elements. Every rank's buffer
@@ -42,6 +50,29 @@ func (d BlockDims) validate(data [][]float64) (int, error) {
 		return 0, fmt.Errorf("comm: block has %d elements, dims say %dx%d=%d", b, d.Rows, d.Width, d.Elems())
 	}
 	return b, nil
+}
+
+// checkRange checks a row window against the block height.
+func (d BlockDims) checkRange(rr RowRange) error {
+	if rr.Lo < 0 || rr.Hi < rr.Lo || rr.Hi > d.Rows {
+		return fmt.Errorf("comm: row range [%d,%d) outside block of %d rows", rr.Lo, rr.Hi, d.Rows)
+	}
+	return nil
+}
+
+// checkTiles checks that every rank lists n tiles of the block shape.
+func (d BlockDims) checkTiles(lists [][][]float64, n int) error {
+	for r, list := range lists {
+		if len(list) != n {
+			return fmt.Errorf("comm: rank %d lists %d tiles, want %d", r, len(list), n)
+		}
+		for i, t := range list {
+			if len(t) != d.Elems() {
+				return fmt.Errorf("comm: rank %d tile %d has %d elements, dims say %dx%d", r, i, len(t), d.Rows, d.Width)
+			}
+		}
+	}
+	return nil
 }
 
 // RowRange is one contiguous chunk [Lo, Hi) of a block's token rows.
@@ -75,69 +106,64 @@ func SplitRows(rows, chunks int) []RowRange {
 // AlltoAllRows runs the AlltoAll restricted to rows [rr.Lo, rr.Hi) of every
 // destination block, writing the exchanged rows into the same positions of
 // out (out[d] must be b*p elements like a monolithic result buffer; rows
-// outside the range are untouched). It packs the sub-rows into dense
-// per-rank buffers, runs the chosen monolithic algorithm on them, and
-// scatters the arrivals — so the data movement inherits the algorithm's
-// step structure and the per-row bytes are exactly the monolithic ones.
+// outside the range are untouched). The window moves in place: the chosen
+// algorithm runs directly between data and out — Direct is one copy per
+// (source, destination) window, 1DH/2DH keep their hops on window-sized
+// arenas — so the step structure, the Stats and the per-row bytes are
+// exactly the monolithic ones.
 func AlltoAllRows(algo A2AAlgo, data, out [][]float64, gpusPerNode int, dims BlockDims, rr RowRange) (Stats, error) {
-	var st Stats
 	b, err := dims.validate(data)
 	if err != nil {
-		return st, err
+		return Stats{}, err
 	}
 	p := len(data)
-	if len(out) != p {
-		return st, fmt.Errorf("comm: chunked alltoall has %d output ranks, want %d", len(out), p)
+	if err := checkInto(out, p, b); err != nil {
+		return Stats{}, err
 	}
-	for r := range out {
-		if len(out[r]) != b*p {
-			return st, fmt.Errorf("comm: output rank %d has %d elements, want %d", r, len(out[r]), b*p)
-		}
+	if err := dims.checkRange(rr); err != nil || rr.Len() == 0 {
+		return Stats{}, err
 	}
-	if rr.Lo < 0 || rr.Hi < rr.Lo || rr.Hi > dims.Rows {
-		return st, fmt.Errorf("comm: row range [%d,%d) outside block of %d rows", rr.Lo, rr.Hi, dims.Rows)
-	}
-	rows := rr.Len()
-	if rows == 0 {
-		return st, nil
-	}
-	// Staging and result buffers come from the shared tensor free-list:
-	// per-chunk pack/unpack (and result) allocations would otherwise sit
-	// inside measured AlltoAll intervals (GC churn lands identically in
-	// baseline and pipelined runs, but pooling tightens the absolute
-	// numbers). The Into algorithm variants keep their internal regrouping
-	// arenas pooled too.
 	w := dims.Width
-	sub := make([][]float64, p)
-	res := make([][]float64, p)
-	staged := make([]*tensor.Tensor, 0, 2*p)
-	defer func() {
-		for _, t := range staged {
-			tensor.Put(t)
-		}
-	}()
-	for r := 0; r < p; r++ {
-		in := tensor.GetUninit(rows * w * p)
-		staged = append(staged, in)
-		sub[r] = in.Data()
-		for d := 0; d < p; d++ {
-			src := data[r][d*b+rr.Lo*w : d*b+rr.Hi*w]
-			copy(sub[r][d*rows*w:(d+1)*rows*w], src)
-		}
-		rt := tensor.GetUninit(rows * w * p)
-		staged = append(staged, rt)
-		res[r] = rt.Data()
+	m := a2aMove{dst: tiles{dense: out, elems: b}, src: tiles{dense: data, elems: b}, p: p, k: 1, g: gpusPerNode, lo: rr.Lo * w, hi: rr.Hi * w}
+	return m.run(algo)
+}
+
+// AlltoAllTiles is AlltoAllRows over block-list endpoints: send[r] and
+// recv[r] list rank r's p·k tiles of dims.Rows × dims.Width elements, tile
+// d·k+j being the j-th tile exchanged with peer d, wherever each tile
+// lives. Rows rr of send[s][d·k+j] land in rows rr of recv[d][s·k+j] — the
+// dense layout with k·dims.Width wide blocks is the special case of
+// consecutive tiles, and the Stats are that layout's. A caller whose
+// buffers already tile this way (an expert-major activation buffer and the
+// per-rank expert blocks) exchanges them with no wire copy on either side.
+// Send and receive tiles must not overlap.
+func AlltoAllTiles(algo A2AAlgo, send, recv [][][]float64, gpusPerNode int, dims BlockDims, rr RowRange) (Stats, error) {
+	p := len(send)
+	if p == 0 {
+		return Stats{}, fmt.Errorf("comm: no ranks")
 	}
-	st, err = AlltoAllInto(algo, res, sub, gpusPerNode)
-	if err != nil {
-		return st, err
+	if dims.Rows <= 0 || dims.Width <= 0 {
+		return Stats{}, fmt.Errorf("comm: invalid block dims %dx%d", dims.Rows, dims.Width)
 	}
-	for d := 0; d < p; d++ {
-		for s := 0; s < p; s++ {
-			copy(out[d][s*b+rr.Lo*w:s*b+rr.Hi*w], res[d][s*rows*w:(s+1)*rows*w])
-		}
+	if len(recv) != p {
+		return Stats{}, fmt.Errorf("comm: tiled alltoall has %d receiving ranks, want %d", len(recv), p)
 	}
-	return st, nil
+	n := len(send[0])
+	if n == 0 || n%p != 0 {
+		return Stats{}, fmt.Errorf("comm: %d tiles per rank not divisible across %d ranks", n, p)
+	}
+	if err := dims.checkTiles(send, n); err != nil {
+		return Stats{}, err
+	}
+	if err := dims.checkTiles(recv, n); err != nil {
+		return Stats{}, err
+	}
+	if err := dims.checkRange(rr); err != nil || rr.Len() == 0 {
+		return Stats{}, err
+	}
+	w := dims.Width
+	m := a2aMove{dst: tiles{lists: recv}, src: tiles{lists: send}, p: p, k: n / p, g: gpusPerNode, lo: rr.Lo * w, hi: rr.Hi * w}
+	return m.run(algo)
 }
 
 // ChunkedAlltoAll splits each destination block's token rows into chunks

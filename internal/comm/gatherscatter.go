@@ -252,10 +252,7 @@ func checkRowsArgs(data, out [][]float64, dims BlockDims, rr RowRange, dir int) 
 			return 0, fmt.Errorf("comm: output rank %d has %d elements, want %d", r, len(out[r]), outLen)
 		}
 	}
-	if rr.Lo < 0 || rr.Hi < rr.Lo || rr.Hi > dims.Rows {
-		return 0, fmt.Errorf("comm: row range [%d,%d) outside block of %d rows", rr.Lo, rr.Hi, dims.Rows)
-	}
-	return b, nil
+	return b, dims.checkRange(rr)
 }
 
 // ChunkedAllGather splits each rank's block rows into chunks contiguous

@@ -18,6 +18,16 @@ func AlltoAllRowsGuarded(g Guard, algo A2AAlgo, data, out [][]float64, gpusPerNo
 	return AlltoAllRows(algo, data, out, gpusPerNode, dims, rr)
 }
 
+// AlltoAllTilesGuarded is AlltoAllTiles behind a pre-transfer Guard.
+func AlltoAllTilesGuarded(g Guard, algo A2AAlgo, send, recv [][][]float64, gpusPerNode int, dims BlockDims, rr RowRange) (Stats, error) {
+	if g != nil {
+		if err := g(); err != nil {
+			return Stats{}, err
+		}
+	}
+	return AlltoAllTiles(algo, send, recv, gpusPerNode, dims, rr)
+}
+
 // AllGatherRowsGuarded is AllGatherRows behind a pre-transfer Guard.
 func AllGatherRowsGuarded(g Guard, data, out [][]float64, gpusPerNode int, dims BlockDims, rr RowRange) (Stats, error) {
 	if g != nil {

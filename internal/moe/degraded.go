@@ -170,7 +170,7 @@ func (w *World) degradedBackward(cache *WorldCache, dy *tensor.Tensor) (*tensor.
 	if len(pr.shape) == 3 {
 		dx = dx.Reshape(pr.shape...)
 	}
-	cache.combined = nil
+	w.release(cache)
 	st.res.RecoveryMS += time.Since(t0).Seconds() * 1e3
 	w.degraded = st.res
 	return dx, nil

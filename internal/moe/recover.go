@@ -223,7 +223,10 @@ func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int)
 		for _, p := range params {
 			n += len(p.W.Data())
 		}
-		bufs := wireBuffers(newR, n)
+		bufs := make([][]float64, newR)
+		for r := range bufs {
+			bufs[r] = make([]float64, n)
+		}
 		off := 0
 		for _, p := range params {
 			copy(bufs[0][off:], p.W.Data())
@@ -254,9 +257,10 @@ func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int)
 	w.addStats(rep.Traffic)
 
 	// Commit the new topology: swap the scoped pools to the new stream
-	// count, install the fresh strategy, strip the injector's down trigger
-	// (the dead rank no longer exists in the rebuilt world), and clear the
-	// health state exactly as a manual ResetHealth would.
+	// count, install the fresh strategy, drop the workspace cut for the old
+	// placement, strip the injector's down trigger (the dead rank no longer
+	// exists in the rebuilt world), and clear the health state exactly as a
+	// manual ResetHealth would.
 	for _, p := range w.computePools {
 		p.Close()
 	}
@@ -264,6 +268,7 @@ func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int)
 	w.cfg = newCfg
 	w.egrp = newEgrp
 	w.strat = strat
+	w.ws = nil
 	w.planResources()
 	w.countGradElems()
 	w.faults = w.faults.WithoutDown()

@@ -178,46 +178,63 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 	step("recovered again", x, dy, false)
 }
 
-// TestStepAllocationBound pins the resident state: on a parameter-heavy
-// stack a warm step allocates less than one copy of the parameters. The
-// per-step gradient and replica buffers this replaces were 2·R copies, so
-// a reintroduced per-step make of either fails here. The collector is off
-// for the window, as in the repository benchmark, so the tensor free-lists
-// stay warm and the figure repeats.
+// TestStepAllocationBound pins the resident state from both sides. On a
+// parameter-heavy stack a warm step allocates less than one copy of the
+// parameters: the per-step gradient and replica buffers that the resident
+// arenas replace were 2·R copies, so a reintroduced per-step make of either
+// fails here. On a token-heavy stack a warm step allocates less than twelve
+// copies of the batch per layer: what Order and the gate still allocate
+// (Scatter, Gather and their adjoints, Y and DX) is about eight, and the
+// wire buffers, rank blocks and padded buffers that the workspace replaces
+// were about forty more. The collector is off for the window, as in the
+// repository benchmark, so the tensor free-lists stay warm and the figure
+// repeats.
 func TestStepAllocationBound(t *testing.T) {
 	SetVerifyPlans(false) // Verify's graph is test-only allocation
 	defer SetVerifyPlans(true)
-	const layers, ranks, m, h, n = 2, 4, 64, 128, 16
-	ws := make([]*World, layers)
-	params := 0
-	for i := range ws {
-		w, err := NewWorld(benchWorldLayer(t, m, h, 8), WorldConfig{Ranks: ranks})
-		if err != nil {
-			t.Fatal(err)
+	const layers, ranks = 2, 4
+	for _, tc := range []struct {
+		name         string
+		m, h, n, deg int
+		bound        func(params int) int // bytes
+	}{
+		{"parameter-bound", 64, 128, 16, 1, func(params int) int { return 8 * params }},
+		{"token-bound", 256, 16, 192, 4, func(int) int { return 12 * layers * 192 * 256 * 8 }},
+	} {
+		ws := make([]*World, layers)
+		params := 0
+		for i := range ws {
+			w, err := NewWorld(benchWorldLayer(t, tc.m, tc.h, 8), WorldConfig{Ranks: ranks, ChunksFwd: tc.deg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			ws[i] = w
+			total, _ := w.GradElems()
+			params += total
 		}
-		defer w.Close()
-		ws[i] = w
-		total, _ := w.GradElems()
-		params += total
-	}
-	x := tensor.RandN(xrand.New(321), 1, n, m)
-	dy := tensor.RandN(xrand.New(322), 1, n, m)
-	cfg := StepConfig{LR: 0.01}
+		x := tensor.RandN(xrand.New(321), 1, tc.n, tc.m)
+		dy := tensor.RandN(xrand.New(322), 1, tc.n, tc.m)
+		cfg := StepConfig{LR: 0.01}
 
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var perStep uint64
-	for s := 0; s < 4; s++ {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
-			t.Fatal(err)
+		runtime.GC()
+		prev := debug.SetGCPercent(-1)
+		var perStep uint64
+		for s := 0; s < 4; s++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			perStep = m1.TotalAlloc - m0.TotalAlloc // the last, after two warm-ups and one more
 		}
-		runtime.ReadMemStats(&m1)
-		perStep = m1.TotalAlloc - m0.TotalAlloc // the last, after two warm-ups and one more
-	}
-	t.Logf("a warm step allocated %d bytes; one parameter copy is %d", perStep, 8*params)
-	if bound := uint64(8 * params); perStep >= bound {
-		t.Fatalf("a warm step allocated %d bytes, want under one parameter copy (%d bytes, %d parameters)", perStep, bound, params)
+		debug.SetGCPercent(prev)
+		bound := uint64(tc.bound(params))
+		t.Logf("%s: a warm step allocated %d bytes, bound %d", tc.name, perStep, bound)
+		if perStep >= bound {
+			t.Fatalf("%s: a warm step allocated %d bytes, want under %d (%d parameters, %d tokens of width %d)",
+				tc.name, perStep, bound, params, tc.n, tc.m)
+		}
 	}
 }

@@ -178,7 +178,10 @@ func residentFor(worlds []*World) *resident {
 	if fits {
 		return st
 	}
-	st.arena = wireBuffers(ranks, total)
+	st.arena = make([][]float64, ranks)
+	for r := range st.arena {
+		st.arena[r] = make([]float64, total)
+	}
 	st.views = make([][][]float64, len(worlds))
 	off := 0
 	for i, w := range worlds {

@@ -180,7 +180,7 @@ func (s *espStrategy) hiddenExchange(w *World, p *runtime.Plan, label string, bu
 	packIDs := make([]int, R)
 	for g := 0; g < R; g++ {
 		g := g
-		packIDs[g] = p.Add(fmt.Sprintf("P%s[%d]", label, g), KindPack, intraStream(g),
+		packIDs[g] = p.Add(fmt.Sprintf("P%s[%d]", label, g), KindPack, w.intraStream(g),
 			estElems(blk), func() error {
 				t := tensor.GetUninit(blk)
 				sendT[g], send[g] = t, t.Data()
@@ -210,7 +210,7 @@ func (s *espStrategy) hiddenExchange(w *World, p *runtime.Plan, label string, bu
 	unpackIDs := make([]int, R)
 	for g := 0; g < R; g++ {
 		g := g
-		unpackIDs[g] = p.Add(fmt.Sprintf("U%s[%d]", label, g), KindPack, intraStream(g),
+		unpackIDs[g] = p.Add(fmt.Sprintf("U%s[%d]", label, g), KindPack, w.intraStream(g),
 			estElems(R*blk), func() error {
 				for src := 0; src < R; src++ {
 					s.xferHidden(bufs[g], outB[g][src*blk:(src+1)*blk], src, R, spad, tpad, rr, fwd, false)
@@ -231,20 +231,19 @@ func (s *espStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCache,
 	ranges := comm.SplitRows(spad, w.cfg.ChunksFwd)
 	dims := comm.BlockDims{Rows: spad, Width: E * mdim}
 
+	ws := cache.ws
 	ec := &espCache{
-		xFull:   make([]*tensor.Tensor, R),
-		outFull: make([]*tensor.Tensor, R),
+		xFull:   ws.blocks(R, E, tpad, mdim),
+		outFull: ws.blocks(R, E, tpad, mdim),
 		hf:      make([][]*tensor.Tensor, R),
 		scs:     make([][]ShardedCache, R),
 	}
 	cache.sc = ec
 	for g := 0; g < R; g++ {
-		ec.xFull[g] = tensor.New(E, tpad, mdim)
-		ec.outFull[g] = tensor.New(E, tpad, mdim)
 		ec.hf[g] = make([]*tensor.Tensor, E)
 		ec.scs[g] = make([]ShardedCache, E)
 		for e, ex := range s.experts {
-			ec.hf[g][e] = tensor.New(ex.FwdBands()*tpad, ex.HiddenWidth())
+			ec.hf[g][e] = ws.tensor(ex.FwdBands()*tpad, ex.HiddenWidth())
 			cl, ch := colShard(ex.HiddenWidth(), g, R)
 			ec.scs[g][e] = ex.BeginSharded(
 				expertView(ec.xFull[g], e, tpad, mdim),
@@ -253,10 +252,10 @@ func (s *espStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCache,
 		}
 	}
 
-	agxData := wireBuffers(R, spad*E*mdim)
-	agxOut := wireBuffers(R, tpad*E*mdim)
-	rsData := wireBuffers(R, tpad*E*mdim)
-	rsOut := wireBuffers(R, spad*E*mdim)
+	agxData := ws.perRank(R, spad*E*mdim)
+	agxOut := ws.perRank(R, tpad*E*mdim)
+	rsData := reduceScatterWire(ws, R, R, spad*E*mdim)
+	rsOut := ws.perRank(R, spad*E*mdim)
 	scatD := scatPad.Data()
 
 	// Phase 1 — pack + input AllGather for every chunk, issued back to
@@ -268,7 +267,7 @@ func (s *espStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCache,
 		packIDs := make([]int, R)
 		for i := 0; i < R; i++ {
 			i := i
-			packIDs[i] = p.Add(fmt.Sprintf("G%d[%d]", c, i), KindPack, intraStream(i),
+			packIDs[i] = p.Add(fmt.Sprintf("G%d[%d]", c, i), KindPack, w.intraStream(i),
 				estElems(E*rr.Len()*mdim), func() error {
 					espXfer(w.stagingPool(), agxData[i], scatD, E, mdim, tpad, 0, i*spad, rr, true)
 					return nil
@@ -295,14 +294,14 @@ func (s *espStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCache,
 		hIDs := make([]int, R)
 		for g := 0; g < R; g++ {
 			g := g
-			unpack := p.Add(fmt.Sprintf("Ux%d[%d]", c, g), KindPack, intraStream(g),
+			unpack := p.Add(fmt.Sprintf("Ux%d[%d]", c, g), KindPack, w.intraStream(g),
 				estElems(R*E*rr.Len()*mdim), func() error {
 					for i := 0; i < R; i++ {
 						espXfer(w.stagingPool(), agxOut[g], ec.xFull[g].Data(), E, mdim, tpad, i*spad, i*spad, rr, false)
 					}
 					return nil
 				}, agIDs[c])
-			hIDs[g] = p.Add(fmt.Sprintf("H%d[%d]", c, g), KindExpert, computeStream(g),
+			hIDs[g] = p.Add(fmt.Sprintf("H%d[%d]", c, g), KindExpert, w.computeStream(g),
 				w.allExpertEst(rows)/(2*float64(R)), func() error {
 					for e, ex := range s.experts {
 						for i := 0; i < R; i++ {
@@ -316,14 +315,14 @@ func (s *espStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCache,
 		packY := make([]int, R)
 		for g := 0; g < R; g++ {
 			g := g
-			o := p.Add(fmt.Sprintf("O%d[%d]", c, g), KindExpert, computeStream(g),
+			o := p.Add(fmt.Sprintf("O%d[%d]", c, g), KindExpert, w.computeStream(g),
 				w.allExpertEst(rr.Len())/2, func() error {
 					for e, ex := range s.experts {
 						ex.ForwardOut(ec.scs[g][e], g*spad+rr.Lo, g*spad+rr.Hi)
 					}
 					return nil
 				}, unpackH[g])
-			packY[g] = p.Add(fmt.Sprintf("Py%d[%d]", c, g), KindPack, intraStream(g),
+			packY[g] = p.Add(fmt.Sprintf("Py%d[%d]", c, g), KindPack, w.intraStream(g),
 				estElems(E*rr.Len()*mdim), func() error {
 					espXfer(w.stagingPool(), rsData[g], ec.outFull[g].Data(), E, mdim, tpad, g*spad, g*spad, rr, true)
 					return nil
@@ -341,7 +340,7 @@ func (s *espStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCache,
 			}, packY...)
 		for i := 0; i < R; i++ {
 			i := i
-			p.Add(fmt.Sprintf("V%d[%d]", c, i), KindPack, intraStream(i),
+			p.Add(fmt.Sprintf("V%d[%d]", c, i), KindPack, w.intraStream(i),
 				estElems(E*rr.Len()*mdim), func() error {
 					espXfer(w.stagingPool(), rsOut[i], combinedPad.Data(), E, mdim, tpad, 0, i*spad, rr, false)
 					return nil
@@ -359,22 +358,21 @@ func (s *espStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache
 	ranges := comm.SplitRows(spad, w.cfg.ChunksBwd)
 	dims := comm.BlockDims{Rows: spad, Width: E * mdim}
 
-	dyFull := make([]*tensor.Tensor, R)
-	dxFull := make([]*tensor.Tensor, R)
+	ws := cache.ws
+	dyFull := ws.blocks(R, E, tpad, mdim)
+	dxFull := ws.blocks(R, E, tpad, mdim)
 	hb := make([][]*tensor.Tensor, R)
 	for g := 0; g < R; g++ {
-		dyFull[g] = tensor.New(E, tpad, mdim)
-		dxFull[g] = tensor.New(E, tpad, mdim)
 		hb[g] = make([]*tensor.Tensor, E)
 		for e, ex := range s.experts {
-			hb[g][e] = tensor.New(ex.BwdBands()*tpad, ex.HiddenWidth())
+			hb[g][e] = ws.tensor(ex.BwdBands()*tpad, ex.HiddenWidth())
 		}
 	}
 
-	agdData := wireBuffers(R, spad*E*mdim)
-	agdOut := wireBuffers(R, tpad*E*mdim)
-	rsData := wireBuffers(R, tpad*E*mdim)
-	rsOut := wireBuffers(R, spad*E*mdim)
+	agdData := ws.perRank(R, spad*E*mdim)
+	agdOut := ws.perRank(R, tpad*E*mdim)
+	rsData := reduceScatterWire(ws, R, R, spad*E*mdim)
+	rsOut := ws.perRank(R, spad*E*mdim)
 	dpd := dpad.Data()
 
 	// Phase 1 — pack + output-gradient AllGather for every chunk, back to
@@ -385,7 +383,7 @@ func (s *espStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache
 		packIDs := make([]int, R)
 		for i := 0; i < R; i++ {
 			i := i
-			packIDs[i] = p.Add(fmt.Sprintf("G%d[%d]", c, i), KindPack, intraStream(i),
+			packIDs[i] = p.Add(fmt.Sprintf("G%d[%d]", c, i), KindPack, w.intraStream(i),
 				estElems(E*rr.Len()*mdim), func() error {
 					espXfer(w.stagingPool(), agdData[i], dpd, E, mdim, tpad, 0, i*spad, rr, true)
 					return nil
@@ -421,14 +419,14 @@ func (s *espStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache
 		b1IDs := make([]int, R)
 		for g := 0; g < R; g++ {
 			g := g
-			unpack := p.Add(fmt.Sprintf("Ud%d[%d]", c, g), KindPack, intraStream(g),
+			unpack := p.Add(fmt.Sprintf("Ud%d[%d]", c, g), KindPack, w.intraStream(g),
 				estElems(R*E*rr.Len()*mdim), func() error {
 					for i := 0; i < R; i++ {
 						espXfer(w.stagingPool(), agdOut[g], dyFull[g].Data(), E, mdim, tpad, i*spad, i*spad, rr, false)
 					}
 					return nil
 				}, agIDs[c])
-			b1IDs[g] = p.Add(fmt.Sprintf("B1%d[%d]", c, g), KindExpert, computeStream(g),
+			b1IDs[g] = p.Add(fmt.Sprintf("B1%d[%d]", c, g), KindExpert, w.computeStream(g),
 				w.allExpertEst(rows)/float64(R), func() error {
 					for e, ex := range s.experts {
 						dyv := expertView(dyFull[g], e, tpad, mdim)
@@ -443,7 +441,7 @@ func (s *espStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache
 		packDx := make([]int, R)
 		for g := 0; g < R; g++ {
 			g := g
-			b2Last[g] = p.Add(fmt.Sprintf("B2%d[%d]", c, g), KindExpert, computeStream(g),
+			b2Last[g] = p.Add(fmt.Sprintf("B2%d[%d]", c, g), KindExpert, w.computeStream(g),
 				w.allExpertEst(rr.Len()), func() error {
 					for e, ex := range s.experts {
 						dyv := expertView(dyFull[g], e, tpad, mdim)
@@ -452,7 +450,7 @@ func (s *espStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache
 					}
 					return nil
 				}, unpackB[g])
-			packDx[g] = p.Add(fmt.Sprintf("Pd%d[%d]", c, g), KindPack, intraStream(g),
+			packDx[g] = p.Add(fmt.Sprintf("Pd%d[%d]", c, g), KindPack, w.intraStream(g),
 				estElems(E*rr.Len()*mdim), func() error {
 					espXfer(w.stagingPool(), rsData[g], dxFull[g].Data(), E, mdim, tpad, g*spad, g*spad, rr, true)
 					return nil
@@ -473,7 +471,7 @@ func (s *espStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache
 		}
 		for i := 0; i < R; i++ {
 			i := i
-			p.Add(fmt.Sprintf("V%d[%d]", c, i), KindPack, intraStream(i),
+			p.Add(fmt.Sprintf("V%d[%d]", c, i), KindPack, w.intraStream(i),
 				estElems(E*rr.Len()*mdim), func() error {
 					espXfer(w.stagingPool(), rsOut[i], dScatteredPad.Data(), E, mdim, tpad, 0, i*spad, rr, false)
 					return nil
@@ -488,7 +486,7 @@ func (s *espStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache
 	// dy are complete, and no member state is still in use.
 	for j := 0; j < R; j++ {
 		j := j
-		p.Add(fmt.Sprintf("W[%d]", j), KindExpert, computeStream(j),
+		p.Add(fmt.Sprintf("W[%d]", j), KindExpert, w.computeStream(j),
 			w.expertEst(j, tpad), func() error {
 				for el := 0; el < eg; el++ {
 					e := j*eg + el

@@ -133,11 +133,6 @@ func (s *hybridStrategy) PlanCheck(plan *DispatchPlan) error {
 	return nil
 }
 
-// groupCollStream is group G's intra collective stream: each group runs
-// its AllGather/ReduceScatter chain on its own stream, so the nG chains
-// genuinely co-execute (and all of them overlap the shared inter stream).
-func groupCollStream(g int) string { return fmt.Sprintf("intra:g%d", g) }
-
 // groupGpn models one contiguous member group's node shape for Stats and
 // the ring groupings: consecutive global ranks, so a group either fits
 // inside one node or spans whole nodes; anything irregular degrades to
@@ -197,6 +192,37 @@ func (s *hybridStrategy) laneA2A(w *World, send, recv [][]float64, dims comm.Blo
 		}
 		return nil
 	}
+}
+
+// wireOff is the offset of (t, el, m) inside one (S rows × Eg·M wide)
+// wire block.
+func wireOff(t, el, m, eg, mdim int) int { return (t*eg+el)*mdim + m }
+
+// xferGlobal copies chunk rows [rr.Lo, rr.Hi) of token-side rank i's slot
+// shard between the padded global (E, Tpad, M) expert-major buffer and
+// rank i's lane wire buffer, whose per-peer blocks are keyed by expert
+// group. toWire selects the direction. Every forward/backward pack stage
+// on the token side is this one loop, so wire-layout fixes cannot drift
+// between the passes. Peers shard over pool (the comm staging allotment):
+// each peer touches a disjoint wire block and a disjoint set of expert
+// blocks, and the work is pure copies, so any width is bit-identical.
+func xferGlobal(pool *tensor.Pool, wire, global []float64, ranks, eg, mdim, spad, tpad, i int, rr comm.RowRange, toWire bool) {
+	blk := spad * eg * mdim
+	pool.ParallelFor(ranks, func(p int) {
+		wb := wire[p*blk : (p+1)*blk]
+		for el := 0; el < eg; el++ {
+			e := p*eg + el
+			for t := rr.Lo; t < rr.Hi; t++ {
+				woff := wireOff(t, el, 0, eg, mdim)
+				goff := (e*tpad + i*spad + t) * mdim
+				if toWire {
+					copy(wb[woff:woff+mdim], global[goff:goff+mdim])
+				} else {
+					copy(global[goff:goff+mdim], wb[woff:woff+mdim])
+				}
+			}
+		}
+	})
 }
 
 // xferMember copies chunk rows between member (G, m)'s (Egg, tpad, M)
@@ -265,7 +291,7 @@ func (s *hybridStrategy) rowsExchange(w *World, p *runtime.Plan, label string, b
 	for j := 0; j < r; j++ {
 		j := j
 		m := j % g
-		packIDs[j] = p.Add(fmt.Sprintf("G%s[%d]", label, j), KindPack, intraStream(j),
+		packIDs[j] = p.Add(fmt.Sprintf("G%s[%d]", label, j), KindPack, w.intraStream(j),
 			estElems(e*rr.Len()*mdim), func() error {
 				s.xferRows(w.stagingPool(), data[j], bufs[j].Data(), m, mdim, spad, tpad, rr, true)
 				return nil
@@ -275,13 +301,13 @@ func (s *hybridStrategy) rowsExchange(w *World, p *runtime.Plan, label string, b
 	for gi := 0; gi < s.nG; gi++ {
 		gi := gi
 		members := s.groups[gi]
-		guard := w.collGuard(groupCollStream(gi), KindAG)
+		guard := w.collGuard(w.groupCollStream(gi), KindAG)
 		gpn := s.groupGpn(w)
 		agDeps := make([]int, g)
 		for m := 0; m < g; m++ {
 			agDeps[m] = packIDs[members[m]]
 		}
-		ag := p.Add(fmt.Sprintf("AG%s[g%d]", label, gi), KindAG, groupCollStream(gi),
+		ag := p.Add(fmt.Sprintf("AG%s[g%d]", label, gi), KindAG, w.groupCollStream(gi),
 			estElems((g-1)*g*e*rr.Len()*mdim), func() error {
 				st, err := comm.GroupAllGatherRowsGuarded(guard, members, data, out, gpn, gdims, rr)
 				if err != nil {
@@ -293,7 +319,7 @@ func (s *hybridStrategy) rowsExchange(w *World, p *runtime.Plan, label string, b
 		for m := 0; m < g; m++ {
 			j := members[m]
 			m := m
-			unpackIDs[j] = p.Add(fmt.Sprintf("U%s[%d]", label, j), KindPack, intraStream(j),
+			unpackIDs[j] = p.Add(fmt.Sprintf("U%s[%d]", label, j), KindPack, w.intraStream(j),
 				estElems(g*e*rr.Len()*mdim), func() error {
 					for src := 0; src < g; src++ {
 						if src == m {
@@ -382,7 +408,7 @@ func (s *hybridStrategy) hiddenExchange(w *World, p *runtime.Plan, label string,
 		j := j
 		gi, m := j/g, j%g
 		blk := s.hiddenBlock(gi, rr.Len(), fwd)
-		packIDs[j] = p.Add(fmt.Sprintf("P%s[%d]", label, j), KindPack, intraStream(j),
+		packIDs[j] = p.Add(fmt.Sprintf("P%s[%d]", label, j), KindPack, w.intraStream(j),
 			estElems(blk), func() error {
 				t := tensor.GetUninit(blk)
 				sendT[j], send[j] = t, t.Data()
@@ -395,13 +421,13 @@ func (s *hybridStrategy) hiddenExchange(w *World, p *runtime.Plan, label string,
 		gi := gi
 		blk := s.hiddenBlock(gi, rr.Len(), fwd)
 		members := s.groups[gi]
-		guard := w.collGuard(groupCollStream(gi), KindAG)
+		guard := w.collGuard(w.groupCollStream(gi), KindAG)
 		gpn := s.groupGpn(w)
 		agDeps := make([]int, g)
 		for m := 0; m < g; m++ {
 			agDeps[m] = packIDs[members[m]]
 		}
-		ag := p.Add(fmt.Sprintf("AG%s[g%d]", label, gi), KindAG, groupCollStream(gi),
+		ag := p.Add(fmt.Sprintf("AG%s[g%d]", label, gi), KindAG, w.groupCollStream(gi),
 			estElems((g-1)*g*blk), func() error {
 				for _, mr := range members {
 					t := tensor.GetUninit(g * blk)
@@ -416,7 +442,7 @@ func (s *hybridStrategy) hiddenExchange(w *World, p *runtime.Plan, label string,
 			}, agDeps...)
 		for m := 0; m < g; m++ {
 			j := members[m]
-			unpackIDs[j] = p.Add(fmt.Sprintf("U%s[%d]", label, j), KindPack, intraStream(j),
+			unpackIDs[j] = p.Add(fmt.Sprintf("U%s[%d]", label, j), KindPack, w.intraStream(j),
 				estElems(g*blk), func() error {
 					for src := 0; src < g; src++ {
 						s.xferHidden(gi, bufs[j], outB[j][src*blk:(src+1)*blk], src, spad, tpad, rr, fwd, false)
@@ -447,7 +473,7 @@ func (s *hybridStrategy) reduceScatter(w *World, p *runtime.Plan, label string, 
 	for j := 0; j < r; j++ {
 		j := j
 		m := j % g
-		packIDs[j] = p.Add(fmt.Sprintf("P%s[%d]", label, j), KindPack, intraStream(j),
+		packIDs[j] = p.Add(fmt.Sprintf("P%s[%d]", label, j), KindPack, w.intraStream(j),
 			estElems(e*rr.Len()*mdim), func() error {
 				s.xferRows(w.stagingPool(), data[j][m*blk:(m+1)*blk], bufs[j].Data(), m, mdim, spad, tpad, rr, true)
 				return nil
@@ -457,13 +483,13 @@ func (s *hybridStrategy) reduceScatter(w *World, p *runtime.Plan, label string, 
 	for gi := 0; gi < s.nG; gi++ {
 		gi := gi
 		members := s.groups[gi]
-		guard := w.collGuard(groupCollStream(gi), KindRS)
+		guard := w.collGuard(w.groupCollStream(gi), KindRS)
 		gpn := s.groupGpn(w)
 		rsDeps := make([]int, g)
 		for m := 0; m < g; m++ {
 			rsDeps[m] = packIDs[members[m]]
 		}
-		rs := p.Add(fmt.Sprintf("RS%s[g%d]", label, gi), KindRS, groupCollStream(gi),
+		rs := p.Add(fmt.Sprintf("RS%s[g%d]", label, gi), KindRS, w.groupCollStream(gi),
 			estElems((g-1)*g*e*rr.Len()*mdim), func() error {
 				st, err := comm.GroupReduceScatterRowsGuarded(guard, members, data, out, gpn, gdims, rr)
 				if err != nil {
@@ -475,7 +501,7 @@ func (s *hybridStrategy) reduceScatter(w *World, p *runtime.Plan, label string, 
 		for m := 0; m < g; m++ {
 			j := members[m]
 			m := m
-			landIDs[j] = p.Add(fmt.Sprintf("V%s[%d]", label, j), KindPack, intraStream(j),
+			landIDs[j] = p.Add(fmt.Sprintf("V%s[%d]", label, j), KindPack, w.intraStream(j),
 				estElems(e*rr.Len()*mdim), func() error {
 					s.xferRows(w.stagingPool(), out[j], bufs[j].Data(), m, mdim, spad, tpad, rr, false)
 					return nil
@@ -499,22 +525,21 @@ func (s *hybridStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCac
 	dims := comm.BlockDims{Rows: spad, Width: egg * mdim}
 	blk := dims.Elems()
 
+	ws := cache.ws
 	hc := &hybridCache{
-		xFull:   make([]*tensor.Tensor, r),
-		outFull: make([]*tensor.Tensor, r),
+		xFull:   ws.blocks(r, egg, tpad, mdim),
+		outFull: ws.blocks(r, egg, tpad, mdim),
 		hf:      make([][]*tensor.Tensor, r),
 		scs:     make([][]ShardedCache, r),
 	}
 	cache.sc = hc
 	for j := 0; j < r; j++ {
 		gi, m := j/g, j%g
-		hc.xFull[j] = tensor.New(egg, tpad, mdim)
-		hc.outFull[j] = tensor.New(egg, tpad, mdim)
 		hc.hf[j] = make([]*tensor.Tensor, egg)
 		hc.scs[j] = make([]ShardedCache, egg)
 		for le := 0; le < egg; le++ {
 			ex := s.experts[gi*egg+le]
-			hc.hf[j][le] = tensor.New(ex.FwdBands()*tpad, ex.HiddenWidth())
+			hc.hf[j][le] = ws.tensor(ex.FwdBands()*tpad, ex.HiddenWidth())
 			cl, ch := colShard(ex.HiddenWidth(), m, g)
 			hc.scs[j][le] = ex.BeginSharded(
 				expertView(hc.xFull[j], le, tpad, mdim),
@@ -523,14 +548,14 @@ func (s *hybridStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCac
 		}
 	}
 
-	send := wireBuffers(r, nG*blk)
-	recv := wireBuffers(r, nG*blk)
-	csend := wireBuffers(r, nG*blk)
-	crecv := wireBuffers(r, nG*blk)
-	agData := wireBuffers(r, spad*e*mdim)
-	agOut := wireBuffers(r, g*spad*e*mdim)
-	rsData := wireBuffers(r, g*spad*e*mdim)
-	rsOut := wireBuffers(r, spad*e*mdim)
+	send := ws.perRank(r, nG*blk)
+	recv := ws.perRank(r, nG*blk)
+	csend := ws.perRank(r, nG*blk)
+	crecv := ws.perRank(r, nG*blk)
+	agData := ws.perRank(r, spad*e*mdim)
+	agOut := ws.perRank(r, g*spad*e*mdim)
+	rsData := reduceScatterWire(ws, r, g, spad*e*mdim)
+	rsOut := ws.perRank(r, spad*e*mdim)
 	scatD := scatPad.Data()
 
 	// Phase 1 — pack + dispatch for every chunk, issued back to back on
@@ -542,7 +567,7 @@ func (s *hybridStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCac
 		packIDs := make([]int, r)
 		for i := 0; i < r; i++ {
 			i := i
-			packIDs[i] = p.Add(fmt.Sprintf("P%d[%d]", c, i), KindPack, intraStream(i),
+			packIDs[i] = p.Add(fmt.Sprintf("P%d[%d]", c, i), KindPack, w.intraStream(i),
 				estElems(e*rr.Len()*mdim), func() error {
 					xferGlobal(w.stagingPool(), send[i], scatD, nG, egg, mdim, spad, tpad, i, rr, true)
 					return nil
@@ -562,7 +587,7 @@ func (s *hybridStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCac
 		for j := 0; j < r; j++ {
 			j := j
 			m := j % g
-			landIDs[j] = p.Add(fmt.Sprintf("Ux%d[%d]", c, j), KindPack, intraStream(j),
+			landIDs[j] = p.Add(fmt.Sprintf("Ux%d[%d]", c, j), KindPack, w.intraStream(j),
 				estElems(e*rr.Len()*mdim), func() error {
 					s.xferMember(w.stagingPool(), recv[j], hc.xFull[j].Data(), m, mdim, spad, tpad, rr, false)
 					return nil
@@ -573,7 +598,7 @@ func (s *hybridStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCac
 		for j := 0; j < r; j++ {
 			j := j
 			gi := j / g
-			hIDs[j] = p.Add(fmt.Sprintf("H%d[%d]", c, j), KindExpert, computeStream(j),
+			hIDs[j] = p.Add(fmt.Sprintf("H%d[%d]", c, j), KindExpert, w.computeStream(j),
 				s.groupEst(gi, rows)/(2*float64(g)), func() error {
 					for le := 0; le < egg; le++ {
 						ex := s.experts[gi*egg+le]
@@ -589,7 +614,7 @@ func (s *hybridStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCac
 		for j := 0; j < r; j++ {
 			j := j
 			gi, m := j/g, j%g
-			oIDs[j] = p.Add(fmt.Sprintf("O%d[%d]", c, j), KindExpert, computeStream(j),
+			oIDs[j] = p.Add(fmt.Sprintf("O%d[%d]", c, j), KindExpert, w.computeStream(j),
 				s.groupEst(gi, nG*rr.Len())/2, func() error {
 					for le := 0; le < egg; le++ {
 						ex := s.experts[gi*egg+le]
@@ -606,7 +631,7 @@ func (s *hybridStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCac
 		for j := 0; j < r; j++ {
 			j := j
 			m := j % g
-			packIDs[j] = p.Add(fmt.Sprintf("R%d[%d]", c, j), KindPack, intraStream(j),
+			packIDs[j] = p.Add(fmt.Sprintf("R%d[%d]", c, j), KindPack, w.intraStream(j),
 				estElems(e*rr.Len()*mdim), func() error {
 					s.xferMember(w.stagingPool(), csend[j], hc.outFull[j].Data(), m, mdim, spad, tpad, rr, true)
 					return nil
@@ -616,7 +641,7 @@ func (s *hybridStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCac
 			estElems(r*r*s.eg*rr.Len()*mdim), s.laneA2A(w, csend, crecv, dims, rr), packIDs...)
 		for i := 0; i < r; i++ {
 			i := i
-			p.Add(fmt.Sprintf("V%d[%d]", c, i), KindPack, intraStream(i),
+			p.Add(fmt.Sprintf("V%d[%d]", c, i), KindPack, w.intraStream(i),
 				estElems(e*rr.Len()*mdim), func() error {
 					xferGlobal(w.stagingPool(), crecv[i], combinedPad.Data(), nG, egg, mdim, spad, tpad, i, rr, false)
 					return nil
@@ -640,28 +665,27 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 	dims := comm.BlockDims{Rows: spad, Width: egg * mdim}
 	blk := dims.Elems()
 
-	dyFull := make([]*tensor.Tensor, r)
-	dxFull := make([]*tensor.Tensor, r)
+	ws := cache.ws
+	dyFull := ws.blocks(r, egg, tpad, mdim)
+	dxFull := ws.blocks(r, egg, tpad, mdim)
 	hb := make([][]*tensor.Tensor, r)
 	for j := 0; j < r; j++ {
 		gi := j / g
-		dyFull[j] = tensor.New(egg, tpad, mdim)
-		dxFull[j] = tensor.New(egg, tpad, mdim)
 		hb[j] = make([]*tensor.Tensor, egg)
 		for le := 0; le < egg; le++ {
 			ex := s.experts[gi*egg+le]
-			hb[j][le] = tensor.New(ex.BwdBands()*tpad, ex.HiddenWidth())
+			hb[j][le] = ws.tensor(ex.BwdBands()*tpad, ex.HiddenWidth())
 		}
 	}
 
-	gsend := wireBuffers(r, nG*blk)
-	grecv := wireBuffers(r, nG*blk)
-	dsend := wireBuffers(r, nG*blk)
-	drecv := wireBuffers(r, nG*blk)
-	agData := wireBuffers(r, spad*e*mdim)
-	agOut := wireBuffers(r, g*spad*e*mdim)
-	rsData := wireBuffers(r, g*spad*e*mdim)
-	rsOut := wireBuffers(r, spad*e*mdim)
+	gsend := ws.perRank(r, nG*blk)
+	grecv := ws.perRank(r, nG*blk)
+	dsend := ws.perRank(r, nG*blk)
+	drecv := ws.perRank(r, nG*blk)
+	agData := ws.perRank(r, spad*e*mdim)
+	agOut := ws.perRank(r, g*spad*e*mdim)
+	rsData := reduceScatterWire(ws, r, g, spad*e*mdim)
+	rsOut := ws.perRank(r, spad*e*mdim)
 	dpd := dpad.Data()
 
 	// Phase 1 — pack + combine-gradient lanes for every chunk (the adjoint
@@ -672,7 +696,7 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 		packIDs := make([]int, r)
 		for i := 0; i < r; i++ {
 			i := i
-			packIDs[i] = p.Add(fmt.Sprintf("P%d[%d]", c, i), KindPack, intraStream(i),
+			packIDs[i] = p.Add(fmt.Sprintf("P%d[%d]", c, i), KindPack, w.intraStream(i),
 				estElems(e*rr.Len()*mdim), func() error {
 					xferGlobal(w.stagingPool(), gsend[i], dpd, nG, egg, mdim, spad, tpad, i, rr, true)
 					return nil
@@ -702,7 +726,7 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 		for j := 0; j < r; j++ {
 			j := j
 			m := j % g
-			landIDs[j] = p.Add(fmt.Sprintf("Ud%d[%d]", c, j), KindPack, intraStream(j),
+			landIDs[j] = p.Add(fmt.Sprintf("Ud%d[%d]", c, j), KindPack, w.intraStream(j),
 				estElems(e*rr.Len()*mdim), func() error {
 					s.xferMember(w.stagingPool(), grecv[j], dyFull[j].Data(), m, mdim, spad, tpad, rr, false)
 					return nil
@@ -713,7 +737,7 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 		for j := 0; j < r; j++ {
 			j := j
 			gi := j / g
-			b1IDs[j] = p.Add(fmt.Sprintf("B1%d[%d]", c, j), KindExpert, computeStream(j),
+			b1IDs[j] = p.Add(fmt.Sprintf("B1%d[%d]", c, j), KindExpert, w.computeStream(j),
 				s.groupEst(gi, rows)/float64(g), func() error {
 					for le := 0; le < egg; le++ {
 						ex := s.experts[gi*egg+le]
@@ -729,7 +753,7 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 		for j := 0; j < r; j++ {
 			j := j
 			gi, m := j/g, j%g
-			b2Last[j] = p.Add(fmt.Sprintf("B2%d[%d]", c, j), KindExpert, computeStream(j),
+			b2Last[j] = p.Add(fmt.Sprintf("B2%d[%d]", c, j), KindExpert, w.computeStream(j),
 				s.groupEst(gi, nG*rr.Len()), func() error {
 					for le := 0; le < egg; le++ {
 						ex := s.experts[gi*egg+le]
@@ -748,7 +772,7 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 		for j := 0; j < r; j++ {
 			j := j
 			m := j % g
-			packIDs[j] = p.Add(fmt.Sprintf("R%d[%d]", c, j), KindPack, intraStream(j),
+			packIDs[j] = p.Add(fmt.Sprintf("R%d[%d]", c, j), KindPack, w.intraStream(j),
 				estElems(e*rr.Len()*mdim), func() error {
 					s.xferMember(w.stagingPool(), dsend[j], dxFull[j].Data(), m, mdim, spad, tpad, rr, true)
 					return nil
@@ -763,7 +787,7 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 		}
 		for i := 0; i < r; i++ {
 			i := i
-			p.Add(fmt.Sprintf("V%d[%d]", c, i), KindPack, intraStream(i),
+			p.Add(fmt.Sprintf("V%d[%d]", c, i), KindPack, w.intraStream(i),
 				estElems(e*rr.Len()*mdim), func() error {
 					xferGlobal(w.stagingPool(), drecv[i], dScatteredPad.Data(), nG, egg, mdim, spad, tpad, i, rr, false)
 					return nil
@@ -780,7 +804,7 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 	for j := 0; j < r; j++ {
 		j := j
 		gi, m := j/g, j%g
-		p.Add(fmt.Sprintf("W[%d]", j), KindExpert, computeStream(j),
+		p.Add(fmt.Sprintf("W[%d]", j), KindExpert, w.computeStream(j),
 			w.expertEst(j, tpad), func() error {
 				for k := 0; k < s.eg; k++ {
 					le := m*s.eg + k

@@ -1,0 +1,170 @@
+package moe
+
+import (
+	"math"
+	"slices"
+	"sync/atomic"
+
+	"repro/internal/tensor"
+)
+
+// workspace is a world's resident token-path memory: every buffer a pass
+// moves tokens through — the padded expert-major buffers, the per-rank
+// expert blocks, the strategies' wire and exchange buffers — is a slot of
+// it, handed out in the order the pass asks. A pass over the same shape asks
+// for the same sizes in the same order, so a warm pass replays the slots of
+// the one before it and allocates none.
+//
+// Ownership: Forward checks the world's idle workspace out into the
+// WorldCache it returns; that cache's Backward takes the backward buffers
+// from the same workspace and hands it back. A Forward that finds no idle
+// workspace (the previous cache is still outstanding) or one cut for
+// another shape starts an empty one, so memory a live cache points at is
+// never handed out twice.
+//
+// Slots are handed out dirty — whatever the previous pass left in them.
+// Every consumer either overwrites a slot whole before reading it or clears
+// what it relies on being zero (padBlocks, reduceScatterWire).
+type workspace struct {
+	shape wsShape
+	slots []wsSlot
+	next  int
+}
+
+// wsShape is everything that decides which slots a pass asks for.
+type wsShape struct {
+	strategy                        Strategy
+	ranks, group, experts, capacity int
+	m, chunksFwd, chunksBwd         int
+}
+
+type wsSlot struct {
+	data []float64
+	t    *tensor.Tensor // data under the shape last asked for; nil until asked
+}
+
+// poisonWorkspaces makes every slot come back filled with NaN, so a test
+// run fails on any read of workspace memory the pass did not write first.
+var poisonWorkspaces atomic.Bool
+
+func (ws *workspace) take(n int) *wsSlot {
+	if ws.next == len(ws.slots) {
+		ws.slots = append(ws.slots, wsSlot{})
+	}
+	s := &ws.slots[ws.next]
+	ws.next++
+	if len(s.data) != n {
+		*s = wsSlot{data: make([]float64, n)}
+	}
+	if poisonWorkspaces.Load() {
+		nan := math.NaN()
+		for i := range s.data {
+			s.data[i] = nan
+		}
+	}
+	return s
+}
+
+// floats returns the next slot as n elements.
+func (ws *workspace) floats(n int) []float64 { return ws.take(n).data }
+
+// tensor returns the next slot as a tensor of the given shape.
+func (ws *workspace) tensor(shape ...int) *tensor.Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	s := ws.take(n)
+	if s.t == nil || !slices.Equal(s.t.Shape(), shape) {
+		s.t = tensor.FromData(s.data, shape...)
+	}
+	return s.t
+}
+
+// perRank returns one n-element slot per rank.
+func (ws *workspace) perRank(ranks, n int) [][]float64 {
+	out := make([][]float64, ranks)
+	for r := range out {
+		out[r] = ws.floats(n)
+	}
+	return out
+}
+
+// blocks returns one tensor slot of the given shape per rank.
+func (ws *workspace) blocks(ranks int, shape ...int) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, ranks)
+	for r := range out {
+		out[r] = ws.tensor(shape...)
+	}
+	return out
+}
+
+// checkout takes the world's workspace for a pass at the given capacity:
+// the idle one rewound when it was cut for this shape, an empty one
+// otherwise.
+func (w *World) checkout(capacity int) *workspace {
+	shape := wsShape{
+		strategy: w.cfg.Strategy, ranks: w.cfg.Ranks, group: w.cfg.GroupSize,
+		experts: len(w.layer.cfg.Experts), capacity: capacity, m: w.layer.cfg.M,
+		chunksFwd: w.cfg.ChunksFwd, chunksBwd: w.cfg.ChunksBwd,
+	}
+	ws := w.ws
+	w.ws = nil
+	if ws == nil || ws.shape != shape {
+		ws = &workspace{shape: shape}
+	}
+	ws.next = 0
+	return ws
+}
+
+// release retires a cache — it drives at most one backward — and hands its
+// workspace back to the world.
+func (w *World) release(cache *WorldCache) {
+	cache.combined = nil
+	if cache.ws != nil {
+		w.ws, cache.ws = cache.ws, nil
+	}
+}
+
+// padBlocks grows (E, T, M) to the workspace's (E, Tpad, M) with zero rows
+// appended to each expert block; unpadBlocks is its inverse. Padding rows
+// carry exact zeros into the pipeline, so they never perturb a gradient.
+func padBlocks(ws *workspace, src *tensor.Tensor, e, t, tpad, m int) *tensor.Tensor {
+	if t == tpad {
+		return src
+	}
+	dst := ws.tensor(e, tpad, m)
+	dd, sd := dst.Data(), src.Data()
+	for i := 0; i < e; i++ {
+		copy(dd[i*tpad*m:(i*tpad+t)*m], sd[i*t*m:(i+1)*t*m])
+		clear(dd[(i*tpad+t)*m : (i+1)*tpad*m])
+	}
+	return dst
+}
+
+func unpadBlocks(ws *workspace, src *tensor.Tensor, e, t, tpad, m int) *tensor.Tensor {
+	if t == tpad {
+		return src
+	}
+	dst := ws.tensor(e, t, m)
+	dd, sd := dst.Data(), src.Data()
+	for i := 0; i < e; i++ {
+		copy(dd[i*t*m:(i+1)*t*m], sd[i*tpad*m:(i*tpad+t)*m])
+	}
+	return dst
+}
+
+// reduceScatterWire returns the sharded strategies' per-rank ReduceScatter
+// inputs: group segments of seg elements each, of which rank j's packs fill
+// only segment j mod group. The ring sums the group's copies of a segment,
+// so the other segments are cleared — every summed element keeps exactly
+// one non-zero contributor.
+func reduceScatterWire(ws *workspace, ranks, group, seg int) [][]float64 {
+	wire := ws.perRank(ranks, group*seg)
+	for j, buf := range wire {
+		own := j % group
+		clear(buf[:own*seg])
+		clear(buf[(own+1)*seg:])
+	}
+	return wire
+}

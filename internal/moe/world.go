@@ -54,6 +54,14 @@ type World struct {
 	computePools   []*tensor.Pool
 	commPool       *tensor.Pool
 
+	// Stream names, built once beside the pools: per rank compute:<r> and
+	// intra:<r>, per hybrid group intra:g<G>.
+	computeStreams, intraStreams, groupStreams []string
+
+	// ws is the idle token-path workspace (workspace.go): nil until the
+	// first backward hands one back and while a forward cache holds it.
+	ws *workspace
+
 	seq      bool // execute plans sequentially (no-overlap baseline)
 	sync     BackwardSyncer
 	statsMu  stdsync.Mutex
@@ -239,6 +247,14 @@ func (w *World) planResources() {
 		w.computePools[j] = tensor.NewPool(w.computeWorkers)
 	}
 	w.commPool = tensor.NewPool(w.commWorkers)
+	w.computeStreams = make([]string, R)
+	w.intraStreams = make([]string, R)
+	w.groupStreams = make([]string, R)
+	for r := 0; r < R; r++ {
+		w.computeStreams[r] = fmt.Sprintf("compute:%d", r)
+		w.intraStreams[r] = fmt.Sprintf("intra:%d", r)
+		w.groupStreams[r] = fmt.Sprintf("intra:g%d", r)
+	}
 }
 
 // computePool returns rank j's scoped compute pool (nil when scoped pools
@@ -279,9 +295,10 @@ func (w *World) ResourcePlan() (computeWorkers, commWorkers int) {
 // Forward/Backward after Close. Match it with errors.Is.
 var ErrWorldClosed = errors.New("moe: world is closed")
 
-// Close releases the scoped pools' worker goroutines and retires the
-// world: subsequent Forward/Backward/Close calls fail with ErrWorldClosed
-// instead of stepping on released pools. The world must be idle.
+// Close releases the scoped pools' worker goroutines and the token-path
+// workspace and retires the world: subsequent Forward/Backward/Close calls
+// fail with ErrWorldClosed instead of stepping on released pools. The
+// world must be idle.
 func (w *World) Close() error {
 	if w.closed {
 		return fmt.Errorf("moe: double close: %w", ErrWorldClosed)
@@ -291,6 +308,7 @@ func (w *World) Close() error {
 		p.Close()
 	}
 	w.commPool.Close()
+	w.ws = nil
 	return nil
 }
 
@@ -346,7 +364,11 @@ func (w *World) GroupSize() int {
 func (w *World) SetSequential(seq bool) { w.seq = seq }
 
 // Stats returns the cumulative collective traffic of every pass so far.
-func (w *World) Stats() comm.Stats { return w.stats }
+func (w *World) Stats() comm.Stats {
+	w.statsMu.Lock()
+	defer w.statsMu.Unlock()
+	return w.stats
+}
 
 // LastPlan and LastTrace return the stream plan and measured trace of the
 // most recent pass — LastPlan.SimulateWith(runtime.Durations(LastTrace()))
@@ -412,10 +434,13 @@ func (w *World) collGuard(stream, kind string) comm.Guard {
 }
 
 // WorldCache carries a forward pass's state to Backward. The strategy
-// that built the forward plan owns sc.
+// that built the forward plan owns sc. The cache holds the world's
+// workspace: combined and everything sc points at are world-owned memory,
+// valid until this cache's Backward returns.
 type WorldCache struct {
 	pr         *forwardProlog
 	spad, tpad int
+	ws         *workspace     // checked out by Forward, handed back by Backward
 	combined   *tensor.Tensor // (E, T, M), the sequential layer's expertOut
 	sc         any            // strategy-private forward state
 	deg        *degradedState // non-nil when the forward ran degraded
@@ -432,10 +457,12 @@ const (
 	KindPack   = sim.KindPack // wire-layout (un)packing, the local Order work
 )
 
-// streams for rank r; collStream serializes a strategy's intra-node
-// collectives (the AG/RS stream of §4's inter/intra co-scheduling).
-func intraStream(r int) string   { return fmt.Sprintf("intra:%d", r) }
-func computeStream(r int) string { return fmt.Sprintf("compute:%d", r) }
+// streams for rank r and hybrid group g; collStream serializes a
+// strategy's intra-node collectives (the AG/RS stream of §4's inter/intra
+// co-scheduling).
+func (w *World) intraStream(r int) string     { return w.intraStreams[r] }
+func (w *World) computeStream(r int) string   { return w.computeStreams[r] }
+func (w *World) groupCollStream(g int) string { return w.groupStreams[g] }
 
 const collStream = "intra"
 
@@ -506,18 +533,21 @@ func (w *World) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCac
 	plan := pr.plan
 	t := plan.Capacity
 	spad := (t + R - 1) / R
-	cache := &WorldCache{pr: pr, spad: spad, tpad: spad * R}
+	ws := w.checkout(t)
+	cache := &WorldCache{pr: pr, spad: spad, tpad: spad * R, ws: ws}
 
-	// Padding the scattered tensor once up front lets every strategy's wire
-	// transfers share one slot-shard layout (pad rows are exact zeros
-	// throughout, so they never perturb a result).
-	scatPad := padBlocks(pr.scattered, plan.Experts, t, cache.tpad, mdim)
-	combinedPad := tensor.New(plan.Experts, cache.tpad, mdim)
+	// Padding the scattered tensor once up front lets every strategy's
+	// transfers share one slot-shard layout (pad rows enter the pipeline as
+	// exact zeros, so they never perturb a result).
+	scatPad := padBlocks(ws, pr.scattered, plan.Experts, t, cache.tpad, mdim)
+	combinedPad := ws.tensor(plan.Experts, cache.tpad, mdim)
 
 	p := runtime.NewPlan()
 	w.strat.BuildForward(w, p, cache, scatPad, combinedPad)
 	w.bindStreams(p)
 	if err := w.run(p); err != nil {
+		// Every task has drained; nothing of the aborted pass is read again.
+		w.release(cache)
 		if rank, ok := fault.PermanentRank(err); ok {
 			w.down = rank
 			return w.degradedForward(pr, retriesIn(w.lastTr), err.Error())
@@ -525,7 +555,7 @@ func (w *World) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCac
 		return nil, nil, err
 	}
 
-	cache.combined = unpadBlocks(combinedPad, plan.Experts, t, cache.tpad, mdim)
+	cache.combined = unpadBlocks(ws, combinedPad, plan.Experts, t, cache.tpad, mdim)
 	y := w.layer.epilog(cache.combined, plan, pr.flat.Dim(0), pr.shape)
 	return y, cache, nil
 }
@@ -555,8 +585,9 @@ func (w *World) Backward(cache *WorldCache, dy *tensor.Tensor) (*tensor.Tensor, 
 	mdim := w.layer.cfg.M
 	t := plan.Capacity
 
-	dpad := padBlocks(dExpertOut, plan.Experts, t, cache.tpad, mdim)
-	dScatteredPad := tensor.New(plan.Experts, cache.tpad, mdim)
+	ws := cache.ws
+	dpad := padBlocks(ws, dExpertOut, plan.Experts, t, cache.tpad, mdim)
+	dScatteredPad := ws.tensor(plan.Experts, cache.tpad, mdim)
 
 	p := runtime.NewPlan()
 	w.strat.BuildBackward(w, p, cache, dpad, dScatteredPad)
@@ -568,10 +599,10 @@ func (w *World) Backward(cache *WorldCache, dy *tensor.Tensor) (*tensor.Tensor, 
 		}
 		return nil, err
 	}
-	cache.combined = nil // a cache drives at most one backward
-
-	dScattered := unpadBlocks(dScatteredPad, plan.Experts, t, cache.tpad, mdim)
-	return w.layer.backwardFinish(dScattered, planGrad, pr.flat, pr.rc, plan, pr.shape), nil
+	dScattered := unpadBlocks(ws, dScatteredPad, plan.Experts, t, cache.tpad, mdim)
+	dx := w.layer.backwardFinish(dScattered, planGrad, pr.flat, pr.rc, plan, pr.shape)
+	w.release(cache)
+	return dx, nil
 }
 
 // retriesIn counts the transient-fault retries an aborted trace spent.
@@ -621,53 +652,10 @@ func (w *World) allExpertEst(rows int) float64 {
 // estElems scales an element count into the same arbitrary unit space.
 func estElems(n int) float64 { return float64(n) / 1e6 }
 
-func wireBuffers(p, n int) [][]float64 {
-	out := make([][]float64, p)
-	for i := range out {
-		out[i] = make([]float64, n)
-	}
-	return out
-}
-
-func rankBlocks(r, eg, tpad, m int) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, r)
-	for i := range out {
-		out[i] = tensor.New(eg, tpad, m)
-	}
-	return out
-}
-
 // expertView is local expert el's (Tpad, M) block inside a rank's
 // (Eg, Tpad, M) buffer.
 func expertView(b *tensor.Tensor, el, tpad, m int) *tensor.Tensor {
 	return b.View(el*tpad*m, tpad, m)
-}
-
-// padBlocks grows (E, T, M) to (E, Tpad, M) with zero rows appended to
-// each expert block; unpadBlocks is its inverse. Padding rows carry exact
-// zeros through the pipeline, so they never perturb a gradient.
-func padBlocks(src *tensor.Tensor, e, t, tpad, m int) *tensor.Tensor {
-	if t == tpad {
-		return src
-	}
-	dst := tensor.New(e, tpad, m)
-	dd, sd := dst.Data(), src.Data()
-	for i := 0; i < e; i++ {
-		copy(dd[i*tpad*m:(i*tpad+t)*m], sd[i*t*m:(i+1)*t*m])
-	}
-	return dst
-}
-
-func unpadBlocks(src *tensor.Tensor, e, t, tpad, m int) *tensor.Tensor {
-	if t == tpad {
-		return src
-	}
-	dst := tensor.New(e, t, m)
-	dd, sd := dst.Data(), src.Data()
-	for i := 0; i < e; i++ {
-		copy(dd[i*t*m:(i+1)*t*m], sd[i*tpad*m:(i*tpad+t)*m])
-	}
-	return dst
 }
 
 // GradElems returns the layer's flattened gradient length and the length

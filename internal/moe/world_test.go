@@ -266,10 +266,15 @@ func TestWorldTraceShape(t *testing.T) {
 	for _, iv := range tr.Intervals {
 		streams[iv.Task.Stream] = true
 	}
-	for _, want := range []string{"inter", "compute:0", "compute:3", "intra:0"} {
+	for _, want := range []string{"inter", "compute:0", "compute:3"} {
 		if !streams[want] {
 			t.Fatalf("trace missing stream %q (have %v)", want, streams)
 		}
+	}
+	// EP moves every row once, inside the AlltoAll: no pack stage, so no
+	// per-rank staging stream.
+	if len(streams) != 5 {
+		t.Fatalf("EP trace has streams %v, want inter + compute:0..3 only", streams)
 	}
 	if w.LastPlan() == nil {
 		t.Fatal("missing recorded plan")
