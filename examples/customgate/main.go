@@ -57,9 +57,9 @@ func (g *hashGate) Route(x *fsmoe.Tensor, train bool) (*fsmoe.DispatchPlan, *fsm
 	return plan, &fsmoe.RouteCache{X: x, Plan: plan}, nil
 }
 
-func (g *hashGate) Backward(rc *fsmoe.RouteCache, pg *fsmoe.PlanGrad) *fsmoe.Tensor {
+func (g *hashGate) Backward(dx *fsmoe.Tensor, rc *fsmoe.RouteCache, pg *fsmoe.PlanGrad) {
 	// Hash routing is non-parametric: no gradient flows through the gate.
-	return fsmoe.NewTensor(rc.X.Shape()...)
+	dx.Zero()
 }
 
 // quantize emulates fp16-style compression by rounding mantissas — a

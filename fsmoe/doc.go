@@ -97,6 +97,18 @@
 // BackwardInto); the layer then hands them views of its buffers instead of
 // copying per-expert blocks.
 //
+// One rule runs through the extension contracts: a producer writes into a
+// destination its consumer owns, whatever it held, and returns nothing to
+// copy. A custom Gate's Backward(dx, cache, grad) overwrites dx (N, M)
+// with its input-gradient contribution (dx.Zero() for a parameter-free
+// router); a custom Order's Scatter/Gather/ScatterGrad/GatherGrad take
+// their destination first and address expert-major buffers as (E, S, M)
+// with a block stride S ≥ capacity the caller chose (pad rows +0, see
+// moe.Order); BackwardInto, ChunkedExpert.FinishBackward and
+// ShardedExpert.FinishSharded take a trailing GradDst — nil means "add to
+// Param.G" as before, otherwise overwrite GradDst[i] with the gradient of
+// Params()[i].
+//
 // Because experts execute concurrently, a custom Expert must not share
 // mutable state (scratch buffers, RNGs, tied Param tensors) with another
 // expert instance in the same layer. Registering the same instance at
@@ -131,17 +143,33 @@
 //
 // StepStack (World.Step for one layer) is the §5 training step: forward,
 // backward with the Gradient-AllReduce sliced into the backward plans'
-// slack, the exposed tail, an SGD update of every rank's replica. What
-// does not change from one step to the next is kept on the stack, not
-// rebuilt. The §5 byte plan (StepResult.Report.Gar) is solved once per
-// distinct input — the sync strategy, models, degree cap, chunk and
-// slice settings of StepConfig together with every layer's shapes and
-// padded batch capacity — and solved again exactly when one of those
-// compares different (another batch size, another StepConfig, a
-// Recover to fewer ranks); treat it as read-only, later steps share it.
-// Each rank owns one flat buffer in the RankParams layout that is, in
-// turn, its partial gradient, its synchronized gradient (the ring
-// reduces in place) and its post-step replica.
+// slack, the exposed tail — and the SGD update riding that ring: each
+// AllReduce slice is stepped where its reduced pieces land, once, and the
+// ring's all-gather half hands every rank its replica. What does not
+// change from one step to the next is kept on the stack, not rebuilt. The
+// §5 byte plan (StepResult.Report.Gar) is solved once per distinct input —
+// the sync strategy, models, degree cap, chunk and slice settings of
+// StepConfig together with every layer's shapes and padded batch
+// capacity — and solved again exactly when one of those compares
+// different (another batch size, another StepConfig, a Recover to fewer
+// ranks); treat it as read-only, later steps share it. Each rank owns one
+// flat buffer in the RankParams layout that is, in turn, its partial
+// gradient and its post-step replica, and every datum in it is written
+// once per step: an expert's weight gradients by the backward plan's own
+// finish task on the owner rank, the gate's shard by the stepping
+// goroutine, zero wherever no rank contributed (the other ranks' shards,
+// the experts of a dead rank), then w − lr·g by the ring.
+//
+// What a step does to Param.G: nothing, for experts. StepStack neither
+// clears nor writes the gradient accumulators of experts (it would for a
+// custom Expert without the IntoExpert contract, whose Backward can only
+// add there); it clears and fills the gate's. Param.G is the destination
+// of the Forward/Backward you drive yourself, accumulating across calls
+// until Layer.ZeroGrad, and what SyncGradients collects. Param.W is
+// written by the ring as the slices complete — a layer's parameters are
+// final once its slices have run, and a step that returns an error may
+// already have stepped the layers whose backward completed (a Recover
+// restores all of them from the checkpoint).
 //
 // Ownership: StepResult.RankParams and SyncReport.LayerGrads are views
 // of those stack-owned buffers, not copies. They are valid until the
@@ -150,9 +178,10 @@
 // within one step, or across two different stacks, needs no copy.
 //
 // The token path is resident the same way. Every buffer a pass moves
-// tokens through — the padded expert-major buffers, the per-rank expert
-// blocks, the sharded strategies' wire and exchange buffers — belongs to
-// one workspace per World, cut for the live shape (ranks, experts, batch
+// tokens through — the padded expert-major buffers the Order scatters
+// straight into and gathers straight from (there is no pad or unpad
+// copy), the per-rank expert blocks, the sharded strategies' wire and
+// exchange buffers — belongs to one workspace per World, cut for the live shape (ranks, experts, batch
 // capacity, width, pipeline degrees, strategy) and reused while that shape
 // holds: a warm pass allocates none of them. Forward checks the workspace
 // out into the WorldCache it returns and that cache's Backward hands it
@@ -163,14 +192,21 @@
 // (forward-only evaluation, Forward→Forward→Backward) starts a fresh
 // workspace instead, so nothing a live cache points at is reused; Close
 // and Recover drop the workspace. What a pass returns is still the
-// caller's: the Forward output, StepResult.Y and StepResult.DX are fresh
-// tensors. Under StrategyEP (hence DenseSlots and Hybrid at GroupSize 1) a
+// caller's: the Forward output, the Backward input gradient, StepResult.Y
+// and StepResult.DX are fresh tensors. The activations on the inner edges
+// of a StepStack stack are not: layer i's output, read by layer i+1, is a
+// slot of layer i's workspace until layer i's own Backward returns, and
+// the input gradient it hands layer i−1 until its next Forward. The gates'
+// per-token selections live in gate-owned scratch under the same rule: a
+// RouteCache holds it until its (one) Backward. Under StrategyEP (hence DenseSlots and Hybrid at GroupSize 1) a
 // token row is copied once per AlltoAll hop, straight between the
 // expert-major buffer and the owning rank's expert block.
 //
 // StepResult.WallMS is the measured wall of the whole call (telemetry
 // emission excluded); ForwardMS, BackwardMS and TailMS are the parts of
-// it inside measured stream plans and the exposed tail, and StepMS() —
+// it inside measured stream plans and the exposed tail — which contain the
+// weight-gradient reductions and the SGD update; what is left outside is
+// the gates, the Order and clearing what no rank contributed — and StepMS() —
 // backward plus tail — is the quantity the §5 strategy comparison uses,
 // not a wall time.
 //

@@ -99,8 +99,8 @@ func (g *customGate) Name() string { return "custom" }
 func (g *customGate) Route(x *Tensor, train bool) (*DispatchPlan, *RouteCache, error) {
 	return g.inner.Route(x, train)
 }
-func (g *customGate) Backward(rc *RouteCache, pg *PlanGrad) *Tensor {
-	return g.inner.Backward(rc, pg)
+func (g *customGate) Backward(dx *Tensor, rc *RouteCache, pg *PlanGrad) {
+	g.inner.Backward(dx, rc, pg)
 }
 func (g *customGate) Params() []*Param { return g.inner.Params() }
 

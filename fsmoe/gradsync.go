@@ -51,8 +51,10 @@ func (w *World) Step(x, dy *Tensor, cfg StepConfig) (*StepResult, error) {
 
 // StepStack runs one training step over a stack of Worlds (layer i feeds
 // layer i+1): forward, backward in reverse with the §5 Gradient-AllReduce
-// overlapped into each backward stream plan per cfg.Strategy, the exposed
-// tail, and an SGD update. The AllReduce sums each rank's disjoint
+// overlapped into each backward stream plan per cfg.Strategy and the
+// exposed tail, every AllReduce slice applying the SGD update to what it
+// reduced. The step's expert gradients live in the stack's resident
+// buffers, not in Param.G. The AllReduce sums each rank's disjoint
 // partial contribution, reconstructing the full-batch gradient exactly
 // (no 1/R scaling — the per-rank partials already split one batch), so
 // every rank ends with bit-identical parameters under every strategy;
@@ -64,8 +66,8 @@ func StepStack(worlds []*World, x, dy *Tensor, cfg StepConfig) (*StepResult, err
 	return moe.StepWorlds(inners(worlds), x, dy, cfg)
 }
 
-// SyncGradients synchronizes the stack's accumulated parameter gradients
-// immediately (no overlap): each rank's partial gradients — its expert
+// SyncGradients synchronizes the parameter gradients accumulated in Param.G
+// by the Forward/Backward calls the caller drove, immediately (no overlap): each rank's partial gradients — its expert
 // shard plus its disjoint share of the dense gate gradient — are
 // ring-reduced in real chunked collectives until every rank holds the
 // identical full-batch gradient. Use StepStack to hide the same work

@@ -33,6 +33,11 @@ type (
 	// can split one expert's compute bit-exactly (see moe.ShardedExpert).
 	// The built-in GPT and Mixtral experts implement it.
 	ShardedExpert = moe.ShardedExpert
+	// GradDst is where an expert's finish routine (FinishSharded,
+	// FinishBackward, BackwardInto) puts its parameter gradients: nil adds
+	// to Param.G, otherwise entry i is overwritten with the gradient of
+	// Params()[i].
+	GradDst = moe.GradDst
 	// DenseRouter marks custom gates whose plans route densely
 	// (SoftMoE-style); StrategyAuto uses it to pick StrategyDenseSlots.
 	DenseRouter = moe.DenseRouter

@@ -15,10 +15,16 @@ import (
 //   - the monolithic ring assigns element k to ring-chunk c by its
 //     position in the full buffer, and the accumulation path of chunk c
 //     (rank c → c+1 → … → c+p−1) is a function of c alone;
-//   - RingAllReduceChunk keeps that full-buffer chunk assignment and only
+//   - RingAllReduceUpdate keeps that full-buffer chunk assignment and only
 //     restricts which elements move, and every ring operation is
 //     element-wise — so each element sees exactly the monolithic sequence
 //     of copies and additions no matter how the buffer is sliced.
+//
+// There is one ring. Between its two halves every element of the range is
+// fully reduced on exactly one rank, and that is where an update — the
+// optimizer step of a training loop — is applied: once per element, before
+// the all-gather half hands every other rank a copy of the result.
+// RingAllReduceChunk and RingAllReduce are the ring with no update.
 
 // SplitFlat partitions a flat buffer of n elements into at most chunks
 // contiguous, near-equal, non-empty ranges — SplitRows over elements
@@ -33,6 +39,19 @@ func SplitFlat(n, chunks int) []RowRange { return SplitRows(n, chunks) }
 // in any order and the final contents are byte-identical to one
 // RingAllReduce over the whole buffer.
 func RingAllReduceChunk(data [][]float64, gpusPerNode int, rr RowRange) (Stats, error) {
+	return RingAllReduceUpdate(data, gpusPerNode, rr, nil)
+}
+
+// RingAllReduceUpdate is RingAllReduceChunk with update, when non-nil,
+// applied between the ring's halves: after the reduce-scatter half rank r
+// holds the fully reduced clip [lo, hi) of one ring chunk, update(r, lo, hi)
+// may rewrite data[r][lo:hi] in place (w − lr·g for an SGD step), and the
+// all-gather half then copies what it left to every other rank. Over any
+// tiling of [0, n) update sees each element exactly once — with one rank
+// there is no ring and it sees the whole range — and every rank ends with
+// the same bytes: RingAllReduceChunk followed by the same elementwise
+// update on every rank, computed once instead of p times.
+func RingAllReduceUpdate(data [][]float64, gpusPerNode int, rr RowRange, update func(rank, lo, hi int)) (Stats, error) {
 	var st Stats
 	n, err := checkUniform(data)
 	if err != nil {
@@ -42,25 +61,21 @@ func RingAllReduceChunk(data [][]float64, gpusPerNode int, rr RowRange) (Stats, 
 		return st, fmt.Errorf("comm: allreduce range [%d,%d) outside buffer of %d elements", rr.Lo, rr.Hi, n)
 	}
 	p := len(data)
-	if p == 1 || rr.Len() == 0 {
+	if rr.Len() == 0 {
+		return st, nil
+	}
+	if p == 1 {
+		if update != nil {
+			update(0, rr.Lo, rr.Hi)
+		}
 		return st, nil
 	}
 	w := world{g: gpusPerNode}
-	// Ring-chunk c of the FULL buffer covers [bounds[c], bounds[c+1]);
-	// clip intersects it with the requested range.
-	bounds := make([]int, p+1)
-	for c := 0; c <= p; c++ {
-		bounds[c] = c * n / p
-	}
+	// Ring-chunk c of the FULL buffer covers [c·n/p, (c+1)·n/p); clip
+	// intersects it with the requested range.
 	clip := func(c int) (int, int) {
-		lo, hi := bounds[c], bounds[c+1]
-		if lo < rr.Lo {
-			lo = rr.Lo
-		}
-		if hi > rr.Hi {
-			hi = rr.Hi
-		}
-		return lo, hi
+		c = (c%p + p) % p
+		return max(c*n/p, rr.Lo), min((c+1)*n/p, rr.Hi)
 	}
 	// Phase 1: reduce-scatter. At step s, rank r sends its slice of ring
 	// chunk (r-s) mod p to rank r+1, which accumulates. Every send of a step
@@ -69,30 +84,36 @@ func RingAllReduceChunk(data [][]float64, gpusPerNode int, rr RowRange) (Stats, 
 	// chunk r-1-s (what rank r-1 sends it), which are disjoint for p >= 2.
 	for s := 0; s < p-1; s++ {
 		for r := 0; r < p; r++ {
-			lo, hi := clip(((r-s)%p + p) % p)
+			lo, hi := clip(r - s)
 			if lo >= hi {
 				continue
 			}
-			dst := (r + 1) % p
-			src, dchunk := data[r][lo:hi], data[dst][lo:hi]
+			next := (r + 1) % p
+			src, dchunk := data[r][lo:hi], data[next][lo:hi]
 			for i, v := range src {
 				dchunk[i] += v
 			}
-			st.add(w.sameNode(r, dst), hi-lo)
+			st.add(w.sameNode(r, next), hi-lo)
 		}
 	}
 	// After phase 1, rank r holds the fully reduced slice of ring chunk
-	// (r+1) mod p. Phase 2: allgather the reduced slices around the ring;
-	// rank r reads chunk r+1-s and is written in chunk r-s, disjoint again.
+	// (r+1) mod p and nobody else holds any of it: the one place to update it.
+	if update != nil {
+		for r := 0; r < p; r++ {
+			if lo, hi := clip(r + 1); lo < hi {
+				update(r, lo, hi)
+			}
+		}
+	}
+	// Phase 2: allgather the reduced slices around the ring; rank r reads
+	// chunk r+1-s and is written in chunk r-s, disjoint again.
 	for s := 0; s < p-1; s++ {
 		for r := 0; r < p; r++ {
-			lo, hi := clip(((r+1-s)%p + p) % p)
-			if lo >= hi {
-				continue
+			if lo, hi := clip(r + 1 - s); lo < hi {
+				next := (r + 1) % p
+				copy(data[next][lo:hi], data[r][lo:hi])
+				st.add(w.sameNode(r, next), hi-lo)
 			}
-			dst := (r + 1) % p
-			copy(data[dst][lo:hi], data[r][lo:hi])
-			st.add(w.sameNode(r, dst), hi-lo)
 		}
 	}
 	return st, nil

@@ -267,3 +267,138 @@ func TestSplitFlat(t *testing.T) {
 		}
 	}
 }
+
+// serialRingChunk is the ring as it was before the update hook: chunk
+// bounds from a table, no callback. The property test below holds the one
+// implementation to it.
+func serialRingChunk(data [][]float64, gpusPerNode int, rr RowRange) Stats {
+	var st Stats
+	p, n := len(data), len(data[0])
+	if p == 1 || rr.Len() == 0 {
+		return st
+	}
+	w := world{g: gpusPerNode}
+	bounds := make([]int, p+1)
+	for c := 0; c <= p; c++ {
+		bounds[c] = c * n / p
+	}
+	clip := func(c int) (int, int) {
+		return max(bounds[c], rr.Lo), min(bounds[c+1], rr.Hi)
+	}
+	for s := 0; s < p-1; s++ {
+		for r := 0; r < p; r++ {
+			lo, hi := clip(((r-s)%p + p) % p)
+			if lo >= hi {
+				continue
+			}
+			dst := (r + 1) % p
+			for i, v := range data[r][lo:hi] {
+				data[dst][lo+i] += v
+			}
+			st.add(w.sameNode(r, dst), hi-lo)
+		}
+	}
+	for s := 0; s < p-1; s++ {
+		for r := 0; r < p; r++ {
+			lo, hi := clip(((r+1-s)%p + p) % p)
+			if lo >= hi {
+				continue
+			}
+			dst := (r + 1) % p
+			copy(data[dst][lo:hi], data[r][lo:hi])
+			st.add(w.sameNode(r, dst), hi-lo)
+		}
+	}
+	return st
+}
+
+// TestRingAllReduceUpdateProperty: over random rank counts, buffer lengths
+// (shorter than the ring included) and
+// tilings reduced in random order, reduce-scatter → update → all-gather
+// leaves every rank with the bytes of the serial ring followed by the same
+// update applied on every rank, reports the same Stats, and hands the
+// update every element of [0, n) exactly once; with a nil update it is the
+// serial ring.
+func TestRingAllReduceUpdateProperty(t *testing.T) {
+	const lr = 0.37
+	rng := xrand.New(4242)
+	for trial := 0; trial < 200; trial++ {
+		p := []int{1, 2, 4, 8}[rng.Intn(4)]
+		n := rng.Intn(200)
+		g := []int{0, 1, 2, p}[rng.Intn(4)]
+		tiles := SplitFlat(n, 1+rng.Intn(6))
+		perm := rng.Perm(len(tiles))
+		ref := randRanks(uint64(trial), p, n)
+		weights := randRanks(uint64(1000+trial), 1, n)[0]
+
+		want, plain := cloneRanks(ref), cloneRanks(ref)
+		var wantSt Stats
+		for _, c := range perm {
+			wantSt.Merge(serialRingChunk(want, g, tiles[c]))
+		}
+		for r := range want {
+			if p == 1 {
+				break // one rank: nothing was summed, the update below still applies
+			}
+			for k := range want[r] {
+				if want[r][k] != want[0][k] {
+					t.Fatalf("trial %d: serial ring left rank %d elem %d unsynchronized", trial, r, k)
+				}
+			}
+		}
+		for r := range want {
+			for k, v := range want[r] {
+				want[r][k] = weights[k] - lr*v
+			}
+		}
+
+		got := cloneRanks(ref)
+		seen := make([]int, n)
+		var gotSt, plainSt Stats
+		for _, c := range perm {
+			st, err := RingAllReduceUpdate(got, g, tiles[c], func(rank, lo, hi int) {
+				for k := lo; k < hi; k++ {
+					seen[k]++ // clips of one call are disjoint: no two goroutines share k
+					got[rank][k] = weights[k] - lr*got[rank][k]
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotSt.Merge(st)
+			st, err = RingAllReduceChunk(plain, g, tiles[c])
+			if err != nil {
+				t.Fatal(err)
+			}
+			plainSt.Merge(st)
+		}
+		if gotSt != wantSt || plainSt != wantSt {
+			t.Fatalf("trial %d (p=%d n=%d g=%d): stats %+v (update) %+v (nil), serial ring %+v", trial, p, n, g, gotSt, plainSt, wantSt)
+		}
+		for k, c := range seen {
+			if c != 1 {
+				t.Fatalf("trial %d (p=%d n=%d): update saw element %d %d times", trial, p, n, k, c)
+			}
+		}
+		for r := range got {
+			for k := range got[r] {
+				if math.Float64bits(got[r][k]) != math.Float64bits(want[r][k]) {
+					t.Fatalf("trial %d (p=%d n=%d tiles=%d): rank %d elem %d = %v, ring-then-update %v",
+						trial, p, n, len(tiles), r, k, got[r][k], want[r][k])
+				}
+			}
+		}
+		serial := cloneRanks(ref)
+		for _, c := range perm {
+			serialRingChunk(serial, g, tiles[c])
+		}
+		for r := range plain {
+			for k := range plain[r] {
+				if math.Float64bits(plain[r][k]) != math.Float64bits(serial[r][k]) {
+					t.Fatalf("trial %d (p=%d n=%d): nil update: rank %d elem %d = %v, serial ring %v",
+						trial, p, n, r, k, plain[r][k], serial[r][k])
+				}
+			}
+		}
+	}
+}

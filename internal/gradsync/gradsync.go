@@ -18,12 +18,15 @@
 // tail. Because every element is reduced exactly once by a restricted
 // ring that is byte-identical under any slicing (comm.RingAllReduceChunk),
 // all strategies produce bit-identical synchronized gradients; only the
-// wall-clock placement differs.
+// wall-clock placement differs. A Syncer cut with an Update has the ring
+// apply it where each reduced slice lands (comm.RingAllReduceUpdate), so
+// the buffers end as the updated replicas instead of the gradients.
 package gradsync
 
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -126,6 +129,8 @@ type Syncer struct {
 	cfg    Config
 	specs  []LayerSpec
 	plan   *core.GarPlan
+	names  *sliceNames
+	update Update
 	grads  [][][]float64 // [layer][rank][] partial gradients, set by Collect
 	ranks  int
 	seen   int // layers collected so far
@@ -148,7 +153,36 @@ type Plan struct {
 	specs []LayerSpec
 	total float64       // accounting bytes across all layers
 	gar   *core.GarPlan // nil for no-overlap
+	names sliceNames
 }
+
+// sliceNames holds the task name of every AllReduce slice Syncers of one
+// Plan have emitted. A plan cuts the same slices step after step, so each
+// name is formatted once.
+type sliceNames struct {
+	mu sync.Mutex
+	m  map[pendingRange]string
+}
+
+func (n *sliceNames) of(sl pendingRange) string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	name, ok := n.m[sl]
+	if !ok {
+		if n.m == nil {
+			n.m = map[pendingRange]string{}
+		}
+		name = fmt.Sprintf("AR%d[%d:%d)", sl.layer, sl.rr.Lo, sl.rr.Hi)
+		n.m[sl] = name
+	}
+	return name
+}
+
+// Update is applied by the ring to each fully reduced piece of a layer's
+// buffers, once: elements [lo, hi) of layer's buffer on rank, which alone
+// holds them at that point and may rewrite them in place before they are
+// copied to the other ranks.
+type Update func(layer, rank, lo, hi int)
 
 // Solve validates the layer specs and computes the strategy's byte plan —
 // for StrategyFSMoE the §5 differential-evolution partition, the one
@@ -200,13 +234,16 @@ func (p *Plan) For(cfg Config, specs []LayerSpec) (*Plan, error) {
 }
 
 // NewSyncer starts one backward pass's synchronization under the plan.
-func (p *Plan) NewSyncer() *Syncer {
+// With a nil update the collected buffers end as the summed gradients.
+func (p *Plan) NewSyncer(update Update) *Syncer {
 	return &Syncer{
-		cfg:   p.cfg,
-		specs: p.specs,
-		plan:  p.gar,
-		grads: make([][][]float64, len(p.specs)),
-		rep:   Report{Strategy: p.cfg.Strategy, TotalBytes: p.total, Gar: p.gar},
+		cfg:    p.cfg,
+		specs:  p.specs,
+		plan:   p.gar,
+		names:  &p.names,
+		update: update,
+		grads:  make([][][]float64, len(p.specs)),
+		rep:    Report{Strategy: p.cfg.Strategy, TotalBytes: p.total, Gar: p.gar},
 	}
 }
 
@@ -217,7 +254,7 @@ func New(cfg Config, specs []LayerSpec) (*Syncer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.NewSyncer(), nil
+	return p.NewSyncer(nil), nil
 }
 
 // Report returns the running synchronization summary (complete after
@@ -354,7 +391,7 @@ func (s *Syncer) EmitAt(p *runtime.Plan, stream string, pt int) {
 		// plan's structural Simulate stays internally consistent; the ring
 		// moves ~2 passes over the slice.
 		est := float64(2*sl.rr.Len()) / 1e6
-		p.Add(fmt.Sprintf("AR%d[%d:%d)", sl.layer, sl.rr.Lo, sl.rr.Hi), KindAllReduce, stream, est,
+		p.Add(s.names.of(sl), KindAllReduce, stream, est,
 			func() error { return s.reduce(sl) })
 		s.rep.Slices++
 		s.rep.HiddenBytes += bytes
@@ -370,12 +407,18 @@ func (s *Syncer) reduce(sl pendingRange) error {
 	if bufs == nil {
 		return fmt.Errorf("gradsync: layer %d sliced before Collect", sl.layer)
 	}
+	var update func(rank, lo, hi int)
+	if s.update != nil {
+		update = func(rank, lo, hi int) { s.update(sl.layer, rank, lo, hi) }
+	}
 	// reduce serves both in-plan AR tasks (whose fault injection is
-	// task-level: RetryPolicy.Kinds covers KindAllReduce) and the
-	// sequential Finish tail, which runs outside any plan and has no guard
-	// to carry — so the unguarded entry point is deliberate here.
+	// task-level: RetryPolicy.Kinds covers KindAllReduce, and an injected
+	// failure fires before the body, so a retried slice is never reduced or
+	// updated twice) and the sequential Finish tail, which runs outside any
+	// plan and has no guard to carry — so the unguarded entry point is
+	// deliberate here.
 	//fsmoe:allow guardcheck task-level injection covers in-plan slices; Finish tail runs outside any plan
-	st, err := comm.RingAllReduceChunk(bufs, s.cfg.GPUsPerNode, sl.rr)
+	st, err := comm.RingAllReduceUpdate(bufs, s.cfg.GPUsPerNode, sl.rr, update)
 	if err != nil {
 		return err
 	}
@@ -396,7 +439,8 @@ func (s *Syncer) reduce(sl pendingRange) error {
 // Collect registers layer i's per-rank partial gradients: from now on
 // they are pending and later windows (or the tail) will reduce them.
 // Buffers must all have the registered element count; they are reduced in
-// place (every rank ends with the elementwise sum).
+// place (every rank ends with the elementwise sum, or with what the
+// Syncer's Update made of it).
 func (s *Syncer) Collect(i int, grads [][]float64) error {
 	if i < 0 || i >= len(s.specs) {
 		return fmt.Errorf("gradsync: collect of unknown layer %d", i)

@@ -267,3 +267,56 @@ func TestSyncerAbortedPlanReclaimsSlices(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncerUpdateOncePerElement: a Syncer cut with an Update leaves every
+// rank of every layer with update(reduced gradient) — under every strategy,
+// whether a slice ran inside a plan or in the tail, and with task names
+// served from the plan's cache on the second pass — having handed the
+// Update each element of each layer exactly once.
+func TestSyncerUpdateOncePerElement(t *testing.T) {
+	const layers, ranks, n, lr = 3, 4, 501, 0.25
+	for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {
+		cfg, specs := testSpecs(layers, n, 40)
+		cfg.Strategy = strat
+		cfg.ChunkBytes = 256 * 4
+		plan, err := Solve(cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			grads := make([][][]float64, layers)
+			truth := make([][]float64, layers)
+			for i := range grads {
+				grads[i], truth[i] = disjointGrads(uint64(900+i), ranks, n)
+			}
+			seen := make([][]int, layers)
+			for i := range seen {
+				seen[i] = make([]int, n)
+			}
+			s := plan.NewSyncer(func(layer, rank, lo, hi int) {
+				for k := lo; k < hi; k++ {
+					seen[layer][k]++
+					grads[layer][rank][k] = 1 - lr*grads[layer][rank][k]
+				}
+			})
+			driveBackward(t, s, layers, grads, 3)
+			if _, err := s.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range grads {
+				for k, c := range seen[i] {
+					if c != 1 {
+						t.Fatalf("%s pass %d: layer %d element %d updated %d times", strat, pass, i, k, c)
+					}
+				}
+				for r := range grads[i] {
+					for k, g := range truth[i] {
+						if want := 1 - lr*g; grads[i][r][k] != want {
+							t.Fatalf("%s pass %d: layer %d rank %d element %d = %v, want %v", strat, pass, i, r, k, grads[i][r][k], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

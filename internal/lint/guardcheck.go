@@ -35,6 +35,11 @@ var guardScopes = []string{
 	"repro/internal/gradsync",
 }
 
+// guardedTwin names the collective whose Guarded variant stands in for a
+// function that has none under its own name: the updating ring is the
+// general form of RingAllReduceChunk.
+var guardedTwin = map[string]string{"RingAllReduceUpdate": "RingAllReduceChunk"}
+
 // GuardCheck is the guarded-collective analyzer.
 var GuardCheck = &Analyzer{
 	Name: "guardcheck",
@@ -70,14 +75,18 @@ func runGuardCheck(p *Package) []Diagnostic {
 			if obj == nil || obj.Pkg() == nil {
 				return true
 			}
-			if obj.Pkg().Scope().Lookup(name+"Guarded") == nil {
+			twin := name
+			if t, ok := guardedTwin[name]; ok {
+				twin = t
+			}
+			if obj.Pkg().Scope().Lookup(twin+"Guarded") == nil {
 				return true // no guarded twin; plain helper
 			}
 			out = append(out, Diagnostic{
 				Pos:      p.Fset.Position(call.Pos()),
 				Analyzer: "guardcheck",
 				Message: fmt.Sprintf("unguarded collective comm.%s: call comm.%sGuarded so in-collective fault injection reaches it (or annotate //fsmoe:allow guardcheck <reason>)",
-					name, name),
+					name, twin),
 			})
 			return true
 		})

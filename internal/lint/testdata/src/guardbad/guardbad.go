@@ -14,6 +14,10 @@ func planChunk(g comm.Guard, data, out [][]float64, gpn int, dims comm.BlockDims
 	if _, err := comm.RingAllReduceChunk(data, gpn, rr); err != nil { // want `unguarded collective comm.RingAllReduceChunk`
 		return err
 	}
+	// The updating ring is covered through RingAllReduceChunk's guarded twin.
+	if _, err := comm.RingAllReduceUpdate(data, gpn, rr, nil); err != nil { // want `unguarded collective comm.RingAllReduceUpdate`
+		return err
+	}
 	// Broadcast gained a Guarded twin with elastic recovery's weight
 	// re-placement; the plain entry point is now a finding too.
 	if _, err := comm.Broadcast(data, 0, gpn); err != nil { // want `unguarded collective comm.Broadcast`

@@ -42,8 +42,9 @@ type ChunkedExpert interface {
 	// parameter-gradient pass needs.
 	BackwardChunk(cc ChunkedCache, dy, dx *tensor.Tensor, lo, hi int)
 	// FinishBackward performs the deferred full-block parameter-gradient
-	// reductions (given the full dy view) and releases pooled state.
-	FinishBackward(cc ChunkedCache, dy *tensor.Tensor)
+	// reductions (given the full dy view) into grads and releases pooled
+	// state.
+	FinishBackward(cc ChunkedCache, dy *tensor.Tensor, grads GradDst)
 }
 
 // ChunkedCache is the opaque full-block state of one chunked pass.
@@ -102,21 +103,12 @@ func (f *GPTFFN) BackwardChunk(cc ChunkedCache, dy, dx *tensor.Tensor, lo, hi in
 
 // FinishBackward implements ChunkedExpert: the same full-block GEMMs and
 // column sums as BackwardInto, in the same accumulation order.
-func (f *GPTFFN) FinishBackward(cc ChunkedCache, dy *tensor.Tensor) {
+func (f *GPTFFN) FinishBackward(cc ChunkedCache, dy *tensor.Tensor, grads GradDst) {
 	c := cc.(*gptChunkCache)
 	if c.da == nil {
 		c.da = tensor.Get(dy.Dim(0), f.h)
 	}
-	gw2 := tensor.GetUninit(f.h, f.m)
-	c.pool.MatMulT1Into(gw2, c.a, dy)
-	tensor.AddInPlace(f.w2.G, gw2)
-	tensor.Put(gw2)
-	addColSum(f.b2.G, dy)
-	gw1 := tensor.GetUninit(f.m, f.h)
-	c.pool.MatMulT1Into(gw1, c.x, c.da)
-	tensor.AddInPlace(f.w1.G, gw1)
-	tensor.Put(gw1)
-	addColSum(f.b1.G, c.da)
+	f.paramGrads(c.pool, c.x, c.a, c.da, dy, grads)
 	tensor.Put(c.da)
 	tensor.Put(c.a)
 	tensor.Put(c.h)
@@ -190,7 +182,7 @@ func (f *MixtralFFN) BackwardChunk(cc ChunkedCache, dy, dx *tensor.Tensor, lo, h
 }
 
 // FinishBackward implements ChunkedExpert.
-func (f *MixtralFFN) FinishBackward(cc ChunkedCache, dy *tensor.Tensor) {
+func (f *MixtralFFN) FinishBackward(cc ChunkedCache, dy *tensor.Tensor, grads GradDst) {
 	c := cc.(*mixtralChunkCache)
 	n := dy.Dim(0)
 	if c.da == nil {
@@ -199,17 +191,8 @@ func (f *MixtralFFN) FinishBackward(cc ChunkedCache, dy *tensor.Tensor) {
 	}
 	p := tensor.GetUninit(n, f.h)
 	tensor.MulInto(p, c.a, c.u)
-	gw := tensor.GetUninit(f.h, f.m)
-	c.pool.MatMulT1Into(gw, p, dy)
-	tensor.AddInPlace(f.w2.G, gw)
-	tensor.Put(gw)
+	f.paramGrads(c.pool, c.x, p, c.da, c.du, dy, grads)
 	tensor.Put(p)
-	gw13 := tensor.GetUninit(f.m, f.h)
-	c.pool.MatMulT1Into(gw13, c.x, c.da)
-	tensor.AddInPlace(f.w1.G, gw13)
-	c.pool.MatMulT1Into(gw13, c.x, c.du)
-	tensor.AddInPlace(f.w3.G, gw13)
-	tensor.Put(gw13)
 	tensor.Put(c.da)
 	tensor.Put(c.du)
 	tensor.Put(c.a)

@@ -25,7 +25,9 @@ import (
 //     experts' forward caches are rebuilt from the cached dispatch and
 //     the backward runs sequentially. The aborted plan may have partially
 //     accumulated parameter gradients, so the layer's gradients are
-//     zeroed first.
+//     zeroed first (during a training step: every expert's span of the
+//     resident arenas is marked unwritten, so what the survivors do not
+//     rewrite is cleared).
 //
 // In both modes the router is frozen: the gate backward pairs its
 // RouteCache with the original plan, which no longer describes the
@@ -91,26 +93,11 @@ func (w *World) degradedForward(pr *forwardProlog, retries int, cause string) (*
 	mdim := w.layer.cfg.M
 	e, t := dplan.Experts, dplan.Capacity
 
-	scattered := w.layer.cfg.Order.Scatter(pr.flat, dplan)
-	dispatched := w.layer.disp.Dispatch(scattered)
+	scattered := tensor.New(e, t, mdim)
+	w.layer.cfg.Order.Scatter(scattered, pr.flat, dplan)
 	expertOut := tensor.New(e, t, mdim)
-	caches := make([]ExpertCache, e)
-	blk := t * mdim
-	for j := 0; j < e; j++ {
-		if j >= lo && j < hi {
-			continue // dead expert: slots empty, block stays zero
-		}
-		in := dispatched.View(j*blk, t, mdim)
-		if ie, ok := w.layer.cfg.Experts[j].(IntoExpert); ok {
-			caches[j] = ie.ForwardInto(in, expertOut.View(j*blk, t, mdim))
-			continue
-		}
-		out, c := w.layer.cfg.Experts[j].Forward(in)
-		caches[j] = c
-		copy(expertOut.Data()[j*blk:(j+1)*blk], out.Data())
-	}
-	combined := w.layer.disp.Combine(expertOut)
-	y := w.layer.epilog(combined, dplan, pr.flat.Dim(0), pr.shape)
+	caches := w.forwardSurvivors(scattered, expertOut, lo, hi)
+	y := w.layer.epilog(tensor.New(pr.flat.Dim(0), mdim), expertOut, dplan, pr.shape)
 
 	res := &DegradedResult{
 		Rank:           w.down,
@@ -125,10 +112,24 @@ func (w *World) degradedForward(pr *forwardProlog, retries int, cause string) (*
 	w.degraded = res
 	cache := &WorldCache{
 		pr:       pr,
-		combined: combined,
+		combined: expertOut,
 		deg:      &degradedState{dplan: dplan, caches: caches, lo: lo, hi: hi, res: res},
 	}
 	return y, cache, nil
+}
+
+// forwardSurvivors runs every expert outside the lost range [lo, hi) on its
+// live rows of in, an (E, S, M) buffer, into the (E, T, M) buffer out (a
+// dead expert's slots are empty and its block is not written), returning
+// the forward caches.
+func (w *World) forwardSurvivors(in, out *tensor.Tensor, lo, hi int) []ExpertCache {
+	caches := make([]ExpertCache, len(w.layer.cfg.Experts))
+	for j, ex := range w.layer.cfg.Experts {
+		if j < lo || j >= hi {
+			caches[j] = forwardExpert(ex, slotBlock(in, j, out.Dim(1)), slotBlock(out, j, out.Dim(1)))
+		}
+	}
+	return caches
 }
 
 // degradedBackward runs the sequential backward paired with a degraded
@@ -142,29 +143,22 @@ func (w *World) degradedBackward(cache *WorldCache, dy *tensor.Tensor) (*tensor.
 	mdim := w.layer.cfg.M
 	e, t := dplan.Experts, dplan.Capacity
 
-	dExpertOut, _, err := w.layer.backwardProlog(cache.combined, dplan, dy)
-	if err != nil {
+	// The forward's outputs keep the stride they were computed at: T after a
+	// degraded forward, Tpad when only the backward plan was lost.
+	stride := cache.combined.Dim(1)
+	dExpertOut := tensor.New(e, stride, mdim)
+	if _, err := w.layer.backwardProlog(dExpertOut, cache.combined, dplan, dy); err != nil {
 		return nil, err
 	}
-	dExpertOut = w.layer.disp.CombineGrad(dExpertOut)
-
-	dDispatched := tensor.New(e, t, mdim)
-	blk := t * mdim
+	dScattered := tensor.New(e, stride, mdim)
 	for j := 0; j < e; j++ {
 		if j >= st.lo && j < st.hi {
 			continue // dead expert: no cache, no gradient, block stays zero
 		}
-		dOut := dExpertOut.View(j*blk, t, mdim)
-		if ie, ok := w.layer.cfg.Experts[j].(IntoExpert); ok {
-			ie.BackwardInto(st.caches[j], dOut, dDispatched.View(j*blk, t, mdim))
-			continue
-		}
-		dIn := w.layer.cfg.Experts[j].Backward(st.caches[j], dOut)
-		copy(dDispatched.Data()[j*blk:(j+1)*blk], dIn.Data())
+		w.backwardWhole(j, st.caches[j], slotBlock(dExpertOut, j, t), slotBlock(dScattered, j, t))
 	}
-
-	dScattered := w.layer.disp.DispatchGrad(dDispatched)
-	dx := w.layer.cfg.Order.ScatterGrad(dScattered, dplan, pr.flat.Dim(0))
+	dx := tensor.New(pr.flat.Dim(0), mdim)
+	w.layer.cfg.Order.ScatterGrad(dx, dScattered, dplan)
 	// Frozen router: no Gate.Backward — its RouteCache pairs with the
 	// original plan, not the degraded one (see the package comment above).
 	if len(pr.shape) == 3 {
@@ -190,29 +184,16 @@ func (w *World) degradedBackwardRecover(cache *WorldCache, dy *tensor.Tensor, re
 	t0 := time.Now()
 	lo, hi := w.lostRange()
 	dplan, cleared := clearLostSlots(pr.plan, lo, hi)
-	mdim := w.layer.cfg.M
-	e, t := dplan.Experts, dplan.Capacity
 
 	// The aborted plan's W tasks may have accumulated partial parameter
 	// gradients; restart this layer's accumulation from zero.
 	w.layer.ZeroGrad()
-
-	dispatched := w.layer.disp.Dispatch(pr.scattered)
-	caches := make([]ExpertCache, e)
-	scratch := tensor.New(e, t, mdim) // recomputed outputs; only the caches matter
-	blk := t * mdim
-	for j := 0; j < e; j++ {
-		if j >= lo && j < hi {
-			continue
-		}
-		in := dispatched.View(j*blk, t, mdim)
-		if ie, ok := w.layer.cfg.Experts[j].(IntoExpert); ok {
-			caches[j] = ie.ForwardInto(in, scratch.View(j*blk, t, mdim))
-			continue
-		}
-		_, c := w.layer.cfg.Experts[j].Forward(in)
-		caches[j] = c
+	if w.grads != nil {
+		clear(w.grads.written)
 	}
+
+	// Only the caches matter; the recomputed outputs are scratch.
+	caches := w.forwardSurvivors(cache.scattered, tensor.New(dplan.Experts, dplan.Capacity, w.layer.cfg.M), lo, hi)
 
 	res := &DegradedResult{
 		Rank:          w.down,

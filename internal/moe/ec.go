@@ -62,13 +62,13 @@ func (g *ECGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCache
 			col[t] = logits.At(t, ei)
 		}
 		sel := tensor.TopK(col, capacity)
-		kept := make([]float64, len(sel))
+		w := make([]float64, len(sel))
 		for j, tok := range sel {
-			kept[j] = col[tok]
+			w[j] = col[tok]
 		}
-		w := softmaxVec(kept)
+		tensor.SoftmaxInPlace(w)
 		p.SlotToken[ei] = append([]int(nil), sel...)
-		p.SlotWeight[ei] = append([]float64(nil), w...)
+		p.SlotWeight[ei] = w
 		cache.selTok[ei] = p.SlotToken[ei]
 		cache.selW[ei] = p.SlotWeight[ei]
 	}
@@ -78,23 +78,23 @@ func (g *ECGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCache
 // Backward implements Gate: per expert, the masked softmax over its
 // selected tokens is differentiated, then the gradient flows through the
 // shared linear scorer.
-func (g *ECGate) Backward(rc *RouteCache, grad *PlanGrad) *tensor.Tensor {
+func (g *ECGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
 	cache := rc.extra.(*ecCache)
 	x := rc.X
 	n, e := x.Dim(0), g.cfg.Experts
-	dLogits := tensor.New(n, e)
+	dLogits := tensor.Get(n, e)
+	dl := make([]float64, rc.Plan.Capacity) // every expert selects Capacity tokens
 	for ei := 0; ei < e; ei++ {
-		var dw []float64
+		clear(dl)
 		if grad.SlotWeight != nil {
-			dw = grad.SlotWeight[ei]
-		} else {
-			dw = make([]float64, len(cache.selW[ei]))
+			copy(dl, grad.SlotWeight[ei])
 		}
-		dl := maskedSoftmaxBackward(cache.selW[ei], dw)
+		maskedSoftmaxBackward(cache.selW[ei], dl)
 		for j, tok := range cache.selTok[ei] {
-			dLogits.Set(dl[j], tok, ei)
+			dLogits.Row(tok)[ei] = dl[j]
 		}
 	}
-	tensor.AddInPlace(g.wg.G, tensor.MatMulT1(x, dLogits))
-	return tensor.MatMulT2(dLogits, g.wg.W)
+	tensor.MatMulT1AddInto(g.wg.G, x, dLogits)
+	tensor.MatMulT2Into(dx, dLogits, g.wg.W)
+	tensor.Put(dLogits)
 }

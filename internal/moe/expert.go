@@ -43,15 +43,45 @@ type ExpertCache interface{}
 
 // IntoExpert is the zero-copy fast path an Expert may additionally
 // implement. ForwardInto writes the output into out (a view of the layer's
-// (E, T, M) buffer) and BackwardInto writes dX into dx, letting MOELayer
-// skip the per-expert copy round-trips. Implementations may draw transient
-// buffers from tensor.Get and must Put them by the end of BackwardInto;
-// both built-in experts do. Custom experts that only implement Expert keep
-// working through the copying fallback.
+// (E, T, M) buffer) and BackwardInto writes dX into dx and the parameter
+// gradients where grads says, letting MOELayer skip the per-expert copy
+// round-trips. Implementations may draw transient buffers from tensor.Get
+// and must Put them by the end of BackwardInto; both built-in experts do.
+// Custom experts that only implement Expert keep working through the
+// copying fallback.
 type IntoExpert interface {
 	Expert
 	ForwardInto(x, out *tensor.Tensor) ExpertCache
-	BackwardInto(cache ExpertCache, dy, dx *tensor.Tensor)
+	BackwardInto(cache ExpertCache, dy, dx *tensor.Tensor, grads GradDst)
+}
+
+// GradDst is where a backward pass puts one expert's parameter gradients.
+// Nil is the Expert.Backward contract: they are added to each Param.G.
+// Otherwise GradDst[i] is overwritten with the gradient of Params()[i] —
+// during a training step it is the expert's span of its owner rank's
+// resident buffer, which holds last step's replica, so the gradient is
+// written where the Gradient-AllReduce reads it and nothing is zeroed
+// first or copied afterwards.
+type GradDst []*tensor.Tensor
+
+// weight puts the weight gradient aᵀ·b of parameter i (p) where d says.
+func (d GradDst) weight(pool *tensor.Pool, i int, p *Param, a, b *tensor.Tensor) {
+	if d == nil {
+		pool.MatMulT1AddInto(p.G, a, b)
+		return
+	}
+	pool.MatMulT1Into(d[i], a, b)
+}
+
+// bias puts the bias gradient of parameter i (p), the column sums of m,
+// where d says.
+func (d GradDst) bias(i int, p *Param, m *tensor.Tensor) {
+	g := p.G
+	if d != nil {
+		g = d[i]
+		g.Zero()
+	}
+	addColSum(g, m)
 }
 
 // GPTFFN is the "simple" expert of Table 4: two dense layers with a GeLU,
@@ -119,38 +149,39 @@ func (f *GPTFFN) ForwardInto(x, out *tensor.Tensor) ExpertCache {
 // Backward implements Expert.
 func (f *GPTFFN) Backward(cache ExpertCache, dy *tensor.Tensor) *tensor.Tensor {
 	dx := tensor.New(dy.Dim(0), f.m)
-	f.BackwardInto(cache, dy, dx)
+	f.BackwardInto(cache, dy, dx, nil)
 	return dx
 }
 
 // BackwardInto implements IntoExpert.
-func (f *GPTFFN) BackwardInto(cache ExpertCache, dy, dx *tensor.Tensor) {
+func (f *GPTFFN) BackwardInto(cache ExpertCache, dy, dx *tensor.Tensor, grads GradDst) {
 	c := cache.(*gptCache)
-	n := dy.Dim(0)
-	// y = a·W2 + b2.
-	gw2 := tensor.GetUninit(f.h, f.m)
-	tensor.MatMulT1Into(gw2, c.a, dy)
-	tensor.AddInPlace(f.w2.G, gw2)
-	tensor.Put(gw2)
-	addColSum(f.b2.G, dy)
-	da := tensor.GetUninit(n, f.h)
+	// y = a·W2 + b2; a = GeLU(h): fold the activation gradient into da in place.
+	da := tensor.GetUninit(dy.Dim(0), f.h)
 	tensor.MatMulT2Into(da, dy, f.w2.W)
-	// a = GeLU(h): fold the activation gradient into da in place.
 	hd := c.h.Data()
 	dd := da.Data()
 	for i := range dd {
 		dd[i] *= tensor.GeLUGrad(hd[i])
 	}
+	f.paramGrads(nil, c.x, c.a, da, dy, grads)
 	// h = x·W1 + b1.
-	gw1 := tensor.GetUninit(f.m, f.h)
-	tensor.MatMulT1Into(gw1, c.x, da)
-	tensor.AddInPlace(f.w1.G, gw1)
-	tensor.Put(gw1)
-	addColSum(f.b1.G, da)
 	tensor.MatMulT2Into(dx, da, f.w1.W)
 	tensor.Put(da)
 	tensor.Put(c.a)
 	tensor.Put(c.h)
+}
+
+// paramGrads is the full-block parameter-gradient reduction every backward
+// of the expert ends in — monolithic, chunked or sharded — from the input
+// x, the activation a = GeLU(x·W1 + b1), its gradient da and the output
+// gradient dy: the same GEMMs and column sums in the same accumulation
+// order, whoever assembled the buffers.
+func (f *GPTFFN) paramGrads(pool *tensor.Pool, x, a, da, dy *tensor.Tensor, grads GradDst) {
+	grads.weight(pool, 2, f.w2, a, dy)
+	grads.bias(3, f.b2, dy)
+	grads.weight(pool, 0, f.w1, x, da)
+	grads.bias(1, f.b1, da)
 }
 
 // MixtralFFN is the SwiGLU expert used by Mixtral (§3.1):
@@ -218,39 +249,30 @@ func (f *MixtralFFN) ForwardInto(x, out *tensor.Tensor) ExpertCache {
 // Backward implements Expert.
 func (f *MixtralFFN) Backward(cache ExpertCache, dy *tensor.Tensor) *tensor.Tensor {
 	dx := tensor.New(dy.Dim(0), f.m)
-	f.BackwardInto(cache, dy, dx)
+	f.BackwardInto(cache, dy, dx, nil)
 	return dx
 }
 
 // BackwardInto implements IntoExpert.
-func (f *MixtralFFN) BackwardInto(cache ExpertCache, dy, dx *tensor.Tensor) {
+func (f *MixtralFFN) BackwardInto(cache ExpertCache, dy, dx *tensor.Tensor, grads GradDst) {
 	c := cache.(*mixtralCache)
 	n := dy.Dim(0)
-	p := tensor.GetUninit(n, f.h)
-	tensor.MulInto(p, c.a, c.u)
-	gw := tensor.GetUninit(f.h, f.m)
-	tensor.MatMulT1Into(gw, p, dy)
-	tensor.AddInPlace(f.w2.G, gw)
-	tensor.Put(gw)
-	dp := p // reuse: p is dead once the W2 gradient is accumulated
+	dp := tensor.GetUninit(n, f.h)
 	tensor.MatMulT2Into(dp, dy, f.w2.W)
 	da := tensor.GetUninit(n, f.h)
 	tensor.MulInto(da, dp, c.u)
 	du := tensor.GetUninit(n, f.h)
 	tensor.MulInto(du, dp, c.a)
-	tensor.Put(dp)
 	// a = SiLU(g): fold the activation gradient into da in place.
 	gd := c.g.Data()
 	dd := da.Data()
 	for i := range dd {
 		dd[i] *= tensor.SiLUGrad(gd[i])
 	}
-	gw13 := tensor.GetUninit(f.m, f.h)
-	tensor.MatMulT1Into(gw13, c.x, da)
-	tensor.AddInPlace(f.w1.G, gw13)
-	tensor.MatMulT1Into(gw13, c.x, du)
-	tensor.AddInPlace(f.w3.G, gw13)
-	tensor.Put(gw13)
+	p := dp // reuse: dp is dead once da and du exist
+	tensor.MulInto(p, c.a, c.u)
+	f.paramGrads(nil, c.x, p, da, du, dy, grads)
+	tensor.Put(p)
 	tensor.MatMulT2Into(dx, da, f.w1.W)
 	dxu := tensor.GetUninit(n, f.m)
 	tensor.MatMulT2Into(dxu, du, f.w3.W)
@@ -261,6 +283,16 @@ func (f *MixtralFFN) BackwardInto(cache ExpertCache, dy, dx *tensor.Tensor) {
 	tensor.Put(c.a)
 	tensor.Put(c.g)
 	tensor.Put(c.u)
+}
+
+// paramGrads is the full-block parameter-gradient reduction every backward
+// of the expert ends in, from the input x, the gated product
+// p = SiLU(x·W1) ⊙ (x·W3), the gradients da and du of the two projections
+// and the output gradient dy (see GPTFFN.paramGrads).
+func (f *MixtralFFN) paramGrads(pool *tensor.Pool, x, p, da, du, dy *tensor.Tensor, grads GradDst) {
+	grads.weight(pool, 1, f.w2, p, dy)
+	grads.weight(pool, 0, f.w1, x, da)
+	grads.weight(pool, 2, f.w3, x, du)
 }
 
 // addColSum accumulates the column sums of m (n, d) into acc (d). It works

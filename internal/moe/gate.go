@@ -44,9 +44,10 @@ type Gate interface {
 	// training-only behaviour (GShard's noisy gating).
 	Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCache, error)
 	// Backward accumulates parameter gradients from the routing-weight
-	// gradient and returns the gradient contribution to x. It may be
-	// called at most once per RouteCache.
-	Backward(cache *RouteCache, grad *PlanGrad) *tensor.Tensor
+	// gradient and writes the gradient contribution to x into dx (N, M),
+	// overwriting whatever it held. It may be called at most once per
+	// RouteCache.
+	Backward(dx *tensor.Tensor, cache *RouteCache, grad *PlanGrad)
 	// Params exposes the gate's trainable parameters.
 	Params() []*Param
 }
@@ -69,22 +70,89 @@ func (c GateConfig) Validate() error {
 	return nil
 }
 
+// choices is the per-token top-k selection of a token-choice gate (GShard,
+// Sigmoid, X-MoE), flat with stride k: token t's j-th choice is entry t·k+j.
+// It is gate-owned scratch: Route takes the gate's idle one — or starts
+// another while an earlier RouteCache still holds it — the RouteCache
+// carries it, and Backward, called at most once per RouteCache, hands it
+// back, so a training loop routes every step in the same memory.
+type choices struct {
+	k   int
+	idx []int     // selected expert ids, by descending score
+	w   []float64 // their combine weights
+	dw  []float64 // Backward: the gradient of w
+	asg []assignment
+}
+
+// routeTopK is the routing loop the token-choice gates share: each token's
+// top-k of its row of scores (N, E), turned into combine weights by weigh
+// (in place, on the k selected scores) and packed into a plan under the
+// gate's capacity. The choices come from *idle, which is left nil.
+func routeTopK(idle **choices, cfg GateConfig, scores *tensor.Tensor, weigh func(w []float64)) (*DispatchPlan, *choices) {
+	n, k := scores.Dim(0), cfg.TopK
+	c := *idle
+	*idle = nil
+	if c == nil || len(c.idx) != n*k {
+		c = &choices{k: k, idx: make([]int, n*k), w: make([]float64, n*k), dw: make([]float64, n*k), asg: make([]assignment, 0, n*k)}
+	}
+	c.asg = c.asg[:0]
+	for t := 0; t < n; t++ {
+		row := scores.Row(t)
+		sel, w := c.idx[t*k:(t+1)*k], c.w[t*k:(t+1)*k]
+		tensor.TopKInto(sel, row)
+		for j, e := range sel {
+			w[j] = row[e]
+		}
+		weigh(w)
+		for j, e := range sel {
+			c.asg = append(c.asg, assignment{token: t, expert: e, weight: w[j], choice: j})
+		}
+	}
+	return buildHardPlan(n, cfg.Experts, CapacityFor(n, cfg.Experts, k, cfg.Factor), c.asg), c
+}
+
+// weightGrads reorganizes per-slot weight gradients into the per-token,
+// per-selected-choice layout gates compute jacobians in: token t's are
+// dw[t·k:(t+1)·k]. Assignments that were dropped (never given a slot) get
+// zero gradient.
+func (c *choices) weightGrads(plan *DispatchPlan, slotGrad [][]float64) []float64 {
+	clear(c.dw)
+	if slotGrad == nil {
+		return c.dw
+	}
+	// Walk slots; for each occupied slot find which choice of the token it
+	// satisfies (the first selected expert matching the slot's expert).
+	// Token-order packing guarantees one slot per (token, expert) pair.
+	for e := range plan.SlotToken {
+		for s, tok := range plan.SlotToken[e] {
+			if tok < 0 {
+				continue
+			}
+			for j, idx := range c.idx[tok*c.k : (tok+1)*c.k] {
+				if idx == e {
+					c.dw[tok*c.k+j] = slotGrad[e][s]
+					break
+				}
+			}
+		}
+	}
+	return c.dw
+}
+
 // maskedSoftmaxBackward computes, for one token, the gradient of the
 // masked softmax (softmax restricted to the selected index set) given the
-// gradient of the softmax outputs. sel holds the selected logit indices,
-// w the softmax outputs at those indices, dw their gradients; the result is
-// the gradient at each selected logit.
-func maskedSoftmaxBackward(w, dw []float64) []float64 {
+// gradient of the softmax outputs: w holds the softmax outputs at the
+// selected indices and dw their gradients, which it overwrites with the
+// gradient at each selected logit.
+func maskedSoftmaxBackward(w, dw []float64) {
 	// dlogit_i = w_i * (dw_i - sum_j dw_j w_j)
 	dot := 0.0
 	for j := range w {
 		dot += dw[j] * w[j]
 	}
-	out := make([]float64, len(w))
 	for i := range w {
-		out[i] = w[i] * (dw[i] - dot)
+		dw[i] = w[i] * (dw[i] - dot)
 	}
-	return out
 }
 
 // zeroGrads clears the gradient accumulators of params.

@@ -26,14 +26,15 @@ type GShardGate struct {
 	// fixedNoise, when non-nil, replaces sampling; tests use it to make
 	// the noisy path differentiable-checkable.
 	fixedNoise *tensor.Tensor
+
+	idle *choices // routing scratch between a Backward and the next Route
 }
 
 type gshardCache struct {
 	logits *tensor.Tensor // H(x), (N, E)
 	noise  *tensor.Tensor // sampled N(0,1), nil in eval mode
 	spPre  *tensor.Tensor // x·W_noise, nil in eval mode
-	selIdx [][]int        // selected expert ids per token (descending score)
-	selW   [][]float64    // masked-softmax weights per token
+	sel    *choices       // selected experts and masked-softmax weights per token
 	probs  *tensor.Tensor // full softmax over logits, for the aux loss
 	firstC []int          // first-choice counts per expert
 }
@@ -95,36 +96,20 @@ func (g *GShardGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteC
 
 	probs := tensor.SoftmaxRows(logits) // full softmax for the aux loss
 	cache.probs = probs
-	var asg []assignment
-	cache.selIdx = make([][]int, n)
-	cache.selW = make([][]float64, n)
+	// Combine weights: the masked softmax over the selected logits.
+	plan, sel := routeTopK(&g.idle, g.cfg, logits, tensor.SoftmaxInPlace)
+	cache.sel = sel
 	firstChoice := make([]int, e)
 	for t := 0; t < n; t++ {
-		row := logits.Row(t)
-		sel := tensor.TopK(row, g.cfg.TopK)
-		// Masked softmax over the selected logits.
-		w := make([]float64, len(sel))
-		kept := make([]float64, len(sel))
-		for j, idx := range sel {
-			kept[j] = row[idx]
-		}
-		copy(w, softmaxVec(kept))
-		cache.selIdx[t] = sel
-		cache.selW[t] = w
-		firstChoice[sel[0]]++
-		for j, idx := range sel {
-			asg = append(asg, assignment{token: t, expert: idx, weight: w[j], choice: j})
-		}
+		firstChoice[sel.idx[t*sel.k]]++
 	}
-	capacity := CapacityFor(n, e, g.cfg.TopK, g.cfg.Factor)
-	plan := buildHardPlan(n, e, capacity, asg)
 	// Load balancing loss: E * sum_e f_e * p_e.
 	aux := 0.0
 	for ei := 0; ei < e; ei++ {
 		f := float64(firstChoice[ei]) / float64(n)
 		p := 0.0
 		for t := 0; t < n; t++ {
-			p += probs.At(t, ei)
+			p += probs.Row(t)[ei]
 		}
 		p /= float64(n)
 		aux += f * p
@@ -157,9 +142,9 @@ func (g *GShardGate) AuxBackward(rc *RouteCache, scale float64) *tensor.Tensor {
 		dp[ei] = coeff * float64(cache.firstC[ei])
 	}
 	for t := 0; t < n; t++ {
-		p := cache.probs.Row(t)
-		dl := maskedSoftmaxBackward(p, dp)
-		copy(dLogits.Row(t), dl)
+		dl := dLogits.Row(t)
+		copy(dl, dp)
+		maskedSoftmaxBackward(cache.probs.Row(t), dl)
 	}
 	tensor.AddInPlace(g.wg.G, tensor.MatMulT1(x, dLogits))
 	dx := tensor.MatMulT2(dLogits, g.wg.W)
@@ -174,24 +159,26 @@ func (g *GShardGate) AuxBackward(rc *RouteCache, scale float64) *tensor.Tensor {
 
 // Backward implements Gate. Dropped assignments contribute no gradient
 // (their combine weight never reached the output).
-func (g *GShardGate) Backward(rc *RouteCache, grad *PlanGrad) *tensor.Tensor {
+func (g *GShardGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
 	cache := rc.extra.(*gshardCache)
 	x := rc.X
 	n, e := x.Dim(0), g.cfg.Experts
+	sel, k := cache.sel, g.cfg.TopK
 	// Collect dWeight per (token, selected expert) from the slot grads.
-	dW := slotGradToTokenGrad(rc.Plan, cache.selIdx, grad.SlotWeight, n)
+	dW := sel.weightGrads(rc.Plan, grad.SlotWeight)
 	dLogits := tensor.Get(n, e) // transient; released below
 	for t := 0; t < n; t++ {
-		dl := maskedSoftmaxBackward(cache.selW[t], dW[t])
-		for j, idx := range cache.selIdx[t] {
-			dLogits.Set(dl[j], t, idx)
+		dl := dW[t*k : (t+1)*k]
+		maskedSoftmaxBackward(sel.w[t*k:(t+1)*k], dl)
+		row := dLogits.Row(t)
+		for j, idx := range sel.idx[t*k : (t+1)*k] {
+			row[idx] = dl[j]
 		}
 	}
+	g.idle = sel
 	// dWg += xᵀ dLogits ; dx = dLogits Wgᵀ.
-	gw := tensor.GetUninit(g.m, e)
-	tensor.MatMulT1Into(gw, x, dLogits)
-	tensor.AddInPlace(g.wg.G, gw)
-	dx := tensor.MatMulT2(dLogits, g.wg.W)
+	tensor.MatMulT1AddInto(g.wg.G, x, dLogits)
+	tensor.MatMulT2Into(dx, dLogits, g.wg.W)
 	if cache.noise != nil {
 		// Noise path: logits += noise * softplus(x·W_noise).
 		dpre := tensor.GetUninit(n, e)
@@ -201,59 +188,17 @@ func (g *GShardGate) Backward(rc *RouteCache, grad *PlanGrad) *tensor.Tensor {
 		for i := range dd {
 			dd[i] *= sigmoidScalar(spd[i]) // softplus' = sigmoid
 		}
-		tensor.MatMulT1Into(gw, x, dpre)
-		tensor.AddInPlace(g.wnoise.G, gw)
+		tensor.MatMulT1AddInto(g.wnoise.G, x, dpre)
 		dxn := tensor.GetUninit(n, g.m)
 		tensor.MatMulT2Into(dxn, dpre, g.wnoise.W)
 		tensor.AddInPlace(dx, dxn)
 		tensor.Put(dxn)
 		tensor.Put(dpre)
 	}
-	tensor.Put(gw)
 	tensor.Put(dLogits)
-	return dx
 }
 
 // sigmoidScalar mirrors tensor.Sigmoid for a single value, letting the
 // noise-path backward fold softplus' in place instead of materializing a
 // sigmoid tensor.
 func sigmoidScalar(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-// softmaxVec is a stable softmax over a small dense vector.
-func softmaxVec(v []float64) []float64 {
-	out := make([]float64, len(v))
-	copy(out, v)
-	row := tensor.FromData(out, 1, len(out))
-	return tensor.SoftmaxRows(row).Row(0)
-}
-
-// slotGradToTokenGrad reorganizes per-slot weight gradients into the
-// per-token, per-selected-choice layout gates compute jacobians in.
-// Assignments that were dropped (never given a slot) get zero gradient.
-func slotGradToTokenGrad(plan *DispatchPlan, selIdx [][]int, slotGrad [][]float64, tokens int) [][]float64 {
-	out := make([][]float64, tokens)
-	for t := range out {
-		out[t] = make([]float64, len(selIdx[t]))
-	}
-	if slotGrad == nil {
-		return out
-	}
-	// Walk slots; for each occupied slot find which choice of the token it
-	// satisfies (the first selected expert matching the slot's expert that
-	// has not been consumed). Token-order packing guarantees one slot per
-	// (token, expert) pair.
-	for e := range plan.SlotToken {
-		for s, tok := range plan.SlotToken[e] {
-			if tok < 0 {
-				continue
-			}
-			for j, idx := range selIdx[tok] {
-				if idx == e {
-					out[tok][j] = slotGrad[e][s]
-					break
-				}
-			}
-		}
-	}
-	return out
-}

@@ -107,8 +107,11 @@ func (l *MOELayer) Experts() []Expert { return l.cfg.Experts }
 func (l *MOELayer) Gate() Gate { return l.cfg.Gate }
 
 // Params returns all trainable parameters (gate + experts).
-func (l *MOELayer) Params() []*Param {
-	out := append([]*Param(nil), l.cfg.Gate.Params()...)
+func (l *MOELayer) Params() []*Param { return l.appendParams(nil) }
+
+// appendParams appends Params to out.
+func (l *MOELayer) appendParams(out []*Param) []*Param {
+	out = append(out, l.cfg.Gate.Params()...)
 	for _, e := range l.cfg.Experts {
 		out = append(out, e.Params()...)
 	}
@@ -118,19 +121,19 @@ func (l *MOELayer) Params() []*Param {
 // ZeroGrad clears every parameter gradient.
 func (l *MOELayer) ZeroGrad() { zeroGrads(l.Params()) }
 
-// forwardProlog is the gate/order stage every forward pass — sequential or
+// forwardProlog is the routing stage every forward pass — sequential or
 // multi-rank — runs exactly once before any dispatch chunk moves (§4.1's
-// "gate and order, then pipeline").
+// "gate and order, then pipeline"); the caller then has Order scatter the
+// tokens into the expert-major buffer it owns.
 type forwardProlog struct {
-	shape     []int          // original input shape
-	flat      *tensor.Tensor // (N, M)
-	plan      *DispatchPlan
-	rc        *RouteCache
-	scattered *tensor.Tensor // (E, T, M)
+	shape []int          // original input shape
+	flat  *tensor.Tensor // (N, M)
+	plan  *DispatchPlan
+	rc    *RouteCache
 }
 
-// prolog flattens and validates the input, routes it, and materializes the
-// expert-major layout. Hooks up to BeforeDispatch are applied.
+// prolog flattens and validates the input and routes it. The
+// BeforeMoeStart hooks are applied.
 func (l *MOELayer) prolog(x *tensor.Tensor, train bool) (*forwardProlog, error) {
 	shape := append([]int(nil), x.Shape()...)
 	var flat *tensor.Tensor
@@ -158,21 +161,40 @@ func (l *MOELayer) prolog(x *tensor.Tensor, train bool) (*forwardProlog, error) 
 	if err := plan.Validate(n); err != nil {
 		return nil, err
 	}
-
-	scattered := l.cfg.Order.Scatter(flat, plan) // (E, T, M)
-	scattered = l.hooks.beforeDispatch(scattered)
-	return &forwardProlog{shape: shape, flat: flat, plan: plan, rc: rc, scattered: scattered}, nil
+	return &forwardProlog{shape: shape, flat: flat, plan: plan, rc: rc}, nil
 }
 
 // epilog is the I-Order stage after the combine: gather the expert outputs
-// back to token order and restore the caller's shape.
-func (l *MOELayer) epilog(combined *tensor.Tensor, plan *DispatchPlan, tokens int, shape []int) *tensor.Tensor {
-	y := l.cfg.Order.Gather(combined, plan, tokens)
+// (E, S, M) back to token order in y (N, M) and restore the caller's shape.
+func (l *MOELayer) epilog(y, combined *tensor.Tensor, plan *DispatchPlan, shape []int) *tensor.Tensor {
+	l.cfg.Order.Gather(y, combined, plan)
 	y = l.hooks.beforeMoeEnd(y)
 	if len(shape) == 3 {
 		y = y.Reshape(shape...)
 	}
 	return y
+}
+
+// forwardExpert runs ex on in (n, M) into out (n, M), zero-copy when the
+// expert has the IntoExpert fast path.
+func forwardExpert(ex Expert, in, out *tensor.Tensor) ExpertCache {
+	if ie, ok := ex.(IntoExpert); ok {
+		return ie.ForwardInto(in, out)
+	}
+	y, c := ex.Forward(in)
+	copy(out.Data(), y.Data())
+	return c
+}
+
+// backwardExpert is forwardExpert's adjoint: dx from dy, the parameter
+// gradients into grads — which only the fast path can honour, so the
+// copying fallback requires nil (Expert.Backward adds into Param.G).
+func backwardExpert(ex Expert, cache ExpertCache, dy, dx *tensor.Tensor, grads GradDst) {
+	if ie, ok := ex.(IntoExpert); ok {
+		ie.BackwardInto(cache, dy, dx, grads)
+		return
+	}
+	copy(dx.Data(), ex.Backward(cache, dy).Data())
 }
 
 // Forward runs the layer on x, shaped (B, L, M) or (N, M). train enables
@@ -183,7 +205,9 @@ func (l *MOELayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *Layer
 		return nil, nil, err
 	}
 	plan, shape := pr.plan, pr.shape
-	dispatched := l.disp.Dispatch(pr.scattered)
+	scattered := tensor.New(plan.Experts, plan.Capacity, l.cfg.M)
+	l.cfg.Order.Scatter(scattered, pr.flat, plan)
+	dispatched := l.disp.Dispatch(l.hooks.beforeDispatch(scattered))
 	dispatched = l.hooks.afterDispatch(dispatched)
 
 	// Experts run concurrently on the shared worker pool, each reading and
@@ -195,21 +219,15 @@ func (l *MOELayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *Layer
 	caches := make([]ExpertCache, plan.Experts)
 	blk := plan.Capacity * l.cfg.M
 	l.forEachExpert(func(e int) {
-		in := dispatched.View(e*blk, plan.Capacity, l.cfg.M)
-		if ie, ok := l.cfg.Experts[e].(IntoExpert); ok {
-			caches[e] = ie.ForwardInto(in, expertOut.View(e*blk, plan.Capacity, l.cfg.M))
-			return
-		}
-		out, c := l.cfg.Experts[e].Forward(in)
-		caches[e] = c
-		copy(expertOut.Data()[e*blk:(e+1)*blk], out.Data())
+		caches[e] = forwardExpert(l.cfg.Experts[e],
+			dispatched.View(e*blk, plan.Capacity, l.cfg.M), expertOut.View(e*blk, plan.Capacity, l.cfg.M))
 	})
 
 	combinedIn := l.hooks.beforeCombine(expertOut)
 	combined := l.disp.Combine(combinedIn)
 	combined = l.hooks.afterCombine(combined)
 
-	y := l.epilog(combined, plan, pr.flat.Dim(0), shape)
+	y := l.epilog(tensor.New(pr.flat.Dim(0), l.cfg.M), combined, plan, shape)
 
 	cache := &LayerCache{
 		shape:     shape,
@@ -234,13 +252,14 @@ func (l *MOELayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *Layer
 // piecewise constant, so its "gradient" is zero almost everywhere, exactly
 // as in the PyTorch implementations the paper builds on.
 func (l *MOELayer) Backward(cache *LayerCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
+	plan := cache.plan
 	// Through Gather (I-Order): gradient of expert outputs and of the
 	// combine weights.
-	dExpertOut, planGrad, err := l.backwardProlog(cache.expertOut, cache.plan, dy)
+	dExpertOut := tensor.New(plan.Experts, plan.Capacity, l.cfg.M)
+	planGrad, err := l.backwardProlog(dExpertOut, cache.expertOut, plan, dy)
 	if err != nil {
 		return nil, err
 	}
-	plan := cache.plan
 
 	// Through Combine (adjoint of the collective).
 	dExpertOut = l.disp.CombineGrad(dExpertOut)
@@ -251,24 +270,24 @@ func (l *MOELayer) Backward(cache *LayerCache, dy *tensor.Tensor) (*tensor.Tenso
 	dDispatched := tensor.New(plan.Experts, plan.Capacity, l.cfg.M)
 	blk := plan.Capacity * l.cfg.M
 	l.forEachExpert(func(e int) {
-		dOut := dExpertOut.View(e*blk, plan.Capacity, l.cfg.M)
-		if ie, ok := l.cfg.Experts[e].(IntoExpert); ok {
-			ie.BackwardInto(cache.expCaches[e], dOut, dDispatched.View(e*blk, plan.Capacity, l.cfg.M))
-			return
-		}
-		dIn := l.cfg.Experts[e].Backward(cache.expCaches[e], dOut)
-		copy(dDispatched.Data()[e*blk:(e+1)*blk], dIn.Data())
+		backwardExpert(l.cfg.Experts[e], cache.expCaches[e],
+			dExpertOut.View(e*blk, plan.Capacity, l.cfg.M), dDispatched.View(e*blk, plan.Capacity, l.cfg.M), nil)
 	})
 
 	// Through Dispatch.
 	dScattered := l.disp.DispatchGrad(dDispatched)
 
-	return l.backwardFinish(dScattered, planGrad, cache.x, cache.routeC, plan, cache.shape), nil
+	n := cache.x.Dim(0)
+	gateDx := tensor.GetUninit(n, l.cfg.M)
+	dx := l.backwardFinish(tensor.New(n, l.cfg.M), gateDx, dScattered, planGrad, cache.x, cache.routeC, plan, cache.shape)
+	tensor.Put(gateDx)
+	return dx, nil
 }
 
 // backwardProlog is the shared entry of every backward pass: flatten dy
-// and differentiate through Gather (I-Order).
-func (l *MOELayer) backwardProlog(expertOut *tensor.Tensor, plan *DispatchPlan, dy *tensor.Tensor) (*tensor.Tensor, *PlanGrad, error) {
+// and differentiate through Gather (I-Order) into dOut, shaped like
+// expertOut.
+func (l *MOELayer) backwardProlog(dOut, expertOut *tensor.Tensor, plan *DispatchPlan, dy *tensor.Tensor) (*PlanGrad, error) {
 	var dflat *tensor.Tensor
 	switch dy.Rank() {
 	case 2:
@@ -276,28 +295,33 @@ func (l *MOELayer) backwardProlog(expertOut *tensor.Tensor, plan *DispatchPlan, 
 	case 3:
 		dflat = dy.Reshape(dy.Dim(0)*dy.Dim(1), dy.Dim(2))
 	default:
-		return nil, nil, fmt.Errorf("moe: dy must be (B,L,M) or (N,M), got %v", dy.Shape())
+		return nil, fmt.Errorf("moe: dy must be (B,L,M) or (N,M), got %v", dy.Shape())
 	}
-	dExpertOut, planGrad := l.cfg.Order.GatherGrad(dflat, expertOut, plan)
-	return dExpertOut, planGrad, nil
+	return l.cfg.Order.GatherGrad(dOut, dflat, expertOut, plan), nil
 }
 
 // backwardFinish is the shared exit of every backward pass: differentiate
-// through Scatter (Order) back to tokens, feed the routing gradients to
-// the gate, and restore the caller's shape.
-func (l *MOELayer) backwardFinish(dScattered *tensor.Tensor, planGrad *PlanGrad, x *tensor.Tensor, rc *RouteCache, plan *DispatchPlan, shape []int) *tensor.Tensor {
-	dx := l.cfg.Order.ScatterGrad(dScattered, plan, x.Dim(0))
+// through Scatter (Order) from dScattered (E, S, M) back to tokens in dx
+// (N, M), feed the routing gradients to the gate — whose own contribution
+// to dx goes through gateDx (N, M), scratch — and restore the caller's
+// shape.
+func (l *MOELayer) backwardFinish(dx, gateDx, dScattered *tensor.Tensor, planGrad *PlanGrad, x *tensor.Tensor, rc *RouteCache, plan *DispatchPlan, shape []int) *tensor.Tensor {
+	l.cfg.Order.ScatterGrad(dx, dScattered, plan)
 
 	// Dense plans additionally need the dispatch-weight gradient
-	// dD = dScattered_flat · xᵀ for the gate's backward.
+	// dD = dScattered_flat · xᵀ for the gate's backward: rows are slots, so
+	// one row-wise GEMM per expert block.
 	if plan.IsDense() {
-		flatD := dScattered.Reshape(plan.Slots(), l.cfg.M)
-		planGrad.DispatchW = tensor.MatMulT2(flatD, x)
+		t := plan.Capacity
+		planGrad.DispatchW = tensor.New(plan.Slots(), x.Dim(0))
+		for e := 0; e < plan.Experts; e++ {
+			tensor.MatMulT2Into(planGrad.DispatchW.Slice(e*t, (e+1)*t), slotBlock(dScattered, e, t), x)
+		}
 	}
 
 	// Routing path into the gate.
-	dxGate := l.cfg.Gate.Backward(rc, planGrad)
-	tensor.AddInPlace(dx, dxGate)
+	l.cfg.Gate.Backward(gateDx, rc, planGrad)
+	tensor.AddInPlace(dx, gateDx)
 
 	if len(shape) == 3 {
 		dx = dx.Reshape(shape...)

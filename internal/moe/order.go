@@ -5,30 +5,62 @@ import (
 )
 
 // Order is the data-layout sub-module of §3.1: it transforms token-major
-// (N, M) activations into the expert-major (E, T, M) layout the dispatch
-// AlltoAll expects (Scatter), and back (Gather, the "I-Order"), applying the
-// combine weights on the way back. Both implementations must produce
-// bit-identical results; they differ only in how a GPU would execute them.
+// (N, M) activations into the expert-major layout the dispatch AlltoAll
+// expects (Scatter), and back (Gather, the "I-Order"), applying the combine
+// weights on the way back. Both implementations must produce bit-identical
+// results; they differ only in how a GPU would execute them.
+//
+// Every method writes into a destination its caller owns and overwrites it
+// whole, whatever it held: a World hands out slots of its dirty resident
+// workspace, the single-rank layer fresh tensors. Expert-major buffers are
+// (E, S, M) with a block stride S ≥ plan.Capacity chosen by the caller —
+// slot s of expert e is row e·S+s — so a World scatters straight into its
+// rank-divisible padded layout. The pad rows [Capacity, S) of a block are
+// written +0 by Scatter and GatherGrad and never read by Gather and
+// ScatterGrad; results do not depend on S.
 type Order interface {
 	Name() string
-	// Scatter lays out x (N, M) as (E, T, M) according to the plan.
-	// Weights are NOT applied here; empty slots are zero.
-	Scatter(x *tensor.Tensor, plan *DispatchPlan) *tensor.Tensor
-	// Gather inverts Scatter on the experts' outputs (E, T, M), producing
+	// Scatter lays out x (N, M) in dst (E, S, M) according to the plan.
+	// Weights are NOT applied here; empty slots and pad rows are +0.
+	Scatter(dst, x *tensor.Tensor, plan *DispatchPlan)
+	// Gather inverts Scatter on the experts' outputs (E, S, M), writing y
 	// (N, M) with each slot's contribution scaled by its combine weight.
-	Gather(expertOut *tensor.Tensor, plan *DispatchPlan, tokens int) *tensor.Tensor
+	Gather(y, expertOut *tensor.Tensor, plan *DispatchPlan)
 	// ScatterGrad back-propagates through Scatter: given the gradient of
-	// the (E, T, M) layout it returns the gradient of x.
-	ScatterGrad(dScattered *tensor.Tensor, plan *DispatchPlan, tokens int) *tensor.Tensor
-	// GatherGrad back-propagates through Gather: given dY (N, M) it
-	// returns the gradient of the experts' outputs (weights applied) and
-	// the gradient of each slot weight.
-	GatherGrad(dy, expertOut *tensor.Tensor, plan *DispatchPlan) (*tensor.Tensor, *PlanGrad)
+	// the (E, S, M) layout it writes the gradient of x into dx (N, M).
+	ScatterGrad(dx, dScattered *tensor.Tensor, plan *DispatchPlan)
+	// GatherGrad back-propagates through Gather: given dy (N, M) it writes
+	// the gradient of the experts' outputs (weights applied; empty slots
+	// and pad rows +0) into dOut, shaped like expertOut, and returns the
+	// gradient of each slot weight.
+	GatherGrad(dOut, dy, expertOut *tensor.Tensor, plan *DispatchPlan) *PlanGrad
+}
+
+// slotBlock is the (t, M) view of the first t rows of block e of an
+// (E, S, M) buffer: an expert's live slots for t = Capacity, the whole block
+// of a rank's local expert for t = S.
+func slotBlock(buf *tensor.Tensor, e, t int) *tensor.Tensor {
+	s, m := buf.Dim(1), buf.Dim(2)
+	return buf.View(e*s*m, t, m)
+}
+
+// newSlotGrad allocates a hard plan's slot-weight gradient.
+func newSlotGrad(plan *DispatchPlan) *PlanGrad {
+	flat := make([]float64, plan.Slots())
+	pg := &PlanGrad{SlotWeight: make([][]float64, plan.Experts)}
+	for e := range pg.SlotWeight {
+		pg.SlotWeight[e] = flat[e*plan.Capacity : (e+1)*plan.Capacity]
+	}
+	return pg
 }
 
 // GShardOrder realizes the ordering as dense one-hot einsum/matmul, the
 // GShard formulation (§2.1): a (E·T, N) selection matrix multiplies the
-// token matrix. On a GPU this trades memory traffic for GEMM throughput.
+// token matrix. On a GPU this trades memory traffic for GEMM throughput, and
+// so it does here: every product is one GEMM over all E·T slots on a pooled
+// contiguous slot matrix, which packSlots/unpackSlots copy from and to the
+// strided buffers — the accumulation order is that of the (E·T)-slot product
+// whatever the stride.
 type GShardOrder struct{}
 
 // Name implements Order.
@@ -41,7 +73,7 @@ func selection(plan *DispatchPlan, tokens int) *tensor.Tensor {
 	for e := range plan.SlotToken {
 		for slot, tok := range plan.SlotToken[e] {
 			if tok >= 0 {
-				s.Set(1, e*plan.Capacity+slot, tok)
+				s.Row(e*plan.Capacity + slot)[tok] = 1
 			}
 		}
 	}
@@ -55,187 +87,206 @@ func weightedSelection(plan *DispatchPlan, tokens int) *tensor.Tensor {
 	for e := range plan.SlotToken {
 		for slot, tok := range plan.SlotToken[e] {
 			if tok >= 0 {
-				c.Set(plan.SlotWeight[e][slot], tok, e*plan.Capacity+slot)
+				c.Row(tok)[e*plan.Capacity+slot] = plan.SlotWeight[e][slot]
 			}
 		}
 	}
 	return c
 }
 
-// Scatter implements Order.
-func (GShardOrder) Scatter(x *tensor.Tensor, plan *DispatchPlan) *tensor.Tensor {
-	if plan.IsDense() {
-		return tensor.MatMul(plan.DispatchW, x).Reshape(plan.Experts, plan.Capacity, x.Dim(1))
+// packSlots copies the live rows of an (E, S, M) buffer into a pooled
+// (E·T, M) slot matrix, which the caller Puts or hands to unpackSlots.
+func packSlots(buf *tensor.Tensor, plan *DispatchPlan) *tensor.Tensor {
+	t, s, m := plan.Capacity, buf.Dim(1), buf.Dim(2)
+	flat := tensor.GetUninit(plan.Slots(), m)
+	for e := 0; e < plan.Experts; e++ {
+		copy(flat.Data()[e*t*m:(e+1)*t*m], buf.Data()[e*s*m:])
 	}
-	sel := selection(plan, x.Dim(0))
-	out := tensor.MatMul(sel, x).Reshape(plan.Experts, plan.Capacity, x.Dim(1))
-	tensor.Put(sel)
-	return out
+	return flat
+}
+
+// unpackSlots moves a pooled slot matrix into the live rows of dst
+// (E, S, M), writes dst's pad rows +0 and returns flat to the pool.
+func unpackSlots(dst, flat *tensor.Tensor, plan *DispatchPlan) {
+	t, s, m := plan.Capacity, dst.Dim(1), dst.Dim(2)
+	for e := 0; e < plan.Experts; e++ {
+		blk := dst.Data()[e*s*m : (e+1)*s*m]
+		clear(blk[copy(blk, flat.Data()[e*t*m:(e+1)*t*m]):])
+	}
+	tensor.Put(flat)
+}
+
+// Scatter implements Order.
+func (GShardOrder) Scatter(dst, x *tensor.Tensor, plan *DispatchPlan) {
+	sel := plan.DispatchW
+	if !plan.IsDense() {
+		sel = selection(plan, x.Dim(0))
+		defer tensor.Put(sel)
+	}
+	flat := tensor.GetUninit(plan.Slots(), x.Dim(1))
+	tensor.MatMulInto(flat, sel, x)
+	unpackSlots(dst, flat, plan)
 }
 
 // Gather implements Order.
-func (GShardOrder) Gather(expertOut *tensor.Tensor, plan *DispatchPlan, tokens int) *tensor.Tensor {
-	m := expertOut.Dim(2)
-	flat := expertOut.Reshape(plan.Slots(), m)
-	if plan.IsDense() {
-		return tensor.MatMul(plan.CombineW, flat)
+func (GShardOrder) Gather(y, expertOut *tensor.Tensor, plan *DispatchPlan) {
+	w := plan.CombineW
+	if !plan.IsDense() {
+		w = weightedSelection(plan, y.Dim(0))
+		defer tensor.Put(w)
 	}
-	w := weightedSelection(plan, tokens)
-	out := tensor.MatMul(w, flat)
-	tensor.Put(w)
-	return out
+	flat := packSlots(expertOut, plan)
+	tensor.MatMulInto(y, w, flat)
+	tensor.Put(flat)
 }
 
 // ScatterGrad implements Order.
-func (GShardOrder) ScatterGrad(dScattered *tensor.Tensor, plan *DispatchPlan, tokens int) *tensor.Tensor {
-	m := dScattered.Dim(2)
-	flat := dScattered.Reshape(plan.Slots(), m)
-	if plan.IsDense() {
-		return tensor.MatMulT1(plan.DispatchW, flat)
+func (GShardOrder) ScatterGrad(dx, dScattered *tensor.Tensor, plan *DispatchPlan) {
+	sel := plan.DispatchW
+	if !plan.IsDense() {
+		sel = selection(plan, dx.Dim(0))
+		defer tensor.Put(sel)
 	}
-	sel := selection(plan, tokens)
-	out := tensor.MatMulT1(sel, flat)
-	tensor.Put(sel)
-	return out
+	flat := packSlots(dScattered, plan)
+	tensor.MatMulT1Into(dx, sel, flat)
+	tensor.Put(flat)
 }
 
 // GatherGrad implements Order.
-func (GShardOrder) GatherGrad(dy, expertOut *tensor.Tensor, plan *DispatchPlan) (*tensor.Tensor, *PlanGrad) {
-	tokens := dy.Dim(0)
-	m := dy.Dim(1)
-	flatOut := expertOut.Reshape(plan.Slots(), m)
+func (GShardOrder) GatherGrad(dOut, dy, expertOut *tensor.Tensor, plan *DispatchPlan) *PlanGrad {
+	// One pooled slot matrix, first the experts' outputs for the weight
+	// gradient, then their gradient.
+	flat := packSlots(expertOut, plan)
+	w := plan.CombineW
+	var pg *PlanGrad
 	if plan.IsDense() {
-		dFlat := tensor.MatMulT1(plan.CombineW, dy)
-		dCombine := tensor.MatMulT2(dy, flatOut)
-		return dFlat.Reshape(plan.Experts, plan.Capacity, m), &PlanGrad{CombineW: dCombine}
-	}
-	c := weightedSelection(plan, tokens)
-	dFlat := tensor.MatMulT1(c, dy)
-	tensor.Put(c)
-	pg := &PlanGrad{SlotWeight: make([][]float64, plan.Experts)}
-	for e := range plan.SlotToken {
-		pg.SlotWeight[e] = make([]float64, plan.Capacity)
-		for slot, tok := range plan.SlotToken[e] {
-			if tok < 0 {
-				continue
+		pg = &PlanGrad{CombineW: tensor.MatMulT2(dy, flat)}
+	} else {
+		w = weightedSelection(plan, dy.Dim(0))
+		defer tensor.Put(w)
+		pg = newSlotGrad(plan)
+		for e := range plan.SlotToken {
+			for slot, tok := range plan.SlotToken[e] {
+				if tok < 0 {
+					continue
+				}
+				// dWeight = <dy[token], expertOut[e,slot]>.
+				dot := 0.0
+				outRow := flat.Row(e*plan.Capacity + slot)
+				for j, v := range dy.Row(tok) {
+					dot += v * outRow[j]
+				}
+				pg.SlotWeight[e][slot] = dot
 			}
-			// dWeight = <dy[token], expertOut[e,slot]>.
-			dot := 0.0
-			outRow := flatOut.Row(e*plan.Capacity + slot)
-			dyRow := dy.Row(tok)
-			for j := range dyRow {
-				dot += dyRow[j] * outRow[j]
-			}
-			pg.SlotWeight[e][slot] = dot
 		}
 	}
-	return dFlat.Reshape(plan.Experts, plan.Capacity, m), pg
+	tensor.MatMulT1Into(flat, w, dy)
+	unpackSlots(dOut, flat, plan)
+	return pg
 }
 
 // TutelOrder realizes the ordering as direct sparse scatter/gather loops —
-// the SIMT-efficient kernels of Tutel (§2.1) — parallelized across experts.
+// the SIMT-efficient kernels of Tutel (§2.1) — parallelized across experts
+// where a slot is written and across tokens where a token row is. Dense
+// routing has no sparse structure to exploit; there both orders share the
+// matmul formulation.
 type TutelOrder struct{}
 
 // Name implements Order.
 func (TutelOrder) Name() string { return "tutel-sparse" }
 
 // Scatter implements Order.
-func (TutelOrder) Scatter(x *tensor.Tensor, plan *DispatchPlan) *tensor.Tensor {
+func (TutelOrder) Scatter(dst, x *tensor.Tensor, plan *DispatchPlan) {
 	if plan.IsDense() {
-		// Dense routing has no sparse structure to exploit; both orders
-		// share the matmul formulation.
-		return GShardOrder{}.Scatter(x, plan)
+		GShardOrder{}.Scatter(dst, x, plan)
+		return
 	}
-	m := x.Dim(1)
-	out := tensor.New(plan.Experts, plan.Capacity, m)
+	s, m := dst.Dim(1), dst.Dim(2)
 	parallelExperts(plan.Experts, func(e int) {
+		blk := dst.Data()[e*s*m : (e+1)*s*m]
 		for slot, tok := range plan.SlotToken[e] {
 			if tok < 0 {
+				clear(blk[slot*m : (slot+1)*m])
 				continue
 			}
-			copy(out.Data()[(e*plan.Capacity+slot)*m:(e*plan.Capacity+slot+1)*m], x.Row(tok))
+			copy(blk[slot*m:(slot+1)*m], x.Row(tok))
 		}
+		clear(blk[plan.Capacity*m:])
 	})
-	return out
 }
 
 // Gather implements Order.
-func (TutelOrder) Gather(expertOut *tensor.Tensor, plan *DispatchPlan, tokens int) *tensor.Tensor {
+func (TutelOrder) Gather(y, expertOut *tensor.Tensor, plan *DispatchPlan) {
 	if plan.IsDense() {
-		return GShardOrder{}.Gather(expertOut, plan, tokens)
+		GShardOrder{}.Gather(y, expertOut, plan)
+		return
 	}
-	m := expertOut.Dim(2)
-	out := tensor.New(tokens, m)
-	// Token rows may receive from several experts; serialize on tokens by
-	// iterating experts in one goroutine per output shard is unsafe, so
-	// accumulate sequentially per expert (capacity × M copies are cheap).
-	for e := range plan.SlotToken {
-		for slot, tok := range plan.SlotToken[e] {
-			if tok < 0 {
-				continue
-			}
-			w := plan.SlotWeight[e][slot]
-			src := expertOut.Data()[(e*plan.Capacity+slot)*m : (e*plan.Capacity+slot+1)*m]
-			dst := out.Row(tok)
-			for j, v := range src {
-				dst[j] += w * v
-			}
-		}
-	}
-	return out
+	sumSlots(y, expertOut, plan, true)
 }
 
 // ScatterGrad implements Order.
-func (TutelOrder) ScatterGrad(dScattered *tensor.Tensor, plan *DispatchPlan, tokens int) *tensor.Tensor {
+func (TutelOrder) ScatterGrad(dx, dScattered *tensor.Tensor, plan *DispatchPlan) {
 	if plan.IsDense() {
-		return GShardOrder{}.ScatterGrad(dScattered, plan, tokens)
+		GShardOrder{}.ScatterGrad(dx, dScattered, plan)
+		return
 	}
-	m := dScattered.Dim(2)
-	out := tensor.New(tokens, m)
-	for e := range plan.SlotToken {
-		for slot, tok := range plan.SlotToken[e] {
-			if tok < 0 {
-				continue
-			}
-			src := dScattered.Data()[(e*plan.Capacity+slot)*m : (e*plan.Capacity+slot+1)*m]
-			dst := out.Row(tok)
-			for j, v := range src {
-				dst[j] += v
+	sumSlots(dx, dScattered, plan, false)
+}
+
+// sumSlots writes into each token row of dst (N, M) the sum of the token's
+// slot rows of src (E, S, M), scaled by their combine weights when weighted.
+// Token rows may receive from several experts, so the loop shards over
+// tokens on the worker pool and walks each token's slots through the plan's
+// reverse index, in ascending expert order: every row is 0 + its
+// contributions in the order of a serial sweep over the experts, whatever
+// the worker count.
+func sumSlots(dst, src *tensor.Tensor, plan *DispatchPlan, weighted bool) {
+	s, m := src.Dim(1), src.Dim(2)
+	idx := plan.slotsOf(dst.Dim(0))
+	tensor.ParallelRange(dst.Dim(0), func(lo, hi int) {
+		for tok := lo; tok < hi; tok++ {
+			row := dst.Row(tok)
+			clear(row)
+			for _, at := range idx.pos[idx.off[tok]:idx.off[tok+1]] {
+				w := 1.0 // 1·v is v: the unweighted sum adds the rows themselves
+				if weighted {
+					w = plan.SlotWeight[at[0]][at[1]]
+				}
+				for j, v := range src.Data()[(at[0]*s+at[1])*m:][:m] {
+					row[j] += w * v
+				}
 			}
 		}
-	}
-	return out
+	})
 }
 
 // GatherGrad implements Order.
-func (TutelOrder) GatherGrad(dy, expertOut *tensor.Tensor, plan *DispatchPlan) (*tensor.Tensor, *PlanGrad) {
+func (TutelOrder) GatherGrad(dOut, dy, expertOut *tensor.Tensor, plan *DispatchPlan) *PlanGrad {
 	if plan.IsDense() {
-		return GShardOrder{}.GatherGrad(dy, expertOut, plan)
+		return GShardOrder{}.GatherGrad(dOut, dy, expertOut, plan)
 	}
-	m := dy.Dim(1)
-	dOut := tensor.New(plan.Experts, plan.Capacity, m)
-	pg := &PlanGrad{SlotWeight: make([][]float64, plan.Experts)}
-	for e := range plan.SlotToken {
-		pg.SlotWeight[e] = make([]float64, plan.Capacity)
-	}
+	s, m := dOut.Dim(1), dOut.Dim(2)
+	pg := newSlotGrad(plan)
 	parallelExperts(plan.Experts, func(e int) {
+		blk := dOut.Data()[e*s*m : (e+1)*s*m]
 		for slot, tok := range plan.SlotToken[e] {
+			dst := blk[slot*m : (slot+1)*m]
 			if tok < 0 {
+				clear(dst)
 				continue
 			}
 			w := plan.SlotWeight[e][slot]
-			dyRow := dy.Row(tok)
-			outRow := expertOut.Data()[(e*plan.Capacity+slot)*m : (e*plan.Capacity+slot+1)*m]
-			dst := dOut.Data()[(e*plan.Capacity+slot)*m : (e*plan.Capacity+slot+1)*m]
+			outRow := expertOut.Data()[(e*s+slot)*m:][:m]
 			dot := 0.0
-			for j := range dyRow {
-				dst[j] = w * dyRow[j]
-				dot += dyRow[j] * outRow[j]
+			for j, v := range dy.Row(tok) {
+				dst[j] = w * v
+				dot += v * outRow[j]
 			}
 			pg.SlotWeight[e][slot] = dot
 		}
+		clear(blk[plan.Capacity*m:])
 	})
-	return dOut, pg
+	return pg
 }
 
 // parallelExperts runs f(e) for each expert on the shared tensor worker

@@ -21,6 +21,38 @@ func randomHardPlan(r *xrand.RNG, tokens, experts, k int) *DispatchPlan {
 	return buildHardPlan(tokens, experts, 0, asg)
 }
 
+// The helpers below run Order's into-forms the way a caller without a
+// workspace would: a fresh destination at stride T, prefilled with NaN so a
+// row the method fails to write shows.
+func nanTensor(shape ...int) *tensor.Tensor {
+	t := tensor.New(shape...)
+	t.Fill(math.NaN())
+	return t
+}
+
+func scatter(ord Order, x *tensor.Tensor, plan *DispatchPlan) *tensor.Tensor {
+	dst := nanTensor(plan.Experts, plan.Capacity, x.Dim(1))
+	ord.Scatter(dst, x, plan)
+	return dst
+}
+
+func gather(ord Order, out *tensor.Tensor, plan *DispatchPlan, tokens int) *tensor.Tensor {
+	y := nanTensor(tokens, out.Dim(2))
+	ord.Gather(y, out, plan)
+	return y
+}
+
+func scatterGrad(ord Order, g *tensor.Tensor, plan *DispatchPlan, tokens int) *tensor.Tensor {
+	dx := nanTensor(tokens, g.Dim(2))
+	ord.ScatterGrad(dx, g, plan)
+	return dx
+}
+
+func gatherGrad(ord Order, dy, out *tensor.Tensor, plan *DispatchPlan) (*tensor.Tensor, *PlanGrad) {
+	dOut := nanTensor(out.Shape()...)
+	return dOut, ord.GatherGrad(dOut, dy, out, plan)
+}
+
 // TestOrdersProduceIdenticalLayouts is the §3.1 interchangeability claim:
 // the GShard einsum ordering and the Tutel sparse ordering must be
 // bit-compatible in both directions.
@@ -34,14 +66,14 @@ func TestOrdersProduceIdenticalLayouts(t *testing.T) {
 		plan := randomHardPlan(r, tokens, experts, k)
 		x := tensor.RandN(r, 1, tokens, m)
 
-		sg := GShardOrder{}.Scatter(x, plan)
-		st := TutelOrder{}.Scatter(x, plan)
+		sg := scatter(GShardOrder{}, x, plan)
+		st := scatter(TutelOrder{}, x, plan)
 		if !sg.AllClose(st, 1e-12) {
 			return false
 		}
 		out := tensor.RandN(r, 1, experts, plan.Capacity, m)
-		gg := GShardOrder{}.Gather(out, plan, tokens)
-		gt := TutelOrder{}.Gather(out, plan, tokens)
+		gg := gather(GShardOrder{}, out, plan, tokens)
+		gt := gather(TutelOrder{}, out, plan, tokens)
 		return gg.AllClose(gt, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -69,7 +101,7 @@ func TestOrderInverse(t *testing.T) {
 		}
 		x := tensor.RandN(r, 1, tokens, m)
 		for _, ord := range []Order{GShardOrder{}, TutelOrder{}} {
-			y := ord.Gather(ord.Scatter(x, plan), plan, tokens)
+			y := gather(ord, scatter(ord, x, plan), plan, tokens)
 			if !y.AllClose(x, 1e-9) {
 				return false
 			}
@@ -95,8 +127,7 @@ func TestScatterDroppedTokensZero(t *testing.T) {
 	r := xrand.New(5)
 	x := tensor.RandN(r, 1, 2, 4)
 	for _, ord := range []Order{GShardOrder{}, TutelOrder{}} {
-		s := ord.Scatter(x, plan)
-		y := ord.Gather(s, plan, 2)
+		y := gather(ord, scatter(ord, x, plan), plan, 2)
 		for j := 0; j < 4; j++ {
 			if y.At(1, j) != 0 {
 				t.Fatalf("%s: dropped token got output %v", ord.Name(), y.Row(1))
@@ -117,8 +148,8 @@ func TestScatterGradIsAdjoint(t *testing.T) {
 		x := tensor.RandN(r, 1, tokens, m)
 		g := tensor.RandN(r, 1, experts, plan.Capacity, m)
 		for _, ord := range []Order{GShardOrder{}, TutelOrder{}} {
-			lhs := tensor.Sum(tensor.Mul(ord.Scatter(x, plan), g))
-			rhs := tensor.Sum(tensor.Mul(x, ord.ScatterGrad(g, plan, tokens)))
+			lhs := tensor.Sum(tensor.Mul(scatter(ord, x, plan), g))
+			rhs := tensor.Sum(tensor.Mul(x, scatterGrad(ord, g, plan, tokens)))
 			if math.Abs(lhs-rhs) > 1e-8*(1+math.Abs(lhs)) {
 				return false
 			}
@@ -138,9 +169,9 @@ func TestGatherGradMatchesNumeric(t *testing.T) {
 	dy := tensor.RandN(r, 1, tokens, m)
 
 	for _, ord := range []Order{GShardOrder{}, TutelOrder{}} {
-		dOut, pg := ord.GatherGrad(dy, out, plan)
+		dOut, pg := gatherGrad(ord, dy, out, plan)
 		// Adjoint on the data path: <Gather(out), dy> == <out, dOut>.
-		lhs := tensor.Sum(tensor.Mul(ord.Gather(out, plan, tokens), dy))
+		lhs := tensor.Sum(tensor.Mul(gather(ord, out, plan, tokens), dy))
 		rhs := tensor.Sum(tensor.Mul(out, dOut))
 		if math.Abs(lhs-rhs) > 1e-8 {
 			t.Fatalf("%s: gather adjoint broken: %v vs %v", ord.Name(), lhs, rhs)
@@ -154,9 +185,9 @@ func TestGatherGradMatchesNumeric(t *testing.T) {
 				}
 				orig := plan.SlotWeight[e][s]
 				plan.SlotWeight[e][s] = orig + eps
-				up := tensor.Sum(tensor.Mul(ord.Gather(out, plan, tokens), dy))
+				up := tensor.Sum(tensor.Mul(gather(ord, out, plan, tokens), dy))
 				plan.SlotWeight[e][s] = orig - eps
-				down := tensor.Sum(tensor.Mul(ord.Gather(out, plan, tokens), dy))
+				down := tensor.Sum(tensor.Mul(gather(ord, out, plan, tokens), dy))
 				plan.SlotWeight[e][s] = orig
 				num := (up - down) / (2 * eps)
 				if math.Abs(num-pg.SlotWeight[e][s]) > 1e-5*(1+math.Abs(num)) {
@@ -180,14 +211,14 @@ func TestDensePlanOrderPaths(t *testing.T) {
 		CombineW:  tensor.RandN(r, 1, tokens, slots),
 	}
 	x := tensor.RandN(r, 1, tokens, m)
-	sg := GShardOrder{}.Scatter(x, plan)
-	st := TutelOrder{}.Scatter(x, plan)
+	sg := scatter(GShardOrder{}, x, plan)
+	st := scatter(TutelOrder{}, x, plan)
 	if !sg.AllClose(st, 1e-12) {
 		t.Fatal("dense scatter differs between orders")
 	}
 	out := tensor.RandN(r, 1, experts, capacity, m)
-	gg := GShardOrder{}.Gather(out, plan, tokens)
-	gt := TutelOrder{}.Gather(out, plan, tokens)
+	gg := gather(GShardOrder{}, out, plan, tokens)
+	gt := gather(TutelOrder{}, out, plan, tokens)
 	if !gg.AllClose(gt, 1e-12) {
 		t.Fatal("dense gather differs between orders")
 	}

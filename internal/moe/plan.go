@@ -44,6 +44,8 @@ type DispatchPlan struct {
 	// CombineW @ slotOutputs.
 	DispatchW *tensor.Tensor
 	CombineW  *tensor.Tensor
+
+	rev *slotIndex // slotsOf's result, nil until first asked
 }
 
 // IsDense reports whether the plan uses soft (dense) routing.
@@ -172,16 +174,43 @@ func buildHardPlan(tokens, experts, capacity int, asg []assignment) *DispatchPla
 	return p
 }
 
-// slotsOf returns, for each token, the (expert, slot) positions it was
-// assigned to — the reverse index gates need in their backward pass.
-func (p *DispatchPlan) slotsOf(tokens int) [][][2]int {
-	out := make([][][2]int, tokens)
+// slotIndex is a hard plan's token → (expert, slot) reverse index: token
+// t occupies pos[off[t]:off[t+1]], in ascending (expert, slot) order.
+type slotIndex struct {
+	off []int
+	pos [][2]int
+}
+
+// slotsOf returns the plan's reverse index over tokens tokens, built on
+// first use and kept: a plan is routed once and gathered through many times.
+func (p *DispatchPlan) slotsOf(tokens int) *slotIndex {
+	if p.rev != nil && len(p.rev.off) == tokens+1 {
+		return p.rev
+	}
+	// Count each token's slots into off[t+1], prefix-sum, then place: off[t]
+	// walks forward as token t's cursor and is shifted back afterwards.
+	idx := &slotIndex{off: make([]int, tokens+1)}
 	for e := range p.SlotToken {
-		for s, tok := range p.SlotToken[e] {
+		for _, tok := range p.SlotToken[e] {
 			if tok >= 0 {
-				out[tok] = append(out[tok], [2]int{e, s})
+				idx.off[tok+1]++
 			}
 		}
 	}
-	return out
+	for t := 0; t < tokens; t++ {
+		idx.off[t+1] += idx.off[t]
+	}
+	idx.pos = make([][2]int, idx.off[tokens])
+	for e := range p.SlotToken {
+		for s, tok := range p.SlotToken[e] {
+			if tok >= 0 {
+				idx.pos[idx.off[tok]] = [2]int{e, s}
+				idx.off[tok]++
+			}
+		}
+	}
+	copy(idx.off[1:], idx.off)
+	idx.off[0] = 0
+	p.rev = idx
+	return idx
 }

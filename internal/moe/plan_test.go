@@ -80,10 +80,11 @@ func TestSlotsOfReverseIndex(t *testing.T) {
 		rev := p.slotsOf(tokens)
 		// Each token appears exactly once (one assignment each, f=∗).
 		for tk := 0; tk < tokens; tk++ {
-			if len(rev[tk]) != 1 {
+			at := rev.pos[rev.off[tk]:rev.off[tk+1]]
+			if len(at) != 1 {
 				return false
 			}
-			e, s := rev[tk][0][0], rev[tk][0][1]
+			e, s := at[0][0], at[0][1]
 			if p.SlotToken[e][s] != tk {
 				return false
 			}

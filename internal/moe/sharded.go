@@ -68,10 +68,10 @@ type ShardedExpert interface {
 	BackwardHidden(sc ShardedCache, dy, hb *tensor.Tensor, lo, hi int)
 	// BackwardIn computes dx rows [lo, hi) from full-width hb rows.
 	BackwardIn(sc ShardedCache, dy, dx, hb *tensor.Tensor, lo, hi int)
-	// FinishSharded accumulates the full-block parameter gradients from
-	// the complete x, hf, hb and dy buffers — the same GEMMs in the same
-	// order as the monolithic backward — and releases pooled state.
-	FinishSharded(sc ShardedCache, dy, hb *tensor.Tensor)
+	// FinishSharded puts the full-block parameter gradients, from the
+	// complete x, hf, hb and dy buffers — the same GEMMs in the same order
+	// as the monolithic backward — into grads and releases pooled state.
+	FinishSharded(sc ShardedCache, dy, hb *tensor.Tensor, grads GradDst)
 	// DropSharded releases a non-owner member's pooled state after the
 	// backward pass (forward-only callers may instead leak to the GC, as
 	// with ForwardInto caches).
@@ -192,21 +192,11 @@ func (f *GPTFFN) BackwardIn(sc ShardedCache, dy, dx, hb *tensor.Tensor, lo, hi i
 	sc.(*gptShardCache).pool.MatMulT2Into(dx.Slice(lo, hi), hb.Slice(lo, hi), f.w1.W)
 }
 
-// FinishSharded implements ShardedExpert: the same full-block GEMMs and
-// column sums as FinishBackward, in the same accumulation order, with
+// FinishSharded implements ShardedExpert: FinishBackward's reduction with
 // a := hf and da := hb.
-func (f *GPTFFN) FinishSharded(sc ShardedCache, dy, hb *tensor.Tensor) {
+func (f *GPTFFN) FinishSharded(sc ShardedCache, dy, hb *tensor.Tensor, grads GradDst) {
 	c := sc.(*gptShardCache)
-	gw2 := tensor.GetUninit(f.h, f.m)
-	c.pool.MatMulT1Into(gw2, c.hf, dy)
-	tensor.AddInPlace(f.w2.G, gw2)
-	tensor.Put(gw2)
-	addColSum(f.b2.G, dy)
-	gw1 := tensor.GetUninit(f.m, f.h)
-	c.pool.MatMulT1Into(gw1, c.x, hb)
-	tensor.AddInPlace(f.w1.G, gw1)
-	tensor.Put(gw1)
-	addColSum(f.b1.G, hb)
+	f.paramGrads(c.pool, c.x, c.hf, hb, dy, grads)
 	f.DropSharded(sc)
 }
 
@@ -317,21 +307,12 @@ func (f *MixtralFFN) BackwardIn(sc ShardedCache, dy, dx, hb *tensor.Tensor, lo, 
 	tensor.Put(dxu)
 }
 
-// FinishSharded implements ShardedExpert: FinishBackward's GEMMs with
+// FinishSharded implements ShardedExpert: FinishBackward's reduction with
 // p := hf, da := hb band 0, du := hb band 1.
-func (f *MixtralFFN) FinishSharded(sc ShardedCache, dy, hb *tensor.Tensor) {
+func (f *MixtralFFN) FinishSharded(sc ShardedCache, dy, hb *tensor.Tensor, grads GradDst) {
 	c := sc.(*mixtralShardCache)
 	n := c.x.Dim(0)
-	gw := tensor.GetUninit(f.h, f.m)
-	c.pool.MatMulT1Into(gw, c.hf, dy)
-	tensor.AddInPlace(f.w2.G, gw)
-	tensor.Put(gw)
-	gw13 := tensor.GetUninit(f.m, f.h)
-	c.pool.MatMulT1Into(gw13, c.x, hb.Slice(0, n))
-	tensor.AddInPlace(f.w1.G, gw13)
-	c.pool.MatMulT1Into(gw13, c.x, hb.Slice(n, 2*n))
-	tensor.AddInPlace(f.w3.G, gw13)
-	tensor.Put(gw13)
+	f.paramGrads(c.pool, c.x, c.hf, hb.Slice(0, n), hb.Slice(n, 2*n), dy, grads)
 	f.DropSharded(sc)
 }
 

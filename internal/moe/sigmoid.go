@@ -11,15 +11,15 @@ import (
 // sigmoid (no normalization across experts), increasing an expert's score
 // when it helps the objective directly reinforces its selection.
 type SigmoidGate struct {
-	cfg GateConfig
-	m   int
-	wg  *Param
+	cfg  GateConfig
+	m    int
+	wg   *Param
+	idle *choices // routing scratch between a Backward and the next Route
 }
 
 type sigmoidCache struct {
 	scores *tensor.Tensor // x·W_g, (N, E)
-	selIdx [][]int
-	selW   [][]float64 // σ(s) at the selected experts
+	sel    *choices       // selected experts and σ(s) at them
 }
 
 // NewSigmoidGate constructs the gate for embedding size m.
@@ -41,43 +41,33 @@ func (g *SigmoidGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *Route
 	if err := checkGateInput(x, g.m); err != nil {
 		return nil, nil, err
 	}
-	n, e := x.Dim(0), g.cfg.Experts
 	scores := tensor.MatMul(x, g.wg.W)
-	cache := &sigmoidCache{scores: scores, selIdx: make([][]int, n), selW: make([][]float64, n)}
-	var asg []assignment
-	for t := 0; t < n; t++ {
-		row := scores.Row(t)
-		sel := tensor.TopK(row, g.cfg.TopK)
-		w := make([]float64, len(sel))
-		for j, idx := range sel {
-			w[j] = 1 / (1 + expNeg(row[idx]))
+	plan, sel := routeTopK(&g.idle, g.cfg, scores, func(w []float64) {
+		for j, s := range w {
+			w[j] = 1 / (1 + expNeg(s))
 		}
-		cache.selIdx[t] = sel
-		cache.selW[t] = w
-		for j, idx := range sel {
-			asg = append(asg, assignment{token: t, expert: idx, weight: w[j], choice: j})
-		}
-	}
-	capacity := CapacityFor(n, e, g.cfg.TopK, g.cfg.Factor)
-	plan := buildHardPlan(n, e, capacity, asg)
-	return plan, &RouteCache{X: x, Plan: plan, extra: cache}, nil
+	})
+	return plan, &RouteCache{X: x, Plan: plan, extra: &sigmoidCache{scores: scores, sel: sel}}, nil
 }
 
 // Backward implements Gate.
-func (g *SigmoidGate) Backward(rc *RouteCache, grad *PlanGrad) *tensor.Tensor {
-	cache := rc.extra.(*sigmoidCache)
+func (g *SigmoidGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
+	sel := rc.extra.(*sigmoidCache).sel
 	x := rc.X
-	n, e := x.Dim(0), g.cfg.Experts
-	dW := slotGradToTokenGrad(rc.Plan, cache.selIdx, grad.SlotWeight, n)
-	dScores := tensor.New(n, e)
+	n, e, k := x.Dim(0), g.cfg.Experts, g.cfg.TopK
+	dW := sel.weightGrads(rc.Plan, grad.SlotWeight)
+	dScores := tensor.Get(n, e)
 	for t := 0; t < n; t++ {
-		for j, idx := range cache.selIdx[t] {
-			s := cache.selW[t][j]
-			dScores.Set(dW[t][j]*s*(1-s), t, idx) // σ' = σ(1-σ)
+		row := dScores.Row(t)
+		for j, idx := range sel.idx[t*k : (t+1)*k] {
+			s := sel.w[t*k+j]
+			row[idx] = dW[t*k+j] * s * (1 - s) // σ' = σ(1-σ)
 		}
 	}
-	tensor.AddInPlace(g.wg.G, tensor.MatMulT1(x, dScores))
-	return tensor.MatMulT2(dScores, g.wg.W)
+	g.idle = sel
+	tensor.MatMulT1AddInto(g.wg.G, x, dScores)
+	tensor.MatMulT2Into(dx, dScores, g.wg.W)
+	tensor.Put(dScores)
 }
 
 func expNeg(x float64) float64 {

@@ -69,20 +69,19 @@ func (g *SoftMoEGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *Route
 
 // Backward implements Gate: exact gradients through both softmaxes.
 // grad.DispatchW is ∂L/∂(Dᵀ) and grad.CombineW is ∂L/∂C.
-func (g *SoftMoEGate) Backward(rc *RouteCache, grad *PlanGrad) *tensor.Tensor {
+func (g *SoftMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
 	cache := rc.extra.(*softmoeCache)
 	x := rc.X
 	n := x.Dim(0)
 	slots := g.cfg.Experts * g.slotsPer
-	dLogits := tensor.New(n, slots)
+	dLogits := tensor.Get(n, slots)
 	if grad.CombineW != nil {
 		// Row softmax backward: per token row.
+		dl := make([]float64, slots)
 		for t := 0; t < n; t++ {
-			w := cache.c.Row(t)
-			dw := grad.CombineW.Row(t)
-			dl := maskedSoftmaxBackward(w, dw)
-			row := dLogits.Row(t)
-			for j := range row {
+			copy(dl, grad.CombineW.Row(t))
+			maskedSoftmaxBackward(cache.c.Row(t), dl)
+			for j, row := 0, dLogits.Row(t); j < slots; j++ {
 				row[j] += dl[j]
 			}
 		}
@@ -91,18 +90,19 @@ func (g *SoftMoEGate) Backward(rc *RouteCache, grad *PlanGrad) *tensor.Tensor {
 		// Column softmax backward: per slot column. grad.DispatchW is
 		// (slots, N) = ∂L/∂Dᵀ, so column s of D has gradient row s of it.
 		w := make([]float64, n)
-		dw := make([]float64, n)
+		dl := make([]float64, n)
 		for s := 0; s < slots; s++ {
 			for t := 0; t < n; t++ {
-				w[t] = cache.d.At(t, s)
-				dw[t] = grad.DispatchW.At(s, t)
+				w[t] = cache.d.Row(t)[s]
 			}
-			dl := maskedSoftmaxBackward(w, dw)
+			copy(dl, grad.DispatchW.Row(s))
+			maskedSoftmaxBackward(w, dl)
 			for t := 0; t < n; t++ {
-				dLogits.Set(dLogits.At(t, s)+dl[t], t, s)
+				dLogits.Row(t)[s] += dl[t]
 			}
 		}
 	}
-	tensor.AddInPlace(g.phi.G, tensor.MatMulT1(x, dLogits))
-	return tensor.MatMulT2(dLogits, g.phi.W)
+	tensor.MatMulT1AddInto(g.phi.G, x, dLogits)
+	tensor.MatMulT2Into(dx, dLogits, g.phi.W)
+	tensor.Put(dLogits)
 }

@@ -3,22 +3,25 @@ package moe
 // This file is the executable counterpart of the paper's §5 training
 // step: backward through a stack of multi-rank MoE layers with the
 // Gradient-AllReduce adaptively partitioned into the backward pipelines'
-// inter-stream slack (internal/gradsync), then an SGD update that every
-// rank applies to its own parameter replica. StepWorlds asserts the §5
-// contract by construction: the synchronized gradients — and therefore
-// the stepped replicas — are bit-identical on every rank under every
-// strategy, because each flat gradient element has exactly one non-zero
-// contributor (RankGrads) and the restricted ring is byte-identical under
-// any slicing (comm.RingAllReduceChunk).
+// inter-stream slack (internal/gradsync), and the SGD update riding that
+// ring: each reduced slice is stepped once, where it lands, and the ring's
+// all-gather half hands every rank its replica. StepWorlds asserts the §5
+// contract by construction: the stepped replicas are bit-identical on
+// every rank under every strategy, because each flat gradient element has
+// exactly one non-zero contributor (RankGrads), the restricted ring is
+// byte-identical under any slicing (comm.RingAllReduceUpdate) and every
+// replica is a copy of the one place an element was updated.
 //
 // What is identical from one step to the next is resident on the stack
 // (resident, below): the solved §5 byte plan and one flat buffer per rank
-// that is, in turn, the rank's partial gradient, its synchronized gradient
-// and its post-step replica. A step allocates neither.
+// that is, in turn, the rank's partial gradient — an expert's weight
+// gradients are written there by the backward pass itself — and its
+// post-step replica. A step allocates neither, and writes each once.
 
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"time"
 
 	"repro/internal/ckpt"
@@ -87,11 +90,12 @@ func (c StepConfig) withDefaults() StepConfig {
 // StepResult is one measured training step.
 type StepResult struct {
 	// WallMS is the step's full measured wall time, from entry into
-	// StepWorlds to the end of the SGD update and any checkpoint write —
+	// StepWorlds to the end of the exposed tail and any checkpoint write —
 	// everything but the telemetry emission itself. ForwardMS, BackwardMS
 	// and TailMS are the parts of it spent inside measured stream plans and
-	// the exposed tail; the rest (gate and order work, padding, gradient
-	// collection, the SGD update, the checkpoint) is WallMS minus the three.
+	// the exposed tail, which hold the SGD update; the rest (gate and order
+	// work, clearing what no rank contributed, the checkpoint) is WallMS
+	// minus the three.
 	WallMS     float64
 	ForwardMS  float64 // summed measured forward-plan makespans
 	BackwardMS float64 // summed measured backward-plan makespans (incl. hidden AllReduce)
@@ -103,11 +107,11 @@ type StepResult struct {
 	Report gradsync.Report
 
 	// RankParams[r] is rank r's post-step parameter replica in the
-	// GradElems layout, layers concatenated in stack order. All rows are
-	// bit-identical across ranks and across strategies. The rows are the
-	// stack's resident per-rank buffers, not copies: the next StepWorlds or
-	// SyncWorlds on the same worlds overwrites them, so copy what must
-	// outlive the step.
+	// GradElems layout, layers concatenated in stack order, as the ring
+	// left it. All rows are bit-identical across ranks and across
+	// strategies. The rows are the stack's resident per-rank buffers, not
+	// copies: the next StepWorlds or SyncWorlds on the same worlds
+	// overwrites them, so copy what must outlive the step.
 	RankParams [][]float64
 
 	// Plans and Traces hold each layer's backward stream plan and measured
@@ -149,17 +153,34 @@ func (r *StepResult) StepMS() float64 { return r.BackwardMS + r.TailMS }
 // held on the stack's first world: the solved §5 byte plan, reused while
 // the sync configuration and layer specs compare equal, and one arena per
 // rank in the RankParams layout. Within a step an arena holds the rank's
-// partial gradients (RankGrads), then the synchronized gradients (the ring
-// reduces in place), then the post-step replica (applySGD).
+// partial gradients — expert spans written by the backward plans' finish
+// tasks, the rest by rankGrads — and then, slice by slice as the ring
+// reduces and steps them, the post-step replica.
 type resident struct {
 	plan  *gradsync.Plan
 	arena [][]float64   // [rank][Σ layer GradElems]
 	views [][][]float64 // views[i][r]: layer i's span of arena[r], what Collect registers
+	grads []stepGrads   // [layer] the expert spans of views as gradient destinations
+
+	// Per-step scratch, sized with the arenas.
+	prevSeq []bool
+	specs   []gradsync.LayerSpec
+	caches  []*WorldCache
+	params  [][]*Param // [layer] the live parameters in flat order
+	lr      float64
+}
+
+// stepGrads is one layer's expert-gradient bookkeeping during a training
+// step: where each expert's finish routine writes, and whether it did.
+type stepGrads struct {
+	off     []int     // the gradOff the destinations were cut for
+	into    []GradDst // [expert] parameter-shaped views of the expert's span in its owner rank's arena
+	written []bool    // [expert] this step's backward wrote the span
 }
 
 // residentFor returns the stack's resident state with the arenas cut for
 // the stack as it is now: they are reallocated whenever the rank count or
-// a layer's gradient length differs from what they were cut for (a
+// a layer's gradient layout differs from what they were cut for (a
 // recovery to R′, another stack sharing the first world), never assumed.
 func residentFor(worlds []*World) *resident {
 	w0 := worlds[0]
@@ -171,18 +192,22 @@ func residentFor(worlds []*World) *resident {
 	fits := len(st.arena) == ranks && len(st.views) == len(worlds)
 	total := 0
 	for i, w := range worlds {
+		fits = fits && slices.Equal(st.grads[i].off, w.gradOff)
 		n, _ := w.GradElems()
-		fits = fits && len(st.views[i][0]) == n
 		total += n
 	}
 	if fits {
 		return st
 	}
-	st.arena = make([][]float64, ranks)
+	L := len(worlds)
+	*st = resident{
+		plan:  st.plan,
+		arena: make([][]float64, ranks), views: make([][][]float64, L), grads: make([]stepGrads, L),
+		prevSeq: make([]bool, L), specs: make([]gradsync.LayerSpec, L), caches: make([]*WorldCache, L), params: make([][]*Param, L),
+	}
 	for r := range st.arena {
 		st.arena[r] = make([]float64, total)
 	}
-	st.views = make([][][]float64, len(worlds))
 	off := 0
 	for i, w := range worlds {
 		n, _ := w.GradElems()
@@ -191,8 +216,41 @@ func residentFor(worlds []*World) *resident {
 			st.views[i][r] = a[off : off+n : off+n]
 		}
 		off += n
+		experts := w.layer.cfg.Experts
+		g := stepGrads{off: slices.Clone(w.gradOff), into: make([]GradDst, len(experts)), written: make([]bool, len(experts))}
+		for e, ex := range experts {
+			span := st.views[i][e/w.egrp][w.gradOff[e]:w.gradOff[e+1]]
+			for _, p := range ex.Params() {
+				k := len(p.G.Data())
+				g.into[e] = append(g.into[e], tensor.FromData(span[:k:k], p.G.Shape()...))
+				span = span[k:]
+			}
+		}
+		st.grads[i] = g
 	}
 	return st
+}
+
+// update is the SGD step the ring applies to elements [lo, hi) of layer's
+// gradient on rank once they are fully reduced there: the replica value
+// w − lr·g replaces the gradient in the rank's arena and, in the same pass,
+// the live parameter. Every element of every layer comes by exactly once
+// per step, on one rank; the ring copies the result to the others.
+func (st *resident) update(layer, rank, lo, hi int) {
+	g := st.views[layer][rank]
+	off := 0
+	for _, p := range st.params[layer] {
+		wd := p.W.Data()
+		if a, b := max(lo, off), min(hi, off+len(wd)); a < b {
+			ws, gs := wd[a-off:b-off], g[a:b]
+			lr := st.lr
+			for k, w := range ws {
+				v := w - lr*gs[k]
+				gs[k], ws[k] = v, v
+			}
+		}
+		off += len(wd)
+	}
 }
 
 // Step runs a single-layer training step; see StepWorlds.
@@ -203,29 +261,36 @@ func (w *World) Step(x, dy *tensor.Tensor, cfg StepConfig) (*StepResult, error) 
 // StepWorlds runs one training step over a stack of Worlds (layer i's
 // output feeds layer i+1): forward through the stack, backward in
 // reverse with the §5 Gradient-AllReduce overlapped into each layer's
-// backward plan per the strategy, the exposed tail, and an SGD update.
-// Gradients of layers whose backward already finished are the pending
-// pool each earlier layer's plan may hide, exactly the backward-order
-// greedy fill of §5.2; layer 0's own gradients (and any unhidden
-// remainder) are the tail.
+// backward plan per the strategy, and the exposed tail; every AllReduce
+// slice applies the SGD update to what it reduced. Gradients of layers
+// whose backward already finished are the pending pool each earlier
+// layer's plan may hide, exactly the backward-order greedy fill of §5.2;
+// layer 0's own gradients (and any unhidden remainder) are the tail.
+//
+// Expert parameter gradients of the step go to the resident arenas, not to
+// Param.G, which StepWorlds neither clears nor writes for experts that
+// implement IntoExpert (it does both for the gate's). A step that returns
+// an error may already have stepped the parameters of the layers whose
+// backward completed.
 func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepResult, error) {
 	t0 := time.Now()
 	cfg = cfg.withDefaults()
 	if err := checkStack("step", worlds); err != nil {
 		return nil, err
 	}
+	st := residentFor(worlds)
 	// The executor mode is scoped to this step; restore whatever the
 	// caller had configured on the worlds afterwards.
-	prevSeq := make([]bool, len(worlds))
 	for i, w := range worlds {
-		prevSeq[i] = w.seq
-		w.layer.ZeroGrad()
+		st.prevSeq[i] = w.seq
+		zeroGrads(w.layer.cfg.Gate.Params())
 		w.SetSequential(cfg.Sequential)
 	}
 	defer func() {
 		for i, w := range worlds {
-			w.SetSequential(prevSeq[i])
+			w.SetSequential(st.prevSeq[i])
 		}
+		clear(st.caches)
 	}()
 
 	res := &StepResult{}
@@ -236,11 +301,12 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	sinks := stepSinks(worlds)
 	var fwdTraces []*sim.Trace
 
-	// Forward chain.
-	caches := make([]*WorldCache, len(worlds))
+	// Forward chain. Outputs on the stack's inner edges stay in the
+	// producing world's workspace.
+	caches := st.caches
 	cur := x
 	for i, w := range worlds {
-		y, cache, err := w.Forward(cur, cfg.Train)
+		y, cache, err := w.forward(cur, cfg.Train, i < len(worlds)-1)
 		if err != nil {
 			return nil, fmt.Errorf("moe: step forward layer %d: %w", i, err)
 		}
@@ -260,11 +326,10 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	// only when these inputs differ from the ones the resident plan was
 	// solved for — another batch capacity, another StepConfig, a recovery
 	// to R′.
-	st := residentFor(worlds)
-	specs := make([]gradsync.LayerSpec, len(worlds))
 	for i, w := range worlds {
 		total, dense := w.GradElems()
-		specs[i] = gradsync.LayerSpec{Elems: total, DenseElems: dense, V: stepVolumes(w, caches[i].tpad)}
+		st.specs[i] = gradsync.LayerSpec{Elems: total, DenseElems: dense, V: stepVolumes(w, caches[i].tpad)}
+		st.params[i] = w.layer.appendParams(st.params[i][:0])
 	}
 	var err error
 	st.plan, err = st.plan.For(gradsync.Config{
@@ -275,21 +340,24 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 		Slices:      cfg.Slices,
 		ElemBytes:   gradElemBytes,
 		GPUsPerNode: worlds[0].cfg.GPUsPerNode,
-	}, specs)
+	}, st.specs)
 	if err != nil {
 		return nil, err
 	}
-	syncer := st.plan.NewSyncer()
+	st.lr = cfg.LR
+	syncer := st.plan.NewSyncer(st.update)
 
 	// Backward chain in reverse, overlapping the pending pool into each
-	// layer's plan, then collecting the layer's own partial gradients.
+	// layer's plan — the expert gradients land in the arenas as the plan's
+	// finish tasks run — then filling in the rest of the layer's partials.
 	dcur := dy
 	for i := len(worlds) - 1; i >= 0; i-- {
 		w := worlds[i]
 		syncer.StartLayer(i)
-		w.SetBackwardSyncer(syncer)
-		dx, err := w.Backward(caches[i], dcur)
-		w.SetBackwardSyncer(nil)
+		clear(st.grads[i].written)
+		w.sync, w.grads = syncer, &st.grads[i]
+		dx, err := w.backward(caches[i], dcur, i > 0)
+		w.sync, w.grads = nil, nil
 		if err != nil {
 			return nil, fmt.Errorf("moe: step backward layer %d: %w", i, err)
 		}
@@ -304,7 +372,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 			res.BackwardMS += deg.RecoveryMS
 			res.Degraded = append(res.Degraded, deg)
 		}
-		w.RankGrads(st.views[i])
+		w.rankGrads(st.views[i], st.grads[i].written)
 		if err := syncer.Collect(i, st.views[i]); err != nil {
 			return nil, err
 		}
@@ -318,8 +386,6 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	}
 	res.Report = rep
 	res.TailMS = rep.TailMS
-
-	applySGD(worlds, st.arena, cfg.LR)
 	res.RankParams = st.arena
 	step := worlds[0].steps
 	for _, w := range worlds {
@@ -447,33 +513,6 @@ func buildStepMetrics(worlds []*World, caches []*WorldCache, fwdTraces []*sim.Tr
 	m.SyncTailBytes = res.Report.TailBytes
 	m.Finalize()
 	return m
-}
-
-// applySGD turns every rank's synchronized gradients into its post-step
-// replica in place — arena[r][k] becomes w[k] − lr·arena[r][k], the ranks
-// run concurrently — and writes the (identical) rank-0 replica back into
-// the shared parameters, so the stack trains for real.
-func applySGD(worlds []*World, arena [][]float64, lr float64) {
-	tensor.ParallelFor(len(arena), func(r int) {
-		off := 0
-		for _, w := range worlds {
-			for _, p := range w.layer.Params() {
-				wd := p.W.Data()
-				g := arena[r][off : off+len(wd)]
-				for k, v := range wd {
-					g[k] = v - lr*g[k]
-				}
-				off += len(wd)
-			}
-		}
-	})
-	// The replicas are bit-identical; commit rank 0's to the live layers.
-	off := 0
-	for _, w := range worlds {
-		for _, p := range w.layer.Params() {
-			off += copy(p.W.Data(), arena[0][off:])
-		}
-	}
 }
 
 // stepVolumes derives the §5 accounting volumes for one world from its

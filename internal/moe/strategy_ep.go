@@ -143,8 +143,8 @@ func (s *epStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCache, 
 			ec.ccs[j] = make([]ChunkedCache, eg)
 			for el := 0; el < eg; el++ {
 				ec.ccs[j][el] = w.expert(j, el).(ChunkedExpert).BeginChunked(
-					expertView(ec.xBlocks[j], el, tpad, mdim),
-					expertView(ec.outBlocks[j], el, tpad, mdim),
+					slotBlock(ec.xBlocks[j], el, tpad),
+					slotBlock(ec.outBlocks[j], el, tpad),
 					w.computePool(j))
 			}
 		}
@@ -184,7 +184,7 @@ func (s *epStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCache, 
 // per chunk; fallback experts compute the whole block once every chunk has
 // landed (so every expTask[c][j] is the same whole-block task).
 func (s *epStrategy) emitForwardExperts(w *World, p *runtime.Plan, ec *epCache, cache *WorldCache, dispIDs []int, ranges []comm.RowRange) [][]int {
-	R, eg, mdim := w.cfg.Ranks, w.egrp, w.layer.cfg.M
+	R, eg := w.cfg.Ranks, w.egrp
 	spad, tpad := cache.spad, cache.tpad
 	expTask := make([][]int, len(ranges))
 	for c := range expTask {
@@ -215,16 +215,8 @@ func (s *epStrategy) emitForwardExperts(w *World, p *runtime.Plan, ec *epCache, 
 		id := p.Add(fmt.Sprintf("E[%d]", j), KindExpert, w.computeStream(j),
 			w.expertEst(j, tpad), func() error {
 				for el := 0; el < eg; el++ {
-					in := expertView(ec.xBlocks[j], el, tpad, mdim)
-					out := expertView(ec.outBlocks[j], el, tpad, mdim)
-					ex := w.expert(j, el)
-					if ie, ok := ex.(IntoExpert); ok {
-						ec.expCaches[j][el] = ie.ForwardInto(in, out)
-						continue
-					}
-					y, c := ex.Forward(in)
-					ec.expCaches[j][el] = c
-					copy(out.Data(), y.Data())
+					ec.expCaches[j][el] = forwardExpert(w.expert(j, el),
+						slotBlock(ec.xBlocks[j], el, tpad), slotBlock(ec.outBlocks[j], el, tpad))
 				}
 				return nil
 			}, dispIDs...)
@@ -283,8 +275,8 @@ func (s *epStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache,
 					w.expertEst(j, 2*rr.Len()*R), func() error {
 						for el := 0; el < eg; el++ {
 							ce := w.expert(j, el).(ChunkedExpert)
-							dyv := expertView(dyBlocks[j], el, tpad, mdim)
-							dxv := expertView(dxBlocks[j], el, tpad, mdim)
+							dyv := slotBlock(dyBlocks[j], el, tpad)
+							dxv := slotBlock(dxBlocks[j], el, tpad)
 							for i := 0; i < R; i++ {
 								ce.BackwardChunk(ec.ccs[j][el], dyv, dxv, i*spad+rr.Lo, i*spad+rr.Hi)
 							}
@@ -299,15 +291,8 @@ func (s *epStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache,
 			id := p.Add(fmt.Sprintf("E[%d]", j), KindExpert, w.computeStream(j),
 				w.expertEst(j, 2*tpad), func() error {
 					for el := 0; el < eg; el++ {
-						ex := w.expert(j, el)
-						dyv := expertView(dyBlocks[j], el, tpad, mdim)
-						dxv := expertView(dxBlocks[j], el, tpad, mdim)
-						if ie, ok := ex.(IntoExpert); ok {
-							ie.BackwardInto(ec.expCaches[j][el], dyv, dxv)
-							continue
-						}
-						dxe := ex.Backward(ec.expCaches[j][el], dyv)
-						copy(dxv.Data(), dxe.Data())
+						w.backwardWhole(j*eg+el, ec.expCaches[j][el],
+							slotBlock(dyBlocks[j], el, tpad), slotBlock(dxBlocks[j], el, tpad))
 					}
 					return nil
 				}, combIDs...)
@@ -339,7 +324,7 @@ func (s *epStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache,
 				w.expertEst(j, tpad), func() error {
 					for el := 0; el < eg; el++ {
 						ce := w.expert(j, el).(ChunkedExpert)
-						ce.FinishBackward(ec.ccs[j][el], expertView(dyBlocks[j], el, tpad, mdim))
+						ce.FinishBackward(ec.ccs[j][el], slotBlock(dyBlocks[j], el, tpad), w.gradDst(j*eg+el))
 					}
 					return nil
 				}, expTask[len(ranges)-1][j])

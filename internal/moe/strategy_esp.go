@@ -246,8 +246,8 @@ func (s *espStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCache,
 			ec.hf[g][e] = ws.tensor(ex.FwdBands()*tpad, ex.HiddenWidth())
 			cl, ch := colShard(ex.HiddenWidth(), g, R)
 			ec.scs[g][e] = ex.BeginSharded(
-				expertView(ec.xFull[g], e, tpad, mdim),
-				expertView(ec.outFull[g], e, tpad, mdim),
+				slotBlock(ec.xFull[g], e, tpad),
+				slotBlock(ec.outFull[g], e, tpad),
 				ec.hf[g][e], cl, ch, w.computePool(g))
 		}
 	}
@@ -429,7 +429,7 @@ func (s *espStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache
 			b1IDs[g] = p.Add(fmt.Sprintf("B1%d[%d]", c, g), KindExpert, w.computeStream(g),
 				w.allExpertEst(rows)/float64(R), func() error {
 					for e, ex := range s.experts {
-						dyv := expertView(dyFull[g], e, tpad, mdim)
+						dyv := slotBlock(dyFull[g], e, tpad)
 						for i := 0; i < R; i++ {
 							ex.BackwardHidden(ec.scs[g][e], dyv, hb[g][e], i*spad+rr.Lo, i*spad+rr.Hi)
 						}
@@ -444,8 +444,8 @@ func (s *espStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache
 			b2Last[g] = p.Add(fmt.Sprintf("B2%d[%d]", c, g), KindExpert, w.computeStream(g),
 				w.allExpertEst(rr.Len()), func() error {
 					for e, ex := range s.experts {
-						dyv := expertView(dyFull[g], e, tpad, mdim)
-						dxv := expertView(dxFull[g], e, tpad, mdim)
+						dyv := slotBlock(dyFull[g], e, tpad)
+						dxv := slotBlock(dxFull[g], e, tpad)
 						ex.BackwardIn(ec.scs[g][e], dyv, dxv, hb[g][e], g*spad+rr.Lo, g*spad+rr.Hi)
 					}
 					return nil
@@ -491,7 +491,7 @@ func (s *espStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCache
 				for el := 0; el < eg; el++ {
 					e := j*eg + el
 					ex := s.experts[e]
-					ex.FinishSharded(ec.scs[j][e], expertView(dyFull[j], e, tpad, mdim), hb[j][e])
+					ex.FinishSharded(ec.scs[j][e], slotBlock(dyFull[j], e, tpad), hb[j][e], w.gradDst(e))
 					for g := 0; g < R; g++ {
 						if g != j {
 							ex.DropSharded(ec.scs[g][e])

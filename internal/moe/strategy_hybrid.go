@@ -542,8 +542,8 @@ func (s *hybridStrategy) BuildForward(w *World, p *runtime.Plan, cache *WorldCac
 			hc.hf[j][le] = ws.tensor(ex.FwdBands()*tpad, ex.HiddenWidth())
 			cl, ch := colShard(ex.HiddenWidth(), m, g)
 			hc.scs[j][le] = ex.BeginSharded(
-				expertView(hc.xFull[j], le, tpad, mdim),
-				expertView(hc.outFull[j], le, tpad, mdim),
+				slotBlock(hc.xFull[j], le, tpad),
+				slotBlock(hc.outFull[j], le, tpad),
 				hc.hf[j][le], cl, ch, w.computePool(j))
 		}
 	}
@@ -741,7 +741,7 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 				s.groupEst(gi, rows)/float64(g), func() error {
 					for le := 0; le < egg; le++ {
 						ex := s.experts[gi*egg+le]
-						dyv := expertView(dyFull[j], le, tpad, mdim)
+						dyv := slotBlock(dyFull[j], le, tpad)
 						for i := 0; i < r; i++ {
 							ex.BackwardHidden(hc.scs[j][le], dyv, hb[j][le], i*spad+rr.Lo, i*spad+rr.Hi)
 						}
@@ -757,8 +757,8 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 				s.groupEst(gi, nG*rr.Len()), func() error {
 					for le := 0; le < egg; le++ {
 						ex := s.experts[gi*egg+le]
-						dyv := expertView(dyFull[j], le, tpad, mdim)
-						dxv := expertView(dxFull[j], le, tpad, mdim)
+						dyv := slotBlock(dyFull[j], le, tpad)
+						dxv := slotBlock(dxFull[j], le, tpad)
 						for q := 0; q < nG; q++ {
 							base := (q*g + m) * spad
 							ex.BackwardIn(hc.scs[j][le], dyv, dxv, hb[j][le], base+rr.Lo, base+rr.Hi)
@@ -809,7 +809,7 @@ func (s *hybridStrategy) BuildBackward(w *World, p *runtime.Plan, cache *WorldCa
 				for k := 0; k < s.eg; k++ {
 					le := m*s.eg + k
 					ex := s.experts[gi*egg+le]
-					ex.FinishSharded(hc.scs[j][le], expertView(dyFull[j], le, tpad, mdim), hb[j][le])
+					ex.FinishSharded(hc.scs[j][le], slotBlock(dyFull[j], le, tpad), hb[j][le], w.gradDst(gi*egg+le))
 					for m2 := 0; m2 < g; m2++ {
 						if m2 != m {
 							ex.DropSharded(hc.scs[gi*g+m2][le])

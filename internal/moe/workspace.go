@@ -9,9 +9,10 @@ import (
 )
 
 // workspace is a world's resident token-path memory: every buffer a pass
-// moves tokens through — the padded expert-major buffers, the per-rank
-// expert blocks, the strategies' wire and exchange buffers — is a slot of
-// it, handed out in the order the pass asks. A pass over the same shape asks
+// moves tokens through — the padded expert-major buffers Order scatters
+// into and gathers from, the per-rank expert blocks, the strategies' wire
+// and exchange buffers, the token-major products on a stack's inner edges —
+// is a slot of it, handed out in the order the pass asks. A pass over the same shape asks
 // for the same sizes in the same order, so a warm pass replays the slots of
 // the one before it and allocates none.
 //
@@ -23,8 +24,9 @@ import (
 // never handed out twice.
 //
 // Slots are handed out dirty — whatever the previous pass left in them.
-// Every consumer either overwrites a slot whole before reading it or clears
-// what it relies on being zero (padBlocks, reduceScatterWire).
+// Every consumer either overwrites a slot whole before reading it (Order's
+// methods, pad rows and empty slots included) or clears what it relies on
+// being zero (reduceScatterWire).
 type workspace struct {
 	shape wsShape
 	slots []wsSlot
@@ -81,6 +83,16 @@ func (ws *workspace) tensor(shape ...int) *tensor.Tensor {
 	return s.t
 }
 
+// tokens returns an (n, m) token-major product of a pass: the next slot
+// when its only reader is the neighbouring world of a stack (inner), a
+// tensor the caller keeps otherwise.
+func (ws *workspace) tokens(inner bool, n, m int) *tensor.Tensor {
+	if inner {
+		return ws.tensor(n, m)
+	}
+	return tensor.New(n, m)
+}
+
 // perRank returns one n-element slot per rank.
 func (ws *workspace) perRank(ranks, n int) [][]float64 {
 	out := make([][]float64, ranks)
@@ -124,34 +136,6 @@ func (w *World) release(cache *WorldCache) {
 	if cache.ws != nil {
 		w.ws, cache.ws = cache.ws, nil
 	}
-}
-
-// padBlocks grows (E, T, M) to the workspace's (E, Tpad, M) with zero rows
-// appended to each expert block; unpadBlocks is its inverse. Padding rows
-// carry exact zeros into the pipeline, so they never perturb a gradient.
-func padBlocks(ws *workspace, src *tensor.Tensor, e, t, tpad, m int) *tensor.Tensor {
-	if t == tpad {
-		return src
-	}
-	dst := ws.tensor(e, tpad, m)
-	dd, sd := dst.Data(), src.Data()
-	for i := 0; i < e; i++ {
-		copy(dd[i*tpad*m:(i*tpad+t)*m], sd[i*t*m:(i+1)*t*m])
-		clear(dd[(i*tpad+t)*m : (i+1)*tpad*m])
-	}
-	return dst
-}
-
-func unpadBlocks(ws *workspace, src *tensor.Tensor, e, t, tpad, m int) *tensor.Tensor {
-	if t == tpad {
-		return src
-	}
-	dst := ws.tensor(e, t, m)
-	dd, sd := dst.Data(), src.Data()
-	for i := 0; i < e; i++ {
-		copy(dd[i*t*m:(i+1)*t*m], sd[i*tpad*m:(i*tpad+t)*m])
-	}
-	return dst
 }
 
 // reduceScatterWire returns the sharded strategies' per-rank ReduceScatter

@@ -22,8 +22,8 @@ import (
 // collectives, driven through the stream runtime — the executable
 // counterpart of the schedules internal/core builds for the simulator
 // (§4.1). World itself owns only what every parallel scheme shares: the
-// gate/order prolog and epilog, slot padding, plan execution and trace
-// capture. How the layer's work is split across ranks — which collectives
+// gate/order prolog and epilog, the padded slot layout, plan execution and
+// trace capture. How the layer's work is split across ranks — which collectives
 // move what, on which streams, interleaved how — is delegated entirely to
 // a ParallelStrategy (strategy.go): pure expert parallelism (EP), sharded
 // expert compute with AllGather/ReduceScatter stages (ESP), or the dense
@@ -94,6 +94,12 @@ type World struct {
 	// next (step.go); it lives on the stack's first world.
 	resident *resident
 
+	// grads is where this pass's finish routines put the expert parameter
+	// gradients: nil — every backward adds into Param.G — except while
+	// StepWorlds drives the backward, when it is this layer's spans of the
+	// resident arenas (step.go).
+	grads *stepGrads
+
 	// recov accumulates elastic-recovery reports (recover.go) until the
 	// next completed step drains them into telemetry.
 	recov []*RecoveryReport
@@ -113,10 +119,6 @@ type BackwardSyncer interface {
 	BeginLayer(points int)
 	EmitAt(p *runtime.Plan, stream string, point int)
 }
-
-// SetBackwardSyncer installs (or, with nil, removes) the gradient-sync
-// hook driven by the next Backward calls.
-func (w *World) SetBackwardSyncer(s BackwardSyncer) { w.sync = s }
 
 // WorldConfig configures multi-rank execution.
 type WorldConfig struct {
@@ -435,13 +437,14 @@ func (w *World) collGuard(stream, kind string) comm.Guard {
 
 // WorldCache carries a forward pass's state to Backward. The strategy
 // that built the forward plan owns sc. The cache holds the world's
-// workspace: combined and everything sc points at are world-owned memory,
-// valid until this cache's Backward returns.
+// workspace: scattered, combined and everything sc points at are
+// world-owned memory, valid until this cache's Backward returns.
 type WorldCache struct {
 	pr         *forwardProlog
 	spad, tpad int
 	ws         *workspace     // checked out by Forward, handed back by Backward
-	combined   *tensor.Tensor // (E, T, M), the sequential layer's expertOut
+	scattered  *tensor.Tensor // (E, Tpad, M), the sequential layer's expert inputs
+	combined   *tensor.Tensor // (E, Tpad, M), the sequential layer's expertOut in rows [0, T) of each block
 	sc         any            // strategy-private forward state
 	deg        *degradedState // non-nil when the forward ran degraded
 }
@@ -512,6 +515,13 @@ func (w *World) run(p *runtime.Plan) error {
 // pass completes on the degraded path (see degraded.go) and LastDegraded
 // reports what was lost.
 func (w *World) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCache, error) {
+	return w.forward(x, train, false)
+}
+
+// forward is Forward; inner says the output feeds the next world of a
+// StepWorlds stack, which reads it only until this world's own Backward
+// returns — so it is a workspace slot instead of a tensor the caller keeps.
+func (w *World) forward(x *tensor.Tensor, train, inner bool) (*tensor.Tensor, *WorldCache, error) {
 	if w.closed {
 		return nil, nil, fmt.Errorf("moe: forward: %w", ErrWorldClosed)
 	}
@@ -531,19 +541,19 @@ func (w *World) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCac
 	}
 	R, mdim := w.cfg.Ranks, w.layer.cfg.M
 	plan := pr.plan
-	t := plan.Capacity
-	spad := (t + R - 1) / R
-	ws := w.checkout(t)
+	spad := (plan.Capacity + R - 1) / R
+	ws := w.checkout(plan.Capacity)
 	cache := &WorldCache{pr: pr, spad: spad, tpad: spad * R, ws: ws}
 
-	// Padding the scattered tensor once up front lets every strategy's
-	// transfers share one slot-shard layout (pad rows enter the pipeline as
-	// exact zeros, so they never perturb a result).
-	scatPad := padBlocks(ws, pr.scattered, plan.Experts, t, cache.tpad, mdim)
-	combinedPad := ws.tensor(plan.Experts, cache.tpad, mdim)
+	// Order scatters straight into the rank-divisible padded layout every
+	// strategy's transfers share (pad rows enter the pipeline as exact
+	// zeros, so they never perturb a result).
+	cache.scattered = ws.tensor(plan.Experts, cache.tpad, mdim)
+	w.layer.cfg.Order.Scatter(cache.scattered, pr.flat, plan)
+	combined := ws.tensor(plan.Experts, cache.tpad, mdim)
 
 	p := runtime.NewPlan()
-	w.strat.BuildForward(w, p, cache, scatPad, combinedPad)
+	w.strat.BuildForward(w, p, cache, cache.scattered, combined)
 	w.bindStreams(p)
 	if err := w.run(p); err != nil {
 		// Every task has drained; nothing of the aborted pass is read again.
@@ -555,8 +565,8 @@ func (w *World) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCac
 		return nil, nil, err
 	}
 
-	cache.combined = unpadBlocks(ws, combinedPad, plan.Experts, t, cache.tpad, mdim)
-	y := w.layer.epilog(cache.combined, plan, pr.flat.Dim(0), pr.shape)
+	cache.combined = combined
+	y := w.layer.epilog(ws.tokens(inner, pr.flat.Dim(0), mdim), combined, plan, pr.shape)
 	return y, cache, nil
 }
 
@@ -564,6 +574,13 @@ func (w *World) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCac
 // same parameter gradients and returning the same input gradient as
 // MOELayer.Backward.
 func (w *World) Backward(cache *WorldCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
+	return w.backward(cache, dy, false)
+}
+
+// backward is Backward; inner says the input gradient feeds the previous
+// world of a StepWorlds stack, which reads it within the step — before this
+// world's next Forward takes its workspace again.
+func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, inner bool) (*tensor.Tensor, error) {
 	if w.closed {
 		return nil, fmt.Errorf("moe: backward: %w", ErrWorldClosed)
 	}
@@ -576,21 +593,19 @@ func (w *World) Backward(cache *WorldCache, dy *tensor.Tensor) (*tensor.Tensor, 
 		w.lastPlan, w.lastTr = nil, nil
 		return w.degradedBackward(cache, dy)
 	}
-	pr := cache.pr
+	pr, ws := cache.pr, cache.ws
 	plan := pr.plan
-	dExpertOut, planGrad, err := w.layer.backwardProlog(cache.combined, plan, dy)
+	n, mdim := pr.flat.Dim(0), w.layer.cfg.M
+
+	dpad := ws.tensor(plan.Experts, cache.tpad, mdim)
+	planGrad, err := w.layer.backwardProlog(dpad, cache.combined, plan, dy)
 	if err != nil {
 		return nil, err
 	}
-	mdim := w.layer.cfg.M
-	t := plan.Capacity
-
-	ws := cache.ws
-	dpad := padBlocks(ws, dExpertOut, plan.Experts, t, cache.tpad, mdim)
-	dScatteredPad := ws.tensor(plan.Experts, cache.tpad, mdim)
+	dScattered := ws.tensor(plan.Experts, cache.tpad, mdim)
 
 	p := runtime.NewPlan()
-	w.strat.BuildBackward(w, p, cache, dpad, dScatteredPad)
+	w.strat.BuildBackward(w, p, cache, dpad, dScattered)
 	w.bindStreams(p)
 	if err := w.run(p); err != nil {
 		if rank, ok := fault.PermanentRank(err); ok {
@@ -599,8 +614,7 @@ func (w *World) Backward(cache *WorldCache, dy *tensor.Tensor) (*tensor.Tensor, 
 		}
 		return nil, err
 	}
-	dScattered := unpadBlocks(ws, dScatteredPad, plan.Experts, t, cache.tpad, mdim)
-	dx := w.layer.backwardFinish(dScattered, planGrad, pr.flat, pr.rc, plan, pr.shape)
+	dx := w.layer.backwardFinish(ws.tokens(inner, n, mdim), ws.tensor(n, mdim), dScattered, planGrad, pr.flat, pr.rc, plan, pr.shape)
 	w.release(cache)
 	return dx, nil
 }
@@ -616,6 +630,34 @@ func retriesIn(tr *sim.Trace) int {
 // expert returns rank j's el-th local expert (the expert-sharding owner
 // mapping every strategy and RankGrads share).
 func (w *World) expert(j, el int) Expert { return w.layer.cfg.Experts[j*w.egrp+el] }
+
+// gradDst is where a finish routine puts expert e's parameter gradients in
+// this pass; during a training step asking marks the expert's arena span
+// written.
+func (w *World) gradDst(e int) GradDst {
+	if w.grads == nil {
+		return nil
+	}
+	w.grads.written[e] = true
+	return w.grads.into[e]
+}
+
+// backwardWhole runs expert e's whole-block backward. A custom expert
+// without the IntoExpert contract can only add into its Param.G: during a
+// training step that starts from zero and is copied to where gradDst says.
+func (w *World) backwardWhole(e int, cache ExpertCache, dy, dx *tensor.Tensor) {
+	ex := w.layer.cfg.Experts[e]
+	if _, ok := ex.(IntoExpert); ok || w.grads == nil {
+		backwardExpert(ex, cache, dy, dx, w.gradDst(e))
+		return
+	}
+	params := ex.Params()
+	zeroGrads(params)
+	backwardExpert(ex, cache, dy, dx, nil)
+	for i, g := range w.gradDst(e) {
+		copy(g.Data(), params[i].G.Data())
+	}
+}
 
 // addStats accumulates collective traffic. Locked: the hybrid strategy
 // runs its per-group intra collectives on concurrent streams (EP and ESP
@@ -651,12 +693,6 @@ func (w *World) allExpertEst(rows int) float64 {
 
 // estElems scales an element count into the same arbitrary unit space.
 func estElems(n int) float64 { return float64(n) / 1e6 }
-
-// expertView is local expert el's (Tpad, M) block inside a rank's
-// (Eg, Tpad, M) buffer.
-func expertView(b *tensor.Tensor, el, tpad, m int) *tensor.Tensor {
-	return b.View(el*tpad*m, tpad, m)
-}
 
 // GradElems returns the layer's flattened gradient length and the length
 // of its leading dense (gate) prefix — the same dense/MoE split the §5
@@ -699,16 +735,21 @@ func (w *World) countGradElems() {
 // strategy accumulates an expert's parameter gradients on its owner rank
 // j = e/Eg — EP computes them there, ESP designates that shard-group
 // member — so the one-contributor invariant holds for all of them.)
-func (w *World) RankGrads(out [][]float64) {
+func (w *World) RankGrads(out [][]float64) { w.rankGrads(out, nil) }
+
+// rankGrads is RankGrads for a backward that wrote the gradients of the
+// experts written says (nil: none) straight into their owners' buffers:
+// those spans stay, and an expert no finish routine ran for — a dead
+// rank's, a degraded pass's — is cleared of last step's replica.
+func (w *World) rankGrads(out [][]float64, written []bool) {
 	R := w.cfg.Ranks
 	gate := w.layer.cfg.Gate.Params()
 	tensor.ParallelFor(R, func(r int) {
-		// Rank r's own expert shard [lo, hi) is overwritten whole below;
-		// everything else must read zero.
+		// Outside rank r's own expert shard everything reads zero but its
+		// shard of the gate gradient.
 		buf := out[r]
-		lo, hi := w.gradOff[r*w.egrp], w.gradOff[(r+1)*w.egrp]
-		clear(buf[:lo])
-		clear(buf[hi:])
+		clear(buf[:w.gradOff[r*w.egrp]])
+		clear(buf[w.gradOff[(r+1)*w.egrp]:])
 		off := 0
 		for _, p := range gate {
 			g := p.G.Data()
@@ -718,9 +759,14 @@ func (w *World) RankGrads(out [][]float64) {
 			}
 			off += len(g)
 		}
-		for _, ex := range w.layer.cfg.Experts[r*w.egrp : (r+1)*w.egrp] {
-			for _, p := range ex.Params() {
-				lo += copy(buf[lo:], p.G.Data())
+		for e := r * w.egrp; e < (r+1)*w.egrp; e++ {
+			span := buf[w.gradOff[e]:w.gradOff[e+1]]
+			if written == nil {
+				for _, p := range w.layer.cfg.Experts[e].Params() {
+					span = span[copy(span, p.G.Data()):]
+				}
+			} else if !written[e] {
+				clear(span)
 			}
 		}
 	})

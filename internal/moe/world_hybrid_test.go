@@ -40,8 +40,8 @@ func (o shardedOnly) BackwardHidden(sc ShardedCache, dy, hb *tensor.Tensor, lo, 
 func (o shardedOnly) BackwardIn(sc ShardedCache, dy, dx, hb *tensor.Tensor, lo, hi int) {
 	o.inner.BackwardIn(sc, dy, dx, hb, lo, hi)
 }
-func (o shardedOnly) FinishSharded(sc ShardedCache, dy, hb *tensor.Tensor) {
-	o.inner.FinishSharded(sc, dy, hb)
+func (o shardedOnly) FinishSharded(sc ShardedCache, dy, hb *tensor.Tensor, grads GradDst) {
+	o.inner.FinishSharded(sc, dy, hb, grads)
 }
 func (o shardedOnly) DropSharded(sc ShardedCache) { o.inner.DropSharded(sc) }
 

@@ -17,17 +17,17 @@ func exp(x float64) float64 { return math.Exp(x) }
 type XMoEGate struct {
 	cfg  GateConfig
 	m    int
-	dim  int     // low-rank dimension
-	tau  float64 // temperature
-	proj *Param  // (M, dim)
-	emb  *Param  // (E, dim) expert embeddings
+	dim  int      // low-rank dimension
+	tau  float64  // temperature
+	proj *Param   // (M, dim)
+	emb  *Param   // (E, dim) expert embeddings
+	idle *choices // routing scratch between a Backward and the next Route
 }
 
 type xmoeCache struct {
-	u      *tensor.Tensor // x·W_proj, (N, dim)
-	cos    *tensor.Tensor // cosine scores, (N, E)
-	selIdx [][]int
-	selW   [][]float64
+	u   *tensor.Tensor // x·W_proj, (N, dim)
+	cos *tensor.Tensor // cosine scores, (N, E)
+	sel *choices       // selected experts and their softmax weights
 }
 
 // NewXMoEGate constructs the gate. lowRank is the projection dimension
@@ -67,48 +67,38 @@ func (g *XMoEGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCac
 	if err := checkGateInput(x, g.m); err != nil {
 		return nil, nil, err
 	}
-	n, e := x.Dim(0), g.cfg.Experts
 	u := tensor.MatMul(x, g.proj.W)
 	cos := tensor.CosineRows(u, g.emb.W)
-	cache := &xmoeCache{u: u, cos: cos, selIdx: make([][]int, n), selW: make([][]float64, n)}
-	var asg []assignment
-	for t := 0; t < n; t++ {
-		row := cos.Row(t)
-		sel := tensor.TopK(row, g.cfg.TopK)
-		kept := make([]float64, len(sel))
-		for j, idx := range sel {
-			kept[j] = row[idx] / g.tau
+	plan, sel := routeTopK(&g.idle, g.cfg, cos, func(w []float64) {
+		for j := range w {
+			w[j] /= g.tau
 		}
-		w := softmaxVec(kept)
-		cache.selIdx[t] = sel
-		cache.selW[t] = w
-		for j, idx := range sel {
-			asg = append(asg, assignment{token: t, expert: idx, weight: w[j], choice: j})
-		}
-	}
-	capacity := CapacityFor(n, e, g.cfg.TopK, g.cfg.Factor)
-	plan := buildHardPlan(n, e, capacity, asg)
-	return plan, &RouteCache{X: x, Plan: plan, extra: cache}, nil
+		tensor.SoftmaxInPlace(w)
+	})
+	return plan, &RouteCache{X: x, Plan: plan, extra: &xmoeCache{u: u, cos: cos, sel: sel}}, nil
 }
 
 // Backward implements Gate. The gradient flows through the selected-set
 // softmax, the temperature, and the full cosine similarity (both the inner
 // product and the two norms), into the projection, the expert embeddings,
 // and the input.
-func (g *XMoEGate) Backward(rc *RouteCache, grad *PlanGrad) *tensor.Tensor {
+func (g *XMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
 	cache := rc.extra.(*xmoeCache)
 	x := rc.X
-	n := x.Dim(0)
-	dW := slotGradToTokenGrad(rc.Plan, cache.selIdx, grad.SlotWeight, n)
-	dU := tensor.New(n, g.dim)
+	n, k := x.Dim(0), g.cfg.TopK
+	sel := cache.sel
+	dW := sel.weightGrads(rc.Plan, grad.SlotWeight)
+	dU := tensor.Get(n, g.dim)
 	for t := 0; t < n; t++ {
-		dscore := maskedSoftmaxBackward(cache.selW[t], dW[t])
+		dscore := dW[t*k : (t+1)*k]
+		maskedSoftmaxBackward(sel.w[t*k:(t+1)*k], dscore)
 		urow := cache.u.Row(t)
 		un := norm(urow)
 		if un == 0 {
 			continue
 		}
-		for j, eIdx := range cache.selIdx[t] {
+		du := dU.Row(t)
+		for j, eIdx := range sel.idx[t*k : (t+1)*k] {
 			ds := dscore[j] / g.tau
 			if ds == 0 {
 				continue
@@ -118,16 +108,19 @@ func (g *XMoEGate) Backward(rc *RouteCache, grad *PlanGrad) *tensor.Tensor {
 			if vn == 0 {
 				continue
 			}
-			s := cache.cos.At(t, eIdx)
+			s := cache.cos.Row(t)[eIdx]
 			// d cos(u,v)/du = v/(|u||v|) - s·u/|u|²  (and symmetrically for v).
+			dv := g.emb.G.Row(eIdx)
 			for d := 0; d < g.dim; d++ {
-				dU.Set(dU.At(t, d)+ds*(vrow[d]/(un*vn)-s*urow[d]/(un*un)), t, d)
-				g.emb.G.Set(g.emb.G.At(eIdx, d)+ds*(urow[d]/(un*vn)-s*vrow[d]/(vn*vn)), eIdx, d)
+				du[d] += ds * (vrow[d]/(un*vn) - s*urow[d]/(un*un))
+				dv[d] += ds * (urow[d]/(un*vn) - s*vrow[d]/(vn*vn))
 			}
 		}
 	}
-	tensor.AddInPlace(g.proj.G, tensor.MatMulT1(x, dU))
-	return tensor.MatMulT2(dU, g.proj.W)
+	g.idle = sel
+	tensor.MatMulT1AddInto(g.proj.G, x, dU)
+	tensor.MatMulT2Into(dx, dU, g.proj.W)
+	tensor.Put(dU)
 }
 
 func norm(v []float64) float64 {

@@ -119,6 +119,6 @@ func (g *ZipfGate) draw(rng *xrand.RNG) int {
 
 // Backward implements Gate: routing ignores x, so the gradient through the
 // gate is zero and there are no parameters to accumulate into.
-func (g *ZipfGate) Backward(rc *RouteCache, grad *PlanGrad) *tensor.Tensor {
-	return tensor.New(rc.X.Shape()...)
+func (g *ZipfGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
+	dx.Zero()
 }

@@ -117,9 +117,23 @@ func MatMulT1(a, b *Tensor) *Tensor {
 // so a stream's GEMM calls are uniformly pool-bound.
 func (p *Pool) MatMulT1Into(dst, a, b *Tensor) { MatMulT1Into(dst, a, b) }
 
+// MatMulT1AddInto computes dst += aᵀ @ b with the pool convention of
+// Pool.MatMulT1Into.
+func (p *Pool) MatMulT1AddInto(dst, a, b *Tensor) { MatMulT1AddInto(dst, a, b) }
+
 // MatMulT1Into computes dst = aᵀ @ b, overwriting dst, which must be (m,n)
 // for a (k,m) and b (k,n).
 func MatMulT1Into(dst, a, b *Tensor) {
+	clear(dst.data)
+	MatMulT1AddInto(dst, a, b)
+}
+
+// MatMulT1AddInto computes dst += aᵀ @ b: the rank-1 updates of
+// MatMulT1Into applied, in the same order, to what dst already holds. A
+// row-blocked product may therefore be accumulated block by block —
+// MatMulT1Into on the first block of rows of a and b, MatMulT1AddInto on the
+// rest — with the bits of the one-call product.
+func MatMulT1AddInto(dst, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulT1Into requires 2-D tensors")
 	}
@@ -129,8 +143,7 @@ func MatMulT1Into(dst, a, b *Tensor) {
 		panic("tensor: MatMulT1Into inner dimension mismatch")
 	}
 	checkDst(dst, m, n, "MatMulT1Into")
-	clear(dst.data)
-	// dst[i,j] = sum_p a[p,i]*b[p,j]: accumulate rank-1 updates row by row.
+	// dst[i,j] += sum_p a[p,i]*b[p,j]: accumulate rank-1 updates row by row.
 	// Rows of dst cannot be sharded without also sharding the p-loop (every
 	// update touches all of dst), so this kernel stays sequential; callers
 	// parallelize across experts/heads instead.

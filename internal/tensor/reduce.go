@@ -42,6 +42,11 @@ func SoftmaxCols(a *Tensor) *Tensor {
 	return out
 }
 
+// SoftmaxInPlace overwrites row with its numerically stable softmax — one
+// row of SoftmaxRows, for callers holding a small vector in their own
+// scratch.
+func SoftmaxInPlace(row []float64) { softmaxInPlace(row) }
+
 func softmaxInPlace(row []float64) {
 	maxV := math.Inf(-1)
 	for _, v := range row {
@@ -81,6 +86,31 @@ func TopK(v []float64, k int) []int {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return v[idx[a]] > v[idx[b]] })
 	return idx[:k]
+}
+
+// TopKInto writes the indices of the len(dst) largest values of v into dst:
+// TopK(v, len(dst)) without its allocations, by insertion, for the small k of
+// token-choice routing. It panics if len(dst) > len(v).
+func TopKInto(dst []int, v []float64) {
+	k := len(dst)
+	if k > len(v) {
+		panic("tensor: TopK k exceeds length")
+	}
+	n := 0 // dst[:n] holds the best so far, descending, earlier index first on ties
+	for i, x := range v {
+		j := n
+		for j > 0 && v[dst[j-1]] < x {
+			j--
+		}
+		if j == k {
+			continue
+		}
+		if n < k {
+			n++
+		}
+		copy(dst[j+1:n], dst[j:n-1])
+		dst[j] = i
+	}
 }
 
 // KeepTopK returns a copy of v with every entry outside the top k set to

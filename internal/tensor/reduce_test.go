@@ -140,6 +140,34 @@ func TestTopKProperty(t *testing.T) {
 	}
 }
 
+// TestTopKIntoMatchesTopK: the insertion form picks the indices the sorting
+// form picks, in its order, ties (few distinct values) included.
+func TestTopKIntoMatchesTopK(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := xrand.New(seed)
+		n := 1 + r.Intn(30)
+		k := 1 + r.Intn(n)
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(r.Intn(6)) // many ties
+			if seed%2 == 0 {
+				v[i] = r.NormFloat64()
+			}
+		}
+		got := make([]int, k)
+		TopKInto(got, v)
+		for i, want := range TopK(v, k) {
+			if got[i] != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestKeepTopK(t *testing.T) {
 	v := []float64{1, 9, 3}
 	out := KeepTopK(v, 1)

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -144,6 +145,36 @@ func TestMatMulT1EqualsTransposedMatMul(t *testing.T) {
 		a := RandN(r, 1, k, m)
 		b := RandN(r, 1, k, n)
 		return MatMulT1(a, b).AllClose(MatMul(Transpose2D(a), b), 1e-9)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMatMulT1AddIntoRowBlocks: accumulating a product block of rows by
+// block of rows gives the bits of the one-call product, and adding into a
+// non-zero destination adds.
+func TestMatMulT1AddIntoRowBlocks(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := xrand.New(seed)
+		k, m, n := 2+r.Intn(15), 1+r.Intn(15), 1+r.Intn(15)
+		a := RandN(r, 1, k, m)
+		b := RandN(r, 1, k, n)
+		want := MatMulT1(a, b)
+		cut := 1 + r.Intn(k-1)
+		got := New(m, n)
+		got.Fill(math.NaN())
+		MatMulT1Into(got, a.Slice(0, cut), b.Slice(0, cut))
+		MatMulT1AddInto(got, a.Slice(cut, k), b.Slice(cut, k))
+		for i, v := range want.Data() {
+			if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
+				return false
+			}
+		}
+		base := RandN(r, 1, m, n)
+		sum := base.Clone()
+		MatMulT1AddInto(sum, a, b)
+		return sum.AllClose(Add(base, want), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
