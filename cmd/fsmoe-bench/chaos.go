@@ -208,7 +208,7 @@ func chaosExperiment(iters int) error {
 		// Bit-identity: a fresh world built directly at the surviving
 		// topology, restored from the same checkpoint, must step to the
 		// identical replicas.
-		_, refW, err := newRealpipeWorld(cfg, rep.NewRanks, cfg.degree, rep.NewStrategy)
+		_, refW, err := newRealpipeHybridWorld(cfg, rep.NewRanks, cfg.degree, rep.NewStrategy, rep.NewGroupSize)
 		if err != nil {
 			return fail(err)
 		}
@@ -239,13 +239,13 @@ func chaosExperiment(iters int) error {
 			fmt.Sprintf("%.1f", recoveredMS),
 			fmt.Sprintf("%.2f", ratio(degradedMS, healthyMS)),
 			fmt.Sprintf("%.2f", ratio(recoveredMS, healthyMS)),
-			rep.NewRanks, string(rep.NewStrategy), len(rep.MovedExperts), identical)
+			rep.NewRanks, stratCell(rep.NewStrategy, rep.NewGroupSize), len(rep.MovedExperts), identical)
 		w.Close()
 		os.RemoveAll(dir)
 	}
 	emit(tb3)
 	note("mttr = wall time of the rebuild (state rollback + expert weight re-placement + topology swap); recovered steps run " +
-		"on the surviving ranks (ESP/hybrid fall back to EP) bit-identically to a fresh restart from the same checkpoint")
+		"on the surviving ranks under the same strategy (hybrid at g' = gcd(g, R')) bit-identically to a fresh restart from the same checkpoint")
 	return nil
 }
 

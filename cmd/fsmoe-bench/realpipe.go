@@ -249,9 +249,8 @@ func realpipeDegreeSweep(ranks int) error {
 // grid — every divisor group size × every pipeline degree — and prints
 // the measured cells next to the 2-D Algorithm-1 pick (the group size and
 // per-phase degrees a hybrid world with everything unset chooses). The
-// g=1 and g=4 rows are the pure EP and ESP schedules, which the hybrid
-// runtime delegates to, so the grid's edges double as the strategy
-// comparison.
+// g=1 and g=4 rows are the pure EP and ESP schedules — one builder reads g
+// as data — so the grid's edges double as the strategy comparison.
 func realpipeHybridGrid(ranks int) error {
 	degrees := []int{1, 2, 4, 8}
 	fmt.Println("== realpipe hybrid grid: measured (group size × degree) cells vs the 2-D Algorithm-1 pick ==")
@@ -311,6 +310,6 @@ func realpipeHybridGrid(ranks int) error {
 			cfg.name, pickG, pickF, pickB, bestG, bestR, bestT)
 	}
 	emit(tb)
-	note("g=1 rows are the pure-EP schedule and g=4 rows the pure-ESP schedule (the hybrid runtime delegates its edges)")
+	note("g=1 rows are the pure-EP schedule and g=4 rows the pure-ESP schedule (the same plan builder at the same g)")
 	return nil
 }

@@ -4,9 +4,10 @@
 // ReduceScatter stages run on its own intra stream — one schedule
 // carrying both collective families, bit-identical to the single-process
 // layer. The group size is a tuning knob: g=1 degenerates to pure EP and
-// g=ranks to pure ESP (the runtime delegates, so the edges ARE the pure
-// strategies), and leaving GroupSize unset lets the 2-D Algorithm-1 grid
-// over (group size × pipeline degree) pick it.
+// g=ranks to pure ESP (one builder reads g as data, so the edges ARE the
+// pure strategies' plans — g=ranks is one group on one intra stream), and
+// leaving GroupSize unset lets the 2-D Algorithm-1 grid over (group size ×
+// pipeline degree) pick it.
 //
 //	go run ./examples/hybrid
 package main

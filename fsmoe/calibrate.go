@@ -164,8 +164,8 @@ func Calibrate(l *Layer, cfg CalibrateConfig) (*Calibration, error) {
 				pt.SeqMS += tr.Makespan
 				pt.PredMS += p.SimulateWith(durations).Makespan
 				for _, ti := range p.Tasks() {
-					if ti.Est <= 0 || ti.Kind == moe.KindPack {
-						continue // Algorithm 1 has no pack term; zero-est tasks carry no volume
+					if ti.Est <= 0 {
+						continue // zero-est tasks carry no volume
 					}
 					ks := samples[ti.Kind]
 					if ks == nil {
@@ -404,8 +404,8 @@ func (c *Calibration) volumes(s Strategy) (core.Volumes, bool) {
 
 // hybridVolumes returns the measured volume set for one hybrid grid cell.
 // The degenerate group sizes resolve to the pure strategies' measured
-// volumes — the runtime delegates those cells, so their measurements ARE
-// the EP/ESP sweeps.
+// volumes — those cells build the pure strategies' plans, so their
+// measurements ARE the EP/ESP sweeps.
 func (c *Calibration) hybridVolumes(g int) (core.Volumes, bool) {
 	switch g {
 	case 1:

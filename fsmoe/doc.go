@@ -24,21 +24,23 @@
 // # Parallel strategies
 //
 // The executable multi-rank runtime (NewWorld) splits one layer's work
-// across R in-process ranks under a pluggable parallel strategy, the
-// WorldConfig.Strategy field:
+// across R in-process ranks under a parallel strategy, the
+// WorldConfig.Strategy field. Every strategy is the same §4 schedule —
+// one plan builder — at an expert-sharding group width g: the R ranks
+// form R/g expert-parallel groups of g sharding members.
 //
-//   - StrategyEP — pure expert parallelism: experts sharded E/R per rank,
-//     tokens moved by r-chunked dispatch/combine AlltoAll on the shared
-//     inter stream;
-//   - StrategyESP — expert-sharding parallelism: every rank computes a
-//     shard of every expert (ShardedExpert), with chunked AllGather and
-//     ReduceScatter stages on the shared intra stream and an empty inter
-//     stream (so §5 Gradient-AllReduce slices overlap freely);
+//   - StrategyEP — pure expert parallelism, g = 1: experts sharded E/R
+//     per rank, tokens moved by r-chunked dispatch/combine AlltoAll on
+//     the shared inter stream;
+//   - StrategyESP — expert-sharding parallelism, g = R: every rank
+//     computes a shard of every expert (ShardedExpert), with chunked
+//     AllGather and ReduceScatter stages on the one group's intra:g0
+//     stream and an empty inter stream (so §5 Gradient-AllReduce slices
+//     overlap freely);
 //   - StrategyDenseSlots — SoftMoE dense plans chunked over expert slots
-//     instead of token rows, through the EP pipeline;
-//   - StrategyHybrid — nested EP×ESP: the R ranks split into R/g
-//     expert-parallel groups of WorldConfig.GroupSize g ESP shard members
-//     each (g must divide R), combining both collective families in one
+//     instead of token rows, through the g = 1 schedule;
+//   - StrategyHybrid — nested EP×ESP, g = WorldConfig.GroupSize (which
+//     must divide R), combining both collective families in one
 //     schedule;
 //   - StrategyAuto (the zero value) — dense gates get DenseSlots, and
 //     hard-routing layers run Algorithm 1 as a 2-D grid over (group size
@@ -56,10 +58,11 @@
 // Each group's intra-collectives run on their own intra:g<G> stream
 // concurrently with the other groups' and with the inter-group AlltoAll
 // lanes, so both §4 overlap dimensions appear in one plan. The edges
-// degenerate exactly: GroupSize 1 delegates to pure EP and GroupSize R
-// to pure ESP — the plans are task-for-task those of the pure
-// strategies — and every interior cell is bit-identical to the
-// single-rank layer. Leaving GroupSize zero under StrategyHybrid (or
+// degenerate exactly because they are the same builder at the same g:
+// GroupSize 1 is pure EP's plan and GroupSize R pure ESP's, task for
+// task, and every interior cell is bit-identical to the single-rank
+// layer. Every collective moves rows straight between the buffers
+// themselves; no plan has a pack task. Leaving GroupSize zero under StrategyHybrid (or
 // StrategyAuto) lets the grid pick g; Calibration sweeps the hybrid
 // cells too, so calibrated worlds pick (g, r) from measured costs.
 //
@@ -198,9 +201,10 @@
 // slot of layer i's workspace until layer i's own Backward returns, and
 // the input gradient it hands layer i−1 until its next Forward. The gates'
 // per-token selections live in gate-owned scratch under the same rule: a
-// RouteCache holds it until its (one) Backward. Under StrategyEP (hence DenseSlots and Hybrid at GroupSize 1) a
-// token row is copied once per AlltoAll hop, straight between the
-// expert-major buffer and the owning rank's expert block.
+// RouteCache holds it until its (one) Backward. Under every strategy a
+// token row is copied once per collective hop, straight between the
+// expert-major buffer and the rank's expert block, or between two ranks'
+// blocks.
 //
 // StepResult.WallMS is the measured wall of the whole call (telemetry
 // emission excluded); ForwardMS, BackwardMS and TailMS are the parts of
@@ -271,12 +275,12 @@
 // shard. The dead rank's experts are re-assigned, their checkpointed
 // weights re-placed through the guarded Broadcast collective (chaos
 // injection and traffic accounting reach the recovery path; transient
-// faults retry under the world's RetryPolicy), the strategy re-emits
-// its collective chains for the new topology — ESP and Hybrid fall back
-// to EP, whose layout any surviving rank count supports — and the fault
-// plan's down trigger is stripped so the rebuilt world is not re-killed
-// on its next pass. RecoveryReport (also via World.LastRecovery)
-// records mode, topology delta, restored step, moved experts,
+// faults retry under the world's RetryPolicy), the plan builder
+// re-emits the collective chains for the new topology — every strategy
+// recovers as itself, ESP at g′ = R′ and Hybrid at g′ = gcd(g, R′) — and
+// the fault plan's down trigger is stripped so the rebuilt world is not
+// re-killed on its next pass. RecoveryReport (also via World.LastRecovery)
+// records mode, topology delta (ranks and group size), restored step, moved experts,
 // re-placement traffic, retries and the measured MTTR; StepMetrics
 // carries Recoveries/RecoveryMS when a Sink is set. The recovery
 // contract: a recovered run is bit-identical to a fresh World built

@@ -98,7 +98,6 @@ const (
 	KindAllGather     = moe.KindAG
 	KindReduceScatter = moe.KindRS
 	KindExperts       = moe.KindExpert
-	KindPack          = moe.KindPack
 	KindOthers        = sim.KindOthers
 )
 
@@ -133,8 +132,9 @@ const (
 	// AllGather/ReduceScatter stages run on a per-group intra stream, so
 	// the group size trades inter-node AlltoAll volume against in-group
 	// collective volume. GroupSize=1 degenerates to EP, GroupSize=Ranks
-	// to ESP (the runtime delegates, so the edges are the pure strategies
-	// exactly). Requires every expert to implement ShardedExpert.
+	// to ESP (one plan builder reads the group size as data, so the edges
+	// are the pure strategies exactly). Requires every expert to implement
+	// ShardedExpert.
 	StrategyHybrid = moe.StrategyHybrid
 	// StrategyDenseSlots runs dense (SoftMoE) plans through the EP
 	// pipeline chunked over expert slots instead of token rows.
@@ -232,8 +232,8 @@ func NewWorld(l *Layer, cfg WorldConfig) (*World, error) {
 	} else if strat == StrategyHybrid && groupSize == 0 {
 		// Explicit hybrid with an unset group size: the 2-D grid picks g
 		// (and the per-phase degrees) over every divisor of the rank
-		// count — including the degenerate edges, which the runtime
-		// delegates to the pure strategies.
+		// count — including the degenerate edges, which are the pure
+		// strategies' plans.
 		groupSize, autoDegF, autoDegB, haveDegrees = hybridGroupPick(m, volsFor, hybridFor, cfg.Ranks)
 		if !haveDegrees {
 			groupSize = 1
@@ -359,8 +359,8 @@ func hybridGroupPick(m core.Models, volsFor func(Strategy) (core.Volumes, bool),
 
 // gridVolumes maps a grid cell to its volume set: the degenerate edges
 // reuse the pure strategies' volumes, so the grid coincides with the 1-D
-// strategy comparison there — exactly as the runtime delegates those
-// group sizes to the pure strategies.
+// strategy comparison there — exactly as the runtime builds the pure
+// strategies' plans at those group sizes.
 func gridVolumes(volsFor func(Strategy) (core.Volumes, bool), hybridFor func(int) (core.Volumes, bool), ranks, g int) (core.Volumes, bool) {
 	switch g {
 	case 1:
@@ -461,8 +461,8 @@ func layerVolumes(l *Layer, tokens int, strat Strategy) Volumes {
 
 // hybridLayerVolumes derives the volumes of one hybrid grid cell. The
 // degenerate group sizes return the pure strategies' volume sets exactly
-// (the runtime delegates those cells, so the grid's edges must coincide
-// with the 1-D comparisons). Interior cells interpolate: with lanes of
+// (those cells execute the pure strategies' plans, so the grid's edges
+// must coincide with the 1-D comparisons). Interior cells interpolate: with lanes of
 // R/g ranks, the fraction of dispatched rows crossing lanes is 1-g/R,
 // normalized by EP's 1-1/R so g=1 recovers EP's convention; the in-group
 // AllGather/ReduceScatter traffic carries the ring factor (g-1)/g,

@@ -44,51 +44,37 @@ func allocRanks(p, n int) [][]float64 {
 	return out
 }
 
-// tiles addresses every rank's AlltoAll endpoint as a list of p·k tiles of
-// elems elements each: tile d·k+j is the j-th tile the rank exchanges with
-// peer d. A dense rank buffer is the special case of consecutive tiles; a
-// block list names each tile's memory, so a collective can read and write
-// buffers that are laid out for their consumers instead of for the wire.
-type tiles struct {
-	dense [][]float64   // per rank, p·k consecutive tiles; used when lists is nil
-	lists [][][]float64 // per rank, the p·k tiles
-	elems int
-}
-
-func (t tiles) at(r, i int) []float64 {
-	if t.lists != nil {
-		return t.lists[r][i]
-	}
-	return t.dense[r][i*t.elems : (i+1)*t.elems]
-}
-
-// a2aMove is one AlltoAll over tile endpoints, restricted to the element
-// window [lo, hi) of every tile: p ranks, k tiles per peer, nodes of g. The
-// monolithic collectives are the window [0, elems) of k = 1 dense tiles;
-// the row-chunked ones (chunked.go) pass a row range's elements. Elements
-// outside the window are neither read nor written.
+// a2aMove is one AlltoAll over block endpoints (chunked.go), restricted to
+// rows [lo, hi) of every block: p ranks, k blocks of width w per peer, nodes
+// of g. Block d·k+j of a rank is the j-th block it exchanges with peer d. The
+// monolithic collectives are the one-row window of k = 1 dense blocks a whole
+// per-peer block wide; the row-chunked ones pass a row range. Rows outside
+// the window are neither read nor written.
 type a2aMove struct {
-	dst, src tiles
+	dst, src endpoint
 	p, k, g  int
+	w        int
 	lo, hi   int
 }
 
 // perPeer is the element count one rank sends one peer.
-func (m a2aMove) perPeer() int { return m.k * (m.hi - m.lo) }
+func (m a2aMove) perPeer() int { return m.k * (m.hi - m.lo) * m.w }
 
-// pack copies the window of the k tiles rank s sends to d into slot;
-// unpack lands slot in the window of the k tiles d receives from s.
+// pack copies the window of the k blocks rank s sends to d into slot;
+// unpack lands slot in the window of the k blocks d receives from s.
 func (m a2aMove) pack(slot []float64, s, d int) {
-	n := m.hi - m.lo
+	rows := m.hi - m.lo
+	n := rows * m.w
 	for j := 0; j < m.k; j++ {
-		copy(slot[j*n:(j+1)*n], m.src.at(s, d*m.k+j)[m.lo:m.hi])
+		copyRows(Tile(slot[j*n:(j+1)*n], m.w), 0, m.src.at(s, d*m.k+j), m.lo, rows)
 	}
 }
 
 func (m a2aMove) unpack(slot []float64, s, d int) {
-	n := m.hi - m.lo
+	rows := m.hi - m.lo
+	n := rows * m.w
 	for j := 0; j < m.k; j++ {
-		copy(m.dst.at(d, s*m.k+j)[m.lo:m.hi], slot[j*n:(j+1)*n])
+		copyRows(m.dst.at(d, s*m.k+j), m.lo, Tile(slot[j*n:(j+1)*n], m.w), 0, rows)
 	}
 }
 
@@ -121,15 +107,16 @@ func DirectAlltoAll(data [][]float64, gpusPerNode int) ([][]float64, Stats, erro
 	return AlltoAll(A2ADirect, data, gpusPerNode)
 }
 
-// direct moves every window straight from its source tile to its
-// destination tile: one copy per (source, destination, tile).
+// direct moves every window straight from its source block to its
+// destination block: one copy per (source, destination, block) when both
+// are contiguous, one per row otherwise.
 func (m a2aMove) direct() Stats {
 	var st Stats
 	w := world{g: m.g}
 	for s := 0; s < m.p; s++ {
 		for d := 0; d < m.p; d++ {
 			for j := 0; j < m.k; j++ {
-				copy(m.dst.at(d, s*m.k+j)[m.lo:m.hi], m.src.at(s, d*m.k+j)[m.lo:m.hi])
+				copyRows(m.dst.at(d, s*m.k+j), m.lo, m.src.at(s, d*m.k+j), m.lo, m.hi-m.lo)
 			}
 			if s != d {
 				st.add(w.sameNode(s, d), m.perPeer())
@@ -328,6 +315,7 @@ func AlltoAllInto(algo A2AAlgo, out, data [][]float64, gpusPerNode int) (Stats, 
 	if err := checkInto(out, p, b); err != nil {
 		return Stats{}, err
 	}
-	m := a2aMove{dst: tiles{dense: out, elems: b}, src: tiles{dense: data, elems: b}, p: p, k: 1, g: gpusPerNode, lo: 0, hi: b}
+	whole := BlockDims{Rows: 1, Width: b}
+	m := a2aMove{dst: endpoint{dense: out, dims: whole}, src: endpoint{dense: data, dims: whole}, p: p, k: 1, g: gpusPerNode, w: b, lo: 0, hi: 1}
 	return m.run(algo)
 }

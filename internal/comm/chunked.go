@@ -15,17 +15,99 @@ import (
 // reassembled result is byte-identical to the monolithic collective for
 // every algorithm.
 //
-// A chunk moves in place: the algorithms (alltoall.go) run on an element
-// window of their endpoints, so a row range travels straight from the
-// caller's send buffer to its receive buffer with no packed copy on either
-// side. Endpoints come in two layouts. Dense: each rank's buffer is p
-// consecutive (Rows × Width) blocks (AlltoAllRows). Block list: each rank
-// names its p·k tiles of (Rows × Width) elements individually
-// (AlltoAllTiles), which lets a caller exchange buffers laid out for their
-// consumers — internal/moe's expert-major activations and per-rank expert
-// blocks — directly.
+// It also defines the one endpoint shape every windowed collective — the
+// AlltoAll here, AllGather and ReduceScatter in gatherscatter.go — moves
+// between: each rank names its side as a list of Blocks, row-strided regions
+// of its own memory, and a collective call carries a row window of every
+// block straight from the source block to the block it lands in. There is no
+// packed copy on either side, so a caller exchanges buffers laid out for
+// their consumers — internal/moe's expert-major activations, per-rank expert
+// blocks and column shards of hidden activations — directly. The dense
+// layout of the …Rows entry points, consecutive (Rows × Width) tiles in one
+// buffer per rank, is the same implementation over blocks it never has to
+// list.
 
-// BlockDims describes the shape of each per-destination block of an
+// Block is one row-strided region of a rank's memory: row t is
+// Data[t·Stride : t·Stride+Width]. A contiguous tile has Stride == Width; a
+// column band of a wider row-major buffer has that buffer's row width as its
+// Stride and Data starting at the band's first column. Data bounds the block:
+// a row window must lie inside it.
+type Block struct {
+	Data          []float64
+	Width, Stride int
+}
+
+// Tile is a contiguous block of rows of width elements.
+func Tile(data []float64, width int) Block { return Block{Data: data, Width: width, Stride: width} }
+
+// check reports whether rows [0, rows) of b exist.
+func (b Block) check(rows int) error {
+	if b.Width < 0 || b.Stride < b.Width {
+		return fmt.Errorf("invalid block shape: width %d, stride %d", b.Width, b.Stride)
+	}
+	if b.Width > 0 && rows > 0 && (rows-1)*b.Stride+b.Width > len(b.Data) {
+		return fmt.Errorf("%d rows of width %d at stride %d need %d elements, block has %d",
+			rows, b.Width, b.Stride, (rows-1)*b.Stride+b.Width, len(b.Data))
+	}
+	return nil
+}
+
+// sameMemory reports whether a and b are one region: a collective whose
+// source and destination coincide there has nothing to move.
+func sameMemory(a, b Block) bool {
+	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0] && a.Stride == b.Stride
+}
+
+// copyRows copies n rows of src from row slo into dst from row dlo; the
+// blocks agree in width. Contiguous rows on both sides are one run.
+func copyRows(dst Block, dlo int, src Block, slo, n int) {
+	w := src.Width
+	if w == 0 || n == 0 {
+		return
+	}
+	do, so := dlo*dst.Stride, slo*src.Stride
+	if dst.Stride == w && src.Stride == w {
+		w, n = n*w, 1
+	}
+	for t := 0; t < n; t++ {
+		copy(dst.Data[do+t*dst.Stride:][:w], src.Data[so+t*src.Stride:][:w])
+	}
+}
+
+// endpoint addresses every rank's side of a collective as a list of blocks.
+// A dense rank buffer — consecutive contiguous tiles of dims — is the
+// special case that needs no list.
+type endpoint struct {
+	lists [][]Block
+	dense [][]float64 // per rank, consecutive tiles; used when lists is nil
+	dims  BlockDims   // the dense tile shape
+}
+
+func (e endpoint) at(r, i int) Block {
+	if e.lists != nil {
+		return e.lists[r][i]
+	}
+	n := e.dims.Elems()
+	return Tile(e.dense[r][i*n:(i+1)*n], e.dims.Width)
+}
+
+// checkLists checks that every rank of a block-list endpoint names n blocks
+// whose rows [0, rows) exist.
+func checkLists(what string, lists [][]Block, n, rows int) error {
+	for r, list := range lists {
+		if len(list) != n {
+			return fmt.Errorf("comm: %s rank %d lists %d blocks, want %d", what, r, len(list), n)
+		}
+		for i, b := range list {
+			if err := b.check(rows); err != nil {
+				return fmt.Errorf("comm: %s rank %d block %d: %w", what, r, i, err)
+			}
+		}
+	}
+	return nil
+}
+
+// BlockDims describes the shape of each per-destination block of a dense
 // AlltoAll buffer: Rows token rows of Width elements. Every rank's buffer
 // is p consecutive such blocks (block d destined to rank d), exactly the
 // layout DirectAlltoAll &co. validate via blockView.
@@ -56,21 +138,6 @@ func (d BlockDims) validate(data [][]float64) (int, error) {
 func (d BlockDims) checkRange(rr RowRange) error {
 	if rr.Lo < 0 || rr.Hi < rr.Lo || rr.Hi > d.Rows {
 		return fmt.Errorf("comm: row range [%d,%d) outside block of %d rows", rr.Lo, rr.Hi, d.Rows)
-	}
-	return nil
-}
-
-// checkTiles checks that every rank lists n tiles of the block shape.
-func (d BlockDims) checkTiles(lists [][][]float64, n int) error {
-	for r, list := range lists {
-		if len(list) != n {
-			return fmt.Errorf("comm: rank %d lists %d tiles, want %d", r, len(list), n)
-		}
-		for i, t := range list {
-			if len(t) != d.Elems() {
-				return fmt.Errorf("comm: rank %d tile %d has %d elements, dims say %dx%d", r, i, len(t), d.Rows, d.Width)
-			}
-		}
 	}
 	return nil
 }
@@ -123,46 +190,53 @@ func AlltoAllRows(algo A2AAlgo, data, out [][]float64, gpusPerNode int, dims Blo
 	if err := dims.checkRange(rr); err != nil || rr.Len() == 0 {
 		return Stats{}, err
 	}
-	w := dims.Width
-	m := a2aMove{dst: tiles{dense: out, elems: b}, src: tiles{dense: data, elems: b}, p: p, k: 1, g: gpusPerNode, lo: rr.Lo * w, hi: rr.Hi * w}
+	m := a2aMove{dst: endpoint{dense: out, dims: dims}, src: endpoint{dense: data, dims: dims}, p: p, k: 1, g: gpusPerNode, w: dims.Width, lo: rr.Lo, hi: rr.Hi}
 	return m.run(algo)
 }
 
-// AlltoAllTiles is AlltoAllRows over block-list endpoints: send[r] and
-// recv[r] list rank r's p·k tiles of dims.Rows × dims.Width elements, tile
-// d·k+j being the j-th tile exchanged with peer d, wherever each tile
-// lives. Rows rr of send[s][d·k+j] land in rows rr of recv[d][s·k+j] — the
-// dense layout with k·dims.Width wide blocks is the special case of
-// consecutive tiles, and the Stats are that layout's. A caller whose
-// buffers already tile this way (an expert-major activation buffer and the
-// per-rank expert blocks) exchanges them with no wire copy on either side.
-// Send and receive tiles must not overlap.
-func AlltoAllTiles(algo A2AAlgo, send, recv [][][]float64, gpusPerNode int, dims BlockDims, rr RowRange) (Stats, error) {
+// AlltoAllBlocks is AlltoAllRows over block-list endpoints: send[r] and
+// recv[r] list rank r's p·k blocks, block d·k+j being the j-th block
+// exchanged with peer d, wherever each lives. Rows rr of send[s][d·k+j] land
+// in rows rr of recv[d][s·k+j]; every block has one width. The dense layout
+// with k·width wide blocks is the special case of consecutive tiles, and the
+// Stats are that layout's. Send and receive blocks must not overlap. guard,
+// when non-nil, runs before the first byte moves (see Guard).
+func AlltoAllBlocks(guard Guard, algo A2AAlgo, send, recv [][]Block, gpusPerNode int, rr RowRange) (Stats, error) {
+	if err := guard.check(); err != nil {
+		return Stats{}, err
+	}
 	p := len(send)
 	if p == 0 {
 		return Stats{}, fmt.Errorf("comm: no ranks")
 	}
-	if dims.Rows <= 0 || dims.Width <= 0 {
-		return Stats{}, fmt.Errorf("comm: invalid block dims %dx%d", dims.Rows, dims.Width)
-	}
 	if len(recv) != p {
-		return Stats{}, fmt.Errorf("comm: tiled alltoall has %d receiving ranks, want %d", len(recv), p)
+		return Stats{}, fmt.Errorf("comm: block alltoall has %d receiving ranks, want %d", len(recv), p)
 	}
 	n := len(send[0])
 	if n == 0 || n%p != 0 {
-		return Stats{}, fmt.Errorf("comm: %d tiles per rank not divisible across %d ranks", n, p)
+		return Stats{}, fmt.Errorf("comm: %d blocks per rank not divisible across %d ranks", n, p)
 	}
-	if err := dims.checkTiles(send, n); err != nil {
+	if rr.Lo < 0 || rr.Hi < rr.Lo {
+		return Stats{}, fmt.Errorf("comm: invalid row range [%d,%d)", rr.Lo, rr.Hi)
+	}
+	if err := checkLists("alltoall send", send, n, rr.Hi); err != nil {
 		return Stats{}, err
 	}
-	if err := dims.checkTiles(recv, n); err != nil {
+	if err := checkLists("alltoall receive", recv, n, rr.Hi); err != nil {
 		return Stats{}, err
 	}
-	if err := dims.checkRange(rr); err != nil || rr.Len() == 0 {
-		return Stats{}, err
+	w := send[0][0].Width
+	for r := 0; r < p; r++ {
+		for i := 0; i < n; i++ {
+			if send[r][i].Width != w || recv[r][i].Width != w || w == 0 {
+				return Stats{}, fmt.Errorf("comm: alltoall rank %d block %d is %d/%d wide, want one positive width (%d)", r, i, send[r][i].Width, recv[r][i].Width, w)
+			}
+		}
 	}
-	w := dims.Width
-	m := a2aMove{dst: tiles{lists: recv}, src: tiles{lists: send}, p: p, k: n / p, g: gpusPerNode, lo: rr.Lo * w, hi: rr.Hi * w}
+	if rr.Len() == 0 {
+		return Stats{}, nil
+	}
+	m := a2aMove{dst: endpoint{lists: recv}, src: endpoint{lists: send}, p: p, k: n / p, g: gpusPerNode, w: w, lo: rr.Lo, hi: rr.Hi}
 	return m.run(algo)
 }
 

@@ -7,9 +7,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestRingIntoVariantsMatchAllocating: the Into variants of the ring
-// AllGather/ReduceScatter and of the three AlltoAll algorithms move the
-// same bytes and report the same Stats as their allocating originals.
+// TestRingIntoVariantsMatchAllocating: the caller-owned-destination forms —
+// the whole-block window of AllGatherRows/ReduceScatterRows and AlltoAllInto
+// for the three AlltoAll algorithms — move the same bytes and report the
+// same Stats as the allocating originals.
 func TestRingIntoVariantsMatchAllocating(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
@@ -27,7 +28,7 @@ func TestRingIntoVariantsMatchAllocating(t *testing.T) {
 		for i := range gotAG {
 			gotAG[i] = make([]float64, n*p)
 		}
-		stAG2, err := RingAllGatherInto(gotAG, data, g)
+		stAG2, err := AllGatherRows(data, gotAG, g, BlockDims{Rows: 1, Width: n}, RowRange{Lo: 0, Hi: 1})
 		if err != nil || stAG != stAG2 || !worldsEqual(wantAG, gotAG) {
 			return false
 		}
@@ -40,7 +41,7 @@ func TestRingIntoVariantsMatchAllocating(t *testing.T) {
 		for i := range gotRS {
 			gotRS[i] = make([]float64, n/p)
 		}
-		stRS2, err := RingReduceScatterInto(gotRS, data, g)
+		stRS2, err := ReduceScatterRows(data, gotRS, g, BlockDims{Rows: 1, Width: n / p}, RowRange{Lo: 0, Hi: 1})
 		if err != nil || stRS != stRS2 || !worldsEqual(wantRS, gotRS) {
 			return false
 		}
@@ -79,9 +80,14 @@ func TestChunkedAllGatherBitIdentical(t *testing.T) {
 	}
 	dims := BlockDims{Rows: rows, Width: width}
 	for _, chunks := range []int{1, 2, 3, 4, 6, 9} {
-		got, st, err := ChunkedAllGather(data, 2, dims, chunks, nil)
-		if err != nil {
-			t.Fatal(err)
+		got := nanBuffers(p, p*dims.Elems())
+		var st Stats
+		for _, rr := range SplitRows(rows, chunks) {
+			cst, err := AllGatherRows(data, got, 2, dims, rr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Merge(cst)
 		}
 		if !worldsEqual(want, got) {
 			t.Fatalf("chunks=%d: chunked allgather differs from monolithic", chunks)
@@ -106,9 +112,14 @@ func TestChunkedReduceScatterBitIdentical(t *testing.T) {
 	}
 	dims := BlockDims{Rows: rows, Width: width}
 	for _, chunks := range []int{1, 2, 3, 5, 8} {
-		got, st, err := ChunkedReduceScatter(data, 2, dims, chunks, nil)
-		if err != nil {
-			t.Fatal(err)
+		got := nanBuffers(p, dims.Elems())
+		var st Stats
+		for _, rr := range SplitRows(rows, chunks) {
+			cst, err := ReduceScatterRows(data, got, 2, dims, rr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Merge(cst)
 		}
 		if !worldsEqual(want, got) {
 			t.Fatalf("chunks=%d: chunked reduce-scatter differs from monolithic", chunks)
@@ -203,11 +214,5 @@ func TestGatherScatterRowsErrors(t *testing.T) {
 	}
 	if _, err := ReduceScatterRows(nil, nil, 0, dims, rr); err == nil {
 		t.Fatal("empty world must fail")
-	}
-	if _, err := RingAllGatherInto(good, good, 0); err == nil {
-		t.Fatal("undersized RingAllGatherInto destination must fail")
-	}
-	if _, err := RingReduceScatterInto(good, good, 0); err == nil {
-		t.Fatal("oversized RingReduceScatterInto destination must fail")
 	}
 }

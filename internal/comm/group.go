@@ -2,19 +2,20 @@ package comm
 
 import "fmt"
 
-// This file adds group-scoped entry points to the collectives: the same
-// algorithms restricted to an arbitrary subset of the global ranks — the
-// communication substrate of the hybrid EP×ESP strategy (§4's generalized
-// MoE layer), where dispatch AlltoAll runs *between* expert-sharding
-// groups while AllGather/ReduceScatter run *within* each group.
+// This file holds the group-scoped dense entry points: the same algorithms
+// restricted to an arbitrary subset of the global ranks. A group is a list
+// of distinct global rank ids. Buffers are passed as the full
+// per-global-rank slices; a group call touches only the members' entries
+// and is byte-identical to running the monolithic collective on just those
+// ranks (the sub-slices alias the caller's buffers, so nothing is copied to
+// restrict the scope). Stats locality is evaluated on group-local indices
+// against gpusPerNode — callers model the subset's node shape, exactly as
+// the monolithic collectives model the global one.
 //
-// A group is a list of distinct global rank ids. Buffers are passed as the
-// full per-global-rank slices; a group call touches only the members'
-// entries and is byte-identical to running the monolithic collective on
-// just those ranks (the sub-slices alias the caller's buffers, so nothing
-// is copied to restrict the scope). Stats locality is evaluated on
-// group-local indices against gpusPerNode — callers model the subset's
-// node shape, exactly as the monolithic collectives model the global one.
+// With block endpoints a group is just which lists the caller passes, so
+// internal/moe's in-group and between-group collectives (§4's generalized
+// MoE layer) need none of this; the repository benchmark's probes are what
+// call these forms.
 
 // checkGroup validates a rank subset against the buffer count n: at least
 // one member, every id in [0, n), no duplicates.
@@ -79,50 +80,4 @@ func GroupAllGatherRows(group []int, data, out [][]float64, gpusPerNode int, dim
 		return Stats{}, err
 	}
 	return AllGatherRows(sub, subOut, gpusPerNode, dims, rr)
-}
-
-// GroupReduceScatterRows runs ReduceScatterRows among the ranks of group:
-// data[group[k]] carries len(group) partial segments and out[group[k]]
-// receives rows rr of the elementwise-summed segment k.
-func GroupReduceScatterRows(group []int, data, out [][]float64, gpusPerNode int, dims BlockDims, rr RowRange) (Stats, error) {
-	sub, err := groupSlices(data, group)
-	if err != nil {
-		return Stats{}, err
-	}
-	subOut, err := groupSlices(out, group)
-	if err != nil {
-		return Stats{}, err
-	}
-	return ReduceScatterRows(sub, subOut, gpusPerNode, dims, rr)
-}
-
-// GroupRingAllGatherInto runs RingAllGatherInto among the ranks of group:
-// out[group[k]] (len(group)·n elements) receives the members'
-// concatenated blocks in group order.
-func GroupRingAllGatherInto(group []int, out, data [][]float64, gpusPerNode int) (Stats, error) {
-	sub, err := groupSlices(data, group)
-	if err != nil {
-		return Stats{}, err
-	}
-	subOut, err := groupSlices(out, group)
-	if err != nil {
-		return Stats{}, err
-	}
-	return RingAllGatherInto(subOut, sub, gpusPerNode)
-}
-
-// GroupRingReduceScatterInto runs RingReduceScatterInto among the ranks of
-// group: out[group[k]] (n/len(group) elements) receives segment k of the
-// members' elementwise sum, with exactly the monolithic ring's addition
-// order per element.
-func GroupRingReduceScatterInto(group []int, out, data [][]float64, gpusPerNode int) (Stats, error) {
-	sub, err := groupSlices(data, group)
-	if err != nil {
-		return Stats{}, err
-	}
-	subOut, err := groupSlices(out, group)
-	if err != nil {
-		return Stats{}, err
-	}
-	return RingReduceScatterInto(subOut, sub, gpusPerNode)
 }

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/xrand"
@@ -118,64 +117,6 @@ func TestGroupCollectivesMatchMonolithic(t *testing.T) {
 					}
 					checkOthers("GroupAllGatherRows", snap, data)
 				}
-
-				// ReduceScatterRows over the subset, tiled. Summation order
-				// must match the monolithic ring exactly (bitwise, not just
-				// numerically).
-				{
-					data := randWorld(r, n, p*blk)
-					snap := cloneWorld(data)
-					out := randWorld(r, n, blk)
-					wantOut := cloneWorld(sub(out))
-					for _, rr := range SplitRows(dims.Rows, chunks) {
-						if _, err := GroupReduceScatterRows(group, data, out, p, dims, rr); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if _, err := ReduceScatterRows(cloneWorld(sub(snap)), wantOut, p, dims, RowRange{0, dims.Rows}); err != nil {
-						t.Fatal(err)
-					}
-					if !worldsEqual(sub(out), wantOut) {
-						t.Fatalf("GroupReduceScatterRows group %v chunks %d differs from monolithic", group, chunks)
-					}
-					checkOthers("GroupReduceScatterRows", snap, data)
-				}
-			}
-
-			// Ring Into variants over the subset (the hidden-exchange path).
-			{
-				data := randWorld(r, n, p*blk)
-				snap := cloneWorld(data)
-				out := randWorld(r, n, p*p*blk)
-				if _, err := GroupRingAllGatherInto(group, out, data, p); err != nil {
-					t.Fatal(err)
-				}
-				want := make([][]float64, p)
-				for i := range want {
-					want[i] = make([]float64, p*p*blk)
-				}
-				if _, err := RingAllGatherInto(want, cloneWorld(sub(snap)), p); err != nil {
-					t.Fatal(err)
-				}
-				if !worldsEqual(sub(out), want) {
-					t.Fatalf("GroupRingAllGatherInto group %v differs from monolithic", group)
-				}
-				checkOthers("GroupRingAllGatherInto", snap, data)
-
-				rsOut := randWorld(r, n, blk)
-				if _, err := GroupRingReduceScatterInto(group, rsOut, data, p); err != nil {
-					t.Fatal(err)
-				}
-				wantRS := make([][]float64, p)
-				for i := range wantRS {
-					wantRS[i] = make([]float64, blk)
-				}
-				if _, err := RingReduceScatterInto(wantRS, cloneWorld(sub(snap)), p); err != nil {
-					t.Fatal(err)
-				}
-				if !worldsEqual(sub(rsOut), wantRS) {
-					t.Fatalf("GroupRingReduceScatterInto group %v differs from monolithic", group)
-				}
 			}
 		}
 	}
@@ -191,30 +132,8 @@ func TestGroupValidation(t *testing.T) {
 		if _, err := GroupAlltoAllRows(A2ADirect, bad, data, out, 4, dims, RowRange{0, 2}); err == nil {
 			t.Fatalf("group %v must be rejected", bad)
 		}
-		if _, err := GroupRingAllGatherInto(bad, out, data, 4); err == nil {
+		if _, err := GroupAllGatherRows(bad, data, out, 4, BlockDims{Rows: 2, Width: 4}, RowRange{0, 2}); err == nil {
 			t.Fatalf("group %v must be rejected", bad)
 		}
-	}
-}
-
-// TestGroupGuarded: guard errors abort before any byte moves.
-func TestGroupGuarded(t *testing.T) {
-	r := xrand.New(47)
-	data := randWorld(r, 4, 8)
-	out := randWorld(r, 4, 8)
-	snap := cloneWorld(out)
-	boom := func() error { return errors.New("boom") }
-	group := []int{0, 2}
-	if _, err := GroupAlltoAllRowsGuarded(boom, A2ADirect, group, data, out, 4, BlockDims{Rows: 2, Width: 2}, RowRange{0, 2}); err == nil {
-		t.Fatal("guard error must propagate")
-	}
-	if _, err := GroupRingAllGatherIntoGuarded(boom, group, out, data, 4); err == nil {
-		t.Fatal("guard error must propagate")
-	}
-	if _, err := GroupRingReduceScatterIntoGuarded(boom, group, out, data, 4); err == nil {
-		t.Fatal("guard error must propagate")
-	}
-	if !worldsEqual(out, snap) {
-		t.Fatal("guarded failure touched the output buffers")
 	}
 }

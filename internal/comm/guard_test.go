@@ -48,7 +48,8 @@ func TestGuardedAbortsBeforeMutation(t *testing.T) {
 }
 
 // TestGuardedNilAndPass: nil guards and passing guards are transparent —
-// the guarded entry points produce the exact bytes of the unguarded ones.
+// the guard-taking block-endpoint collectives produce the exact bytes of the
+// dense forms, which take none.
 func TestGuardedNilAndPass(t *testing.T) {
 	pass := Guard(func() error { return nil })
 	const p, rows, width = 4, 2, 3
@@ -69,7 +70,7 @@ func TestGuardedNilAndPass(t *testing.T) {
 		for r := range got {
 			got[r] = make([]float64, p*b)
 		}
-		if _, err := AllGatherRowsGuarded(g, agData, got, 2, dims, rr); err != nil {
+		if _, err := AllGatherBlocks(g, denseBlocks(agData, 1, dims), denseBlocks(got, p, dims), 2, rr); err != nil {
 			t.Fatal(err)
 		}
 		for r := range got {
@@ -91,7 +92,7 @@ func TestGuardedNilAndPass(t *testing.T) {
 	if _, err := ReduceScatterRows(rsData, rsWant, 2, dims, rr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReduceScatterRowsGuarded(pass, rsData, rsGot, 2, dims, rr); err != nil {
+	if _, err := ReduceScatterBlocks(pass, denseBlocks(rsData, p, dims), denseBlocks(rsGot, 1, dims), 2, rr); err != nil {
 		t.Fatal(err)
 	}
 	for r := range rsGot {
@@ -107,7 +108,7 @@ func TestGuardedNilAndPass(t *testing.T) {
 // collectives — transient until the cap, then clean.
 func TestGuardFromFaultPlan(t *testing.T) {
 	fp := fault.New(fault.Spec{Seed: 5, CollectiveProb: 1, MaxTransientsPerTask: 1})
-	g := Guard(fp.Guard("intra", "AllGather", 0))
+	g := Guard(fp.Guard("intra", "AllGather", -1, 0))
 	data := randRanks(4, 4, 8)
 	if _, err := RingAllReduceChunkGuarded(g, data, 2, RowRange{Lo: 0, Hi: 8}); !fault.IsTransient(err) {
 		t.Fatalf("first attempt not transient: %v", err)

@@ -160,9 +160,10 @@ type Spec struct {
 	StragglerDelay time.Duration
 
 	// CollectiveProb is the transient-failure rate of the in-collective
-	// Guard hook (comm.*Guarded): the failure fires inside the collective
-	// call, immediately before its first byte moves. It is independent of
-	// TransientProb so task-level and comm-level injection compose.
+	// Guard hook: the failure fires inside the collective call, immediately
+	// before its first byte moves. It is independent of TransientProb so
+	// task-level and comm-level injection compose; MaxTransientsPerTask
+	// caps the two together.
 	CollectiveProb float64
 
 	// Down, when non-nil, permanently fails one rank mid-step.
@@ -251,6 +252,16 @@ func (p *Plan) Check(stream, kind, label string, taskID, attempt int) Decision {
 	if s.StragglerProb > 0 && p.roll(saltStraggler, taskID, attempt) < s.StragglerProb {
 		d.Delay = s.StragglerDelay
 	}
+	if p.transientAt(stream, kind, taskID, attempt) {
+		d.Err = NewTransient(rank, label, "injected transient failure")
+	}
+	return d
+}
+
+// transientAt reports whether Check fails this attempt of the task with an
+// injected transient.
+func (p *Plan) transientAt(stream, kind string, taskID, attempt int) bool {
+	s := &p.spec
 	prob := s.TransientProb
 	if v, ok := s.KindProb[kind]; ok && v > prob {
 		prob = v
@@ -258,27 +269,33 @@ func (p *Plan) Check(stream, kind, label string, taskID, attempt int) Decision {
 	if v, ok := s.StreamProb[stream]; ok && v > prob {
 		prob = v
 	}
-	if prob > 0 && p.underCap(attempt) && p.roll(saltTransient, taskID, attempt) < prob {
-		d.Err = NewTransient(rank, label, "injected transient failure")
-	}
-	return d
+	return prob > 0 && p.underCap(attempt) && p.roll(saltTransient, taskID, attempt) < prob
 }
 
 // Guard returns a comm-level guard for one collective operation, or nil
 // when in-collective injection is off. The guard is invoked by the
-// comm.*Guarded entry points immediately before the collective moves its
-// first byte; a returned transient error therefore aborts the collective
-// with every buffer untouched, and a retry replays it bit-safely. Each
-// invocation counts as one attempt of operation opID (callers must create
-// one guard per planned collective — the closure carries the attempt
-// counter and is driven from that collective's single stream goroutine,
-// so it needs no locking).
-func (p *Plan) Guard(stream, kind string, opID int) func() error {
+// collective immediately before it moves its first byte; a returned
+// transient error therefore aborts the collective with every buffer
+// untouched, and a retry replays it bit-safely. Each invocation counts as
+// one attempt of operation opID (callers must create one guard per planned
+// collective — the closure carries the attempt counter and is driven from
+// that collective's single stream goroutine, so it needs no locking).
+//
+// taskID names the plan task the collective runs in (negative: none, the
+// caller retries the operation itself). Check fails some of that task's
+// attempts before its body, and with it the guard, ever runs; under a
+// capped spec the guard counts those attempts as spent, so the cap bounds
+// the transients one task absorbs from both levels together and a retry
+// budget above the cap always completes it.
+func (p *Plan) Guard(stream, kind string, taskID, opID int) func() error {
 	if p == nil || p.spec.CollectiveProb <= 0 {
 		return nil
 	}
 	attempt := 0
 	return func() error {
+		for taskID >= 0 && p.spec.MaxTransientsPerTask > 0 && p.transientAt(stream, kind, taskID, attempt) {
+			attempt++
+		}
 		a := attempt
 		attempt++
 		if p.underCap(a) && p.roll(saltGuard, opID, a) < p.spec.CollectiveProb {

@@ -134,7 +134,7 @@ func TestNilAndZero(t *testing.T) {
 	if d := nilPlan.Check("inter", "AlltoAll", "D", 0, 0); d.Err != nil || d.Delay != 0 {
 		t.Fatal("nil plan injected")
 	}
-	if g := nilPlan.Guard("inter", "AlltoAll", 0); g != nil {
+	if g := nilPlan.Guard("inter", "AlltoAll", -1, 0); g != nil {
 		t.Fatal("nil plan produced a guard")
 	}
 	p := New(Spec{})
@@ -153,7 +153,7 @@ func TestNilAndZero(t *testing.T) {
 // see independent decisions.
 func TestGuard(t *testing.T) {
 	p := New(Spec{Seed: 9, CollectiveProb: 1, MaxTransientsPerTask: 2})
-	g := p.Guard("intra", "AllGather", 4)
+	g := p.Guard("intra", "AllGather", -1, 4)
 	if err := g(); !IsTransient(err) {
 		t.Fatalf("attempt 0 not failed: %v", err)
 	}
@@ -163,8 +163,24 @@ func TestGuard(t *testing.T) {
 	if err := g(); err != nil {
 		t.Fatalf("attempt 2 failed past the cap: %v", err)
 	}
-	if p2 := New(Spec{Seed: 9}); p2.Guard("intra", "AllGather", 4) != nil {
+	if p2 := New(Spec{Seed: 9}); p2.Guard("intra", "AllGather", -1, 4) != nil {
 		t.Fatal("guard produced with CollectiveProb=0")
+	}
+
+	// Inside a plan task the cap bounds both levels together: driven the way
+	// the runtime drives a task — Check first, the guard only behind a
+	// passing Check — no task absorbs more than the cap before it runs.
+	both := New(Spec{Seed: 9, TransientProb: 0.6, CollectiveProb: 0.6, MaxTransientsPerTask: 2})
+	most := 0
+	for task := 0; task < 200; task++ {
+		g, failed := both.Guard("inter", "AlltoAll", task, task), 0
+		for attempt := 0; both.Check("inter", "AlltoAll", "D", task, attempt).Err != nil || g() != nil; attempt++ {
+			failed++
+		}
+		most = max(most, failed)
+	}
+	if most != 2 {
+		t.Fatalf("a task absorbed up to %d transients, want the cap (2) reached and never passed", most)
 	}
 }
 

@@ -1,13 +1,15 @@
 package lint
 
 // guardcheck: guarded-comm discipline. PR 6's in-collective fault
-// injection reaches a collective only through the comm.*Guarded entry
-// points (the guard runs before the first byte moves, so a transient
-// failure retries bit-safely). A strategy plan-builder that calls the
-// unguarded twin compiles and passes every bit-identity test — and
-// silently opts its collective out of chaos coverage. Inside the
-// plan-builder packages, any direct call to a comm function F for which
-// comm declares FGuarded is therefore a diagnostic.
+// injection reaches a collective only through a comm.Guard (the guard runs
+// before the first byte moves, so a transient failure retries bit-safely).
+// The block-endpoint collectives take the guard as a parameter and cannot
+// be called without one; the dense forms that predate them keep a
+// …Guarded twin each, and a plan-builder that calls the unguarded twin
+// compiles and passes every bit-identity test — and silently opts its
+// collective out of chaos coverage. Inside the plan-builder packages, any
+// direct call to a comm function F that takes no Guard and for which comm
+// declares FGuarded is therefore a diagnostic.
 //
 // Deliberate exceptions (e.g. a sequential-baseline tail that receives its
 // fault injection at the task level instead) carry an explicit
@@ -19,6 +21,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -72,7 +75,7 @@ func runGuardCheck(p *Package) []Diagnostic {
 				return true
 			}
 			obj := p.Info.Uses[call.Fun.(*ast.SelectorExpr).Sel]
-			if obj == nil || obj.Pkg() == nil {
+			if obj == nil || obj.Pkg() == nil || takesGuard(obj) {
 				return true
 			}
 			twin := name
@@ -92,4 +95,20 @@ func runGuardCheck(p *Package) []Diagnostic {
 		})
 	}
 	return out
+}
+
+// takesGuard reports whether obj is a function with a comm.Guard parameter:
+// guarded by construction, whatever other names exist beside it.
+func takesGuard(obj types.Object) bool {
+	sig, ok := obj.Type().(*types.Signature)
+	if !ok {
+		return false
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		if named, ok := sig.Params().At(i).Type().(*types.Named); ok &&
+			named.Obj().Name() == "Guard" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == commPkgPath {
+			return true
+		}
+	}
+	return false
 }

@@ -24,7 +24,11 @@ func planChunk(g comm.Guard, data, out [][]float64, gpn int, dims comm.BlockDims
 		return err
 	}
 	// The guarded twin is the sanctioned path — no finding.
-	if _, err := comm.RingAllGatherIntoGuarded(g, out, data, gpn); err != nil {
+	if _, err := comm.AlltoAllRowsGuarded(g, comm.A2ADirect, data, out, gpn, dims, rr); err != nil {
+		return err
+	}
+	// A collective that takes its Guard as a parameter needs no twin.
+	if _, err := comm.AllGatherBlocks(g, blocks(data, dims), blocks(out, dims), gpn, rr); err != nil {
 		return err
 	}
 	// RingAllGather has no Guarded twin; plain helpers stay silent.
@@ -32,6 +36,15 @@ func planChunk(g comm.Guard, data, out [][]float64, gpn int, dims comm.BlockDims
 		return err
 	}
 	return nil
+}
+
+// blocks lists each rank's buffer as one contiguous block.
+func blocks(bufs [][]float64, dims comm.BlockDims) [][]comm.Block {
+	out := make([][]comm.Block, len(bufs))
+	for r, buf := range bufs {
+		out[r] = []comm.Block{comm.Tile(buf, dims.Width)}
+	}
+	return out
 }
 
 // sequentialTail is the sanctioned exception: task-level injection covers

@@ -36,10 +36,8 @@ type LayerCache struct {
 	x         *tensor.Tensor
 	routeC    *RouteCache
 	plan      *DispatchPlan
-	dispatchd *tensor.Tensor // expert inputs after dispatch, (E, T, M)
 	expertOut *tensor.Tensor // (E, T, M)
 	expCaches []ExpertCache
-	train     bool
 }
 
 // NewMOELayer validates the configuration and assembles the layer.
@@ -234,10 +232,8 @@ func (l *MOELayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *Layer
 		x:         pr.flat,
 		routeC:    pr.rc,
 		plan:      plan,
-		dispatchd: dispatched,
 		expertOut: combined,
 		expCaches: caches,
-		train:     train,
 	}
 	return y, cache, nil
 }

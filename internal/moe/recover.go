@@ -9,14 +9,12 @@ package moe
 // rank (rejoin), the restored weights of every re-placed expert travel a
 // guarded Broadcast to their new owner (the FastMoE "shadowing" /
 // FlexMoE re-placement move, driven by failure instead of routing skew),
-// and the active strategy re-emits its collective chains for the new
+// and the plan builder re-emits its collective chains for the new
 // placement on the next pass — plan construction derives entirely from
-// the world config, so no wire layout is patched in place.
-//
-// Strategy support: EP and DenseSlots recover as themselves. ESP and
-// Hybrid conservatively fall back to EP — their shard-group chains are
-// rebuilt most simply as pure expert parallelism, and the fallback is
-// bit-identical like every other strategy.
+// the world config, so nothing is patched in place. Every strategy
+// recovers as itself: a new (R′, g′) is the same builder call, with ESP at
+// g′ = R′ and Hybrid at g′ = gcd(g, R′), the widest group the old one and
+// the new rank count both admit.
 //
 // Recovery is rollback-based: parameters, step counter, collective-op
 // counter and gate RNG state all return to the snapshot point, so a
@@ -69,6 +67,9 @@ type RecoveryReport struct {
 
 	OldRanks, NewRanks       int
 	OldStrategy, NewStrategy Strategy
+	// OldGroupSize and NewGroupSize are the hybrid group widths before and
+	// after (0 unless the strategy is StrategyHybrid).
+	OldGroupSize, NewGroupSize int
 
 	// RestoredStep is the step counter the world rolled back to.
 	RestoredStep int
@@ -162,10 +163,11 @@ func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int)
 		return nil, fmt.Errorf("moe: recover: unknown mode %q (valid: %s, %s)", mode, RecoverShrink, RecoverRejoin)
 	}
 
-	// Conservative strategy fallback: shard-group strategies rebuild as EP.
-	newStrat, newGroup := w.cfg.Strategy, w.cfg.GroupSize
-	if newStrat == StrategyESP || newStrat == StrategyHybrid {
-		newStrat, newGroup = StrategyEP, 0
+	// The strategy stays; a hybrid group keeps the widest width that still
+	// divides the rank count (the sharded contract holds at every width).
+	newGroup := w.cfg.GroupSize
+	if w.cfg.Strategy == StrategyHybrid {
+		newGroup = gcd(newGroup, newR)
 	}
 	// The node shape must divide the new rank count; keep the largest
 	// valid width not exceeding the old one.
@@ -176,12 +178,9 @@ func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int)
 		}
 	}
 	newCfg := w.cfg
-	newCfg.Ranks, newCfg.Strategy, newCfg.GroupSize, newCfg.GPUsPerNode = newR, newStrat, newGroup, gpn
-	strat, err := strategyFor(newStrat)
+	newCfg.Ranks, newCfg.GroupSize, newCfg.GPUsPerNode = newR, newGroup, gpn
+	pl, err := place(w.layer, newCfg)
 	if err != nil {
-		return nil, err
-	}
-	if err := strat.Validate(w.layer, newCfg); err != nil {
 		return nil, fmt.Errorf("moe: recover: %w", err)
 	}
 
@@ -191,7 +190,8 @@ func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int)
 		OldRanks:     oldR,
 		NewRanks:     newR,
 		OldStrategy:  w.cfg.Strategy,
-		NewStrategy:  newStrat,
+		NewStrategy:  newCfg.Strategy,
+		OldGroupSize: w.GroupSize(),
 		RestoredStep: ws.Steps,
 	}
 
@@ -232,7 +232,7 @@ func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int)
 			copy(bufs[0][off:], p.W.Data())
 			off += len(p.W.Data())
 		}
-		guard := w.collGuard(recoverStream, KindBcast)
+		guard := w.collGuard(nil, recoverStream, KindBcast)
 		var st comm.Stats
 		for a := 0; ; a++ {
 			s, err := comm.BroadcastGuarded(guard, bufs, 0, gpn)
@@ -257,26 +257,33 @@ func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int)
 	w.addStats(rep.Traffic)
 
 	// Commit the new topology: swap the scoped pools to the new stream
-	// count, install the fresh strategy, drop the workspace cut for the old
-	// placement, strip the injector's down trigger (the dead rank no longer
+	// count, install the new placement, drop the workspace cut for the old
+	// one, strip the injector's down trigger (the dead rank no longer
 	// exists in the rebuilt world), and clear the health state exactly as a
 	// manual ResetHealth would.
 	for _, p := range w.computePools {
 		p.Close()
 	}
-	w.commPool.Close()
 	w.cfg = newCfg
 	w.egrp = newEgrp
-	w.strat = strat
+	w.pl = pl
 	w.ws = nil
 	w.planResources()
 	w.countGradElems()
 	w.faults = w.faults.WithoutDown()
 	w.ResetHealth()
 
+	rep.NewGroupSize = w.GroupSize()
 	rep.RecoveryMS = time.Since(t0).Seconds() * 1e3
 	w.recov = append(w.recov, rep)
 	return rep, nil
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // LastRecovery returns the most recent recovery report on this world, or

@@ -266,49 +266,78 @@ func TestWorldRecoverRejoin(t *testing.T) {
 	compareSnapshots(t, "post-rejoin", want, worldSnapshot{y: y, dx: dx, grads: snapGrads(layer)})
 }
 
-// TestWorldRecoverHybridFallsBackToEP: a hybrid EP×ESP world recovers by
-// conservatively rebuilding as pure EP on the survivors, and the fallback
-// still steps bit-identically to the sequential reference.
-func TestWorldRecoverHybridFallsBackToEP(t *testing.T) {
+// TestWorldRecoverKeepsStrategy: a sharded world recovers as itself — a
+// hybrid g=2 world at R=4 as hybrid g′ = gcd(2, 2) = 2 at R′=2, an ESP world
+// as ESP at R′=2 — and the recovered world passes bit-identically to a fresh
+// world of the same (strategy, R′, g′) restored from the same snapshot, and
+// to the sequential layer.
+func TestWorldRecoverKeepsStrategy(t *testing.T) {
 	x := tensor.RandN(xrand.New(209), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(210), 1, 96, 32)
-	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2})
-	if err != nil {
-		t.Fatal(err)
+	pass := func(label string, l *MOELayer, w *World) worldSnapshot {
+		t.Helper()
+		l.ZeroGrad()
+		y, cache, err := w.Forward(x, false)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		dx, err := w.Backward(cache, dy)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return worldSnapshot{y: y, dx: dx, grads: snapGrads(l)}
 	}
-	snap := w.Snapshot()
-	w.SetFaultPlan(fault.New(fault.Spec{Seed: 11, Down: &fault.Down{Rank: 2, Kind: KindExpert}}))
-	layer.ZeroGrad()
-	_, cache, err := w.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Backward(cache, dy); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := w.Recover(snap, RecoveryPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OldStrategy != StrategyHybrid || rep.NewStrategy != StrategyEP {
-		t.Fatalf("strategy transition = %s→%s, want hybrid→EP", rep.OldStrategy, rep.NewStrategy)
-	}
-	if rep.NewRanks != 2 || w.Ranks() != 2 || w.Strategy() != StrategyEP || w.GroupSize() != 0 {
-		t.Fatalf("fallback topology = R=%d %s g=%d, want R=2 EP g=0", w.Ranks(), w.Strategy(), w.GroupSize())
-	}
+	for _, tc := range []struct {
+		strat    Strategy
+		g, wantG int // configured, and reported after recovery
+	}{
+		{StrategyHybrid, 2, 2},
+		{StrategyESP, 0, 0},
+	} {
+		layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
+		w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: tc.strat, GroupSize: tc.g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := w.Snapshot()
+		w.SetFaultPlan(fault.New(fault.Spec{Seed: 11, Down: &fault.Down{Rank: 2, Kind: KindExpert}}))
+		pass("degraded", layer, w)
+		if w.LastDegraded() == nil {
+			t.Fatalf("%s: rank-down never fired", tc.strat)
+		}
+		rep, err := w.Recover(snap, RecoveryPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.OldStrategy != tc.strat || rep.NewStrategy != tc.strat || rep.OldGroupSize != tc.g || rep.NewGroupSize != tc.wantG {
+			t.Fatalf("reported transition = %s g=%d → %s g=%d, want %s g=%d kept at g=%d",
+				rep.OldStrategy, rep.OldGroupSize, rep.NewStrategy, rep.NewGroupSize, tc.strat, tc.g, tc.wantG)
+		}
+		if rep.NewRanks != 2 || w.Ranks() != 2 || w.Strategy() != tc.strat || w.GroupSize() != tc.wantG {
+			t.Fatalf("recovered topology = R=%d %s g=%d, want R=2 %s g=%d", w.Ranks(), w.Strategy(), w.GroupSize(), tc.strat, tc.wantG)
+		}
+		got := pass("recovered", layer, w)
 
-	want := runSequentialLayer(t, worldLayer(t, "gshard", TutelOrder{}, false, false), x, dy)
-	layer.ZeroGrad()
-	y, cache2, err := w.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
+		freshLayer := worldLayer(t, "gshard", TutelOrder{}, false, false)
+		fresh, err := NewWorld(freshLayer, WorldConfig{Ranks: 2, ChunksFwd: 2, Strategy: tc.strat, GroupSize: tc.wantG})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		compareSnapshots(t, string(tc.strat)+" recovered vs fresh", pass("fresh", freshLayer, fresh), got)
+		seqLayer := worldLayer(t, "gshard", TutelOrder{}, false, false)
+		compareSnapshots(t, string(tc.strat)+" recovered vs sequential", runSequentialLayer(t, seqLayer, x, dy), got)
+		// The recovered plans are the sharded ones, not an EP fallback's.
+		kinds := map[string]int{}
+		for _, ti := range w.LastPlan().Tasks() {
+			kinds[ti.Kind]++
+		}
+		if kinds[KindAG] == 0 || kinds[KindRS] == 0 || kinds[KindA2A] != 0 {
+			t.Fatalf("%s: recovered backward plan kinds = %v, want AllGather and ReduceScatter and no AlltoAll at g′ = R′", tc.strat, kinds)
+		}
 	}
-	dx, err := w.Backward(cache2, dy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareSnapshots(t, "post-hybrid-fallback", want, worldSnapshot{y: y, dx: dx, grads: snapGrads(layer)})
 }
 
 // TestWorldRecoverMatchesResetHealth is the residue audit: elastic

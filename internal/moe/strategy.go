@@ -2,98 +2,123 @@ package moe
 
 import (
 	"fmt"
-
-	"repro/internal/runtime"
-	"repro/internal/tensor"
 )
 
 // Strategy names a parallel execution scheme for World — the §4
 // generalized MoE layer's configuration axis made a first-class API
-// object.
+// object. Every name resolves to the same schedule (strategy_plan.go) at
+// one expert-sharding group width g: the R ranks form R/g expert-parallel
+// groups of g sharding members.
 type Strategy string
 
 const (
-	// StrategyEP is pure expert parallelism: experts are sharded E/R per
-	// rank, tokens move to their experts over r-chunked dispatch/combine
+	// StrategyEP is pure expert parallelism, g = 1: experts are sharded E/R
+	// per rank, tokens move to their experts over r-chunked dispatch/combine
 	// AlltoAll collectives on the shared inter stream, and each rank
 	// computes its expert shard whole. Hard-routing plans only.
 	StrategyEP Strategy = "ep"
-	// StrategyESP is expert-sharding parallelism: every rank participates
-	// in every expert's compute over a shard of the work, with r-chunked
-	// AllGather stages feeding the sharded GEMMs and a ReduceScatter
-	// returning each rank's slot rows, all on the shared intra stream
-	// (§4's intra-node collective stages). Hard-routing plans only;
-	// experts must implement ShardedExpert.
+	// StrategyESP is expert-sharding parallelism, g = R: every rank
+	// participates in every expert's compute over a shard of the work, with
+	// r-chunked AllGather stages feeding the sharded GEMMs and a
+	// ReduceScatter returning each rank's slot rows, all on the one group's
+	// intra stream (§4's intra-node collective stages). Hard-routing plans
+	// only; experts must implement ShardedExpert.
 	StrategyESP Strategy = "esp"
-	// StrategyDenseSlots runs dense (SoftMoE) plans through the EP
-	// pipeline chunked over expert slots instead of token rows: slots are
+	// StrategyDenseSlots runs dense (SoftMoE) plans through the g = 1
+	// schedule chunked over expert slots instead of token rows: slots are
 	// sharded across ranks, dispatch/combine AlltoAll moves slot rows, and
-	// the convex token mixing stays in the replicated gate/order stages.
-	// Dense plans only.
+	// the convex token mixing stays in the replicated gate/order stages —
+	// a plan-validation variant, not a data path of its own. Dense plans
+	// only.
 	StrategyDenseSlots Strategy = "dense-slots"
 	// StrategyHybrid is the §4 generalized configuration between the two
-	// pure endpoints: the R ranks split into R/g expert-parallel groups of
-	// g expert-sharding members (g = WorldConfig.GroupSize). Dispatch and
-	// combine AlltoAll route tokens *between* groups on the shared inter
-	// stream while AllGather/ReduceScatter and the sharded GEMM stages run
-	// *within* each group on per-group intra collective streams. GroupSize
-	// 1 degenerates to EP-shaped plans and GroupSize R to ESP-shaped ones
-	// (built by the specialized strategies, so the plans are exactly
-	// theirs). Hard-routing plans only; experts must implement
-	// ShardedExpert at every group size.
+	// pure endpoints, g = WorldConfig.GroupSize. Dispatch and combine
+	// AlltoAll route tokens *between* groups on the shared inter stream
+	// while AllGather/ReduceScatter and the sharded GEMM stages run *within*
+	// each group on per-group intra streams. GroupSize 1 is EP's plan and
+	// GroupSize R is ESP's — the same builder at the same g. Hard-routing
+	// plans only; experts must implement ShardedExpert at every group size.
 	StrategyHybrid Strategy = "hybrid"
 )
-
-// ParallelStrategy builds the executable stream plans of one parallel
-// scheme. World owns everything scheme-independent (prolog/epilog, slot
-// padding, execution, traces); a strategy owns everything between the
-// padded (E, Tpad, M) scattered buffer and the padded combined buffer —
-// wire packing, collective chains, expert compute, and the gradient-sync
-// emit points of the backward plan. One strategy instance belongs to one
-// World.
-type ParallelStrategy interface {
-	// Name identifies the scheme.
-	Name() Strategy
-	// Validate checks the layer/config pairing at NewWorld time and primes
-	// per-world state. Errors name the strategy and the unsupported
-	// combination.
-	Validate(l *MOELayer, cfg WorldConfig) error
-	// PlanCheck validates each routed dispatch plan before a pass runs.
-	PlanCheck(plan *DispatchPlan) error
-	// Chunked reports whether the fine-grained expert execution contract
-	// (ChunkedExpert or ShardedExpert) is in effect, as opposed to a
-	// whole-block fallback.
-	Chunked() bool
-	// BuildForward appends the forward schedule to p: everything that
-	// turns the padded scattered buffer into the padded combined buffer.
-	BuildForward(w *World, p *runtime.Plan, cache *WorldCache, scatPad, combinedPad *tensor.Tensor)
-	// BuildBackward appends the backward schedule to p: everything that
-	// turns the padded output gradient dpad into the padded dScattered
-	// buffer, accumulates expert parameter gradients on their owner
-	// ranks, and drives w.sync's emit points.
-	BuildBackward(w *World, p *runtime.Plan, cache *WorldCache, dpad, dScatteredPad *tensor.Tensor)
-}
-
-// strategyFor resolves a Strategy name to a fresh instance.
-func strategyFor(s Strategy) (ParallelStrategy, error) {
-	switch s {
-	case StrategyEP:
-		return &epStrategy{}, nil
-	case StrategyESP:
-		return &espStrategy{}, nil
-	case StrategyDenseSlots:
-		return &denseSlotsStrategy{}, nil
-	case StrategyHybrid:
-		return &hybridStrategy{}, nil
-	default:
-		return nil, fmt.Errorf("moe: unknown parallel strategy %q (valid: %s, %s, %s, %s)",
-			s, StrategyEP, StrategyESP, StrategyDenseSlots, StrategyHybrid)
-	}
-}
 
 // Strategies lists every built-in parallel strategy.
 func Strategies() []Strategy {
 	return []Strategy{StrategyEP, StrategyESP, StrategyDenseSlots, StrategyHybrid}
+}
+
+// placement is a Strategy resolved against a layer and a rank count: what
+// the plan builder reads instead of the name.
+type placement struct {
+	g       int             // expert-sharding group width
+	dense   bool            // routes dense (SoftMoE) plans, and only those
+	noRows  string          // why a dense plan cannot run here: it has no token rows to …
+	sharded []ShardedExpert // the layer's experts under the sharded contract; g > 1 only
+	chunked bool            // the expert stage runs chunk by chunk: always at g > 1, at g = 1 when every expert is a ChunkedExpert
+}
+
+// place validates the pairing of a layer, a strategy and a rank count at
+// NewWorld and Recover time. Errors name the strategy and the unsupported
+// combination.
+func place(l *MOELayer, cfg WorldConfig) (placement, error) {
+	var pl placement
+	needSharded := ""
+	switch cfg.Strategy {
+	case StrategyEP:
+		pl.g, pl.noRows = 1, "chunk"
+	case StrategyDenseSlots:
+		pl.g, pl.dense = 1, true
+	case StrategyESP:
+		pl.g, pl.noRows, needSharded = cfg.Ranks, "shard", "requires sharded expert compute"
+	case StrategyHybrid:
+		// GroupSize must be a divisor of the rank count inside [1, R], and
+		// the sharded contract holds at every group size, so a layer that
+		// validates at one g validates at all of them (the Algorithm-1 grid
+		// sweeps g freely, and Recover re-places at gcd(g, R′)).
+		r, g := cfg.Ranks, cfg.GroupSize
+		if g < 1 || g > r {
+			return pl, fmt.Errorf("moe: strategy %q needs GroupSize in [1, %d] (the rank count), got GroupSize=%d",
+				StrategyHybrid, r, g)
+		}
+		if r%g != 0 {
+			return pl, fmt.Errorf("moe: strategy %q needs GroupSize dividing the rank count, got %d ranks over GroupSize=%d",
+				StrategyHybrid, r, g)
+		}
+		pl.g, pl.noRows, needSharded = g, "route between groups", "requires sharded expert compute at every GroupSize"
+	default:
+		return pl, fmt.Errorf("moe: unknown parallel strategy %q (valid: %s, %s, %s, %s)",
+			cfg.Strategy, StrategyEP, StrategyESP, StrategyDenseSlots, StrategyHybrid)
+	}
+	pl.chunked = true
+	if pl.g > 1 {
+		pl.sharded = make([]ShardedExpert, len(l.cfg.Experts))
+	}
+	for e, ex := range l.cfg.Experts {
+		se, ok := ex.(ShardedExpert)
+		if !ok && needSharded != "" {
+			return pl, fmt.Errorf("moe: strategy %q %s, but expert %d (%T) does not implement ShardedExpert; whole-block experts run under strategy %q",
+				cfg.Strategy, needSharded, e, ex, StrategyEP)
+		}
+		if pl.g > 1 {
+			pl.sharded[e] = se
+		} else if _, ok := ex.(ChunkedExpert); !ok {
+			pl.chunked = false
+		}
+	}
+	return pl, nil
+}
+
+// planCheck validates each routed dispatch plan before a pass runs: the
+// routing kind must be the one the strategy moves.
+func (pl placement) planCheck(name Strategy, plan *DispatchPlan) error {
+	switch {
+	case pl.dense && !plan.IsDense():
+		return fmt.Errorf("moe: strategy %q requires a dense (SoftMoE) routing plan; hard top-k gates run under strategy %q or %q",
+			name, StrategyEP, StrategyESP)
+	case !pl.dense && plan.IsDense():
+		return fmt.Errorf("moe: strategy %q supports hard routing only (dense SoftMoE plans have no token rows to %s); dense plans run under strategy %q",
+			name, pl.noRows, StrategyDenseSlots)
+	}
+	return nil
 }
 
 // DenseRouter marks gates whose plans use dense (SoftMoE-style) routing.

@@ -10,11 +10,12 @@ import (
 
 // workspace is a world's resident token-path memory: every buffer a pass
 // moves tokens through — the padded expert-major buffers Order scatters
-// into and gathers from, the per-rank expert blocks, the strategies' wire
-// and exchange buffers, the token-major products on a stack's inner edges —
-// is a slot of it, handed out in the order the pass asks. A pass over the same shape asks
+// into and gathers from, the per-rank expert blocks and hidden exchange
+// buffers, the token-major products on a stack's inner edges — is a slot of
+// it, handed out in the order the pass asks. A pass over the same shape asks
 // for the same sizes in the same order, so a warm pass replays the slots of
-// the one before it and allocates none.
+// the one before it and allocates none — and finds the plan builder's
+// endpoint lists over them (fwd, bwd) already cut.
 //
 // Ownership: Forward checks the world's idle workspace out into the
 // WorldCache it returns; that cache's Backward takes the backward buffers
@@ -23,14 +24,18 @@ import (
 // another shape starts an empty one, so memory a live cache points at is
 // never handed out twice.
 //
-// Slots are handed out dirty — whatever the previous pass left in them.
-// Every consumer either overwrites a slot whole before reading it (Order's
-// methods, pad rows and empty slots included) or clears what it relies on
-// being zero (reduceScatterWire).
+// Slots are handed out dirty — whatever the previous pass left in them —
+// and no consumer relies on cleared memory: Order's methods overwrite a slot
+// whole, pad rows and empty slots included, and everything downstream reads
+// only rows a collective or an expert stage of the same pass wrote (a
+// member's block keeps dirty rows where its group computes nothing; no
+// endpoint list names them).
 type workspace struct {
 	shape wsShape
 	slots []wsSlot
 	next  int
+
+	fwd, bwd *passBufs // each direction's per-rank buffers and endpoint lists (strategy_plan.go)
 }
 
 // wsShape is everything that decides which slots a pass asks for.
@@ -67,8 +72,13 @@ func (ws *workspace) take(n int) *wsSlot {
 	return s
 }
 
-// floats returns the next slot as n elements.
-func (ws *workspace) floats(n int) []float64 { return ws.take(n).data }
+// retake hands out again, as they are, the slots from the next one up to
+// slot to: buffers whose views the caller kept from the pass that cut them.
+func (ws *workspace) retake(to int) {
+	for ws.next < to {
+		ws.take(len(ws.slots[ws.next].data))
+	}
+}
 
 // tensor returns the next slot as a tensor of the given shape.
 func (ws *workspace) tensor(shape ...int) *tensor.Tensor {
@@ -91,15 +101,6 @@ func (ws *workspace) tokens(inner bool, n, m int) *tensor.Tensor {
 		return ws.tensor(n, m)
 	}
 	return tensor.New(n, m)
-}
-
-// perRank returns one n-element slot per rank.
-func (ws *workspace) perRank(ranks, n int) [][]float64 {
-	out := make([][]float64, ranks)
-	for r := range out {
-		out[r] = ws.floats(n)
-	}
-	return out
 }
 
 // blocks returns one tensor slot of the given shape per rank.
@@ -136,19 +137,4 @@ func (w *World) release(cache *WorldCache) {
 	if cache.ws != nil {
 		w.ws, cache.ws = cache.ws, nil
 	}
-}
-
-// reduceScatterWire returns the sharded strategies' per-rank ReduceScatter
-// inputs: group segments of seg elements each, of which rank j's packs fill
-// only segment j mod group. The ring sums the group's copies of a segment,
-// so the other segments are cleared — every summed element keeps exactly
-// one non-zero contributor.
-func reduceScatterWire(ws *workspace, ranks, group, seg int) [][]float64 {
-	wire := ws.perRank(ranks, group*seg)
-	for j, buf := range wire {
-		own := j % group
-		clear(buf[:own*seg])
-		clear(buf[(own+1)*seg:])
-	}
-	return wire
 }

@@ -24,39 +24,39 @@ import (
 // (§4.1). World itself owns only what every parallel scheme shares: the
 // gate/order prolog and epilog, the padded slot layout, plan execution and
 // trace capture. How the layer's work is split across ranks — which collectives
-// move what, on which streams, interleaved how — is delegated entirely to
-// a ParallelStrategy (strategy.go): pure expert parallelism (EP), sharded
-// expert compute with AllGather/ReduceScatter stages (ESP), or the dense
-// slot-chunked SoftMoE scheme (DenseSlots).
+// move what, on which streams, interleaved how — is the one plan builder's
+// business (strategy_plan.go), which reads the configured Strategy as an
+// expert-sharding group width: pure expert parallelism (EP, DenseSlots),
+// sharded expert compute with AllGather/ReduceScatter stages (ESP), or
+// groups of sharding members between the two (Hybrid).
 //
 // Data layout: the gate and order run once on the global batch (they are
 // replicated in expert-parallel training); the resulting (E, T, M)
 // expert-major tensor is sharded by slot rows — rank i owns rows
 // [i·S, (i+1)·S) of every expert's block, S = ⌈T/R⌉. What happens to those
-// shards from there is the strategy's business; every strategy is
+// shards from there is the builder's business; every strategy is
 // bit-identical to MOELayer.Forward/Backward at any (R, r).
 type World struct {
 	layer *MOELayer
 	cfg   WorldConfig
-	egrp  int // experts per rank (expert-sharding owner groups)
-	strat ParallelStrategy
+	egrp  int       // experts per rank (expert-sharding owner groups)
+	pl    placement // cfg.Strategy resolved against the layer and rank count
 
 	// Resource governance: the planned worker split across live streams.
 	// Each rank's compute stream owns a scoped tensor pool of
 	// computeWorkers workers and runs on an OS-thread-pinned goroutine;
-	// the communication streams (pack/unpack staging) share one small
-	// commPool. scoped=false falls back to the process-default pool
-	// everywhere — the oversubscription baseline benchmarks compare
-	// against.
+	// the communication streams run their copies inline, so commWorkers is
+	// only the binding they report. scoped=false falls back to the
+	// process-default pool everywhere — the oversubscription baseline
+	// benchmarks compare against.
 	scoped         bool
 	computeWorkers int
 	commWorkers    int
 	computePools   []*tensor.Pool
-	commPool       *tensor.Pool
 
-	// Stream names, built once beside the pools: per rank compute:<r> and
-	// intra:<r>, per hybrid group intra:g<G>.
-	computeStreams, intraStreams, groupStreams []string
+	// Stream names, built once beside the pools: per rank compute:<r>, per
+	// expert-sharding group intra:g<G>.
+	computeStreams, groupStreams []string
 
 	// ws is the idle token-path workspace (workspace.go): nil until the
 	// first backward hands one back and while a forward cache holds it.
@@ -199,14 +199,11 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 	if layer.seqExperts {
 		return nil, fmt.Errorf("moe: world requires provably distinct expert instances (aliased experts cannot be sharded)")
 	}
-	strat, err := strategyFor(cfg.Strategy)
+	pl, err := place(layer, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := strat.Validate(layer, cfg); err != nil {
-		return nil, err
-	}
-	w := &World{layer: layer, cfg: cfg, egrp: e / cfg.Ranks, strat: strat, scoped: true, down: -1}
+	w := &World{layer: layer, cfg: cfg, egrp: e / cfg.Ranks, pl: pl, scoped: true, down: -1}
 	// Default retry: transient collective failures get a handful of
 	// backed-off attempts; everything else fails fast. Inert until a fault
 	// plan is installed — real errors are never classified transient.
@@ -224,15 +221,13 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 
 // planResources decides the worker split across the plan's live streams
 // from the machine width at construction time: the R compute streams get
-// equal scoped pools, and the communication streams share one small
-// dedicated allotment for their staging kernels, so nothing fans out onto
-// one global queue (the Lina-style compute/comm partition, applied to
-// kernel fan-out). Note the allotment caps how wide a staging copy may
-// shard, not how many staging streams run at once — each stream still
-// executes on its own goroutine, which is the pipeline's structural
-// concurrency, not pool oversubscription. The split is a planned
-// quantity: every executed plan binds it to its streams, so the measured
-// trace reports it alongside the intervals.
+// equal scoped pools, and a small allotment is set aside for the
+// communication streams, so nothing fans out onto one global queue (the
+// Lina-style compute/comm partition, applied to kernel fan-out). A
+// collective is a chain of copies on its stream's own goroutine — the
+// pipeline's structural concurrency — so the comm allotment is reserved,
+// not pooled. The split is a planned quantity: every executed plan binds it
+// to its streams, so the measured trace reports it alongside the intervals.
 func (w *World) planResources() {
 	avail := tensor.Workers()
 	R := w.cfg.Ranks
@@ -248,14 +243,13 @@ func (w *World) planResources() {
 	for j := range w.computePools {
 		w.computePools[j] = tensor.NewPool(w.computeWorkers)
 	}
-	w.commPool = tensor.NewPool(w.commWorkers)
 	w.computeStreams = make([]string, R)
-	w.intraStreams = make([]string, R)
-	w.groupStreams = make([]string, R)
-	for r := 0; r < R; r++ {
+	w.groupStreams = make([]string, R/w.pl.g)
+	for r := range w.computeStreams {
 		w.computeStreams[r] = fmt.Sprintf("compute:%d", r)
-		w.intraStreams[r] = fmt.Sprintf("intra:%d", r)
-		w.groupStreams[r] = fmt.Sprintf("intra:g%d", r)
+	}
+	for g := range w.groupStreams {
+		w.groupStreams[g] = fmt.Sprintf("intra:g%d", g)
 	}
 }
 
@@ -268,20 +262,11 @@ func (w *World) computePool(j int) *tensor.Pool {
 	return w.computePools[j]
 }
 
-// stagingPool returns the shared communication-staging pool (nil when
-// scoped pools are disabled).
-func (w *World) stagingPool() *tensor.Pool {
-	if !w.scoped {
-		return nil
-	}
-	return w.commPool
-}
-
 // SetScopedPools toggles resource governance: true (the default) backs
-// each compute stream with its own scoped worker pool, pins compute-stream
-// goroutines to OS threads and routes staging through the small comm
-// allotment; false reverts every kernel to the process-default pool with
-// unpinned streams — the oversubscription baseline. Results are identical
+// each compute stream with its own scoped worker pool and pins
+// compute-stream goroutines to OS threads; false reverts every kernel to
+// the process-default pool with unpinned streams — the oversubscription
+// baseline. Results are identical
 // either way. Takes effect from the next Forward (a forward/backward pair
 // must run under one setting: the pools are threaded into the forward
 // caches).
@@ -309,15 +294,13 @@ func (w *World) Close() error {
 	for _, p := range w.computePools {
 		p.Close()
 	}
-	w.commPool.Close()
 	w.ws = nil
 	return nil
 }
 
 // bindStreams records the resource plan on an executable plan: every live
 // compute stream is pinned with its scoped worker share; everything else
-// (the AlltoAll/AG/RS chains and the per-rank staging streams) carries the
-// comm allotment.
+// (the AlltoAll/AG/RS chains) carries the comm allotment.
 func (w *World) bindStreams(p *runtime.Plan) {
 	if !w.scoped {
 		return
@@ -336,10 +319,10 @@ func (w *World) bindStreams(p *runtime.Plan) {
 // whole-block expert compute per rank, with the communication still
 // chunked).
 func (w *World) Ranks() int    { return w.cfg.Ranks }
-func (w *World) Chunked() bool { return w.strat.Chunked() }
+func (w *World) Chunked() bool { return w.pl.chunked }
 
 // Strategy returns the parallel scheme in effect.
-func (w *World) Strategy() Strategy { return w.strat.Name() }
+func (w *World) Strategy() Strategy { return w.cfg.Strategy }
 
 // Degrees returns the configured forward and backward pipeline degrees.
 func (w *World) Degrees() (fwd, bwd int) { return w.cfg.ChunksFwd, w.cfg.ChunksBwd }
@@ -354,7 +337,7 @@ func (w *World) Steps() int { return w.steps }
 // GroupSize returns the hybrid EP-group size in effect (0 unless the
 // strategy is StrategyHybrid).
 func (w *World) GroupSize() int {
-	if w.strat.Name() != StrategyHybrid {
+	if w.cfg.Strategy != StrategyHybrid {
 		return 0
 	}
 	return w.cfg.GroupSize
@@ -421,31 +404,34 @@ func (w *World) ResetHealth() {
 // or nil if the pass ran at full strength.
 func (w *World) LastDegraded() *DegradedResult { return w.degraded }
 
-// collGuard mints the fault-injection guard for the next planned
-// collective on stream. Guards are created at plan-build time with a
-// monotone operation id, so which collectives fail is a deterministic
-// function of the fault seed and the sequence of passes, independent of
-// stream interleaving. Returns nil (check nothing) when injection is off.
-func (w *World) collGuard(stream, kind string) comm.Guard {
+// collGuard mints the fault-injection guard for the collective of the task
+// about to be added to p (nil: an operation outside any plan, retried by its
+// caller). Guards are created at plan-build time with a monotone operation
+// id, so which collectives fail is a deterministic function of the fault
+// seed and the sequence of passes, independent of stream interleaving.
+// Returns nil (check nothing) when injection is off.
+func (w *World) collGuard(p *runtime.Plan, stream, kind string) comm.Guard {
 	if w.faults == nil {
 		return nil
 	}
-	id := w.collOps
+	id, task := w.collOps, -1
 	w.collOps++
-	return comm.Guard(w.faults.Guard(stream, kind, id))
+	if p != nil {
+		task = p.Len()
+	}
+	return comm.Guard(w.faults.Guard(stream, kind, task, id))
 }
 
-// WorldCache carries a forward pass's state to Backward. The strategy
-// that built the forward plan owns sc. The cache holds the world's
-// workspace: scattered, combined and everything sc points at are
-// world-owned memory, valid until this cache's Backward returns.
+// WorldCache carries a forward pass's state to Backward. The cache holds
+// the world's workspace: scattered, combined and everything experts points
+// at are world-owned memory, valid until this cache's Backward returns.
 type WorldCache struct {
 	pr         *forwardProlog
 	spad, tpad int
 	ws         *workspace     // checked out by Forward, handed back by Backward
 	scattered  *tensor.Tensor // (E, Tpad, M), the sequential layer's expert inputs
 	combined   *tensor.Tensor // (E, Tpad, M), the sequential layer's expertOut in rows [0, T) of each block
-	sc         any            // strategy-private forward state
+	experts    [][]any        // [rank][expert of its group] forward state (see BuildForward)
 	deg        *degradedState // non-nil when the forward ran degraded
 }
 
@@ -457,17 +443,7 @@ const (
 	KindAG     = sim.KindAllGather
 	KindRS     = sim.KindReduceScatter
 	KindExpert = sim.KindExperts
-	KindPack   = sim.KindPack // wire-layout (un)packing, the local Order work
 )
-
-// streams for rank r and hybrid group g; collStream serializes a
-// strategy's intra-node collectives (the AG/RS stream of §4's inter/intra
-// co-scheduling).
-func (w *World) intraStream(r int) string     { return w.intraStreams[r] }
-func (w *World) computeStream(r int) string   { return w.computeStreams[r] }
-func (w *World) groupCollStream(g int) string { return w.groupStreams[g] }
-
-const collStream = "intra"
 
 // verifyPlans gates runtime.Plan.Verify on every plan the World builds: a
 // debug flag (off by default — Verify walks the whole task table) tests
@@ -530,7 +506,7 @@ func (w *World) forward(x *tensor.Tensor, train, inner bool) (*tensor.Tensor, *W
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := w.strat.PlanCheck(pr.plan); err != nil {
+	if err := w.pl.planCheck(w.cfg.Strategy, pr.plan); err != nil {
 		return nil, nil, err
 	}
 	if w.down >= 0 {
@@ -546,14 +522,14 @@ func (w *World) forward(x *tensor.Tensor, train, inner bool) (*tensor.Tensor, *W
 	cache := &WorldCache{pr: pr, spad: spad, tpad: spad * R, ws: ws}
 
 	// Order scatters straight into the rank-divisible padded layout every
-	// strategy's transfers share (pad rows enter the pipeline as exact
-	// zeros, so they never perturb a result).
+	// transfer shares (pad rows enter the pipeline as exact zeros, so they
+	// never perturb a result).
 	cache.scattered = ws.tensor(plan.Experts, cache.tpad, mdim)
 	w.layer.cfg.Order.Scatter(cache.scattered, pr.flat, plan)
 	combined := ws.tensor(plan.Experts, cache.tpad, mdim)
 
 	p := runtime.NewPlan()
-	w.strat.BuildForward(w, p, cache, cache.scattered, combined)
+	w.BuildForward(p, cache, cache.scattered, combined)
 	w.bindStreams(p)
 	if err := w.run(p); err != nil {
 		// Every task has drained; nothing of the aborted pass is read again.
@@ -605,7 +581,7 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, inner bool) (*ten
 	dScattered := ws.tensor(plan.Experts, cache.tpad, mdim)
 
 	p := runtime.NewPlan()
-	w.strat.BuildBackward(w, p, cache, dpad, dScattered)
+	w.BuildBackward(p, cache, dpad, dScattered)
 	w.bindStreams(p)
 	if err := w.run(p); err != nil {
 		if rank, ok := fault.PermanentRank(err); ok {
@@ -626,10 +602,6 @@ func retriesIn(tr *sim.Trace) int {
 	}
 	return tr.EventCount(sim.EventRetry)
 }
-
-// expert returns rank j's el-th local expert (the expert-sharding owner
-// mapping every strategy and RankGrads share).
-func (w *World) expert(j, el int) Expert { return w.layer.cfg.Experts[j*w.egrp+el] }
 
 // gradDst is where a finish routine puts expert e's parameter gradients in
 // this pass; during a training step asking marks the expert's arena span
@@ -659,40 +631,15 @@ func (w *World) backwardWhole(e int, cache ExpertCache, dy, dx *tensor.Tensor) {
 	}
 }
 
-// addStats accumulates collective traffic. Locked: the hybrid strategy
-// runs its per-group intra collectives on concurrent streams (EP and ESP
-// serialize all measured collectives on one stream, but pay the mutex
-// anyway — it is uncontended there).
+// addStats accumulates collective traffic. Locked: the groups' intra
+// collectives run on concurrent streams (with one group, or none, every
+// measured collective is serialized on one stream and the mutex is
+// uncontended).
 func (w *World) addStats(st comm.Stats) {
 	w.statsMu.Lock()
 	w.stats.Merge(st)
 	w.statsMu.Unlock()
 }
-
-// expertEst is a structural duration estimate (MMACs) of rank j's local
-// expert group for Simulate; the realpipe workflow replaces it with
-// measured durations via SimulateWith. Per-rank summing matters when the
-// expert mix is heterogeneous.
-func (w *World) expertEst(j, rows int) float64 {
-	macs := 0.0
-	for _, ex := range w.layer.cfg.Experts[j*w.egrp : (j+1)*w.egrp] {
-		macs += ex.FwdMACs(rows)
-	}
-	return macs / 1e6
-}
-
-// allExpertEst sums the whole layer's expert estimate for rows — the
-// per-rank share of a fully sharded (ESP) stage is this divided by R.
-func (w *World) allExpertEst(rows int) float64 {
-	macs := 0.0
-	for _, ex := range w.layer.cfg.Experts {
-		macs += ex.FwdMACs(rows)
-	}
-	return macs / 1e6
-}
-
-// estElems scales an element count into the same arbitrary unit space.
-func estElems(n int) float64 { return float64(n) / 1e6 }
 
 // GradElems returns the layer's flattened gradient length and the length
 // of its leading dense (gate) prefix — the same dense/MoE split the §5

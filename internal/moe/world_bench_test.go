@@ -98,6 +98,82 @@ func BenchmarkWorldDegrees(b *testing.B) {
 	}
 }
 
+// BenchmarkWorldGrid measures one fwd+bwd pass per cell of the (group
+// width, degree) grid at R=4 — g=1 is EP's plan, g=4 ESP's, g=2 the interior
+// hybrid — plus DenseSlots over a SoftMoE gate: the sweep the CI smoke step
+// executes with -benchtime=1x. Every cell runs under resource governance
+// (per-stream scoped pools + pinned compute streams, the default); at r=2
+// each also runs against the global-pool baseline every stream used to
+// share, which on a multi-core runner the scoped variant must not lose to.
+func BenchmarkWorldGrid(b *testing.B) {
+	const m, e, h, tokens = 64, 8, 128, 512
+	type cell struct {
+		name   string
+		cfg    WorldConfig
+		global bool
+	}
+	var cells []cell
+	for _, r := range []int{1, 2, 4} {
+		row := []cell{{name: "dense-slots", cfg: WorldConfig{Strategy: StrategyDenseSlots}}}
+		for _, g := range []int{1, 2, 4} {
+			row = append(row, cell{name: fmt.Sprintf("g=%d", g), cfg: WorldConfig{Strategy: StrategyHybrid, GroupSize: g}})
+		}
+		for _, c := range row {
+			c.cfg.Ranks, c.cfg.ChunksFwd = 4, r
+			c.name = fmt.Sprintf("%s/r=%d", c.name, r)
+			cells = append(cells, c)
+			if r == 2 {
+				c.name, c.global = c.name+"/pools=global", true
+				cells = append(cells, c)
+			}
+		}
+	}
+	for _, c := range cells {
+		b.Run(c.name, func(b *testing.B) {
+			rng := xrand.New(91)
+			var g Gate
+			var err error
+			if c.cfg.Strategy == StrategyDenseSlots {
+				g, err = NewSoftMoEGate(GateConfig{Experts: e, TopK: 1, Factor: 1}, m, tokens/e, rng)
+			} else {
+				g, err = NewGShardGate(GateConfig{Experts: e, TopK: 2, Factor: 1.2}, m, rng)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			exps := make([]Expert, e)
+			for i := range exps {
+				if exps[i], err = NewGPTFFN(m, h, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+			layer, err := NewMOELayer(LayerConfig{M: m, Gate: g, Order: TutelOrder{}, Experts: exps})
+			if err != nil {
+				b.Fatal(err)
+			}
+			w, err := NewWorld(layer, c.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			w.SetScopedPools(!c.global)
+			x := tensor.RandN(xrand.New(92), 1, tokens, m)
+			dy := tensor.RandN(xrand.New(93), 1, tokens, m)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				layer.ZeroGrad()
+				_, cache, err := w.Forward(x, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := w.Backward(cache, dy); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStepTelemetryGuard measures the telemetry branch of the step
 // path in isolation — the sink scan plus the nil guard that StepWorlds
 // runs once per step when no Sink is configured. The acceptance contract

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
@@ -110,30 +111,49 @@ func TestWorldStrategiesBitIdenticalVariants(t *testing.T) {
 	}
 }
 
-// TestWorldESPNarrowHidden: more ranks than hidden columns leaves trailing
-// shard members with empty column ranges; the pass must still be exact.
+// TestWorldESPNarrowHidden: a hidden width the group does not divide leaves
+// the trailing member a short column shard, and fewer columns than members
+// leaves trailing members none at all; the pass must still be exact, under
+// ESP and inside a hybrid group.
 func TestWorldESPNarrowHidden(t *testing.T) {
-	const m, e, h = 16, 4, 2 // H=2 across R=4 members
-	rng := xrand.New(23)
-	g, err := NewGShardGate(GateConfig{Experts: e, TopK: 2, Factor: 1.25}, m, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exps := make([]Expert, e)
-	for i := range exps {
-		if exps[i], err = NewGPTFFN(m, h, rng); err != nil {
-			t.Fatal(err)
+	const m, e = 16, 4
+	for _, tc := range []struct {
+		h   int
+		cfg WorldConfig
+	}{
+		{2, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP}}, // H < g: members 2 and 3 own nothing
+		{5, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP}}, // H % g ≠ 0: shards 2, 2, 1, 0
+		{1, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2}},
+		{5, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2}},
+	} {
+		for _, mixtral := range []bool{false, true} {
+			rng := xrand.New(23)
+			g, err := NewGShardGate(GateConfig{Experts: e, TopK: 2, Factor: 1.25}, m, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exps := make([]Expert, e)
+			for i := range exps {
+				if mixtral {
+					exps[i], err = NewMixtralFFN(m, tc.h, rng)
+				} else {
+					exps[i], err = NewGPTFFN(m, tc.h, rng)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			layer, err := NewMOELayer(LayerConfig{M: m, Gate: g, Order: TutelOrder{}, Experts: exps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := tensor.RandN(xrand.New(24), 1, 32, m)
+			dy := tensor.RandN(xrand.New(25), 1, 32, m)
+			want := runSequentialLayer(t, layer, x, dy)
+			got := runWorld(t, layer, tc.cfg, x, dy, false)
+			compareSnapshots(t, fmt.Sprintf("narrow hidden %s g=%d H=%d mixtral=%v", tc.cfg.Strategy, tc.cfg.GroupSize, tc.h, mixtral), want, got)
 		}
 	}
-	layer, err := NewMOELayer(LayerConfig{M: m, Gate: g, Order: TutelOrder{}, Experts: exps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.RandN(xrand.New(24), 1, 32, m)
-	dy := tensor.RandN(xrand.New(25), 1, 32, m)
-	want := runSequentialLayer(t, layer, x, dy)
-	got := runWorld(t, layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP}, x, dy, false)
-	compareSnapshots(t, "esp-narrow-hidden", want, got)
 }
 
 // TestWorldDenseFallbackExperts: custom (non-chunked) experts run dense
@@ -207,9 +227,23 @@ func TestWorldStrategyValidation(t *testing.T) {
 	}
 }
 
+// onlyPlanStreams fails on a pack task or a stream outside the one naming
+// rule: inter, a group's intra:g<G>, a rank's compute:<r>.
+func onlyPlanStreams(t *testing.T, w *World) {
+	t.Helper()
+	for _, iv := range w.LastTrace().Intervals {
+		if iv.Task.Kind == sim.KindPack {
+			t.Fatalf("plan contains a pack task %q", iv.Task.Label)
+		}
+		if s := iv.Task.Stream; s != "inter" && !strings.HasPrefix(s, "intra:g") && !strings.HasPrefix(s, "compute:") {
+			t.Fatalf("%s task %q on stream %q, want inter, intra:g<G> or compute:<r>", iv.Task.Kind, iv.Task.Label, s)
+		}
+	}
+}
+
 // TestWorldESPTraceShape: the ESP schedule's AllGather and ReduceScatter
-// stages appear as measured tasks on the shared intra stream, and the
-// inter stream carries no AlltoAll.
+// stages appear as measured tasks on the one group's intra stream, the
+// inter stream carries no AlltoAll, and nothing is packed.
 func TestWorldESPTraceShape(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
 	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP})
@@ -222,12 +256,13 @@ func TestWorldESPTraceShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := func() map[string]int {
+		onlyPlanStreams(t, w)
 		kinds := map[string]int{}
 		for _, iv := range w.LastTrace().Intervals {
 			kinds[iv.Task.Kind]++
 			if iv.Task.Kind == KindAG || iv.Task.Kind == KindRS {
-				if iv.Task.Stream != collStream {
-					t.Fatalf("%s task on stream %q, want %q", iv.Task.Kind, iv.Task.Stream, collStream)
+				if iv.Task.Stream != "intra:g0" {
+					t.Fatalf("%s task on stream %q, want intra:g0", iv.Task.Kind, iv.Task.Stream)
 				}
 			}
 			if iv.Task.Kind == KindA2A {
@@ -377,69 +412,6 @@ func TestWorldResourceBindings(t *testing.T) {
 			if _, ok := res[s]; !ok {
 				t.Fatalf("%s: live stream %s missing from the resource report", strat, s)
 			}
-		}
-	}
-}
-
-// BenchmarkWorldStrategies measures one fwd+bwd pass per strategy at R=4,
-// r=2 — the strategy sweep the CI smoke step executes with -benchtime=1x.
-// Each strategy runs twice: with resource governance (per-stream scoped
-// pools + pinned compute streams, the default) and against the
-// global-pool baseline every stream used to share; on a multi-core runner
-// the scoped variant must not lose to the baseline.
-func BenchmarkWorldStrategies(b *testing.B) {
-	const m, e, h, tokens = 64, 8, 128, 512
-	for _, strat := range Strategies() {
-		for _, pools := range []struct {
-			name   string
-			scoped bool
-		}{{"scoped", true}, {"global", false}} {
-			b.Run(string(strat)+"/pools="+pools.name, func(b *testing.B) {
-				rng := xrand.New(91)
-				var g Gate
-				var err error
-				if strat == StrategyDenseSlots {
-					g, err = NewSoftMoEGate(GateConfig{Experts: e, TopK: 1, Factor: 1}, m, tokens/e, rng)
-				} else {
-					g, err = NewGShardGate(GateConfig{Experts: e, TopK: 2, Factor: 1.2}, m, rng)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				exps := make([]Expert, e)
-				for i := range exps {
-					if exps[i], err = NewGPTFFN(m, h, rng); err != nil {
-						b.Fatal(err)
-					}
-				}
-				layer, err := NewMOELayer(LayerConfig{M: m, Gate: g, Order: TutelOrder{}, Experts: exps})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: strat}
-				if strat == StrategyHybrid {
-					cfg.GroupSize = 2
-				}
-				w, err := NewWorld(layer, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer w.Close()
-				w.SetScopedPools(pools.scoped)
-				x := tensor.RandN(xrand.New(92), 1, tokens, m)
-				dy := tensor.RandN(xrand.New(93), 1, tokens, m)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					layer.ZeroGrad()
-					_, cache, err := w.Forward(x, false)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := w.Backward(cache, dy); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		}
 	}
 }
