@@ -206,19 +206,16 @@ func Calibrate(l *Layer, cfg CalibrateConfig) (*Calibration, error) {
 
 // supportedStrategies lists the strategies a layer can execute: dense
 // routers run DenseSlots only; hard routers run EP, plus ESP and Hybrid
-// when every expert implements the sharded contract (the hybrid sweep
+// when every expert implements the staged contract natively (the hybrid sweep
 // contributes cells only at rank counts with a proper divisor).
 func supportedStrategies(l *Layer) []Strategy {
 	if dr, ok := l.inner.Gate().(moe.DenseRouter); ok && dr.DenseRouting() {
 		return []Strategy{StrategyDenseSlots}
 	}
-	out := []Strategy{StrategyEP}
-	for _, ex := range l.inner.Experts() {
-		if _, ok := ex.(moe.ShardedExpert); !ok {
-			return out
-		}
+	if _, native := l.inner.Staged(); !native {
+		return []Strategy{StrategyEP}
 	}
-	return append(out, StrategyESP, StrategyHybrid)
+	return []Strategy{StrategyEP, StrategyESP, StrategyHybrid}
 }
 
 // calibratePass runs one forward+backward pair and hands each phase's plan

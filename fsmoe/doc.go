@@ -33,7 +33,7 @@
 //     per rank, tokens moved by r-chunked dispatch/combine AlltoAll on
 //     the shared inter stream;
 //   - StrategyESP — expert-sharding parallelism, g = R: every rank
-//     computes a shard of every expert (ShardedExpert), with chunked
+//     computes a shard of every expert (StagedExpert), with chunked
 //     AllGather and ReduceScatter stages on the one group's intra:g0
 //     stream and an empty inter stream (so §5 Gradient-AllReduce slices
 //     overlap freely);
@@ -72,7 +72,7 @@
 //
 // Migrating from the pre-strategy WorldConfig: a zero Strategy field now
 // means StrategyAuto, which behaves like the old hard-coded EP for layers
-// whose experts lack the ShardedExpert contract, but may select ESP for
+// whose experts lack the StagedExpert contract, but may select ESP for
 // the built-in GPT/Mixtral experts (results are bit-identical either way)
 // and no longer rejects SoftMoE layers — dense plans execute under
 // DenseSlots instead of failing with "world supports hard routing only".
@@ -95,10 +95,33 @@
 // — or a second PutTensor of the same tensor — silently corrupts someone
 // else's data. PutTensor ignores tensors it does not own (NewTensor
 // results, views), so releasing a tensor of unknown origin is safe; "at
-// most once" still binds for pooled ones. Custom Expert implementations may
-// implement the zero-copy fast path (moe.IntoExpert's ForwardInto and
-// BackwardInto); the layer then hands them views of its buffers instead of
-// copying per-expert blocks.
+// most once" still binds for pooled ones.
+//
+// Experts run under one execution contract, StagedExpert: Begin(PassBufs)
+// starts a pass over one (n, M) block on memory the caller owns — the
+// blocks, a hidden exchange buffer, ScratchElems of pass-private scratch, a
+// hidden-column range [Cl, Ch) and the driving stream's *WorkerPool — and
+// returns an ExpertPass whose stage methods take row integers:
+// ForwardHidden/ForwardOut, then BeginBackward(dy, dx, hidden, GradDst),
+// BackwardHidden/BackwardIn, and one full-block Finish. The sequential
+// Layer runs each expert as one range over [0, H); a World's chunks are row
+// ranges and its expert-sharding members column ranges of the same methods,
+// which is why every strategy is bit-identical to the Layer. A custom
+// expert that implements only Expert (Forward/Backward) is adapted once, at
+// NewLayer: it computes each block whole — a World still chunks its
+// communication — through one result copy, is rejected by StrategyESP and
+// StrategyHybrid, and panics if a result's shape is not its block's. This
+// contract replaced three (IntoExpert, ChunkedExpert, ShardedExpert), so
+// custom-expert signatures changed once more. To port: BeginChunked /
+// BeginSharded become Begin, with x, out, the exchange buffer, the column
+// range ([0, H) was the chunked case) and the pool in PassBufs, and with
+// what the old cache drew from GetTensor cut from PassBufs.Scratch instead,
+// so there is no DropSharded; ForwardChunk splits into ForwardHidden +
+// ForwardOut and BackwardChunk into BackwardHidden + BackwardIn, methods of
+// the pass rather than functions of an opaque cache; dy, dx, the backward
+// exchange buffer and the GradDst arrive once, in BeginBackward;
+// FinishBackward / FinishSharded are Finish(); ForwardInto/BackwardInto have
+// no successor — a whole block is the range [0, n).
 //
 // One rule runs through the extension contracts: a producer writes into a
 // destination its consumer owns, whatever it held, and returns nothing to
@@ -107,10 +130,10 @@
 // router); a custom Order's Scatter/Gather/ScatterGrad/GatherGrad take
 // their destination first and address expert-major buffers as (E, S, M)
 // with a block stride S ≥ capacity the caller chose (pad rows +0, see
-// moe.Order); BackwardInto, ChunkedExpert.FinishBackward and
-// ShardedExpert.FinishSharded take a trailing GradDst — nil means "add to
-// Param.G" as before, otherwise overwrite GradDst[i] with the gradient of
-// Params()[i].
+// moe.Order); an ExpertPass writes its stages into the PassBufs blocks and
+// its Finish puts the parameter gradients where BeginBackward's GradDst
+// says — nil means "add to Param.G", otherwise overwrite GradDst[i] with the
+// gradient of Params()[i].
 //
 // Because experts execute concurrently, a custom Expert must not share
 // mutable state (scratch buffers, RNGs, tied Param tensors) with another
@@ -137,10 +160,10 @@
 // times, and a WorldConfig carrying the resulting Calibration runs
 // StrategyAuto and the automatic pipeline degrees on those measured
 // coefficients instead of testbed constants. Migrating: nothing changes
-// unless WorldConfig.Calibration is set; custom ChunkedExpert /
-// ShardedExpert implementations must accept the new trailing *WorkerPool
-// parameter in BeginChunked/BeginSharded and route their GEMMs through it
-// (nil means the shared default pool, preserving old behavior).
+// unless WorldConfig.Calibration is set; custom StagedExpert
+// implementations must route their GEMMs through PassBufs.Pool, the
+// *WorkerPool of the stream driving the pass (nil means the shared default
+// pool).
 //
 // # Training steps and resident state
 //
@@ -164,9 +187,10 @@
 // the experts of a dead rank), then w − lr·g by the ring.
 //
 // What a step does to Param.G: nothing, for experts. StepStack neither
-// clears nor writes the gradient accumulators of experts (it would for a
-// custom Expert without the IntoExpert contract, whose Backward can only
-// add there); it clears and fills the gate's. Param.G is the destination
+// clears nor writes the gradient accumulators of experts (it does both for
+// an adapted plain Expert, whose Backward can only add there: the adapter
+// zeroes them before the call and copies them to the GradDst in Finish);
+// it clears and fills the gate's. Param.G is the destination
 // of the Forward/Backward you drive yourself, accumulating across calls
 // until Layer.ZeroGrad, and what SyncGradients collects. Param.W is
 // written by the ring as the slices complete — a layer's parameters are

@@ -239,9 +239,9 @@ func PutTensor(t *Tensor) { tensor.Put(t) }
 func SetComputeWorkers(n int) { tensor.SetWorkers(n) }
 
 // WorkerPool is a scoped tensor worker pool with a fixed width, the unit
-// of the executable World's resource governance. Custom ChunkedExpert /
-// ShardedExpert implementations receive one in BeginChunked/BeginSharded
-// and should route their GEMMs through its MatMul*Into methods; a nil
+// of the executable World's resource governance. Custom StagedExpert
+// implementations receive one in PassBufs.Pool and should route their
+// GEMMs through its MatMul*Into methods; a nil
 // *WorkerPool designates the shared default pool.
 type WorkerPool = tensor.Pool
 

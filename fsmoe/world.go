@@ -28,14 +28,20 @@ type (
 	CommStats = comm.Stats
 	// Strategy names a parallel execution scheme for the executable world.
 	Strategy = moe.Strategy
-	// ShardedExpert is the expert contract StrategyESP requires: GEMM
-	// stages sharded over hidden columns and token rows so a shard group
-	// can split one expert's compute bit-exactly (see moe.ShardedExpert).
-	// The built-in GPT and Mixtral experts implement it.
-	ShardedExpert = moe.ShardedExpert
-	// GradDst is where an expert's finish routine (FinishSharded,
-	// FinishBackward, BackwardInto) puts its parameter gradients: nil adds
-	// to Param.G, otherwise entry i is overwritten with the gradient of
+	// StagedExpert is the one execution contract every strategy drives, and
+	// the one StrategyESP and StrategyHybrid require natively: GEMM stages
+	// over a hidden-column range and over token rows, so chunks and shard
+	// groups split one expert's compute bit-exactly (see moe.StagedExpert).
+	// The built-in GPT and Mixtral experts implement it; a plain custom
+	// Expert is adapted and computes whole blocks.
+	StagedExpert = moe.StagedExpert
+	// ExpertPass is one pass of a StagedExpert: its stage methods.
+	ExpertPass = moe.ExpertPass
+	// PassBufs is the caller-owned memory StagedExpert.Begin receives.
+	PassBufs = moe.PassBufs
+	// GradDst is where an expert pass's Finish puts its parameter
+	// gradients (ExpertPass.BeginBackward receives it): nil adds to
+	// Param.G, otherwise entry i is overwritten with the gradient of
 	// Params()[i].
 	GradDst = moe.GradDst
 	// DenseRouter marks custom gates whose plans route densely
@@ -113,11 +119,11 @@ const (
 const (
 	// StrategyAuto (the zero value) picks a strategy from the layer:
 	// dense-routing gates get StrategyDenseSlots, and hard-routing layers
-	// with sharded experts run the 2-D Algorithm-1 grid over
+	// whose experts all implement StagedExpert run the 2-D Algorithm-1 grid over
 	// (group size × pipeline degree) on the testbed's performance models —
 	// the grid's g=1 edge is pure EP, its g=Ranks edge pure ESP, and an
 	// interior winner selects StrategyHybrid with that GroupSize. Layers
-	// with non-sharded experts always get StrategyEP.
+	// holding an adapted plain expert always get StrategyEP.
 	StrategyAuto Strategy = ""
 	// StrategyEP is pure expert parallelism: experts sharded across ranks,
 	// tokens moved by r-chunked dispatch/combine AlltoAll.
@@ -134,7 +140,7 @@ const (
 	// collective volume. GroupSize=1 degenerates to EP, GroupSize=Ranks
 	// to ESP (one plan builder reads the group size as data, so the edges
 	// are the pure strategies exactly). Requires every expert to implement
-	// ShardedExpert.
+	// StagedExpert.
 	StrategyHybrid = moe.StrategyHybrid
 	// StrategyDenseSlots runs dense (SoftMoE) plans through the EP
 	// pipeline chunked over expert slots instead of token rows.
@@ -305,7 +311,7 @@ func NewWorld(l *Layer, cfg WorldConfig) (*World, error) {
 }
 
 // chooseStrategy is StrategyAuto: dense routers shard over slots; hard
-// routers with non-sharded experts get EP; fully-sharded layers run the
+// routers holding an adapted plain expert get EP; natively staged layers run the
 // 2-D Algorithm-1 grid over (group size × degree), whose g=1 and g=Ranks
 // edges carry the pure EP and ESP volume sets — so the old EP-vs-ESP
 // comparison is this grid restricted to its edges, and an interior winner
@@ -319,10 +325,8 @@ func chooseStrategy(l *Layer, m core.Models, volsFor func(Strategy) (core.Volume
 	if dr, ok := l.inner.Gate().(moe.DenseRouter); ok && dr.DenseRouting() {
 		return StrategyDenseSlots, 0, degF, degB, false
 	}
-	for _, ex := range l.inner.Experts() {
-		if _, ok := ex.(moe.ShardedExpert); !ok {
-			return StrategyEP, 0, degF, degB, false
-		}
+	if _, native := l.inner.Staged(); !native {
+		return StrategyEP, 0, degF, degB, false
 	}
 	g, f, b, ok := hybridGroupPick(m, volsFor, hybridFor, ranks)
 	if !ok {
@@ -407,7 +411,7 @@ func layerVolumes(l *Layer, tokens int, strat Strategy) Volumes {
 	if k < 1 {
 		k = 1
 	}
-	experts := l.inner.Experts()
+	experts, _ := l.inner.Staged()
 	dispatched := float64(k) * effF * float64(tokens)
 	if strat == StrategyDenseSlots {
 		// Dense plans dispatch E·slotsPerExpert slot rows, independent of
@@ -427,12 +431,11 @@ func layerVolumes(l *Layer, tokens int, strat Strategy) Volumes {
 	for _, e := range experts {
 		macs += e.FwdMACs(perExpert)
 		gradBytes += e.ParamBytes()
-		if se, ok := e.(moe.ShardedExpert); ok {
-			// One Volumes set feeds both phases' degree searches, so the
-			// hidden exchange is averaged over the forward and backward
-			// band counts (Mixtral exchanges two backward bands).
-			hidden += float64(se.HiddenWidth()) * float64(se.FwdBands()+se.BwdBands()) / 2
-		}
+		// One Volumes set feeds both phases' degree searches, so the hidden
+		// exchange is averaged over the forward and backward band counts
+		// (Mixtral exchanges two backward bands; an adapted plain expert
+		// exchanges nothing).
+		hidden += float64(e.HiddenWidth()) * float64(e.FwdBands()+e.BwdBands()) / 2
 	}
 	hiddenWire := hidden / float64(len(experts)) * dispatched * workload.ActivationBytes
 	gemms := 2

@@ -248,7 +248,7 @@ func TestWorldESPRequiresShardedExperts(t *testing.T) {
 	if err == nil {
 		t.Fatal("ESP with plain custom experts must fail")
 	}
-	if !strings.Contains(err.Error(), string(StrategyESP)) || !strings.Contains(err.Error(), "ShardedExpert") {
+	if !strings.Contains(err.Error(), string(StrategyESP)) || !strings.Contains(err.Error(), "StagedExpert") {
 		t.Fatalf("error must name the strategy and the missing contract: %v", err)
 	}
 }

@@ -22,7 +22,7 @@ import (
 //   - Backward-time failure: the forward already completed at full
 //     strength, so the routing is kept and only the dead experts' slots
 //     are cleared — their gradient contribution is dropped. The surviving
-//     experts' forward caches are rebuilt from the cached dispatch and
+//     experts' forward passes are rebuilt from the cached dispatch and
 //     the backward runs sequentially. The aborted plan may have partially
 //     accumulated parameter gradients, so the layer's gradients are
 //     zeroed first (during a training step: every expert's span of the
@@ -63,7 +63,7 @@ type DegradedResult struct {
 // place of the strategy caches.
 type degradedState struct {
 	dplan  *DispatchPlan // the re-routed (or slot-cleared) plan actually executed
-	caches []ExpertCache // surviving experts' forward caches; nil for lost ones
+	passes []*blockPass  // surviving experts' forward passes; nil for lost ones
 	lo, hi int           // lost expert range [lo, hi)
 	res    *DegradedResult
 }
@@ -96,7 +96,7 @@ func (w *World) degradedForward(pr *forwardProlog, retries int, cause string) (*
 	scattered := tensor.New(e, t, mdim)
 	w.layer.cfg.Order.Scatter(scattered, pr.flat, dplan)
 	expertOut := tensor.New(e, t, mdim)
-	caches := w.forwardSurvivors(scattered, expertOut, lo, hi)
+	passes := w.forwardSurvivors(scattered, expertOut, lo, hi)
 	y := w.layer.epilog(tensor.New(pr.flat.Dim(0), mdim), expertOut, dplan, pr.shape)
 
 	res := &DegradedResult{
@@ -113,7 +113,7 @@ func (w *World) degradedForward(pr *forwardProlog, retries int, cause string) (*
 	cache := &WorldCache{
 		pr:       pr,
 		combined: expertOut,
-		deg:      &degradedState{dplan: dplan, caches: caches, lo: lo, hi: hi, res: res},
+		deg:      &degradedState{dplan: dplan, passes: passes, lo: lo, hi: hi, res: res},
 	}
 	return y, cache, nil
 }
@@ -121,15 +121,15 @@ func (w *World) degradedForward(pr *forwardProlog, retries int, cause string) (*
 // forwardSurvivors runs every expert outside the lost range [lo, hi) on its
 // live rows of in, an (E, S, M) buffer, into the (E, T, M) buffer out (a
 // dead expert's slots are empty and its block is not written), returning
-// the forward caches.
-func (w *World) forwardSurvivors(in, out *tensor.Tensor, lo, hi int) []ExpertCache {
-	caches := make([]ExpertCache, len(w.layer.cfg.Experts))
-	for j, ex := range w.layer.cfg.Experts {
+// the forward passes.
+func (w *World) forwardSurvivors(in, out *tensor.Tensor, lo, hi int) []*blockPass {
+	passes := make([]*blockPass, len(w.layer.staged))
+	for j, se := range w.layer.staged {
 		if j < lo || j >= hi {
-			caches[j] = forwardExpert(ex, slotBlock(in, j, out.Dim(1)), slotBlock(out, j, out.Dim(1)))
+			passes[j] = forwardBlock(se, slotBlock(in, j, out.Dim(1)), slotBlock(out, j, out.Dim(1)))
 		}
 	}
-	return caches
+	return passes
 }
 
 // degradedBackward runs the sequential backward paired with a degraded
@@ -155,7 +155,8 @@ func (w *World) degradedBackward(cache *WorldCache, dy *tensor.Tensor) (*tensor.
 		if j >= st.lo && j < st.hi {
 			continue // dead expert: no cache, no gradient, block stays zero
 		}
-		w.backwardWhole(j, st.caches[j], slotBlock(dExpertOut, j, t), slotBlock(dScattered, j, t))
+		st.passes[j].backward(slotBlock(dExpertOut, j, t), slotBlock(dScattered, j, t), w.gradDst(j))
+		w.wrote(j)
 	}
 	dx := tensor.New(pr.flat.Dim(0), mdim)
 	w.layer.cfg.Order.ScatterGrad(dx, dScattered, dplan)
@@ -173,7 +174,7 @@ func (w *World) degradedBackward(cache *WorldCache, dy *tensor.Tensor) (*tensor.
 // degradedBackwardRecover handles a permanent failure during a
 // full-strength backward plan: the forward completed intact, so the
 // routing is kept with the dead experts' gradient slots cleared, the
-// surviving experts' caches are rebuilt by re-running their forward from
+// surviving experts' passes are rebuilt by re-running their forward from
 // the cached dispatch, and the partially accumulated gradients of the
 // aborted plan are zeroed before the sequential backward recomputes them.
 func (w *World) degradedBackwardRecover(cache *WorldCache, dy *tensor.Tensor, retries int, cause string) (*tensor.Tensor, error) {
@@ -192,8 +193,8 @@ func (w *World) degradedBackwardRecover(cache *WorldCache, dy *tensor.Tensor, re
 		clear(w.grads.written)
 	}
 
-	// Only the caches matter; the recomputed outputs are scratch.
-	caches := w.forwardSurvivors(cache.scattered, tensor.New(dplan.Experts, dplan.Capacity, w.layer.cfg.M), lo, hi)
+	// Only the passes matter; the recomputed outputs are scratch.
+	passes := w.forwardSurvivors(cache.scattered, tensor.New(dplan.Experts, dplan.Capacity, w.layer.cfg.M), lo, hi)
 
 	res := &DegradedResult{
 		Rank:          w.down,
@@ -204,7 +205,7 @@ func (w *World) degradedBackwardRecover(cache *WorldCache, dy *tensor.Tensor, re
 		RecoveryMS:    time.Since(t0).Seconds() * 1e3,
 		Cause:         cause,
 	}
-	cache.deg = &degradedState{dplan: dplan, caches: caches, lo: lo, hi: hi, res: res}
+	cache.deg = &degradedState{dplan: dplan, passes: passes, lo: lo, hi: hi, res: res}
 	return w.degradedBackward(cache, dy)
 }
 

@@ -4,21 +4,21 @@ import (
 	"fmt"
 
 	"repro/internal/tensor"
-	"repro/internal/xrand"
 )
 
 // Expert is the compute sub-module of §3.1: a small feed-forward network
 // applied to the (T, M) token block routed to it. Implementations own their
 // parameters and gradient accumulators and provide a manual backward pass.
+// An Expert that is not also a StagedExpert is adapted to that contract once,
+// at NewMOELayer; it then computes each block whole, through a result copy.
 //
-// Concurrency contract: MOELayer invokes Forward and Backward on *different*
-// expert instances concurrently (never the same instance twice at once).
-// An implementation therefore must not share mutable state — scratch
-// buffers, RNGs, or Param tensors (e.g. tied weights) — with another
-// expert instance in the same layer unless it synchronizes access. The
-// layer detects the same instance registered at several indices and falls
-// back to sequential execution for that case, but it cannot see state
-// shared between distinct instances.
+// Concurrency contract: MOELayer runs *different* expert instances
+// concurrently (never the same instance twice at once). An implementation
+// therefore must not share mutable state — scratch buffers, RNGs, or Param
+// tensors (e.g. tied weights) — with another expert instance in the same
+// layer unless it synchronizes access. The layer detects the same instance
+// registered at several indices and falls back to sequential execution for
+// that case, but it cannot see state shared between distinct instances.
 type Expert interface {
 	Name() string
 	// Forward evaluates the expert on x (n, M) and returns the output
@@ -41,27 +41,95 @@ type Expert interface {
 // ExpertCache is the opaque forward cache an expert hands to its backward.
 type ExpertCache interface{}
 
-// IntoExpert is the zero-copy fast path an Expert may additionally
-// implement. ForwardInto writes the output into out (a view of the layer's
-// (E, T, M) buffer) and BackwardInto writes dX into dx and the parameter
-// gradients where grads says, letting MOELayer skip the per-expert copy
-// round-trips. Implementations may draw transient buffers from tensor.Get
-// and must Put them by the end of BackwardInto; both built-in experts do.
-// Custom experts that only implement Expert keep working through the
-// copying fallback.
-type IntoExpert interface {
+// StagedExpert is the one execution contract everything that runs an expert
+// drives — the sequential layer, the degraded path and every parallel
+// strategy (§3's unified Expert abstraction, §4.1's chunks, §4's expert
+// sharding). A pass over one (n, M) block is two GEMM stages around a hidden
+// exchange buffer, decomposed so that no floating-point reduction is ever
+// re-associated, which is what makes a pass bit-identical however it is
+// tiled and sharded:
+//
+//   - stage-1 GEMMs are restricted to hidden OUTPUT COLUMNS [Cl, Ch): each
+//     hidden element is one complete dot product over M, computed wholly by
+//     whoever owns its column;
+//   - the column ranges of an expert-sharding group's members concatenate,
+//     by AllGather, to the full-width exchange buffer; one member owning
+//     [0, HiddenWidth) exchanges nothing and is §4.1's chunked expert;
+//   - stage-2 GEMMs run over TOKEN ROWS: each output row is one complete
+//     accumulation over the hidden width;
+//   - every reduction over rows (weight gradients, bias column sums) waits
+//     for one full-block Finish.
+//
+// A Megatron-style k-sharded second GEMM would produce partial sums whose
+// ReduceScatter re-associates the reduction; the row-sharded form instead
+// leaves every output element with exactly one non-zero contributor, so the
+// strategies' ReduceScatter sums are exact (adding zeros never rounds).
+type StagedExpert interface {
 	Expert
-	ForwardInto(x, out *tensor.Tensor) ExpertCache
-	BackwardInto(cache ExpertCache, dy, dx *tensor.Tensor, grads GradDst)
+	// HiddenWidth is the column dimension of the exchange buffers.
+	HiddenWidth() int
+	// FwdBands and BwdBands count the stacked n-row planes of the forward
+	// and the backward exchange buffer, which share the column ranges
+	// (Mixtral's backward exchanges d(SiLU-gated) and d(up-projection)).
+	FwdBands() int
+	BwdBands() int
+	// ScratchElems is the size of PassBufs.Scratch for a pass over n rows
+	// and hidden columns [cl, ch).
+	ScratchElems(n, cl, ch int) int
+	// Begin starts one pass of one holder of the column range b.Cl, b.Ch. One
+	// expert instance is driven by g members at once under expert sharding,
+	// each through its own pass, so everything mutable is the pass's.
+	Begin(b PassBufs) ExpertPass
 }
 
-// GradDst is where a backward pass puts one expert's parameter gradients.
-// Nil is the Expert.Backward contract: they are added to each Param.G.
-// Otherwise GradDst[i] is overwritten with the gradient of Params()[i] —
-// during a training step it is the expert's span of its owner rank's
-// resident buffer, which holds last step's replica, so the gradient is
-// written where the Gradient-AllReduce reads it and nothing is zeroed
-// first or copied afterwards.
+// PassBufs is the memory of one pass, all of it the caller's — workspace
+// slots under a World, so an aborted pass leaves nothing to free. A pass
+// reads hidden columns outside its range only after the caller filled them
+// with the other members' columns.
+type PassBufs struct {
+	X, Out  *tensor.Tensor // the full (n, M) input and output blocks
+	Hidden  *tensor.Tensor // (FwdBands·n, HiddenWidth) forward exchange buffer
+	Scratch []float64      // ScratchElems(n, Cl, Ch) pass-private elements, kept to the end of the backward
+	Cl, Ch  int            // this pass's hidden-column range
+	// Pool is the worker budget of the stream driving the pass: every GEMM of
+	// every stage must fan out onto it (nil designates the process-default
+	// pool), so concurrent compute streams stay inside their planned
+	// allotments. It never changes a result.
+	Pool *tensor.Pool
+}
+
+// ExpertPass is one pass's stage methods. Rows are integers into the pass's
+// blocks; calls on one pass never run concurrently. Forward: ForwardHidden
+// calls tile [0, n) before a row's ForwardOut. Backward: BeginBackward, then
+// BackwardHidden tiles [0, n) before a row's BackwardIn; Finish runs once,
+// on one pass per expert, over fully assembled buffers. Stages may draw
+// transient buffers from tensor.Get and Put them before returning.
+type ExpertPass interface {
+	// ForwardHidden computes Hidden columns [Cl, Ch) of rows [lo, hi).
+	ForwardHidden(lo, hi int)
+	// ForwardOut computes Out rows [lo, hi) from full-width Hidden rows.
+	ForwardOut(lo, hi int)
+	// BeginBackward binds the backward's memory: the full (n, M) output
+	// gradient dy and input gradient dx, the (BwdBands·n, HiddenWidth)
+	// exchange buffer, and where Finish puts the parameter gradients.
+	BeginBackward(dy, dx, hidden *tensor.Tensor, grads GradDst)
+	// BackwardHidden computes the backward exchange buffer's columns
+	// [Cl, Ch) of rows [lo, hi) from dy — stage 2's adjoint.
+	BackwardHidden(lo, hi int)
+	// BackwardIn computes dx rows [lo, hi) from full-width exchange rows.
+	BackwardIn(lo, hi int)
+	// Finish reduces the full-block parameter gradients into grads: the same
+	// GEMMs and column sums in the same order however the pass was tiled.
+	Finish()
+}
+
+// GradDst is where a pass puts one expert's parameter gradients. Nil is the
+// Expert.Backward contract: they are added to each Param.G. Otherwise
+// GradDst[i] is overwritten with the gradient of Params()[i] — during a
+// training step it is the expert's span of its owner rank's resident
+// buffer, which holds last step's replica, so the gradient is written where
+// the Gradient-AllReduce reads it and nothing is zeroed first or copied
+// afterwards.
 type GradDst []*tensor.Tensor
 
 // weight puts the weight gradient aᵀ·b of parameter i (p) where d says.
@@ -84,217 +152,6 @@ func (d GradDst) bias(i int, p *Param, m *tensor.Tensor) {
 	addColSum(g, m)
 }
 
-// GPTFFN is the "simple" expert of Table 4: two dense layers with a GeLU,
-// y = GeLU(x·W1 + b1)·W2 + b2, as in the GPT-2/GPT-3 feed-forward block.
-type GPTFFN struct {
-	m, h           int
-	w1, b1, w2, b2 *Param
-}
-
-type gptCache struct {
-	x *tensor.Tensor // input
-	h *tensor.Tensor // pre-activation x·W1+b1
-	a *tensor.Tensor // GeLU(h)
-}
-
-// NewGPTFFN constructs an expert with embedding m and hidden size h.
-func NewGPTFFN(m, h int, rng *xrand.RNG) (*GPTFFN, error) {
-	if m <= 0 || h <= 0 {
-		return nil, fmt.Errorf("moe: GPTFFN sizes must be positive, got M=%d H=%d", m, h)
-	}
-	return &GPTFFN{
-		m: m, h: h,
-		w1: newParam("ffn.w1", tensor.Xavier(rng, m, h)),
-		b1: newParam("ffn.b1", tensor.New(h)),
-		w2: newParam("ffn.w2", tensor.Xavier(rng, h, m)),
-		b2: newParam("ffn.b2", tensor.New(m)),
-	}, nil
-}
-
-// Name implements Expert.
-func (f *GPTFFN) Name() string { return "gpt-ffn" }
-
-// Params implements Expert.
-func (f *GPTFFN) Params() []*Param { return []*Param{f.w1, f.b1, f.w2, f.b2} }
-
-// FwdMACs implements Expert: two GEMMs of n·M·H MACs each.
-func (f *GPTFFN) FwdMACs(n int) float64 { return 2 * float64(n) * float64(f.m) * float64(f.h) }
-
-// ParamBytes implements Expert (fp32).
-func (f *GPTFFN) ParamBytes() float64 {
-	return 4 * float64(2*f.m*f.h+f.h+f.m)
-}
-
-// Forward implements Expert.
-func (f *GPTFFN) Forward(x *tensor.Tensor) (*tensor.Tensor, ExpertCache) {
-	y := tensor.New(x.Dim(0), f.m)
-	c := f.ForwardInto(x, y)
-	return y, c
-}
-
-// ForwardInto implements IntoExpert. The cached h and a are pooled buffers
-// that BackwardInto releases; forward-only callers may leak them to the GC.
-func (f *GPTFFN) ForwardInto(x, out *tensor.Tensor) ExpertCache {
-	n := x.Dim(0)
-	h := tensor.GetUninit(n, f.h)
-	tensor.MatMulInto(h, x, f.w1.W)
-	tensor.AddRowVectorInPlace(h, f.b1.W)
-	a := tensor.GetUninit(n, f.h)
-	tensor.GeLUInto(a, h)
-	tensor.MatMulInto(out, a, f.w2.W)
-	tensor.AddRowVectorInPlace(out, f.b2.W)
-	return &gptCache{x: x, h: h, a: a}
-}
-
-// Backward implements Expert.
-func (f *GPTFFN) Backward(cache ExpertCache, dy *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(dy.Dim(0), f.m)
-	f.BackwardInto(cache, dy, dx, nil)
-	return dx
-}
-
-// BackwardInto implements IntoExpert.
-func (f *GPTFFN) BackwardInto(cache ExpertCache, dy, dx *tensor.Tensor, grads GradDst) {
-	c := cache.(*gptCache)
-	// y = a·W2 + b2; a = GeLU(h): fold the activation gradient into da in place.
-	da := tensor.GetUninit(dy.Dim(0), f.h)
-	tensor.MatMulT2Into(da, dy, f.w2.W)
-	hd := c.h.Data()
-	dd := da.Data()
-	for i := range dd {
-		dd[i] *= tensor.GeLUGrad(hd[i])
-	}
-	f.paramGrads(nil, c.x, c.a, da, dy, grads)
-	// h = x·W1 + b1.
-	tensor.MatMulT2Into(dx, da, f.w1.W)
-	tensor.Put(da)
-	tensor.Put(c.a)
-	tensor.Put(c.h)
-}
-
-// paramGrads is the full-block parameter-gradient reduction every backward
-// of the expert ends in — monolithic, chunked or sharded — from the input
-// x, the activation a = GeLU(x·W1 + b1), its gradient da and the output
-// gradient dy: the same GEMMs and column sums in the same accumulation
-// order, whoever assembled the buffers.
-func (f *GPTFFN) paramGrads(pool *tensor.Pool, x, a, da, dy *tensor.Tensor, grads GradDst) {
-	grads.weight(pool, 2, f.w2, a, dy)
-	grads.bias(3, f.b2, dy)
-	grads.weight(pool, 0, f.w1, x, da)
-	grads.bias(1, f.b1, da)
-}
-
-// MixtralFFN is the SwiGLU expert used by Mixtral (§3.1):
-// y = (SiLU(x·W1) ⊙ (x·W3))·W2, three matrices and no biases.
-type MixtralFFN struct {
-	m, h       int
-	w1, w2, w3 *Param
-}
-
-type mixtralCache struct {
-	x *tensor.Tensor
-	g *tensor.Tensor // x·W1 (pre-activation)
-	u *tensor.Tensor // x·W3
-	a *tensor.Tensor // SiLU(g)
-}
-
-// NewMixtralFFN constructs the expert with embedding m and hidden size h.
-func NewMixtralFFN(m, h int, rng *xrand.RNG) (*MixtralFFN, error) {
-	if m <= 0 || h <= 0 {
-		return nil, fmt.Errorf("moe: MixtralFFN sizes must be positive, got M=%d H=%d", m, h)
-	}
-	return &MixtralFFN{
-		m: m, h: h,
-		w1: newParam("ffn.w1", tensor.Xavier(rng, m, h)),
-		w2: newParam("ffn.w2", tensor.Xavier(rng, h, m)),
-		w3: newParam("ffn.w3", tensor.Xavier(rng, m, h)),
-	}, nil
-}
-
-// Name implements Expert.
-func (f *MixtralFFN) Name() string { return "mixtral-ffn" }
-
-// Params implements Expert.
-func (f *MixtralFFN) Params() []*Param { return []*Param{f.w1, f.w2, f.w3} }
-
-// FwdMACs implements Expert: three GEMMs of n·M·H MACs each.
-func (f *MixtralFFN) FwdMACs(n int) float64 { return 3 * float64(n) * float64(f.m) * float64(f.h) }
-
-// ParamBytes implements Expert (fp32).
-func (f *MixtralFFN) ParamBytes() float64 { return 4 * float64(3*f.m*f.h) }
-
-// Forward implements Expert.
-func (f *MixtralFFN) Forward(x *tensor.Tensor) (*tensor.Tensor, ExpertCache) {
-	y := tensor.New(x.Dim(0), f.m)
-	c := f.ForwardInto(x, y)
-	return y, c
-}
-
-// ForwardInto implements IntoExpert.
-func (f *MixtralFFN) ForwardInto(x, out *tensor.Tensor) ExpertCache {
-	n := x.Dim(0)
-	g := tensor.GetUninit(n, f.h)
-	tensor.MatMulInto(g, x, f.w1.W)
-	u := tensor.GetUninit(n, f.h)
-	tensor.MatMulInto(u, x, f.w3.W)
-	a := tensor.GetUninit(n, f.h)
-	tensor.SiLUInto(a, g)
-	p := tensor.GetUninit(n, f.h)
-	tensor.MulInto(p, a, u)
-	tensor.MatMulInto(out, p, f.w2.W)
-	tensor.Put(p)
-	return &mixtralCache{x: x, g: g, u: u, a: a}
-}
-
-// Backward implements Expert.
-func (f *MixtralFFN) Backward(cache ExpertCache, dy *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(dy.Dim(0), f.m)
-	f.BackwardInto(cache, dy, dx, nil)
-	return dx
-}
-
-// BackwardInto implements IntoExpert.
-func (f *MixtralFFN) BackwardInto(cache ExpertCache, dy, dx *tensor.Tensor, grads GradDst) {
-	c := cache.(*mixtralCache)
-	n := dy.Dim(0)
-	dp := tensor.GetUninit(n, f.h)
-	tensor.MatMulT2Into(dp, dy, f.w2.W)
-	da := tensor.GetUninit(n, f.h)
-	tensor.MulInto(da, dp, c.u)
-	du := tensor.GetUninit(n, f.h)
-	tensor.MulInto(du, dp, c.a)
-	// a = SiLU(g): fold the activation gradient into da in place.
-	gd := c.g.Data()
-	dd := da.Data()
-	for i := range dd {
-		dd[i] *= tensor.SiLUGrad(gd[i])
-	}
-	p := dp // reuse: dp is dead once da and du exist
-	tensor.MulInto(p, c.a, c.u)
-	f.paramGrads(nil, c.x, p, da, du, dy, grads)
-	tensor.Put(p)
-	tensor.MatMulT2Into(dx, da, f.w1.W)
-	dxu := tensor.GetUninit(n, f.m)
-	tensor.MatMulT2Into(dxu, du, f.w3.W)
-	tensor.AddInPlace(dx, dxu)
-	tensor.Put(dxu)
-	tensor.Put(da)
-	tensor.Put(du)
-	tensor.Put(c.a)
-	tensor.Put(c.g)
-	tensor.Put(c.u)
-}
-
-// paramGrads is the full-block parameter-gradient reduction every backward
-// of the expert ends in, from the input x, the gated product
-// p = SiLU(x·W1) ⊙ (x·W3), the gradients da and du of the two projections
-// and the output gradient dy (see GPTFFN.paramGrads).
-func (f *MixtralFFN) paramGrads(pool *tensor.Pool, x, p, da, du, dy *tensor.Tensor, grads GradDst) {
-	grads.weight(pool, 1, f.w2, p, dy)
-	grads.weight(pool, 0, f.w1, x, da)
-	grads.weight(pool, 2, f.w3, x, du)
-}
-
 // addColSum accumulates the column sums of m (n, d) into acc (d). It works
 // on the raw storage: the variadic At/Set accessors allocate their index
 // slice, which on the per-token bias-gradient path dominated the backward
@@ -305,5 +162,98 @@ func addColSum(acc, m *tensor.Tensor) {
 		for j, v := range m.Row(i) {
 			ad[j] += v
 		}
+	}
+}
+
+// resolveStaged lists experts under the staged contract — an expert that
+// implements it is itself, a plain Expert is adapted — and returns the index
+// of the first adapted one, -1 when there is none.
+func resolveStaged(experts []Expert) (staged []StagedExpert, plain int) {
+	staged, plain = make([]StagedExpert, len(experts)), -1
+	for e, ex := range experts {
+		se, ok := ex.(StagedExpert)
+		if !ok {
+			se = adapted{ex, e}
+			if plain < 0 {
+				plain = e
+			}
+		}
+		staged[e] = se
+	}
+	return staged, plain
+}
+
+// adapted runs a plain Expert, the one at index of its layer, under the
+// staged contract: no hidden exchange, the wrapped Forward and Backward on
+// the stage call that completes the tiling of [0, n). Its compute is
+// therefore one range per pass, which the plan builder reads off the layer.
+type adapted struct {
+	Expert
+	index int
+}
+
+func (adapted) HiddenWidth() int               { return 0 }
+func (adapted) FwdBands() int                  { return 0 }
+func (adapted) BwdBands() int                  { return 0 }
+func (adapted) ScratchElems(n, cl, ch int) int { return 0 }
+
+func (a adapted) Begin(b PassBufs) ExpertPass { return &adaptedPass{a: a, x: b.X, out: b.Out} }
+
+type adaptedPass struct {
+	a              adapted
+	x, out, dy, dx *tensor.Tensor
+	rows           int // covered so far by the stage that computes
+	cache          ExpertCache
+	grads          GradDst
+}
+
+// tiled counts rows more covered rows and reports whether [0, n) is complete.
+func (p *adaptedPass) tiled(rows int) bool {
+	if p.rows += rows; p.rows < p.x.Dim(0) {
+		return false
+	}
+	p.rows = 0
+	return true
+}
+
+// result copies what the wrapped expert's op returned into the block dst. A
+// short or mis-shaped result would leave stale rows behind, so it panics.
+func (p *adaptedPass) result(dst, got *tensor.Tensor, op string) {
+	if got == nil || !got.SameShape(dst) {
+		panic(fmt.Sprintf("moe: expert %d (%s) %s returned %v for a block of shape %v", p.a.index, p.a.Name(), op, got, dst.Shape()))
+	}
+	copy(dst.Data(), got.Data())
+}
+
+func (p *adaptedPass) ForwardHidden(lo, hi int) {}
+
+func (p *adaptedPass) ForwardOut(lo, hi int) {
+	if p.tiled(hi - lo) {
+		y, c := p.a.Forward(p.x)
+		p.cache = c
+		p.result(p.out, y, "Forward")
+	}
+}
+
+func (p *adaptedPass) BeginBackward(dy, dx, _ *tensor.Tensor, grads GradDst) {
+	p.dy, p.dx, p.grads = dy, dx, grads
+}
+
+func (p *adaptedPass) BackwardHidden(lo, hi int) {}
+
+// BackwardIn runs the wrapped Backward, which can only add into Param.G: when
+// the gradients are wanted elsewhere it starts from zero and Finish copies.
+func (p *adaptedPass) BackwardIn(lo, hi int) {
+	if p.tiled(hi - lo) {
+		if p.grads != nil {
+			zeroGrads(p.a.Params())
+		}
+		p.result(p.dx, p.a.Backward(p.cache, p.dy), "Backward")
+	}
+}
+
+func (p *adaptedPass) Finish() {
+	for i, g := range p.grads {
+		copy(g.Data(), p.a.Params()[i].G.Data())
 	}
 }

@@ -25,6 +25,11 @@ type MOELayer struct {
 	cfg   LayerConfig
 	hooks hookChain
 	disp  Dispatcher
+	// staged is cfg.Experts under the one execution contract, resolved once;
+	// plain is the index of the first adapted plain Expert, -1 when every
+	// expert implements the contract itself.
+	staged []StagedExpert
+	plain  int
 	// seqExperts disables concurrent expert execution when the expert list
 	// provably or possibly aliases itself (see distinctExperts).
 	seqExperts bool
@@ -37,7 +42,7 @@ type LayerCache struct {
 	routeC    *RouteCache
 	plan      *DispatchPlan
 	expertOut *tensor.Tensor // (E, T, M)
-	expCaches []ExpertCache
+	passes    []*blockPass
 }
 
 // NewMOELayer validates the configuration and assembles the layer.
@@ -58,12 +63,14 @@ func NewMOELayer(cfg LayerConfig) (*MOELayer, error) {
 	if d == nil {
 		d = LocalDispatcher{}
 	}
-	return &MOELayer{
+	l := &MOELayer{
 		cfg:        cfg,
 		hooks:      hookChain(cfg.Hooks),
 		disp:       d,
 		seqExperts: !distinctExperts(cfg.Experts),
-	}, nil
+	}
+	l.staged, l.plain = resolveStaged(cfg.Experts)
+	return l, nil
 }
 
 // distinctExperts reports whether every expert is a provably distinct
@@ -100,6 +107,12 @@ func (l *MOELayer) forEachExpert(f func(e int)) {
 
 // Experts returns the layer's expert list.
 func (l *MOELayer) Experts() []Expert { return l.cfg.Experts }
+
+// Staged returns the expert list under the contract everything executes —
+// a plain Expert appears adapted, with no hidden exchange — and whether
+// every expert implements it natively, which expert sharding (ESP, Hybrid)
+// requires.
+func (l *MOELayer) Staged() (experts []StagedExpert, native bool) { return l.staged, l.plain < 0 }
 
 // Gate returns the layer's gate.
 func (l *MOELayer) Gate() Gate { return l.cfg.Gate }
@@ -173,26 +186,39 @@ func (l *MOELayer) epilog(y, combined *tensor.Tensor, plan *DispatchPlan, shape 
 	return y
 }
 
-// forwardExpert runs ex on in (n, M) into out (n, M), zero-copy when the
-// expert has the IntoExpert fast path.
-func forwardExpert(ex Expert, in, out *tensor.Tensor) ExpertCache {
-	if ie, ok := ex.(IntoExpert); ok {
-		return ie.ForwardInto(in, out)
-	}
-	y, c := ex.Forward(in)
-	copy(out.Data(), y.Data())
-	return c
+// blockPass is a pass over a whole block as one row range and the full
+// column range, on memory of its own: how the sequential layer, the degraded
+// path and the FFNs' own Forward/Backward drive the staged contract.
+type blockPass struct {
+	se   StagedExpert
+	pass ExpertPass
+	mem  *tensor.Tensor // pooled: the forward exchange buffer, then the scratch
 }
 
-// backwardExpert is forwardExpert's adjoint: dx from dy, the parameter
-// gradients into grads — which only the fast path can honour, so the
-// copying fallback requires nil (Expert.Backward adds into Param.G).
-func backwardExpert(ex Expert, cache ExpertCache, dy, dx *tensor.Tensor, grads GradDst) {
-	if ie, ok := ex.(IntoExpert); ok {
-		ie.BackwardInto(cache, dy, dx, grads)
-		return
-	}
-	copy(dx.Data(), ex.Backward(cache, dy).Data())
+// forwardBlock runs se's forward on x (n, M) into out (n, M). A forward-only
+// caller may drop the result and leak its pooled memory to the GC.
+func forwardBlock(se StagedExpert, x, out *tensor.Tensor) *blockPass {
+	n, w := x.Dim(0), se.HiddenWidth()
+	hf := se.FwdBands() * n * w
+	mem := tensor.GetUninit(hf + se.ScratchElems(n, 0, w))
+	b := &blockPass{se: se, mem: mem}
+	b.pass = se.Begin(PassBufs{X: x, Out: out, Hidden: tensor.FromData(mem.Data()[:hf], se.FwdBands()*n, w), Scratch: mem.Data()[hf:], Ch: w})
+	b.pass.ForwardHidden(0, n)
+	b.pass.ForwardOut(0, n)
+	return b
+}
+
+// backward is forwardBlock's adjoint: dx from dy, the parameter gradients
+// where grads says. It ends the pass.
+func (b *blockPass) backward(dy, dx *tensor.Tensor, grads GradDst) {
+	n := dy.Dim(0)
+	hb := tensor.GetUninit(b.se.BwdBands()*n, b.se.HiddenWidth())
+	b.pass.BeginBackward(dy, dx, hb, grads)
+	b.pass.BackwardHidden(0, n)
+	b.pass.BackwardIn(0, n)
+	b.pass.Finish()
+	tensor.Put(hb)
+	tensor.Put(b.mem)
 }
 
 // Forward runs the layer on x, shaped (B, L, M) or (N, M). train enables
@@ -214,10 +240,10 @@ func (l *MOELayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *Layer
 	// accumulate in a fixed order, so the result is bit-identical to the
 	// sequential loop.
 	expertOut := tensor.New(plan.Experts, plan.Capacity, l.cfg.M)
-	caches := make([]ExpertCache, plan.Experts)
+	passes := make([]*blockPass, plan.Experts)
 	blk := plan.Capacity * l.cfg.M
 	l.forEachExpert(func(e int) {
-		caches[e] = forwardExpert(l.cfg.Experts[e],
+		passes[e] = forwardBlock(l.staged[e],
 			dispatched.View(e*blk, plan.Capacity, l.cfg.M), expertOut.View(e*blk, plan.Capacity, l.cfg.M))
 	})
 
@@ -233,7 +259,7 @@ func (l *MOELayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *Layer
 		routeC:    pr.rc,
 		plan:      plan,
 		expertOut: combined,
-		expCaches: caches,
+		passes:    passes,
 	}
 	return y, cache, nil
 }
@@ -266,8 +292,7 @@ func (l *MOELayer) Backward(cache *LayerCache, dy *tensor.Tensor) (*tensor.Tenso
 	dDispatched := tensor.New(plan.Experts, plan.Capacity, l.cfg.M)
 	blk := plan.Capacity * l.cfg.M
 	l.forEachExpert(func(e int) {
-		backwardExpert(l.cfg.Experts[e], cache.expCaches[e],
-			dExpertOut.View(e*blk, plan.Capacity, l.cfg.M), dDispatched.View(e*blk, plan.Capacity, l.cfg.M), nil)
+		cache.passes[e].backward(dExpertOut.View(e*blk, plan.Capacity, l.cfg.M), dDispatched.View(e*blk, plan.Capacity, l.cfg.M), nil)
 	})
 
 	// Through Dispatch.

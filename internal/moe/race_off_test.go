@@ -2,4 +2,4 @@
 
 package moe
 
-const stepLayerSlack = 256 << 10
+const stepLayerSlack = 128 << 10

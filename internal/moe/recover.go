@@ -164,7 +164,7 @@ func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int)
 	}
 
 	// The strategy stays; a hybrid group keeps the widest width that still
-	// divides the rank count (the sharded contract holds at every width).
+	// divides the rank count (the staged contract holds at every width).
 	newGroup := w.cfg.GroupSize
 	if w.cfg.Strategy == StrategyHybrid {
 		newGroup = gcd(newGroup, newR)

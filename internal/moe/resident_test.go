@@ -188,18 +188,21 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 // as one expert's weight matrix: a reintroduced per-step make, or a weight
 // gradient that goes through a temporary again, fails here. On a
 // token-heavy stack a warm step allocates the output and the input gradient
-// it returns, two copies of the batch, plus 256 KiB per layer: about 45 KiB
-// of routing metadata (logits, the plan's slot tables and reverse index, the
-// slot-weight gradient) and, at r = 4, about 180 KiB of tasks, trace
-// intervals and the row-range view headers of the experts' chunk methods.
-// Everything Order and the gates produce lives in the workspace; a batch-
-// sized allocation per layer does not fit. The collector is off for the
-// window, as in the repository benchmark, so the tensor free-lists stay warm
-// and the figure repeats. Under the race detector sync.Pool drops buffers
-// at random, so the token stack re-allocates a few pooled temporaries (1.30
-// to 1.41 MB measured against 1.24) and its per-layer allowance is 512 KiB
-// there (stepLayerSlack) — still less than one batch-sized allocation per
-// layer; the parameter stack's bounds are the same in both modes.
+// it returns, two copies of the batch, plus 128 KiB per layer (measured: 89):
+// about 50 KiB of routing metadata (logits, the plan's slot tables and
+// reverse index, the slot-weight gradient), at r = 4 about 35 KiB of tasks,
+// trace intervals and stage closures for the two plans, and about 5 KiB for
+// beginning the layer's 16 expert passes (a pass value, its block views and
+// the headers over its scratch) — the stage methods themselves take row
+// integers and allocate nothing. Everything Order and the gates produce lives
+// in the workspace; a batch-sized allocation per layer does not fit. The
+// collector is off for the window, as in the repository benchmark, so the
+// tensor free-lists stay warm and the figure repeats. Under the race detector
+// sync.Pool drops buffers at random, so the token stack re-allocates a few
+// pooled stage temporaries (1.02 MB measured against 0.97) and its per-layer
+// allowance is 256 KiB there (stepLayerSlack) — still less than one
+// batch-sized allocation per layer; the parameter stack's bounds are the same
+// in both modes.
 func TestStepAllocationBound(t *testing.T) {
 	SetVerifyPlans(false) // Verify's graph is test-only allocation
 	defer SetVerifyPlans(true)

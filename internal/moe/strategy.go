@@ -22,7 +22,7 @@ const (
 	// r-chunked AllGather stages feeding the sharded GEMMs and a
 	// ReduceScatter returning each rank's slot rows, all on the one group's
 	// intra stream (§4's intra-node collective stages). Hard-routing plans
-	// only; experts must implement ShardedExpert.
+	// only; experts must implement StagedExpert.
 	StrategyESP Strategy = "esp"
 	// StrategyDenseSlots runs dense (SoftMoE) plans through the g = 1
 	// schedule chunked over expert slots instead of token rows: slots are
@@ -37,7 +37,7 @@ const (
 	// while AllGather/ReduceScatter and the sharded GEMM stages run *within*
 	// each group on per-group intra streams. GroupSize 1 is EP's plan and
 	// GroupSize R is ESP's — the same builder at the same g. Hard-routing
-	// plans only; experts must implement ShardedExpert at every group size.
+	// plans only; experts must implement StagedExpert at every group size.
 	StrategyHybrid Strategy = "hybrid"
 )
 
@@ -49,11 +49,9 @@ func Strategies() []Strategy {
 // placement is a Strategy resolved against a layer and a rank count: what
 // the plan builder reads instead of the name.
 type placement struct {
-	g       int             // expert-sharding group width
-	dense   bool            // routes dense (SoftMoE) plans, and only those
-	noRows  string          // why a dense plan cannot run here: it has no token rows to …
-	sharded []ShardedExpert // the layer's experts under the sharded contract; g > 1 only
-	chunked bool            // the expert stage runs chunk by chunk: always at g > 1, at g = 1 when every expert is a ChunkedExpert
+	g      int    // expert-sharding group width
+	dense  bool   // routes dense (SoftMoE) plans, and only those
+	noRows string // why a dense plan cannot run here: it has no token rows to …
 }
 
 // place validates the pairing of a layer, a strategy and a rank count at
@@ -61,17 +59,17 @@ type placement struct {
 // combination.
 func place(l *MOELayer, cfg WorldConfig) (placement, error) {
 	var pl placement
-	needSharded := ""
+	needNative := ""
 	switch cfg.Strategy {
 	case StrategyEP:
 		pl.g, pl.noRows = 1, "chunk"
 	case StrategyDenseSlots:
 		pl.g, pl.dense = 1, true
 	case StrategyESP:
-		pl.g, pl.noRows, needSharded = cfg.Ranks, "shard", "requires sharded expert compute"
+		pl.g, pl.noRows, needNative = cfg.Ranks, "shard", "requires sharded expert compute"
 	case StrategyHybrid:
 		// GroupSize must be a divisor of the rank count inside [1, R], and
-		// the sharded contract holds at every group size, so a layer that
+		// the staged contract holds at every group size, so a layer that
 		// validates at one g validates at all of them (the Algorithm-1 grid
 		// sweeps g freely, and Recover re-places at gcd(g, R′)).
 		r, g := cfg.Ranks, cfg.GroupSize
@@ -83,26 +81,14 @@ func place(l *MOELayer, cfg WorldConfig) (placement, error) {
 			return pl, fmt.Errorf("moe: strategy %q needs GroupSize dividing the rank count, got %d ranks over GroupSize=%d",
 				StrategyHybrid, r, g)
 		}
-		pl.g, pl.noRows, needSharded = g, "route between groups", "requires sharded expert compute at every GroupSize"
+		pl.g, pl.noRows, needNative = g, "route between groups", "requires sharded expert compute at every GroupSize"
 	default:
 		return pl, fmt.Errorf("moe: unknown parallel strategy %q (valid: %s, %s, %s, %s)",
 			cfg.Strategy, StrategyEP, StrategyESP, StrategyDenseSlots, StrategyHybrid)
 	}
-	pl.chunked = true
-	if pl.g > 1 {
-		pl.sharded = make([]ShardedExpert, len(l.cfg.Experts))
-	}
-	for e, ex := range l.cfg.Experts {
-		se, ok := ex.(ShardedExpert)
-		if !ok && needSharded != "" {
-			return pl, fmt.Errorf("moe: strategy %q %s, but expert %d (%T) does not implement ShardedExpert; whole-block experts run under strategy %q",
-				cfg.Strategy, needSharded, e, ex, StrategyEP)
-		}
-		if pl.g > 1 {
-			pl.sharded[e] = se
-		} else if _, ok := ex.(ChunkedExpert); !ok {
-			pl.chunked = false
-		}
+	if e := l.plain; e >= 0 && needNative != "" {
+		return pl, fmt.Errorf("moe: strategy %q %s, but expert %d (%T) does not implement StagedExpert; adapted plain experts compute whole blocks, under strategy %q",
+			cfg.Strategy, needNative, e, l.cfg.Experts[e], StrategyEP)
 	}
 	return pl, nil
 }

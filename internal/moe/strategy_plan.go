@@ -23,18 +23,18 @@ import (
 //	       group owning their experts;
 //	AG(x)  g > 1: gather the members' rows inside each group, on that
 //	       group's intra stream;
-//	H      g > 1: stage-1 GEMMs over every gathered row, sharded over hidden
-//	       COLUMNS g ways (ShardedExpert);
-//	AG(h)  g > 1: gather the hidden column shards to full width in-group;
-//	O      g > 1: stage-2 GEMMs, sharded over each member's own ROWS;
+//	E      the two stages of the staged expert contract (StagedExpert): the
+//	       stage-1 GEMMs over every gathered row, sharded over hidden COLUMNS
+//	       g ways, then the stage-2 GEMMs over each member's own ROWS. At
+//	       g = 1 the one member owns every column and both run back to back
+//	       in one task E<c>; at g > 1 they are the tasks H and O around
+//	       AG(h), the in-group gather of the column shards to full width;
 //	RS(y)  g > 1: in-group ReduceScatter of the row-disjoint outputs — one
 //	       present contributor per element, so the ring sum is exact;
-//	E      g = 1: the rank's experts whole, chunk by chunk (ChunkedExpert)
-//	       or, for plain Experts, once over the whole block;
 //	C      nG > 1: combine AlltoAll between groups, back on inter.
 //
-// The backward plan is the adjoint chain C → AG(dy) → B1 (column-sharded) →
-// AG(hidden grads) → B2 (row-sharded) → RS(dx) → D, then each expert's
+// The backward plan is the adjoint chain C → AG(dy) → E (B1, column-sharded →
+// AG(hidden grads) → B2, row-sharded) → RS(dx) → D, then each expert's
 // full-block parameter-gradient reduction W once on its owner rank j = e/Eg
 // (the RankGrads mapping) from fully assembled buffers, with §5's emit
 // points on the inter stream: 0 behind the first collective chain, c+1
@@ -57,7 +57,8 @@ import (
 // each rank's expert math — nothing else. Every chunk's collectives ahead
 // of its first compute stage are issued before any later stage (the
 // Fig. 3c/d ordering core.buildForwardLayer uses), so chunk c+1 is on the
-// wire while chunk c computes.
+// wire while chunk c computes. A layer holding an adapted plain Expert
+// computes one range per pass (computeRange); its communication stays chunked.
 
 // groups is the group geometry of one pass.
 type groups struct {
@@ -185,7 +186,8 @@ type passBufs struct {
 	from, to  int                // the workspace slots the buffers occupy
 	gin, gout *tensor.Tensor     // the (E, Tpad, M) buffers the pass starts from and ends in
 	in, out   []*tensor.Tensor   // per rank (Egg, Tpad, M): its group's expert inputs and outputs
-	hid       [][]*tensor.Tensor // [rank][group expert] (bands·Tpad, W) hidden exchange buffers; g > 1
+	hid       [][]*tensor.Tensor // [rank][group expert] (bands·Tpad, W) hidden exchange buffers
+	scratch   [][][]float64      // [rank][group expert] pass-private memory; forward only
 
 	disp, comb      []ends // per lane: gin → in and out → gout; nG > 1
 	agIn, agHid, rs []ends // per group: the rows of in, the columns of hid, the rows of out; g > 1
@@ -194,37 +196,42 @@ type passBufs struct {
 // cutPass returns a direction's buffers and endpoint lists for the
 // workspace to hold: the held ones when they were cut over these
 // expert-major buffers at this point of the slot sequence, new ones
-// otherwise.
-func (w *World) cutPass(ws *workspace, held *passBufs, gm groups, gin, gout *tensor.Tensor, bands func(ShardedExpert) int) *passBufs {
+// otherwise. The forward's also hold what each expert pass keeps to the end
+// of the backward.
+func (w *World) cutPass(ws *workspace, held *passBufs, gm groups, gin, gout *tensor.Tensor, fwd bool) *passBufs {
 	if held != nil && held.from == ws.next && held.gin == gin && held.gout == gout {
 		ws.retake(held.to)
 		return held
 	}
-	b := &passBufs{from: ws.next, gin: gin, gout: gout}
-	if gm.R == 1 {
-		// One rank is the whole layer: its blocks are the expert-major
-		// buffers themselves, and nothing moves.
-		b.in, b.out, b.to = []*tensor.Tensor{gin}, []*tensor.Tensor{gout}, ws.next
-		return b
+	// One rank is the whole layer: its blocks are the expert-major buffers
+	// themselves, and nothing moves.
+	b := &passBufs{from: ws.next, gin: gin, gout: gout, in: []*tensor.Tensor{gin}, out: []*tensor.Tensor{gout}}
+	if gm.R > 1 {
+		b.in = ws.blocks(gm.R, gm.egg, gm.tpad, gm.mdim)
+		b.out = ws.blocks(gm.R, gm.egg, gm.tpad, gm.mdim)
 	}
-	b.in = ws.blocks(gm.R, gm.egg, gm.tpad, gm.mdim)
-	b.out = ws.blocks(gm.R, gm.egg, gm.tpad, gm.mdim)
 	if gm.nG > 1 {
 		for m := 0; m < gm.g; m++ {
 			b.disp = append(b.disp, ends{gm.tokenSide(gin, m), gm.memberSide(b.in, m)})
 			b.comb = append(b.comb, ends{gm.memberSide(b.out, m), gm.tokenSide(gout, m)})
 		}
 	}
-	if gm.g > 1 {
-		b.hid = make([][]*tensor.Tensor, gm.R)
-		for j := range b.hid {
-			for _, se := range w.groupSharded(gm, j) {
-				b.hid[j] = append(b.hid[j], ws.tensor(bands(se)*gm.tpad, se.HiddenWidth()))
+	b.hid, b.scratch = make([][]*tensor.Tensor, gm.R), make([][][]float64, gm.R)
+	bands := StagedExpert.BwdBands
+	if fwd {
+		bands = StagedExpert.FwdBands
+	}
+	for j := range b.hid {
+		for _, se := range w.groupStaged(gm, j) {
+			b.hid[j] = append(b.hid[j], ws.tensor(bands(se)*gm.tpad, se.HiddenWidth()))
+			if fwd {
+				cl, ch := colShard(se.HiddenWidth(), j%gm.g, gm.g)
+				b.scratch[j] = append(b.scratch[j], ws.take(se.ScratchElems(gm.tpad, cl, ch)).data)
 			}
 		}
-		for lo := 0; lo < gm.R; lo += gm.g {
-			b.cutGroup(gm, lo)
-		}
+	}
+	for lo := 0; gm.g > 1 && lo < gm.R; lo += gm.g {
+		b.cutGroup(gm, lo)
 	}
 	b.to = ws.next
 	return b
@@ -261,14 +268,13 @@ func (b *passBufs) cutGroup(gm groups, lo int) {
 }
 
 // groupExperts returns the experts of rank j's group in block order — at
-// g = 1 the rank's own — and groupSharded the same under the sharded
-// contract.
+// g = 1 the rank's own — and groupStaged the same under the staged contract.
 func (w *World) groupExperts(gm groups, j int) []Expert {
 	return w.layer.cfg.Experts[j/gm.g*gm.egg:][:gm.egg]
 }
 
-func (w *World) groupSharded(gm groups, j int) []ShardedExpert {
-	return w.pl.sharded[j/gm.g*gm.egg:][:gm.egg]
+func (w *World) groupStaged(gm groups, j int) []StagedExpert {
+	return w.layer.staged[j/gm.g*gm.egg:][:gm.egg]
 }
 
 // macsEst is a structural duration estimate (MMACs) of experts over rows
@@ -433,83 +439,84 @@ func (gm groups) window(i int, rr comm.RowRange) (lo, hi int) {
 	return i*gm.spad + rr.Lo, i*gm.spad + rr.Hi
 }
 
+// computeRange is what the expert stages cover at chunk c and what they wait
+// for: the chunk's rows once they have landed — or, in a layer holding an
+// adapted plain Expert, whose compute is one range per pass, every slot row
+// at chunk 0 once every chunk has landed and nothing at the later chunks,
+// whose outbound collectives wait for that one stage.
+func (w *World) computeRange(gm groups, c int, rr comm.RowRange, landed [][]int) (comm.RowRange, func(j int) []int, bool) {
+	if w.layer.plain < 0 {
+		return rr, after(landed[c]), true
+	}
+	return comm.RowRange{Lo: 0, Hi: gm.spad}, after(landed...), c == 0
+}
+
+// expertStages adds chunk c's expert compute over the rows rr of every
+// token-side rank's shard, forward or backward alike: a member runs hidden,
+// its hidden columns, on every gathered row, then output on its own rows,
+// over full-width hidden rows. At g > 1 those are two tasks per rank (names 0
+// and 2) around the in-group AllGather of the column shards (name 1); at
+// g = 1 the one member owns every column, nothing is exchanged, and both run
+// back to back in one task E<c>. scale is the pass's cost in forward passes.
+// It returns each rank's last task.
+func (w *World) expertStages(p *runtime.Plan, gm groups, b *passBufs, passes [][]ExpertPass, c int, rr comm.RowRange, deps func(j int) []int,
+	names [3]string, scale float64, hidden, output func(ps ExpertPass, lo, hi int)) []int {
+	hiddenStage := func(j int) {
+		for _, ps := range passes[j] {
+			for i := 0; i < gm.R; i++ {
+				lo, hi := gm.window(i, rr)
+				hidden(ps, lo, hi)
+			}
+		}
+	}
+	outputStage := func(j int) {
+		for _, ps := range passes[j] {
+			for i := j % gm.g; i < gm.R; i += gm.g {
+				lo, hi := gm.window(i, rr)
+				output(ps, lo, hi)
+			}
+		}
+	}
+	hiddenEst := func(j int) float64 {
+		return scale * macsEst(w.groupExperts(gm, j), gm.R*rr.Len()) / (2 * float64(gm.g))
+	}
+	outputEst := func(j int) float64 { return scale * macsEst(w.groupExperts(gm, j), gm.nG*rr.Len()) / 2 }
+	if gm.g == 1 {
+		return w.computeTasks(p, fmt.Sprintf("E%d", c), func(j int) float64 { return hiddenEst(j) + outputEst(j) }, deps,
+			func(j int) { hiddenStage(j); outputStage(j) })
+	}
+	h := w.computeTasks(p, fmt.Sprintf("%s%d", names[0], c), hiddenEst, deps, hiddenStage)
+	h = w.groupTasks(p, gm, fmt.Sprintf("%s%d", names[1], c), KindAG, comm.AllGatherBlocks, b.agHid, b.colsEst(gm, rr), rr, h)
+	return w.computeTasks(p, fmt.Sprintf("%s%d", names[2], c), outputEst, after(h), outputStage)
+}
+
 // BuildForward appends the forward schedule to p: everything that turns the
 // padded scattered buffer into the padded combined buffer. cache.experts
-// receives the expert-side state BuildBackward consumes: per rank and expert
-// of its group a ShardedCache at g > 1, at g = 1 a ChunkedCache or, for a
-// whole-block expert, the ExpertCache its forward returns.
+// receives the passes it begins, per rank one for each expert of its group,
+// which BuildBackward continues.
 func (w *World) BuildForward(p *runtime.Plan, cache *WorldCache, scatPad, combinedPad *tensor.Tensor) {
 	gm := w.groups(cache)
-	b := w.cutPass(cache.ws, cache.ws.fwd, gm, scatPad, combinedPad, ShardedExpert.FwdBands)
+	b := w.cutPass(cache.ws, cache.ws.fwd, gm, scatPad, combinedPad, true)
 	cache.ws.fwd = b
 	ranges := comm.SplitRows(gm.spad, w.cfg.ChunksFwd)
-	g, R, tpad := gm.g, gm.R, gm.tpad
-	caches := make([][]any, R)
-	cache.experts = caches
-	for j := range caches {
-		caches[j] = make([]any, gm.egg)
-		for le, ex := range w.groupExperts(gm, j) {
-			x, out := slotBlock(b.in[j], le, tpad), slotBlock(b.out[j], le, tpad)
-			switch {
-			case g > 1:
-				se := w.groupSharded(gm, j)[le]
-				cl, ch := colShard(se.HiddenWidth(), j%g, g)
-				caches[j][le] = se.BeginSharded(x, out, b.hid[j][le], cl, ch, w.computePool(j))
-			case w.pl.chunked:
-				caches[j][le] = ex.(ChunkedExpert).BeginChunked(x, out, w.computePool(j))
-			}
+	passes := make([][]ExpertPass, gm.R)
+	cache.experts = passes
+	for j := range passes {
+		for le, se := range w.groupStaged(gm, j) {
+			cl, ch := colShard(se.HiddenWidth(), j%gm.g, gm.g)
+			passes[j] = append(passes[j], se.Begin(PassBufs{
+				X: slotBlock(b.in[j], le, gm.tpad), Out: slotBlock(b.out[j], le, gm.tpad),
+				Hidden: b.hid[j][le], Scratch: b.scratch[j][le], Cl: cl, Ch: ch, Pool: w.computePool(j),
+			}))
 		}
 	}
 
 	landed := w.arrive(p, gm, b, ranges, "D", "AGx")
-
-	var whole []int
-	if !w.pl.chunked {
-		// Plain Experts compute the whole block once every chunk has landed.
-		whole = w.computeTasks(p, "E", func(j int) float64 { return macsEst(w.groupExperts(gm, j), tpad) }, after(landed...), func(j int) {
-			for le, ex := range w.groupExperts(gm, j) {
-				caches[j][le] = forwardExpert(ex, slotBlock(b.in[j], le, tpad), slotBlock(b.out[j], le, tpad))
-			}
-		})
-	}
+	var done []int
 	for c, rr := range ranges {
-		done := whole
-		switch {
-		case g > 1:
-			// The sharded stages: a member computes its hidden columns of
-			// every gathered row, then the outputs of its own rows.
-			h := w.computeTasks(p, fmt.Sprintf("H%d", c), func(j int) float64 {
-				return macsEst(w.groupExperts(gm, j), R*rr.Len()) / (2 * float64(g))
-			}, after(landed[c]), func(j int) {
-				for le, se := range w.groupSharded(gm, j) {
-					for i := 0; i < R; i++ {
-						lo, hi := gm.window(i, rr)
-						se.ForwardHidden(caches[j][le], lo, hi)
-					}
-				}
-			})
-			h = w.groupTasks(p, gm, fmt.Sprintf("AGh%d", c), KindAG, comm.AllGatherBlocks, b.agHid, b.colsEst(gm, rr), rr, h)
-			done = w.computeTasks(p, fmt.Sprintf("O%d", c), func(j int) float64 {
-				return macsEst(w.groupExperts(gm, j), gm.nG*rr.Len()) / 2
-			}, after(h), func(j int) {
-				for le, se := range w.groupSharded(gm, j) {
-					for i := j % g; i < R; i += g {
-						lo, hi := gm.window(i, rr)
-						se.ForwardOut(caches[j][le], lo, hi)
-					}
-				}
-			})
-		case w.pl.chunked:
-			done = w.computeTasks(p, fmt.Sprintf("E%d", c), func(j int) float64 {
-				return macsEst(w.groupExperts(gm, j), R*rr.Len())
-			}, after(landed[c]), func(j int) {
-				for le, ex := range w.groupExperts(gm, j) {
-					for i := 0; i < R; i++ {
-						lo, hi := gm.window(i, rr)
-						ex.(ChunkedExpert).ForwardChunk(caches[j][le], lo, hi)
-					}
-				}
-			})
+		if cr, deps, ok := w.computeRange(gm, c, rr, landed); ok {
+			done = w.expertStages(p, gm, b, passes, c, cr, deps, [3]string{"H", "AGh", "O"}, 1,
+				ExpertPass.ForwardHidden, ExpertPass.ForwardOut)
 		}
 		w.leave(p, gm, b, c, rr, "RSy", "C", done)
 	}
@@ -521,14 +528,15 @@ func (w *World) BuildForward(p *runtime.Plan, cache *WorldCache, scatPad, combin
 // and drives w.sync's emit points.
 func (w *World) BuildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatteredPad *tensor.Tensor) {
 	gm := w.groups(cache)
-	b := w.cutPass(cache.ws, cache.ws.bwd, gm, dpad, dScatteredPad, ShardedExpert.BwdBands)
+	b := w.cutPass(cache.ws, cache.ws.bwd, gm, dpad, dScatteredPad, false)
 	cache.ws.bwd = b
 	ranges := comm.SplitRows(gm.spad, w.cfg.ChunksBwd)
-	g, R, tpad := gm.g, gm.R, gm.tpad
-	caches := cache.experts
-	// Rank j's output gradient and input gradient of its group's expert le.
-	grads := func(j, le int) (dy, dx *tensor.Tensor) {
-		return slotBlock(b.in[j], le, tpad), slotBlock(b.out[j], le, tpad)
+	passes := cache.experts
+	for j := range passes {
+		for le, ps := range passes[j] {
+			// Rank j's output gradient and input gradient of its group's expert le.
+			ps.BeginBackward(slotBlock(b.in[j], le, gm.tpad), slotBlock(b.out[j], le, gm.tpad), b.hid[j][le], w.gradDst(j/gm.g*gm.egg+le))
+		}
 	}
 
 	// The adjoint of the forward's last collectives comes first.
@@ -542,56 +550,14 @@ func (w *World) BuildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatter
 		w.sync.EmitAt(p, "inter", 0)
 	}
 
+	// dX rows only; the weight gradients wait for W. Adjoint stage 2 is
+	// column-sharded over every gathered row, adjoint stage 1 row-sharded
+	// over the member's own.
 	var last []int // per rank, its latest expert task
-	if !w.pl.chunked {
-		last = w.computeTasks(p, "E", func(j int) float64 { return 2 * macsEst(w.groupExperts(gm, j), tpad) }, after(landed...), func(j int) {
-			for le := range caches[j] {
-				dy, dx := grads(j, le)
-				w.backwardWhole(j*gm.eg+le, caches[j][le], dy, dx)
-			}
-		})
-	}
 	for c, rr := range ranges {
-		switch {
-		case g > 1:
-			// dX rows only; the weight gradients wait for W. Adjoint stage 2
-			// is column-sharded over every gathered row, adjoint stage 1
-			// row-sharded over the member's own.
-			b1 := w.computeTasks(p, fmt.Sprintf("B1%d", c), func(j int) float64 {
-				return macsEst(w.groupExperts(gm, j), R*rr.Len()) / float64(g)
-			}, after(landed[c]), func(j int) {
-				for le, se := range w.groupSharded(gm, j) {
-					dy, _ := grads(j, le)
-					for i := 0; i < R; i++ {
-						lo, hi := gm.window(i, rr)
-						se.BackwardHidden(caches[j][le], dy, b.hid[j][le], lo, hi)
-					}
-				}
-			})
-			b1 = w.groupTasks(p, gm, fmt.Sprintf("AGb%d", c), KindAG, comm.AllGatherBlocks, b.agHid, b.colsEst(gm, rr), rr, b1)
-			last = w.computeTasks(p, fmt.Sprintf("B2%d", c), func(j int) float64 {
-				return macsEst(w.groupExperts(gm, j), gm.nG*rr.Len())
-			}, after(b1), func(j int) {
-				for le, se := range w.groupSharded(gm, j) {
-					dy, dx := grads(j, le)
-					for i := j % g; i < R; i += g {
-						lo, hi := gm.window(i, rr)
-						se.BackwardIn(caches[j][le], dy, dx, b.hid[j][le], lo, hi)
-					}
-				}
-			})
-		case w.pl.chunked:
-			last = w.computeTasks(p, fmt.Sprintf("E%d", c), func(j int) float64 {
-				return 2 * macsEst(w.groupExperts(gm, j), R*rr.Len())
-			}, after(landed[c]), func(j int) {
-				for le, ex := range w.groupExperts(gm, j) {
-					dy, dx := grads(j, le)
-					for i := 0; i < R; i++ {
-						lo, hi := gm.window(i, rr)
-						ex.(ChunkedExpert).BackwardChunk(caches[j][le], dy, dx, lo, hi)
-					}
-				}
-			})
+		if cr, deps, ok := w.computeRange(gm, c, rr, landed); ok {
+			last = w.expertStages(p, gm, b, passes, c, cr, deps, [3]string{"B1", "AGb", "B2"}, 2,
+				ExpertPass.BackwardHidden, ExpertPass.BackwardIn)
 		}
 		w.leave(p, gm, b, c, rr, "RSd", "D", last)
 		// Emit point c+1: slices here trail chunk c's last gradient
@@ -603,30 +569,13 @@ func (w *World) BuildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatter
 
 	// W — the deferred full-block parameter-gradient reductions, off the
 	// communication critical path (§4.1's W-grad tasks), each expert on its
-	// owner rank from the assembled full buffers. The last chunk's task on a
-	// rank implies every earlier one (stream order); at g > 1 the owner also
-	// releases its co-members' shard state, so it waits for their last tasks
-	// too.
-	if !w.pl.chunked {
-		return // the whole-block backward reduced them already
-	}
-	w.computeTasks(p, "W", func(j int) float64 { return macsEst(w.layer.cfg.Experts[j*gm.eg:][:gm.eg], tpad) },
-		func(j int) []int { return last[j/g*g:][:g] }, func(j int) {
-			first, m := j/g*g, j%g // the group's member 0, and which member j is
-			for le := m * gm.eg; le < (m+1)*gm.eg; le++ {
-				dy, _ := grads(j, le)
-				e := first*gm.eg + le
-				if g == 1 {
-					w.layer.cfg.Experts[e].(ChunkedExpert).FinishBackward(caches[j][le], dy, w.gradDst(e))
-					continue
-				}
-				se := w.pl.sharded[e]
-				se.FinishSharded(caches[j][le], dy, b.hid[j][le], w.gradDst(e))
-				for co := first; co < first+g; co++ {
-					if co != j {
-						se.DropSharded(caches[co][le])
-					}
-				}
-			}
-		})
+	// owner rank (the RankGrads mapping: member m of a group owns the group's
+	// experts [m·Eg, (m+1)·Eg)) from its own fully assembled buffers. The last
+	// chunk's task on a rank implies every earlier one (stream order).
+	w.computeTasks(p, "W", func(j int) float64 { return macsEst(w.layer.cfg.Experts[j*gm.eg:][:gm.eg], gm.tpad) }, after(last), func(j int) {
+		for le := j % gm.g * gm.eg; le < (j%gm.g+1)*gm.eg; le++ {
+			passes[j][le].Finish()
+			w.wrote(j/gm.g*gm.egg + le)
+		}
+	})
 }

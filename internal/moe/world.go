@@ -314,12 +314,11 @@ func (w *World) bindStreams(p *runtime.Plan) {
 	}
 }
 
-// Ranks returns R and Chunked whether the fine-grained (chunk- or
-// shard-granular) expert path is in effect (false falls back to
-// whole-block expert compute per rank, with the communication still
-// chunked).
+// Ranks returns R and Chunked whether the expert stages run chunk by chunk:
+// false when the layer holds an adapted plain Expert, whose compute is one
+// range per pass (the communication is still chunked).
 func (w *World) Ranks() int    { return w.cfg.Ranks }
-func (w *World) Chunked() bool { return w.pl.chunked }
+func (w *World) Chunked() bool { return w.layer.plain < 0 }
 
 // Strategy returns the parallel scheme in effect.
 func (w *World) Strategy() Strategy { return w.cfg.Strategy }
@@ -431,7 +430,7 @@ type WorldCache struct {
 	ws         *workspace     // checked out by Forward, handed back by Backward
 	scattered  *tensor.Tensor // (E, Tpad, M), the sequential layer's expert inputs
 	combined   *tensor.Tensor // (E, Tpad, M), the sequential layer's expertOut in rows [0, T) of each block
-	experts    [][]any        // [rank][expert of its group] forward state (see BuildForward)
+	experts    [][]ExpertPass // [rank][expert of its group] the passes BuildForward began
 	deg        *degradedState // non-nil when the forward ran degraded
 }
 
@@ -603,31 +602,20 @@ func retriesIn(tr *sim.Trace) int {
 	return tr.EventCount(sim.EventRetry)
 }
 
-// gradDst is where a finish routine puts expert e's parameter gradients in
-// this pass; during a training step asking marks the expert's arena span
-// written.
+// gradDst is where expert e's pass puts its parameter gradients: nil — added
+// to Param.G — except during a training step.
 func (w *World) gradDst(e int) GradDst {
 	if w.grads == nil {
 		return nil
 	}
-	w.grads.written[e] = true
 	return w.grads.into[e]
 }
 
-// backwardWhole runs expert e's whole-block backward. A custom expert
-// without the IntoExpert contract can only add into its Param.G: during a
-// training step that starts from zero and is copied to where gradDst says.
-func (w *World) backwardWhole(e int, cache ExpertCache, dy, dx *tensor.Tensor) {
-	ex := w.layer.cfg.Experts[e]
-	if _, ok := ex.(IntoExpert); ok || w.grads == nil {
-		backwardExpert(ex, cache, dy, dx, w.gradDst(e))
-		return
-	}
-	params := ex.Params()
-	zeroGrads(params)
-	backwardExpert(ex, cache, dy, dx, nil)
-	for i, g := range w.gradDst(e) {
-		copy(g.Data(), params[i].G.Data())
+// wrote records that expert e's pass finished: during a training step its
+// arena span now holds this step's gradient.
+func (w *World) wrote(e int) {
+	if w.grads != nil {
+		w.grads.written[e] = true
 	}
 }
 

@@ -10,51 +10,39 @@ import (
 	"repro/internal/xrand"
 )
 
-// shardedOnly hides every expert fast path except the ShardedExpert
-// contract the hybrid strategy requires: no ChunkedExpert, no IntoExpert.
-// At g=1 the expert stage then routes through the whole-block fallback —
-// the hybrid counterpart of TestWorldFallbackExperts.
-type shardedOnly struct{ inner ShardedExpert }
+// stagedOnly hides the concrete expert behind the StagedExpert contract the
+// hybrid strategy requires, so every strategy is seen to drive an expert
+// through the contract alone. At g=1 it runs chunk by chunk like any staged
+// expert — the hybrid counterpart of TestWorldFallbackExperts' adapter.
+type stagedOnly struct{ inner StagedExpert }
 
-func (o shardedOnly) Name() string     { return o.inner.Name() }
-func (o shardedOnly) Params() []*Param { return o.inner.Params() }
-func (o shardedOnly) Forward(x *tensor.Tensor) (*tensor.Tensor, ExpertCache) {
+func (o stagedOnly) Name() string     { return o.inner.Name() }
+func (o stagedOnly) Params() []*Param { return o.inner.Params() }
+func (o stagedOnly) Forward(x *tensor.Tensor) (*tensor.Tensor, ExpertCache) {
 	return o.inner.Forward(x)
 }
-func (o shardedOnly) Backward(c ExpertCache, dy *tensor.Tensor) *tensor.Tensor {
+func (o stagedOnly) Backward(c ExpertCache, dy *tensor.Tensor) *tensor.Tensor {
 	return o.inner.Backward(c, dy)
 }
-func (o shardedOnly) FwdMACs(n int) float64 { return o.inner.FwdMACs(n) }
-func (o shardedOnly) ParamBytes() float64   { return o.inner.ParamBytes() }
-func (o shardedOnly) HiddenWidth() int      { return o.inner.HiddenWidth() }
-func (o shardedOnly) FwdBands() int         { return o.inner.FwdBands() }
-func (o shardedOnly) BwdBands() int         { return o.inner.BwdBands() }
-func (o shardedOnly) BeginSharded(x, out, hf *tensor.Tensor, cl, ch int, pool *tensor.Pool) ShardedCache {
-	return o.inner.BeginSharded(x, out, hf, cl, ch, pool)
-}
-func (o shardedOnly) ForwardHidden(sc ShardedCache, lo, hi int) { o.inner.ForwardHidden(sc, lo, hi) }
-func (o shardedOnly) ForwardOut(sc ShardedCache, lo, hi int)    { o.inner.ForwardOut(sc, lo, hi) }
-func (o shardedOnly) BackwardHidden(sc ShardedCache, dy, hb *tensor.Tensor, lo, hi int) {
-	o.inner.BackwardHidden(sc, dy, hb, lo, hi)
-}
-func (o shardedOnly) BackwardIn(sc ShardedCache, dy, dx, hb *tensor.Tensor, lo, hi int) {
-	o.inner.BackwardIn(sc, dy, dx, hb, lo, hi)
-}
-func (o shardedOnly) FinishSharded(sc ShardedCache, dy, hb *tensor.Tensor, grads GradDst) {
-	o.inner.FinishSharded(sc, dy, hb, grads)
-}
-func (o shardedOnly) DropSharded(sc ShardedCache) { o.inner.DropSharded(sc) }
+func (o stagedOnly) FwdMACs(n int) float64          { return o.inner.FwdMACs(n) }
+func (o stagedOnly) ParamBytes() float64            { return o.inner.ParamBytes() }
+func (o stagedOnly) HiddenWidth() int               { return o.inner.HiddenWidth() }
+func (o stagedOnly) FwdBands() int                  { return o.inner.FwdBands() }
+func (o stagedOnly) BwdBands() int                  { return o.inner.BwdBands() }
+func (o stagedOnly) ScratchElems(n, cl, ch int) int { return o.inner.ScratchElems(n, cl, ch) }
+func (o stagedOnly) Begin(b PassBufs) ExpertPass    { return o.inner.Begin(b) }
 
-// wrapShardedOnly wraps every expert of layer in shardedOnly.
-func wrapShardedOnly(t *testing.T, layer *MOELayer) {
+// wrapStagedOnly wraps every expert of layer in stagedOnly.
+func wrapStagedOnly(t *testing.T, layer *MOELayer) {
 	t.Helper()
 	for i, ex := range layer.cfg.Experts {
-		se, ok := ex.(ShardedExpert)
+		se, ok := ex.(StagedExpert)
 		if !ok {
-			t.Fatalf("expert %d is not sharded", i)
+			t.Fatalf("expert %d is not staged", i)
 		}
-		layer.cfg.Experts[i] = shardedOnly{se}
+		layer.cfg.Experts[i] = stagedOnly{se}
 	}
+	reresolve(layer)
 }
 
 // TestWorldHybridBitIdentical is the hybrid acceptance test: forward and
@@ -86,17 +74,17 @@ func TestWorldHybridBitIdentical(t *testing.T) {
 // Mixtral experts (two-band backward exchange), split forward/backward
 // degrees, the sequential executor, hierarchical AlltoAll lanes with a
 // node shape that splits the groups, a larger world (R=8: one expert per
-// rank, four groups), and sharded-only experts — which at g=1 route the
-// expert stage through its whole-block fallback.
+// rank, four groups), and experts seen through the staged contract alone —
+// which at g=1 run chunk by chunk like any other.
 func TestWorldHybridBitIdenticalVariants(t *testing.T) {
 	x := tensor.RandN(xrand.New(31), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(32), 1, 96, 32)
 	cases := []struct {
-		name        string
-		mixtral     bool
-		shardedOnly bool
-		cfg         WorldConfig
-		seqExec     bool
+		name       string
+		mixtral    bool
+		stagedOnly bool
+		cfg        WorldConfig
+		seqExec    bool
 	}{
 		{"mixtral", true, false, WorldConfig{Ranks: 4, ChunksFwd: 2, GroupSize: 2}, false},
 		{"split-degrees", false, false, WorldConfig{Ranks: 4, ChunksFwd: 4, ChunksBwd: 2, GroupSize: 2}, false},
@@ -105,24 +93,25 @@ func TestWorldHybridBitIdenticalVariants(t *testing.T) {
 		{"nodes-split-groups", false, false, WorldConfig{Ranks: 4, ChunksFwd: 2, GroupSize: 4, GPUsPerNode: 2}, false},
 		{"r8-g2", false, false, WorldConfig{Ranks: 8, ChunksFwd: 2, GroupSize: 2}, false},
 		{"r8-g4", false, false, WorldConfig{Ranks: 8, ChunksFwd: 3, GroupSize: 4}, false},
-		{"sharded-only-g2", false, true, WorldConfig{Ranks: 4, ChunksFwd: 2, GroupSize: 2}, false},
-		{"sharded-only-fallback-g1", false, true, WorldConfig{Ranks: 4, ChunksFwd: 2, GroupSize: 1}, false},
+		{"staged-only-g2", false, true, WorldConfig{Ranks: 4, ChunksFwd: 2, GroupSize: 2}, false},
+		{"staged-only-g1", false, true, WorldConfig{Ranks: 4, ChunksFwd: 2, GroupSize: 1}, false},
 	}
 	for _, tc := range cases {
 		tc.cfg.Strategy = StrategyHybrid
 		layer := worldLayer(t, "gshard", TutelOrder{}, tc.mixtral, false)
-		if tc.shardedOnly {
-			wrapShardedOnly(t, layer)
+		if tc.stagedOnly {
+			wrapStagedOnly(t, layer)
 		}
 		want := runSequentialLayer(t, layer, x, dy)
-		if tc.shardedOnly && tc.cfg.GroupSize == 1 {
+		if tc.stagedOnly && tc.cfg.GroupSize == 1 {
 			w, err := NewWorld(layer, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w.Chunked() {
-				t.Fatal("sharded-only experts at g=1 must route through the whole-block fallback")
+			if !w.Chunked() {
+				t.Fatal("staged experts at g=1 must run chunk by chunk")
 			}
+			w.Close()
 		}
 		got := runWorld(t, layer, tc.cfg, x, dy, tc.seqExec)
 		compareSnapshots(t, tc.name, want, got)
@@ -145,11 +134,11 @@ func TestWorldHybridValidation(t *testing.T) {
 		t.Fatalf("GroupSize=3 over 4 ranks: %v", err)
 	}
 
-	// The sharded contract is required at every group size, g=1 included.
+	// The staged contract is required at every group size, g=1 included.
 	wrapped := worldLayer(t, "gshard", TutelOrder{}, false, true)
 	for _, g := range []int{1, 2} {
 		_, err := NewWorld(wrapped, WorldConfig{Ranks: 4, Strategy: StrategyHybrid, GroupSize: g})
-		if err == nil || !strings.Contains(err.Error(), string(StrategyHybrid)) || !strings.Contains(err.Error(), "ShardedExpert") {
+		if err == nil || !strings.Contains(err.Error(), string(StrategyHybrid)) || !strings.Contains(err.Error(), "StagedExpert") {
 			t.Fatalf("plain experts at g=%d: %v", g, err)
 		}
 	}

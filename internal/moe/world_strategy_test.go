@@ -164,6 +164,7 @@ func TestWorldDenseFallbackExperts(t *testing.T) {
 	for i, ex := range layer.cfg.Experts {
 		layer.cfg.Experts[i] = onlyExpert{ex}
 	}
+	reresolve(layer)
 	x := tensor.RandN(xrand.New(65), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(66), 1, 96, 32)
 	want := runSequentialLayer(t, layer, x, dy)
@@ -190,9 +191,9 @@ func TestWorldStrategyValidation(t *testing.T) {
 		t.Fatalf("unknown strategy: %v", err)
 	}
 
-	// ESP requires the sharded contract.
+	// ESP requires the staged contract.
 	_, err := NewWorld(wrapped, WorldConfig{Ranks: 2, Strategy: StrategyESP})
-	if err == nil || !strings.Contains(err.Error(), string(StrategyESP)) || !strings.Contains(err.Error(), "ShardedExpert") {
+	if err == nil || !strings.Contains(err.Error(), string(StrategyESP)) || !strings.Contains(err.Error(), "StagedExpert") {
 		t.Fatalf("esp with plain experts: %v", err)
 	}
 

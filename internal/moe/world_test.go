@@ -172,7 +172,7 @@ func TestWorldBitIdenticalVariants(t *testing.T) {
 }
 
 // TestWorldFallbackExperts: custom experts that do not implement
-// ChunkedExpert run through the whole-block fallback (chunked
+// StagedExpert run through the whole-block adapter (chunked
 // communication, monolithic compute) and stay bit-identical.
 func TestWorldFallbackExperts(t *testing.T) {
 	x := tensor.RandN(xrand.New(41), 1, 96, 32)

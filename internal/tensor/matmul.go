@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // matmulParallelThreshold is the FLOP count above which the GEMM kernels
 // shard rows across the shared worker pool (pool.go). Below it, scheduling
 // costs more than it saves.
@@ -24,9 +26,19 @@ func MatMulInto(dst, a, b *Tensor) { defaultPool.MatMulInto(dst, a, b) }
 // pool. Results are bit-identical at any width.
 func (p *Pool) MatMulInto(dst, a, b *Tensor) {
 	m := mmShape(a, b, "MatMulInto")
-	n := b.shape[1]
-	checkDst(dst, m, n, "MatMulInto")
-	p.self().matmulInto(dst.data, a.data, b.data, m, a.shape[1], n)
+	checkDst(dst, m, b.shape[1], "MatMulInto")
+	p.MatMulRowsInto(dst, 0, a, 0, m, b)
+}
+
+// MatMulRowsInto computes rows [dlo, dlo+rows) of dst as rows
+// [alo, alo+rows) of a times b: the row-range form of MatMulInto, for
+// callers that walk a block window by window and would otherwise slice a
+// view per operand per window. dst is (·, n) for a (·, k) and b (k, n).
+func (p *Pool) MatMulRowsInto(dst *Tensor, dlo int, a *Tensor, alo, rows int, b *Tensor) {
+	mmShape(a, b, "MatMulRowsInto")
+	k, n := a.shape[1], b.shape[1]
+	checkRows(dst, dlo, a, alo, rows, n, "MatMulRowsInto")
+	p.self().matmulInto(dst.data[dlo*n:(dlo+rows)*n], a.data[alo*k:(alo+rows)*k], b.data, rows, k, n)
 }
 
 // mmShape validates a 2-D pair with matching inner dimension and returns m.
@@ -43,6 +55,17 @@ func mmShape(a, b *Tensor, op string) int {
 func checkDst(dst *Tensor, m, n int, op string) {
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic("tensor: " + op + " destination shape mismatch")
+	}
+}
+
+// checkRows validates a row-range product: dst is 2-D of width n and both
+// row windows lie inside their tensors.
+func checkRows(dst *Tensor, dlo int, a *Tensor, alo, rows, n int, op string) {
+	if dst.Rank() != 2 || dst.shape[1] != n {
+		panic("tensor: " + op + " destination shape mismatch")
+	}
+	if rows < 0 || dlo < 0 || dlo+rows > dst.shape[0] || alo < 0 || alo+rows > a.shape[0] {
+		panic(fmt.Sprintf("tensor: %s rows [%d,+%d) of %v from rows [%d,+%d) of %v out of range", op, dlo, rows, dst.shape, alo, rows, a.shape))
 	}
 }
 
@@ -187,19 +210,33 @@ func (p *Pool) MatMulT2Into(dst, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulT2Into requires 2-D tensors")
 	}
-	p = p.self()
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic("tensor: MatMulT2Into inner dimension mismatch")
+	checkDst(dst, a.shape[0], b.shape[0], "MatMulT2Into")
+	p.MatMulT2RowsInto(dst, 0, a, 0, a.shape[0], b, 0, b.shape[0])
+}
+
+// MatMulT2RowsInto computes rows [dlo, dlo+rows) of dst as rows
+// [alo, alo+rows) of a times the transpose of rows [blo, bhi) of b: the
+// row-range form of MatMulT2Into (see MatMulRowsInto). dst is (·, bhi−blo)
+// for a (·, k) and b (·, k).
+func (p *Pool) MatMulT2RowsInto(dst *Tensor, dlo int, a *Tensor, alo, rows int, b *Tensor, blo, bhi int) {
+	if a.Rank() != 2 || b.Rank() != 2 {
+		panic("tensor: MatMulT2RowsInto requires 2-D tensors")
 	}
-	checkDst(dst, m, n, "MatMulT2Into")
-	if m*k*n < matmulParallelThreshold || m == 1 || p.Workers() == 1 {
-		matmulT2Rows(dst.data, a.data, b.data, 0, m, k, n)
+	p = p.self()
+	k, n := a.shape[1], bhi-blo
+	if k != b.shape[1] {
+		panic("tensor: MatMulT2RowsInto inner dimension mismatch")
+	}
+	if blo < 0 || n < 0 || bhi > b.shape[0] {
+		panic(fmt.Sprintf("tensor: MatMulT2RowsInto rows [%d,%d) of b %v out of range", blo, bhi, b.shape))
+	}
+	checkRows(dst, dlo, a, alo, rows, n, "MatMulT2RowsInto")
+	dd, ad, bd := dst.data[dlo*n:(dlo+rows)*n], a.data[alo*k:(alo+rows)*k], b.data[blo*k:bhi*k]
+	if rows*k*n < matmulParallelThreshold || rows == 1 || p.Workers() == 1 {
+		matmulT2Rows(dd, ad, bd, 0, rows, k, n)
 		return
 	}
-	ad, bd, dd := a.data, b.data, dst.data
-	p.ParallelRange(m, func(lo, hi int) {
+	p.ParallelRange(rows, func(lo, hi int) {
 		matmulT2Rows(dd, ad, bd, lo, hi, k, n)
 	})
 }

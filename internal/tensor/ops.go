@@ -138,6 +138,13 @@ func GeLUInto(dst, a *Tensor) { ApplyInto(dst, a, gelu) }
 // SiLUInto stores SiLU(a) into dst.
 func SiLUInto(dst, a *Tensor) { ApplyInto(dst, a, silu) }
 
+// GeLUAt is the scalar GeLUInto applies, for callers that write the result
+// through a strided column window.
+func GeLUAt(x float64) float64 { return gelu(x) }
+
+// SiLUAt is the scalar SiLUInto applies (see GeLUAt).
+func SiLUAt(x float64) float64 { return silu(x) }
+
 // Sum returns the sum of all elements.
 func Sum(a *Tensor) float64 {
 	s := 0.0
