@@ -15,6 +15,7 @@ import (
 
 	"repro/fsmoe"
 	"repro/internal/report"
+	"repro/internal/tensor"
 )
 
 // calibrateDegrees is the sweep grid, matching the realpipe degree sweep.
@@ -28,6 +29,7 @@ const calibrateMatchTolerance = 0.05
 func calibrateExperiment() error {
 	const ranks = 4
 	fmt.Printf("== calibrate: measured-cost calibration of Algorithm 1 (R=%d in-process ranks) ==\n", ranks)
+	note("GEMM kernel: %s — the expert stage times fitted below were measured on it (\"portable\": no AVX2, or a -tags purego build).", tensor.Kernel())
 	for _, cfg := range realpipeConfigs() {
 		layer, err := newRealpipeLayer(cfg)
 		if err != nil {

@@ -88,6 +88,20 @@
 // Parallelism never reorders floating-point accumulation — results are
 // bit-identical at any worker count.
 //
+// The expert GEMMs (a@b, aᵀ@b, a@bᵀ) each have one accumulation order,
+// implemented as a portable Go loop and, on amd64 CPUs with AVX2, as a
+// register-tile micro-kernel that multiplies and adds unfused, so it rounds
+// exactly like the loop: on finite operands the two are bit-identical and
+// every bit-identity contract in this package (World ≡ Layer, chunked ≡
+// monolithic, recovered ≡ fresh) holds across them. The kernels are picked
+// once at start-up from CPUID; a host without AVX2, another architecture or
+// a -tags purego build runs the loops alone, several times slower. Which
+// one a process runs is a line in its output, not a guess: the Chrome
+// trace labels every process "gemm kernel: avx2" or "gemm kernel:
+// portable", and fsmoe-bench -experiment calibrate notes it beside the
+// fitted expert cost. internal/tensor's package comment has the contract,
+// including what is not guaranteed for NaN and Inf operands.
+//
 // Ownership rules for pooled buffers: whoever calls GetTensor owns the
 // buffer and must PutTensor it at most once, only after every view of it
 // (Reshape/View/Slice/Row all alias the same backing array) is dead. After

@@ -9,11 +9,16 @@ package lint
 // the "source" compiler importer, which type-checks GOROOT sources and
 // therefore works offline. Test files (_test.go) are not analyzed: the
 // rules protect production aggregation and execution paths, and fixtures
-// legitimately assert on raw literals.
+// legitimately assert on raw literals. Files excluded by a build
+// constraint or a _GOOS/_GOARCH suffix on this platform are skipped the
+// way the compiler skips them (go/build's default context), so a package
+// with per-architecture twins — internal/tensor's GEMM kernels — loads as
+// the one the build compiles.
 
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -216,7 +221,14 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && analyzableFile(e.Name()) {
+		if e.IsDir() || !analyzableFile(e.Name()) {
+			continue
+		}
+		match, err := build.Default.MatchFile(abs, e.Name())
+		if err != nil {
+			return nil, fmt.Errorf("lint: build constraints of %s: %w", filepath.Join(abs, e.Name()), err)
+		}
+		if match {
 			names = append(names, e.Name())
 		}
 	}

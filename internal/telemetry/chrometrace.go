@@ -7,12 +7,14 @@ import (
 	"sort"
 
 	"repro/internal/sim"
+	"repro/internal/tensor"
 )
 
 // Chrome trace-event export: any sim.Trace — DES-simulated or measured by
 // runtime.Plan.Execute — serializes to the trace_event JSON format that
 // chrome://tracing and Perfetto load directly. Each added trace becomes
-// one "process" (named track group), each stream one named "thread" row,
+// one "process" (named track group, labelled with the GEMM kernel this
+// process runs — tensor.Kernel), each stream one named "thread" row,
 // each task a complete ("X") duration event with its kind as the
 // category, fault/retry/straggler/skip incidents instant ("i") events on
 // the failing task's row, and per-stream resource bindings thread
@@ -68,6 +70,11 @@ func (b *ChromeTraceBuilder) AddTrace(name string, tr *sim.Trace) {
 	b.events = append(b.events, chromeEvent{
 		Name: "process_name", Phase: "M", PID: pid,
 		Args: map[string]any{"name": name},
+	}, chromeEvent{
+		// Shown beside the process name: a slow step on a host without
+		// AVX2 says so in the trace itself.
+		Name: "process_labels", Phase: "M", PID: pid,
+		Args: map[string]any{"labels": "gemm kernel: " + tensor.Kernel()},
 	})
 
 	// Stable thread ids: streams in sorted order, starting at 1 (tid 0

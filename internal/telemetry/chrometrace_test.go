@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/tensor"
 )
 
 func testTrace() *sim.Trace {
@@ -59,11 +60,15 @@ func TestChromeTraceExport(t *testing.T) {
 
 	threads := map[int]string{}
 	var complete, instants, faults int
+	var labels string
 	for _, ev := range doc.TraceEvents {
 		switch ev.Phase {
 		case "M":
 			if ev.Name == "thread_name" {
 				threads[ev.TID] = ev.Args["name"].(string)
+			}
+			if ev.Name == "process_labels" {
+				labels, _ = ev.Args["labels"].(string)
 			}
 		case "X":
 			complete++
@@ -82,6 +87,9 @@ func TestChromeTraceExport(t *testing.T) {
 				faults++
 			}
 		}
+	}
+	if want := "gemm kernel: " + tensor.Kernel(); labels != want {
+		t.Fatalf("process labels = %q, want %q", labels, want)
 	}
 	// One thread row per stream.
 	if len(threads) != 3 {

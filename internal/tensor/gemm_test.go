@@ -1,0 +1,239 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/xrand"
+)
+
+// gemmCase is one operand recipe, checked over all seven GEMM entry points
+// at pool widths 1/2/4 against the portable loop bodies run over the whole
+// product — the one definition of each association order. On a build
+// without micro-kernels the drivers are those bodies, so the comparison is
+// an identity that still exercises the windows and the sharding.
+type gemmCase struct {
+	seed     uint64
+	m, n, k  int
+	win      int // rows in front of the dst/a/b windows (win, win+1, win+2: odd offsets give unaligned bases)
+	zeroTail int // trailing all-zero rows of the token block (capacity padding)
+	zeroPct  int // share of a's elements, and of its aligned 4-groups, forced to ±0
+	special  int // 0: finite operands; 1/2: a NaN/Inf planted in a; 3/4: in b
+}
+
+func (c gemmCase) String() string {
+	return fmt.Sprintf("seed=%d m=%d n=%d k=%d win=%d zeroTail=%d zeroPct=%d special=%d", c.seed, c.m, c.n, c.k, c.win, c.zeroTail, c.zeroPct, c.special)
+}
+
+func signedZero(rng *xrand.RNG) float64 {
+	if rng.Intn(2) == 0 {
+		return math.Copysign(0, -1)
+	}
+	return 0
+}
+
+// gemmOperand returns a (rows, cols) operand of standard normals with
+// zeroPct% of its elements and of each row's aligned 4-groups set to ±0.
+func gemmOperand(rng *xrand.RNG, rows, cols, zeroPct int) *Tensor {
+	t := RandN(rng, 1, rows, cols)
+	for i := range t.data {
+		if rng.Intn(100) < zeroPct {
+			t.data[i] = signedZero(rng)
+		}
+	}
+	for r := 0; r < rows; r++ {
+		for c := 0; c+4 <= cols; c += 4 {
+			if rng.Intn(100) < zeroPct {
+				for q := 0; q < 4; q++ {
+					t.data[r*cols+c+q] = signedZero(rng)
+				}
+			}
+		}
+	}
+	return t
+}
+
+// plant overwrites one element of rows [lo, hi) of t with a NaN (odd kind)
+// or a signed Inf (even kind).
+func plant(rng *xrand.RNG, t *Tensor, lo, hi, kind int) {
+	cols := t.shape[1]
+	if hi <= lo || cols == 0 {
+		return
+	}
+	v := math.NaN()
+	if kind%2 == 0 {
+		v = math.Inf(rng.Intn(2)*2 - 1)
+	}
+	t.data[(lo+rng.Intn(hi-lo))*cols+rng.Intn(cols)] = v
+}
+
+// gemmEqual requires got to carry want's bits, except that where want is a
+// NaN any NaN will do: kernel and portable body agree on which elements are
+// non-finite, not on a NaN's payload.
+func gemmEqual(t *testing.T, c gemmCase, what string, width int, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%v width %d: %s has %d elements, want %d", c, width, what, len(got), len(want))
+	}
+	for i, w := range want {
+		if g := got[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%v width %d (%s kernels): %s element %d = %v (%#x), the portable body gives %v (%#x)",
+				c, width, Kernel(), what, i, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// window returns rows [lo, lo+rows) of a 2-D tensor's backing array.
+func window(t *Tensor, lo, rows int) []float64 {
+	cols := t.shape[1]
+	return t.data[lo*cols : (lo+rows)*cols]
+}
+
+// framed returns a (front+rows+1, cols) destination whose window rows
+// [front, front+rows) hold fill and whose frame holds a sentinel, and a
+// check that the frame survived.
+func framed(front, rows, cols int, fill float64) (*Tensor, func() bool) {
+	const sentinel = 7.5
+	d := New(front+rows+1, cols)
+	d.Fill(sentinel)
+	w := window(d, front, rows)
+	for i := range w {
+		w[i] = fill
+	}
+	return d, func() bool {
+		for i, v := range d.data {
+			if r := i / cols; (r < front || r >= front+rows) && v != sentinel {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+func checkGemmKernels(t *testing.T, c gemmCase) {
+	t.Helper()
+	defer SetWorkers(0)
+	rng := xrand.New(c.seed)
+	m, n, k := c.m, c.n, c.k
+	dlo, alo, blo := c.win, c.win+1, c.win+2
+	zt := min(c.zeroTail, m)
+
+	// a @ b and a @ bᵀ share the (·, k) token block a; bT is b's (·, k) form.
+	a := gemmOperand(rng, alo+m+1, k, c.zeroPct)
+	clear(window(a, alo+m-zt, zt))
+	b := gemmOperand(rng, k, n, 0)
+	bT := gemmOperand(rng, blo+n+1, k, 0)
+	// aᵀ @ b reads the token block as (k, m): its trailing token rows are rows of p.
+	a1 := gemmOperand(rng, k, m, c.zeroPct)
+	clear(window(a1, k-min(c.zeroTail, k), min(c.zeroTail, k)))
+	b1 := gemmOperand(rng, k, n, 0)
+	base := gemmOperand(rng, m, n, 10) // T1AddInto's prior contents: finite, some −0
+	const bs = 3
+	a3 := gemmOperand(rng, bs*m, k, c.zeroPct).Reshape(bs, m, k)
+	b3 := gemmOperand(rng, bs*k, n, 0).Reshape(bs, k, n)
+	switch c.special {
+	case 1, 2:
+		plant(rng, a, alo, alo+m, c.special)
+		plant(rng, a1, 0, k, c.special)
+		plant(rng, a3.Reshape(bs*m, k), 0, bs*m, c.special)
+	case 3, 4:
+		plant(rng, b, 0, k, c.special)
+		plant(rng, bT, blo, blo+n, c.special)
+		plant(rng, b1, 0, k, c.special)
+		plant(rng, b3.Reshape(bs*k, n), 0, bs*k, c.special)
+	}
+	aw, bTw := window(a, alo, m), window(bT, blo, n)
+
+	want := make([]float64, m*n)
+	matmulRows(want, aw, b.data, 0, m, 0, n, k, n)
+	wantT1 := make([]float64, m*n)
+	matmulT1Rows(wantT1, a1.data, b1.data, 0, m, 0, n, k, m, n)
+	wantT1Add := append([]float64(nil), base.data...)
+	matmulT1Rows(wantT1Add, a1.data, b1.data, 0, m, 0, n, k, m, n)
+	wantT2 := make([]float64, m*n)
+	matmulT2Rows(wantT2, aw, bTw, 0, m, 0, n, 0, k, n)
+	want3 := make([]float64, bs*m*n)
+	for i := 0; i < bs; i++ {
+		matmulRows(want3[i*m*n:(i+1)*m*n], a3.data[i*m*k:(i+1)*m*k], b3.data[i*k*n:(i+1)*k*n], 0, m, 0, n, k, n)
+	}
+
+	for _, w := range []int{1, 2, 4} {
+		p := NewPool(w)
+		nan := math.NaN()
+
+		d, intact := framed(dlo, m, n, nan)
+		p.MatMulRowsInto(d, dlo, a, alo, m, b)
+		gemmEqual(t, c, "MatMulRowsInto", w, window(d, dlo, m), want)
+		if !intact() {
+			t.Fatalf("%v width %d: MatMulRowsInto wrote outside its row window", c, w)
+		}
+		whole := New(m, n)
+		whole.Fill(nan)
+		p.MatMulInto(whole, a.Slice(alo, alo+m), b)
+		gemmEqual(t, c, "MatMulInto", w, whole.data, want)
+
+		SetWorkers(w)
+		gemmEqual(t, c, "BatchedMatMul", w, BatchedMatMul(a3, b3).data, want3)
+
+		whole.Fill(nan)
+		p.MatMulT1Into(whole, a1, b1)
+		gemmEqual(t, c, "MatMulT1Into", w, whole.data, wantT1)
+		sum := base.Clone()
+		p.MatMulT1AddInto(sum, a1, b1)
+		gemmEqual(t, c, "MatMulT1AddInto", w, sum.data, wantT1Add)
+
+		d, intact = framed(dlo, m, n, nan)
+		p.MatMulT2RowsInto(d, dlo, a, alo, m, bT, blo, blo+n)
+		gemmEqual(t, c, "MatMulT2RowsInto", w, window(d, dlo, m), wantT2)
+		if !intact() {
+			t.Fatalf("%v width %d: MatMulT2RowsInto wrote outside its row window", c, w)
+		}
+		whole.Fill(nan)
+		p.MatMulT2Into(whole, a.Slice(alo, alo+m), bT.Slice(blo, blo+n))
+		gemmEqual(t, c, "MatMulT2Into", w, whole.data, wantT2)
+		p.Close()
+	}
+}
+
+// TestGemmKernelsMatchPortable sweeps every fringe remainder of the three
+// tile grids (m below, at and past 4 and 8; n below, at and past 8 and 4;
+// k below, at and past a 4-group, and 0) with the operand recipes rotating,
+// then shapes past matmulParallelThreshold, where widths 2 and 4 really
+// shard tile rows — one per remainder of m modulo the taller tile.
+func TestGemmKernelsMatchPortable(t *testing.T) {
+	i := 0
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 17} {
+		for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 25} {
+			for _, k := range []int{0, 1, 2, 3, 4, 5, 7, 8, 13} {
+				i++
+				checkGemmKernels(t, gemmCase{
+					seed: uint64(i), m: m, n: n, k: k,
+					win: i % 3, zeroTail: i % 4, zeroPct: []int{0, 15, 60, 100}[i/4%4], special: max(i%13-8, 0),
+				})
+			}
+		}
+	}
+	if 64*137*242 < matmulParallelThreshold {
+		t.Fatal("the large shapes no longer clear matmulParallelThreshold")
+	}
+	for r := 0; r < 8; r++ {
+		checkGemmKernels(t, gemmCase{
+			seed: uint64(100 + r), m: 64 + r, n: 137 + r%3, k: 242 + r%5,
+			win: r % 2, zeroTail: 5 * (r % 2), zeroPct: 10 * (r % 3), special: max(r-3, 0),
+		})
+	}
+}
+
+// FuzzGemmKernels drives the same check from fuzzed shapes and recipes.
+func FuzzGemmKernels(f *testing.F) {
+	f.Add(uint64(1), uint8(9), uint8(17), uint8(6), uint8(1), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(40), uint8(64), uint8(3), uint8(0), uint8(12), uint8(20), uint8(0))
+	f.Add(uint64(3), uint8(3), uint8(7), uint8(0), uint8(2), uint8(0), uint8(100), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, m, n, k, win, zeroTail, zeroPct, special uint8) {
+		checkGemmKernels(t, gemmCase{
+			seed: seed, m: int(m%80) + 1, n: int(n%80) + 1, k: int(k % 72),
+			win: int(win % 4), zeroTail: int(zeroTail % 16), zeroPct: int(zeroPct % 101), special: int(special % 5),
+		})
+	})
+}

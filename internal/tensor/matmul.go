@@ -2,10 +2,69 @@ package tensor
 
 import "fmt"
 
-// matmulParallelThreshold is the FLOP count above which the GEMM kernels
-// shard rows across the shared worker pool (pool.go). Below it, scheduling
-// costs more than it saves.
-const matmulParallelThreshold = 1 << 18
+// The GEMM layer (contract: the package comment). Three products — a@b,
+// aᵀ@b, a@bᵀ — each defined by the order in which one output element
+// accumulates its terms, and each implemented twice over that definition:
+//
+//   - a portable loop body (matmulRows, matmulT1Rows, matmulT2Rows below)
+//     restricted to a row and column range of dst: the whole implementation
+//     where there is no micro-kernel, the fringe where there is one, and the
+//     oracle the tests compare the kernels against;
+//   - an AVX2 register-tile micro-kernel (gemm_amd64.s) that runs full tiles
+//     in the same order with unfused VMULPD+VADDPD.
+//
+// A driver per product (matmulRange, matmulT1Range, matmulT2Range) walks the
+// tile grid of a row range that starts on a tile-row boundary. Pools split a
+// product between full tile rows, the last shard taking the rows past the
+// last one, so the grid — which element a tile computes and which the
+// portable body — depends on the shapes alone, never on the pool width, and
+// every dst element is accumulated by exactly one goroutine.
+
+// Tile geometry of the micro-kernels, which is also the sharding unit of
+// the drivers on every build: a pool splits a product between tile rows.
+const (
+	tileRows = 4 // a@b and aᵀ@b: a 4×8 tile of dst
+	tileCols = 8
+	t2Rows   = 8 // a@bᵀ: an 8×4 tile of dst
+	t2Cols   = 4
+)
+
+// matmulParallelThreshold is the multiply-accumulate count (m·k·n) at and
+// above which the GEMM drivers shard tile rows across their pool. Below it
+// the fork-join costs more than the second worker saves: on the 2-core
+// reference box a product of 1<<18 MACs (the constant before the AVX2
+// kernels) takes ~20 µs on one worker and ~25 µs on a pool of two, 1<<20
+// takes ~89 µs against ~105 µs, 1<<21 ~178 µs against ~180–190 µs and
+// 1<<22 ~400 µs against ~340 µs — the threshold is a time, and the kernels
+// made a MAC four times cheaper. BenchmarkMatMulThreshold is the measurement.
+const matmulParallelThreshold = 1 << 21
+
+// Kernel names the GEMM implementation this process selected at init:
+// "avx2" for the assembly micro-kernels, "portable" for the Go loop bodies
+// alone (no AVX2, another GOARCH, or a -tags purego build).
+func Kernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
+// serialGEMM reports whether a product of macs multiply-accumulates over
+// rows rows of dst runs on the caller alone. Entry points test it before
+// building the sharding closure, so the serial path allocates nothing.
+func (p *Pool) serialGEMM(rows, tile, macs int) bool {
+	return macs < matmulParallelThreshold || rows < 2*tile || p.Workers() == 1
+}
+
+// shardEnd is the last row of a shard that ends at full tile row hi of nt:
+// the last shard also takes the rows past the last full tile row, so every
+// shard starts on a tile-row boundary and holds at least one full tile row.
+func shardEnd(hi, nt, tile, rows int) int {
+	if hi == nt {
+		return rows
+	}
+	return hi * tile
+}
 
 // MatMul returns a @ b for 2-D tensors with shapes (m,k) and (k,n).
 func MatMul(a, b *Tensor) *Tensor {
@@ -16,13 +75,13 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // MatMulInto computes dst = a @ b, overwriting dst, which must be (m,n).
 // With a pooled dst (GetUninit) this is the allocation-free GEMM the hot
-// path uses. Rows shard over the default pool; see Pool.MatMulInto for the
-// scoped variant.
+// path uses. Tile rows shard over the default pool; see Pool.MatMulInto for
+// the scoped variant.
 func MatMulInto(dst, a, b *Tensor) { defaultPool.MatMulInto(dst, a, b) }
 
-// MatMulInto computes dst = a @ b with the row sharding bound to p's
-// worker budget instead of the default pool — the GEMM entry point for
-// code running on a scoped compute stream. A nil receiver uses the default
+// MatMulInto computes dst = a @ b with the sharding bound to p's worker
+// budget instead of the default pool — the GEMM entry point for code
+// running on a scoped compute stream. A nil receiver uses the default
 // pool. Results are bit-identical at any width.
 func (p *Pool) MatMulInto(dst, a, b *Tensor) {
 	m := mmShape(a, b, "MatMulInto")
@@ -70,54 +129,82 @@ func checkRows(dst *Tensor, dlo int, a *Tensor, alo, rows, n int, op string) {
 }
 
 // matmulInto computes dst = A @ B where A is (m,k), B is (k,n), all
-// row-major. Rows of dst are sharded over the pool; each output element is
-// accumulated entirely by one goroutine in a fixed order, so the result is
-// identical at any parallel width.
+// row-major, sharding tile rows of dst over the pool.
 func (p *Pool) matmulInto(dst, a, b []float64, m, k, n int) {
-	// The Workers()==1 check precedes the closure so the single-threaded
-	// path stays allocation-free.
-	if m*k*n < matmulParallelThreshold || m == 1 || p.Workers() == 1 {
-		matmulRows(dst, a, b, 0, m, k, n)
+	if p.serialGEMM(m, tileRows, m*k*n) {
+		matmulRange(dst, a, b, 0, m, k, n)
 		return
 	}
-	p.ParallelRange(m, func(lo, hi int) {
-		matmulRows(dst, a, b, lo, hi, k, n)
+	nt := m / tileRows
+	p.ParallelRange(nt, func(lo, hi int) {
+		matmulRange(dst, a, b, lo*tileRows, shardEnd(hi, nt, tileRows, m), k, n)
 	})
 }
 
-// matmulRows is the register-blocked i-k-j kernel: the k-loop is unrolled
-// 4× so each pass streams four rows of B against four scalars of A held in
-// registers, quartering the traffic on dst.
-func matmulRows(dst, a, b []float64, lo, hi, k, n int) {
+// matmulRange computes rows [lo, hi) of dst = a @ b in matmulRows' order.
+// With at least one full tile row the 4×8 tiles go through the grouped
+// kernel (its k mod 4 tail through the plain one, which continues from what
+// the grouped kernel stored) and the last tile row slides back over rows
+// already written rather than leave a row fringe: the product overwrites,
+// so computing a row twice stores the same bits twice. Columns past the
+// last full tile column, and every smaller range, are matmulRows'.
+func matmulRange(dst, a, b []float64, lo, hi, k, n int) {
+	k4 := k &^ 3
+	if !useAVX2 || k4 == 0 || n < tileCols || hi-lo < tileRows {
+		matmulRows(dst, a, b, lo, hi, 0, n, k, n)
+		return
+	}
+	j8 := n &^ (tileCols - 1)
+	for i := lo; i < hi; i += tileRows {
+		r := min(i, hi-tileRows)
+		gemmGrouped(&dst[r*n], n, &a[r*k], k, &b[0], n, k4/4, j8/tileCols)
+		if k4 < k {
+			gemmPlain(&dst[r*n], n, &a[r*k+k4], k, 1, &b[k4*n], n, k-k4, j8/tileCols)
+		}
+	}
+	matmulRows(dst, a, b, lo, hi, j8, n, k, n)
+}
+
+// matmulRows is the portable a @ b body over rows [lo, hi) × columns
+// [jlo, jhi) of dst, and the definition of the grouped order: the k-loop
+// runs four at a time, dst[i,j] += ((a0·b0 + a1·b1) + a2·b2) + a3·b3 with a
+// group skipped when its four a are all zero, then one p at a time over the
+// tail with single zeros skipped — from +0, p ascending.
+func matmulRows(dst, a, b []float64, lo, hi, jlo, jhi, k, n int) {
+	if jlo >= jhi {
+		return
+	}
 	for i := lo; i < hi; i++ {
-		di := dst[i*n : (i+1)*n : (i+1)*n]
+		matmulRow(dst[i*n+jlo:i*n+jhi], a[i*k:(i+1)*k], b, jlo, n)
+	}
+}
+
+// matmulRow is one row of matmulRows: di = ai @ b[:, jlo:jlo+len(di)] for b
+// of width n. (A function of its own so the inner loops get the registers.)
+func matmulRow(di, ai, b []float64, jlo, n int) {
+	clear(di)
+	w := len(di)
+	p := 0
+	for ; p+4 <= len(ai); p += 4 {
+		a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
+		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+			continue
+		}
+		b0 := b[p*n+jlo:][:w]
+		b1 := b[(p+1)*n+jlo:][:w]
+		b2 := b[(p+2)*n+jlo:][:w]
+		b3 := b[(p+3)*n+jlo:][:w]
 		for j := range di {
-			di[j] = 0
+			di[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 		}
-		ai := a[i*k : (i+1)*k]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			b0 := b[p*n : p*n+n : p*n+n]
-			b1 := b[(p+1)*n : (p+1)*n+n : (p+1)*n+n]
-			b2 := b[(p+2)*n : (p+2)*n+n : (p+2)*n+n]
-			b3 := b[(p+3)*n : (p+3)*n+n : (p+3)*n+n]
-			for j := range di {
-				di[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
+	}
+	for ; p < len(ai); p++ {
+		av := ai[p]
+		if av == 0 {
+			continue
 		}
-		for ; p < k; p++ {
-			av := ai[p]
-			if av == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n : (p+1)*n]
-			for j, bv := range bp {
-				di[j] += av * bv
-			}
+		for j, bv := range b[p*n+jlo:][:w] {
+			di[j] += av * bv
 		}
 	}
 }
@@ -130,54 +217,96 @@ func MatMulT1(a, b *Tensor) *Tensor {
 		panic("tensor: MatMulT1 requires 2-D tensors")
 	}
 	out := New(a.shape[1], b.shape[1])
-	MatMulT1Into(out, a, b)
+	k, m, n := t1Shape(out, a, b, "MatMulT1")
+	defaultPool.matmulT1Add(out.data, a.data, b.data, k, m, n)
 	return out
 }
 
-// MatMulT1Into computes dst = aᵀ @ b with the pool convention of
-// Pool.MatMulInto. The kernel itself is inherently sequential (every rank-1
-// update touches all of dst), so the pool only documents intent; it exists
-// so a stream's GEMM calls are uniformly pool-bound.
-func (p *Pool) MatMulT1Into(dst, a, b *Tensor) { MatMulT1Into(dst, a, b) }
-
-// MatMulT1AddInto computes dst += aᵀ @ b with the pool convention of
-// Pool.MatMulT1Into.
-func (p *Pool) MatMulT1AddInto(dst, a, b *Tensor) { MatMulT1AddInto(dst, a, b) }
-
 // MatMulT1Into computes dst = aᵀ @ b, overwriting dst, which must be (m,n)
-// for a (k,m) and b (k,n).
-func MatMulT1Into(dst, a, b *Tensor) {
-	clear(dst.data)
-	MatMulT1AddInto(dst, a, b)
-}
+// for a (k,m) and b (k,n), on the default pool.
+func MatMulT1Into(dst, a, b *Tensor) { defaultPool.MatMulT1Into(dst, a, b) }
 
-// MatMulT1AddInto computes dst += aᵀ @ b: the rank-1 updates of
-// MatMulT1Into applied, in the same order, to what dst already holds. A
+// MatMulT1AddInto computes dst += aᵀ @ b on the default pool: the terms of
+// MatMulT1Into added, in the same order, to what dst already holds. A
 // row-blocked product may therefore be accumulated block by block —
 // MatMulT1Into on the first block of rows of a and b, MatMulT1AddInto on the
 // rest — with the bits of the one-call product.
-func MatMulT1AddInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulT1Into requires 2-D tensors")
+func MatMulT1AddInto(dst, a, b *Tensor) { defaultPool.MatMulT1AddInto(dst, a, b) }
+
+// MatMulT1Into computes dst = aᵀ @ b with the pool convention of
+// Pool.MatMulInto.
+func (p *Pool) MatMulT1Into(dst, a, b *Tensor) {
+	k, m, n := t1Shape(dst, a, b, "MatMulT1Into")
+	clear(dst.data)
+	p.self().matmulT1Add(dst.data, a.data, b.data, k, m, n)
+}
+
+// MatMulT1AddInto computes dst += aᵀ @ b with the pool convention of
+// Pool.MatMulInto.
+func (p *Pool) MatMulT1AddInto(dst, a, b *Tensor) {
+	k, m, n := t1Shape(dst, a, b, "MatMulT1AddInto")
+	p.self().matmulT1Add(dst.data, a.data, b.data, k, m, n)
+}
+
+// t1Shape validates dst (m,n) += aᵀ @ b for a (k,m) and b (k,n) on behalf
+// of entry point op and returns k, m, n.
+func t1Shape(dst, a, b *Tensor, op string) (k, m, n int) {
+	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: %s requires 2-D tensors, have %v from %v and %v", op, dst.shape, a.shape, b.shape))
 	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic("tensor: MatMulT1Into inner dimension mismatch")
+	if a.shape[0] != b.shape[0] || dst.shape[0] != a.shape[1] || dst.shape[1] != b.shape[1] {
+		panic(fmt.Sprintf("tensor: %s shape mismatch: %v from the transpose of %v times %v", op, dst.shape, a.shape, b.shape))
 	}
-	checkDst(dst, m, n, "MatMulT1Into")
-	// dst[i,j] += sum_p a[p,i]*b[p,j]: accumulate rank-1 updates row by row.
-	// Rows of dst cannot be sharded without also sharding the p-loop (every
-	// update touches all of dst), so this kernel stays sequential; callers
-	// parallelize across experts/heads instead.
+	return a.shape[0], a.shape[1], b.shape[1]
+}
+
+// matmulT1Add is dst += aᵀ @ b for a (k,m), b (k,n): dst[i,j] is a sum over
+// p ascending whichever worker owns row i, so tile rows of dst (columns of
+// a) shard over the pool like the other two products.
+func (p *Pool) matmulT1Add(dst, a, b []float64, k, m, n int) {
+	if p.serialGEMM(m, tileRows, m*k*n) {
+		matmulT1Range(dst, a, b, 0, m, k, m, n)
+		return
+	}
+	nt := m / tileRows
+	p.ParallelRange(nt, func(lo, hi int) {
+		matmulT1Range(dst, a, b, lo*tileRows, shardEnd(hi, nt, tileRows, m), k, m, n)
+	})
+}
+
+// matmulT1Range adds rows [lo, hi) of aᵀ @ b into dst in matmulT1Rows'
+// order: full 4×8 tiles through the plain kernel reading a at stride (1, m),
+// the rest through matmulT1Rows. The product accumulates, so no tile may
+// cover a row twice and the rows past the last full tile row stay a fringe.
+func matmulT1Range(dst, a, b []float64, lo, hi, k, m, n int) {
+	if !useAVX2 || k == 0 || n < tileCols || hi-lo < tileRows {
+		matmulT1Rows(dst, a, b, lo, hi, 0, n, k, m, n)
+		return
+	}
+	i4, j8 := lo, n&^(tileCols-1)
+	for ; i4+tileRows <= hi; i4 += tileRows {
+		gemmPlain(&dst[i4*n], n, &a[i4], 1, m, &b[0], n, k, j8/tileCols)
+	}
+	matmulT1Rows(dst, a, b, lo, i4, j8, n, k, m, n)
+	matmulT1Rows(dst, a, b, i4, hi, 0, n, k, m, n)
+}
+
+// matmulT1Rows is the portable dst += aᵀ @ b body over rows [lo, hi) ×
+// columns [jlo, jhi) of dst, and the definition of the plain order:
+// dst[i,j] += a[p,i]·b[p,j] one p at a time, p ascending, a term skipped
+// when its a is zero (so 0·NaN never reaches dst and a −0 in dst survives).
+func matmulT1Rows(dst, a, b []float64, lo, hi, jlo, jhi, k, m, n int) {
+	if lo >= hi || jlo >= jhi {
+		return
+	}
+	w := jhi - jlo
 	for p := 0; p < k; p++ {
-		ap := a.data[p*m : (p+1)*m]
-		bp := b.data[p*n : (p+1)*n : (p+1)*n]
-		for i, av := range ap {
+		bp := b[p*n+jlo:][:w]
+		for i, av := range a[p*m+lo : p*m+hi] {
 			if av == 0 {
 				continue
 			}
-			di := dst.data[i*n : (i+1)*n : (i+1)*n]
+			di := dst[(lo+i)*n+jlo:][:w]
 			for j, bv := range bp {
 				di[j] += av * bv
 			}
@@ -198,14 +327,13 @@ func MatMulT2(a, b *Tensor) *Tensor {
 }
 
 // MatMulT2Into computes dst = a @ bᵀ, overwriting dst, which must be (m,n)
-// for a (m,k) and b (n,k). Rows shard over the default pool; see
+// for a (m,k) and b (n,k). Tile rows shard over the default pool; see
 // Pool.MatMulT2Into for the scoped variant.
 func MatMulT2Into(dst, a, b *Tensor) { defaultPool.MatMulT2Into(dst, a, b) }
 
-// MatMulT2Into computes dst = a @ bᵀ with the row sharding bound to p's
-// worker budget (nil = default pool). Both operands stream row-major, so
-// the inner loops are pure dot products; they are blocked four-wide over
-// rows of b to reuse each load of a's row.
+// MatMulT2Into computes dst = a @ bᵀ with the sharding bound to p's worker
+// budget (nil = default pool). Both operands stream row-major, so every
+// output element is a plain dot product of two rows.
 func (p *Pool) MatMulT2Into(dst, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulT2Into requires 2-D tensors")
@@ -232,47 +360,90 @@ func (p *Pool) MatMulT2RowsInto(dst *Tensor, dlo int, a *Tensor, alo, rows int, 
 	}
 	checkRows(dst, dlo, a, alo, rows, n, "MatMulT2RowsInto")
 	dd, ad, bd := dst.data[dlo*n:(dlo+rows)*n], a.data[alo*k:(alo+rows)*k], b.data[blo*k:bhi*k]
-	if rows*k*n < matmulParallelThreshold || rows == 1 || p.Workers() == 1 {
-		matmulT2Rows(dd, ad, bd, 0, rows, k, n)
+	if p.serialGEMM(rows, t2Rows, rows*k*n) {
+		matmulT2Range(dd, ad, bd, 0, rows, k, n)
 		return
 	}
-	p.ParallelRange(rows, func(lo, hi int) {
-		matmulT2Rows(dd, ad, bd, lo, hi, k, n)
+	nt := rows / t2Rows
+	p.ParallelRange(nt, func(lo, hi int) {
+		matmulT2Range(dd, ad, bd, lo*t2Rows, shardEnd(hi, nt, t2Rows, rows), k, n)
 	})
 }
 
-// matmulT2Rows computes rows [lo, hi) of dst = a @ bᵀ. The j-loop is
-// blocked four-wide: four dot products share each streamed load of a's row,
-// and each dot accumulates over p in a fixed order (so results don't depend
-// on the blocking).
-func matmulT2Rows(dst, a, b []float64, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		ai := a[i*k : (i+1)*k : (i+1)*k]
-		di := dst[i*n : (i+1)*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := b[j*k : (j+1)*k : (j+1)*k]
-			b1 := b[(j+1)*k : (j+2)*k : (j+2)*k]
-			b2 := b[(j+2)*k : (j+3)*k : (j+3)*k]
-			b3 := b[(j+3)*k : (j+4)*k : (j+4)*k]
-			var s0, s1, s2, s3 float64
-			for p, av := range ai {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			bj := b[j*k : (j+1)*k : (j+1)*k]
-			s := 0.0
-			for p, av := range ai {
-				s += av * bj[p]
-			}
-			di[j] = s
-		}
+// matmulT2Range computes rows [lo, hi) of dst = a @ bᵀ in matmulT2Rows'
+// order. With at least one full tile row the 8×4 tiles go through the
+// transposed kernel over the leading multiple of four p, the last tile row
+// sliding back like matmulRange's, and matmulT2Rows continues the tiles'
+// dots over the k mod 4 tail. Columns past the last full tile column, and
+// every smaller range, are matmulT2Rows' from the start.
+func matmulT2Range(dst, a, b []float64, lo, hi, k, n int) {
+	k4 := k &^ 3
+	if !useAVX2 || k4 == 0 || n < t2Cols || hi-lo < t2Rows {
+		matmulT2Rows(dst, a, b, lo, hi, 0, n, 0, k, n)
+		return
 	}
+	j4 := n &^ (t2Cols - 1)
+	for i := lo; i < hi; i += t2Rows {
+		r := min(i, hi-t2Rows)
+		gemmTransposed(&dst[r*n], n, &a[r*k], k, &b[0], k, k4/4, j4/t2Cols)
+	}
+	if k4 < k {
+		matmulT2Rows(dst, a, b, lo, hi, 0, j4, k4, k, n)
+	}
+	matmulT2Rows(dst, a, b, lo, hi, j4, n, 0, k, n)
+}
+
+// matmulT2Rows is the portable a @ bᵀ body over rows [lo, hi) × columns
+// [jlo, jhi) of dst, and the definition of the transposed order: each
+// element is one dot product, s += a[i,p]·b[j,p] with p ascending and no
+// term skipped. The dot runs over p in [plo, k), from +0 when plo is 0 and
+// from what dst holds otherwise. The j-loop is blocked four-wide so four
+// dots share each streamed load of a's row; the blocking changes no bit.
+func matmulT2Rows(dst, a, b []float64, lo, hi, jlo, jhi, plo, k, n int) {
+	if jlo >= jhi {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		matmulT2Row(dst[i*n+jlo:i*n+jhi], a[i*k+plo:(i+1)*k], b[jlo*k:jhi*k], plo, k)
+	}
+}
+
+// matmulT2Row is one row of matmulT2Rows: di[j] gains ai · b[j, plo:] for b
+// of width k.
+func matmulT2Row(di, ai, b []float64, plo, k int) {
+	j := 0
+	for ; j+4 <= len(di); j += 4 {
+		var s0, s1, s2, s3 float64
+		if plo > 0 {
+			s0, s1, s2, s3 = di[j], di[j+1], di[j+2], di[j+3]
+		}
+		di[j], di[j+1], di[j+2], di[j+3] = dot4(ai, b[j*k+plo:], b[(j+1)*k+plo:], b[(j+2)*k+plo:], b[(j+3)*k+plo:], s0, s1, s2, s3)
+	}
+	for ; j < len(di); j++ {
+		s := 0.0
+		if plo > 0 {
+			s = di[j]
+		}
+		for p, bv := range b[j*k+plo:][:len(ai)] {
+			s += ai[p] * bv
+		}
+		di[j] = s
+	}
+}
+
+// dot4 continues four dot products that share ai. Kept out of line: inlined
+// into the row loop, the compiler spills p on every iteration.
+//
+//go:noinline
+func dot4(ai, b0, b1, b2, b3 []float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	b0, b1, b2, b3 = b0[:len(ai)], b1[:len(ai)], b2[:len(ai)], b3[:len(ai)]
+	for p, av := range ai {
+		s0 += av * b0[p]
+		s1 += av * b1[p]
+		s2 += av * b2[p]
+		s3 += av * b3[p]
+	}
+	return s0, s1, s2, s3
 }
 
 // Transpose2D returns the transpose of a 2-D tensor as a new tensor.
@@ -306,7 +477,7 @@ func BatchedMatMul(a, b *Tensor) *Tensor {
 	out := New(bs, m, n)
 	if bs*m*k*n < matmulParallelThreshold || Workers() == 1 {
 		for i := 0; i < bs; i++ {
-			matmulRows(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n)
+			matmulRange(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n)
 		}
 		return out
 	}
@@ -320,7 +491,7 @@ func BatchedMatMul(a, b *Tensor) *Tensor {
 		return out
 	}
 	ParallelFor(bs, func(i int) {
-		matmulRows(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n)
+		matmulRange(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n)
 	})
 	return out
 }

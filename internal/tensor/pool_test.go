@@ -145,24 +145,48 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	}
 }
 
+// shardedGemm returns operands of the three products whose MAC count
+// clears matmulParallelThreshold, with row counts that leave a remainder
+// past the last full tile row of both tile heights — so a pool wider than
+// one really shards them: a (m,k), b (k,n), its transpose, and the (k,m)
+// and (k,n) operands of aᵀ@b.
+func shardedGemm(t *testing.T, seed uint64) (a, b, bt, a1, b1 *Tensor) {
+	t.Helper()
+	const m, k, n = 131, 197, 89
+	if m*k*n < matmulParallelThreshold {
+		t.Fatalf("%d×%d×%d no longer clears matmulParallelThreshold = %d", m, k, n, matmulParallelThreshold)
+	}
+	rng := xrand.New(seed)
+	a, b = RandN(rng, 1, m, k), RandN(rng, 1, k, n)
+	return a, b, Transpose2D(b), RandN(rng, 1, k, m), RandN(rng, 1, k, n)
+}
+
 // TestMatMulDeterministicAcrossWorkers pins the acceptance requirement that
-// parallelism never reorders a single output element's accumulation: the
-// same product must be bit-identical at any worker count.
+// parallelism never reorders a single output element's accumulation: every
+// product must be bit-identical at any worker count.
 func TestMatMulDeterministicAcrossWorkers(t *testing.T) {
 	defer SetWorkers(0)
-	rng := xrand.New(7)
-	a := RandN(rng, 1, 97, 131)
-	b := RandN(rng, 1, 131, 89)
+	a, b, bt, a1, b1 := shardedGemm(t, 7)
 	SetWorkers(1)
 	want := MatMul(a, b)
-	wantT2 := MatMulT2(a, Transpose2D(b))
+	wantT2 := MatMulT2(a, bt)
+	wantT1 := MatMulT1(a1, b1)
+	wantT1Add := want.Clone()
+	MatMulT1AddInto(wantT1Add, a1, b1)
 	for _, w := range []int{2, 4, 9} {
 		SetWorkers(w)
 		if got := MatMul(a, b); got.MaxAbsDiff(want) != 0 {
 			t.Fatalf("workers=%d: MatMul not bit-identical", w)
 		}
-		if got := MatMulT2(a, Transpose2D(b)); got.MaxAbsDiff(wantT2) != 0 {
+		if got := MatMulT2(a, bt); got.MaxAbsDiff(wantT2) != 0 {
 			t.Fatalf("workers=%d: MatMulT2 not bit-identical", w)
+		}
+		if got := MatMulT1(a1, b1); got.MaxAbsDiff(wantT1) != 0 {
+			t.Fatalf("workers=%d: MatMulT1 not bit-identical", w)
+		}
+		got := want.Clone()
+		if MatMulT1AddInto(got, a1, b1); got.MaxAbsDiff(wantT1Add) != 0 {
+			t.Fatalf("workers=%d: MatMulT1AddInto not bit-identical", w)
 		}
 	}
 }
@@ -190,7 +214,7 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 
 func TestBatchedMatMulSmallAndLarge(t *testing.T) {
 	rng := xrand.New(11)
-	for _, dims := range [][4]int{{3, 4, 5, 6}, {8, 32, 48, 40}} {
+	for _, dims := range [][4]int{{3, 4, 5, 6}, {8, 64, 96, 48}} {
 		bs, m, k, n := dims[0], dims[1], dims[2], dims[3]
 		a := RandN(rng, 1, bs, m, k)
 		b := RandN(rng, 1, bs, k, n)

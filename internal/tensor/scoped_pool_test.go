@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/xrand"
 )
 
 // TestScopedPoolMatchesDefault pins the scoped-pool contract: a kernel
@@ -13,31 +11,44 @@ import (
 // kernel at every width, including width 1 (which must never start a
 // goroutine) and nil (which designates the default pool).
 func TestScopedPoolMatchesDefault(t *testing.T) {
-	rng := xrand.New(21)
-	a := RandN(rng, 1, 97, 131)
-	b := RandN(rng, 1, 131, 89)
+	a, b, bt, a1, b1 := shardedGemm(t, 21)
+	m, n := a.Dim(0), b.Dim(1)
 	want := MatMul(a, b)
-	bt := Transpose2D(b)
 	wantT2 := MatMulT2(a, bt)
-	for _, w := range []int{1, 2, 7} {
+	wantT1 := MatMulT1(a1, b1)
+	wantT1Add := want.Clone()
+	MatMulT1AddInto(wantT1Add, a1, b1)
+	for _, w := range []int{1, 2, 4, 7} {
 		p := NewPool(w)
-		got := GetUninit(97, 89)
+		got := GetUninit(m, n)
 		p.MatMulInto(got, a, b)
 		if got.MaxAbsDiff(want) != 0 {
 			t.Fatalf("width %d: pool MatMulInto not bit-identical", w)
+		}
+		p.MatMulT1AddInto(got, a1, b1)
+		if got.MaxAbsDiff(wantT1Add) != 0 {
+			t.Fatalf("width %d: pool MatMulT1AddInto not bit-identical", w)
 		}
 		p.MatMulT2Into(got, a, bt)
 		if got.MaxAbsDiff(wantT2) != 0 {
 			t.Fatalf("width %d: pool MatMulT2Into not bit-identical", w)
 		}
+		p.MatMulT1Into(got, a1, b1)
+		if got.MaxAbsDiff(wantT1) != 0 {
+			t.Fatalf("width %d: pool MatMulT1Into not bit-identical", w)
+		}
 		Put(got)
 		p.Close()
 	}
 	var nilPool *Pool
-	got := GetUninit(97, 89)
+	got := GetUninit(m, n)
 	nilPool.MatMulInto(got, a, b)
 	if got.MaxAbsDiff(want) != 0 {
 		t.Fatal("nil pool MatMulInto not bit-identical to default")
+	}
+	nilPool.MatMulT1Into(got, a1, b1)
+	if got.MaxAbsDiff(wantT1) != 0 {
+		t.Fatal("nil pool MatMulT1Into not bit-identical to default")
 	}
 	Put(got)
 }

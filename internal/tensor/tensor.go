@@ -5,8 +5,42 @@
 // executed for real on these tensors (float64, row-major), so functional
 // claims — four gating types, order/I-order inversion, capacity-factor
 // token dropping — are validated on actual data rather than mocked.
-// Timing, by contrast, is the job of internal/sim; nothing here pretends to
-// be fast enough to train an LLM.
+//
+// # GEMM contract
+//
+// The expert computation is three products, and each is defined by the
+// order in which one output element accumulates its terms (matmul.go):
+//
+//   - plain (MatMulT1Into/MatMulT1AddInto, aᵀ@b): dst[i,j] += a[p,i]·b[p,j]
+//     one p at a time, p ascending, a term skipped when its a is ±0;
+//   - grouped (MatMulInto/MatMulRowsInto/BatchedMatMul, a@b): four p at a
+//     time, dst[i,j] += ((a0·b0 + a1·b1) + a2·b2) + a3·b3, a group skipped
+//     when its four a are all ±0, then the k mod 4 tail as plain, from +0;
+//   - transposed (MatMulT2Into/MatMulT2RowsInto, a@bᵀ): one dot product per
+//     element, s += a[i,p]·b[j,p], p ascending, nothing skipped, from +0.
+//
+// Every product is rounded before it is added — never fused. Each order has
+// one portable Go loop body and, on amd64 with AVX2, one register-tile
+// micro-kernel in Go assembler (gemm_amd64.s: VMULPD then VADDPD, a 4×8
+// tile of dst for the first two orders, an 8×4 tile with b transposed in
+// registers for the third). The kernels are selected once, at package init,
+// from CPUID leaves 1 and 7 and XGETBV — Kernel reports the outcome — and
+// run full tiles only; whatever a tile grid leaves over (columns past the
+// last full tile, the rows of an accumulating product past its last full
+// tile row, a@bᵀ's k mod 4 tail, products smaller than a tile) runs through
+// the portable body restricted to that range, which is also the whole
+// implementation on every other GOARCH, CPU or -tags purego build and the
+// oracle the tests compare the kernels against.
+//
+// Guaranteed: on finite operands kernel and portable body produce the same
+// bits, so a product does not depend on the build, on how its rows are cut
+// into windows (chunked ≡ monolithic), or on the pool width — the tile grid
+// is a function of the shapes alone and every element is accumulated by one
+// goroutine in its order. With a NaN or Inf in an operand both produce the
+// same set of non-finite elements (a zero a still skips its 0·NaN), but a
+// NaN's payload and sign are not specified. Not guaranteed: the bits of the
+// portable body across architectures — where the Go compiler fuses x*y+z
+// (arm64, not amd64) they differ from amd64's, as they always have.
 //
 // # Views and aliasing
 //

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -129,8 +131,11 @@ func TestMatMulMatchesNaiveProperty(t *testing.T) {
 
 func TestMatMulParallelLarge(t *testing.T) {
 	r := xrand.New(2)
-	a := RandN(r, 1, 200, 64)
-	b := RandN(r, 1, 64, 150)
+	a := RandN(r, 1, 200, 96)
+	b := RandN(r, 1, 96, 150)
+	if 200*96*150 < matmulParallelThreshold {
+		t.Fatal("shape no longer clears matmulParallelThreshold")
+	}
 	got := MatMul(a, b)
 	want := naiveMatMul(a, b)
 	if !got.AllClose(want, 1e-9) {
@@ -225,6 +230,33 @@ func TestMatMulShapePanics(t *testing.T) {
 		}
 	}()
 	MatMul(New(2, 3), New(4, 2))
+}
+
+// TestMatMulT1ValidatesBeforeWriting: a shape error panics in the name of
+// the entry point that was called, with the shapes, and before dst is
+// cleared.
+func TestMatMulT1ValidatesBeforeWriting(t *testing.T) {
+	for name, call := range map[string]func(dst, a, b *Tensor){
+		"MatMulT1Into":    MatMulT1Into,
+		"MatMulT1AddInto": MatMulT1AddInto,
+	} {
+		dst := New(3, 5)
+		dst.Fill(2)
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "tensor: "+name+" ") || !strings.Contains(msg, "[3 5]") || !strings.Contains(msg, "[4 3]") || !strings.Contains(msg, "[6 5]") {
+					t.Errorf("%s: panic %q does not name the entry point and the shapes", name, msg)
+				}
+			}()
+			call(dst, New(4, 3), New(6, 5))
+		}()
+		for _, v := range dst.Data() {
+			if v != 2 {
+				t.Fatalf("%s wrote dst before validating", name)
+			}
+		}
+	}
 }
 
 func TestAddSubMul(t *testing.T) {
