@@ -358,23 +358,12 @@
 // Snapshot may run concurrently with writers (it reads atomically, not
 // transactionally).
 //
-// # Static analysis
+// # Plan verification
 //
-// The conventions the runtime can only police late are enforced at build
-// time by cmd/fsmoe-lint (stdlib-only; internal/lint): poolcheck tracks
-// pooled-tensor ownership (every GetTensor/tensor.Get result must be Put
-// or handed to a new owner on every path, and Put of a View/Slice/Reshape
-// result is a static error — the compile-time twin of SetPoolDebug),
-// kindcheck forbids re-typing the canonical task-kind/event vocabulary as
-// raw string literals outside its declaration file, and guardcheck keeps
-// strategy plan-builders on the comm.*Guarded collective entry points so
-// in-collective fault injection reaches every transfer. Deliberate
-// exceptions carry a visible "//fsmoe:allow <analyzer> <reason>" comment.
-//
-// SetVerifyPlans(true) additionally runs runtime.Plan.Verify on every
-// stream plan a World builds before it executes: dependency indices in
-// range and acyclic, streams declared, bindings resolvable, task kinds
-// canonical, estimates non-negative — each violation a named sentinel
-// error, all violations joined. The flag is off by default (Verify walks
-// the whole task table); the test suites and CI run with it on.
+// SetVerifyPlans(true) runs runtime.Plan.Verify on every stream plan a
+// World builds before it executes: dependency indices in range and
+// acyclic, streams declared, bindings resolvable, task kinds canonical,
+// estimates non-negative — each violation a named sentinel error, all
+// violations joined. The flag is off by default (Verify walks the whole
+// task table); the test suites and CI run with it on.
 package fsmoe

@@ -249,11 +249,6 @@ type WorkerPool = tensor.Pool
 // goroutines start lazily; Close releases them.
 func NewWorkerPool(n int) *WorkerPool { return tensor.NewPool(n) }
 
-// SetPoolDebug toggles free-list debug mode: Put/PutTensor on a view then
-// panics instead of silently no-oping, which pins down buffer-ownership
-// bugs in custom sub-modules.
-func SetPoolDebug(on bool) { tensor.SetPoolDebug(on) }
-
 // RandTensor returns a tensor of standard-normal values.
 func RandTensor(seed uint64, shape ...int) *Tensor {
 	return tensor.RandN(xrand.New(seed), 1, shape...)

@@ -2,12 +2,12 @@ package comm
 
 // Guard is a fault-injection hook a collective invokes immediately before it
 // moves its first byte. A non-nil error aborts the call with every buffer
-// untouched, so a transient guard failure may be retried bit-safely —
-// including for the in-place ring AllReduce, which could not survive a
-// mid-flight replay. A nil Guard is always allowed and checks nothing. The
-// block-endpoint collectives (AlltoAllBlocks, AllGatherBlocks,
-// ReduceScatterBlocks) take the guard as a parameter; the dense forms below
-// predate that and keep a …Guarded twin each.
+// untouched, so a transient guard failure may be retried bit-safely. A nil
+// Guard is always allowed and checks nothing. The block-endpoint
+// collectives (AlltoAllBlocks, AllGatherBlocks, ReduceScatterBlocks) take
+// the guard as a parameter; the dense AlltoAllRows and Broadcast predate
+// that and keep a …Guarded twin each. The ring AllReduce has no guard: its
+// in-plan §5 slices are injected at task level, before the task body runs.
 type Guard func() error
 
 func (g Guard) check() error {
@@ -23,16 +23,6 @@ func AlltoAllRowsGuarded(g Guard, algo A2AAlgo, data, out [][]float64, gpusPerNo
 		return Stats{}, err
 	}
 	return AlltoAllRows(algo, data, out, gpusPerNode, dims, rr)
-}
-
-// RingAllReduceChunkGuarded is RingAllReduceChunk behind a pre-transfer
-// Guard. The guard runs before the first in-place accumulation, so a guard
-// failure leaves data exactly as passed.
-func RingAllReduceChunkGuarded(g Guard, data [][]float64, gpusPerNode int, rr RowRange) (Stats, error) {
-	if err := g.check(); err != nil {
-		return Stats{}, err
-	}
-	return RingAllReduceChunk(data, gpusPerNode, rr)
 }
 
 // BroadcastGuarded is Broadcast behind a pre-transfer Guard. The guard

@@ -9,14 +9,14 @@ import (
 
 // TestGuardedAbortsBeforeMutation: a failing guard aborts the collective
 // with every buffer untouched — the property that makes retrying guarded
-// collectives bit-safe, including the in-place ring AllReduce.
+// collectives bit-safe.
 func TestGuardedAbortsBeforeMutation(t *testing.T) {
 	boom := errors.New("boom")
 	fail := Guard(func() error { return boom })
 
 	data := randRanks(1, 4, 8)
 	snap := cloneRanks(data)
-	if _, err := RingAllReduceChunkGuarded(fail, data, 2, RowRange{Lo: 0, Hi: 8}); !errors.Is(err, boom) {
+	if _, err := BroadcastGuarded(fail, data, 0, 2); !errors.Is(err, boom) {
 		t.Fatalf("guard error not surfaced: %v", err)
 	}
 	for r := range data {
@@ -110,10 +110,10 @@ func TestGuardFromFaultPlan(t *testing.T) {
 	fp := fault.New(fault.Spec{Seed: 5, CollectiveProb: 1, MaxTransientsPerTask: 1})
 	g := Guard(fp.Guard("intra", "AllGather", -1, 0))
 	data := randRanks(4, 4, 8)
-	if _, err := RingAllReduceChunkGuarded(g, data, 2, RowRange{Lo: 0, Hi: 8}); !fault.IsTransient(err) {
+	if _, err := BroadcastGuarded(g, data, 0, 2); !fault.IsTransient(err) {
 		t.Fatalf("first attempt not transient: %v", err)
 	}
-	if _, err := RingAllReduceChunkGuarded(g, data, 2, RowRange{Lo: 0, Hi: 8}); err != nil {
+	if _, err := BroadcastGuarded(g, data, 0, 2); err != nil {
 		t.Fatalf("retry past cap failed: %v", err)
 	}
 }

@@ -62,7 +62,9 @@ func (m Models) PartitionGradients(layers []LayerSpec, rMax int) *GarPlan {
 // PartitionGradientsNoIIO is the partitioning used by the FSMoE-No-IIO
 // ablation: the MoE window formula accounts for intra-node collectives
 // sharing the inter-node stream, and the Step 2 stretch assignment is
-// disabled (its case objectives assume the three-stream schedule).
+// disabled (its case objectives assume the three-stream schedule). What
+// Step 1 cannot hide joins the last dense slice instead of a separate
+// tail, which would only pay a second collective startup.
 func (m Models) PartitionGradientsNoIIO(layers []LayerSpec, rMax int) *GarPlan {
 	return m.partition(layers, rMax, m.TOlpMoENoIIO, false)
 }
@@ -107,6 +109,14 @@ func (m Models) partition(layers []LayerSpec, rMax int, window func(Volumes, Pha
 			plan.DenseBytes[i] = fit
 			pending -= fit
 		}
+	}
+	if !step2 && pending > 0 && plan.DenseBytes[0] > 0 {
+		// Without Step 2 the remainder is exposed either way. Layer 0's
+		// dense slice is the last one backward issues and a separate tail
+		// would queue behind it on the same stream, so riding the slice
+		// moves the same bytes one collective startup sooner.
+		plan.DenseBytes[0] += pending
+		pending = 0
 	}
 	remaining := pending
 	if remaining <= 0 || !step2 {

@@ -24,6 +24,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 	"time"
@@ -187,8 +188,23 @@ type Plan struct {
 	spec Spec
 }
 
-// New compiles a Spec, clamping probabilities into [0, 1].
+// own returns s with its own copies of the maps and Down, sharing no
+// memory with the receiver's.
+func (s Spec) own() Spec {
+	s.KindProb = maps.Clone(s.KindProb)
+	s.StreamProb = maps.Clone(s.StreamProb)
+	if s.Down != nil {
+		d := *s.Down
+		s.Down = &d
+	}
+	return s
+}
+
+// New compiles a Spec, clamping probabilities into [0, 1]. The plan keeps
+// its own copies of the spec's maps and Down: it never writes to the
+// caller's, and editing them afterwards does not change its decisions.
 func New(s Spec) *Plan {
+	s = s.own()
 	s.TransientProb = clamp01(s.TransientProb)
 	s.StragglerProb = clamp01(s.StragglerProb)
 	s.CollectiveProb = clamp01(s.CollectiveProb)
@@ -204,12 +220,13 @@ func New(s Spec) *Plan {
 	return &Plan{spec: s}
 }
 
-// Spec returns the compiled specification.
+// Spec returns a copy of the compiled specification; editing it does not
+// change the plan.
 func (p *Plan) Spec() Spec {
 	if p == nil {
 		return Spec{}
 	}
-	return p.spec
+	return p.spec.own()
 }
 
 // WithoutDown returns a plan identical to p with the permanent rank-down

@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -213,5 +214,54 @@ func TestWithoutDown(t *testing.T) {
 	noDown := New(Spec{Seed: 1})
 	if noDown.WithoutDown() != noDown {
 		t.Fatal("down-free plan must pass through unchanged")
+	}
+}
+
+// TestNewOwnsItsSpec: New copies the caller's maps before clamping. Plans
+// compiled concurrently from one Spec do not race on it, the caller's
+// values stay as passed (out-of-range ones included), and editing the
+// caller's maps, or the ones Spec returns, afterwards changes neither the
+// plan's decisions nor its Spec.
+func TestNewOwnsItsSpec(t *testing.T) {
+	spec := Spec{
+		Seed:       4,
+		KindProb:   map[string]float64{"AlltoAll": 0, "AllGather": 1.5},
+		StreamProb: map[string]float64{"intra": -0.5},
+		Down:       &Down{Rank: 3},
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			New(spec)
+		}()
+	}
+	wg.Wait()
+
+	p := New(spec)
+	if spec.KindProb["AllGather"] != 1.5 || spec.StreamProb["intra"] != -0.5 {
+		t.Fatalf("New rewrote the caller's maps: %v %v", spec.KindProb, spec.StreamProb)
+	}
+	if s := p.Spec(); s.KindProb["AllGather"] != 1 || s.StreamProb["intra"] != 0 {
+		t.Fatalf("compiled maps not clamped: %v %v", s.KindProb, s.StreamProb)
+	}
+
+	spec.KindProb["AlltoAll"] = 1
+	spec.StreamProb["inter"] = 1
+	spec.Down.Rank = 0
+	ret := p.Spec()
+	ret.KindProb["AlltoAll"] = 1
+	ret.Down.Rank = 0
+	for id := 0; id < 100; id++ {
+		if d := p.Check("inter", "AlltoAll", "D", id, 0); d.Err != nil {
+			t.Fatalf("task %d failed after the caller edited a map New was given: %v", id, d.Err)
+		}
+		if d := p.Check("compute:0", "Experts", "E", id, 0); d.Err != nil {
+			t.Fatalf("task %d: the caller's Down edit reached the plan: %v", id, d.Err)
+		}
+	}
+	if s := p.Spec(); s.KindProb["AlltoAll"] != 0 || len(s.StreamProb) != 1 || s.Down.Rank != 3 {
+		t.Fatalf("Spec changed after the caller's edits: %+v down %+v", s, *s.Down)
 	}
 }

@@ -415,9 +415,7 @@ func (s *Syncer) reduce(sl pendingRange) error {
 	// task-level: RetryPolicy.Kinds covers KindAllReduce, and an injected
 	// failure fires before the body, so a retried slice is never reduced or
 	// updated twice) and the sequential Finish tail, which runs outside any
-	// plan and has no guard to carry — so the unguarded entry point is
-	// deliberate here.
-	//fsmoe:allow guardcheck task-level injection covers in-plan slices; Finish tail runs outside any plan
+	// plan and has no guard to carry — so the ring takes no guard here.
 	st, err := comm.RingAllReduceUpdate(bufs, s.cfg.GPUsPerNode, sl.rr, update)
 	if err != nil {
 		return err

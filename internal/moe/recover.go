@@ -29,6 +29,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/fault"
+	"repro/internal/sim"
 )
 
 // RecoveryMode selects how the world is rebuilt around the dead rank.
@@ -55,10 +56,6 @@ type RecoveryPolicy struct {
 // recoverStream labels the recovery broadcasts for fault injection; it is
 // not a per-rank stream, so injected guard failures attribute to no rank.
 const recoverStream = "recover"
-
-// KindBcast is the task kind of the recovery weight re-placement
-// broadcasts (comm.BroadcastGuarded).
-const KindBcast = "Broadcast"
 
 // RecoveryReport describes one world's completed recovery.
 type RecoveryReport struct {
@@ -232,7 +229,7 @@ func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int)
 			copy(bufs[0][off:], p.W.Data())
 			off += len(p.W.Data())
 		}
-		guard := w.collGuard(nil, recoverStream, KindBcast)
+		guard := w.collGuard(nil, recoverStream, sim.KindBroadcast)
 		var st comm.Stats
 		for a := 0; ; a++ {
 			s, err := comm.BroadcastGuarded(guard, bufs, 0, gpn)

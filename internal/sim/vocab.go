@@ -38,6 +38,12 @@ const (
 	KindOthers        = "Others"
 )
 
+// KindBroadcast is the guard/retry kind of the recovery weight
+// re-placement Broadcasts: what an injected collective failure in them is
+// attributed to. Those broadcasts run outside any plan, so the kind never
+// labels a plan task and is deliberately not one of Kinds().
+const KindBroadcast = "Broadcast"
+
 // Kinds returns the canonical task-kind strings in presentation order —
 // the closed set exporters and breakdown tables iterate.
 func Kinds() []string {

@@ -38,9 +38,8 @@ package tensor
 //
 //   - Only the holder of a tensor obtained from Get/GetUninit may Put it,
 //     and at most once. Put on a tensor from New/FromData or on any view is
-//     a safe no-op (SetPoolDebug(true) turns the view case into a panic,
-//     because a view aliases a parent whose backing array must not reach
-//     the free-list through it).
+//     a safe no-op: neither is pool-owned, so a view's parent never reaches
+//     the free-list through it.
 //   - A tensor must not be Put while any view of it (View/Slice/Reshape/Row)
 //     is still reachable: views alias the backing array, and Put hands that
 //     array to the next Get.
@@ -277,17 +276,6 @@ const maxPoolBucket = 26
 // freeLists[b] holds *Tensor whose backing arrays have capacity exactly 2^b.
 var freeLists [maxPoolBucket + 1]sync.Pool
 
-// poolDebug turns free-list misuse that Put normally tolerates into a
-// panic; see SetPoolDebug.
-var poolDebug atomic.Bool
-
-// SetPoolDebug toggles debug mode for the buffer free-list. When on, Put on
-// a view (View/Slice/Reshape result) panics instead of no-oping: a view
-// aliases its parent's backing array, so a Put through it is always a bug —
-// either a leak (the caller meant to Put the parent) or, if the parent is
-// pooled, a latent double-free. Tests enable it to pin the ownership rules.
-func SetPoolDebug(on bool) { poolDebug.Store(on) }
-
 // bucketFor returns the free-list class for n elements: the smallest b with
 // 1<<b >= n.
 func bucketFor(n int) int {
@@ -337,19 +325,13 @@ func Get(shape ...int) *Tensor {
 // caller must not retain t, its Data(), or any view of it afterwards — and
 // must not Put the same tensor twice. Put is a no-op for tensors the pool
 // does not own (New/FromData results, views), so releasing a tensor of
-// unknown origin is safe; under SetPoolDebug the view case panics instead,
-// because a view aliases a parent buffer Put must never capture. An
-// erroneous second Put of a pooled tensor is only ignored until a Get
-// re-issues the object, after which it would return someone else's live
-// buffer. "At most once" is the rule, not a best-effort guard.
+// unknown origin is safe, and a Put through a view never captures the
+// parent's buffer. An erroneous second Put of a pooled tensor is only
+// ignored until a Get re-issues the object, after which it would return
+// someone else's live buffer. "At most once" is the rule, not a best-effort
+// guard.
 func Put(t *Tensor) {
-	if t == nil {
-		return
-	}
-	if !t.poolable {
-		if t.view && poolDebug.Load() {
-			panic("tensor: Put on a view (views alias their parent's backing array and are never pool-owned)")
-		}
+	if t == nil || !t.poolable {
 		return
 	}
 	t.poolable = false

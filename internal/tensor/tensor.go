@@ -77,11 +77,6 @@ type Tensor struct {
 	// poolable marks tensors owned by the Get/Put free-list (pool.go).
 	// Views and plain New/FromData tensors are never poolable.
 	poolable bool
-	// view marks tensors that alias another tensor's backing array
-	// (View/Slice/Reshape results). Put uses it to distinguish the
-	// always-a-bug "Put on a view" from the tolerated "Put on a plain
-	// non-pooled tensor" (see SetPoolDebug).
-	view bool
 }
 
 // setShape installs shape without allocating when the rank fits shapeBuf.
@@ -195,7 +190,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if n != len(t.data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, shape))
 	}
-	return &Tensor{shape: s, data: t.data, view: true}
+	return &Tensor{shape: s, data: t.data}
 }
 
 // View returns a zero-copy view of the given shape over t's storage
@@ -213,7 +208,7 @@ func (t *Tensor) View(off int, shape ...int) *Tensor {
 	if off < 0 || off+n > len(t.data) {
 		panic(fmt.Sprintf("tensor: View [%d, %d) out of range for %d elements", off, off+n, len(t.data)))
 	}
-	v := &Tensor{data: t.data[off : off+n : off+n], view: true}
+	v := &Tensor{data: t.data[off : off+n : off+n]}
 	v.setShape(shape)
 	return v
 }
