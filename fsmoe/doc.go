@@ -164,9 +164,9 @@
 // themselves still run concurrently — that concurrency is the pipeline's
 // structure), and the planned split is reported on every measured
 // pipelined trace (LastTrace().Resources; the sequential baseline runs
-// unbound on one goroutine and reports none). SetScopedPools(false) restores
-// the old shared-pool behavior for comparison; results are bit-identical
-// either way.
+// unbound on one goroutine and reports none). Results are bit-identical to
+// the shared process-wide pool at any width: the split changes contention,
+// never bytes.
 //
 // Calibrate closes the remaining simulator-era loop: it measures a short
 // strategy × pipeline-degree sweep of the executable World on this

@@ -37,8 +37,9 @@ type (
 
 // Recovery modes.
 const (
-	// RecoverShrink rebuilds on the surviving ranks (the largest rank
-	// count below the old one that divides the expert count).
+	// RecoverShrink rebuilds on the surviving ranks: one rank count for
+	// the whole stack, the largest below the old one that divides every
+	// layer's expert count.
 	RecoverShrink = moe.RecoverShrink
 	// RecoverRejoin keeps the rank count: the dead rank is replaced and
 	// its expert shard restored from the checkpoint.
@@ -71,10 +72,12 @@ func Restore(worlds []*World, s *Snapshot) error { return moe.RestoreWorlds(inne
 // snapshot: state rolls back to the checkpoint, the dead rank's experts
 // are re-assigned (shrink) or re-seeded onto a replacement (rejoin) with
 // their restored weights broadcast to the new owners, the strategy
-// re-emits its collective chains for the new placement (ESP/Hybrid fall
-// back to EP), and the injector's down trigger is stripped so stepping
-// resumes at full strength. Post-recovery steps are bit-identical to a
-// fresh run restarted from the same checkpoint on the same topology.
+// re-emits its collective chains for the new placement (every strategy
+// recovers as itself), and the injector's down trigger is stripped so
+// stepping resumes at full strength. Every layer is checked against its
+// snapshot and its new placement before any is rolled back. Post-recovery
+// steps are bit-identical to a fresh run restarted from the same checkpoint
+// on the same topology.
 func Recover(worlds []*World, s *Snapshot, pol RecoveryPolicy) ([]*RecoveryReport, error) {
 	return moe.RecoverWorlds(inners(worlds), s, pol)
 }

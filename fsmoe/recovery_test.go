@@ -3,6 +3,7 @@ package fsmoe
 import (
 	"errors"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -99,5 +100,78 @@ func TestRecoveryCorruptCheckpoint(t *testing.T) {
 	empty := &CheckpointManager{Dir: t.TempDir()}
 	if _, err := empty.Latest(); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("empty dir Latest = %v, want ErrNoCheckpoint", err)
+	}
+}
+
+// TestRecoveryRestoreAllOrNothing: a stack snapshot that one layer does not
+// match is refused before any layer is written — layer 0 keeps its stepped
+// state although its own part of the snapshot matched.
+func TestRecoveryRestoreAllOrNothing(t *testing.T) {
+	ws := syncTestStack(t, 2, 4)
+	bad := Checkpoint(ws)
+	bad.Worlds[1].Experts = bad.Worlds[1].Experts[:len(bad.Worlds[1].Experts)-1]
+	if _, err := StepStack(ws, RandTensor(123, 96, 32), RandTensor(124, 96, 32), StepConfig{LR: 0.02, ChunkBytes: 64 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	before := Checkpoint(ws)
+	if err := Restore(ws, bad); err == nil {
+		t.Fatal("restore of a snapshot layer 1 does not match must fail")
+	}
+	if !reflect.DeepEqual(Checkpoint(ws), before) {
+		t.Fatal("a refused restore wrote into the stack")
+	}
+}
+
+// TestRecoveryShrinkOneRankCount: a shrink picks one rank count for the whole
+// stack — the largest below R that divides every layer's expert count, 2 for
+// E = 8 and E = 12 at R = 4 — and the stack steps on it. A snapshot one layer
+// does not match is refused before any world is rolled back or re-placed.
+func TestRecoveryShrinkOneRankCount(t *testing.T) {
+	x := RandTensor(125, 96, 32)
+	dy := RandTensor(126, 96, 32)
+	cfg := StepConfig{LR: 0.02, ChunkBytes: 64 << 10}
+	var ws []*World
+	for i, e := range []int{8, 12} {
+		l, err := NewLayer(LayerConfig{M: 32, H: 48, Experts: e, TopK: 2, CapacityFactor: 1.25, Seed: uint64(31 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorld(l, WorldConfig{Ranks: 4, PipelineDegree: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	snap, bad := Checkpoint(ws), Checkpoint(ws)
+	bad.Worlds[1].Experts = bad.Worlds[1].Experts[:len(bad.Worlds[1].Experts)-1]
+
+	ws[0].SetFaultPlan(NewFaultPlan(FaultSpec{Seed: 7, Down: &FaultDown{Rank: 1, Kind: KindExperts}}))
+	res, err := StepStack(ws, x, dy, cfg)
+	if err != nil {
+		t.Fatalf("degraded step must complete, got %v", err)
+	}
+	if len(res.Degraded) == 0 {
+		t.Fatal("rank-down never fired")
+	}
+
+	before := Checkpoint(ws)
+	if _, err := Recover(ws, bad, RecoveryPolicy{Mode: RecoverShrink}); err == nil {
+		t.Fatal("recovery from a snapshot layer 1 does not match must fail")
+	}
+	if !reflect.DeepEqual(Checkpoint(ws), before) || ws[0].Ranks() != 4 || ws[1].Ranks() != 4 {
+		t.Fatal("a refused recovery rolled back or re-placed a world")
+	}
+
+	reports, err := Recover(ws, snap, RecoveryPolicy{Mode: RecoverShrink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range reports {
+		if rep.NewRanks != 2 || ws[i].Ranks() != 2 {
+			t.Fatalf("layer %d shrank to %d ranks (report %d), want the stack's one count 2", i, ws[i].Ranks(), rep.NewRanks)
+		}
+	}
+	if _, err := StepStack(ws, x, dy, cfg); err != nil {
+		t.Fatalf("step after recovery: %v", err)
 	}
 }

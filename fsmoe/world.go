@@ -530,17 +530,10 @@ func (w *World) AutoDegree() bool { return w.auto }
 // and a single-goroutine no-overlap baseline; results are identical.
 func (w *World) SetSequential(seq bool) { w.inner.SetSequential(seq) }
 
-// SetScopedPools toggles resource governance (default on): each compute
-// stream runs on an OS-thread-pinned goroutine with its own scoped tensor
-// worker pool, and communication staging shares a small dedicated
-// allotment. Off reverts every kernel to the shared process-wide pool —
-// the oversubscription baseline. Results are identical either way; only
-// contention differs. LastTrace().Resources reports the binding a
-// measured pass actually ran under.
-func (w *World) SetScopedPools(on bool) { w.inner.SetScopedPools(on) }
-
 // ResourcePlan reports the planned per-stream worker split: workers per
-// compute stream and the shared communication allotment.
+// compute stream, each running on an OS-thread-pinned goroutine with its own
+// scoped tensor worker pool, and the shared communication allotment.
+// LastTrace().Resources reports the binding a measured pass ran under.
 func (w *World) ResourcePlan() (computeWorkers, commWorkers int) { return w.inner.ResourcePlan() }
 
 // Close releases the scoped pools' worker goroutines and retires the

@@ -1,16 +1,13 @@
 package comm
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
-// This file layers chunked, asynchronous Ring-AllReduce on top of the
-// monolithic RingAllReduce — the communication half of the paper's §5
-// adaptive gradient partitioning. A flat gradient buffer is split into
-// contiguous element ranges; each range is reduced with the ring schedule
-// of the *full* buffer restricted to that range, so any tiling of the
-// buffer reproduces the monolithic collective byte for byte:
+// This file holds the Ring-AllReduce over an element range of flat rank
+// buffers — the communication half of the paper's §5 adaptive gradient
+// partitioning, whose slices the stream runtime runs as plan tasks. Each
+// range is reduced with the ring schedule of the *full* buffer restricted
+// to that range, so any tiling of the buffer reproduces the monolithic
+// collective byte for byte:
 //
 //   - the monolithic ring assigns element k to ring-chunk c by its
 //     position in the full buffer, and the accumulation path of chunk c
@@ -117,98 +114,4 @@ func RingAllReduceUpdate(data [][]float64, gpusPerNode int, rr RowRange, update 
 		}
 	}
 	return st, nil
-}
-
-// ChunkedRingAllReduce splits the rank buffers into chunks contiguous
-// element ranges and performs one restricted ring per range, in order.
-// The final contents and the summed per-element traffic are byte-identical
-// to the monolithic RingAllReduce; onChunk, when non-nil, is invoked after
-// each range completes — the per-chunk completion hook overlapped
-// gradient-sync consumers build on.
-func ChunkedRingAllReduce(data [][]float64, gpusPerNode, chunks int, onChunk func(c int, rr RowRange)) (Stats, error) {
-	var st Stats
-	n, err := checkUniform(data)
-	if err != nil {
-		return st, err
-	}
-	for c, rr := range SplitFlat(n, chunks) {
-		cst, err := RingAllReduceChunk(data, gpusPerNode, rr)
-		if err != nil {
-			return st, err
-		}
-		st.Merge(cst)
-		if onChunk != nil {
-			onChunk(c, rr)
-		}
-	}
-	return st, nil
-}
-
-// AsyncAR is an in-flight chunked Ring-AllReduce, the AllReduce analogue
-// of AsyncA2A. Chunks complete in order; ChunkDone(c) unblocks as soon as
-// chunk c's elements are fully reduced in place — or as soon as the
-// collective fails, so consumers never hang. Landed(c) distinguishes the
-// two once ChunkDone has unblocked; Wait blocks for the whole collective.
-type AsyncAR struct {
-	ranges []RowRange
-	done   []chan struct{}
-	landed atomic.Int32
-	stats  Stats
-	err    error
-	fin    chan struct{}
-}
-
-// Chunks returns the number of chunks and Range the element range of
-// chunk c.
-func (a *AsyncAR) Chunks() int                     { return len(a.ranges) }
-func (a *AsyncAR) Range(c int) RowRange            { return a.ranges[c] }
-func (a *AsyncAR) ChunkDone(c int) <-chan struct{} { return a.done[c] }
-
-// Landed reports whether chunk c's elements are fully reduced. Meaningful
-// once ChunkDone(c) has unblocked: false there means the collective failed
-// before chunk c completed.
-func (a *AsyncAR) Landed(c int) bool { return int(a.landed.Load()) > c }
-
-// Wait blocks until every chunk has completed and returns the summed Stats
-// and the first error. The buffers hold the reduced sums in place.
-func (a *AsyncAR) Wait() (Stats, error) {
-	<-a.fin
-	return a.stats, a.err
-}
-
-// AllReduceAsync validates the buffers synchronously, then starts a
-// chunked Ring-AllReduce on a background goroutine, reducing in place with
-// per-chunk completion channels. The caller must not touch data until the
-// relevant ChunkDone has unblocked (for that chunk's elements) or Wait has
-// returned (for the whole buffer).
-func AllReduceAsync(data [][]float64, gpusPerNode, chunks int) (*AsyncAR, error) {
-	n, err := checkUniform(data)
-	if err != nil {
-		return nil, err
-	}
-	ranges := SplitFlat(n, chunks)
-	a := &AsyncAR{ranges: ranges, fin: make(chan struct{})}
-	a.done = make([]chan struct{}, len(ranges))
-	for c := range a.done {
-		a.done[c] = make(chan struct{})
-	}
-	go func() {
-		defer close(a.fin)
-		completed := 0
-		for c, rr := range ranges {
-			cst, cerr := RingAllReduceChunk(data, gpusPerNode, rr)
-			if cerr != nil {
-				a.err = cerr
-				break
-			}
-			a.stats.Merge(cst)
-			a.landed.Store(int32(c + 1))
-			close(a.done[c])
-			completed = c + 1
-		}
-		for c := completed; c < len(a.done); c++ {
-			close(a.done[c])
-		}
-	}()
-	return a, nil
 }

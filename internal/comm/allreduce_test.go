@@ -28,6 +28,20 @@ func cloneRanks(data [][]float64) [][]float64 {
 	return out
 }
 
+// reduceTiles reduces the SplitFlat tiling of the buffers into chunks ranges,
+// in order, one restricted ring per range — the way §5's slices run.
+func reduceTiles(data [][]float64, gpusPerNode, chunks int) (Stats, error) {
+	var st Stats
+	for _, rr := range SplitFlat(len(data[0]), chunks) {
+		cst, err := RingAllReduceChunk(data, gpusPerNode, rr)
+		if err != nil {
+			return st, err
+		}
+		st.Merge(cst)
+	}
+	return st, nil
+}
+
 // TestChunkedRingAllReduceBitIdentical: reducing any tiling of the buffer
 // chunk by chunk must reproduce the monolithic RingAllReduce byte for
 // byte — the §5 slicing must never change a gradient bit.
@@ -42,7 +56,7 @@ func TestChunkedRingAllReduceBitIdentical(t *testing.T) {
 			}
 			for _, chunks := range []int{1, 2, 3, 5, 8, n + 3} {
 				got := cloneRanks(ref)
-				st, err := ChunkedRingAllReduce(got, 2, chunks, nil)
+				st, err := reduceTiles(got, 2, chunks)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,7 +179,7 @@ func TestRingAllReduceChunkExactWithDisjointPartials(t *testing.T) {
 		truth[i] = rng.NormFloat64()
 		data[i%p][i] = truth[i]
 	}
-	if _, err := ChunkedRingAllReduce(data, 2, 3, nil); err != nil {
+	if _, err := reduceTiles(data, 2, 3); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < p; r++ {
@@ -174,46 +188,6 @@ func TestRingAllReduceChunkExactWithDisjointPartials(t *testing.T) {
 				t.Fatalf("rank %d elem %d: %v != %v", r, i, data[r][i], truth[i])
 			}
 		}
-	}
-}
-
-// TestAllReduceAsync: chunks land in order, each ChunkDone gates a fully
-// reduced range, and Wait returns the monolithic result.
-func TestAllReduceAsync(t *testing.T) {
-	const p, n, chunks = 4, 200, 4
-	ref := randRanks(11, p, n)
-	want := cloneRanks(ref)
-	if _, err := RingAllReduce(want, 2); err != nil {
-		t.Fatal(err)
-	}
-	data := cloneRanks(ref)
-	a, err := AllReduceAsync(data, 2, chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Chunks() != chunks {
-		t.Fatalf("chunks = %d, want %d", a.Chunks(), chunks)
-	}
-	for c := 0; c < a.Chunks(); c++ {
-		<-a.ChunkDone(c)
-		if !a.Landed(c) {
-			t.Fatalf("chunk %d unblocked without landing", c)
-		}
-		rr := a.Range(c)
-		for r := 0; r < p; r++ {
-			for i := rr.Lo; i < rr.Hi; i++ {
-				if data[r][i] != want[r][i] {
-					t.Fatalf("chunk %d rank %d elem %d not reduced", c, r, i)
-				}
-			}
-		}
-	}
-	st, err := a.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.IntraVolume+st.InterVolume <= 0 {
-		t.Fatal("async allreduce recorded no traffic")
 	}
 }
 
@@ -228,9 +202,6 @@ func TestRingAllReduceChunkErrors(t *testing.T) {
 	}
 	if _, err := RingAllReduceChunk(ok, 0, RowRange{0, 3}); err == nil {
 		t.Fatal("range past the buffer must fail")
-	}
-	if _, err := AllReduceAsync([][]float64{{1}, {2, 3}}, 0, 2); err == nil {
-		t.Fatal("async with ragged buffers must fail")
 	}
 	// Empty range and single rank are no-ops.
 	if st, err := RingAllReduceChunk(ok, 0, RowRange{1, 1}); err != nil || st.InterVolume != 0 {

@@ -21,8 +21,8 @@ func blockView(data [][]float64) (int, error) {
 	return n / p, nil
 }
 
-// checkInto validates an Into-style destination: p rank buffers of b·p
-// elements each (the same layout the allocating entry points return).
+// checkInto validates a dense AlltoAll destination: p rank buffers of b·p
+// elements each, the layout of the source.
 func checkInto(out [][]float64, p, b int) error {
 	if len(out) != p {
 		return fmt.Errorf("comm: alltoall destination has %d ranks, want %d", len(out), p)
@@ -35,21 +35,10 @@ func checkInto(out [][]float64, p, b int) error {
 	return nil
 }
 
-// allocRanks returns p freshly allocated rank buffers of n elements.
-func allocRanks(p, n int) [][]float64 {
-	out := make([][]float64, p)
-	for r := range out {
-		out[r] = make([]float64, n)
-	}
-	return out
-}
-
 // a2aMove is one AlltoAll over block endpoints (chunked.go), restricted to
 // rows [lo, hi) of every block: p ranks, k blocks of width w per peer, nodes
-// of g. Block d·k+j of a rank is the j-th block it exchanges with peer d. The
-// monolithic collectives are the one-row window of k = 1 dense blocks a whole
-// per-peer block wide; the row-chunked ones pass a row range. Rows outside
-// the window are neither read nor written.
+// of g. Block d·k+j of a rank is the j-th block it exchanges with peer d.
+// Rows outside the window are neither read nor written.
 type a2aMove struct {
 	dst, src endpoint
 	p, k, g  int
@@ -100,16 +89,10 @@ func (m a2aMove) nodes() (int, error) {
 	return m.p / m.g, nil
 }
 
-// DirectAlltoAll is the flat NCCL algorithm: every rank sends block d
-// straight to rank d — p·(p-1) point-to-point messages.
-// out[d] = data[0][d] ‖ data[1][d] ‖ … (blocks ordered by source).
-func DirectAlltoAll(data [][]float64, gpusPerNode int) ([][]float64, Stats, error) {
-	return AlltoAll(A2ADirect, data, gpusPerNode)
-}
-
-// direct moves every window straight from its source block to its
-// destination block: one copy per (source, destination, block) when both
-// are contiguous, one per row otherwise.
+// direct is the flat NCCL algorithm: every rank sends block d straight to
+// rank d — p·(p-1) point-to-point messages. Every window moves straight
+// from its source block to its destination block: one copy per (source,
+// destination, block) when both are contiguous, one per row otherwise.
 func (m a2aMove) direct() Stats {
 	var st Stats
 	w := world{g: m.g}
@@ -126,18 +109,13 @@ func (m a2aMove) direct() Stats {
 	return st
 }
 
-// Hierarchical1DAlltoAll is Hetu's 1DH algorithm: GPUs in a node first
-// gather their traffic onto the node leader (local index 0), leaders
-// exchange aggregated messages across nodes, and each leader scatters the
-// arrivals within its node. It trades 2 extra intra-node hops for
-// nodes·(nodes-1) instead of p·(p-1) inter-node messages.
-func Hierarchical1DAlltoAll(data [][]float64, gpusPerNode int) ([][]float64, Stats, error) {
-	return AlltoAll(A2A1DH, data, gpusPerNode)
-}
-
-// hier1D runs the three 1DH hops on window-sized arenas from the shared
-// tensor free-list (one leader and one arrival arena per node), keeping
-// allocation churn out of measured intervals.
+// hier1D is Hetu's 1DH algorithm: GPUs in a node first gather their
+// traffic onto the node leader (local index 0), leaders exchange aggregated
+// messages across nodes, and each leader scatters the arrivals within its
+// node. It trades 2 extra intra-node hops for nodes·(nodes-1) instead of
+// p·(p-1) inter-node messages. The hops run on window-sized arenas from the
+// shared tensor free-list (one leader and one arrival arena per node),
+// keeping allocation churn out of measured intervals.
 func (m a2aMove) hier1D() (Stats, error) {
 	var st Stats
 	nodes, err := m.nodes()
@@ -210,7 +188,7 @@ func (m a2aMove) hier1D() (Stats, error) {
 	return st, nil
 }
 
-// Hierarchical2DAlltoAll is the 2DH algorithm of Tutel/DeepSpeed-MoE:
+// hier2D is the 2DH algorithm of Tutel/DeepSpeed-MoE:
 //
 //	phase 1 (intra-node): rank (node, l) hands each block destined to a
 //	  rank with local index l' to its node sibling (node, l'); afterwards
@@ -219,12 +197,8 @@ func (m a2aMove) hier1D() (Stats, error) {
 //	phase 2 (inter-node): same-local-index ranks across nodes exchange the
 //	  aggregated per-node messages — nodes·(nodes-1) large messages per
 //	  local index instead of p·(p-1) small ones.
-func Hierarchical2DAlltoAll(data [][]float64, gpusPerNode int) ([][]float64, Stats, error) {
-	return AlltoAll(A2A2DH, data, gpusPerNode)
-}
-
-// hier2D runs the two 2DH hops on window-sized pooled regrouping arenas,
-// one per rank.
+//
+// The hops run on window-sized pooled regrouping arenas, one per rank.
 func (m a2aMove) hier2D() (Stats, error) {
 	var st Stats
 	nodes, err := m.nodes()
@@ -289,33 +263,3 @@ const (
 	A2A1DH    A2AAlgo = "1dh-hetu"
 	A2A2DH    A2AAlgo = "2dh-tutel"
 )
-
-// AlltoAll runs the named algorithm, allocating the result.
-func AlltoAll(algo A2AAlgo, data [][]float64, gpusPerNode int) ([][]float64, Stats, error) {
-	b, err := blockView(data)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	out := allocRanks(len(data), b*len(data))
-	st, err := AlltoAllInto(algo, out, data, gpusPerNode)
-	if err != nil {
-		return nil, st, err
-	}
-	return out, st, nil
-}
-
-// AlltoAllInto runs the named algorithm writing into caller-owned result
-// buffers (out[d] must be b·p elements, the layout AlltoAll returns).
-func AlltoAllInto(algo A2AAlgo, out, data [][]float64, gpusPerNode int) (Stats, error) {
-	b, err := blockView(data)
-	if err != nil {
-		return Stats{}, err
-	}
-	p := len(data)
-	if err := checkInto(out, p, b); err != nil {
-		return Stats{}, err
-	}
-	whole := BlockDims{Rows: 1, Width: b}
-	m := a2aMove{dst: endpoint{dense: out, dims: whole}, src: endpoint{dense: data, dims: whole}, p: p, k: 1, g: gpusPerNode, w: b, lo: 0, hi: 1}
-	return m.run(algo)
-}

@@ -28,18 +28,18 @@ func TestDirectAlltoAllSemantics(t *testing.T) {
 	// 2 ranks, 1 element per block: rank0=[a,b], rank1=[c,d] →
 	// rank0=[a,c], rank1=[b,d].
 	data := [][]float64{{1, 2}, {3, 4}}
-	out, _, err := DirectAlltoAll(data, 0)
+	out, _, err := wholeAlltoAll(A2ADirect, data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !worldsEqual(out, [][]float64{{1, 3}, {2, 4}}) {
+	if want := [][]float64{{1, 3}, {2, 4}}; !worldsEqual(out, want) || !worldsEqual(alltoallOracle(data), want) {
 		t.Fatalf("out = %v", out)
 	}
 }
 
 // TestHierarchicalAlltoAllsMatchDirect is the core interchangeability
 // property of the Dispatch sub-module: all three algorithms move identical
-// data.
+// data, the AlltoAll permutation itself.
 func TestHierarchicalAlltoAllsMatchDirect(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
@@ -48,19 +48,14 @@ func TestHierarchicalAlltoAllsMatchDirect(t *testing.T) {
 		p := nodes * g
 		b := 1 + r.Intn(5)
 		data := randWorld(r, p, p*b)
-		want, _, err := DirectAlltoAll(data, g)
-		if err != nil {
-			return false
+		want := alltoallOracle(data)
+		for _, algo := range []A2AAlgo{A2ADirect, A2A1DH, A2A2DH} {
+			got, _, err := wholeAlltoAll(algo, data, g)
+			if err != nil || !worldsEqual(want, got) {
+				return false
+			}
 		}
-		got1, _, err := Hierarchical1DAlltoAll(data, g)
-		if err != nil {
-			return false
-		}
-		got2, _, err := Hierarchical2DAlltoAll(data, g)
-		if err != nil {
-			return false
-		}
-		return worldsEqual(want, got1) && worldsEqual(want, got2)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -78,11 +73,11 @@ func TestAlltoAllInvolution(t *testing.T) {
 		b := 1 + r.Intn(4)
 		data := randWorld(r, p, p*b)
 		for _, algo := range []A2AAlgo{A2ADirect, A2A1DH, A2A2DH} {
-			mid, _, err := AlltoAll(algo, data, g)
+			mid, _, err := wholeAlltoAll(algo, data, g)
 			if err != nil {
 				return false
 			}
-			back, _, err := AlltoAll(algo, mid, g)
+			back, _, err := wholeAlltoAll(algo, mid, g)
 			if err != nil {
 				return false
 			}
@@ -105,15 +100,15 @@ func TestHierarchicalReducesInterNodeMessages(t *testing.T) {
 	nodes, g, b := 4, 4, 8
 	p := nodes * g
 	data := randWorld(r, p, p*b)
-	_, stDirect, err := DirectAlltoAll(data, g)
+	_, stDirect, err := wholeAlltoAll(A2ADirect, data, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st2DH, err := Hierarchical2DAlltoAll(data, g)
+	_, st2DH, err := wholeAlltoAll(A2A2DH, data, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st1DH, err := Hierarchical1DAlltoAll(data, g)
+	_, st1DH, err := wholeAlltoAll(A2A1DH, data, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +131,7 @@ func TestHierarchicalReducesInterNodeMessages(t *testing.T) {
 func TestAlltoAllSingleNodeIsAllIntra(t *testing.T) {
 	r := xrand.New(4)
 	data := randWorld(r, 4, 8)
-	_, st, err := DirectAlltoAll(data, 4)
+	_, st, err := wholeAlltoAll(A2ADirect, data, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,33 +141,30 @@ func TestAlltoAllSingleNodeIsAllIntra(t *testing.T) {
 }
 
 func TestAlltoAllErrors(t *testing.T) {
-	if _, _, err := DirectAlltoAll(randWorld(xrand.New(1), 3, 4), 0); err == nil {
+	if _, _, err := wholeAlltoAll(A2ADirect, randWorld(xrand.New(1), 3, 4), 0); err == nil {
 		t.Fatal("expected error: 4 elements not divisible into 3 blocks")
 	}
-	if _, _, err := Hierarchical2DAlltoAll(randWorld(xrand.New(1), 4, 4), 3); err == nil {
+	if _, _, err := wholeAlltoAll(A2A2DH, randWorld(xrand.New(1), 4, 4), 3); err == nil {
 		t.Fatal("expected error: 4 ranks not divisible into nodes of 3")
 	}
-	if _, _, err := AlltoAll("bogus", randWorld(xrand.New(1), 2, 2), 0); err == nil {
+	if _, _, err := wholeAlltoAll("bogus", randWorld(xrand.New(1), 2, 2), 0); err == nil {
 		t.Fatal("expected error for unknown algorithm")
 	}
 }
 
-func BenchmarkDirectAlltoAll16(b *testing.B) {
-	data := randWorld(xrand.New(1), 16, 16*64)
+// benchWholeAlltoAll times whole-block AlltoAlls among 16 ranks in nodes of
+// 4, into one result buffer reused across iterations.
+func benchWholeAlltoAll(b *testing.B, algo A2AAlgo) {
+	const p, blk = 16, 64
+	data := randWorld(xrand.New(1), p, p*blk)
+	out := nanBuffers(p, p*blk)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DirectAlltoAll(data, 4); err != nil {
+		if _, err := AlltoAllRows(algo, data, out, 4, BlockDims{Rows: 1, Width: blk}, RowRange{Lo: 0, Hi: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func Benchmark2DHAlltoAll16(b *testing.B) {
-	data := randWorld(xrand.New(1), 16, 16*64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Hierarchical2DAlltoAll(data, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkDirectAlltoAll16(b *testing.B) { benchWholeAlltoAll(b, A2ADirect) }
+func Benchmark2DHAlltoAll16(b *testing.B)    { benchWholeAlltoAll(b, A2A2DH) }

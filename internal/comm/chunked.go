@@ -1,18 +1,15 @@
 package comm
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
-// This file layers chunked, asynchronous AlltoAll on top of the
-// Direct/1DH/2DH algorithms — the communication half of the paper's §4
-// fine-grained task scheduling. The token dimension of every per-destination
-// block is split into r contiguous row chunks; each chunk is a complete
-// (smaller) AlltoAll with its own completion, so a stream runtime can start
-// expert computation on chunk c while chunk c+1 is still in flight. Because
+// This file holds the row-chunked AlltoAll over the Direct/1DH/2DH
+// algorithms — the communication half of the paper's §4 fine-grained task
+// scheduling. The token dimension of every per-destination block is split
+// into r contiguous row chunks; each chunk is a complete (smaller) AlltoAll,
+// run as its own plan task, so a stream runtime can start expert
+// computation on chunk c while chunk c+1 is still in flight. Because
 // chunking only restricts the same permutation to disjoint row sets, the
-// reassembled result is byte-identical to the monolithic collective for
+// reassembled result is byte-identical to the whole-block collective for
 // every algorithm.
 //
 // It also defines the one endpoint shape every windowed collective — the
@@ -109,8 +106,9 @@ func checkLists(what string, lists [][]Block, n, rows int) error {
 
 // BlockDims describes the shape of each per-destination block of a dense
 // AlltoAll buffer: Rows token rows of Width elements. Every rank's buffer
-// is p consecutive such blocks (block d destined to rank d), exactly the
-// layout DirectAlltoAll &co. validate via blockView.
+// is p consecutive such blocks (block d destined to rank d), the layout
+// blockView validates. A whole-block AlltoAll is the one-row window of
+// BlockDims{Rows: 1, Width: b}.
 type BlockDims struct {
 	Rows  int // tokens per destination block (the chunked dimension)
 	Width int // elements per token row
@@ -172,8 +170,9 @@ func SplitRows(rows, chunks int) []RowRange {
 
 // AlltoAllRows runs the AlltoAll restricted to rows [rr.Lo, rr.Hi) of every
 // destination block, writing the exchanged rows into the same positions of
-// out (out[d] must be b*p elements like a monolithic result buffer; rows
-// outside the range are untouched). The window moves in place: the chosen
+// out (out[d] must be b*p elements, the layout of data; rows outside the
+// range are untouched). out[d] = data[0][d] ‖ data[1][d] ‖ … once every row
+// has moved: blocks ordered by source. The window moves in place: the chosen
 // algorithm runs directly between data and out — Direct is one copy per
 // (source, destination) window, 1DH/2DH keep their hops on window-sized
 // arenas — so the step structure, the Stats and the per-row bytes are
@@ -241,9 +240,9 @@ func AlltoAllBlocks(guard Guard, algo A2AAlgo, send, recv [][]Block, gpusPerNode
 }
 
 // ChunkedAlltoAll splits each destination block's token rows into chunks
-// contiguous ranges and performs one AlltoAll per chunk. The reassembled
-// output and the summed Stats are byte-identical in content to the
-// monolithic AlltoAll(algo, data, gpusPerNode); onChunk, when non-nil, is
+// contiguous ranges and performs one AlltoAll per chunk into a freshly
+// allocated output. The reassembled output and the summed volumes are
+// byte-identical to one AlltoAllRows over every row; onChunk, when non-nil, is
 // invoked after each chunk completes with its range — the per-chunk
 // completion hook pipelined consumers build on.
 func ChunkedAlltoAll(algo A2AAlgo, data [][]float64, gpusPerNode int, dims BlockDims, chunks int, onChunk func(c int, rr RowRange)) ([][]float64, Stats, error) {
@@ -268,89 +267,4 @@ func ChunkedAlltoAll(algo A2AAlgo, data [][]float64, gpusPerNode int, dims Block
 		}
 	}
 	return out, st, nil
-}
-
-// AsyncA2A is an in-flight chunked AlltoAll. Chunks complete in order;
-// ChunkDone(c) unblocks as soon as chunk c's rows have landed in the
-// output buffer — or as soon as the collective fails, so consumers never
-// hang. After a ChunkDone unblocks, Landed(c) distinguishes "rows are
-// valid" from "the collective aborted first"; Wait blocks for the whole
-// collective and reports the error.
-type AsyncA2A struct {
-	ranges []RowRange
-	done   []chan struct{}
-	landed atomic.Int32 // chunks whose rows are valid in out
-	out    [][]float64
-	stats  Stats
-	err    error
-	fin    chan struct{}
-}
-
-// Chunks returns the number of chunks (≤ the requested degree when blocks
-// are short) and Range the row range of chunk c.
-func (a *AsyncA2A) Chunks() int                     { return len(a.ranges) }
-func (a *AsyncA2A) Range(c int) RowRange            { return a.ranges[c] }
-func (a *AsyncA2A) ChunkDone(c int) <-chan struct{} { return a.done[c] }
-
-// Out returns the per-rank output buffers. The rows of chunk c are valid
-// once ChunkDone(c) has unblocked with Landed(c) true — this is what lets
-// a consumer start computing on chunk c while chunk c+1 is still in
-// flight. The full buffer is valid after Wait.
-func (a *AsyncA2A) Out() [][]float64 { return a.out }
-
-// Landed reports whether chunk c's rows are valid in the output buffer.
-// Meaningful once ChunkDone(c) has unblocked: false there means the
-// collective failed before chunk c moved.
-func (a *AsyncA2A) Landed(c int) bool { return int(a.landed.Load()) > c }
-
-// Wait blocks until every chunk has completed and returns the reassembled
-// per-rank buffers (byte-identical to the monolithic AlltoAll), the summed
-// Stats, and the first error.
-func (a *AsyncA2A) Wait() ([][]float64, Stats, error) {
-	<-a.fin
-	return a.out, a.stats, a.err
-}
-
-// AlltoAllAsync validates the layout synchronously, then starts a chunked
-// AlltoAll on a background goroutine and returns with per-chunk
-// completion channels; Out()'s chunk-c rows are readable as soon as
-// ChunkDone(c) unblocks. The caller must not mutate data until Wait
-// returns.
-func AlltoAllAsync(algo A2AAlgo, data [][]float64, gpusPerNode int, dims BlockDims, chunks int) (*AsyncA2A, error) {
-	b, err := dims.validate(data)
-	if err != nil {
-		return nil, err
-	}
-	ranges := SplitRows(dims.Rows, chunks)
-	a := &AsyncA2A{ranges: ranges, fin: make(chan struct{})}
-	a.done = make([]chan struct{}, len(ranges))
-	for c := range a.done {
-		a.done[c] = make(chan struct{})
-	}
-	p := len(data)
-	a.out = make([][]float64, p)
-	for d := 0; d < p; d++ {
-		a.out[d] = make([]float64, b*p)
-	}
-	go func() {
-		defer close(a.fin)
-		completed := 0
-		for c, rr := range ranges {
-			cst, cerr := AlltoAllRows(algo, data, a.out, gpusPerNode, dims, rr)
-			if cerr != nil {
-				a.err = cerr
-				break
-			}
-			a.stats.Merge(cst)
-			a.landed.Store(int32(c + 1))
-			close(a.done[c])
-			completed = c + 1
-		}
-		// Failure: unblock the remaining waiters (Landed stays false for
-		// these chunks) so nobody hangs on a chunk that will never move.
-		for c := completed; c < len(a.done); c++ {
-			close(a.done[c])
-		}
-	}()
-	return a, nil
 }

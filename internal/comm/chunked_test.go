@@ -38,7 +38,7 @@ func sameBuffers(t *testing.T, label string, a, b [][]float64) {
 // TestChunkedAlltoAllMatchesMonolithic: for every algorithm and a sweep of
 // chunk counts (including ones that do not divide the row count and ones
 // exceeding it), the reassembled chunked result must be byte-identical to
-// the monolithic collective, and the summed traffic volumes must match.
+// the whole-block collective, and the summed traffic volumes must match.
 func TestChunkedAlltoAllMatchesMonolithic(t *testing.T) {
 	cases := []struct {
 		p, g int
@@ -51,7 +51,7 @@ func TestChunkedAlltoAllMatchesMonolithic(t *testing.T) {
 	for _, algo := range []A2AAlgo{A2ADirect, A2A1DH, A2A2DH} {
 		for _, tc := range cases {
 			data := randomBuffers(11, tc.p, tc.dims)
-			want, wantSt, err := AlltoAll(algo, data, tc.g)
+			want, wantSt, err := wholeAlltoAll(algo, data, tc.g)
 			if err != nil {
 				t.Fatalf("%s: monolithic: %v", algo, err)
 			}
@@ -96,55 +96,6 @@ func TestChunkedAlltoAllCallback(t *testing.T) {
 	}
 	if next != dims.Rows {
 		t.Fatalf("ranges cover %d rows, want %d", next, dims.Rows)
-	}
-}
-
-// TestAlltoAllAsync: per-chunk channels unblock in order and the final
-// result is byte-identical to the monolithic collective.
-func TestAlltoAllAsync(t *testing.T) {
-	dims := BlockDims{Rows: 9, Width: 4}
-	data := randomBuffers(7, 4, dims)
-	want, _, err := AlltoAll(A2A2DH, data, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := AlltoAllAsync(A2A2DH, data, 2, dims, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < a.Chunks(); c++ {
-		<-a.ChunkDone(c)
-		if !a.Landed(c) {
-			t.Fatalf("chunk %d done but not landed", c)
-		}
-		// Per-chunk consumption: the landed rows must already equal the
-		// monolithic result, before Wait.
-		rr := a.Range(c)
-		out := a.Out()
-		for d := range want {
-			for s := range want {
-				for i := rr.Lo * dims.Width; i < rr.Hi*dims.Width; i++ {
-					off := s*dims.Elems() + i
-					if out[d][off] != want[d][off] {
-						t.Fatalf("chunk %d rank %d offset %d: %v != %v", c, d, off, out[d][off], want[d][off])
-					}
-				}
-			}
-		}
-	}
-	got, _, err := a.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBuffers(t, "async", want, got)
-}
-
-// TestAlltoAllAsyncError: a malformed layout fails synchronously at the
-// constructor, before any goroutine or channel exists to leak.
-func TestAlltoAllAsyncError(t *testing.T) {
-	data := randomBuffers(1, 4, BlockDims{Rows: 2, Width: 2})
-	if _, err := AlltoAllAsync(A2ADirect, data, 2, BlockDims{Rows: 3, Width: 2}, 2); err == nil {
-		t.Fatal("expected a layout error")
 	}
 }
 

@@ -11,9 +11,15 @@
 //   - 2DH AlltoAll (Tutel / DeepSpeed): intra-node regrouping phase
 //     followed by an inter-node exchange between same-local-index GPUs.
 //
-// Every variant is tested to produce byte-identical results; they differ
-// only in *how* data moves, which the Stats accounting captures (message
-// counts and inter- vs intra-node volume). The scheduler's cost models in
+// The collectives write into caller-owned buffers (only ChunkedAlltoAll, a
+// loop of windows, allocates its result), and each call moves one window: a
+// row range of every block (AlltoAll, AllGather, ReduceScatter) or an
+// element range of a flat buffer (AllReduce). The whole collective is the
+// window that spans everything, and any tiling of the windows reproduces it
+// byte for byte — the property the chunked pipelines of §4 and §5 rest on.
+// The AlltoAll variants produce byte-identical results; they differ only in
+// *how* data moves, which the Stats accounting captures (message counts and
+// inter- vs intra-node volume). The scheduler's cost models in
 // internal/topology are calibrated against exactly these step structures.
 package comm
 
@@ -80,96 +86,12 @@ func checkUniform(data [][]float64) (int, error) {
 // allgather phase, each moving ~n/p per step. Buffers are updated in
 // place. gpusPerNode attributes traffic for Stats (pass 0 to count all
 // traffic as inter-node). It is the single-chunk case of the restricted
-// ring in allreduce.go, so the chunked collectives are byte-identical to
-// it by construction.
+// ring in allreduce.go, so any tiling reduced through RingAllReduceChunk is
+// byte-identical to it by construction.
 func RingAllReduce(data [][]float64, gpusPerNode int) (Stats, error) {
 	n, err := checkUniform(data)
 	if err != nil {
 		return Stats{}, err
 	}
 	return RingAllReduceChunk(data, gpusPerNode, RowRange{Lo: 0, Hi: n})
-}
-
-// RingAllGather concatenates every rank's buffer on every rank:
-// out[r] = data[0] ‖ data[1] ‖ … ‖ data[p-1], moved in p-1 ring steps.
-func RingAllGather(data [][]float64, gpusPerNode int) ([][]float64, Stats, error) {
-	var st Stats
-	n, err := checkUniform(data)
-	if err != nil {
-		return nil, st, err
-	}
-	p := len(data)
-	w := world{g: gpusPerNode}
-	out := make([][]float64, p)
-	for r := 0; r < p; r++ {
-		out[r] = make([]float64, n*p)
-		copy(out[r][r*n:(r+1)*n], data[r])
-	}
-	for s := 0; s < p-1; s++ {
-		staged := make([][]float64, p)
-		for r := 0; r < p; r++ {
-			c := ((r-s)%p + p) % p
-			cp := make([]float64, n)
-			copy(cp, out[r][c*n:(c+1)*n])
-			staged[r] = cp
-		}
-		for r := 0; r < p; r++ {
-			dst := (r + 1) % p
-			c := ((r-s)%p + p) % p
-			copy(out[dst][c*n:(c+1)*n], staged[r])
-			st.add(w.sameNode(r, dst), n)
-		}
-	}
-	return out, st, nil
-}
-
-// RingReduceScatter sums the rank buffers elementwise and leaves segment r
-// of the sum on rank r: out[r] = Σ_s data[s][r·n/p : (r+1)·n/p]. The input
-// length must be divisible by p.
-func RingReduceScatter(data [][]float64, gpusPerNode int) ([][]float64, Stats, error) {
-	var st Stats
-	n, err := checkUniform(data)
-	if err != nil {
-		return nil, st, err
-	}
-	p := len(data)
-	if n%p != 0 {
-		return nil, st, fmt.Errorf("comm: reduce-scatter length %d not divisible by %d ranks", n, p)
-	}
-	w := world{g: gpusPerNode}
-	seg := n / p
-	// Work on copies so the caller's buffers survive.
-	work := make([][]float64, p)
-	for r := range data {
-		work[r] = append([]float64(nil), data[r]...)
-	}
-	chunk := func(r, c int) []float64 { return work[r][c*seg : (c+1)*seg] }
-	for s := 0; s < p-1; s++ {
-		staged := make([][]float64, p)
-		for r := 0; r < p; r++ {
-			c := ((r-s)%p + p) % p
-			cp := make([]float64, seg)
-			copy(cp, chunk(r, c))
-			staged[r] = cp
-		}
-		for r := 0; r < p; r++ {
-			dst := (r + 1) % p
-			c := ((r-s)%p + p) % p
-			dchunk := chunk(dst, c)
-			for i, v := range staged[r] {
-				dchunk[i] += v
-			}
-			st.add(w.sameNode(r, dst), seg)
-		}
-	}
-	out := make([][]float64, p)
-	for r := 0; r < p; r++ {
-		// After p-1 steps rank r holds the reduced chunk (r+1) mod p; the
-		// conventional output is segment r, so shift.
-		c := (r + 1) % p
-		res := make([]float64, seg)
-		copy(res, chunk(r, c))
-		out[c] = res
-	}
-	return out, st, nil
 }

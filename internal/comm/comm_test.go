@@ -83,108 +83,13 @@ func TestRingAllReduceVolume(t *testing.T) {
 	}
 }
 
-func TestRingAllGather(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		p := 2 + r.Intn(7)
-		n := 1 + r.Intn(20)
-		data := randWorld(r, p, n)
-		out, _, err := RingAllGather(data, 0)
-		if err != nil {
-			return false
-		}
-		for rr := 0; rr < p; rr++ {
-			for s := 0; s < p; s++ {
-				for j := 0; j < n; j++ {
-					if out[rr][s*n+j] != data[s][j] {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRingReduceScatter(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		p := 2 + r.Intn(7)
-		seg := 1 + r.Intn(10)
-		n := p * seg
-		data := randWorld(r, p, n)
-		orig := cloneWorld(data)
-		out, _, err := RingReduceScatter(data, 0)
-		if err != nil {
-			return false
-		}
-		for rr := 0; rr < p; rr++ {
-			for j := 0; j < seg; j++ {
-				want := 0.0
-				for s := 0; s < p; s++ {
-					want += orig[s][rr*seg+j]
-				}
-				if math.Abs(out[rr][j]-want) > 1e-9 {
-					return false
-				}
-			}
-		}
-		// Inputs must be preserved.
-		for rr := range data {
-			for j := range data[rr] {
-				if data[rr][j] != orig[rr][j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceScatterRejectsIndivisible(t *testing.T) {
-	if _, _, err := RingReduceScatter(randWorld(xrand.New(1), 3, 4), 0); err == nil {
-		t.Fatal("expected error for 4 elements over 3 ranks")
-	}
-}
-
-func TestAllGatherReduceScatterDuality(t *testing.T) {
-	// ReduceScatter(AllGather(x)) over identical inputs recovers p·x.
-	r := xrand.New(5)
-	p, n := 4, 8
-	data := randWorld(r, p, n)
-	gathered, _, err := RingAllGather(data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := RingReduceScatter(gathered, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rr := 0; rr < p; rr++ {
-		for j := 0; j < n; j++ {
-			want := 0.0
-			for s := 0; s < p; s++ {
-				want += gathered[s][rr*n+j]
-			}
-			if math.Abs(out[rr][j]-want) > 1e-9 {
-				t.Fatalf("duality broken at rank %d elem %d", rr, j)
-			}
-		}
-	}
-}
-
 func TestErrorsOnRaggedWorld(t *testing.T) {
 	data := [][]float64{{1, 2}, {1}}
 	if _, err := RingAllReduce(data, 0); err == nil {
 		t.Fatal("expected error for ragged buffers")
 	}
-	if _, _, err := RingAllGather(data, 0); err == nil {
+	out := [][]float64{make([]float64, 4), make([]float64, 4)}
+	if _, err := AllGatherRows(data, out, 0, BlockDims{Rows: 1, Width: 2}, RowRange{Lo: 0, Hi: 1}); err == nil {
 		t.Fatal("expected error for ragged buffers")
 	}
 }

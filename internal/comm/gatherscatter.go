@@ -8,7 +8,8 @@ import "fmt"
 // As with the chunked AlltoAll, a call moves a row window of every block, so
 // AllGather chunk c+1 can be on the wire while the sharded expert GEMMs
 // consume chunk c, and any tiling of the rows reproduces the monolithic ring
-// (RingAllGather, RingReduceScatter in comm.go) byte for byte.
+// byte for byte (its reference implementations are the test oracles
+// ringAllGather and ringReduceScatter).
 //
 // A window travels from the source block to the block it lands in: no packed
 // sub-buffer, no pooled staging, no working copy. The ring survives as the
@@ -65,7 +66,7 @@ func (m ringMove) land(d, c int) int {
 // reduceScatter leaves in segment c's blocks the ring's sum of the members'
 // contributions to it: the partial sum starts as member c's, and at step s
 // rank r hands rank r+1 the partial of segment r−s, which adds its own —
-// received + held, RingReduceScatter's operand order. The partial lives in
+// received + held, the monolithic ring's operand order. The partial lives in
 // the destination throughout, so no contribution is modified.
 func (m ringMove) reduceScatter() Stats {
 	var st Stats
@@ -160,7 +161,7 @@ func checkRing(what string, wide, narrow [][]Block, rr RowRange, absent bool) (i
 // shard of a width the group does not divide). A destination block may be
 // the source block itself — the member's own rows, in place — and is then
 // left alone; otherwise sources and destinations must not overlap. With one
-// width and dense packing this is RingAllGather on the window, Stats
+// width and dense packing this is the monolithic ring on the window, Stats
 // included; in general Stats count the elements the ring moves between
 // blocks. guard, when non-nil, runs before the first byte moves (see Guard).
 func AllGatherBlocks(guard Guard, src, dst [][]Block, gpusPerNode int, rr RowRange) (Stats, error) {
@@ -178,7 +179,7 @@ func AllGatherBlocks(guard Guard, src, dst [][]Block, gpusPerNode int, rr RowRan
 // ReduceScatterBlocks sums rows rr of the members' contributions segment by
 // segment: contrib[r] lists member r's p·k blocks, block c·k+j its
 // contribution to dst[c][j], and dst[c] the k blocks of segment c on its
-// owner. Every element sees RingReduceScatter's sequence of additions, so
+// owner. Every element sees the monolithic ring's sequence of additions, so
 // any tiling of the rows reproduces the monolithic ring byte for byte. A
 // contribution may be absent — a Block with nil Data: this member adds
 // nothing to that block — and the result is bit for bit the ring's over
@@ -202,7 +203,7 @@ func ReduceScatterBlocks(guard Guard, contrib, dst [][]Block, gpusPerNode int, r
 // (Rows × Width) block and out[r] p·Rows·Width elements like a monolithic
 // result buffer, source s's block at offset s·Rows·Width. Rows outside
 // [rr.Lo, rr.Hi) are untouched, and any tiling of [0, Rows) reproduces the
-// monolithic RingAllGather byte for byte.
+// monolithic ring AllGather byte for byte.
 func AllGatherRows(data, out [][]float64, gpusPerNode int, dims BlockDims, rr RowRange) (Stats, error) {
 	if err := checkRowsArgs(data, out, dims, rr, 1); err != nil || rr.Len() == 0 {
 		return Stats{}, err
@@ -215,7 +216,7 @@ func AllGatherRows(data, out [][]float64, gpusPerNode int, dims BlockDims, rr Ro
 // full partial buffer of p (Rows × Width) segments, and out[r] (a single
 // Rows × Width block) receives rows rr of the elementwise-summed segment r;
 // rows outside the range are untouched. Any tiling of [0, Rows) reproduces
-// the monolithic RingReduceScatter byte for byte.
+// the monolithic ring ReduceScatter byte for byte.
 func ReduceScatterRows(data, out [][]float64, gpusPerNode int, dims BlockDims, rr RowRange) (Stats, error) {
 	if err := checkRowsArgs(data, out, dims, rr, -1); err != nil || rr.Len() == 0 {
 		return Stats{}, err

@@ -5,9 +5,10 @@ package comm
 // untouched, so a transient guard failure may be retried bit-safely. A nil
 // Guard is always allowed and checks nothing. The block-endpoint
 // collectives (AlltoAllBlocks, AllGatherBlocks, ReduceScatterBlocks) take
-// the guard as a parameter; the dense AlltoAllRows and Broadcast predate
-// that and keep a …Guarded twin each. The ring AllReduce has no guard: its
-// in-plan §5 slices are injected at task level, before the task body runs.
+// the guard as a parameter; the dense AlltoAllRows and Broadcast keep a
+// …Guarded twin each, for the benchmark's probes and for recovery's weight
+// re-placement. The ring AllReduce has no guard: its in-plan §5 slices are
+// injected at task level, before the task body runs.
 type Guard func() error
 
 func (g Guard) check() error {

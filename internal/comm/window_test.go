@@ -185,7 +185,7 @@ func TestAlltoAllWindowProperty(t *testing.T) {
 		data := randomBuffers(uint64(1000+tc), p, dims)
 		tiling := randomTiling(rng, dims.Rows)
 		for _, algo := range []A2AAlgo{A2ADirect, A2A1DH, A2A2DH} {
-			want, wantSt, err := AlltoAll(algo, data, g)
+			want, wantSt, err := wholeAlltoAll(algo, data, g)
 			if err != nil {
 				t.Fatalf("case %d %s: monolithic: %v", tc, algo, err)
 			}
@@ -334,7 +334,7 @@ func (rc *ringCase) windows(t *testing.T, call func(rr RowRange) (Stats, error),
 }
 
 // TestRingBlocksWindowProperty: over 200 random cases the block-endpoint
-// AllGather and ReduceScatter reproduce RingAllGather and RingReduceScatter
+// AllGather and ReduceScatter reproduce ringAllGather and ringReduceScatter
 // on packed copies of the blocks byte for byte, window by window, with the
 // monolithic Stats; nothing outside the moved windows and the blocks' own
 // columns is written; sources are never modified.
@@ -352,7 +352,7 @@ func TestRingBlocksWindowProperty(t *testing.T) {
 				packed[m] = append(packed[m], c.fill(rng)...)
 			}
 		}
-		want, wantSt, err := RingAllGather(packed, rc.g)
+		want, wantSt, err := ringAllGather(packed, rc.g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +398,7 @@ func TestRingBlocksWindowProperty(t *testing.T) {
 				packed[m] = append(packed[m], vals...)
 			}
 		}
-		want, wantSt, err = RingReduceScatter(packed, rc.g)
+		want, wantSt, err = ringReduceScatter(packed, rc.g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,9 +37,10 @@ type RecoveryMode string
 
 const (
 	// RecoverShrink rebuilds on the surviving ranks: the new rank count is
-	// the largest R' < R dividing the expert count, and the contiguous
-	// owner mapping (expert e → rank e·R'/E) re-distributes every expert
-	// across the survivors.
+	// the largest R' < R dividing every layer's expert count — one R' for
+	// the whole stack, which steps only at a uniform rank count — and the
+	// contiguous owner mapping (expert e → rank e·R'/E) re-distributes every
+	// expert across the survivors.
 	RecoverShrink RecoveryMode = "shrink"
 	// RecoverRejoin keeps the rank count: the dead rank is replaced by a
 	// fresh worker that receives its expert shard from the checkpoint —
@@ -86,25 +87,31 @@ type RecoveryReport struct {
 }
 
 // Recover rebuilds this world around its permanently failed rank from a
-// snapshot. Most callers drive a whole stack through RecoverWorlds
-// instead; a single-layer world may recover directly.
+// snapshot: RecoverWorlds on a stack of one.
 func (w *World) Recover(ws *ckpt.WorldState, pol RecoveryPolicy) (*RecoveryReport, error) {
-	if w.down < 0 {
-		return nil, fmt.Errorf("moe: recover: no rank is down (recovery follows a permanent failure)")
+	if ws == nil {
+		return nil, fmt.Errorf("moe: recover needs a snapshot")
 	}
-	return w.recoverTo(ws, pol, w.down)
+	reps, err := RecoverWorlds([]*World{w}, &ckpt.Snapshot{Worlds: []ckpt.WorldState{*ws}}, pol)
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
 }
 
 // RecoverWorlds rebuilds a stack around its permanently failed rank: the
 // down rank is located on whichever world saw the failure, and every
 // world — degraded or not — is rebuilt to the same surviving topology,
-// since a stack steps only at a uniform rank count.
+// since a stack steps only at a uniform rank count. Every world is checked
+// against its snapshot and its new placement before any is rolled back; a
+// weight re-placement broadcast that still fails after its retries returns
+// with the layers before it already rebuilt.
 func RecoverWorlds(worlds []*World, s *ckpt.Snapshot, pol RecoveryPolicy) ([]*RecoveryReport, error) {
-	if s == nil {
-		return nil, fmt.Errorf("moe: recover needs a snapshot")
-	}
 	if len(worlds) == 0 {
 		return nil, fmt.Errorf("moe: recover needs at least one world")
+	}
+	if s == nil {
+		return nil, fmt.Errorf("moe: recover needs a snapshot")
 	}
 	if len(worlds) != len(s.Worlds) {
 		return nil, fmt.Errorf("moe: recover: stack has %d worlds, snapshot %d", len(worlds), len(s.Worlds))
@@ -116,11 +123,49 @@ func RecoverWorlds(worlds []*World, s *ckpt.Snapshot, pol RecoveryPolicy) ([]*Re
 		}
 	}
 	if down < 0 {
-		return nil, fmt.Errorf("moe: recover: no rank is down anywhere in the stack")
+		return nil, fmt.Errorf("moe: recover: no rank is down anywhere in the stack (recovery follows a permanent failure)")
+	}
+	mode := pol.Mode
+	if mode == "" {
+		mode = RecoverShrink
+	}
+	oldR := worlds[0].cfg.Ranks
+	newR := oldR
+	switch mode {
+	case RecoverRejoin:
+	case RecoverShrink:
+	shrink:
+		for newR = oldR - 1; newR >= 1; newR-- {
+			for _, w := range worlds {
+				if len(w.layer.cfg.Experts)%newR != 0 {
+					continue shrink
+				}
+			}
+			break
+		}
+		if newR == 0 {
+			return nil, fmt.Errorf("moe: recover: no rank count below %d divides every layer's expert count", oldR)
+		}
+	default:
+		return nil, fmt.Errorf("moe: recover: unknown mode %q (valid: %s, %s)", mode, RecoverShrink, RecoverRejoin)
+	}
+	cfgs := make([]WorldConfig, len(worlds))
+	pls := make([]placement, len(worlds))
+	for i, w := range worlds {
+		if w.cfg.Ranks != oldR {
+			return nil, fmt.Errorf("moe: recover: layer %d has %d ranks, layer 0 has %d", i, w.cfg.Ranks, oldR)
+		}
+		err := w.checkRestore(&s.Worlds[i])
+		if err == nil {
+			cfgs[i], pls[i], err = w.recoveryConfig(newR)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("moe: recover layer %d: %w", i, err)
+		}
 	}
 	reports := make([]*RecoveryReport, len(worlds))
 	for i, w := range worlds {
-		rep, err := w.recoverTo(&s.Worlds[i], pol, down)
+		rep, err := w.recoverTo(&s.Worlds[i], mode, down, cfgs[i], pls[i])
 		if err != nil {
 			return nil, fmt.Errorf("moe: recover layer %d: %w", i, err)
 		}
@@ -129,58 +174,33 @@ func RecoverWorlds(worlds []*World, s *ckpt.Snapshot, pol RecoveryPolicy) ([]*Re
 	return reports, nil
 }
 
-// recoverTo is the per-world rebuild. downRank is the failed rank the
-// stack is recovering around (this world itself may have been healthy).
-func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int) (*RecoveryReport, error) {
-	if w.closed {
-		return nil, fmt.Errorf("moe: recover: %w", ErrWorldClosed)
+// recoveryConfig is the configuration and placement the world moves to at
+// newR ranks. The strategy stays; a hybrid group keeps the widest width
+// that still divides the rank count (the staged contract holds at every
+// width), and the node shape the largest width not exceeding the old one
+// that divides it.
+func (w *World) recoveryConfig(newR int) (WorldConfig, placement, error) {
+	cfg := w.cfg
+	if cfg.Strategy == StrategyHybrid {
+		cfg.GroupSize = gcd(cfg.GroupSize, newR)
 	}
-	t0 := time.Now()
-	mode := pol.Mode
-	if mode == "" {
-		mode = RecoverShrink
-	}
-	e := len(w.layer.cfg.Experts)
-	oldR, oldEgrp := w.cfg.Ranks, w.egrp
-	newR := oldR
-	switch mode {
-	case RecoverRejoin:
-	case RecoverShrink:
-		newR = 0
-		for r := oldR - 1; r >= 1; r-- {
-			if e%r == 0 {
-				newR = r
-				break
-			}
-		}
-		if newR == 0 {
-			return nil, fmt.Errorf("moe: recover: no rank count below %d divides %d experts", oldR, e)
-		}
-	default:
-		return nil, fmt.Errorf("moe: recover: unknown mode %q (valid: %s, %s)", mode, RecoverShrink, RecoverRejoin)
-	}
-
-	// The strategy stays; a hybrid group keeps the widest width that still
-	// divides the rank count (the staged contract holds at every width).
-	newGroup := w.cfg.GroupSize
-	if w.cfg.Strategy == StrategyHybrid {
-		newGroup = gcd(newGroup, newR)
-	}
-	// The node shape must divide the new rank count; keep the largest
-	// valid width not exceeding the old one.
 	gpn := 1
 	for d := 1; d <= w.cfg.GPUsPerNode && d <= newR; d++ {
 		if newR%d == 0 {
 			gpn = d
 		}
 	}
-	newCfg := w.cfg
-	newCfg.Ranks, newCfg.GroupSize, newCfg.GPUsPerNode = newR, newGroup, gpn
-	pl, err := place(w.layer, newCfg)
-	if err != nil {
-		return nil, fmt.Errorf("moe: recover: %w", err)
-	}
+	cfg.Ranks, cfg.GPUsPerNode = newR, gpn
+	pl, err := place(w.layer, cfg)
+	return cfg, pl, err
+}
 
+// recoverTo is the per-world rebuild onto newCfg and pl, which
+// recoveryConfig returned; checkRestore has accepted ws.
+func (w *World) recoverTo(ws *ckpt.WorldState, mode RecoveryMode, downRank int, newCfg WorldConfig, pl placement) (*RecoveryReport, error) {
+	t0 := time.Now()
+	e := len(w.layer.cfg.Experts)
+	oldR, oldEgrp, newR, gpn := w.cfg.Ranks, w.egrp, newCfg.Ranks, newCfg.GPUsPerNode
 	rep := &RecoveryReport{
 		Mode:         mode,
 		DownRank:     downRank,
@@ -195,9 +215,7 @@ func (w *World) recoverTo(ws *ckpt.WorldState, pol RecoveryPolicy, downRank int)
 	// Roll the full training state back to the snapshot: parameters, step
 	// counter, collective-op counter, gate RNG. Aborted-plan residue
 	// (partial gradients, partial parameter writes) dies here.
-	if err := w.Restore(ws); err != nil {
-		return nil, err
-	}
+	w.applyRestore(ws)
 
 	// Re-place weights: every expert whose owner changed under the new
 	// contiguous mapping — including the dead rank's whole shard in rejoin

@@ -33,21 +33,6 @@ func snapTensor(p *Param) ckpt.Tensor {
 	}
 }
 
-// restoreTensor writes a snapshot tensor back into its parameter after
-// verifying identity: the name and element count must match, so a
-// snapshot is never silently applied to a differently-shaped layer.
-func restoreTensor(p *Param, t ckpt.Tensor, where string) error {
-	if p.Name != t.Name {
-		return fmt.Errorf("moe: restore %s: parameter %q does not match snapshot %q", where, p.Name, t.Name)
-	}
-	if len(p.W.Data()) != len(t.Data) {
-		return fmt.Errorf("moe: restore %s: parameter %q has %d elements, snapshot %d",
-			where, p.Name, len(p.W.Data()), len(t.Data))
-	}
-	copy(p.W.Data(), t.Data)
-	return nil
-}
-
 // Snapshot captures the world's full mutable training state. The world
 // must not be mid-pass; parameters are deep-copied, so later steps never
 // alias into the snapshot.
@@ -73,9 +58,21 @@ func (w *World) Snapshot() *ckpt.WorldState {
 // step and collective-op counters, and the gate's RNG state. Restoring
 // rolls the whole training state back to the snapshot point — partially
 // accumulated gradients are zeroed, since they belong to the abandoned
-// timeline. The world's topology (ranks, strategy, health) is untouched;
-// elastic recovery layers on top (see recover.go).
+// timeline. A snapshot that does not match the layer is refused before
+// anything is written. The world's topology (ranks, strategy, health) is
+// untouched; elastic recovery layers on top (see recover.go).
 func (w *World) Restore(ws *ckpt.WorldState) error {
+	if err := w.checkRestore(ws); err != nil {
+		return err
+	}
+	w.applyRestore(ws)
+	return nil
+}
+
+// checkRestore reports whether ws can be restored into the world: the world
+// is open and every parameter's name and element count match, so a snapshot
+// is never applied to a differently-shaped layer, not even in part.
+func (w *World) checkRestore(ws *ckpt.WorldState) error {
 	if w.closed {
 		return fmt.Errorf("moe: restore: %w", ErrWorldClosed)
 	}
@@ -87,8 +84,6 @@ func (w *World) Restore(ws *ckpt.WorldState) error {
 		return fmt.Errorf("moe: restore: layer has %d experts, snapshot %d",
 			len(w.layer.cfg.Experts), len(ws.Experts))
 	}
-	// Validate everything before writing anything, so a mismatched
-	// snapshot never leaves the layer half-restored.
 	for i, p := range gate {
 		if p.Name != ws.Gate[i].Name || len(p.W.Data()) != len(ws.Gate[i].Data) {
 			return fmt.Errorf("moe: restore: gate parameter %d is %q(%d), snapshot %q(%d)",
@@ -108,16 +103,17 @@ func (w *World) Restore(ws *ckpt.WorldState) error {
 			}
 		}
 	}
-	for i, p := range gate {
-		if err := restoreTensor(p, ws.Gate[i], "gate"); err != nil {
-			return err
-		}
+	return nil
+}
+
+// applyRestore writes a snapshot checkRestore accepted.
+func (w *World) applyRestore(ws *ckpt.WorldState) {
+	for i, p := range w.layer.cfg.Gate.Params() {
+		copy(p.W.Data(), ws.Gate[i].Data)
 	}
 	for e, ex := range w.layer.cfg.Experts {
 		for i, p := range ex.Params() {
-			if err := restoreTensor(p, ws.Experts[e][i], fmt.Sprintf("expert %d", e)); err != nil {
-				return err
-			}
+			copy(p.W.Data(), ws.Experts[e][i].Data)
 		}
 	}
 	if rc, ok := w.layer.cfg.Gate.(RNGCarrier); ok && len(ws.GateRNG) > 0 {
@@ -126,7 +122,6 @@ func (w *World) Restore(ws *ckpt.WorldState) error {
 	w.steps = ws.Steps
 	w.collOps = ws.CollOps
 	w.layer.ZeroGrad()
-	return nil
 }
 
 // SnapshotWorlds captures a whole stack: one WorldState per layer in
@@ -142,7 +137,9 @@ func SnapshotWorlds(worlds []*World) *ckpt.Snapshot {
 	return s
 }
 
-// RestoreWorlds writes a stack snapshot back, layer by layer.
+// RestoreWorlds writes a stack snapshot back. Every layer is checked
+// before any is written, so a snapshot one layer does not match leaves the
+// whole stack as it was.
 func RestoreWorlds(worlds []*World, s *ckpt.Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("moe: restore needs a snapshot")
@@ -151,9 +148,12 @@ func RestoreWorlds(worlds []*World, s *ckpt.Snapshot) error {
 		return fmt.Errorf("moe: restore: stack has %d worlds, snapshot %d", len(worlds), len(s.Worlds))
 	}
 	for i, w := range worlds {
-		if err := w.Restore(&s.Worlds[i]); err != nil {
+		if err := w.checkRestore(&s.Worlds[i]); err != nil {
 			return fmt.Errorf("moe: restore layer %d: %w", i, err)
 		}
+	}
+	for i, w := range worlds {
+		w.applyRestore(&s.Worlds[i])
 	}
 	return nil
 }

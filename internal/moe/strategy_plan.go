@@ -506,7 +506,7 @@ func (w *World) BuildForward(p *runtime.Plan, cache *WorldCache, scatPad, combin
 			cl, ch := colShard(se.HiddenWidth(), j%gm.g, gm.g)
 			passes[j] = append(passes[j], se.Begin(PassBufs{
 				X: slotBlock(b.in[j], le, gm.tpad), Out: slotBlock(b.out[j], le, gm.tpad),
-				Hidden: b.hid[j][le], Scratch: b.scratch[j][le], Cl: cl, Ch: ch, Pool: w.computePool(j),
+				Hidden: b.hid[j][le], Scratch: b.scratch[j][le], Cl: cl, Ch: ch, Pool: w.computePools[j],
 			}))
 		}
 	}

@@ -46,10 +46,7 @@ type World struct {
 	// Each rank's compute stream owns a scoped tensor pool of
 	// computeWorkers workers and runs on an OS-thread-pinned goroutine;
 	// the communication streams run their copies inline, so commWorkers is
-	// only the binding they report. scoped=false falls back to the
-	// process-default pool everywhere — the oversubscription baseline
-	// benchmarks compare against.
-	scoped         bool
+	// only the binding they report.
 	computeWorkers int
 	commWorkers    int
 	computePools   []*tensor.Pool
@@ -203,7 +200,7 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &World{layer: layer, cfg: cfg, egrp: e / cfg.Ranks, pl: pl, scoped: true, down: -1}
+	w := &World{layer: layer, cfg: cfg, egrp: e / cfg.Ranks, pl: pl, down: -1}
 	// Default retry: transient collective failures get a handful of
 	// backed-off attempts; everything else fails fast. Inert until a fault
 	// plan is installed — real errors are never classified transient.
@@ -253,25 +250,6 @@ func (w *World) planResources() {
 	}
 }
 
-// computePool returns rank j's scoped compute pool (nil when scoped pools
-// are disabled, which designates the process-default pool).
-func (w *World) computePool(j int) *tensor.Pool {
-	if !w.scoped {
-		return nil
-	}
-	return w.computePools[j]
-}
-
-// SetScopedPools toggles resource governance: true (the default) backs
-// each compute stream with its own scoped worker pool and pins
-// compute-stream goroutines to OS threads; false reverts every kernel to
-// the process-default pool with unpinned streams — the oversubscription
-// baseline. Results are identical
-// either way. Takes effect from the next Forward (a forward/backward pair
-// must run under one setting: the pools are threaded into the forward
-// caches).
-func (w *World) SetScopedPools(on bool) { w.scoped = on }
-
 // ResourcePlan reports the planned per-stream worker split: workers per
 // compute stream and the shared communication allotment.
 func (w *World) ResourcePlan() (computeWorkers, commWorkers int) {
@@ -302,9 +280,6 @@ func (w *World) Close() error {
 // compute stream is pinned with its scoped worker share; everything else
 // (the AlltoAll/AG/RS chains) carries the comm allotment.
 func (w *World) bindStreams(p *runtime.Plan) {
-	if !w.scoped {
-		return
-	}
 	for _, s := range p.Streams() {
 		if strings.HasPrefix(s, "compute:") {
 			p.BindStream(s, runtime.Binding{Workers: w.computeWorkers, PinOS: true})

@@ -101,16 +101,13 @@ func BenchmarkWorldDegrees(b *testing.B) {
 // BenchmarkWorldGrid measures one fwd+bwd pass per cell of the (group
 // width, degree) grid at R=4 — g=1 is EP's plan, g=4 ESP's, g=2 the interior
 // hybrid — plus DenseSlots over a SoftMoE gate: the sweep the CI smoke step
-// executes with -benchtime=1x. Every cell runs under resource governance
-// (per-stream scoped pools + pinned compute streams, the default); at r=2
-// each also runs against the global-pool baseline every stream used to
-// share, which on a multi-core runner the scoped variant must not lose to.
+// executes with -benchtime=1x. Every cell runs under resource governance:
+// per-stream scoped pools and pinned compute streams.
 func BenchmarkWorldGrid(b *testing.B) {
 	const m, e, h, tokens = 64, 8, 128, 512
 	type cell struct {
-		name   string
-		cfg    WorldConfig
-		global bool
+		name string
+		cfg  WorldConfig
 	}
 	var cells []cell
 	for _, r := range []int{1, 2, 4} {
@@ -122,10 +119,6 @@ func BenchmarkWorldGrid(b *testing.B) {
 			c.cfg.Ranks, c.cfg.ChunksFwd = 4, r
 			c.name = fmt.Sprintf("%s/r=%d", c.name, r)
 			cells = append(cells, c)
-			if r == 2 {
-				c.name, c.global = c.name+"/pools=global", true
-				cells = append(cells, c)
-			}
 		}
 	}
 	for _, c := range cells {
@@ -156,7 +149,6 @@ func BenchmarkWorldGrid(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer w.Close()
-			w.SetScopedPools(!c.global)
 			x := tensor.RandN(xrand.New(92), 1, tokens, m)
 			dy := tensor.RandN(xrand.New(93), 1, tokens, m)
 			b.ResetTimer()

@@ -351,11 +351,10 @@ func TestWorldStepStrategies(t *testing.T) {
 }
 
 // TestWorldResourceBindings pins the resource-governance contract: the
-// measured trace of a scoped world reports exactly the planned worker
-// split (pinned compute streams with the compute share, everything else
-// the comm allotment); a global-pool world reports nothing; and a world
-// stays bit-identical to the sequential layer with governance off (the
-// scoped default is covered by every other bit-identity test).
+// measured trace of a world reports exactly the planned worker split
+// (pinned compute streams with the compute share, everything else the comm
+// allotment) for every live stream, and the pass stays bit-identical to the
+// sequential layer.
 func TestWorldResourceBindings(t *testing.T) {
 	x := tensor.RandN(xrand.New(65), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(66), 1, 96, 32)
@@ -368,7 +367,6 @@ func TestWorldResourceBindings(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w.Close()
-		w.SetScopedPools(false)
 		layer.ZeroGrad()
 		y, cache, err := w.Forward(x, false)
 		if err != nil {
@@ -378,20 +376,8 @@ func TestWorldResourceBindings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareSnapshots(t, fmt.Sprintf("%s global pools", strat), want,
+		compareSnapshots(t, fmt.Sprintf("%s scoped pools", strat), want,
 			worldSnapshot{y: y, dx: dx, grads: snapGrads(layer)})
-		if res := w.LastTrace().Resources; len(res) != 0 {
-			t.Fatalf("%s: global-pool trace reports bindings: %v", strat, res)
-		}
-
-		w.SetScopedPools(true)
-		layer.ZeroGrad()
-		if _, cache, err = w.Forward(x, false); err != nil {
-			t.Fatal(err)
-		}
-		if _, err = w.Backward(cache, dy); err != nil {
-			t.Fatal(err)
-		}
 		cw, mw := w.ResourcePlan()
 		if cw < 1 || mw < 1 {
 			t.Fatalf("%s: degenerate resource plan (%d, %d)", strat, cw, mw)
