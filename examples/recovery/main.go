@@ -49,9 +49,10 @@ func main() {
 	dy := fsmoe.RandTensor(8, 256, 64)
 	cfg := fsmoe.StepConfig{LR: 0.05, ChunkBytes: 64 << 10}
 
-	// 1. Train with periodic checkpoints: every step writes a snapshot of
-	// the full training state — parameters, counters, gate RNG — via an
-	// atomic temp-file + fsync + rename, checksummed with CRC-64.
+	// 1. Train with periodic checkpoints: every step snapshots the full
+	// training state — parameters, counters, gate RNG — and commits it
+	// behind the next step via an atomic temp-file + fsync + rename,
+	// checksummed with CRC-32C. LoadLatest below waits for the last commit.
 	stack := newStack(4)
 	ckptCfg := cfg
 	ckptCfg.Checkpoint = mgr

@@ -294,16 +294,26 @@
 // and CheckpointManager persists it crash-consistently: the snapshot is
 // written to a temp file in the target directory, fsynced, and renamed
 // into place, so the final name only ever holds a complete file. The
-// format is versioned and integrity-checked (magic "FSMC", format
-// version, gob payload, CRC-64/ECMA trailer); corruption surfaces as a
-// typed error — ErrCheckpointTruncated, ErrCheckpointChecksum,
-// ErrCheckpointBadMagic, ErrCheckpointVersion — and an empty directory
-// as ErrNoCheckpoint. Restore validates every world against the
-// snapshot before mutating any of them, so a mismatched snapshot is
+// format (version 2) is a metadata record — step, per-world counters and
+// gate RNG, per-tensor names and shapes — then every tensor's float64
+// data as raw little-endian spans, then a CRC-32C trailer; corruption
+// surfaces as a typed error — ErrCheckpointTruncated,
+// ErrCheckpointChecksum, ErrCheckpointMalformed, ErrCheckpointBadMagic,
+// ErrCheckpointVersion (version-1 gob files included) — and an empty
+// directory as ErrNoCheckpoint. Restore validates every world against
+// the snapshot before mutating any of them, so a mismatched snapshot is
 // rejected without tearing the stack. Set StepConfig.Checkpoint (and
 // optionally CheckpointEvery) to snapshot the stack every n-th step
-// from inside the training loop; the written path returns on
-// StepResult.CheckpointPath.
+// from inside the training loop. The step only encodes the live
+// parameters (CheckpointManager.Start); checksum, write, fsync, rename
+// and prune run on one background goroutine behind the next steps, at
+// most one commit in flight. StepResult.CheckpointPath is the file that
+// step's snapshot commits to; it is durable once the manager's next
+// Start, a Wait, or the worlds' Close has returned, and List, Latest and
+// LoadLatest wait for it first. A failed commit fails the next
+// checkpointing step with ErrCheckpointCommit and leaves the previous
+// file in place. StepMetrics carries the stall as CheckpointWaitMS and
+// CheckpointCaptureMS.
 //
 // After a permanent rank loss, Recover (or World.Recover per layer)
 // rebuilds instead of limping: under RecoveryPolicy{Mode:

@@ -22,7 +22,9 @@ type (
 	WorldState = ckpt.WorldState
 	// CheckpointManager writes and reads snapshot files in a directory:
 	// atomic (temp + fsync + rename), checksummed, versioned, optionally
-	// pruned to the newest Keep files.
+	// pruned to the newest Keep files. Start commits in the background, at
+	// most one commit in flight; Wait (and Save, List, Latest, LoadLatest)
+	// drain it.
 	CheckpointManager = ckpt.Manager
 	// RecoveryPolicy configures Recover; the zero value shrinks onto the
 	// surviving ranks.
@@ -46,14 +48,17 @@ const (
 	RecoverRejoin = moe.RecoverRejoin
 )
 
-// Typed checkpoint-corruption errors (errors.Is-matchable): a damaged or
-// foreign snapshot file fails loudly instead of restoring garbage.
+// Typed checkpoint errors (errors.Is-matchable): a damaged or foreign
+// snapshot file fails loudly instead of restoring garbage, and a
+// background commit that failed surfaces as ErrCheckpointCommit.
 var (
 	ErrCheckpointTruncated = ckpt.ErrTruncated
 	ErrCheckpointChecksum  = ckpt.ErrChecksum
+	ErrCheckpointMalformed = ckpt.ErrMalformed
 	ErrCheckpointBadMagic  = ckpt.ErrBadMagic
 	ErrCheckpointVersion   = ckpt.ErrVersion
 	ErrNoCheckpoint        = ckpt.ErrNoCheckpoint
+	ErrCheckpointCommit    = ckpt.ErrCommit
 )
 
 // Checkpoint captures a stack's full training state — every layer's

@@ -1,10 +1,18 @@
 package fsmoe
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/ckpt"
 )
 
 // TestRecoveryEndToEnd drives the whole public fault-tolerance surface:
@@ -15,7 +23,7 @@ import (
 func TestRecoveryEndToEnd(t *testing.T) {
 	x := RandTensor(121, 96, 32)
 	dy := RandTensor(122, 96, 32)
-	mgr := &CheckpointManager{Dir: t.TempDir(), Keep: 3}
+	mgr := tempCheckpoints(t, 3)
 	cfg := StepConfig{LR: 0.02, ChunkBytes: 64 << 10}
 
 	ws := syncTestStack(t, 2, 4)
@@ -81,7 +89,7 @@ func TestRecoveryEndToEnd(t *testing.T) {
 // typed corruption error through the facade.
 func TestRecoveryCorruptCheckpoint(t *testing.T) {
 	ws := syncTestStack(t, 1, 4)
-	mgr := &CheckpointManager{Dir: t.TempDir()}
+	mgr := tempCheckpoints(t, 0)
 	path, err := mgr.Save(Checkpoint(ws))
 	if err != nil {
 		t.Fatal(err)
@@ -173,5 +181,166 @@ func TestRecoveryShrinkOneRankCount(t *testing.T) {
 	}
 	if _, err := StepStack(ws, x, dy, cfg); err != nil {
 		t.Fatalf("step after recovery: %v", err)
+	}
+}
+
+// tempCheckpoints is a checkpoint manager over a fresh temp directory that
+// waits for its commit in flight before the directory is removed.
+func tempCheckpoints(t *testing.T, keep int) *CheckpointManager {
+	m := &CheckpointManager{Dir: t.TempDir(), Keep: keep}
+	t.Cleanup(func() { _ = m.Wait() })
+	return m
+}
+
+// sameSnapshot fails unless a and b encode to the same bytes: every count,
+// name, shape and parameter bit equal.
+func sameSnapshot(t *testing.T, what string, a, b *Snapshot) {
+	t.Helper()
+	ra, err := ckpt.Encode(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := ckpt.Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ra, rb) {
+		t.Fatalf("%s: the snapshots differ", what)
+	}
+}
+
+// TestCkptCommitFailure: after one good checkpoint the next commit fails in
+// the background. The step after it fails with ErrCheckpointCommit, Wait
+// returns the same error, no temp file is left behind, the last good
+// snapshot still loads, and the next checkpointing step commits again.
+func TestCkptCommitFailure(t *testing.T) {
+	x := RandTensor(127, 96, 32)
+	dy := RandTensor(128, 96, 32)
+	mgr := tempCheckpoints(t, 3)
+	ws := syncTestStack(t, 2, 4)
+	cfg := StepConfig{LR: 0.02, ChunkBytes: 64 << 10, Checkpoint: mgr}
+	step := func() (*StepResult, error) { return StepStack(ws, x, dy, cfg) }
+
+	if _, err := step(); err != nil {
+		t.Fatal(err)
+	}
+	good := Checkpoint(ws)
+	if err := mgr.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// A non-empty directory on step 2's final name: the commit's rename
+	// fails whatever the process may do.
+	block := filepath.Join(mgr.Dir, fmt.Sprintf("step-%012d%s", 2, ckpt.Ext))
+	if err := os.MkdirAll(filepath.Join(block, "squatter"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	res, err := step()
+	if err != nil || res.CheckpointPath != block {
+		t.Fatalf("step 2 = (%v, %v), want its snapshot accepted for %s", res, err, block)
+	}
+	_, stepErr := step()
+	if !errors.Is(stepErr, ErrCheckpointCommit) {
+		t.Fatalf("step after the failed commit = %v, want ErrCheckpointCommit", stepErr)
+	}
+	if werr := mgr.Wait(); werr == nil || !errors.Is(stepErr, werr) {
+		t.Fatalf("Wait = %v, want the error the step returned: %v", werr, stepErr)
+	}
+	entries, err := os.ReadDir(mgr.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			t.Fatalf("temp file %s left behind by the failed commit", e.Name())
+		}
+	}
+	if err := os.RemoveAll(block); err != nil {
+		t.Fatal(err)
+	}
+	got, err := mgr.LoadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSnapshot(t, "the last good checkpoint", got, good)
+
+	res, err = step()
+	if err != nil || res.CheckpointPath == "" {
+		t.Fatalf("the step after a reported failure = (%v, %v), want a fresh commit", res, err)
+	}
+	if err := mgr.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCkptDrainOnClose: a stack that checkpoints every step and is then
+// closed leaves no commit running: the goroutine count is back to its
+// baseline, the directory already holds exactly the last Keep snapshots,
+// complete, and the latest is bit for bit the stack after its last step.
+func TestCkptDrainOnClose(t *testing.T) {
+	x := RandTensor(129, 96, 32)
+	dy := RandTensor(130, 96, 32)
+	// One stepped and closed stack first, so whatever goroutines stepping
+	// starts for good are in the baseline.
+	warm := syncTestStack(t, 2, 4)
+	if _, err := StepStack(warm, x, dy, StepConfig{LR: 0.02}); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range warm {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := runtime.NumGoroutine()
+
+	const keep = 2
+	mgr := tempCheckpoints(t, keep)
+	ws := syncTestStack(t, 2, 4)
+	cfg := StepConfig{LR: 0.02, ChunkBytes: 64 << 10, Checkpoint: mgr, CheckpointEvery: 1}
+	var paths []string
+	for s := 0; s < 4; s++ {
+		res, err := StepStack(ws, x, dy, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, res.CheckpointPath)
+	}
+	want := Checkpoint(ws)
+	for _, w := range ws {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Read the directory without the manager, whose reads drain first.
+	entries, err := os.ReadDir(mgr.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	var wantNames []string
+	for _, p := range paths[len(paths)-keep:] {
+		wantNames = append(wantNames, filepath.Base(p))
+		if _, err := ckpt.Load(p); err != nil {
+			t.Fatalf("after Close: %v", err)
+		}
+	}
+	if !reflect.DeepEqual(names, wantNames) {
+		t.Fatalf("after Close the directory holds %v, want %v", names, wantNames)
+	}
+	got, err := mgr.LoadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSnapshot(t, "the latest checkpoint", got, want)
+
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d before the stack, %d after Close", base, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -538,7 +538,8 @@ func (w *World) ResourcePlan() (computeWorkers, commWorkers int) { return w.inne
 
 // Close releases the scoped pools' worker goroutines and retires the
 // world. A second Close, or a Forward/Backward after Close, fails with
-// ErrWorldClosed.
+// ErrWorldClosed. Close waits for the checkpoint commit its stack last
+// started and returns that commit's failure (ErrCheckpointCommit), if any.
 func (w *World) Close() error { return w.inner.Close() }
 
 // SetFaultPlan installs (or, with nil, removes) a seeded fault injector;

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -75,21 +76,40 @@ func TestWorldSnapshotRestore(t *testing.T) {
 	}
 }
 
+// tempManager is a checkpoint manager over a fresh temp directory that
+// waits for its commit in flight before the directory is removed.
+func tempManager(t *testing.T) *ckpt.Manager {
+	m := &ckpt.Manager{Dir: t.TempDir()}
+	t.Cleanup(func() { _ = m.Wait() })
+	return m
+}
+
 // TestWorldStepCheckpointCadence: StepConfig.Checkpoint writes snapshots
-// on the configured cadence through the atomic manager.
+// on the configured cadence through the atomic manager. CheckpointPath and
+// the checkpoint stall's telemetry are set on exactly the cadence steps,
+// and the path is the one that step's snapshot commits to.
 func TestWorldStepCheckpointCadence(t *testing.T) {
 	x := tensor.RandN(xrand.New(203), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(204), 1, 96, 32)
-	mgr := &ckpt.Manager{Dir: t.TempDir()}
+	mgr := tempManager(t)
 	w := stepStack(t, 1, 4, 2, false)[0]
+	w.cfg.Sink = telemetry.SinkFunc(func(*telemetry.StepMetrics) {})
 	cfg := StepConfig{LR: 0.05, ChunkBytes: 64 << 10, Slices: 3, Checkpoint: mgr, CheckpointEvery: 2}
 	for s := 0; s < 4; s++ {
 		res, err := w.Step(x, dy, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantPath := s%2 == 1; (res.CheckpointPath != "") != wantPath {
-			t.Fatalf("step %d: CheckpointPath = %q, cadence is every 2nd step", s, res.CheckpointPath)
+		wantPath := ""
+		if s%2 == 1 {
+			wantPath = filepath.Join(mgr.Dir, fmt.Sprintf("step-%012d%s", s+1, ckpt.Ext))
+		}
+		if res.CheckpointPath != wantPath {
+			t.Fatalf("step %d: CheckpointPath = %q, want %q (cadence is every 2nd step)", s, res.CheckpointPath, wantPath)
+		}
+		if m := res.Metrics; (m.CheckpointCaptureMS > 0) != (wantPath != "") || m.CheckpointWaitMS < 0 {
+			t.Fatalf("step %d: checkpoint capture %v ms, wait %v ms; want a capture on exactly the cadence steps",
+				s, m.CheckpointCaptureMS, m.CheckpointWaitMS)
 		}
 	}
 	paths, err := mgr.List()
@@ -117,7 +137,7 @@ func TestWorldRecoverBitIdentical(t *testing.T) {
 	const layers, ranks, lr = 2, 4, 0.05
 	x := tensor.RandN(xrand.New(205), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(206), 1, 96, 32)
-	mgr := &ckpt.Manager{Dir: t.TempDir()}
+	mgr := tempManager(t)
 	cfg := StepConfig{LR: lr, Train: true, ChunkBytes: 64 << 10, Slices: 3}
 
 	// Two healthy checkpointed steps (noisy gating on, so recovery must
@@ -420,7 +440,7 @@ func TestWorldRecoverGuards(t *testing.T) {
 
 	// A corrupted checkpoint file fails loudly with the typed error before
 	// any recovery can consume it.
-	mgr := &ckpt.Manager{Dir: t.TempDir()}
+	mgr := tempManager(t)
 	path, err := mgr.Save(snap)
 	if err != nil {
 		t.Fatal(err)

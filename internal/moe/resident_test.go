@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/gradsync"
@@ -108,7 +107,7 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 	// parameters reach NaN and no replica equals any other.
 	tensor.ScaleInPlace(dy, 1e-3)
 	tensor.ScaleInPlace(dys, 1e-3)
-	mgr := &ckpt.Manager{Dir: t.TempDir()}
+	mgr := tempManager(t)
 	ws := stepStack(t, layers, ranks, 2, false)
 
 	cfg := StepConfig{LR: 0.05, Checkpoint: mgr}

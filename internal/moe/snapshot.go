@@ -5,9 +5,11 @@ package moe
 // counters, and the private RNG state of noisy gates — and
 // World.Restore writes it back. The tensors are copied both ways, so a
 // snapshot taken before a fault is immune to the partial gradient and
-// parameter writes an aborted plan may have left behind. Serialization,
-// checksums and atomic file I/O live in internal/ckpt; this file is only
-// the mapping between a live World and its ckpt.WorldState.
+// parameter writes an aborted plan may have left behind. The one snapshot
+// that is not a copy is StepWorlds' checkpoint: a view of the live
+// parameters that ckpt.Manager.Start has encoded by the time it returns.
+// Serialization, checksums and atomic file I/O live in internal/ckpt; this
+// file is only the mapping between a live World and its ckpt.WorldState.
 
 import (
 	"fmt"
@@ -24,8 +26,12 @@ type RNGCarrier interface {
 	SetRNGState(state, gamma uint64)
 }
 
-// snapTensor copies one parameter into its snapshot form.
-func snapTensor(p *Param) ckpt.Tensor {
+// snapTensor is one parameter in its snapshot form: a copy, or with view
+// the live shape and data themselves.
+func snapTensor(p *Param, view bool) ckpt.Tensor {
+	if view {
+		return ckpt.Tensor{Name: p.Name, Shape: p.W.Shape(), Data: p.W.Data()}
+	}
 	return ckpt.Tensor{
 		Name:  p.Name,
 		Shape: append([]int(nil), p.W.Shape()...),
@@ -36,15 +42,19 @@ func snapTensor(p *Param) ckpt.Tensor {
 // Snapshot captures the world's full mutable training state. The world
 // must not be mid-pass; parameters are deep-copied, so later steps never
 // alias into the snapshot.
-func (w *World) Snapshot() *ckpt.WorldState {
+func (w *World) Snapshot() *ckpt.WorldState { return w.snapshot(false) }
+
+// snapshot is Snapshot, or with view a snapshot whose tensors alias the
+// live parameters: valid only until the next pass writes them.
+func (w *World) snapshot(view bool) *ckpt.WorldState {
 	ws := &ckpt.WorldState{Steps: w.steps, CollOps: w.collOps}
 	for _, p := range w.layer.cfg.Gate.Params() {
-		ws.Gate = append(ws.Gate, snapTensor(p))
+		ws.Gate = append(ws.Gate, snapTensor(p, view))
 	}
 	ws.Experts = make([][]ckpt.Tensor, len(w.layer.cfg.Experts))
 	for e, ex := range w.layer.cfg.Experts {
 		for _, p := range ex.Params() {
-			ws.Experts[e] = append(ws.Experts[e], snapTensor(p))
+			ws.Experts[e] = append(ws.Experts[e], snapTensor(p, view))
 		}
 	}
 	if rc, ok := w.layer.cfg.Gate.(RNGCarrier); ok {
@@ -126,13 +136,17 @@ func (w *World) applyRestore(ws *ckpt.WorldState) {
 
 // SnapshotWorlds captures a whole stack: one WorldState per layer in
 // stack order, stamped with the stack's completed-step count.
-func SnapshotWorlds(worlds []*World) *ckpt.Snapshot {
+func SnapshotWorlds(worlds []*World) *ckpt.Snapshot { return snapshotWorlds(worlds, false) }
+
+// snapshotWorlds is SnapshotWorlds, or with view the aliasing snapshot a
+// ckpt.Manager's Start encodes before it returns.
+func snapshotWorlds(worlds []*World, view bool) *ckpt.Snapshot {
 	s := &ckpt.Snapshot{}
 	if len(worlds) > 0 {
 		s.Step = worlds[0].steps
 	}
 	for _, w := range worlds {
-		s.Worlds = append(s.Worlds, *w.Snapshot())
+		s.Worlds = append(s.Worlds, *w.snapshot(view))
 	}
 	return s
 }

@@ -71,8 +71,11 @@ type StepConfig struct {
 	// Checkpoint, when non-nil, snapshots the whole stack after every
 	// CheckpointEvery-th completed step (default: every step) through the
 	// manager's atomic, checksummed writer — the state elastic recovery
-	// rolls back to after a permanent rank loss. A nil Checkpoint adds
-	// nothing to the step path.
+	// rolls back to after a permanent rank loss. The step encodes the
+	// snapshot and leaves the commit running behind the next steps
+	// (ckpt.Manager.Start); a failed commit fails the next checkpointing
+	// step with ckpt.ErrCommit. A nil Checkpoint adds nothing to the step
+	// path.
 	Checkpoint      *ckpt.Manager
 	CheckpointEvery int
 }
@@ -90,12 +93,12 @@ func (c StepConfig) withDefaults() StepConfig {
 // StepResult is one measured training step.
 type StepResult struct {
 	// WallMS is the step's full measured wall time, from entry into
-	// StepWorlds to the end of the exposed tail and any checkpoint write —
-	// everything but the telemetry emission itself. ForwardMS, BackwardMS
+	// StepWorlds to the end of the exposed tail and any checkpoint capture
+	// — everything but the telemetry emission itself. ForwardMS, BackwardMS
 	// and TailMS are the parts of it spent inside measured stream plans and
 	// the exposed tail, which hold the SGD update; the rest (gate and order
-	// work, clearing what no rank contributed, the checkpoint) is WallMS
-	// minus the three.
+	// work, clearing what no rank contributed, the checkpoint's wait and
+	// capture) is WallMS minus the three.
 	WallMS     float64
 	ForwardMS  float64 // summed measured forward-plan makespans
 	BackwardMS float64 // summed measured backward-plan makespans (incl. hidden AllReduce)
@@ -131,8 +134,11 @@ type StepResult struct {
 	Y  *tensor.Tensor // final forward output
 	DX *tensor.Tensor // input gradient
 
-	// CheckpointPath is the snapshot file this step wrote, when
-	// StepConfig.Checkpoint was configured and the step hit the cadence.
+	// CheckpointPath is the file this step's snapshot commits to, set on
+	// exactly the steps that hit StepConfig.Checkpoint's cadence. The
+	// commit finishes in the background: the file is durable once the
+	// manager's next Start or a Wait has returned without error, or the
+	// stack's worlds are closed.
 	CheckpointPath string
 
 	// Metrics is the step's structured telemetry record, built — and
@@ -399,22 +405,27 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	for _, w := range worlds {
 		recovs = append(recovs, w.drainRecoveries()...)
 	}
-	if cfg.Checkpoint != nil {
-		every := cfg.CheckpointEvery
-		if every < 1 {
-			every = 1
+	var ckptWaitMS, ckptCaptureMS float64
+	if m := cfg.Checkpoint; m != nil && (step+1)%max(cfg.CheckpointEvery, 1) == 0 {
+		// What the previous commit still has to do after a whole step is
+		// the stall; its failure, if any, is Start's to report.
+		t1 := time.Now()
+		_ = m.Wait()
+		t2 := time.Now()
+		path, err := m.Start(snapshotWorlds(worlds, true))
+		if err != nil {
+			return nil, fmt.Errorf("moe: step checkpoint: %w", err)
 		}
-		if (step+1)%every == 0 {
-			path, err := cfg.Checkpoint.Save(SnapshotWorlds(worlds))
-			if err != nil {
-				return nil, fmt.Errorf("moe: step checkpoint: %w", err)
-			}
-			res.CheckpointPath = path
+		ckptWaitMS, ckptCaptureMS = float64(t2.Sub(t1))/1e6, float64(time.Since(t2))/1e6
+		for _, w := range worlds {
+			w.ckpt = m
 		}
+		res.CheckpointPath = path
 	}
 	res.WallMS = float64(time.Since(t0)) / 1e6
 	if sinks != nil {
 		res.Metrics = buildStepMetrics(worlds, caches, fwdTraces, res, step, recovs)
+		res.Metrics.CheckpointWaitMS, res.Metrics.CheckpointCaptureMS = ckptWaitMS, ckptCaptureMS
 		for _, s := range sinks {
 			s.OnStep(res.Metrics)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/ckpt"
 	"repro/internal/fault"
 	"repro/internal/gradsync"
 	"repro/internal/tensor"
@@ -149,7 +148,7 @@ func TestWorkspaceLifetime(t *testing.T) {
 	dy := tensor.RandN(xrand.New(432), 1, 96, 32)
 	xs := tensor.RandN(xrand.New(433), 1, 64, 32)
 	dys := tensor.RandN(xrand.New(434), 1, 64, 32)
-	mgr := &ckpt.Manager{Dir: t.TempDir()}
+	mgr := tempManager(t)
 	cfg := StepConfig{LR: 0.05, Checkpoint: mgr}
 	ws := stepStack(t, layers, 4, 2, false)
 	step := func(what string, x, dy *tensor.Tensor) *StepResult {

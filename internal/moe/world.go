@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/fault"
 	"repro/internal/gradsync"
@@ -100,6 +101,10 @@ type World struct {
 	// recov accumulates elastic-recovery reports (recover.go) until the
 	// next completed step drains them into telemetry.
 	recov []*RecoveryReport
+
+	// ckpt is the checkpoint manager a step of this world's stack last
+	// started a commit on; Close drains it.
+	ckpt *ckpt.Manager
 }
 
 // BackwardSyncer receives inter-stream emit points while a backward plan
@@ -263,7 +268,8 @@ var ErrWorldClosed = errors.New("moe: world is closed")
 // Close releases the scoped pools' worker goroutines and the token-path
 // workspace and retires the world: subsequent Forward/Backward/Close calls
 // fail with ErrWorldClosed instead of stepping on released pools. The
-// world must be idle.
+// world must be idle. Close also waits for the checkpoint commit its stack
+// last started and returns that commit's failure (ckpt.ErrCommit), if any.
 func (w *World) Close() error {
 	if w.closed {
 		return fmt.Errorf("moe: double close: %w", ErrWorldClosed)
@@ -273,6 +279,10 @@ func (w *World) Close() error {
 		p.Close()
 	}
 	w.ws = nil
+	if m := w.ckpt; m != nil {
+		w.ckpt = nil
+		return m.Wait()
+	}
 	return nil
 }
 

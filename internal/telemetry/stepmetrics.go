@@ -31,6 +31,14 @@ type StepMetrics struct {
 	BackwardMS float64 `json:"backward_ms"` // summed backward-plan makespans (hidden AllReduce included)
 	TailMS     float64 `json:"tail_ms"`     // exposed Gradient-AllReduce tail (§5)
 
+	// Checkpoint stall on steps that hit the checkpoint cadence (ms, zero
+	// on the others): CheckpointWaitMS waiting for the previous commit
+	// still in flight, CheckpointCaptureMS snapshotting and encoding the
+	// stack before the commit runs on behind the next steps. Both are
+	// inside OutsideMS.
+	CheckpointWaitMS    float64 `json:"checkpoint_wait_ms,omitempty"`
+	CheckpointCaptureMS float64 `json:"checkpoint_capture_ms,omitempty"`
+
 	// Overlap: SerialMS is the summed duration of every measured task
 	// interval across the step's stream plans — what a no-overlap executor
 	// would have spent — and OverlapRatio is SerialMS over the pipelined
@@ -84,7 +92,9 @@ type StepMetrics struct {
 
 // OutsideMS is the part of the step's wall spent outside the measured
 // plans and the exposed tail: gate and order work, padding, gradient
-// collection, the SGD update, a checkpoint write.
+// collection, the SGD update, and on a checkpointing step the wait for
+// the previous commit and the capture (CheckpointWaitMS,
+// CheckpointCaptureMS). The commit itself runs behind later steps.
 func (m *StepMetrics) OutsideMS() float64 {
 	return m.WallMS - m.ForwardMS - m.BackwardMS - m.TailMS
 }
