@@ -115,12 +115,18 @@
 // starts a pass over one (n, M) block on memory the caller owns — the
 // blocks, a hidden exchange buffer, ScratchElems of pass-private scratch, a
 // hidden-column range [Cl, Ch) and the driving stream's *WorkerPool — and
-// returns an ExpertPass whose stage methods take row integers:
+// returns an ExpertPass whose stage methods take a window set of rows
+// (Windows: Count windows of N rows, Stride rows apart):
 // ForwardHidden/ForwardOut, then BeginBackward(dy, dx, hidden, GradDst),
 // BackwardHidden/BackwardIn, and one full-block Finish. The sequential
-// Layer runs each expert as one range over [0, H); a World's chunks are row
-// ranges and its expert-sharding members column ranges of the same methods,
-// which is why every strategy is bit-identical to the Layer. A custom
+// Layer runs each expert as the one window [0, n) over the column range
+// [0, H); a World's chunk is one set per stage call — the chunk's rows in
+// every token-side rank's shard — and its expert-sharding members column
+// ranges of the same methods, which is why every strategy is bit-identical
+// to the Layer. A stage should run each GEMM as one product over the set,
+// through WorkerPool.MatMulRowsInto / MatMulT2RowsInto: a chunk's window in
+// one shard is often thinner than a kernel tile, and one product per window
+// streams the weights once per window. A custom
 // expert that implements only Expert (Forward/Backward) is adapted once, at
 // NewLayer: it computes each block whole — a World still chunks its
 // communication — through one result copy, is rejected by StrategyESP and
@@ -135,7 +141,13 @@
 // the pass rather than functions of an opaque cache; dy, dx, the backward
 // exchange buffer and the GradDst arrive once, in BeginBackward;
 // FinishBackward / FinishSharded are Finish(); ForwardInto/BackwardInto have
-// no successor — a whole block is the range [0, n).
+// no successor — a whole block is the range [0, n). The stage methods took
+// row integers (lo, hi) until they took window sets. To port a custom
+// StagedExpert: each stage takes w Windows in place of (lo, hi); pass w as
+// both the destination's and the operand's set of MatMulRowsInto /
+// MatMulT2RowsInto (w.Packed() for a private buffer of w.Len() rows), and
+// walk element-wise work with `for i, t := range w.All()`, i being the row's
+// position in the set and t its row.
 //
 // One rule runs through the extension contracts: a producer writes into a
 // destination its consumer owns, whatever it held, and returns nothing to

@@ -10,6 +10,7 @@ import (
 	"repro/internal/moe"
 	"repro/internal/runtime"
 	"repro/internal/sim"
+	"repro/internal/tensor"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -35,8 +36,13 @@ type (
 	// The built-in GPT and Mixtral experts implement it; a plain custom
 	// Expert is adapted and computes whole blocks.
 	StagedExpert = moe.StagedExpert
-	// ExpertPass is one pass of a StagedExpert: its stage methods.
+	// ExpertPass is one pass of a StagedExpert: its stage methods, each over
+	// a window set of the pass's rows.
 	ExpertPass = moe.ExpertPass
+	// Windows is a window set of rows — Count windows of N rows, Stride rows
+	// apart — which the ExpertPass stage methods and WorkerPool's
+	// MatMulRowsInto / MatMulT2RowsInto take.
+	Windows = tensor.Windows
 	// PassBufs is the caller-owned memory StagedExpert.Begin receives.
 	PassBufs = moe.PassBufs
 	// GradDst is where an expert pass's Finish puts its parameter

@@ -98,26 +98,33 @@ type PassBufs struct {
 	Pool *tensor.Pool
 }
 
-// ExpertPass is one pass's stage methods. Rows are integers into the pass's
-// blocks; calls on one pass never run concurrently. Forward: ForwardHidden
-// calls tile [0, n) before a row's ForwardOut. Backward: BeginBackward, then
+// ExpertPass is one pass's stage methods. A stage covers a window set of
+// the pass's blocks (tensor.Windows: Count windows of N rows, Stride rows
+// apart — one window is Count = 1) and should run each of its GEMMs as one
+// product over the whole set, the row-form entry points of its PassBufs.Pool
+// (MatMulRowsInto, MatMulT2RowsInto): a World's chunk is a few rows in each
+// token-side rank's shard of a block, and one product per window would
+// leave most windows under a kernel tile's height, on the portable loops,
+// and walk the weights once per window.
+// Calls on one pass never run concurrently. Forward: ForwardHidden calls
+// tile [0, n) before a row's ForwardOut. Backward: BeginBackward, then
 // BackwardHidden tiles [0, n) before a row's BackwardIn; Finish runs once,
 // on one pass per expert, over fully assembled buffers. Stages may draw
 // transient buffers from tensor.Get and Put them before returning.
 type ExpertPass interface {
-	// ForwardHidden computes Hidden columns [Cl, Ch) of rows [lo, hi).
-	ForwardHidden(lo, hi int)
-	// ForwardOut computes Out rows [lo, hi) from full-width Hidden rows.
-	ForwardOut(lo, hi int)
+	// ForwardHidden computes Hidden columns [Cl, Ch) of the rows w.
+	ForwardHidden(w tensor.Windows)
+	// ForwardOut computes the rows w of Out from full-width Hidden rows.
+	ForwardOut(w tensor.Windows)
 	// BeginBackward binds the backward's memory: the full (n, M) output
 	// gradient dy and input gradient dx, the (BwdBands·n, HiddenWidth)
 	// exchange buffer, and where Finish puts the parameter gradients.
 	BeginBackward(dy, dx, hidden *tensor.Tensor, grads GradDst)
 	// BackwardHidden computes the backward exchange buffer's columns
-	// [Cl, Ch) of rows [lo, hi) from dy — stage 2's adjoint.
-	BackwardHidden(lo, hi int)
-	// BackwardIn computes dx rows [lo, hi) from full-width exchange rows.
-	BackwardIn(lo, hi int)
+	// [Cl, Ch) of the rows w from dy — stage 2's adjoint.
+	BackwardHidden(w tensor.Windows)
+	// BackwardIn computes the rows w of dx from full-width exchange rows.
+	BackwardIn(w tensor.Windows)
 	// Finish reduces the full-block parameter gradients into grads: the same
 	// GEMMs and column sums in the same order however the pass was tiled.
 	Finish()
@@ -207,9 +214,10 @@ type adaptedPass struct {
 	grads          GradDst
 }
 
-// tiled counts rows more covered rows and reports whether [0, n) is complete.
-func (p *adaptedPass) tiled(rows int) bool {
-	if p.rows += rows; p.rows < p.x.Dim(0) {
+// tiled counts the rows of w as covered and reports whether [0, n) is
+// complete.
+func (p *adaptedPass) tiled(w tensor.Windows) bool {
+	if p.rows += w.Len(); p.rows < p.x.Dim(0) {
 		return false
 	}
 	p.rows = 0
@@ -225,10 +233,10 @@ func (p *adaptedPass) result(dst, got *tensor.Tensor, op string) {
 	copy(dst.Data(), got.Data())
 }
 
-func (p *adaptedPass) ForwardHidden(lo, hi int) {}
+func (p *adaptedPass) ForwardHidden(tensor.Windows) {}
 
-func (p *adaptedPass) ForwardOut(lo, hi int) {
-	if p.tiled(hi - lo) {
+func (p *adaptedPass) ForwardOut(w tensor.Windows) {
+	if p.tiled(w) {
 		y, c := p.a.Forward(p.x)
 		p.cache = c
 		p.result(p.out, y, "Forward")
@@ -239,12 +247,12 @@ func (p *adaptedPass) BeginBackward(dy, dx, _ *tensor.Tensor, grads GradDst) {
 	p.dy, p.dx, p.grads = dy, dx, grads
 }
 
-func (p *adaptedPass) BackwardHidden(lo, hi int) {}
+func (p *adaptedPass) BackwardHidden(tensor.Windows) {}
 
 // BackwardIn runs the wrapped Backward, which can only add into Param.G: when
 // the gradients are wanted elsewhere it starts from zero and Finish copies.
-func (p *adaptedPass) BackwardIn(lo, hi int) {
-	if p.tiled(hi - lo) {
+func (p *adaptedPass) BackwardIn(w tensor.Windows) {
+	if p.tiled(w) {
 		if p.grads != nil {
 			zeroGrads(p.a.Params())
 		}

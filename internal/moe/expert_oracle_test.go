@@ -92,20 +92,36 @@ type oracleFFN interface {
 	oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, grads GradDst)
 }
 
-// tiling cuts [0, n) into disjoint ranges of uneven length, some empty, in
-// shuffled order — a pass's chunks arrive rank window by rank window, not in
-// row order.
-func tiling(rng *xrand.RNG, n int) [][2]int {
-	var cuts [][2]int
-	for lo := 0; lo < n; {
-		hi := min(n, lo+rng.Intn(n/3+2))
-		cuts = append(cuts, [2]int{lo, hi})
+// tiling cuts [0, n) into disjoint window sets of uneven shape, some empty,
+// in shuffled order — a pass's chunks arrive as strided sets, a few rows of
+// each token-side shard at once, not in row order. A drawn stride s splits
+// the rows of the whole s-row blocks into offset ranges, each covered in
+// every block by one set or by two that split the blocks between them; the
+// rows past the last whole block are single windows.
+func tiling(rng *xrand.RNG, n int) []tensor.Windows {
+	s := 1 + rng.Intn(n)
+	q := n / s
+	var sets []tensor.Windows
+	for o := 0; o < s && q > 0; {
+		hi := min(s, o+1+rng.Intn(s/2+1))
+		c := rng.Intn(q + 1)
+		if c > 0 {
+			sets = append(sets, tensor.Windows{Lo: o, N: hi - o, Stride: s, Count: c})
+		}
+		if c < q {
+			sets = append(sets, tensor.Windows{Lo: c*s + o, N: hi - o, Stride: s, Count: q - c})
+		}
+		o = hi
+	}
+	for lo := q * s; lo < n; {
+		hi := min(n, lo+1+rng.Intn(n/3+1))
+		sets = append(sets, tensor.Window(lo, hi-lo))
 		lo = hi
 	}
-	cuts = append(cuts, [2]int{n, n})
-	out := make([][2]int, len(cuts))
-	for i, k := range rng.Perm(len(cuts)) {
-		out[i] = cuts[k]
+	sets = append(sets, tensor.Window(n, 0))
+	out := make([]tensor.Windows, len(sets))
+	for i, k := range rng.Perm(len(sets)) {
+		out[i] = sets[k]
 	}
 	return out
 }
@@ -196,24 +212,24 @@ func checkStagedTiling(t *testing.T, seed uint64, n, m, h, g, width, owner int, 
 		}
 		passes[k] = f.Begin(PassBufs{X: x, Out: ys[k], Hidden: hf[k], Scratch: scratch, Cl: cl, Ch: ch, Pool: pool})
 		for _, r := range tiling(rng, n) {
-			passes[k].ForwardHidden(r[0], r[1])
+			passes[k].ForwardHidden(r)
 		}
 	}
 	exchange(hf, g)
 	for k, ps := range passes {
 		for _, r := range tiling(rng, n) {
-			ps.ForwardOut(r[0], r[1])
+			ps.ForwardOut(r)
 		}
 		holdTo(t, fmt.Sprintf("%s: member %d output", label, k), wantY, ys[k])
 		ps.BeginBackward(dy, dxs[k], hb[k], gotG)
 		for _, r := range tiling(rng, n) {
-			ps.BackwardHidden(r[0], r[1])
+			ps.BackwardHidden(r)
 		}
 	}
 	exchange(hb, g)
 	for k, ps := range passes {
 		for _, r := range tiling(rng, n) {
-			ps.BackwardIn(r[0], r[1])
+			ps.BackwardIn(r)
 		}
 		holdTo(t, fmt.Sprintf("%s: member %d input gradient", label, k), wantDx, dxs[k])
 	}

@@ -137,11 +137,11 @@ type gptPass struct {
 
 // ForwardHidden implements ExpertPass: the pass's columns of h = x·W1 + b1,
 // and a = GeLU(h) straight into their window of the exchange rows.
-func (p *gptPass) ForwardHidden(lo, hi int) {
-	p.Pool.MatMulRowsInto(p.hpre, lo, p.X, lo, hi-lo, p.w1)
+func (p *gptPass) ForwardHidden(ws tensor.Windows) {
+	p.Pool.MatMulRowsInto(p.hpre, ws, p.X, ws, p.w1)
 	cw, w := p.Ch-p.Cl, p.f.h
 	hp, hf, b1 := p.hpre.Data(), p.Hidden.Data(), p.f.b1.W.Data()[p.Cl:p.Ch]
-	for t := lo; t < hi; t++ {
+	for _, t := range ws.All() {
 		h, a := hp[t*cw:(t+1)*cw], hf[t*w+p.Cl:t*w+p.Ch]
 		for j, b := range b1 {
 			h[j] += b
@@ -151,10 +151,10 @@ func (p *gptPass) ForwardHidden(lo, hi int) {
 }
 
 // ForwardOut implements ExpertPass: y = a·W2 + b2 on full-width rows.
-func (p *gptPass) ForwardOut(lo, hi int) {
-	p.Pool.MatMulRowsInto(p.Out, lo, p.Hidden, lo, hi-lo, p.f.w2.W)
+func (p *gptPass) ForwardOut(ws tensor.Windows) {
+	p.Pool.MatMulRowsInto(p.Out, ws, p.Hidden, ws, p.f.w2.W)
 	b2 := p.f.b2.W.Data()
-	for t := lo; t < hi; t++ {
+	for _, t := range ws.All() {
 		y := p.Out.Row(t)
 		for j, b := range b2 {
 			y[j] += b
@@ -163,15 +163,16 @@ func (p *gptPass) ForwardOut(lo, hi int) {
 }
 
 // BackwardHidden implements ExpertPass: the pass's columns of
-// da = (dy·W2ᵀ) ⊙ GeLU'(h), from the row-contiguous rows [Cl, Ch) of W2.
-func (p *gptPass) BackwardHidden(lo, hi int) {
+// da = (dy·W2ᵀ) ⊙ GeLU'(h), from the row-contiguous rows [Cl, Ch) of W2,
+// through one (N·Count, cw) buffer for the product.
+func (p *gptPass) BackwardHidden(ws tensor.Windows) {
 	cw, w := p.Ch-p.Cl, p.f.h
-	d := tensor.GetUninit(hi-lo, cw)
-	p.Pool.MatMulT2RowsInto(d, 0, p.dy, lo, hi-lo, p.f.w2.W, p.Cl, p.Ch)
+	d := tensor.GetUninit(ws.Len(), cw)
+	p.Pool.MatMulT2RowsInto(d, ws.Packed(), p.dy, ws, p.f.w2.W, p.Cl, p.Ch)
 	hp, hb := p.hpre.Data(), p.hb.Data()
-	for t := lo; t < hi; t++ {
+	for i, t := range ws.All() {
 		h, da := hp[t*cw:(t+1)*cw], hb[t*w+p.Cl:t*w+p.Ch]
-		for j, v := range d.Row(t - lo) {
+		for j, v := range d.Row(i) {
 			da[j] = v * tensor.GeLUGrad(h[j])
 		}
 	}
@@ -179,8 +180,8 @@ func (p *gptPass) BackwardHidden(lo, hi int) {
 }
 
 // BackwardIn implements ExpertPass: dx = da·W1ᵀ on full-width rows.
-func (p *gptPass) BackwardIn(lo, hi int) {
-	p.Pool.MatMulT2RowsInto(p.dx, lo, p.hb, lo, hi-lo, p.f.w1.W, 0, p.f.m)
+func (p *gptPass) BackwardIn(ws tensor.Windows) {
+	p.Pool.MatMulT2RowsInto(p.dx, ws, p.hb, ws, p.f.w1.W, 0, p.f.m)
 }
 
 // Finish implements ExpertPass, from the input x, the activation a, its
@@ -271,11 +272,11 @@ type mixtralPass struct {
 }
 
 // ForwardHidden implements ExpertPass.
-func (p *mixtralPass) ForwardHidden(lo, hi int) {
-	p.Pool.MatMulRowsInto(p.g, lo, p.X, lo, hi-lo, p.w1)
-	p.Pool.MatMulRowsInto(p.u, lo, p.X, lo, hi-lo, p.w3)
+func (p *mixtralPass) ForwardHidden(ws tensor.Windows) {
+	p.Pool.MatMulRowsInto(p.g, ws, p.X, ws, p.w1)
+	p.Pool.MatMulRowsInto(p.u, ws, p.X, ws, p.w3)
 	w, hf := p.f.h, p.Hidden.Data()
-	for t := lo; t < hi; t++ {
+	for _, t := range ws.All() {
 		u, a, gated := p.u.Row(t), p.a.Row(t), hf[t*w+p.Cl:t*w+p.Ch]
 		for j, g := range p.g.Row(t) {
 			a[j] = tensor.SiLUAt(g)
@@ -285,20 +286,20 @@ func (p *mixtralPass) ForwardHidden(lo, hi int) {
 }
 
 // ForwardOut implements ExpertPass.
-func (p *mixtralPass) ForwardOut(lo, hi int) {
-	p.Pool.MatMulRowsInto(p.Out, lo, p.Hidden, lo, hi-lo, p.f.w2.W)
+func (p *mixtralPass) ForwardOut(ws tensor.Windows) {
+	p.Pool.MatMulRowsInto(p.Out, ws, p.Hidden, ws, p.f.w2.W)
 }
 
 // BackwardHidden implements ExpertPass: band 0 of the exchange buffer
 // receives the pass's columns of da, band 1 those of du.
-func (p *mixtralPass) BackwardHidden(lo, hi int) {
-	d := tensor.GetUninit(hi-lo, p.Ch-p.Cl)
-	p.Pool.MatMulT2RowsInto(d, 0, p.dy, lo, hi-lo, p.f.w2.W, p.Cl, p.Ch)
+func (p *mixtralPass) BackwardHidden(ws tensor.Windows) {
+	d := tensor.GetUninit(ws.Len(), p.Ch-p.Cl)
+	p.Pool.MatMulT2RowsInto(d, ws.Packed(), p.dy, ws, p.f.w2.W, p.Cl, p.Ch)
 	w, hb := p.f.h, p.hb.Data()
-	for t := lo; t < hi; t++ {
+	for i, t := range ws.All() {
 		g, u, a := p.g.Row(t), p.u.Row(t), p.a.Row(t)
 		da, du := hb[t*w+p.Cl:t*w+p.Ch], hb[(p.n+t)*w+p.Cl:(p.n+t)*w+p.Ch]
-		for j, v := range d.Row(t - lo) {
+		for j, v := range d.Row(i) {
 			da[j] = v * u[j] * tensor.SiLUGrad(g[j])
 			du[j] = v * a[j]
 		}
@@ -308,14 +309,18 @@ func (p *mixtralPass) BackwardHidden(lo, hi int) {
 
 // BackwardIn implements ExpertPass: dx rows from the full-width da (band 0)
 // and du (band 1), each product complete before the two are added.
-func (p *mixtralPass) BackwardIn(lo, hi int) {
+func (p *mixtralPass) BackwardIn(ws tensor.Windows) {
 	m := p.f.m
-	p.Pool.MatMulT2RowsInto(p.dx, lo, p.hb, lo, hi-lo, p.f.w1.W, 0, m)
-	dxu := tensor.GetUninit(hi-lo, m)
-	p.Pool.MatMulT2RowsInto(dxu, 0, p.hb, p.n+lo, hi-lo, p.f.w3.W, 0, m)
-	dx := p.dx.Data()[lo*m : hi*m]
-	for i, v := range dxu.Data() {
-		dx[i] += v
+	p.Pool.MatMulT2RowsInto(p.dx, ws, p.hb, ws, p.f.w1.W, 0, m)
+	dxu := tensor.GetUninit(ws.Len(), m)
+	band := ws
+	band.Lo += p.n // the same rows of band 1
+	p.Pool.MatMulT2RowsInto(dxu, ws.Packed(), p.hb, band, p.f.w3.W, 0, m)
+	for i, t := range ws.All() {
+		dx := p.dx.Row(t)
+		for j, v := range dxu.Row(i) {
+			dx[j] += v
+		}
 	}
 	tensor.Put(dxu)
 }

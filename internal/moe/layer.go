@@ -203,8 +203,8 @@ func forwardBlock(se StagedExpert, x, out *tensor.Tensor) *blockPass {
 	mem := tensor.GetUninit(hf + se.ScratchElems(n, 0, w))
 	b := &blockPass{se: se, mem: mem}
 	b.pass = se.Begin(PassBufs{X: x, Out: out, Hidden: tensor.FromData(mem.Data()[:hf], se.FwdBands()*n, w), Scratch: mem.Data()[hf:], Ch: w})
-	b.pass.ForwardHidden(0, n)
-	b.pass.ForwardOut(0, n)
+	b.pass.ForwardHidden(tensor.Window(0, n))
+	b.pass.ForwardOut(tensor.Window(0, n))
 	return b
 }
 
@@ -214,8 +214,8 @@ func (b *blockPass) backward(dy, dx *tensor.Tensor, grads GradDst) {
 	n := dy.Dim(0)
 	hb := tensor.GetUninit(b.se.BwdBands()*n, b.se.HiddenWidth())
 	b.pass.BeginBackward(dy, dx, hb, grads)
-	b.pass.BackwardHidden(0, n)
-	b.pass.BackwardIn(0, n)
+	b.pass.BackwardHidden(tensor.Window(0, n))
+	b.pass.BackwardIn(tensor.Window(0, n))
 	b.pass.Finish()
 	tensor.Put(hb)
 	tensor.Put(b.mem)

@@ -431,12 +431,12 @@ func (w *World) leave(p *runtime.Plan, gm groups, b *passBufs, c int, rr comm.Ro
 	}
 }
 
-// window is chunk rr's row range inside token-side rank i's shard of a
-// block. A member's stage over every gathered row visits i = 0 … R−1; a
-// stage over its own rows the ranks i ≡ m (mod g), which at g = 1 is the
-// same.
-func (gm groups) window(i int, rr comm.RowRange) (lo, hi int) {
-	return i*gm.spad + rr.Lo, i*gm.spad + rr.Hi
+// windows is chunk rr's rows in the shards of the token-side ranks first,
+// first+step, … < R of a block, as one window set. A member's stage over
+// every gathered row visits every rank (step 1); a stage over its own rows
+// the ranks i ≡ m (mod g), which at g = 1 is the same.
+func (gm groups) windows(first, step int, rr comm.RowRange) tensor.Windows {
+	return tensor.Windows{Lo: first*gm.spad + rr.Lo, N: rr.Len(), Stride: step * gm.spad, Count: (gm.R - first + step - 1) / step}
 }
 
 // computeRange is what the expert stages cover at chunk c and what they wait
@@ -454,27 +454,23 @@ func (w *World) computeRange(gm groups, c int, rr comm.RowRange, landed [][]int)
 // expertStages adds chunk c's expert compute over the rows rr of every
 // token-side rank's shard, forward or backward alike: a member runs hidden,
 // its hidden columns, on every gathered row, then output on its own rows,
-// over full-width hidden rows. At g > 1 those are two tasks per rank (names 0
-// and 2) around the in-group AllGather of the column shards (name 1); at
-// g = 1 the one member owns every column, nothing is exchanged, and both run
-// back to back in one task E<c>. scale is the pass's cost in forward passes.
-// It returns each rank's last task.
+// over full-width hidden rows. Each stage is one call per pass over the
+// chunk's window set — R windows for hidden, nG for output — so each of its
+// GEMMs is one product per chunk, not one per source rank. At g > 1 those
+// are two tasks per rank (names 0 and 2) around the in-group AllGather of
+// the column shards (name 1); at g = 1 the one member owns every column,
+// nothing is exchanged, and both run back to back in one task E<c>. scale is
+// the pass's cost in forward passes. It returns each rank's last task.
 func (w *World) expertStages(p *runtime.Plan, gm groups, b *passBufs, passes [][]ExpertPass, c int, rr comm.RowRange, deps func(j int) []int,
-	names [3]string, scale float64, hidden, output func(ps ExpertPass, lo, hi int)) []int {
+	names [3]string, scale float64, hidden, output func(ps ExpertPass, w tensor.Windows)) []int {
 	hiddenStage := func(j int) {
 		for _, ps := range passes[j] {
-			for i := 0; i < gm.R; i++ {
-				lo, hi := gm.window(i, rr)
-				hidden(ps, lo, hi)
-			}
+			hidden(ps, gm.windows(0, 1, rr))
 		}
 	}
 	outputStage := func(j int) {
 		for _, ps := range passes[j] {
-			for i := j % gm.g; i < gm.R; i += gm.g {
-				lo, hi := gm.window(i, rr)
-				output(ps, lo, hi)
-			}
+			output(ps, gm.windows(j%gm.g, gm.g, rr))
 		}
 	}
 	hiddenEst := func(j int) float64 {

@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/xrand"
@@ -12,18 +14,66 @@ import (
 // at pool widths 1/2/4 against the portable loop bodies run over the whole
 // product — the one definition of each association order. On a build
 // without micro-kernels the drivers are those bodies, so the comparison is
-// an identity that still exercises the windows and the sharding.
+// an identity that still exercises the window sets and the sharding. The
+// row forms run over a window set per operand: count windows of m rows; the
+// other entry points over the set's rows gathered, so every product is
+// m·count rows.
 type gemmCase struct {
 	seed     uint64
 	m, n, k  int
 	win      int // rows in front of the dst/a/b windows (win, win+1, win+2: odd offsets give unaligned bases)
+	count    int // windows per set (0 is 1)
+	gap      int // rows between windows: gap%3 in dst's set, gap/3 in a's
 	zeroTail int // trailing all-zero rows of the token block (capacity padding)
 	zeroPct  int // share of a's elements, and of its aligned 4-groups, forced to ±0
 	special  int // 0: finite operands; 1/2: a NaN/Inf planted in a; 3/4: in b
 }
 
 func (c gemmCase) String() string {
-	return fmt.Sprintf("seed=%d m=%d n=%d k=%d win=%d zeroTail=%d zeroPct=%d special=%d", c.seed, c.m, c.n, c.k, c.win, c.zeroTail, c.zeroPct, c.special)
+	return fmt.Sprintf("seed=%d m=%d n=%d k=%d win=%d count=%d gap=%d zeroTail=%d zeroPct=%d special=%d",
+		c.seed, c.m, c.n, c.k, c.win, c.count, c.gap, c.zeroTail, c.zeroPct, c.special)
+}
+
+// sets returns the row forms' window sets in dst and in a.
+func (c gemmCase) sets() (dw, aw Windows) {
+	count := max(c.count, 1)
+	return Windows{Lo: c.win, N: c.m, Stride: c.m + c.gap%3, Count: count},
+		Windows{Lo: c.win + 1, N: c.m, Stride: c.m + c.gap/3, Count: count}
+}
+
+// setRows lists the rows of set w in order, and how many rows a tensor
+// needs to hold them and one more past the last window.
+func setRows(w Windows) (rows []int, end int) {
+	for c := 0; c < w.Count; c++ {
+		for r := 0; r < w.N; r++ {
+			rows = append(rows, w.Lo+c*w.Stride+r)
+		}
+	}
+	return rows, w.Lo + (w.Count-1)*w.Stride + w.N + 1
+}
+
+// gathered returns t's rows of set w, in order, as one slice.
+func gathered(t *Tensor, w Windows) []float64 {
+	rows, _ := setRows(w)
+	cols := t.shape[1]
+	var out []float64
+	for _, r := range rows {
+		out = append(out, t.data[r*cols:(r+1)*cols]...)
+	}
+	return out
+}
+
+// embedded returns the rows of g as the rows of set w of a tensor whose
+// other rows are NaN: a product that reads a row outside its set shows.
+func embedded(g *Tensor, w Windows) *Tensor {
+	rows, end := setRows(w)
+	cols := g.shape[1]
+	t := New(end, cols)
+	t.Fill(math.NaN())
+	for i, r := range rows {
+		copy(t.data[r*cols:(r+1)*cols], g.data[i*cols:(i+1)*cols])
+	}
+	return t
 }
 
 func signedZero(rng *xrand.RNG) float64 {
@@ -90,20 +140,24 @@ func window(t *Tensor, lo, rows int) []float64 {
 	return t.data[lo*cols : (lo+rows)*cols]
 }
 
-// framed returns a (front+rows+1, cols) destination whose window rows
-// [front, front+rows) hold fill and whose frame holds a sentinel, and a
-// check that the frame survived.
-func framed(front, rows, cols int, fill float64) (*Tensor, func() bool) {
+// framed returns a destination of cols columns whose rows in set w hold fill
+// and whose every other row — ahead of, between and past the windows —
+// holds a sentinel, and a check that those rows kept it.
+func framed(w Windows, cols int, fill float64) (*Tensor, func() bool) {
 	const sentinel = 7.5
-	d := New(front+rows+1, cols)
+	rows, end := setRows(w)
+	d := New(end, cols)
 	d.Fill(sentinel)
-	w := window(d, front, rows)
-	for i := range w {
-		w[i] = fill
+	in := make([]bool, end)
+	for _, r := range rows {
+		in[r] = true
+		for j := range cols {
+			d.data[r*cols+j] = fill
+		}
 	}
 	return d, func() bool {
 		for i, v := range d.data {
-			if r := i / cols; (r < front || r >= front+rows) && v != sentinel {
+			if !in[i/cols] && v != sentinel {
 				return false
 			}
 		}
@@ -115,13 +169,15 @@ func checkGemmKernels(t *testing.T, c gemmCase) {
 	t.Helper()
 	defer SetWorkers(0)
 	rng := xrand.New(c.seed)
-	m, n, k := c.m, c.n, c.k
-	dlo, alo, blo := c.win, c.win+1, c.win+2
+	dw, aw := c.sets()
+	m, n, k := dw.Len(), c.n, c.k
+	blo := c.win + 2
 	zt := min(c.zeroTail, m)
 
-	// a @ b and a @ bᵀ share the (·, k) token block a; bT is b's (·, k) form.
-	a := gemmOperand(rng, alo+m+1, k, c.zeroPct)
-	clear(window(a, alo+m-zt, zt))
+	// a @ b and a @ bᵀ share the (·, k) token block: ag is the set's rows of
+	// a, gathered; bT is b's (·, k) form.
+	ag := gemmOperand(rng, m, k, c.zeroPct)
+	clear(window(ag, m-zt, zt))
 	b := gemmOperand(rng, k, n, 0)
 	bT := gemmOperand(rng, blo+n+1, k, 0)
 	// aᵀ @ b reads the token block as (k, m): its trailing token rows are rows of p.
@@ -134,7 +190,7 @@ func checkGemmKernels(t *testing.T, c gemmCase) {
 	b3 := gemmOperand(rng, bs*k, n, 0).Reshape(bs, k, n)
 	switch c.special {
 	case 1, 2:
-		plant(rng, a, alo, alo+m, c.special)
+		plant(rng, ag, 0, m, c.special)
 		plant(rng, a1, 0, k, c.special)
 		plant(rng, a3.Reshape(bs*m, k), 0, bs*m, c.special)
 	case 3, 4:
@@ -143,16 +199,17 @@ func checkGemmKernels(t *testing.T, c gemmCase) {
 		plant(rng, b1, 0, k, c.special)
 		plant(rng, b3.Reshape(bs*k, n), 0, bs*k, c.special)
 	}
-	aw, bTw := window(a, alo, m), window(bT, blo, n)
+	a := embedded(ag, aw)
+	bTw := window(bT, blo, n)
 
 	want := make([]float64, m*n)
-	matmulRows(want, aw, b.data, 0, m, 0, n, k, n)
+	matmulRows(want, ag.data, b.data, 0, m, 0, n, k, n)
 	wantT1 := make([]float64, m*n)
 	matmulT1Rows(wantT1, a1.data, b1.data, 0, m, 0, n, k, m, n)
 	wantT1Add := append([]float64(nil), base.data...)
 	matmulT1Rows(wantT1Add, a1.data, b1.data, 0, m, 0, n, k, m, n)
 	wantT2 := make([]float64, m*n)
-	matmulT2Rows(wantT2, aw, bTw, 0, m, 0, n, 0, k, n)
+	matmulT2Rows(wantT2, ag.data, bTw, 0, m, 0, n, 0, k, n)
 	want3 := make([]float64, bs*m*n)
 	for i := 0; i < bs; i++ {
 		matmulRows(want3[i*m*n:(i+1)*m*n], a3.data[i*m*k:(i+1)*m*k], b3.data[i*k*n:(i+1)*k*n], 0, m, 0, n, k, n)
@@ -162,15 +219,15 @@ func checkGemmKernels(t *testing.T, c gemmCase) {
 		p := NewPool(w)
 		nan := math.NaN()
 
-		d, intact := framed(dlo, m, n, nan)
-		p.MatMulRowsInto(d, dlo, a, alo, m, b)
-		gemmEqual(t, c, "MatMulRowsInto", w, window(d, dlo, m), want)
+		d, intact := framed(dw, n, nan)
+		p.MatMulRowsInto(d, dw, a, aw, b)
+		gemmEqual(t, c, "MatMulRowsInto", w, gathered(d, dw), want)
 		if !intact() {
-			t.Fatalf("%v width %d: MatMulRowsInto wrote outside its row window", c, w)
+			t.Fatalf("%v width %d: MatMulRowsInto wrote outside its window set", c, w)
 		}
 		whole := New(m, n)
 		whole.Fill(nan)
-		p.MatMulInto(whole, a.Slice(alo, alo+m), b)
+		p.MatMulInto(whole, ag, b)
 		gemmEqual(t, c, "MatMulInto", w, whole.data, want)
 
 		SetWorkers(w)
@@ -183,14 +240,14 @@ func checkGemmKernels(t *testing.T, c gemmCase) {
 		p.MatMulT1AddInto(sum, a1, b1)
 		gemmEqual(t, c, "MatMulT1AddInto", w, sum.data, wantT1Add)
 
-		d, intact = framed(dlo, m, n, nan)
-		p.MatMulT2RowsInto(d, dlo, a, alo, m, bT, blo, blo+n)
-		gemmEqual(t, c, "MatMulT2RowsInto", w, window(d, dlo, m), wantT2)
+		d, intact = framed(dw, n, nan)
+		p.MatMulT2RowsInto(d, dw, a, aw, bT, blo, blo+n)
+		gemmEqual(t, c, "MatMulT2RowsInto", w, gathered(d, dw), wantT2)
 		if !intact() {
-			t.Fatalf("%v width %d: MatMulT2RowsInto wrote outside its row window", c, w)
+			t.Fatalf("%v width %d: MatMulT2RowsInto wrote outside its window set", c, w)
 		}
 		whole.Fill(nan)
-		p.MatMulT2Into(whole, a.Slice(alo, alo+m), bT.Slice(blo, blo+n))
+		p.MatMulT2Into(whole, ag, bT.Slice(blo, blo+n))
 		gemmEqual(t, c, "MatMulT2Into", w, whole.data, wantT2)
 		p.Close()
 	}
@@ -225,15 +282,90 @@ func TestGemmKernelsMatchPortable(t *testing.T) {
 	}
 }
 
-// FuzzGemmKernels drives the same check from fuzzed shapes and recipes.
-func FuzzGemmKernels(f *testing.F) {
-	f.Add(uint64(1), uint8(9), uint8(17), uint8(6), uint8(1), uint8(0), uint8(0), uint8(0))
-	f.Add(uint64(2), uint8(40), uint8(64), uint8(3), uint8(0), uint8(12), uint8(20), uint8(0))
-	f.Add(uint64(3), uint8(3), uint8(7), uint8(0), uint8(2), uint8(0), uint8(100), uint8(3))
-	f.Fuzz(func(t *testing.T, seed uint64, m, n, k, win, zeroTail, zeroPct, special uint8) {
+// TestGemmWindowSetsMatchPortable sweeps window sets: every window height
+// from 1 to 10 — below, at and past both tile heights — in one to five
+// windows, with dst's and a's strides each at or past the height, over
+// column counts and depths a tile does and does not fit; then sets of
+// several windows past matmulParallelThreshold, whose gathered product
+// really shards.
+func TestGemmWindowSetsMatchPortable(t *testing.T) {
+	i := 0
+	for h := 1; h <= 10; h++ {
+		for count := 1; count <= 5; count++ {
+			for _, nk := range [][2]int{{3, 5}, {4, 4}, {8, 7}, {17, 13}} {
+				i++
+				checkGemmKernels(t, gemmCase{
+					seed: uint64(1000 + i), m: h, n: nk[0], k: nk[1], win: i % 3, count: count, gap: i % 9,
+					zeroTail: i % 4, zeroPct: []int{0, 15, 60, 100}[i/4%4], special: max(i%13-8, 0),
+				})
+			}
+		}
+	}
+	if 4*17*137*242 < matmulParallelThreshold {
+		t.Fatal("the large sets no longer clear matmulParallelThreshold")
+	}
+	for r := 0; r < 4; r++ {
 		checkGemmKernels(t, gemmCase{
-			seed: seed, m: int(m%80) + 1, n: int(n%80) + 1, k: int(k % 72),
-			win: int(win % 4), zeroTail: int(zeroTail % 16), zeroPct: int(zeroPct % 101), special: int(special % 5),
+			seed: uint64(2000 + r), m: 17 + r, n: 137 + r%3, k: 242 + r%5, win: r % 2, count: 4, gap: 2*r + 1,
+			zeroTail: 5 * (r % 2), zeroPct: 10 * (r % 3), special: max(r-1, 0),
 		})
+	}
+}
+
+// TestGemmWindowSetsConcurrent runs window-set products from several
+// goroutines at once, as a World's compute streams do: they share
+// windowed's scratch free-list, and each product must still get a buffer of
+// its own.
+func TestGemmWindowSetsConcurrent(t *testing.T) {
+	rng := xrand.New(7)
+	w := Windows{Lo: 1, N: 3, Stride: 7, Count: 4}
+	a, b, bT := RandN(rng, 1, 30, 24), RandN(rng, 1, 24, 16), RandN(rng, 1, 16, 24)
+	want, wantT2 := make([]float64, w.Len()*16), make([]float64, w.Len()*16)
+	ag := gathered(a, w)
+	matmulRows(want, ag, b.data, 0, w.Len(), 0, 16, 24, 16)
+	matmulT2Rows(wantT2, ag, bT.data, 0, w.Len(), 0, 16, 0, 24, 16)
+	bad := make([]bool, 4)
+	var wg sync.WaitGroup
+	for g := range bad {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := NewPool(1)
+			for range 100 {
+				d := New(30, 16)
+				p.MatMulRowsInto(d, w, a, w, b)
+				got := gathered(d, w)
+				p.MatMulT2RowsInto(d, w, a, w, bT, 0, 16)
+				if !slices.Equal(got, want) || !slices.Equal(gathered(d, w), wantT2) {
+					bad[g] = true
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if slices.Contains(bad, true) {
+		t.Fatalf("concurrent window-set products disagree with the portable body: %v", bad)
+	}
+}
+
+// FuzzGemmKernels drives the same check from fuzzed shapes, recipes and
+// window sets. A set of several windows is drawn as thin as the step's
+// chunk windows are, 1 to 10 rows — every height below both tiles, and
+// ep_compute's 10; a single window up to 80.
+func FuzzGemmKernels(f *testing.F) {
+	f.Add(uint64(1), uint8(9), uint8(17), uint8(6), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(40), uint8(64), uint8(3), uint8(0), uint8(12), uint8(20), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(3), uint8(3), uint8(7), uint8(0), uint8(2), uint8(0), uint8(100), uint8(3), uint8(0), uint8(0))
+	f.Add(uint64(4), uint8(2), uint8(9), uint8(8), uint8(1), uint8(1), uint8(10), uint8(0), uint8(3), uint8(5))
+	f.Fuzz(func(t *testing.T, seed uint64, m, n, k, win, zeroTail, zeroPct, special, count, gap uint8) {
+		c := gemmCase{
+			seed: seed, m: int(m%80) + 1, n: int(n%80) + 1, k: int(k % 72), win: int(win % 4), count: int(count%5) + 1,
+			gap: int(gap % 9), zeroTail: int(zeroTail % 16), zeroPct: int(zeroPct % 101), special: int(special % 5),
+		}
+		if c.count > 1 {
+			c.m = int(m%10) + 1
+		}
+		checkGemmKernels(t, c)
 	})
 }

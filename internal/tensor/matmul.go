@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"sync"
+)
 
 // The GEMM layer (contract: the package comment). Three products — a@b,
 // aᵀ@b, a@bᵀ — each defined by the order in which one output element
@@ -19,6 +23,20 @@ import "fmt"
 // last one, so the grid — which element a tile computes and which the
 // portable body — depends on the shapes alone, never on the pool width, and
 // every dst element is accumulated by exactly one goroutine.
+//
+// The row forms of a@b and a@bᵀ (MatMulRowsInto, MatMulT2RowsInto) take a
+// window set per operand — Count windows of N rows, Stride rows apart — and
+// run it as one call (windowed): in place when the set is one run of rows;
+// otherwise each window's whole tiles in place, and the rows past them, from
+// every window, as one product on rows gathered into scratch, its result
+// scattered back. This is what keeps the kernels busy when a caller's
+// windows are thinner than a tile: an expert chunk is a few rows in each of
+// R token-side shards, and the set fills whole tiles, where one product per
+// window leaves most windows to the portable body and walks the weights
+// once per window. A product still shorter than a tile runs on a tile
+// padded with zero rows in scratch, and only its real rows are stored.
+// Neither changes a bit: each element is one accumulation over one row of
+// a, whatever rows share its tile.
 
 // Tile geometry of the micro-kernels, which is also the sharding unit of
 // the drivers on every build: a pool splits a product between tile rows.
@@ -47,6 +65,49 @@ func Kernel() string {
 		return "avx2"
 	}
 	return "portable"
+}
+
+// Windows is a window set over the rows of a 2-D tensor: Count windows of N
+// rows each, the first starting at row Lo and each next one Stride rows
+// after the start of the one before. The row-form GEMM entry points run a
+// set as one product; a single window is Count = 1 (Window).
+type Windows struct{ Lo, N, Stride, Count int }
+
+// Window is the one-window set of rows [lo, lo+n).
+func Window(lo, n int) Windows { return Windows{Lo: lo, N: n, Stride: n, Count: 1} }
+
+// Len is the number of rows in the set.
+func (w Windows) Len() int { return w.N * w.Count }
+
+// Packed is the set of w's shape packed from row 0: the rows of a buffer
+// that holds w's rows in order, Len of them.
+func (w Windows) Packed() Windows { return Windows{N: w.N, Stride: w.N, Count: w.Count} }
+
+// All yields every row of the set in order as (i, t): its position i in the
+// set, which is its row in a product's gathered operand, and its row t.
+func (w Windows) All() iter.Seq2[int, int] {
+	return func(yield func(int, int) bool) {
+		for c := 0; c < w.Count; c++ {
+			lo := w.Lo + c*w.Stride
+			for t := lo; t < lo+w.N; t++ {
+				if !yield(c*w.N+t-lo, t) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// contiguous reports whether the set's rows are one run.
+func (w Windows) contiguous() bool { return w.Count == 1 || w.Stride == w.N }
+
+// within reports whether the set is well formed — windows that do not
+// overlap — and ends by row rows.
+func (w Windows) within(rows int) bool {
+	if w.Lo < 0 || w.N < 0 || w.Count < 0 || w.Count > 1 && w.Stride < w.N {
+		return false
+	}
+	return w.Count == 0 || w.Lo+(w.Count-1)*w.Stride+w.N <= rows
 }
 
 // serialGEMM reports whether a product of macs multiply-accumulates over
@@ -86,18 +147,19 @@ func MatMulInto(dst, a, b *Tensor) { defaultPool.MatMulInto(dst, a, b) }
 func (p *Pool) MatMulInto(dst, a, b *Tensor) {
 	m := mmShape(a, b, "MatMulInto")
 	checkDst(dst, m, b.shape[1], "MatMulInto")
-	p.MatMulRowsInto(dst, 0, a, 0, m, b)
+	p.MatMulRowsInto(dst, Window(0, m), a, Window(0, m), b)
 }
 
-// MatMulRowsInto computes rows [dlo, dlo+rows) of dst as rows
-// [alo, alo+rows) of a times b: the row-range form of MatMulInto, for
-// callers that walk a block window by window and would otherwise slice a
-// view per operand per window. dst is (·, n) for a (·, k) and b (k, n).
-func (p *Pool) MatMulRowsInto(dst *Tensor, dlo int, a *Tensor, alo, rows int, b *Tensor) {
+// MatMulRowsInto computes the rows dw of dst as the rows aw of a times b,
+// as one product: the window-set form of MatMulInto, for callers that walk
+// a block window by window and would otherwise slice a view per operand per
+// window — and run one thin product per window. dw and aw have the same N
+// and Count; dst is (·, n) for a (·, k) and b (k, n).
+func (p *Pool) MatMulRowsInto(dst *Tensor, dw Windows, a *Tensor, aw Windows, b *Tensor) {
 	mmShape(a, b, "MatMulRowsInto")
 	k, n := a.shape[1], b.shape[1]
-	checkRows(dst, dlo, a, alo, rows, n, "MatMulRowsInto")
-	p.self().matmulInto(dst.data[dlo*n:(dlo+rows)*n], a.data[alo*k:(alo+rows)*k], b.data, rows, k, n)
+	checkWindows(dst, dw, a, aw, n, "MatMulRowsInto")
+	p.self().windowed((*Pool).matmulInto, tileRows, tileCols, dst.data, dw, a.data, aw, b.data, k, n)
 }
 
 // mmShape validates a 2-D pair with matching inner dimension and returns m.
@@ -117,14 +179,108 @@ func checkDst(dst *Tensor, m, n int, op string) {
 	}
 }
 
-// checkRows validates a row-range product: dst is 2-D of width n and both
-// row windows lie inside their tensors.
-func checkRows(dst *Tensor, dlo int, a *Tensor, alo, rows, n int, op string) {
+// checkWindows validates a window-set product on behalf of op: dst is 2-D
+// of width n, the two sets have the same shape, and each is well formed and
+// inside its tensor.
+func checkWindows(dst *Tensor, dw Windows, a *Tensor, aw Windows, n int, op string) {
 	if dst.Rank() != 2 || dst.shape[1] != n {
 		panic("tensor: " + op + " destination shape mismatch")
 	}
-	if rows < 0 || dlo < 0 || dlo+rows > dst.shape[0] || alo < 0 || alo+rows > a.shape[0] {
-		panic(fmt.Sprintf("tensor: %s rows [%d,+%d) of %v from rows [%d,+%d) of %v out of range", op, dlo, rows, dst.shape, alo, rows, a.shape))
+	if dw.N != aw.N || dw.Count != aw.Count || !dw.within(dst.shape[0]) || !aw.within(a.shape[0]) {
+		panic(fmt.Sprintf("tensor: %s rows %+v of %v from rows %+v of %v out of range", op, dw, dst.shape, aw, a.shape))
+	}
+}
+
+// windowed runs one product over a window set: the rows aw of a (width k)
+// times b into the rows dw of dst (width n), through gemm — matmulInto or
+// matmulT2Into, whose tile is tile×cols — on contiguous operands. Sets that
+// are one run of rows each are the operands themselves. Otherwise each
+// window's whole tiles — all of its rows where no kernel would run — run in
+// place, and the rows past them, from every window, run as one product in a
+// scratch buffer: a's rows gathered, the result scattered back to dw's
+// rows, on at least a tile of rows, padded with zero rows whose results are
+// never stored. Every element is one accumulation over one row of a, so
+// where a row is computed changes no bit.
+func (p *Pool) windowed(gemm func(p *Pool, dst, a, b []float64, m, k, n int), tile, cols int,
+	dst []float64, dw Windows, a []float64, aw Windows, b []float64, k, n int) {
+	m := dw.Len()
+	if m == 0 {
+		return
+	}
+	kernel := useAVX2 && k >= 4 && n >= cols
+	if dw.contiguous() && aw.contiguous() && (m >= tile || !kernel) {
+		gemm(p, dst[dw.Lo*n:(dw.Lo+m)*n], a[aw.Lo*k:(aw.Lo+m)*k], b, m, k, n)
+		return
+	}
+	full := dw.N
+	if kernel {
+		full = dw.N / tile * tile
+	}
+	if full > 0 {
+		for c := 0; c < dw.Count; c++ {
+			dlo, alo := dw.Lo+c*dw.Stride, aw.Lo+c*aw.Stride
+			gemm(p, dst[dlo*n:(dlo+full)*n], a[alo*k:(alo+full)*k], b, full, k, n)
+		}
+		dw.Lo, dw.N, aw.Lo, aw.N = dw.Lo+full, dw.N-full, aw.Lo+full, aw.N-full
+		if m = dw.Len(); m == 0 {
+			return
+		}
+	}
+	rows := max(m, tile)
+	s := takeScratch(rows * (n + k))
+	dd, ad := s[:rows*n], s[rows*n:]
+	gather(ad, a, aw, k)
+	clear(ad[m*k:])
+	gemm(p, dd, ad, b, rows, k, n)
+	scatter(dst, dw, dd, n)
+	dropScratch(s)
+}
+
+// scratch is windowed's working memory: a free-list of its own rather than
+// Get/Put, because the collector empties a sync.Pool and every refill is an
+// allocation on some later step. These buffers stay: as many as products
+// ever needed one at once, each at the largest size it was asked for.
+var scratch struct {
+	sync.Mutex
+	free [][]float64
+}
+
+// takeScratch returns n elements of scratch, whatever they held.
+func takeScratch(n int) []float64 {
+	var s []float64
+	scratch.Lock()
+	if k := len(scratch.free); k > 0 {
+		s, scratch.free = scratch.free[k-1], scratch.free[:k-1]
+	}
+	scratch.Unlock()
+	if cap(s) < n {
+		s = make([]float64, n)
+	}
+	return s[:n]
+}
+
+// dropScratch returns a takeScratch buffer to the free-list.
+func dropScratch(s []float64) {
+	scratch.Lock()
+	scratch.free = append(scratch.free, s)
+	scratch.Unlock()
+}
+
+// gather copies the rows of set w of src (width k) to the head of dst, in
+// set order.
+func gather(dst, src []float64, w Windows, k int) {
+	for c := 0; c < w.Count; c++ {
+		lo := (w.Lo + c*w.Stride) * k
+		copy(dst[c*w.N*k:], src[lo:lo+w.N*k])
+	}
+}
+
+// scatter copies the head rows of src, in set order, to the rows of set w of
+// dst (width n) — the set's rows only.
+func scatter(dst []float64, w Windows, src []float64, n int) {
+	for c := 0; c < w.Count; c++ {
+		lo := (w.Lo + c*w.Stride) * n
+		copy(dst[lo:lo+w.N*n], src[c*w.N*n:])
 	}
 }
 
@@ -338,19 +494,19 @@ func (p *Pool) MatMulT2Into(dst, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulT2Into requires 2-D tensors")
 	}
-	checkDst(dst, a.shape[0], b.shape[0], "MatMulT2Into")
-	p.MatMulT2RowsInto(dst, 0, a, 0, a.shape[0], b, 0, b.shape[0])
+	m := a.shape[0]
+	checkDst(dst, m, b.shape[0], "MatMulT2Into")
+	p.MatMulT2RowsInto(dst, Window(0, m), a, Window(0, m), b, 0, b.shape[0])
 }
 
-// MatMulT2RowsInto computes rows [dlo, dlo+rows) of dst as rows
-// [alo, alo+rows) of a times the transpose of rows [blo, bhi) of b: the
-// row-range form of MatMulT2Into (see MatMulRowsInto). dst is (·, bhi−blo)
-// for a (·, k) and b (·, k).
-func (p *Pool) MatMulT2RowsInto(dst *Tensor, dlo int, a *Tensor, alo, rows int, b *Tensor, blo, bhi int) {
+// MatMulT2RowsInto computes the rows dw of dst as the rows aw of a times the
+// transpose of rows [blo, bhi) of b, as one product: the window-set form of
+// MatMulT2Into (see MatMulRowsInto). dst is (·, bhi−blo) for a (·, k) and
+// b (·, k).
+func (p *Pool) MatMulT2RowsInto(dst *Tensor, dw Windows, a *Tensor, aw Windows, b *Tensor, blo, bhi int) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulT2RowsInto requires 2-D tensors")
 	}
-	p = p.self()
 	k, n := a.shape[1], bhi-blo
 	if k != b.shape[1] {
 		panic("tensor: MatMulT2RowsInto inner dimension mismatch")
@@ -358,15 +514,20 @@ func (p *Pool) MatMulT2RowsInto(dst *Tensor, dlo int, a *Tensor, alo, rows int, 
 	if blo < 0 || n < 0 || bhi > b.shape[0] {
 		panic(fmt.Sprintf("tensor: MatMulT2RowsInto rows [%d,%d) of b %v out of range", blo, bhi, b.shape))
 	}
-	checkRows(dst, dlo, a, alo, rows, n, "MatMulT2RowsInto")
-	dd, ad, bd := dst.data[dlo*n:(dlo+rows)*n], a.data[alo*k:(alo+rows)*k], b.data[blo*k:bhi*k]
-	if p.serialGEMM(rows, t2Rows, rows*k*n) {
-		matmulT2Range(dd, ad, bd, 0, rows, k, n)
+	checkWindows(dst, dw, a, aw, n, "MatMulT2RowsInto")
+	p.self().windowed((*Pool).matmulT2Into, t2Rows, t2Cols, dst.data, dw, a.data, aw, b.data[blo*k:bhi*k], k, n)
+}
+
+// matmulT2Into computes dst = a @ bᵀ where a is (m,k) and b is (n,k), all
+// row-major, sharding tile rows of dst over the pool.
+func (p *Pool) matmulT2Into(dst, a, b []float64, m, k, n int) {
+	if p.serialGEMM(m, t2Rows, m*k*n) {
+		matmulT2Range(dst, a, b, 0, m, k, n)
 		return
 	}
-	nt := rows / t2Rows
+	nt := m / t2Rows
 	p.ParallelRange(nt, func(lo, hi int) {
-		matmulT2Range(dd, ad, bd, lo*t2Rows, shardEnd(hi, nt, t2Rows, rows), k, n)
+		matmulT2Range(dst, a, b, lo*t2Rows, shardEnd(hi, nt, t2Rows, m), k, n)
 	})
 }
 

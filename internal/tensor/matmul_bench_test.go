@@ -117,57 +117,67 @@ func BenchmarkMatMulThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmChunk runs the three products (and the accumulating form of
-// aᵀ@b) at the expert-chunk shapes of the repository benchmark's four
-// workloads, the way bench/probes.go shapes them: rows × M tokens against an
-// M × H weight. "kernel" is the entry point on a pool of one — the
-// micro-kernels where this build has them; "portable" is the loop body over
-// the whole product, which is what every other build runs.
+// BenchmarkGemmChunk runs a@b and a@bᵀ at the expert windows the
+// repository benchmark's four workloads issue: one chunk's rows in each of
+// the four token-side shards, the shards stride rows apart (rows × M tokens
+// against an M × H weight; a@bᵀ is the input gradient's (rows, H) times the
+// transpose of an (M, H) weight). Three forms, on a pool of one:
+// "portable" is the loop body per window, which is what every build without
+// the kernels runs; "window" is one product per window, the way the step
+// drove them before window sets — a window shorter than a tile never reaches
+// the kernels, and every window streams the whole weight; "set" is the four
+// windows as one window-set product.
 func BenchmarkGemmChunk(b *testing.B) {
-	shapes := []struct{ rows, m, h int }{{29, 512, 16}, {40, 64, 384}, {20, 256, 320}, {77, 128, 128}}
+	const count = 4
+	shapes := []struct{ rows, m, h, stride int }{{7, 512, 16, 29}, {10, 64, 384, 20}, {3, 256, 320, 5}, {6, 128, 128, 12}}
 	products := []struct {
 		name     string
-		dims     func(rows, m, h int) (dst, a, b [2]int)
-		kernel   func(p *Pool, dst, a, b *Tensor)
-		portable func(dst, a, b *Tensor)
+		kn       func(m, h int) (k, n int) // the width of a and of dst
+		portable func(dst, a, b []float64, m, k, n int)
+		window   func(p *Pool, dst, a, b []float64, m, k, n int)
+		set      func(p *Pool, dst *Tensor, w Windows, a, b *Tensor)
 	}{
-		{"matmul", func(r, m, h int) (dst, a, b [2]int) { return [2]int{r, h}, [2]int{r, m}, [2]int{m, h} },
-			(*Pool).MatMulInto, func(dst, a, b *Tensor) {
-				matmulRows(dst.data, a.data, b.data, 0, a.shape[0], 0, b.shape[1], a.shape[1], b.shape[1])
-			}},
-		{"t1", func(r, m, h int) (dst, a, b [2]int) { return [2]int{m, h}, [2]int{r, m}, [2]int{r, h} },
-			(*Pool).MatMulT1Into, func(dst, a, b *Tensor) {
-				clear(dst.data)
-				matmulT1Rows(dst.data, a.data, b.data, 0, a.shape[1], 0, b.shape[1], a.shape[0], a.shape[1], b.shape[1])
-			}},
-		{"t1add", func(r, m, h int) (dst, a, b [2]int) { return [2]int{m, h}, [2]int{r, m}, [2]int{r, h} },
-			(*Pool).MatMulT1AddInto, func(dst, a, b *Tensor) {
-				matmulT1Rows(dst.data, a.data, b.data, 0, a.shape[1], 0, b.shape[1], a.shape[0], a.shape[1], b.shape[1])
-			}},
-		{"t2", func(r, m, h int) (dst, a, b [2]int) { return [2]int{r, m}, [2]int{r, h}, [2]int{m, h} },
-			(*Pool).MatMulT2Into, func(dst, a, b *Tensor) {
-				matmulT2Rows(dst.data, a.data, b.data, 0, a.shape[0], 0, b.shape[0], 0, a.shape[1], b.shape[0])
+		{"matmul", func(m, h int) (int, int) { return m, h },
+			func(dst, a, b []float64, m, k, n int) { matmulRows(dst, a, b, 0, m, 0, n, k, n) },
+			(*Pool).matmulInto,
+			func(p *Pool, dst *Tensor, w Windows, a, b *Tensor) { p.MatMulRowsInto(dst, w, a, w, b) }},
+		{"t2", func(m, h int) (int, int) { return h, m },
+			func(dst, a, b []float64, m, k, n int) { matmulT2Rows(dst, a, b, 0, m, 0, n, 0, k, n) },
+			(*Pool).matmulT2Into,
+			func(p *Pool, dst *Tensor, w Windows, a, b *Tensor) {
+				p.MatMulT2RowsInto(dst, w, a, w, b, 0, b.shape[0])
 			}},
 	}
 	pool := NewPool(1)
 	for _, s := range shapes {
+		w := Windows{N: s.rows, Stride: s.stride, Count: count}
 		for _, prod := range products {
 			rng := xrand.New(1)
-			dd, ad, bd := prod.dims(s.rows, s.m, s.h)
-			dst, x, y := New(dd[0], dd[1]), RandN(rng, 1, ad[0], ad[1]), RandN(rng, 1, bd[0], bd[1])
+			k, n := prod.kn(s.m, s.h)
+			x, dst := RandN(rng, 1, count*s.stride, k), New(count*s.stride, n)
+			y := RandN(rng, 1, s.m, s.h) // b: (M, H) for a@b, (n, k) for a@bᵀ
+			perWindow := func(fn func(d, a []float64)) func() {
+				return func() {
+					for c := 0; c < count; c++ {
+						lo := c * s.stride
+						fn(dst.data[lo*n:(lo+s.rows)*n], x.data[lo*k:(lo+s.rows)*k])
+					}
+				}
+			}
 			run := func(name string, fn func()) {
-				b.Run(fmt.Sprintf("%s/rows=%d,M=%d,H=%d/%s", prod.name, s.rows, s.m, s.h, name), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s/rows=%dx%d,M=%d,H=%d/%s", prod.name, s.rows, count, s.m, s.h, name), func(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						fn()
 					}
-					flop := 2 * float64(s.rows) * float64(s.m) * float64(s.h)
+					flop := 2 * float64(count*s.rows) * float64(s.m) * float64(s.h)
 					b.ReportMetric(flop*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 				})
 			}
-			run("kernel", func() { prod.kernel(pool, dst, x, y) })
-			run("portable", func() { prod.portable(dst, x, y) })
+			run("portable", perWindow(func(d, a []float64) { prod.portable(d, a, y.data, s.rows, k, n) }))
+			run("window", perWindow(func(d, a []float64) { prod.window(pool, d, a, y.data, s.rows, k, n) }))
+			run("set", func() { prod.set(pool, dst, w, x, y) })
 		}
 	}
 }

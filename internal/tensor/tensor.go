@@ -27,18 +27,27 @@
 // from CPUID leaves 1 and 7 and XGETBV — Kernel reports the outcome — and
 // run full tiles only; whatever a tile grid leaves over (columns past the
 // last full tile, the rows of an accumulating product past its last full
-// tile row, a@bᵀ's k mod 4 tail, products smaller than a tile) runs through
-// the portable body restricted to that range, which is also the whole
-// implementation on every other GOARCH, CPU or -tags purego build and the
-// oracle the tests compare the kernels against.
+// tile row, a@bᵀ's k mod 4 tail, products too narrow or too shallow for a
+// tile) runs through the portable body restricted to that range, which is
+// also the whole implementation on every other GOARCH, CPU or -tags purego
+// build and the oracle the tests compare the kernels against.
+//
+// The row forms (MatMulRowsInto, MatMulT2RowsInto) take a window set per
+// operand (Windows: Count windows of N rows, Stride apart) and run it as one
+// call: each window's whole tiles in place, the rows past them, from every
+// window, gathered into scratch as one product whose rows are scattered
+// back; a product shorter than a tile runs on a tile padded with zero rows,
+// of which only the real rows are stored. So thin windows — an expert
+// chunk's few rows in each token-side shard — still fill the kernels' tiles.
 //
 // Guaranteed: on finite operands kernel and portable body produce the same
 // bits, so a product does not depend on the build, on how its rows are cut
-// into windows (chunked ≡ monolithic), or on the pool width — the tile grid
-// is a function of the shapes alone and every element is accumulated by one
-// goroutine in its order. With a NaN or Inf in an operand both produce the
-// same set of non-finite elements (a zero a still skips its 0·NaN), but a
-// NaN's payload and sign are not specified. Not guaranteed: the bits of the
+// into windows or window sets (chunked ≡ monolithic), on which rows share a
+// tile, or on the pool width — the tile grid is a function of the shapes
+// alone and every element is accumulated by one goroutine in its order.
+// With a NaN or Inf in an operand both produce the same set of non-finite
+// elements (a zero a still skips its 0·NaN), but a NaN's payload and sign
+// are not specified. Not guaranteed: the bits of the
 // portable body across architectures — where the Go compiler fuses x*y+z
 // (arm64, not amd64) they differ from amd64's, as they always have.
 //
