@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -9,11 +10,56 @@ import (
 	"repro/internal/report"
 )
 
-// chaosConfig is the small real-compute workload the chaos sweep hammers;
-// one fwd+bwd pass runs per iteration per cell, so it stays deliberately
-// lighter than the realpipe workloads.
-func chaosConfig() realpipeConfig {
-	return realpipeConfig{name: "chaos", m: 128, h: 64, e: 8, tokens: 512, degree: 2}
+// chaosWorkload is the small real-compute layer the chaos sweep hammers;
+// one fwd+bwd pass runs per iteration per cell.
+type chaosWorkload struct {
+	m, h, e int
+	tokens  int
+	degree  int // pipeline degree r of every world
+}
+
+func chaosConfig() chaosWorkload {
+	return chaosWorkload{m: 128, h: 64, e: 8, tokens: 512, degree: 2}
+}
+
+// chaosStrategies are the hard-routing strategies the sweep runs
+// (DenseSlots routes differently). The hybrid rows run at GroupSize
+// ranks/2 — the genuinely nested schedule; its degenerate group sizes are
+// the EP and ESP rows themselves.
+func chaosStrategies() []fsmoe.Strategy {
+	return []fsmoe.Strategy{fsmoe.StrategyEP, fsmoe.StrategyESP, fsmoe.StrategyHybrid}
+}
+
+// stratCell renders a strategy for a report row, with the hybrid group
+// size when there is one.
+func stratCell(s fsmoe.Strategy, g int) string {
+	if s == fsmoe.StrategyHybrid && g > 0 {
+		return fmt.Sprintf("%s(g=%d)", s, g)
+	}
+	return string(s)
+}
+
+// newChaosWorld builds the workload's layer (fixed seed) and one world
+// over it at the workload's pipeline degree; g is the hybrid group size,
+// ignored by the other strategies.
+func newChaosWorld(cfg chaosWorkload, ranks int, strat fsmoe.Strategy, g int) (*fsmoe.Layer, *fsmoe.World, error) {
+	layer, err := fsmoe.NewLayer(fsmoe.LayerConfig{
+		M: cfg.m, H: cfg.h, Experts: cfg.e, TopK: 2, CapacityFactor: 1.2, Seed: 13,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	wc := fsmoe.WorldConfig{
+		Ranks: ranks, PipelineDegree: cfg.degree, Strategy: strat, BatchTokens: cfg.tokens,
+	}
+	if strat == fsmoe.StrategyHybrid {
+		wc.GroupSize = g
+	}
+	w, err := fsmoe.NewWorld(layer, wc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return layer, w, nil
 }
 
 // chaosExperiment sweeps fault rate × strategy on the executable runtime:
@@ -37,8 +83,8 @@ func chaosExperiment(iters int) error {
 
 	tb := report.NewTable("transient chaos sweep, one fwd+bwd pass per iteration",
 		"strategy", "fault-rate", "passes", "completed", "faults", "retries", "p50 ms", "p99 ms", "bit-identical")
-	for _, strat := range realpipeStrategies() {
-		layer, w, err := newRealpipeWorld(cfg, ranks, cfg.degree, strat)
+	for _, strat := range chaosStrategies() {
+		layer, w, err := newChaosWorld(cfg, ranks, strat, ranks/2)
 		if err != nil {
 			return err
 		}
@@ -93,7 +139,9 @@ func chaosExperiment(iters int) error {
 				identical)
 		}
 		w.SetFaultPlan(nil)
-		w.Close()
+		if err := w.Close(); err != nil {
+			return err
+		}
 	}
 	emit(tb)
 	note("fault-rate = per-attempt transient probability on every collective kind (task-level KindProb and in-collective CollectiveProb); " +
@@ -102,8 +150,8 @@ func chaosExperiment(iters int) error {
 	// Permanent rank-down: the pass must complete degraded, not abort.
 	tb2 := report.NewTable("permanent rank-down mid-forward: degraded-mode completion",
 		"strategy", "phase", "rank", "lost-experts", "rerouted", "dropped", "retries", "recovery-ms")
-	for _, strat := range realpipeStrategies() {
-		layer, w, err := newRealpipeWorld(cfg, ranks, cfg.degree, strat)
+	for _, strat := range chaosStrategies() {
+		layer, w, err := newChaosWorld(cfg, ranks, strat, ranks/2)
 		if err != nil {
 			return err
 		}
@@ -132,7 +180,9 @@ func chaosExperiment(iters int) error {
 		tb2.AddRow(string(strat), deg.Phase, deg.Rank, len(deg.LostExperts),
 			deg.ReroutedTokens, deg.DroppedTokens, deg.Retries,
 			fmt.Sprintf("%.1f", deg.RecoveryMS))
-		w.Close()
+		if err := w.Close(); err != nil {
+			return err
+		}
 	}
 	emit(tb2)
 	note("a permanent failure completes the pass degraded: the dead rank's tokens are re-routed into surviving experts' " +
@@ -144,8 +194,8 @@ func chaosExperiment(iters int) error {
 	tb3 := report.NewTable("checkpoint → rank kill → elastic recovery (shrink): MTTR and step-time ratios",
 		"strategy", "healthy ms", "degraded ms", "mttr ms", "recovered ms",
 		"deg/healthy", "rec/healthy", "new ranks", "new strategy", "moved experts", "bit-identical")
-	for _, strat := range realpipeStrategies() {
-		_, w, err := newRealpipeWorld(cfg, ranks, cfg.degree, strat)
+	for _, strat := range chaosStrategies() {
+		_, w, err := newChaosWorld(cfg, ranks, strat, ranks/2)
 		if err != nil {
 			return err
 		}
@@ -162,8 +212,11 @@ func chaosExperiment(iters int) error {
 		ckptCfg := scfg
 		ckptCfg.Checkpoint = mgr
 
-		fail := func(err error) error {
-			w.Close()
+		// done closes w and removes dir. It returns err joined with the
+		// error of Close, which drains the last checkpoint commit and
+		// returns its failure (ErrCheckpointCommit).
+		done := func(err error) error {
+			err = errors.Join(err, w.Close())
 			os.RemoveAll(dir)
 			return err
 		}
@@ -173,7 +226,7 @@ func chaosExperiment(iters int) error {
 		for s := 0; s < 2; s++ {
 			res, err := fsmoe.StepStack(stack, x, dy, ckptCfg)
 			if err != nil {
-				return fail(err)
+				return done(err)
 			}
 			healthyMS = res.ForwardMS + res.StepMS()
 		}
@@ -186,42 +239,40 @@ func chaosExperiment(iters int) error {
 		}))
 		resDeg, err := fsmoe.StepStack(stack, x, dy, scfg)
 		if err != nil {
-			return fail(fmt.Errorf("chaos: degraded step must complete: %w", err))
+			return done(fmt.Errorf("chaos: degraded step must complete: %w", err))
 		}
 		degradedMS := resDeg.ForwardMS + resDeg.StepMS()
 
 		snap, err := mgr.LoadLatest()
 		if err != nil {
-			return fail(err)
+			return done(err)
 		}
 		reports, err := fsmoe.Recover(stack, snap, fsmoe.RecoveryPolicy{Mode: fsmoe.RecoverShrink})
 		if err != nil {
-			return fail(fmt.Errorf("chaos: recovery failed: %w", err))
+			return done(fmt.Errorf("chaos: recovery failed: %w", err))
 		}
 		rep := reports[0]
 		resRec, err := fsmoe.StepStack(stack, x, dy, scfg)
 		if err != nil {
-			return fail(fmt.Errorf("chaos: post-recovery step failed: %w", err))
+			return done(fmt.Errorf("chaos: post-recovery step failed: %w", err))
 		}
 		recoveredMS := resRec.ForwardMS + resRec.StepMS()
 
 		// Bit-identity: a fresh world built directly at the surviving
 		// topology, restored from the same checkpoint, must step to the
 		// identical replicas.
-		_, refW, err := newRealpipeHybridWorld(cfg, rep.NewRanks, cfg.degree, rep.NewStrategy, rep.NewGroupSize)
+		_, refW, err := newChaosWorld(cfg, rep.NewRanks, rep.NewStrategy, rep.NewGroupSize)
 		if err != nil {
-			return fail(err)
+			return done(err)
 		}
 		refStack := []*fsmoe.World{refW}
 		identical := true
 		if err := fsmoe.Restore(refStack, snap); err != nil {
-			refW.Close()
-			return fail(err)
+			return done(errors.Join(err, refW.Close()))
 		}
 		resRef, err := fsmoe.StepStack(refStack, x, dy, scfg)
 		if err != nil {
-			refW.Close()
-			return fail(err)
+			return done(errors.Join(err, refW.Close()))
 		}
 		for r := range resRef.RankParams {
 			for k := range resRef.RankParams[r] {
@@ -230,7 +281,9 @@ func chaosExperiment(iters int) error {
 				}
 			}
 		}
-		refW.Close()
+		if err := refW.Close(); err != nil {
+			return done(err)
+		}
 
 		tb3.AddRow(string(strat),
 			fmt.Sprintf("%.1f", healthyMS),
@@ -240,8 +293,9 @@ func chaosExperiment(iters int) error {
 			fmt.Sprintf("%.2f", ratio(degradedMS, healthyMS)),
 			fmt.Sprintf("%.2f", ratio(recoveredMS, healthyMS)),
 			rep.NewRanks, stratCell(rep.NewStrategy, rep.NewGroupSize), len(rep.MovedExperts), identical)
-		w.Close()
-		os.RemoveAll(dir)
+		if err := done(nil); err != nil {
+			return err
+		}
 	}
 	emit(tb3)
 	note("mttr = wall time of the rebuild (state rollback + expert weight re-placement + topology swap); recovered steps run " +

@@ -11,27 +11,22 @@ import (
 // sampling stride; experiments that ignore it discard it.
 func experimentTable() map[string]func(int) error {
 	return map[string]func(int) error{
-		"table2":    func(int) error { return table2() },
-		"table5":    table5,
-		"table6":    func(int) error { return table6() },
-		"fig4":      func(int) error { return fig4() },
-		"fig5":      func(int) error { return fig5() },
-		"fig6":      func(int) error { return fig6() },
-		"fig7":      func(int) error { return fig7() },
-		"fig8":      func(int) error { return fig8() },
-		"degrees":   degrees,
-		"realpipe":  func(int) error { return realpipe() },
-		"gradsync":  func(int) error { return gradsyncExperiment() },
-		"calibrate": func(int) error { return calibrateExperiment() },
-		"chaos":     chaosExperiment,
-		"telemetry": func(int) error { return telemetryExperiment() },
+		"table2":  func(int) error { return table2() },
+		"table5":  table5,
+		"table6":  func(int) error { return table6() },
+		"fig4":    func(int) error { return fig4() },
+		"fig5":    func(int) error { return fig5() },
+		"fig6":    func(int) error { return fig6() },
+		"fig7":    func(int) error { return fig7() },
+		"fig8":    func(int) error { return fig8() },
+		"degrees": degrees,
+		"chaos":   chaosExperiment,
 	}
 }
 
 // allOrder is the presentation order of "-experiment all" — the simulated
-// paper experiments. realpipe, gradsync, calibrate, chaos and telemetry
-// execute real multi-rank compute and are run explicitly, not as part of
-// the paper sweep.
+// paper experiments. chaos executes real multi-rank compute and is run
+// explicitly, not as part of the paper sweep.
 func allOrder() []string {
 	return []string{"table2", "fig4", "fig5", "table5", "fig6", "fig7", "fig8", "table6", "degrees"}
 }

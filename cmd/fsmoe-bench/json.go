@@ -2,7 +2,7 @@ package main
 
 // Machine-readable experiment output: with -json, every table an
 // experiment prints is also captured into BENCH_<experiment>.json via the
-// shared report.Doc schema (also used by fsmoe-profile -json).
+// shared report.Doc schema.
 
 import (
 	"fmt"

@@ -1,25 +1,24 @@
 // Command fsmoe-bench regenerates every table and figure of the paper's
-// evaluation section on the simulated testbeds, plus the executable-
-// runtime experiment that measures the pipelining for real.
+// evaluation section on the simulated testbeds, plus the chaos table:
+// seeded fault injection, degraded passes and elastic recovery on the
+// executable runtime. Machine measurements of the executable runtime
+// (overlap, simulator gap, gradient sync, Algorithm 1's picks, telemetry)
+// are the repository benchmark's, in bench/.
 //
 // Usage:
 //
 //	fsmoe-bench -experiment all
 //	fsmoe-bench -experiment table5 -sample 9
-//	fsmoe-bench -experiment realpipe
-//	fsmoe-bench -experiment gradsync
+//	fsmoe-bench -experiment chaos -sample 1 -trace chaos_trace.json
 //
 // Experiments: table2, table5, table6, fig4, fig5, fig6, fig7, fig8,
-// degrees, realpipe, gradsync, calibrate, chaos, telemetry, all. -sample N
-// evaluates every Nth configuration of the 1458 Table 4 grid (1 = full
-// sweep; chaos reuses it as passes per cell). "all" runs the simulated
-// paper experiments; realpipe, gradsync, calibrate, chaos and telemetry
-// execute real multi-rank passes and are invoked explicitly.
+// degrees, chaos, all. -sample N evaluates every Nth configuration of the
+// 1458 Table 4 grid (1 = full sweep; chaos reuses it as passes per cell).
+// "all" runs the simulated paper experiments; chaos executes real
+// multi-rank passes and is invoked explicitly.
 //
-// Observability: -trace out.json writes the measured stream plans of any
-// real-execution experiment as Chrome trace-event JSON (Perfetto-loadable);
-// -pprof addr serves net/http/pprof with the live telemetry registry
-// published on /debug/vars.
+// Observability: -trace out.json writes the measured stream plans of the
+// chaos experiment as Chrome trace-event JSON (Perfetto-loadable).
 package main
 
 import (
@@ -27,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/fsmoe"
 	"repro/internal/core"
@@ -38,12 +38,16 @@ import (
 	"repro/internal/workload"
 )
 
+// The flags live at package level so tests see what -h prints; the
+// -experiment menu is built from the dispatch table, so it cannot drift.
+var (
+	experiment = flag.String("experiment", "all", strings.Join(validExperimentNames(), "|"))
+	sample     = flag.Int("sample", 9, "evaluate every Nth Table 4 configuration (1 = all 1458); for chaos: passes per cell")
+	jsonOut    = flag.Bool("json", false, "also write each experiment's tables to BENCH_<experiment>.json (perf-trajectory tracking)")
+	traceOut   = flag.String("trace", "", "write measured stream plans as Chrome trace-event JSON to this file (chaos)")
+)
+
 func main() {
-	experiment := flag.String("experiment", "all", "table2|table5|table6|fig4|fig5|fig6|fig7|fig8|degrees|realpipe|gradsync|calibrate|chaos|telemetry|all")
-	sample := flag.Int("sample", 9, "evaluate every Nth Table 4 configuration (1 = all 1458); for chaos: passes per cell")
-	jsonOut := flag.Bool("json", false, "also write each experiment's tables to BENCH_<experiment>.json (perf-trajectory tracking)")
-	traceOut := flag.String("trace", "", "write measured stream plans as Chrome trace-event JSON to this file (realpipe/chaos/telemetry)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060), telemetry registry on /debug/vars")
 	flag.Parse()
 
 	// Every measured experiment runs with static plan verification on: a
@@ -56,11 +60,6 @@ func main() {
 	names, err := lookupExperiments(*experiment)
 	if err != nil {
 		fatal(err)
-	}
-	if *pprofAddr != "" {
-		if err := startDebugServer(*pprofAddr); err != nil {
-			fatal(err)
-		}
 	}
 	if *traceOut != "" {
 		enableTraceCapture()
@@ -181,9 +180,10 @@ func fig5() error {
 		if err != nil {
 			return err
 		}
-		tb := report.NewTable(fmt.Sprintf("Testbed %s", c.Name), "model", "alpha_ms", "beta_ms_per_unit", "R2")
+		tb := report.NewTable(fmt.Sprintf("Testbed %s (%d nodes × %d GPUs)", c.Name, c.Nodes, c.GPUsPerNode),
+			"model", "alpha_ms", "beta_ms_per_unit", "R2", "samples")
 		row := func(name string, f perfmodel.Fitted) {
-			tb.AddRow(name, fmt.Sprintf("%.3e", f.Alpha), fmt.Sprintf("%.3e", f.Beta), fmt.Sprintf("%.6f", f.R2))
+			tb.AddRow(name, fmt.Sprintf("%.3e", f.Alpha), fmt.Sprintf("%.3e", f.Beta), fmt.Sprintf("%.6f", f.R2), f.N)
 		}
 		row("AlltoAll(2DH)", cm.A2A)
 		row("AlltoAll(flat)", cm.A2AFlat)

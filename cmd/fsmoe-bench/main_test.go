@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,47 +12,61 @@ import (
 )
 
 // TestExperimentDispatchTable: every name "all" expands to must exist in
-// the dispatch table, the real-execution experiments (realpipe, gradsync)
-// are dispatchable but not part of "all", and lookups resolve exactly the
-// named experiment.
+// the dispatch table, chaos is the only experiment outside "all" (the one
+// that executes real passes), and lookups resolve exactly the named
+// experiment.
 func TestExperimentDispatchTable(t *testing.T) {
 	table := experimentTable()
+	inAll := map[string]bool{}
 	for _, name := range allOrder() {
 		if table[name] == nil {
 			t.Fatalf("'all' references %q which is not in the dispatch table", name)
 		}
+		inAll[name] = true
 	}
-	for _, real := range []string{"realpipe", "gradsync", "calibrate"} {
-		if table[real] == nil {
-			t.Fatalf("%s missing from the dispatch table", real)
+	var outside []string
+	for name := range table {
+		if !inAll[name] {
+			outside = append(outside, name)
 		}
-		for _, name := range allOrder() {
-			if name == real {
-				t.Fatalf("%s must not run as part of the simulated 'all' sweep", real)
-			}
-		}
+	}
+	if len(outside) != 1 || outside[0] != "chaos" {
+		t.Fatalf("experiments outside 'all' = %v, want [chaos]", outside)
 	}
 	names, err := lookupExperiments("all")
 	if err != nil || len(names) != len(allOrder()) {
 		t.Fatalf("lookup all: %v, %d names", err, len(names))
 	}
-	names, err = lookupExperiments("fig4")
-	if err != nil || len(names) != 1 || names[0] != "fig4" {
-		t.Fatalf("lookup fig4: %v %v", names, err)
+	for _, name := range []string{"fig4", "chaos"} {
+		names, err = lookupExperiments(name)
+		if err != nil || len(names) != 1 || names[0] != name {
+			t.Fatalf("lookup %s: %v %v", name, names, err)
+		}
 	}
 }
 
-// TestExperimentLookupRejectsUnknown: a typo fails with an error listing
-// every valid experiment.
+// TestExperimentLookupRejectsUnknown: a typo, or an experiment that has
+// been retired, fails with an error listing every valid experiment; the
+// -experiment usage text lists exactly the same names.
 func TestExperimentLookupRejectsUnknown(t *testing.T) {
-	_, err := lookupExperiments("tabel5")
-	if err == nil {
-		t.Fatal("unknown experiment must be rejected")
-	}
-	for _, want := range append([]string{"all", "realpipe", "gradsync", "calibrate"}, allOrder()...) {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not list valid experiment %q", err, want)
+	valid := validExperimentNames()
+	for _, name := range []string{"tabel5", "realpipe", "gradsync", "calibrate", "telemetry"} {
+		_, err := lookupExperiments(name)
+		if err == nil {
+			t.Fatalf("experiment %q must be rejected", name)
 		}
+		for _, want := range valid {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not list valid experiment %q", err, want)
+			}
+		}
+	}
+	f := flag.Lookup("experiment")
+	if f == nil {
+		t.Fatal("no -experiment flag registered")
+	}
+	if got := strings.Split(f.Usage, "|"); !slices.Equal(got, valid) {
+		t.Fatalf("-experiment usage lists %v, want %v", got, valid)
 	}
 }
 

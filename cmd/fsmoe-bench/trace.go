@@ -1,8 +1,8 @@
 package main
 
-// -trace: any experiment that executes real stream plans (realpipe, chaos,
-// telemetry) contributes its measured traces to one Chrome trace-event
-// document, written at exit. Load the file in chrome://tracing or
+// -trace: an experiment that executes real stream plans (chaos)
+// contributes its measured traces to one Chrome trace-event document,
+// written at exit. Load the file in chrome://tracing or
 // Perfetto: one process row group per captured pass, one thread row per
 // stream, fault/retry incidents as instant events.
 
@@ -33,7 +33,7 @@ func writeTraceCapture(path string) error {
 		return nil
 	}
 	if traceCapture.Len() == 0 {
-		return fmt.Errorf("-trace %s: no measured traces captured (run realpipe, chaos or telemetry)", path)
+		return fmt.Errorf("-trace %s: no measured traces captured (run chaos)", path)
 	}
 	f, err := os.Create(path)
 	if err != nil {

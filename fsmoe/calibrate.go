@@ -2,7 +2,7 @@ package fsmoe
 
 // Measured-cost calibration: the workflow that closes the Algorithm-1 loop
 // on this machine instead of on testbed constants. Calibrate runs a short
-// realpipe sweep — one measured sequential and one measured pipelined
+// sweep — one measured sequential and one measured pipelined
 // forward+backward pass of the executable World per strategy × pipeline
 // degree — and least-squares-fits the §4.1 linear cost models
 // (t = α + β·n per task kind) from the measured stage times, pairing each

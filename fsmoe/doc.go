@@ -98,8 +98,9 @@
 // a -tags purego build runs the loops alone, several times slower. Which
 // one a process runs is a line in its output, not a guess: the Chrome
 // trace labels every process "gemm kernel: avx2" or "gemm kernel:
-// portable", and fsmoe-bench -experiment calibrate notes it beside the
-// fitted expert cost. internal/tensor's package comment has the contract,
+// portable" (fsmoe-bench -experiment chaos -trace writes one; the
+// repository benchmark's tensor.matmul*_gflops rows time the kernels).
+// internal/tensor's package comment has the contract,
 // including what is not guaranteed for NaN and Inf operands.
 //
 // Ownership rules for pooled buffers: whoever calls GetTensor owns the

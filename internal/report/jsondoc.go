@@ -41,11 +41,6 @@ func (d *Doc) AddTable(tb *Table) {
 	})
 }
 
-// AddNote records one free-form note line.
-func (d *Doc) AddNote(line string) {
-	d.Notes = append(d.Notes, line)
-}
-
 // WriteFile writes the document to BENCH_<experiment>.json in the working
 // directory and returns the path written.
 func (d *Doc) WriteFile() (string, error) {
