@@ -81,8 +81,8 @@
 // # Compute runtime
 //
 // The real tensor path runs on a shared runtime (internal/tensor): experts
-// and attention heads execute concurrently on a lazily-started worker pool
-// sized by SetComputeWorkers, reading and writing their blocks of the
+// execute concurrently on a lazily-started worker pool sized by
+// GOMAXPROCS, reading and writing their blocks of the
 // (E, T, M) activations through zero-copy views, and transient buffers are
 // recycled through a free-list exposed here as GetTensor/PutTensor.
 // Parallelism never reorders floating-point accumulation — results are
@@ -115,7 +115,7 @@
 // Experts run under one execution contract, StagedExpert: Begin(PassBufs)
 // starts a pass over one (n, M) block on memory the caller owns — the
 // blocks, a hidden exchange buffer, ScratchElems of pass-private scratch, a
-// hidden-column range [Cl, Ch) and the driving stream's *WorkerPool — and
+// hidden-column range [Cl, Ch) and the *WorkerPool its GEMMs fan out onto — and
 // returns an ExpertPass whose stage methods take a window set of rows
 // (Windows: Count windows of N rows, Stride rows apart):
 // ForwardHidden/ForwardOut, then BeginBackward(dy, dx, hidden, GradDst),
@@ -170,16 +170,17 @@
 //
 // # Resource governance and calibration
 //
-// A World partitions the machine instead of letting every stream fight
-// over one queue: each rank's compute stream runs on an OS-thread-pinned
-// goroutine with its own scoped worker pool, communication staging
-// kernels share a small dedicated fan-out allotment (the staging streams
-// themselves still run concurrently — that concurrency is the pipeline's
-// structure), and the planned split is reported on every measured
-// pipelined trace (LastTrace().Resources; the sequential baseline runs
-// unbound on one goroutine and reports none). Results are bit-identical to
-// the shared process-wide pool at any width: the split changes contention,
-// never bytes.
+// A World sizes itself to the machine instead of giving every stream its
+// own processor, as the simulator does. Its plans run on one executor: k =
+// min(GOMAXPROCS, streams in the plan) workers, each taking the ready
+// stream head with the lowest task id — ready by the simulator's own start
+// rule, its stream idle and its dependencies finished. Every expert GEMM
+// fans out onto the World's one kernel pool, ⌊GOMAXPROCS/k⌋ wide for the
+// most workers its plans can have, so the k workers' kernels together never
+// exceed the machine; World.ResourcePlan reports (width, k). The sequential
+// baseline (StepConfig.Sequential) is the same executor at k = 1: task-id
+// order on the calling goroutine. Results are bit-identical at every k and
+// width: the executor changes contention, never bytes.
 //
 // Calibrate closes the remaining simulator-era loop: it measures a short
 // strategy × pipeline-degree sweep of the executable World on this
@@ -189,8 +190,7 @@
 // coefficients instead of testbed constants. Migrating: nothing changes
 // unless WorldConfig.Calibration is set; custom StagedExpert
 // implementations must route their GEMMs through PassBufs.Pool, the
-// *WorkerPool of the stream driving the pass (nil means the shared default
-// pool).
+// World's kernel pool (nil means the shared default pool).
 //
 // # Training steps and resident state
 //
@@ -356,15 +356,14 @@
 // forward/backward/tail parts and the remainder outside them (OutsideMS),
 // per-stream busy fractions, the overlap ratio vs the serialized task
 // time, per-expert token loads with utilization entropy and imbalance,
-// fault/retry/degraded tallies and the planned pool split — returns it on
+// and fault/retry/degraded tallies — returns it on
 // StepResult.Metrics and hands it to the sink. NewTelemetry creates a
 // metrics registry (counters, gauges, fixed-bucket histograms; an
 // expvar.Var), and NewRegistrySink folds step metrics into one.
 // ChromeTraceJSON / ChromeTraceBuilder / WriteChromeTrace export any
 // measured or simulated Trace as Chrome trace_event JSON for Perfetto or
-// chrome://tracing: one thread row per stream (annotated with its
-// worker/pinning binding), task kinds as categories, fault incidents as
-// instant events.
+// chrome://tracing: one thread row per stream, task kinds as categories,
+// fault incidents as instant events.
 //
 // Sink threading and ownership: OnStep is invoked synchronously from the
 // goroutine that finished the step, after the SGD update, never
@@ -385,7 +384,7 @@
 //
 // SetVerifyPlans(true) runs runtime.Plan.Verify on every stream plan a
 // World builds before it executes: dependency indices in range and
-// acyclic, streams declared, bindings resolvable, task kinds canonical,
+// acyclic, streams declared, task kinds canonical,
 // estimates non-negative — each violation a named sentinel error, all
 // violations joined. The flag is off by default (Verify walks the whole
 // task table); the test suites and CI run with it on.

@@ -232,14 +232,8 @@ func GetTensor(shape ...int) *Tensor { return tensor.Get(shape...) }
 // per GetTensor. It is a safe no-op for tensors of any other origin.
 func PutTensor(t *Tensor) { tensor.Put(t) }
 
-// SetComputeWorkers overrides the width of the shared worker pool that
-// parallelizes expert execution, attention heads and large GEMMs; n <= 0
-// restores the default (GOMAXPROCS). Width never changes results: work is
-// sharded so no float accumulation is reordered.
-func SetComputeWorkers(n int) { tensor.SetWorkers(n) }
-
-// WorkerPool is a scoped tensor worker pool with a fixed width, the unit
-// of the executable World's resource governance. Custom StagedExpert
+// WorkerPool is a scoped tensor worker pool with a fixed width: a World's
+// kernel pool is one. Custom StagedExpert
 // implementations receive one in PassBufs.Pool and should route their
 // GEMMs through its MatMul*Into methods; a nil
 // *WorkerPool designates the shared default pool.

@@ -532,17 +532,18 @@ func (w *World) DegreeResults() (fwd, bwd DegreeResult) { return w.degF, w.degB 
 // AutoDegree reports whether Algorithm 1 chose the degrees.
 func (w *World) AutoDegree() bool { return w.auto }
 
-// SetSequential switches between the pipelined stream executor (default)
-// and a single-goroutine no-overlap baseline; results are identical.
+// SetSequential switches between the k-worker executor (default) and the
+// no-overlap baseline, the same executor at k = 1: one task at a time, in
+// task-id order, on the calling goroutine. Results are identical.
 func (w *World) SetSequential(seq bool) { w.inner.SetSequential(seq) }
 
-// ResourcePlan reports the planned per-stream worker split: workers per
-// compute stream, each running on an OS-thread-pinned goroutine with its own
-// scoped tensor worker pool, and the shared communication allotment.
-// LastTrace().Resources reports the binding a measured pass ran under.
-func (w *World) ResourcePlan() (computeWorkers, commWorkers int) { return w.inner.ResourcePlan() }
+// ResourcePlan reports how the world sizes itself to the machine: the width
+// of its one kernel pool, which every expert GEMM fans out onto, and k, the
+// most plan workers that run at once. Their product never exceeds
+// GOMAXPROCS.
+func (w *World) ResourcePlan() (width, workers int) { return w.inner.ResourcePlan() }
 
-// Close releases the scoped pools' worker goroutines and retires the
+// Close releases the kernel pool's worker goroutines and retires the
 // world. A second Close, or a Forward/Backward after Close, fails with
 // ErrWorldClosed. Close waits for the checkpoint commit its stack last
 // started and returns that commit's failure (ErrCheckpointCommit), if any.

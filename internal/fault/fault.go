@@ -89,20 +89,38 @@ func IsTransient(err error) bool {
 }
 
 // IsPermanent reports whether err carries a permanent (rank-down) fault.
-func IsPermanent(err error) bool {
-	var fe *Error
-	return errors.As(err, &fe) && fe.Class == ClassPermanent
-}
+func IsPermanent(err error) bool { return permanent(err) != nil }
 
 // PermanentRank extracts the failed rank of a permanent fault wrapped
 // anywhere inside err (including errors.Join trees); ok is false when err
 // carries no permanent fault.
 func PermanentRank(err error) (rank int, ok bool) {
-	var fe *Error
-	if errors.As(err, &fe) && fe.Class == ClassPermanent {
+	if fe := permanent(err); fe != nil {
 		return fe.Rank, true
 	}
 	return -1, false
+}
+
+// permanent returns the first permanent fault in err's tree. errors.As would
+// stop at the first *Error, and a plan's joined error can list a task's
+// transient failure ahead of the permanent one that canceled the plan while
+// that task was between attempts.
+func permanent(err error) *Error {
+	switch e := err.(type) {
+	case *Error:
+		if e.Class == ClassPermanent {
+			return e
+		}
+	case interface{ Unwrap() error }:
+		return permanent(e.Unwrap())
+	case interface{ Unwrap() []error }:
+		for _, x := range e.Unwrap() {
+			if fe := permanent(x); fe != nil {
+				return fe
+			}
+		}
+	}
+	return nil
 }
 
 // StreamRank extracts the rank a stream name is pinned to: the runtime's
@@ -295,8 +313,9 @@ func (p *Plan) transientAt(stream, kind string, taskID, attempt int) bool {
 // transient error therefore aborts the collective with every buffer
 // untouched, and a retry replays it bit-safely. Each invocation counts as
 // one attempt of operation opID (callers must create one guard per planned
-// collective — the closure carries the attempt counter and is driven from
-// that collective's single stream goroutine, so it needs no locking).
+// collective — the closure carries the attempt counter, and a task's
+// attempts run one at a time on whichever executor worker holds the task,
+// so it needs no locking).
 //
 // taskID names the plan task the collective runs in (negative: none, the
 // caller retries the operation itself). Check fails some of that task's

@@ -24,6 +24,12 @@ func TestClassification(t *testing.T) {
 	if rank, ok := PermanentRank(joined); !ok || rank != 3 {
 		t.Fatalf("PermanentRank(joined) = %d,%v; want 3,true", rank, ok)
 	}
+	// A task's transient failure joined ahead of the permanent one, as when
+	// the plan was canceled while that task was between attempts.
+	behind := errors.Join(fmt.Errorf("runtime: task %q: %w", "D[1]", tr), wrapped)
+	if rank, ok := PermanentRank(behind); !ok || rank != 3 || !IsPermanent(behind) {
+		t.Fatalf("PermanentRank(transient, permanent) = %d,%v; want 3,true", rank, ok)
+	}
 	if rank, ok := PermanentRank(tr); ok || rank != -1 {
 		t.Fatalf("PermanentRank(transient) = %d,%v; want -1,false", rank, ok)
 	}

@@ -91,10 +91,11 @@ type PassBufs struct {
 	Hidden  *tensor.Tensor // (FwdBands·n, HiddenWidth) forward exchange buffer
 	Scratch []float64      // ScratchElems(n, Cl, Ch) pass-private elements, kept to the end of the backward
 	Cl, Ch  int            // this pass's hidden-column range
-	// Pool is the worker budget of the stream driving the pass: every GEMM of
-	// every stage must fan out onto it (nil designates the process-default
-	// pool), so concurrent compute streams stay inside their planned
-	// allotments. It never changes a result.
+	// Pool is the kernel pool every GEMM of every stage must fan out onto
+	// (nil designates the process-default pool). Under a World it is the
+	// world's one pool, of width ⌊GOMAXPROCS/k⌋ for the k plan workers
+	// that may each be inside a stage at once, so together they never
+	// exceed the machine. It never changes a result.
 	Pool *tensor.Pool
 }
 

@@ -271,14 +271,12 @@ func (w *World) recoverTo(ws *ckpt.WorldState, mode RecoveryMode, downRank int, 
 	}
 	w.addStats(rep.Traffic)
 
-	// Commit the new topology: swap the scoped pools to the new stream
+	// Commit the new topology: resize the kernel pool to the new stream
 	// count, install the new placement, drop the workspace cut for the old
 	// one, strip the injector's down trigger (the dead rank no longer
 	// exists in the rebuilt world), and clear the health state exactly as a
 	// manual ResetHealth would.
-	for _, p := range w.computePools {
-		p.Close()
-	}
+	w.pool.Close()
 	w.cfg = newCfg
 	w.egrp = newEgrp
 	w.pl = pl

@@ -489,8 +489,8 @@ func sameSink(a, b telemetry.Sink) bool {
 // buildStepMetrics assembles the step's structured record from quantities
 // the step already measured: the forward and backward traces (serial time,
 // per-stream busy time, fault/retry incidents), each layer's routing plan
-// (the FlexMoE per-expert load signal), the §5 sync report and the PR-5
-// resource plan. Called only when a sink is configured.
+// (the FlexMoE per-expert load signal) and the §5 sync report. Called only
+// when a sink is configured.
 func buildStepMetrics(worlds []*World, caches []*WorldCache, fwdTraces []*sim.Trace, res *StepResult, step int, recovs []*RecoveryReport) *telemetry.StepMetrics {
 	w0 := worlds[0]
 	m := &telemetry.StepMetrics{
@@ -520,7 +520,6 @@ func buildStepMetrics(worlds []*World, caches []*WorldCache, fwdTraces []*sim.Tr
 	for _, r := range recovs {
 		m.RecoveryMS += r.RecoveryMS
 	}
-	m.ComputeWorkers, m.CommWorkers = w0.ResourcePlan()
 	m.SyncHiddenBytes = res.Report.HiddenBytes
 	m.SyncTailBytes = res.Report.TailBytes
 	m.Finalize()

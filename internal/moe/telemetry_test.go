@@ -164,9 +164,6 @@ func TestStepMetricsStrategies(t *testing.T) {
 			if mtr.DroppedTokens != 0 {
 				t.Fatalf("f=∗ dropped %d tokens", mtr.DroppedTokens)
 			}
-			if mtr.ComputeWorkers < 1 || mtr.CommWorkers < 1 {
-				t.Fatalf("resource plan missing: %+v", mtr)
-			}
 			// The registry sink saw both steps (concurrent + sequential):
 			// 8 load-histogram samples each, gauges holding the last step.
 			snap := reg.Snapshot()

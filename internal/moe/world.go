@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
+	goruntime "runtime"
 	stdsync "sync"
 	"sync/atomic"
 	"time"
@@ -43,16 +43,13 @@ type World struct {
 	egrp  int       // experts per rank (expert-sharding owner groups)
 	pl    placement // cfg.Strategy resolved against the layer and rank count
 
-	// Resource governance: the planned worker split across live streams.
-	// Each rank's compute stream owns a scoped tensor pool of
-	// computeWorkers workers and runs on an OS-thread-pinned goroutine;
-	// the communication streams run their copies inline, so commWorkers is
-	// only the binding they report.
-	computeWorkers int
-	commWorkers    int
-	computePools   []*tensor.Pool
+	// Resource governance: up to workers plan tasks run at once (the
+	// executor's k for this world's streams), and every expert kernel fans
+	// out onto the one pool, whose width leaves room for all of them.
+	workers int
+	pool    *tensor.Pool
 
-	// Stream names, built once beside the pools: per rank compute:<r>, per
+	// Stream names, built once beside the pool: per rank compute:<r>, per
 	// expert-sharding group intra:g<G>.
 	computeStreams, groupStreams []string
 
@@ -221,30 +218,21 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 	return w, nil
 }
 
-// planResources decides the worker split across the plan's live streams
-// from the machine width at construction time: the R compute streams get
-// equal scoped pools, and a small allotment is set aside for the
-// communication streams, so nothing fans out onto one global queue (the
-// Lina-style compute/comm partition, applied to kernel fan-out). A
-// collective is a chain of copies on its stream's own goroutine — the
-// pipeline's structural concurrency — so the comm allotment is reserved,
-// not pooled. The split is a planned quantity: every executed plan binds it
-// to its streams, so the measured trace reports it alongside the intervals.
+// planResources sizes the world to the machine at construction time. Its
+// plans use at most R compute streams, one intra stream per group when g > 1,
+// and the inter stream, so the executor runs them on k = that count capped
+// at GOMAXPROCS workers (runtime.Plan.ExecuteCtx). The one kernel pool is
+// ⌊GOMAXPROCS/k⌋ wide, so k kernels fanning out at once never exceed the
+// machine.
 func (w *World) planResources() {
-	avail := tensor.Workers()
+	procs := goruntime.GOMAXPROCS(0)
 	R := w.cfg.Ranks
-	w.commWorkers = 1
-	if avail >= 4*R && avail >= 8 {
-		w.commWorkers = 2
+	streams := R + 1
+	if w.pl.g > 1 {
+		streams += R / w.pl.g
 	}
-	w.computeWorkers = (avail - w.commWorkers) / R
-	if w.computeWorkers < 1 {
-		w.computeWorkers = 1
-	}
-	w.computePools = make([]*tensor.Pool, R)
-	for j := range w.computePools {
-		w.computePools[j] = tensor.NewPool(w.computeWorkers)
-	}
+	w.workers = min(streams, procs)
+	w.pool = tensor.NewPool(max(1, procs/w.workers))
 	w.computeStreams = make([]string, R)
 	w.groupStreams = make([]string, R/w.pl.g)
 	for r := range w.computeStreams {
@@ -255,19 +243,20 @@ func (w *World) planResources() {
 	}
 }
 
-// ResourcePlan reports the planned per-stream worker split: workers per
-// compute stream and the shared communication allotment.
-func (w *World) ResourcePlan() (computeWorkers, commWorkers int) {
-	return w.computeWorkers, w.commWorkers
+// ResourcePlan reports how the world sizes itself to the machine: the
+// kernel pool's width and k, the most plan workers that run at once. Their
+// product never exceeds GOMAXPROCS.
+func (w *World) ResourcePlan() (width, workers int) {
+	return w.pool.Workers(), w.workers
 }
 
 // ErrWorldClosed reports use of a closed World: a second Close, or a
 // Forward/Backward after Close. Match it with errors.Is.
 var ErrWorldClosed = errors.New("moe: world is closed")
 
-// Close releases the scoped pools' worker goroutines and the token-path
+// Close releases the kernel pool's worker goroutines and the token-path
 // workspace and retires the world: subsequent Forward/Backward/Close calls
-// fail with ErrWorldClosed instead of stepping on released pools. The
+// fail with ErrWorldClosed instead of stepping on a released pool. The
 // world must be idle. Close also waits for the checkpoint commit its stack
 // last started and returns that commit's failure (ckpt.ErrCommit), if any.
 func (w *World) Close() error {
@@ -275,28 +264,13 @@ func (w *World) Close() error {
 		return fmt.Errorf("moe: double close: %w", ErrWorldClosed)
 	}
 	w.closed = true
-	for _, p := range w.computePools {
-		p.Close()
-	}
+	w.pool.Close()
 	w.ws = nil
 	if m := w.ckpt; m != nil {
 		w.ckpt = nil
 		return m.Wait()
 	}
 	return nil
-}
-
-// bindStreams records the resource plan on an executable plan: every live
-// compute stream is pinned with its scoped worker share; everything else
-// (the AlltoAll/AG/RS chains) carries the comm allotment.
-func (w *World) bindStreams(p *runtime.Plan) {
-	for _, s := range p.Streams() {
-		if strings.HasPrefix(s, "compute:") {
-			p.BindStream(s, runtime.Binding{Workers: w.computeWorkers, PinOS: true})
-		} else {
-			p.BindStream(s, runtime.Binding{Workers: w.commWorkers})
-		}
-	}
 }
 
 // Ranks returns R and Chunked whether the expert stages run chunk by chunk:
@@ -327,9 +301,11 @@ func (w *World) GroupSize() int {
 	return w.cfg.GroupSize
 }
 
-// SetSequential switches plan execution to the single-goroutine,
-// no-overlap baseline (true) or the pipelined stream executor (false).
-// Results are identical either way; only the wall-clock differs.
+// SetSequential switches plan execution to the no-overlap baseline, one
+// task at a time in id order on the calling goroutine (true), or back to
+// the k-worker executor (false). Both are runtime.Plan's one executor, at
+// k = 1 and at the plan's k. Results are identical either way; only the
+// wall-clock differs.
 func (w *World) SetSequential(seq bool) { w.seq = seq }
 
 // Stats returns the cumulative collective traffic of every pass so far.
@@ -514,7 +490,6 @@ func (w *World) forward(x *tensor.Tensor, train, inner bool) (*tensor.Tensor, *W
 
 	p := runtime.NewPlan()
 	w.BuildForward(p, cache, cache.scattered, combined)
-	w.bindStreams(p)
 	if err := w.run(p); err != nil {
 		// Every task has drained; nothing of the aborted pass is read again.
 		w.release(cache)
@@ -566,7 +541,6 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, inner bool) (*ten
 
 	p := runtime.NewPlan()
 	w.BuildBackward(p, cache, dpad, dScattered)
-	w.bindStreams(p)
 	if err := w.run(p); err != nil {
 		if rank, ok := fault.PermanentRank(err); ok {
 			w.down = rank

@@ -101,8 +101,8 @@ func BenchmarkWorldDegrees(b *testing.B) {
 // BenchmarkWorldGrid measures one fwd+bwd pass per cell of the (group
 // width, degree) grid at R=4 — g=1 is EP's plan, g=4 ESP's, g=2 the interior
 // hybrid — plus DenseSlots over a SoftMoE gate: the sweep the CI smoke step
-// executes with -benchtime=1x. Every cell runs under resource governance:
-// per-stream scoped pools and pinned compute streams.
+// executes with -benchtime=1x. Every cell runs its plans on the k-worker
+// executor over the world's one kernel pool.
 func BenchmarkWorldGrid(b *testing.B) {
 	const m, e, h, tokens = 64, 8, 128, 512
 	type cell struct {

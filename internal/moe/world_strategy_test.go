@@ -2,6 +2,7 @@ package moe
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -350,54 +351,41 @@ func TestWorldStepStrategies(t *testing.T) {
 	}
 }
 
-// TestWorldResourceBindings pins the resource-governance contract: the
-// measured trace of a world reports exactly the planned worker split
-// (pinned compute streams with the compute share, everything else the comm
-// allotment) for every live stream, and the pass stays bit-identical to the
-// sequential layer.
-func TestWorldResourceBindings(t *testing.T) {
+// TestWorldSizedToProcs pins the resource contract at GOMAXPROCS 1 and 2:
+// the EP and ESP worlds stay bit-identical to the sequential layer whatever
+// the executor's k, and ResourcePlan's k workers of the kernel pool's width
+// never exceed the machine.
+func TestWorldSizedToProcs(t *testing.T) {
 	x := tensor.RandN(xrand.New(65), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(66), 1, 96, 32)
-	for _, strat := range []Strategy{StrategyEP, StrategyESP} {
-		layer := strategyLayer(t, strat, false)
-		want := runSequentialLayer(t, layer, x, dy)
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		goruntime.GOMAXPROCS(procs)
+		for _, strat := range []Strategy{StrategyEP, StrategyESP} {
+			layer := strategyLayer(t, strat, false)
+			want := runSequentialLayer(t, layer, x, dy)
 
-		w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: strat})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		layer.ZeroGrad()
-		y, cache, err := w.Forward(x, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dx, err := w.Backward(cache, dy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareSnapshots(t, fmt.Sprintf("%s scoped pools", strat), want,
-			worldSnapshot{y: y, dx: dx, grads: snapGrads(layer)})
-		cw, mw := w.ResourcePlan()
-		if cw < 1 || mw < 1 {
-			t.Fatalf("%s: degenerate resource plan (%d, %d)", strat, cw, mw)
-		}
-		res := w.LastTrace().Resources
-		if len(res) == 0 {
-			t.Fatalf("%s: scoped trace carries no resource report", strat)
-		}
-		for s, r := range res {
-			if strings.HasPrefix(s, "compute:") {
-				if r.Workers != cw || !r.Pinned {
-					t.Fatalf("%s: compute stream %s bound %+v, want workers=%d pinned", strat, s, r, cw)
-				}
-			} else if r.Workers != mw || r.Pinned {
-				t.Fatalf("%s: comm stream %s bound %+v, want workers=%d unpinned", strat, s, r, mw)
+			w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: strat})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, s := range w.LastPlan().Streams() {
-			if _, ok := res[s]; !ok {
-				t.Fatalf("%s: live stream %s missing from the resource report", strat, s)
+			layer.ZeroGrad()
+			y, cache, err := w.Forward(x, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dx, err := w.Backward(cache, dy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareSnapshots(t, fmt.Sprintf("%s at GOMAXPROCS=%d", strat, procs), want,
+				worldSnapshot{y: y, dx: dx, grads: snapGrads(layer)})
+			width, k := w.ResourcePlan()
+			if width < 1 || k < 1 || width*k > procs {
+				t.Fatalf("%s at GOMAXPROCS=%d: %d workers × width %d", strat, procs, k, width)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -135,7 +135,7 @@ func TestRealErrorsNeverRetried(t *testing.T) {
 
 // TestPermanentCancelsAndDrains: a permanent fault cancels the rest of the
 // plan cooperatively — downstream tasks are skipped (recorded as skip
-// events), every done channel closes, and no goroutine leaks.
+// events), every remaining task is still taken, and no goroutine leaks.
 func TestPermanentCancelsAndDrains(t *testing.T) {
 	defer leakCheck(t)()
 	p := NewPlan()
@@ -268,6 +268,50 @@ func TestSequentialCtxMatchesFaults(t *testing.T) {
 	if trPar.EventCount(sim.EventFault) != trSeq.EventCount(sim.EventFault) {
 		t.Fatalf("fault counts differ: parallel %d, sequential %d",
 			trPar.EventCount(sim.EventFault), trSeq.EventCount(sim.EventFault))
+	}
+}
+
+// TestSequentialIsOneWorker: ExecuteSequential starts the tasks in
+// ascending id order, and at GOMAXPROCS=1 ExecuteCtx is the same k = 1
+// executor, so on TestSequentialCtxMatchesFaults' plan both start the same
+// tasks in the same order and record the same fault and retry events.
+func TestSequentialIsOneWorker(t *testing.T) {
+	withProcs(t, 1)
+	run := func(exec func(*Plan) (*sim.Trace, error)) ([]int, []sim.Event) {
+		p := NewPlan()
+		var started []int
+		for i := 0; i < 6; i++ {
+			p.Add(fmt.Sprintf("T%d", i), "AlltoAll", fmt.Sprintf("s%d", i%3), 1, func() error {
+				started = append(started, i)
+				return nil
+			})
+		}
+		p.SetFaultPlan(fault.New(fault.Spec{Seed: 9, TransientProb: 0.8, MaxTransientsPerTask: 2}))
+		p.SetRetry(RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Microsecond})
+		tr, err := exec(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tr.Events {
+			tr.Events[i].AtMS = 0
+		}
+		return started, tr.Events
+	}
+	seqStarted, seqEvents := run((*Plan).ExecuteSequential)
+	for i, id := range seqStarted {
+		if id != i {
+			t.Fatalf("sequential start order %v, want ascending ids", seqStarted)
+		}
+	}
+	if len(seqStarted) != 6 || len(seqEvents) == 0 {
+		t.Fatalf("sequential run started %v and recorded %d events; the plan must start 6 tasks and fault", seqStarted, len(seqEvents))
+	}
+	parStarted, parEvents := run((*Plan).Execute)
+	if fmt.Sprint(parStarted) != fmt.Sprint(seqStarted) {
+		t.Fatalf("start order at k = 1: Execute %v, ExecuteSequential %v", parStarted, seqStarted)
+	}
+	if fmt.Sprint(parEvents) != fmt.Sprint(seqEvents) {
+		t.Fatalf("events at k = 1 differ:\nExecute           %+v\nExecuteSequential %+v", parEvents, seqEvents)
 	}
 }
 

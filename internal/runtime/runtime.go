@@ -1,23 +1,30 @@
 // Package runtime executes stream-based schedules for real.
 //
-// It is the executable twin of internal/sim: the same mental model — a set
-// of serialized streams, tasks enqueued per stream in program order, a task
-// starting once its stream is free and its dependencies finished — but the
-// tasks here carry closures that move real bytes and run real GEMMs, and
-// the trace that comes back holds *measured* wall-clock intervals instead
-// of modelled durations.
+// It is the executable twin of internal/sim: the same model — a set of
+// serialized streams, tasks enqueued per stream in program order — and the
+// same start rule as sim.Graph.Run: a stream's head task may start once its
+// stream is idle and every one of its dependencies has finished. The tasks
+// here carry closures that move real bytes and run real GEMMs, and the
+// trace that comes back holds *measured* wall-clock intervals instead of
+// modelled durations.
 //
 // A Plan is built exactly like a sim.Graph and is one artifact with two
 // interpretations:
 //
 //   - Simulate() feeds the tasks' estimated durations through the
-//     discrete-event engine and returns the predicted trace;
-//   - Execute() backs every stream with a goroutine, runs the closures
-//     under the enqueue-order + dependency discipline, and returns the
-//     measured trace;
-//   - ExecuteSequential() runs the same closures one after another on a
-//     single goroutine — the no-overlap baseline that turns "pipelining
+//     discrete-event engine, which gives every stream its own processor,
+//     and returns the predicted trace;
+//   - Execute() runs the closures on k = min(GOMAXPROCS, streams) workers
+//     and returns the measured trace; ExecuteSequential() is the same
+//     executor at k = 1 — the no-overlap baseline that turns "pipelining
 //     helps" from a simulator claim into a wall-clock measurement.
+//
+// The executor is a list scheduler. Its workers share one scan of the
+// stream heads under one mutex, and a free worker takes the ready head with
+// the lowest task id. Ids are topological — a task's dependencies and its
+// stream predecessors all have lower ids — so the lowest unfinished task is
+// always ready or running. Hence no k can deadlock, and at k = 1 the tasks
+// run in id order.
 //
 // Because a task's closure mutates real buffers (and parameter-gradient
 // accumulators), a Plan is single-shot: build a fresh Plan per execution.
@@ -45,24 +52,14 @@ type task struct {
 	est    float64 // modelled duration (ms) for Simulate
 	fn     func() error
 	deps   []int
-
-	done chan struct{} // closed when the task finished (Execute only)
 }
 
-// Binding is the planned execution-resource assignment of one stream: the
-// tensor-pool worker share its tasks' kernels fan out onto, and whether the
-// stream's executor goroutine is pinned to an OS thread for the duration of
-// Execute. The binding itself is declarative — the pool that realizes the
-// worker share is threaded into the task closures by whoever builds the
-// plan — but it is what the measured trace reports, so the planned split
-// and the measured intervals travel together.
+// Binding is an inert per-stream record: the executor never reads it and
+// no plan builder in this module sets it. It stays for the repository
+// benchmark's dispatch probe, the last caller of BindStream and Bindings,
+// which copies a plan's bindings onto its replica.
 type Binding struct {
-	// Workers is the planned tensor-pool worker share: the fan-out budget
-	// of the kernels this stream's tasks run, not a cap on how many bound
-	// streams execute concurrently (each stream always has its own
-	// executor goroutine). 0 = unbound, shared default pool.
 	Workers int
-	PinOS   bool // pin the stream's executor goroutine via runtime.LockOSThread
 }
 
 // RetryPolicy bounds the re-execution of tasks that fail with a
@@ -167,10 +164,8 @@ func NewPlan() *Plan {
 	return &Plan{streams: make(map[string][]int)}
 }
 
-// BindStream records the resource binding of a stream. Execute pins bound
-// streams' goroutines when requested and attaches every binding to the
-// measured trace. Binding a stream that ends up with no tasks is allowed
-// and reported; the last binding for a name wins.
+// BindStream records a stream's Binding; the last binding for a name wins.
+// Nothing executes differently for it.
 func (p *Plan) BindStream(stream string, b Binding) {
 	if p.bindings == nil {
 		p.bindings = make(map[string]Binding)
@@ -178,7 +173,7 @@ func (p *Plan) BindStream(stream string, b Binding) {
 	p.bindings[stream] = b
 }
 
-// Bindings returns a copy of the stream resource bindings.
+// Bindings returns a copy of the recorded bindings.
 func (p *Plan) Bindings() map[string]Binding {
 	out := make(map[string]Binding, len(p.bindings))
 	for s, b := range p.bindings {
@@ -204,18 +199,6 @@ func (p *Plan) Tasks() []TaskInfo {
 	out := make([]TaskInfo, len(p.tasks))
 	for i, t := range p.tasks {
 		out[i] = TaskInfo{ID: t.id, Label: t.label, Kind: t.kind, Stream: t.stream, Est: t.est, Deps: append([]int(nil), t.deps...)}
-	}
-	return out
-}
-
-// resources converts the bindings into the trace-attached report.
-func (p *Plan) resources() map[string]sim.StreamResources {
-	if len(p.bindings) == 0 {
-		return nil
-	}
-	out := make(map[string]sim.StreamResources, len(p.bindings))
-	for s, b := range p.bindings {
-		out[s] = sim.StreamResources{Workers: b.Workers, Pinned: b.PinOS}
 	}
 	return out
 }
@@ -281,40 +264,31 @@ func (p *Plan) markExecuted() error {
 	return nil
 }
 
-// execState is the cancellation and incident-recording state shared by
-// every stream goroutine of one execution.
+// execState is the state the workers of one execution share. mu guards
+// the incident log and the scheduling state: where each stream's queue
+// stands and which tasks have finished.
 type execState struct {
-	ctx      context.Context
-	t0       time.Time
-	stop     chan struct{} // closed on cooperative cancellation
-	stopOnce sync.Once
-	mu       sync.Mutex
-	events   []sim.Event
+	// ctx is the caller's context with one more way to end: cancel, on a
+	// permanent fault. Canceled, it stops new task bodies from being issued
+	// (in-flight closures finish naturally) and cuts backoff and straggler
+	// sleeps short; the workers still take every task, so the call returns
+	// with no goroutine left behind.
+	ctx     context.Context
+	cancel  context.CancelFunc
+	t0      time.Time
+	timings []timing // per task, written by the worker that took it
+
+	mu     sync.Mutex
+	cond   sync.Cond // signalled when a head is ready for a waiting worker
+	events []sim.Event
+	queues [][]int // per stream, its task ids in enqueue order
+	head   []int   // per stream, the position of its first untaken task
+	busy   []bool  // per stream, one of its tasks is running
+	done   []bool  // per task, finished (run, failed or skipped)
+	left   int     // tasks not yet taken
 }
 
-// cancel requests cooperative cancellation: streams stop issuing new task
-// bodies (in-flight closures finish naturally) but keep draining their
-// queues and closing done channels, so every waiter unblocks and no
-// goroutine leaks.
-func (e *execState) cancel() { e.stopOnce.Do(func() { close(e.stop) }) }
-
-func (e *execState) canceled() bool {
-	select {
-	case <-e.stop:
-		return true
-	default:
-	}
-	// The watcher goroutine propagates external cancellation into the
-	// stop channel asynchronously; consulting the context here as well
-	// makes cancellation synchronous from the canceller's side — once
-	// ctx.Err() is non-nil, no stream issues another task body no matter
-	// how the watcher is scheduled.
-	if e.ctx != nil && e.ctx.Err() != nil {
-		e.cancel()
-		return true
-	}
-	return false
-}
+func (e *execState) canceled() bool { return e.ctx.Err() != nil }
 
 func (e *execState) record(ev sim.Event) {
 	ev.AtMS = time.Since(e.t0).Seconds() * 1e3
@@ -334,7 +308,7 @@ func (e *execState) sleep(d time.Duration) bool {
 	select {
 	case <-timer.C:
 		return true
-	case <-e.stop:
+	case <-e.ctx.Done():
 		return false
 	}
 }
@@ -397,35 +371,139 @@ type timing struct {
 	err           error
 }
 
-// skipTask marks a task dropped by cooperative cancellation.
-func (p *Plan) skipTask(e *execState, tm *timing, t *task) {
-	now := time.Since(e.t0)
-	tm.start, tm.finish = now, now
-	e.record(taskEvent(sim.EventSkip, t, 0, "canceled"))
+// runTask runs one task taken by a worker, or records it skipped once the
+// execution is canceled.
+func (p *Plan) runTask(e *execState, t *task) {
+	tm := &e.timings[t.id]
+	if e.canceled() {
+		now := time.Since(e.t0)
+		tm.start, tm.finish = now, now
+		e.record(taskEvent(sim.EventSkip, t, 0, "canceled"))
+		return
+	}
+	tm.start = time.Since(e.t0)
+	tm.err = p.runAttempts(e, t)
+	tm.finish = time.Since(e.t0)
+}
+
+// next returns the stream whose head is ready with the lowest task id (-1
+// when no head is ready), and whether another head is ready too. A head is
+// ready when its stream is idle and all its dependencies have finished:
+// sim.Graph.Run's start rule.
+func (e *execState) next(tasks []*task) (best int, more bool) {
+	best, bestID := -1, 0
+	for i, q := range e.queues {
+		if e.busy[i] || e.head[i] == len(q) {
+			continue
+		}
+		id := q[e.head[i]]
+		if !e.depsDone(tasks[id]) {
+			continue
+		}
+		if best >= 0 {
+			more = true
+			if id > bestID {
+				continue
+			}
+		}
+		best, bestID = i, id
+	}
+	return best, more
+}
+
+func (e *execState) depsDone(t *task) bool {
+	for _, d := range t.deps {
+		if !e.done[d] {
+			return false
+		}
+	}
+	return true
+}
+
+// work is one worker: it takes the lowest ready head, runs it outside the
+// lock and repeats until every task is taken. Only a finished task makes a
+// head ready, and the worker that finished it scans next, so a worker waits
+// only while no head is ready; whoever takes a head while another is ready
+// wakes one waiter for it.
+func (p *Plan) work(e *execState) {
+	e.mu.Lock()
+	for e.left > 0 {
+		i, more := e.next(p.tasks)
+		if i < 0 {
+			e.cond.Wait()
+			continue
+		}
+		id := e.queues[i][e.head[i]]
+		e.head[i]++
+		e.busy[i] = true
+		e.left--
+		if more {
+			e.cond.Signal()
+		}
+		e.mu.Unlock()
+		p.runTask(e, p.tasks[id])
+		e.mu.Lock()
+		e.done[id] = true
+		e.busy[i] = false
+	}
+	// Waiters see left == 0 and leave too.
+	e.cond.Broadcast()
+	e.mu.Unlock()
+}
+
+// execute runs the plan on k workers, the calling goroutine among them.
+func (p *Plan) execute(ctx context.Context, k int) (*sim.Trace, error) {
+	if err := p.markExecuted(); err != nil {
+		return nil, err
+	}
+	e := &execState{
+		t0:      time.Now(),
+		timings: make([]timing, len(p.tasks)),
+		queues:  make([][]int, len(p.order)),
+		head:    make([]int, len(p.order)),
+		busy:    make([]bool, len(p.order)),
+		done:    make([]bool, len(p.tasks)),
+		left:    len(p.tasks),
+	}
+	e.ctx, e.cancel = context.WithCancel(ctx)
+	defer e.cancel()
+	e.cond.L = &e.mu
+	for i, name := range p.order {
+		e.queues[i] = p.streams[name]
+	}
+	var wg sync.WaitGroup
+	for range k - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.work(e)
+		}()
+	}
+	p.work(e)
+	wg.Wait()
+	return p.finishTrace(ctx, e)
 }
 
 // finishTrace assembles the measured trace and the joined error set.
-func (p *Plan) finishTrace(e *execState, timings []timing, withResources bool) (*sim.Trace, error) {
+func (p *Plan) finishTrace(ctx context.Context, e *execState) (*sim.Trace, error) {
 	var errs []error
 	intervals := make([]sim.Interval, len(p.tasks))
 	for i, t := range p.tasks {
-		if timings[i].err != nil {
-			errs = append(errs, timings[i].err)
+		tm := e.timings[i]
+		if tm.err != nil {
+			errs = append(errs, tm.err)
 		}
 		intervals[i] = sim.Interval{
 			Task:   sim.NewTask(t.id, t.label, t.kind, t.stream, t.deps),
-			Start:  timings[i].start.Seconds() * 1e3,
-			Finish: timings[i].finish.Seconds() * 1e3,
+			Start:  tm.start.Seconds() * 1e3,
+			Finish: tm.finish.Seconds() * 1e3,
 		}
 	}
-	if err := e.ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		errs = append(errs, fmt.Errorf("runtime: execution canceled: %w", err))
 	}
 	tr := sim.NewTrace(intervals, p.order)
 	tr.Events = e.events
-	if withResources {
-		tr.Resources = p.resources()
-	}
 	return tr, errors.Join(errs...)
 }
 
@@ -434,94 +512,28 @@ func (p *Plan) Execute() (*sim.Trace, error) {
 	return p.ExecuteCtx(context.Background())
 }
 
-// ExecuteCtx runs the plan for real: one goroutine per stream, tasks
-// issued in enqueue order, each waiting for its dependencies before
-// running. The returned trace holds measured wall-clock intervals in
-// milliseconds relative to the execution start.
+// ExecuteCtx runs the plan for real on k = min(GOMAXPROCS, streams)
+// workers, the calling goroutine among them. A worker takes the ready
+// stream head with the lowest task id — ready by sim.Graph.Run's start
+// rule: its stream idle, its dependencies finished — so each stream runs
+// one task at a time in enqueue order, and at most k task bodies run at
+// once. The lowest unfinished task is always ready or running, so the
+// workers never deadlock. The returned trace holds measured wall-clock
+// intervals in milliseconds relative to the execution start.
 //
 // Failure semantics: an ordinary task error aborts nothing — streams
 // drain fully and downstream tasks still run (their inputs may be
 // garbage, which the caller must treat as fatal). A transient injected
-// fault is retried under the plan's RetryPolicy with exponential backoff.
+// fault is retried under the plan's RetryPolicy with exponential backoff;
+// a task's attempts run one after another on the worker that took it.
 // A permanent fault, a ctx cancellation or an expired ctx deadline
 // triggers cooperative cancellation instead: no further task bodies are
-// issued, but every stream still drains its queue and closes every done
-// channel, so the call always returns with zero leaked goroutines. All
-// task errors are collected and returned via errors.Join (plus the ctx
-// error when cancellation came from outside).
+// issued, but the workers still take and skip every remaining task, so
+// the call always returns with zero leaked goroutines. All task errors
+// are collected and returned via errors.Join (plus the ctx error when
+// cancellation came from outside).
 func (p *Plan) ExecuteCtx(ctx context.Context) (*sim.Trace, error) {
-	if err := p.markExecuted(); err != nil {
-		return nil, err
-	}
-	for _, t := range p.tasks {
-		t.done = make(chan struct{})
-	}
-	timings := make([]timing, len(p.tasks))
-	e := &execState{ctx: ctx, t0: time.Now(), stop: make(chan struct{})}
-
-	// The ctx watcher translates external cancellation into the shared
-	// cooperative stop; fin retires it on normal completion so it never
-	// outlives the call. With a background ctx (nil Done) the watcher is
-	// skipped entirely — the zero-fault fast path spawns exactly the
-	// stream goroutines it always did.
-	var fin chan struct{}
-	var watcher sync.WaitGroup
-	if ctx.Done() != nil {
-		fin = make(chan struct{})
-		watcher.Add(1)
-		go func() {
-			defer watcher.Done()
-			select {
-			case <-ctx.Done():
-				e.cancel()
-			case <-fin:
-			}
-		}()
-	}
-
-	var wg sync.WaitGroup
-	for _, s := range p.order {
-		queue := p.streams[s]
-		pin := p.bindings[s].PinOS
-		wg.Add(1)
-		go func(queue []int) {
-			defer wg.Done()
-			if pin {
-				// Pin the stream's executor to an OS thread for its whole
-				// queue — the CPU analogue of issuing a CUDA stream from a
-				// dedicated, affinity-stable host thread. The scheduler
-				// keeps the thread's cache and NUMA placement stable
-				// instead of migrating the goroutine mid-pipeline.
-				goruntime.LockOSThread()
-				defer goruntime.UnlockOSThread()
-			}
-			for _, id := range queue {
-				t := p.tasks[id]
-				// A dependency was enqueued earlier on this or another
-				// stream; waiting on its done channel realizes the same
-				// start rule as the simulator. Done channels close even
-				// for skipped tasks, so draining never deadlocks.
-				for _, d := range t.deps {
-					<-p.tasks[d].done
-				}
-				if e.canceled() {
-					p.skipTask(e, &timings[id], t)
-					close(t.done)
-					continue
-				}
-				timings[id].start = time.Since(e.t0)
-				timings[id].err = p.runAttempts(e, t)
-				timings[id].finish = time.Since(e.t0)
-				close(t.done)
-			}
-		}(queue)
-	}
-	wg.Wait()
-	if fin != nil {
-		close(fin)
-		watcher.Wait()
-	}
-	return p.finishTrace(e, timings, true)
+	return p.execute(ctx, max(1, min(goruntime.GOMAXPROCS(0), len(p.order))))
 }
 
 // ExecuteSequential runs every closure one after another with no
@@ -530,42 +542,15 @@ func (p *Plan) ExecuteSequential() (*sim.Trace, error) {
 	return p.ExecuteSequentialCtx(context.Background())
 }
 
-// ExecuteSequentialCtx runs every closure one after another in task-id
-// order (ids are topological: deps always precede their dependents) on
-// the calling goroutine, with no cross-stream overlap — the measured
-// baseline a pipelined Execute is compared against. The trace attributes
-// each task to its declared stream so breakdowns stay comparable.
-// Injection, retry, cancellation and error collection follow ExecuteCtx
-// exactly (the fault decisions are keyed on task ids, so the same faults
-// fire in both modes); remaining tasks after a permanent fault or ctx
-// cancellation are skipped.
+// ExecuteSequentialCtx is ExecuteCtx at k = 1: one worker, the calling
+// goroutine, which always finds the lowest unfinished task ready and so
+// runs the closures in task-id order with no cross-stream overlap — the
+// measured baseline a pipelined Execute is compared against. The trace
+// attributes each task to its declared stream so breakdowns stay
+// comparable, and the fault decisions are keyed on task ids, so the same
+// faults fire in both modes.
 func (p *Plan) ExecuteSequentialCtx(ctx context.Context) (*sim.Trace, error) {
-	if err := p.markExecuted(); err != nil {
-		return nil, err
-	}
-	timings := make([]timing, len(p.tasks))
-	e := &execState{ctx: ctx, t0: time.Now(), stop: make(chan struct{})}
-	stop := ctx.Done()
-	for i, t := range p.tasks {
-		if !e.canceled() && stop != nil {
-			select {
-			case <-stop:
-				e.cancel()
-			default:
-			}
-		}
-		if e.canceled() {
-			p.skipTask(e, &timings[i], t)
-			continue
-		}
-		timings[i].start = time.Since(e.t0)
-		timings[i].err = p.runAttempts(e, t)
-		timings[i].finish = time.Since(e.t0)
-	}
-	// No resource report: a trace documents the binding the execution ran
-	// under, and the sequential baseline runs everything on one unpinned
-	// goroutine regardless of what the plan declared.
-	return p.finishTrace(e, timings, false)
+	return p.execute(ctx, 1)
 }
 
 // Durations extracts per-task durations (ms) from a trace indexed by task

@@ -3,6 +3,8 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	goruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -62,117 +64,160 @@ func TestExecuteRespectsDeps(t *testing.T) {
 	}
 }
 
-// TestExecuteStreamSerialization checks that two tasks on the same stream
-// never overlap even without an explicit dependency, while independent
-// tasks on different streams genuinely run concurrently.
-func TestExecuteStreamSerialization(t *testing.T) {
-	p := NewPlan()
-	var inflight, maxInflight, sameStreamInflight atomic.Int32
-	busy := func(stream *atomic.Int32) func() error {
-		return func() error {
-			if stream != nil {
-				if stream.Add(1) > 1 {
-					t.Error("two tasks on one stream ran concurrently")
-				}
+// procs are the GOMAXPROCS values the executor-contract tests run under:
+// k = 1, k = 2 and, on plans with enough streams, k = 4 workers.
+var procs = []int{1, 2, 4}
+
+// withProcs sets GOMAXPROCS to n for the rest of the (sub)test.
+func withProcs(t *testing.T, n int) {
+	prev := goruntime.GOMAXPROCS(n)
+	t.Cleanup(func() { goruntime.GOMAXPROCS(prev) })
+}
+
+// occupancy wraps task bodies to record how many run at once, in all and
+// per stream, the order each stream started its tasks in, and whether any
+// started before one of its dependencies finished.
+type occupancy struct {
+	t              *testing.T
+	inflight, peak atomic.Int32
+	perStream      map[string]*atomic.Int32
+	finished       []atomic.Bool // per task id
+	mu             sync.Mutex
+	started        map[string][]int
+}
+
+func newOccupancy(t *testing.T, tasks int) *occupancy {
+	return &occupancy{t: t, perStream: map[string]*atomic.Int32{}, finished: make([]atomic.Bool, tasks), started: map[string][]int{}}
+}
+
+// add enqueues work on p's stream as a task depending on deps.
+func (o *occupancy) add(p *Plan, stream string, work func(), deps ...int) int {
+	if o.perStream[stream] == nil {
+		o.perStream[stream] = new(atomic.Int32)
+	}
+	running, id := o.perStream[stream], p.Len()
+	return p.Add("T", "k", stream, 1, func() error {
+		for _, d := range deps {
+			if !o.finished[d].Load() {
+				o.t.Errorf("task %d started before its dependency %d finished", id, d)
 			}
-			n := inflight.Add(1)
-			for {
-				m := maxInflight.Load()
-				if n <= m || maxInflight.CompareAndSwap(m, n) {
-					break
-				}
-			}
-			time.Sleep(5 * time.Millisecond)
-			inflight.Add(-1)
-			if stream != nil {
-				stream.Add(-1)
-			}
-			return nil
 		}
+		if running.Add(1) > 1 {
+			o.t.Errorf("stream %s ran two tasks at once", stream)
+		}
+		n := o.inflight.Add(1)
+		for m := o.peak.Load(); n > m && !o.peak.CompareAndSwap(m, n); m = o.peak.Load() {
+		}
+		o.mu.Lock()
+		o.started[stream] = append(o.started[stream], id)
+		o.mu.Unlock()
+		work()
+		o.finished[id].Store(true)
+		o.inflight.Add(-1)
+		running.Add(-1)
+		return nil
+	}, deps...)
+}
+
+// check asserts the rest of the executor contract on a finished run: at
+// most k bodies ran at once, and each stream started its tasks in enqueue
+// order.
+func (o *occupancy) check(p *Plan, k int) {
+	o.t.Helper()
+	if peak := o.peak.Load(); peak > int32(k) {
+		o.t.Fatalf("%d task bodies ran at once on k = %d workers", peak, k)
 	}
-	for i := 0; i < 3; i++ {
-		p.Add("S", "k", "serial", 1, busy(&sameStreamInflight))
-	}
-	for i := 0; i < 3; i++ {
-		p.Add("P", "k", "other", 1, busy(nil))
-	}
-	if _, err := p.Execute(); err != nil {
-		t.Fatal(err)
-	}
-	if maxInflight.Load() < 2 {
-		t.Fatalf("independent streams never overlapped (max inflight %d)", maxInflight.Load())
+	for _, name := range p.Streams() {
+		if got, want := fmt.Sprint(o.started[name]), fmt.Sprint(p.streams[name]); got != want {
+			o.t.Fatalf("stream %s started %v, enqueue order %v", name, got, want)
+		}
 	}
 }
 
-// TestExecuteContentionResourceReport drives Execute with more live
-// streams than pool workers: six streams whose tasks all hammer one
-// width-2 scoped tensor pool, a chain dependency per stream and a
-// cross-stream barrier task. Under -race this pins that (a) stream
-// serialization and dependency discipline survive worker contention —
-// tasks blocked on the shared pool must not let a later task on their
-// stream start — and (b) the measured trace's resource report matches the
-// declared bindings exactly, including a bound-but-empty stream.
-func TestExecuteContentionResourceReport(t *testing.T) {
+// TestExecuteStreamSerialization checks the executor contract at GOMAXPROCS
+// 1, 2 and 4 on a gate task and six streams of three sleeping tasks, each
+// stream's first task waiting on the gate: no two bodies of one stream ever
+// run at once, each stream runs in enqueue order, no more than k bodies run
+// at once, and at k ≥ 2 independent streams do overlap. A stream's tasks
+// have consecutive ids, so the lowest-id rule alone would run them back to
+// back; and the workers idle behind the gate must be woken when it finishes.
+func TestExecuteStreamSerialization(t *testing.T) {
+	const streams, perStream = 6, 3
+	sleep := func() { time.Sleep(2 * time.Millisecond) }
+	for _, n := range procs {
+		t.Run(fmt.Sprintf("procs=%d", n), func(t *testing.T) {
+			withProcs(t, n)
+			p := NewPlan()
+			o := newOccupancy(t, 1+streams*perStream)
+			gate := o.add(p, "gate", sleep)
+			for s := 0; s < streams; s++ {
+				name := fmt.Sprintf("s%d", s)
+				o.add(p, name, sleep, gate)
+				for i := 1; i < perStream; i++ {
+					o.add(p, name, sleep)
+				}
+			}
+			if _, err := p.Execute(); err != nil {
+				t.Fatal(err)
+			}
+			k := min(n, 1+streams)
+			o.check(p, k)
+			if k >= 2 && o.peak.Load() < 2 {
+				t.Fatalf("independent streams never overlapped at k = %d", k)
+			}
+		})
+	}
+}
+
+// TestExecuteContention drives Execute with more live streams than pool
+// workers: six streams whose tasks all hammer one width-2 scoped tensor
+// pool, a chain dependency per stream and a cross-stream barrier task.
+// Under -race this pins that stream serialization, stream order, the k
+// bound and dependency discipline survive worker contention: tasks blocked
+// on the shared pool must not let a later task on their stream start.
+func TestExecuteContention(t *testing.T) {
 	const streams = 6
-	pool := tensor.NewPool(2) // deliberately fewer workers than live streams
-	defer pool.Close()
+	for _, n := range procs {
+		t.Run(fmt.Sprintf("procs=%d", n), func(t *testing.T) {
+			withProcs(t, n)
+			pool := tensor.NewPool(2) // deliberately fewer workers than live streams
+			defer pool.Close()
 
-	p := NewPlan()
-	var perStream [streams]atomic.Int32
-	cells := make([][]float64, streams)
-	work := func(s int) func() error {
-		return func() error {
-			if perStream[s].Add(1) > 1 {
-				t.Errorf("stream %d ran two tasks concurrently", s)
+			p := NewPlan()
+			o := newOccupancy(t, 2*streams+1)
+			cells := make([][]float64, streams)
+			work := func(s int) func() {
+				return func() {
+					pool.ParallelFor(32, func(i int) {
+						cells[s][i]++
+					})
+				}
 			}
-			defer perStream[s].Add(-1)
-			pool.ParallelFor(32, func(i int) {
-				cells[s][i]++
-			})
-			return nil
-		}
-	}
-	lasts := make([]int, streams)
-	for s := 0; s < streams; s++ {
-		cells[s] = make([]float64, 32)
-		name := fmt.Sprintf("st:%d", s)
-		p.BindStream(name, Binding{Workers: 1, PinOS: s%2 == 0})
-		id := p.Add("A", "k", name, 1, work(s))
-		lasts[s] = p.Add("B", "k", name, 1, work(s), id)
-	}
-	p.BindStream("idle", Binding{Workers: 1}) // bound, never used by a task
-	barrier := p.Add("X", "k", "st:0", 1, work(0), lasts...)
-	_ = barrier
+			lasts := make([]int, streams)
+			for s := 0; s < streams; s++ {
+				cells[s] = make([]float64, 32)
+				name := fmt.Sprintf("st:%d", s)
+				id := o.add(p, name, work(s))
+				lasts[s] = o.add(p, name, work(s), id)
+			}
+			o.add(p, "st:0", work(0), lasts...) // the barrier
 
-	tr, err := p.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < streams; s++ {
-		want := 2.0
-		if s == 0 {
-			want = 3 // the barrier task runs on stream 0
-		}
-		for i, v := range cells[s] {
-			if v != want {
-				t.Fatalf("stream %d cell %d = %v, want %v", s, i, v, want)
+			if _, err := p.Execute(); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if len(tr.Resources) != streams+1 {
-		t.Fatalf("resource report has %d streams, want %d", len(tr.Resources), streams+1)
-	}
-	for s := 0; s < streams; s++ {
-		r, ok := tr.Resources[fmt.Sprintf("st:%d", s)]
-		if !ok || r.Workers != 1 || r.Pinned != (s%2 == 0) {
-			t.Fatalf("stream %d resource report %+v does not match binding", s, r)
-		}
-	}
-	if r := tr.Resources["idle"]; r.Workers != 1 || r.Pinned {
-		t.Fatalf("idle stream resource report %+v does not match binding", r)
-	}
-	if tr.ResourceSummary() == "" {
-		t.Fatal("ResourceSummary empty for a bound trace")
+			for s := 0; s < streams; s++ {
+				want := 2.0
+				if s == 0 {
+					want = 3 // the barrier task runs on stream 0
+				}
+				for i, v := range cells[s] {
+					if v != want {
+						t.Fatalf("stream %d cell %d = %v, want %v", s, i, v, want)
+					}
+				}
+			}
+			o.check(p, min(n, streams))
+		})
 	}
 }
 

@@ -2,7 +2,7 @@ package runtime
 
 // Static plan verification. A Plan is built by strategy code at runtime,
 // so a malformed schedule — a dependency on a task that does not exist, a
-// cycle that would deadlock Execute's stream goroutines, a task kind the
+// cycle that would leave Execute's workers no ready head, a task kind the
 // breakdown tables cannot aggregate — surfaces only when (and if) the
 // broken path executes. Verify is the build-time twin: a pure structural
 // check over the finished Plan that rejects every malformed shape with a
@@ -30,9 +30,6 @@ var (
 	// ErrStreamUndeclared: a task's stream is missing from the stream
 	// table, or the stream's queue does not list the task.
 	ErrStreamUndeclared = errors.New("plan verify: task stream undeclared")
-	// ErrUnknownBindStream: a BindStream binding references a stream no
-	// task runs on.
-	ErrUnknownBindStream = errors.New("plan verify: binding references unknown stream")
 	// ErrUnknownKind: a task kind outside the canonical sim vocabulary —
 	// breakdowns, fault filters and retry allowlists key on exact strings.
 	ErrUnknownKind = errors.New("plan verify: unknown task kind")
@@ -49,7 +46,6 @@ var (
 //   - the DAG of dependency edges plus per-stream enqueue-order edges is
 //     acyclic;
 //   - every task's stream is declared and queues the task;
-//   - every BindStream binding references a stream some task runs on;
 //   - every task kind is canonical (sim.Kinds());
 //   - every estimate is non-negative.
 //
@@ -83,12 +79,6 @@ func (p *Plan) Verify() error {
 		if t.est < 0 {
 			errs = append(errs, fmt.Errorf("%w: task %d %q est %v",
 				ErrNegativeEst, t.id, t.label, t.est))
-		}
-	}
-
-	for s := range p.bindings {
-		if _, ok := p.streams[s]; !ok {
-			errs = append(errs, fmt.Errorf("%w: binding for stream %q", ErrUnknownBindStream, s))
 		}
 	}
 

@@ -14,7 +14,6 @@ func wellFormedPlan() *Plan {
 	b := p.Add("a2a", sim.KindAlltoAll, "inter", 2, nil, a)
 	p.Add("experts", sim.KindExperts, "compute:0", 3, nil, b)
 	p.Add("ar", sim.KindAllReduce, "inter", 1, nil, b)
-	p.BindStream("inter", Binding{Workers: 1})
 	return p
 }
 
@@ -56,11 +55,6 @@ func TestPlanVerify(t *testing.T) {
 			p.tasks[1].stream = "ghost"
 			return p
 		}, ErrStreamUndeclared},
-		{"unknown bind stream", func() *Plan {
-			p := wellFormedPlan()
-			p.BindStream("ghost", Binding{Workers: 2})
-			return p
-		}, ErrUnknownBindStream},
 		{"unknown kind", func() *Plan {
 			p := wellFormedPlan()
 			p.Add("mystery", "Mystery", "inter", 1, nil)
@@ -84,7 +78,7 @@ func TestPlanVerify(t *testing.T) {
 			// The named sentinel is the only defect class reported (the
 			// cycle shape may also trip nothing else).
 			for _, other := range []error{ErrDepOutOfRange, ErrDepCycle, ErrStreamUndeclared,
-				ErrUnknownBindStream, ErrUnknownKind, ErrNegativeEst} {
+				ErrUnknownKind, ErrNegativeEst} {
 				if other != tc.want && errors.Is(err, other) {
 					t.Fatalf("unexpected extra defect %v in %v", other, err)
 				}
@@ -98,9 +92,9 @@ func TestPlanVerify(t *testing.T) {
 func TestPlanVerifyJoinsAllDefects(t *testing.T) {
 	p := wellFormedPlan()
 	p.tasks[3].est = -5
-	p.BindStream("ghost", Binding{})
+	p.Add("mystery", "Mystery", "inter", 1, nil)
 	err := p.Verify()
-	if !errors.Is(err, ErrNegativeEst) || !errors.Is(err, ErrUnknownBindStream) {
+	if !errors.Is(err, ErrNegativeEst) || !errors.Is(err, ErrUnknownKind) {
 		t.Fatalf("joined error missing a defect: %v", err)
 	}
 }

@@ -2,13 +2,10 @@ package sim
 
 // Tests for the measured-trace surface: traces assembled with NewTrace from
 // externally produced intervals (the runtime's bridge) rather than run
-// through the simulator, carrying the resource bindings and fault events
-// only measured executions have.
+// through the simulator, carrying the fault events only measured
+// executions have.
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // measuredTrace assembles a small two-stream measured trace:
 //
@@ -67,30 +64,6 @@ func TestCriticalPathLowerBoundMeasured(t *testing.T) {
 	}, []string{StreamCompute, StreamInter})
 	if lb := par.CriticalPathLowerBound(); lb != par.Makespan {
 		t.Fatalf("overlapped trace: bound %v should equal makespan %v", lb, par.Makespan)
-	}
-}
-
-func TestResourceSummaryMeasured(t *testing.T) {
-	tr := measuredTrace()
-	if got := tr.ResourceSummary(); got != "" {
-		t.Fatalf("trace without bindings: ResourceSummary = %q, want empty", got)
-	}
-
-	tr.Resources = map[string]StreamResources{
-		StreamInter:   {Workers: 2},
-		StreamCompute: {Workers: 4, Pinned: true},
-	}
-	got := tr.ResourceSummary()
-	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("ResourceSummary = %q, want 2 lines", got)
-	}
-	// Sorted by stream name: compute before inter.
-	if lines[0] != "compute workers=4 pinned" {
-		t.Fatalf("line 0 = %q, want %q", lines[0], "compute workers=4 pinned")
-	}
-	if lines[1] != "inter workers=2" {
-		t.Fatalf("line 1 = %q, want %q (unpinned stream must not say pinned)", lines[1], "inter workers=2")
 	}
 }
 

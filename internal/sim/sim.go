@@ -80,16 +80,6 @@ type Interval struct {
 	Finish float64
 }
 
-// StreamResources is the planned execution-resource binding of one stream:
-// how many tensor-pool workers the schedule allotted it and whether its
-// executor goroutine was pinned to an OS thread. Simulated traces carry
-// none; measured traces report the binding the runtime executed under, so
-// a trace documents not just when tasks ran but on what.
-type StreamResources struct {
-	Workers int
-	Pinned  bool
-}
-
 // Event is one fault-injection or recovery incident observed during a
 // measured execution: an injected failure, a retry of the failed task, an
 // injected straggler delay, or a task skipped by cooperative cancellation.
@@ -110,9 +100,6 @@ type Event struct {
 type Trace struct {
 	Intervals []Interval
 	Makespan  float64
-	// Resources maps stream names to their planned resource bindings for
-	// measured executions (nil for simulated traces and unbound runs).
-	Resources map[string]StreamResources
 	// Events holds the fault/retry incidents of a measured execution in
 	// occurrence order (empty for simulated traces and fault-free runs).
 	Events  []Event
@@ -223,30 +210,6 @@ func (tr *Trace) StreamBusy() map[string]float64 {
 		out[iv.Task.Stream] += iv.Finish - iv.Start
 	}
 	return out
-}
-
-// ResourceSummary renders the per-stream resource bindings of a measured
-// trace on one line per stream ("compute:0 workers=2 pinned"), sorted by
-// stream name; it returns "" when the trace carries no bindings.
-func (tr *Trace) ResourceSummary() string {
-	if len(tr.Resources) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(tr.Resources))
-	for s := range tr.Resources {
-		names = append(names, s)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, s := range names {
-		r := tr.Resources[s]
-		fmt.Fprintf(&b, "%s workers=%d", s, r.Workers)
-		if r.Pinned {
-			b.WriteString(" pinned")
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // CriticalPathLowerBound returns max over streams of busy time — a lower

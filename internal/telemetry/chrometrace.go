@@ -17,9 +17,9 @@ import (
 // process runs — tensor.Kernel), each stream one named "thread" row,
 // each task a complete ("X") duration event with its kind as the
 // category, fault/retry/straggler/skip incidents instant ("i") events on
-// the failing task's row, and per-stream resource bindings thread
-// metadata — so the measured plan, its contention structure and its
-// incidents travel in one standard artifact instead of an ASCII Gantt.
+// the failing task's row — so the measured plan, its contention structure
+// and its incidents travel in one standard artifact instead of an ASCII
+// Gantt.
 //
 // Times: sim traces are in milliseconds; trace_event wants microseconds.
 // All timestamps are scaled by 1000 on export.
@@ -60,7 +60,7 @@ func (b *ChromeTraceBuilder) Len() int { return len(b.events) }
 // threads in sorted-name order; tasks carry their kind as the category
 // and their label as the event name; trace events (fault/retry/straggler/
 // skip incidents) become thread-scoped instant events at their recorded
-// time; resource bindings annotate the owning thread's name and args.
+// time.
 func (b *ChromeTraceBuilder) AddTrace(name string, tr *sim.Trace) {
 	if tr == nil {
 		return
@@ -95,27 +95,10 @@ func (b *ChromeTraceBuilder) AddTrace(name string, tr *sim.Trace) {
 	for i, s := range names {
 		tid := i + 1
 		tids[s] = tid
-		threadName := s
-		args := map[string]any{}
-		if r, ok := tr.Resources[s]; ok {
-			threadName = fmt.Sprintf("%s (workers=%d", s, r.Workers)
-			if r.Pinned {
-				threadName += ", pinned"
-			}
-			threadName += ")"
-			args["workers"] = r.Workers
-			args["pinned"] = r.Pinned
-		}
 		b.events = append(b.events, chromeEvent{
 			Name: "thread_name", Phase: "M", PID: pid, TID: tid,
-			Args: map[string]any{"name": threadName},
+			Args: map[string]any{"name": s},
 		})
-		if len(args) > 0 {
-			b.events = append(b.events, chromeEvent{
-				Name: "stream resources", Phase: "i", TS: 0, PID: pid, TID: tid,
-				Scope: "t", Args: args,
-			})
-		}
 	}
 
 	for _, iv := range tr.Intervals {

@@ -18,10 +18,6 @@ func testTrace() *sim.Trace {
 		{Task: t1, Start: 2, Finish: 5},
 		{Task: t2, Start: 2, Finish: 4},
 	}, []string{sim.StreamCompute, sim.StreamInter, sim.StreamIntra})
-	tr.Resources = map[string]sim.StreamResources{
-		sim.StreamCompute: {Workers: 4, Pinned: true},
-		sim.StreamInter:   {Workers: 2},
-	}
 	tr.Events = append(tr.Events, sim.Event{
 		Type: sim.EventFault, TaskID: 1, Label: "dispatch", Kind: sim.KindAlltoAll,
 		Stream: sim.StreamInter, Attempt: 1, AtMS: 3.5, Detail: "injected",
@@ -101,15 +97,9 @@ func TestChromeTraceExport(t *testing.T) {
 	if faults != 2 {
 		t.Fatalf("fault/retry instants = %d, want 2", faults)
 	}
-	// Resource bindings surface in the thread name.
-	found := false
-	for _, name := range threads {
-		if name == sim.StreamCompute+" (workers=4, pinned)" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no thread carries the compute resource binding: %v", threads)
+	// Thread rows are named by their stream, in sorted order.
+	if threads[1] != sim.StreamCompute || threads[2] != sim.StreamInter || threads[3] != sim.StreamIntra {
+		t.Fatalf("thread names %v, want the stream names in sorted order", threads)
 	}
 
 	// Timestamps are µs: the 2ms task must export dur 2000.

@@ -10,7 +10,7 @@ import (
 // stack — the machine-readable counterpart of the bench tables, emitted
 // to the configured Sink after every step and attached to the step
 // result. Every field derives from quantities the step already measured
-// (traces, routing plans, sync report, resource plan); nothing here adds
+// (traces, routing plans, sync report); nothing here adds
 // instrumentation to the execution hot path.
 type StepMetrics struct {
 	// Identity of the executing configuration.
@@ -78,11 +78,6 @@ type StepMetrics struct {
 	// rebuild wall time — the step-level MTTR signal.
 	Recoveries int     `json:"recoveries,omitempty"`
 	RecoveryMS float64 `json:"recovery_ms,omitempty"`
-
-	// Resource plan occupancy (PR 5): the planned per-compute-stream
-	// worker share and the shared communication staging allotment.
-	ComputeWorkers int `json:"compute_workers"`
-	CommWorkers    int `json:"comm_workers"`
 
 	// Gradient-sync accounting (§5): bytes hidden inside backward plans
 	// vs bytes left to the exposed tail.

@@ -142,7 +142,7 @@ func MatMulInto(dst, a, b *Tensor) { defaultPool.MatMulInto(dst, a, b) }
 
 // MatMulInto computes dst = a @ b with the sharding bound to p's worker
 // budget instead of the default pool — the GEMM entry point for code
-// running on a scoped compute stream. A nil receiver uses the default
+// handed a scoped pool, such as a World's expert stages. A nil receiver uses the default
 // pool. Results are bit-identical at any width.
 func (p *Pool) MatMulInto(dst, a, b *Tensor) {
 	m := mmShape(a, b, "MatMulInto")

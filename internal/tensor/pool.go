@@ -2,19 +2,19 @@ package tensor
 
 // This file is the shared compute-and-memory runtime behind the real tensor
 // path: worker pools that every parallel kernel (MatMul, BatchedMatMul, the
-// per-expert loops in internal/moe, the per-head loops in
-// internal/attention) shards work onto, and a size-bucketed free-list of
-// tensor buffers that eliminates per-op allocations on the hot path.
+// per-expert loops in internal/moe) shards work onto, and a size-bucketed
+// free-list of tensor buffers that eliminates per-op allocations on the hot
+// path.
 //
 // Worker pools
 //
 // There are two kinds of pool. The process-wide default pool backs the
 // package-level ParallelFor/ParallelRange and the plain MatMul* kernels; its
 // width follows Workers(). Scoped pools (NewPool) carve a fixed worker
-// budget out of the machine so that independent execution streams — the
-// per-rank compute streams of internal/runtime plans — stop oversubscribing
-// one shared queue: each stream's kernels fan out only onto that stream's
-// allotment. Pool-bound kernels are methods on *Pool; a nil *Pool designates
+// budget out of the machine: a World's one kernel pool is ⌊GOMAXPROCS/k⌋
+// wide, so the k executor workers of internal/runtime plans, each inside a
+// kernel at once, never oversubscribe the machine. Pool-bound kernels are
+// methods on *Pool; a nil *Pool designates
 // the default pool, so call sites can thread an optional pool without
 // branching.
 //
