@@ -88,20 +88,26 @@
 // Parallelism never reorders floating-point accumulation — results are
 // bit-identical at any worker count.
 //
-// The expert GEMMs (a@b, aᵀ@b, a@bᵀ) each have one accumulation order,
-// implemented as a portable Go loop and, on amd64 CPUs with AVX2, as a
-// register-tile micro-kernel that multiplies and adds unfused, so it rounds
-// exactly like the loop: on finite operands the two are bit-identical and
-// every bit-identity contract in this package (World ≡ Layer, chunked ≡
-// monolithic, recovered ≡ fresh) holds across them. The kernels are picked
-// once at start-up from CPUID; a host without AVX2, another architecture or
+// The expert GEMMs (a@b, aᵀ@b, a@bᵀ) share one accumulation order — each
+// element a chain of fused multiply-adds, p ascending — implemented as a
+// portable Go loop (every term a math.FMA) and, on amd64 CPUs with AVX2 and
+// FMA, as register-tile micro-kernels (every term a VFMADD231PD, 512-bit
+// where the CPU has AVX-512F): the two are bit-identical, and every
+// bit-identity contract in this package (World ≡ Layer, chunked ≡
+// monolithic, recovered ≡ fresh) holds across them. The activations and the
+// gates' exponentials are the tensor package's own exp and tanh, not the
+// math package's, whose amd64 exp rounds differently with and without FMA.
+// So a step's parameters do not depend on the CPU: the pinned hashes of
+// TestStepParamHashesPinned are the same with the kernels, with -tags
+// purego, and with GODEBUG=cpu.fma=off. The kernels are picked once at
+// start-up from CPUID; a host without AVX2 or FMA, another architecture or
 // a -tags purego build runs the loops alone, several times slower. Which
-// one a process runs is a line in its output, not a guess: the Chrome
-// trace labels every process "gemm kernel: avx2" or "gemm kernel:
-// portable" (fsmoe-bench -experiment chaos -trace writes one; the
-// repository benchmark's tensor.matmul*_gflops rows time the kernels).
-// internal/tensor's package comment has the contract,
-// including what is not guaranteed for NaN and Inf operands.
+// one a process runs is a line in its output, not a guess: the Chrome trace
+// labels every process "gemm kernel: avx512-fma", "gemm kernel: avx2-fma"
+// or "gemm kernel: portable" (fsmoe-bench -experiment chaos -trace writes
+// one; the repository benchmark's tensor.matmul*_gflops rows time the
+// kernels). internal/tensor's package comment has the contract, including
+// what is not guaranteed for NaN and Inf operands.
 //
 // Ownership rules for pooled buffers: whoever calls GetTensor owns the
 // buffer and must PutTensor it at most once, only after every view of it

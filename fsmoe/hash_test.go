@@ -29,15 +29,15 @@ func TestStepParamHashesPinned(t *testing.T) {
 		layers  []layer
 		want    string
 	}{
-		{"ep_tokens", 512, 16, 384, 4, []layer{ep, ep, ep}, "5ae4b913d71df943"},
-		{"ep_compute", 64, 384, 256, 2, []layer{ep, ep, ep}, "4b98657822aea973"},
-		{"ep_params", 256, 320, 64, 2, []layer{ep, ep}, "d358d568bda643e9"},
+		{"ep_tokens", 512, 16, 384, 4, []layer{ep, ep, ep}, "6cbd917483d08c62"},
+		{"ep_compute", 64, 384, 256, 2, []layer{ep, ep, ep}, "470d7f2dfea42d09"},
+		{"ep_params", 256, 320, 64, 2, []layer{ep, ep}, "23b5c8ed9575bab2"},
 		{"mixed_ckpt", 128, 128, 160, 2, []layer{
 			ep,
 			{GateXMoE, StrategyESP, 0},
 			{GateSigmoid, StrategyHybrid, 2},
 			{GateSoftMoE, StrategyDenseSlots, 0},
-		}, "a8477669538ecdb0"},
+		}, "56af106ce8fd5686"},
 	} {
 		t.Run(wl.name, func(t *testing.T) {
 			worlds := make([]*World, len(wl.layers))

@@ -142,11 +142,11 @@ func (p *gptPass) ForwardHidden(ws tensor.Windows) {
 	cw, w := p.Ch-p.Cl, p.f.h
 	hp, hf, b1 := p.hpre.Data(), p.Hidden.Data(), p.f.b1.W.Data()[p.Cl:p.Ch]
 	for _, t := range ws.All() {
-		h, a := hp[t*cw:(t+1)*cw], hf[t*w+p.Cl:t*w+p.Ch]
+		h := hp[t*cw : (t+1)*cw]
 		for j, b := range b1 {
 			h[j] += b
-			a[j] = tensor.GeLUAt(h[j])
 		}
+		tensor.GeLURow(hf[t*w+p.Cl:t*w+p.Ch], h)
 	}
 }
 
@@ -171,10 +171,7 @@ func (p *gptPass) BackwardHidden(ws tensor.Windows) {
 	p.Pool.MatMulT2RowsInto(d, ws.Packed(), p.dy, ws, p.f.w2.W, p.Cl, p.Ch)
 	hp, hb := p.hpre.Data(), p.hb.Data()
 	for i, t := range ws.All() {
-		h, da := hp[t*cw:(t+1)*cw], hb[t*w+p.Cl:t*w+p.Ch]
-		for j, v := range d.Row(i) {
-			da[j] = v * tensor.GeLUGrad(h[j])
-		}
+		tensor.GeLUGradRow(hb[t*w+p.Cl:t*w+p.Ch], d.Row(i), hp[t*cw:(t+1)*cw])
 	}
 	tensor.Put(d)
 }

@@ -1,8 +1,6 @@
 package moe
 
 import (
-	"math"
-
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
@@ -186,7 +184,7 @@ func (g *GShardGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad)
 		spd := cache.spPre.Data()
 		dd := dpre.Data()
 		for i := range dd {
-			dd[i] *= sigmoidScalar(spd[i]) // softplus' = sigmoid
+			dd[i] *= tensor.SigmoidAt(spd[i]) // softplus' = sigmoid
 		}
 		tensor.MatMulT1AddInto(g.wnoise.G, x, dpre)
 		dxn := tensor.GetUninit(n, g.m)
@@ -197,8 +195,3 @@ func (g *GShardGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad)
 	}
 	tensor.Put(dLogits)
 }
-
-// sigmoidScalar mirrors tensor.Sigmoid for a single value, letting the
-// noise-path backward fold softplus' in place instead of materializing a
-// sigmoid tensor.
-func sigmoidScalar(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

@@ -44,7 +44,7 @@ func (g *SigmoidGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *Route
 	scores := tensor.MatMul(x, g.wg.W)
 	plan, sel := routeTopK(&g.idle, g.cfg, scores, func(w []float64) {
 		for j, s := range w {
-			w[j] = 1 / (1 + expNeg(s))
+			w[j] = tensor.SigmoidAt(s)
 		}
 	})
 	return plan, &RouteCache{X: x, Plan: plan, extra: &sigmoidCache{scores: scores, sel: sel}}, nil
@@ -68,16 +68,4 @@ func (g *SigmoidGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad
 	tensor.MatMulT1AddInto(g.wg.G, x, dScores)
 	tensor.MatMulT2Into(dx, dScores, g.wg.W)
 	tensor.Put(dScores)
-}
-
-func expNeg(x float64) float64 {
-	// exp(-x) via the tensor package's stable sigmoid would allocate; this
-	// tiny helper keeps the hot loop allocation-free.
-	if x > 700 {
-		return 0
-	}
-	if x < -700 {
-		return 1e308
-	}
-	return exp(-x)
 }

@@ -7,8 +7,6 @@ import (
 	"repro/internal/xrand"
 )
 
-func exp(x float64) float64 { return math.Exp(x) }
-
 // XMoEGate is the routing of X-MoE (§2.1): a low-rank projection
 // u = W_proj·x is compared against learned expert embeddings by cosine
 // similarity, s_e = cos(u, w_e), which mitigates representation collapse.

@@ -2,13 +2,16 @@
 
 #include "textflag.h"
 
-// The three AVX2 register-tile micro-kernels behind MatMul / MatMulT1 /
-// MatMulT2 (matmul.go has the drivers, the package comment the contract).
-// Every product is a VMULPD followed by a VADDPD — never a fused
-// multiply-add — so each lane rounds exactly like one element of the
-// portable loop it stands in for. Each call walks one tile row: nt tiles
-// left to right, eight accumulators (Y0–Y7) held over the whole p loop of a
-// tile. Strides arrive in elements and are scaled to bytes here.
+// The register-tile micro-kernels behind MatMul / MatMulT1 / MatMulT2
+// (matmul.go has the drivers, the package comment the contract), and the
+// transpose that brings a@bᵀ to them. Every term is one VFMADD231PD — a
+// fused multiply-add, rounded once — so each lane rounds exactly like one
+// math.FMA of the portable loop it stands in for. Each call walks one tile
+// row: nt tiles of dst left to right (4×8 in YMM registers, 4×16 in ZMM),
+// eight accumulators (two per row) held over the whole p loop of a tile.
+// The loads are two vectors of b and four broadcasts of a per eight
+// multiply-adds, so the FMA ports, not the loads, bound a tile. Strides
+// arrive in elements and are scaled to bytes here.
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -29,25 +32,18 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// PLAINROW is one row of the plain kernel's step at p: the scalar of a is
-// tested as an integer (shifting the sign out leaves zero exactly for ±0),
-// then broadcast against the tile's two vectors of b[p] held in Y8/Y9.
-#define PLAINROW(aaddr, lo, hi, skip) \
-	MOVQ aaddr, AX; \
-	ADDQ AX, AX; \
-	JZ   skip; \
-	VBROADCASTSD aaddr, Y10; \
-	VMULPD Y8, Y10, Y11; \
-	VADDPD Y11, lo, lo; \
-	VMULPD Y9, Y10, Y12; \
-	VADDPD Y12, hi, hi; \
-skip:
+// PLAINROW is one row of the plain kernel's step at p: the row's scalar of a
+// broadcast against the two vectors of b[p] held in Y8/Y9.
+#define PLAINROW(aaddr, T, lo, hi) \
+	VBROADCASTSD aaddr, T; \
+	VFMADD231PD  Y8, T, lo; \
+	VFMADD231PD  Y9, T, hi
 
-// func gemmPlain(dst *float64, ldd int, a *float64, ars, aps int, b *float64, ldb, k, nt int)
+// func gemmPlain(dst *float64, ldd int, a *float64, ars, aps int, b *float64, ldb, k, nt int, add bool)
 //
-// dst[r, 8t:8t+8] += Σ_p a[r·ars + p·aps] · b[p, 8t:8t+8] for r < 4, t < nt,
-// p ascending, a term skipped when its a is ±0. Accumulators start from dst.
-TEXT ·gemmPlain(SB), NOSPLIT, $0-72
+// dst[r, 8t:8t+8] = fma(a[r·ars + p·aps], b[p, 8t:8t+8], ·) chained over
+// p < k ascending, for r < 4 and t < nt: from +0, or from dst when add. k ≥ 1.
+TEXT ·gemmPlain(SB), NOSPLIT, $0-73
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
 	MOVQ ars+24(FP), R9
@@ -63,6 +59,19 @@ TEXT ·gemmPlain(SB), NOSPLIT, $0-72
 	LEAQ (R9)(R9*2), R13
 
 plainTile:
+	CMPB add+72(FP), $0
+	JNE  plainLoad
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	JMP  plainStart
+
+plainLoad:
 	VMOVUPD (DI), Y0
 	VMOVUPD 32(DI), Y1
 	VMOVUPD (DI)(R8*1), Y2
@@ -71,6 +80,8 @@ plainTile:
 	VMOVUPD 32(DI)(R8*2), Y5
 	VMOVUPD (DI)(R12*1), Y6
 	VMOVUPD 32(DI)(R12*1), Y7
+
+plainStart:
 	MOVQ a+16(FP), SI
 	MOVQ BX, R14
 	MOVQ k+56(FP), CX
@@ -78,10 +89,10 @@ plainTile:
 plainP:
 	VMOVUPD (R14), Y8
 	VMOVUPD 32(R14), Y9
-	PLAINROW((SI), Y0, Y1, plainSkip0)
-	PLAINROW((SI)(R9*1), Y2, Y3, plainSkip1)
-	PLAINROW((SI)(R9*2), Y4, Y5, plainSkip2)
-	PLAINROW((SI)(R13*1), Y6, Y7, plainSkip3)
+	PLAINROW((SI), Y10, Y0, Y1)
+	PLAINROW((SI)(R9*1), Y11, Y2, Y3)
+	PLAINROW((SI)(R9*2), Y12, Y4, Y5)
+	PLAINROW((SI)(R13*1), Y13, Y6, Y7)
 	ADDQ R10, SI
 	ADDQ R11, R14
 	DECQ CX
@@ -102,200 +113,156 @@ plainP:
 	VZEROUPPER
 	RET
 
-// GROUPROW is one row of the grouped kernel's step over four p: the row's
-// four a (at AX) are skipped together when all are ±0 (VPTEST against the
-// sign-less mask in Y14), else t = a0·b0; t += a1·b1; t += a2·b2;
-// t += a3·b3; acc += t on both halves of the tile. Leaves AX on the next row.
-#define GROUPROW(lo, hi, skip) \
-	VMOVUPD (AX), Y15; \
-	VPTEST Y14, Y15; \
-	JZ     skip; \
-	VBROADCASTSD (AX), Y10; \
-	VMULPD (R14), Y10, Y11; \
-	VMULPD 32(R14), Y10, Y12; \
-	VBROADCASTSD 8(AX), Y10; \
-	VMULPD (R13), Y10, Y13; \
-	VADDPD Y13, Y11, Y11; \
-	VMULPD 32(R13), Y10, Y13; \
-	VADDPD Y13, Y12, Y12; \
-	VBROADCASTSD 16(AX), Y10; \
-	VMULPD (R15), Y10, Y13; \
-	VADDPD Y13, Y11, Y11; \
-	VMULPD 32(R15), Y10, Y13; \
-	VADDPD Y13, Y12, Y12; \
-	VBROADCASTSD 24(AX), Y10; \
-	VMULPD (R12), Y10, Y13; \
-	VADDPD Y13, Y11, Y11; \
-	VMULPD 32(R12), Y10, Y13; \
-	VADDPD Y13, Y12, Y12; \
-	VADDPD Y11, lo, lo; \
-	VADDPD Y12, hi, hi; \
-skip: \
-	ADDQ R9, AX
+// PLAIN512ROW is one row of the 512-bit kernel's step at p: the row's
+// scalar of a broadcast against the two vectors of b[p] held in Z8/Z9.
+#define PLAIN512ROW(aaddr, T, lo, hi) \
+	VBROADCASTSD aaddr, T; \
+	VFMADD231PD  Z8, T, lo; \
+	VFMADD231PD  Z9, T, hi
 
-// func gemmGrouped(dst *float64, ldd int, a *float64, lda int, b *float64, ldb, kg, nt int)
+// func gemmPlain512(dst *float64, ldd int, a *float64, ars, aps int, b *float64, ldb, k, nt int, add bool)
 //
-// dst[r, 8t:8t+8] = Σ_g ((a[r,4g]·b[4g] + a[r,4g+1]·b[4g+1]) + a[r,4g+2]·b[4g+2]) + a[r,4g+3]·b[4g+3]
-// for r < 4, t < nt, g < kg ascending, from +0. The k mod 4 tail is the
-// plain kernel's, called on the stored tiles.
-TEXT ·gemmGrouped(SB), NOSPLIT, $0-64
+// gemmPlain on 4×16 tiles of dst in AVX-512 registers: dst[r, 16t:16t+16]
+// for r < 4, t < nt, every term one VFMADD231PD in the same order.
+TEXT ·gemmPlain512(SB), NOSPLIT, $0-73
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
-	MOVQ lda+24(FP), R9
-	MOVQ b+32(FP), BX
-	MOVQ ldb+40(FP), R11
-	MOVQ nt+56(FP), DX
+	MOVQ ars+24(FP), R9
+	MOVQ aps+32(FP), R10
+	MOVQ b+40(FP), BX
+	MOVQ ldb+48(FP), R11
+	MOVQ nt+64(FP), DX
 	SHLQ $3, R8
 	SHLQ $3, R9
-	SHLQ $3, R11
-	LEAQ (R11)(R11*2), R10
-	VPCMPEQQ Y14, Y14, Y14
-	VPSRLQ $1, Y14, Y14
-
-groupedTile:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	MOVQ a+16(FP), SI
-	MOVQ BX, R14
-	LEAQ (BX)(R11*1), R13
-	LEAQ (BX)(R11*2), R15
-	LEAQ (BX)(R10*1), R12
-	MOVQ kg+48(FP), CX
-
-groupedG:
-	MOVQ SI, AX
-	GROUPROW(Y0, Y1, groupedSkip0)
-	GROUPROW(Y2, Y3, groupedSkip1)
-	GROUPROW(Y4, Y5, groupedSkip2)
-	GROUPROW(Y6, Y7, groupedSkip3)
-	ADDQ $32, SI
-	LEAQ (R14)(R11*4), R14
-	LEAQ (R13)(R11*4), R13
-	LEAQ (R15)(R11*4), R15
-	LEAQ (R12)(R11*4), R12
-	DECQ CX
-	JNZ  groupedG
-
-	LEAQ (R8)(R8*2), R12
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, (DI)(R8*1)
-	VMOVUPD Y3, 32(DI)(R8*1)
-	VMOVUPD Y4, (DI)(R8*2)
-	VMOVUPD Y5, 32(DI)(R8*2)
-	VMOVUPD Y6, (DI)(R12*1)
-	VMOVUPD Y7, 32(DI)(R12*1)
-	ADDQ $64, DI
-	ADDQ $64, BX
-	DECQ DX
-	JNZ  groupedTile
-	VZEROUPPER
-	RET
-
-// T2STEP adds a[r, p]·(b[j..j+3, p]) into the eight row accumulators for
-// one p: off is p's byte offset inside the current group of four, T the
-// transposed vector of b at that p. Rows 0–3 hang off SI, rows 4–7 off AX.
-#define T2STEP(off, T) \
-	VBROADCASTSD off(SI), Y12; \
-	VMULPD T, Y12, Y12; \
-	VADDPD Y12, Y0, Y0; \
-	VBROADCASTSD off(SI)(R9*1), Y13; \
-	VMULPD T, Y13, Y13; \
-	VADDPD Y13, Y1, Y1; \
-	VBROADCASTSD off(SI)(R9*2), Y14; \
-	VMULPD T, Y14, Y14; \
-	VADDPD Y14, Y2, Y2; \
-	VBROADCASTSD off(SI)(R13*1), Y15; \
-	VMULPD T, Y15, Y15; \
-	VADDPD Y15, Y3, Y3; \
-	VBROADCASTSD off(AX), Y12; \
-	VMULPD T, Y12, Y12; \
-	VADDPD Y12, Y4, Y4; \
-	VBROADCASTSD off(AX)(R9*1), Y13; \
-	VMULPD T, Y13, Y13; \
-	VADDPD Y13, Y5, Y5; \
-	VBROADCASTSD off(AX)(R9*2), Y14; \
-	VMULPD T, Y14, Y14; \
-	VADDPD Y14, Y6, Y6; \
-	VBROADCASTSD off(AX)(R13*1), Y15; \
-	VMULPD T, Y15, Y15; \
-	VADDPD Y15, Y7, Y7
-
-// func gemmTransposed(dst *float64, ldd int, a *float64, lda int, b *float64, ldb, kg, nt int)
-//
-// dst[r, 4t:4t+4] = Σ_p a[r, p] · b[4t:4t+4, p] for r < 8, t < nt, p < 4·kg
-// ascending, from +0: four rows of b × four p are loaded and transposed in
-// registers, so no transposed copy of b exists anywhere. The k mod 4 tail
-// is the portable body's, continued from the stored tiles.
-TEXT ·gemmTransposed(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ ldd+8(FP), R8
-	MOVQ lda+24(FP), R9
-	MOVQ b+32(FP), BX
-	MOVQ ldb+40(FP), R11
-	MOVQ nt+56(FP), DX
-	SHLQ $3, R8
-	SHLQ $3, R9
+	SHLQ $3, R10
 	SHLQ $3, R11
 	LEAQ (R8)(R8*2), R12
 	LEAQ (R9)(R9*2), R13
-	LEAQ (R11)(R11*2), R10
 
-transposedTile:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
+plain512Tile:
+	CMPB add+72(FP), $0
+	JNE  plain512Load
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	JMP  plain512Start
+
+plain512Load:
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD (DI)(R8*1), Z2
+	VMOVUPD 64(DI)(R8*1), Z3
+	VMOVUPD (DI)(R8*2), Z4
+	VMOVUPD 64(DI)(R8*2), Z5
+	VMOVUPD (DI)(R12*1), Z6
+	VMOVUPD 64(DI)(R12*1), Z7
+
+plain512Start:
 	MOVQ a+16(FP), SI
-	LEAQ (SI)(R9*4), AX
 	MOVQ BX, R14
-	MOVQ kg+48(FP), CX
+	MOVQ k+56(FP), CX
 
-transposedG:
-	VMOVUPD (R14), Y8
-	VMOVUPD (R14)(R11*1), Y9
-	VMOVUPD (R14)(R11*2), Y10
-	VMOVUPD (R14)(R10*1), Y11
-	VUNPCKLPD Y9, Y8, Y12
-	VUNPCKHPD Y9, Y8, Y13
-	VUNPCKLPD Y11, Y10, Y14
-	VUNPCKHPD Y11, Y10, Y15
-	VPERM2F128 $0x20, Y14, Y12, Y8
-	VPERM2F128 $0x20, Y15, Y13, Y9
-	VPERM2F128 $0x31, Y14, Y12, Y10
-	VPERM2F128 $0x31, Y15, Y13, Y11
-	T2STEP(0, Y8)
-	T2STEP(8, Y9)
-	T2STEP(16, Y10)
-	T2STEP(24, Y11)
-	ADDQ $32, SI
-	ADDQ $32, AX
-	ADDQ $32, R14
+plain512P:
+	VMOVUPD (R14), Z8
+	VMOVUPD 64(R14), Z9
+	PLAIN512ROW((SI), Z10, Z0, Z1)
+	PLAIN512ROW((SI)(R9*1), Z11, Z2, Z3)
+	PLAIN512ROW((SI)(R9*2), Z12, Z4, Z5)
+	PLAIN512ROW((SI)(R13*1), Z13, Z6, Z7)
+	ADDQ R10, SI
+	ADDQ R11, R14
 	DECQ CX
-	JNZ  transposedG
+	JNZ  plain512P
 
-	LEAQ (DI)(R8*4), AX
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, (DI)(R8*1)
-	VMOVUPD Y2, (DI)(R8*2)
-	VMOVUPD Y3, (DI)(R12*1)
-	VMOVUPD Y4, (AX)
-	VMOVUPD Y5, (AX)(R8*1)
-	VMOVUPD Y6, (AX)(R8*2)
-	VMOVUPD Y7, (AX)(R12*1)
-	ADDQ $32, DI
-	LEAQ (BX)(R11*4), BX
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, (DI)(R8*1)
+	VMOVUPD Z3, 64(DI)(R8*1)
+	VMOVUPD Z4, (DI)(R8*2)
+	VMOVUPD Z5, 64(DI)(R8*2)
+	VMOVUPD Z6, (DI)(R12*1)
+	VMOVUPD Z7, 64(DI)(R12*1)
+	ADDQ $128, DI
+	ADDQ $128, BX
 	DECQ DX
-	JNZ  transposedTile
+	JNZ  plain512Tile
+	VZEROUPPER
+	RET
+
+// TRANSPOSE4 transposes the 4×4 block in Y0–Y3 (rows of src) into Y0–Y3
+// (rows of dst), through Y4–Y7.
+#define TRANSPOSE4 \
+	VUNPCKLPD  Y1, Y0, Y4; \
+	VUNPCKHPD  Y1, Y0, Y5; \
+	VUNPCKLPD  Y3, Y2, Y6; \
+	VUNPCKHPD  Y3, Y2, Y7; \
+	VPERM2F128 $0x20, Y6, Y4, Y0; \
+	VPERM2F128 $0x20, Y7, Y5, Y1; \
+	VPERM2F128 $0x31, Y6, Y4, Y2; \
+	VPERM2F128 $0x31, Y7, Y5, Y3
+
+// func transposeTiles(dst *float64, ldd int, src *float64, lds int, rows, cols int)
+//
+// dst[p, j] = src[j, p] for j < 4·rows, p < 8·cols: 4×8 blocks — four rows
+// of src, a cache line of each — stored as eight rows of dst, transposed in
+// registers as two 4×4 halves. Blocks run along dst's rows, so the stores
+// stream: the strides of a weight matrix are powers of two often enough
+// that walking dst's columns would put every store of a pass in one or two
+// L1 sets.
+TEXT ·transposeTiles(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ lds+24(FP), R9
+	MOVQ cols+40(FP), DX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	LEAQ (R8)(R8*2), R11
+	LEAQ (R9)(R9*2), R10
+
+transposeCol:
+	MOVQ SI, R12
+	MOVQ DI, R13
+	LEAQ (DI)(R8*4), R14
+	MOVQ rows+32(FP), CX
+
+transposeBlock:
+	VMOVUPD (R12), Y0
+	VMOVUPD (R12)(R9*1), Y1
+	VMOVUPD (R12)(R9*2), Y2
+	VMOVUPD (R12)(R10*1), Y3
+	VMOVUPD 32(R12), Y8
+	VMOVUPD 32(R12)(R9*1), Y9
+	VMOVUPD 32(R12)(R9*2), Y10
+	VMOVUPD 32(R12)(R10*1), Y11
+	TRANSPOSE4
+	VMOVUPD Y0, (R13)
+	VMOVUPD Y1, (R13)(R8*1)
+	VMOVUPD Y2, (R13)(R8*2)
+	VMOVUPD Y3, (R13)(R11*1)
+	VMOVAPD Y8, Y0
+	VMOVAPD Y9, Y1
+	VMOVAPD Y10, Y2
+	VMOVAPD Y11, Y3
+	TRANSPOSE4
+	VMOVUPD Y0, (R14)
+	VMOVUPD Y1, (R14)(R8*1)
+	VMOVUPD Y2, (R14)(R8*2)
+	VMOVUPD Y3, (R14)(R11*1)
+	LEAQ    (R12)(R9*4), R12
+	ADDQ    $32, R13
+	ADDQ    $32, R14
+	DECQ    CX
+	JNZ     transposeBlock
+
+	ADDQ $64, SI
+	LEAQ (DI)(R8*8), DI
+	DECQ DX
+	JNZ  transposeCol
 	VZEROUPPER
 	RET

@@ -209,7 +209,7 @@ func checkGemmKernels(t *testing.T, c gemmCase) {
 	wantT1Add := append([]float64(nil), base.data...)
 	matmulT1Rows(wantT1Add, a1.data, b1.data, 0, m, 0, n, k, m, n)
 	wantT2 := make([]float64, m*n)
-	matmulT2Rows(wantT2, ag.data, bTw, 0, m, 0, n, 0, k, n)
+	matmulT2Rows(wantT2, ag.data, bTw, 0, m, k, n)
 	want3 := make([]float64, bs*m*n)
 	for i := 0; i < bs; i++ {
 		matmulRows(want3[i*m*n:(i+1)*m*n], a3.data[i*m*k:(i+1)*m*k], b3.data[i*k*n:(i+1)*k*n], 0, m, 0, n, k, n)
@@ -280,6 +280,22 @@ func TestGemmKernelsMatchPortable(t *testing.T) {
 			win: r % 2, zeroTail: 5 * (r % 2), zeroPct: 10 * (r % 3), special: max(r-3, 0),
 		})
 	}
+	// Thin sets against a wide, deep b, whose a@bᵀ transposes a rather than
+	// b (MatMulT2RowsInto) — the last one past the threshold, so b @ aᵀ
+	// shards over b's rows.
+	for r, c := range []gemmCase{
+		{m: 1, n: 64, k: 64}, {m: 2, count: 2, n: 72, k: 69}, {m: 3, count: 3, n: 80, k: 74},
+		{m: 4, n: 88, k: 79}, {m: 5, count: 2, n: 96, k: 84}, {m: 6, count: 3, n: 104, k: 89}, {m: 3, n: 600, k: 500},
+	} {
+		c.seed, c.win, c.gap, c.zeroTail, c.zeroPct, c.special = uint64(200+r), r%3, r, r%4, 15*(r%3), max(r-4, 0)
+		if m := c.m * max(c.count, 1); 2*c.n*c.k <= 3*padCols(m)*(c.k+c.n) {
+			t.Fatalf("%v no longer takes the transpose of a", c)
+		}
+		checkGemmKernels(t, c)
+	}
+	if 600*500*padCols(3) < matmulParallelThreshold {
+		t.Fatal("the widest thin set no longer clears matmulParallelThreshold")
+	}
 }
 
 // TestGemmWindowSetsMatchPortable sweeps window sets: every window height
@@ -323,7 +339,7 @@ func TestGemmWindowSetsConcurrent(t *testing.T) {
 	want, wantT2 := make([]float64, w.Len()*16), make([]float64, w.Len()*16)
 	ag := gathered(a, w)
 	matmulRows(want, ag, b.data, 0, w.Len(), 0, 16, 24, 16)
-	matmulT2Rows(wantT2, ag, bT.data, 0, w.Len(), 0, 16, 0, 24, 16)
+	matmulT2Rows(wantT2, ag, bT.data, 0, w.Len(), 24, 16)
 	bad := make([]bool, 4)
 	var wg sync.WaitGroup
 	for g := range bad {

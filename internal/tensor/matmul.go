@@ -3,26 +3,30 @@ package tensor
 import (
 	"fmt"
 	"iter"
+	"math"
 	"sync"
 )
 
 // The GEMM layer (contract: the package comment). Three products — a@b,
-// aᵀ@b, a@bᵀ — each defined by the order in which one output element
-// accumulates its terms, and each implemented twice over that definition:
+// aᵀ@b, a@bᵀ — all defined by one order: each output element is one chain
+// of fused multiply-adds over p ascending. That order is implemented twice:
 //
-//   - a portable loop body (matmulRows, matmulT1Rows, matmulT2Rows below)
-//     restricted to a row and column range of dst: the whole implementation
-//     where there is no micro-kernel, the fringe where there is one, and the
-//     oracle the tests compare the kernels against;
-//   - an AVX2 register-tile micro-kernel (gemm_amd64.s) that runs full tiles
-//     in the same order with unfused VMULPD+VADDPD.
+//   - a portable loop body per product (matmulRows, matmulT1Rows,
+//     matmulT2Rows below) restricted to a row and column range of dst, every
+//     term a math.FMA: the whole implementation where there is no
+//     micro-kernel, the fringe where there is one, and the oracle the tests
+//     compare the kernels against;
+//   - the plain register-tile micro-kernels (gemm_amd64.s), which broadcast
+//     a against rows of b with VFMADD231PD: 4×8 tiles, and 4×16 in 512-bit
+//     registers where the CPU has AVX-512 (plainTiles picks). a@bᵀ reaches
+//     them through a transpose (MatMulT2RowsInto).
 //
-// A driver per product (matmulRange, matmulT1Range, matmulT2Range) walks the
-// tile grid of a row range that starts on a tile-row boundary. Pools split a
-// product between full tile rows, the last shard taking the rows past the
-// last one, so the grid — which element a tile computes and which the
-// portable body — depends on the shapes alone, never on the pool width, and
-// every dst element is accumulated by exactly one goroutine.
+// A driver per product (matmulRange, matmulT1Range) walks the tile grid of a
+// row range that starts on a tile-row boundary. Pools split a product
+// between full tile rows, the last shard taking the rows past the last one,
+// so the grid — which element a tile computes and which the portable body —
+// depends on the shapes alone, never on the pool width, and every dst
+// element is accumulated by exactly one goroutine.
 //
 // The row forms of a@b and a@bᵀ (MatMulRowsInto, MatMulT2RowsInto) take a
 // window set per operand — Count windows of N rows, Stride rows apart — and
@@ -38,13 +42,12 @@ import (
 // Neither changes a bit: each element is one accumulation over one row of
 // a, whatever rows share its tile.
 
-// Tile geometry of the micro-kernels, which is also the sharding unit of
-// the drivers on every build: a pool splits a product between tile rows.
+// Tile geometry of the plain kernel — a 4×8 tile of dst, whose pairs the
+// 512-bit kernel runs as one — which is also the sharding unit of the
+// drivers on every build: a pool splits a product between tile rows.
 const (
-	tileRows = 4 // a@b and aᵀ@b: a 4×8 tile of dst
+	tileRows = 4
 	tileCols = 8
-	t2Rows   = 8 // a@bᵀ: an 8×4 tile of dst
-	t2Cols   = 4
 )
 
 // matmulParallelThreshold is the multiply-accumulate count (m·k·n) at and
@@ -58,11 +61,17 @@ const (
 const matmulParallelThreshold = 1 << 21
 
 // Kernel names the GEMM implementation this process selected at init:
-// "avx2" for the assembly micro-kernels, "portable" for the Go loop bodies
-// alone (no AVX2, another GOARCH, or a -tags purego build).
+// "avx2-fma" for the assembly micro-kernels, which need a CPU with both AVX2
+// and FMA; "avx512-fma" where the CPU also has AVX-512F and the 512-bit
+// kernel and activation rows run too; "portable" for the Go loop bodies
+// alone (no AVX2 or no FMA, another GOARCH, or a -tags purego build). All
+// three carry the same bits.
 func Kernel() string {
-	if useAVX2 {
-		return "avx2"
+	switch {
+	case use512:
+		return "avx512-fma"
+	case useKernels:
+		return "avx2-fma"
 	}
 	return "portable"
 }
@@ -159,7 +168,7 @@ func (p *Pool) MatMulRowsInto(dst *Tensor, dw Windows, a *Tensor, aw Windows, b 
 	mmShape(a, b, "MatMulRowsInto")
 	k, n := a.shape[1], b.shape[1]
 	checkWindows(dst, dw, a, aw, n, "MatMulRowsInto")
-	p.self().windowed((*Pool).matmulInto, tileRows, tileCols, dst.data, dw, a.data, aw, b.data, k, n)
+	p.self().windowed((*Pool).matmulInto, dst.data, dw, a.data, aw, b.data, k, n)
 }
 
 // mmShape validates a 2-D pair with matching inner dimension and returns m.
@@ -193,28 +202,27 @@ func checkWindows(dst *Tensor, dw Windows, a *Tensor, aw Windows, n int, op stri
 
 // windowed runs one product over a window set: the rows aw of a (width k)
 // times b into the rows dw of dst (width n), through gemm — matmulInto or
-// matmulT2Into, whose tile is tile×cols — on contiguous operands. Sets that
-// are one run of rows each are the operands themselves. Otherwise each
-// window's whole tiles — all of its rows where no kernel would run — run in
-// place, and the rows past them, from every window, run as one product in a
+// matmulT2Into — on contiguous operands. Sets that are one run of rows each
+// are the operands themselves. Otherwise each window's whole tiles — all of
+// its rows where no kernel would run — run in place, and the rows past them, from every window, run as one product in a
 // scratch buffer: a's rows gathered, the result scattered back to dw's
 // rows, on at least a tile of rows, padded with zero rows whose results are
 // never stored. Every element is one accumulation over one row of a, so
 // where a row is computed changes no bit.
-func (p *Pool) windowed(gemm func(p *Pool, dst, a, b []float64, m, k, n int), tile, cols int,
+func (p *Pool) windowed(gemm func(p *Pool, dst, a, b []float64, m, k, n int),
 	dst []float64, dw Windows, a []float64, aw Windows, b []float64, k, n int) {
 	m := dw.Len()
 	if m == 0 {
 		return
 	}
-	kernel := useAVX2 && k >= 4 && n >= cols
-	if dw.contiguous() && aw.contiguous() && (m >= tile || !kernel) {
+	kernel := kernelFits(k, n)
+	if dw.contiguous() && aw.contiguous() && (m >= tileRows || !kernel) {
 		gemm(p, dst[dw.Lo*n:(dw.Lo+m)*n], a[aw.Lo*k:(aw.Lo+m)*k], b, m, k, n)
 		return
 	}
 	full := dw.N
 	if kernel {
-		full = dw.N / tile * tile
+		full = dw.N / tileRows * tileRows
 	}
 	if full > 0 {
 		for c := 0; c < dw.Count; c++ {
@@ -226,7 +234,7 @@ func (p *Pool) windowed(gemm func(p *Pool, dst, a, b []float64, m, k, n int), ti
 			return
 		}
 	}
-	rows := max(m, tile)
+	rows := max(m, tileRows)
 	s := takeScratch(rows * (n + k))
 	dd, ad := s[:rows*n], s[rows*n:]
 	gather(ad, a, aw, k)
@@ -298,34 +306,46 @@ func (p *Pool) matmulInto(dst, a, b []float64, m, k, n int) {
 }
 
 // matmulRange computes rows [lo, hi) of dst = a @ b in matmulRows' order.
-// With at least one full tile row the 4×8 tiles go through the grouped
-// kernel (its k mod 4 tail through the plain one, which continues from what
-// the grouped kernel stored) and the last tile row slides back over rows
-// already written rather than leave a row fringe: the product overwrites,
-// so computing a row twice stores the same bits twice. Columns past the
-// last full tile column, and every smaller range, are matmulRows'.
+// With at least one full tile row the 4×8 tiles go through the plain kernel
+// from +0, and the last tile row slides back over rows already written
+// rather than leave a row fringe: the product overwrites, so computing a row
+// twice stores the same bits twice. Columns past the last full tile column,
+// and every smaller range, are matmulRows'.
 func matmulRange(dst, a, b []float64, lo, hi, k, n int) {
-	k4 := k &^ 3
-	if !useAVX2 || k4 == 0 || n < tileCols || hi-lo < tileRows {
+	if !kernelFits(k, n) || hi-lo < tileRows {
 		matmulRows(dst, a, b, lo, hi, 0, n, k, n)
 		return
 	}
 	j8 := n &^ (tileCols - 1)
 	for i := lo; i < hi; i += tileRows {
 		r := min(i, hi-tileRows)
-		gemmGrouped(&dst[r*n], n, &a[r*k], k, &b[0], n, k4/4, j8/tileCols)
-		if k4 < k {
-			gemmPlain(&dst[r*n], n, &a[r*k+k4], k, 1, &b[k4*n], n, k-k4, j8/tileCols)
-		}
+		plainTiles(dst[r*n:], n, a[r*k:], k, 1, b, n, k, j8/tileCols, false)
 	}
 	matmulRows(dst, a, b, lo, hi, j8, n, k, n)
 }
 
+// kernelFits reports whether a product of depth k and width n reaches the
+// micro-kernels: they run full tiles of at least one p.
+func kernelFits(k, n int) bool { return useKernels && k > 0 && n >= tileCols }
+
+// plainTiles runs the plain kernel over nt 4×8 tiles of one tile row of dst
+// (see gemmPlain for the arguments): pairs of tiles as the 4×16 tiles of
+// the 512-bit kernel where the CPU has one, and the AVX2 kernel on the rest.
+func plainTiles(dst []float64, ldd int, a []float64, ars, aps int, b []float64, ldb, k, nt int, add bool) {
+	if use512 && nt >= 2 {
+		gemmPlain512(&dst[0], ldd, &a[0], ars, aps, &b[0], ldb, k, nt/2, add)
+		if nt%2 == 0 {
+			return
+		}
+		j := (nt - 1) * tileCols
+		dst, b, nt = dst[j:], b[j:], 1
+	}
+	gemmPlain(&dst[0], ldd, &a[0], ars, aps, &b[0], ldb, k, nt, add)
+}
+
 // matmulRows is the portable a @ b body over rows [lo, hi) × columns
-// [jlo, jhi) of dst, and the definition of the grouped order: the k-loop
-// runs four at a time, dst[i,j] += ((a0·b0 + a1·b1) + a2·b2) + a3·b3 with a
-// group skipped when its four a are all zero, then one p at a time over the
-// tail with single zeros skipped — from +0, p ascending.
+// [jlo, jhi) of dst: dst[i,j] = fma(a[i,p], b[p,j], dst[i,j]) one p at a
+// time, p ascending, from +0.
 func matmulRows(dst, a, b []float64, lo, hi, jlo, jhi, k, n int) {
 	if jlo >= jhi {
 		return
@@ -336,31 +356,12 @@ func matmulRows(dst, a, b []float64, lo, hi, jlo, jhi, k, n int) {
 }
 
 // matmulRow is one row of matmulRows: di = ai @ b[:, jlo:jlo+len(di)] for b
-// of width n. (A function of its own so the inner loops get the registers.)
+// of width n. (A function of its own so the inner loop gets the registers.)
 func matmulRow(di, ai, b []float64, jlo, n int) {
 	clear(di)
-	w := len(di)
-	p := 0
-	for ; p+4 <= len(ai); p += 4 {
-		a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
-		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-			continue
-		}
-		b0 := b[p*n+jlo:][:w]
-		b1 := b[(p+1)*n+jlo:][:w]
-		b2 := b[(p+2)*n+jlo:][:w]
-		b3 := b[(p+3)*n+jlo:][:w]
-		for j := range di {
-			di[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-		}
-	}
-	for ; p < len(ai); p++ {
-		av := ai[p]
-		if av == 0 {
-			continue
-		}
-		for j, bv := range b[p*n+jlo:][:w] {
-			di[j] += av * bv
+	for p, av := range ai {
+		for j, bv := range b[p*n+jlo:][:len(di)] {
+			di[j] = math.FMA(av, bv, di[j])
 		}
 	}
 }
@@ -374,7 +375,7 @@ func MatMulT1(a, b *Tensor) *Tensor {
 	}
 	out := New(a.shape[1], b.shape[1])
 	k, m, n := t1Shape(out, a, b, "MatMulT1")
-	defaultPool.matmulT1Add(out.data, a.data, b.data, k, m, n)
+	defaultPool.matmulT1(out.data, a.data, b.data, k, m, n, false)
 	return out
 }
 
@@ -393,15 +394,14 @@ func MatMulT1AddInto(dst, a, b *Tensor) { defaultPool.MatMulT1AddInto(dst, a, b)
 // Pool.MatMulInto.
 func (p *Pool) MatMulT1Into(dst, a, b *Tensor) {
 	k, m, n := t1Shape(dst, a, b, "MatMulT1Into")
-	clear(dst.data)
-	p.self().matmulT1Add(dst.data, a.data, b.data, k, m, n)
+	p.self().matmulT1(dst.data, a.data, b.data, k, m, n, false)
 }
 
 // MatMulT1AddInto computes dst += aᵀ @ b with the pool convention of
 // Pool.MatMulInto.
 func (p *Pool) MatMulT1AddInto(dst, a, b *Tensor) {
 	k, m, n := t1Shape(dst, a, b, "MatMulT1AddInto")
-	p.self().matmulT1Add(dst.data, a.data, b.data, k, m, n)
+	p.self().matmulT1(dst.data, a.data, b.data, k, m, n, true)
 }
 
 // t1Shape validates dst (m,n) += aᵀ @ b for a (k,m) and b (k,n) on behalf
@@ -416,41 +416,47 @@ func t1Shape(dst, a, b *Tensor, op string) (k, m, n int) {
 	return a.shape[0], a.shape[1], b.shape[1]
 }
 
-// matmulT1Add is dst += aᵀ @ b for a (k,m), b (k,n): dst[i,j] is a sum over
-// p ascending whichever worker owns row i, so tile rows of dst (columns of
-// a) shard over the pool like the other two products.
-func (p *Pool) matmulT1Add(dst, a, b []float64, k, m, n int) {
+// matmulT1 is dst = aᵀ @ b, or dst += aᵀ @ b when add, for a (k,m), b
+// (k,n): dst[i,j] is a chain over p ascending whichever worker owns row i,
+// so tile rows of dst (columns of a) shard over the pool like the other two
+// products.
+func (p *Pool) matmulT1(dst, a, b []float64, k, m, n int, add bool) {
 	if p.serialGEMM(m, tileRows, m*k*n) {
-		matmulT1Range(dst, a, b, 0, m, k, m, n)
+		matmulT1Range(dst, a, b, 0, m, k, m, n, add)
 		return
 	}
 	nt := m / tileRows
 	p.ParallelRange(nt, func(lo, hi int) {
-		matmulT1Range(dst, a, b, lo*tileRows, shardEnd(hi, nt, tileRows, m), k, m, n)
+		matmulT1Range(dst, a, b, lo*tileRows, shardEnd(hi, nt, tileRows, m), k, m, n, add)
 	})
 }
 
-// matmulT1Range adds rows [lo, hi) of aᵀ @ b into dst in matmulT1Rows'
-// order: full 4×8 tiles through the plain kernel reading a at stride (1, m),
-// the rest through matmulT1Rows. The product accumulates, so no tile may
-// cover a row twice and the rows past the last full tile row stay a fringe.
-func matmulT1Range(dst, a, b []float64, lo, hi, k, m, n int) {
-	if !useAVX2 || k == 0 || n < tileCols || hi-lo < tileRows {
-		matmulT1Rows(dst, a, b, lo, hi, 0, n, k, m, n)
-		return
+// matmulT1Range computes rows [lo, hi) of aᵀ @ b into dst — or adds them,
+// when add — in matmulT1Rows' order: full 4×8 tiles through the plain kernel
+// reading a at stride (1, m), from +0 or from dst, the rest through
+// matmulT1Rows on a cleared range or on dst. The product may accumulate, so
+// no tile covers a row twice and the rows past the last full tile row stay
+// a fringe.
+func matmulT1Range(dst, a, b []float64, lo, hi, k, m, n int, add bool) {
+	i4, j8 := lo, 0
+	if kernelFits(k, n) && hi-lo >= tileRows {
+		for j8 = n &^ (tileCols - 1); i4+tileRows <= hi; i4 += tileRows {
+			plainTiles(dst[i4*n:], n, a[i4:], 1, m, b, n, k, j8/tileCols, add)
+		}
 	}
-	i4, j8 := lo, n&^(tileCols-1)
-	for ; i4+tileRows <= hi; i4 += tileRows {
-		gemmPlain(&dst[i4*n], n, &a[i4], 1, m, &b[0], n, k, j8/tileCols)
+	if !add {
+		for i := lo; i < i4; i++ {
+			clear(dst[i*n+j8 : (i+1)*n])
+		}
+		clear(dst[i4*n : hi*n])
 	}
 	matmulT1Rows(dst, a, b, lo, i4, j8, n, k, m, n)
 	matmulT1Rows(dst, a, b, i4, hi, 0, n, k, m, n)
 }
 
 // matmulT1Rows is the portable dst += aᵀ @ b body over rows [lo, hi) ×
-// columns [jlo, jhi) of dst, and the definition of the plain order:
-// dst[i,j] += a[p,i]·b[p,j] one p at a time, p ascending, a term skipped
-// when its a is zero (so 0·NaN never reaches dst and a −0 in dst survives).
+// columns [jlo, jhi) of dst: dst[i,j] = fma(a[p,i], b[p,j], dst[i,j]) one p
+// at a time, p ascending, continuing from what dst holds.
 func matmulT1Rows(dst, a, b []float64, lo, hi, jlo, jhi, k, m, n int) {
 	if lo >= hi || jlo >= jhi {
 		return
@@ -459,12 +465,9 @@ func matmulT1Rows(dst, a, b []float64, lo, hi, jlo, jhi, k, m, n int) {
 	for p := 0; p < k; p++ {
 		bp := b[p*n+jlo:][:w]
 		for i, av := range a[p*m+lo : p*m+hi] {
-			if av == 0 {
-				continue
-			}
 			di := dst[(lo+i)*n+jlo:][:w]
 			for j, bv := range bp {
-				di[j] += av * bv
+				di[j] = math.FMA(av, bv, di[j])
 			}
 		}
 	}
@@ -515,94 +518,119 @@ func (p *Pool) MatMulT2RowsInto(dst *Tensor, dw Windows, a *Tensor, aw Windows, 
 		panic(fmt.Sprintf("tensor: MatMulT2RowsInto rows [%d,%d) of b %v out of range", blo, bhi, b.shape))
 	}
 	checkWindows(dst, dw, a, aw, n, "MatMulT2RowsInto")
-	p.self().windowed((*Pool).matmulT2Into, t2Rows, t2Cols, dst.data, dw, a.data, aw, b.data[blo*k:bhi*k], k, n)
+	p, bd, m := p.self(), b.data[blo*k:bhi*k], dw.Len()
+	switch {
+	case m == 0:
+	case !kernelFits(k, n):
+		p.windowed((*Pool).matmulT2Into, dst.data, dw, a.data, aw, bd, k, n)
+	case 2*n*k <= 3*padCols(m)*(k+n):
+		bt := takeScratch(k * n)
+		transpose(bt, bd, n, k)
+		p.windowed((*Pool).matmulInto, dst.data, dw, a.data, aw, bt, k, n)
+		dropScratch(bt)
+	default:
+		p.matmulT2ViaA(dst.data, dw, a.data, aw, bd, m, k, n)
+	}
 }
 
-// matmulT2Into computes dst = a @ bᵀ where a is (m,k) and b is (n,k), all
+// Where the kernels run, a@bᵀ runs on the plain ones, through whichever
+// operand is cheaper to transpose: b itself, n·k elements, after which the
+// set is MatMulRowsInto's product with bᵀ; or the set's rows of a, padded
+// with zero rows to a whole number of tile columns, and the result,
+// mp·(k+n) elements (matmulT2ViaA), weighed at 3/2 because that route also
+// gathers and scatters them. In BenchmarkGemmChunk on the 2-core AVX-512
+// reference box the rule picks the faster route at all four shapes (b at
+// 7×4 and 10×4 windows, a at 3×4 and 6×4). Either way each element is the
+// same chain of fused multiply-adds as the portable dot products — fma is
+// exact in either order of its factors — so the route changes no bit.
+
+// padCols is m rounded up to a whole number of tile columns.
+func padCols(m int) int { return (m + tileCols - 1) &^ (tileCols - 1) }
+
+// matmulT2ViaA computes the rows dw of dst = a @ bᵀ (b (n, k), unwindowed)
+// as the transpose of b @ aᵀ: the set's m rows of a gathered, padded and
+// transposed to aᵀ (k, mp), the product b @ aᵀ (n, mp) sharded over b's
+// rows, and its transpose's first m rows scattered to dw.
+func (p *Pool) matmulT2ViaA(dst []float64, dw Windows, a []float64, aw Windows, b []float64, m, k, n int) {
+	mp := padCols(m)
+	s := takeScratch(mp * (2*k + 2*n))
+	ag, at, dt, d := s[:mp*k], s[mp*k:2*mp*k], s[2*mp*k:2*mp*k+n*mp], s[2*mp*k+n*mp:]
+	gather(ag, a, aw, k)
+	clear(ag[m*k:])
+	transpose(at, ag, mp, k)
+	p.matmulInto(dt, b, at, n, k, mp)
+	transpose(d, dt, n, mp)
+	scatter(dst, dw, d, n)
+	dropScratch(s)
+}
+
+// transpose writes the (k, n) transpose of the (n, k) matrix b to bt: 4×8
+// blocks in registers, the rows and columns past the last block one by one.
+func transpose(bt, b []float64, n, k int) {
+	n4, k8 := n&^3, k&^7
+	if n4 > 0 && k8 > 0 {
+		transposeTiles(&bt[0], n, &b[0], k, n4/4, k8/8)
+	}
+	for j := 0; j < n; j++ {
+		lo := k8
+		if j >= n4 {
+			lo = 0
+		}
+		for p := lo; p < k; p++ {
+			bt[p*n+j] = b[j*k+p]
+		}
+	}
+}
+
+// matmulT2Into is the portable dst = a @ bᵀ for a (m,k) and b (n,k), all
 // row-major, sharding tile rows of dst over the pool.
 func (p *Pool) matmulT2Into(dst, a, b []float64, m, k, n int) {
-	if p.serialGEMM(m, t2Rows, m*k*n) {
-		matmulT2Range(dst, a, b, 0, m, k, n)
+	if p.serialGEMM(m, tileRows, m*k*n) {
+		matmulT2Rows(dst, a, b, 0, m, k, n)
 		return
 	}
-	nt := m / t2Rows
+	nt := m / tileRows
 	p.ParallelRange(nt, func(lo, hi int) {
-		matmulT2Range(dst, a, b, lo*t2Rows, shardEnd(hi, nt, t2Rows, m), k, n)
+		matmulT2Rows(dst, a, b, lo*tileRows, shardEnd(hi, nt, tileRows, m), k, n)
 	})
 }
 
-// matmulT2Range computes rows [lo, hi) of dst = a @ bᵀ in matmulT2Rows'
-// order. With at least one full tile row the 8×4 tiles go through the
-// transposed kernel over the leading multiple of four p, the last tile row
-// sliding back like matmulRange's, and matmulT2Rows continues the tiles'
-// dots over the k mod 4 tail. Columns past the last full tile column, and
-// every smaller range, are matmulT2Rows' from the start.
-func matmulT2Range(dst, a, b []float64, lo, hi, k, n int) {
-	k4 := k &^ 3
-	if !useAVX2 || k4 == 0 || n < t2Cols || hi-lo < t2Rows {
-		matmulT2Rows(dst, a, b, lo, hi, 0, n, 0, k, n)
-		return
-	}
-	j4 := n &^ (t2Cols - 1)
-	for i := lo; i < hi; i += t2Rows {
-		r := min(i, hi-t2Rows)
-		gemmTransposed(&dst[r*n], n, &a[r*k], k, &b[0], k, k4/4, j4/t2Cols)
-	}
-	if k4 < k {
-		matmulT2Rows(dst, a, b, lo, hi, 0, j4, k4, k, n)
-	}
-	matmulT2Rows(dst, a, b, lo, hi, j4, n, 0, k, n)
-}
-
-// matmulT2Rows is the portable a @ bᵀ body over rows [lo, hi) × columns
-// [jlo, jhi) of dst, and the definition of the transposed order: each
-// element is one dot product, s += a[i,p]·b[j,p] with p ascending and no
-// term skipped. The dot runs over p in [plo, k), from +0 when plo is 0 and
-// from what dst holds otherwise. The j-loop is blocked four-wide so four
-// dots share each streamed load of a's row; the blocking changes no bit.
-func matmulT2Rows(dst, a, b []float64, lo, hi, jlo, jhi, plo, k, n int) {
-	if jlo >= jhi {
-		return
-	}
+// matmulT2Rows is the portable a @ bᵀ body over rows [lo, hi) of dst: each
+// element is one dot product, s = fma(a[i,p], b[j,p], s) with p ascending
+// from +0. The j-loop is blocked four-wide so four dots share each streamed
+// load of a's row; the blocking changes no bit.
+func matmulT2Rows(dst, a, b []float64, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
-		matmulT2Row(dst[i*n+jlo:i*n+jhi], a[i*k+plo:(i+1)*k], b[jlo*k:jhi*k], plo, k)
+		matmulT2Row(dst[i*n:(i+1)*n], a[i*k:(i+1)*k], b, k)
 	}
 }
 
-// matmulT2Row is one row of matmulT2Rows: di[j] gains ai · b[j, plo:] for b
-// of width k.
-func matmulT2Row(di, ai, b []float64, plo, k int) {
+// matmulT2Row is one row of matmulT2Rows: di[j] = ai · b[j] for b of width k.
+func matmulT2Row(di, ai, b []float64, k int) {
 	j := 0
 	for ; j+4 <= len(di); j += 4 {
-		var s0, s1, s2, s3 float64
-		if plo > 0 {
-			s0, s1, s2, s3 = di[j], di[j+1], di[j+2], di[j+3]
-		}
-		di[j], di[j+1], di[j+2], di[j+3] = dot4(ai, b[j*k+plo:], b[(j+1)*k+plo:], b[(j+2)*k+plo:], b[(j+3)*k+plo:], s0, s1, s2, s3)
+		di[j], di[j+1], di[j+2], di[j+3] = dot4(ai, b[j*k:], b[(j+1)*k:], b[(j+2)*k:], b[(j+3)*k:])
 	}
 	for ; j < len(di); j++ {
 		s := 0.0
-		if plo > 0 {
-			s = di[j]
-		}
-		for p, bv := range b[j*k+plo:][:len(ai)] {
-			s += ai[p] * bv
+		for p, bv := range b[j*k:][:len(ai)] {
+			s = math.FMA(ai[p], bv, s)
 		}
 		di[j] = s
 	}
 }
 
-// dot4 continues four dot products that share ai. Kept out of line: inlined
-// into the row loop, the compiler spills p on every iteration.
+// dot4 runs four dot products that share ai. Kept out of line: inlined into
+// the row loop, the compiler spills p on every iteration.
 //
 //go:noinline
-func dot4(ai, b0, b1, b2, b3 []float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+func dot4(ai, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 	b0, b1, b2, b3 = b0[:len(ai)], b1[:len(ai)], b2[:len(ai)], b3[:len(ai)]
 	for p, av := range ai {
-		s0 += av * b0[p]
-		s1 += av * b1[p]
-		s2 += av * b2[p]
-		s3 += av * b3[p]
+		s0 = math.FMA(av, b0[p], s0)
+		s1 = math.FMA(av, b1[p], s1)
+		s2 = math.FMA(av, b2[p], s2)
+		s3 = math.FMA(av, b3[p], s3)
 	}
 	return s0, s1, s2, s3
 }

@@ -124,9 +124,9 @@ func BenchmarkMatMulThreshold(b *testing.B) {
 // transpose of an (M, H) weight). Three forms, on a pool of one:
 // "portable" is the loop body per window, which is what every build without
 // the kernels runs; "window" is one product per window, the way the step
-// drove them before window sets — a window shorter than a tile never reaches
-// the kernels, and every window streams the whole weight; "set" is the four
-// windows as one window-set product.
+// drove them before window sets — every window streams (for a@bᵀ,
+// transposes) the whole weight, and an a@b window shorter than a tile never
+// reaches the kernels; "set" is the four windows as one window-set product.
 func BenchmarkGemmChunk(b *testing.B) {
 	const count = 4
 	shapes := []struct{ rows, m, h, stride int }{{7, 512, 16, 29}, {10, 64, 384, 20}, {3, 256, 320, 5}, {6, 128, 128, 12}}
@@ -142,8 +142,10 @@ func BenchmarkGemmChunk(b *testing.B) {
 			(*Pool).matmulInto,
 			func(p *Pool, dst *Tensor, w Windows, a, b *Tensor) { p.MatMulRowsInto(dst, w, a, w, b) }},
 		{"t2", func(m, h int) (int, int) { return h, m },
-			func(dst, a, b []float64, m, k, n int) { matmulT2Rows(dst, a, b, 0, m, 0, n, 0, k, n) },
-			(*Pool).matmulT2Into,
+			func(dst, a, b []float64, m, k, n int) { matmulT2Rows(dst, a, b, 0, m, k, n) },
+			func(p *Pool, dst, a, b []float64, m, k, n int) {
+				p.MatMulT2RowsInto(FromData(dst, m, n), Window(0, m), FromData(a, m, k), Window(0, m), FromData(b, n, k), 0, n)
+			},
 			func(p *Pool, dst *Tensor, w Windows, a, b *Tensor) {
 				p.MatMulT2RowsInto(dst, w, a, w, b, 0, b.shape[0])
 			}},

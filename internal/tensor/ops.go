@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Add returns a + b elementwise.
 func Add(a, b *Tensor) *Tensor {
@@ -138,13 +135,6 @@ func GeLUInto(dst, a *Tensor) { ApplyInto(dst, a, gelu) }
 // SiLUInto stores SiLU(a) into dst.
 func SiLUInto(dst, a *Tensor) { ApplyInto(dst, a, silu) }
 
-// GeLUAt is the scalar GeLUInto applies, for callers that write the result
-// through a strided column window.
-func GeLUAt(x float64) float64 { return gelu(x) }
-
-// SiLUAt is the scalar SiLUInto applies (see GeLUAt).
-func SiLUAt(x float64) float64 { return silu(x) }
-
 // Sum returns the sum of all elements.
 func Sum(a *Tensor) float64 {
 	s := 0.0
@@ -165,49 +155,18 @@ func Mean(a *Tensor) float64 {
 // Sigmoid returns 1/(1+e^-x) elementwise.
 func Sigmoid(a *Tensor) *Tensor { return Apply(a, sigmoid) }
 
-func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
 // SigmoidGrad returns the derivative of sigmoid given its output y.
 func SigmoidGrad(y float64) float64 { return y * (1 - y) }
 
 // Softplus returns log(1+e^x) elementwise, computed stably.
 func Softplus(a *Tensor) *Tensor { return Apply(a, softplus) }
 
-func softplus(x float64) float64 {
-	if x > 30 {
-		return x
-	}
-	return math.Log1p(math.Exp(x))
-}
-
 // GeLU applies the Gaussian error linear unit (tanh approximation, as used
 // by GPT-2) elementwise.
 func GeLU(a *Tensor) *Tensor { return Apply(a, gelu) }
 
-const geluC = 0.7978845608028654 // sqrt(2/pi)
-
-func gelu(x float64) float64 {
-	return 0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x)))
-}
-
-// GeLUGrad returns d gelu(x)/dx at x.
-func GeLUGrad(x float64) float64 {
-	inner := geluC * (x + 0.044715*x*x*x)
-	t := math.Tanh(inner)
-	dinner := geluC * (1 + 3*0.044715*x*x)
-	return 0.5*(1+t) + 0.5*x*(1-t*t)*dinner
-}
-
 // SiLU applies x*sigmoid(x) (the activation used by Mixtral) elementwise.
 func SiLU(a *Tensor) *Tensor { return Apply(a, silu) }
-
-func silu(x float64) float64 { return x * sigmoid(x) }
-
-// SiLUGrad returns d silu(x)/dx at x.
-func SiLUGrad(x float64) float64 {
-	s := sigmoid(x)
-	return s + x*s*(1-s)
-}
 
 // ReLU applies max(0,x) elementwise.
 func ReLU(a *Tensor) *Tensor {
@@ -219,8 +178,8 @@ func ReLU(a *Tensor) *Tensor {
 	})
 }
 
-// Tanh applies tanh elementwise.
-func Tanh(a *Tensor) *Tensor { return Apply(a, math.Tanh) }
+// Tanh applies tanh elementwise (activation.go's tanh).
+func Tanh(a *Tensor) *Tensor { return Apply(a, tanh) }
 
-// Exp applies e^x elementwise.
-func Exp(a *Tensor) *Tensor { return Apply(a, math.Exp) }
+// Exp applies e^x elementwise (activation.go's exp).
+func Exp(a *Tensor) *Tensor { return Apply(a, exp) }

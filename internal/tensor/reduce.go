@@ -64,7 +64,7 @@ func softmaxInPlace(row []float64) {
 	}
 	sum := 0.0
 	for i, v := range row {
-		e := math.Exp(v - maxV)
+		e := exp(v - maxV)
 		row[i] = e
 		sum += e
 	}

@@ -8,29 +8,36 @@
 //
 // # GEMM contract
 //
-// The expert computation is three products, and each is defined by the
-// order in which one output element accumulates its terms (matmul.go):
+// The expert computation is three products — a@b (MatMulInto,
+// MatMulRowsInto, BatchedMatMul), aᵀ@b (MatMulT1Into, MatMulT1AddInto) and
+// a@bᵀ (MatMulT2Into, MatMulT2RowsInto) — and one order defines all three
+// (matmul.go): each element of dst is one chain of fused multiply-adds over
+// the inner index,
 //
-//   - plain (MatMulT1Into/MatMulT1AddInto, aᵀ@b): dst[i,j] += a[p,i]·b[p,j]
-//     one p at a time, p ascending, a term skipped when its a is ±0;
-//   - grouped (MatMulInto/MatMulRowsInto/BatchedMatMul, a@b): four p at a
-//     time, dst[i,j] += ((a0·b0 + a1·b1) + a2·b2) + a3·b3, a group skipped
-//     when its four a are all ±0, then the k mod 4 tail as plain, from +0;
-//   - transposed (MatMulT2Into/MatMulT2RowsInto, a@bᵀ): one dot product per
-//     element, s += a[i,p]·b[j,p], p ascending, nothing skipped, from +0.
+//	s = fma(a_p, b_p, s) for p = 0, 1, …, k−1,
 //
-// Every product is rounded before it is added — never fused. Each order has
-// one portable Go loop body and, on amd64 with AVX2, one register-tile
-// micro-kernel in Go assembler (gemm_amd64.s: VMULPD then VADDPD, a 4×8
-// tile of dst for the first two orders, an 8×4 tile with b transposed in
-// registers for the third). The kernels are selected once, at package init,
-// from CPUID leaves 1 and 7 and XGETBV — Kernel reports the outcome — and
-// run full tiles only; whatever a tile grid leaves over (columns past the
-// last full tile, the rows of an accumulating product past its last full
-// tile row, a@bᵀ's k mod 4 tail, products too narrow or too shallow for a
-// tile) runs through the portable body restricted to that range, which is
-// also the whole implementation on every other GOARCH, CPU or -tags purego
-// build and the oracle the tests compare the kernels against.
+// each term rounded once, from +0 (from dst's value for MatMulT1AddInto),
+// no term skipped. The portable Go loop bodies spell every term as
+// math.FMA, which is exact on every target — a hardware FMA where the CPU
+// has one, a correctly rounded software one where it has not — so no
+// compiler can fuse or split a term: their bits are the same on every
+// GOARCH, CPU and GOAMD64 level by construction. (arm64 is cross-compiled
+// and vetted here, not run.)
+//
+// On amd64 CPUs with AVX2 and FMA the products run on register-tile
+// micro-kernels in Go assembler (gemm_amd64.s), every term one
+// VFMADD231PD: a 4×8 tile of dst for a@b and aᵀ@b, its pairs as 4×16 tiles
+// of a 512-bit kernel where the CPU also has AVX-512F. a@bᵀ runs on the same
+// kernels through a transpose — of b, or of a's rows and the result,
+// whichever moves fewer elements — which fma's symmetry in its factors
+// leaves bit-identical. The kernels are selected once, at package init, from
+// CPUID leaves 1 and 7 and XGETBV — Kernel reports the outcome — and run
+// full tiles only; whatever a tile grid leaves over (columns past the last
+// full tile, the rows of an accumulating product past its last full tile
+// row, products too narrow or too shallow for a tile) runs through the
+// portable body restricted to that range, which is also the whole
+// implementation on every other GOARCH, CPU or -tags purego build and the
+// oracle the tests compare the kernels against.
 //
 // The row forms (MatMulRowsInto, MatMulT2RowsInto) take a window set per
 // operand (Windows: Count windows of N rows, Stride apart) and run it as one
@@ -41,15 +48,25 @@
 // chunk's few rows in each token-side shard — still fill the kernels' tiles.
 //
 // Guaranteed: on finite operands kernel and portable body produce the same
-// bits, so a product does not depend on the build, on how its rows are cut
-// into windows or window sets (chunked ≡ monolithic), on which rows share a
-// tile, or on the pool width — the tile grid is a function of the shapes
-// alone and every element is accumulated by one goroutine in its order.
-// With a NaN or Inf in an operand both produce the same set of non-finite
-// elements (a zero a still skips its 0·NaN), but a NaN's payload and sign
-// are not specified. Not guaranteed: the bits of the
-// portable body across architectures — where the Go compiler fuses x*y+z
-// (arm64, not amd64) they differ from amd64's, as they always have.
+// bits, so a product does not depend on the build, the CPU or the GOARCH,
+// on how its rows are cut into windows or window sets (chunked ≡
+// monolithic), on which rows share a tile, or on the pool width — the tile
+// grid is a function of the shapes alone and every element is accumulated
+// by one goroutine in its order. With a NaN or Inf in an operand both
+// produce the same set of non-finite elements (a zero times an Inf is a
+// NaN, as IEEE 754 has it), but a NaN's payload and sign are not specified.
+//
+// # Elementary functions
+//
+// e^x, tanh, the logistic σ and the activations built on them (GeLU, SiLU,
+// their gradients, Softmax, Sigmoid, Softplus) are repository functions
+// (activation.go), not math.Exp and math.Tanh: amd64's math.Exp rounds
+// differently on CPUs with and without FMA. They are made of +, −, ×, ÷
+// and exact scaling with every product that feeds a sum rounded through a
+// float64 conversion, so their bits are fixed too; exp and tanh are within
+// 2 ulp of the math package's. GeLURow and GeLUGradRow run the same
+// operations eight lanes at a time where the CPU has AVX-512
+// (activation_amd64.s), with the scalar bits.
 //
 // # Views and aliasing
 //
