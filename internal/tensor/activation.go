@@ -8,11 +8,15 @@ import "math"
 // math.Tanh: on amd64 math.Exp takes a fused-multiply-add path when the CPU
 // has FMA and an unfused one when it has not, so its bits — and every
 // parameter downstream of a softmax, a gate or a GeLU — would depend on the
-// CPU. Every product whose result feeds an addition is written through a
-// float64 conversion, the Go spec's fusion barrier, so no compiler on any
-// GOARCH or GOAMD64 level may fuse it either: the bits below are a function
-// of the input alone, and activation_test.go pins them. (softplus takes its
-// logarithm from math.Log1p, which is plain Go with no CPU-dependent path.)
+// CPU. Every product whose result feeds an addition or a subtraction is
+// written through a float64 conversion, the Go spec's fusion barrier, so no
+// compiler on any GOARCH or GOAMD64 level may fuse it either: the bits of
+// exp, tanh, σ and the activations below are a function of the input alone,
+// and activation_test.go pins them (on amd64; arm64, whose compiler does
+// fuse unguarded products, is cross-compiled here, not run). softplus is
+// the exception: it takes its logarithm from math.Log1p, plain Go that is
+// the same on every amd64 CPU but that a fusing compiler may round
+// differently, so its bits are promised for amd64 alone.
 
 const (
 	// expMax is ln(MaxFloat64): above it e^x is +Inf. Below expMin e^x
@@ -66,7 +70,7 @@ func exp(x float64) float64 {
 	}
 	kf := float64(float64(x*log2e)+roundC) - roundC
 	hi := x - float64(kf*ln2Hi)
-	lo := kf * ln2Lo
+	lo := float64(kf * ln2Lo)
 	r := hi - lo
 	r2 := r * r
 	r4 := r2 * r2

@@ -7,9 +7,14 @@ package tensor
 // alone — never from a timing — so a run's kernel choice adds no variance.
 var useKernels = detectAVX2FMA()
 
-// use512 adds the 512-bit plain kernel (gemmPlain512) where the CPU has
-// AVX-512F and the OS saves the ZMM state: XCR0 bits 5–7 and CPUID.7.0:EBX
-// AVX512F. Its terms are the AVX2 kernel's, so it changes no bit.
+// use512 adds the 512-bit plain kernel (gemmPlain512) and the GeLU row
+// kernels (activation_amd64.s) where the CPU has AVX-512F and the OS saves
+// the ZMM state: XCR0 bits 5–7 and CPUID.7.0:EBX AVX512F. Its terms are the
+// AVX2 kernel's and the scalar code's, so it changes no bit. On a 2-core
+// AVX-512 host, switching the 512-bit GEMM off raises the repository
+// benchmark's step_ms_min 5–15 % on all four workloads, and the scalar GeLU
+// rows in place of the row kernels raise it 6–54 % (ep_compute the most).
+// TestAVX2Kernels runs the kernel suites with it off.
 var use512 = useKernels && detectAVX512()
 
 // detectAVX2FMA reports whether the CPU has AVX2 and FMA and the OS saves

@@ -370,18 +370,37 @@ func TestGemmWindowSetsConcurrent(t *testing.T) {
 // chunk windows are, 1 to 10 rows — every height below both tiles, and
 // ep_compute's 10; a single window up to 80.
 func FuzzGemmKernels(f *testing.F) {
-	f.Add(uint64(1), uint8(9), uint8(17), uint8(6), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Add(uint64(2), uint8(40), uint8(64), uint8(3), uint8(0), uint8(12), uint8(20), uint8(0), uint8(0), uint8(0))
-	f.Add(uint64(3), uint8(3), uint8(7), uint8(0), uint8(2), uint8(0), uint8(100), uint8(3), uint8(0), uint8(0))
-	f.Add(uint64(4), uint8(2), uint8(9), uint8(8), uint8(1), uint8(1), uint8(10), uint8(0), uint8(3), uint8(5))
+	for _, s := range gemmFuzzSeeds {
+		f.Add(s.seed, s.b[0], s.b[1], s.b[2], s.b[3], s.b[4], s.b[5], s.b[6], s.b[7], s.b[8])
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, m, n, k, win, zeroTail, zeroPct, special, count, gap uint8) {
-		c := gemmCase{
-			seed: seed, m: int(m%80) + 1, n: int(n%80) + 1, k: int(k % 72), win: int(win % 4), count: int(count%5) + 1,
-			gap: int(gap % 9), zeroTail: int(zeroTail % 16), zeroPct: int(zeroPct % 101), special: int(special % 5),
-		}
-		if c.count > 1 {
-			c.m = int(m%10) + 1
-		}
-		checkGemmKernels(t, c)
+		checkGemmKernels(t, fuzzGemmCase(seed, [9]uint8{m, n, k, win, zeroTail, zeroPct, special, count, gap}))
 	})
+}
+
+// gemmFuzzSeed is one FuzzGemmKernels input: the seed and the nine bytes
+// m, n, k, win, zeroTail, zeroPct, special, count, gap.
+type gemmFuzzSeed struct {
+	seed uint64
+	b    [9]uint8
+}
+
+var gemmFuzzSeeds = []gemmFuzzSeed{
+	{1, [9]uint8{9, 17, 6, 1, 0, 0, 0, 0, 0}},
+	{2, [9]uint8{40, 64, 3, 0, 12, 20, 0, 0, 0}},
+	{3, [9]uint8{3, 7, 0, 2, 0, 100, 3, 0, 0}},
+	{4, [9]uint8{2, 9, 8, 1, 1, 10, 0, 3, 5}},
+}
+
+// fuzzGemmCase maps FuzzGemmKernels' arguments to its case.
+func fuzzGemmCase(seed uint64, b [9]uint8) gemmCase {
+	m, n, k, win, zeroTail, zeroPct, special, count, gap := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8]
+	c := gemmCase{
+		seed: seed, m: int(m%80) + 1, n: int(n%80) + 1, k: int(k % 72), win: int(win % 4), count: int(count%5) + 1,
+		gap: int(gap % 9), zeroTail: int(zeroTail % 16), zeroPct: int(zeroPct % 101), special: int(special % 5),
+	}
+	if c.count > 1 {
+		c.m = int(m%10) + 1
+	}
+	return c
 }

@@ -356,12 +356,24 @@ func matmulRows(dst, a, b []float64, lo, hi, jlo, jhi, k, n int) {
 }
 
 // matmulRow is one row of matmulRows: di = ai @ b[:, jlo:jlo+len(di)] for b
-// of width n. (A function of its own so the inner loop gets the registers.)
+// of width n. Four p at a time, each element's four terms chained in
+// registers, so di is loaded and stored once per four terms; the chain is
+// the one-p-at-a-time chain, bit for bit. (A function of its own so the
+// inner loops get the registers.)
 func matmulRow(di, ai, b []float64, jlo, n int) {
 	clear(di)
-	for p, av := range ai {
-		for j, bv := range b[p*n+jlo:][:len(di)] {
-			di[j] = math.FMA(av, bv, di[j])
+	w, p := len(di), 0
+	for ; p+4 <= len(ai); p += 4 {
+		a0, a1, a2, a3 := ai[p], ai[p+1], ai[p+2], ai[p+3]
+		b0, b1 := b[p*n+jlo:][:w], b[(p+1)*n+jlo:][:w]
+		b2, b3 := b[(p+2)*n+jlo:][:w], b[(p+3)*n+jlo:][:w]
+		for j := range di {
+			di[j] = math.FMA(a3, b3[j], math.FMA(a2, b2[j], math.FMA(a1, b1[j], math.FMA(a0, b0[j], di[j]))))
+		}
+	}
+	for ; p < len(ai); p++ {
+		for j, bv := range b[p*n+jlo:][:w] {
+			di[j] = math.FMA(ai[p], bv, di[j])
 		}
 	}
 }
@@ -540,9 +552,12 @@ func (p *Pool) MatMulT2RowsInto(dst *Tensor, dw Windows, a *Tensor, aw Windows, 
 // mp·(k+n) elements (matmulT2ViaA), weighed at 3/2 because that route also
 // gathers and scatters them. In BenchmarkGemmChunk on the 2-core AVX-512
 // reference box the rule picks the faster route at all four shapes (b at
-// 7×4 and 10×4 windows, a at 3×4 and 6×4). Either way each element is the
-// same chain of fused multiply-adds as the portable dot products — fma is
-// exact in either order of its factors — so the route changes no bit.
+// 7×4 and 10×4 windows, a at 3×4 and 6×4); in the repository benchmark on
+// that box, always transposing b makes ep_params' step_ms_min 11 % higher
+// (lower in 1 of 10 runs) and ties on mixed_ckpt. Either way each element
+// is the same chain of fused multiply-adds as the portable dot products —
+// fma is exact in either order of its factors — so the route changes no
+// bit.
 
 // padCols is m rounded up to a whole number of tile columns.
 func padCols(m int) int { return (m + tileCols - 1) &^ (tileCols - 1) }

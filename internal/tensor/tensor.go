@@ -22,7 +22,8 @@
 // has one, a correctly rounded software one where it has not — so no
 // compiler can fuse or split a term: their bits are the same on every
 // GOARCH, CPU and GOAMD64 level by construction. (arm64 is cross-compiled
-// and vetted here, not run.)
+// and vetted here, not run, so for it this is the construction's promise,
+// not a test's.)
 //
 // On amd64 CPUs with AVX2 and FMA the products run on register-tile
 // micro-kernels in Go assembler (gemm_amd64.s), every term one
@@ -61,11 +62,16 @@
 // e^x, tanh, the logistic σ and the activations built on them (GeLU, SiLU,
 // their gradients, Softmax, Sigmoid, Softplus) are repository functions
 // (activation.go), not math.Exp and math.Tanh: amd64's math.Exp rounds
-// differently on CPUs with and without FMA. They are made of +, −, ×, ÷
-// and exact scaling with every product that feeds a sum rounded through a
-// float64 conversion, so their bits are fixed too; exp and tanh are within
-// 2 ulp of the math package's. GeLURow and GeLUGradRow run the same
-// operations eight lanes at a time where the CPU has AVX-512
+// differently on CPUs with and without FMA. exp, tanh, σ, GeLU, SiLU and
+// the gradients are made of +, −, ×, ÷ and exact scaling with every product
+// that feeds a sum rounded through a float64 conversion, so their bits are
+// fixed on every GOARCH too; exp and tanh are within 2 ulp of the math
+// package's. Softplus takes its logarithm from math.Log1p, plain Go that a
+// compiler which fuses multiply-adds (arm64's) may round differently, and so
+// may any other plain-Go arithmetic of the step: bits past the GEMMs and
+// these functions — the step's parameter hashes among them — are promised
+// for amd64, on any CPU, not across GOARCH. GeLURow and GeLUGradRow run the
+// same operations eight lanes at a time where the CPU has AVX-512
 // (activation_amd64.s), with the scalar bits.
 //
 // # Views and aliasing
