@@ -219,7 +219,10 @@
 // once per step: an expert's weight gradients by the backward plan's own
 // finish task on the owner rank, the gate's shard by the stepping
 // goroutine, zero wherever no rank contributed (the other ranks' shards,
-// the experts of a dead rank), then w − lr·g by the ring.
+// the experts of a dead rank), then w − lr·g by the ring. The ring moves
+// each slice in cache-sized tiles, and the exposed tail — of a step and of
+// SyncGradients alike — runs its tiles on every core of the default tensor
+// pool; the bytes are those of one ring on one goroutine.
 //
 // What a step does to Param.G: nothing, for experts. StepStack neither
 // clears nor writes the gradient accumulators of experts (it does both for

@@ -22,6 +22,22 @@ import "fmt"
 // optimizer step of a training loop — is applied: once per element, before
 // the all-gather half hands every other rank a copy of the result.
 // RingAllReduceChunk and RingAllReduce are the ring with no update.
+//
+// The ring moves a range one tile at a time. Tiles are RingTile elements
+// wide, cut from the range's start, and each goes through the whole ring —
+// reduce-scatter, update, all-gather — before the next begins. That is the
+// contract above applied to the tiling of the range, so the bytes are the
+// ring's. What it buys is locality: the ring passes over a range 2(p−1)
+// times, and a tile's p rank slices (p·RingTile·8 bytes, 128 KiB at p = 4)
+// stay in a core's L2 across all of them, where the range's would go to DRAM
+// on every pass. Stats do not see the tiles: they count the range's ring.
+
+// RingTile is the element width of the tiles RingAllReduceUpdate moves a
+// range in (see the file comment). BenchmarkRingAllReduceTile measures it at
+// a §5 tail's size (4 ranks × 2.63 M elements, with an SGD update) on a
+// 2-core Xeon with 2 MiB of L2 per core: 2 048 to 8 192 take 17–20 ms, 16 384
+// takes 20–22, 65 536 takes 22–25 and the untiled ring 31–34.
+const RingTile = 4096
 
 // SplitFlat partitions a flat buffer of n elements into at most chunks
 // contiguous, near-equal, non-empty ranges — SplitRows over elements
@@ -47,29 +63,37 @@ func RingAllReduceChunk(data [][]float64, gpusPerNode int, rr RowRange) (Stats, 
 // tiling of [0, n) update sees each element exactly once — with one rank
 // there is no ring and it sees the whole range — and every rank ends with
 // the same bytes: RingAllReduceChunk followed by the same elementwise
-// update on every rank, computed once instead of p times.
+// update on every rank, computed once instead of p times. The returned
+// Stats are RingAllReduceStats of the range.
 func RingAllReduceUpdate(data [][]float64, gpusPerNode int, rr RowRange, update func(rank, lo, hi int)) (Stats, error) {
-	var st Stats
 	n, err := checkUniform(data)
 	if err != nil {
-		return st, err
+		return Stats{}, err
 	}
 	if rr.Lo < 0 || rr.Hi < rr.Lo || rr.Hi > n {
-		return st, fmt.Errorf("comm: allreduce range [%d,%d) outside buffer of %d elements", rr.Lo, rr.Hi, n)
+		return Stats{}, fmt.Errorf("comm: allreduce range [%d,%d) outside buffer of %d elements", rr.Lo, rr.Hi, n)
 	}
-	p := len(data)
 	if rr.Len() == 0 {
-		return st, nil
+		return Stats{}, nil
 	}
-	if p == 1 {
+	if len(data) == 1 {
 		if update != nil {
 			update(0, rr.Lo, rr.Hi)
 		}
-		return st, nil
+		return Stats{}, nil
 	}
-	w := world{g: gpusPerNode}
+	for lo := rr.Lo; lo < rr.Hi; lo += RingTile {
+		ringTile(data, n, RowRange{Lo: lo, Hi: min(lo+RingTile, rr.Hi)}, update)
+	}
+	return RingAllReduceStats(len(data), n, gpusPerNode, rr), nil
+}
+
+// ringTile runs the whole restricted ring over one tile rr of p ≥ 2 rank
+// buffers of n elements.
+func ringTile(data [][]float64, n int, rr RowRange, update func(rank, lo, hi int)) {
+	p := len(data)
 	// Ring-chunk c of the FULL buffer covers [c·n/p, (c+1)·n/p); clip
-	// intersects it with the requested range.
+	// intersects it with the tile.
 	clip := func(c int) (int, int) {
 		c = (c%p + p) % p
 		return max(c*n/p, rr.Lo), min((c+1)*n/p, rr.Hi)
@@ -81,16 +105,12 @@ func RingAllReduceUpdate(data [][]float64, gpusPerNode int, rr RowRange, update 
 	// chunk r-1-s (what rank r-1 sends it), which are disjoint for p >= 2.
 	for s := 0; s < p-1; s++ {
 		for r := 0; r < p; r++ {
-			lo, hi := clip(r - s)
-			if lo >= hi {
-				continue
+			if lo, hi := clip(r - s); lo < hi {
+				src, dst := data[r][lo:hi], data[(r+1)%p][lo:hi]
+				for i, v := range src {
+					dst[i] += v
+				}
 			}
-			next := (r + 1) % p
-			src, dchunk := data[r][lo:hi], data[next][lo:hi]
-			for i, v := range src {
-				dchunk[i] += v
-			}
-			st.add(w.sameNode(r, next), hi-lo)
 		}
 	}
 	// After phase 1, rank r holds the fully reduced slice of ring chunk
@@ -107,11 +127,38 @@ func RingAllReduceUpdate(data [][]float64, gpusPerNode int, rr RowRange, update 
 	for s := 0; s < p-1; s++ {
 		for r := 0; r < p; r++ {
 			if lo, hi := clip(r + 1 - s); lo < hi {
-				next := (r + 1) % p
-				copy(data[next][lo:hi], data[r][lo:hi])
-				st.add(w.sameNode(r, next), hi-lo)
+				copy(data[(r+1)%p][lo:hi], data[r][lo:hi])
 			}
 		}
 	}
-	return st, nil
+}
+
+// RingAllReduceStats is the traffic of the restricted ring over range rr
+// of p rank buffers of n elements: one message per non-empty (step, rank)
+// clip of each half, counting the range as one collective however it is
+// tiled. A caller that splits a range across goroutines counts it with this
+// instead of summing the pieces' Stats.
+func RingAllReduceStats(p, n, gpusPerNode int, rr RowRange) Stats {
+	var st Stats
+	if p < 2 || rr.Len() <= 0 {
+		return st
+	}
+	w := world{g: gpusPerNode}
+	// Ring chunk c is sent by rank r at step s of the reduce-scatter half
+	// when c ≡ r−s, and of the all-gather half when c ≡ r+1−s: each half
+	// sends every chunk once in each of its p−1 steps, from a rank fixed by
+	// (c, s).
+	for c := 0; c < p; c++ {
+		lo, hi := max(c*n/p, rr.Lo), min((c+1)*n/p, rr.Hi)
+		if lo >= hi {
+			continue
+		}
+		for s := 0; s < p-1; s++ {
+			r := (c + s) % p
+			st.add(w.sameNode(r, (r+1)%p), hi-lo)
+			r = (c + s + p - 1) % p
+			st.add(w.sameNode(r, (r+1)%p), hi-lo)
+		}
+	}
+	return st
 }

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -239,45 +240,54 @@ func TestSplitFlat(t *testing.T) {
 	}
 }
 
-// serialRingChunk is the ring as it was before the update hook: chunk
-// bounds from a table, no callback. The property test below holds the one
-// implementation to it.
-func serialRingChunk(data [][]float64, gpusPerNode int, rr RowRange) Stats {
+// untiledRing is RingAllReduceUpdate as it was before tiling: each ring
+// step walks the whole range. It is the oracle the tiled ring is held to,
+// bytes, Stats and update calls alike.
+func untiledRing(data [][]float64, gpusPerNode int, rr RowRange, update func(rank, lo, hi int)) Stats {
 	var st Stats
 	p, n := len(data), len(data[0])
-	if p == 1 || rr.Len() == 0 {
+	if rr.Len() == 0 {
+		return st
+	}
+	if p == 1 {
+		if update != nil {
+			update(0, rr.Lo, rr.Hi)
+		}
 		return st
 	}
 	w := world{g: gpusPerNode}
-	bounds := make([]int, p+1)
-	for c := 0; c <= p; c++ {
-		bounds[c] = c * n / p
-	}
 	clip := func(c int) (int, int) {
-		return max(bounds[c], rr.Lo), min(bounds[c+1], rr.Hi)
+		c = (c%p + p) % p
+		return max(c*n/p, rr.Lo), min((c+1)*n/p, rr.Hi)
 	}
 	for s := 0; s < p-1; s++ {
 		for r := 0; r < p; r++ {
-			lo, hi := clip(((r-s)%p + p) % p)
+			lo, hi := clip(r - s)
 			if lo >= hi {
 				continue
 			}
-			dst := (r + 1) % p
-			for i, v := range data[r][lo:hi] {
-				data[dst][lo+i] += v
+			next := (r + 1) % p
+			src, dchunk := data[r][lo:hi], data[next][lo:hi]
+			for i, v := range src {
+				dchunk[i] += v
 			}
-			st.add(w.sameNode(r, dst), hi-lo)
+			st.add(w.sameNode(r, next), hi-lo)
+		}
+	}
+	if update != nil {
+		for r := 0; r < p; r++ {
+			if lo, hi := clip(r + 1); lo < hi {
+				update(r, lo, hi)
+			}
 		}
 	}
 	for s := 0; s < p-1; s++ {
 		for r := 0; r < p; r++ {
-			lo, hi := clip(((r+1-s)%p + p) % p)
-			if lo >= hi {
-				continue
+			if lo, hi := clip(r + 1 - s); lo < hi {
+				next := (r + 1) % p
+				copy(data[next][lo:hi], data[r][lo:hi])
+				st.add(w.sameNode(r, next), hi-lo)
 			}
-			dst := (r + 1) % p
-			copy(data[dst][lo:hi], data[r][lo:hi])
-			st.add(w.sameNode(r, dst), hi-lo)
 		}
 	}
 	return st
@@ -286,10 +296,10 @@ func serialRingChunk(data [][]float64, gpusPerNode int, rr RowRange) Stats {
 // TestRingAllReduceUpdateProperty: over random rank counts, buffer lengths
 // (shorter than the ring included) and
 // tilings reduced in random order, reduce-scatter → update → all-gather
-// leaves every rank with the bytes of the serial ring followed by the same
-// update applied on every rank, reports the same Stats, and hands the
-// update every element of [0, n) exactly once; with a nil update it is the
-// serial ring.
+// leaves every rank with the bytes of the untiled ring with no update
+// followed by the same update applied on every rank, reports the same
+// Stats, and hands the update every element of [0, n) exactly once; with a
+// nil update it is the untiled ring.
 func TestRingAllReduceUpdateProperty(t *testing.T) {
 	const lr = 0.37
 	rng := xrand.New(4242)
@@ -305,7 +315,7 @@ func TestRingAllReduceUpdateProperty(t *testing.T) {
 		want, plain := cloneRanks(ref), cloneRanks(ref)
 		var wantSt Stats
 		for _, c := range perm {
-			wantSt.Merge(serialRingChunk(want, g, tiles[c]))
+			wantSt.Merge(untiledRing(want, g, tiles[c], nil))
 		}
 		for r := range want {
 			if p == 1 {
@@ -361,7 +371,7 @@ func TestRingAllReduceUpdateProperty(t *testing.T) {
 		}
 		serial := cloneRanks(ref)
 		for _, c := range perm {
-			serialRingChunk(serial, g, tiles[c])
+			untiledRing(serial, g, tiles[c], nil)
 		}
 		for r := range plain {
 			for k := range plain[r] {
@@ -372,4 +382,99 @@ func TestRingAllReduceUpdateProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRingAllReduceTiledMatchesUntiled: the tiled ring is the untiled one.
+// Over random rank counts 1–5, buffers several tiles long and ranges that
+// start and end inside a tile and straddle ring-chunk boundaries, it leaves
+// the same bytes, reports exactly the same Stats — message counts included —
+// and hands update every element of the range exactly once.
+func TestRingAllReduceTiledMatchesUntiled(t *testing.T) {
+	const lr = 0.37
+	rng := xrand.New(733)
+	for trial := 0; trial < 60; trial++ {
+		p := 1 + rng.Intn(5)
+		n := RingTile + rng.Intn(4*RingTile)
+		g := []int{0, 1, 2, p}[rng.Intn(4)]
+		lo := rng.Intn(n / 2)
+		if trial%3 == 0 {
+			lo = (lo / RingTile) * RingTile // some ranges start on a tile edge
+		}
+		rr := RowRange{Lo: lo, Hi: lo + rng.Intn(n-lo+1)}
+		ref := randRanks(uint64(5000+trial), p, n)
+		weights := randRanks(uint64(6000+trial), 1, n)[0]
+		sgd := func(data [][]float64, seen []int) func(rank, lo, hi int) {
+			return func(rank, lo, hi int) {
+				for k := lo; k < hi; k++ {
+					seen[k]++
+					data[rank][k] = weights[k] - lr*data[rank][k]
+				}
+			}
+		}
+
+		want, got := cloneRanks(ref), cloneRanks(ref)
+		wantSeen, gotSeen := make([]int, n), make([]int, n)
+		wantSt := untiledRing(want, g, rr, sgd(want, wantSeen))
+		gotSt, err := RingAllReduceUpdate(got, g, rr, sgd(got, gotSeen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotSt != wantSt {
+			t.Fatalf("trial %d (p=%d n=%d g=%d rr=%v): stats %+v, untiled %+v", trial, p, n, g, rr, gotSt, wantSt)
+		}
+		if st := RingAllReduceStats(p, n, g, rr); st != wantSt {
+			t.Fatalf("trial %d (p=%d n=%d g=%d rr=%v): RingAllReduceStats %+v, untiled %+v", trial, p, n, g, rr, st, wantSt)
+		}
+		for k := range gotSeen {
+			if in := k >= rr.Lo && k < rr.Hi; gotSeen[k] != wantSeen[k] || (gotSeen[k] == 1) != in {
+				t.Fatalf("trial %d (p=%d rr=%v): update saw element %d %d times, untiled %d", trial, p, rr, k, gotSeen[k], wantSeen[k])
+			}
+		}
+		for r := range got {
+			for k := range got[r] {
+				if math.Float64bits(got[r][k]) != math.Float64bits(want[r][k]) {
+					t.Fatalf("trial %d (p=%d n=%d rr=%v): rank %d elem %d = %v, untiled %v", trial, p, n, rr, r, k, got[r][k], want[r][k])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRingAllReduceTile reduces and SGD-steps one §5 tail at the
+// benchmark's ep_params size (4 ranks of 2.63 M elements), untiled and at
+// tile widths around RingTile. The tiled rows reimplement the tiling with
+// the untiled oracle over each tile, which is what RingAllReduceUpdate does
+// at its own width ("ring" row).
+func BenchmarkRingAllReduceTile(b *testing.B) {
+	const p, n = 4, 2_630_000
+	data := randRanks(1, p, n)
+	weights := randRanks(2, 1, n)[0]
+	update := func(rank, lo, hi int) {
+		ws, gs := weights[lo:hi], data[rank][lo:hi]
+		for k, w := range ws {
+			gs[k] = w - 1e-9*gs[k]
+		}
+	}
+	whole := RowRange{Lo: 0, Hi: n}
+	b.Run("untiled", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			untiledRing(data, p, whole, update)
+		}
+	})
+	for _, tile := range []int{1024, 2048, 4096, 8192, 16384, 65536} {
+		b.Run(fmt.Sprintf("tile=%d", tile), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < n; lo += tile {
+					untiledRing(data, p, RowRange{Lo: lo, Hi: min(lo+tile, n)}, update)
+				}
+			}
+		})
+	}
+	b.Run("ring", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := RingAllReduceUpdate(data, p, whole, update); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

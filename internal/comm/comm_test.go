@@ -68,18 +68,21 @@ func TestRingAllReduceSingleRank(t *testing.T) {
 }
 
 func TestRingAllReduceVolume(t *testing.T) {
-	// Ring allreduce moves ~2(p-1)/p · n per rank; total ≈ 2(p-1)·n.
-	p, n := 4, 64
+	// Ring allreduce moves (p-1)/p · n per rank in each half: 2(p-1)·n in
+	// all, in 2(p-1)·p messages, exactly the untiled ring's counts.
+	p, n := 4, 3*RingTile+65
 	r := xrand.New(1)
 	data := randWorld(r, p, n)
-	st, err := RingAllReduce(data, 0)
+	want := untiledRing(cloneRanks(data), 2, RowRange{Lo: 0, Hi: n}, nil)
+	st, err := RingAllReduce(data, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := st.InterVolume + st.IntraVolume
-	want := float64(2 * (p - 1) * n)
-	if math.Abs(total-want) > float64(2*p*p) { // chunk rounding slack
-		t.Fatalf("total volume %v, want ~%v", total, want)
+	if st != want {
+		t.Fatalf("stats %+v, untiled ring %+v", st, want)
+	}
+	if vol, msgs := st.InterVolume+st.IntraVolume, st.InterMessages+st.IntraMessages; vol != float64(2*(p-1)*n) || msgs != 2*(p-1)*p {
+		t.Fatalf("moved %v elements in %d messages, want %d in %d", vol, msgs, 2*(p-1)*n, 2*(p-1)*p)
 	}
 }
 

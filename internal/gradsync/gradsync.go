@@ -18,12 +18,15 @@
 // tail. Because every element is reduced exactly once by a restricted
 // ring that is byte-identical under any slicing (comm.RingAllReduceChunk),
 // all strategies produce bit-identical synchronized gradients; only the
-// wall-clock placement differs. A Syncer cut with an Update has the ring
-// apply it where each reduced slice lands (comm.RingAllReduceUpdate), so
-// the buffers end as the updated replicas instead of the gradients.
+// wall-clock placement differs. The same property lets Finish split the
+// tail across every core of the default tensor pool. A Syncer cut with an
+// Update has the ring apply it where each reduced slice lands
+// (comm.RingAllReduceUpdate), so the buffers end as the updated replicas
+// instead of the gradients.
 package gradsync
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -33,6 +36,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/runtime"
 	"repro/internal/sim"
+	"repro/internal/tensor"
 )
 
 // Strategy selects how gradient synchronization is scheduled relative to
@@ -112,7 +116,7 @@ type Report struct {
 	Strategy    Strategy
 	TotalBytes  float64 // accounting bytes across all layers
 	HiddenBytes float64 // bytes reduced inside backward stream plans
-	TailBytes   float64 // bytes reduced sequentially by Finish
+	TailBytes   float64 // bytes reduced by Finish, after the backward pass
 	TailMS      float64 // measured wall time of the exposed tail
 	Slices      int     // AllReduce tasks emitted into plans
 	TailSlices  int     // AllReduce slices run by Finish
@@ -130,6 +134,7 @@ type Syncer struct {
 	specs  []LayerSpec
 	plan   *core.GarPlan
 	names  *sliceNames
+	tail   *tailRun
 	update Update
 	grads  [][][]float64 // [layer][rank][] partial gradients, set by Collect
 	ranks  int
@@ -140,6 +145,9 @@ type Syncer struct {
 	emit     [][]pendingRange // slices bucketed per emit point for the current layer
 	inflight []pendingRange   // slices handed to a plan by EmitAt but not yet reduced
 	rep      Report
+
+	tailMu  sync.Mutex // guards tailErr while Finish's workers run
+	tailErr error
 }
 
 // Plan is a strategy's solved byte plan together with the inputs it was
@@ -154,6 +162,16 @@ type Plan struct {
 	total float64       // accounting bytes across all layers
 	gar   *core.GarPlan // nil for no-overlap
 	names sliceNames
+	tail  tailRun
+}
+
+// tailRun is the body Finish hands the default tensor pool, built once per
+// Plan so that a step's fan-out allocates no closure of its own. mu holds it
+// for the one Syncer it serves during a Finish.
+type tailRun struct {
+	mu sync.Mutex
+	s  *Syncer
+	fn func(lo, hi int)
 }
 
 // sliceNames holds the task name of every AllReduce slice Syncers of one
@@ -181,7 +199,9 @@ func (n *sliceNames) of(sl pendingRange) string {
 // Update is applied by the ring to each fully reduced piece of a layer's
 // buffers, once: elements [lo, hi) of layer's buffer on rank, which alone
 // holds them at that point and may rewrite them in place before they are
-// copied to the other ranks.
+// copied to the other ranks. Finish calls it from several goroutines at once
+// on disjoint ranges, holding its Plan's tail: it must not call back into
+// the Syncer or anything cut from the same Plan.
 type Update func(layer, rank, lo, hi int)
 
 // Solve validates the layer specs and computes the strategy's byte plan —
@@ -204,6 +224,7 @@ func Solve(cfg Config, specs []LayerSpec) (*Plan, error) {
 		}
 	}
 	p := &Plan{cfg: cfg, specs: slices.Clone(specs)}
+	p.tail.fn = func(lo, hi int) { p.tail.s.tailTiles(lo, hi) }
 	cores := make([]core.LayerSpec, len(specs))
 	for i, sp := range specs {
 		cores[i] = core.LayerSpec{V: sp.V}
@@ -241,6 +262,7 @@ func (p *Plan) NewSyncer(update Update) *Syncer {
 		specs:  p.specs,
 		plan:   p.gar,
 		names:  &p.names,
+		tail:   &p.tail,
 		update: update,
 		grads:  make([][][]float64, len(p.specs)),
 		rep:    Report{Strategy: p.cfg.Strategy, TotalBytes: p.total, Gar: p.gar},
@@ -383,7 +405,6 @@ func (s *Syncer) EmitAt(p *runtime.Plan, stream string, pt int) {
 		return
 	}
 	for _, sl := range s.emit[pt] {
-		sl := sl
 		s.inflight = append(s.inflight, sl)
 		bytes := float64(sl.rr.Len()) * s.cfg.ElemBytes
 		// The estimate lives in the same arbitrary elements/1e6 unit space
@@ -399,24 +420,21 @@ func (s *Syncer) EmitAt(p *runtime.Plan, stream string, pt int) {
 	s.emit[pt] = nil
 }
 
-// reduce runs one restricted ring over a slice. Plans execute their inter
-// stream serially and Finish runs after every plan has been awaited, so
-// the stats accumulation never races.
+// reduce runs one in-plan AllReduce slice on the task's goroutine: the
+// World's kernel pool is sized to the executor's workers, and a slice that
+// fanned out would oversubscribe it. Plans execute their inter stream
+// serially and Finish runs after every plan has been awaited, so the stats
+// accumulation never races.
 func (s *Syncer) reduce(sl pendingRange) error {
-	bufs := s.grads[sl.layer]
-	if bufs == nil {
+	if s.grads[sl.layer] == nil {
 		return fmt.Errorf("gradsync: layer %d sliced before Collect", sl.layer)
 	}
-	var update func(rank, lo, hi int)
-	if s.update != nil {
-		update = func(rank, lo, hi int) { s.update(sl.layer, rank, lo, hi) }
-	}
-	// reduce serves both in-plan AR tasks (whose fault injection is
-	// task-level: RetryPolicy.Kinds covers KindAllReduce, and an injected
-	// failure fires before the body, so a retried slice is never reduced or
-	// updated twice) and the sequential Finish tail, which runs outside any
-	// plan and has no guard to carry — so the ring takes no guard here.
-	st, err := comm.RingAllReduceUpdate(bufs, s.cfg.GPUsPerNode, sl.rr, update)
+	// reduce serves in-plan AR tasks, whose fault injection is task-level:
+	// RetryPolicy.Kinds covers KindAllReduce, and an injected failure fires
+	// before the body, so a retried slice is never reduced or updated twice.
+	// The ring itself takes no guard, and neither does the Finish tail, which
+	// runs outside any plan.
+	st, err := s.ring(sl.layer, sl.rr)
 	if err != nil {
 		return err
 	}
@@ -432,6 +450,16 @@ func (s *Syncer) reduce(sl pendingRange) error {
 		}
 	}
 	return nil
+}
+
+// ring runs the restricted ring over elements rr of layer's buffers,
+// applying the Syncer's Update where each reduced clip lands.
+func (s *Syncer) ring(layer int, rr comm.RowRange) (comm.Stats, error) {
+	var update func(rank, lo, hi int)
+	if s.update != nil {
+		update = func(rank, lo, hi int) { s.update(layer, rank, lo, hi) }
+	}
+	return comm.RingAllReduceUpdate(s.grads[layer], s.cfg.GPUsPerNode, rr, update)
 }
 
 // Collect registers layer i's per-rank partial gradients: from now on
@@ -464,9 +492,14 @@ func (s *Syncer) Collect(i int, grads [][]float64) error {
 	return nil
 }
 
-// Finish synchronizes everything still pending — the exposed tail — on
-// the calling goroutine, measuring its wall time, and returns the
-// completed report. Every layer must have been collected.
+// Finish synchronizes everything still pending — the exposed tail —
+// measuring its wall time, and returns the completed report. Every layer
+// must have been collected. The tail's ring tiles (comm.RingTile) are split
+// across the default tensor pool's workers: the pieces are disjoint element
+// ranges, so their updates write disjoint spans, and by the ring's tiling
+// contract the bytes, Stats and update calls are those of one ring per tail
+// slice on one goroutine. Every piece runs; their errors are joined and
+// returned once all have finished.
 func (s *Syncer) Finish() (Report, error) {
 	if s.synced {
 		return s.rep, fmt.Errorf("gradsync: Finish called twice")
@@ -486,23 +519,56 @@ func (s *Syncer) Finish() (Report, error) {
 	s.pending = append(s.pending, s.inflight...)
 	s.inflight = nil
 	t0 := time.Now()
+	tiles := 0
 	for _, pr := range s.pending {
-		// The tail still moves in ChunkBytes-bounded slices for the fixed-
+		// The tail is accounted in ChunkBytes-bounded slices for the fixed-
 		// chunk baseline (each paying its collective startup); adaptive and
 		// no-overlap tails go as whole remaining ranges.
-		slices := []pendingRange{pr}
+		per := pr.rr.Len()
 		if s.cfg.Strategy == StrategyFixedChunk {
-			slices = cutSlices(pr, s.sliceElems(pr.rr.Len()))
+			per = s.sliceElems(per)
 		}
-		for _, sl := range slices {
-			if err := s.reduce(sl); err != nil {
-				return s.rep, err
-			}
+		bufs := s.grads[pr.layer]
+		for lo := pr.rr.Lo; lo < pr.rr.Hi; lo += per {
+			sl := comm.RowRange{Lo: lo, Hi: min(lo+per, pr.rr.Hi)}
+			s.rep.Stats.Merge(comm.RingAllReduceStats(len(bufs), len(bufs[0]), s.cfg.GPUsPerNode, sl))
 			s.rep.TailSlices++
-			s.rep.TailBytes += float64(sl.rr.Len()) * s.cfg.ElemBytes
+			s.rep.TailBytes += float64(sl.Len()) * s.cfg.ElemBytes
 		}
+		tiles += (pr.rr.Len() + comm.RingTile - 1) / comm.RingTile
 	}
+	s.tail.run(s, tiles)
 	s.pending = nil
 	s.rep.TailMS = float64(time.Since(t0)) / 1e6
-	return s.rep, nil
+	return s.rep, s.tailErr
+}
+
+// run reduces tiles [0, n) of s's tail on the default tensor pool.
+func (t *tailRun) run(s *Syncer, n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.s = s
+	tensor.ParallelRange(n, t.fn)
+	t.s = nil
+}
+
+// tailTiles reduces tiles [lo, hi) of the tail, numbered across the pending
+// ranges in order, one ring per range it meets; a failed ring's error joins
+// s.tailErr and the rest still run.
+func (s *Syncer) tailTiles(lo, hi int) {
+	for _, pr := range s.pending {
+		k := (pr.rr.Len() + comm.RingTile - 1) / comm.RingTile
+		if a, b := max(lo, 0), min(hi, k); a < b {
+			rr := comm.RowRange{Lo: pr.rr.Lo + a*comm.RingTile, Hi: min(pr.rr.Lo+b*comm.RingTile, pr.rr.Hi)}
+			if _, err := s.ring(pr.layer, rr); err != nil {
+				s.tailMu.Lock()
+				s.tailErr = errors.Join(s.tailErr, err)
+				s.tailMu.Unlock()
+			}
+		}
+		lo, hi = lo-k, hi-k
+		if hi <= 0 {
+			return
+		}
+	}
 }

@@ -1,11 +1,17 @@
 package gradsync
 
 import (
+	"math"
+	"reflect"
+	goruntime "runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/runtime"
+	"repro/internal/tensor"
 	"repro/internal/topology"
 	"repro/internal/xrand"
 )
@@ -318,5 +324,120 @@ func TestSyncerUpdateOncePerElement(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// randGrads builds per-rank partials that all contribute to every element,
+// so the ring's summation order shows in the bits.
+func randGrads(seed uint64, ranks, n int) [][]float64 {
+	rng := xrand.New(seed)
+	bufs := make([][]float64, ranks)
+	for r := range bufs {
+		bufs[r] = make([]float64, n)
+		for k := range bufs[r] {
+			bufs[r][k] = rng.NormFloat64()
+		}
+	}
+	return bufs
+}
+
+// TestFinishParallelMatchesSerial: the tail split across 2 or 4 pool
+// workers leaves the buffers a syncer with an Update leaves on one worker,
+// bit for bit, and the same Report but for its wall time — under every
+// strategy, fixed-chunk tail slices cut off the ring's tile edges included.
+func TestFinishParallelMatchesSerial(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	const layers, ranks, n, lr = 3, 4, 5*comm.RingTile + 123, 0.25
+	for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {
+		cfg, specs := testSpecs(layers, n, 40)
+		cfg.Strategy = strat
+		cfg.ChunkBytes = float64(2*comm.RingTile+77) * cfg.ElemBytes
+		plan, err := Solve(cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][][]float64
+		var wantRep Report
+		for _, workers := range []int{1, 2, 4} {
+			tensor.SetWorkers(workers)
+			grads := make([][][]float64, layers)
+			weights := make([][]float64, layers)
+			for i := range grads {
+				grads[i] = randGrads(uint64(70+i), ranks, n)
+				weights[i] = randGrads(uint64(80+i), 1, n)[0]
+			}
+			s := plan.NewSyncer(func(layer, rank, lo, hi int) {
+				for k := lo; k < hi; k++ {
+					grads[layer][rank][k] = weights[layer][k] - lr*grads[layer][rank][k]
+				}
+			})
+			driveBackward(t, s, layers, grads, 3)
+			rep, err := s.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.TailBytes < float64(3*comm.RingTile)*cfg.ElemBytes {
+				t.Fatalf("%s: tail of %v bytes is too short to fan out", strat, rep.TailBytes)
+			}
+			rep.TailMS = 0
+			if workers == 1 {
+				want, wantRep = grads, rep
+				continue
+			}
+			if !reflect.DeepEqual(rep, wantRep) {
+				t.Fatalf("%s at %d workers: report %+v, one worker %+v", strat, workers, rep, wantRep)
+			}
+			for i := range grads {
+				for r := range grads[i] {
+					for k, v := range grads[i][r] {
+						if math.Float64bits(v) != math.Float64bits(want[i][r][k]) {
+							t.Fatalf("%s at %d workers: layer %d rank %d elem %d = %v, one worker %v", strat, workers, i, r, k, v, want[i][r][k])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFinishRaggedLayerJoinsEveryPiece: a layer whose buffers disagree in
+// length fails its ring pieces, and Finish returns that error only once
+// every piece has run — the other layers end fully reduced — with no
+// goroutine left behind.
+func TestFinishRaggedLayerJoinsEveryPiece(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	tensor.SetWorkers(4)
+	tensor.ParallelRange(8, func(lo, hi int) {}) // start the pool's workers before counting
+	const layers, ranks, n = 3, 4, 4 * comm.RingTile
+	cfg, specs := testSpecs(layers, n, 40)
+	cfg.Strategy = StrategyNoOverlap
+	s, err := New(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grads := make([][][]float64, layers)
+	truth := make([][]float64, layers)
+	for i := range grads {
+		grads[i], truth[i] = disjointGrads(uint64(300+i), ranks, n)
+		if err := s.Collect(i, grads[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.grads[1][2] = s.grads[1][2][:n-1]
+	before := goruntime.NumGoroutine()
+	if _, err := s.Finish(); err == nil || !strings.Contains(err.Error(), "rank 2 has") {
+		t.Fatalf("ragged layer: err = %v", err)
+	}
+	for _, i := range []int{0, 2} {
+		for r := range grads[i] {
+			for k, v := range grads[i][r] {
+				if v != truth[i][k] {
+					t.Fatalf("layer %d rank %d elem %d = %v, want %v: a piece was cut short", i, r, k, v, truth[i][k])
+				}
+			}
+		}
+	}
+	if after := goruntime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before Finish, %d after", before, after)
 	}
 }
