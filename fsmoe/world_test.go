@@ -2,6 +2,7 @@ package fsmoe
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -397,5 +398,77 @@ func TestWorldHybridSurface(t *testing.T) {
 	}
 	if y1.MaxAbsDiff(y2) != 0 {
 		t.Fatal("calibrated hybrid world differs from the testbed-driven hybrid world")
+	}
+}
+
+// TestAutoPicksPinned pins what StrategyAuto and the automatic pipeline
+// degrees choose on the benchmark's layer shapes and on shapes that drive
+// Algorithm 1 to r > 1 and to different forward and backward degrees:
+// strategy, group size, the executing degrees and the DegreeResults
+// Algorithm 1 reports. A change to the planner's cost model or volumes
+// that moves a pick shows here first.
+func TestAutoPicksPinned(t *testing.T) {
+	const c2, c3, c4 = "case2-compute", "case3-alltoall", "case4-intranode"
+	type pick struct {
+		strat        Strategy
+		g, fwd, bwd  int
+		caseF, caseB string
+	}
+	for _, tc := range []struct {
+		m, h, n int
+		gate    GateKind
+		expert  ExpertKind
+		strat   Strategy
+		want    pick
+	}{
+		{m: 512, h: 16, n: 384, want: pick{StrategyESP, 0, 1, 1, c2, c2}},
+		{m: 64, h: 384, n: 256, want: pick{StrategyEP, 0, 1, 1, c2, c2}},
+		{m: 256, h: 320, n: 64, want: pick{StrategyEP, 0, 1, 1, c2, c2}},
+		{m: 128, h: 128, n: 160, gate: GateGShard, want: pick{StrategyEP, 0, 1, 1, c2, c2}},
+		{m: 128, h: 128, n: 160, gate: GateXMoE, want: pick{StrategyEP, 0, 1, 1, c2, c2}},
+		{m: 128, h: 128, n: 160, gate: GateSigmoid, want: pick{StrategyEP, 0, 1, 1, c2, c2}},
+		{m: 128, h: 128, n: 160, gate: GateSoftMoE, strat: StrategyDenseSlots, want: pick{StrategyDenseSlots, 0, 1, 1, c2, c2}},
+		{m: 128, h: 128, n: 160, gate: GateSigmoid, strat: StrategyHybrid, want: pick{StrategyHybrid, 1, 1, 1, c2, c2}},
+		{m: 64, h: 1024, n: 65536, want: pick{StrategyESP, 0, 1, 2, c2, c4}},
+		{m: 64, h: 1024, n: 16384, expert: ExpertMixtral, want: pick{StrategyEP, 0, 1, 2, c2, c3}},
+		{m: 64, h: 1024, n: 65536, expert: ExpertMixtral, want: pick{StrategyEP, 0, 2, 2, c3, c3}},
+		{m: 256, h: 512, n: 65536, want: pick{StrategyESP, 0, 2, 2, c4, c4}},
+		{m: 256, h: 512, n: 16384, expert: ExpertMixtral, want: pick{StrategyESP, 0, 1, 2, c2, c4}},
+	} {
+		gate, expert := tc.gate, tc.expert
+		if gate == "" {
+			gate = GateGShard
+		}
+		if expert == "" {
+			expert = ExpertGPT
+		}
+		strat := tc.strat
+		if strat == StrategyAuto {
+			strat = "auto"
+		}
+		name := fmt.Sprintf("M%d_H%d_N%d_%s_%s_%s", tc.m, tc.h, tc.n, gate, expert, strat)
+		t.Run(name, func(t *testing.T) {
+			l, err := NewLayer(LayerConfig{
+				M: tc.m, H: tc.h, Experts: 8, TopK: 2, CapacityFactor: 1.2,
+				Gate: gate, Expert: expert, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewWorld(l, WorldConfig{Ranks: 4, Strategy: tc.strat, BatchTokens: tc.n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			fwd, bwd := w.PipelineDegrees()
+			df, db := w.DegreeResults()
+			if df.R != fwd || db.R != bwd {
+				t.Fatalf("DegreeResults R = (%d, %d), executing (%d, %d)", df.R, db.R, fwd, bwd)
+			}
+			got := pick{w.Strategy(), w.GroupSize(), fwd, bwd, df.Case.String(), db.Case.String()}
+			if got != tc.want {
+				t.Errorf("picked %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }
