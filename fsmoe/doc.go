@@ -62,9 +62,8 @@
 // GroupSize 1 is pure EP's plan and GroupSize R pure ESP's, task for
 // task, and every interior cell is bit-identical to the single-rank
 // layer. Every collective moves rows straight between the buffers
-// themselves; no plan has a pack task. Leaving GroupSize zero under StrategyHybrid (or
-// StrategyAuto) lets the grid pick g; Calibration sweeps the hybrid
-// cells too, so calibrated worlds pick (g, r) from measured costs.
+// themselves; no plan has a pack task. Leaving GroupSize zero under
+// StrategyHybrid (or StrategyAuto) lets the grid pick g.
 //
 // Every strategy is bit-identical to the single-rank Layer path at every
 // (R, r); they differ only in which collectives move the data and where
@@ -190,15 +189,14 @@
 // order on the calling goroutine. Results are bit-identical at every k and
 // width: the executor changes contention, never bytes.
 //
-// Calibrate closes the remaining simulator-era loop: it measures a short
-// strategy × pipeline-degree sweep of the executable World on this
-// machine, fits the §4.1 linear cost models from the measured stage
-// times, and a WorldConfig carrying the resulting Calibration runs
-// StrategyAuto and the automatic pipeline degrees on those measured
-// coefficients instead of testbed constants. Migrating: nothing changes
-// unless WorldConfig.Calibration is set; custom StagedExpert
-// implementations must route their GEMMs through PassBufs.Pool, the
-// World's kernel pool (nil means the shared default pool).
+// The planner has one cost model: Algorithm 1 (StrategyAuto and the
+// automatic pipeline degrees) and the §5 partition of every step plan on
+// Testbed A's fitted §4.1 models with a degree cap of 16, defined once in
+// the runtime (moe.PlannerModels); no config field chooses another.
+// Fitting them to the machine from measured step traces is future work.
+// Custom StagedExpert implementations must route their GEMMs through
+// PassBufs.Pool, the World's kernel pool (nil means the shared default
+// pool).
 //
 // # Training steps and resident state
 //

@@ -11,7 +11,8 @@ import (
 // parameter replica to bit-identical values.
 type (
 	// StepConfig tunes one overlapped training step (learning rate,
-	// strategy, partitioning models, chunk sizes).
+	// strategy, chunk sizes, checkpoints). Its §5 partition plans on the
+	// same cost model as NewWorld's Algorithm 1.
 	StepConfig = moe.StepConfig
 	// StepResult is one measured step: the wall time and its
 	// forward/backward/tail parts, the sync report, per-rank post-step

@@ -11,7 +11,6 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/tensor"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -110,6 +109,7 @@ const (
 	KindAllGather     = moe.KindAG
 	KindReduceScatter = moe.KindRS
 	KindExperts       = moe.KindExpert
+	KindAllReduce     = sim.KindAllReduce
 	KindOthers        = sim.KindOthers
 )
 
@@ -157,11 +157,11 @@ const (
 //
 // Strategy selects the parallel scheme; the zero value is StrategyAuto.
 // PipelineDegree selects the number of chunks r each collective chain is
-// split into. Zero means automatic: Algorithm 1 (§4.4) runs on the
-// testbed's fitted performance models with volumes derived from the
-// layer's real shape, BatchTokens and the chosen strategy, separately per
-// phase — the chosen degrees are what actually execute, closing the loop
-// between the scheduler and the runtime.
+// split into. Zero means automatic: Algorithm 1 (§4.4) runs per phase on
+// the planner's cost model — Testbed A's fitted performance models and a
+// degree cap of 16, defined once in the runtime (moe.PlannerModels) — with
+// volumes derived from the layer's real shape, BatchTokens and the chosen
+// strategy. The chosen degrees are what actually execute.
 type WorldConfig struct {
 	Ranks             int      // R; how the layer is sharded depends on Strategy
 	PipelineDegree    int      // forward r; 0 = Algorithm 1
@@ -177,17 +177,9 @@ type WorldConfig struct {
 	// degrees. Ignored by the other strategies.
 	GroupSize int
 
-	// Inputs to StrategyAuto and the automatic pipeline degrees.
-	Cluster     *Cluster // testbed whose models drive Algorithm 1 (default TestbedA)
-	BatchTokens int      // B·L tokens per iteration (default 4096)
-
-	// Calibration, when non-nil, replaces the testbed models with cost
-	// coefficients fitted from this machine's measured stage times (see
-	// Calibrate): StrategyAuto and the automatic pipeline degrees then run
-	// Algorithm 1 on what was measured instead of on testbed constants,
-	// closing the scheduler→runtime loop in both directions. Explicit
-	// Strategy/PipelineDegree settings still win.
-	Calibration *Calibration
+	// BatchTokens is B·L tokens per iteration (default 4096), the volume
+	// input of StrategyAuto and the automatic pipeline degrees.
+	BatchTokens int
 
 	// Sink, when non-nil, receives one StepMetrics per completed training
 	// step (Step/StepStack) and the record is attached to
@@ -213,88 +205,45 @@ func NewWorld(l *Layer, cfg WorldConfig) (*World, error) {
 		return nil, fmt.Errorf("fsmoe: NewWorld needs a layer")
 	}
 	w := &World{}
-	cluster := cfg.Cluster
-	if cluster == nil {
-		cluster = topology.TestbedA()
-	}
 	tokens := cfg.BatchTokens
 	if tokens <= 0 {
 		tokens = 4096
 	}
-	m := core.ModelsFromCluster(cluster)
-	// The volume space Algorithm 1 runs in: testbed-modelled volumes by
-	// default; when a Calibration is supplied, its measured models and the
-	// matching measured volumes (both in the plan's own estimate units, so
-	// they stay consistent with each other).
-	volsFor := func(s Strategy) (core.Volumes, bool) { return layerVolumes(l, tokens, s), true }
-	hybridFor := func(g int) (core.Volumes, bool) { return hybridLayerVolumes(l, tokens, cfg.Ranks, g), true }
-	if cfg.Calibration != nil {
-		m = cfg.Calibration.models
-		volsFor = cfg.Calibration.volumes
-		hybridFor = cfg.Calibration.hybridVolumes
-	}
 
 	strat := cfg.Strategy
 	groupSize := cfg.GroupSize
-	var autoDegF, autoDegB core.DegreeResult
-	haveDegrees := false
+	// pickF/pickB are Algorithm 1's results on the executing configuration's
+	// volumes once picked is set: the strategy (or group-size) grid already
+	// ran it on the winner's volumes.
+	var pickF, pickB core.DegreeResult
+	picked := false
 	if strat == StrategyAuto {
-		strat, groupSize, autoDegF, autoDegB, haveDegrees = chooseStrategy(l, m, volsFor, hybridFor, cfg.Ranks)
+		strat, groupSize, pickF, pickB, picked = chooseStrategy(l, tokens, cfg.Ranks)
 		w.autoStrat = true
 	} else if strat == StrategyHybrid && groupSize == 0 {
 		// Explicit hybrid with an unset group size: the 2-D grid picks g
 		// (and the per-phase degrees) over every divisor of the rank
 		// count — including the degenerate edges, which are the pure
 		// strategies' plans.
-		groupSize, autoDegF, autoDegB, haveDegrees = hybridGroupPick(m, volsFor, hybridFor, cfg.Ranks)
-		if !haveDegrees {
-			groupSize = 1
-		}
-	}
-	// The volume set of the configuration actually executing, hybrid
-	// group size included.
-	stratVols := func() (core.Volumes, bool) {
-		if strat == StrategyHybrid {
-			return gridVolumes(volsFor, hybridFor, cfg.Ranks, groupSize)
-		}
-		return volsFor(strat)
+		groupSize, pickF, pickB = hybridGroupPick(l, tokens, cfg.Ranks)
+		picked = true
 	}
 
 	degF, degB := cfg.PipelineDegree, cfg.PipelineDegreeBwd
 	if degF == 0 {
 		w.auto = true
-		if haveDegrees {
-			// The strategy (or group-size) comparison already ran
-			// Algorithm 1 on the winner's volumes; reuse its per-phase
-			// results.
-			w.degF, w.degB = autoDegF, autoDegB
-		} else if v, ok := stratVols(); ok {
-			w.degF = m.FindOptimalPipelineDegree(v, 0, core.Forward, 16)
-			w.degB = m.FindOptimalPipelineDegree(v, 0, core.Backward, 16)
-		} else {
-			// The calibration never swept this strategy; fall back to the
-			// testbed models on modelled volumes rather than mixing unit
-			// spaces.
-			tm := core.ModelsFromCluster(cluster)
+		if !picked {
 			v := layerVolumes(l, tokens, strat)
 			if strat == StrategyHybrid {
 				v = hybridLayerVolumes(l, tokens, cfg.Ranks, groupSize)
 			}
-			w.degF = tm.FindOptimalPipelineDegree(v, 0, core.Forward, 16)
-			w.degB = tm.FindOptimalPipelineDegree(v, 0, core.Backward, 16)
+			pickF, pickB = phaseDegrees(v)
 		}
-		if cfg.Calibration != nil {
-			// The calibrated closed form proposes; the measured sweep
-			// disposes (see Calibration.PickDegree). R is what executes;
-			// TMoE/Case keep the model's view of its own proposal.
-			w.degF.R = cfg.Calibration.degreePick(strat, groupSize, w.degF.R)
-			w.degB.R = cfg.Calibration.degreePick(strat, groupSize, w.degB.R)
-		}
-		degF = w.degF.R
+		w.degF, degF = pickF, pickF.R
 		// An explicit backward degree overrides Algorithm 1's choice even
-		// in auto mode.
+		// in auto mode; DegreeResults then reports no backward result.
 		if degB == 0 {
-			degB = w.degB.R
+			w.degB, degB = pickB, pickB.R
 		}
 	} else if degB == 0 {
 		degB = degF
@@ -319,25 +268,19 @@ func NewWorld(l *Layer, cfg WorldConfig) (*World, error) {
 // chooseStrategy is StrategyAuto: dense routers shard over slots; hard
 // routers holding an adapted plain expert get EP; natively staged layers run the
 // 2-D Algorithm-1 grid over (group size × degree), whose g=1 and g=Ranks
-// edges carry the pure EP and ESP volume sets — so the old EP-vs-ESP
+// edges carry the pure EP and ESP volume sets — so the EP-vs-ESP
 // comparison is this grid restricted to its edges, and an interior winner
-// selects StrategyHybrid with its group size. volsFor/hybridFor supply the
-// volume sets — testbed-modelled or calibration-measured; a cell whose
-// volumes are unavailable (a calibration that never swept it) is not
-// eligible. When the grid ran, the winner's per-phase degree results are
-// returned for reuse (haveDegrees true), saving the caller an identical
-// pair of searches.
-func chooseStrategy(l *Layer, m core.Models, volsFor func(Strategy) (core.Volumes, bool), hybridFor func(int) (core.Volumes, bool), ranks int) (strat Strategy, groupSize int, degF, degB core.DegreeResult, haveDegrees bool) {
+// selects StrategyHybrid with its group size. When the grid ran, the
+// winner's per-phase degree results are returned for reuse (picked true),
+// saving the caller an identical pair of searches.
+func chooseStrategy(l *Layer, tokens, ranks int) (strat Strategy, groupSize int, degF, degB core.DegreeResult, picked bool) {
 	if dr, ok := l.inner.Gate().(moe.DenseRouter); ok && dr.DenseRouting() {
 		return StrategyDenseSlots, 0, degF, degB, false
 	}
 	if _, native := l.inner.Staged(); !native {
 		return StrategyEP, 0, degF, degB, false
 	}
-	g, f, b, ok := hybridGroupPick(m, volsFor, hybridFor, ranks)
-	if !ok {
-		return StrategyEP, 0, degF, degB, false
-	}
+	g, f, b := hybridGroupPick(l, tokens, ranks)
 	switch g {
 	case 1:
 		return StrategyEP, 0, f, b, true
@@ -351,34 +294,15 @@ func chooseStrategy(l *Layer, m core.Models, volsFor func(Strategy) (core.Volume
 // g of the rank count it runs Algorithm 1 per phase on that cell's
 // volumes, and picks the g minimizing the summed forward+backward
 // predicted time — one g must serve both phases, while the degrees stay
-// per-phase (§4.4). Cells without volumes are skipped; ok is false when
-// none had any.
-func hybridGroupPick(m core.Models, volsFor func(Strategy) (core.Volumes, bool), hybridFor func(int) (core.Volumes, bool), ranks int) (groupSize int, degF, degB core.DegreeResult, ok bool) {
+// per-phase (§4.4).
+func hybridGroupPick(l *Layer, tokens, ranks int) (groupSize int, degF, degB core.DegreeResult) {
 	for _, g := range divisors(ranks) {
-		v, have := gridVolumes(volsFor, hybridFor, ranks, g)
-		if !have {
-			continue
-		}
-		f, b := phaseDegrees(m, v)
-		if !ok || f.TMoE+b.TMoE < degF.TMoE+degB.TMoE {
-			groupSize, degF, degB, ok = g, f, b, true
+		f, b := phaseDegrees(hybridLayerVolumes(l, tokens, ranks, g))
+		if groupSize == 0 || f.TMoE+b.TMoE < degF.TMoE+degB.TMoE {
+			groupSize, degF, degB = g, f, b
 		}
 	}
-	return groupSize, degF, degB, ok
-}
-
-// gridVolumes maps a grid cell to its volume set: the degenerate edges
-// reuse the pure strategies' volumes, so the grid coincides with the 1-D
-// strategy comparison there — exactly as the runtime builds the pure
-// strategies' plans at those group sizes.
-func gridVolumes(volsFor func(Strategy) (core.Volumes, bool), hybridFor func(int) (core.Volumes, bool), ranks, g int) (core.Volumes, bool) {
-	switch g {
-	case 1:
-		return volsFor(StrategyEP)
-	case ranks:
-		return volsFor(StrategyESP)
-	}
-	return hybridFor(g)
+	return groupSize, degF, degB
 }
 
 // divisors returns the divisors of n in ascending order — the candidate
@@ -393,10 +317,12 @@ func divisors(n int) []int {
 	return out
 }
 
-// phaseDegrees runs Algorithm 1 for both phases on one volume set.
-func phaseDegrees(m core.Models, v Volumes) (f, b core.DegreeResult) {
-	f = m.FindOptimalPipelineDegree(v, 0, core.Forward, 16)
-	b = m.FindOptimalPipelineDegree(v, 0, core.Backward, 16)
+// phaseDegrees runs Algorithm 1 for both phases on one volume set, on the
+// planner's cost model.
+func phaseDegrees(v Volumes) (f, b core.DegreeResult) {
+	m := moe.PlannerModels()
+	f = m.FindOptimalPipelineDegree(v, 0, core.Forward, moe.PlannerRMax)
+	b = m.FindOptimalPipelineDegree(v, 0, core.Backward, moe.PlannerRMax)
 	return f, b
 }
 

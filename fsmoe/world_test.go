@@ -109,6 +109,22 @@ func TestWorldAutoDegree(t *testing.T) {
 	if y.Dim(0) != 64 || y.Dim(1) != 32 {
 		t.Fatalf("unexpected output shape %v", y.Shape())
 	}
+
+	// An explicit backward degree overrides Algorithm 1's: the backward
+	// result is the zero value, the forward one still Algorithm 1's.
+	ew, err := NewWorld(layer, WorldConfig{Ranks: 2, BatchTokens: 4096, PipelineDegreeBwd: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ew.Close()
+	fwd, bwd = ew.PipelineDegrees()
+	df, db = ew.DegreeResults()
+	if bwd != 7 || db != (DegreeResult{}) {
+		t.Fatalf("explicit backward degree: executing %d, DegreeResults backward %+v; want 7 and the zero value", bwd, db)
+	}
+	if df.R != fwd || df.TMoE <= 0 {
+		t.Fatalf("forward degree result %+v inconsistent with executing degree %d", df, fwd)
+	}
 }
 
 // TestWorldExplicitBwdDegree: the backward degree can differ from the
@@ -328,8 +344,8 @@ func TestWorldFaultSurface(t *testing.T) {
 // TestWorldHybridSurface pins the public hybrid plumbing: an explicit
 // hybrid world with an unset group size lets the 2-D grid pick a divisor
 // of the rank count, misconfiguration errors name the strategy and field,
-// and a calibrated hybrid world draws its degrees from the measured
-// hybrid cells while staying bit-identical to the testbed-driven world.
+// and a hybrid world whose degrees Algorithm 1 chose is bit-identical to
+// one configured with those degrees.
 func TestWorldHybridSurface(t *testing.T) {
 	layer := worldTestLayer(t)
 
@@ -356,22 +372,18 @@ func TestWorldHybridSurface(t *testing.T) {
 		t.Fatalf("GroupSize=3 over 4 ranks: %v", err)
 	}
 
-	// Calibrated hybrid: degrees picked from the measured hybrid cells,
-	// output bit-identical to the uncalibrated world.
-	cal, err := Calibrate(layer, CalibrateConfig{Ranks: 4, Tokens: 96, Degrees: []int{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Automatic degrees at a configured group size: the same output as the
+	// world configured with the degrees Algorithm 1 chose.
 	x := RandTensor(41, 96, 32)
 	dy := RandTensor(42, 96, 32)
-	cw, err := NewWorld(layer, WorldConfig{Ranks: 4, Strategy: StrategyHybrid, GroupSize: 2, BatchTokens: 96, Calibration: cal})
+	cw, err := NewWorld(layer, WorldConfig{Ranks: 4, Strategy: StrategyHybrid, GroupSize: 2, BatchTokens: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cw.Close()
 	f, b := cw.PipelineDegrees()
 	if f < 1 || f > 16 || b < 1 || b > 16 {
-		t.Fatalf("calibrated hybrid degrees out of range: fwd=%d bwd=%d", f, b)
+		t.Fatalf("automatic hybrid degrees out of range: fwd=%d bwd=%d", f, b)
 	}
 	layer.ZeroGrad()
 	y1, c1, err := cw.Forward(x, false)
@@ -397,7 +409,7 @@ func TestWorldHybridSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	if y1.MaxAbsDiff(y2) != 0 {
-		t.Fatal("calibrated hybrid world differs from the testbed-driven hybrid world")
+		t.Fatal("hybrid world with automatic degrees differs from the configured one")
 	}
 }
 

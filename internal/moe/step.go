@@ -43,8 +43,21 @@ const gradElemBytes = 4
 // the AlltoAll volumes fed to the degree optimizer inside the partitioner.
 const actElemBytes = 2
 
+// The planner's cost model, defined once: Algorithm 1 (the StrategyAuto
+// grid and the automatic pipeline degrees of fsmoe.NewWorld) and the §5
+// partition of every step plan on Testbed A's fitted §4.1 models, with the
+// pipeline degree capped at PlannerRMax. Nothing fits them to this machine
+// yet; an online estimator fed by StepResult.Traces would write them here.
+var plannerModels = core.ModelsFromCluster(topology.TestbedA())
+
+// PlannerRMax is Algorithm 1's pipeline-degree cap.
+const PlannerRMax = 16
+
+// PlannerModels returns the models Algorithm 1 and the §5 partition plan on.
+func PlannerModels() core.Models { return plannerModels }
+
 // StepConfig configures one overlapped training step over a stack of
-// Worlds.
+// Worlds. Its §5 partition plans on PlannerModels.
 type StepConfig struct {
 	LR       float64           // SGD learning rate (0 still validates the sync path)
 	Strategy gradsync.Strategy // default StrategyFSMoE
@@ -55,10 +68,6 @@ type StepConfig struct {
 	// otherwise make the routing — and so the step — run-dependent.
 	Train bool
 
-	// Models drives PartitionGradients and the emitted tasks' simulated
-	// durations; the zero value defaults to Testbed A's exact models.
-	Models     core.Models
-	RMax       int     // Algorithm-1 degree cap inside the partitioner (default 16)
 	ChunkBytes float64 // Lina fixed-chunk size (default 30 MiB)
 	Slices     int     // AllReduce slices per hidden window (default 4)
 
@@ -83,9 +92,6 @@ type StepConfig struct {
 func (c StepConfig) withDefaults() StepConfig {
 	if c.Strategy == "" {
 		c.Strategy = gradsync.StrategyFSMoE
-	}
-	if c.Models == (core.Models{}) {
-		c.Models = core.ModelsFromCluster(topology.TestbedA())
 	}
 	return c
 }
@@ -341,8 +347,8 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	var err error
 	st.plan, err = st.plan.For(gradsync.Config{
 		Strategy:    cfg.Strategy,
-		Models:      cfg.Models,
-		RMax:        cfg.RMax,
+		Models:      plannerModels,
+		RMax:        PlannerRMax,
 		ChunkBytes:  cfg.ChunkBytes,
 		Slices:      cfg.Slices,
 		ElemBytes:   gradElemBytes,
@@ -588,7 +594,8 @@ func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	}
 	syncer, err := gradsync.New(gradsync.Config{
 		Strategy:    gradsync.StrategyNoOverlap,
-		Models:      cfg.Models,
+		Models:      plannerModels,
+		RMax:        PlannerRMax,
 		ElemBytes:   gradElemBytes,
 		GPUsPerNode: worlds[0].cfg.GPUsPerNode,
 	}, specs)

@@ -278,9 +278,9 @@ func (w *World) groupStaged(gm groups, j int) []StagedExpert {
 }
 
 // macsEst is a structural duration estimate (MMACs) of experts over rows
-// for Simulate; Calibrate and the repository benchmark's moe.sim_gap probe
-// replace it with measured durations via SimulateWith. Summing per expert matters when the expert mix is
-// heterogeneous.
+// for Simulate; the repository benchmark's moe.sim_gap probe replaces it
+// with measured durations via SimulateWith. Summing per expert matters
+// when the expert mix is heterogeneous.
 func macsEst(experts []Expert, rows int) float64 {
 	macs := 0.0
 	for _, ex := range experts {

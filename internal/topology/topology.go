@@ -49,7 +49,7 @@ type Cluster struct {
 	// suffer when deliberately overlapped with inter-node traffic (FSMoE's
 	// IIO schedule): NCCL kernels contend for SMs, and on PCIe-only hosts
 	// (Testbed B) the NIC shares the PCIe fabric with GPU peer-to-peer
-	// traffic. Calibrated so the IIO ablation gap matches Table 5
+	// traffic. Tuned so the IIO ablation gap matches Table 5
 	// (FSMoE-No-IIO → FSMoE ≈ +5%).
 	IIOContention float64
 
