@@ -175,7 +175,7 @@
 // several indices is detected and runs sequentially; state shared between
 // distinct instances is the implementer's responsibility to synchronize.
 //
-// # Resource governance and calibration
+// # Resource governance and the planner's cost model
 //
 // A World sizes itself to the machine instead of giving every stream its
 // own processor, as the simulator does. Its plans run on one executor: k =

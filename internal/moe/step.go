@@ -46,8 +46,8 @@ const actElemBytes = 2
 // The planner's cost model, defined once: Algorithm 1 (the StrategyAuto
 // grid and the automatic pipeline degrees of fsmoe.NewWorld) and the §5
 // partition of every step plan on Testbed A's fitted §4.1 models, with the
-// pipeline degree capped at PlannerRMax. Nothing fits them to this machine
-// yet; an online estimator fed by StepResult.Traces would write them here.
+// pipeline degree capped at PlannerRMax. The models describe the paper's
+// cluster, not the machine the worlds run on.
 var plannerModels = core.ModelsFromCluster(topology.TestbedA())
 
 // PlannerRMax is Algorithm 1's pipeline-degree cap.

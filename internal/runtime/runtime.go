@@ -192,9 +192,9 @@ type TaskInfo struct {
 	Deps   []int
 }
 
-// Tasks returns the planned tasks in id order — the structural view
-// calibration uses to pair each task's volume estimate with its measured
-// duration (trace intervals expose kind and timing but not the estimate).
+// Tasks returns the planned tasks in id order — the structural view that
+// pairs each task's volume estimate with its measured duration (trace
+// intervals expose kind and timing but not the estimate).
 func (p *Plan) Tasks() []TaskInfo {
 	out := make([]TaskInfo, len(p.tasks))
 	for i, t := range p.tasks {
