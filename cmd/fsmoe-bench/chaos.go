@@ -208,7 +208,7 @@ func chaosExperiment(iters int) error {
 		}
 		mgr := &fsmoe.CheckpointManager{Dir: dir, Keep: 2}
 		stack := []*fsmoe.World{w}
-		scfg := fsmoe.StepConfig{LR: 0.01, ChunkBytes: 64 << 10}
+		scfg := fsmoe.StepConfig{LR: 0.01}
 		ckptCfg := scfg
 		ckptCfg.Checkpoint = mgr
 

@@ -47,7 +47,7 @@ func main() {
 
 	x := fsmoe.RandTensor(7, 256, 64)
 	dy := fsmoe.RandTensor(8, 256, 64)
-	cfg := fsmoe.StepConfig{LR: 0.05, ChunkBytes: 64 << 10}
+	cfg := fsmoe.StepConfig{LR: 0.05}
 
 	// 1. Train with periodic checkpoints: every step snapshots the full
 	// training state — parameters, counters, gate RNG — and commits it

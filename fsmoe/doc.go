@@ -69,6 +69,11 @@
 // (R, r); they differ only in which collectives move the data and where
 // the slack for gradient synchronization appears.
 //
+// NewWorld resolves StrategyAuto, an unset hybrid GroupSize and unset
+// pipeline degrees into a concrete configuration and builds the runtime's
+// World on it. What it picked reads back through Strategy, GroupSize and
+// PipelineDegrees; OptimalDegree is the public entry to Algorithm 1 itself.
+//
 // Migrating from the pre-strategy WorldConfig: a zero Strategy field now
 // means StrategyAuto, which behaves like the old hard-coded EP for layers
 // whose experts lack the StagedExpert contract, but may select ESP for

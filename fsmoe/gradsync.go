@@ -44,12 +44,6 @@ const (
 	SyncNoOverlap = gradsync.StrategyNoOverlap
 )
 
-// Step runs one overlapped training step on a single-layer stack; see
-// StepStack.
-func (w *World) Step(x, dy *Tensor, cfg StepConfig) (*StepResult, error) {
-	return w.inner.Step(x, dy, cfg)
-}
-
 // StepStack runs one training step over a stack of Worlds (layer i feeds
 // layer i+1): forward, backward in reverse with the §5 Gradient-AllReduce
 // overlapped into each backward stream plan per cfg.Strategy and the
@@ -64,7 +58,7 @@ func (w *World) Step(x, dy *Tensor, cfg StepConfig) (*StepResult, error) {
 // shapes change; see "Training steps and resident state" in the package
 // documentation for what the stack keeps between steps and who owns it.
 func StepStack(worlds []*World, x, dy *Tensor, cfg StepConfig) (*StepResult, error) {
-	return moe.StepWorlds(inners(worlds), x, dy, cfg)
+	return moe.StepWorlds(worlds, x, dy, cfg)
 }
 
 // SyncGradients synchronizes the parameter gradients accumulated in Param.G
@@ -74,13 +68,5 @@ func StepStack(worlds []*World, x, dy *Tensor, cfg StepConfig) (*StepResult, err
 // identical full-batch gradient. Use StepStack to hide the same work
 // inside the backward pipelines instead.
 func SyncGradients(worlds []*World, cfg StepConfig) (*SyncReport, error) {
-	return moe.SyncWorlds(inners(worlds), cfg)
-}
-
-func inners(worlds []*World) []*moe.World {
-	out := make([]*moe.World, len(worlds))
-	for i, w := range worlds {
-		out[i] = w.inner
-	}
-	return out
+	return moe.SyncWorlds(worlds, cfg)
 }

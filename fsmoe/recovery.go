@@ -65,13 +65,13 @@ var (
 // parameters, counters and gate RNG — as one Snapshot, deep-copied so
 // later steps never alias into it. Persist it with a CheckpointManager
 // (or let StepConfig.Checkpoint do both on a cadence).
-func Checkpoint(worlds []*World) *Snapshot { return moe.SnapshotWorlds(inners(worlds)) }
+func Checkpoint(worlds []*World) *Snapshot { return moe.SnapshotWorlds(worlds) }
 
 // Restore writes a snapshot back into a stack, layer by layer, rolling
 // parameters, counters and gate RNG back to the checkpoint point. The
 // stack's topology must match the snapshot's layer shapes; mismatches
 // fail before anything is written.
-func Restore(worlds []*World, s *Snapshot) error { return moe.RestoreWorlds(inners(worlds), s) }
+func Restore(worlds []*World, s *Snapshot) error { return moe.RestoreWorlds(worlds, s) }
 
 // Recover rebuilds a stack around its permanently failed rank from a
 // snapshot: state rolls back to the checkpoint, the dead rank's experts
@@ -84,19 +84,5 @@ func Restore(worlds []*World, s *Snapshot) error { return moe.RestoreWorlds(inne
 // steps are bit-identical to a fresh run restarted from the same checkpoint
 // on the same topology.
 func Recover(worlds []*World, s *Snapshot, pol RecoveryPolicy) ([]*RecoveryReport, error) {
-	return moe.RecoverWorlds(inners(worlds), s, pol)
+	return moe.RecoverWorlds(worlds, s, pol)
 }
-
-// Snapshot captures this single world's training state; see Checkpoint.
-func (w *World) Snapshot() *WorldState { return w.inner.Snapshot() }
-
-// Restore writes a single-world snapshot back; see Restore.
-func (w *World) Restore(ws *WorldState) error { return w.inner.Restore(ws) }
-
-// Recover rebuilds this single world around its failed rank; see Recover.
-func (w *World) Recover(ws *WorldState, pol RecoveryPolicy) (*RecoveryReport, error) {
-	return w.inner.Recover(ws, pol)
-}
-
-// LastRecovery returns the world's most recent recovery report, or nil.
-func (w *World) LastRecovery() *RecoveryReport { return w.inner.LastRecovery() }

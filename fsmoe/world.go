@@ -2,7 +2,6 @@ package fsmoe
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -192,19 +191,23 @@ type WorldConfig struct {
 // parallel strategy, with chunked collectives pipelined on real streams.
 // Forward and Backward are bit-identical to the Layer's single-rank path
 // under every strategy.
-type World struct {
-	inner      *moe.World
-	degF, degB core.DegreeResult
-	auto       bool
-	autoStrat  bool
-}
+type World = moe.World
 
 // NewWorld builds the executable multi-rank runtime for a layer.
 func NewWorld(l *Layer, cfg WorldConfig) (*World, error) {
 	if l == nil {
 		return nil, fmt.Errorf("fsmoe: NewWorld needs a layer")
 	}
-	w := &World{}
+	mc, _, _ := resolve(l, cfg)
+	return moe.NewWorld(l.inner, mc)
+}
+
+// resolve turns a WorldConfig into the runtime's configuration: StrategyAuto
+// and an explicit hybrid's unset group size become a concrete strategy and
+// group size, and an unset forward degree becomes Algorithm 1's per-phase
+// picks on that configuration's volumes. fwd and bwd are those picks' full
+// results; a phase whose degree was configured reports the zero value.
+func resolve(l *Layer, cfg WorldConfig) (mc moe.WorldConfig, fwd, bwd DegreeResult) {
 	tokens := cfg.BatchTokens
 	if tokens <= 0 {
 		tokens = 4096
@@ -215,11 +218,10 @@ func NewWorld(l *Layer, cfg WorldConfig) (*World, error) {
 	// pickF/pickB are Algorithm 1's results on the executing configuration's
 	// volumes once picked is set: the strategy (or group-size) grid already
 	// ran it on the winner's volumes.
-	var pickF, pickB core.DegreeResult
+	var pickF, pickB DegreeResult
 	picked := false
 	if strat == StrategyAuto {
 		strat, groupSize, pickF, pickB, picked = chooseStrategy(l, tokens, cfg.Ranks)
-		w.autoStrat = true
 	} else if strat == StrategyHybrid && groupSize == 0 {
 		// Explicit hybrid with an unset group size: the 2-D grid picks g
 		// (and the per-phase degrees) over every divisor of the rank
@@ -231,7 +233,6 @@ func NewWorld(l *Layer, cfg WorldConfig) (*World, error) {
 
 	degF, degB := cfg.PipelineDegree, cfg.PipelineDegreeBwd
 	if degF == 0 {
-		w.auto = true
 		if !picked {
 			v := layerVolumes(l, tokens, strat)
 			if strat == StrategyHybrid {
@@ -239,16 +240,16 @@ func NewWorld(l *Layer, cfg WorldConfig) (*World, error) {
 			}
 			pickF, pickB = phaseDegrees(v)
 		}
-		w.degF, degF = pickF, pickF.R
+		fwd, degF = pickF, pickF.R
 		// An explicit backward degree overrides Algorithm 1's choice even
-		// in auto mode; DegreeResults then reports no backward result.
+		// in auto mode; bwd then stays the zero value.
 		if degB == 0 {
-			w.degB, degB = pickB, pickB.R
+			bwd, degB = pickB, pickB.R
 		}
 	} else if degB == 0 {
 		degB = degF
 	}
-	inner, err := moe.NewWorld(l.inner, moe.WorldConfig{
+	return moe.WorldConfig{
 		Ranks:       cfg.Ranks,
 		ChunksFwd:   degF,
 		ChunksBwd:   degB,
@@ -257,12 +258,7 @@ func NewWorld(l *Layer, cfg WorldConfig) (*World, error) {
 		Strategy:    strat,
 		GroupSize:   groupSize,
 		Sink:        cfg.Sink,
-	})
-	if err != nil {
-		return nil, err
-	}
-	w.inner = inner
-	return w, nil
+	}, fwd, bwd
 }
 
 // chooseStrategy is StrategyAuto: dense routers shard over slots; hard
@@ -421,91 +417,3 @@ func hybridLayerVolumes(l *Layer, tokens, ranks, g int) Volumes {
 	v.NRS = esp.NRS * ring
 	return v
 }
-
-// Forward runs the pipelined multi-rank forward pass on x, shaped
-// (B, L, M) or (N, M).
-func (w *World) Forward(x *Tensor, train bool) (*Tensor, *WorldCache, error) {
-	return w.inner.Forward(x, train)
-}
-
-// Backward runs the pipelined multi-rank backward pass.
-func (w *World) Backward(cache *WorldCache, dy *Tensor) (*Tensor, error) {
-	return w.inner.Backward(cache, dy)
-}
-
-// Ranks returns R; Chunked reports whether the fine-grained expert path
-// is active (custom experts without the chunked contract fall back to
-// whole-block compute with chunked communication under EP/DenseSlots).
-func (w *World) Ranks() int    { return w.inner.Ranks() }
-func (w *World) Chunked() bool { return w.inner.Chunked() }
-
-// Strategy returns the parallel scheme in effect; AutoStrategy reports
-// whether it was chosen automatically.
-func (w *World) Strategy() Strategy { return w.inner.Strategy() }
-func (w *World) AutoStrategy() bool { return w.autoStrat }
-
-// GroupSize returns the hybrid EP-group size in effect (0 unless the
-// strategy is StrategyHybrid), whether configured or grid-chosen.
-func (w *World) GroupSize() int { return w.inner.GroupSize() }
-
-// PipelineDegrees returns the forward and backward chunk counts in effect.
-func (w *World) PipelineDegrees() (fwd, bwd int) { return w.inner.Degrees() }
-
-// DegreeResults returns Algorithm 1's full forward/backward outcomes when
-// the degrees were chosen automatically (zero values otherwise).
-func (w *World) DegreeResults() (fwd, bwd DegreeResult) { return w.degF, w.degB }
-
-// AutoDegree reports whether Algorithm 1 chose the degrees.
-func (w *World) AutoDegree() bool { return w.auto }
-
-// SetSequential switches between the k-worker executor (default) and the
-// no-overlap baseline, the same executor at k = 1: one task at a time, in
-// task-id order, on the calling goroutine. Results are identical.
-func (w *World) SetSequential(seq bool) { w.inner.SetSequential(seq) }
-
-// ResourcePlan reports how the world sizes itself to the machine: the width
-// of its one kernel pool, which every expert GEMM fans out onto, and k, the
-// most plan workers that run at once. Their product never exceeds
-// GOMAXPROCS.
-func (w *World) ResourcePlan() (width, workers int) { return w.inner.ResourcePlan() }
-
-// Close releases the kernel pool's worker goroutines and retires the
-// world. A second Close, or a Forward/Backward after Close, fails with
-// ErrWorldClosed. Close waits for the checkpoint commit its stack last
-// started and returns that commit's failure (ErrCheckpointCommit), if any.
-func (w *World) Close() error { return w.inner.Close() }
-
-// SetFaultPlan installs (or, with nil, removes) a seeded fault injector;
-// it drives task-level and in-collective injection from the next Forward.
-func (w *World) SetFaultPlan(fp *FaultPlan) { w.inner.SetFaultPlan(fp) }
-
-// SetRetry replaces the default transient-retry policy (4 attempts,
-// exponential backoff with jitter, collective task kinds only).
-func (w *World) SetRetry(rp RetryPolicy) { w.inner.SetRetry(rp) }
-
-// SetDeadline bounds each pass's plan execution: on expiry the streams
-// cancel cooperatively (and drain leak-free) and the pass fails with
-// context.DeadlineExceeded in its joined error. Zero removes the deadline.
-func (w *World) SetDeadline(d time.Duration) { w.inner.SetDeadline(d) }
-
-// Health reports per-rank health (false = permanently failed). ResetHealth
-// restores full strength after a rank-down, modelling the failed worker's
-// replacement; dead experts kept zero gradients while degraded, so their
-// parameters resume unchanged.
-func (w *World) Health() []bool { return w.inner.Health() }
-func (w *World) ResetHealth()   { w.inner.ResetHealth() }
-
-// LastDegraded returns the degraded-mode report of the most recent pass
-// (nil when it ran at full strength): which experts were lost, tokens
-// re-routed or dropped, retries spent, and the recovery-time tail.
-func (w *World) LastDegraded() *DegradedResult { return w.inner.LastDegraded() }
-
-// Stats returns cumulative collective traffic across passes.
-func (w *World) Stats() CommStats { return w.inner.Stats() }
-
-// LastPlan and LastTrace expose the most recent pass's stream plan and
-// measured timeline: LastTrace().Gantt(120) renders the measured Fig. 3,
-// and LastPlan().SimulateWith(...) predicts alternative schedules from
-// measured stage durations.
-func (w *World) LastPlan() *StreamPlan { return w.inner.LastPlan() }
-func (w *World) LastTrace() *Trace     { return w.inner.LastTrace() }

@@ -3,6 +3,8 @@ package fsmoe
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -78,23 +80,42 @@ func TestWorldMatchesLayer(t *testing.T) {
 	}
 }
 
+// TestWorldMethodSet pins the public method set of *World. World is an
+// alias of the runtime's type, so a method exported there is public API
+// here; this list is where that shows.
+func TestWorldMethodSet(t *testing.T) {
+	want := []string{
+		"Backward", "Chunked", "Close", "Forward", "GroupSize", "Health",
+		"LastDegraded", "LastPlan", "LastRecovery", "LastTrace",
+		"PipelineDegrees", "Ranks", "Recover", "ResetHealth", "ResourcePlan",
+		"Restore", "SetDeadline", "SetFaultPlan", "SetRetry", "SetSequential",
+		"Snapshot", "Stats", "Step", "Strategy",
+	}
+	typ := reflect.TypeFor[*World]()
+	var got []string
+	for i := range typ.NumMethod() {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*World methods = %q\nwant %q", got, want)
+	}
+}
+
 // TestWorldAutoDegree: with PipelineDegree 0, Algorithm 1 picks the
-// degrees that execute — both at least 1, recorded with their predicted
+// degrees that execute — both at least 1, resolved with their predicted
 // times, and the pass still runs.
 func TestWorldAutoDegree(t *testing.T) {
 	layer := worldTestLayer(t)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 2, BatchTokens: 4096})
+	cfg := WorldConfig{Ranks: 2, BatchTokens: 4096}
+	w, err := NewWorld(layer, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !w.AutoDegree() {
-		t.Fatal("expected automatic degree selection")
 	}
 	fwd, bwd := w.PipelineDegrees()
 	if fwd < 1 || bwd < 1 {
 		t.Fatalf("degrees (%d, %d) must be >= 1", fwd, bwd)
 	}
-	df, db := w.DegreeResults()
+	_, df, db := resolve(layer, cfg)
 	if df.R != fwd || db.R != bwd || df.TMoE <= 0 || db.TMoE <= 0 {
 		t.Fatalf("degree results inconsistent: %+v %+v", df, db)
 	}
@@ -112,15 +133,16 @@ func TestWorldAutoDegree(t *testing.T) {
 
 	// An explicit backward degree overrides Algorithm 1's: the backward
 	// result is the zero value, the forward one still Algorithm 1's.
-	ew, err := NewWorld(layer, WorldConfig{Ranks: 2, BatchTokens: 4096, PipelineDegreeBwd: 7})
+	ecfg := WorldConfig{Ranks: 2, BatchTokens: 4096, PipelineDegreeBwd: 7}
+	ew, err := NewWorld(layer, ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ew.Close()
 	fwd, bwd = ew.PipelineDegrees()
-	df, db = ew.DegreeResults()
+	_, df, db = resolve(layer, ecfg)
 	if bwd != 7 || db != (DegreeResult{}) {
-		t.Fatalf("explicit backward degree: executing %d, DegreeResults backward %+v; want 7 and the zero value", bwd, db)
+		t.Fatalf("explicit backward degree: executing %d, resolved backward %+v; want 7 and the zero value", bwd, db)
 	}
 	if df.R != fwd || df.TMoE <= 0 {
 		t.Fatalf("forward degree result %+v inconsistent with executing degree %d", df, fwd)
@@ -165,8 +187,8 @@ func TestWorldStrategySurface(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w.Strategy() != strat || w.AutoStrategy() {
-			t.Fatalf("strategy = %q auto=%v, want explicit %q", w.Strategy(), w.AutoStrategy(), strat)
+		if w.Strategy() != strat {
+			t.Fatalf("strategy = %q, want explicit %q", w.Strategy(), strat)
 		}
 		if strat == StrategyHybrid && w.GroupSize() != 2 {
 			t.Fatalf("GroupSize() = %d, want the configured 2", w.GroupSize())
@@ -213,8 +235,8 @@ func TestWorldAutoStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Strategy() != StrategyDenseSlots || !w.AutoStrategy() {
-		t.Fatalf("auto strategy for SoftMoE = %q (auto=%v), want %q", w.Strategy(), w.AutoStrategy(), StrategyDenseSlots)
+	if w.Strategy() != StrategyDenseSlots {
+		t.Fatalf("auto strategy for SoftMoE = %q, want %q", w.Strategy(), StrategyDenseSlots)
 	}
 	soft.ZeroGrad()
 	gotY, wc, err := w.Forward(x, false)
@@ -230,7 +252,8 @@ func TestWorldAutoStrategy(t *testing.T) {
 	}
 
 	hard := worldTestLayer(t)
-	hw, err := NewWorld(hard, WorldConfig{Ranks: 4})
+	hcfg := WorldConfig{Ranks: 4}
+	hw, err := NewWorld(hard, hcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +269,8 @@ func TestWorldAutoStrategy(t *testing.T) {
 	default:
 		t.Fatalf("auto strategy for hard routing = %q", s)
 	}
-	if !hw.AutoDegree() {
-		t.Fatal("auto strategy should still run Algorithm 1 for the degrees")
+	if _, df, db := resolve(hard, hcfg); df.R < 1 || db.R < 1 {
+		t.Fatalf("auto strategy should still run Algorithm 1 for the degrees: %+v %+v", df, db)
 	}
 }
 
@@ -350,7 +373,8 @@ func TestWorldHybridSurface(t *testing.T) {
 	layer := worldTestLayer(t)
 
 	// Unset GroupSize with explicit hybrid: grid-picked divisor.
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, Strategy: StrategyHybrid})
+	cfg := WorldConfig{Ranks: 4, Strategy: StrategyHybrid}
+	w, err := NewWorld(layer, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,11 +382,11 @@ func TestWorldHybridSurface(t *testing.T) {
 	if g < 1 || 4%g != 0 {
 		t.Fatalf("grid-picked GroupSize %d is not a divisor of 4", g)
 	}
-	if w.AutoStrategy() {
-		t.Fatal("explicit hybrid must not report AutoStrategy")
+	if w.Strategy() != StrategyHybrid {
+		t.Fatalf("explicit hybrid resolved to %q", w.Strategy())
 	}
-	if !w.AutoDegree() {
-		t.Fatal("unset degrees under hybrid must come from Algorithm 1")
+	if _, df, db := resolve(layer, cfg); df.R < 1 || db.R < 1 {
+		t.Fatalf("unset degrees under hybrid must come from Algorithm 1: %+v %+v", df, db)
 	}
 	w.Close()
 
@@ -414,11 +438,11 @@ func TestWorldHybridSurface(t *testing.T) {
 }
 
 // TestAutoPicksPinned pins what StrategyAuto and the automatic pipeline
-// degrees choose on the benchmark's layer shapes and on shapes that drive
-// Algorithm 1 to r > 1 and to different forward and backward degrees:
-// strategy, group size, the executing degrees and the DegreeResults
-// Algorithm 1 reports. A change to the planner's cost model or volumes
-// that moves a pick shows here first.
+// degrees resolve to on the benchmark's layer shapes and on shapes that
+// drive Algorithm 1 to r > 1 and to different forward and backward
+// degrees: strategy, group size, the degrees and Algorithm 1's results,
+// which the World built from the same configuration executes. A change to
+// the planner's cost model or volumes that moves a pick shows here first.
 func TestAutoPicksPinned(t *testing.T) {
 	const c2, c3, c4 = "case2-compute", "case3-alltoall", "case4-intranode"
 	type pick struct {
@@ -467,19 +491,23 @@ func TestAutoPicksPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := NewWorld(l, WorldConfig{Ranks: 4, Strategy: tc.strat, BatchTokens: tc.n})
+			cfg := WorldConfig{Ranks: 4, Strategy: tc.strat, BatchTokens: tc.n}
+			mc, df, db := resolve(l, cfg)
+			if df.R != mc.ChunksFwd || db.R != mc.ChunksBwd {
+				t.Fatalf("degree results R = (%d, %d), resolved (%d, %d)", df.R, db.R, mc.ChunksFwd, mc.ChunksBwd)
+			}
+			got := pick{mc.Strategy, mc.GroupSize, mc.ChunksFwd, mc.ChunksBwd, df.Case.String(), db.Case.String()}
+			if got != tc.want {
+				t.Errorf("picked %+v, want %+v", got, tc.want)
+			}
+			w, err := NewWorld(l, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer w.Close()
 			fwd, bwd := w.PipelineDegrees()
-			df, db := w.DegreeResults()
-			if df.R != fwd || db.R != bwd {
-				t.Fatalf("DegreeResults R = (%d, %d), executing (%d, %d)", df.R, db.R, fwd, bwd)
-			}
-			got := pick{w.Strategy(), w.GroupSize(), fwd, bwd, df.Case.String(), db.Case.String()}
-			if got != tc.want {
-				t.Errorf("picked %+v, want %+v", got, tc.want)
+			if w.Strategy() != mc.Strategy || w.GroupSize() != mc.GroupSize || fwd != mc.ChunksFwd || bwd != mc.ChunksBwd {
+				t.Errorf("world executes %s g=%d r=(%d, %d), resolved %+v", w.Strategy(), w.GroupSize(), fwd, bwd, mc)
 			}
 		})
 	}

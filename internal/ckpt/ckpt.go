@@ -121,8 +121,8 @@ type RNGState struct {
 }
 
 // WorldState is one World's snapshot: its counters, every parameter of
-// its layer (gate first, then each expert in index order — the GradElems
-// layout), and the private RNG state of gates that hold one.
+// its layer (gate first, then each expert in index order — the World's
+// flat gradient layout), and the private RNG state of gates that hold one.
 type WorldState struct {
 	// Steps is the world's completed-step counter; CollOps the monotone
 	// collective-operation counter that seeds deterministic fault-guard

@@ -72,21 +72,6 @@ func ModelsFromCluster(c *topology.Cluster) Models {
 	}
 }
 
-// ModelsFromFits adapts a profiled model set (the paper's actual workflow:
-// microbenchmark, then fit).
-func ModelsFromFits(cm *perfmodel.ClusterModels) Models {
-	return Models{
-		A2A:     cm.A2A.Linear,
-		A2AFlat: cm.A2AFlat.Linear,
-		AG:      cm.AG.Linear,
-		RS:      cm.RS.Linear,
-		AR:      cm.AR.Linear,
-		GEMM:    cm.GEMM.Linear,
-
-		IIOContention: cm.Cluster.IIOContention,
-	}
-}
-
 // Volumes describes one generalized layer's work (§5.2's "MoE layer and
 // other operations before the next MoE layer"), per GPU.
 type Volumes struct {

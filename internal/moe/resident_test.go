@@ -76,7 +76,7 @@ func freshGar(t *testing.T, fresh []*World, x *tensor.Tensor, cfg StepConfig) *c
 		if err != nil {
 			t.Fatal(err)
 		}
-		total, dense := w.GradElems()
+		total, dense := w.gradElems()
 		specs[i] = gradsync.LayerSpec{Elems: total, DenseElems: dense, V: stepVolumes(w, cache.tpad)}
 		cur = y
 	}
@@ -222,7 +222,7 @@ func TestStepAllocationBound(t *testing.T) {
 			}
 			defer w.Close()
 			ws[i] = w
-			total, _ := w.GradElems()
+			total, _ := w.gradElems()
 			params += total
 		}
 		x := tensor.RandN(xrand.New(321), 1, tc.n, tc.m)

@@ -8,7 +8,7 @@ package moe
 // all-gather half hands every rank its replica. StepWorlds asserts the §5
 // contract by construction: the stepped replicas are bit-identical on
 // every rank under every strategy, because each flat gradient element has
-// exactly one non-zero contributor (RankGrads), the restricted ring is
+// exactly one non-zero contributor (rankGrads), the restricted ring is
 // byte-identical under any slicing (comm.RingAllReduceUpdate) and every
 // replica is a copy of the one place an element was updated.
 //
@@ -115,9 +115,9 @@ type StepResult struct {
 	// configuration and shapes: read-only.
 	Report gradsync.Report
 
-	// RankParams[r] is rank r's post-step parameter replica in the
-	// GradElems layout, layers concatenated in stack order, as the ring
-	// left it. All rows are bit-identical across ranks and across
+	// RankParams[r] is rank r's post-step parameter replica, each layer's
+	// parameters flat in Params order (gate, then each expert's), layers
+	// concatenated in stack order, as the ring left it. All rows are bit-identical across ranks and across
 	// strategies. The rows are the stack's resident per-rank buffers, not
 	// copies: the next StepWorlds or SyncWorlds on the same worlds
 	// overwrites them, so copy what must outlive the step.
@@ -170,7 +170,7 @@ func (r *StepResult) StepMS() float64 { return r.BackwardMS + r.TailMS }
 // reduces and steps them, the post-step replica.
 type resident struct {
 	plan  *gradsync.Plan
-	arena [][]float64   // [rank][Σ layer GradElems]
+	arena [][]float64   // [rank][Σ layer gradElems]
 	views [][][]float64 // views[i][r]: layer i's span of arena[r], what Collect registers
 	grads []stepGrads   // [layer] the expert spans of views as gradient destinations
 
@@ -205,7 +205,7 @@ func residentFor(worlds []*World) *resident {
 	total := 0
 	for i, w := range worlds {
 		fits = fits && slices.Equal(st.grads[i].off, w.gradOff)
-		n, _ := w.GradElems()
+		n, _ := w.gradElems()
 		total += n
 	}
 	if fits {
@@ -222,7 +222,7 @@ func residentFor(worlds []*World) *resident {
 	}
 	off := 0
 	for i, w := range worlds {
-		n, _ := w.GradElems()
+		n, _ := w.gradElems()
 		st.views[i] = make([][]float64, ranks)
 		for r, a := range st.arena {
 			st.views[i][r] = a[off : off+n : off+n]
@@ -340,7 +340,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	// solved for — another batch capacity, another StepConfig, a recovery
 	// to R′.
 	for i, w := range worlds {
-		total, dense := w.GradElems()
+		total, dense := w.gradElems()
 		st.specs[i] = gradsync.LayerSpec{Elems: total, DenseElems: dense, V: stepVolumes(w, caches[i].tpad)}
 		st.params[i] = w.layer.appendParams(st.params[i][:0])
 	}
@@ -506,7 +506,7 @@ func buildStepMetrics(worlds []*World, caches []*WorldCache, fwdTraces []*sim.Tr
 		Strategy:  string(w0.Strategy()),
 		GroupSize: w0.GroupSize(),
 	}
-	m.DegreeFwd, m.DegreeBwd = w0.Degrees()
+	m.DegreeFwd, m.DegreeBwd = w0.PipelineDegrees()
 	m.WallMS, m.ForwardMS, m.BackwardMS, m.TailMS = res.WallMS, res.ForwardMS, res.BackwardMS, res.TailMS
 	for _, tr := range fwdTraces {
 		m.AddTrace(tr)
@@ -551,7 +551,7 @@ func stepVolumes(w *World, tpad int) core.Volumes {
 	if _, ok := experts[0].(*MixtralFFN); ok {
 		gemms = 3
 	}
-	total, _ := w.GradElems()
+	total, _ := w.gradElems()
 	return core.Volumes{
 		NA2A:      nA2A,
 		NAG:       nA2A,
@@ -586,7 +586,7 @@ func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	}
 	specs := make([]gradsync.LayerSpec, len(worlds))
 	for i, w := range worlds {
-		total, dense := w.GradElems()
+		total, dense := w.gradElems()
 		// No forward cache here; account A2A volumes at the nominal padded
 		// capacity of zero — only GradBytes matters for a tail-only sync.
 		v := stepVolumes(w, 0)
@@ -604,7 +604,7 @@ func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	}
 	st := residentFor(worlds)
 	for i, w := range worlds {
-		w.RankGrads(st.views[i])
+		w.rankGrads(st.views[i], nil)
 		if err := syncer.Collect(i, st.views[i]); err != nil {
 			return nil, err
 		}

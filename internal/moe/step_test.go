@@ -28,7 +28,7 @@ func stepStack(t *testing.T, layers, ranks, chunks int, wrap bool) []*World {
 
 // refStep runs the sequential single-rank reference: forward/backward
 // through L MOELayers and an SGD step, returning the flattened post-step
-// parameters in the stack's GradElems layout.
+// parameters in the stack's gradElems layout.
 func refStep(t *testing.T, layers []*MOELayer, x, dy *tensor.Tensor, lr float64) []float64 {
 	t.Helper()
 	caches := make([]*LayerCache, len(layers))

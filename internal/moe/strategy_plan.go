@@ -36,7 +36,7 @@ import (
 // The backward plan is the adjoint chain C → AG(dy) → E (B1, column-sharded →
 // AG(hidden grads) → B2, row-sharded) → RS(dx) → D, then each expert's
 // full-block parameter-gradient reduction W once on its owner rank j = e/Eg
-// (the RankGrads mapping) from fully assembled buffers, with §5's emit
+// (the rankGrads mapping) from fully assembled buffers, with §5's emit
 // points on the inter stream: 0 behind the first collective chain, c+1
 // behind chunk c's last collective. Where there is no AlltoAll (g = R) the
 // inter stream carries nothing else, so the AllReduce slices overlap the
@@ -486,11 +486,11 @@ func (w *World) expertStages(p *runtime.Plan, gm groups, b *passBufs, passes [][
 	return w.computeTasks(p, fmt.Sprintf("%s%d", names[2], c), outputEst, after(h), outputStage)
 }
 
-// BuildForward appends the forward schedule to p: everything that turns the
+// buildForward appends the forward schedule to p: everything that turns the
 // padded scattered buffer into the padded combined buffer. cache.experts
 // receives the passes it begins, per rank one for each expert of its group,
-// which BuildBackward continues.
-func (w *World) BuildForward(p *runtime.Plan, cache *WorldCache, scatPad, combinedPad *tensor.Tensor) {
+// which buildBackward continues.
+func (w *World) buildForward(p *runtime.Plan, cache *WorldCache, scatPad, combinedPad *tensor.Tensor) {
 	gm := w.groups(cache)
 	b := w.cutPass(cache.ws, cache.ws.fwd, gm, scatPad, combinedPad, true)
 	cache.ws.fwd = b
@@ -518,11 +518,11 @@ func (w *World) BuildForward(p *runtime.Plan, cache *WorldCache, scatPad, combin
 	}
 }
 
-// BuildBackward appends the backward schedule to p: everything that turns
+// buildBackward appends the backward schedule to p: everything that turns
 // the padded output gradient dpad into the padded dScattered buffer, puts
 // each expert's parameter gradients where gradDst says on its owner rank,
 // and drives w.sync's emit points.
-func (w *World) BuildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatteredPad *tensor.Tensor) {
+func (w *World) buildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatteredPad *tensor.Tensor) {
 	gm := w.groups(cache)
 	b := w.cutPass(cache.ws, cache.ws.bwd, gm, dpad, dScatteredPad, false)
 	cache.ws.bwd = b
@@ -565,7 +565,7 @@ func (w *World) BuildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatter
 
 	// W — the deferred full-block parameter-gradient reductions, off the
 	// communication critical path (§4.1's W-grad tasks), each expert on its
-	// owner rank (the RankGrads mapping: member m of a group owns the group's
+	// owner rank (the rankGrads mapping: member m of a group owns the group's
 	// experts [m·Eg, (m+1)·Eg)) from its own fully assembled buffers. The last
 	// chunk's task on a rank implies every earlier one (stream order).
 	w.computeTasks(p, "W", func(j int) float64 { return macsEst(w.layer.cfg.Experts[j*gm.eg:][:gm.eg], gm.tpad) }, after(last), func(j int) {

@@ -216,8 +216,8 @@ func TestStepMetricsStack(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("sink saw %d emissions, want 2", len(got))
 	}
-	if w0.Steps() != 2 || w1.Steps() != 2 {
-		t.Fatalf("step counters = %d/%d, want 2/2", w0.Steps(), w1.Steps())
+	if w0.steps != 2 || w1.steps != 2 {
+		t.Fatalf("step counters = %d/%d, want 2/2", w0.steps, w1.steps)
 	}
 }
 

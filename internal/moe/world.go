@@ -81,7 +81,7 @@ type World struct {
 	steps int // completed training steps on this world (telemetry ordinal)
 
 	// gradOff[e] is the offset of expert e's first parameter in the flat
-	// GradElems layout: gradOff[0] is the dense (gate) prefix length and
+	// gradElems layout: gradOff[0] is the dense (gate) prefix length and
 	// gradOff[E] the total. Counted at NewWorld and at the Recover commit.
 	gradOff []int
 
@@ -243,9 +243,10 @@ func (w *World) planResources() {
 	}
 }
 
-// ResourcePlan reports how the world sizes itself to the machine: the
-// kernel pool's width and k, the most plan workers that run at once. Their
-// product never exceeds GOMAXPROCS.
+// ResourcePlan reports how the world sizes itself to the machine: the width
+// of its one kernel pool, which every expert GEMM fans out onto, and k, the
+// most plan workers that run at once. Their product never exceeds
+// GOMAXPROCS.
 func (w *World) ResourcePlan() (width, workers int) {
 	return w.pool.Workers(), w.workers
 }
@@ -282,18 +283,11 @@ func (w *World) Chunked() bool { return w.layer.plain < 0 }
 // Strategy returns the parallel scheme in effect.
 func (w *World) Strategy() Strategy { return w.cfg.Strategy }
 
-// Degrees returns the configured forward and backward pipeline degrees.
-func (w *World) Degrees() (fwd, bwd int) { return w.cfg.ChunksFwd, w.cfg.ChunksBwd }
-
-// Sink returns the configured per-step telemetry sink (nil when telemetry
-// is disabled).
-func (w *World) Sink() telemetry.Sink { return w.cfg.Sink }
-
-// Steps returns the number of completed training steps on this world.
-func (w *World) Steps() int { return w.steps }
+// PipelineDegrees returns the forward and backward chunk counts in effect.
+func (w *World) PipelineDegrees() (fwd, bwd int) { return w.cfg.ChunksFwd, w.cfg.ChunksBwd }
 
 // GroupSize returns the hybrid EP-group size in effect (0 unless the
-// strategy is StrategyHybrid).
+// strategy is StrategyHybrid), whether configured or grid-chosen.
 func (w *World) GroupSize() int {
 	if w.cfg.Strategy != StrategyHybrid {
 		return 0
@@ -316,10 +310,11 @@ func (w *World) Stats() comm.Stats {
 }
 
 // LastPlan and LastTrace return the stream plan and measured trace of the
-// most recent pass — LastPlan.SimulateWith(runtime.Durations(LastTrace()))
-// predicts the pipelined makespan from sequential measurements. Both are
-// nil after a pass that ran entirely on the degraded sequential path (no
-// stream plan exists for it).
+// most recent pass: LastTrace().Gantt(120) renders the measured Fig. 3, and
+// LastPlan().SimulateWith(runtime.Durations(LastTrace())) predicts the
+// pipelined makespan from sequential measurements. Both are nil after a
+// pass that ran entirely on the degraded sequential path (no stream plan
+// exists for it).
 func (w *World) LastPlan() *runtime.Plan { return w.lastPlan }
 func (w *World) LastTrace() *sim.Trace   { return w.lastTr }
 
@@ -329,13 +324,14 @@ func (w *World) LastTrace() *sim.Trace   { return w.lastTr }
 // effect from the next Forward.
 func (w *World) SetFaultPlan(fp *fault.Plan) { w.faults = fp }
 
-// SetRetry replaces the default transient-retry policy (4 attempts with
-// exponential backoff, collective kinds only).
+// SetRetry replaces the default transient-retry policy (4 attempts,
+// exponential backoff with jitter, collective task kinds only).
 func (w *World) SetRetry(rp runtime.RetryPolicy) { w.retry = rp }
 
 // SetDeadline bounds each subsequent plan execution: a pass whose plan
-// exceeds d is cooperatively canceled and fails with context.DeadlineExceeded
-// inside the joined error. Zero removes the deadline.
+// exceeds d is cooperatively canceled (its streams drain leak-free) and
+// fails with context.DeadlineExceeded inside the joined error. Zero removes
+// the deadline.
 func (w *World) SetDeadline(d time.Duration) { w.deadline = d }
 
 // Health reports per-rank health; false marks the permanently failed rank
@@ -352,7 +348,9 @@ func (w *World) Health() []bool {
 // the aborted pass's stream plan and trace — the "failed worker replaced"
 // transition back to full-strength stepping. After ResetHealth the world
 // reports exactly the health state elastic recovery leaves behind
-// (recover.go), so tooling can treat the two transitions uniformly.
+// (recover.go), so tooling can treat the two transitions uniformly. Dead
+// experts kept zero gradients while degraded, so their parameters resume
+// unchanged.
 func (w *World) ResetHealth() {
 	w.down = -1
 	w.degraded = nil
@@ -361,7 +359,8 @@ func (w *World) ResetHealth() {
 }
 
 // LastDegraded returns the degraded-mode report of the most recent pass,
-// or nil if the pass ran at full strength.
+// or nil if the pass ran at full strength: which experts were lost, tokens
+// re-routed or dropped, retries spent, and the recovery-time tail.
 func (w *World) LastDegraded() *DegradedResult { return w.degraded }
 
 // collGuard mints the fault-injection guard for the collective of the task
@@ -391,7 +390,7 @@ type WorldCache struct {
 	ws         *workspace     // checked out by Forward, handed back by Backward
 	scattered  *tensor.Tensor // (E, Tpad, M), the sequential layer's expert inputs
 	combined   *tensor.Tensor // (E, Tpad, M), the sequential layer's expertOut in rows [0, T) of each block
-	experts    [][]ExpertPass // [rank][expert of its group] the passes BuildForward began
+	experts    [][]ExpertPass // [rank][expert of its group] the passes buildForward began
 	deg        *degradedState // non-nil when the forward ran degraded
 }
 
@@ -445,7 +444,8 @@ func (w *World) run(p *runtime.Plan) error {
 	return err
 }
 
-// Forward runs the pipelined multi-rank forward pass. Results are
+// Forward runs the pipelined multi-rank forward pass on x, shaped (B, L, M)
+// or (N, M). Results are
 // bit-identical to MOELayer.Forward on the same layer and input under
 // every strategy. A permanent rank failure mid-plan does not abort: the
 // pass completes on the degraded path (see degraded.go) and LastDegraded
@@ -489,7 +489,7 @@ func (w *World) forward(x *tensor.Tensor, train, inner bool) (*tensor.Tensor, *W
 	combined := ws.tensor(plan.Experts, cache.tpad, mdim)
 
 	p := runtime.NewPlan()
-	w.BuildForward(p, cache, cache.scattered, combined)
+	w.buildForward(p, cache, cache.scattered, combined)
 	if err := w.run(p); err != nil {
 		// Every task has drained; nothing of the aborted pass is read again.
 		w.release(cache)
@@ -540,7 +540,7 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, inner bool) (*ten
 	dScattered := ws.tensor(plan.Experts, cache.tpad, mdim)
 
 	p := runtime.NewPlan()
-	w.BuildBackward(p, cache, dpad, dScattered)
+	w.buildBackward(p, cache, dpad, dScattered)
 	if err := w.run(p); err != nil {
 		if rank, ok := fault.PermanentRank(err); ok {
 			w.down = rank
@@ -588,16 +588,16 @@ func (w *World) addStats(st comm.Stats) {
 	w.statsMu.Unlock()
 }
 
-// GradElems returns the layer's flattened gradient length and the length
+// gradElems returns the layer's flattened gradient length and the length
 // of its leading dense (gate) prefix — the same dense/MoE split the §5
 // simulator models with LayerSpec volumes. The flat layout is gate
 // parameters in Params() order followed by each expert's parameters in
 // expert-index order, matching MOELayer.Params.
-func (w *World) GradElems() (total, dense int) {
+func (w *World) gradElems() (total, dense int) {
 	return w.gradOff[len(w.gradOff)-1], w.gradOff[0]
 }
 
-// countGradElems walks the parameter list once for GradElems and RankGrads;
+// countGradElems walks the parameter list once for gradElems and rankGrads;
 // NewWorld and the Recover commit call it, the step path only reads the
 // result.
 func (w *World) countGradElems() {
@@ -614,8 +614,8 @@ func (w *World) countGradElems() {
 	}
 }
 
-// RankGrads writes the per-rank partial parameter gradients of the most
-// recent backward pass into out[r] (one buffer of GradElems' total length
+// rankGrads writes the per-rank partial parameter gradients of the most
+// recent backward pass into out[r] (one buffer of gradElems' total length
 // per rank, whatever it held before; the ranks fill concurrently): rank j
 // contributes the full gradient of its own expert shard (experts [j·Eg, (j+1)·Eg))
 // and a disjoint element shard of the dense (gate) gradient, zeros
@@ -629,12 +629,11 @@ func (w *World) countGradElems() {
 // strategy accumulates an expert's parameter gradients on its owner rank
 // j = e/Eg — EP computes them there, ESP designates that shard-group
 // member — so the one-contributor invariant holds for all of them.)
-func (w *World) RankGrads(out [][]float64) { w.rankGrads(out, nil) }
-
-// rankGrads is RankGrads for a backward that wrote the gradients of the
-// experts written says (nil: none) straight into their owners' buffers:
-// those spans stay, and an expert no finish routine ran for — a dead
-// rank's, a degraded pass's — is cleared of last step's replica.
+//
+// A backward that wrote the gradients of the experts written says (nil:
+// none) straight into their owners' buffers leaves those spans alone, and
+// an expert no finish routine ran for — a dead rank's, a degraded pass's —
+// is cleared of last step's replica.
 func (w *World) rankGrads(out [][]float64, written []bool) {
 	R := w.cfg.Ranks
 	gate := w.layer.cfg.Gate.Params()
