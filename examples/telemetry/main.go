@@ -50,7 +50,7 @@ func main() {
 	dy := fsmoe.RandTensor(8, tokens, m)
 	var lastTraces []*fsmoe.Trace
 	for step := 0; step < 3; step++ {
-		res, err := world.Step(x, dy, fsmoe.StepConfig{LR: 0.01})
+		res, err := fsmoe.StepStack([]*fsmoe.World{world}, x, dy, fsmoe.StepConfig{LR: 0.01})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,11 +76,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	names := make([]string, len(lastTraces))
-	for i := range names {
-		names[i] = fmt.Sprintf("bwd[%d]", i)
+	var b fsmoe.ChromeTraceBuilder
+	for i, tr := range lastTraces {
+		b.AddTrace(fmt.Sprintf("bwd[%d]", i), tr)
 	}
-	if err := fsmoe.WriteChromeTrace(f, names, lastTraces); err != nil {
+	if _, err := b.WriteTo(f); err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

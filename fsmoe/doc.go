@@ -205,11 +205,11 @@
 //
 // # Training steps and resident state
 //
-// StepStack (World.Step for one layer) is the §5 training step: forward,
-// backward with the Gradient-AllReduce sliced into the backward plans'
-// slack, the exposed tail — and the SGD update riding that ring: each
-// AllReduce slice is stepped where its reduced pieces land, once, and the
-// ring's all-gather half hands every rank its replica. What does not
+// StepStack (on a one-element slice for one layer) is the §5 training
+// step: forward, backward with the Gradient-AllReduce sliced into the
+// backward plans' slack, the exposed tail — and the SGD update riding
+// that ring: each AllReduce slice is stepped where its reduced pieces
+// land, once, and the ring's all-gather half hands every rank its replica. What does not
 // change from one step to the next is kept on the stack, not rebuilt. The
 // §5 byte plan (StepResult.Report.Gar) is solved once per distinct input —
 // the sync strategy, models, degree cap, chunk and slice settings of
@@ -316,8 +316,8 @@
 // # Checkpoint/restore and elastic recovery
 //
 // Degraded mode keeps a step alive; checkpoints and recovery keep the
-// run alive. World.Snapshot / Checkpoint capture the complete training
-// state — parameters, step and collective-op counters, the gate's RNG —
+// run alive. Checkpoint captures the complete training state of a stack
+// — parameters, step and collective-op counters, the gate's RNG —
 // and CheckpointManager persists it crash-consistently: the snapshot is
 // written to a temp file in the target directory, fsynced, and renamed
 // into place, so the final name only ever holds a complete file. The
@@ -342,8 +342,8 @@
 // file in place. StepMetrics carries the stall as CheckpointWaitMS and
 // CheckpointCaptureMS.
 //
-// After a permanent rank loss, Recover (or World.Recover per layer)
-// rebuilds instead of limping: under RecoveryPolicy{Mode:
+// After a permanent rank loss, Recover rebuilds the whole stack (a single
+// layer is a stack of one) instead of limping: under RecoveryPolicy{Mode:
 // RecoverShrink} the world re-plans onto the largest surviving rank
 // count that still divides the expert count; RecoverRejoin keeps the
 // rank count, modeling a replacement host adopting the dead rank's
@@ -354,9 +354,10 @@
 // re-emits the collective chains for the new topology — every strategy
 // recovers as itself, ESP at g′ = R′ and Hybrid at g′ = gcd(g, R′) — and
 // the fault plan's down trigger is stripped so the rebuilt world is not
-// re-killed on its next pass. RecoveryReport (also via World.LastRecovery)
-// records mode, topology delta (ranks and group size), restored step, moved experts,
-// re-placement traffic, retries and the measured MTTR; StepMetrics
+// re-killed on its next pass. Recover returns one RecoveryReport per
+// layer, recording mode, topology delta (ranks and group size), restored
+// step, moved experts, re-placement traffic, retries and the measured
+// MTTR; StepMetrics
 // carries Recoveries/RecoveryMS when a Sink is set. The recovery
 // contract: a recovered run is bit-identical to a fresh World built
 // directly on the surviving topology and restored from the same
@@ -366,7 +367,7 @@
 // # Observability
 //
 // The runtime reports what it executed. Set WorldConfig.Sink and every
-// Step / StepWorlds call builds one *StepMetrics — the measured wall, its
+// StepStack call builds one *StepMetrics — the measured wall, its
 // forward/backward/tail parts and the remainder outside them (OutsideMS),
 // per-stream busy fractions, the overlap ratio vs the serialized task
 // time, per-expert token loads with utilization entropy and imbalance,
@@ -374,10 +375,10 @@
 // StepResult.Metrics and hands it to the sink. NewTelemetry creates a
 // metrics registry (counters, gauges, fixed-bucket histograms; an
 // expvar.Var), and NewRegistrySink folds step metrics into one.
-// ChromeTraceJSON / ChromeTraceBuilder / WriteChromeTrace export any
-// measured or simulated Trace as Chrome trace_event JSON for Perfetto or
-// chrome://tracing: one thread row per stream, task kinds as categories,
-// fault incidents as instant events.
+// ChromeTraceJSON exports one measured or simulated Trace, and
+// ChromeTraceBuilder's AddTrace/WriteTo several, as Chrome trace_event JSON
+// for Perfetto or chrome://tracing: one process per trace, one thread row
+// per stream, task kinds as categories, fault incidents as instant events.
 //
 // Sink threading and ownership: OnStep is invoked synchronously from the
 // goroutine that finished the step, after the SGD update, never

@@ -9,7 +9,7 @@ import (
 )
 
 // Re-exported sub-module interfaces, so user code can implement custom
-// gates, orders, experts and dispatchers against the same contracts the
+// gates, orders, experts and hooks against the same contracts the
 // built-ins use (§3.3's CustomizedExpert / CustomizedCallback pattern).
 type (
 	// Gate is the routing sub-module contract.
@@ -20,8 +20,6 @@ type (
 	Expert = moe.Expert
 	// ExpertCache is the opaque forward cache an Expert hands to Backward.
 	ExpertCache = moe.ExpertCache
-	// Dispatcher is the Dispatch/Combine sub-module contract.
-	Dispatcher = moe.Dispatcher
 	// Hooks carries the six non-invasive extension points of §3.1.
 	Hooks = moe.Hooks
 	// DispatchPlan is a gate's routing decision.
@@ -99,7 +97,6 @@ type LayerConfig struct {
 	CustomGate    Gate
 	CustomOrder   Order
 	CustomExperts []Expert
-	Dispatcher    Dispatcher // nil = single-device identity
 }
 
 // Layer is a fully assembled MoE layer.
@@ -181,12 +178,11 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 	}
 
 	inner, err := moe.NewMOELayer(moe.LayerConfig{
-		M:          cfg.M,
-		Gate:       gate,
-		Order:      order,
-		Dispatcher: cfg.Dispatcher,
-		Experts:    experts,
-		Hooks:      cfg.Hooks,
+		M:       cfg.M,
+		Gate:    gate,
+		Order:   order,
+		Experts: experts,
+		Hooks:   cfg.Hooks,
 	})
 	if err != nil {
 		return nil, err

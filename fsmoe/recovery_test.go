@@ -57,8 +57,8 @@ func TestRecoveryEndToEnd(t *testing.T) {
 			t.Fatalf("recovery report = %+v, want 4→2 shrink with moved experts and measured MTTR", rep)
 		}
 	}
-	if lr := ws[0].LastRecovery(); lr == nil || lr.DownRank != 1 {
-		t.Fatalf("LastRecovery = %+v, want the rank-1 rebuild", lr)
+	if rep := reports[0]; rep.DownRank != 1 {
+		t.Fatalf("layer 0 report = %+v, want the rank-1 rebuild", rep)
 	}
 
 	// Reference: a fresh 2-rank stack restored from the same checkpoint.

@@ -1,11 +1,6 @@
 package fsmoe
 
-import (
-	"io"
-
-	"repro/internal/sim"
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // Telemetry vocabulary: the observability surface of the executable
 // runtime. A Telemetry registry holds live counters/gauges/histograms
@@ -52,25 +47,3 @@ func NewRegistrySink(reg *Telemetry) *RegistrySink { return telemetry.NewRegistr
 func ChromeTraceJSON(name string, tr *Trace) ([]byte, error) {
 	return telemetry.ChromeTraceJSON(name, tr)
 }
-
-// WriteChromeTrace exports the named traces to w as one trace_event
-// document, one process row group per trace. Nil traces are skipped, so
-// callers can pass LastTrace() results unconditionally.
-func WriteChromeTrace(w io.Writer, names []string, traces []*Trace) error {
-	var b telemetry.ChromeTraceBuilder
-	for i, tr := range traces {
-		name := ""
-		if i < len(names) {
-			name = names[i]
-		}
-		b.AddTrace(name, tr)
-	}
-	_, err := b.WriteTo(w)
-	return err
-}
-
-// Canonical task-kind and trace-event vocabularies (sim/vocab.go): the
-// category strings Chrome trace exports carry and the kind keys
-// FaultSpec/RetryPolicy target.
-func TaskKinds() []string       { return sim.Kinds() }
-func TraceEventTypes() []string { return sim.EventTypes() }

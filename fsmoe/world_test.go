@@ -85,11 +85,10 @@ func TestWorldMatchesLayer(t *testing.T) {
 // here; this list is where that shows.
 func TestWorldMethodSet(t *testing.T) {
 	want := []string{
-		"Backward", "Chunked", "Close", "Forward", "GroupSize", "Health",
-		"LastDegraded", "LastPlan", "LastRecovery", "LastTrace",
-		"PipelineDegrees", "Ranks", "Recover", "ResetHealth", "ResourcePlan",
-		"Restore", "SetDeadline", "SetFaultPlan", "SetRetry", "SetSequential",
-		"Snapshot", "Stats", "Step", "Strategy",
+		"Backward", "Close", "Forward", "GroupSize", "Health", "LastDegraded",
+		"LastPlan", "LastTrace", "PipelineDegrees", "Ranks", "ResetHealth",
+		"ResourcePlan", "SetDeadline", "SetFaultPlan", "SetRetry",
+		"SetSequential", "Stats", "Strategy",
 	}
 	typ := reflect.TypeFor[*World]()
 	var got []string
@@ -98,6 +97,26 @@ func TestWorldMethodSet(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("*World methods = %q\nwant %q", got, want)
+	}
+}
+
+// TestLayerConfigFields pins the fields of LayerConfig, sorted by name, the
+// way TestWorldMethodSet pins the methods of *World: a field added there is
+// a settable value added to the public API.
+func TestLayerConfigFields(t *testing.T) {
+	want := []string{
+		"CapacityFactor", "CustomExperts", "CustomGate", "CustomOrder",
+		"Expert", "Experts", "Gate", "H", "Hooks", "M", "Order", "Seed",
+		"SlotsPerExpert", "TopK", "XMoELowRank", "XMoETau", "ZipfSkew",
+	}
+	typ := reflect.TypeFor[LayerConfig]()
+	var got []string
+	for i := range typ.NumField() {
+		got = append(got, typ.Field(i).Name)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("LayerConfig fields = %q\nwant %q", got, want)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestEveryCollectiveTaskHitsItsGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	snap := w.Snapshot()
+	snap := SnapshotWorlds([]*World{w})
 	spec := levels[0].spec
 	spec.Down = &fault.Down{Rank: 1, Kind: KindExpert}
 	w.SetFaultPlan(fault.New(spec))
@@ -97,11 +97,11 @@ func TestEveryCollectiveTaskHitsItsGuard(t *testing.T) {
 	if _, err := w.Backward(cache, dy); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := w.Recover(snap, RecoveryPolicy{})
+	reps, err := RecoverWorlds([]*World{w}, snap, RecoveryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.MovedExperts) == 0 || rep.Retries != len(rep.MovedExperts) {
+	if rep := reps[0]; len(rep.MovedExperts) == 0 || rep.Retries != len(rep.MovedExperts) {
 		t.Fatalf("recovery moved experts %v with %d retries, want one retry per Broadcast", rep.MovedExperts, rep.Retries)
 	}
 }

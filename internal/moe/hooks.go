@@ -75,35 +75,3 @@ func (h hookChain) beforeMoeEnd(x *tensor.Tensor) *tensor.Tensor {
 	}
 	return x
 }
-
-// Dispatcher is the Dispatch/Combine sub-module of §3.1. On a single
-// device it is the identity; internal/comm provides a multi-rank
-// implementation backed by real AlltoAll collectives. Dispatch and Combine
-// act on the (E, T, M) layout; the *Grad variants are their adjoints for
-// the backward pass (an AlltoAll is its own adjoint up to the inverse
-// permutation).
-type Dispatcher interface {
-	Name() string
-	Dispatch(x *tensor.Tensor) *tensor.Tensor
-	Combine(x *tensor.Tensor) *tensor.Tensor
-	DispatchGrad(g *tensor.Tensor) *tensor.Tensor
-	CombineGrad(g *tensor.Tensor) *tensor.Tensor
-}
-
-// LocalDispatcher is the single-device identity dispatcher.
-type LocalDispatcher struct{}
-
-// Name implements Dispatcher.
-func (LocalDispatcher) Name() string { return "local" }
-
-// Dispatch implements Dispatcher.
-func (LocalDispatcher) Dispatch(x *tensor.Tensor) *tensor.Tensor { return x }
-
-// Combine implements Dispatcher.
-func (LocalDispatcher) Combine(x *tensor.Tensor) *tensor.Tensor { return x }
-
-// DispatchGrad implements Dispatcher.
-func (LocalDispatcher) DispatchGrad(g *tensor.Tensor) *tensor.Tensor { return g }
-
-// CombineGrad implements Dispatcher.
-func (LocalDispatcher) CombineGrad(g *tensor.Tensor) *tensor.Tensor { return g }

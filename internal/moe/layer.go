@@ -9,12 +9,11 @@ import (
 
 // LayerConfig assembles an MOELayer from sub-modules (§3.3's front-end).
 type LayerConfig struct {
-	M          int // token embedding size
-	Gate       Gate
-	Order      Order
-	Dispatcher Dispatcher // nil means LocalDispatcher
-	Experts    []Expert
-	Hooks      []Hooks
+	M       int // token embedding size
+	Gate    Gate
+	Order   Order
+	Experts []Expert
+	Hooks   []Hooks
 }
 
 // MOELayer is the full MoE layer of Fig. 1: gate → order → dispatch →
@@ -24,7 +23,6 @@ type LayerConfig struct {
 type MOELayer struct {
 	cfg   LayerConfig
 	hooks hookChain
-	disp  Dispatcher
 	// staged is cfg.Experts under the one execution contract, resolved once;
 	// plain is the index of the first adapted plain Expert, -1 when every
 	// expert implements the contract itself.
@@ -59,14 +57,9 @@ func NewMOELayer(cfg LayerConfig) (*MOELayer, error) {
 	if len(cfg.Experts) == 0 {
 		return nil, fmt.Errorf("moe: layer needs at least one expert")
 	}
-	d := cfg.Dispatcher
-	if d == nil {
-		d = LocalDispatcher{}
-	}
 	l := &MOELayer{
 		cfg:        cfg,
 		hooks:      hookChain(cfg.Hooks),
-		disp:       d,
 		seqExperts: !distinctExperts(cfg.Experts),
 	}
 	l.staged, l.plain = resolveStaged(cfg.Experts)
@@ -231,8 +224,7 @@ func (l *MOELayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *Layer
 	plan, shape := pr.plan, pr.shape
 	scattered := tensor.New(plan.Experts, plan.Capacity, l.cfg.M)
 	l.cfg.Order.Scatter(scattered, pr.flat, plan)
-	dispatched := l.disp.Dispatch(l.hooks.beforeDispatch(scattered))
-	dispatched = l.hooks.afterDispatch(dispatched)
+	dispatched := l.hooks.afterDispatch(l.hooks.beforeDispatch(scattered))
 
 	// Experts run concurrently on the shared worker pool, each reading and
 	// writing its own (T, M) block of the (E, T, M) buffers through
@@ -247,9 +239,7 @@ func (l *MOELayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *Layer
 			dispatched.View(e*blk, plan.Capacity, l.cfg.M), expertOut.View(e*blk, plan.Capacity, l.cfg.M))
 	})
 
-	combinedIn := l.hooks.beforeCombine(expertOut)
-	combined := l.disp.Combine(combinedIn)
-	combined = l.hooks.afterCombine(combined)
+	combined := l.hooks.afterCombine(l.hooks.beforeCombine(expertOut))
 
 	y := l.epilog(tensor.New(pr.flat.Dim(0), l.cfg.M), combined, plan, shape)
 
@@ -283,9 +273,6 @@ func (l *MOELayer) Backward(cache *LayerCache, dy *tensor.Tensor) (*tensor.Tenso
 		return nil, err
 	}
 
-	// Through Combine (adjoint of the collective).
-	dExpertOut = l.disp.CombineGrad(dExpertOut)
-
 	// Through each expert, concurrently; every expert accumulates only its
 	// own parameter gradients and writes its own block of dDispatched, so
 	// the shards never race.
@@ -295,12 +282,9 @@ func (l *MOELayer) Backward(cache *LayerCache, dy *tensor.Tensor) (*tensor.Tenso
 		cache.passes[e].backward(dExpertOut.View(e*blk, plan.Capacity, l.cfg.M), dDispatched.View(e*blk, plan.Capacity, l.cfg.M), nil)
 	})
 
-	// Through Dispatch.
-	dScattered := l.disp.DispatchGrad(dDispatched)
-
 	n := cache.x.Dim(0)
 	gateDx := tensor.GetUninit(n, l.cfg.M)
-	dx := l.backwardFinish(tensor.New(n, l.cfg.M), gateDx, dScattered, planGrad, cache.x, cache.routeC, plan, cache.shape)
+	dx := l.backwardFinish(tensor.New(n, l.cfg.M), gateDx, dDispatched, planGrad, cache.x, cache.routeC, plan, cache.shape)
 	tensor.Put(gateDx)
 	return dx, nil
 }

@@ -3,10 +3,13 @@
 // all running real math on CPU tensors.
 //
 // The package is the "flexible framework" half of the paper: every
-// sub-module is an interface with multiple interchangeable implementations
-// (five gating functions, two ordering functions, two expert types, three
-// AlltoAll algorithms via internal/comm), and the layer itself is assembled
-// from them without invasive changes — the modularization claim of §3.1.
+// sub-module has multiple interchangeable implementations (five gating
+// functions, two ordering functions, two expert types), and the layer
+// itself is assembled from them without invasive changes — the
+// modularization claim of §3.1. The Dispatch sub-module's implementations
+// (Combine is its adjoint) are the three AlltoAll algorithms of
+// internal/comm, which a World's plans run as chosen by WorldConfig.Algo;
+// on a single device, dispatch and combine are the identity.
 package moe
 
 import (

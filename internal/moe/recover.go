@@ -86,19 +86,6 @@ type RecoveryReport struct {
 	RecoveryMS float64
 }
 
-// Recover rebuilds this world around its permanently failed rank from a
-// snapshot: RecoverWorlds on a stack of one.
-func (w *World) Recover(ws *ckpt.WorldState, pol RecoveryPolicy) (*RecoveryReport, error) {
-	if ws == nil {
-		return nil, fmt.Errorf("moe: recover needs a snapshot")
-	}
-	reps, err := RecoverWorlds([]*World{w}, &ckpt.Snapshot{Worlds: []ckpt.WorldState{*ws}}, pol)
-	if err != nil {
-		return nil, err
-	}
-	return reps[0], nil
-}
-
 // RecoverWorlds rebuilds a stack around its permanently failed rank: the
 // down rank is located on whichever world saw the failure, and every
 // world — degraded or not — is rebuilt to the same surviving topology,
@@ -297,16 +284,6 @@ func gcd(a, b int) int {
 		a, b = b, a%b
 	}
 	return a
-}
-
-// LastRecovery returns the most recent recovery report on this world, or
-// nil if it never recovered (pending reports are drained into step
-// telemetry by the next completed step).
-func (w *World) LastRecovery() *RecoveryReport {
-	if len(w.recov) == 0 {
-		return nil
-	}
-	return w.recov[len(w.recov)-1]
 }
 
 // drainRecoveries returns and clears the recovery reports accumulated

@@ -15,24 +15,25 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestWorldSnapshotRestore: Snapshot/Restore round-trips the full mutable
-// training state — parameters, counters, gate RNG — and a restored world
-// replays the snapshot timeline bit-for-bit even after later steps
+// TestWorldSnapshotRestore: SnapshotWorlds/RestoreWorlds round-trip the full
+// mutable training state — parameters, counters, gate RNG — and a restored
+// world replays the snapshot timeline bit-for-bit even after later steps
 // mutated everything.
 func TestWorldSnapshotRestore(t *testing.T) {
 	x := tensor.RandN(xrand.New(201), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(202), 1, 96, 32)
 	cfg := StepConfig{LR: 0.05, Train: true, ChunkBytes: 64 << 10, Slices: 3}
 
-	w := stepStack(t, 1, 4, 2, false)[0]
-	if _, err := w.Step(x, dy, cfg); err != nil {
+	ws := stepStack(t, 1, 4, 2, false)
+	w := ws[0]
+	if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
 		t.Fatal(err)
 	}
-	snap := w.Snapshot()
-	if snap.Steps != 1 {
-		t.Fatalf("snapshot Steps = %d, want 1", snap.Steps)
+	snap := SnapshotWorlds(ws)
+	if snap.Worlds[0].Steps != 1 {
+		t.Fatalf("snapshot Steps = %d, want 1", snap.Worlds[0].Steps)
 	}
-	if len(snap.GateRNG) != 1 {
+	if len(snap.Worlds[0].GateRNG) != 1 {
 		t.Fatal("gshard gate RNG state not captured")
 	}
 
@@ -41,7 +42,7 @@ func TestWorldSnapshotRestore(t *testing.T) {
 	// resident buffer, which the next step overwrites).
 	var timeline [][]float64
 	for s := 0; s < 2; s++ {
-		res, err := w.Step(x, dy, cfg)
+		res, err := StepWorlds(ws, x, dy, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,14 +51,14 @@ func TestWorldSnapshotRestore(t *testing.T) {
 
 	// Roll back and replay: the same two steps must be bit-identical —
 	// parameters AND the gate's noise stream were restored.
-	if err := w.Restore(snap); err != nil {
+	if err := RestoreWorlds(ws, snap); err != nil {
 		t.Fatal(err)
 	}
 	if w.steps != 1 {
 		t.Fatalf("restored steps = %d, want 1", w.steps)
 	}
 	for i, want := range timeline {
-		got, err := w.Step(x, dy, cfg)
+		got, err := StepWorlds(ws, x, dy, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,9 +70,9 @@ func TestWorldSnapshotRestore(t *testing.T) {
 	}
 
 	// A shape-mismatched snapshot is rejected wholesale, not half-applied.
-	bad := w.Snapshot()
-	bad.Experts = bad.Experts[:len(bad.Experts)-1]
-	if err := w.Restore(bad); err == nil {
+	bad := SnapshotWorlds(ws)
+	bad.Worlds[0].Experts = bad.Worlds[0].Experts[:len(bad.Worlds[0].Experts)-1]
+	if err := RestoreWorlds(ws, bad); err == nil {
 		t.Fatal("restore of a mismatched snapshot must fail")
 	}
 }
@@ -92,11 +93,11 @@ func TestWorldStepCheckpointCadence(t *testing.T) {
 	x := tensor.RandN(xrand.New(203), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(204), 1, 96, 32)
 	mgr := tempManager(t)
-	w := stepStack(t, 1, 4, 2, false)[0]
-	w.cfg.Sink = telemetry.SinkFunc(func(*telemetry.StepMetrics) {})
+	ws := stepStack(t, 1, 4, 2, false)
+	ws[0].cfg.Sink = telemetry.SinkFunc(func(*telemetry.StepMetrics) {})
 	cfg := StepConfig{LR: 0.05, ChunkBytes: 64 << 10, Slices: 3, Checkpoint: mgr, CheckpointEvery: 2}
 	for s := 0; s < 4; s++ {
-		res, err := w.Step(x, dy, cfg)
+		res, err := StepWorlds(ws, x, dy, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +250,7 @@ func TestWorldRecoverRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := w.Snapshot()
+	snap := SnapshotWorlds([]*World{w})
 
 	w.SetFaultPlan(fault.New(fault.Spec{Seed: 3, Down: &fault.Down{Rank: 1, Kind: KindExpert}}))
 	layer.ZeroGrad()
@@ -260,10 +261,11 @@ func TestWorldRecoverRejoin(t *testing.T) {
 	if _, err := w.Backward(cache, dy); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := w.Recover(snap, RecoveryPolicy{Mode: RecoverRejoin})
+	reps, err := RecoverWorlds([]*World{w}, snap, RecoveryPolicy{Mode: RecoverRejoin})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := reps[0]
 	if rep.OldRanks != 4 || rep.NewRanks != 4 {
 		t.Fatalf("rejoin changed the rank count: %+v", rep)
 	}
@@ -319,16 +321,17 @@ func TestWorldRecoverKeepsStrategy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := w.Snapshot()
+		snap := SnapshotWorlds([]*World{w})
 		w.SetFaultPlan(fault.New(fault.Spec{Seed: 11, Down: &fault.Down{Rank: 2, Kind: KindExpert}}))
 		pass("degraded", layer, w)
 		if w.LastDegraded() == nil {
 			t.Fatalf("%s: rank-down never fired", tc.strat)
 		}
-		rep, err := w.Recover(snap, RecoveryPolicy{})
+		reps, err := RecoverWorlds([]*World{w}, snap, RecoveryPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := reps[0]
 		if rep.OldStrategy != tc.strat || rep.NewStrategy != tc.strat || rep.OldGroupSize != tc.g || rep.NewGroupSize != tc.wantG {
 			t.Fatalf("reported transition = %s g=%d → %s g=%d, want %s g=%d kept at g=%d",
 				rep.OldStrategy, rep.OldGroupSize, rep.NewStrategy, rep.NewGroupSize, tc.strat, tc.g, tc.wantG)
@@ -343,7 +346,7 @@ func TestWorldRecoverKeepsStrategy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.Restore(snap); err != nil {
+		if err := RestoreWorlds([]*World{fresh}, snap); err != nil {
 			t.Fatal(err)
 		}
 		compareSnapshots(t, string(tc.strat)+" recovered vs fresh", pass("fresh", freshLayer, fresh), got)
@@ -393,12 +396,12 @@ func TestWorldRecoverMatchesResetHealth(t *testing.T) {
 	}
 
 	manual := degrade()
-	snap := manual.Snapshot()
+	snap := SnapshotWorlds([]*World{manual})
 	manual.SetFaultPlan(nil)
 	manual.ResetHealth()
 
 	recovered := degrade()
-	if _, err := recovered.Recover(snap, RecoveryPolicy{Mode: RecoverRejoin}); err != nil {
+	if _, err := RecoverWorlds([]*World{recovered}, snap, RecoveryPolicy{Mode: RecoverRejoin}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -423,9 +426,6 @@ func TestWorldRecoverGuards(t *testing.T) {
 	// No rank is down: recovery refuses.
 	if _, err := RecoverWorlds(ws, snap, RecoveryPolicy{}); err == nil {
 		t.Fatal("recovery without a failure must error")
-	}
-	if _, err := ws[0].Recover(&snap.Worlds[0], RecoveryPolicy{}); err == nil {
-		t.Fatal("single-world recovery without a failure must error")
 	}
 
 	// Down a rank, then hand recovery a stack-shape-mismatched snapshot.
@@ -468,23 +468,24 @@ func TestWorldRecoverTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ws := []*World{w}
 	cfg := StepConfig{LR: 0.05, ChunkBytes: 64 << 10, Slices: 3}
-	snap := w.Snapshot()
+	snap := SnapshotWorlds(ws)
 	w.SetFaultPlan(fault.New(fault.Spec{Seed: 3, Down: &fault.Down{Rank: 1, Kind: KindExpert}}))
-	if _, err := w.Step(x, dy, cfg); err != nil {
+	if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Recover(snap, RecoveryPolicy{}); err != nil {
+	if _, err := RecoverWorlds(ws, snap, RecoveryPolicy{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := w.Step(x, dy, cfg)
+	res, err := StepWorlds(ws, x, dy, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Metrics == nil || res.Metrics.Recoveries != 1 || res.Metrics.RecoveryMS <= 0 {
 		t.Fatalf("post-recovery StepMetrics = %+v, want 1 recovery with measured MTTR", res.Metrics)
 	}
-	res2, err := w.Step(x, dy, cfg)
+	res2, err := StepWorlds(ws, x, dy, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

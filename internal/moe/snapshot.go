@@ -1,13 +1,14 @@
 package moe
 
-// Checkpointing: World.Snapshot captures everything a training run
-// mutates — gate and per-expert parameters, the step and collective-op
-// counters, and the private RNG state of noisy gates — and
-// World.Restore writes it back. The tensors are copied both ways, so a
-// snapshot taken before a fault is immune to the partial gradient and
-// parameter writes an aborted plan may have left behind. The one snapshot
-// that is not a copy is StepWorlds' checkpoint: a view of the live
-// parameters that ckpt.Manager.Start has encoded by the time it returns.
+// Checkpointing: SnapshotWorlds captures everything a training run
+// mutates, one ckpt.WorldState per layer of the stack — gate and per-expert
+// parameters, the step and collective-op counters, and the private RNG
+// state of noisy gates — and RestoreWorlds writes it back. The tensors are
+// copied both ways, so a snapshot taken before a fault is immune to the
+// partial gradient and parameter writes an aborted plan may have left
+// behind. The one snapshot that is not a copy is StepWorlds' checkpoint: a
+// view of the live parameters that ckpt.Manager.Start has encoded by the
+// time it returns.
 // Serialization, checksums and atomic file I/O live in internal/ckpt; this
 // file is only the mapping between a live World and its ckpt.WorldState.
 
@@ -18,9 +19,9 @@ import (
 )
 
 // RNGCarrier is implemented by gates holding private RNG state that
-// training mutates (GShard's noisy gating). Snapshot/Restore round-trip
-// it so a restored run replays the identical noise stream; stateless
-// gates simply don't implement it.
+// training mutates (GShard's noisy gating). SnapshotWorlds and
+// RestoreWorlds round-trip it so a restored run replays the identical noise
+// stream; stateless gates simply don't implement it.
 type RNGCarrier interface {
 	RNGState() (state, gamma uint64)
 	SetRNGState(state, gamma uint64)
@@ -39,13 +40,10 @@ func snapTensor(p *Param, view bool) ckpt.Tensor {
 	}
 }
 
-// Snapshot captures the world's full mutable training state. The world
-// must not be mid-pass; parameters are deep-copied, so later steps never
-// alias into the snapshot.
-func (w *World) Snapshot() *ckpt.WorldState { return w.snapshot(false) }
-
-// snapshot is Snapshot, or with view a snapshot whose tensors alias the
-// live parameters: valid only until the next pass writes them.
+// snapshot captures the world's full mutable training state. The world
+// must not be mid-pass. Parameters are deep-copied, so later steps never
+// alias into the snapshot; with view its tensors alias the live parameters
+// instead, valid only until the next pass writes them.
 func (w *World) snapshot(view bool) *ckpt.WorldState {
 	ws := &ckpt.WorldState{Steps: w.steps, CollOps: w.collOps}
 	for _, p := range w.layer.cfg.Gate.Params() {
@@ -62,21 +60,6 @@ func (w *World) snapshot(view bool) *ckpt.WorldState {
 		ws.GateRNG = []ckpt.RNGState{{State: s, Gamma: g}}
 	}
 	return ws
-}
-
-// Restore writes a snapshot back into the world: every parameter, the
-// step and collective-op counters, and the gate's RNG state. Restoring
-// rolls the whole training state back to the snapshot point — partially
-// accumulated gradients are zeroed, since they belong to the abandoned
-// timeline. A snapshot that does not match the layer is refused before
-// anything is written. The world's topology (ranks, strategy, health) is
-// untouched; elastic recovery layers on top (see recover.go).
-func (w *World) Restore(ws *ckpt.WorldState) error {
-	if err := w.checkRestore(ws); err != nil {
-		return err
-	}
-	w.applyRestore(ws)
-	return nil
 }
 
 // checkRestore reports whether ws can be restored into the world: the world
@@ -116,7 +99,12 @@ func (w *World) checkRestore(ws *ckpt.WorldState) error {
 	return nil
 }
 
-// applyRestore writes a snapshot checkRestore accepted.
+// applyRestore writes a snapshot checkRestore accepted back into the world:
+// every parameter, the step and collective-op counters, and the gate's RNG
+// state. Restoring rolls the whole training state back to the snapshot
+// point — partially accumulated gradients are zeroed, since they belong to
+// the abandoned timeline. The world's topology (ranks, strategy, health) is
+// untouched; elastic recovery layers on top (see recover.go).
 func (w *World) applyRestore(ws *ckpt.WorldState) {
 	for i, p := range w.layer.cfg.Gate.Params() {
 		copy(p.W.Data(), ws.Gate[i].Data)

@@ -265,11 +265,6 @@ func (st *resident) update(layer, rank, lo, hi int) {
 	}
 }
 
-// Step runs a single-layer training step; see StepWorlds.
-func (w *World) Step(x, dy *tensor.Tensor, cfg StepConfig) (*StepResult, error) {
-	return StepWorlds([]*World{w}, x, dy, cfg)
-}
-
 // StepWorlds runs one training step over a stack of Worlds (layer i's
 // output feeds layer i+1): forward through the stack, backward in
 // reverse with the §5 Gradient-AllReduce overlapped into each layer's

@@ -129,10 +129,10 @@ func TestWorldStepFallbackExperts(t *testing.T) {
 	ref := []*MOELayer{worldLayer(t, "gshard", TutelOrder{}, false, true)}
 	want := refStep(t, ref, x, dy, lr)
 	ws := stepStack(t, 1, 4, 2, true)
-	if ws[0].Chunked() {
+	if ws[0].layer.plain < 0 {
 		t.Fatal("wrapped experts must route through the fallback path")
 	}
-	res, err := ws[0].Step(x, dy, StepConfig{LR: lr})
+	res, err := StepWorlds(ws, x, dy, StepConfig{LR: lr})
 	if err != nil {
 		t.Fatal(err)
 	}

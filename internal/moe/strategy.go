@@ -98,8 +98,8 @@ func place(l *MOELayer, cfg WorldConfig) (placement, error) {
 func (pl placement) planCheck(name Strategy, plan *DispatchPlan) error {
 	switch {
 	case pl.dense && !plan.IsDense():
-		return fmt.Errorf("moe: strategy %q requires a dense (SoftMoE) routing plan; hard top-k gates run under strategy %q or %q",
-			name, StrategyEP, StrategyESP)
+		return fmt.Errorf("moe: strategy %q requires a dense (SoftMoE) routing plan; hard top-k gates run under strategy %q, %q or %q",
+			name, StrategyEP, StrategyESP, StrategyHybrid)
 	case !pl.dense && plan.IsDense():
 		return fmt.Errorf("moe: strategy %q supports hard routing only (dense SoftMoE plans have no token rows to %s); dense plans run under strategy %q",
 			name, pl.noRows, StrategyDenseSlots)

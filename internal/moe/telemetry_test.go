@@ -101,7 +101,7 @@ func TestStepMetricsStrategies(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			res, err := w.Step(x, dy, StepConfig{LR: 0.01})
+			res, err := StepWorlds([]*World{w}, x, dy, StepConfig{LR: 0.01})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,7 @@ func TestStepMetricsStrategies(t *testing.T) {
 			}
 			// Sequential execution cannot overlap anything: its wall is at
 			// least the serial task time, so the ratio tops out at 1.
-			seqRes, err := w.Step(x, dy, StepConfig{LR: 0.01, Sequential: true})
+			seqRes, err := StepWorlds([]*World{w}, x, dy, StepConfig{LR: 0.01, Sequential: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,7 +232,7 @@ func TestStepNoSinkNoMetrics(t *testing.T) {
 	defer w.Close()
 	x := tensor.RandN(xrand.New(5), 1, n, m)
 	dy := tensor.RandN(xrand.New(6), 1, n, m)
-	res, err := w.Step(x, dy, StepConfig{LR: 0.01})
+	res, err := StepWorlds([]*World{w}, x, dy, StepConfig{LR: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}

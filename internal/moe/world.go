@@ -192,9 +192,6 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 	if len(layer.cfg.Hooks) > 0 {
 		return nil, fmt.Errorf("moe: world does not support layer hooks (they wrap the monolithic dispatch)")
 	}
-	if _, ok := layer.disp.(LocalDispatcher); !ok {
-		return nil, fmt.Errorf("moe: world replaces the layer dispatcher with real collectives; custom dispatcher %T would be bypassed", layer.disp)
-	}
 	if layer.seqExperts {
 		return nil, fmt.Errorf("moe: world requires provably distinct expert instances (aliased experts cannot be sharded)")
 	}
@@ -274,11 +271,8 @@ func (w *World) Close() error {
 	return nil
 }
 
-// Ranks returns R and Chunked whether the expert stages run chunk by chunk:
-// false when the layer holds an adapted plain Expert, whose compute is one
-// range per pass (the communication is still chunked).
-func (w *World) Ranks() int    { return w.cfg.Ranks }
-func (w *World) Chunked() bool { return w.layer.plain < 0 }
+// Ranks returns R.
+func (w *World) Ranks() int { return w.cfg.Ranks }
 
 // Strategy returns the parallel scheme in effect.
 func (w *World) Strategy() Strategy { return w.cfg.Strategy }

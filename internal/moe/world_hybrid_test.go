@@ -108,7 +108,7 @@ func TestWorldHybridBitIdenticalVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !w.Chunked() {
+			if w.layer.plain >= 0 {
 				t.Fatal("staged experts at g=1 must run chunk by chunk")
 			}
 			w.Close()

@@ -173,7 +173,7 @@ func TestWorldDenseFallbackExperts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Chunked() {
+	if w.layer.plain < 0 {
 		t.Fatal("wrapped experts must route through the fallback path")
 	}
 	got := runWorld(t, layer, WorldConfig{Ranks: 4, ChunksFwd: 4, Strategy: StrategyDenseSlots}, x, dy, false)
@@ -224,7 +224,8 @@ func TestWorldStrategyValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, _, err := w.Forward(tensor.RandN(xrand.New(6), 1, 16, 32), false); err == nil ||
-		!strings.Contains(err.Error(), string(StrategyDenseSlots)) || !strings.Contains(err.Error(), string(StrategyEP)) {
+		!strings.Contains(err.Error(), string(StrategyDenseSlots)) || !strings.Contains(err.Error(), string(StrategyEP)) ||
+		!strings.Contains(err.Error(), string(StrategyESP)) || !strings.Contains(err.Error(), string(StrategyHybrid)) {
 		t.Fatalf("dense-slots on hard plan: %v", err)
 	}
 }

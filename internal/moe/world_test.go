@@ -183,7 +183,7 @@ func TestWorldFallbackExperts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Chunked() {
+	if w.layer.plain < 0 {
 		t.Fatal("wrapped experts must route through the fallback path")
 	}
 	got := runWorld(t, layer, WorldConfig{Ranks: 4, ChunksFwd: 4}, x, dy, false)

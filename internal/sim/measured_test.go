@@ -102,12 +102,4 @@ func TestVocabCanonical(t *testing.T) {
 			t.Fatalf("Kinds() missing %q: %v", want, kinds)
 		}
 	}
-	types := EventTypes()
-	wantTypes := map[string]bool{EventFault: true, EventRetry: true, EventStraggler: true, EventSkip: true}
-	for _, typ := range types {
-		delete(wantTypes, typ)
-	}
-	if len(wantTypes) != 0 {
-		t.Fatalf("EventTypes() missing %v (got %v)", wantTypes, types)
-	}
 }

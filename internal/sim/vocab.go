@@ -57,9 +57,3 @@ const (
 	EventStraggler = "straggler" // an injected delay stalled the task
 	EventSkip      = "skip"      // the task was skipped by cooperative cancellation
 )
-
-// EventTypes returns the canonical event-type strings in presentation
-// order.
-func EventTypes() []string {
-	return []string{EventFault, EventRetry, EventStraggler, EventSkip}
-}

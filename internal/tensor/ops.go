@@ -49,14 +49,6 @@ func AddInPlace(a, b *Tensor) {
 	}
 }
 
-// AddScaledInPlace accumulates s*b into a.
-func AddScaledInPlace(a *Tensor, s float64, b *Tensor) {
-	checkSameShape("AddScaledInPlace", a, b)
-	for i, v := range b.data {
-		a.data[i] += s * v
-	}
-}
-
 // ScaleInPlace multiplies every element of a by s.
 func ScaleInPlace(a *Tensor, s float64) {
 	for i := range a.data {
@@ -86,23 +78,6 @@ func AddRowVectorInPlace(a *Tensor, v *Tensor) {
 			row[j] += v.data[j]
 		}
 	}
-}
-
-// AddRowVector adds a length-n vector v to every row of a 2-D (m,n) tensor,
-// as a bias term does.
-func AddRowVector(a *Tensor, v *Tensor) *Tensor {
-	if a.Rank() != 2 || v.Rank() != 1 || a.shape[1] != v.shape[0] {
-		panic("tensor: AddRowVector shape mismatch")
-	}
-	out := a.Clone()
-	n := a.shape[1]
-	for i := 0; i < a.shape[0]; i++ {
-		row := out.data[i*n : (i+1)*n]
-		for j := range row {
-			row[j] += v.data[j]
-		}
-	}
-	return out
 }
 
 func checkSameShape(op string, a, b *Tensor) {
@@ -144,42 +119,8 @@ func Sum(a *Tensor) float64 {
 	return s
 }
 
-// Mean returns the arithmetic mean of all elements, or 0 for empty tensors.
-func Mean(a *Tensor) float64 {
-	if len(a.data) == 0 {
-		return 0
-	}
-	return Sum(a) / float64(len(a.data))
-}
-
 // Sigmoid returns 1/(1+e^-x) elementwise.
 func Sigmoid(a *Tensor) *Tensor { return Apply(a, sigmoid) }
 
-// SigmoidGrad returns the derivative of sigmoid given its output y.
-func SigmoidGrad(y float64) float64 { return y * (1 - y) }
-
 // Softplus returns log(1+e^x) elementwise, computed stably.
 func Softplus(a *Tensor) *Tensor { return Apply(a, softplus) }
-
-// GeLU applies the Gaussian error linear unit (tanh approximation, as used
-// by GPT-2) elementwise.
-func GeLU(a *Tensor) *Tensor { return Apply(a, gelu) }
-
-// SiLU applies x*sigmoid(x) (the activation used by Mixtral) elementwise.
-func SiLU(a *Tensor) *Tensor { return Apply(a, silu) }
-
-// ReLU applies max(0,x) elementwise.
-func ReLU(a *Tensor) *Tensor {
-	return Apply(a, func(x float64) float64 {
-		if x < 0 {
-			return 0
-		}
-		return x
-	})
-}
-
-// Tanh applies tanh elementwise (activation.go's tanh).
-func Tanh(a *Tensor) *Tensor { return Apply(a, tanh) }
-
-// Exp applies e^x elementwise (activation.go's exp).
-func Exp(a *Tensor) *Tensor { return Apply(a, exp) }

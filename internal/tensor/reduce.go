@@ -113,30 +113,6 @@ func TopKInto(dst []int, v []float64) {
 	}
 }
 
-// KeepTopK returns a copy of v with every entry outside the top k set to
-// -Inf, matching the GShard formulation.
-func KeepTopK(v []float64, k int) []float64 {
-	out := make([]float64, len(v))
-	for i := range out {
-		out[i] = math.Inf(-1)
-	}
-	for _, i := range TopK(v, k) {
-		out[i] = v[i]
-	}
-	return out
-}
-
-// ArgMax returns the index of the maximum value (lowest index wins ties).
-func ArgMax(v []float64) int {
-	best, bestV := 0, math.Inf(-1)
-	for i, x := range v {
-		if x > bestV {
-			best, bestV = i, x
-		}
-	}
-	return best
-}
-
 // L2NormalizeRows scales each row of a 2-D tensor to unit Euclidean norm.
 // Zero rows are left as zeros.
 func L2NormalizeRows(a *Tensor) *Tensor {
@@ -169,17 +145,4 @@ func CosineRows(a, b *Tensor) *Tensor {
 	an := L2NormalizeRows(a)
 	bn := L2NormalizeRows(b)
 	return MatMulT2(an, bn)
-}
-
-// OneHot returns an (n, classes) matrix with row i set to 1 at idx[i].
-// Negative indices produce an all-zero row (used for dropped tokens).
-func OneHot(idx []int, classes int) *Tensor {
-	out := New(len(idx), classes)
-	for i, c := range idx {
-		if c < 0 {
-			continue
-		}
-		out.data[i*classes+c] = 1
-	}
-	return out
 }

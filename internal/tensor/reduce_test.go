@@ -168,23 +168,6 @@ func TestTopKIntoMatchesTopK(t *testing.T) {
 	}
 }
 
-func TestKeepTopK(t *testing.T) {
-	v := []float64{1, 9, 3}
-	out := KeepTopK(v, 1)
-	if out[1] != 9 || !math.IsInf(out[0], -1) || !math.IsInf(out[2], -1) {
-		t.Fatalf("KeepTopK = %v", out)
-	}
-}
-
-func TestArgMax(t *testing.T) {
-	if ArgMax([]float64{3, 1, 3}) != 0 {
-		t.Fatal("ArgMax tie should pick lowest index")
-	}
-	if ArgMax([]float64{-5, -1, -9}) != 1 {
-		t.Fatal("ArgMax wrong")
-	}
-}
-
 func TestL2NormalizeRows(t *testing.T) {
 	a := FromData([]float64{3, 4, 0, 0}, 2, 2)
 	n := L2NormalizeRows(a)
@@ -226,14 +209,6 @@ func TestCosineRowsBounds(t *testing.T) {
 	}
 }
 
-func TestOneHot(t *testing.T) {
-	h := OneHot([]int{2, 0, -1}, 3)
-	want := FromData([]float64{0, 0, 1, 1, 0, 0, 0, 0, 0}, 3, 3)
-	if !h.AllClose(want, 0) {
-		t.Fatalf("OneHot = %v", h.Data())
-	}
-}
-
 func TestActivationGradientsNumerically(t *testing.T) {
 	const eps = 1e-6
 	check := func(name string, f, g func(float64) float64) {
@@ -247,7 +222,6 @@ func TestActivationGradientsNumerically(t *testing.T) {
 	}
 	check("gelu", gelu, GeLUGrad)
 	check("silu", silu, SiLUGrad)
-	check("sigmoid", sigmoid, func(x float64) float64 { return SigmoidGrad(sigmoid(x)) })
 }
 
 func TestSoftplusStability(t *testing.T) {
