@@ -113,7 +113,10 @@
 // or "gemm kernel: portable" (fsmoe-bench -experiment chaos -trace writes
 // one; the repository benchmark's tensor.matmul*_gflops rows time the
 // kernels). internal/tensor's package comment has the contract, including
-// what is not guaranteed for NaN and Inf operands.
+// what is not guaranteed for NaN and Inf operands. The step's element-wise
+// loops — the §5 ring's reduce-scatter hop and SGD update, the combine's
+// slot sums, bias adds — run on AVX-512 row kernels under the same rule:
+// eight lanes of the scalar operations, unfused, so the same bits.
 //
 // Ownership rules for pooled buffers: whoever calls GetTensor owns the
 // buffer and must PutTensor it at most once, only after every view of it

@@ -1,6 +1,10 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
 
 // This file holds the Ring-AllReduce over an element range of flat rank
 // buffers — the communication half of the paper's §5 adaptive gradient
@@ -31,12 +35,22 @@ import "fmt"
 // times, and a tile's p rank slices (p·RingTile·8 bytes, 128 KiB at p = 4)
 // stay in a core's L2 across all of them, where the range's would go to DRAM
 // on every pass. Stats do not see the tiles: they count the range's ring.
+//
+// A reduce-scatter hop adds one rank's clip into the next rank's with
+// tensor.AddRow, and ReduceScatterBlocks' hops (gatherscatter.go) add their
+// rows the same way: eight lanes per instruction where the CPU has AVX-512,
+// each lane one IEEE addition, so the sums are the scalar loop's bit for bit
+// (the scalar untiled ring stays the tests' oracle).
 
 // RingTile is the element width of the tiles RingAllReduceUpdate moves a
 // range in (see the file comment). BenchmarkRingAllReduceTile measures it at
-// a §5 tail's size (4 ranks × 2.63 M elements, with an SGD update) on a
-// 2-core Xeon with 2 MiB of L2 per core: 2 048 to 8 192 take 17–20 ms, 16 384
-// takes 20–22, 65 536 takes 22–25 and the untiled ring 31–34.
+// a §5 tail's size (4 ranks × 2.63 M elements, with the step's StepRow
+// update) on a 2-core AVX-512 Xeon with 2 MiB of L2 per core. With the
+// vector hop every width from 1 024 to 65 536 takes 8–13.5 ms, inside one
+// run's ±15 %, and the untiled scalar ring 15–17.5; in six rotated rounds of
+// the repository benchmark's ep_params, 1 024, 4 096, 16 384 and 65 536 gave
+// step_ms_min medians of 21.4, 21.4, 20.7 and 22.6 ms, a tie. 4 096 was the
+// scalar hop's best width (17–20 ms against 31–34 untiled) and stays.
 const RingTile = 4096
 
 // SplitFlat partitions a flat buffer of n elements into at most chunks
@@ -106,10 +120,7 @@ func ringTile(data [][]float64, n int, rr RowRange, update func(rank, lo, hi int
 	for s := 0; s < p-1; s++ {
 		for r := 0; r < p; r++ {
 			if lo, hi := clip(r - s); lo < hi {
-				src, dst := data[r][lo:hi], data[(r+1)%p][lo:hi]
-				for i, v := range src {
-					dst[i] += v
-				}
+				tensor.AddRow(data[(r+1)%p][lo:hi], data[r][lo:hi])
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
 
@@ -441,19 +442,17 @@ func TestRingAllReduceTiledMatchesUntiled(t *testing.T) {
 }
 
 // BenchmarkRingAllReduceTile reduces and SGD-steps one §5 tail at the
-// benchmark's ep_params size (4 ranks of 2.63 M elements), untiled and at
-// tile widths around RingTile. The tiled rows reimplement the tiling with
-// the untiled oracle over each tile, which is what RingAllReduceUpdate does
-// at its own width ("ring" row).
+// benchmark's ep_params size (4 ranks of 2.63 M elements) with the step's
+// update — tensor.StepRow, which writes the replica and the live weight —
+// untiled (the scalar oracle) and at tile widths around RingTile. The tiled
+// rows run RingAllReduceUpdate's own tile loop at their width; the "ring"
+// row is RingAllReduceUpdate at RingTile.
 func BenchmarkRingAllReduceTile(b *testing.B) {
 	const p, n = 4, 2_630_000
 	data := randRanks(1, p, n)
 	weights := randRanks(2, 1, n)[0]
 	update := func(rank, lo, hi int) {
-		ws, gs := weights[lo:hi], data[rank][lo:hi]
-		for k, w := range ws {
-			gs[k] = w - 1e-9*gs[k]
-		}
+		tensor.StepRow(weights[lo:hi], data[rank][lo:hi], 1e-9)
 	}
 	whole := RowRange{Lo: 0, Hi: n}
 	b.Run("untiled", func(b *testing.B) {
@@ -465,7 +464,7 @@ func BenchmarkRingAllReduceTile(b *testing.B) {
 		b.Run(fmt.Sprintf("tile=%d", tile), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for lo := 0; lo < n; lo += tile {
-					untiledRing(data, p, RowRange{Lo: lo, Hi: min(lo+tile, n)}, update)
+					ringTile(data, n, RowRange{Lo: lo, Hi: min(lo+tile, n)}, update)
 				}
 			}
 		})

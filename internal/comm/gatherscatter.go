@@ -1,6 +1,10 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
 
 // This file holds the windowed AllGather and ReduceScatter — the in-group
 // collectives of the paper's expert-sharding parallelism (ESP, §4), made
@@ -109,9 +113,7 @@ func (m ringMove) accumulate(c, r int, first bool) int {
 					d[i] = 0 + v
 				}
 			default:
-				for i, v := range x.Data[t*x.Stride:][:dst.Width] {
-					d[i] = v + d[i]
-				}
+				tensor.AddRow(d, x.Data[t*x.Stride:][:dst.Width])
 			}
 		}
 	}

@@ -167,9 +167,7 @@ func (d GradDst) bias(i int, p *Param, m *tensor.Tensor) {
 func addColSum(acc, m *tensor.Tensor) {
 	ad := acc.Data()
 	for i := 0; i < m.Dim(0); i++ {
-		for j, v := range m.Row(i) {
-			ad[j] += v
-		}
+		tensor.AddRow(ad, m.Row(i))
 	}
 }
 

@@ -143,9 +143,7 @@ func (p *gptPass) ForwardHidden(ws tensor.Windows) {
 	hp, hf, b1 := p.hpre.Data(), p.Hidden.Data(), p.f.b1.W.Data()[p.Cl:p.Ch]
 	for _, t := range ws.All() {
 		h := hp[t*cw : (t+1)*cw]
-		for j, b := range b1 {
-			h[j] += b
-		}
+		tensor.AddRow(h, b1)
 		tensor.GeLURow(hf[t*w+p.Cl:t*w+p.Ch], h)
 	}
 }
@@ -155,10 +153,7 @@ func (p *gptPass) ForwardOut(ws tensor.Windows) {
 	p.Pool.MatMulRowsInto(p.Out, ws, p.Hidden, ws, p.f.w2.W)
 	b2 := p.f.b2.W.Data()
 	for _, t := range ws.All() {
-		y := p.Out.Row(t)
-		for j, b := range b2 {
-			y[j] += b
-		}
+		tensor.AddRow(p.Out.Row(t), b2)
 	}
 }
 

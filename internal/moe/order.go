@@ -252,9 +252,7 @@ func sumSlots(dst, src *tensor.Tensor, plan *DispatchPlan, weighted bool) {
 				if weighted {
 					w = plan.SlotWeight[at[0]][at[1]]
 				}
-				for j, v := range src.Data()[(at[0]*s+at[1])*m:][:m] {
-					row[j] += w * v
-				}
+				tensor.AddScaledRow(row, src.Data()[(at[0]*s+at[1])*m:][:m], w)
 			}
 		}
 	})

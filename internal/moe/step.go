@@ -254,12 +254,7 @@ func (st *resident) update(layer, rank, lo, hi int) {
 	for _, p := range st.params[layer] {
 		wd := p.W.Data()
 		if a, b := max(lo, off), min(hi, off+len(wd)); a < b {
-			ws, gs := wd[a-off:b-off], g[a:b]
-			lr := st.lr
-			for k, w := range ws {
-				v := w - lr*gs[k]
-				gs[k], ws[k] = v, v
-			}
+			tensor.StepRow(wd[a-off:b-off], g[a:b], st.lr)
 		}
 		off += len(wd)
 	}

@@ -7,14 +7,17 @@ package tensor
 // alone — never from a timing — so a run's kernel choice adds no variance.
 var useKernels = detectAVX2FMA()
 
-// use512 adds the 512-bit plain kernel (gemmPlain512) and the GeLU row
-// kernels (activation_amd64.s) where the CPU has AVX-512F and the OS saves
-// the ZMM state: XCR0 bits 5–7 and CPUID.7.0:EBX AVX512F. Its terms are the
-// AVX2 kernel's and the scalar code's, so it changes no bit. On a 2-core
-// AVX-512 host, switching the 512-bit GEMM off raises the repository
-// benchmark's step_ms_min 5–15 % on all four workloads, and the scalar GeLU
-// rows in place of the row kernels raise it 6–54 % (ep_compute the most).
-// TestAVX2Kernels runs the kernel suites with it off.
+// use512 adds the 512-bit plain kernel (gemmPlain512), the GeLU row kernels
+// (activation_amd64.s) and the element-wise row kernels under AddRow,
+// AddScaledRow and StepRow (row_amd64.s) where the CPU has AVX-512F and the
+// OS saves the ZMM state: XCR0 bits 5–7 and CPUID.7.0:EBX AVX512F. Its terms
+// are the AVX2 kernel's and the scalar code's, so it changes no bit. On a
+// 2-core AVX-512 host, switching the 512-bit GEMM off raises the repository
+// benchmark's step_ms_min 5–15 % on all four workloads, the scalar GeLU rows
+// in place of the row kernels raise it 6–54 % (ep_compute the most), and the
+// element-wise row kernels in place of the scalar loops lower it 9–19 % on
+// all four (ep_params the most: the §5 ring's reduce-scatter hop and SGD
+// update). TestAVX2Kernels runs the kernel suites with it off.
 var use512 = useKernels && detectAVX512()
 
 // detectAVX2FMA reports whether the CPU has AVX2 and FMA and the OS saves
@@ -63,3 +66,12 @@ func geluRow512(dst, x *float64, n int) (special bool)
 
 //go:noescape
 func geluGradRow512(dst, dy, x *float64, n int) (special bool)
+
+//go:noescape
+func addRow512(dst, src *float64, n int)
+
+//go:noescape
+func addScaledRow512(dst, src *float64, a float64, n int)
+
+//go:noescape
+func stepRow512(w, grad *float64, lr float64, n int)

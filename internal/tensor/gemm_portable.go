@@ -25,3 +25,15 @@ func geluRow512(dst, x *float64, n int) (special bool) {
 func geluGradRow512(dst, dy, x *float64, n int) (special bool) {
 	panic("tensor: no activation kernel in this build")
 }
+
+func addRow512(dst, src *float64, n int) {
+	panic("tensor: no row kernel in this build")
+}
+
+func addScaledRow512(dst, src *float64, a float64, n int) {
+	panic("tensor: no row kernel in this build")
+}
+
+func stepRow512(w, grad *float64, lr float64, n int) {
+	panic("tensor: no row kernel in this build")
+}
