@@ -120,6 +120,38 @@ func TestLayerConfigFields(t *testing.T) {
 	}
 }
 
+// TestWorldConfigFields pins the fields of WorldConfig, sorted by name, the
+// way TestLayerConfigFields pins LayerConfig's.
+func TestWorldConfigFields(t *testing.T) {
+	want := []string{
+		"Algo", "BatchTokens", "GPUsPerNode", "GroupSize", "PipelineDegree",
+		"PipelineDegreeBwd", "Ranks", "Sink", "Strategy",
+	}
+	typ := reflect.TypeFor[WorldConfig]()
+	var got []string
+	for i := range typ.NumField() {
+		got = append(got, typ.Field(i).Name)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("WorldConfig fields = %q\nwant %q", got, want)
+	}
+}
+
+// TestLayerMethodSet pins the public method set of *Layer, the way
+// TestWorldMethodSet pins *World's.
+func TestLayerMethodSet(t *testing.T) {
+	want := []string{"Backward", "Forward", "Gate", "Params", "ZeroGrad"}
+	typ := reflect.TypeFor[*Layer]()
+	var got []string
+	for i := range typ.NumMethod() {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*Layer methods = %q\nwant %q", got, want)
+	}
+}
+
 // TestWorldAutoDegree: with PipelineDegree 0, Algorithm 1 picks the
 // degrees that execute — both at least 1, resolved with their predicted
 // times, and the pass still runs.
