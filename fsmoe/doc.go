@@ -70,17 +70,11 @@
 // the slack for gradient synchronization appears.
 //
 // NewWorld resolves StrategyAuto, an unset hybrid GroupSize and unset
-// pipeline degrees into a concrete configuration and builds the runtime's
-// World on it. What it picked reads back through Strategy, GroupSize and
-// PipelineDegrees; OptimalDegree is the public entry to Algorithm 1 itself.
-//
-// Migrating from the pre-strategy WorldConfig: a zero Strategy field now
-// means StrategyAuto, which behaves like the old hard-coded EP for layers
-// whose experts lack the StagedExpert contract, but may select ESP for
-// the built-in GPT/Mixtral experts (results are bit-identical either way)
-// and no longer rejects SoftMoE layers — dense plans execute under
-// DenseSlots instead of failing with "world supports hard routing only".
-// Pass Strategy: StrategyEP to pin the old behavior exactly.
+// pipeline degrees inside the runtime, which holds the one Algorithm-1
+// planner, and builds the World on the result; Recover re-places that
+// resolved configuration. What it picked reads back through Strategy,
+// GroupSize and PipelineDegrees; OptimalDegree is the public entry to
+// Algorithm 1 itself.
 //
 // # Compute runtime
 //
@@ -146,24 +140,7 @@
 // expert that implements only Expert (Forward/Backward) is adapted once, at
 // NewLayer: it computes each block whole — a World still chunks its
 // communication — through one result copy, is rejected by StrategyESP and
-// StrategyHybrid, and panics if a result's shape is not its block's. This
-// contract replaced three (IntoExpert, ChunkedExpert, ShardedExpert), so
-// custom-expert signatures changed once more. To port: BeginChunked /
-// BeginSharded become Begin, with x, out, the exchange buffer, the column
-// range ([0, H) was the chunked case) and the pool in PassBufs, and with
-// what the old cache drew from GetTensor cut from PassBufs.Scratch instead,
-// so there is no DropSharded; ForwardChunk splits into ForwardHidden +
-// ForwardOut and BackwardChunk into BackwardHidden + BackwardIn, methods of
-// the pass rather than functions of an opaque cache; dy, dx, the backward
-// exchange buffer and the GradDst arrive once, in BeginBackward;
-// FinishBackward / FinishSharded are Finish(); ForwardInto/BackwardInto have
-// no successor — a whole block is the range [0, n). The stage methods took
-// row integers (lo, hi) until they took window sets. To port a custom
-// StagedExpert: each stage takes w Windows in place of (lo, hi); pass w as
-// both the destination's and the operand's set of MatMulRowsInto /
-// MatMulT2RowsInto (w.Packed() for a private buffer of w.Len() rows), and
-// walk element-wise work with `for i, t := range w.All()`, i being the row's
-// position in the set and t its row.
+// StrategyHybrid, and panics if a result's shape is not its block's.
 //
 // One rule runs through the extension contracts: a producer writes into a
 // destination its consumer owns, whatever it held, and returns nothing to
@@ -200,7 +177,7 @@
 // The planner has one cost model: Algorithm 1 (StrategyAuto and the
 // automatic pipeline degrees) and the §5 partition of every step plan on
 // Testbed A's fitted §4.1 models with a degree cap of 16, defined once in
-// the runtime (moe.PlannerModels); no config field chooses another.
+// the runtime's planner; no config field chooses another.
 // Fitting them to the machine from measured step traces is future work.
 // Custom StagedExpert implementations must route their GEMMs through
 // PassBufs.Pool, the World's kernel pool (nil means the shared default

@@ -99,11 +99,13 @@ type LayerConfig struct {
 	CustomExperts []Expert
 }
 
-// Layer is a fully assembled MoE layer.
-type Layer struct {
-	inner *moe.MOELayer
-	cfg   LayerConfig // retained for NewWorld's Algorithm-1 volume derivation
-}
+// Layer is a fully assembled MoE layer. Forward runs it on x, shaped
+// (B, L, M) or (N, M), with train enabling training-only gate behaviour
+// (GShard's noisy gating); Backward propagates dy, accumulating every
+// parameter gradient, and returns the input gradient; Params lists the
+// trainable parameters (gate + experts), ZeroGrad clears their gradients,
+// and Gate exposes the layer's gate.
+type Layer = moe.MOELayer
 
 // NewLayer validates the configuration and assembles the layer.
 func NewLayer(cfg LayerConfig) (*Layer, error) {
@@ -126,11 +128,7 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 		case GateEC:
 			gate, err = moe.NewECGate(gcfg, cfg.M, rng)
 		case GateSoftMoE:
-			slots := cfg.SlotsPerExpert
-			if slots <= 0 {
-				slots = 1
-			}
-			gate, err = moe.NewSoftMoEGate(gcfg, cfg.M, slots, rng)
+			gate, err = moe.NewSoftMoEGate(gcfg, cfg.M, cfg.SlotsPerExpert, rng)
 		case GateZipf:
 			skew := cfg.ZipfSkew
 			if skew == 0 {
@@ -177,39 +175,16 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 		}
 	}
 
-	inner, err := moe.NewMOELayer(moe.LayerConfig{
-		M:       cfg.M,
-		Gate:    gate,
-		Order:   order,
-		Experts: experts,
-		Hooks:   cfg.Hooks,
+	return moe.NewMOELayer(moe.LayerConfig{
+		M:              cfg.M,
+		Gate:           gate,
+		Order:          order,
+		Experts:        experts,
+		Hooks:          cfg.Hooks,
+		GateConfig:     gcfg,
+		SlotsPerExpert: cfg.SlotsPerExpert,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Layer{inner: inner, cfg: cfg}, nil
 }
-
-// Forward runs the layer on x, shaped (B, L, M) or (N, M). train enables
-// training-only gate behaviour (GShard's noisy gating).
-func (l *Layer) Forward(x *Tensor, train bool) (*Tensor, *LayerCache, error) {
-	return l.inner.Forward(x, train)
-}
-
-// Backward propagates dy, accumulating every parameter gradient, and
-// returns the input gradient.
-func (l *Layer) Backward(cache *LayerCache, dy *Tensor) (*Tensor, error) {
-	return l.inner.Backward(cache, dy)
-}
-
-// Params returns all trainable parameters (gate + experts).
-func (l *Layer) Params() []*Param { return l.inner.Params() }
-
-// ZeroGrad clears every parameter gradient.
-func (l *Layer) ZeroGrad() { l.inner.ZeroGrad() }
-
-// Gate exposes the layer's gate (useful for custom inspection).
-func (l *Layer) Gate() Gate { return l.inner.Gate() }
 
 // NewTensor allocates a zero tensor; RandTensor fills one with N(0,1)
 // values from the given seed. They keep example code free of internal

@@ -56,7 +56,7 @@ func TestEveryCollectiveTaskHitsItsGuard(t *testing.T) {
 		want := runSequentialLayer(t, layer, x, dy)
 		for _, lv := range levels {
 			label := fmt.Sprintf("%s g=%d %s", tc.strat, tc.g, lv.name)
-			w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: tc.strat, GroupSize: tc.g})
+			w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: tc.strat, GroupSize: tc.g})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestEveryCollectiveTaskHitsItsGuard(t *testing.T) {
 	}
 
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,12 @@ type LayerConfig struct {
 	Order   Order
 	Experts []Expert
 	Hooks   []Hooks
+
+	// What the planner reads of the gate's routing (planner.go): the
+	// routing hyperparameters the gate was built with (k, f) and SoftMoE
+	// slots per expert (<1 means 1).
+	GateConfig     GateConfig
+	SlotsPerExpert int
 }
 
 // MOELayer is the full MoE layer of Fig. 1: gate → order → dispatch →
@@ -97,15 +103,6 @@ func (l *MOELayer) forEachExpert(f func(e int)) {
 	}
 	tensor.ParallelFor(len(l.cfg.Experts), f)
 }
-
-// Experts returns the layer's expert list.
-func (l *MOELayer) Experts() []Expert { return l.cfg.Experts }
-
-// Staged returns the expert list under the contract everything executes —
-// a plain Expert appears adapted, with no hidden exchange — and whether
-// every expert implements it natively, which expert sharding (ESP, Hybrid)
-// requires.
-func (l *MOELayer) Staged() (experts []StagedExpert, native bool) { return l.staged, l.plain < 0 }
 
 // Gate returns the layer's gate.
 func (l *MOELayer) Gate() Gate { return l.cfg.Gate }

@@ -298,7 +298,7 @@ func TestHookCanTransformActivations(t *testing.T) {
 		M:       testM,
 		Gate:    mustSigmoid(t, rngB),
 		Order:   TutelOrder{},
-		Experts: base.Experts(), // share experts so outputs are comparable
+		Experts: base.cfg.Experts, // share experts so outputs are comparable
 		Hooks: []Hooks{{
 			BeforeDispatch: func(x *tensor.Tensor) *tensor.Tensor { return tensor.Scale(x, 0.5) },
 			AfterDispatch:  func(x *tensor.Tensor) *tensor.Tensor { return tensor.Scale(x, 2.0) },

@@ -236,7 +236,7 @@ func TestAdapterRejectsShortResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := NewWorld(layer, WorldConfig{Ranks: 2, ChunksFwd: 2})
+		w, err := NewWorld(layer, WorldConfig{Ranks: 2, PipelineDegree: 2, Strategy: StrategyEP})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,7 +109,7 @@ func TestWorldPlanPin(t *testing.T) {
 				}
 				reresolve(layer)
 			}
-			fwd, bwd, _ := passListing(t, layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: strat}, x, dy)
+			fwd, bwd, _ := passListing(t, layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: strat}, x, dy)
 			got = append(got, fmt.Sprintf("# %s fallback=%v forward", strat, fallback))
 			got = append(got, fwd...)
 			got = append(got, fmt.Sprintf("# %s fallback=%v backward", strat, fallback))
@@ -136,9 +136,9 @@ func TestWorldPlanPin(t *testing.T) {
 		{"hybrid g=R vs esp", 4, StrategyESP},
 	} {
 		layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-		pureFwd, pureBwd, pureSnap := passListing(t, layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: tc.pure}, x, dy)
+		pureFwd, pureBwd, pureSnap := passListing(t, layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: tc.pure}, x, dy)
 		hybFwd, hybBwd, hybSnap := passListing(t, layer,
-			WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: tc.g}, x, dy)
+			WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: tc.g}, x, dy)
 		sameListing(t, tc.name+" forward", pureFwd, hybFwd)
 		sameListing(t, tc.name+" backward", pureBwd, hybBwd)
 		compareSnapshots(t, tc.name, pureSnap, hybSnap)

@@ -1,8 +1,10 @@
 package moe
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gradsync"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
@@ -10,7 +12,8 @@ import (
 
 // shapeLayer builds a layer the way the public constructor does for the
 // benchmark's shapes — 8 experts, top-2 routing at capacity factor 1.2, one
-// SoftMoE slot per expert, the gate drawn before the experts from one seed.
+// SoftMoE slot per expert, the gate drawn before the experts from one seed,
+// and what the planner reads of the gate recorded on the layer.
 func shapeLayer(t *testing.T, m, h int, gate string, mixtral bool, seed uint64) *MOELayer {
 	t.Helper()
 	const e = 8
@@ -44,7 +47,7 @@ func shapeLayer(t *testing.T, m, h int, gate string, mixtral bool, seed uint64) 
 			t.Fatal(err)
 		}
 	}
-	l, err := NewMOELayer(LayerConfig{M: m, Gate: g, Order: TutelOrder{}, Experts: exps})
+	l, err := NewMOELayer(LayerConfig{M: m, Gate: g, Order: TutelOrder{}, Experts: exps, GateConfig: gcfg, SlotsPerExpert: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +89,7 @@ func TestStepVolumesPinned(t *testing.T) {
 			worlds := make([]*World, len(wl.layers))
 			for i, k := range wl.layers {
 				l := shapeLayer(t, wl.m, wl.h, k.gate, false, 1010+uint64(i))
-				w, err := NewWorld(l, WorldConfig{Ranks: 4, ChunksFwd: wl.degree, Strategy: k.strat, GroupSize: k.group})
+				w, err := NewWorld(l, WorldConfig{Ranks: 4, PipelineDegree: wl.degree, Strategy: k.strat, GroupSize: k.group})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,5 +108,116 @@ func TestStepVolumesPinned(t *testing.T) {
 					r.HiddenBytes, r.TailBytes, r.Slices, wl.hidden, wl.tail, wl.slices)
 			}
 		})
+	}
+}
+
+// TestAutoPicksPinned pins what StrategyAuto and the automatic pipeline
+// degrees resolve to on the benchmark's layer shapes and on shapes that
+// drive Algorithm 1 to r > 1 and to different forward and backward
+// degrees: strategy, group size, the degrees and Algorithm 1's results,
+// which the World built from the same configuration executes. A change to
+// the planner's cost model or volumes that moves a pick shows here first.
+func TestAutoPicksPinned(t *testing.T) {
+	// The public constructor's gate and expert kind names, which the table
+	// is written in.
+	const GateGShard, GateXMoE, GateSigmoid, GateSoftMoE = "gshard", "xmoe", "sigmoid", "softmoe"
+	const ExpertGPT, ExpertMixtral = "gpt-ffn", "mixtral-ffn"
+	const c2, c3, c4 = "case2-compute", "case3-alltoall", "case4-intranode"
+	type pick struct {
+		strat        Strategy
+		g, fwd, bwd  int
+		caseF, caseB string
+	}
+	for _, tc := range []struct {
+		m, h, n int
+		gate    string
+		expert  string
+		strat   Strategy
+		want    pick
+	}{
+		{m: 512, h: 16, n: 384, want: pick{StrategyESP, 0, 1, 1, c2, c2}},
+		{m: 64, h: 384, n: 256, want: pick{StrategyEP, 0, 1, 1, c2, c2}},
+		{m: 256, h: 320, n: 64, want: pick{StrategyEP, 0, 1, 1, c2, c2}},
+		{m: 128, h: 128, n: 160, gate: GateGShard, want: pick{StrategyEP, 0, 1, 1, c2, c2}},
+		{m: 128, h: 128, n: 160, gate: GateXMoE, want: pick{StrategyEP, 0, 1, 1, c2, c2}},
+		{m: 128, h: 128, n: 160, gate: GateSigmoid, want: pick{StrategyEP, 0, 1, 1, c2, c2}},
+		{m: 128, h: 128, n: 160, gate: GateSoftMoE, strat: StrategyDenseSlots, want: pick{StrategyDenseSlots, 0, 1, 1, c2, c2}},
+		{m: 128, h: 128, n: 160, gate: GateSigmoid, strat: StrategyHybrid, want: pick{StrategyHybrid, 1, 1, 1, c2, c2}},
+		{m: 64, h: 1024, n: 65536, want: pick{StrategyESP, 0, 1, 2, c2, c4}},
+		{m: 64, h: 1024, n: 16384, expert: ExpertMixtral, want: pick{StrategyEP, 0, 1, 2, c2, c3}},
+		{m: 64, h: 1024, n: 65536, expert: ExpertMixtral, want: pick{StrategyEP, 0, 2, 2, c3, c3}},
+		{m: 256, h: 512, n: 65536, want: pick{StrategyESP, 0, 2, 2, c4, c4}},
+		{m: 256, h: 512, n: 16384, expert: ExpertMixtral, want: pick{StrategyESP, 0, 1, 2, c2, c4}},
+	} {
+		gate, expert := tc.gate, tc.expert
+		if gate == "" {
+			gate = GateGShard
+		}
+		if expert == "" {
+			expert = ExpertGPT
+		}
+		strat := tc.strat
+		if strat == StrategyAuto {
+			strat = "auto"
+		}
+		name := fmt.Sprintf("M%d_H%d_N%d_%s_%s_%s", tc.m, tc.h, tc.n, gate, expert, strat)
+		t.Run(name, func(t *testing.T) {
+			l := shapeLayer(t, tc.m, tc.h, gate, expert == ExpertMixtral, 1)
+			cfg := WorldConfig{Ranks: 4, Strategy: tc.strat, BatchTokens: tc.n}
+			mc, df, db := resolve(l, cfg)
+			if df.R != mc.PipelineDegree || db.R != mc.PipelineDegreeBwd {
+				t.Fatalf("degree results R = (%d, %d), resolved (%d, %d)", df.R, db.R, mc.PipelineDegree, mc.PipelineDegreeBwd)
+			}
+			got := pick{mc.Strategy, mc.GroupSize, mc.PipelineDegree, mc.PipelineDegreeBwd, df.Case.String(), db.Case.String()}
+			if got != tc.want {
+				t.Errorf("picked %+v, want %+v", got, tc.want)
+			}
+			w, err := NewWorld(l, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			fwd, bwd := w.PipelineDegrees()
+			if w.Strategy() != mc.Strategy || w.GroupSize() != mc.GroupSize || fwd != mc.PipelineDegree || bwd != mc.PipelineDegreeBwd {
+				t.Errorf("world executes %s g=%d r=(%d, %d), resolved %+v", w.Strategy(), w.GroupSize(), fwd, bwd, mc)
+			}
+		})
+	}
+}
+
+// TestResolveDegreeResults: resolve reports the Algorithm-1 results behind
+// the degrees it picks — under an explicit strategy, under StrategyAuto and
+// with an explicit hybrid's grid-picked group size — and the zero value for
+// a phase whose degree was configured, while the World executes what
+// resolve picked.
+func TestResolveDegreeResults(t *testing.T) {
+	l := shapeLayer(t, 32, 64, "gshard", false, 11)
+	for _, tc := range []struct {
+		name string
+		cfg  WorldConfig
+	}{
+		{"ep", WorldConfig{Ranks: 2, Strategy: StrategyEP, BatchTokens: 4096}},
+		{"auto", WorldConfig{Ranks: 4}},
+		{"hybrid-auto-g", WorldConfig{Ranks: 4, Strategy: StrategyHybrid}},
+		{"explicit-bwd", WorldConfig{Ranks: 2, Strategy: StrategyEP, BatchTokens: 4096, PipelineDegreeBwd: 7}},
+	} {
+		rc, df, db := resolve(l, tc.cfg)
+		w, err := NewWorld(l, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fwd, bwd := w.PipelineDegrees()
+		w.Close()
+		if df.R != fwd || df.TMoE <= 0 || fwd != rc.PipelineDegree || bwd != rc.PipelineDegreeBwd {
+			t.Fatalf("%s: forward result %+v, resolved %+v, executing (%d, %d)", tc.name, df, rc, fwd, bwd)
+		}
+		if tc.cfg.PipelineDegreeBwd != 0 {
+			// An explicit backward degree overrides Algorithm 1's.
+			if bwd != tc.cfg.PipelineDegreeBwd || db != (core.DegreeResult{}) {
+				t.Fatalf("%s: executing backward %d, result %+v; want %d and the zero value", tc.name, bwd, db, tc.cfg.PipelineDegreeBwd)
+			}
+		} else if db.R != bwd || db.TMoE <= 0 {
+			t.Fatalf("%s: backward result %+v, executing %d", tc.name, db, bwd)
+		}
 	}
 }

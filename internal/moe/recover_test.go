@@ -246,7 +246,7 @@ func TestWorldRecoverRejoin(t *testing.T) {
 	x := tensor.RandN(xrand.New(207), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(208), 1, 96, 32)
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestWorldRecoverKeepsStrategy(t *testing.T) {
 		{StrategyESP, 0, 0},
 	} {
 		layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-		w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: tc.strat, GroupSize: tc.g})
+		w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: tc.strat, GroupSize: tc.g})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestWorldRecoverKeepsStrategy(t *testing.T) {
 		got := pass("recovered", layer, w)
 
 		freshLayer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-		fresh, err := NewWorld(freshLayer, WorldConfig{Ranks: 2, ChunksFwd: 2, Strategy: tc.strat, GroupSize: tc.wantG})
+		fresh, err := NewWorld(freshLayer, WorldConfig{Ranks: 2, PipelineDegree: 2, Strategy: tc.strat, GroupSize: tc.wantG})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func TestWorldRecoverMatchesResetHealth(t *testing.T) {
 	}
 	degrade := func() *World {
 		layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-		w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2})
+		w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,7 +464,7 @@ func TestWorldRecoverTelemetry(t *testing.T) {
 	x := tensor.RandN(xrand.New(215), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(216), 1, 96, 32)
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Sink: telemetry.SinkFunc(func(*telemetry.StepMetrics) {})})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP, Sink: telemetry.SinkFunc(func(*telemetry.StepMetrics) {})})
 	if err != nil {
 		t.Fatal(err)
 	}

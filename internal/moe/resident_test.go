@@ -81,7 +81,7 @@ func freshGar(t *testing.T, fresh []*World, x *tensor.Tensor, cfg StepConfig) *c
 		cur = y
 	}
 	s, err := gradsync.New(gradsync.Config{
-		Strategy: cfg.Strategy, Models: plannerModels, RMax: PlannerRMax, ChunkBytes: cfg.ChunkBytes,
+		Strategy: cfg.Strategy, Models: plannerModels, RMax: plannerRMax, ChunkBytes: cfg.ChunkBytes,
 		Slices: cfg.Slices, ElemBytes: gradElemBytes, GPUsPerNode: fresh[0].cfg.GPUsPerNode,
 	}, specs)
 	if err != nil {
@@ -216,7 +216,7 @@ func TestStepAllocationBound(t *testing.T) {
 		ws := make([]*World, layers)
 		params := 0
 		for i := range ws {
-			w, err := NewWorld(benchWorldLayer(t, tc.m, tc.h, 8), WorldConfig{Ranks: ranks, ChunksFwd: tc.deg})
+			w, err := NewWorld(benchWorldLayer(t, tc.m, tc.h, 8), WorldConfig{Ranks: ranks, PipelineDegree: tc.deg, Strategy: StrategyEP})
 			if err != nil {
 				t.Fatal(err)
 			}

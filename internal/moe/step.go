@@ -25,39 +25,15 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
-	"repro/internal/core"
 	"repro/internal/gradsync"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
-	"repro/internal/topology"
 )
 
-// gradElemBytes is the accounting size of one gradient element (fp32
-// master gradients, matching Expert.ParamBytes); the executable buffers
-// are float64, but the §5 byte planning runs in the simulator's units.
-const gradElemBytes = 4
-
-// actElemBytes mirrors workload.ActivationBytes (fp16 activations) for
-// the AlltoAll volumes fed to the degree optimizer inside the partitioner.
-const actElemBytes = 2
-
-// The planner's cost model, defined once: Algorithm 1 (the StrategyAuto
-// grid and the automatic pipeline degrees of fsmoe.NewWorld) and the §5
-// partition of every step plan on Testbed A's fitted §4.1 models, with the
-// pipeline degree capped at PlannerRMax. The models describe the paper's
-// cluster, not the machine the worlds run on.
-var plannerModels = core.ModelsFromCluster(topology.TestbedA())
-
-// PlannerRMax is Algorithm 1's pipeline-degree cap.
-const PlannerRMax = 16
-
-// PlannerModels returns the models Algorithm 1 and the §5 partition plan on.
-func PlannerModels() core.Models { return plannerModels }
-
 // StepConfig configures one overlapped training step over a stack of
-// Worlds. Its §5 partition plans on PlannerModels.
+// Worlds. Its §5 partition plans on the planner's cost model (planner.go).
 type StepConfig struct {
 	LR       float64           // SGD learning rate (0 still validates the sync path)
 	Strategy gradsync.Strategy // default StrategyFSMoE
@@ -338,7 +314,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	st.plan, err = st.plan.For(gradsync.Config{
 		Strategy:    cfg.Strategy,
 		Models:      plannerModels,
-		RMax:        PlannerRMax,
+		RMax:        plannerRMax,
 		ChunkBytes:  cfg.ChunkBytes,
 		Slices:      cfg.Slices,
 		ElemBytes:   gradElemBytes,
@@ -522,38 +498,6 @@ func buildStepMetrics(worlds []*World, caches []*WorldCache, fwdTraces []*sim.Tr
 	return m
 }
 
-// stepVolumes derives the §5 accounting volumes for one world from its
-// live shapes: per-GPU AlltoAll bytes from the padded dispatched tokens,
-// expert MACs from the live expert implementations, gradient bytes from
-// the flattened parameter count, and a nominal dense window (the stack
-// has no real dense compute between MoE layers).
-func stepVolumes(w *World, tpad int) core.Volumes {
-	R, mdim := w.cfg.Ranks, w.layer.cfg.M
-	experts := w.layer.cfg.Experts
-	eg := w.egrp
-	nA2A := float64(tpad*eg*mdim) * actElemBytes // per-rank wire volume of one A2A
-	macs := 0.0
-	for _, ex := range experts {
-		macs += ex.FwdMACs(tpad)
-	}
-	macs /= float64(R) // per-GPU share
-	gemms := 2
-	if _, ok := experts[0].(*MixtralFFN); ok {
-		gemms = 3
-	}
-	total, _ := w.gradElems()
-	return core.Volumes{
-		NA2A:      nA2A,
-		NAG:       nA2A,
-		NRS:       nA2A,
-		ExpMACs:   macs,
-		ExpGEMMs:  gemms,
-		DenseFwd:  0.1,
-		DenseBwd:  0.2,
-		GradBytes: float64(total) * gradElemBytes,
-	}
-}
-
 // SyncReport is the outcome of a standalone SyncWorlds call.
 type SyncReport struct {
 	Report gradsync.Report
@@ -585,7 +529,7 @@ func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	syncer, err := gradsync.New(gradsync.Config{
 		Strategy:    gradsync.StrategyNoOverlap,
 		Models:      plannerModels,
-		RMax:        PlannerRMax,
+		RMax:        plannerRMax,
 		ElemBytes:   gradElemBytes,
 		GPUsPerNode: worlds[0].cfg.GPUsPerNode,
 	}, specs)

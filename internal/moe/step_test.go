@@ -17,7 +17,7 @@ func stepStack(t *testing.T, layers, ranks, chunks int, wrap bool) []*World {
 	ws := make([]*World, layers)
 	for i := 0; i < layers; i++ {
 		l := worldLayer(t, "gshard", TutelOrder{}, false, wrap)
-		w, err := NewWorld(l, WorldConfig{Ranks: ranks, ChunksFwd: chunks})
+		w, err := NewWorld(l, WorldConfig{Ranks: ranks, PipelineDegree: chunks, Strategy: StrategyEP})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,14 @@ import (
 type Strategy string
 
 const (
+	// StrategyAuto (the zero value) lets NewWorld pick the strategy from
+	// the layer (planner.go): dense-routing gates get StrategyDenseSlots,
+	// and hard-routing layers whose experts all implement StagedExpert run
+	// the 2-D Algorithm-1 grid over (group size × pipeline degree) — its
+	// g=1 edge is pure EP, its g=R edge pure ESP, and an interior winner
+	// selects StrategyHybrid with that GroupSize. Layers holding an adapted
+	// plain expert always get StrategyEP.
+	StrategyAuto Strategy = ""
 	// StrategyEP is pure expert parallelism, g = 1: experts are sharded E/R
 	// per rank, tokens move to their experts over r-chunked dispatch/combine
 	// AlltoAll collectives on the shared inter stream, and each rank

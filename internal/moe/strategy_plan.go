@@ -494,7 +494,7 @@ func (w *World) buildForward(p *runtime.Plan, cache *WorldCache, scatPad, combin
 	gm := w.groups(cache)
 	b := w.cutPass(cache.ws, cache.ws.fwd, gm, scatPad, combinedPad, true)
 	cache.ws.fwd = b
-	ranges := comm.SplitRows(gm.spad, w.cfg.ChunksFwd)
+	ranges := comm.SplitRows(gm.spad, w.cfg.PipelineDegree)
 	passes := make([][]ExpertPass, gm.R)
 	cache.experts = passes
 	for j := range passes {
@@ -526,7 +526,7 @@ func (w *World) buildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatter
 	gm := w.groups(cache)
 	b := w.cutPass(cache.ws, cache.ws.bwd, gm, dpad, dScatteredPad, false)
 	cache.ws.bwd = b
-	ranges := comm.SplitRows(gm.spad, w.cfg.ChunksBwd)
+	ranges := comm.SplitRows(gm.spad, w.cfg.PipelineDegreeBwd)
 	passes := cache.experts
 	for j := range passes {
 		for le, ps := range passes[j] {

@@ -85,9 +85,9 @@ func TestStepMetricsStrategies(t *testing.T) {
 		name string
 		cfg  WorldConfig
 	}{
-		{"ep", WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyEP}},
-		{"esp", WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP}},
-		{"hybrid", WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2}},
+		{"ep", WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP}},
+		{"esp", WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP}},
+		{"hybrid", WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2}},
 	}
 	x := tensor.RandN(xrand.New(5), 1, n, m)
 	dy := tensor.RandN(xrand.New(6), 1, n, m)
@@ -188,7 +188,7 @@ func TestStepMetricsStack(t *testing.T) {
 	var got []*telemetry.StepMetrics
 	sink := telemetry.SinkFunc(func(sm *telemetry.StepMetrics) { got = append(got, sm) })
 	mkWorld := func() *World {
-		w, err := NewWorld(zipfLayer(t, 1.0), WorldConfig{Ranks: 2, ChunksFwd: 2, Sink: sink})
+		w, err := NewWorld(zipfLayer(t, 1.0), WorldConfig{Ranks: 2, PipelineDegree: 2, Sink: sink, Strategy: StrategyEP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestStepMetricsStack(t *testing.T) {
 // and the telemetry guard itself (stepSinks) must not allocate.
 func TestStepNoSinkNoMetrics(t *testing.T) {
 	const n, m = 48, 32
-	w, err := NewWorld(zipfLayer(t, 1.0), WorldConfig{Ranks: 2})
+	w, err := NewWorld(zipfLayer(t, 1.0), WorldConfig{Ranks: 2, PipelineDegree: 1, Strategy: StrategyEP})
 	if err != nil {
 		t.Fatal(err)
 	}

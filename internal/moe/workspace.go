@@ -119,7 +119,7 @@ func (w *World) checkout(capacity int) *workspace {
 	shape := wsShape{
 		strategy: w.cfg.Strategy, ranks: w.cfg.Ranks, group: w.cfg.GroupSize,
 		experts: len(w.layer.cfg.Experts), capacity: capacity, m: w.layer.cfg.M,
-		chunksFwd: w.cfg.ChunksFwd, chunksBwd: w.cfg.ChunksBwd,
+		chunksFwd: w.cfg.PipelineDegree, chunksBwd: w.cfg.PipelineDegreeBwd,
 	}
 	ws := w.ws
 	w.ws = nil

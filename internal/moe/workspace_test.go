@@ -56,10 +56,10 @@ func sameReplicas(t *testing.T, label string, got, want *StepResult) {
 func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	const layers = 2
 	cfgs := []WorldConfig{
-		{Ranks: 4, ChunksFwd: 2, Strategy: StrategyEP},
-		{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP},
-		{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2},
-		{Ranks: 4, ChunksFwd: 2, Strategy: StrategyDenseSlots},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyDenseSlots},
 	}
 	for _, wc := range cfgs {
 		ws := strategyStack(t, layers, wc)
@@ -100,8 +100,8 @@ func TestWorkspaceOutstandingCache(t *testing.T) {
 	x2 := tensor.RandN(xrand.New(422), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(423), 1, 96, 32)
 	for _, wc := range []WorldConfig{
-		{Ranks: 4, ChunksFwd: 2, Strategy: StrategyEP},
-		{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP},
 	} {
 		layer := strategyLayer(t, wc.Strategy, false)
 		want1 := runWorld(t, layer, wc, x1, dy, false)
@@ -172,7 +172,7 @@ func TestWorkspaceLifetime(t *testing.T) {
 	}
 	small := ws[0].ws
 	for _, w := range ws {
-		w.cfg.ChunksBwd = 1
+		w.cfg.PipelineDegreeBwd = 1
 	}
 	step("other backward degree", xs, dys)
 	if ws[0].ws == small {
@@ -199,7 +199,7 @@ func TestWorkspaceLifetime(t *testing.T) {
 	}
 	ref := stepStack(t, layers, 2, 2, false)
 	for _, w := range ref {
-		w.cfg.ChunksBwd = 1
+		w.cfg.PipelineDegreeBwd = 1
 	}
 	if err := RestoreWorlds(ref, snap); err != nil {
 		t.Fatal(err)

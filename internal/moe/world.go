@@ -119,48 +119,46 @@ type BackwardSyncer interface {
 	EmitAt(p *runtime.Plan, stream string, point int)
 }
 
-// WorldConfig configures multi-rank execution.
+// WorldConfig configures multi-rank pipelined execution of a layer.
+//
+// Strategy selects the parallel scheme; the zero value is StrategyAuto.
+// PipelineDegree selects the number of chunks r each collective chain is
+// split into. Zero means automatic: Algorithm 1 (§4.4) runs per phase on
+// the planner's cost model — Testbed A's fitted performance models and a
+// degree cap of 16 (planner.go) — with volumes derived from the layer's
+// real shape, BatchTokens and the chosen strategy. NewWorld resolves both;
+// the chosen strategy and degrees are what actually execute.
 type WorldConfig struct {
-	Ranks       int          // R; the layer's experts are sharded E/R per rank
-	ChunksFwd   int          // forward pipeline degree r (<1 means 1)
-	ChunksBwd   int          // backward pipeline degree (<1 means ChunksFwd)
-	Algo        comm.A2AAlgo // AlltoAll algorithm (default Direct)
-	GPUsPerNode int          // node shape for 1DH/2DH and Stats (default Ranks)
-	Strategy    Strategy     // parallel scheme (default StrategyEP)
+	Ranks             int          // R; how the layer is sharded depends on Strategy
+	PipelineDegree    int          // forward r; 0 = Algorithm 1 (<0 means 1)
+	PipelineDegreeBwd int          // backward r; 0 inherits (auto mode optimizes it separately)
+	Algo              comm.A2AAlgo // AlltoAll algorithm for EP/DenseSlots (default Direct)
+	GPUsPerNode       int          // node shape for 1DH/2DH and ring Stats (default Ranks)
+	Strategy          Strategy     // parallel scheme (default StrategyAuto)
+
 	// GroupSize is the expert-sharding group width g for StrategyHybrid:
-	// the R ranks split into R/g dispatch groups of g sharding members.
-	// Required (in [1, Ranks], dividing Ranks) when Strategy is
-	// StrategyHybrid; ignored by every other strategy.
+	// the R ranks split into R/g dispatch groups of g sharding members, so
+	// it must divide Ranks, with 1 ≡ pure EP and Ranks ≡ pure ESP. Zero
+	// with an explicit StrategyHybrid means automatic: the 2-D Algorithm-1
+	// grid picks the group size over the divisors of Ranks along with the
+	// pipeline degrees. Ignored by the other strategies.
 	GroupSize int
 
+	// BatchTokens is B·L tokens per iteration (default 4096), the volume
+	// input of StrategyAuto and the automatic pipeline degrees.
+	BatchTokens int
+
 	// Sink, when non-nil, receives one telemetry.StepMetrics per completed
-	// training step (Step/StepWorlds). With a nil Sink no metrics are
-	// built — the step hot path sees a single nil check and zero
-	// additional allocations. When a stack's worlds carry distinct sinks,
-	// each distinct sink receives the step's record once.
+	// training step (StepWorlds) and the record is attached to
+	// StepResult.Metrics. With a nil Sink no metrics are built — the step
+	// hot path sees a single nil check and zero additional allocations.
+	// When a stack's worlds carry distinct sinks, each distinct sink
+	// receives the step's record once.
 	Sink telemetry.Sink
 }
 
-func (c WorldConfig) withDefaults() WorldConfig {
-	if c.ChunksFwd < 1 {
-		c.ChunksFwd = 1
-	}
-	if c.ChunksBwd < 1 {
-		c.ChunksBwd = c.ChunksFwd
-	}
-	if c.Algo == "" {
-		c.Algo = comm.A2ADirect
-	}
-	if c.GPUsPerNode <= 0 {
-		c.GPUsPerNode = c.Ranks
-	}
-	if c.Strategy == "" {
-		c.Strategy = StrategyEP
-	}
-	return c
-}
-
-// NewWorld validates the pairing of a layer, a configuration and a
+// NewWorld resolves the configuration against the layer (planner.go) and
+// validates the pairing of the layer, the resolved configuration and its
 // parallel strategy. Requirements every strategy shares are checked here;
 // strategy-specific ones (expert execution contracts, routing kinds) are
 // checked by the strategy itself so the error names the strategy and the
@@ -169,7 +167,7 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 	if layer == nil {
 		return nil, fmt.Errorf("moe: world needs a layer")
 	}
-	cfg = cfg.withDefaults()
+	cfg, _, _ = resolve(layer, cfg)
 	e := len(layer.cfg.Experts)
 	if cfg.Ranks < 1 {
 		return nil, fmt.Errorf("moe: world needs at least one rank, got %d", cfg.Ranks)
@@ -278,7 +276,9 @@ func (w *World) Ranks() int { return w.cfg.Ranks }
 func (w *World) Strategy() Strategy { return w.cfg.Strategy }
 
 // PipelineDegrees returns the forward and backward chunk counts in effect.
-func (w *World) PipelineDegrees() (fwd, bwd int) { return w.cfg.ChunksFwd, w.cfg.ChunksBwd }
+func (w *World) PipelineDegrees() (fwd, bwd int) {
+	return w.cfg.PipelineDegree, w.cfg.PipelineDegreeBwd
+}
 
 // GroupSize returns the hybrid EP-group size in effect (0 unless the
 // strategy is StrategyHybrid), whether configured or grid-chosen.

@@ -47,7 +47,7 @@ func BenchmarkPipelinedMoE(b *testing.B) {
 	}{{"sequential", true}, {"pipelined", false}} {
 		b.Run(fmt.Sprintf("%s/R=4/r=4", mode.name), func(b *testing.B) {
 			layer := benchWorldLayer(b, m, h, e)
-			w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 4})
+			w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 4, Strategy: StrategyEP})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -78,7 +78,7 @@ func BenchmarkWorldDegrees(b *testing.B) {
 	for _, r := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
 			layer := benchWorldLayer(b, m, h, e)
-			w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: r})
+			w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: r, Strategy: StrategyEP})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func BenchmarkWorldGrid(b *testing.B) {
 			row = append(row, cell{name: fmt.Sprintf("g=%d", g), cfg: WorldConfig{Strategy: StrategyHybrid, GroupSize: g}})
 		}
 		for _, c := range row {
-			c.cfg.Ranks, c.cfg.ChunksFwd = 4, r
+			c.cfg.Ranks, c.cfg.PipelineDegree = 4, r
 			c.name = fmt.Sprintf("%s/r=%d", c.name, r)
 			cells = append(cells, c)
 		}
@@ -173,7 +173,7 @@ func BenchmarkWorldGrid(b *testing.B) {
 // path (TestStepNoSinkNoMetrics asserts the same via AllocsPerRun).
 func BenchmarkStepTelemetryGuard(b *testing.B) {
 	layer := benchWorldLayer(b, 64, 96, 8)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 1, Strategy: StrategyEP})
 	if err != nil {
 		b.Fatal(err)
 	}

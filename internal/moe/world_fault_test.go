@@ -68,7 +68,7 @@ func TestWorldZeroSpecInjector(t *testing.T) {
 	dy := tensor.RandN(xrand.New(72), 1, 96, 32)
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
 	want := runSequentialLayer(t, layer, x, dy)
-	got, ev := runFaultWorld(t, layer, WorldConfig{Ranks: 4, ChunksFwd: 2}, fault.New(fault.Spec{Seed: 1}), x, dy)
+	got, ev := runFaultWorld(t, layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP}, fault.New(fault.Spec{Seed: 1}), x, dy)
 	compareSnapshots(t, "zero-spec", want, got)
 	for typ, n := range ev {
 		if n != 0 {
@@ -102,7 +102,7 @@ func TestWorldTransientBitIdentical(t *testing.T) {
 		for _, ranks := range []int{1, 4} {
 			for _, r := range []int{1, 2} {
 				label := fmt.Sprintf("strategy=%s R=%d r=%d", strat, ranks, r)
-				cfg := WorldConfig{Ranks: ranks, ChunksFwd: r, Strategy: strat}
+				cfg := WorldConfig{Ranks: ranks, PipelineDegree: r, Strategy: strat}
 				got, ev := runFaultWorld(t, layer, cfg, fault.New(spec), x, dy)
 				compareSnapshots(t, label, want, got)
 				totalFaults += ev[sim.EventFault]
@@ -123,7 +123,7 @@ func TestWorldStragglerBitIdentical(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
 	want := runSequentialLayer(t, layer, x, dy)
 	fp := fault.New(fault.Spec{Seed: 5, StragglerProb: 0.3, StragglerDelay: 20 * time.Microsecond})
-	got, ev := runFaultWorld(t, layer, WorldConfig{Ranks: 4, ChunksFwd: 2}, fp, x, dy)
+	got, ev := runFaultWorld(t, layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP}, fp, x, dy)
 	compareSnapshots(t, "stragglers", want, got)
 	if ev[sim.EventStraggler] == 0 {
 		t.Fatal("straggler injection never fired")
@@ -151,7 +151,7 @@ func TestWorldTransientBitIdenticalHybrid(t *testing.T) {
 	for _, g := range []int{2, 4} {
 		for _, r := range []int{1, 2} {
 			label := fmt.Sprintf("strategy=hybrid g=%d r=%d", g, r)
-			cfg := WorldConfig{Ranks: 4, ChunksFwd: r, Strategy: StrategyHybrid, GroupSize: g}
+			cfg := WorldConfig{Ranks: 4, PipelineDegree: r, Strategy: StrategyHybrid, GroupSize: g}
 			got, ev := runFaultWorld(t, layer, cfg, fault.New(spec), x, dy)
 			compareSnapshots(t, label, want, got)
 			totalFaults += ev[sim.EventFault]
@@ -171,7 +171,7 @@ func TestWorldStragglerBitIdenticalHybrid(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
 	want := runSequentialLayer(t, layer, x, dy)
 	fp := fault.New(fault.Spec{Seed: 5, StragglerProb: 0.3, StragglerDelay: 20 * time.Microsecond})
-	cfg := WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2}
+	cfg := WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2}
 	got, ev := runFaultWorld(t, layer, cfg, fp, x, dy)
 	compareSnapshots(t, "hybrid stragglers", want, got)
 	if ev[sim.EventStraggler] == 0 {
@@ -187,7 +187,7 @@ func TestWorldDegradedHybrid(t *testing.T) {
 	dy := tensor.RandN(xrand.New(100), 1, 96, 32)
 	run := func() (worldSnapshot, *DegradedResult) {
 		layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-		w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2})
+		w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestWorldDegradedForward(t *testing.T) {
 	const ranks = 4
 	run := func() (worldSnapshot, *DegradedResult, []bool) {
 		layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-		w, err := NewWorld(layer, WorldConfig{Ranks: ranks, ChunksFwd: 2})
+		w, err := NewWorld(layer, WorldConfig{Ranks: ranks, PipelineDegree: 2, Strategy: StrategyEP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func TestWorldDegradedForwardFreezes(t *testing.T) {
 	x := tensor.RandN(xrand.New(83), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(84), 1, 96, 32)
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestWorldDegradedBackward(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
 	want := runSequentialLayer(t, layer, x, dy)
 
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestWorldDegradedBackward(t *testing.T) {
 // world fails with the typed error.
 func TestWorldCloseGuard(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 1, Strategy: StrategyEP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestWorldDeadline(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
 	want := runSequentialLayer(t, layer, x, dy)
 
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP})
 	if err != nil {
 		t.Fatal(err)
 	}

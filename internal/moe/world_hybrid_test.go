@@ -62,7 +62,7 @@ func TestWorldHybridBitIdentical(t *testing.T) {
 			for _, r := range []int{1, 2, 4} {
 				label := fmt.Sprintf("gate=%s R=%d g=%d r=%d", gate, grid.ranks, grid.g, r)
 				got := runWorld(t, layer, WorldConfig{
-					Ranks: grid.ranks, ChunksFwd: r, Strategy: StrategyHybrid, GroupSize: grid.g,
+					Ranks: grid.ranks, PipelineDegree: r, Strategy: StrategyHybrid, GroupSize: grid.g,
 				}, x, dy, false)
 				compareSnapshots(t, label, want, got)
 			}
@@ -86,15 +86,15 @@ func TestWorldHybridBitIdenticalVariants(t *testing.T) {
 		cfg        WorldConfig
 		seqExec    bool
 	}{
-		{"mixtral", true, false, WorldConfig{Ranks: 4, ChunksFwd: 2, GroupSize: 2}, false},
-		{"split-degrees", false, false, WorldConfig{Ranks: 4, ChunksFwd: 4, ChunksBwd: 2, GroupSize: 2}, false},
-		{"sequential-exec", false, false, WorldConfig{Ranks: 4, ChunksFwd: 3, GroupSize: 2}, true},
-		{"1dh-lanes", false, false, WorldConfig{Ranks: 4, ChunksFwd: 2, GroupSize: 2, Algo: comm.A2A1DH, GPUsPerNode: 2}, false},
-		{"nodes-split-groups", false, false, WorldConfig{Ranks: 4, ChunksFwd: 2, GroupSize: 4, GPUsPerNode: 2}, false},
-		{"r8-g2", false, false, WorldConfig{Ranks: 8, ChunksFwd: 2, GroupSize: 2}, false},
-		{"r8-g4", false, false, WorldConfig{Ranks: 8, ChunksFwd: 3, GroupSize: 4}, false},
-		{"staged-only-g2", false, true, WorldConfig{Ranks: 4, ChunksFwd: 2, GroupSize: 2}, false},
-		{"staged-only-g1", false, true, WorldConfig{Ranks: 4, ChunksFwd: 2, GroupSize: 1}, false},
+		{"mixtral", true, false, WorldConfig{Ranks: 4, PipelineDegree: 2, GroupSize: 2}, false},
+		{"split-degrees", false, false, WorldConfig{Ranks: 4, PipelineDegree: 4, PipelineDegreeBwd: 2, GroupSize: 2}, false},
+		{"sequential-exec", false, false, WorldConfig{Ranks: 4, PipelineDegree: 3, GroupSize: 2}, true},
+		{"1dh-lanes", false, false, WorldConfig{Ranks: 4, PipelineDegree: 2, GroupSize: 2, Algo: comm.A2A1DH, GPUsPerNode: 2}, false},
+		{"nodes-split-groups", false, false, WorldConfig{Ranks: 4, PipelineDegree: 2, GroupSize: 4, GPUsPerNode: 2}, false},
+		{"r8-g2", false, false, WorldConfig{Ranks: 8, PipelineDegree: 2, GroupSize: 2}, false},
+		{"r8-g4", false, false, WorldConfig{Ranks: 8, PipelineDegree: 3, GroupSize: 4}, false},
+		{"staged-only-g2", false, true, WorldConfig{Ranks: 4, PipelineDegree: 2, GroupSize: 2}, false},
+		{"staged-only-g1", false, true, WorldConfig{Ranks: 4, PipelineDegree: 2, GroupSize: 1}, false},
 	}
 	for _, tc := range cases {
 		tc.cfg.Strategy = StrategyHybrid
@@ -119,16 +119,17 @@ func TestWorldHybridBitIdenticalVariants(t *testing.T) {
 }
 
 // TestWorldHybridValidation: hybrid misconfiguration fails at NewWorld
-// with errors naming the strategy and the offending field.
+// with errors naming the strategy and the offending field. (GroupSize 0 is
+// not among them: it asks the planner for a group size.)
 func TestWorldHybridValidation(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	for _, g := range []int{0, -1, 5} {
-		_, err := NewWorld(layer, WorldConfig{Ranks: 4, Strategy: StrategyHybrid, GroupSize: g})
+	for _, g := range []int{-1, 5} {
+		_, err := NewWorld(layer, WorldConfig{Ranks: 4, Strategy: StrategyHybrid, GroupSize: g, PipelineDegree: 1})
 		if err == nil || !strings.Contains(err.Error(), string(StrategyHybrid)) || !strings.Contains(err.Error(), "GroupSize") {
 			t.Fatalf("GroupSize=%d: %v", g, err)
 		}
 	}
-	_, err := NewWorld(layer, WorldConfig{Ranks: 4, Strategy: StrategyHybrid, GroupSize: 3})
+	_, err := NewWorld(layer, WorldConfig{Ranks: 4, Strategy: StrategyHybrid, GroupSize: 3, PipelineDegree: 1})
 	if err == nil || !strings.Contains(err.Error(), string(StrategyHybrid)) ||
 		!strings.Contains(err.Error(), "GroupSize") || !strings.Contains(err.Error(), "dividing") {
 		t.Fatalf("GroupSize=3 over 4 ranks: %v", err)
@@ -137,7 +138,7 @@ func TestWorldHybridValidation(t *testing.T) {
 	// The staged contract is required at every group size, g=1 included.
 	wrapped := worldLayer(t, "gshard", TutelOrder{}, false, true)
 	for _, g := range []int{1, 2} {
-		_, err := NewWorld(wrapped, WorldConfig{Ranks: 4, Strategy: StrategyHybrid, GroupSize: g})
+		_, err := NewWorld(wrapped, WorldConfig{Ranks: 4, Strategy: StrategyHybrid, GroupSize: g, PipelineDegree: 1})
 		if err == nil || !strings.Contains(err.Error(), string(StrategyHybrid)) || !strings.Contains(err.Error(), "StagedExpert") {
 			t.Fatalf("plain experts at g=%d: %v", g, err)
 		}
@@ -145,7 +146,7 @@ func TestWorldHybridValidation(t *testing.T) {
 
 	// Dense plans are rejected at Forward, naming both strategies.
 	dense := softmoeLayer(t, false, 2)
-	w, err := NewWorld(dense, WorldConfig{Ranks: 2, Strategy: StrategyHybrid, GroupSize: 2})
+	w, err := NewWorld(dense, WorldConfig{Ranks: 2, Strategy: StrategyHybrid, GroupSize: 2, PipelineDegree: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestWorldHybridValidation(t *testing.T) {
 // collective families live in one plan, which neither EP nor ESP ever has.
 func TestWorldHybridTraceShape(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +234,14 @@ func TestWorldStepHybrid(t *testing.T) {
 
 	stacks := map[string][]WorldConfig{
 		"hybrid": {
-			{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2},
-			{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2},
-			{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2},
+			{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2},
+			{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2},
+			{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2},
 		},
 		"mixed": {
-			{Ranks: 4, ChunksFwd: 2, Strategy: StrategyEP},
-			{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2},
-			{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP},
+			{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP},
+			{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2},
+			{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP},
 		},
 	}
 	for name, cfgs := range stacks {

@@ -16,7 +16,7 @@ import (
 // of the executed plan, which shares its structure with the real run.
 func TestWorldScheduleOverlaps(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 4})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 4, Strategy: StrategyEP})
 	if err != nil {
 		t.Fatal(err)
 	}

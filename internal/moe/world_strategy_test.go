@@ -68,7 +68,7 @@ func TestWorldStrategiesBitIdentical(t *testing.T) {
 		for _, ranks := range []int{1, 4} {
 			for _, r := range []int{1, 2, 4} {
 				label := fmt.Sprintf("strategy=%s R=%d r=%d", strat, ranks, r)
-				cfg := WorldConfig{Ranks: ranks, ChunksFwd: r, Strategy: strat}
+				cfg := WorldConfig{Ranks: ranks, PipelineDegree: r, Strategy: strat}
 				if strat == StrategyHybrid {
 					// The genuine mixed path at R=4 (two groups of two);
 					// R=1 only admits the degenerate g=1.
@@ -96,12 +96,12 @@ func TestWorldStrategiesBitIdenticalVariants(t *testing.T) {
 		cfg     WorldConfig
 		seqExec bool
 	}{
-		{"esp-mixtral", StrategyESP, true, WorldConfig{Ranks: 4, ChunksFwd: 2}, false},
-		{"esp-split-degrees", StrategyESP, false, WorldConfig{Ranks: 2, ChunksFwd: 4, ChunksBwd: 2}, false},
-		{"esp-sequential-exec", StrategyESP, false, WorldConfig{Ranks: 4, ChunksFwd: 3}, true},
-		{"esp-nodes", StrategyESP, false, WorldConfig{Ranks: 4, ChunksFwd: 2, GPUsPerNode: 2}, false},
-		{"dense-mixtral", StrategyDenseSlots, true, WorldConfig{Ranks: 4, ChunksFwd: 2}, false},
-		{"dense-sequential-exec", StrategyDenseSlots, false, WorldConfig{Ranks: 4, ChunksFwd: 4}, true},
+		{"esp-mixtral", StrategyESP, true, WorldConfig{Ranks: 4, PipelineDegree: 2}, false},
+		{"esp-split-degrees", StrategyESP, false, WorldConfig{Ranks: 2, PipelineDegree: 4, PipelineDegreeBwd: 2}, false},
+		{"esp-sequential-exec", StrategyESP, false, WorldConfig{Ranks: 4, PipelineDegree: 3}, true},
+		{"esp-nodes", StrategyESP, false, WorldConfig{Ranks: 4, PipelineDegree: 2, GPUsPerNode: 2}, false},
+		{"dense-mixtral", StrategyDenseSlots, true, WorldConfig{Ranks: 4, PipelineDegree: 2}, false},
+		{"dense-sequential-exec", StrategyDenseSlots, false, WorldConfig{Ranks: 4, PipelineDegree: 4}, true},
 	}
 	for _, tc := range cases {
 		tc.cfg.Strategy = tc.strat
@@ -122,10 +122,10 @@ func TestWorldESPNarrowHidden(t *testing.T) {
 		h   int
 		cfg WorldConfig
 	}{
-		{2, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP}}, // H < g: members 2 and 3 own nothing
-		{5, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP}}, // H % g ≠ 0: shards 2, 2, 1, 0
-		{1, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2}},
-		{5, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyHybrid, GroupSize: 2}},
+		{2, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP}}, // H < g: members 2 and 3 own nothing
+		{5, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP}}, // H % g ≠ 0: shards 2, 2, 1, 0
+		{1, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2}},
+		{5, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2}},
 	} {
 		for _, mixtral := range []bool{false, true} {
 			rng := xrand.New(23)
@@ -169,14 +169,14 @@ func TestWorldDenseFallbackExperts(t *testing.T) {
 	x := tensor.RandN(xrand.New(65), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(66), 1, 96, 32)
 	want := runSequentialLayer(t, layer, x, dy)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 4, Strategy: StrategyDenseSlots})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 4, Strategy: StrategyDenseSlots})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.layer.plain < 0 {
 		t.Fatal("wrapped experts must route through the fallback path")
 	}
-	got := runWorld(t, layer, WorldConfig{Ranks: 4, ChunksFwd: 4, Strategy: StrategyDenseSlots}, x, dy, false)
+	got := runWorld(t, layer, WorldConfig{Ranks: 4, PipelineDegree: 4, Strategy: StrategyDenseSlots}, x, dy, false)
 	compareSnapshots(t, "dense-fallback", want, got)
 }
 
@@ -188,18 +188,18 @@ func TestWorldStrategyValidation(t *testing.T) {
 	wrapped := worldLayer(t, "gshard", TutelOrder{}, false, true)
 
 	// Unknown strategy.
-	if _, err := NewWorld(hard, WorldConfig{Ranks: 2, Strategy: "fancy"}); err == nil || !strings.Contains(err.Error(), "unknown parallel strategy") {
+	if _, err := NewWorld(hard, WorldConfig{Ranks: 2, Strategy: "fancy", PipelineDegree: 1}); err == nil || !strings.Contains(err.Error(), "unknown parallel strategy") {
 		t.Fatalf("unknown strategy: %v", err)
 	}
 
 	// ESP requires the staged contract.
-	_, err := NewWorld(wrapped, WorldConfig{Ranks: 2, Strategy: StrategyESP})
+	_, err := NewWorld(wrapped, WorldConfig{Ranks: 2, Strategy: StrategyESP, PipelineDegree: 1})
 	if err == nil || !strings.Contains(err.Error(), string(StrategyESP)) || !strings.Contains(err.Error(), "StagedExpert") {
 		t.Fatalf("esp with plain experts: %v", err)
 	}
 
 	// EP rejects dense plans, naming the strategy that accepts them.
-	w, err := NewWorld(dense, WorldConfig{Ranks: 2, Strategy: StrategyEP})
+	w, err := NewWorld(dense, WorldConfig{Ranks: 2, Strategy: StrategyEP, PipelineDegree: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestWorldStrategyValidation(t *testing.T) {
 	}
 
 	// ESP rejects dense plans the same way.
-	w, err = NewWorld(dense, WorldConfig{Ranks: 2, Strategy: StrategyESP})
+	w, err = NewWorld(dense, WorldConfig{Ranks: 2, Strategy: StrategyESP, PipelineDegree: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestWorldStrategyValidation(t *testing.T) {
 	}
 
 	// DenseSlots rejects hard plans, naming the hard-routing strategies.
-	w, err = NewWorld(hard, WorldConfig{Ranks: 2, Strategy: StrategyDenseSlots})
+	w, err = NewWorld(hard, WorldConfig{Ranks: 2, Strategy: StrategyDenseSlots, PipelineDegree: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func onlyPlanStreams(t *testing.T, w *World) {
 // inter stream carries no AlltoAll, and nothing is packed.
 func TestWorldESPTraceShape(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: StrategyESP})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestWorldStepStrategies(t *testing.T) {
 		ws := make([]*World, layers)
 		for i := 0; i < layers; i++ {
 			l := worldLayer(t, "gshard", TutelOrder{}, false, false)
-			w, err := NewWorld(l, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: strats[i]})
+			w, err := NewWorld(l, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: strats[i]})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,7 +366,7 @@ func TestWorldSizedToProcs(t *testing.T) {
 			layer := strategyLayer(t, strat, false)
 			want := runSequentialLayer(t, layer, x, dy)
 
-			w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2, Strategy: strat})
+			w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: strat})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -136,7 +136,7 @@ func TestWorldBitIdentical(t *testing.T) {
 		for _, ranks := range []int{1, 4} {
 			for _, r := range []int{1, 2, 4} {
 				label := fmt.Sprintf("gate=%s R=%d r=%d", gate, ranks, r)
-				got := runWorld(t, layer, WorldConfig{Ranks: ranks, ChunksFwd: r}, x, dy, false)
+				got := runWorld(t, layer, WorldConfig{Ranks: ranks, PipelineDegree: r, Strategy: StrategyEP}, x, dy, false)
 				compareSnapshots(t, label, want, got)
 			}
 		}
@@ -156,12 +156,12 @@ func TestWorldBitIdenticalVariants(t *testing.T) {
 		cfg     WorldConfig
 		seqExec bool
 	}{
-		{"gshard-order", GShardOrder{}, false, WorldConfig{Ranks: 4, ChunksFwd: 3}, false},
-		{"1dh", TutelOrder{}, false, WorldConfig{Ranks: 4, ChunksFwd: 2, Algo: comm.A2A1DH, GPUsPerNode: 2}, false},
-		{"2dh", TutelOrder{}, false, WorldConfig{Ranks: 4, ChunksFwd: 4, Algo: comm.A2A2DH, GPUsPerNode: 2}, false},
-		{"mixtral", TutelOrder{}, true, WorldConfig{Ranks: 4, ChunksFwd: 2}, false},
-		{"fwd-bwd-degrees", TutelOrder{}, false, WorldConfig{Ranks: 2, ChunksFwd: 4, ChunksBwd: 2}, false},
-		{"sequential-exec", TutelOrder{}, false, WorldConfig{Ranks: 4, ChunksFwd: 4}, true},
+		{"gshard-order", GShardOrder{}, false, WorldConfig{Ranks: 4, PipelineDegree: 3, Strategy: StrategyEP}, false},
+		{"1dh", TutelOrder{}, false, WorldConfig{Ranks: 4, PipelineDegree: 2, Algo: comm.A2A1DH, GPUsPerNode: 2, Strategy: StrategyEP}, false},
+		{"2dh", TutelOrder{}, false, WorldConfig{Ranks: 4, PipelineDegree: 4, Algo: comm.A2A2DH, GPUsPerNode: 2, Strategy: StrategyEP}, false},
+		{"mixtral", TutelOrder{}, true, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP}, false},
+		{"fwd-bwd-degrees", TutelOrder{}, false, WorldConfig{Ranks: 2, PipelineDegree: 4, PipelineDegreeBwd: 2, Strategy: StrategyEP}, false},
+		{"sequential-exec", TutelOrder{}, false, WorldConfig{Ranks: 4, PipelineDegree: 4, Strategy: StrategyEP}, true},
 	}
 	for _, tc := range cases {
 		layer := worldLayer(t, "gshard", tc.order, tc.mixtral, false)
@@ -179,27 +179,27 @@ func TestWorldFallbackExperts(t *testing.T) {
 	dy := tensor.RandN(xrand.New(42), 1, 96, 32)
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, true)
 	want := runSequentialLayer(t, layer, x, dy)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 4})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 4, Strategy: StrategyEP})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.layer.plain < 0 {
 		t.Fatal("wrapped experts must route through the fallback path")
 	}
-	got := runWorld(t, layer, WorldConfig{Ranks: 4, ChunksFwd: 4}, x, dy, false)
+	got := runWorld(t, layer, WorldConfig{Ranks: 4, PipelineDegree: 4, Strategy: StrategyEP}, x, dy, false)
 	compareSnapshots(t, "fallback", want, got)
 }
 
 // TestWorldRejects covers the configuration errors.
 func TestWorldRejects(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	if _, err := NewWorld(layer, WorldConfig{Ranks: 3}); err == nil {
+	if _, err := NewWorld(layer, WorldConfig{Ranks: 3, PipelineDegree: 1, Strategy: StrategyEP}); err == nil {
 		t.Fatal("8 experts across 3 ranks must fail")
 	}
-	if _, err := NewWorld(layer, WorldConfig{Ranks: 4, GPUsPerNode: 3}); err == nil {
+	if _, err := NewWorld(layer, WorldConfig{Ranks: 4, GPUsPerNode: 3, PipelineDegree: 1, Strategy: StrategyEP}); err == nil {
 		t.Fatal("4 ranks in nodes of 3 must fail")
 	}
-	if _, err := NewWorld(nil, WorldConfig{Ranks: 1}); err == nil {
+	if _, err := NewWorld(nil, WorldConfig{Ranks: 1, PipelineDegree: 1, Strategy: StrategyEP}); err == nil {
 		t.Fatal("nil layer must fail")
 	}
 
@@ -217,7 +217,7 @@ func TestWorldRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewWorld(aliased, WorldConfig{Ranks: 2}); err == nil {
+	if _, err := NewWorld(aliased, WorldConfig{Ranks: 2, PipelineDegree: 1, Strategy: StrategyEP}); err == nil {
 		t.Fatal("aliased experts must fail")
 	}
 
@@ -236,7 +236,7 @@ func TestWorldRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw, err := NewWorld(denseLayer, WorldConfig{Ranks: 2})
+	dw, err := NewWorld(denseLayer, WorldConfig{Ranks: 2, PipelineDegree: 1, Strategy: StrategyEP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestWorldRejects(t *testing.T) {
 // re-simulate with measured durations.
 func TestWorldTraceShape(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, ChunksFwd: 2})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP})
 	if err != nil {
 		t.Fatal(err)
 	}

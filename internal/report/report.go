@@ -1,4 +1,4 @@
-// Package report renders the text tables and series the benchmark harness
+// Package report renders the text tables the benchmark harness
 // prints when regenerating the paper's tables and figures.
 package report
 
@@ -76,42 +76,6 @@ func (t *Table) String() string {
 	line(sep)
 	for _, r := range t.rows {
 		line(r)
-	}
-	return b.String()
-}
-
-// Series renders "name: x=v" pairs on one line, for figure-style sweeps.
-func Series(name string, xs []string, ys []float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:", name)
-	for i := range xs {
-		fmt.Fprintf(&b, "  %s=%.2f", xs[i], ys[i])
-	}
-	return b.String()
-}
-
-// Bar renders a crude horizontal ASCII bar chart scaled to width.
-func Bar(labels []string, values []float64, width int) string {
-	if width <= 0 {
-		width = 50
-	}
-	maxV := 0.0
-	maxL := 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxL {
-			maxL = len(labels[i])
-		}
-	}
-	var b strings.Builder
-	for i, v := range values {
-		n := 0
-		if maxV > 0 {
-			n = int(v / maxV * float64(width))
-		}
-		fmt.Fprintf(&b, "%-*s |%s %.2f\n", maxL, labels[i], strings.Repeat("█", n), v)
 	}
 	return b.String()
 }

@@ -34,31 +34,3 @@ func TestTableMixedTypes(t *testing.T) {
 		t.Fatalf("bad render:\n%s", out)
 	}
 }
-
-func TestSeries(t *testing.T) {
-	s := Series("fsmoe", []string{"L=512", "L=1024"}, []float64{1.5, 2.25})
-	if !strings.Contains(s, "fsmoe:") || !strings.Contains(s, "L=512=1.50") || !strings.Contains(s, "L=1024=2.25") {
-		t.Fatalf("series = %q", s)
-	}
-}
-
-func TestBar(t *testing.T) {
-	out := Bar([]string{"a", "bb"}, []float64{1, 2}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("bar lines = %d", len(lines))
-	}
-	if strings.Count(lines[1], "█") != 10 {
-		t.Fatalf("max bar should fill width: %q", lines[1])
-	}
-	if strings.Count(lines[0], "█") != 5 {
-		t.Fatalf("half bar should be half width: %q", lines[0])
-	}
-}
-
-func TestBarZeroValues(t *testing.T) {
-	out := Bar([]string{"z"}, []float64{0}, 10)
-	if !strings.Contains(out, "0.00") {
-		t.Fatalf("zero bar: %q", out)
-	}
-}
