@@ -30,9 +30,6 @@ const (
 	gradElemBytes = 4
 )
 
-// defaultBatchTokens is WorldConfig.BatchTokens when unset.
-const defaultBatchTokens = 4096
-
 // resolve turns a configuration into the one a World executes, defaults
 // applied: StrategyAuto and an explicit hybrid's unset group size become a
 // concrete strategy and group size, and an unset forward degree becomes
@@ -41,7 +38,7 @@ const defaultBatchTokens = 4096
 // reports the zero value.
 func resolve(l *MOELayer, cfg WorldConfig) (rc WorldConfig, fwd, bwd core.DegreeResult) {
 	if cfg.BatchTokens <= 0 {
-		cfg.BatchTokens = defaultBatchTokens
+		cfg.BatchTokens = 4096
 	}
 	if cfg.Algo == "" {
 		cfg.Algo = comm.A2ADirect
