@@ -108,8 +108,8 @@
 // one; the repository benchmark's tensor.matmul*_gflops rows time the
 // kernels). internal/tensor's package comment has the contract, including
 // what is not guaranteed for NaN and Inf operands. The step's element-wise
-// loops — the §5 ring's reduce-scatter hop and SGD update, the combine's
-// slot sums, bias adds — run on AVX-512 row kernels under the same rule:
+// loops — the §5 sync's SGD update, the combine's slot sums, bias adds —
+// run on AVX-512 row kernels under the same rule:
 // eight lanes of the scalar operations, unfused, so the same bits.
 //
 // Ownership rules for pooled buffers: whoever calls GetTensor owns the
@@ -186,26 +186,26 @@
 // # Training steps and resident state
 //
 // StepStack (on a one-element slice for one layer) is the §5 training
-// step: forward, backward with the Gradient-AllReduce sliced into the
-// backward plans' slack, the exposed tail — and the SGD update riding
-// that ring: each AllReduce slice is stepped where its reduced pieces
-// land, once, and the ring's all-gather half hands every rank its replica. What does not
-// change from one step to the next is kept on the stack, not rebuilt. The
-// §5 byte plan (StepResult.Report.Gar) is solved once per distinct input —
+// step: forward, backward with the gradient sync sliced into the backward
+// plans' slack, the exposed tail — and the SGD update riding that sync.
+// Every gradient element has one contributor, its owner rank (there is no
+// data-parallel axis), so the sync is an owner gather, not an all-reduce:
+// each slice is stepped once, on its owner, and broadcast to every other
+// rank. What does not change from one step to the next is kept on the
+// stack. The §5 byte plan (StepResult.Report.Gar) is solved once per distinct input —
 // the sync strategy, models, degree cap, chunk and slice settings of
 // StepConfig together with every layer's shapes and padded batch
 // capacity — and solved again exactly when one of those compares
 // different (another batch size, another StepConfig, a Recover to fewer
-// ranks); treat it as read-only, later steps share it. Each rank owns one
-// flat buffer in the RankParams layout that is, in turn, its partial
-// gradient and its post-step replica, and every datum in it is written
-// once per step: an expert's weight gradients by the backward plan's own
-// finish task on the owner rank, the gate's shard by the stepping
-// goroutine, zero wherever no rank contributed (the other ranks' shards,
-// the experts of a dead rank), then w − lr·g by the ring. The ring moves
-// each slice in cache-sized tiles, and the exposed tail — of a step and of
-// SyncGradients alike — runs its tiles on every core of the default tensor
-// pool; the bytes are those of one ring on one goroutine.
+// ranks); treat it as read-only, later steps share it. Each rank keeps one
+// flat buffer in the RankParams layout and owns spans of it (its experts,
+// its shard of each gate parameter), where the buffer is in turn its
+// gradient — an expert's written by the backward plan's finish task, the
+// gate's shard by the stepping goroutine, zero for a dead rank's experts —
+// and then w − lr·g; other spans get their owner's replica by broadcast.
+// The gather moves each slice in cache-sized tiles, and the exposed tail —
+// of a step and of SyncGradients alike — runs on every core of the default
+// tensor pool; the bytes are those of one gather on one goroutine.
 //
 // What a step does to Param.G: nothing, for experts. StepStack neither
 // clears nor writes the gradient accumulators of experts (it does both for
@@ -214,7 +214,7 @@
 // it clears and fills the gate's. Param.G is the destination
 // of the Forward/Backward you drive yourself, accumulating across calls
 // until Layer.ZeroGrad, and what SyncGradients collects. Param.W is
-// written by the ring as the slices complete — a layer's parameters are
+// written by the gather as the slices complete — a layer's parameters are
 // final once its slices have run, and a step that returns an error may
 // already have stepped the layers whose backward completed (a Recover
 // restores all of them from the checkpoint).
@@ -255,7 +255,7 @@
 // emission excluded); ForwardMS, BackwardMS and TailMS are the parts of
 // it inside measured stream plans and the exposed tail — which contain the
 // weight-gradient reductions and the SGD update; what is left outside is
-// the gates, the Order and clearing what no rank contributed — and StepMS() —
+// the gates, the Order and writing the gate's shards — and StepMS() —
 // backward plus tail — is the quantity the §5 strategy comparison uses,
 // not a wall time.
 //

@@ -26,7 +26,7 @@ type (
 	// LayerGrads are views of the same stack-owned buffers as
 	// StepResult.RankParams, under the same rule.
 	SyncReport = moe.SyncReport
-	// GradSyncReport summarizes bytes hidden vs exposed and ring traffic.
+	// GradSyncReport summarizes bytes hidden vs exposed and sync traffic.
 	GradSyncReport = gradsync.Report
 )
 
@@ -62,9 +62,9 @@ func StepStack(worlds []*World, x, dy *Tensor, cfg StepConfig) (*StepResult, err
 }
 
 // SyncGradients synchronizes the parameter gradients accumulated in Param.G
-// by the Forward/Backward calls the caller drove, immediately (no overlap): each rank's partial gradients — its expert
-// shard plus its disjoint share of the dense gate gradient — are
-// ring-reduced in real chunked collectives until every rank holds the
+// by the Forward/Backward calls the caller drove, immediately (no overlap):
+// each rank's owned spans — its expert shard and a disjoint shard of the
+// gate gradient — are broadcast in real chunked collectives until every rank holds the
 // identical full-batch gradient. Use StepStack to hide the same work
 // inside the backward pipelines instead.
 func SyncGradients(worlds []*World, cfg StepConfig) (*SyncReport, error) {

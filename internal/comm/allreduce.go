@@ -1,56 +1,32 @@
 package comm
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // This file holds the Ring-AllReduce over an element range of flat rank
-// buffers — the communication half of the paper's §5 adaptive gradient
-// partitioning, whose slices the stream runtime runs as plan tasks. Each
-// range is reduced with the ring schedule of the *full* buffer restricted
-// to that range, so any tiling of the buffer reproduces the monolithic
-// collective byte for byte:
+// buffers. Each range is reduced with the ring schedule of the *full* buffer
+// restricted to that range: element k belongs to ring-chunk c by its
+// position in the full buffer, chunk c's accumulation path (rank c → c+1 →
+// … → c+p−1) depends on c alone, and every ring operation is element-wise,
+// so each element sees the monolithic sequence of copies and additions
+// however the buffer is sliced. The training step does not run it: every
+// gradient element has one contributor there, so the §5 sync is an owner
+// gather (internal/gradsync, over BroadcastRange) that adds no zeros. The
+// ring stays as the chunked ≡ monolithic reference.
 //
-//   - the monolithic ring assigns element k to ring-chunk c by its
-//     position in the full buffer, and the accumulation path of chunk c
-//     (rank c → c+1 → … → c+p−1) is a function of c alone;
-//   - RingAllReduceUpdate keeps that full-buffer chunk assignment and only
-//     restricts which elements move, and every ring operation is
-//     element-wise — so each element sees exactly the monolithic sequence
-//     of copies and additions no matter how the buffer is sliced.
-//
-// There is one ring. Between its two halves every element of the range is
-// fully reduced on exactly one rank, and that is where an update — the
-// optimizer step of a training loop — is applied: once per element, before
-// the all-gather half hands every other rank a copy of the result.
-// RingAllReduceChunk and RingAllReduce are the ring with no update.
-//
-// The ring moves a range one tile at a time. Tiles are RingTile elements
-// wide, cut from the range's start, and each goes through the whole ring —
-// reduce-scatter, update, all-gather — before the next begins. That is the
-// contract above applied to the tiling of the range, so the bytes are the
-// ring's. What it buys is locality: the ring passes over a range 2(p−1)
-// times, and a tile's p rank slices (p·RingTile·8 bytes, 128 KiB at p = 4)
-// stay in a core's L2 across all of them, where the range's would go to DRAM
-// on every pass. Stats do not see the tiles: they count the range's ring.
-//
-// A reduce-scatter hop adds one rank's clip into the next rank's with
-// tensor.AddRow, and ReduceScatterBlocks' hops (gatherscatter.go) add their
-// rows the same way: eight lanes per instruction where the CPU has AVX-512,
-// each lane one IEEE addition, so the sums are the scalar loop's bit for bit
-// (the scalar untiled ring stays the tests' oracle).
+// The ring moves a range one RingTile-wide tile at a time, each through the
+// whole ring before the next — the contract above applied to the tiling, so
+// the bytes are the ring's — and a tile's p rank slices (128 KiB at p = 4)
+// stay in L2 across its 2(p−1) passes. Stats count the range's ring, not
+// the tiles. Its reduce-scatter hop adds with tensor.AddRow, as
+// ReduceScatterBlocks' hops do: eight IEEE additions per instruction on
+// AVX-512, the scalar loop's bits (the scalar untiled ring is the tests'
+// oracle).
 
-// RingTile is the element width of the tiles RingAllReduceUpdate moves a
-// range in (see the file comment). BenchmarkRingAllReduceTile measures it at
-// a §5 tail's size (4 ranks × 2.63 M elements, with the step's StepRow
-// update) on a 2-core AVX-512 Xeon with 2 MiB of L2 per core. With the
-// vector hop every width from 1 024 to 65 536 takes 8–13.5 ms, inside one
-// run's ±15 %, and the untiled scalar ring 15–17.5; in six rotated rounds of
-// the repository benchmark's ep_params, 1 024, 4 096, 16 384 and 65 536 gave
-// step_ms_min medians of 21.4, 21.4, 20.7 and 22.6 ms, a tie. 4 096 was the
-// scalar hop's best width (17–20 ms against 31–34 untiled) and stays.
+// RingTile is the element width of the tiles the ring and the §5 owner
+// gather move a range in. On a 2-core AVX-512 Xeon (2 MiB L2 per core),
+// widths 1 024–65 536 tied, on the ring at a §5 tail's size and in the
+// repository benchmark's ep_params steps; BenchmarkBroadcastTile times the
+// gather's widths.
 const RingTile = 4096
 
 // SplitFlat partitions a flat buffer of n elements into at most chunks
@@ -64,47 +40,28 @@ func SplitFlat(n, chunks int) []RowRange { return SplitRows(n, chunks) }
 // schedule restricted to that range. Buffers must be full-length (every
 // rank the same length); ranges from any tiling of [0, n) may be reduced
 // in any order and the final contents are byte-identical to one
-// RingAllReduce over the whole buffer.
+// RingAllReduce over the whole buffer. The returned Stats are
+// ringAllReduceStats of the range.
 func RingAllReduceChunk(data [][]float64, gpusPerNode int, rr RowRange) (Stats, error) {
-	return RingAllReduceUpdate(data, gpusPerNode, rr, nil)
-}
-
-// RingAllReduceUpdate is RingAllReduceChunk with update, when non-nil,
-// applied between the ring's halves: after the reduce-scatter half rank r
-// holds the fully reduced clip [lo, hi) of one ring chunk, update(r, lo, hi)
-// may rewrite data[r][lo:hi] in place (w − lr·g for an SGD step), and the
-// all-gather half then copies what it left to every other rank. Over any
-// tiling of [0, n) update sees each element exactly once — with one rank
-// there is no ring and it sees the whole range — and every rank ends with
-// the same bytes: RingAllReduceChunk followed by the same elementwise
-// update on every rank, computed once instead of p times. The returned
-// Stats are RingAllReduceStats of the range.
-func RingAllReduceUpdate(data [][]float64, gpusPerNode int, rr RowRange, update func(rank, lo, hi int)) (Stats, error) {
 	n, err := checkUniform(data)
 	if err != nil {
 		return Stats{}, err
 	}
-	if rr.Lo < 0 || rr.Hi < rr.Lo || rr.Hi > n {
-		return Stats{}, fmt.Errorf("comm: allreduce range [%d,%d) outside buffer of %d elements", rr.Lo, rr.Hi, n)
+	if err := checkRange("allreduce", rr, n); err != nil {
+		return Stats{}, err
 	}
-	if rr.Len() == 0 {
-		return Stats{}, nil
-	}
-	if len(data) == 1 {
-		if update != nil {
-			update(0, rr.Lo, rr.Hi)
-		}
+	if rr.Len() == 0 || len(data) == 1 {
 		return Stats{}, nil
 	}
 	for lo := rr.Lo; lo < rr.Hi; lo += RingTile {
-		ringTile(data, n, RowRange{Lo: lo, Hi: min(lo+RingTile, rr.Hi)}, update)
+		ringTile(data, n, RowRange{Lo: lo, Hi: min(lo+RingTile, rr.Hi)})
 	}
-	return RingAllReduceStats(len(data), n, gpusPerNode, rr), nil
+	return ringAllReduceStats(len(data), n, gpusPerNode, rr), nil
 }
 
 // ringTile runs the whole restricted ring over one tile rr of p ≥ 2 rank
 // buffers of n elements.
-func ringTile(data [][]float64, n int, rr RowRange, update func(rank, lo, hi int)) {
+func ringTile(data [][]float64, n int, rr RowRange) {
 	p := len(data)
 	// Ring-chunk c of the FULL buffer covers [c·n/p, (c+1)·n/p); clip
 	// intersects it with the tile.
@@ -125,16 +82,8 @@ func ringTile(data [][]float64, n int, rr RowRange, update func(rank, lo, hi int
 		}
 	}
 	// After phase 1, rank r holds the fully reduced slice of ring chunk
-	// (r+1) mod p and nobody else holds any of it: the one place to update it.
-	if update != nil {
-		for r := 0; r < p; r++ {
-			if lo, hi := clip(r + 1); lo < hi {
-				update(r, lo, hi)
-			}
-		}
-	}
-	// Phase 2: allgather the reduced slices around the ring; rank r reads
-	// chunk r+1-s and is written in chunk r-s, disjoint again.
+	// (r+1) mod p. Phase 2: allgather the reduced slices around the ring;
+	// rank r reads chunk r+1-s and is written in chunk r-s, disjoint again.
 	for s := 0; s < p-1; s++ {
 		for r := 0; r < p; r++ {
 			if lo, hi := clip(r + 1 - s); lo < hi {
@@ -144,12 +93,11 @@ func ringTile(data [][]float64, n int, rr RowRange, update func(rank, lo, hi int
 	}
 }
 
-// RingAllReduceStats is the traffic of the restricted ring over range rr
+// ringAllReduceStats is the traffic of the restricted ring over range rr
 // of p rank buffers of n elements: one message per non-empty (step, rank)
 // clip of each half, counting the range as one collective however it is
-// tiled. A caller that splits a range across goroutines counts it with this
-// instead of summing the pieces' Stats.
-func RingAllReduceStats(p, n, gpusPerNode int, rr RowRange) Stats {
+// tiled.
+func ringAllReduceStats(p, n, gpusPerNode int, rr RowRange) Stats {
 	var st Stats
 	if p < 2 || rr.Len() <= 0 {
 		return st

@@ -241,9 +241,10 @@ func TestSplitFlat(t *testing.T) {
 	}
 }
 
-// untiledRing is RingAllReduceUpdate as it was before tiling: each ring
-// step walks the whole range. It is the oracle the tiled ring is held to,
-// bytes, Stats and update calls alike.
+// untiledRing is the ring as it was before tiling: each ring step walks the
+// whole range. It is the oracle the tiled ring is held to, bytes and Stats
+// alike; its update, when non-nil, runs between the halves where each
+// reduced clip lands, as the §5 sync did before the owner gather.
 func untiledRing(data [][]float64, gpusPerNode int, rr RowRange, update func(rank, lo, hi int)) Stats {
 	var st Stats
 	p, n := len(data), len(data[0])
@@ -294,15 +295,12 @@ func untiledRing(data [][]float64, gpusPerNode int, rr RowRange, update func(ran
 	return st
 }
 
-// TestRingAllReduceUpdateProperty: over random rank counts, buffer lengths
-// (shorter than the ring included) and
-// tilings reduced in random order, reduce-scatter → update → all-gather
-// leaves every rank with the bytes of the untiled ring with no update
-// followed by the same update applied on every rank, reports the same
-// Stats, and hands the update every element of [0, n) exactly once; with a
-// nil update it is the untiled ring.
-func TestRingAllReduceUpdateProperty(t *testing.T) {
-	const lr = 0.37
+// TestBroadcastRangeProperty: over random rank counts, buffer lengths and
+// tilings broadcast in random order, each tile from its own random root,
+// every rank ends with each tile's root bytes, nothing outside the tiles
+// moves, and the Stats are BroadcastStats of each tile — p−1 messages of
+// its length, whatever its width.
+func TestBroadcastRangeProperty(t *testing.T) {
 	rng := xrand.New(4242)
 	for trial := 0; trial < 200; trial++ {
 		p := []int{1, 2, 4, 8}[rng.Intn(4)]
@@ -310,88 +308,64 @@ func TestRingAllReduceUpdateProperty(t *testing.T) {
 		g := []int{0, 1, 2, p}[rng.Intn(4)]
 		tiles := SplitFlat(n, 1+rng.Intn(6))
 		perm := rng.Perm(len(tiles))
+		roots := make([]int, len(tiles))
+		for c := range roots {
+			roots[c] = rng.Intn(p)
+		}
 		ref := randRanks(uint64(trial), p, n)
-		weights := randRanks(uint64(1000+trial), 1, n)[0]
-
-		want, plain := cloneRanks(ref), cloneRanks(ref)
-		var wantSt Stats
-		for _, c := range perm {
-			wantSt.Merge(untiledRing(want, g, tiles[c], nil))
-		}
-		for r := range want {
-			if p == 1 {
-				break // one rank: nothing was summed, the update below still applies
-			}
-			for k := range want[r] {
-				if want[r][k] != want[0][k] {
-					t.Fatalf("trial %d: serial ring left rank %d elem %d unsynchronized", trial, r, k)
-				}
-			}
-		}
-		for r := range want {
-			for k, v := range want[r] {
-				want[r][k] = weights[k] - lr*v
-			}
-		}
 
 		got := cloneRanks(ref)
-		seen := make([]int, n)
-		var gotSt, plainSt Stats
+		var gotSt, wantSt Stats
 		for _, c := range perm {
-			st, err := RingAllReduceUpdate(got, g, tiles[c], func(rank, lo, hi int) {
-				for k := lo; k < hi; k++ {
-					seen[k]++ // clips of one call are disjoint: no two goroutines share k
-					got[rank][k] = weights[k] - lr*got[rank][k]
-				}
-			})
+			st, err := BroadcastRange(got, roots[c], g, tiles[c])
 			if err != nil {
 				t.Fatal(err)
 			}
 			gotSt.Merge(st)
-			st, err = RingAllReduceChunk(plain, g, tiles[c])
-			if err != nil {
-				t.Fatal(err)
-			}
-			plainSt.Merge(st)
+			wantSt.Merge(BroadcastStats(p, roots[c], g, tiles[c].Len()))
 		}
-		if gotSt != wantSt || plainSt != wantSt {
-			t.Fatalf("trial %d (p=%d n=%d g=%d): stats %+v (update) %+v (nil), serial ring %+v", trial, p, n, g, gotSt, plainSt, wantSt)
+		if msgs, vol := gotSt.IntraMessages+gotSt.InterMessages, gotSt.IntraVolume+gotSt.InterVolume; gotSt != wantSt || vol != float64((p-1)*n) || (n > 0 && msgs != (p-1)*len(tiles)) {
+			t.Fatalf("trial %d (p=%d n=%d g=%d): stats %+v, want %+v: %d messages, volume %v", trial, p, n, g, gotSt, wantSt, msgs, vol)
 		}
-		for k, c := range seen {
-			if c != 1 {
-				t.Fatalf("trial %d (p=%d n=%d): update saw element %d %d times", trial, p, n, k, c)
-			}
-		}
-		for r := range got {
-			for k := range got[r] {
-				if math.Float64bits(got[r][k]) != math.Float64bits(want[r][k]) {
-					t.Fatalf("trial %d (p=%d n=%d tiles=%d): rank %d elem %d = %v, ring-then-update %v",
-						trial, p, n, len(tiles), r, k, got[r][k], want[r][k])
+		for c, rr := range tiles {
+			for r := range got {
+				for k := rr.Lo; k < rr.Hi; k++ {
+					if math.Float64bits(got[r][k]) != math.Float64bits(ref[roots[c]][k]) {
+						t.Fatalf("trial %d (p=%d n=%d tile %v root %d): rank %d elem %d = %v, root's %v",
+							trial, p, n, rr, roots[c], r, k, got[r][k], ref[roots[c]][k])
+					}
 				}
 			}
 		}
-		serial := cloneRanks(ref)
-		for _, c := range perm {
-			untiledRing(serial, g, tiles[c], nil)
-		}
-		for r := range plain {
-			for k := range plain[r] {
-				if math.Float64bits(plain[r][k]) != math.Float64bits(serial[r][k]) {
-					t.Fatalf("trial %d (p=%d n=%d): nil update: rank %d elem %d = %v, serial ring %v",
-						trial, p, n, r, k, plain[r][k], serial[r][k])
-				}
+	}
+	buf := randRanks(1, 3, 10)
+	want := cloneRanks(buf)
+	if _, err := BroadcastRange(buf, 1, 0, RowRange{Lo: 3, Hi: 7}); err != nil {
+		t.Fatal(err)
+	}
+	for r := range buf {
+		for k, v := range buf[r] {
+			if (k < 3 || k >= 7) && v != want[r][k] {
+				t.Fatalf("rank %d elem %d outside the window was written", r, k)
 			}
 		}
+	}
+	for _, rr := range []RowRange{{-1, 2}, {4, 3}, {0, 11}} {
+		if _, err := BroadcastRange(buf, 0, 0, rr); err == nil {
+			t.Fatalf("range %v must fail", rr)
+		}
+	}
+	if _, err := BroadcastRange(buf, 3, 0, RowRange{0, 1}); err == nil {
+		t.Fatal("out-of-range root must fail")
 	}
 }
 
 // TestRingAllReduceTiledMatchesUntiled: the tiled ring is the untiled one.
 // Over random rank counts 1–5, buffers several tiles long and ranges that
 // start and end inside a tile and straddle ring-chunk boundaries, it leaves
-// the same bytes, reports exactly the same Stats — message counts included —
-// and hands update every element of the range exactly once.
+// the same bytes and reports exactly the same Stats, message counts
+// included.
 func TestRingAllReduceTiledMatchesUntiled(t *testing.T) {
-	const lr = 0.37
 	rng := xrand.New(733)
 	for trial := 0; trial < 60; trial++ {
 		p := 1 + rng.Intn(5)
@@ -403,33 +377,18 @@ func TestRingAllReduceTiledMatchesUntiled(t *testing.T) {
 		}
 		rr := RowRange{Lo: lo, Hi: lo + rng.Intn(n-lo+1)}
 		ref := randRanks(uint64(5000+trial), p, n)
-		weights := randRanks(uint64(6000+trial), 1, n)[0]
-		sgd := func(data [][]float64, seen []int) func(rank, lo, hi int) {
-			return func(rank, lo, hi int) {
-				for k := lo; k < hi; k++ {
-					seen[k]++
-					data[rank][k] = weights[k] - lr*data[rank][k]
-				}
-			}
-		}
 
 		want, got := cloneRanks(ref), cloneRanks(ref)
-		wantSeen, gotSeen := make([]int, n), make([]int, n)
-		wantSt := untiledRing(want, g, rr, sgd(want, wantSeen))
-		gotSt, err := RingAllReduceUpdate(got, g, rr, sgd(got, gotSeen))
+		wantSt := untiledRing(want, g, rr, nil)
+		gotSt, err := RingAllReduceChunk(got, g, rr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gotSt != wantSt {
 			t.Fatalf("trial %d (p=%d n=%d g=%d rr=%v): stats %+v, untiled %+v", trial, p, n, g, rr, gotSt, wantSt)
 		}
-		if st := RingAllReduceStats(p, n, g, rr); st != wantSt {
-			t.Fatalf("trial %d (p=%d n=%d g=%d rr=%v): RingAllReduceStats %+v, untiled %+v", trial, p, n, g, rr, st, wantSt)
-		}
-		for k := range gotSeen {
-			if in := k >= rr.Lo && k < rr.Hi; gotSeen[k] != wantSeen[k] || (gotSeen[k] == 1) != in {
-				t.Fatalf("trial %d (p=%d rr=%v): update saw element %d %d times, untiled %d", trial, p, rr, k, gotSeen[k], wantSeen[k])
-			}
+		if st := ringAllReduceStats(p, n, g, rr); st != wantSt {
+			t.Fatalf("trial %d (p=%d n=%d g=%d rr=%v): ringAllReduceStats %+v, untiled %+v", trial, p, n, g, rr, st, wantSt)
 		}
 		for r := range got {
 			for k := range got[r] {
@@ -441,39 +400,39 @@ func TestRingAllReduceTiledMatchesUntiled(t *testing.T) {
 	}
 }
 
-// BenchmarkRingAllReduceTile reduces and SGD-steps one §5 tail at the
-// benchmark's ep_params size (4 ranks of 2.63 M elements) with the step's
-// update — tensor.StepRow, which writes the replica and the live weight —
-// untiled (the scalar oracle) and at tile widths around RingTile. The tiled
-// rows run RingAllReduceUpdate's own tile loop at their width; the "ring"
-// row is RingAllReduceUpdate at RingTile.
-func BenchmarkRingAllReduceTile(b *testing.B) {
+// BenchmarkBroadcastTile runs the §5 owner gather's inner loop over one tail
+// at the benchmark's ep_params size (4 ranks of 2.63 M elements, each rank
+// owning a quarter): per tile, the step's update on the owner — tensor.StepRow,
+// which writes the replica and the live weight — then BroadcastRange of the
+// tile, at tile widths around RingTile. The "untiled" row is the scalar ring
+// with the same update between its halves, the sync the gather replaced
+// before that ring was tiled and vectorized.
+func BenchmarkBroadcastTile(b *testing.B) {
 	const p, n = 4, 2_630_000
 	data := randRanks(1, p, n)
 	weights := randRanks(2, 1, n)[0]
 	update := func(rank, lo, hi int) {
 		tensor.StepRow(weights[lo:hi], data[rank][lo:hi], 1e-9)
 	}
-	whole := RowRange{Lo: 0, Hi: n}
 	b.Run("untiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			untiledRing(data, p, whole, update)
+			untiledRing(data, p, RowRange{Lo: 0, Hi: n}, update)
 		}
 	})
-	for _, tile := range []int{1024, 2048, 4096, 8192, 16384, 65536} {
+	owners := SplitFlat(n, p)
+	for _, tile := range []int{1024, 4096, 16384, 65536} {
 		b.Run(fmt.Sprintf("tile=%d", tile), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < n; lo += tile {
-					ringTile(data, n, RowRange{Lo: lo, Hi: min(lo+tile, n)}, update)
+				for r, span := range owners {
+					for lo := span.Lo; lo < span.Hi; lo += tile {
+						t := RowRange{Lo: lo, Hi: min(lo+tile, span.Hi)}
+						update(r, t.Lo, t.Hi)
+						if _, err := BroadcastRange(data, r, p, t); err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
 			}
 		})
 	}
-	b.Run("ring", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := RingAllReduceUpdate(data, p, whole, update); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

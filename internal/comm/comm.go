@@ -4,8 +4,9 @@
 //
 // Implemented algorithms:
 //
-//   - Ring AllReduce, AllGather and ReduceScatter (NCCL's defaults), used
-//     by Gradient-AllReduce, ESP-AllGather and ESP-ReduceScatter;
+//   - Ring AllReduce, AllGather, ReduceScatter and Broadcast (NCCL's
+//     defaults), used by ESP-AllGather, ESP-ReduceScatter and the §5
+//     owner gather that stands in for Gradient-AllReduce;
 //   - Direct (flat) AlltoAll, the NCCL algorithm DeepSpeed-MoE issues;
 //   - 1DH AlltoAll (Hetu): intra-node gather → leader exchange → scatter;
 //   - 2DH AlltoAll (Tutel / DeepSpeed): intra-node regrouping phase
@@ -79,6 +80,14 @@ func checkUniform(data [][]float64) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// checkRange validates that rr lies inside a buffer of n elements.
+func checkRange(op string, rr RowRange, n int) error {
+	if rr.Lo < 0 || rr.Hi < rr.Lo || rr.Hi > n {
+		return fmt.Errorf("comm: %s range [%d,%d) outside buffer of %d elements", op, rr.Lo, rr.Hi, n)
+	}
+	return nil
 }
 
 // RingAllReduce sums the rank buffers elementwise into every rank, using

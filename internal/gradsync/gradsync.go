@@ -1,11 +1,11 @@
 // Package gradsync makes the paper's §5 Gradient-AllReduce executable: it
-// takes the per-rank partial parameter gradients a multi-rank backward
-// pass produces, plans how many bytes to hide inside each layer's
-// backward pipeline (core.PartitionGradients — the FSMoE contribution —
-// or the Lina fixed-chunk / no-overlap baselines), and materializes that
-// plan as real chunked Ring-AllReduce tasks appended to the backward
-// stream plans, so AllReduce slices genuinely run in the slack between
-// dispatch/combine chunks on the shared inter-node stream.
+// takes the per-rank parameter gradients a multi-rank backward pass
+// produces, plans how many bytes to hide inside each layer's backward
+// pipeline (core.PartitionGradients — the FSMoE contribution — or the Lina
+// fixed-chunk / no-overlap baselines), and materializes that plan as real
+// sync tasks appended to the backward stream plans, so the slices
+// genuinely run in the slack between dispatch/combine chunks on the shared
+// inter-node stream.
 //
 // The package is deliberately ignorant of the MoE layer: a consumer
 // registers one LayerSpec per generalized layer (element counts plus the
@@ -15,14 +15,15 @@
 // StartLayer(i) before layer i's plan is built, EmitAt while it is built
 // (the hook a stream-plan builder calls at inter-stream slack points),
 // Collect(i) once layer i's gradients exist, and Finish() for the exposed
-// tail. Because every element is reduced exactly once by a restricted
-// ring that is byte-identical under any slicing (comm.RingAllReduceChunk),
-// all strategies produce bit-identical synchronized gradients; only the
-// wall-clock placement differs. The same property lets Finish split the
-// tail across every core of the default tensor pool. A Syncer cut with an
-// Update has the ring apply it where each reduced slice lands
-// (comm.RingAllReduceUpdate), so the buffers end as the updated replicas
-// instead of the gradients.
+// tail.
+//
+// Every gradient element has one contributor, its owner rank, named by the
+// owner spans Collect takes. So a slice is an owner gather, not a ring sum
+// that would add only zeros: for each owner span it covers, the Syncer's
+// Update (if any) steps the owner's gradient once, in place, and a ring
+// broadcast (comm.BroadcastRange) copies it to every other rank. The bytes
+// do not depend on the slicing, so all strategies produce bit-identical
+// buffers and Finish may split the tail across the default tensor pool.
 package gradsync
 
 import (
@@ -105,6 +106,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Span is an element range [Lo, Hi) of a layer's buffers and its owner: the
+// one rank whose buffer holds the range's gradient.
+type Span struct{ Lo, Hi, Rank int }
+
 // pendingRange is one not-yet-synchronized element range of one layer.
 type pendingRange struct {
 	layer int
@@ -114,13 +119,13 @@ type pendingRange struct {
 // Report summarizes one synchronization round.
 type Report struct {
 	Strategy    Strategy
-	TotalBytes  float64 // accounting bytes across all layers
-	HiddenBytes float64 // bytes reduced inside backward stream plans
-	TailBytes   float64 // bytes reduced by Finish, after the backward pass
-	TailMS      float64 // measured wall time of the exposed tail
-	Slices      int     // AllReduce tasks emitted into plans
-	TailSlices  int     // AllReduce slices run by Finish
-	Stats       comm.Stats
+	TotalBytes  float64       // accounting bytes across all layers
+	HiddenBytes float64       // bytes gathered inside backward stream plans
+	TailBytes   float64       // bytes gathered by Finish, after the backward pass
+	TailMS      float64       // measured wall time of the exposed tail
+	Slices      int           // AllReduce tasks emitted into plans
+	TailSlices  int           // AllReduce slices run by Finish
+	Stats       comm.Stats    // gather traffic: one broadcast per (slice ∩ owner span)
 	Gar         *core.GarPlan // the strategy's byte plan (nil for no-overlap)
 }
 
@@ -136,14 +141,15 @@ type Syncer struct {
 	names  *sliceNames
 	tail   *tailRun
 	update Update
-	grads  [][][]float64 // [layer][rank][] partial gradients, set by Collect
+	grads  [][][]float64 // [layer][rank][] gradient buffers, set by Collect
+	owners [][]Span      // [layer] owner spans, set by Collect
 	ranks  int
 	seen   int // layers collected so far
 	synced bool
 
 	pending  []pendingRange
 	emit     [][]pendingRange // slices bucketed per emit point for the current layer
-	inflight []pendingRange   // slices handed to a plan by EmitAt but not yet reduced
+	inflight []pendingRange   // slices handed to a plan by EmitAt but not yet gathered
 	rep      Report
 
 	tailMu  sync.Mutex // guards tailErr while Finish's workers run
@@ -196,12 +202,11 @@ func (n *sliceNames) of(sl pendingRange) string {
 	return name
 }
 
-// Update is applied by the ring to each fully reduced piece of a layer's
-// buffers, once: elements [lo, hi) of layer's buffer on rank, which alone
-// holds them at that point and may rewrite them in place before they are
-// copied to the other ranks. Finish calls it from several goroutines at once
-// on disjoint ranges, holding its Plan's tail: it must not call back into
-// the Syncer or anything cut from the same Plan.
+// Update is applied by the gather once to each piece of a layer's buffers:
+// elements [lo, hi) on rank, their owner, which may rewrite the gradient in
+// place before it is copied to the other ranks. Finish calls it from several
+// goroutines at once on disjoint ranges, holding its Plan's tail: it must
+// not call back into the Syncer or anything cut from the same Plan.
 type Update func(layer, rank, lo, hi int)
 
 // Solve validates the layer specs and computes the strategy's byte plan —
@@ -255,7 +260,7 @@ func (p *Plan) For(cfg Config, specs []LayerSpec) (*Plan, error) {
 }
 
 // NewSyncer starts one backward pass's synchronization under the plan.
-// With a nil update the collected buffers end as the summed gradients.
+// With a nil update every rank's buffers end as the owners' gradients.
 func (p *Plan) NewSyncer(update Update) *Syncer {
 	return &Syncer{
 		cfg:    p.cfg,
@@ -265,6 +270,7 @@ func (p *Plan) NewSyncer(update Update) *Syncer {
 		tail:   &p.tail,
 		update: update,
 		grads:  make([][][]float64, len(p.specs)),
+		owners: make([][]Span, len(p.specs)),
 		rep:    Report{Strategy: p.cfg.Strategy, TotalBytes: p.total, Gar: p.gar},
 	}
 }
@@ -325,7 +331,7 @@ func (s *Syncer) StartLayer(i int) {
 	}
 	// Slices parked for a previous plan that never emitted them (a builder
 	// announcing more points than it drives), and slices a previous plan
-	// accepted but never reduced (the plan aborted on a fault or deadline
+	// accepted but never gathered (the plan aborted on a fault or deadline
 	// before its inter stream reached them), return to the pool rather
 	// than being lost.
 	for _, bucket := range s.emit {
@@ -409,8 +415,8 @@ func (s *Syncer) EmitAt(p *runtime.Plan, stream string, pt int) {
 		bytes := float64(sl.rr.Len()) * s.cfg.ElemBytes
 		// The estimate lives in the same arbitrary elements/1e6 unit space
 		// as the host plan's other tasks (moe.World's estElems), so the
-		// plan's structural Simulate stays internally consistent; the ring
-		// moves ~2 passes over the slice.
+		// plan's structural Simulate stays internally consistent. Like the
+		// §5 partition, it prices the paper's AllReduce: ~2 passes.
 		est := float64(2*sl.rr.Len()) / 1e6
 		p.Add(s.names.of(sl), KindAllReduce, stream, est,
 			func() error { return s.reduce(sl) })
@@ -429,17 +435,15 @@ func (s *Syncer) reduce(sl pendingRange) error {
 	if s.grads[sl.layer] == nil {
 		return fmt.Errorf("gradsync: layer %d sliced before Collect", sl.layer)
 	}
-	// reduce serves in-plan AR tasks, whose fault injection is task-level:
-	// RetryPolicy.Kinds covers KindAllReduce, and an injected failure fires
-	// before the body, so a retried slice is never reduced or updated twice.
-	// The ring itself takes no guard, and neither does the Finish tail, which
-	// runs outside any plan.
-	st, err := s.ring(sl.layer, sl.rr)
-	if err != nil {
+	// In-plan AR tasks' fault injection is task-level: RetryPolicy.Kinds
+	// covers KindAllReduce and fires before the body, so a retried slice is
+	// never gathered or updated twice. The broadcast takes no guard, nor
+	// does the Finish tail, which runs outside any plan.
+	if err := s.gather(sl.layer, sl.rr); err != nil {
 		return err
 	}
-	s.rep.Stats.Merge(st)
-	// Mark the slice reduced so an aborted plan's reclamation re-pends
+	s.rep.Stats.Merge(s.gatherStats(sl.layer, sl.rr))
+	// Mark the slice gathered so an aborted plan's reclamation re-pends
 	// only the slices its skipped tasks left untouched. Plans drive their
 	// inter stream serially and Finish runs after every plan has been
 	// awaited, so this bookkeeping never races.
@@ -452,22 +456,40 @@ func (s *Syncer) reduce(sl pendingRange) error {
 	return nil
 }
 
-// ring runs the restricted ring over elements rr of layer's buffers,
-// applying the Syncer's Update where each reduced clip lands.
-func (s *Syncer) ring(layer int, rr comm.RowRange) (comm.Stats, error) {
-	var update func(rank, lo, hi int)
-	if s.update != nil {
-		update = func(rank, lo, hi int) { s.update(layer, rank, lo, hi) }
+// gather runs the owner gather over elements rr of layer's buffers: for
+// each owner span rr covers, one comm.RingTile tile at a time (kept in
+// cache), the Update steps the owner's tile and a broadcast copies it.
+func (s *Syncer) gather(layer int, rr comm.RowRange) error {
+	for _, sp := range s.owners[layer] {
+		for lo, hi := max(sp.Lo, rr.Lo), min(sp.Hi, rr.Hi); lo < hi; lo += comm.RingTile {
+			t := comm.RowRange{Lo: lo, Hi: min(lo+comm.RingTile, hi)}
+			if s.update != nil {
+				s.update(layer, sp.Rank, t.Lo, t.Hi)
+			}
+			if _, err := comm.BroadcastRange(s.grads[layer], sp.Rank, s.cfg.GPUsPerNode, t); err != nil {
+				return err
+			}
+		}
 	}
-	return comm.RingAllReduceUpdate(s.grads[layer], s.cfg.GPUsPerNode, rr, update)
+	return nil
 }
 
-// Collect registers layer i's per-rank partial gradients: from now on
-// they are pending and later windows (or the tail) will reduce them.
-// Buffers must all have the registered element count; they are reduced in
-// place (every rank ends with the elementwise sum, or with what the
-// Syncer's Update made of it).
-func (s *Syncer) Collect(i int, grads [][]float64) error {
+// gatherStats is gather's traffic over rr: one broadcast per owner span
+// piece, however gather tiles it.
+func (s *Syncer) gatherStats(layer int, rr comm.RowRange) comm.Stats {
+	var st comm.Stats
+	for _, sp := range s.owners[layer] {
+		st.Merge(comm.BroadcastStats(s.ranks, sp.Rank, s.cfg.GPUsPerNode, min(sp.Hi, rr.Hi)-max(sp.Lo, rr.Lo)))
+	}
+	return st
+}
+
+// Collect registers layer i's per-rank gradient buffers, all of the
+// registered element count, and their owner spans: sorted, non-empty, tiling
+// [0, Elems) exactly, each owned by a collected rank. From now on they are
+// pending for later windows or the tail, which overwrite every rank's buffer
+// with each owner's gradient, or what the Update made of it.
+func (s *Syncer) Collect(i int, grads [][]float64, owners []Span) error {
 	if i < 0 || i >= len(s.specs) {
 		return fmt.Errorf("gradsync: collect of unknown layer %d", i)
 	}
@@ -480,26 +502,36 @@ func (s *Syncer) Collect(i int, grads [][]float64) error {
 	if s.ranks != 0 && len(grads) != s.ranks {
 		return fmt.Errorf("gradsync: layer %d has %d ranks, earlier layers %d", i, len(grads), s.ranks)
 	}
+	n := s.specs[i].Elems
 	for r, g := range grads {
-		if len(g) != s.specs[i].Elems {
-			return fmt.Errorf("gradsync: layer %d rank %d has %d elements, spec says %d", i, r, len(g), s.specs[i].Elems)
+		if len(g) != n {
+			return fmt.Errorf("gradsync: layer %d rank %d has %d elements, spec says %d", i, r, len(g), n)
 		}
 	}
+	next, k := 0, 0
+	for ; k < len(owners); k++ {
+		if sp := owners[k]; sp.Lo != next || sp.Hi <= sp.Lo || sp.Rank < 0 || sp.Rank >= len(grads) {
+			break
+		}
+		next = owners[k].Hi
+	}
+	if k < len(owners) || next != n {
+		return fmt.Errorf("gradsync: layer %d owner spans %v do not tile [0,%d) over %d ranks", i, owners, n, len(grads))
+	}
 	s.ranks = len(grads)
-	s.grads[i] = grads
-	s.pending = append(s.pending, pendingRange{layer: i, rr: comm.RowRange{Lo: 0, Hi: s.specs[i].Elems}})
+	s.grads[i], s.owners[i] = grads, owners
+	s.pending = append(s.pending, pendingRange{layer: i, rr: comm.RowRange{Lo: 0, Hi: n}})
 	s.seen++
 	return nil
 }
 
 // Finish synchronizes everything still pending — the exposed tail —
 // measuring its wall time, and returns the completed report. Every layer
-// must have been collected. The tail's ring tiles (comm.RingTile) are split
-// across the default tensor pool's workers: the pieces are disjoint element
-// ranges, so their updates write disjoint spans, and by the ring's tiling
-// contract the bytes, Stats and update calls are those of one ring per tail
-// slice on one goroutine. Every piece runs; their errors are joined and
-// returned once all have finished.
+// must have been collected. The tail's comm.RingTile tiles are split across
+// the default tensor pool's workers: disjoint element ranges, so the bytes
+// and update calls are those of one gather per tail slice on one goroutine,
+// and Stats, counted per slice, do not depend on the pool's width. Every
+// piece runs; their errors are joined and returned once all have finished.
 func (s *Syncer) Finish() (Report, error) {
 	if s.synced {
 		return s.rep, fmt.Errorf("gradsync: Finish called twice")
@@ -510,7 +542,7 @@ func (s *Syncer) Finish() (Report, error) {
 	s.synced = true
 	// Anything still parked for emission was never absorbed by a plan
 	// (e.g. the budget outran the plan's emit points), and anything a plan
-	// absorbed but never reduced (an aborted run's skipped tasks), joins
+	// absorbed but never gathered (an aborted run's skipped tasks), joins
 	// the tail.
 	for _, bucket := range s.emit {
 		s.pending = append(s.pending, bucket...)
@@ -528,10 +560,9 @@ func (s *Syncer) Finish() (Report, error) {
 		if s.cfg.Strategy == StrategyFixedChunk {
 			per = s.sliceElems(per)
 		}
-		bufs := s.grads[pr.layer]
 		for lo := pr.rr.Lo; lo < pr.rr.Hi; lo += per {
 			sl := comm.RowRange{Lo: lo, Hi: min(lo+per, pr.rr.Hi)}
-			s.rep.Stats.Merge(comm.RingAllReduceStats(len(bufs), len(bufs[0]), s.cfg.GPUsPerNode, sl))
+			s.rep.Stats.Merge(s.gatherStats(pr.layer, sl))
 			s.rep.TailSlices++
 			s.rep.TailBytes += float64(sl.Len()) * s.cfg.ElemBytes
 		}
@@ -543,7 +574,7 @@ func (s *Syncer) Finish() (Report, error) {
 	return s.rep, s.tailErr
 }
 
-// run reduces tiles [0, n) of s's tail on the default tensor pool.
+// run gathers tiles [0, n) of s's tail on the default tensor pool.
 func (t *tailRun) run(s *Syncer, n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -552,15 +583,15 @@ func (t *tailRun) run(s *Syncer, n int) {
 	t.s = nil
 }
 
-// tailTiles reduces tiles [lo, hi) of the tail, numbered across the pending
-// ranges in order, one ring per range it meets; a failed ring's error joins
-// s.tailErr and the rest still run.
+// tailTiles gathers tiles [lo, hi) of the tail, numbered across the pending
+// ranges in order, one gather per range it meets; a failed gather's error
+// joins s.tailErr and the rest still run.
 func (s *Syncer) tailTiles(lo, hi int) {
 	for _, pr := range s.pending {
 		k := (pr.rr.Len() + comm.RingTile - 1) / comm.RingTile
 		if a, b := max(lo, 0), min(hi, k); a < b {
 			rr := comm.RowRange{Lo: pr.rr.Lo + a*comm.RingTile, Hi: min(pr.rr.Lo+b*comm.RingTile, pr.rr.Hi)}
-			if _, err := s.ring(pr.layer, rr); err != nil {
+			if err := s.gather(pr.layer, rr); err != nil {
 				s.tailMu.Lock()
 				s.tailErr = errors.Join(s.tailErr, err)
 				s.tailMu.Unlock()

@@ -27,7 +27,7 @@ import (
 //     accumulated parameter gradients, so the layer's gradients are
 //     zeroed first (during a training step: every expert's span of the
 //     resident arenas is marked unwritten, so what the survivors do not
-//     rewrite is cleared).
+//     rewrite is cleared in its owner's span before the gather).
 //
 // In both modes the router is frozen: the gate backward pairs its
 // RouteCache with the original plan, which no longer describes the

@@ -134,10 +134,8 @@ type ExpertPass interface {
 // GradDst is where a pass puts one expert's parameter gradients. Nil is the
 // Expert.Backward contract: they are added to each Param.G. Otherwise
 // GradDst[i] is overwritten with the gradient of Params()[i] — during a
-// training step it is the expert's span of its owner rank's resident
-// buffer, which holds last step's replica, so the gradient is written where
-// the Gradient-AllReduce reads it and nothing is zeroed first or copied
-// afterwards.
+// training step it is the expert's owned span of its owner rank's resident
+// buffer, where the §5 gather reads it: nothing is zeroed or copied.
 type GradDst []*tensor.Tensor
 
 // weight puts the weight gradient aᵀ·b of parameter i (p) where d says.

@@ -2,21 +2,17 @@ package moe
 
 // This file is the executable counterpart of the paper's §5 training
 // step: backward through a stack of multi-rank MoE layers with the
-// Gradient-AllReduce adaptively partitioned into the backward pipelines'
+// gradient sync adaptively partitioned into the backward pipelines'
 // inter-stream slack (internal/gradsync), and the SGD update riding that
-// ring: each reduced slice is stepped once, where it lands, and the ring's
-// all-gather half hands every rank its replica. StepWorlds asserts the §5
-// contract by construction: the stepped replicas are bit-identical on
-// every rank under every strategy, because each flat gradient element has
-// exactly one non-zero contributor (rankGrads), the restricted ring is
-// byte-identical under any slicing (comm.RingAllReduceUpdate) and every
-// replica is a copy of the one place an element was updated.
+// sync. Each flat gradient element has one contributor, its owner rank, so
+// the sync is an owner gather: each slice is stepped once, on its owner, and
+// broadcast. The stepped replicas are thus bit-identical on every rank under
+// every strategy: every replica is a copy of the one place it was stepped.
 //
 // What is identical from one step to the next is resident on the stack
 // (resident, below): the solved §5 byte plan and one flat buffer per rank
-// that is, in turn, the rank's partial gradient — an expert's weight
-// gradients are written there by the backward pass itself — and its
-// post-step replica. A step allocates neither, and writes each once.
+// whose owned spans are, in turn, the rank's gradient (an expert's written
+// there by the backward pass itself) and its post-step replica.
 
 import (
 	"fmt"
@@ -79,8 +75,8 @@ type StepResult struct {
 	// — everything but the telemetry emission itself. ForwardMS, BackwardMS
 	// and TailMS are the parts of it spent inside measured stream plans and
 	// the exposed tail, which hold the SGD update; the rest (gate and order
-	// work, clearing what no rank contributed, the checkpoint's wait and
-	// capture) is WallMS minus the three.
+	// work, writing the gate's shards, the checkpoint's wait and capture) is
+	// WallMS minus the three.
 	WallMS     float64
 	ForwardMS  float64 // summed measured forward-plan makespans
 	BackwardMS float64 // summed measured backward-plan makespans (incl. hidden AllReduce)
@@ -93,7 +89,8 @@ type StepResult struct {
 
 	// RankParams[r] is rank r's post-step parameter replica, each layer's
 	// parameters flat in Params order (gate, then each expert's), layers
-	// concatenated in stack order, as the ring left it. All rows are bit-identical across ranks and across
+	// concatenated in stack order: the owner's stepped values, broadcast by
+	// the gather. All rows are bit-identical across ranks and across
 	// strategies. The rows are the stack's resident per-rank buffers, not
 	// copies: the next StepWorlds or SyncWorlds on the same worlds
 	// overwrites them, so copy what must outlive the step.
@@ -140,15 +137,15 @@ func (r *StepResult) StepMS() float64 { return r.BackwardMS + r.TailMS }
 // resident is the training state a stack keeps from one step to the next,
 // held on the stack's first world: the solved §5 byte plan, reused while
 // the sync configuration and layer specs compare equal, and one arena per
-// rank in the RankParams layout. Within a step an arena holds the rank's
-// partial gradients — expert spans written by the backward plans' finish
-// tasks, the rest by rankGrads — and then, slice by slice as the ring
-// reduces and steps them, the post-step replica.
+// rank in the RankParams layout. Within a step an arena's owned spans hold
+// the rank's gradients (experts' written by the finish tasks, the gate's
+// shard by rankGrads), then, as the gather runs, every span the replica.
 type resident struct {
-	plan  *gradsync.Plan
-	arena [][]float64   // [rank][Σ layer gradElems]
-	views [][][]float64 // views[i][r]: layer i's span of arena[r], what Collect registers
-	grads []stepGrads   // [layer] the expert spans of views as gradient destinations
+	plan   *gradsync.Plan
+	arena  [][]float64       // [rank][Σ layer gradElems]
+	views  [][][]float64     // views[i][r]: layer i's span of arena[r], what Collect registers
+	owners [][]gradsync.Span // [layer] which rank owns each span of the layer's views
+	grads  []stepGrads       // [layer] the expert spans of views as gradient destinations
 
 	// Per-step scratch, sized with the arenas.
 	prevSeq []bool
@@ -190,7 +187,7 @@ func residentFor(worlds []*World) *resident {
 	L := len(worlds)
 	*st = resident{
 		plan:  st.plan,
-		arena: make([][]float64, ranks), views: make([][][]float64, L), grads: make([]stepGrads, L),
+		arena: make([][]float64, ranks), views: make([][][]float64, L), owners: make([][]gradsync.Span, L), grads: make([]stepGrads, L),
 		prevSeq: make([]bool, L), specs: make([]gradsync.LayerSpec, L), caches: make([]*WorldCache, L), params: make([][]*Param, L),
 	}
 	for r := range st.arena {
@@ -204,6 +201,7 @@ func residentFor(worlds []*World) *resident {
 			st.views[i][r] = a[off : off+n : off+n]
 		}
 		off += n
+		st.owners[i] = w.ownerSpans()
 		experts := w.layer.cfg.Experts
 		g := stepGrads{off: slices.Clone(w.gradOff), into: make([]GradDst, len(experts)), written: make([]bool, len(experts))}
 		for e, ex := range experts {
@@ -219,11 +217,11 @@ func residentFor(worlds []*World) *resident {
 	return st
 }
 
-// update is the SGD step the ring applies to elements [lo, hi) of layer's
-// gradient on rank once they are fully reduced there: the replica value
-// w − lr·g replaces the gradient in the rank's arena and, in the same pass,
-// the live parameter. Every element of every layer comes by exactly once
-// per step, on one rank; the ring copies the result to the others.
+// update is the SGD step the gather applies to elements [lo, hi) of layer's
+// gradient on rank, their owner: the replica value w − lr·g replaces the
+// gradient in the rank's arena and, in the same pass, the live parameter.
+// Every element of every layer comes by exactly once per step, on its
+// owner; the gather copies the result to the others.
 func (st *resident) update(layer, rank, lo, hi int) {
 	g := st.views[layer][rank]
 	off := 0
@@ -238,9 +236,9 @@ func (st *resident) update(layer, rank, lo, hi int) {
 
 // StepWorlds runs one training step over a stack of Worlds (layer i's
 // output feeds layer i+1): forward through the stack, backward in
-// reverse with the §5 Gradient-AllReduce overlapped into each layer's
-// backward plan per the strategy, and the exposed tail; every AllReduce
-// slice applies the SGD update to what it reduced. Gradients of layers
+// reverse with the §5 gradient sync overlapped into each layer's
+// backward plan per the strategy, and the exposed tail; every sync slice
+// applies the SGD update to what it gathers. Gradients of layers
 // whose backward already finished are the pending pool each earlier
 // layer's plan may hide, exactly the backward-order greedy fill of §5.2;
 // layer 0's own gradients (and any unhidden remainder) are the tail.
@@ -311,15 +309,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 		st.params[i] = w.layer.appendParams(st.params[i][:0])
 	}
 	var err error
-	st.plan, err = st.plan.For(gradsync.Config{
-		Strategy:    cfg.Strategy,
-		Models:      plannerModels,
-		RMax:        plannerRMax,
-		ChunkBytes:  cfg.ChunkBytes,
-		Slices:      cfg.Slices,
-		ElemBytes:   gradElemBytes,
-		GPUsPerNode: worlds[0].cfg.GPUsPerNode,
-	}, st.specs)
+	st.plan, err = st.plan.For(syncConfig(worlds, cfg), st.specs)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +318,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 
 	// Backward chain in reverse, overlapping the pending pool into each
 	// layer's plan — the expert gradients land in the arenas as the plan's
-	// finish tasks run — then filling in the rest of the layer's partials.
+	// finish tasks run — then filling in the rest of the owned spans.
 	dcur := dy
 	for i := len(worlds) - 1; i >= 0; i-- {
 		w := worlds[i]
@@ -351,8 +341,8 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 			res.BackwardMS += deg.RecoveryMS
 			res.Degraded = append(res.Degraded, deg)
 		}
-		w.rankGrads(st.views[i], st.grads[i].written)
-		if err := syncer.Collect(i, st.views[i]); err != nil {
+		w.rankGrads(st.views[i], st.owners[i], st.grads[i].written)
+		if err := syncer.Collect(i, st.views[i], st.owners[i]); err != nil {
 			return nil, err
 		}
 		dcur = dx
@@ -403,6 +393,12 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 		}
 	}
 	return res, nil
+}
+
+// syncConfig is the §5 sync configuration of a stack stepped under cfg.
+func syncConfig(worlds []*World, cfg StepConfig) gradsync.Config {
+	return gradsync.Config{Strategy: cfg.Strategy, Models: plannerModels, RMax: plannerRMax, ChunkBytes: cfg.ChunkBytes,
+		Slices: cfg.Slices, ElemBytes: gradElemBytes, GPUsPerNode: worlds[0].cfg.GPUsPerNode}
 }
 
 // checkStack validates what op needs of a stack before touching its
@@ -510,36 +506,29 @@ type SyncReport struct {
 
 // SyncWorlds synchronizes the stack's accumulated parameter gradients
 // right now, with no pipeline to hide in — the blocking entry point for
-// callers that drove Forward/Backward themselves. Every rank's partial
-// gradients are collected and ring-reduced to the identical full-batch
-// gradient; use StepWorlds to overlap the synchronization instead.
+// callers that drove Forward/Backward themselves. Param.G is written into
+// its owners' spans and gathered, with no update, so every rank holds the
+// identical full-batch gradient; StepWorlds overlaps the sync instead.
 func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	cfg = cfg.withDefaults()
 	if err := checkStack("sync", worlds); err != nil {
 		return nil, err
 	}
-	specs := make([]gradsync.LayerSpec, len(worlds))
+	st := residentFor(worlds)
 	for i, w := range worlds {
 		total, dense := w.gradElems()
 		// No forward cache here; account A2A volumes at the nominal padded
 		// capacity of zero — only GradBytes matters for a tail-only sync.
-		v := stepVolumes(w, 0)
-		specs[i] = gradsync.LayerSpec{Elems: total, DenseElems: dense, V: v}
+		st.specs[i] = gradsync.LayerSpec{Elems: total, DenseElems: dense, V: stepVolumes(w, 0)}
 	}
-	syncer, err := gradsync.New(gradsync.Config{
-		Strategy:    gradsync.StrategyNoOverlap,
-		Models:      plannerModels,
-		RMax:        plannerRMax,
-		ElemBytes:   gradElemBytes,
-		GPUsPerNode: worlds[0].cfg.GPUsPerNode,
-	}, specs)
+	cfg.Strategy = gradsync.StrategyNoOverlap
+	syncer, err := gradsync.New(syncConfig(worlds, cfg), st.specs)
 	if err != nil {
 		return nil, err
 	}
-	st := residentFor(worlds)
 	for i, w := range worlds {
-		w.rankGrads(st.views[i], nil)
-		if err := syncer.Collect(i, st.views[i]); err != nil {
+		w.rankGrads(st.views[i], st.owners[i], nil)
+		if err := syncer.Collect(i, st.views[i], st.owners[i]); err != nil {
 			return nil, err
 		}
 	}

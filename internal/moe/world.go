@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	stdsync "sync"
 	"sync/atomic"
 	"time"
@@ -608,53 +609,51 @@ func (w *World) countGradElems() {
 	}
 }
 
-// rankGrads writes the per-rank partial parameter gradients of the most
-// recent backward pass into out[r] (one buffer of gradElems' total length
-// per rank, whatever it held before; the ranks fill concurrently): rank j
-// contributes the full gradient of its own expert shard (experts [j·Eg, (j+1)·Eg))
-// and a disjoint element shard of the dense (gate) gradient, zeros
-// elsewhere. Every element therefore has exactly one non-zero
-// contributor, so a Ring-AllReduce sum reconstructs the full-batch
-// gradient bit-exactly on every rank — adding zeros never rounds. (The
-// in-process ranks share one replicated gate computation, so the dense
-// shard models each data-parallel rank's disjoint contribution without
-// recomputing the gate backward R times; the AllReduce volume and the
-// synchronized values are exactly those of the real replication. Every
-// strategy accumulates an expert's parameter gradients on its owner rank
-// j = e/Eg — EP computes them there, ESP designates that shard-group
-// member — so the one-contributor invariant holds for all of them.)
-//
-// A backward that wrote the gradients of the experts written says (nil:
-// none) straight into their owners' buffers leaves those spans alone, and
-// an expert no finish routine ran for — a dead rank's, a degraded pass's —
-// is cleared of last step's replica.
-func (w *World) rankGrads(out [][]float64, written []bool) {
-	R := w.cfg.Ranks
-	gate := w.layer.cfg.Gate.Params()
-	tensor.ParallelFor(R, func(r int) {
-		// Outside rank r's own expert shard everything reads zero but its
-		// shard of the gate gradient.
-		buf := out[r]
-		clear(buf[:w.gradOff[r*w.egrp]])
-		clear(buf[w.gradOff[(r+1)*w.egrp]:])
-		off := 0
-		for _, p := range gate {
-			g := p.G.Data()
-			if shards := comm.SplitFlat(len(g), R); r < len(shards) {
-				rr := shards[r]
-				copy(buf[off+rr.Lo:off+rr.Hi], g[rr.Lo:rr.Hi])
-			}
-			off += len(g)
+// ownerSpans cuts the layer's flat gradient layout into the spans each rank
+// owns, in order: rank r's comm.SplitFlat shard of every gate parameter
+// (the in-process ranks share one gate computation; the shards model each
+// rank's disjoint contribution), then its expert shard gradOff[r·Eg :
+// (r+1)·Eg), where every strategy writes those experts' gradients.
+func (w *World) ownerSpans() []gradsync.Span {
+	var out []gradsync.Span
+	off := 0
+	for _, p := range w.layer.cfg.Gate.Params() {
+		n := len(p.G.Data())
+		for r, rr := range comm.SplitFlat(n, w.cfg.Ranks) {
+			out = append(out, gradsync.Span{Lo: off + rr.Lo, Hi: off + rr.Hi, Rank: r})
 		}
-		for e := r * w.egrp; e < (r+1)*w.egrp; e++ {
-			span := buf[w.gradOff[e]:w.gradOff[e+1]]
-			if written == nil {
-				for _, p := range w.layer.cfg.Experts[e].Params() {
-					span = span[copy(span, p.G.Data()):]
-				}
-			} else if !written[e] {
-				clear(span)
-			}
+		off += n
+	}
+	for r := 0; r < w.cfg.Ranks; r++ {
+		out = append(out, gradsync.Span{Lo: w.gradOff[r*w.egrp], Hi: w.gradOff[(r+1)*w.egrp], Rank: r})
+	}
+	return slices.DeleteFunc(out, func(sp gradsync.Span) bool { return sp.Lo == sp.Hi })
+}
+
+// rankGrads writes the last backward pass's parameter gradients into their
+// owners' spans (owners, ownerSpans' cut) of out: the gate's shards and,
+// when written is nil, every expert's. Experts a step's finish tasks wrote
+// (written[e]) are left alone, and one no finish routine ran for — a dead
+// rank's — has its owned span cleared. Nothing outside owned spans is
+// written: that is the gather's to overwrite.
+func (w *World) rankGrads(out [][]float64, owners []gradsync.Span, written []bool) {
+	k, off := 0, 0
+	for _, p := range w.layer.cfg.Gate.Params() {
+		g := p.G.Data()
+		for ; k < len(owners) && owners[k].Hi <= off+len(g); k++ {
+			sp := owners[k]
+			copy(out[sp.Rank][sp.Lo:sp.Hi], g[sp.Lo-off:sp.Hi-off])
 		}
-	})
+		off += len(g)
+	}
+	for e, ex := range w.layer.cfg.Experts {
+		span := out[e/w.egrp][w.gradOff[e]:w.gradOff[e+1]]
+		if written == nil {
+			for _, p := range ex.Params() {
+				span = span[copy(span, p.G.Data()):]
+			}
+		} else if !written[e] {
+			clear(span)
+		}
+	}
 }
