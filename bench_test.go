@@ -214,9 +214,9 @@ func BenchmarkTable6Gatings(b *testing.B) {
 	}
 }
 
-// BenchmarkAlgorithm1 measures the pipeline-degree solver itself (the
-// paper reports ~193 ms per SLSQP solve; this implementation is far
-// cheaper).
+// BenchmarkAlgorithm1 measures the pipeline-degree solver itself: one
+// closed-form evaluation per integer degree up to the cap (the paper
+// reports ~193 ms per continuous solve).
 func BenchmarkAlgorithm1(b *testing.B) {
 	c := topology.TestbedA()
 	s, err := topology.CanonicalScenario(c, 1)

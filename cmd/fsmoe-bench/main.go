@@ -370,8 +370,8 @@ func degrees(sample int) error {
 	hist := map[int]int{}
 	for i := 0; i < len(grid); i += sample {
 		v := workload.VolumesFor(grid[i], s)
-		f := m.FindOptimalPipelineDegree(v, 0, core.Forward, 16)
-		b := m.FindOptimalPipelineDegree(v, 0, core.Backward, 16)
+		f := m.FindOptimalPipelineDegree(v, 0, core.Forward, core.MaxPipelineDegree)
+		b := m.FindOptimalPipelineDegree(v, 0, core.Backward, core.MaxPipelineDegree)
 		if f.R != b.R {
 			differ++
 		}

@@ -158,5 +158,5 @@ func OptimalDegree(c *Cluster, v Volumes, tgar float64, backward bool) DegreeRes
 	if backward {
 		phase = core.Backward
 	}
-	return m.FindOptimalPipelineDegree(v, tgar, phase, 16)
+	return m.FindOptimalPipelineDegree(v, tgar, phase, core.MaxPipelineDegree)
 }

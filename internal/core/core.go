@@ -9,11 +9,19 @@
 //     schedule cases of Fig. 4, the closed-form case objectives, and
 //     Algorithm 1 (FindOptimalPipelineDegree), solved per phase (§4.4);
 //   - the adaptive gradient-partitioning method of §5 (greedy Step 1 over
-//     overlappable windows, differential-evolution Step 2);
+//     overlappable windows, then Step 2's stretch assignment, Eq. 5);
 //   - schedule builders that emit discrete-event graphs (internal/sim) for
 //     FSMoE and for every baseline the paper compares against:
 //     DeepSpeed-MoE, Tutel (PipeMoE), Tutel-Improved, PipeMoE+Lina, and
 //     FSMoE-No-IIO.
+//
+// The paper hands both planning problems to continuous solvers: SLSQP on
+// the four case objectives, rounded to an integer degree (Algorithm 1), and
+// differential evolution for Step 2. Here both minimize the same
+// objectives exactly on their own discrete domains: Algorithm 1 evaluates
+// the piecewise closed form at every integer degree up to the cap, and
+// Step 2 is a dynamic program over a byte grid of step2Quanta equal parts
+// of the remaining gradient pool, one term per layer plus the tail.
 //
 // All durations are milliseconds; volumes are bytes (collectives) or
 // multiply-accumulates (compute).

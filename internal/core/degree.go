@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/solve"
-)
+import "math"
 
 // ScheduleCase identifies which of the four Fig. 4 regimes a pipeline
 // degree falls into.
@@ -100,111 +96,35 @@ func (m Models) PipelineTime(v Volumes, tgar float64, phase Phase, r float64) fl
 	return m.CaseTime(m.Classify(v, tgar, phase, r), v, tgar, phase, r)
 }
 
+// MaxPipelineDegree is the default pipeline-degree cap: the one Algorithm 1
+// and BuildOptions fall back to, and the one the §5 sync and the World
+// planner use.
+const MaxPipelineDegree = 16
+
 // DegreeResult is the outcome of the pipeline-degree optimization.
 type DegreeResult struct {
-	R     int          // chosen pipeline degree
-	TMoE  float64      // predicted MoE-block time at R (closed form)
-	Case  ScheduleCase // regime at R
-	TRCon float64      // continuous minimizer before rounding (diagnostics)
+	R    int          // chosen pipeline degree
+	TMoE float64      // predicted MoE-block time at R (closed form)
+	Case ScheduleCase // regime at R
 }
 
-// FindOptimalPipelineDegree is Algorithm 1: for each of the four case
-// objectives, find the continuous minimizer of its a·r + b/r + c form over
-// the case's feasible region, then take the best across cases and round to
-// the best feasible integer in [1, rMax]. tgar is 0 in the forward phase
-// and the assigned Gradient-AllReduce budget in the backward phase (§4.4,
-// §5).
+// FindOptimalPipelineDegree is Algorithm 1: the integer degree in
+// [1, rMax] minimizing the piecewise closed form t_moe(r) (PipelineTime),
+// the smallest one on ties, found by evaluating every candidate. rMax < 1
+// means MaxPipelineDegree. tgar is 0 in the forward phase and the assigned
+// Gradient-AllReduce budget in the backward phase (§4.4, §5).
 func (m Models) FindOptimalPipelineDegree(v Volumes, tgar float64, phase Phase, rMax int) DegreeResult {
 	if rMax < 1 {
-		rMax = 32
+		rMax = MaxPipelineDegree
 	}
-	lo, hi := 1.0, float64(rMax)
-
-	type cand struct {
-		r float64
-		t float64
-		c ScheduleCase
-	}
-	var cands []cand
-
-	// Decompose each case objective into a·r + b/r + c using the chunked
-	// models (t_*,r = α + βn/r):
-	//   f1 = 2rα_a2a + 2nβ_a2a + tgar                     → a=2α_a2a, b=0
-	//   f2 = rα_exp + (βn)_exp + 2t_a2a,r + t_ag,r + t_rs,r
-	//        → a=α_exp', b=2nβ_a2a + nβ_ag + nβ_rs
-	//   f3 = 2rα_a2a + 2nβ_a2a + t_ag,r + t_rs,r          → a=2α_a2a, b=nβ_ag+nβ_rs
-	//   f4 = r(α_ag+α_rs) + nβ_ag+nβ_rs + 2t_a2a,r        → a=α_ag+α_rs, b=2nβ_a2a
-	expLin, expN := m.expertModel(v, phase)
-	ab := [5][2]float64{
-		Case1: {2 * m.A2A.Alpha, 0},
-		Case2: {expLin.Alpha, 2*v.NA2A*m.A2A.Beta + v.NAG*m.AG.Beta + v.NRS*m.RS.Beta},
-		Case3: {2 * m.A2A.Alpha, v.NAG*m.AG.Beta + v.NRS*m.RS.Beta},
-		Case4: {m.AG.Alpha + m.RS.Alpha, 2 * v.NA2A * m.A2A.Beta},
-	}
-	_ = expN
-	for _, c := range []ScheduleCase{Case1, Case2, Case3, Case4} {
-		a, b := ab[c][0], ab[c][1]
-		rCont := solve.MinimizeRational(a, b, lo, hi)
-		// The analytic minimizer may be infeasible for this case; project
-		// onto the feasible set by scanning (the SLSQP role). Constraint
-		// sets here are unions of intervals in r, so a grid+refine search
-		// is robust.
-		feasObj := func(r float64) float64 {
-			if m.Classify(v, tgar, phase, r) != c {
-				return math.Inf(1)
-			}
-			return m.CaseTime(c, v, tgar, phase, r)
-		}
-		if m.Classify(v, tgar, phase, rCont) == c {
-			cands = append(cands, cand{rCont, m.CaseTime(c, v, tgar, phase, rCont), c})
-			continue
-		}
-		rFeas, tFeas := solve.Minimize1D(feasObj, lo, hi, 4*rMax)
-		if !math.IsInf(tFeas, 1) {
-			cands = append(cands, cand{rFeas, tFeas, c})
-		}
-	}
-
-	best := cand{r: 1, t: math.Inf(1), c: CaseUnknown}
-	for _, c := range cands {
-		if c.t < best.t {
-			best = c
-		}
-	}
-	if math.IsInf(best.t, 1) {
-		// Pathological volumes (e.g. everything zero): fall back to r=1.
-		return DegreeResult{R: 1, TMoE: m.PipelineTime(v, tgar, phase, 1), Case: m.Classify(v, tgar, phase, 1), TRCon: 1}
-	}
-	// Round to the best integer neighbourhood under the true piecewise
-	// objective.
-	bestR, bestT := 1, math.Inf(1)
-	for _, ri := range []int{int(math.Floor(best.r)), int(math.Ceil(best.r)), int(math.Floor(best.r)) - 1, int(math.Ceil(best.r)) + 1} {
-		if ri < 1 || ri > rMax {
-			continue
-		}
-		if t := m.PipelineTime(v, tgar, phase, float64(ri)); t < bestT {
-			bestR, bestT = ri, t
-		}
-	}
-	return DegreeResult{
-		R:     bestR,
-		TMoE:  bestT,
-		Case:  m.Classify(v, tgar, phase, float64(bestR)),
-		TRCon: best.r,
-	}
-}
-
-// BestDegreeExhaustive scans every integer degree in [1, rMax] under the
-// piecewise closed form — the brute-force reference Algorithm 1 is tested
-// against.
-func (m Models) BestDegreeExhaustive(v Volumes, tgar float64, phase Phase, rMax int) DegreeResult {
-	bestR, bestT := 1, math.Inf(1)
+	best := DegreeResult{R: 1, TMoE: math.Inf(1)}
 	for r := 1; r <= rMax; r++ {
-		if t := m.PipelineTime(v, tgar, phase, float64(r)); t < bestT {
-			bestR, bestT = r, t
+		if t := m.PipelineTime(v, tgar, phase, float64(r)); t < best.TMoE {
+			best.R, best.TMoE = r, t
 		}
 	}
-	return DegreeResult{R: bestR, TMoE: bestT, Case: m.Classify(v, tgar, phase, float64(bestR)), TRCon: float64(bestR)}
+	best.Case = m.Classify(v, tgar, phase, float64(best.R))
+	return best
 }
 
 // TOlpMoE is the overlappable time inside the MoE pipeline when tgar=0

@@ -16,9 +16,9 @@ type GridResult struct {
 // (larger groups shrink the AlltoAll peer set but grow the in-group
 // AllGather/ReduceScatter), so each candidate g induces its own Volumes
 // via volsFor and its own 1-D degree optimum. The grid optimum is the
-// (g, r) cell minimizing the closed-form t_moe — the outer loop is exact
-// because group sizes are the few divisors of the rank count, so no
-// continuous relaxation over g is needed.
+// (g, r) cell minimizing the closed-form t_moe, the first one in groups
+// order on ties: both loops are exhaustive, over the few candidate group
+// sizes and the integer degrees.
 //
 // groups lists the candidate group sizes (typically the divisors of the
 // EP world size); volsFor maps a group size to that configuration's
@@ -43,30 +43,6 @@ func (m Models) FindOptimalPipelineGrid(groups []int, volsFor func(g int) Volume
 	if best.G == 0 {
 		v := volsFor(1)
 		return GridResult{G: 1, DegreeResult: m.FindOptimalPipelineDegree(v, tgar, phase, rMax)}
-	}
-	return best
-}
-
-// BestGridExhaustive scans every (g, r) cell of the grid under the
-// piecewise closed form — the brute-force reference the 2-D search is
-// tested against.
-func (m Models) BestGridExhaustive(groups []int, volsFor func(g int) Volumes, tgar float64, phase Phase, rMax int) GridResult {
-	best := GridResult{G: 1, DegreeResult: DegreeResult{R: 1, TMoE: math.Inf(1), Case: CaseUnknown}}
-	for _, g := range groups {
-		if g < 1 {
-			continue
-		}
-		v := volsFor(g)
-		if v.Validate() != nil {
-			continue
-		}
-		for r := 1; r <= rMax; r++ {
-			if t := m.PipelineTime(v, tgar, phase, float64(r)); t < best.TMoE {
-				best = GridResult{G: g, DegreeResult: DegreeResult{
-					R: r, TMoE: t, Case: m.Classify(v, tgar, phase, float64(r)), TRCon: float64(r),
-				}}
-			}
-		}
 	}
 	return best
 }

@@ -1,8 +1,6 @@
 package core
 
-import (
-	"repro/internal/solve"
-)
+import "math"
 
 // LayerSpec is one generalized layer of the model being scheduled.
 type LayerSpec struct {
@@ -51,10 +49,11 @@ func (g *GarPlan) Overlapped() float64 {
 // t_olp_moe (at the tgar=0 optimal degree) and the dense backward block.
 //
 // Step 2 (§5.3): the pool remaining after Step 1 is assigned to the MoE
-// layers as extra tgar budget by differential evolution, minimizing
-// Σ_i f_moe^i(t_ar(x_i)) + t_ar(tail) exactly as Eq. 5 formulates (the
-// extra budget stretches a layer per its case objective, which can still
-// beat paying a fully exposed tail).
+// layers as extra tgar budget, minimizing Σ_i f_moe^i(t_ar(x_i)) +
+// t_ar(tail) as Eq. 5 formulates (the extra budget stretches a layer per
+// its case objective, which can still beat paying a fully exposed tail).
+// The budgets are multiples of 1/step2Quanta of the pool, and the minimum
+// over that grid is exact (allocateQuanta).
 func (m Models) PartitionGradients(layers []LayerSpec, rMax int) *GarPlan {
 	return m.partition(layers, rMax, m.TOlpMoE, true)
 }
@@ -127,59 +126,75 @@ func (m Models) partition(layers []LayerSpec, rMax int, window func(Volumes, Pha
 		return plan
 	}
 
-	// Step 2: distribute the remainder as extra MoE tgar budget via
-	// differential evolution (Eq. 5). Variables are per-layer extra bytes;
-	// any unassigned remainder becomes the tail.
-	if n > 0 {
-		obj := func(x []float64) float64 {
-			used := 0.0
-			total := 0.0
-			for i := range x {
-				xi := x[i]
-				if used+xi > remaining {
-					xi = remaining - used
-					if xi < 0 {
-						xi = 0
-					}
-				}
-				used += xi
-				tg := m.TAR(plan.MoEBytes[i] + xi)
-				deg := m.FindOptimalPipelineDegree(layers[i].V, tg, Backward, rMax)
-				total += deg.TMoE
-			}
-			tail := remaining - used
-			if tail > 0 {
-				total += m.TAR(tail)
-			}
-			return total
+	// Step 2: price every layer at every grid point of extra budget, then
+	// split the pool's quanta between the layers and the tail exactly.
+	q := remaining / step2Quanta
+	cost := make([][]float64, n)
+	for i := range cost {
+		cost[i] = make([]float64, step2Quanta+1)
+		for k := range cost[i] {
+			tg := m.TAR(plan.MoEBytes[i] + float64(k)*q)
+			cost[i][k] = m.FindOptimalPipelineDegree(layers[i].V, tg, Backward, rMax).TMoE
 		}
-		bounds := make([][2]float64, n)
-		for i := range bounds {
-			bounds[i] = [2]float64{0, remaining}
-		}
-		even := make([]float64, n)
-		for i := range even {
-			even[i] = remaining / float64(n)
-		}
-		best, _ := solve.DifferentialEvolution(obj, bounds, solve.DEOptions{
-			Seed: 7, Gens: 60, PopSize: minInt(10*n, 60), TolStall: 12, InitCenter: even,
-		})
-		used := 0.0
-		for i := range best {
-			xi := best[i]
-			if used+xi > remaining {
-				xi = remaining - used
-				if xi < 0 {
-					xi = 0
-				}
-			}
-			plan.MoEBytes[i] += xi
-			used += xi
-		}
-		remaining -= used
 	}
-	plan.TailBytes = remaining
+	tail := make([]float64, step2Quanta+1)
+	for t := 1; t <= step2Quanta; t++ {
+		tail[t] = m.TAR(float64(t) * q)
+	}
+	ks, _ := allocateQuanta(cost, tail)
+	used := 0
+	for i, k := range ks {
+		plan.MoEBytes[i] += float64(k) * q
+		used += k
+	}
+	plan.TailBytes = float64(step2Quanta-used) * q
 	return plan
+}
+
+// step2Quanta is the number of equal parts §5 Step 2 splits the remaining
+// gradient pool into.
+const step2Quanta = 64
+
+// allocateQuanta minimizes Σ_i cost[i][k_i] + tail[K − Σ_i k_i] over
+// integers k_i ≥ 0 with Σ_i k_i ≤ K, where every cost row and tail have
+// K + 1 entries, and returns the k_i and the minimum. It is a dynamic
+// program over the quanta used by layers 0..i: O(n·K²) additions, then a
+// backtrack. Ties go to the larger tail, then to fewer quanta on the
+// higher-indexed layer.
+func allocateQuanta(cost [][]float64, tail []float64) ([]int, float64) {
+	K := len(tail) - 1
+	// best[j] is the least cost of the layers so far using j quanta;
+	// take[i][j] is what layer i took in that optimum.
+	best := make([]float64, K+1)
+	for j := 1; j <= K; j++ {
+		best[j] = math.Inf(1)
+	}
+	next := make([]float64, K+1)
+	take := make([][]int, len(cost))
+	for i, c := range cost {
+		take[i] = make([]int, K+1)
+		for j := range next {
+			next[j] = math.Inf(1)
+			for k := 0; k <= j; k++ {
+				if t := best[j-k] + c[k]; t < next[j] {
+					next[j], take[i][j] = t, k
+				}
+			}
+		}
+		best, next = next, best
+	}
+	j, obj := 0, math.Inf(1)
+	for u := range best {
+		if t := best[u] + tail[K-u]; t < obj {
+			j, obj = u, t
+		}
+	}
+	ks := make([]int, len(cost))
+	for i := len(cost) - 1; i >= 0; i-- {
+		ks[i] = take[i][j]
+		j -= ks[i]
+	}
+	return ks, obj
 }
 
 // FixedChunkGarPlan is the Lina baseline (§6.4): each layer's gradients
@@ -211,13 +226,6 @@ func (m Models) FixedChunkGarPlan(layers []LayerSpec, chunkBytes float64) *GarPl
 }
 
 func min2(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
 	if a < b {
 		return a
 	}

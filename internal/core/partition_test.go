@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -45,6 +48,89 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// TestAllocateQuantaMatchesEnumeration holds Step 2's dynamic program to
+// a brute-force enumeration of the same grid for n ≤ 3 layers: the same
+// objective within 1e-12 relative, a plan that costs what it reports, and
+// the same plan from a second call. Half the cost tables are the ones
+// partition builds for randLayers; half are small integers, full of ties.
+func TestAllocateQuantaMatchesEnumeration(t *testing.T) {
+	m := testModels()
+	const K = step2Quanta
+	f := func(seed uint64) bool {
+		r := xrand.New(seed)
+		n := 1 + r.Intn(3)
+		cost := make([][]float64, n)
+		tail := make([]float64, K+1)
+		if r.Float64() < 0.5 {
+			q := r.Range(1e5, 2e8) / K
+			for i := range cost {
+				v, fill := randVols(r), r.Range(0, 1e7)
+				cost[i] = make([]float64, K+1)
+				for k := range cost[i] {
+					cost[i][k] = m.FindOptimalPipelineDegree(v, m.TAR(fill+float64(k)*q), Backward, 16).TMoE
+				}
+			}
+			for u := 1; u <= K; u++ {
+				tail[u] = m.TAR(float64(u) * q)
+			}
+		} else {
+			for i := range cost {
+				cost[i] = make([]float64, K+1)
+				for k := range cost[i] {
+					cost[i][k] = float64(r.Intn(4))
+				}
+			}
+			for u := 1; u <= K; u++ {
+				tail[u] = float64(r.Intn(4))
+			}
+		}
+
+		ks, obj := allocateQuanta(cost, tail)
+		again, objAgain := allocateQuanta(cost, tail)
+		if !slices.Equal(ks, again) || obj != objAgain {
+			return false
+		}
+		used, planCost := 0, 0.0
+		for i, k := range ks {
+			used += k
+			planCost += cost[i][k]
+		}
+		if used > K || math.Abs(planCost+tail[K-used]-obj) > 1e-12*math.Abs(obj) {
+			return false
+		}
+
+		want := math.Inf(1)
+		var enumerate func(i, left int, acc float64)
+		enumerate = func(i, left int, acc float64) {
+			if i == n {
+				want = math.Min(want, acc+tail[left])
+				return
+			}
+			for k := 0; k <= left; k++ {
+				enumerate(i+1, left-k, acc+cost[i][k])
+			}
+		}
+		enumerate(0, K, 0)
+		return math.Abs(obj-want) <= 1e-12*math.Abs(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPartitionDeterministic: the §5 plan is a function of its inputs; two
+// solves of one instance give the same plan.
+func TestPartitionDeterministic(t *testing.T) {
+	m := testModels()
+	r := xrand.New(21)
+	for trial := 0; trial < 20; trial++ {
+		layers := randLayers(r, 1+r.Intn(6))
+		if a, b := m.PartitionGradients(layers, 8), m.PartitionGradients(layers, 8); !reflect.DeepEqual(a, b) {
+			t.Fatalf("two solves differ: %+v vs %+v", a, b)
+		}
+	}
 }
 
 func TestPartitionEmptyGradients(t *testing.T) {

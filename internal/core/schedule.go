@@ -33,13 +33,13 @@ const DSMoEKernelOverhead = 1.25
 
 // BuildOptions tunes schedule construction.
 type BuildOptions struct {
-	RMax           int     // maximum pipeline degree considered (default 16)
+	RMax           int     // maximum pipeline degree considered (default MaxPipelineDegree)
 	LinaChunkBytes float64 // Lina's fixed chunk size (default 30 MB, §6.4)
 }
 
 func (o BuildOptions) withDefaults() BuildOptions {
 	if o.RMax <= 0 {
-		o.RMax = 16
+		o.RMax = MaxPipelineDegree
 	}
 	if o.LinaChunkBytes <= 0 {
 		o.LinaChunkBytes = 30e6

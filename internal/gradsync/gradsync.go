@@ -47,7 +47,7 @@ type Strategy string
 const (
 	// StrategyFSMoE is §5's adaptive partitioning: per-layer hidden byte
 	// budgets from core.PartitionGradients (greedy window fill plus the
-	// differential-evolution stretch assignment).
+	// Step-2 stretch assignment).
 	StrategyFSMoE Strategy = "fsmoe-adaptive"
 	// StrategyFixedChunk is the Lina baseline (§6.4): every pending
 	// gradient is launched as fixed-size chunks as soon as it exists,
@@ -80,7 +80,6 @@ type LayerSpec struct {
 type Config struct {
 	Strategy    Strategy
 	Models      core.Models // performance models driving the GarPlan and task estimates
-	RMax        int         // Algorithm-1 degree cap (default 16)
 	ChunkBytes  float64     // StrategyFixedChunk chunk size (default 30 MiB, the paper's Lina setting)
 	Slices      int         // AllReduce slices per hidden window (default 4)
 	ElemBytes   float64     // accounting bytes per gradient element (default 4, fp32 master grads)
@@ -90,9 +89,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Strategy == "" {
 		c.Strategy = StrategyFSMoE
-	}
-	if c.RMax < 1 {
-		c.RMax = 16
 	}
 	if c.ChunkBytes <= 0 {
 		c.ChunkBytes = 30 << 20
@@ -210,8 +206,8 @@ func (n *sliceNames) of(sl pendingRange) string {
 type Update func(layer, rank, lo, hi int)
 
 // Solve validates the layer specs and computes the strategy's byte plan —
-// for StrategyFSMoE the §5 differential-evolution partition, the one
-// expensive call of the package.
+// for StrategyFSMoE the §5 partition, the one expensive call of the
+// package.
 func Solve(cfg Config, specs []LayerSpec) (*Plan, error) {
 	cfg = cfg.withDefaults()
 	if len(specs) == 0 {
@@ -237,7 +233,7 @@ func Solve(cfg Config, specs []LayerSpec) (*Plan, error) {
 	}
 	switch cfg.Strategy {
 	case StrategyFSMoE:
-		p.gar = cfg.Models.PartitionGradients(cores, cfg.RMax)
+		p.gar = cfg.Models.PartitionGradients(cores, core.MaxPipelineDegree)
 	case StrategyFixedChunk:
 		p.gar = cfg.Models.FixedChunkGarPlan(cores, cfg.ChunkBytes)
 	case StrategyNoOverlap:

@@ -14,12 +14,9 @@ import (
 // The planner's cost model, defined once: Algorithm 1 (the StrategyAuto
 // grid and the automatic pipeline degrees) and the §5 partition of every
 // step plan on Testbed A's fitted §4.1 models, with the pipeline degree
-// capped at plannerRMax. The models describe the paper's cluster, not the
-// machine the worlds run on.
+// capped at core.MaxPipelineDegree. The models describe the paper's
+// cluster, not the machine the worlds run on.
 var plannerModels = core.ModelsFromCluster(topology.TestbedA())
-
-// plannerRMax is Algorithm 1's pipeline-degree cap.
-const plannerRMax = 16
 
 // The accounting units of every volume the planner derives: fp16
 // activations on the wire, fp32 master gradients (matching
@@ -143,8 +140,8 @@ func divisors(n int) []int {
 // phaseDegrees runs Algorithm 1 for both phases on one volume set, on the
 // planner's cost model.
 func phaseDegrees(v core.Volumes) (f, b core.DegreeResult) {
-	f = plannerModels.FindOptimalPipelineDegree(v, 0, core.Forward, plannerRMax)
-	b = plannerModels.FindOptimalPipelineDegree(v, 0, core.Backward, plannerRMax)
+	f = plannerModels.FindOptimalPipelineDegree(v, 0, core.Forward, core.MaxPipelineDegree)
+	b = plannerModels.FindOptimalPipelineDegree(v, 0, core.Backward, core.MaxPipelineDegree)
 	return f, b
 }
 

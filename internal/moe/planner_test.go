@@ -60,6 +60,14 @@ func shapeLayer(t *testing.T, m, h int, gate string, mixtral bool, seed uint64) 
 // tail's bytes and the AllReduce slices emitted into the plans. They follow
 // from the step's volumes (stepVolumes) and the partition alone, so a change
 // to how a layer's volumes are derived that moves a byte shows here.
+//
+// Step 2's objective (Eq. 5) is flat around the optima of ep_compute and
+// mixed_ckpt: every layer Case 1 prices (t_moe = 2r·t_a2a + tgar) pays the
+// same for a byte, so bytes move between those layers' windows at equal
+// cost, and the pinned plan is the point core's Step-2 tie rule picks.
+// The differential-evolution solve these values replaced picked other
+// points of the same flats, at equal objectives (5.643873216 and
+// 6.478312192 ms): hidden 1977636 and 3005768, tail 2796252 and 1246392.
 func TestStepVolumesPinned(t *testing.T) {
 	type layer struct {
 		gate  string
@@ -76,14 +84,14 @@ func TestStepVolumesPinned(t *testing.T) {
 		slices       int
 	}{
 		{"ep_tokens", 512, 16, 384, 4, []layer{ep, ep, ep}, 1147904, 573952, 8},
-		{"ep_compute", 64, 384, 256, 2, []layer{ep, ep, ep}, 1977636, 2796252, 9},
+		{"ep_compute", 64, 384, 256, 2, []layer{ep, ep, ep}, 3182592, 1591296, 9},
 		{"ep_params", 256, 320, 64, 2, []layer{ep, ep}, 5277696, 5277696, 4},
 		{"mixed_ckpt", 128, 128, 160, 2, []layer{
 			ep,
 			{"xmoe", StrategyESP, 0},
 			{"sigmoid", StrategyHybrid, 2},
 			{"softmoe", StrategyDenseSlots, 0},
-		}, 3005768, 1246392, 14},
+		}, 3187200, 1064960, 14},
 	} {
 		t.Run(wl.name, func(t *testing.T) {
 			worlds := make([]*World, len(wl.layers))

@@ -81,7 +81,7 @@ func freshGar(t *testing.T, fresh []*World, x *tensor.Tensor, cfg StepConfig) *c
 		cur = y
 	}
 	s, err := gradsync.New(gradsync.Config{
-		Strategy: cfg.Strategy, Models: plannerModels, RMax: plannerRMax, ChunkBytes: cfg.ChunkBytes,
+		Strategy: cfg.Strategy, Models: plannerModels, ChunkBytes: cfg.ChunkBytes,
 		Slices: cfg.Slices, ElemBytes: gradElemBytes, GPUsPerNode: fresh[0].cfg.GPUsPerNode,
 	}, specs)
 	if err != nil {

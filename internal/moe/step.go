@@ -397,7 +397,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 
 // syncConfig is the §5 sync configuration of a stack stepped under cfg.
 func syncConfig(worlds []*World, cfg StepConfig) gradsync.Config {
-	return gradsync.Config{Strategy: cfg.Strategy, Models: plannerModels, RMax: plannerRMax, ChunkBytes: cfg.ChunkBytes,
+	return gradsync.Config{Strategy: cfg.Strategy, Models: plannerModels, ChunkBytes: cfg.ChunkBytes,
 		Slices: cfg.Slices, ElemBytes: gradElemBytes, GPUsPerNode: worlds[0].cfg.GPUsPerNode}
 }
 

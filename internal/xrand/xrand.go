@@ -6,8 +6,7 @@
 // so every run of every experiment must observe identical pseudo-random
 // streams. math/rand would work, but a local implementation guarantees the
 // stream is stable across Go releases and lets us derive independent
-// sub-streams cheaply (Split), which the workload generator and the
-// differential-evolution solver rely on.
+// sub-streams cheaply (Split), as the GShard gate does for its noise.
 package xrand
 
 import "math"
