@@ -141,7 +141,7 @@ func (m Models) partition(layers []LayerSpec, rMax int, window func(Volumes, Pha
 	for t := 1; t <= step2Quanta; t++ {
 		tail[t] = m.TAR(float64(t) * q)
 	}
-	ks, _ := allocateQuanta(cost, tail)
+	ks := allocateQuanta(cost, tail)
 	used := 0
 	for i, k := range ks {
 		plan.MoEBytes[i] += float64(k) * q
@@ -157,11 +157,10 @@ const step2Quanta = 64
 
 // allocateQuanta minimizes Σ_i cost[i][k_i] + tail[K − Σ_i k_i] over
 // integers k_i ≥ 0 with Σ_i k_i ≤ K, where every cost row and tail have
-// K + 1 entries, and returns the k_i and the minimum. It is a dynamic
-// program over the quanta used by layers 0..i: O(n·K²) additions, then a
-// backtrack. Ties go to the larger tail, then to fewer quanta on the
-// higher-indexed layer.
-func allocateQuanta(cost [][]float64, tail []float64) ([]int, float64) {
+// K + 1 entries, and returns the k_i. It is a dynamic program over the
+// quanta used by layers 0..i: O(n·K²) additions, then a backtrack. Ties go
+// to the larger tail, then to fewer quanta on the higher-indexed layer.
+func allocateQuanta(cost [][]float64, tail []float64) []int {
 	K := len(tail) - 1
 	// best[j] is the least cost of the layers so far using j quanta;
 	// take[i][j] is what layer i took in that optimum.
@@ -194,7 +193,7 @@ func allocateQuanta(cost [][]float64, tail []float64) ([]int, float64) {
 		ks[i] = take[i][j]
 		j -= ks[i]
 	}
-	return ks, obj
+	return ks
 }
 
 // FixedChunkGarPlan is the Lina baseline (§6.4): each layer's gradients

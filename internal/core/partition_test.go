@@ -51,9 +51,9 @@ func abs(x float64) float64 {
 }
 
 // TestAllocateQuantaMatchesEnumeration holds Step 2's dynamic program to
-// a brute-force enumeration of the same grid for n ≤ 3 layers: the same
-// objective within 1e-12 relative, a plan that costs what it reports, and
-// the same plan from a second call. Half the cost tables are the ones
+// a brute-force enumeration of the same grid for n ≤ 3 layers: a plan
+// within the K quanta whose objective is the enumeration's minimum within
+// 1e-12 relative, and the same plan from a second call. Half the cost tables are the ones
 // partition builds for randLayers; half are small integers, full of ties.
 func TestAllocateQuantaMatchesEnumeration(t *testing.T) {
 	m := testModels()
@@ -87,19 +87,19 @@ func TestAllocateQuantaMatchesEnumeration(t *testing.T) {
 			}
 		}
 
-		ks, obj := allocateQuanta(cost, tail)
-		again, objAgain := allocateQuanta(cost, tail)
-		if !slices.Equal(ks, again) || obj != objAgain {
+		ks := allocateQuanta(cost, tail)
+		if !slices.Equal(ks, allocateQuanta(cost, tail)) {
 			return false
 		}
-		used, planCost := 0, 0.0
+		used, obj := 0, 0.0
 		for i, k := range ks {
 			used += k
-			planCost += cost[i][k]
+			obj += cost[i][k]
 		}
-		if used > K || math.Abs(planCost+tail[K-used]-obj) > 1e-12*math.Abs(obj) {
+		if used > K {
 			return false
 		}
+		obj += tail[K-used]
 
 		want := math.Inf(1)
 		var enumerate func(i, left int, acc float64)
