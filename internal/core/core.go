@@ -20,7 +20,7 @@
 // differential evolution for Step 2. Here both minimize the same
 // objectives exactly on their own discrete domains: Algorithm 1 evaluates
 // the piecewise closed form at every integer degree up to the cap, and
-// Step 2 is a dynamic program over a byte grid of step2Quanta equal parts
+// Step 2 is a dynamic program over a byte grid of 64 equal parts
 // of the remaining gradient pool, one term per layer plus the tail.
 //
 // All durations are milliseconds; volumes are bytes (collectives) or
