@@ -62,6 +62,40 @@ func TestCaseTimeUnknownIsInf(t *testing.T) {
 	}
 }
 
+// TestAlgorithm1MatchesExhaustive: Algorithm 1 must return exactly the
+// cell a brute-force scan of the piecewise objective finds over the
+// integer degrees in [1, rMax] — the smallest degree on ties — with the
+// time and the case the closed form gives at that degree.
+func TestAlgorithm1MatchesExhaustive(t *testing.T) {
+	m := testModels()
+	f := func(seed uint64) bool {
+		r := xrand.New(seed)
+		v := randVols(r)
+		tgar := 0.0
+		if r.Float64() < 0.5 {
+			tgar = r.Range(0, 20)
+		}
+		phase := Forward
+		if r.Float64() < 0.5 {
+			phase = Backward
+		}
+		rMax := 1 + r.Intn(MaxPipelineDegree)
+		wantR, wantT := 0, math.Inf(1)
+		for d := 1; d <= rMax; d++ {
+			c := m.Classify(v, tgar, phase, float64(d))
+			if t := m.CaseTime(c, v, tgar, phase, float64(d)); t < wantT {
+				wantR, wantT = d, t
+			}
+		}
+		alg := m.FindOptimalPipelineDegree(v, tgar, phase, rMax)
+		return alg.R == wantR && alg.TMoE == wantT &&
+			alg.Case == m.Classify(v, tgar, phase, float64(wantR))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAlgorithm1DegreeNearDESOptimal: the degree Algorithm 1 picks must be
 // near-optimal on the actual discrete-event schedule, not just on its own
 // closed form — the end-to-end soundness check.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/xrand"
 )
@@ -20,6 +22,44 @@ func hybridVolsFor(r *xrand.RNG) func(g int) Volumes {
 		v.NAG = base.NAG*f + hidden*f
 		v.NRS = base.NRS * f
 		return v
+	}
+}
+
+// TestGridMatchesExhaustive: the 2-D search must return exactly the
+// (g, r) cell a brute-force scan of every cell finds under the piecewise
+// closed form, the first in groups order and then the smallest degree on
+// ties.
+func TestGridMatchesExhaustive(t *testing.T) {
+	m := testModels()
+	groups := []int{1, 2, 4, 8}
+	f := func(seed uint64) bool {
+		r := xrand.New(seed)
+		volsFor := hybridVolsFor(r)
+		tgar := 0.0
+		if r.Float64() < 0.5 {
+			tgar = r.Range(0, 20)
+		}
+		phase := Forward
+		if r.Float64() < 0.5 {
+			phase = Backward
+		}
+		wantG, wantR, wantT := 0, 0, math.Inf(1)
+		for _, g := range groups {
+			v := volsFor(g)
+			if v.Validate() != nil {
+				continue
+			}
+			for d := 1; d <= MaxPipelineDegree; d++ {
+				if t := m.PipelineTime(v, tgar, phase, float64(d)); t < wantT {
+					wantG, wantR, wantT = g, d, t
+				}
+			}
+		}
+		alg := m.FindOptimalPipelineGrid(groups, volsFor, tgar, phase, MaxPipelineDegree)
+		return alg.G == wantG && alg.R == wantR && alg.TMoE == wantT
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
