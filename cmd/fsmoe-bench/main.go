@@ -28,7 +28,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/fsmoe"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
 	"repro/internal/report"
@@ -49,11 +48,6 @@ var (
 
 func main() {
 	flag.Parse()
-
-	// Every measured experiment runs with static plan verification on: a
-	// malformed schedule fails the experiment with a named error instead
-	// of deadlocking or mis-aggregating (see runtime.Plan.Verify).
-	fsmoe.SetVerifyPlans(true)
 
 	// Validate up front so a typo fails with the full menu instead of a
 	// bare "unknown experiment" at dispatch time.

@@ -377,10 +377,10 @@
 //
 // # Plan verification
 //
-// SetVerifyPlans(true) runs runtime.Plan.Verify on every stream plan a
-// World builds before it executes: dependency indices in range and
-// acyclic, streams declared, task kinds canonical,
-// estimates non-negative — each violation a named sentinel error, all
-// violations joined. The flag is off by default (Verify walks the whole
-// task table); the test suites and CI run with it on.
+// Every stream plan a World builds is checked task by task as it is built:
+// runtime.Plan.Add panics on a task kind outside the canonical set, a
+// negative estimate, or a dependency on a task not yet added. A plan is
+// therefore well formed by construction: ids are topological, every task
+// sits on its stream's queue, and no cycle can form, so the executor
+// cannot deadlock.
 package fsmoe

@@ -45,15 +45,16 @@ const (
 )
 
 // StepStack runs one training step over a stack of Worlds (layer i feeds
-// layer i+1): forward, backward in reverse with the §5 Gradient-AllReduce
+// layer i+1): forward, backward in reverse with the §5 gradient sync
 // overlapped into each backward stream plan per cfg.Strategy and the
-// exposed tail, every AllReduce slice applying the SGD update to what it
-// reduced. The step's expert gradients live in the stack's resident
-// buffers, not in Param.G. The AllReduce sums each rank's disjoint
-// partial contribution, reconstructing the full-batch gradient exactly
-// (no 1/R scaling — the per-rank partials already split one batch), so
-// every rank ends with bit-identical parameters under every strategy;
-// only the measured wall time differs. The §5 byte plan is solved on the
+// exposed tail, every sync slice applying the SGD update to what it
+// carries. The step's expert gradients live in the stack's resident
+// buffers, not in Param.G. Every gradient element has one contributor, its
+// owner rank, so the sync is an owner gather: each slice is stepped once,
+// on its owner (no 1/R scaling — the per-rank gradients already split one
+// batch), and broadcast to every other rank, so every rank ends with
+// bit-identical parameters under every strategy; only the measured wall
+// time differs. The §5 byte plan is solved on the
 // first step and again only when the sync configuration or a layer's
 // shapes change; see "Training steps and resident state" in the package
 // documentation for what the stack keeps between steps and who owns it.

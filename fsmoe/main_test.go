@@ -14,12 +14,9 @@ import (
 //go:linkname moePoisonWorkspaces repro/internal/moe.poisonWorkspaces
 var moePoisonWorkspaces atomic.Bool
 
-// TestMain enables static plan verification through the public toggle, so
-// every World any test builds has its stream plans structurally checked
-// before execution, and workspace poisoning, so every token-path buffer a
-// pass takes from its world comes back full of NaN.
+// TestMain enables workspace poisoning, so every token-path buffer a pass
+// takes from its world comes back full of NaN.
 func TestMain(m *testing.M) {
-	SetVerifyPlans(true)
 	moePoisonWorkspaces.Store(true)
 	os.Exit(m.Run())
 }

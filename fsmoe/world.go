@@ -80,15 +80,6 @@ func NewFaultPlan(s FaultSpec) *FaultPlan { return fault.New(s) }
 func IsTransient(err error) bool { return fault.IsTransient(err) }
 func IsPermanent(err error) bool { return fault.IsPermanent(err) }
 
-// SetVerifyPlans toggles static verification (runtime.Plan.Verify) of
-// every stream plan a World builds, process-wide: with the flag on, a
-// malformed schedule — out-of-range or cyclic dependencies, an undeclared
-// stream, a non-canonical task kind, a negative estimate — fails fast at
-// construction with a named error instead of deadlocking or silently
-// mis-aggregating mid-run. Off by default; tests and benchmarks turn it
-// on.
-func SetVerifyPlans(on bool) { moe.SetVerifyPlans(on) }
-
 // Trace event types recorded on measured traces during fault injection.
 const (
 	EventFault     = sim.EventFault

@@ -67,10 +67,6 @@ const KindAllReduce = sim.KindAllReduce
 type LayerSpec struct {
 	// Elems is the layer's flattened gradient length (per rank).
 	Elems int
-	// DenseElems is the leading prefix attributed to the dense (gate)
-	// sub-model; the remainder is expert gradient. It only steers the
-	// byte accounting — slicing treats the buffer uniformly.
-	DenseElems int
 	// V is the §5 byte accounting PartitionGradients consumes. V.GradBytes
 	// should equal Elems·ElemBytes for the plan to conserve volume.
 	V core.Volumes
@@ -216,9 +212,6 @@ func Solve(cfg Config, specs []LayerSpec) (*Plan, error) {
 	for i, sp := range specs {
 		if sp.Elems <= 0 {
 			return nil, fmt.Errorf("gradsync: layer %d has %d gradient elements", i, sp.Elems)
-		}
-		if sp.DenseElems < 0 || sp.DenseElems > sp.Elems {
-			return nil, fmt.Errorf("gradsync: layer %d dense prefix %d outside [0,%d]", i, sp.DenseElems, sp.Elems)
 		}
 		if err := sp.V.Validate(); err != nil {
 			return nil, err

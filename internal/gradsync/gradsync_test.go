@@ -19,13 +19,12 @@ import (
 
 // testSpecs builds L layers of n elements with simulator-consistent byte
 // accounting on Testbed A's models.
-func testSpecs(l, n, dense int) (Config, []LayerSpec) {
+func testSpecs(l, n int) (Config, []LayerSpec) {
 	cfg := Config{Models: core.ModelsFromCluster(topology.TestbedA()), ElemBytes: 4, Slices: 3}
 	specs := make([]LayerSpec, l)
 	for i := range specs {
 		specs[i] = LayerSpec{
-			Elems:      n,
-			DenseElems: dense,
+			Elems: n,
 			V: core.Volumes{
 				NA2A: 1e6, NAG: 1e5, NRS: 1e5, ExpMACs: 1e8, ExpGEMMs: 2,
 				DenseFwd: 0.1, DenseBwd: 0.3,
@@ -81,7 +80,7 @@ func driveBackward(t *testing.T, s *Syncer, layers int, grads [][][]float64, own
 func TestSyncerStrategiesBitIdentical(t *testing.T) {
 	const layers, ranks, n = 3, 4, 501
 	for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {
-		cfg, specs := testSpecs(layers, n, 40)
+		cfg, specs := testSpecs(layers, n)
 		cfg.Strategy = strat
 		cfg.ChunkBytes = 256 * 4 // small fixed chunks so Lina actually slices
 		s, err := New(cfg, specs)
@@ -137,7 +136,7 @@ func TestSyncerStrategiesBitIdentical(t *testing.T) {
 // windows, the adaptive plan must hide a positive share inside the plans.
 func TestSyncerFSMoEHidesBytes(t *testing.T) {
 	const layers, ranks, n = 4, 2, 2048
-	cfg, specs := testSpecs(layers, n, 100)
+	cfg, specs := testSpecs(layers, n)
 	s, err := New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -162,14 +161,14 @@ func TestSyncerFSMoEHidesBytes(t *testing.T) {
 
 // TestSyncerValidation covers construction and protocol errors.
 func TestSyncerValidation(t *testing.T) {
-	cfg, specs := testSpecs(2, 64, 8)
+	cfg, specs := testSpecs(2, 64)
 	if _, err := New(cfg, nil); err == nil {
 		t.Fatal("no layers must fail")
 	}
 	bad := append([]LayerSpec(nil), specs...)
-	bad[0].DenseElems = 1000
+	bad[0].Elems = 0
 	if _, err := New(cfg, bad); err == nil {
-		t.Fatal("dense prefix past the layer must fail")
+		t.Fatal("a layer with no gradient elements must fail")
 	}
 	cfg.Strategy = "warp-drive"
 	if _, err := New(cfg, specs); err == nil {
@@ -215,7 +214,7 @@ func TestSyncerValidation(t *testing.T) {
 // every byte, so the synchronized gradients stay exact.
 func TestSyncerAbortedPlanReclaimsSlices(t *testing.T) {
 	const layers, ranks, n = 2, 4, 800
-	cfg, specs := testSpecs(layers, n, 40)
+	cfg, specs := testSpecs(layers, n)
 	cfg.Strategy = StrategyFSMoE
 	s, err := New(cfg, specs)
 	if err != nil {
@@ -290,7 +289,7 @@ func TestSyncerUpdateOncePerElement(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	const layers, ranks, n, lr = 3, 4, 501, 0.25
 	for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {
-		cfg, specs := testSpecs(layers, n, 40)
+		cfg, specs := testSpecs(layers, n)
 		cfg.Strategy = strat
 		cfg.ChunkBytes = 256 * 4
 		plan, err := Solve(cfg, specs)
@@ -372,7 +371,7 @@ func TestFinishParallelMatchesSerial(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	const layers, ranks, n, lr = 3, 4, 5*comm.RingTile + 123, 0.25
 	for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {
-		cfg, specs := testSpecs(layers, n, 40)
+		cfg, specs := testSpecs(layers, n)
 		cfg.Strategy = strat
 		cfg.ChunkBytes = float64(2*comm.RingTile+77) * cfg.ElemBytes
 		plan, err := Solve(cfg, specs)
@@ -444,7 +443,7 @@ func TestFinishRaggedLayerJoinsEveryPiece(t *testing.T) {
 	tensor.SetWorkers(4)
 	tensor.ParallelRange(8, func(lo, hi int) {}) // start the pool's workers before counting
 	const layers, ranks, n = 3, 4, 4 * comm.RingTile
-	cfg, specs := testSpecs(layers, n, 40)
+	cfg, specs := testSpecs(layers, n)
 	cfg.Strategy = StrategyNoOverlap
 	s, err := New(cfg, specs)
 	if err != nil {
@@ -482,7 +481,7 @@ func TestFinishRaggedLayerJoinsEveryPiece(t *testing.T) {
 // overlap, are empty, stop short of or run past the layer, or name a rank
 // that was not collected are refused, and the layer stays uncollected.
 func TestCollectValidatesOwners(t *testing.T) {
-	cfg, specs := testSpecs(1, 10, 2)
+	cfg, specs := testSpecs(1, 10)
 	s, err := New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -542,7 +541,7 @@ func TestGatherNegativeZero(t *testing.T) {
 			tensor.StepRow(ringW, ring[0], lr)
 			update = func(_, rank, lo, hi int) { tensor.StepRow(weights[lo:hi], grads[rank][lo:hi], lr) }
 		}
-		cfg, specs := testSpecs(1, n, 0)
+		cfg, specs := testSpecs(1, n)
 		cfg.Strategy = StrategyNoOverlap
 		plan, err := Solve(cfg, specs)
 		if err != nil {

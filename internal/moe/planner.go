@@ -248,7 +248,7 @@ func hybridLayerVolumes(l *MOELayer, tokens, ranks, g int) core.Volumes {
 func stepVolumes(w *World, tpad int) core.Volumes {
 	nA2A := float64(tpad*w.egrp*w.layer.cfg.M) * actElemBytes // per-rank wire volume of one A2A
 	work := w.layer.expertWork(tpad)
-	total, _ := w.gradElems()
+	total := w.gradElems()
 	return core.Volumes{
 		NA2A:      nA2A,
 		NAG:       nA2A,

@@ -76,8 +76,7 @@ func freshGar(t *testing.T, fresh []*World, x *tensor.Tensor, cfg StepConfig) *c
 		if err != nil {
 			t.Fatal(err)
 		}
-		total, dense := w.gradElems()
-		specs[i] = gradsync.LayerSpec{Elems: total, DenseElems: dense, V: stepVolumes(w, cache.tpad)}
+		specs[i] = gradsync.LayerSpec{Elems: w.gradElems(), V: stepVolumes(w, cache.tpad)}
 		cur = y
 	}
 	s, err := gradsync.New(gradsync.Config{
@@ -200,8 +199,6 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 // batch-sized allocation per layer; the parameter stack's bounds are the same
 // in both modes.
 func TestStepAllocationBound(t *testing.T) {
-	SetVerifyPlans(false) // Verify's graph is test-only allocation
-	defer SetVerifyPlans(true)
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1 // every allocation is sampled: sites() below is exact
 	const layers, ranks = 2, 4
@@ -222,7 +219,7 @@ func TestStepAllocationBound(t *testing.T) {
 			}
 			defer w.Close()
 			ws[i] = w
-			total, _ := w.gradElems()
+			total := w.gradElems()
 			params += total
 		}
 		x := tensor.RandN(xrand.New(321), 1, tc.n, tc.m)

@@ -178,8 +178,7 @@ func residentFor(worlds []*World) *resident {
 	total := 0
 	for i, w := range worlds {
 		fits = fits && slices.Equal(st.grads[i].off, w.gradOff)
-		n, _ := w.gradElems()
-		total += n
+		total += w.gradElems()
 	}
 	if fits {
 		return st
@@ -195,7 +194,7 @@ func residentFor(worlds []*World) *resident {
 	}
 	off := 0
 	for i, w := range worlds {
-		n, _ := w.gradElems()
+		n := w.gradElems()
 		st.views[i] = make([][]float64, ranks)
 		for r, a := range st.arena {
 			st.views[i][r] = a[off : off+n : off+n]
@@ -304,8 +303,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	// solved for — another batch capacity, another StepConfig, a recovery
 	// to R′.
 	for i, w := range worlds {
-		total, dense := w.gradElems()
-		st.specs[i] = gradsync.LayerSpec{Elems: total, DenseElems: dense, V: stepVolumes(w, caches[i].tpad)}
+		st.specs[i] = gradsync.LayerSpec{Elems: w.gradElems(), V: stepVolumes(w, caches[i].tpad)}
 		st.params[i] = w.layer.appendParams(st.params[i][:0])
 	}
 	var err error
@@ -516,10 +514,9 @@ func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	}
 	st := residentFor(worlds)
 	for i, w := range worlds {
-		total, dense := w.gradElems()
 		// No forward cache here; account A2A volumes at the nominal padded
 		// capacity of zero — only GradBytes matters for a tail-only sync.
-		st.specs[i] = gradsync.LayerSpec{Elems: total, DenseElems: dense, V: stepVolumes(w, 0)}
+		st.specs[i] = gradsync.LayerSpec{Elems: w.gradElems(), V: stepVolumes(w, 0)}
 	}
 	cfg.Strategy = gradsync.StrategyNoOverlap
 	syncer, err := gradsync.New(syncConfig(worlds, cfg), st.specs)

@@ -7,7 +7,6 @@ import (
 	goruntime "runtime"
 	"slices"
 	stdsync "sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ckpt"
@@ -58,8 +57,21 @@ type World struct {
 	// first backward hands one back and while a forward cache holds it.
 	ws *workspace
 
-	seq      bool // execute plans sequentially (no-overlap baseline)
-	sync     BackwardSyncer
+	seq bool // execute plans sequentially (no-overlap baseline)
+
+	// sync receives the inter-stream emit points while a backward plan is
+	// under construction — the executable seam for §5's Gradient-AllReduce
+	// overlap; nil outside StepWorlds' backward. BeginLayer announces how
+	// many points the plan will offer; EmitAt may then append tasks to the
+	// plan on the shared inter stream at each point. Every strategy offers
+	// point 0 in the slack before its first outbound gradient collective
+	// and point c ≥ 1 after the c-th one, so emitted tasks contend with the
+	// layer's own inter-node chunks exactly as §5 budgets for (under ESP
+	// the inter stream carries no AlltoAll at all, so the slices overlap
+	// the intra-stream AllGather/ReduceScatter freely — the §4 inter/intra
+	// co-scheduling).
+	sync *gradsync.Syncer
+
 	statsMu  stdsync.Mutex
 	stats    comm.Stats
 	lastPlan *runtime.Plan
@@ -103,21 +115,6 @@ type World struct {
 	// ckpt is the checkpoint manager a step of this world's stack last
 	// started a commit on; Close drains it.
 	ckpt *ckpt.Manager
-}
-
-// BackwardSyncer receives inter-stream emit points while a backward plan
-// is under construction — the executable seam for §5's Gradient-AllReduce
-// overlap. BeginLayer announces how many points the plan will offer;
-// EmitAt may then append tasks to the plan on the shared inter stream at
-// each point. Every strategy offers point 0 in the slack before its first
-// outbound gradient collective and point c ≥ 1 after the c-th one, so
-// emitted tasks contend with the layer's own inter-node chunks exactly as
-// §5 budgets for (under ESP the inter stream carries no AlltoAll at all,
-// so the slices overlap the intra-stream AllGather/ReduceScatter freely —
-// the §4 inter/intra co-scheduling).
-type BackwardSyncer interface {
-	BeginLayer(points int)
-	EmitAt(p *runtime.Plan, stream string, point int)
 }
 
 // WorldConfig configures multi-rank pipelined execution of a layer.
@@ -399,25 +396,10 @@ const (
 	KindExpert = sim.KindExperts
 )
 
-// verifyPlans gates runtime.Plan.Verify on every plan the World builds: a
-// debug flag (off by default — Verify walks the whole task table) tests
-// and the benchmarks turn on to catch malformed schedules at construction
-// instead of mid-execution.
-var verifyPlans atomic.Bool
-
-// SetVerifyPlans toggles static verification of every constructed plan
-// before it executes (process-wide).
-func SetVerifyPlans(on bool) { verifyPlans.Store(on) }
-
 // run executes a plan under the current mode — threading the fault
 // injector, retry policy and deadline in — records it, and returns the
 // joined task errors.
 func (w *World) run(p *runtime.Plan) error {
-	if verifyPlans.Load() {
-		if err := p.Verify(); err != nil {
-			return fmt.Errorf("moe: plan verification failed: %w", err)
-		}
-	}
 	if w.faults != nil {
 		p.SetFaultPlan(w.faults)
 	}
@@ -583,14 +565,10 @@ func (w *World) addStats(st comm.Stats) {
 	w.statsMu.Unlock()
 }
 
-// gradElems returns the layer's flattened gradient length and the length
-// of its leading dense (gate) prefix — the same dense/MoE split the §5
-// simulator models with LayerSpec volumes. The flat layout is gate
-// parameters in Params() order followed by each expert's parameters in
-// expert-index order, matching MOELayer.Params.
-func (w *World) gradElems() (total, dense int) {
-	return w.gradOff[len(w.gradOff)-1], w.gradOff[0]
-}
+// gradElems returns the layer's flattened gradient length. The flat layout
+// is gate parameters in Params() order followed by each expert's
+// parameters in expert-index order, matching MOELayer.Params.
+func (w *World) gradElems() int { return w.gradOff[len(w.gradOff)-1] }
 
 // countGradElems walks the parameter list once for gradElems and rankGrads;
 // NewWorld and the Recover commit call it, the step path only reads the

@@ -39,9 +39,9 @@ func TestExecuteJoinsAllErrors(t *testing.T) {
 	p := NewPlan()
 	errA := errors.New("stream a broke")
 	errB := errors.New("stream b broke")
-	p.Add("A", "K", "s1", 1, func() error { return errA })
-	p.Add("B", "K", "s2", 1, func() error { return errB })
-	p.Add("C", "K", "s3", 1, nil)
+	p.Add("A", sim.KindPack, "s1", 1, func() error { return errA })
+	p.Add("B", sim.KindPack, "s2", 1, func() error { return errB })
+	p.Add("C", sim.KindPack, "s3", 1, nil)
 	_, err := p.Execute()
 	if !errors.Is(err, errA) || !errors.Is(err, errB) {
 		t.Fatalf("joined error lost a stream failure: %v", err)
@@ -183,12 +183,12 @@ func TestExecuteCtxCancel(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var late int32
-	first := p.Add("slow", "K", "s", 1, func() error {
+	first := p.Add("slow", sim.KindPack, "s", 1, func() error {
 		close(started)
 		<-release
 		return nil
 	})
-	p.Add("next", "K", "s", 1, func() error {
+	p.Add("next", sim.KindPack, "s", 1, func() error {
 		atomic.AddInt32(&late, 1)
 		return nil
 	}, first)
@@ -320,7 +320,7 @@ func TestSequentialIsOneWorker(t *testing.T) {
 func TestStragglerDelays(t *testing.T) {
 	defer leakCheck(t)()
 	p := NewPlan()
-	p.Add("T", "K", "s", 1, nil)
+	p.Add("T", sim.KindPack, "s", 1, nil)
 	p.SetFaultPlan(fault.New(fault.Spec{Seed: 6, StragglerProb: 1, StragglerDelay: 5 * time.Millisecond}))
 	start := time.Now()
 	tr, err := p.Execute()
@@ -342,8 +342,8 @@ func TestZeroFaultPathUnchanged(t *testing.T) {
 	defer leakCheck(t)()
 	p := NewPlan()
 	sum := 0
-	a := p.Add("A", "K", "s1", 1, func() error { sum += 1; return nil })
-	p.Add("B", "K", "s1", 1, func() error { sum += 2; return nil }, a)
+	a := p.Add("A", sim.KindPack, "s1", 1, func() error { sum += 1; return nil })
+	p.Add("B", sim.KindPack, "s1", 1, func() error { sum += 2; return nil }, a)
 	tr, err := p.Execute()
 	if err != nil || sum != 3 {
 		t.Fatalf("err=%v sum=%d", err, sum)

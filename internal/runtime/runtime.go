@@ -8,8 +8,8 @@
 // trace that comes back holds *measured* wall-clock intervals instead of
 // modelled durations.
 //
-// A Plan is built exactly like a sim.Graph and is one artifact with two
-// interpretations:
+// A Plan is a sim.Graph plus one closure per task, so the simulator and
+// the executor read the same tasks, and it has two interpretations:
 //
 //   - Simulate() feeds the tasks' estimated durations through the
 //     discrete-event engine, which gives every stream its own processor,
@@ -19,10 +19,16 @@
 //     executor at k = 1 — the no-overlap baseline that turns "pipelining
 //     helps" from a simulator claim into a wall-clock measurement.
 //
+// Add is the one place a task is checked. It rejects a kind outside
+// sim.Kinds(), the closed set breakdowns, fault filters and retry
+// allowlists key on, a negative estimate, and a dependency on a task not
+// yet added. So every plan is well formed by construction: ids are
+// topological — a task's dependencies and its stream predecessors all have
+// lower ids — and no cycle can form.
+//
 // The executor is a list scheduler. Its workers share one scan of the
 // stream heads under one mutex, and a free worker takes the ready head with
-// the lowest task id. Ids are topological — a task's dependencies and its
-// stream predecessors all have lower ids — so the lowest unfinished task is
+// the lowest task id. As ids are topological, the lowest unfinished task is
 // always ready or running. Hence no k can deadlock, and at k = 1 the tasks
 // run in id order.
 //
@@ -35,24 +41,13 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
-
-// task is one schedulable operation: reporting metadata shared with the
-// simulator plus the closure that does the real work.
-type task struct {
-	id     int
-	label  string
-	kind   string
-	stream string
-	est    float64 // modelled duration (ms) for Simulate
-	fn     func() error
-	deps   []int
-}
 
 // Binding is an inert per-stream record: the executor never reads it and
 // no plan builder in this module sets it. It stays for the repository
@@ -136,13 +131,12 @@ func (r RetryPolicy) backoff(taskID, attempt int) time.Duration {
 	return d
 }
 
-// Plan is a schedule under construction: a DAG of executable tasks with
-// stream assignments. Enqueue order per stream is the execution order, as
-// on a CUDA stream and exactly as in sim.Graph.
+// Plan is a schedule under construction: a sim.Graph of tasks whose
+// Durations are their estimates, and the closure each task runs. Enqueue
+// order per stream is the execution order, as on a CUDA stream.
 type Plan struct {
-	tasks    []*task
-	streams  map[string][]int
-	order    []string // stream names in first-use order
+	g        *sim.Graph
+	fns      []func() error // per task id; nil is a zero-work marker
 	bindings map[string]Binding
 	injector *fault.Plan
 	retry    RetryPolicy
@@ -160,9 +154,7 @@ func (p *Plan) SetFaultPlan(fp *fault.Plan) { p.injector = fp }
 func (p *Plan) SetRetry(rp RetryPolicy) { p.retry = rp }
 
 // NewPlan returns an empty schedule.
-func NewPlan() *Plan {
-	return &Plan{streams: make(map[string][]int)}
-}
+func NewPlan() *Plan { return &Plan{g: sim.NewGraph()} }
 
 // BindStream records a stream's Binding; the last binding for a name wins.
 // Nothing executes differently for it.
@@ -192,68 +184,56 @@ type TaskInfo struct {
 	Deps   []int
 }
 
-// Tasks returns the planned tasks in id order — the structural view that
-// pairs each task's volume estimate with its measured duration (trace
-// intervals expose kind and timing but not the estimate).
+// Tasks returns a copy of the planned tasks in id order — the structural
+// view that pairs each task's volume estimate with its measured duration.
 func (p *Plan) Tasks() []TaskInfo {
-	out := make([]TaskInfo, len(p.tasks))
-	for i, t := range p.tasks {
-		out[i] = TaskInfo{ID: t.id, Label: t.label, Kind: t.kind, Stream: t.stream, Est: t.est, Deps: append([]int(nil), t.deps...)}
+	out := make([]TaskInfo, p.Len())
+	for i := range out {
+		t := p.g.Task(i)
+		out[i] = TaskInfo{ID: t.ID, Label: t.Label, Kind: t.Kind, Stream: t.Stream, Est: t.Duration, Deps: slices.Clone(t.Deps)}
 	}
 	return out
 }
 
-// Add enqueues a task on a stream and returns its id. est is the modelled
-// duration (ms) Simulate uses; fn is the real work Execute runs (nil is a
-// zero-work marker). deps may reference only previously added tasks.
+// kinds is sim.Kinds(), the task kinds Add accepts.
+var kinds = sim.Kinds()
+
+// Add enqueues a task on a stream and returns its id. kind must be one of
+// sim.Kinds(); est is the modelled duration (ms) Simulate uses; fn is the
+// real work Execute runs (nil is a zero-work marker). deps may reference
+// only previously added tasks. Add panics on a task that breaks any of
+// these rules.
 func (p *Plan) Add(label, kind, stream string, est float64, fn func() error, deps ...int) int {
-	if est < 0 {
-		panic(fmt.Sprintf("runtime: negative estimate for %q", label))
+	if !slices.Contains(kinds, kind) {
+		panic(fmt.Sprintf("runtime: task %q has kind %q outside sim.Kinds()", label, kind))
 	}
-	id := len(p.tasks)
-	for _, d := range deps {
-		if d < 0 || d >= id {
-			panic(fmt.Sprintf("runtime: task %q depends on unknown task %d", label, d))
-		}
-	}
-	t := &task{id: id, label: label, kind: kind, stream: stream, est: est, fn: fn, deps: append([]int(nil), deps...)}
-	p.tasks = append(p.tasks, t)
-	if _, ok := p.streams[stream]; !ok {
-		p.order = append(p.order, stream)
-	}
-	p.streams[stream] = append(p.streams[stream], id)
+	id := p.g.Add(label, kind, stream, est, deps...)
+	p.fns = append(p.fns, fn)
 	return id
 }
 
 // Len returns the number of tasks.
-func (p *Plan) Len() int { return len(p.tasks) }
+func (p *Plan) Len() int { return p.g.Len() }
 
 // Streams returns the stream names in first-use order.
-func (p *Plan) Streams() []string { return append([]string(nil), p.order...) }
+func (p *Plan) Streams() []string { return p.g.Streams() }
+
+// Verify returns nil: Add checks every invariant as each task goes in, so
+// a finished plan has nothing left to check. It stays for the repository
+// benchmark's verification probe, its last caller.
+func (p *Plan) Verify() error { return nil }
 
 // Simulate runs the plan's structure through the discrete-event engine
 // using the tasks' estimated durations and returns the predicted trace.
 // It does not touch the closures and may be called any number of times.
-func (p *Plan) Simulate() *sim.Trace {
-	return p.SimulateWith(nil)
-}
+func (p *Plan) Simulate() *sim.Trace { return p.g.Run() }
 
 // SimulateWith is Simulate with per-task durations overriding the
 // estimates — the hook for "predict the pipelined makespan from measured
 // sequential stage times". durations[i] replaces task i's estimate; a nil
 // slice keeps every estimate, and NaN-free callers may mix (negative
 // entries keep the estimate).
-func (p *Plan) SimulateWith(durations []float64) *sim.Trace {
-	g := sim.NewGraph()
-	for _, t := range p.tasks {
-		d := t.est
-		if durations != nil && t.id < len(durations) && durations[t.id] >= 0 {
-			d = durations[t.id]
-		}
-		g.Add(t.label, t.kind, t.stream, d, t.deps...)
-	}
-	return g.Run()
-}
+func (p *Plan) SimulateWith(durations []float64) *sim.Trace { return p.g.RunWith(durations) }
 
 // markExecuted guards the single-shot contract.
 func (p *Plan) markExecuted() error {
@@ -314,8 +294,8 @@ func (e *execState) sleep(d time.Duration) bool {
 }
 
 // taskEvent pre-fills the identity fields of an incident on task t.
-func taskEvent(typ string, t *task, attempt int, detail string) sim.Event {
-	return sim.Event{Type: typ, TaskID: t.id, Label: t.label, Kind: t.kind, Stream: t.stream, Attempt: attempt, Detail: detail}
+func taskEvent(typ string, t *sim.Task, attempt int, detail string) sim.Event {
+	return sim.Event{Type: typ, TaskID: t.ID, Label: t.Label, Kind: t.Kind, Stream: t.Stream, Attempt: attempt, Detail: detail}
 }
 
 // runAttempts drives one task through injection, execution and bounded
@@ -324,12 +304,13 @@ func taskEvent(typ string, t *task, attempt int, detail string) sim.Event {
 // retried only when classified fault-transient (guarded collectives fail
 // before their first byte moves, so they qualify). A permanent fault
 // triggers cooperative cancellation of the whole plan.
-func (p *Plan) runAttempts(e *execState, t *task) error {
+func (p *Plan) runAttempts(e *execState, t *sim.Task) error {
 	maxAttempts := p.retry.attempts()
+	fn := p.fns[t.ID]
 	for attempt := 0; ; attempt++ {
 		var err error
 		if p.injector != nil {
-			d := p.injector.Check(t.stream, t.kind, t.label, t.id, attempt)
+			d := p.injector.Check(t.Stream, t.Kind, t.Label, t.ID, attempt)
 			if d.Delay > 0 {
 				e.record(taskEvent(sim.EventStraggler, t, attempt, d.Delay.String()))
 				if !e.sleep(d.Delay) {
@@ -338,13 +319,13 @@ func (p *Plan) runAttempts(e *execState, t *task) error {
 			}
 			err = d.Err
 		}
-		if err == nil && t.fn != nil {
-			err = t.fn()
+		if err == nil && fn != nil {
+			err = fn()
 		}
 		if err == nil {
 			return nil
 		}
-		wrapped := fmt.Errorf("runtime: task %q: %w", t.label, err)
+		wrapped := fmt.Errorf("runtime: task %q: %w", t.Label, err)
 		if fault.IsPermanent(err) {
 			e.record(taskEvent(sim.EventFault, t, attempt, "permanent: "+err.Error()))
 			e.cancel()
@@ -354,10 +335,10 @@ func (p *Plan) runAttempts(e *execState, t *task) error {
 			return wrapped // real failure: side effects unknown, never retried
 		}
 		e.record(taskEvent(sim.EventFault, t, attempt, err.Error()))
-		if attempt+1 >= maxAttempts || !p.retry.retryable(t.kind) || e.canceled() {
+		if attempt+1 >= maxAttempts || !p.retry.retryable(t.Kind) || e.canceled() {
 			return fmt.Errorf("%w (after %d attempts)", wrapped, attempt+1)
 		}
-		backoff := p.retry.backoff(t.id, attempt)
+		backoff := p.retry.backoff(t.ID, attempt)
 		e.record(taskEvent(sim.EventRetry, t, attempt+1, "backoff "+backoff.String()))
 		if !e.sleep(backoff) {
 			return nil // canceled mid-backoff; caller drains
@@ -373,8 +354,8 @@ type timing struct {
 
 // runTask runs one task taken by a worker, or records it skipped once the
 // execution is canceled.
-func (p *Plan) runTask(e *execState, t *task) {
-	tm := &e.timings[t.id]
+func (p *Plan) runTask(e *execState, t *sim.Task) {
+	tm := &e.timings[t.ID]
 	if e.canceled() {
 		now := time.Since(e.t0)
 		tm.start, tm.finish = now, now
@@ -390,14 +371,14 @@ func (p *Plan) runTask(e *execState, t *task) {
 // when no head is ready), and whether another head is ready too. A head is
 // ready when its stream is idle and all its dependencies have finished:
 // sim.Graph.Run's start rule.
-func (e *execState) next(tasks []*task) (best int, more bool) {
+func (e *execState) next(g *sim.Graph) (best int, more bool) {
 	best, bestID := -1, 0
 	for i, q := range e.queues {
 		if e.busy[i] || e.head[i] == len(q) {
 			continue
 		}
 		id := q[e.head[i]]
-		if !e.depsDone(tasks[id]) {
+		if !e.depsDone(g.Task(id)) {
 			continue
 		}
 		if best >= 0 {
@@ -411,8 +392,8 @@ func (e *execState) next(tasks []*task) (best int, more bool) {
 	return best, more
 }
 
-func (e *execState) depsDone(t *task) bool {
-	for _, d := range t.deps {
+func (e *execState) depsDone(t *sim.Task) bool {
+	for _, d := range t.Deps {
 		if !e.done[d] {
 			return false
 		}
@@ -428,7 +409,7 @@ func (e *execState) depsDone(t *task) bool {
 func (p *Plan) work(e *execState) {
 	e.mu.Lock()
 	for e.left > 0 {
-		i, more := e.next(p.tasks)
+		i, more := e.next(p.g)
 		if i < 0 {
 			e.cond.Wait()
 			continue
@@ -441,7 +422,7 @@ func (p *Plan) work(e *execState) {
 			e.cond.Signal()
 		}
 		e.mu.Unlock()
-		p.runTask(e, p.tasks[id])
+		p.runTask(e, p.g.Task(id))
 		e.mu.Lock()
 		e.done[id] = true
 		e.busy[i] = false
@@ -451,25 +432,28 @@ func (p *Plan) work(e *execState) {
 	e.mu.Unlock()
 }
 
-// execute runs the plan on k workers, the calling goroutine among them.
+// execute runs the plan on min(k, streams) workers, at least one, the
+// calling goroutine among them.
 func (p *Plan) execute(ctx context.Context, k int) (*sim.Trace, error) {
 	if err := p.markExecuted(); err != nil {
 		return nil, err
 	}
+	streams, n := p.Streams(), p.Len()
+	k = max(1, min(k, len(streams)))
 	e := &execState{
 		t0:      time.Now(),
-		timings: make([]timing, len(p.tasks)),
-		queues:  make([][]int, len(p.order)),
-		head:    make([]int, len(p.order)),
-		busy:    make([]bool, len(p.order)),
-		done:    make([]bool, len(p.tasks)),
-		left:    len(p.tasks),
+		timings: make([]timing, n),
+		queues:  make([][]int, len(streams)),
+		head:    make([]int, len(streams)),
+		busy:    make([]bool, len(streams)),
+		done:    make([]bool, n),
+		left:    n,
 	}
 	e.ctx, e.cancel = context.WithCancel(ctx)
 	defer e.cancel()
 	e.cond.L = &e.mu
-	for i, name := range p.order {
-		e.queues[i] = p.streams[name]
+	for i, name := range streams {
+		e.queues[i] = p.g.Queue(name)
 	}
 	var wg sync.WaitGroup
 	for range k - 1 {
@@ -481,20 +465,21 @@ func (p *Plan) execute(ctx context.Context, k int) (*sim.Trace, error) {
 	}
 	p.work(e)
 	wg.Wait()
-	return p.finishTrace(ctx, e)
+	return p.finishTrace(ctx, e, streams)
 }
 
-// finishTrace assembles the measured trace and the joined error set.
-func (p *Plan) finishTrace(ctx context.Context, e *execState) (*sim.Trace, error) {
+// finishTrace assembles the measured trace and the joined error set. Each
+// interval's Task is the plan's own: its Duration is the estimate, the
+// interval holds the measurement.
+func (p *Plan) finishTrace(ctx context.Context, e *execState, streams []string) (*sim.Trace, error) {
 	var errs []error
-	intervals := make([]sim.Interval, len(p.tasks))
-	for i, t := range p.tasks {
-		tm := e.timings[i]
+	intervals := make([]sim.Interval, len(e.timings))
+	for i, tm := range e.timings {
 		if tm.err != nil {
 			errs = append(errs, tm.err)
 		}
 		intervals[i] = sim.Interval{
-			Task:   sim.NewTask(t.id, t.label, t.kind, t.stream, t.deps),
+			Task:   p.g.Task(i),
 			Start:  tm.start.Seconds() * 1e3,
 			Finish: tm.finish.Seconds() * 1e3,
 		}
@@ -502,7 +487,7 @@ func (p *Plan) finishTrace(ctx context.Context, e *execState) (*sim.Trace, error
 	if err := ctx.Err(); err != nil {
 		errs = append(errs, fmt.Errorf("runtime: execution canceled: %w", err))
 	}
-	tr := sim.NewTrace(intervals, p.order)
+	tr := sim.NewTrace(intervals, streams)
 	tr.Events = e.events
 	return tr, errors.Join(errs...)
 }
@@ -533,7 +518,7 @@ func (p *Plan) Execute() (*sim.Trace, error) {
 // are collected and returned via errors.Join (plus the ctx error when
 // cancellation came from outside).
 func (p *Plan) ExecuteCtx(ctx context.Context) (*sim.Trace, error) {
-	return p.execute(ctx, max(1, min(goruntime.GOMAXPROCS(0), len(p.order))))
+	return p.execute(ctx, goruntime.GOMAXPROCS(0))
 }
 
 // ExecuteSequential runs every closure one after another with no

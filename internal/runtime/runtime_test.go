@@ -30,10 +30,10 @@ func TestExecuteRespectsDeps(t *testing.T) {
 			return nil
 		}
 	}
-	a := p.Add("A", "k", "s1", 1, record(0))
-	b := p.Add("B", "k", "s2", 1, record(1), a)
-	c := p.Add("C", "k", "s3", 1, record(2), a)
-	d := p.Add("D", "k", "s1", 1, record(3), b, c)
+	a := p.Add("A", sim.KindPack, "s1", 1, record(0))
+	b := p.Add("B", sim.KindPack, "s2", 1, record(1), a)
+	c := p.Add("C", sim.KindPack, "s3", 1, record(2), a)
+	d := p.Add("D", sim.KindPack, "s1", 1, record(3), b, c)
 	_ = d
 	tr, err := p.Execute()
 	if err != nil {
@@ -96,7 +96,7 @@ func (o *occupancy) add(p *Plan, stream string, work func(), deps ...int) int {
 		o.perStream[stream] = new(atomic.Int32)
 	}
 	running, id := o.perStream[stream], p.Len()
-	return p.Add("T", "k", stream, 1, func() error {
+	return p.Add("T", sim.KindPack, stream, 1, func() error {
 		for _, d := range deps {
 			if !o.finished[d].Load() {
 				o.t.Errorf("task %d started before its dependency %d finished", id, d)
@@ -128,7 +128,7 @@ func (o *occupancy) check(p *Plan, k int) {
 		o.t.Fatalf("%d task bodies ran at once on k = %d workers", peak, k)
 	}
 	for _, name := range p.Streams() {
-		if got, want := fmt.Sprint(o.started[name]), fmt.Sprint(p.streams[name]); got != want {
+		if got, want := fmt.Sprint(o.started[name]), fmt.Sprint(p.g.Queue(name)); got != want {
 			o.t.Fatalf("stream %s started %v, enqueue order %v", name, got, want)
 		}
 	}
@@ -225,16 +225,16 @@ func TestExecuteContention(t *testing.T) {
 // a hand-built sim.Graph of the same structure.
 func TestSimulateMatchesSimGraph(t *testing.T) {
 	p := NewPlan()
-	a := p.Add("A", "k", "compute", 3, nil)
-	b := p.Add("B", "k", "inter", 2, nil, a)
-	p.Add("C", "k", "compute", 4, nil)
-	p.Add("D", "k", "inter", 1, nil, b)
+	a := p.Add("A", sim.KindPack, "compute", 3, nil)
+	b := p.Add("B", sim.KindPack, "inter", 2, nil, a)
+	p.Add("C", sim.KindPack, "compute", 4, nil)
+	p.Add("D", sim.KindPack, "inter", 1, nil, b)
 
 	g := sim.NewGraph()
-	ga := g.Add("A", "k", "compute", 3)
-	gb := g.Add("B", "k", "inter", 2, ga)
-	g.Add("C", "k", "compute", 4)
-	g.Add("D", "k", "inter", 1, gb)
+	ga := g.Add("A", sim.KindPack, "compute", 3)
+	gb := g.Add("B", sim.KindPack, "inter", 2, ga)
+	g.Add("C", sim.KindPack, "compute", 4)
+	g.Add("D", sim.KindPack, "inter", 1, gb)
 
 	if got, want := p.Simulate().Makespan, g.Run().Makespan; got != want {
 		t.Fatalf("Simulate makespan %v, sim.Graph %v", got, want)
@@ -245,8 +245,8 @@ func TestSimulateMatchesSimGraph(t *testing.T) {
 // estimates; negative entries keep them.
 func TestSimulateWithOverrides(t *testing.T) {
 	p := NewPlan()
-	a := p.Add("A", "k", "s", 3, nil)
-	p.Add("B", "k", "s", 2, nil, a)
+	a := p.Add("A", sim.KindPack, "s", 3, nil)
+	p.Add("B", sim.KindPack, "s", 2, nil, a)
 	if got := p.SimulateWith([]float64{10, -1}).Makespan; got != 12 {
 		t.Fatalf("override makespan %v, want 12", got)
 	}
@@ -261,7 +261,7 @@ func TestExecuteSequentialRunsAllAndSingleShot(t *testing.T) {
 	p := NewPlan()
 	var calls atomic.Int32
 	for i := 0; i < 5; i++ {
-		p.Add("T", "k", "s", 1, func() error { calls.Add(1); return nil })
+		p.Add("T", sim.KindPack, "s", 1, func() error { calls.Add(1); return nil })
 	}
 	tr, err := p.ExecuteSequential()
 	if err != nil {
@@ -284,13 +284,81 @@ func TestExecuteErrorPropagates(t *testing.T) {
 	p := NewPlan()
 	boom := errors.New("boom")
 	var after atomic.Bool
-	a := p.Add("bad", "k", "s", 1, func() error { return boom })
-	p.Add("after", "k", "s", 1, func() error { after.Store(true); return nil }, a)
+	a := p.Add("bad", sim.KindPack, "s", 1, func() error { return boom })
+	p.Add("after", sim.KindPack, "s", 1, func() error { after.Store(true); return nil }, a)
 	_, err := p.Execute()
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("error %v, want wrapped boom", err)
 	}
 	if !after.Load() {
 		t.Fatal("stream did not drain after the failing task")
+	}
+}
+
+// TestAddRejectsMalformedTasks: Add is the one place a task is checked, so
+// each malformed task panics there and leaves the plan as it was.
+func TestAddRejectsMalformedTasks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		add  func(p *Plan)
+	}{
+		{"unknown kind", func(p *Plan) { p.Add("mystery", "Mystery", "inter", 1, nil) }},
+		{"negative estimate", func(p *Plan) { p.Add("ar", sim.KindAllReduce, "inter", -1, nil) }},
+		{"forward dependency", func(p *Plan) { p.Add("ar", sim.KindAllReduce, "inter", 1, nil, p.Len()) }},
+		{"negative dependency", func(p *Plan) { p.Add("ar", sim.KindAllReduce, "inter", 1, nil, -1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := wellFormedPlan()
+			n := p.Len()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("malformed task accepted")
+					}
+				}()
+				tc.add(p)
+			}()
+			if p.Len() != n || len(p.fns) != n {
+				t.Fatalf("rejected task left %d tasks and %d closures, want %d", p.Len(), len(p.fns), n)
+			}
+		})
+	}
+}
+
+// wellFormedPlan builds a small two-stream DAG using only canonical kinds.
+func wellFormedPlan() *Plan {
+	p := NewPlan()
+	a := p.Add("pack", sim.KindPack, "compute:0", 1, nil)
+	b := p.Add("a2a", sim.KindAlltoAll, "inter", 2, nil, a)
+	p.Add("experts", sim.KindExperts, "compute:0", 3, nil, b)
+	p.Add("ar", sim.KindAllReduce, "inter", 1, nil, b)
+	return p
+}
+
+func TestPlanVerifyWellFormed(t *testing.T) {
+	if err := wellFormedPlan().Verify(); err != nil {
+		t.Fatalf("well-formed plan rejected: %v", err)
+	}
+}
+
+// TestMeasuredIntervalsCarryPlanTasks: a measured trace reports each task
+// as the plan does, its interval i holding task i's id, label, kind,
+// stream and deps.
+func TestMeasuredIntervalsCarryPlanTasks(t *testing.T) {
+	p := wellFormedPlan()
+	want := p.Tasks()
+	tr, err := p.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Intervals) != len(want) {
+		t.Fatalf("%d intervals for %d tasks", len(tr.Intervals), len(want))
+	}
+	for i, iv := range tr.Intervals {
+		w, got := want[i], iv.Task
+		if got.ID != w.ID || got.Label != w.Label || got.Kind != w.Kind || got.Stream != w.Stream ||
+			fmt.Sprint(got.Deps) != fmt.Sprint(w.Deps) {
+			t.Fatalf("interval %d task %+v, plan task %+v", i, *got, w)
+		}
 	}
 }

@@ -1,9 +1,9 @@
 package sim
 
 // Tests for the measured-trace surface: traces assembled with NewTrace from
-// externally produced intervals (the runtime's bridge) rather than run
-// through the simulator, carrying the fault events only measured
-// executions have.
+// externally produced intervals over a Graph's tasks (the runtime's bridge)
+// rather than run through the simulator, carrying the fault events only
+// measured executions have.
 
 import "testing"
 
@@ -12,14 +12,15 @@ import "testing"
 //	compute |AA..BBBB|   A [0,2)  B [4,8)
 //	inter   |..CC....|   C [2,4)
 func measuredTrace() *Trace {
-	a := NewTask(0, "expertsA", KindExperts, StreamCompute, nil)
-	c := NewTask(1, "a2a", KindAlltoAll, StreamInter, []int{0})
-	b := NewTask(2, "expertsB", KindExperts, StreamCompute, []int{1})
+	g := NewGraph()
+	a := g.Add("expertsA", KindExperts, StreamCompute, 0)
+	c := g.Add("a2a", KindAlltoAll, StreamInter, 0, a)
+	b := g.Add("expertsB", KindExperts, StreamCompute, 0, c)
 	return NewTrace([]Interval{
-		{Task: a, Start: 0, Finish: 2},
-		{Task: c, Start: 2, Finish: 4},
-		{Task: b, Start: 4, Finish: 8},
-	}, []string{StreamCompute, StreamInter})
+		{Task: g.Task(a), Start: 0, Finish: 2},
+		{Task: g.Task(c), Start: 2, Finish: 4},
+		{Task: g.Task(b), Start: 4, Finish: 8},
+	}, g.Streams())
 }
 
 func TestMeasuredTraceMakespanAndBusy(t *testing.T) {
@@ -56,12 +57,13 @@ func TestCriticalPathLowerBoundMeasured(t *testing.T) {
 	}
 
 	// Perfectly overlapped streams: the bound is tight.
-	x := NewTask(0, "x", KindExperts, StreamCompute, nil)
-	y := NewTask(1, "y", KindAlltoAll, StreamInter, nil)
+	g := NewGraph()
+	x := g.Add("x", KindExperts, StreamCompute, 0)
+	y := g.Add("y", KindAlltoAll, StreamInter, 0)
 	par := NewTrace([]Interval{
-		{Task: x, Start: 0, Finish: 5},
-		{Task: y, Start: 0, Finish: 5},
-	}, []string{StreamCompute, StreamInter})
+		{Task: g.Task(x), Start: 0, Finish: 5},
+		{Task: g.Task(y), Start: 0, Finish: 5},
+	}, g.Streams())
 	if lb := par.CriticalPathLowerBound(); lb != par.Makespan {
 		t.Fatalf("overlapped trace: bound %v should equal makespan %v", lb, par.Makespan)
 	}

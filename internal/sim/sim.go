@@ -11,9 +11,11 @@
 // intra-node operation can — the contention structure at the heart of
 // FSMoE's inter/intra-node co-scheduling argument.
 //
-// The engine is exact and O(V·S) in the number of tasks V and streams S:
-// because streams execute strictly in enqueue order, the makespan is the
-// fixed point of start(t) = max(finish(prev on stream), max finish(deps)).
+// The engine is exact and runs in one pass over the tasks and their
+// dependencies: Add numbers tasks in order and accepts only dependencies on
+// earlier ones, so a task's dependencies and its stream predecessor all
+// have lower ids, and start(t) = max(finish(prev on stream), max
+// finish(deps)) is known by the time t is reached in id order.
 package sim
 
 import (
@@ -30,9 +32,6 @@ type Task struct {
 	Stream   string  // resource name ("inter", "intra", "compute")
 	Duration float64 // ms
 	Deps     []int
-
-	start, finish float64
-	scheduled     bool
 }
 
 // Graph is a schedule under construction: a DAG of tasks with stream
@@ -72,6 +71,16 @@ func (g *Graph) Add(label, kind, stream string, duration float64, deps ...int) i
 
 // Len returns the number of tasks.
 func (g *Graph) Len() int { return len(g.tasks) }
+
+// Task returns the task with the given id.
+func (g *Graph) Task(id int) *Task { return g.tasks[id] }
+
+// Streams returns the stream names in first-use order.
+func (g *Graph) Streams() []string { return append([]string(nil), g.order...) }
+
+// Queue returns the ids of a stream's tasks in enqueue order. The slice is
+// the graph's own; callers must not modify it.
+func (g *Graph) Queue(stream string) []int { return g.streams[stream] }
 
 // Interval is one executed task in a trace.
 type Interval struct {
@@ -117,55 +126,31 @@ func (tr *Trace) EventCount(typ string) int {
 	return n
 }
 
-// Run executes the schedule and returns its trace. It panics on dependency
-// cycles (which would deadlock a real stream program too).
-func (g *Graph) Run() *Trace {
-	// Head index per stream.
-	heads := make(map[string]int, len(g.streams))
-	avail := make(map[string]float64, len(g.streams))
-	remaining := len(g.tasks)
-	for remaining > 0 {
-		progressed := false
-		for _, s := range g.order {
-			queue := g.streams[s]
-			for heads[s] < len(queue) {
-				t := g.tasks[queue[heads[s]]]
-				ready := true
-				depMax := 0.0
-				for _, d := range t.Deps {
-					dt := g.tasks[d]
-					if !dt.scheduled {
-						ready = false
-						break
-					}
-					if dt.finish > depMax {
-						depMax = dt.finish
-					}
-				}
-				if !ready {
-					break
-				}
-				t.start = avail[s]
-				if depMax > t.start {
-					t.start = depMax
-				}
-				t.finish = t.start + t.Duration
-				t.scheduled = true
-				avail[s] = t.finish
-				heads[s]++
-				remaining--
-				progressed = true
+// Run executes the schedule and returns its trace. It reads the graph
+// only, so one graph can run any number of times.
+func (g *Graph) Run() *Trace { return g.RunWith(nil) }
+
+// RunWith is Run with durations[i] in place of task i's Duration. A nil or
+// short slice, or a negative entry, keeps the task's own Duration.
+func (g *Graph) RunWith(durations []float64) *Trace {
+	tr := &Trace{Intervals: make([]Interval, len(g.tasks)), streams: g.Streams()}
+	avail := make(map[string]float64, len(g.order))
+	for i, t := range g.tasks {
+		start := avail[t.Stream]
+		for _, d := range t.Deps {
+			if f := tr.Intervals[d].Finish; f > start {
+				start = f
 			}
 		}
-		if !progressed {
-			panic("sim: schedule deadlocked (dependency cycle across streams)")
+		d := t.Duration
+		if i < len(durations) && durations[i] >= 0 {
+			d = durations[i]
 		}
-	}
-	tr := &Trace{streams: append([]string(nil), g.order...)}
-	for _, t := range g.tasks {
-		tr.Intervals = append(tr.Intervals, Interval{Task: t, Start: t.start, Finish: t.finish})
-		if t.finish > tr.Makespan {
-			tr.Makespan = t.finish
+		finish := start + d
+		tr.Intervals[i] = Interval{Task: t, Start: start, Finish: finish}
+		avail[t.Stream] = finish
+		if finish > tr.Makespan {
+			tr.Makespan = finish
 		}
 	}
 	return tr
@@ -184,13 +169,6 @@ func NewTrace(intervals []Interval, streams []string) *Trace {
 		}
 	}
 	return tr
-}
-
-// NewTask builds a standalone task for externally produced traces (see
-// NewTrace). Tasks made this way carry reporting metadata only; they are
-// not enqueued on any Graph.
-func NewTask(id int, label, kind, stream string, deps []int) *Task {
-	return &Task{ID: id, Label: label, Kind: kind, Stream: stream, Deps: append([]int(nil), deps...)}
 }
 
 // Breakdown returns total busy time per task kind, the per-operation view

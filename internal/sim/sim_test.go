@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -135,7 +136,9 @@ func TestStreamBusyAndLowerBound(t *testing.T) {
 
 // TestMakespanInvariantsProperty checks on random DAGs that (1) the
 // makespan is at least the busiest stream, (2) at least the longest
-// dependency chain, and (3) no two tasks on one stream overlap.
+// dependency chain, (3) no two tasks on one stream overlap, and (4) every
+// task starts exactly when its stream predecessor and its dependencies
+// have finished.
 func TestMakespanInvariantsProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
@@ -185,18 +188,93 @@ func TestMakespanInvariantsProperty(t *testing.T) {
 				}
 			}
 		}
-		// Dependencies respected.
+		// Dependencies respected, and no task starts later than they and
+		// its stream allow.
+		avail := map[string]float64{}
 		for _, iv := range tr.Intervals {
+			start := avail[iv.Task.Stream]
 			for _, d := range iv.Task.Deps {
 				if tr.Intervals[d].Finish > iv.Start+1e-9 {
 					return false
 				}
+				start = max(start, tr.Intervals[d].Finish)
 			}
+			if iv.Start != start {
+				return false
+			}
+			avail[iv.Task.Stream] = iv.Finish
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randomGraph builds n tasks on three streams with random durations and
+// dependencies; dur, when non-nil, overrides the random durations.
+func randomGraph(seed uint64, n int, dur []float64) *Graph {
+	r := xrand.New(seed)
+	g := NewGraph()
+	for i := 0; i < n; i++ {
+		d := r.Float64() * 5
+		if dur != nil {
+			d = dur[i]
+		}
+		var deps []int
+		for j := 0; j < i; j++ {
+			if r.Float64() < 0.2 {
+				deps = append(deps, j)
+			}
+		}
+		g.Add("t", "k", []string{"s0", "s1", "s2"}[r.Intn(3)], d, deps...)
+	}
+	return g
+}
+
+// TestRunRepeatsAndRunWithMatchesFreshGraph: a graph keeps no schedule
+// state, so a second Run repeats the first, and RunWith(durations) gives
+// the intervals of a fresh graph built with those durations (a negative
+// entry, or one past the slice's end, keeping the task's own).
+func TestRunRepeatsAndRunWithMatchesFreshGraph(t *testing.T) {
+	const n = 30
+	g := randomGraph(7, n, nil)
+	same := func(a, b *Trace) bool {
+		if a.Makespan != b.Makespan || len(a.Intervals) != len(b.Intervals) {
+			return false
+		}
+		for i, x := range a.Intervals {
+			y := b.Intervals[i]
+			if x.Start != y.Start || x.Finish != y.Finish || x.Task.ID != y.Task.ID ||
+				x.Task.Stream != y.Task.Stream || !slices.Equal(x.Task.Deps, y.Task.Deps) {
+				return false
+			}
+		}
+		return true
+	}
+	first := g.Run()
+	if !same(g.Run(), first) {
+		t.Fatal("a second Run differs from the first")
+	}
+	durations := make([]float64, n-3) // the last three tasks keep their own
+	want := make([]float64, n)
+	for i := range want {
+		want[i] = g.Task(i).Duration
+		if i < len(durations) {
+			durations[i] = float64(i%4) + 0.5
+			if i%5 == 0 {
+				durations[i] = -1 // keeps the task's own
+			} else {
+				want[i] = durations[i]
+			}
+		}
+	}
+	with := g.RunWith(durations)
+	if !same(with, randomGraph(7, n, want).Run()) {
+		t.Fatal("RunWith differs from a fresh graph built with its durations")
+	}
+	if same(with, first) || !same(g.Run(), first) {
+		t.Fatal("RunWith's durations changed nothing, or changed the graph")
 	}
 }
 

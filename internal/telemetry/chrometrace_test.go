@@ -10,14 +10,15 @@ import (
 )
 
 func testTrace() *sim.Trace {
-	t0 := sim.NewTask(0, "expert 0", sim.KindExperts, sim.StreamCompute, nil)
-	t1 := sim.NewTask(1, "dispatch", sim.KindAlltoAll, sim.StreamInter, []int{0})
-	t2 := sim.NewTask(2, "gather", sim.KindAllGather, sim.StreamIntra, []int{0})
+	g := sim.NewGraph()
+	t0 := g.Add("expert 0", sim.KindExperts, sim.StreamCompute, 0)
+	t1 := g.Add("dispatch", sim.KindAlltoAll, sim.StreamInter, 0, t0)
+	t2 := g.Add("gather", sim.KindAllGather, sim.StreamIntra, 0, t0)
 	tr := sim.NewTrace([]sim.Interval{
-		{Task: t0, Start: 0, Finish: 2},
-		{Task: t1, Start: 2, Finish: 5},
-		{Task: t2, Start: 2, Finish: 4},
-	}, []string{sim.StreamCompute, sim.StreamInter, sim.StreamIntra})
+		{Task: g.Task(t0), Start: 0, Finish: 2},
+		{Task: g.Task(t1), Start: 2, Finish: 5},
+		{Task: g.Task(t2), Start: 2, Finish: 4},
+	}, g.Streams())
 	tr.Events = append(tr.Events, sim.Event{
 		Type: sim.EventFault, TaskID: 1, Label: "dispatch", Kind: sim.KindAlltoAll,
 		Stream: sim.StreamInter, Attempt: 1, AtMS: 3.5, Detail: "injected",
