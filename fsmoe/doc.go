@@ -33,7 +33,7 @@
 //     per rank, tokens moved by r-chunked dispatch/combine AlltoAll on
 //     the shared inter stream;
 //   - StrategyESP — expert-sharding parallelism, g = R: every rank
-//     computes a shard of every expert (StagedExpert), with chunked
+//     computes a shard of every expert (Expert), with chunked
 //     AllGather and ReduceScatter stages on the one group's intra:g0
 //     stream and an empty inter stream (so §5 Gradient-AllReduce slices
 //     overlap freely);
@@ -121,7 +121,7 @@
 // results, views), so releasing a tensor of unknown origin is safe; "at
 // most once" still binds for pooled ones.
 //
-// Experts run under one execution contract, StagedExpert: Begin(PassBufs)
+// Experts run under one execution contract, Expert: Begin(PassBufs)
 // starts a pass over one (n, M) block on memory the caller owns — the
 // blocks, a hidden exchange buffer, ScratchElems of pass-private scratch, a
 // hidden-column range [Cl, Ch) and the *WorkerPool its GEMMs fan out onto — and
@@ -136,11 +136,7 @@
 // to the Layer. A stage should run each GEMM as one product over the set,
 // through WorkerPool.MatMulRowsInto / MatMulT2RowsInto: a chunk's window in
 // one shard is often thinner than a kernel tile, and one product per window
-// streams the weights once per window. A custom
-// expert that implements only Expert (Forward/Backward) is adapted once, at
-// NewLayer: it computes each block whole — a World still chunks its
-// communication — through one result copy, is rejected by StrategyESP and
-// StrategyHybrid, and panics if a result's shape is not its block's.
+// streams the weights once per window.
 //
 // One rule runs through the extension contracts: a producer writes into a
 // destination its consumer owns, whatever it held, and returns nothing to
@@ -179,7 +175,7 @@
 // Testbed A's fitted §4.1 models with a degree cap of 16, defined once in
 // the runtime's planner; no config field chooses another.
 // Fitting them to the machine from measured step traces is future work.
-// Custom StagedExpert implementations must route their GEMMs through
+// Custom Expert implementations must route their GEMMs through
 // PassBufs.Pool, the World's kernel pool (nil means the shared default
 // pool).
 //
@@ -208,10 +204,8 @@
 // tensor pool; the bytes are those of one gather on one goroutine.
 //
 // What a step does to Param.G: nothing, for experts. StepStack neither
-// clears nor writes the gradient accumulators of experts (it does both for
-// an adapted plain Expert, whose Backward can only add there: the adapter
-// zeroes them before the call and copies them to the GradDst in Finish);
-// it clears and fills the gate's. Param.G is the destination
+// clears nor writes the gradient accumulators of experts; it clears and
+// fills the gate's. Param.G is the destination
 // of the Forward/Backward you drive yourself, accumulating across calls
 // until Layer.ZeroGrad, and what SyncGradients collects. Param.W is
 // written by the gather as the slices complete — a layer's parameters are

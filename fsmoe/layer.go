@@ -16,10 +16,11 @@ type (
 	Gate = moe.Gate
 	// Order is the data-layout sub-module contract.
 	Order = moe.Order
-	// Expert is the expert-network contract.
+	// Expert is the expert-network contract every strategy drives: GEMM
+	// stages over a hidden-column range and over token rows, so chunks and
+	// shard groups split one expert's compute bit-exactly (see moe.Expert).
+	// The built-in GPT and Mixtral experts implement it.
 	Expert = moe.Expert
-	// ExpertCache is the opaque forward cache an Expert hands to Backward.
-	ExpertCache = moe.ExpertCache
 	// Hooks carries the six non-invasive extension points of §3.1.
 	Hooks = moe.Hooks
 	// DispatchPlan is a gate's routing decision.
@@ -204,10 +205,9 @@ func GetTensor(shape ...int) *Tensor { return tensor.Get(shape...) }
 func PutTensor(t *Tensor) { tensor.Put(t) }
 
 // WorkerPool is a scoped tensor worker pool with a fixed width: a World's
-// kernel pool is one. Custom StagedExpert
-// implementations receive one in PassBufs.Pool and should route their
-// GEMMs through its MatMul*Into methods; a nil
-// *WorkerPool designates the shared default pool.
+// kernel pool is one. Custom Expert implementations receive one in
+// PassBufs.Pool and should route their GEMMs through its MatMul*Into
+// methods; a nil *WorkerPool designates the shared default pool.
 type WorkerPool = tensor.Pool
 
 // NewWorkerPool returns a scoped pool of fixed width n (at least 1). Its

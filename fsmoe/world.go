@@ -23,21 +23,14 @@ type (
 	CommStats = comm.Stats
 	// Strategy names a parallel execution scheme for the executable world.
 	Strategy = moe.Strategy
-	// StagedExpert is the one execution contract every strategy drives, and
-	// the one StrategyESP and StrategyHybrid require natively: GEMM stages
-	// over a hidden-column range and over token rows, so chunks and shard
-	// groups split one expert's compute bit-exactly (see moe.StagedExpert).
-	// The built-in GPT and Mixtral experts implement it; a plain custom
-	// Expert is adapted and computes whole blocks.
-	StagedExpert = moe.StagedExpert
-	// ExpertPass is one pass of a StagedExpert: its stage methods, each over
+	// ExpertPass is one pass of an Expert: its stage methods, each over
 	// a window set of the pass's rows.
 	ExpertPass = moe.ExpertPass
 	// Windows is a window set of rows — Count windows of N rows, Stride rows
 	// apart — which the ExpertPass stage methods and WorkerPool's
 	// MatMulRowsInto / MatMulT2RowsInto take.
 	Windows = tensor.Windows
-	// PassBufs is the caller-owned memory StagedExpert.Begin receives.
+	// PassBufs is the caller-owned memory Expert.Begin receives.
 	PassBufs = moe.PassBufs
 	// GradDst is where an expert pass's Finish puts its parameter
 	// gradients (ExpertPass.BeginBackward receives it): nil adds to
@@ -126,8 +119,7 @@ const (
 	// the group size trades inter-node AlltoAll volume against in-group
 	// collective volume. GroupSize=1 degenerates to EP, GroupSize=Ranks
 	// to ESP (one plan builder reads the group size as data, so the edges
-	// are the pure strategies exactly). Requires every expert to implement
-	// StagedExpert.
+	// are the pure strategies exactly).
 	StrategyHybrid = moe.StrategyHybrid
 	// StrategyDenseSlots runs dense (SoftMoE) plans through the EP
 	// pipeline chunked over expert slots instead of token rows.

@@ -9,19 +9,6 @@ import (
 	"testing"
 )
 
-// plainExpert implements only the base Expert contract — no chunked or
-// sharded fast paths — for strategy-validation tests.
-type plainExpert struct{ id int }
-
-func (*plainExpert) Name() string { return "plain" }
-func (*plainExpert) Forward(x *Tensor) (*Tensor, ExpertCache) {
-	return x.Clone(), nil
-}
-func (*plainExpert) Backward(_ ExpertCache, dy *Tensor) *Tensor { return dy.Clone() }
-func (*plainExpert) Params() []*Param                           { return nil }
-func (*plainExpert) FwdMACs(n int) float64                      { return float64(n) }
-func (*plainExpert) ParamBytes() float64                        { return 0 }
-
 func worldTestLayer(t *testing.T) *Layer {
 	t.Helper()
 	l, err := NewLayer(LayerConfig{
@@ -97,6 +84,24 @@ func TestWorldMethodSet(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("*World methods = %q\nwant %q", got, want)
+	}
+}
+
+// TestExpertMethodSet pins the expert contract, the way TestWorldMethodSet
+// pins *World's methods: a custom expert implements exactly these, and every
+// strategy drives it through them alone.
+func TestExpertMethodSet(t *testing.T) {
+	want := []string{
+		"Begin", "BwdBands", "FwdBands", "FwdMACs", "HiddenWidth", "Name",
+		"Params", "ScratchElems",
+	}
+	typ := reflect.TypeFor[Expert]()
+	var got []string
+	for i := range typ.NumMethod() {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Expert methods = %q\nwant %q", got, want)
 	}
 }
 
@@ -310,25 +315,6 @@ func TestWorldAutoStrategy(t *testing.T) {
 	}
 	if f, b := hw.PipelineDegrees(); f < 1 || b < 1 {
 		t.Fatalf("auto strategy should still run Algorithm 1 for the degrees: (%d, %d)", f, b)
-	}
-}
-
-// TestWorldESPRequiresShardedExperts: the public surface propagates the
-// strategy-aware validation message.
-func TestWorldESPRequiresShardedExperts(t *testing.T) {
-	layer, err := NewLayer(LayerConfig{
-		M: 32, H: 16, Experts: 2, TopK: 1, CapacityFactor: 1, Seed: 3,
-		CustomExperts: []Expert{&plainExpert{id: 0}, &plainExpert{id: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = NewWorld(layer, WorldConfig{Ranks: 2, PipelineDegree: 1, Strategy: StrategyESP})
-	if err == nil {
-		t.Fatal("ESP with plain custom experts must fail")
-	}
-	if !strings.Contains(err.Error(), string(StrategyESP)) || !strings.Contains(err.Error(), "StagedExpert") {
-		t.Fatalf("error must name the strategy and the missing contract: %v", err)
 	}
 }
 

@@ -123,10 +123,10 @@ func permanent(err error) *Error {
 	return nil
 }
 
-// StreamRank extracts the rank a stream name is pinned to: the runtime's
-// per-rank streams are named "<role>:<rank>" ("compute:3", "intra:0"), so
-// the suffix is the rank. Shared streams ("inter", the collective "intra"
-// chain) return -1.
+// StreamRank extracts the rank a stream name is pinned to: a World's
+// per-rank streams are named "<role>:<rank>" ("compute:3"), so the suffix is
+// the rank. Streams no one rank owns — "inter", and a group's "intra:g<G>",
+// which all the group's members share — return -1.
 func StreamRank(stream string) int {
 	i := strings.LastIndexByte(stream, ':')
 	if i < 0 {

@@ -41,7 +41,7 @@ func TestClassification(t *testing.T) {
 // TestStreamRank: per-rank streams attribute, shared streams do not.
 func TestStreamRank(t *testing.T) {
 	cases := map[string]int{
-		"compute:3": 3, "intra:0": 0, "inter": -1, "intra": -1, "st:12": 12, "odd:x": -1, "": -1,
+		"compute:3": 3, "intra:0": 0, "intra:g1": -1, "inter": -1, "intra": -1, "st:12": 12, "odd:x": -1, "": -1,
 	}
 	for s, want := range cases {
 		if got := StreamRank(s); got != want {

@@ -123,10 +123,10 @@ func (w *World) degradedForward(pr *forwardProlog, retries int, cause string) (*
 // dead expert's slots are empty and its block is not written), returning
 // the forward passes.
 func (w *World) forwardSurvivors(in, out *tensor.Tensor, lo, hi int) []*blockPass {
-	passes := make([]*blockPass, len(w.layer.staged))
-	for j, se := range w.layer.staged {
+	passes := make([]*blockPass, len(w.layer.cfg.Experts))
+	for j, ex := range w.layer.cfg.Experts {
 		if j < lo || j >= hi {
-			passes[j] = forwardBlock(se, slotBlock(in, j, out.Dim(1)), slotBlock(out, j, out.Dim(1)))
+			passes[j] = forwardBlock(ex, slotBlock(in, j, out.Dim(1)), slotBlock(out, j, out.Dim(1)))
 		}
 	}
 	return passes

@@ -1,53 +1,15 @@
 package moe
 
-import (
-	"fmt"
+import "repro/internal/tensor"
 
-	"repro/internal/tensor"
-)
-
-// Expert is the compute sub-module of §3.1: a small feed-forward network
-// applied to the (T, M) token block routed to it. Implementations own their
-// parameters and gradient accumulators and provide a manual backward pass.
-// An Expert that is not also a StagedExpert is adapted to that contract once,
-// at NewMOELayer; it then computes each block whole, through a result copy.
-//
-// Concurrency contract: MOELayer runs *different* expert instances
-// concurrently (never the same instance twice at once). An implementation
-// therefore must not share mutable state — scratch buffers, RNGs, or Param
-// tensors (e.g. tied weights) — with another expert instance in the same
-// layer unless it synchronizes access. The layer detects the same instance
-// registered at several indices and falls back to sequential execution for
-// that case, but it cannot see state shared between distinct instances.
-type Expert interface {
-	Name() string
-	// Forward evaluates the expert on x (n, M) and returns the output
-	// (n, M) plus an opaque cache for Backward.
-	Forward(x *tensor.Tensor) (*tensor.Tensor, ExpertCache)
-	// Backward consumes dY (n, M), accumulates parameter gradients, and
-	// returns dX (n, M).
-	Backward(cache ExpertCache, dy *tensor.Tensor) *tensor.Tensor
-	// Params exposes the trainable parameters.
-	Params() []*Param
-	// FwdMACs returns the forward multiply-accumulate count for n tokens,
-	// which drives the performance model (backward is modelled as 2×,
-	// §4.4).
-	FwdMACs(n int) float64
-	// ParamBytes returns the parameter footprint in bytes (fp32), the
-	// quantity Gradient-AllReduce must move.
-	ParamBytes() float64
-}
-
-// ExpertCache is the opaque forward cache an expert hands to its backward.
-type ExpertCache interface{}
-
-// StagedExpert is the one execution contract everything that runs an expert
-// drives — the sequential layer, the degraded path and every parallel
-// strategy (§3's unified Expert abstraction, §4.1's chunks, §4's expert
-// sharding). A pass over one (n, M) block is two GEMM stages around a hidden
-// exchange buffer, decomposed so that no floating-point reduction is ever
-// re-associated, which is what makes a pass bit-identical however it is
-// tiled and sharded:
+// Expert is the compute sub-module of §3.1 and the one execution contract
+// everything that runs an expert drives — the sequential layer, the
+// degraded path and every parallel strategy (§3's unified Expert
+// abstraction, §4.1's chunks, §4's expert sharding). Implementations own
+// their parameters and gradient accumulators. A pass over one (n, M) block
+// is two GEMM stages around a hidden exchange buffer, decomposed so that no
+// floating-point reduction is ever re-associated, which is what makes a pass
+// bit-identical however it is tiled and sharded:
 //
 //   - stage-1 GEMMs are restricted to hidden OUTPUT COLUMNS [Cl, Ch): each
 //     hidden element is one complete dot product over M, computed wholly by
@@ -64,8 +26,23 @@ type ExpertCache interface{}
 // ReduceScatter re-associates the reduction; the row-sharded form instead
 // leaves every output element with exactly one non-zero contributor, so the
 // strategies' ReduceScatter sums are exact (adding zeros never rounds).
-type StagedExpert interface {
-	Expert
+//
+// Concurrency contract: MOELayer runs *different* expert instances
+// concurrently (never the same instance twice at once). An implementation
+// therefore must not share mutable state — scratch buffers, RNGs, or Param
+// tensors (e.g. tied weights) — with another expert instance in the same
+// layer unless it synchronizes access. The layer detects the same instance
+// registered at several indices and falls back to sequential execution for
+// that case, but it cannot see state shared between distinct instances.
+type Expert interface {
+	Name() string
+	// Params exposes the trainable parameters. The planner prices their
+	// gradient bytes (what Gradient-AllReduce must move) from their sizes.
+	Params() []*Param
+	// FwdMACs returns the forward multiply-accumulate count for n tokens,
+	// which drives the performance model (backward is modelled as 2×,
+	// §4.4).
+	FwdMACs(n int) float64
 	// HiddenWidth is the column dimension of the exchange buffers.
 	HiddenWidth() int
 	// FwdBands and BwdBands count the stacked n-row planes of the forward
@@ -131,8 +108,8 @@ type ExpertPass interface {
 	Finish()
 }
 
-// GradDst is where a pass puts one expert's parameter gradients. Nil is the
-// Expert.Backward contract: they are added to each Param.G. Otherwise
+// GradDst is where a pass puts one expert's parameter gradients. Nil adds
+// them to each Param.G, as the sequential layer's Backward does. Otherwise
 // GradDst[i] is overwritten with the gradient of Params()[i] — during a
 // training step it is the expert's owned span of its owner rank's resident
 // buffer, where the §5 gather reads it: nothing is zeroed or copied.
@@ -166,99 +143,5 @@ func addColSum(acc, m *tensor.Tensor) {
 	ad := acc.Data()
 	for i := 0; i < m.Dim(0); i++ {
 		tensor.AddRow(ad, m.Row(i))
-	}
-}
-
-// resolveStaged lists experts under the staged contract — an expert that
-// implements it is itself, a plain Expert is adapted — and returns the index
-// of the first adapted one, -1 when there is none.
-func resolveStaged(experts []Expert) (staged []StagedExpert, plain int) {
-	staged, plain = make([]StagedExpert, len(experts)), -1
-	for e, ex := range experts {
-		se, ok := ex.(StagedExpert)
-		if !ok {
-			se = adapted{ex, e}
-			if plain < 0 {
-				plain = e
-			}
-		}
-		staged[e] = se
-	}
-	return staged, plain
-}
-
-// adapted runs a plain Expert, the one at index of its layer, under the
-// staged contract: no hidden exchange, the wrapped Forward and Backward on
-// the stage call that completes the tiling of [0, n). Its compute is
-// therefore one range per pass, which the plan builder reads off the layer.
-type adapted struct {
-	Expert
-	index int
-}
-
-func (adapted) HiddenWidth() int               { return 0 }
-func (adapted) FwdBands() int                  { return 0 }
-func (adapted) BwdBands() int                  { return 0 }
-func (adapted) ScratchElems(n, cl, ch int) int { return 0 }
-
-func (a adapted) Begin(b PassBufs) ExpertPass { return &adaptedPass{a: a, x: b.X, out: b.Out} }
-
-type adaptedPass struct {
-	a              adapted
-	x, out, dy, dx *tensor.Tensor
-	rows           int // covered so far by the stage that computes
-	cache          ExpertCache
-	grads          GradDst
-}
-
-// tiled counts the rows of w as covered and reports whether [0, n) is
-// complete.
-func (p *adaptedPass) tiled(w tensor.Windows) bool {
-	if p.rows += w.Len(); p.rows < p.x.Dim(0) {
-		return false
-	}
-	p.rows = 0
-	return true
-}
-
-// result copies what the wrapped expert's op returned into the block dst. A
-// short or mis-shaped result would leave stale rows behind, so it panics.
-func (p *adaptedPass) result(dst, got *tensor.Tensor, op string) {
-	if got == nil || !got.SameShape(dst) {
-		panic(fmt.Sprintf("moe: expert %d (%s) %s returned %v for a block of shape %v", p.a.index, p.a.Name(), op, got, dst.Shape()))
-	}
-	copy(dst.Data(), got.Data())
-}
-
-func (p *adaptedPass) ForwardHidden(tensor.Windows) {}
-
-func (p *adaptedPass) ForwardOut(w tensor.Windows) {
-	if p.tiled(w) {
-		y, c := p.a.Forward(p.x)
-		p.cache = c
-		p.result(p.out, y, "Forward")
-	}
-}
-
-func (p *adaptedPass) BeginBackward(dy, dx, _ *tensor.Tensor, grads GradDst) {
-	p.dy, p.dx, p.grads = dy, dx, grads
-}
-
-func (p *adaptedPass) BackwardHidden(tensor.Windows) {}
-
-// BackwardIn runs the wrapped Backward, which can only add into Param.G: when
-// the gradients are wanted elsewhere it starts from zero and Finish copies.
-func (p *adaptedPass) BackwardIn(w tensor.Windows) {
-	if p.tiled(w) {
-		if p.grads != nil {
-			zeroGrads(p.a.Params())
-		}
-		p.result(p.dx, p.a.Backward(p.cache, p.dy), "Backward")
-	}
-}
-
-func (p *adaptedPass) Finish() {
-	for i, g := range p.grads {
-		copy(g.Data(), p.a.Params()[i].G.Data())
 	}
 }

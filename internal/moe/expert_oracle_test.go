@@ -87,7 +87,7 @@ func (f *MixtralFFN) oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, grads
 
 // oracleFFN is what both built-in experts offer the comparison.
 type oracleFFN interface {
-	StagedExpert
+	Expert
 	oracleForward(x, out *tensor.Tensor) *oracleCache
 	oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, grads GradDst)
 }

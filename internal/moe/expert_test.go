@@ -25,6 +25,15 @@ func numGradInput(f func(x *tensor.Tensor) float64, x *tensor.Tensor, i int, eps
 	return (up - down) / (2 * eps)
 }
 
+// forwardOf runs exp's whole-block forward on x into a new output.
+func forwardOf(exp Expert, x *tensor.Tensor) (*tensor.Tensor, *blockPass) {
+	y := tensor.New(x.Shape()...)
+	return y, forwardBlock(exp, x, y)
+}
+
+// checkExpertGradients holds the contract's whole-block backward —
+// forwardBlock, then blockPass.backward adding into Param.G — to central
+// differences of the forward, for the input and for every parameter.
 func checkExpertGradients(t *testing.T, mk func(rng *xrand.RNG) Expert) {
 	t.Helper()
 	rng := xrand.New(42)
@@ -33,12 +42,15 @@ func checkExpertGradients(t *testing.T, mk func(rng *xrand.RNG) Expert) {
 	x := tensor.RandN(rng, 1, n, m)
 	r := tensor.RandN(rng, 1, n, m)
 
-	y, cache := exp.Forward(x)
-	dx := exp.Backward(cache, r.Clone())
-	_ = y
+	for _, p := range exp.Params() {
+		p.G.Zero()
+	}
+	_, pass := forwardOf(exp, x)
+	dx := tensor.New(n, m)
+	pass.backward(r.Clone(), dx, nil)
 
 	f := func(xx *tensor.Tensor) float64 {
-		yy, _ := exp.Forward(xx)
+		yy, _ := forwardOf(exp, xx)
 		return lossOf(yy, r)
 	}
 	const eps = 1e-6
@@ -52,19 +64,13 @@ func checkExpertGradients(t *testing.T, mk func(rng *xrand.RNG) Expert) {
 
 	// Parameter gradients: perturb a few entries of each parameter.
 	for _, p := range exp.Params() {
-		p.G.Zero()
-	}
-	y2, cache2 := exp.Forward(x)
-	_ = y2
-	exp.Backward(cache2, r.Clone())
-	for _, p := range exp.Params() {
 		stride := p.W.Size()/5 + 1
 		for i := 0; i < p.W.Size(); i += stride {
 			orig := p.W.Data()[i]
 			p.W.Data()[i] = orig + eps
-			yu, _ := exp.Forward(x)
+			yu, _ := forwardOf(exp, x)
 			p.W.Data()[i] = orig - eps
-			yd, _ := exp.Forward(x)
+			yd, _ := forwardOf(exp, x)
 			p.W.Data()[i] = orig
 			num := (lossOf(yu, r) - lossOf(yd, r)) / (2 * eps)
 			ana := p.G.Data()[i]
@@ -105,8 +111,7 @@ func TestExpertShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := tensor.RandN(rng, 1, 3, 8)
-		y, _ := e.Forward(x)
+		y, _ := forwardOf(e, tensor.RandN(rng, 1, 3, 8))
 		if y.Dim(0) != 3 || y.Dim(1) != 8 {
 			t.Fatalf("%s: output shape %v", e.Name(), y.Shape())
 		}
@@ -119,15 +124,15 @@ func TestExpertMACsAndBytes(t *testing.T) {
 	if g.FwdMACs(3) != 2*3*4*10 {
 		t.Fatalf("GPT MACs = %v", g.FwdMACs(3))
 	}
-	if g.ParamBytes() != 4*float64(2*4*10+10+4) {
-		t.Fatalf("GPT bytes = %v", g.ParamBytes())
+	if b := paramBytes([]Expert{g}); b != 4*float64(2*4*10+10+4) {
+		t.Fatalf("GPT bytes = %v", b)
 	}
 	m, _ := NewMixtralFFN(4, 10, rng)
 	if m.FwdMACs(3) != 3*3*4*10 {
 		t.Fatalf("Mixtral MACs = %v", m.FwdMACs(3))
 	}
-	if m.ParamBytes() != 4*float64(3*4*10) {
-		t.Fatalf("Mixtral bytes = %v", m.ParamBytes())
+	if b := paramBytes([]Expert{m}); b != 4*float64(3*4*10) {
+		t.Fatalf("Mixtral bytes = %v", b)
 	}
 }
 

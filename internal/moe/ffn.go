@@ -48,19 +48,6 @@ func (b *backBufs) BeginBackward(dy, dx, hidden *tensor.Tensor, grads GradDst) {
 	*b = backBufs{dy, dx, hidden, grads}
 }
 
-// expertForward and expertBackward are Expert.Forward and Expert.Backward of
-// a staged expert: one whole-block pass into new tensors.
-func expertForward(se StagedExpert, x *tensor.Tensor) (*tensor.Tensor, ExpertCache) {
-	y := tensor.New(x.Shape()...)
-	return y, forwardBlock(se, x, y)
-}
-
-func expertBackward(cache ExpertCache, dy *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(dy.Shape()...)
-	cache.(*blockPass).backward(dy, dx, nil)
-	return dx
-}
-
 // GPTFFN is the "simple" expert of Table 4: two dense layers with a GeLU,
 // y = GeLU(x·W1 + b1)·W2 + b2, as in the GPT-2/GPT-3 feed-forward block.
 type GPTFFN struct {
@@ -91,34 +78,19 @@ func (f *GPTFFN) Params() []*Param { return []*Param{f.w1, f.b1, f.w2, f.b2} }
 // FwdMACs implements Expert: two GEMMs of n·M·H MACs each.
 func (f *GPTFFN) FwdMACs(n int) float64 { return 2 * float64(n) * float64(f.m) * float64(f.h) }
 
-// ParamBytes implements Expert (fp32).
-func (f *GPTFFN) ParamBytes() float64 {
-	return 4 * float64(2*f.m*f.h+f.h+f.m)
-}
-
-// Forward implements Expert.
-func (f *GPTFFN) Forward(x *tensor.Tensor) (*tensor.Tensor, ExpertCache) {
-	return expertForward(f, x)
-}
-
-// Backward implements Expert.
-func (f *GPTFFN) Backward(cache ExpertCache, dy *tensor.Tensor) *tensor.Tensor {
-	return expertBackward(cache, dy)
-}
-
-// HiddenWidth implements StagedExpert: forward exchanges the activation
+// HiddenWidth implements Expert: forward exchanges the activation
 // a = GeLU(x·W1 + b1), backward its gradient da, one band of width H each.
 func (f *GPTFFN) HiddenWidth() int { return f.h }
 func (f *GPTFFN) FwdBands() int    { return 1 }
 func (f *GPTFFN) BwdBands() int    { return 1 }
 
-// ScratchElems implements StagedExpert: the pre-activation columns and, for
+// ScratchElems implements Expert: the pre-activation columns and, for
 // a proper column range, that range of W1.
 func (f *GPTFFN) ScratchElems(n, cl, ch int) int {
 	return n*(ch-cl) + weightColsElems(f.w1.W, cl, ch)
 }
 
-// Begin implements StagedExpert.
+// Begin implements Expert.
 func (f *GPTFFN) Begin(b PassBufs) ExpertPass {
 	p := &gptPass{f: f, PassBufs: b}
 	p.w1, b.Scratch = weightCols(f.w1.W, b.Cl, b.Ch, b.Scratch)
@@ -215,33 +187,20 @@ func (f *MixtralFFN) Params() []*Param { return []*Param{f.w1, f.w2, f.w3} }
 // FwdMACs implements Expert: three GEMMs of n·M·H MACs each.
 func (f *MixtralFFN) FwdMACs(n int) float64 { return 3 * float64(n) * float64(f.m) * float64(f.h) }
 
-// ParamBytes implements Expert (fp32).
-func (f *MixtralFFN) ParamBytes() float64 { return 4 * float64(3*f.m*f.h) }
-
-// Forward implements Expert.
-func (f *MixtralFFN) Forward(x *tensor.Tensor) (*tensor.Tensor, ExpertCache) {
-	return expertForward(f, x)
-}
-
-// Backward implements Expert.
-func (f *MixtralFFN) Backward(cache ExpertCache, dy *tensor.Tensor) *tensor.Tensor {
-	return expertBackward(cache, dy)
-}
-
-// HiddenWidth implements StagedExpert: forward exchanges the gated product
+// HiddenWidth implements Expert: forward exchanges the gated product
 // p = SiLU(x·W1) ⊙ (x·W3) (one band); backward exchanges the gradients da
 // and du of the two projections (two bands).
 func (f *MixtralFFN) HiddenWidth() int { return f.h }
 func (f *MixtralFFN) FwdBands() int    { return 1 }
 func (f *MixtralFFN) BwdBands() int    { return 2 }
 
-// ScratchElems implements StagedExpert: the columns of x·W1, x·W3 and
+// ScratchElems implements Expert: the columns of x·W1, x·W3 and
 // SiLU(x·W1) and, for a proper column range, that range of W1 and W3.
 func (f *MixtralFFN) ScratchElems(n, cl, ch int) int {
 	return 3*n*(ch-cl) + 2*weightColsElems(f.w1.W, cl, ch)
 }
 
-// Begin implements StagedExpert.
+// Begin implements Expert.
 func (f *MixtralFFN) Begin(b PassBufs) ExpertPass {
 	p := &mixtralPass{f: f, PassBufs: b, n: b.X.Dim(0)}
 	s, cw := b.Scratch, b.Ch-b.Cl

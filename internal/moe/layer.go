@@ -29,11 +29,6 @@ type LayerConfig struct {
 type MOELayer struct {
 	cfg   LayerConfig
 	hooks hookChain
-	// staged is cfg.Experts under the one execution contract, resolved once;
-	// plain is the index of the first adapted plain Expert, -1 when every
-	// expert implements the contract itself.
-	staged []StagedExpert
-	plain  int
 	// seqExperts disables concurrent expert execution when the expert list
 	// provably or possibly aliases itself (see distinctExperts).
 	seqExperts bool
@@ -63,21 +58,18 @@ func NewMOELayer(cfg LayerConfig) (*MOELayer, error) {
 	if len(cfg.Experts) == 0 {
 		return nil, fmt.Errorf("moe: layer needs at least one expert")
 	}
-	l := &MOELayer{
+	return &MOELayer{
 		cfg:        cfg,
 		hooks:      hookChain(cfg.Hooks),
 		seqExperts: !distinctExperts(cfg.Experts),
-	}
-	l.staged, l.plain = resolveStaged(cfg.Experts)
-	return l, nil
+	}, nil
 }
 
 // distinctExperts reports whether every expert is a provably distinct
 // instance. Experts of non-comparable dynamic types cannot be told apart,
 // so they count as possibly aliased — the layer then runs them
-// sequentially, preserving the pre-parallelism contract for legacy custom
-// experts (e.g. the same instance registered at several indices for weight
-// tying).
+// sequentially, as it does the same instance registered at several indices
+// (e.g. for weight tying).
 func distinctExperts(exps []Expert) bool {
 	seen := make(map[Expert]bool, len(exps))
 	for _, e := range exps {
@@ -178,21 +170,21 @@ func (l *MOELayer) epilog(y, combined *tensor.Tensor, plan *DispatchPlan, shape 
 
 // blockPass is a pass over a whole block as one row range and the full
 // column range, on memory of its own: how the sequential layer, the degraded
-// path and the FFNs' own Forward/Backward drive the staged contract.
+// path and the expert tests drive the contract.
 type blockPass struct {
-	se   StagedExpert
+	ex   Expert
 	pass ExpertPass
 	mem  *tensor.Tensor // pooled: the forward exchange buffer, then the scratch
 }
 
-// forwardBlock runs se's forward on x (n, M) into out (n, M). A forward-only
+// forwardBlock runs ex's forward on x (n, M) into out (n, M). A forward-only
 // caller may drop the result and leak its pooled memory to the GC.
-func forwardBlock(se StagedExpert, x, out *tensor.Tensor) *blockPass {
-	n, w := x.Dim(0), se.HiddenWidth()
-	hf := se.FwdBands() * n * w
-	mem := tensor.GetUninit(hf + se.ScratchElems(n, 0, w))
-	b := &blockPass{se: se, mem: mem}
-	b.pass = se.Begin(PassBufs{X: x, Out: out, Hidden: tensor.FromData(mem.Data()[:hf], se.FwdBands()*n, w), Scratch: mem.Data()[hf:], Ch: w})
+func forwardBlock(ex Expert, x, out *tensor.Tensor) *blockPass {
+	n, w := x.Dim(0), ex.HiddenWidth()
+	hf := ex.FwdBands() * n * w
+	mem := tensor.GetUninit(hf + ex.ScratchElems(n, 0, w))
+	b := &blockPass{ex: ex, mem: mem}
+	b.pass = ex.Begin(PassBufs{X: x, Out: out, Hidden: tensor.FromData(mem.Data()[:hf], ex.FwdBands()*n, w), Scratch: mem.Data()[hf:], Ch: w})
 	b.pass.ForwardHidden(tensor.Window(0, n))
 	b.pass.ForwardOut(tensor.Window(0, n))
 	return b
@@ -202,7 +194,7 @@ func forwardBlock(se StagedExpert, x, out *tensor.Tensor) *blockPass {
 // where grads says. It ends the pass.
 func (b *blockPass) backward(dy, dx *tensor.Tensor, grads GradDst) {
 	n := dy.Dim(0)
-	hb := tensor.GetUninit(b.se.BwdBands()*n, b.se.HiddenWidth())
+	hb := tensor.GetUninit(b.ex.BwdBands()*n, b.ex.HiddenWidth())
 	b.pass.BeginBackward(dy, dx, hb, grads)
 	b.pass.BackwardHidden(tensor.Window(0, n))
 	b.pass.BackwardIn(tensor.Window(0, n))
@@ -232,7 +224,7 @@ func (l *MOELayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *Layer
 	passes := make([]*blockPass, plan.Experts)
 	blk := plan.Capacity * l.cfg.M
 	l.forEachExpert(func(e int) {
-		passes[e] = forwardBlock(l.staged[e],
+		passes[e] = forwardBlock(l.cfg.Experts[e],
 			dispatched.View(e*blk, plan.Capacity, l.cfg.M), expertOut.View(e*blk, plan.Capacity, l.cfg.M))
 	})
 

@@ -16,10 +16,7 @@ import (
 // builds. The committed file was recorded at the parent of the PR that
 // replaced the per-strategy builders (PR 16's tree, the last one with a
 // hand-written EP builder), so the pin below compares the one builder's
-// g = 1 plans against that builder's, not against itself. Its fallback=true
-// sections were recorded again when plain Experts moved behind the staged
-// contract's adapter: the one expert task is labelled E0 like any chunk's,
-// and the uniform finish adds a W task per rank; nothing else moved.
+// g = 1 plans against that builder's, not against itself.
 var updatePlanPin = flag.Bool("update-plan-pin", false, "rewrite testdata/plan_pin.txt from this tree's plans")
 
 const planPinFile = "testdata/plan_pin.txt"
@@ -91,8 +88,7 @@ func sameListing(t *testing.T, label string, want, got []string) {
 }
 
 // TestWorldPlanPin pins what g = 1 means. The EP and DenseSlots plans the
-// one builder produces — staged experts and adapted plain ones,
-// R=4, r=2 — are, stream by stream, the plans recorded from the last tree
+// one builder produces at R=4, r=2 are, stream by stream, the plans recorded from the last tree
 // that built them with a dedicated EP builder. And the group width is data:
 // Hybrid at GroupSize 1 is EP's plan and at GroupSize R ESP's, with identical
 // results.
@@ -101,20 +97,11 @@ func TestWorldPlanPin(t *testing.T) {
 	dy := tensor.RandN(xrand.New(34), 1, 96, 32)
 	var got []string
 	for _, strat := range []Strategy{StrategyEP, StrategyDenseSlots} {
-		for _, fallback := range []bool{false, true} {
-			layer := strategyLayer(t, strat, false)
-			if fallback {
-				for i, ex := range layer.cfg.Experts {
-					layer.cfg.Experts[i] = onlyExpert{ex}
-				}
-				reresolve(layer)
-			}
-			fwd, bwd, _ := passListing(t, layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: strat}, x, dy)
-			got = append(got, fmt.Sprintf("# %s fallback=%v forward", strat, fallback))
-			got = append(got, fwd...)
-			got = append(got, fmt.Sprintf("# %s fallback=%v backward", strat, fallback))
-			got = append(got, bwd...)
-		}
+		fwd, bwd, _ := passListing(t, strategyLayer(t, strat, false), WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: strat}, x, dy)
+		got = append(got, fmt.Sprintf("# %s forward", strat))
+		got = append(got, fwd...)
+		got = append(got, fmt.Sprintf("# %s backward", strat))
+		got = append(got, bwd...)
 	}
 	if *updatePlanPin {
 		if err := os.WriteFile(planPinFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {

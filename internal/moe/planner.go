@@ -19,9 +19,8 @@ import (
 var plannerModels = core.ModelsFromCluster(topology.TestbedA())
 
 // The accounting units of every volume the planner derives: fp16
-// activations on the wire, fp32 master gradients (matching
-// Expert.ParamBytes). The executable buffers are float64; planning runs in
-// the simulator's units.
+// activations on the wire, fp32 master gradients. The executable buffers are
+// float64; planning runs in the simulator's units.
 const (
 	actElemBytes  = 2
 	gradElemBytes = 4
@@ -86,19 +85,15 @@ func resolve(l *MOELayer, cfg WorldConfig) (rc WorldConfig, fwd, bwd core.Degree
 }
 
 // chooseStrategy is StrategyAuto: dense routers shard over slots; hard
-// routers holding an adapted plain expert get EP; natively staged layers run the
-// 2-D Algorithm-1 grid over (group size × degree), whose g=1 and g=Ranks
-// edges carry the pure EP and ESP volume sets — so the EP-vs-ESP
-// comparison is this grid restricted to its edges, and an interior winner
-// selects StrategyHybrid with its group size. When the grid ran, the
+// routers run the 2-D Algorithm-1 grid over (group size × degree), whose
+// g=1 and g=Ranks edges carry the pure EP and ESP volume sets — so the
+// EP-vs-ESP comparison is this grid restricted to its edges, and an interior
+// winner selects StrategyHybrid with its group size. When the grid ran, the
 // winner's per-phase degree results are returned for reuse (picked true),
 // saving the caller an identical pair of searches.
 func chooseStrategy(l *MOELayer, tokens, ranks int) (strat Strategy, groupSize int, degF, degB core.DegreeResult, picked bool) {
 	if dr, ok := l.cfg.Gate.(DenseRouter); ok && dr.DenseRouting() {
 		return StrategyDenseSlots, 0, degF, degB, false
-	}
-	if l.plain >= 0 {
-		return StrategyEP, 0, degF, degB, false
 	}
 	g, f, b := hybridGroupPick(l, tokens, ranks)
 	switch g {
@@ -146,13 +141,12 @@ func phaseDegrees(v core.Volumes) (f, b core.DegreeResult) {
 }
 
 // expertWork is the one pass over a layer's experts both volume derivations
-// share, each expert given n rows: the summed forward MACs and parameter
-// bytes, the summed hidden-exchange width (averaged over the forward and
-// backward band counts: Mixtral exchanges two backward bands, an adapted
-// plain expert nothing), and the GEMMs one expert runs.
+// share, each expert given n rows: the summed forward MACs, the summed
+// hidden-exchange width (averaged over the forward and backward band counts:
+// Mixtral exchanges two backward bands), and the GEMMs one expert runs.
 type expertWork struct {
-	macs, paramBytes, hidden float64
-	gemms                    int
+	macs, hidden float64
+	gemms        int
 }
 
 func (l *MOELayer) expertWork(n int) expertWork {
@@ -160,12 +154,26 @@ func (l *MOELayer) expertWork(n int) expertWork {
 	if _, ok := l.cfg.Experts[0].(*MixtralFFN); ok {
 		w.gemms = 3
 	}
-	for _, e := range l.staged {
+	for _, e := range l.cfg.Experts {
 		w.macs += e.FwdMACs(n)
-		w.paramBytes += e.ParamBytes()
 		w.hidden += float64(e.HiddenWidth()) * float64(e.FwdBands()+e.BwdBands()) / 2
 	}
 	return w
+}
+
+// paramBytes is the gradient bytes of the experts' parameters, what
+// Gradient-AllReduce must move: gradElemBytes per element of every Params()
+// weight. Only Algorithm 1's volumes need it; stepVolumes counts the world's
+// flattened gradient instead, and Params() allocates, so it stays off
+// expertWork, which every step runs.
+func paramBytes(experts []Expert) float64 {
+	elems := 0
+	for _, e := range experts {
+		for _, p := range e.Params() {
+			elems += p.W.Size()
+		}
+	}
+	return gradElemBytes * float64(elems)
 }
 
 // layerVolumes derives Algorithm-1 scheduling volumes from the real layer
@@ -174,14 +182,14 @@ func (l *MOELayer) expertWork(n int) expertWork {
 // AlltoAll links, ESP moves them through the AllGather/ReduceScatter
 // stages plus the hidden-activation exchange — and expert MACs / gradient
 // bytes come from the live expert implementations, so custom experts
-// steer the choice through their own FwdMACs/ParamBytes/HiddenWidth.
+// steer the choice through their own FwdMACs/Params/HiddenWidth.
 func layerVolumes(l *MOELayer, tokens int, strat Strategy) core.Volumes {
 	effF := l.cfg.GateConfig.Factor
 	if effF <= 0 {
 		effF = 1.0
 	}
 	k := max(l.cfg.GateConfig.TopK, 1)
-	e := len(l.staged)
+	e := len(l.cfg.Experts)
 	dispatched := float64(k) * effF * float64(tokens)
 	if strat == StrategyDenseSlots {
 		// Dense plans dispatch E·slotsPerExpert slot rows, independent of
@@ -198,7 +206,7 @@ func layerVolumes(l *MOELayer, tokens int, strat Strategy) core.Volumes {
 		// keeps the volumes valid for full-iteration simulations.
 		DenseFwd:  0.1,
 		DenseBwd:  0.2,
-		GradBytes: work.paramBytes,
+		GradBytes: paramBytes(l.cfg.Experts),
 	}
 	if strat == StrategyESP {
 		// Two gather stages (inputs, then hidden activations) and the

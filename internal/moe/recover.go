@@ -178,7 +178,7 @@ func (w *World) recoveryConfig(newR int) (WorldConfig, placement, error) {
 		}
 	}
 	cfg.Ranks, cfg.GPUsPerNode = newR, gpn
-	pl, err := place(w.layer, cfg)
+	pl, err := place(cfg)
 	return cfg, pl, err
 }
 

@@ -244,10 +244,8 @@ func (st *resident) update(layer, rank, lo, hi int) {
 //
 // Expert parameter gradients of the step go to the resident arenas, not to
 // Param.G, which StepWorlds neither clears nor writes for experts (it does
-// both for the gate's, and the adapter of a plain Expert for its own, whose
-// Backward can only add there). A step that returns
-// an error may already have stepped the parameters of the layers whose
-// backward completed.
+// both for the gate's). A step that returns an error may already have
+// stepped the parameters of the layers whose backward completed.
 func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepResult, error) {
 	t0 := time.Now()
 	cfg = cfg.withDefaults()

@@ -14,11 +14,10 @@ type Strategy string
 const (
 	// StrategyAuto (the zero value) lets NewWorld pick the strategy from
 	// the layer (planner.go): dense-routing gates get StrategyDenseSlots,
-	// and hard-routing layers whose experts all implement StagedExpert run
-	// the 2-D Algorithm-1 grid over (group size × pipeline degree) — its
-	// g=1 edge is pure EP, its g=R edge pure ESP, and an interior winner
-	// selects StrategyHybrid with that GroupSize. Layers holding an adapted
-	// plain expert always get StrategyEP.
+	// and hard-routing layers run the 2-D Algorithm-1 grid over (group
+	// size × pipeline degree) — its g=1 edge is pure EP, its g=R edge pure
+	// ESP, and an interior winner selects StrategyHybrid with that
+	// GroupSize.
 	StrategyAuto Strategy = ""
 	// StrategyEP is pure expert parallelism, g = 1: experts are sharded E/R
 	// per rank, tokens move to their experts over r-chunked dispatch/combine
@@ -30,7 +29,7 @@ const (
 	// r-chunked AllGather stages feeding the sharded GEMMs and a
 	// ReduceScatter returning each rank's slot rows, all on the one group's
 	// intra stream (§4's intra-node collective stages). Hard-routing plans
-	// only; experts must implement StagedExpert.
+	// only.
 	StrategyESP Strategy = "esp"
 	// StrategyDenseSlots runs dense (SoftMoE) plans through the g = 1
 	// schedule chunked over expert slots instead of token rows: slots are
@@ -45,7 +44,7 @@ const (
 	// while AllGather/ReduceScatter and the sharded GEMM stages run *within*
 	// each group on per-group intra streams. GroupSize 1 is EP's plan and
 	// GroupSize R is ESP's — the same builder at the same g. Hard-routing
-	// plans only; experts must implement StagedExpert at every group size.
+	// plans only.
 	StrategyHybrid Strategy = "hybrid"
 )
 
@@ -54,7 +53,7 @@ func Strategies() []Strategy {
 	return []Strategy{StrategyEP, StrategyESP, StrategyDenseSlots, StrategyHybrid}
 }
 
-// placement is a Strategy resolved against a layer and a rank count: what
+// placement is a Strategy resolved against a rank count: what
 // the plan builder reads instead of the name.
 type placement struct {
 	g      int    // expert-sharding group width
@@ -62,24 +61,22 @@ type placement struct {
 	noRows string // why a dense plan cannot run here: it has no token rows to …
 }
 
-// place validates the pairing of a layer, a strategy and a rank count at
-// NewWorld and Recover time. Errors name the strategy and the unsupported
+// place validates the pairing of a strategy and a rank count at NewWorld
+// and Recover time. Errors name the strategy and the unsupported
 // combination.
-func place(l *MOELayer, cfg WorldConfig) (placement, error) {
+func place(cfg WorldConfig) (placement, error) {
 	var pl placement
-	needNative := ""
 	switch cfg.Strategy {
 	case StrategyEP:
 		pl.g, pl.noRows = 1, "chunk"
 	case StrategyDenseSlots:
 		pl.g, pl.dense = 1, true
 	case StrategyESP:
-		pl.g, pl.noRows, needNative = cfg.Ranks, "shard", "requires sharded expert compute"
+		pl.g, pl.noRows = cfg.Ranks, "shard"
 	case StrategyHybrid:
-		// GroupSize must be a divisor of the rank count inside [1, R], and
-		// the staged contract holds at every group size, so a layer that
-		// validates at one g validates at all of them (the Algorithm-1 grid
-		// sweeps g freely, and Recover re-places at gcd(g, R′)).
+		// GroupSize must be a divisor of the rank count inside [1, R]; the
+		// expert contract holds at every group size, so the Algorithm-1 grid
+		// sweeps g freely, and Recover re-places at gcd(g, R′).
 		r, g := cfg.Ranks, cfg.GroupSize
 		if g < 1 || g > r {
 			return pl, fmt.Errorf("moe: strategy %q needs GroupSize in [1, %d] (the rank count), got GroupSize=%d",
@@ -89,14 +86,10 @@ func place(l *MOELayer, cfg WorldConfig) (placement, error) {
 			return pl, fmt.Errorf("moe: strategy %q needs GroupSize dividing the rank count, got %d ranks over GroupSize=%d",
 				StrategyHybrid, r, g)
 		}
-		pl.g, pl.noRows, needNative = g, "route between groups", "requires sharded expert compute at every GroupSize"
+		pl.g, pl.noRows = g, "route between groups"
 	default:
 		return pl, fmt.Errorf("moe: unknown parallel strategy %q (valid: %s, %s, %s, %s)",
 			cfg.Strategy, StrategyEP, StrategyESP, StrategyDenseSlots, StrategyHybrid)
-	}
-	if e := l.plain; e >= 0 && needNative != "" {
-		return pl, fmt.Errorf("moe: strategy %q %s, but expert %d (%T) does not implement StagedExpert; adapted plain experts compute whole blocks, under strategy %q",
-			cfg.Strategy, needNative, e, l.cfg.Experts[e], StrategyEP)
 	}
 	return pl, nil
 }

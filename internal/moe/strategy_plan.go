@@ -23,12 +23,12 @@ import (
 //	       group owning their experts;
 //	AG(x)  g > 1: gather the members' rows inside each group, on that
 //	       group's intra stream;
-//	E      the two stages of the staged expert contract (StagedExpert): the
-//	       stage-1 GEMMs over every gathered row, sharded over hidden COLUMNS
-//	       g ways, then the stage-2 GEMMs over each member's own ROWS. At
-//	       g = 1 the one member owns every column and both run back to back
-//	       in one task E<c>; at g > 1 they are the tasks H and O around
-//	       AG(h), the in-group gather of the column shards to full width;
+//	E      the two stages of the Expert contract: the stage-1 GEMMs over
+//	       every gathered row, sharded over hidden COLUMNS g ways, then the
+//	       stage-2 GEMMs over each member's own ROWS. At g = 1 the one member
+//	       owns every column and both run back to back in one task E<c>; at
+//	       g > 1 they are the tasks H and O around AG(h), the in-group gather
+//	       of the column shards to full width;
 //	RS(y)  g > 1: in-group ReduceScatter of the row-disjoint outputs — one
 //	       present contributor per element, so the ring sum is exact;
 //	C      nG > 1: combine AlltoAll between groups, back on inter.
@@ -57,8 +57,7 @@ import (
 // each rank's expert math — nothing else. Every chunk's collectives ahead
 // of its first compute stage are issued before any later stage (the
 // Fig. 3c/d ordering core.buildForwardLayer uses), so chunk c+1 is on the
-// wire while chunk c computes. A layer holding an adapted plain Expert
-// computes one range per pass (computeRange); its communication stays chunked.
+// wire while chunk c computes.
 
 // groups is the group geometry of one pass.
 type groups struct {
@@ -217,16 +216,16 @@ func (w *World) cutPass(ws *workspace, held *passBufs, gm groups, gin, gout *ten
 		}
 	}
 	b.hid, b.scratch = make([][]*tensor.Tensor, gm.R), make([][][]float64, gm.R)
-	bands := StagedExpert.BwdBands
+	bands := Expert.BwdBands
 	if fwd {
-		bands = StagedExpert.FwdBands
+		bands = Expert.FwdBands
 	}
 	for j := range b.hid {
-		for _, se := range w.groupStaged(gm, j) {
-			b.hid[j] = append(b.hid[j], ws.tensor(bands(se)*gm.tpad, se.HiddenWidth()))
+		for _, ex := range w.groupExperts(gm, j) {
+			b.hid[j] = append(b.hid[j], ws.tensor(bands(ex)*gm.tpad, ex.HiddenWidth()))
 			if fwd {
-				cl, ch := colShard(se.HiddenWidth(), j%gm.g, gm.g)
-				b.scratch[j] = append(b.scratch[j], ws.take(se.ScratchElems(gm.tpad, cl, ch)).data)
+				cl, ch := colShard(ex.HiddenWidth(), j%gm.g, gm.g)
+				b.scratch[j] = append(b.scratch[j], ws.take(ex.ScratchElems(gm.tpad, cl, ch)).data)
 			}
 		}
 	}
@@ -268,13 +267,9 @@ func (b *passBufs) cutGroup(gm groups, lo int) {
 }
 
 // groupExperts returns the experts of rank j's group in block order — at
-// g = 1 the rank's own — and groupStaged the same under the staged contract.
+// g = 1 the rank's own.
 func (w *World) groupExperts(gm groups, j int) []Expert {
 	return w.layer.cfg.Experts[j/gm.g*gm.egg:][:gm.egg]
-}
-
-func (w *World) groupStaged(gm groups, j int) []StagedExpert {
-	return w.layer.staged[j/gm.g*gm.egg:][:gm.egg]
 }
 
 // macsEst is a structural duration estimate (MMACs) of experts over rows
@@ -311,17 +306,14 @@ func (b *passBufs) colsEst(gm groups, rr comm.RowRange) func(int) float64 {
 	}
 }
 
-// after makes rank j wait for its own entry of each per-rank task vector; a
-// nil vector is nothing to wait for.
-func after(ids ...[]int) func(j int) []int {
+// after makes rank j wait for its own entry of a per-rank task vector; a nil
+// vector is nothing to wait for.
+func after(ids []int) func(j int) []int {
 	return func(j int) []int {
-		var out []int
-		for _, v := range ids {
-			if v != nil {
-				out = append(out, v[j])
-			}
+		if ids == nil {
+			return nil
 		}
-		return out
+		return []int{ids[j]}
 	}
 }
 
@@ -439,18 +431,6 @@ func (gm groups) windows(first, step int, rr comm.RowRange) tensor.Windows {
 	return tensor.Windows{Lo: first*gm.spad + rr.Lo, N: rr.Len(), Stride: step * gm.spad, Count: (gm.R - first + step - 1) / step}
 }
 
-// computeRange is what the expert stages cover at chunk c and what they wait
-// for: the chunk's rows once they have landed — or, in a layer holding an
-// adapted plain Expert, whose compute is one range per pass, every slot row
-// at chunk 0 once every chunk has landed and nothing at the later chunks,
-// whose outbound collectives wait for that one stage.
-func (w *World) computeRange(gm groups, c int, rr comm.RowRange, landed [][]int) (comm.RowRange, func(j int) []int, bool) {
-	if w.layer.plain < 0 {
-		return rr, after(landed[c]), true
-	}
-	return comm.RowRange{Lo: 0, Hi: gm.spad}, after(landed...), c == 0
-}
-
 // expertStages adds chunk c's expert compute over the rows rr of every
 // token-side rank's shard, forward or backward alike: a member runs hidden,
 // its hidden columns, on every gathered row, then output on its own rows,
@@ -498,9 +478,9 @@ func (w *World) buildForward(p *runtime.Plan, cache *WorldCache, scatPad, combin
 	passes := make([][]ExpertPass, gm.R)
 	cache.experts = passes
 	for j := range passes {
-		for le, se := range w.groupStaged(gm, j) {
-			cl, ch := colShard(se.HiddenWidth(), j%gm.g, gm.g)
-			passes[j] = append(passes[j], se.Begin(PassBufs{
+		for le, ex := range w.groupExperts(gm, j) {
+			cl, ch := colShard(ex.HiddenWidth(), j%gm.g, gm.g)
+			passes[j] = append(passes[j], ex.Begin(PassBufs{
 				X: slotBlock(b.in[j], le, gm.tpad), Out: slotBlock(b.out[j], le, gm.tpad),
 				Hidden: b.hid[j][le], Scratch: b.scratch[j][le], Cl: cl, Ch: ch, Pool: w.pool,
 			}))
@@ -508,12 +488,9 @@ func (w *World) buildForward(p *runtime.Plan, cache *WorldCache, scatPad, combin
 	}
 
 	landed := w.arrive(p, gm, b, ranges, "D", "AGx")
-	var done []int
 	for c, rr := range ranges {
-		if cr, deps, ok := w.computeRange(gm, c, rr, landed); ok {
-			done = w.expertStages(p, gm, b, passes, c, cr, deps, [3]string{"H", "AGh", "O"}, 1,
-				ExpertPass.ForwardHidden, ExpertPass.ForwardOut)
-		}
+		done := w.expertStages(p, gm, b, passes, c, rr, after(landed[c]), [3]string{"H", "AGh", "O"}, 1,
+			ExpertPass.ForwardHidden, ExpertPass.ForwardOut)
 		w.leave(p, gm, b, c, rr, "RSy", "C", done)
 	}
 }
@@ -551,10 +528,8 @@ func (w *World) buildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatter
 	// over the member's own.
 	var last []int // per rank, its latest expert task
 	for c, rr := range ranges {
-		if cr, deps, ok := w.computeRange(gm, c, rr, landed); ok {
-			last = w.expertStages(p, gm, b, passes, c, cr, deps, [3]string{"B1", "AGb", "B2"}, 2,
-				ExpertPass.BackwardHidden, ExpertPass.BackwardIn)
-		}
+		last = w.expertStages(p, gm, b, passes, c, rr, after(landed[c]), [3]string{"B1", "AGb", "B2"}, 2,
+			ExpertPass.BackwardHidden, ExpertPass.BackwardIn)
 		w.leave(p, gm, b, c, rr, "RSd", "D", last)
 		// Emit point c+1: slices here trail chunk c's last gradient
 		// collective, overlapping later expert chunks.

@@ -191,7 +191,7 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 	if layer.seqExperts {
 		return nil, fmt.Errorf("moe: world requires provably distinct expert instances (aliased experts cannot be sharded)")
 	}
-	pl, err := place(layer, cfg)
+	pl, err := place(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -10,41 +10,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// stagedOnly hides the concrete expert behind the StagedExpert contract the
-// hybrid strategy requires, so every strategy is seen to drive an expert
-// through the contract alone. At g=1 it runs chunk by chunk like any staged
-// expert — the hybrid counterpart of TestWorldFallbackExperts' adapter.
-type stagedOnly struct{ inner StagedExpert }
-
-func (o stagedOnly) Name() string     { return o.inner.Name() }
-func (o stagedOnly) Params() []*Param { return o.inner.Params() }
-func (o stagedOnly) Forward(x *tensor.Tensor) (*tensor.Tensor, ExpertCache) {
-	return o.inner.Forward(x)
-}
-func (o stagedOnly) Backward(c ExpertCache, dy *tensor.Tensor) *tensor.Tensor {
-	return o.inner.Backward(c, dy)
-}
-func (o stagedOnly) FwdMACs(n int) float64          { return o.inner.FwdMACs(n) }
-func (o stagedOnly) ParamBytes() float64            { return o.inner.ParamBytes() }
-func (o stagedOnly) HiddenWidth() int               { return o.inner.HiddenWidth() }
-func (o stagedOnly) FwdBands() int                  { return o.inner.FwdBands() }
-func (o stagedOnly) BwdBands() int                  { return o.inner.BwdBands() }
-func (o stagedOnly) ScratchElems(n, cl, ch int) int { return o.inner.ScratchElems(n, cl, ch) }
-func (o stagedOnly) Begin(b PassBufs) ExpertPass    { return o.inner.Begin(b) }
-
-// wrapStagedOnly wraps every expert of layer in stagedOnly.
-func wrapStagedOnly(t *testing.T, layer *MOELayer) {
-	t.Helper()
-	for i, ex := range layer.cfg.Experts {
-		se, ok := ex.(StagedExpert)
-		if !ok {
-			t.Fatalf("expert %d is not staged", i)
-		}
-		layer.cfg.Experts[i] = stagedOnly{se}
-	}
-	reresolve(layer)
-}
-
 // TestWorldHybridBitIdentical is the hybrid acceptance test: forward and
 // backward bit-identical to the sequential layer across the full
 // (GroupSize, degree) grid g ∈ {1, 2, R} × r ∈ {1, 2, 4} at R=4 and the
@@ -74,8 +39,8 @@ func TestWorldHybridBitIdentical(t *testing.T) {
 // Mixtral experts (two-band backward exchange), split forward/backward
 // degrees, the sequential executor, hierarchical AlltoAll lanes with a
 // node shape that splits the groups, a larger world (R=8: one expert per
-// rank, four groups), and experts seen through the staged contract alone —
-// which at g=1 run chunk by chunk like any other.
+// rank, four groups), and experts seen through the Expert interface alone,
+// at g = 2 and at g = 1.
 func TestWorldHybridBitIdenticalVariants(t *testing.T) {
 	x := tensor.RandN(xrand.New(31), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(32), 1, 96, 32)
@@ -98,21 +63,8 @@ func TestWorldHybridBitIdenticalVariants(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tc.cfg.Strategy = StrategyHybrid
-		layer := worldLayer(t, "gshard", TutelOrder{}, tc.mixtral, false)
-		if tc.stagedOnly {
-			wrapStagedOnly(t, layer)
-		}
+		layer := worldLayer(t, "gshard", TutelOrder{}, tc.mixtral, tc.stagedOnly)
 		want := runSequentialLayer(t, layer, x, dy)
-		if tc.stagedOnly && tc.cfg.GroupSize == 1 {
-			w, err := NewWorld(layer, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w.layer.plain >= 0 {
-				t.Fatal("staged experts at g=1 must run chunk by chunk")
-			}
-			w.Close()
-		}
 		got := runWorld(t, layer, tc.cfg, x, dy, tc.seqExec)
 		compareSnapshots(t, tc.name, want, got)
 	}
@@ -133,15 +85,6 @@ func TestWorldHybridValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), string(StrategyHybrid)) ||
 		!strings.Contains(err.Error(), "GroupSize") || !strings.Contains(err.Error(), "dividing") {
 		t.Fatalf("GroupSize=3 over 4 ranks: %v", err)
-	}
-
-	// The staged contract is required at every group size, g=1 included.
-	wrapped := worldLayer(t, "gshard", TutelOrder{}, false, true)
-	for _, g := range []int{1, 2} {
-		_, err := NewWorld(wrapped, WorldConfig{Ranks: 4, Strategy: StrategyHybrid, GroupSize: g, PipelineDegree: 1})
-		if err == nil || !strings.Contains(err.Error(), string(StrategyHybrid)) || !strings.Contains(err.Error(), "StagedExpert") {
-			t.Fatalf("plain experts at g=%d: %v", g, err)
-		}
 	}
 
 	// Dense plans are rejected at Forward, naming both strategies.

@@ -157,27 +157,19 @@ func TestWorldESPNarrowHidden(t *testing.T) {
 	}
 }
 
-// TestWorldDenseFallbackExperts: custom (non-chunked) experts run dense
-// plans through the whole-block fallback and stay bit-identical — the
-// DenseSlots counterpart of TestWorldFallbackExperts.
+// TestWorldDenseFallbackExperts: custom experts, seen only through the
+// Expert interface, run dense plans slot chunk by slot chunk and stay
+// bit-identical — the DenseSlots counterpart of TestWorldFallbackExperts.
 func TestWorldDenseFallbackExperts(t *testing.T) {
 	layer := softmoeLayer(t, false, 3)
 	for i, ex := range layer.cfg.Experts {
-		layer.cfg.Experts[i] = onlyExpert{ex}
+		layer.cfg.Experts[i] = stagedOnly{ex}
 	}
-	reresolve(layer)
 	x := tensor.RandN(xrand.New(65), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(66), 1, 96, 32)
 	want := runSequentialLayer(t, layer, x, dy)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 4, Strategy: StrategyDenseSlots})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.layer.plain < 0 {
-		t.Fatal("wrapped experts must route through the fallback path")
-	}
 	got := runWorld(t, layer, WorldConfig{Ranks: 4, PipelineDegree: 4, Strategy: StrategyDenseSlots}, x, dy, false)
-	compareSnapshots(t, "dense-fallback", want, got)
+	compareSnapshots(t, "dense custom experts", want, got)
 }
 
 // TestWorldStrategyValidation: strategy-aware validation names the
@@ -185,17 +177,10 @@ func TestWorldDenseFallbackExperts(t *testing.T) {
 func TestWorldStrategyValidation(t *testing.T) {
 	hard := worldLayer(t, "gshard", TutelOrder{}, false, false)
 	dense := softmoeLayer(t, false, 2)
-	wrapped := worldLayer(t, "gshard", TutelOrder{}, false, true)
 
 	// Unknown strategy.
 	if _, err := NewWorld(hard, WorldConfig{Ranks: 2, Strategy: "fancy", PipelineDegree: 1}); err == nil || !strings.Contains(err.Error(), "unknown parallel strategy") {
 		t.Fatalf("unknown strategy: %v", err)
-	}
-
-	// ESP requires the staged contract.
-	_, err := NewWorld(wrapped, WorldConfig{Ranks: 2, Strategy: StrategyESP, PipelineDegree: 1})
-	if err == nil || !strings.Contains(err.Error(), string(StrategyESP)) || !strings.Contains(err.Error(), "StagedExpert") {
-		t.Fatalf("esp with plain experts: %v", err)
 	}
 
 	// EP rejects dense plans, naming the strategy that accepts them.
