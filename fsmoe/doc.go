@@ -184,40 +184,38 @@
 // StepStack (on a one-element slice for one layer) is the §5 training
 // step: forward, backward with the gradient sync sliced into the backward
 // plans' slack, the exposed tail — and the SGD update riding that sync.
-// Every gradient element has one contributor, its owner rank (there is no
-// data-parallel axis), so the sync is an owner gather, not an all-reduce:
-// each slice is stepped once, on its owner, and broadcast to every other
-// rank. What does not change from one step to the next is kept on the
-// stack. The §5 byte plan (StepResult.Report.Gar) is solved once per distinct input —
-// the sync strategy, models, degree cap, chunk and slice settings of
+// Every gradient element has one contributor (there is no data-parallel
+// axis), and the parameters live once: one copy, stepped in place. A slice
+// has nothing to reduce or copy; it steps its elements, once each. What
+// does not change from one step to the next is kept on the stack. The §5
+// byte plan (StepResult.Report.Gar) is solved once per distinct input — the
+// sync strategy, models, degree cap, chunk and slice settings of
 // StepConfig together with every layer's shapes and padded batch
 // capacity — and solved again exactly when one of those compares
 // different (another batch size, another StepConfig, a Recover to fewer
-// ranks); treat it as read-only, later steps share it. Each rank keeps one
-// flat buffer in the RankParams layout and owns spans of it (its experts,
-// its shard of each gate parameter), where the buffer is in turn its
-// gradient — an expert's written by the backward plan's finish task, the
-// gate's shard by the stepping goroutine, zero for a dead rank's experts —
-// and then w − lr·g; other spans get their owner's replica by broadcast.
-// The gather moves each slice in cache-sized tiles, and the exposed tail —
-// of a step and of SyncGradients alike — runs on every core of the default
-// tensor pool; the bytes are those of one gather on one goroutine.
+// ranks); treat it as read-only, later steps share it. The stack keeps one
+// flat buffer in the RankParams layout, which is in turn the gradient — an
+// expert's written by the backward plan's finish task, the gate's by the
+// stepping goroutine, zero for a dead rank's experts — and then w − lr·g.
+// The exposed tail — of a step and of SyncGradients alike — runs on every
+// core of the default tensor pool; the bytes are those of the tail run on
+// one goroutine.
 //
 // What a step does to Param.G: nothing, for experts. StepStack neither
 // clears nor writes the gradient accumulators of experts; it clears and
 // fills the gate's. Param.G is the destination
 // of the Forward/Backward you drive yourself, accumulating across calls
 // until Layer.ZeroGrad, and what SyncGradients collects. Param.W is
-// written by the gather as the slices complete — a layer's parameters are
+// written by the update as the slices complete — a layer's parameters are
 // final once its slices have run, and a step that returns an error may
 // already have stepped the layers whose backward completed (a Recover
 // restores all of them from the checkpoint).
 //
-// Ownership: StepResult.RankParams and SyncReport.LayerGrads are views
-// of those stack-owned buffers, not copies. They are valid until the
-// next StepStack, Step or SyncGradients on the same worlds, which
-// overwrites them; copy what must outlive the call. Comparing replicas
-// within one step, or across two different stacks, needs no copy.
+// Ownership: StepResult.RankParams (one row, the post-step parameters) and
+// SyncReport.LayerGrads are views of that stack-owned buffer, not copies.
+// They are valid until the next StepStack or SyncGradients on the same
+// worlds, which overwrites them; copy what must outlive the call. Comparing
+// the rows of two different stacks needs no copy.
 //
 // The token path is resident the same way. Every buffer a pass moves
 // tokens through — the padded expert-major buffers the Order scatters
@@ -284,8 +282,8 @@
 // (DegradedResult); World.Health tracks per-rank state, and a
 // still-degraded World keeps completing degraded steps until ResetHealth
 // (a closed World fails fast with ErrWorldClosed). StepStack completes
-// multi-layer §5 steps around a degraded layer with every rank's
-// post-step replica still bit-identical.
+// multi-layer §5 steps around a degraded layer, the dead experts'
+// parameters frozen.
 //
 // # Checkpoint/restore and elastic recovery
 //

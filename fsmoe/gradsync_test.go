@@ -1,6 +1,7 @@
 package fsmoe
 
 import (
+	"math"
 	"testing"
 )
 
@@ -25,35 +26,42 @@ func syncTestStack(t *testing.T, layers, ranks int) []*World {
 	return ws
 }
 
-// TestStepStackStrategiesAgree: the public API steps a 2-layer stack to
-// bit-identical parameters on every rank under all three strategies, and
-// the adaptive strategy actually hides bytes inside the backward plans.
+// sameParams fails unless got and want each hold one parameter row and the
+// rows are bit-identical.
+func sameParams(t *testing.T, label string, got, want *StepResult) {
+	t.Helper()
+	if len(got.RankParams) != 1 || len(want.RankParams) != 1 {
+		t.Fatalf("%s: %d and %d parameter rows, want one each", label, len(got.RankParams), len(want.RankParams))
+	}
+	g, w := got.RankParams[0], want.RankParams[0]
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d params, want %d", label, len(g), len(w))
+	}
+	for k := range w {
+		if math.Float64bits(g[k]) != math.Float64bits(w[k]) {
+			t.Fatalf("%s: param %d = %v, want %v", label, k, g[k], w[k])
+		}
+	}
+}
+
+// TestStepStackStrategiesAgree: the public API steps a 2-layer stack to one
+// row of parameters, bit-identical under all three strategies to a twin
+// stepped sequentially with the AllReduce exposed, and the adaptive
+// strategy actually hides bytes inside the backward plans.
 func TestStepStackStrategiesAgree(t *testing.T) {
 	x := RandTensor(101, 96, 32)
 	dy := RandTensor(102, 96, 32)
-	var ref []float64
+	twin, err := StepStack(syncTestStack(t, 2, 4), x, dy, StepConfig{LR: 0.02, Sequential: true, Strategy: SyncNoOverlap})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, strat := range []SyncStrategy{SyncFSMoE, SyncLinaFixed, SyncNoOverlap} {
 		ws := syncTestStack(t, 2, 4)
 		res, err := StepStack(ws, x, dy, StepConfig{LR: 0.02, Strategy: strat, ChunkBytes: 64 << 10})
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		for r := 1; r < len(res.RankParams); r++ {
-			for k := range res.RankParams[0] {
-				if res.RankParams[r][k] != res.RankParams[0][k] {
-					t.Fatalf("%s: rank %d param %d diverges", strat, r, k)
-				}
-			}
-		}
-		if ref == nil {
-			ref = res.RankParams[0]
-		} else {
-			for k := range ref {
-				if res.RankParams[0][k] != ref[k] {
-					t.Fatalf("%s: param %d differs across strategies", strat, k)
-				}
-			}
-		}
+		sameParams(t, string(strat), res, twin)
 		if strat == SyncFSMoE && res.Report.HiddenBytes <= 0 {
 			t.Fatalf("adaptive strategy hid nothing: %+v", res.Report)
 		}
@@ -64,7 +72,7 @@ func TestStepStackStrategiesAgree(t *testing.T) {
 }
 
 // TestSyncGradientsBlocking: the blocking entry reconstructs the layer's
-// accumulated gradient bit-exactly on every rank.
+// accumulated gradient bit-exactly.
 func TestSyncGradientsBlocking(t *testing.T) {
 	layer, err := NewLayer(LayerConfig{
 		M: 32, H: 48, Experts: 8, TopK: 2, CapacityFactor: 1.25, Seed: 31,
@@ -97,14 +105,13 @@ func TestSyncGradientsBlocking(t *testing.T) {
 	if rep.Report.TailBytes != rep.Report.TotalBytes {
 		t.Fatalf("blocking sync must be all tail: %+v", rep.Report)
 	}
-	for r, g := range rep.LayerGrads[0] {
-		if len(g) != len(want) {
-			t.Fatalf("rank %d grad length %d, want %d", r, len(g), len(want))
-		}
-		for k := range want {
-			if g[k] != want[k] {
-				t.Fatalf("rank %d grad %d = %v, accumulated %v", r, k, g[k], want[k])
-			}
+	g := rep.LayerGrads[0]
+	if len(g) != len(want) {
+		t.Fatalf("grad length %d, want %d", len(g), len(want))
+	}
+	for k := range want {
+		if g[k] != want[k] {
+			t.Fatalf("grad %d = %v, accumulated %v", k, g[k], want[k])
 		}
 	}
 }

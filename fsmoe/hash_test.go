@@ -10,7 +10,7 @@ import (
 
 // TestStepParamHashesPinned pins the bits of a training step end to end: the
 // repository benchmark's four stacks (bench/workload.go, seed 1) stepped five
-// times through StepStack, rank 0's parameter replica hashed. Any change to
+// times through StepStack, the post-step parameters hashed. Any change to
 // a GEMM, an activation, a reduction order or the schedule's arithmetic that
 // moves one parameter bit moves a hash. A change meant to be bit-identical
 // must leave all four alone; one that re-rounds on purpose updates them, says
@@ -75,7 +75,7 @@ func TestStepParamHashesPinned(t *testing.T) {
 				h.Write(buf[:])
 			}
 			if got := fmt.Sprintf("%016x", h.Sum64()); got != wl.want {
-				t.Fatalf("rank 0's parameters after 5 steps hash to %s, pinned %s: a step's bits moved", got, wl.want)
+				t.Fatalf("the parameters after 5 steps hash to %s, pinned %s: a step's bits moved", got, wl.want)
 			}
 		})
 	}

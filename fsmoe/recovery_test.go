@@ -75,13 +75,7 @@ func TestRecoveryEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference step %d: %v", s, err)
 		}
-		for r := range want.RankParams {
-			for k := range want.RankParams[r] {
-				if got.RankParams[r][k] != want.RankParams[r][k] {
-					t.Fatalf("step %d: rank %d param %d diverges from reference restart", s, r, k)
-				}
-			}
-		}
+		sameParams(t, fmt.Sprintf("post-recovery step %d", s), got, want)
 	}
 }
 

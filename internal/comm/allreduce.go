@@ -9,9 +9,9 @@ import "repro/internal/tensor"
 // … → c+p−1) depends on c alone, and every ring operation is element-wise,
 // so each element sees the monolithic sequence of copies and additions
 // however the buffer is sliced. The training step does not run it: every
-// gradient element has one contributor there, so the §5 sync is an owner
-// gather (internal/gradsync, over BroadcastRange) that adds no zeros. The
-// ring stays as the chunked ≡ monolithic reference.
+// gradient element has one contributor there and one copy, stepped in place
+// (internal/gradsync), so there is nothing to sum. The ring stays as the
+// chunked ≡ monolithic reference.
 //
 // The ring moves a range one RingTile-wide tile at a time, each through the
 // whole ring before the next — the contract above applied to the tiling, so
@@ -22,11 +22,10 @@ import "repro/internal/tensor"
 // AVX-512, the scalar loop's bits (the scalar untiled ring is the tests'
 // oracle).
 
-// RingTile is the element width of the tiles the ring and the §5 owner
-// gather move a range in. On a 2-core AVX-512 Xeon (2 MiB L2 per core),
-// widths 1 024–65 536 tied, on the ring at a §5 tail's size and in the
-// repository benchmark's ep_params steps; BenchmarkBroadcastTile times the
-// gather's widths.
+// RingTile is the element width of the tiles the ring moves a range in, and
+// the unit the §5 sync's exposed tail (internal/gradsync) splits over the
+// tensor pool. On a 2-core AVX-512 Xeon (2 MiB L2 per core), widths
+// 1 024–65 536 tied on the ring at a §5 tail's size.
 const RingTile = 4096
 
 // SplitFlat partitions a flat buffer of n elements into at most chunks

@@ -1,12 +1,10 @@
 package comm
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"testing"
 
-	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
 
@@ -243,18 +241,11 @@ func TestSplitFlat(t *testing.T) {
 
 // untiledRing is the ring as it was before tiling: each ring step walks the
 // whole range. It is the oracle the tiled ring is held to, bytes and Stats
-// alike; its update, when non-nil, runs between the halves where each
-// reduced clip lands, as the §5 sync did before the owner gather.
-func untiledRing(data [][]float64, gpusPerNode int, rr RowRange, update func(rank, lo, hi int)) Stats {
+// alike.
+func untiledRing(data [][]float64, gpusPerNode int, rr RowRange) Stats {
 	var st Stats
 	p, n := len(data), len(data[0])
-	if rr.Len() == 0 {
-		return st
-	}
-	if p == 1 {
-		if update != nil {
-			update(0, rr.Lo, rr.Hi)
-		}
+	if rr.Len() == 0 || p == 1 {
 		return st
 	}
 	w := world{g: gpusPerNode}
@@ -276,13 +267,6 @@ func untiledRing(data [][]float64, gpusPerNode int, rr RowRange, update func(ran
 			st.add(w.sameNode(r, next), hi-lo)
 		}
 	}
-	if update != nil {
-		for r := 0; r < p; r++ {
-			if lo, hi := clip(r + 1); lo < hi {
-				update(r, lo, hi)
-			}
-		}
-	}
 	for s := 0; s < p-1; s++ {
 		for r := 0; r < p; r++ {
 			if lo, hi := clip(r + 1 - s); lo < hi {
@@ -293,71 +277,6 @@ func untiledRing(data [][]float64, gpusPerNode int, rr RowRange, update func(ran
 		}
 	}
 	return st
-}
-
-// TestBroadcastRangeProperty: over random rank counts, buffer lengths and
-// tilings broadcast in random order, each tile from its own random root,
-// every rank ends with each tile's root bytes, nothing outside the tiles
-// moves, and the Stats are BroadcastStats of each tile — p−1 messages of
-// its length, whatever its width.
-func TestBroadcastRangeProperty(t *testing.T) {
-	rng := xrand.New(4242)
-	for trial := 0; trial < 200; trial++ {
-		p := []int{1, 2, 4, 8}[rng.Intn(4)]
-		n := rng.Intn(200)
-		g := []int{0, 1, 2, p}[rng.Intn(4)]
-		tiles := SplitFlat(n, 1+rng.Intn(6))
-		perm := rng.Perm(len(tiles))
-		roots := make([]int, len(tiles))
-		for c := range roots {
-			roots[c] = rng.Intn(p)
-		}
-		ref := randRanks(uint64(trial), p, n)
-
-		got := cloneRanks(ref)
-		var gotSt, wantSt Stats
-		for _, c := range perm {
-			st, err := BroadcastRange(got, roots[c], g, tiles[c])
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotSt.Merge(st)
-			wantSt.Merge(BroadcastStats(p, roots[c], g, tiles[c].Len()))
-		}
-		if msgs, vol := gotSt.IntraMessages+gotSt.InterMessages, gotSt.IntraVolume+gotSt.InterVolume; gotSt != wantSt || vol != float64((p-1)*n) || (n > 0 && msgs != (p-1)*len(tiles)) {
-			t.Fatalf("trial %d (p=%d n=%d g=%d): stats %+v, want %+v: %d messages, volume %v", trial, p, n, g, gotSt, wantSt, msgs, vol)
-		}
-		for c, rr := range tiles {
-			for r := range got {
-				for k := rr.Lo; k < rr.Hi; k++ {
-					if math.Float64bits(got[r][k]) != math.Float64bits(ref[roots[c]][k]) {
-						t.Fatalf("trial %d (p=%d n=%d tile %v root %d): rank %d elem %d = %v, root's %v",
-							trial, p, n, rr, roots[c], r, k, got[r][k], ref[roots[c]][k])
-					}
-				}
-			}
-		}
-	}
-	buf := randRanks(1, 3, 10)
-	want := cloneRanks(buf)
-	if _, err := BroadcastRange(buf, 1, 0, RowRange{Lo: 3, Hi: 7}); err != nil {
-		t.Fatal(err)
-	}
-	for r := range buf {
-		for k, v := range buf[r] {
-			if (k < 3 || k >= 7) && v != want[r][k] {
-				t.Fatalf("rank %d elem %d outside the window was written", r, k)
-			}
-		}
-	}
-	for _, rr := range []RowRange{{-1, 2}, {4, 3}, {0, 11}} {
-		if _, err := BroadcastRange(buf, 0, 0, rr); err == nil {
-			t.Fatalf("range %v must fail", rr)
-		}
-	}
-	if _, err := BroadcastRange(buf, 3, 0, RowRange{0, 1}); err == nil {
-		t.Fatal("out-of-range root must fail")
-	}
 }
 
 // TestRingAllReduceTiledMatchesUntiled: the tiled ring is the untiled one.
@@ -379,7 +298,7 @@ func TestRingAllReduceTiledMatchesUntiled(t *testing.T) {
 		ref := randRanks(uint64(5000+trial), p, n)
 
 		want, got := cloneRanks(ref), cloneRanks(ref)
-		wantSt := untiledRing(want, g, rr, nil)
+		wantSt := untiledRing(want, g, rr)
 		gotSt, err := RingAllReduceChunk(got, g, rr)
 		if err != nil {
 			t.Fatal(err)
@@ -397,42 +316,5 @@ func TestRingAllReduceTiledMatchesUntiled(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// BenchmarkBroadcastTile runs the §5 owner gather's inner loop over one tail
-// at the benchmark's ep_params size (4 ranks of 2.63 M elements, each rank
-// owning a quarter): per tile, the step's update on the owner — tensor.StepRow,
-// which writes the replica and the live weight — then BroadcastRange of the
-// tile, at tile widths around RingTile. The "untiled" row is the scalar ring
-// with the same update between its halves, the sync the gather replaced
-// before that ring was tiled and vectorized.
-func BenchmarkBroadcastTile(b *testing.B) {
-	const p, n = 4, 2_630_000
-	data := randRanks(1, p, n)
-	weights := randRanks(2, 1, n)[0]
-	update := func(rank, lo, hi int) {
-		tensor.StepRow(weights[lo:hi], data[rank][lo:hi], 1e-9)
-	}
-	b.Run("untiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			untiledRing(data, p, RowRange{Lo: 0, Hi: n}, update)
-		}
-	})
-	owners := SplitFlat(n, p)
-	for _, tile := range []int{1024, 4096, 16384, 65536} {
-		b.Run(fmt.Sprintf("tile=%d", tile), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for r, span := range owners {
-					for lo := span.Lo; lo < span.Hi; lo += tile {
-						t := RowRange{Lo: lo, Hi: min(lo+tile, span.Hi)}
-						update(r, t.Lo, t.Hi)
-						if _, err := BroadcastRange(data, r, p, t); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-		})
 	}
 }

@@ -2,7 +2,10 @@ package comm
 
 import (
 	"errors"
+	"math"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 func bcastBuffers(p, n int, root int) [][]float64 {
@@ -40,6 +43,49 @@ func TestBroadcast(t *testing.T) {
 		}
 		if got := st.IntraVolume + st.InterVolume; got != float64((p-1)*n) {
 			t.Fatalf("root %d: volume %v, want %v", root, got, float64((p-1)*n))
+		}
+	}
+}
+
+// TestBroadcastProperty: over random rank counts, buffer lengths, roots and
+// node widths, every rank ends with the root's bytes, the root's own buffer
+// unchanged, and the Stats are p−1 messages of the whole buffer (none of an
+// empty one), each hop src → src+1 counted intra-node exactly when both
+// ranks sit on one node of g.
+func TestBroadcastProperty(t *testing.T) {
+	rng := xrand.New(4242)
+	for trial := 0; trial < 200; trial++ {
+		p := []int{1, 2, 3, 4, 8}[rng.Intn(5)]
+		n := rng.Intn(200)
+		g := []int{0, 1, 2, 3, p}[rng.Intn(5)]
+		root := rng.Intn(p)
+		ref := randRanks(uint64(trial), p, n)
+		got := cloneRanks(ref)
+		st, err := Broadcast(got, root, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Stats
+		for hop := 0; hop < p-1 && n > 0; hop++ {
+			src := (root + hop) % p
+			if dst := (src + 1) % p; g > 0 && src/g == dst/g {
+				want.IntraMessages++
+				want.IntraVolume += float64(n)
+			} else {
+				want.InterMessages++
+				want.InterVolume += float64(n)
+			}
+		}
+		if msgs, vol := st.IntraMessages+st.InterMessages, st.IntraVolume+st.InterVolume; st != want ||
+			vol != float64((p-1)*n) || (n > 0 && msgs != p-1) {
+			t.Fatalf("trial %d (p=%d n=%d g=%d root %d): stats %+v, want %+v: %d messages, volume %v", trial, p, n, g, root, st, want, msgs, vol)
+		}
+		for r := range got {
+			for k := range got[r] {
+				if math.Float64bits(got[r][k]) != math.Float64bits(ref[root][k]) {
+					t.Fatalf("trial %d (p=%d n=%d root %d): rank %d elem %d = %v, root's %v", trial, p, n, root, r, k, got[r][k], ref[root][k])
+				}
+			}
 		}
 	}
 }

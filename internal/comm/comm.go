@@ -5,8 +5,9 @@
 // Implemented algorithms:
 //
 //   - Ring AllReduce, AllGather, ReduceScatter and Broadcast (NCCL's
-//     defaults), used by ESP-AllGather, ESP-ReduceScatter and the §5
-//     owner gather that stands in for Gradient-AllReduce;
+//     defaults), used by ESP-AllGather, ESP-ReduceScatter and the
+//     recovery's weight re-placement; the ring AllReduce is the reference
+//     for §5's Gradient-AllReduce;
 //   - Direct (flat) AlltoAll, the NCCL algorithm DeepSpeed-MoE issues;
 //   - 1DH AlltoAll (Hetu): intra-node gather → leader exchange → scatter;
 //   - 2DH AlltoAll (Tutel / DeepSpeed): intra-node regrouping phase

@@ -73,7 +73,7 @@ func TestRingAllReduceVolume(t *testing.T) {
 	p, n := 4, 3*RingTile+65
 	r := xrand.New(1)
 	data := randWorld(r, p, n)
-	want := untiledRing(cloneRanks(data), 2, RowRange{Lo: 0, Hi: n}, nil)
+	want := untiledRing(cloneRanks(data), 2, RowRange{Lo: 0, Hi: n})
 	st, err := RingAllReduce(data, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,9 @@ package comm
 // collectives (AlltoAllBlocks, AllGatherBlocks, ReduceScatterBlocks) take
 // the guard as a parameter; the dense AlltoAllRows and Broadcast keep a
 // …Guarded twin each, for the benchmark's probes and for recovery's weight
-// re-placement. The ring AllReduce and BroadcastRange have no guard: the §5
-// gather's in-plan slices are injected at task level, before the body runs.
+// re-placement. The ring AllReduce has no guard: nothing on the step path
+// runs it, and the §5 sync's in-plan slices, which move no bytes, are
+// injected at task level, before the body runs.
 type Guard func() error
 
 func (g Guard) check() error {

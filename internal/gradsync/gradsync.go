@@ -1,7 +1,7 @@
 // Package gradsync makes the paper's §5 Gradient-AllReduce executable: it
-// takes the per-rank parameter gradients a multi-rank backward pass
-// produces, plans how many bytes to hide inside each layer's backward
-// pipeline (core.PartitionGradients — the FSMoE contribution — or the Lina
+// takes the parameter gradients a multi-rank backward pass produces, plans
+// how many bytes to hide inside each layer's backward pipeline
+// (core.PartitionGradients — the FSMoE contribution — or the Lina
 // fixed-chunk / no-overlap baselines), and materializes that plan as real
 // sync tasks appended to the backward stream plans, so the slices
 // genuinely run in the slack between dispatch/combine chunks on the shared
@@ -17,17 +17,16 @@
 // Collect(i) once layer i's gradients exist, and Finish() for the exposed
 // tail.
 //
-// Every gradient element has one contributor, its owner rank, named by the
-// owner spans Collect takes. So a slice is an owner gather, not a ring sum
-// that would add only zeros: for each owner span it covers, the Syncer's
-// Update (if any) steps the owner's gradient once, in place, and a ring
-// broadcast (comm.BroadcastRange) copies it to every other rank. The bytes
-// do not depend on the slicing, so all strategies produce bit-identical
-// buffers and Finish may split the tail across the default tensor pool.
+// Every gradient element has one contributor, and the parameters live once:
+// one copy, stepped in place. So a slice has nothing to sum and nothing to
+// copy, and runs only the Syncer's Update (if any) over its elements of the
+// layer's one gradient buffer, once each. The byte plan still prices the
+// paper's AllReduce. The bytes do not depend on the slicing, so all
+// strategies produce bit-identical buffers and Finish may split the tail
+// across the default tensor pool.
 package gradsync
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -65,7 +64,7 @@ const KindAllReduce = sim.KindAllReduce
 
 // LayerSpec registers one generalized layer with a Syncer.
 type LayerSpec struct {
-	// Elems is the layer's flattened gradient length (per rank).
+	// Elems is the layer's flattened gradient length.
 	Elems int
 	// V is the §5 byte accounting PartitionGradients consumes. V.GradBytes
 	// should equal Elems·ElemBytes for the plan to conserve volume.
@@ -74,12 +73,11 @@ type LayerSpec struct {
 
 // Config tunes a Syncer.
 type Config struct {
-	Strategy    Strategy
-	Models      core.Models // performance models driving the GarPlan and task estimates
-	ChunkBytes  float64     // StrategyFixedChunk chunk size (default 30 MiB, the paper's Lina setting)
-	Slices      int         // AllReduce slices per hidden window (default 4)
-	ElemBytes   float64     // accounting bytes per gradient element (default 4, fp32 master grads)
-	GPUsPerNode int         // node shape for ring Stats; <= 0 counts all traffic as inter-node (comm semantics)
+	Strategy   Strategy
+	Models     core.Models // performance models driving the GarPlan and task estimates
+	ChunkBytes float64     // StrategyFixedChunk chunk size (default 30 MiB, the paper's Lina setting)
+	Slices     int         // AllReduce slices per hidden window (default 4)
+	ElemBytes  float64     // accounting bytes per gradient element (default 4, fp32 master grads)
 }
 
 func (c Config) withDefaults() Config {
@@ -98,10 +96,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Span is an element range [Lo, Hi) of a layer's buffers and its owner: the
-// one rank whose buffer holds the range's gradient.
-type Span struct{ Lo, Hi, Rank int }
-
 // pendingRange is one not-yet-synchronized element range of one layer.
 type pendingRange struct {
 	layer int
@@ -112,12 +106,11 @@ type pendingRange struct {
 type Report struct {
 	Strategy    Strategy
 	TotalBytes  float64       // accounting bytes across all layers
-	HiddenBytes float64       // bytes gathered inside backward stream plans
-	TailBytes   float64       // bytes gathered by Finish, after the backward pass
+	HiddenBytes float64       // bytes synchronized inside backward stream plans
+	TailBytes   float64       // bytes synchronized by Finish, after the backward pass
 	TailMS      float64       // measured wall time of the exposed tail
 	Slices      int           // AllReduce tasks emitted into plans
 	TailSlices  int           // AllReduce slices run by Finish
-	Stats       comm.Stats    // gather traffic: one broadcast per (slice ∩ owner span)
 	Gar         *core.GarPlan // the strategy's byte plan (nil for no-overlap)
 }
 
@@ -133,19 +126,14 @@ type Syncer struct {
 	names  *sliceNames
 	tail   *tailRun
 	update Update
-	grads  [][][]float64 // [layer][rank][] gradient buffers, set by Collect
-	owners [][]Span      // [layer] owner spans, set by Collect
-	ranks  int
-	seen   int // layers collected so far
+	grads  [][]float64 // [layer] gradient buffer, set by Collect
+	seen   int         // layers collected so far
 	synced bool
 
 	pending  []pendingRange
 	emit     [][]pendingRange // slices bucketed per emit point for the current layer
-	inflight []pendingRange   // slices handed to a plan by EmitAt but not yet gathered
+	inflight []pendingRange   // slices handed to a plan by EmitAt but not yet run
 	rep      Report
-
-	tailMu  sync.Mutex // guards tailErr while Finish's workers run
-	tailErr error
 }
 
 // Plan is a strategy's solved byte plan together with the inputs it was
@@ -194,12 +182,11 @@ func (n *sliceNames) of(sl pendingRange) string {
 	return name
 }
 
-// Update is applied by the gather once to each piece of a layer's buffers:
-// elements [lo, hi) on rank, their owner, which may rewrite the gradient in
-// place before it is copied to the other ranks. Finish calls it from several
-// goroutines at once on disjoint ranges, holding its Plan's tail: it must
-// not call back into the Syncer or anything cut from the same Plan.
-type Update func(layer, rank, lo, hi int)
+// Update is applied once to each piece of a layer's gradient buffer,
+// elements [lo, hi), and may rewrite it in place. Finish calls it from
+// several goroutines at once on disjoint ranges, holding its Plan's tail: it
+// must not call back into the Syncer or anything cut from the same Plan.
+type Update func(layer, lo, hi int)
 
 // Solve validates the layer specs and computes the strategy's byte plan —
 // for StrategyFSMoE the §5 partition, the one expensive call of the
@@ -249,7 +236,7 @@ func (p *Plan) For(cfg Config, specs []LayerSpec) (*Plan, error) {
 }
 
 // NewSyncer starts one backward pass's synchronization under the plan.
-// With a nil update every rank's buffers end as the owners' gradients.
+// With a nil update the buffers end as they were collected.
 func (p *Plan) NewSyncer(update Update) *Syncer {
 	return &Syncer{
 		cfg:    p.cfg,
@@ -258,8 +245,7 @@ func (p *Plan) NewSyncer(update Update) *Syncer {
 		names:  &p.names,
 		tail:   &p.tail,
 		update: update,
-		grads:  make([][][]float64, len(p.specs)),
-		owners: make([][]Span, len(p.specs)),
+		grads:  make([][]float64, len(p.specs)),
 		rep:    Report{Strategy: p.cfg.Strategy, TotalBytes: p.total, Gar: p.gar},
 	}
 }
@@ -320,7 +306,7 @@ func (s *Syncer) StartLayer(i int) {
 	}
 	// Slices parked for a previous plan that never emitted them (a builder
 	// announcing more points than it drives), and slices a previous plan
-	// accepted but never gathered (the plan aborted on a fault or deadline
+	// accepted but never ran (the plan aborted on a fault or deadline
 	// before its inter stream reached them), return to the pool rather
 	// than being lost.
 	for _, bucket := range s.emit {
@@ -417,25 +403,19 @@ func (s *Syncer) EmitAt(p *runtime.Plan, stream string, pt int) {
 
 // reduce runs one in-plan AllReduce slice on the task's goroutine: the
 // World's kernel pool is sized to the executor's workers, and a slice that
-// fanned out would oversubscribe it. Plans execute their inter stream
-// serially and Finish runs after every plan has been awaited, so the stats
-// accumulation never races.
+// fanned out would oversubscribe it.
 func (s *Syncer) reduce(sl pendingRange) error {
 	if s.grads[sl.layer] == nil {
 		return fmt.Errorf("gradsync: layer %d sliced before Collect", sl.layer)
 	}
 	// In-plan AR tasks' fault injection is task-level: RetryPolicy.Kinds
 	// covers KindAllReduce and fires before the body, so a retried slice is
-	// never gathered or updated twice. The broadcast takes no guard, nor
-	// does the Finish tail, which runs outside any plan.
-	if err := s.gather(sl.layer, sl.rr); err != nil {
-		return err
-	}
-	s.rep.Stats.Merge(s.gatherStats(sl.layer, sl.rr))
-	// Mark the slice gathered so an aborted plan's reclamation re-pends
-	// only the slices its skipped tasks left untouched. Plans drive their
-	// inter stream serially and Finish runs after every plan has been
-	// awaited, so this bookkeeping never races.
+	// never updated twice. The Finish tail runs outside any plan.
+	s.apply(sl.layer, sl.rr)
+	// Mark the slice run so an aborted plan's reclamation re-pends only
+	// the slices its skipped tasks left untouched. Plans drive their inter
+	// stream serially and Finish runs after every plan has been awaited,
+	// so this bookkeeping never races.
 	for i, p := range s.inflight {
 		if p.layer == sl.layer && p.rr == sl.rr {
 			s.inflight = append(s.inflight[:i], s.inflight[i+1:]...)
@@ -445,70 +425,28 @@ func (s *Syncer) reduce(sl pendingRange) error {
 	return nil
 }
 
-// gather runs the owner gather over elements rr of layer's buffers: for
-// each owner span rr covers, one comm.RingTile tile at a time (kept in
-// cache), the Update steps the owner's tile and a broadcast copies it.
-func (s *Syncer) gather(layer int, rr comm.RowRange) error {
-	for _, sp := range s.owners[layer] {
-		for lo, hi := max(sp.Lo, rr.Lo), min(sp.Hi, rr.Hi); lo < hi; lo += comm.RingTile {
-			t := comm.RowRange{Lo: lo, Hi: min(lo+comm.RingTile, hi)}
-			if s.update != nil {
-				s.update(layer, sp.Rank, t.Lo, t.Hi)
-			}
-			if _, err := comm.BroadcastRange(s.grads[layer], sp.Rank, s.cfg.GPUsPerNode, t); err != nil {
-				return err
-			}
-		}
+// apply runs the Update, if any, over elements rr of layer's buffer.
+func (s *Syncer) apply(layer int, rr comm.RowRange) {
+	if s.update != nil {
+		s.update(layer, rr.Lo, rr.Hi)
 	}
-	return nil
 }
 
-// gatherStats is gather's traffic over rr: one broadcast per owner span
-// piece, however gather tiles it.
-func (s *Syncer) gatherStats(layer int, rr comm.RowRange) comm.Stats {
-	var st comm.Stats
-	for _, sp := range s.owners[layer] {
-		st.Merge(comm.BroadcastStats(s.ranks, sp.Rank, s.cfg.GPUsPerNode, min(sp.Hi, rr.Hi)-max(sp.Lo, rr.Lo)))
-	}
-	return st
-}
-
-// Collect registers layer i's per-rank gradient buffers, all of the
-// registered element count, and their owner spans: sorted, non-empty, tiling
-// [0, Elems) exactly, each owned by a collected rank. From now on they are
-// pending for later windows or the tail, which overwrite every rank's buffer
-// with each owner's gradient, or what the Update made of it.
-func (s *Syncer) Collect(i int, grads [][]float64, owners []Span) error {
+// Collect registers layer i's gradient buffer, of the registered element
+// count. From now on it is pending for later windows or the tail, which
+// leave in it what the Update makes of it.
+func (s *Syncer) Collect(i int, grads []float64) error {
 	if i < 0 || i >= len(s.specs) {
 		return fmt.Errorf("gradsync: collect of unknown layer %d", i)
 	}
 	if s.grads[i] != nil {
 		return fmt.Errorf("gradsync: layer %d collected twice", i)
 	}
-	if len(grads) == 0 {
-		return fmt.Errorf("gradsync: layer %d collected no ranks", i)
-	}
-	if s.ranks != 0 && len(grads) != s.ranks {
-		return fmt.Errorf("gradsync: layer %d has %d ranks, earlier layers %d", i, len(grads), s.ranks)
-	}
 	n := s.specs[i].Elems
-	for r, g := range grads {
-		if len(g) != n {
-			return fmt.Errorf("gradsync: layer %d rank %d has %d elements, spec says %d", i, r, len(g), n)
-		}
+	if len(grads) != n {
+		return fmt.Errorf("gradsync: layer %d has %d elements, spec says %d", i, len(grads), n)
 	}
-	next, k := 0, 0
-	for ; k < len(owners); k++ {
-		if sp := owners[k]; sp.Lo != next || sp.Hi <= sp.Lo || sp.Rank < 0 || sp.Rank >= len(grads) {
-			break
-		}
-		next = owners[k].Hi
-	}
-	if k < len(owners) || next != n {
-		return fmt.Errorf("gradsync: layer %d owner spans %v do not tile [0,%d) over %d ranks", i, owners, n, len(grads))
-	}
-	s.ranks = len(grads)
-	s.grads[i], s.owners[i] = grads, owners
+	s.grads[i] = grads
 	s.pending = append(s.pending, pendingRange{layer: i, rr: comm.RowRange{Lo: 0, Hi: n}})
 	s.seen++
 	return nil
@@ -518,9 +456,8 @@ func (s *Syncer) Collect(i int, grads [][]float64, owners []Span) error {
 // measuring its wall time, and returns the completed report. Every layer
 // must have been collected. The tail's comm.RingTile tiles are split across
 // the default tensor pool's workers: disjoint element ranges, so the bytes
-// and update calls are those of one gather per tail slice on one goroutine,
-// and Stats, counted per slice, do not depend on the pool's width. Every
-// piece runs; their errors are joined and returned once all have finished.
+// are those of the tail run on one goroutine, and each element meets the
+// Update once however wide the pool is.
 func (s *Syncer) Finish() (Report, error) {
 	if s.synced {
 		return s.rep, fmt.Errorf("gradsync: Finish called twice")
@@ -531,7 +468,7 @@ func (s *Syncer) Finish() (Report, error) {
 	s.synced = true
 	// Anything still parked for emission was never absorbed by a plan
 	// (e.g. the budget outran the plan's emit points), and anything a plan
-	// absorbed but never gathered (an aborted run's skipped tasks), joins
+	// absorbed but never ran (an aborted run's skipped tasks), joins
 	// the tail.
 	for _, bucket := range s.emit {
 		s.pending = append(s.pending, bucket...)
@@ -550,20 +487,18 @@ func (s *Syncer) Finish() (Report, error) {
 			per = s.sliceElems(per)
 		}
 		for lo := pr.rr.Lo; lo < pr.rr.Hi; lo += per {
-			sl := comm.RowRange{Lo: lo, Hi: min(lo+per, pr.rr.Hi)}
-			s.rep.Stats.Merge(s.gatherStats(pr.layer, sl))
 			s.rep.TailSlices++
-			s.rep.TailBytes += float64(sl.Len()) * s.cfg.ElemBytes
+			s.rep.TailBytes += float64(min(per, pr.rr.Hi-lo)) * s.cfg.ElemBytes
 		}
 		tiles += (pr.rr.Len() + comm.RingTile - 1) / comm.RingTile
 	}
 	s.tail.run(s, tiles)
 	s.pending = nil
 	s.rep.TailMS = float64(time.Since(t0)) / 1e6
-	return s.rep, s.tailErr
+	return s.rep, nil
 }
 
-// run gathers tiles [0, n) of s's tail on the default tensor pool.
+// run updates tiles [0, n) of s's tail on the default tensor pool.
 func (t *tailRun) run(s *Syncer, n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -572,19 +507,13 @@ func (t *tailRun) run(s *Syncer, n int) {
 	t.s = nil
 }
 
-// tailTiles gathers tiles [lo, hi) of the tail, numbered across the pending
-// ranges in order, one gather per range it meets; a failed gather's error
-// joins s.tailErr and the rest still run.
+// tailTiles updates tiles [lo, hi) of the tail, numbered across the pending
+// ranges in order, one apply per range it meets.
 func (s *Syncer) tailTiles(lo, hi int) {
 	for _, pr := range s.pending {
 		k := (pr.rr.Len() + comm.RingTile - 1) / comm.RingTile
 		if a, b := max(lo, 0), min(hi, k); a < b {
-			rr := comm.RowRange{Lo: pr.rr.Lo + a*comm.RingTile, Hi: min(pr.rr.Lo+b*comm.RingTile, pr.rr.Hi)}
-			if err := s.gather(pr.layer, rr); err != nil {
-				s.tailMu.Lock()
-				s.tailErr = errors.Join(s.tailErr, err)
-				s.tailMu.Unlock()
-			}
+			s.apply(pr.layer, comm.RowRange{Lo: pr.rr.Lo + a*comm.RingTile, Hi: min(pr.rr.Lo+b*comm.RingTile, pr.rr.Hi)})
 		}
 		lo, hi = lo-k, hi-k
 		if hi <= 0 {

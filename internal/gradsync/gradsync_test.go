@@ -1,11 +1,10 @@
 package gradsync
 
 import (
+	"fmt"
 	"math"
 	"reflect"
-	goruntime "runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -35,27 +34,20 @@ func testSpecs(l, n int) (Config, []LayerSpec) {
 	return cfg, specs
 }
 
-// disjointGrads builds per-rank partials where every element has exactly
-// one non-zero owner, i % ranks, so the reduced value is exact and known,
-// and the owner spans that say so.
-func disjointGrads(seed uint64, ranks, n int) (bufs [][]float64, truth []float64, owners []Span) {
+// randGrads builds a layer's gradient buffer of n elements and a copy of
+// it, the values it starts from.
+func randGrads(seed uint64, n int) (buf, truth []float64) {
 	rng := xrand.New(seed)
 	truth = make([]float64, n)
-	bufs = make([][]float64, ranks)
-	for r := range bufs {
-		bufs[r] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
+	for i := range truth {
 		truth[i] = rng.NormFloat64()
-		bufs[i%ranks][i] = truth[i]
-		owners = append(owners, Span{Lo: i, Hi: i + 1, Rank: i % ranks})
 	}
-	return bufs, truth, owners
+	return slices.Clone(truth), truth
 }
 
 // driveBackward simulates the plan-builder protocol for one full backward
 // pass in reverse layer order, executing each layer's plan for real.
-func driveBackward(t *testing.T, s *Syncer, layers int, grads [][][]float64, owners [][]Span, points int) {
+func driveBackward(t *testing.T, s *Syncer, layers int, grads [][]float64, points int) {
 	t.Helper()
 	for i := layers - 1; i >= 0; i-- {
 		s.StartLayer(i)
@@ -69,16 +61,16 @@ func driveBackward(t *testing.T, s *Syncer, layers int, grads [][][]float64, own
 				t.Fatal(err)
 			}
 		}
-		if err := s.Collect(i, grads[i], owners[i]); err != nil {
+		if err := s.Collect(i, grads[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestSyncerStrategiesBitIdentical: all three strategies must reduce every
-// layer's gradients to the identical bytes — only scheduling differs.
+// TestSyncerStrategiesBitIdentical: all three strategies must leave every
+// layer's gradients the identical bytes — only scheduling differs.
 func TestSyncerStrategiesBitIdentical(t *testing.T) {
-	const layers, ranks, n = 3, 4, 501
+	const layers, n = 3, 501
 	for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {
 		cfg, specs := testSpecs(layers, n)
 		cfg.Strategy = strat
@@ -87,24 +79,20 @@ func TestSyncerStrategiesBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		grads := make([][][]float64, layers)
+		grads := make([][]float64, layers)
 		truths := make([][]float64, layers)
-		owners := make([][]Span, layers)
 		for i := range grads {
-			grads[i], truths[i], owners[i] = disjointGrads(uint64(50+i), ranks, n)
+			grads[i], truths[i] = randGrads(uint64(50+i), n)
 		}
-		driveBackward(t, s, layers, grads, owners, 3)
+		driveBackward(t, s, layers, grads, 3)
 		rep, err := s.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range grads {
-			for r := 0; r < ranks; r++ {
-				for k := 0; k < n; k++ {
-					if grads[i][r][k] != truths[i][k] {
-						t.Fatalf("%s: layer %d rank %d elem %d = %v, want %v",
-							strat, i, r, k, grads[i][r][k], truths[i][k])
-					}
+			for k := 0; k < n; k++ {
+				if grads[i][k] != truths[i][k] {
+					t.Fatalf("%s: layer %d elem %d = %v, want %v", strat, i, k, grads[i][k], truths[i][k])
 				}
 			}
 		}
@@ -135,27 +123,23 @@ func TestSyncerStrategiesBitIdentical(t *testing.T) {
 // TestSyncerFSMoEHidesBytes: with Testbed A models and comfortable
 // windows, the adaptive plan must hide a positive share inside the plans.
 func TestSyncerFSMoEHidesBytes(t *testing.T) {
-	const layers, ranks, n = 4, 2, 2048
+	const layers, n = 4, 2048
 	cfg, specs := testSpecs(layers, n)
 	s, err := New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grads := make([][][]float64, layers)
-	owners := make([][]Span, layers)
+	grads := make([][]float64, layers)
 	for i := range grads {
-		grads[i], _, owners[i] = disjointGrads(uint64(90+i), ranks, n)
+		grads[i], _ = randGrads(uint64(90+i), n)
 	}
-	driveBackward(t, s, layers, grads, owners, 2)
+	driveBackward(t, s, layers, grads, 2)
 	rep, err := s.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.HiddenBytes <= 0 {
 		t.Fatalf("adaptive plan hid nothing (report %+v, gar %+v)", rep, rep.Gar)
-	}
-	if rep.Stats.IntraVolume+rep.Stats.InterVolume <= 0 {
-		t.Fatal("no ring traffic recorded")
 	}
 }
 
@@ -182,21 +166,21 @@ func TestSyncerValidation(t *testing.T) {
 	if _, err := s.Finish(); err == nil {
 		t.Fatal("Finish before Collect must fail")
 	}
-	g0, _, o0 := disjointGrads(1, 2, 64)
-	if err := s.Collect(5, g0, o0); err == nil {
+	g0, _ := randGrads(1, 64)
+	if err := s.Collect(5, g0); err == nil {
 		t.Fatal("unknown layer must fail")
 	}
-	if err := s.Collect(0, [][]float64{{1, 2}}, o0); err == nil {
+	if err := s.Collect(0, []float64{1, 2}); err == nil {
 		t.Fatal("wrong element count must fail")
 	}
-	if err := s.Collect(0, g0, o0); err != nil {
+	if err := s.Collect(0, g0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Collect(0, g0, o0); err == nil {
+	if err := s.Collect(0, g0); err == nil {
 		t.Fatal("double collect must fail")
 	}
-	g1, _, o1 := disjointGrads(2, 2, 64)
-	if err := s.Collect(1, g1, o1); err != nil {
+	g1, _ := randGrads(2, 64)
+	if err := s.Collect(1, g1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Finish(); err != nil {
@@ -207,38 +191,69 @@ func TestSyncerValidation(t *testing.T) {
 	}
 }
 
+// stepOnce is an Update that steps each element g to 1 − lr·g and counts
+// how often each element came by.
+func stepOnce(grads, seen [][]float64) Update {
+	const lr = 0.25
+	return func(layer, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			seen[layer][k]++
+			grads[layer][k] = 1 - lr*grads[layer][k]
+		}
+	}
+}
+
+// checkSteppedOnce fails unless every element of every layer came by the
+// Update exactly once and holds 1 − lr·g of its collected value g.
+func checkSteppedOnce(t *testing.T, label string, grads, truth, seen [][]float64) {
+	t.Helper()
+	const lr = 0.25
+	for i := range grads {
+		for k, g := range truth[i] {
+			if seen[i][k] != 1 {
+				t.Fatalf("%s: layer %d element %d updated %v times", label, i, k, seen[i][k])
+			}
+			if want := 1 - lr*g; grads[i][k] != want {
+				t.Fatalf("%s: layer %d element %d = %v, want %v", label, i, k, grads[i][k], want)
+			}
+		}
+	}
+}
+
 // TestSyncerAbortedPlanReclaimsSlices: a plan that absorbed AllReduce
 // slices via EmitAt and then aborted mid-run (a permanent fault cancels
 // the inter stream, skipping the remaining slice tasks) must not lose
-// them — the skipped slices return to the pending pool and Finish reduces
-// every byte, so the synchronized gradients stay exact.
+// them — the skipped slices return to the pending pool and Finish updates
+// every element, once, so the stepped values stay exact.
 func TestSyncerAbortedPlanReclaimsSlices(t *testing.T) {
-	const layers, ranks, n = 2, 4, 800
+	const layers, n = 2, 800
 	cfg, specs := testSpecs(layers, n)
 	cfg.Strategy = StrategyFSMoE
-	s, err := New(cfg, specs)
+	plan, err := Solve(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grads := make([][][]float64, layers)
+	grads := make([][]float64, layers)
 	truth := make([][]float64, layers)
-	owners := make([][]Span, layers)
+	seen := make([][]float64, layers)
 	for i := range grads {
-		grads[i], truth[i], owners[i] = disjointGrads(uint64(900+i), ranks, n)
+		grads[i], truth[i] = randGrads(uint64(900+i), n)
+		seen[i] = make([]float64, n)
 	}
+	s := plan.NewSyncer(stepOnce(grads, seen))
 
 	// Layer 1's backward plan: nothing pending yet, so its emits are empty.
 	s.StartLayer(1)
 	s.BeginLayer(1)
 	p1 := runtime.NewPlan()
 	s.EmitAt(p1, "inter", 0)
-	if err := s.Collect(1, grads[1], owners[1]); err != nil {
+	if err := s.Collect(1, grads[1]); err != nil {
 		t.Fatal(err)
 	}
 
 	// Layer 0's plan absorbs layer 1's pending slices across three emit
 	// points, but a permanent fault lands between points 0 and 1: the
-	// slices already run stay reduced, the rest are skipped when the plan
+	// slices already run stay stepped, the rest are skipped when the plan
 	// cancels — and must be reclaimed rather than lost.
 	s.StartLayer(0)
 	s.BeginLayer(3)
@@ -256,7 +271,7 @@ func TestSyncerAbortedPlanReclaimsSlices(t *testing.T) {
 	if _, err := p0.Execute(); err == nil {
 		t.Fatal("poisoned plan must fail")
 	}
-	if err := s.Collect(0, grads[0], owners[0]); err != nil {
+	if err := s.Collect(0, grads[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -267,27 +282,17 @@ func TestSyncerAbortedPlanReclaimsSlices(t *testing.T) {
 	if rep.TailSlices == 0 {
 		t.Fatal("aborted plan's skipped slices never reached the tail")
 	}
-	for i := range grads {
-		for r := 0; r < ranks; r++ {
-			for k := 0; k < n; k++ {
-				if grads[i][r][k] != truth[i][k] {
-					t.Fatalf("layer %d rank %d elem %d = %v, want %v (slices lost on abort)",
-						i, r, k, grads[i][r][k], truth[i][k])
-				}
-			}
-		}
-	}
+	checkSteppedOnce(t, "aborted plan", grads, truth, seen)
 }
 
 // TestSyncerUpdateOncePerElement: a Syncer cut with an Update leaves every
-// rank of every layer with update(owner's gradient) — under every strategy's
-// slicing, whether a slice ran inside a plan or in the tail, at tail pool
-// widths 1, 2 and 4, and with task names served from the plan's cache on
-// later passes — having handed the Update each element of each layer exactly
-// once, on the element's owner.
+// layer's buffer with update(gradient) — under every strategy's slicing,
+// whether a slice ran inside a plan or in the tail, at tail pool widths 1,
+// 2 and 4, and with task names served from the plan's cache on later passes
+// — having handed the Update each element of each layer exactly once.
 func TestSyncerUpdateOncePerElement(t *testing.T) {
 	defer tensor.SetWorkers(0)
-	const layers, ranks, n, lr = 3, 4, 501, 0.25
+	const layers, n = 3, 501
 	for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {
 		cfg, specs := testSpecs(layers, n)
 		cfg.Strategy = strat
@@ -298,78 +303,30 @@ func TestSyncerUpdateOncePerElement(t *testing.T) {
 		}
 		for pass, workers := range []int{1, 2, 4} {
 			tensor.SetWorkers(workers)
-			grads := make([][][]float64, layers)
+			grads := make([][]float64, layers)
 			truth := make([][]float64, layers)
-			owners := make([][]Span, layers)
+			seen := make([][]float64, layers)
 			for i := range grads {
-				grads[i], truth[i], owners[i] = disjointGrads(uint64(900+i), ranks, n)
+				grads[i], truth[i] = randGrads(uint64(900+i), n)
+				seen[i] = make([]float64, n)
 			}
-			seen, on := make([][]int, layers), make([][]int, layers)
-			for i := range seen {
-				seen[i], on[i] = make([]int, n), make([]int, n)
-			}
-			s := plan.NewSyncer(func(layer, rank, lo, hi int) {
-				for k := lo; k < hi; k++ {
-					seen[layer][k]++
-					on[layer][k] = rank
-					grads[layer][rank][k] = 1 - lr*grads[layer][rank][k]
-				}
-			})
-			driveBackward(t, s, layers, grads, owners, 3)
+			s := plan.NewSyncer(stepOnce(grads, seen))
+			driveBackward(t, s, layers, grads, 3)
 			if _, err := s.Finish(); err != nil {
 				t.Fatal(err)
 			}
-			for i := range grads {
-				for k, c := range seen[i] {
-					if c != 1 || on[i][k] != k%ranks {
-						t.Fatalf("%s pass %d: layer %d element %d updated %d times, on rank %d, owner %d", strat, pass, i, k, c, on[i][k], k%ranks)
-					}
-				}
-				for r := range grads[i] {
-					for k, g := range truth[i] {
-						if want := 1 - lr*g; grads[i][r][k] != want {
-							t.Fatalf("%s pass %d: layer %d rank %d element %d = %v, want %v", strat, pass, i, r, k, grads[i][r][k], want)
-						}
-					}
-				}
-			}
+			checkSteppedOnce(t, fmt.Sprintf("%s pass %d", strat, pass), grads, truth, seen)
 		}
 	}
-}
-
-// randGrads builds per-rank partials that all contribute to every element,
-// so the ring's summation order shows in the bits.
-func randGrads(seed uint64, ranks, n int) [][]float64 {
-	rng := xrand.New(seed)
-	bufs := make([][]float64, ranks)
-	for r := range bufs {
-		bufs[r] = make([]float64, n)
-		for k := range bufs[r] {
-			bufs[r][k] = rng.NormFloat64()
-		}
-	}
-	return bufs
-}
-
-// blockOwners gives rank r the r-th SplitFlat block of n elements.
-func blockOwners(ranks, n int) []Span {
-	var out []Span
-	for r, rr := range comm.SplitFlat(n, ranks) {
-		out = append(out, Span{Lo: rr.Lo, Hi: rr.Hi, Rank: r})
-	}
-	return out
 }
 
 // TestFinishParallelMatchesSerial: the tail split across 2 or 4 pool
 // workers leaves the buffers a syncer with an Update leaves on one worker,
 // bit for bit, and the same Report but for its wall time — under every
-// strategy, fixed-chunk tail slices cut off the tile edges included. The
-// Stats are the gather's: R − 1 messages for each piece a slice cuts from
-// an owner span, and R − 1 times the elements in all, half the ring's
-// 2(R − 1).
+// strategy, fixed-chunk tail slices cut off the tile edges included.
 func TestFinishParallelMatchesSerial(t *testing.T) {
 	defer tensor.SetWorkers(0)
-	const layers, ranks, n, lr = 3, 4, 5*comm.RingTile + 123, 0.25
+	const layers, n, lr = 3, 5*comm.RingTile + 123, 0.25
 	for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {
 		cfg, specs := testSpecs(layers, n)
 		cfg.Strategy = strat
@@ -378,40 +335,28 @@ func TestFinishParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		owners := make([][]Span, layers)
-		for i := range owners {
-			owners[i] = blockOwners(ranks, n)
-		}
-		var want [][][]float64
+		var want [][]float64
 		var wantRep Report
 		for _, workers := range []int{1, 2, 4} {
 			tensor.SetWorkers(workers)
-			grads := make([][][]float64, layers)
+			grads := make([][]float64, layers)
 			weights := make([][]float64, layers)
 			for i := range grads {
-				grads[i] = randGrads(uint64(70+i), ranks, n)
-				weights[i] = randGrads(uint64(80+i), 1, n)[0]
+				grads[i], _ = randGrads(uint64(70+i), n)
+				weights[i], _ = randGrads(uint64(80+i), n)
 			}
-			s := plan.NewSyncer(func(layer, rank, lo, hi int) {
+			s := plan.NewSyncer(func(layer, lo, hi int) {
 				for k := lo; k < hi; k++ {
-					grads[layer][rank][k] = weights[layer][k] - lr*grads[layer][rank][k]
+					grads[layer][k] = weights[layer][k] - lr*grads[layer][k]
 				}
 			})
-			driveBackward(t, s, layers, grads, owners, 3)
+			driveBackward(t, s, layers, grads, 3)
 			rep, err := s.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rep.TailBytes < float64(3*comm.RingTile)*cfg.ElemBytes {
 				t.Fatalf("%s: tail of %v bytes is too short to fan out", strat, rep.TailBytes)
-			}
-			st := rep.Stats
-			if vol := st.IntraVolume + st.InterVolume; vol != float64((ranks-1)*layers*n) {
-				t.Fatalf("%s: gather moved %v elements, want (R−1)·%d = %d", strat, vol, layers*n, (ranks-1)*layers*n)
-			}
-			if msgs := st.IntraMessages + st.InterMessages; msgs%(ranks-1) != 0 || msgs < (ranks-1)*layers*ranks ||
-				(strat == StrategyNoOverlap && msgs != (ranks-1)*layers*ranks) {
-				t.Fatalf("%s: %d messages, want R−1 per piece of %d owner spans per layer", strat, msgs, ranks)
 			}
 			rep.TailMS = 0
 			if workers == 1 {
@@ -422,11 +367,9 @@ func TestFinishParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("%s at %d workers: report %+v, one worker %+v", strat, workers, rep, wantRep)
 			}
 			for i := range grads {
-				for r := range grads[i] {
-					for k, v := range grads[i][r] {
-						if math.Float64bits(v) != math.Float64bits(want[i][r][k]) {
-							t.Fatalf("%s at %d workers: layer %d rank %d elem %d = %v, one worker %v", strat, workers, i, r, k, v, want[i][r][k])
-						}
+				for k, v := range grads[i] {
+					if math.Float64bits(v) != math.Float64bits(want[i][k]) {
+						t.Fatalf("%s at %d workers: layer %d elem %d = %v, one worker %v", strat, workers, i, k, v, want[i][k])
 					}
 				}
 			}
@@ -434,103 +377,33 @@ func TestFinishParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFinishRaggedLayerJoinsEveryPiece: a layer whose buffers disagree in
-// length fails its ring pieces, and Finish returns that error only once
-// every piece has run — the other layers end fully reduced — with no
-// goroutine left behind.
-func TestFinishRaggedLayerJoinsEveryPiece(t *testing.T) {
-	defer tensor.SetWorkers(0)
-	tensor.SetWorkers(4)
-	tensor.ParallelRange(8, func(lo, hi int) {}) // start the pool's workers before counting
-	const layers, ranks, n = 3, 4, 4 * comm.RingTile
-	cfg, specs := testSpecs(layers, n)
-	cfg.Strategy = StrategyNoOverlap
-	s, err := New(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grads := make([][][]float64, layers)
-	truth := make([][]float64, layers)
-	for i := range grads {
-		var owners []Span
-		grads[i], truth[i], owners = disjointGrads(uint64(300+i), ranks, n)
-		if err := s.Collect(i, grads[i], owners); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.grads[1][2] = s.grads[1][2][:n-1]
-	before := goruntime.NumGoroutine()
-	if _, err := s.Finish(); err == nil || !strings.Contains(err.Error(), "rank 2 has") {
-		t.Fatalf("ragged layer: err = %v", err)
-	}
-	for _, i := range []int{0, 2} {
-		for r := range grads[i] {
-			for k, v := range grads[i][r] {
-				if v != truth[i][k] {
-					t.Fatalf("layer %d rank %d elem %d = %v, want %v: a piece was cut short", i, r, k, v, truth[i][k])
-				}
-			}
-		}
-	}
-	if after := goruntime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before Finish, %d after", before, after)
-	}
-}
-
-// TestCollectValidatesOwners: owner spans that are unsorted, leave a gap,
-// overlap, are empty, stop short of or run past the layer, or name a rank
-// that was not collected are refused, and the layer stays uncollected.
-func TestCollectValidatesOwners(t *testing.T) {
-	cfg, specs := testSpecs(1, 10)
-	s, err := New(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grads, _, _ := disjointGrads(3, 2, 10)
-	for _, owners := range [][]Span{
-		nil,
-		{{0, 5, 0}},
-		{{5, 10, 1}, {0, 5, 0}},
-		{{0, 4, 0}, {5, 10, 1}},
-		{{0, 6, 0}, {5, 10, 1}},
-		{{0, 5, 0}, {5, 5, 1}, {5, 10, 1}},
-		{{0, 5, 0}, {5, 11, 1}},
-		{{0, 10, 0}, {10, 10, 1}},
-		{{0, 5, 0}, {5, 10, 2}},
-		{{0, 5, -1}, {5, 10, 1}},
-	} {
-		if err := s.Collect(0, grads, owners); err == nil {
-			t.Fatalf("owners %v must be refused", owners)
-		}
-	}
-	if err := s.Collect(0, grads, []Span{{0, 5, 1}, {5, 10, 0}}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGatherNegativeZero pins the one bit the owner gather and the ring it
-// replaced can disagree on. An element's gradient g sits on its owner and
-// +0 on every other rank. The ring sums g with those zeros, and x + 0 = x
-// for every x but −0: −0 + (+0) = +0. So where g = −0 the ring hands SGD a
-// +0, and from a −0 weight −0 − lr·(+0) = −0; the gather hands it the −0
-// itself, and −0 − lr·(−0) = −0 + (+0) = +0. Without an Update the gathered
-// gradient stays −0 where the ring left +0. Every other bit is the ring's.
+// TestGatherNegativeZero pins the one bit the one-copy update and the ring
+// it replaced can disagree on. An element's gradient g has one contributor;
+// a ring over R ranks would hold g on that rank and +0 on every other. The
+// ring sums g with those zeros, and x + 0 = x for every x but −0:
+// −0 + (+0) = +0. So where g = −0 the ring hands SGD a +0, and from a −0
+// weight −0 − lr·(+0) = −0; the update takes the −0 itself, and
+// −0 − lr·(−0) = −0 + (+0) = +0. Without an Update the gradient stays −0
+// where the ring left +0. Every other bit is the ring's.
 func TestGatherNegativeZero(t *testing.T) {
 	const ranks, n, lr = 4, 64, 0.5
 	negZero := math.Copysign(0, -1)
 	isNegZero := func(v float64) bool { return math.Float64bits(v) == math.Float64bits(negZero) }
 	for _, step := range []bool{true, false} {
-		grads, truth, owners := disjointGrads(7, ranks, n)
-		weights := randGrads(8, 1, n)[0]
+		grads, truth := randGrads(7, n)
+		weights, _ := randGrads(8, n)
 		for k := 0; k < n; k += 3 {
-			truth[k], grads[k%ranks][k] = negZero, negZero
+			truth[k], grads[k] = negZero, negZero
 		}
 		for k := 0; k < n; k += 2 {
 			weights[k] = negZero
 		}
 		ring := make([][]float64, ranks)
 		for r := range ring {
-			ring[r] = slices.Clone(grads[r])
+			ring[r] = make([]float64, n)
+		}
+		for k, g := range grads {
+			ring[k%ranks][k] = g
 		}
 		if _, err := comm.RingAllReduceChunk(ring, 0, comm.RowRange{Lo: 0, Hi: n}); err != nil {
 			t.Fatal(err)
@@ -539,7 +412,7 @@ func TestGatherNegativeZero(t *testing.T) {
 		var update Update
 		if step {
 			tensor.StepRow(ringW, ring[0], lr)
-			update = func(_, rank, lo, hi int) { tensor.StepRow(weights[lo:hi], grads[rank][lo:hi], lr) }
+			update = func(_, lo, hi int) { tensor.StepRow(weights[lo:hi], grads[lo:hi], lr) }
 		}
 		cfg, specs := testSpecs(1, n)
 		cfg.Strategy = StrategyNoOverlap
@@ -548,7 +421,7 @@ func TestGatherNegativeZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := plan.NewSyncer(update)
-		if err := s.Collect(0, grads, owners); err != nil {
+		if err := s.Collect(0, grads); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Finish(); err != nil {
@@ -556,30 +429,51 @@ func TestGatherNegativeZero(t *testing.T) {
 		}
 		moved := 0
 		for k := 0; k < n; k++ {
-			got, want := grads[0][k], ring[0][k]
+			got, want := grads[k], ring[0][k]
 			switch {
 			case step && isNegZero(truth[k]) && isNegZero(ringW[k]):
-				// Only here: the ring's step leaves −0, the gather's gives +0.
+				// Only here: the ring's step leaves −0, the update gives +0.
 				moved++
 				if !isNegZero(want) || math.Float64bits(got) != 0 {
-					t.Fatalf("step, element %d: gather %v (%#x), ring %v (%#x); want +0 and −0", k, got, math.Float64bits(got), want, math.Float64bits(want))
+					t.Fatalf("step, element %d: update %v (%#x), ring %v (%#x); want +0 and −0", k, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 			case !step && isNegZero(truth[k]):
 				moved++
 				if !isNegZero(got) || math.Float64bits(want) != 0 {
-					t.Fatalf("sync, element %d: gather %v (%#x), ring %v (%#x); want −0 and +0", k, got, math.Float64bits(got), want, math.Float64bits(want))
+					t.Fatalf("sync, element %d: buffer %v (%#x), ring %v (%#x); want −0 and +0", k, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 			case math.Float64bits(got) != math.Float64bits(want):
-				t.Fatalf("step %v, element %d: gather %v, ring %v", step, k, got, want)
-			}
-			for r := 1; r < ranks; r++ {
-				if math.Float64bits(grads[r][k]) != math.Float64bits(got) {
-					t.Fatalf("step %v, element %d: rank %d %v, rank 0 %v", step, k, r, grads[r][k], got)
-				}
+				t.Fatalf("step %v, element %d: update %v, ring %v", step, k, got, want)
 			}
 		}
 		if moved == 0 {
 			t.Fatalf("step %v: no −0 gradient met the case under test", step)
+		}
+	}
+}
+
+// BenchmarkFinishTail times one exposed tail of the repository benchmark's
+// ep_params size (2.63 M elements) through Finish, the step's update —
+// tensor.StepRow, which writes the stepped value into the gradient buffer
+// and the weight — split over the default tensor pool.
+func BenchmarkFinishTail(b *testing.B) {
+	const n = 2_630_000
+	cfg, specs := testSpecs(1, n)
+	cfg.Strategy = StrategyNoOverlap
+	plan, err := Solve(cfg, specs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	grads, _ := randGrads(1, n)
+	weights, _ := randGrads(2, n)
+	update := func(_, lo, hi int) { tensor.StepRow(weights[lo:hi], grads[lo:hi], 1e-9) }
+	for i := 0; i < b.N; i++ {
+		s := plan.NewSyncer(update)
+		if err := s.Collect(0, grads); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Finish(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

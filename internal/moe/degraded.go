@@ -26,8 +26,8 @@ import (
 //     the backward runs sequentially. The aborted plan may have partially
 //     accumulated parameter gradients, so the layer's gradients are
 //     zeroed first (during a training step: every expert's span of the
-//     resident arenas is marked unwritten, so what the survivors do not
-//     rewrite is cleared in its owner's span before the gather).
+//     resident arena is marked unwritten, so what the survivors do not
+//     rewrite is cleared; the §5 slices then step the one copy in place).
 //
 // In both modes the router is frozen: the gate backward pairs its
 // RouteCache with the original plan, which no longer describes the

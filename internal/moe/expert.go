@@ -111,8 +111,8 @@ type ExpertPass interface {
 // GradDst is where a pass puts one expert's parameter gradients. Nil adds
 // them to each Param.G, as the sequential layer's Backward does. Otherwise
 // GradDst[i] is overwritten with the gradient of Params()[i] — during a
-// training step it is the expert's owned span of its owner rank's resident
-// buffer, where the §5 gather reads it: nothing is zeroed or copied.
+// training step it is the expert's span of the stack's one resident gradient
+// buffer, where the §5 update reads it: nothing is zeroed or copied.
 type GradDst []*tensor.Tensor
 
 // weight puts the weight gradient aᵀ·b of parameter i (p) where d says.

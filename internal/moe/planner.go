@@ -251,8 +251,12 @@ func hybridLayerVolumes(l *MOELayer, tokens, ranks, g int) core.Volumes {
 // live shapes: per-GPU AlltoAll bytes from the padded dispatched tokens,
 // expert MACs from the live expert implementations, gradient bytes from
 // the flattened parameter count (gate included: the partition must
-// conserve every element the ring reduces), and a nominal dense window
-// (the stack has no real dense compute between MoE layers).
+// conserve every element a slice steps), and a nominal dense window (the
+// stack has no real dense compute between MoE layers). GradBytes still
+// prices the paper's Gradient-AllReduce although the executable sync moves
+// no bytes (one copy, stepped in place): the partition plans the paper's
+// system, which holds parameters on several workers, and the same plan cuts
+// the slices, so pricing only the update would change every plan.
 func stepVolumes(w *World, tpad int) core.Volumes {
 	nA2A := float64(tpad*w.egrp*w.layer.cfg.M) * actElemBytes // per-rank wire volume of one A2A
 	work := w.layer.expertWork(tpad)

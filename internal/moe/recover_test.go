@@ -38,7 +38,7 @@ func TestWorldSnapshotRestore(t *testing.T) {
 	}
 
 	// Two more (noisy, so RNG-consuming) steps from the snapshot point,
-	// recording the post-step replicas (copied: RankParams is the world's
+	// recording the post-step parameters (copied: RankParams is the world's
 	// resident buffer, which the next step overwrites).
 	var timeline [][]float64
 	for s := 0; s < 2; s++ {
@@ -62,11 +62,7 @@ func TestWorldSnapshotRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := range want {
-			if got.RankParams[0][k] != want[k] {
-				t.Fatalf("replayed step %d param %d diverges from original timeline", i, k)
-			}
-		}
+		sameRow(t, fmt.Sprintf("replayed step %d", i), got, want)
 	}
 
 	// A shape-mismatched snapshot is rejected wholesale, not half-applied.
@@ -223,19 +219,7 @@ func TestWorldRecoverBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference step %d: %v", s, err)
 		}
-		if got.Y.MaxAbsDiff(want.Y) != 0 {
-			t.Fatalf("step %d: recovered output diverges from reference restart", s)
-		}
-		if len(got.RankParams) != len(want.RankParams) {
-			t.Fatalf("step %d: %d vs %d replicas", s, len(got.RankParams), len(want.RankParams))
-		}
-		for r := range want.RankParams {
-			for k := range want.RankParams[r] {
-				if got.RankParams[r][k] != want.RankParams[r][k] {
-					t.Fatalf("step %d: rank %d param %d diverges from reference restart", s, r, k)
-				}
-			}
-		}
+		sameAsTwin(t, fmt.Sprintf("post-recovery step %d", s), got, want)
 	}
 }
 

@@ -16,12 +16,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestStepResidentArenaReuse: a stack stepped repeatedly keeps its per-rank
-// buffers, and reusing them changes nothing. After every one of four
-// steps all replicas are bit-identical to each other and to those of a
-// twin stack built from the same seeds and stepped sequentially with the
-// whole AllReduce exposed — a stale or un-cleared arena would diverge from
-// the twin at step two.
+// TestStepResidentArenaReuse: a stack stepped repeatedly keeps its one
+// arena, and reusing it changes nothing. After every one of four steps the
+// parameter row is bit-identical to that of a twin stack built from the
+// same seeds and stepped sequentially with the whole AllReduce exposed — a
+// stale or un-cleared arena would diverge from the twin at step two.
 func TestStepResidentArenaReuse(t *testing.T) {
 	const layers, ranks = 2, 4
 	x := tensor.RandN(xrand.New(301), 1, 96, 32)
@@ -41,23 +40,11 @@ func TestStepResidentArenaReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("twin step %d: %v", s, err)
 		}
-		if len(got.RankParams) != ranks {
-			t.Fatalf("step %d: %d replicas, want %d", s, len(got.RankParams), ranks)
-		}
-		for r := range got.RankParams {
-			if len(got.RankParams[r]) != len(want.RankParams[0]) {
-				t.Fatalf("step %d rank %d: %d params, twin has %d", s, r, len(got.RankParams[r]), len(want.RankParams[0]))
-			}
-			for k, v := range want.RankParams[0] {
-				if got.RankParams[r][k] != v {
-					t.Fatalf("step %d: rank %d param %d = %v, twin %v", s, r, k, got.RankParams[r][k], v)
-				}
-			}
-		}
+		sameAsTwin(t, fmt.Sprintf("step %d", s), got, want)
 		if s == 0 {
 			arena = &got.RankParams[0][0]
 		} else if &got.RankParams[0][0] != arena {
-			t.Fatalf("step %d allocated a new rank-0 arena", s)
+			t.Fatalf("step %d allocated a new arena", s)
 		}
 	}
 }
@@ -81,7 +68,7 @@ func freshGar(t *testing.T, fresh []*World, x *tensor.Tensor, cfg StepConfig) *c
 	}
 	s, err := gradsync.New(gradsync.Config{
 		Strategy: cfg.Strategy, Models: plannerModels, ChunkBytes: cfg.ChunkBytes,
-		Slices: cfg.Slices, ElemBytes: gradElemBytes, GPUsPerNode: fresh[0].cfg.GPUsPerNode,
+		Slices: cfg.Slices, ElemBytes: gradElemBytes,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +89,7 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 	xs := tensor.RandN(xrand.New(313), 1, 64, 32)
 	dys := tensor.RandN(xrand.New(314), 1, 64, 32)
 	// Fourteen steps on one batch: keep the output gradient small, or the
-	// parameters reach NaN and no replica equals any other.
+	// parameters reach NaN.
 	tensor.ScaleInPlace(dy, 1e-3)
 	tensor.ScaleInPlace(dys, 1e-3)
 	mgr := tempManager(t)
@@ -149,8 +136,8 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 	cfg.Strategy = gradsync.StrategyFSMoE
 	step("back to adaptive", x, dy, true)
 
-	// Lose rank 1 for good, recover onto two ranks: other volumes, and
-	// arenas for two ranks.
+	// Lose rank 1 for good, recover onto two ranks: other volumes, the same
+	// one arena.
 	cfg.Checkpoint = nil
 	ws[0].SetFaultPlan(fault.New(fault.Spec{Seed: 7, Down: &fault.Down{Rank: 1, Kind: KindExpert}}))
 	res, err := StepWorlds(ws, x, dy, cfg)
@@ -165,21 +152,14 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	res = step("recovered 4→2", x, dy, true)
-	if len(res.RankParams) != 2 {
-		t.Fatalf("recovered step has %d replicas, want 2", len(res.RankParams))
-	}
-	for k, v := range res.RankParams[0] {
-		if res.RankParams[1][k] != v {
-			t.Fatalf("recovered step: rank 1 param %d diverges", k)
-		}
-	}
+	sameRow(t, "recovered 4→2", res, liveParams(ws))
 	step("recovered again", x, dy, false)
 }
 
 // TestStepAllocationBound pins the resident state from both sides. On a
 // parameter-heavy stack a warm step allocates less than one copy of the
 // parameters — the per-step gradient and replica buffers that the resident
-// arenas replace were 2·R copies — and makes no single allocation as large
+// arena replaces were 2·R copies — and makes no single allocation as large
 // as one expert's weight matrix: a reintroduced per-step make, or a weight
 // gradient that goes through a temporary again, fails here. On a
 // token-heavy stack a warm step allocates the output and the input gradient
@@ -297,11 +277,11 @@ func allocSites(buf []runtime.MemProfileRecord) []runtime.MemProfileRecord {
 	return buf[:n]
 }
 
-// TestStepRankDownAfterHealthyStep: the arenas hold last step's replicas
+// TestStepRankDownAfterHealthyStep: the arena holds last step's parameters
 // when a step starts, so an expert span nobody writes must be cleared, not
 // left. One healthy step, then rank 1 of layer 0 goes down for good, then
 // two more steps on the degraded path: the dead experts' parameters stay
-// bit-equal to their pre-fault values on every replica and in the live
+// bit-equal to their pre-fault values in the parameter row and in the live
 // layer, and everything else equals a twin that meets the same fault while
 // stepping sequentially with the AllReduce exposed.
 func TestStepRankDownAfterHealthyStep(t *testing.T) {
@@ -322,7 +302,7 @@ func TestStepRankDownAfterHealthyStep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s twin: %v", label, err)
 		}
-		sameReplicas(t, label, got, want)
+		sameAsTwin(t, label, got, want)
 		return got
 	}
 	if res := step("healthy step"); len(res.Degraded) != 0 {
@@ -347,11 +327,9 @@ func TestStepRankDownAfterHealthyStep(t *testing.T) {
 		if len(res.Degraded) == 0 {
 			t.Fatalf("degraded step %d ran at full strength", s)
 		}
-		for r, replica := range res.RankParams {
-			for k, want := range frozen {
-				if got := math.Float64bits(replica[lo+k]); got != want {
-					t.Fatalf("degraded step %d: rank %d holds dead-expert parameter %d = %x, pre-fault %x", s, r, k, got, want)
-				}
+		for k, want := range frozen {
+			if got := math.Float64bits(res.RankParams[0][lo+k]); got != want {
+				t.Fatalf("degraded step %d: dead-expert parameter %d = %x, pre-fault %x", s, k, got, want)
 			}
 		}
 		k := 0
@@ -431,31 +409,26 @@ func TestStepFailedBackwardThenRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameReplicas(t, fmt.Sprintf("step %d after the restore", s), got, want)
+		sameAsTwin(t, fmt.Sprintf("step %d after the restore", s), got, want)
 	}
 }
 
 // TestStepGradsBackwardRankDown: a rank lost while a step's backward plan
 // runs. Finish tasks of the aborted plan may already have written arena
-// spans — the dead rank's included — so the recovery must forget them: the
-// survivors' spans are rewritten, the dead experts' read zero, and every
-// owned span equals that of the same degraded pass driven by hand through
-// Param.G. What a rank holds outside its owned spans is the gather's to
-// overwrite, and is not compared. The arenas start out as NaN, standing in
-// for stale replicas.
+// spans — the dead rank's experts' included — so the recovery must forget
+// them: the survivors' spans are rewritten, the dead experts' read zero, and
+// the layer's whole span equals that of the same degraded pass driven by
+// hand through Param.G. The arena starts out as NaN, standing in for last
+// step's parameters.
 func TestStepGradsBackwardRankDown(t *testing.T) {
 	x := tensor.RandN(xrand.New(341), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(342), 1, 96, 32)
 	var w *World
-	var owners []gradsync.Span
-	run := func(stepMode bool) [][]float64 {
+	run := func(stepMode bool) []float64 {
 		w = stepStack(t, 1, 4, 2, false)[0]
 		st := residentFor([]*World{w})
-		owners = st.owners[0]
-		for _, a := range st.arena {
-			for k := range a {
-				a[k] = math.NaN()
-			}
+		for k := range st.arena {
+			st.arena[k] = math.NaN()
 		}
 		w.layer.ZeroGrad()
 		_, cache, err := w.Forward(x, false)
@@ -475,21 +448,19 @@ func TestStepGradsBackwardRankDown(t *testing.T) {
 		if deg := w.LastDegraded(); deg == nil || deg.Phase != "backward" {
 			t.Fatalf("DegradedResult = %+v, want a backward-phase loss", deg)
 		}
-		w.rankGrads(st.views[0], owners, written)
+		w.rankGrads(st.views[0], written)
 		return st.views[0]
 	}
 	want, got := run(false), run(true)
-	for _, sp := range owners {
-		for k := sp.Lo; k < sp.Hi; k++ {
-			if v := want[sp.Rank][k]; math.Float64bits(got[sp.Rank][k]) != math.Float64bits(v) {
-				t.Fatalf("rank %d partial %d = %v, through Param.G %v", sp.Rank, k, got[sp.Rank][k], v)
-			}
+	for k, v := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(v) {
+			t.Fatalf("gradient %d = %v, through Param.G %v", k, got[k], v)
 		}
 	}
 	lo, hi := w.lostRange()
-	for k, v := range got[w.down][w.gradOff[lo]:w.gradOff[hi]] {
+	for k, v := range got[w.gradOff[lo]:w.gradOff[hi]] {
 		if math.Float64bits(v) != 0 {
-			t.Fatalf("dead rank %d's expert partial %d = %v, want +0", w.down, w.gradOff[lo]+k, v)
+			t.Fatalf("dead rank %d's expert gradient %d = %v, want +0", w.down, w.gradOff[lo]+k, v)
 		}
 	}
 }

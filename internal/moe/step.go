@@ -4,15 +4,14 @@ package moe
 // step: backward through a stack of multi-rank MoE layers with the
 // gradient sync adaptively partitioned into the backward pipelines'
 // inter-stream slack (internal/gradsync), and the SGD update riding that
-// sync. Each flat gradient element has one contributor, its owner rank, so
-// the sync is an owner gather: each slice is stepped once, on its owner, and
-// broadcast. The stepped replicas are thus bit-identical on every rank under
-// every strategy: every replica is a copy of the one place it was stepped.
+// sync. Each flat gradient element has one contributor, and the parameters
+// live once: one copy, stepped in place. Each slice steps its elements once,
+// so the post-step parameters are bit-identical under every strategy.
 //
 // What is identical from one step to the next is resident on the stack
-// (resident, below): the solved §5 byte plan and one flat buffer per rank
-// whose owned spans are, in turn, the rank's gradient (an expert's written
-// there by the backward pass itself) and its post-step replica.
+// (resident, below): the solved §5 byte plan and one flat buffer for the
+// whole stack, which is, in turn, the step's gradient (an expert's written
+// there by the backward pass itself) and the post-step parameters.
 
 import (
 	"fmt"
@@ -87,13 +86,12 @@ type StepResult struct {
 	// configuration and shapes: read-only.
 	Report gradsync.Report
 
-	// RankParams[r] is rank r's post-step parameter replica, each layer's
-	// parameters flat in Params order (gate, then each expert's), layers
-	// concatenated in stack order: the owner's stepped values, broadcast by
-	// the gather. All rows are bit-identical across ranks and across
-	// strategies. The rows are the stack's resident per-rank buffers, not
-	// copies: the next StepWorlds or SyncWorlds on the same worlds
-	// overwrites them, so copy what must outlive the step.
+	// RankParams holds one row, the post-step parameters: one copy, stepped
+	// in place. Each layer's parameters are flat in Params order (gate, then
+	// each expert's), layers concatenated in stack order; the row equals the
+	// live Param.W values, bit for bit, under every strategy. It is the
+	// stack's resident buffer, not a copy: the next StepWorlds or SyncWorlds
+	// on the same worlds overwrites it, so copy what must outlive the step.
 	RankParams [][]float64
 
 	// Plans and Traces hold each layer's backward stream plan and measured
@@ -106,8 +104,8 @@ type StepResult struct {
 
 	// Degraded reports every layer pass that survived a permanent rank
 	// failure this step (empty when the step ran at full strength). The
-	// step still completes: RankParams stay bit-identical across ranks,
-	// with the dead experts' parameters frozen (zero gradient).
+	// step still completes, with the dead experts' parameters frozen (zero
+	// gradient).
 	Degraded []*DegradedResult
 
 	Y  *tensor.Tensor // final forward output
@@ -136,18 +134,17 @@ func (r *StepResult) StepMS() float64 { return r.BackwardMS + r.TailMS }
 
 // resident is the training state a stack keeps from one step to the next,
 // held on the stack's first world: the solved §5 byte plan, reused while
-// the sync configuration and layer specs compare equal, and one arena per
-// rank in the RankParams layout. Within a step an arena's owned spans hold
-// the rank's gradients (experts' written by the finish tasks, the gate's
-// shard by rankGrads), then, as the gather runs, every span the replica.
+// the sync configuration and layer specs compare equal, and one arena in
+// the RankParams layout. Within a step the arena holds the gradients
+// (experts' written by the finish tasks, the gate's by rankGrads), then, as
+// the §5 slices step them in place, the post-step parameters.
 type resident struct {
-	plan   *gradsync.Plan
-	arena  [][]float64       // [rank][Σ layer gradElems]
-	views  [][][]float64     // views[i][r]: layer i's span of arena[r], what Collect registers
-	owners [][]gradsync.Span // [layer] which rank owns each span of the layer's views
-	grads  []stepGrads       // [layer] the expert spans of views as gradient destinations
+	plan  *gradsync.Plan
+	arena []float64   // [Σ layer gradElems]
+	views [][]float64 // views[i]: layer i's span of arena, what Collect registers
+	grads []stepGrads // [layer] the expert spans of views as gradient destinations
 
-	// Per-step scratch, sized with the arenas.
+	// Per-step scratch, sized with the arena.
 	prevSeq []bool
 	specs   []gradsync.LayerSpec
 	caches  []*WorldCache
@@ -159,22 +156,21 @@ type resident struct {
 // step: where each expert's finish routine writes, and whether it did.
 type stepGrads struct {
 	off     []int     // the gradOff the destinations were cut for
-	into    []GradDst // [expert] parameter-shaped views of the expert's span in its owner rank's arena
+	into    []GradDst // [expert] parameter-shaped views of the expert's span of the arena
 	written []bool    // [expert] this step's backward wrote the span
 }
 
-// residentFor returns the stack's resident state with the arenas cut for
-// the stack as it is now: they are reallocated whenever the rank count or
-// a layer's gradient layout differs from what they were cut for (a
-// recovery to R′, another stack sharing the first world), never assumed.
+// residentFor returns the stack's resident state with the arena cut for the
+// stack as it is now: it is reallocated whenever a layer's gradient layout
+// differs from what it was cut for (another stack sharing the first world),
+// never assumed.
 func residentFor(worlds []*World) *resident {
 	w0 := worlds[0]
 	if w0.resident == nil {
 		w0.resident = &resident{}
 	}
 	st := w0.resident
-	ranks := w0.cfg.Ranks
-	fits := len(st.arena) == ranks && len(st.views) == len(worlds)
+	fits := len(st.views) == len(worlds)
 	total := 0
 	for i, w := range worlds {
 		fits = fits && slices.Equal(st.grads[i].off, w.gradOff)
@@ -185,26 +181,18 @@ func residentFor(worlds []*World) *resident {
 	}
 	L := len(worlds)
 	*st = resident{
-		plan:  st.plan,
-		arena: make([][]float64, ranks), views: make([][][]float64, L), owners: make([][]gradsync.Span, L), grads: make([]stepGrads, L),
+		plan: st.plan, arena: make([]float64, total), views: make([][]float64, L), grads: make([]stepGrads, L),
 		prevSeq: make([]bool, L), specs: make([]gradsync.LayerSpec, L), caches: make([]*WorldCache, L), params: make([][]*Param, L),
-	}
-	for r := range st.arena {
-		st.arena[r] = make([]float64, total)
 	}
 	off := 0
 	for i, w := range worlds {
 		n := w.gradElems()
-		st.views[i] = make([][]float64, ranks)
-		for r, a := range st.arena {
-			st.views[i][r] = a[off : off+n : off+n]
-		}
+		st.views[i] = st.arena[off : off+n : off+n]
 		off += n
-		st.owners[i] = w.ownerSpans()
 		experts := w.layer.cfg.Experts
 		g := stepGrads{off: slices.Clone(w.gradOff), into: make([]GradDst, len(experts)), written: make([]bool, len(experts))}
 		for e, ex := range experts {
-			span := st.views[i][e/w.egrp][w.gradOff[e]:w.gradOff[e+1]]
+			span := st.views[i][w.gradOff[e]:w.gradOff[e+1]]
 			for _, p := range ex.Params() {
 				k := len(p.G.Data())
 				g.into[e] = append(g.into[e], tensor.FromData(span[:k:k], p.G.Shape()...))
@@ -216,13 +204,12 @@ func residentFor(worlds []*World) *resident {
 	return st
 }
 
-// update is the SGD step the gather applies to elements [lo, hi) of layer's
-// gradient on rank, their owner: the replica value w − lr·g replaces the
-// gradient in the rank's arena and, in the same pass, the live parameter.
-// Every element of every layer comes by exactly once per step, on its
-// owner; the gather copies the result to the others.
-func (st *resident) update(layer, rank, lo, hi int) {
-	g := st.views[layer][rank]
+// update is the SGD step a §5 slice applies to elements [lo, hi) of layer's
+// gradient: w − lr·g replaces the gradient in the arena and, in the same
+// pass, the live parameter. Every element of every layer comes by exactly
+// once per step.
+func (st *resident) update(layer, lo, hi int) {
+	g := st.views[layer]
 	off := 0
 	for _, p := range st.params[layer] {
 		wd := p.W.Data()
@@ -242,7 +229,7 @@ func (st *resident) update(layer, rank, lo, hi int) {
 // layer's plan may hide, exactly the backward-order greedy fill of §5.2;
 // layer 0's own gradients (and any unhidden remainder) are the tail.
 //
-// Expert parameter gradients of the step go to the resident arenas, not to
+// Expert parameter gradients of the step go to the resident arena, not to
 // Param.G, which StepWorlds neither clears nor writes for experts (it does
 // both for the gate's). A step that returns an error may already have
 // stepped the parameters of the layers whose backward completed.
@@ -305,7 +292,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 		st.params[i] = w.layer.appendParams(st.params[i][:0])
 	}
 	var err error
-	st.plan, err = st.plan.For(syncConfig(worlds, cfg), st.specs)
+	st.plan, err = st.plan.For(syncConfig(cfg), st.specs)
 	if err != nil {
 		return nil, err
 	}
@@ -313,8 +300,8 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	syncer := st.plan.NewSyncer(st.update)
 
 	// Backward chain in reverse, overlapping the pending pool into each
-	// layer's plan — the expert gradients land in the arenas as the plan's
-	// finish tasks run — then filling in the rest of the owned spans.
+	// layer's plan — the expert gradients land in the arena as the plan's
+	// finish tasks run — then filling in the rest of the layer's span.
 	dcur := dy
 	for i := len(worlds) - 1; i >= 0; i-- {
 		w := worlds[i]
@@ -337,8 +324,8 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 			res.BackwardMS += deg.RecoveryMS
 			res.Degraded = append(res.Degraded, deg)
 		}
-		w.rankGrads(st.views[i], st.owners[i], st.grads[i].written)
-		if err := syncer.Collect(i, st.views[i], st.owners[i]); err != nil {
+		w.rankGrads(st.views[i], st.grads[i].written)
+		if err := syncer.Collect(i, st.views[i]); err != nil {
 			return nil, err
 		}
 		dcur = dx
@@ -351,7 +338,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	}
 	res.Report = rep
 	res.TailMS = rep.TailMS
-	res.RankParams = st.arena
+	res.RankParams = [][]float64{st.arena}
 	step := worlds[0].steps
 	for _, w := range worlds {
 		w.steps++
@@ -392,9 +379,9 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 }
 
 // syncConfig is the §5 sync configuration of a stack stepped under cfg.
-func syncConfig(worlds []*World, cfg StepConfig) gradsync.Config {
+func syncConfig(cfg StepConfig) gradsync.Config {
 	return gradsync.Config{Strategy: cfg.Strategy, Models: plannerModels, ChunkBytes: cfg.ChunkBytes,
-		Slices: cfg.Slices, ElemBytes: gradElemBytes, GPUsPerNode: worlds[0].cfg.GPUsPerNode}
+		Slices: cfg.Slices, ElemBytes: gradElemBytes}
 }
 
 // checkStack validates what op needs of a stack before touching its
@@ -493,18 +480,19 @@ func buildStepMetrics(worlds []*World, caches []*WorldCache, fwdTraces []*sim.Tr
 // SyncReport is the outcome of a standalone SyncWorlds call.
 type SyncReport struct {
 	Report gradsync.Report
-	// LayerGrads[i][r] is layer i's synchronized flat gradient on rank r
-	// (identical across ranks). The slices are views of the stack's
-	// resident per-rank buffers: the next SyncWorlds or StepWorlds on the
-	// same worlds overwrites them, so copy what must outlive the call.
-	LayerGrads [][][]float64
+	// LayerGrads[i] is layer i's synchronized flat gradient, one copy. The
+	// slices are views of the stack's resident buffer: the next SyncWorlds
+	// or StepWorlds on the same worlds overwrites them, so copy what must
+	// outlive the call.
+	LayerGrads [][]float64
 }
 
 // SyncWorlds synchronizes the stack's accumulated parameter gradients
 // right now, with no pipeline to hide in — the blocking entry point for
 // callers that drove Forward/Backward themselves. Param.G is written into
-// its owners' spans and gathered, with no update, so every rank holds the
-// identical full-batch gradient; StepWorlds overlaps the sync instead.
+// the stack's one gradient buffer and synchronized with no update, so the
+// buffer holds the full-batch gradient; StepWorlds overlaps the sync
+// instead.
 func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	cfg = cfg.withDefaults()
 	if err := checkStack("sync", worlds); err != nil {
@@ -517,13 +505,13 @@ func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 		st.specs[i] = gradsync.LayerSpec{Elems: w.gradElems(), V: stepVolumes(w, 0)}
 	}
 	cfg.Strategy = gradsync.StrategyNoOverlap
-	syncer, err := gradsync.New(syncConfig(worlds, cfg), st.specs)
+	syncer, err := gradsync.New(syncConfig(cfg), st.specs)
 	if err != nil {
 		return nil, err
 	}
 	for i, w := range worlds {
-		w.rankGrads(st.views[i], st.owners[i], nil)
-		if err := syncer.Collect(i, st.views[i], st.owners[i]); err != nil {
+		w.rankGrads(st.views[i], nil)
+		if err := syncer.Collect(i, st.views[i]); err != nil {
 			return nil, err
 		}
 	}

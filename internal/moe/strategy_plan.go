@@ -36,7 +36,7 @@ import (
 // The backward plan is the adjoint chain C → AG(dy) → E (B1, column-sharded →
 // AG(hidden grads) → B2, row-sharded) → RS(dx) → D, then each expert's
 // full-block parameter-gradient reduction W once on its owner rank j = e/Eg
-// (the rankGrads mapping) from fully assembled buffers, with §5's emit
+// from fully assembled buffers, with §5's emit
 // points on the inter stream: 0 behind the first collective chain, c+1
 // behind chunk c's last collective. Where there is no AlltoAll (g = R) the
 // inter stream carries nothing else, so the AllReduce slices overlap the
@@ -540,8 +540,8 @@ func (w *World) buildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatter
 
 	// W — the deferred full-block parameter-gradient reductions, off the
 	// communication critical path (§4.1's W-grad tasks), each expert on its
-	// owner rank (the rankGrads mapping: member m of a group owns the group's
-	// experts [m·Eg, (m+1)·Eg)) from its own fully assembled buffers. The last
+	// owner rank (member m of a group owns the group's experts
+	// [m·Eg, (m+1)·Eg)) from its own fully assembled buffers. The last
 	// chunk's task on a rank implies every earlier one (stream order).
 	w.computeTasks(p, "W", func(j int) float64 { return macsEst(w.layer.cfg.Experts[j*gm.eg:][:gm.eg], gm.tpad) }, after(last), func(j int) {
 		for le := j % gm.g * gm.eg; le < (j%gm.g+1)*gm.eg; le++ {

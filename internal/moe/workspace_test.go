@@ -3,6 +3,7 @@ package moe
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/fault"
@@ -14,7 +15,7 @@ import (
 // These tests run, like the rest of the package, with workspace poisoning
 // on (main_test.go): every token-path buffer a pass takes comes back full
 // of NaN, so anything that still relied on fresh zeroed memory — or that
-// read a stale row of the previous step — shows up as a diverging replica.
+// read a stale row of the previous step — shows up as diverging parameters.
 
 // strategyStack builds a stack of identically seeded layers under one
 // strategy at R=4; every layer pads (T % 4 ≠ 0).
@@ -31,26 +32,51 @@ func strategyStack(t *testing.T, layers int, cfg WorldConfig) []*World {
 	return ws
 }
 
-func sameReplicas(t *testing.T, label string, got, want *StepResult) {
+// sameAsTwin fails unless got's output, input gradient and one parameter
+// row are bit-identical to the twin's.
+func sameAsTwin(t *testing.T, label string, got, want *StepResult) {
 	t.Helper()
 	if got.Y.MaxAbsDiff(want.Y) != 0 || got.DX.MaxAbsDiff(want.DX) != 0 {
 		t.Fatalf("%s: output or input gradient diverges from the twin", label)
 	}
-	for r := range got.RankParams {
-		if len(got.RankParams[r]) != len(want.RankParams[0]) {
-			t.Fatalf("%s: rank %d has %d params, twin %d", label, r, len(got.RankParams[r]), len(want.RankParams[0]))
-		}
-		for k, v := range want.RankParams[0] {
-			if got.RankParams[r][k] != v {
-				t.Fatalf("%s: rank %d param %d = %v, twin %v", label, r, k, got.RankParams[r][k], v)
-			}
+	if len(want.RankParams) != 1 {
+		t.Fatalf("%s: the twin has %d parameter rows, want one", label, len(want.RankParams))
+	}
+	sameRow(t, label, got, want.RankParams[0])
+}
+
+// sameRow fails unless res holds one parameter row, bit-identical to want.
+func sameRow(t *testing.T, label string, res *StepResult, want []float64) {
+	t.Helper()
+	if len(res.RankParams) != 1 {
+		t.Fatalf("%s: %d parameter rows, want one", label, len(res.RankParams))
+	}
+	got := res.RankParams[0]
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d params, want %d", label, len(got), len(want))
+	}
+	for k, v := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(v) {
+			t.Fatalf("%s: param %d = %v, want %v", label, k, got[k], v)
 		}
 	}
 }
 
+// liveParams is the stack's live parameters, Param.W flat in the
+// RankParams layout: each layer in Params order (gate, then experts).
+func liveParams(worlds []*World) []float64 {
+	var out []float64
+	for _, w := range worlds {
+		for _, p := range w.layer.Params() {
+			out = append(out, p.W.Data()...)
+		}
+	}
+	return out
+}
+
 // TestWorkspaceReuseBitIdentical: three steps on three different batches
 // with live pad rows, per strategy. The pipelined stack reuses one
-// workspace per world from the second step on; its replicas, outputs and
+// workspace per world from the second step on; its parameters, outputs and
 // input gradients stay bit-identical to a twin that steps sequentially
 // with the AllReduce exposed.
 func TestWorkspaceReuseBitIdentical(t *testing.T) {
@@ -76,7 +102,7 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s twin step %d: %v", wc.Strategy, s, err)
 			}
-			sameReplicas(t, fmt.Sprintf("%s step %d", wc.Strategy, s), got, want)
+			sameAsTwin(t, fmt.Sprintf("%s step %d", wc.Strategy, s), got, want)
 			for i, w := range ws {
 				if w.ws == nil || w.ws.shape.capacity%wc.Ranks == 0 {
 					t.Fatalf("%s step %d layer %d: idle workspace %+v, want one with live pad rows", wc.Strategy, s, i, w.ws)
@@ -210,10 +236,7 @@ func TestWorkspaceLifetime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.RankParams) != 2 {
-			t.Fatalf("recovered step %d has %d replicas, want 2", s, len(got.RankParams))
-		}
-		sameReplicas(t, fmt.Sprintf("recovered step %d", s), got, want)
+		sameAsTwin(t, fmt.Sprintf("recovered step %d", s), got, want)
 		if ws[0].ws == nil || ws[0].ws.shape.ranks != 2 {
 			t.Fatalf("recovered step %d: idle workspace %+v, want one cut for two ranks", s, ws[0].ws)
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
-	"slices"
 	stdsync "sync"
 	"time"
 
@@ -105,7 +104,7 @@ type World struct {
 	// grads is where this pass's finish routines put the expert parameter
 	// gradients: nil — every backward adds into Param.G — except while
 	// StepWorlds drives the backward, when it is this layer's spans of the
-	// resident arenas (step.go).
+	// resident arena (step.go).
 	grads *stepGrads
 
 	// recov accumulates elastic-recovery reports (recover.go) until the
@@ -587,45 +586,18 @@ func (w *World) countGradElems() {
 	}
 }
 
-// ownerSpans cuts the layer's flat gradient layout into the spans each rank
-// owns, in order: rank r's comm.SplitFlat shard of every gate parameter
-// (the in-process ranks share one gate computation; the shards model each
-// rank's disjoint contribution), then its expert shard gradOff[r·Eg :
-// (r+1)·Eg), where every strategy writes those experts' gradients.
-func (w *World) ownerSpans() []gradsync.Span {
-	var out []gradsync.Span
-	off := 0
-	for _, p := range w.layer.cfg.Gate.Params() {
-		n := len(p.G.Data())
-		for r, rr := range comm.SplitFlat(n, w.cfg.Ranks) {
-			out = append(out, gradsync.Span{Lo: off + rr.Lo, Hi: off + rr.Hi, Rank: r})
-		}
-		off += n
-	}
-	for r := 0; r < w.cfg.Ranks; r++ {
-		out = append(out, gradsync.Span{Lo: w.gradOff[r*w.egrp], Hi: w.gradOff[(r+1)*w.egrp], Rank: r})
-	}
-	return slices.DeleteFunc(out, func(sp gradsync.Span) bool { return sp.Lo == sp.Hi })
-}
-
-// rankGrads writes the last backward pass's parameter gradients into their
-// owners' spans (owners, ownerSpans' cut) of out: the gate's shards and,
-// when written is nil, every expert's. Experts a step's finish tasks wrote
+// rankGrads writes the last backward pass's parameter gradients into the
+// layer's span out of the stack's gradient buffer: the gate's and, when
+// written is nil, every expert's. Experts a step's finish tasks wrote
 // (written[e]) are left alone, and one no finish routine ran for — a dead
-// rank's — has its owned span cleared. Nothing outside owned spans is
-// written: that is the gather's to overwrite.
-func (w *World) rankGrads(out [][]float64, owners []gradsync.Span, written []bool) {
-	k, off := 0, 0
+// rank's — has its span cleared.
+func (w *World) rankGrads(out []float64, written []bool) {
+	span := out
 	for _, p := range w.layer.cfg.Gate.Params() {
-		g := p.G.Data()
-		for ; k < len(owners) && owners[k].Hi <= off+len(g); k++ {
-			sp := owners[k]
-			copy(out[sp.Rank][sp.Lo:sp.Hi], g[sp.Lo-off:sp.Hi-off])
-		}
-		off += len(g)
+		span = span[copy(span, p.G.Data()):]
 	}
 	for e, ex := range w.layer.cfg.Experts {
-		span := out[e/w.egrp][w.gradOff[e]:w.gradOff[e+1]]
+		span := out[w.gradOff[e]:w.gradOff[e+1]]
 		if written == nil {
 			for _, p := range ex.Params() {
 				span = span[copy(span, p.G.Data()):]

@@ -201,13 +201,7 @@ func TestWorldStepHybrid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for r := 0; r < 4; r++ {
-			for k := range want {
-				if res.RankParams[r][k] != want[k] {
-					t.Fatalf("%s: rank %d param %d = %v, reference %v", name, r, k, res.RankParams[r][k], want[k])
-				}
-			}
-		}
+		sameRow(t, name, res, want)
 		arInPlans := 0
 		for _, tr := range res.Traces {
 			for _, iv := range tr.Intervals {

@@ -313,13 +313,7 @@ func TestWorldStepStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for r := 0; r < 4; r++ {
-			for k := range want {
-				if res.RankParams[r][k] != want[k] {
-					t.Fatalf("%s: rank %d param %d = %v, reference %v", name, r, k, res.RankParams[r][k], want[k])
-				}
-			}
-		}
+		sameRow(t, name, res, want)
 		if res.Report.HiddenBytes <= 0 {
 			t.Fatalf("%s: adaptive step hid nothing: %+v", name, res.Report)
 		}

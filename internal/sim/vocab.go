@@ -15,7 +15,7 @@ package sim
 //	AlltoAll       dispatch/combine token exchange (EP, hybrid inter-group)
 //	AllGather      ESP input/hidden gather stages (intra-node ring)
 //	ReduceScatter  ESP output reduction (intra-node ring)
-//	AllReduce      §5 gradient-sync slices (owner gather: step on the owner, broadcast)
+//	AllReduce      §5 gradient-sync slices (executable: the update of one copy, in place)
 //	Experts        expert GEMMs (chunked, sharded or whole-block)
 //	Pack           wire-layout (un)packing, the local Order work
 //	Others         residual dense work in full-iteration models
