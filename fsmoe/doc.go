@@ -231,14 +231,21 @@
 // overwrites it. A Forward while an earlier cache is still outstanding
 // (forward-only evaluation, Forward→Forward→Backward) starts a fresh
 // workspace instead, so nothing a live cache points at is reused; Close
-// and Recover drop the workspace. What a pass returns is still the
-// caller's: the Forward output, the Backward input gradient, StepResult.Y
-// and StepResult.DX are fresh tensors. The activations on the inner edges
-// of a StepStack stack are not: layer i's output, read by layer i+1, is a
-// slot of layer i's workspace until layer i's own Backward returns, and
-// the input gradient it hands layer i−1 until its next Forward. The gates'
-// per-token selections live in gate-owned scratch under the same rule: a
-// RouteCache holds it until its (one) Backward. Under every strategy a
+// and Recover drop the workspace. What World.Forward and World.Backward
+// return is still the caller's: fresh tensors. What StepStack moves between
+// layers and returns is not. Layer i's output, read by layer i+1, is a slot
+// of layer i's workspace until layer i's own Backward returns, and the input
+// gradient it hands layer i−1 until its next Forward. StepResult.Y and
+// StepResult.DX are such slots too — of the last and the first world — so,
+// like RankParams, they are valid until the next StepStack on the same
+// worlds; feeding either back in as that step's x or dy fails with
+// ErrStepInputAliased (pass a Clone). A gate's routing lives in gate-owned
+// scratch under the same rule as the workspace: the RouteCache, the
+// DispatchPlan with its slot tables, the score matrices and the plan's
+// weight gradient. A Route takes the gate's idle scratch — or makes another
+// while an earlier RouteCache is still outstanding — and the cache's (one)
+// Backward hands it back, so the plan a Route returns is valid until the
+// next Route after its Backward. Under every strategy a
 // token row is copied once per collective hop, straight between the
 // expert-major buffer and the rank's expert block, or between two ranks'
 // blocks.

@@ -60,9 +60,17 @@ const (
 // configuration or a layer's shapes change; see "Training steps and
 // resident state" in the package documentation for what the stack keeps
 // between steps and who owns it.
+//
+// StepResult.Y and StepResult.DX are stack-owned like RankParams: valid
+// until the next StepStack on the same worlds. An x or dy that shares
+// memory with them fails with ErrStepInputAliased; pass a Clone.
 func StepStack(worlds []*World, x, dy *Tensor, cfg StepConfig) (*StepResult, error) {
 	return moe.StepWorlds(worlds, x, dy, cfg)
 }
+
+// ErrStepInputAliased reports a StepStack input that shares memory with a
+// stack-owned output of an earlier step (errors.Is-matchable).
+var ErrStepInputAliased = moe.ErrStepInputAliased
 
 // SyncGradients synchronizes the parameter gradients accumulated in Param.G
 // by the Forward/Backward calls the caller drove, immediately (no overlap):

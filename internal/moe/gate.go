@@ -2,6 +2,8 @@ package moe
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -41,7 +43,10 @@ type Gate interface {
 	// Name identifies the gating function ("gshard", "xmoe", ...).
 	Name() string
 	// Route assigns the N tokens of x (N, M) to experts. train enables
-	// training-only behaviour (GShard's noisy gating).
+	// training-only behaviour (GShard's noisy gating). The plan and the
+	// cache may live in the gate's own memory — the built-in gates' do
+	// (routing) — which a later Route may reuse once the cache's Backward
+	// has returned: the plan is valid until the next Route after that.
 	Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCache, error)
 	// Backward accumulates parameter gradients from the routing-weight
 	// gradient and writes the gradient contribution to x into dx (N, M),
@@ -70,12 +75,32 @@ func (c GateConfig) Validate() error {
 	return nil
 }
 
+// routing is a gate's routing scratch: everything one Route produces and
+// its Backward reads — the RouteCache itself, the plan with its slot tables
+// (and, kept by the plan, its reverse index and weight gradient), the
+// token-choice gates' per-token selections, and the score matrices the gate
+// names in its own cache type, which embeds routing. Route takes the gate's
+// idle one — or makes another while an earlier RouteCache still holds it —
+// and Backward, called at most once per RouteCache, hands it back, so a
+// training loop routes every step in the same memory. The plan and the
+// RouteCache a Route returns are therefore the gate's: valid until the next
+// Route after their Backward (a forward-only pass keeps them for good).
+//
+// Scratch is handed out dirty, like a workspace slot: Route overwrites
+// every table and matrix it fills, and under poisonWorkspaces every float
+// it holds comes back NaN and every table entry out of range, so a read of
+// the previous step's routing fails the bit-identity suites.
+type routing struct {
+	rc   RouteCache
+	plan DispatchPlan
+	tok  []int     // plan.SlotToken's rows, flat
+	wt   []float64 // plan.SlotWeight's rows, flat
+	next []int     // per-expert slot cursor while packing
+	sel  choices
+}
+
 // choices is the per-token top-k selection of a token-choice gate (GShard,
 // Sigmoid, X-MoE), flat with stride k: token t's j-th choice is entry t·k+j.
-// It is gate-owned scratch: Route takes the gate's idle one — or starts
-// another while an earlier RouteCache still holds it — the RouteCache
-// carries it, and Backward, called at most once per RouteCache, hands it
-// back, so a training loop routes every step in the same memory.
 type choices struct {
 	k   int
 	idx []int     // selected expert ids, by descending score
@@ -84,18 +109,68 @@ type choices struct {
 	asg []assignment
 }
 
+// begin readies r for a Route of x whose cache, extra, embeds r.
+func (r *routing) begin(x *tensor.Tensor, extra any) {
+	r.rc = RouteCache{X: x, Plan: &r.plan, extra: extra}
+	if poisonWorkspaces.Load() {
+		r.poison()
+	}
+}
+
+// poison fills r's memory with NaN and out-of-range indices.
+func (r *routing) poison() {
+	for _, f := range [][]float64{r.wt, r.sel.w, r.sel.dw, r.plan.gradMem} {
+		poisonFloats(f)
+	}
+	for _, t := range []*tensor.Tensor{r.plan.grad.CombineW, r.plan.grad.DispatchW} {
+		if t != nil {
+			poisonFloats(t.Data())
+		}
+	}
+	for _, n := range [][]int{r.tok, r.next, r.sel.idx, r.plan.rev.off} {
+		for i := range n {
+			n[i] = math.MinInt
+		}
+	}
+}
+
+// scratchMat returns *t as a (rows, cols) matrix of routing scratch — *t
+// itself when it already has that shape, a new one otherwise — poisoned
+// under poisonWorkspaces.
+func scratchMat(t **tensor.Tensor, rows, cols int) *tensor.Tensor {
+	*t = reuseMat(*t, rows, cols)
+	if poisonWorkspaces.Load() {
+		poisonFloats((*t).Data())
+	}
+	return *t
+}
+
+// reuseMat returns t when it is a (rows, cols) matrix, a new one otherwise:
+// kept memory, handed out dirty.
+func reuseMat(t *tensor.Tensor, rows, cols int) *tensor.Tensor {
+	if t != nil && t.Dim(0) == rows && t.Dim(1) == cols {
+		return t
+	}
+	return tensor.New(rows, cols)
+}
+
+// grow returns s resliced to n elements, reallocated when its capacity is
+// short: kept memory, handed out dirty.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // routeTopK is the routing loop the token-choice gates share: each token's
 // top-k of its row of scores (N, E), turned into combine weights by weigh
-// (in place, on the k selected scores) and packed into a plan under the
-// gate's capacity. The choices come from *idle, which is left nil.
-func routeTopK(idle **choices, cfg GateConfig, scores *tensor.Tensor, weigh func(w []float64)) (*DispatchPlan, *choices) {
+// (in place, on the k selected scores) and packed into r's plan under the
+// gate's capacity.
+func (r *routing) routeTopK(cfg GateConfig, scores *tensor.Tensor, weigh func(w []float64)) *DispatchPlan {
 	n, k := scores.Dim(0), cfg.TopK
-	c := *idle
-	*idle = nil
-	if c == nil || len(c.idx) != n*k {
-		c = &choices{k: k, idx: make([]int, n*k), w: make([]float64, n*k), dw: make([]float64, n*k), asg: make([]assignment, 0, n*k)}
-	}
-	c.asg = c.asg[:0]
+	c := &r.sel
+	c.k, c.idx, c.w, c.dw, c.asg = k, grow(c.idx, n*k), grow(c.w, n*k), grow(c.dw, n*k), slices.Grow(c.asg[:0], n*k)
 	for t := 0; t < n; t++ {
 		row := scores.Row(t)
 		sel, w := c.idx[t*k:(t+1)*k], c.w[t*k:(t+1)*k]
@@ -108,7 +183,7 @@ func routeTopK(idle **choices, cfg GateConfig, scores *tensor.Tensor, weigh func
 			c.asg = append(c.asg, assignment{token: t, expert: e, weight: w[j], choice: j})
 		}
 	}
-	return buildHardPlan(n, cfg.Experts, CapacityFor(n, cfg.Experts, k, cfg.Factor), c.asg), c
+	return r.pack(cfg.Experts, CapacityFor(n, cfg.Experts, k, cfg.Factor), c.asg)
 }
 
 // weightGrads reorganizes per-slot weight gradients into the per-token,

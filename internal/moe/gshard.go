@@ -25,14 +25,16 @@ type GShardGate struct {
 	// the noisy path differentiable-checkable.
 	fixedNoise *tensor.Tensor
 
-	idle *choices // routing scratch between a Backward and the next Route
+	idle *gshardCache // routing scratch between a Backward and the next Route
 }
 
+// gshardCache is the gate's routing scratch (routing): sel holds the
+// selected experts and their masked-softmax weights per token.
 type gshardCache struct {
-	logits *tensor.Tensor // H(x), (N, E)
+	routing
+	logits *tensor.Tensor // x·W_g, (N, E): H(x) in eval mode (the noisy path adds to a copy)
 	noise  *tensor.Tensor // sampled N(0,1), nil in eval mode
 	spPre  *tensor.Tensor // x·W_noise, nil in eval mode
-	sel    *choices       // selected experts and masked-softmax weights per token
 	probs  *tensor.Tensor // full softmax over logits, for the aux loss
 	firstC []int          // first-choice counts per expert
 }
@@ -68,15 +70,24 @@ func (g *GShardGate) SetFixedNoise(n *tensor.Tensor) { g.fixedNoise = n }
 func (g *GShardGate) RNGState() (state, gamma uint64) { return g.rng.State() }
 func (g *GShardGate) SetRNGState(state, gamma uint64) { g.rng.SetState(state, gamma) }
 
-// Route implements Gate.
+// Route implements Gate. The plan and the RouteCache are the gate's
+// routing scratch (routing), valid until the next Route after their
+// Backward.
 func (g *GShardGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCache, error) {
 	if err := checkGateInput(x, g.m); err != nil {
 		return nil, nil, err
 	}
 	n := x.Dim(0)
 	e := g.cfg.Experts
-	logits := tensor.MatMul(x, g.wg.W)
-	cache := &gshardCache{}
+	cache := g.idle
+	g.idle = nil
+	if cache == nil {
+		cache = &gshardCache{}
+	}
+	cache.begin(x, cache)
+	logits := scratchMat(&cache.logits, n, e)
+	tensor.MatMulInto(logits, x, g.wg.W)
+	cache.noise, cache.spPre = nil, nil
 	if train {
 		spPre := tensor.MatMul(x, g.wnoise.W)
 		sp := tensor.Softplus(spPre)
@@ -90,14 +101,14 @@ func (g *GShardGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteC
 		cache.noise = noise
 		cache.spPre = spPre
 	}
-	cache.logits = logits
 
-	probs := tensor.SoftmaxRows(logits) // full softmax for the aux loss
-	cache.probs = probs
+	probs := scratchMat(&cache.probs, n, e) // full softmax for the aux loss
+	tensor.SoftmaxRowsInto(probs, logits)
 	// Combine weights: the masked softmax over the selected logits.
-	plan, sel := routeTopK(&g.idle, g.cfg, logits, tensor.SoftmaxInPlace)
-	cache.sel = sel
-	firstChoice := make([]int, e)
+	plan := cache.routeTopK(g.cfg, logits, tensor.SoftmaxInPlace)
+	sel := &cache.sel
+	firstChoice := grow(cache.firstC, e)
+	clear(firstChoice)
 	for t := 0; t < n; t++ {
 		firstChoice[sel.idx[t*sel.k]]++
 	}
@@ -114,7 +125,7 @@ func (g *GShardGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteC
 	}
 	plan.AuxLoss = aux * float64(e)
 	cache.firstC = firstChoice
-	return plan, &RouteCache{X: x, Plan: plan, extra: cache}, nil
+	return plan, &cache.rc, nil
 }
 
 // AuxBackward accumulates scale · ∂AuxLoss/∂θ into the gate parameters and
@@ -161,7 +172,7 @@ func (g *GShardGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad)
 	cache := rc.extra.(*gshardCache)
 	x := rc.X
 	n, e := x.Dim(0), g.cfg.Experts
-	sel, k := cache.sel, g.cfg.TopK
+	sel, k := &cache.sel, g.cfg.TopK
 	// Collect dWeight per (token, selected expert) from the slot grads.
 	dW := sel.weightGrads(rc.Plan, grad.SlotWeight)
 	dLogits := tensor.Get(n, e) // transient; released below
@@ -173,7 +184,6 @@ func (g *GShardGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad)
 			row[idx] = dl[j]
 		}
 	}
-	g.idle = sel
 	// dWg += xᵀ dLogits ; dx = dLogits Wgᵀ.
 	tensor.MatMulT1AddInto(g.wg.G, x, dLogits)
 	tensor.MatMulT2Into(dx, dLogits, g.wg.W)
@@ -194,4 +204,5 @@ func (g *GShardGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad)
 		tensor.Put(dpre)
 	}
 	tensor.Put(dLogits)
+	g.idle = cache
 }

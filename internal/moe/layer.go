@@ -307,7 +307,7 @@ func (l *MOELayer) backwardFinish(dx, gateDx, dScattered *tensor.Tensor, planGra
 	// one row-wise GEMM per expert block.
 	if plan.IsDense() {
 		t := plan.Capacity
-		planGrad.DispatchW = tensor.New(plan.Slots(), x.Dim(0))
+		planGrad.DispatchW = plan.denseGrad(x.Dim(0)).DispatchW
 		for e := 0; e < plan.Experts; e++ {
 			tensor.MatMulT2Into(planGrad.DispatchW.Slice(e*t, (e+1)*t), slotBlock(dScattered, e, t), x)
 		}

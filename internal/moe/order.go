@@ -12,7 +12,11 @@ import (
 //
 // Every method writes into a destination its caller owns and overwrites it
 // whole, whatever it held: a World hands out slots of its dirty resident
-// workspace, the single-rank layer fresh tensors. Expert-major buffers are
+// workspace (its stack-owned step outputs among them), the single-rank layer
+// fresh tensors. What the built-in orders derive from the plan — its
+// reverse index, the PlanGrad GatherGrad returns — lives in the plan's own
+// memory, the routing gate's: valid until the gate routes again after the
+// plan's Backward. Expert-major buffers are
 // (E, S, M) with a block stride S ≥ plan.Capacity chosen by the caller —
 // slot s of expert e is row e·S+s — so a World scatters straight into its
 // rank-divisible padded layout. The pad rows [Capacity, S) of a block are
@@ -32,7 +36,7 @@ type Order interface {
 	// GatherGrad back-propagates through Gather: given dy (N, M) it writes
 	// the gradient of the experts' outputs (weights applied; empty slots
 	// and pad rows +0) into dOut, shaped like expertOut, and returns the
-	// gradient of each slot weight.
+	// gradient of each slot weight (of CombineW for a dense plan).
 	GatherGrad(dOut, dy, expertOut *tensor.Tensor, plan *DispatchPlan) *PlanGrad
 }
 
@@ -42,16 +46,6 @@ type Order interface {
 func slotBlock(buf *tensor.Tensor, e, t int) *tensor.Tensor {
 	s, m := buf.Dim(1), buf.Dim(2)
 	return buf.View(e*s*m, t, m)
-}
-
-// newSlotGrad allocates a hard plan's slot-weight gradient.
-func newSlotGrad(plan *DispatchPlan) *PlanGrad {
-	flat := make([]float64, plan.Slots())
-	pg := &PlanGrad{SlotWeight: make([][]float64, plan.Experts)}
-	for e := range pg.SlotWeight {
-		pg.SlotWeight[e] = flat[e*plan.Capacity : (e+1)*plan.Capacity]
-	}
-	return pg
 }
 
 // GShardOrder realizes the ordering as dense one-hot einsum/matmul, the
@@ -160,11 +154,12 @@ func (GShardOrder) GatherGrad(dOut, dy, expertOut *tensor.Tensor, plan *Dispatch
 	w := plan.CombineW
 	var pg *PlanGrad
 	if plan.IsDense() {
-		pg = &PlanGrad{CombineW: tensor.MatMulT2(dy, flat)}
+		pg = plan.denseGrad(dy.Dim(0))
+		tensor.MatMulT2Into(pg.CombineW, dy, flat)
 	} else {
 		w = weightedSelection(plan, dy.Dim(0))
 		defer tensor.Put(w)
-		pg = newSlotGrad(plan)
+		pg = plan.weightGrad()
 		for e := range plan.SlotToken {
 			for slot, tok := range plan.SlotToken[e] {
 				if tok < 0 {
@@ -264,7 +259,7 @@ func (TutelOrder) GatherGrad(dOut, dy, expertOut *tensor.Tensor, plan *DispatchP
 		return GShardOrder{}.GatherGrad(dOut, dy, expertOut, plan)
 	}
 	s, m := dOut.Dim(1), dOut.Dim(2)
-	pg := newSlotGrad(plan)
+	pg := plan.weightGrad()
 	parallelExperts(plan.Experts, func(e int) {
 		blk := dOut.Data()[e*s*m : (e+1)*s*m]
 		for slot, tok := range plan.SlotToken[e] {

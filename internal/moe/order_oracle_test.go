@@ -260,7 +260,7 @@ func TestOrderIntoFormsMatchOracle(t *testing.T) {
 
 			for _, stride := range []int{tcap, tcap + 1 + rng.Intn(4)} {
 				label := fmt.Sprintf("trial %d %s dense=%v N=%d E=%d T=%d S=%d M=%d", trial, ord.Name(), plan.IsDense(), tokens, experts, tcap, stride, m)
-				plan.rev = nil // a fresh plan per stride: the reverse index is rebuilt
+				plan.revN = 0 // a fresh plan per stride: the reverse index is rebuilt
 
 				gotS := nanTensor(experts, stride, m)
 				ord.Scatter(gotS, x, plan)

@@ -14,6 +14,7 @@ package moe
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -48,7 +49,13 @@ type DispatchPlan struct {
 	DispatchW *tensor.Tensor
 	CombineW  *tensor.Tensor
 
-	rev *slotIndex // slotsOf's result, nil until first asked
+	// Memory the plan keeps for what is derived from it — the reverse index
+	// (slotsOf) and the weight gradient (weightGrad) — so a gate that routes
+	// into the same plan again (routing, gate.go) rebuilds both in place.
+	rev     slotIndex
+	revN    int // tokens+1 of the index rev holds; 0 until slotsOf builds one
+	grad    PlanGrad
+	gradMem []float64 // grad.SlotWeight's rows, flat
 }
 
 // IsDense reports whether the plan uses soft (dense) routing.
@@ -136,33 +143,37 @@ type assignment struct {
 	choice int // rank of this choice for the token (0 = best)
 }
 
-// buildHardPlan packs assignments into slots in token order, dropping
-// over-capacity assignments, which is the standard GShard capacity
-// semantics. capacity <= 0 means f=∗: the capacity becomes the realized
-// maximum expert load (no drops).
+// buildHardPlan packs assignments into a new plan (see routing.pack).
 func buildHardPlan(tokens, experts, capacity int, asg []assignment) *DispatchPlan {
-	load := make([]int, experts)
-	for _, a := range asg {
-		load[a.expert]++
-	}
+	return new(routing).pack(experts, capacity, asg)
+}
+
+// pack packs assignments into r's plan, its slot tables in r's memory, in
+// token order, dropping over-capacity assignments, which is the standard
+// GShard capacity semantics. capacity <= 0 means f=∗: the capacity becomes
+// the realized maximum expert load (no drops).
+func (r *routing) pack(experts, capacity int, asg []assignment) *DispatchPlan {
+	next := grow(r.next, experts)
+	r.next = next
 	if capacity <= 0 {
-		capacity = 1
-		for _, l := range load {
-			if l > capacity {
-				capacity = l
-			}
+		clear(next)
+		for _, a := range asg {
+			next[a.expert]++
 		}
+		capacity = max(1, slices.Max(next))
 	}
-	p := &DispatchPlan{Experts: experts, Capacity: capacity}
-	p.SlotToken = make([][]int, experts)
-	p.SlotWeight = make([][]float64, experts)
-	next := make([]int, experts)
+	p := &r.plan
+	p.reset(experts, capacity)
+	r.tok, r.wt = grow(r.tok, experts*capacity), grow(r.wt, experts*capacity)
+	for i := range r.tok {
+		r.tok[i] = -1
+	}
+	clear(r.wt)
+	p.SlotToken, p.SlotWeight = grow(p.SlotToken, experts), grow(p.SlotWeight, experts)
+	clear(next)
 	for e := 0; e < experts; e++ {
-		p.SlotToken[e] = make([]int, capacity)
-		for s := range p.SlotToken[e] {
-			p.SlotToken[e][s] = -1
-		}
-		p.SlotWeight[e] = make([]float64, capacity)
+		p.SlotToken[e] = r.tok[e*capacity : (e+1)*capacity]
+		p.SlotWeight[e] = r.wt[e*capacity : (e+1)*capacity]
 	}
 	for _, a := range asg {
 		e := a.expert
@@ -177,6 +188,14 @@ func buildHardPlan(tokens, experts, capacity int, asg []assignment) *DispatchPla
 	return p
 }
 
+// reset makes p an empty plan over experts × capacity slots that keeps
+// the memory p holds: its slot-table rows and what slotsOf and weightGrad
+// build.
+func (p *DispatchPlan) reset(experts, capacity int) {
+	*p = DispatchPlan{Experts: experts, Capacity: capacity,
+		SlotToken: p.SlotToken, SlotWeight: p.SlotWeight, rev: p.rev, grad: p.grad, gradMem: p.gradMem}
+}
+
 // slotIndex is a hard plan's token → (expert, slot) reverse index: token
 // t occupies pos[off[t]:off[t+1]], in ascending (expert, slot) order.
 type slotIndex struct {
@@ -185,14 +204,17 @@ type slotIndex struct {
 }
 
 // slotsOf returns the plan's reverse index over tokens tokens, built on
-// first use and kept: a plan is routed once and gathered through many times.
+// first use, in the plan's memory, and kept: a plan is routed once and
+// gathered through many times.
 func (p *DispatchPlan) slotsOf(tokens int) *slotIndex {
-	if p.rev != nil && len(p.rev.off) == tokens+1 {
-		return p.rev
+	idx := &p.rev
+	if p.revN == tokens+1 {
+		return idx
 	}
 	// Count each token's slots into off[t+1], prefix-sum, then place: off[t]
 	// walks forward as token t's cursor and is shifted back afterwards.
-	idx := &slotIndex{off: make([]int, tokens+1)}
+	idx.off = grow(idx.off, tokens+1)
+	clear(idx.off)
 	for e := range p.SlotToken {
 		for _, tok := range p.SlotToken[e] {
 			if tok >= 0 {
@@ -203,7 +225,7 @@ func (p *DispatchPlan) slotsOf(tokens int) *slotIndex {
 	for t := 0; t < tokens; t++ {
 		idx.off[t+1] += idx.off[t]
 	}
-	idx.pos = make([][2]int, idx.off[tokens])
+	idx.pos = grow(idx.pos, idx.off[tokens])
 	for e := range p.SlotToken {
 		for s, tok := range p.SlotToken[e] {
 			if tok >= 0 {
@@ -214,6 +236,29 @@ func (p *DispatchPlan) slotsOf(tokens int) *slotIndex {
 	}
 	copy(idx.off[1:], idx.off)
 	idx.off[0] = 0
-	p.rev = idx
+	p.revN = tokens + 1
 	return idx
+}
+
+// weightGrad returns the gradient of a hard plan's slot weights, zeroed, in
+// the plan's memory: Order.GatherGrad fills it for the gate's Backward.
+func (p *DispatchPlan) weightGrad() *PlanGrad {
+	p.gradMem = grow(p.gradMem, p.Slots())
+	clear(p.gradMem)
+	g := &p.grad
+	g.SlotWeight = grow(g.SlotWeight, p.Experts)
+	for e := range g.SlotWeight {
+		g.SlotWeight[e] = p.gradMem[e*p.Capacity : (e+1)*p.Capacity]
+	}
+	return g
+}
+
+// denseGrad returns the gradient of a dense plan's weights in the plan's
+// memory, dirty: CombineW (N, E·T) for Order.GatherGrad and DispatchW
+// (E·T, N) for the layer's backwardFinish, each to overwrite whole.
+func (p *DispatchPlan) denseGrad(tokens int) *PlanGrad {
+	g := &p.grad
+	g.CombineW = reuseMat(g.CombineW, tokens, p.Slots())
+	g.DispatchW = reuseMat(g.DispatchW, p.Slots(), tokens)
+	return g
 }

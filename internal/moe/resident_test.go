@@ -1,6 +1,7 @@
 package moe
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -46,6 +47,93 @@ func TestStepResidentArenaReuse(t *testing.T) {
 		} else if &got.RankParams[0][0] != arena {
 			t.Fatalf("step %d allocated a new arena", s)
 		}
+	}
+}
+
+// TestStepOutputsStackOwned: StepResult.Y and StepResult.DX are slots of
+// the stack's workspaces, so the second step returns them in the memory of
+// the first; World.Forward and World.Backward outside a step still return
+// tensors the caller keeps.
+func TestStepOutputsStackOwned(t *testing.T) {
+	x := tensor.RandN(xrand.New(303), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(304), 1, 96, 32)
+	for _, layers := range []int{1, 2} {
+		ws := stepStack(t, layers, 4, 2, false)
+		var res [2]*StepResult
+		for s := range res {
+			r, err := StepWorlds(ws, x, dy, StepConfig{LR: 0.05})
+			if err != nil {
+				t.Fatalf("L=%d step %d: %v", layers, s, err)
+			}
+			res[s] = r
+		}
+		if &res[0].Y.Data()[0] != &res[1].Y.Data()[0] || &res[0].DX.Data()[0] != &res[1].DX.Data()[0] {
+			t.Fatalf("L=%d: the second step returned its output or input gradient in new memory", layers)
+		}
+	}
+
+	w := stepStack(t, 1, 4, 2, false)[0]
+	var ys, dxs [2]*tensor.Tensor
+	for i := range ys {
+		y, cache, err := w.Forward(x, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dx, err := w.Backward(cache, dy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ys[i], dxs[i] = y, dx
+	}
+	if overlaps(ys[0].Data(), ys[1].Data()) || overlaps(dxs[0].Data(), dxs[1].Data()) {
+		t.Fatal("two World.Forward/Backward passes returned their results in shared memory")
+	}
+}
+
+// TestStepRejectsAliasedOutputs: a step whose x or dy shares memory with
+// the stack-owned outputs of the step before — x = Y, a reshaped view of Y,
+// dy = DX — fails with ErrStepInputAliased and touches nothing: at L = 1 and
+// L = 2, an unaliased copy of the same values then steps bit-identically to
+// a twin that never saw the rejected calls.
+func TestStepRejectsAliasedOutputs(t *testing.T) {
+	const n, m = 96, 32
+	x := tensor.RandN(xrand.New(305), 1, n, m)
+	dy := tensor.RandN(xrand.New(306), 1, n, m)
+	cfg := StepConfig{LR: 0.05, Slices: 3}
+	twinCfg := StepConfig{LR: 0.05, Sequential: true, Strategy: gradsync.StrategyNoOverlap}
+	for _, layers := range []int{1, 2} {
+		ws := stepStack(t, layers, 4, 2, false)
+		twin := stepStack(t, layers, 4, 2, false)
+		got, err := StepWorlds(ws, x, dy, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := StepWorlds(twin, x, dy, twinCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsTwin(t, fmt.Sprintf("L=%d first step", layers), got, want)
+		for _, bad := range []struct {
+			name  string
+			x, dy *tensor.Tensor
+		}{
+			{"x = Y", got.Y, dy},
+			{"x = Y reshaped", got.Y.Reshape(1, n, m), dy.Reshape(1, n, m)},
+			{"dy = DX", x, got.DX},
+		} {
+			if _, err := StepWorlds(ws, bad.x, bad.dy, cfg); !errors.Is(err, ErrStepInputAliased) {
+				t.Fatalf("L=%d %s: err %v, want ErrStepInputAliased", layers, bad.name, err)
+			}
+		}
+		got2, err := StepWorlds(ws, got.Y.Clone(), got.DX.Clone(), cfg)
+		if err != nil {
+			t.Fatalf("L=%d unaliased copy: %v", layers, err)
+		}
+		want2, err := StepWorlds(twin, want.Y.Clone(), want.DX.Clone(), twinCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsTwin(t, fmt.Sprintf("L=%d unaliased copy", layers), got2, want2)
 	}
 }
 
@@ -162,21 +250,20 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 // arena replaces were 2·R copies — and makes no single allocation as large
 // as one expert's weight matrix: a reintroduced per-step make, or a weight
 // gradient that goes through a temporary again, fails here. On a
-// token-heavy stack a warm step allocates the output and the input gradient
-// it returns, two copies of the batch, plus 128 KiB per layer (measured: 89):
-// about 50 KiB of routing metadata (logits, the plan's slot tables and
-// reverse index, the slot-weight gradient), at r = 4 about 35 KiB of tasks,
-// trace intervals and stage closures for the two plans, and about 5 KiB for
-// beginning the layer's 16 expert passes (a pass value, its block views and
-// the headers over its scratch) — the stage methods themselves take row
-// integers and allocate nothing. Everything Order and the gates produce lives
-// in the workspace; a batch-sized allocation per layer does not fit. The
-// collector is off for the window, as in the repository benchmark, so the
-// tensor free-lists stay warm and the figure repeats. Under the race detector
-// sync.Pool drops buffers at random, so the token stack re-allocates a few
-// pooled stage temporaries (1.02 MB measured against 0.97) and its per-layer
-// allowance is 256 KiB there (stepLayerSlack) — still less than one
-// batch-sized allocation per layer; the parameter stack's bounds are the same
+// token-heavy stack a warm step allocates stepLayerSlack per layer and no
+// single allocation as large as one (N, M) token plane: the step's output
+// and input gradient are stack-owned workspace slots, and the routing
+// metadata — score matrices, the plan's slot tables, reverse index and
+// slot-weight gradient — is gate-owned scratch, so what remains is, at
+// r = 4, about 35 KiB of tasks, trace intervals and stage closures for the
+// two plans and a few KiB for beginning the layer's 16 expert passes (a pass
+// value, its block views and the headers over its scratch) and the gate and
+// Order's bookkeeping. A batch- or routing-sized allocation per layer does
+// not fit. The collector is off for the window, as in the repository
+// benchmark, so the tensor free-lists stay warm and the figure repeats.
+// Under the race detector sync.Pool drops buffers at random, so the token
+// stack re-allocates a few pooled stage temporaries and its allowance is
+// larger there (race_on_test.go); the parameter stack's bounds are the same
 // in both modes.
 func TestStepAllocationBound(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
@@ -188,7 +275,7 @@ func TestStepAllocationBound(t *testing.T) {
 		bound        func(params int) int // bytes
 	}{
 		{"parameter-bound", 64, 128, 16, 1, func(params int) int { return 8 * params }},
-		{"token-bound", 256, 16, 192, 4, func(int) int { return 2*192*256*8 + layers*stepLayerSlack }},
+		{"token-bound", 256, 16, 192, 4, func(int) int { return layers * stepLayerSlack }},
 	} {
 		ws := make([]*World, layers)
 		params := 0
@@ -234,13 +321,17 @@ func TestStepAllocationBound(t *testing.T) {
 			t.Fatalf("%s: a warm step allocated %d bytes, want under %d (%d parameters, %d tokens of width %d)",
 				tc.name, perStep, bound, params, tc.n, tc.m)
 		}
-		// No allocation of the profiled step is as large as a weight matrix.
-		// A profile record is one (call stack, size) pair.
+		// No allocation of the profiled step is as large as a weight matrix
+		// (parameter stack) or a token plane (token stack). A profile record
+		// is one (call stack, size) pair.
 		type site struct {
 			stack [32]uintptr
 			size  int64
 		}
-		weight := int64(tc.m * tc.h * 8)
+		large, what := int64(tc.m*tc.h*8), "a weight matrix"
+		if tc.name == "token-bound" {
+			large, what = int64(tc.n*tc.m*8), "a token plane"
+		}
 		was := map[site]int64{}
 		for _, rec := range before {
 			if rec.AllocObjects > 0 {
@@ -248,17 +339,17 @@ func TestStepAllocationBound(t *testing.T) {
 			}
 		}
 		for _, rec := range after {
-			if rec.AllocObjects == 0 || tc.name != "parameter-bound" {
+			if rec.AllocObjects == 0 {
 				continue
 			}
 			size := rec.AllocBytes / rec.AllocObjects
-			if n := rec.AllocObjects - was[site{rec.Stack0, size}]; n > 0 && size >= weight {
+			if n := rec.AllocObjects - was[site{rec.Stack0, size}]; n > 0 && size >= large {
 				frames := runtime.CallersFrames(rec.Stack())
 				var where []string
 				for f, more := frames.Next(); more && len(where) < 6; f, more = frames.Next() {
 					where = append(where, f.Function)
 				}
-				t.Fatalf("%s: a warm step made %d allocations of %d bytes (a weight matrix is %d) at %v", tc.name, n, size, weight, where)
+				t.Fatalf("%s: a warm step made %d allocations of %d bytes (%s is %d) at %v", tc.name, n, size, what, large, where)
 			}
 		}
 	}

@@ -14,12 +14,14 @@ type SigmoidGate struct {
 	cfg  GateConfig
 	m    int
 	wg   *Param
-	idle *choices // routing scratch between a Backward and the next Route
+	idle *sigmoidCache // routing scratch between a Backward and the next Route
 }
 
+// sigmoidCache is the gate's routing scratch (routing): sel holds the
+// selected experts and σ(s) at them.
 type sigmoidCache struct {
+	routing
 	scores *tensor.Tensor // x·W_g, (N, E)
-	sel    *choices       // selected experts and σ(s) at them
 }
 
 // NewSigmoidGate constructs the gate for embedding size m.
@@ -36,23 +38,33 @@ func (g *SigmoidGate) Name() string { return "sigmoid" }
 // Params implements Gate.
 func (g *SigmoidGate) Params() []*Param { return []*Param{g.wg} }
 
-// Route implements Gate.
+// Route implements Gate. The plan and the RouteCache are the gate's
+// routing scratch (routing), valid until the next Route after their
+// Backward.
 func (g *SigmoidGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCache, error) {
 	if err := checkGateInput(x, g.m); err != nil {
 		return nil, nil, err
 	}
-	scores := tensor.MatMul(x, g.wg.W)
-	plan, sel := routeTopK(&g.idle, g.cfg, scores, func(w []float64) {
+	cache := g.idle
+	g.idle = nil
+	if cache == nil {
+		cache = &sigmoidCache{}
+	}
+	cache.begin(x, cache)
+	scores := scratchMat(&cache.scores, x.Dim(0), g.cfg.Experts)
+	tensor.MatMulInto(scores, x, g.wg.W)
+	plan := cache.routeTopK(g.cfg, scores, func(w []float64) {
 		for j, s := range w {
 			w[j] = tensor.SigmoidAt(s)
 		}
 	})
-	return plan, &RouteCache{X: x, Plan: plan, extra: &sigmoidCache{scores: scores, sel: sel}}, nil
+	return plan, &cache.rc, nil
 }
 
 // Backward implements Gate.
 func (g *SigmoidGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
-	sel := rc.extra.(*sigmoidCache).sel
+	cache := rc.extra.(*sigmoidCache)
+	sel := &cache.sel
 	x := rc.X
 	n, e, k := x.Dim(0), g.cfg.Experts, g.cfg.TopK
 	dW := sel.weightGrads(rc.Plan, grad.SlotWeight)
@@ -64,8 +76,8 @@ func (g *SigmoidGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad
 			row[idx] = dW[t*k+j] * s * (1 - s) // σ' = σ(1-σ)
 		}
 	}
-	g.idle = sel
 	tensor.MatMulT1AddInto(g.wg.G, x, dScores)
 	tensor.MatMulT2Into(dx, dScores, g.wg.W)
 	tensor.Put(dScores)
+	g.idle = cache
 }

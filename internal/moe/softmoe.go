@@ -20,12 +20,18 @@ type SoftMoEGate struct {
 	m        int
 	slotsPer int // T, slots per expert
 	phi      *Param
+	idle     *softmoeCache // routing scratch between a Backward and the next Route
 }
 
+// softmoeCache is the gate's routing scratch (routing). The plan's
+// DispatchW (E·T, N) is Dᵀ, the column softmax of the logits transposed,
+// and its CombineW is c.
 type softmoeCache struct {
+	routing
 	logits *tensor.Tensor // (N, E*T)
-	d      *tensor.Tensor // (N, E*T) column-softmax
 	c      *tensor.Tensor // (N, E*T) row-softmax
+	dt     *tensor.Tensor // (E*T, N): Dᵀ
+	dl     []float64      // Backward: one row's or one column's logit gradient
 }
 
 // NewSoftMoEGate constructs the gate with slotsPerExpert slots each.
@@ -50,21 +56,35 @@ func (g *SoftMoEGate) Name() string { return "softmoe" }
 // Params implements Gate.
 func (g *SoftMoEGate) Params() []*Param { return []*Param{g.phi} }
 
-// Route implements Gate.
+// Route implements Gate. The plan and the RouteCache are the gate's
+// routing scratch (routing), valid until the next Route after their
+// Backward.
 func (g *SoftMoEGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCache, error) {
 	if err := checkGateInput(x, g.m); err != nil {
 		return nil, nil, err
 	}
-	logits := tensor.MatMul(x, g.phi.W) // (N, slots)
-	d := tensor.SoftmaxCols(logits)
-	c := tensor.SoftmaxRows(logits)
-	plan := &DispatchPlan{
-		Experts:   g.cfg.Experts,
-		Capacity:  g.slotsPer,
-		DispatchW: tensor.Transpose2D(d), // (slots, N)
-		CombineW:  c,                     // (N, slots)
+	cache := g.idle
+	g.idle = nil
+	if cache == nil {
+		cache = &softmoeCache{}
 	}
-	return plan, &RouteCache{X: x, Plan: plan, extra: &softmoeCache{logits: logits, d: d, c: c}}, nil
+	cache.begin(x, cache)
+	n, slots := x.Dim(0), g.cfg.Experts*g.slotsPer
+	logits := scratchMat(&cache.logits, n, slots)
+	tensor.MatMulInto(logits, x, g.phi.W)
+	// D's columns are softmaxes over tokens: the rows of Dᵀ, softmaxed in
+	// place on the transposed logits.
+	dt := scratchMat(&cache.dt, slots, n)
+	tensor.Transpose2DInto(dt, logits)
+	for s := 0; s < slots; s++ {
+		tensor.SoftmaxInPlace(dt.Row(s))
+	}
+	c := scratchMat(&cache.c, n, slots)
+	tensor.SoftmaxRowsInto(c, logits)
+	plan := &cache.plan
+	plan.reset(g.cfg.Experts, g.slotsPer)
+	plan.DispatchW, plan.CombineW = dt, c
+	return plan, &cache.rc, nil
 }
 
 // Backward implements Gate: exact gradients through both softmaxes.
@@ -75,9 +95,10 @@ func (g *SoftMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad
 	n := x.Dim(0)
 	slots := g.cfg.Experts * g.slotsPer
 	dLogits := tensor.Get(n, slots)
+	cache.dl = grow(cache.dl, max(n, slots))
 	if grad.CombineW != nil {
 		// Row softmax backward: per token row.
-		dl := make([]float64, slots)
+		dl := cache.dl[:slots]
 		for t := 0; t < n; t++ {
 			copy(dl, grad.CombineW.Row(t))
 			maskedSoftmaxBackward(cache.c.Row(t), dl)
@@ -88,15 +109,12 @@ func (g *SoftMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad
 	}
 	if grad.DispatchW != nil {
 		// Column softmax backward: per slot column. grad.DispatchW is
-		// (slots, N) = ∂L/∂Dᵀ, so column s of D has gradient row s of it.
-		w := make([]float64, n)
-		dl := make([]float64, n)
+		// (slots, N) = ∂L/∂Dᵀ, so column s of D — row s of Dᵀ — has
+		// gradient row s of it.
+		dl := cache.dl[:n]
 		for s := 0; s < slots; s++ {
-			for t := 0; t < n; t++ {
-				w[t] = cache.d.Row(t)[s]
-			}
 			copy(dl, grad.DispatchW.Row(s))
-			maskedSoftmaxBackward(w, dl)
+			maskedSoftmaxBackward(cache.dt.Row(s), dl)
 			for t := 0; t < n; t++ {
 				dLogits.Row(t)[s] += dl[t]
 			}
@@ -105,4 +123,5 @@ func (g *SoftMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad
 	tensor.MatMulT1AddInto(g.phi.G, x, dLogits)
 	tensor.MatMulT2Into(dx, dLogits, g.phi.W)
 	tensor.Put(dLogits)
+	g.idle = cache
 }

@@ -14,6 +14,7 @@ package moe
 // there by the backward pass itself) and the post-step parameters.
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -108,8 +109,14 @@ type StepResult struct {
 	// gradient).
 	Degraded []*DegradedResult
 
-	Y  *tensor.Tensor // final forward output
-	DX *tensor.Tensor // input gradient
+	// Y is the last layer's output and DX the input gradient of layer 0.
+	// Like RankParams they are stack-owned, not copies: slots of the last
+	// and the first world's workspace, which the next StepWorlds on the
+	// same worlds overwrites, so copy what must outlive the step. Feeding
+	// either straight back in as that step's x or dy fails with
+	// ErrStepInputAliased.
+	Y  *tensor.Tensor
+	DX *tensor.Tensor
 
 	// CheckpointPath is the file this step's snapshot commits to, set on
 	// exactly the steps that hit StepConfig.Checkpoint's cadence. The
@@ -239,6 +246,9 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	if err := checkStack("step", worlds); err != nil {
 		return nil, err
 	}
+	if err := checkUnaliased(worlds, x, dy); err != nil {
+		return nil, err
+	}
 	st := residentFor(worlds)
 	// The executor mode is scoped to this step; restore whatever the
 	// caller had configured on the worlds afterwards.
@@ -262,12 +272,12 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	sinks := stepSinks(worlds)
 	var fwdTraces []*sim.Trace
 
-	// Forward chain. Outputs on the stack's inner edges stay in the
+	// Forward chain. Every output, the stack's last included, stays in the
 	// producing world's workspace.
 	caches := st.caches
 	cur := x
 	for i, w := range worlds {
-		y, cache, err := w.forward(cur, cfg.Train, i < len(worlds)-1)
+		y, cache, err := w.forward(cur, cfg.Train, true)
 		if err != nil {
 			return nil, fmt.Errorf("moe: step forward layer %d: %w", i, err)
 		}
@@ -308,7 +318,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 		syncer.StartLayer(i)
 		clear(st.grads[i].written)
 		w.sync, w.grads = syncer, &st.grads[i]
-		dx, err := w.backward(caches[i], dcur, i > 0)
+		dx, err := w.backward(caches[i], dcur, true)
 		w.sync, w.grads = nil, nil
 		if err != nil {
 			return nil, fmt.Errorf("moe: step backward layer %d: %w", i, err)
@@ -398,6 +408,29 @@ func checkStack(op string, worlds []*World) error {
 	return nil
 }
 
+// ErrStepInputAliased reports a step input that shares memory with a
+// stack-owned output of an earlier step (StepResult.Y or DX): the step would
+// overwrite it while reading it. Pass a copy. Match it with errors.Is.
+var ErrStepInputAliased = errors.New("moe: step input shares memory with a stack-owned step output")
+
+// checkUnaliased rejects an x or dy in memory the step overwrites: a slot of
+// a stack world's idle workspace, where the last step left its output and
+// input gradient.
+func checkUnaliased(worlds []*World, x, dy *tensor.Tensor) error {
+	for _, w := range worlds {
+		if w.ws == nil {
+			continue
+		}
+		if w.ws.holds(x) {
+			return fmt.Errorf("moe: step x: %w", ErrStepInputAliased)
+		}
+		if w.ws.holds(dy) {
+			return fmt.Errorf("moe: step dy: %w", ErrStepInputAliased)
+		}
+	}
+	return nil
+}
+
 // stepSinks collects the distinct non-nil telemetry sinks configured
 // across the stack (nil when telemetry is disabled everywhere — the
 // common case, which must not allocate).
@@ -441,7 +474,9 @@ func sameSink(a, b telemetry.Sink) bool {
 // the step already measured: the forward and backward traces (serial time,
 // per-stream busy time, fault/retry incidents), each layer's routing plan
 // (the FlexMoE per-expert load signal) and the §5 sync report. Called only
-// when a sink is configured.
+// when a sink is configured. The routing plans are gate-owned scratch, which
+// each layer's Backward has handed back; reading them here is safe because
+// the next Route is in the next step.
 func buildStepMetrics(worlds []*World, caches []*WorldCache, fwdTraces []*sim.Trace, res *StepResult, step int, recovs []*RecoveryReport) *telemetry.StepMetrics {
 	w0 := worlds[0]
 	m := &telemetry.StepMetrics{

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/tensor"
 )
@@ -11,11 +12,12 @@ import (
 // workspace is a world's resident token-path memory: every buffer a pass
 // moves tokens through — the padded expert-major buffers Order scatters
 // into and gathers from, the per-rank expert blocks and hidden exchange
-// buffers, the token-major products on a stack's inner edges — is a slot of
-// it, handed out in the order the pass asks. A pass over the same shape asks
-// for the same sizes in the same order, so a warm pass replays the slots of
-// the one before it and allocates none — and finds the plan builder's
-// endpoint lists over them (fwd, bwd) already cut.
+// buffers, the token-major products on a stack's edges, the step's output
+// and input gradient included — is a slot of it, handed out in the order the
+// pass asks. A pass over the same shape asks for the same sizes in the same
+// order, so a warm pass replays the slots of the one before it and allocates
+// none — and finds the plan builder's endpoint lists over them (fwd, bwd)
+// already cut.
 //
 // Ownership: Forward checks the world's idle workspace out into the
 // WorldCache it returns; that cache's Backward takes the backward buffers
@@ -50,8 +52,9 @@ type wsSlot struct {
 	t    *tensor.Tensor // data under the shape last asked for; nil until asked
 }
 
-// poisonWorkspaces makes every slot come back filled with NaN, so a test
-// run fails on any read of workspace memory the pass did not write first.
+// poisonWorkspaces makes every slot, and the gates' routing scratch
+// (routing, gate.go), come back filled with NaN, so a test run fails on any
+// read of workspace or routing memory the pass did not write first.
 var poisonWorkspaces atomic.Bool
 
 func (ws *workspace) take(n int) *wsSlot {
@@ -64,12 +67,17 @@ func (ws *workspace) take(n int) *wsSlot {
 		*s = wsSlot{data: make([]float64, n)}
 	}
 	if poisonWorkspaces.Load() {
-		nan := math.NaN()
-		for i := range s.data {
-			s.data[i] = nan
-		}
+		poisonFloats(s.data)
 	}
 	return s
+}
+
+// poisonFloats fills s with NaN.
+func poisonFloats(s []float64) {
+	nan := math.NaN()
+	for i := range s {
+		s[i] = nan
+	}
 }
 
 // retake hands out again, as they are, the slots from the next one up to
@@ -94,13 +102,34 @@ func (ws *workspace) tensor(shape ...int) *tensor.Tensor {
 }
 
 // tokens returns an (n, m) token-major product of a pass: the next slot
-// when its only reader is the neighbouring world of a stack (inner), a
-// tensor the caller keeps otherwise.
-func (ws *workspace) tokens(inner bool, n, m int) *tensor.Tensor {
-	if inner {
+// when the product is stack-owned (owned) — an edge of a StepWorlds stack,
+// its output and input gradient included, read at the latest by the caller
+// before the next step — a tensor the caller keeps otherwise.
+func (ws *workspace) tokens(owned bool, n, m int) *tensor.Tensor {
+	if owned {
 		return ws.tensor(n, m)
 	}
 	return tensor.New(n, m)
+}
+
+// holds reports whether t shares memory with a slot: the next pass over
+// this workspace would overwrite what t reads.
+func (ws *workspace) holds(t *tensor.Tensor) bool {
+	for _, s := range ws.slots {
+		if overlaps(s.data, t.Data()) {
+			return true
+		}
+	}
+	return false
+}
+
+// overlaps reports whether a and b share memory.
+func overlaps(a, b []float64) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(len(b))*8 && pb < pa+uintptr(len(a))*8
 }
 
 // blocks returns one tensor slot of the given shape per rank.

@@ -118,22 +118,35 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 }
 
 // TestWorkspaceOutstandingCache: a Forward while an earlier cache is still
-// outstanding must not touch what that cache points at. Forward(x1),
-// Forward(x2), then Backward on each cache equals two independent
-// Forward→Backward passes.
+// outstanding must not touch what that cache points at — neither the
+// world's workspace nor the gate's routing scratch. For every gate the
+// benchmark workloads run, Forward(x1), Forward(x2), then Backward on each
+// cache equals two independent Forward→Backward passes, bit for bit, and
+// each Backward hands its workspace back to the world and its routing
+// scratch back to the gate.
 func TestWorkspaceOutstandingCache(t *testing.T) {
 	x1 := tensor.RandN(xrand.New(421), 1, 96, 32)
 	x2 := tensor.RandN(xrand.New(422), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(423), 1, 96, 32)
-	for _, wc := range []WorldConfig{
-		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP},
-		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP},
+	for _, tc := range []struct {
+		gate string
+		wc   WorldConfig
+	}{
+		{"gshard", WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP}},
+		{"gshard", WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP}},
+		{"xmoe", WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP}},
+		{"sigmoid", WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2}},
+		{"softmoe", WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyDenseSlots}},
 	} {
-		layer := strategyLayer(t, wc.Strategy, false)
-		want1 := runWorld(t, layer, wc, x1, dy, false)
-		want2 := runWorld(t, layer, wc, x2, dy, false)
+		label := fmt.Sprintf("%s/%s", tc.gate, tc.wc.Strategy)
+		layer := softmoeLayer(t, false, 3)
+		if tc.gate != "softmoe" {
+			layer = worldLayer(t, tc.gate, TutelOrder{}, false, false)
+		}
+		want1 := runWorld(t, layer, tc.wc, x1, dy, false)
+		want2 := runWorld(t, layer, tc.wc, x2, dy, false)
 
-		w, err := NewWorld(layer, wc)
+		w, err := NewWorld(layer, tc.wc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,18 +159,26 @@ func TestWorkspaceOutstandingCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		if c1.ws == c2.ws {
-			t.Fatalf("%s: two live caches share a workspace", wc.Strategy)
+			t.Fatalf("%s: two live caches share a workspace", label)
+		}
+		if c1.pr.rc == c2.pr.rc || c1.pr.plan == c2.pr.plan {
+			t.Fatalf("%s: two live caches share the gate's routing scratch", label)
 		}
 		for i, c := range []*WorldCache{c1, c2} {
 			layer.ZeroGrad()
+			rc := c.pr.rc
 			dx, err := w.Backward(c, dy)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := worldSnapshot{y: []*tensor.Tensor{y1, y2}[i], dx: dx, grads: snapGrads(layer)}
-			compareSnapshots(t, fmt.Sprintf("%s cache %d", wc.Strategy, i+1), []worldSnapshot{want1, want2}[i], got)
+			compareSnapshots(t, fmt.Sprintf("%s cache %d", label, i+1), []worldSnapshot{want1, want2}[i], got)
 			if c.ws != nil || w.ws == nil {
-				t.Fatalf("%s cache %d: Backward did not hand its workspace back", wc.Strategy, i+1)
+				t.Fatalf("%s cache %d: Backward did not hand its workspace back", label, i+1)
+			}
+			// The next Route takes the scratch this Backward handed back.
+			if _, next, err := layer.cfg.Gate.Route(x1, false); err != nil || next != rc {
+				t.Fatalf("%s cache %d: Backward did not hand its routing scratch back to the gate (err %v)", label, i+1, err)
 			}
 		}
 	}

@@ -430,10 +430,11 @@ func (w *World) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCac
 	return w.forward(x, train, false)
 }
 
-// forward is Forward; inner says the output feeds the next world of a
-// StepWorlds stack, which reads it only until this world's own Backward
-// returns — so it is a workspace slot instead of a tensor the caller keeps.
-func (w *World) forward(x *tensor.Tensor, train, inner bool) (*tensor.Tensor, *WorldCache, error) {
+// forward is Forward; owned says the output is stack-owned: StepWorlds
+// feeds it to the next world of the stack, or returns it as StepResult.Y,
+// valid until the next step on the stack — so it is a workspace slot
+// instead of a tensor the caller keeps.
+func (w *World) forward(x *tensor.Tensor, train, owned bool) (*tensor.Tensor, *WorldCache, error) {
 	if w.closed {
 		return nil, nil, fmt.Errorf("moe: forward: %w", ErrWorldClosed)
 	}
@@ -477,7 +478,7 @@ func (w *World) forward(x *tensor.Tensor, train, inner bool) (*tensor.Tensor, *W
 	}
 
 	cache.combined = combined
-	y := w.layer.epilog(ws.tokens(inner, pr.flat.Dim(0), mdim), combined, plan, pr.shape)
+	y := w.layer.epilog(ws.tokens(owned, pr.flat.Dim(0), mdim), combined, plan, pr.shape)
 	return y, cache, nil
 }
 
@@ -488,10 +489,11 @@ func (w *World) Backward(cache *WorldCache, dy *tensor.Tensor) (*tensor.Tensor, 
 	return w.backward(cache, dy, false)
 }
 
-// backward is Backward; inner says the input gradient feeds the previous
-// world of a StepWorlds stack, which reads it within the step — before this
-// world's next Forward takes its workspace again.
-func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, inner bool) (*tensor.Tensor, error) {
+// backward is Backward; owned says the input gradient is stack-owned:
+// StepWorlds feeds it to the previous world of the stack, or returns it as
+// StepResult.DX, valid until this world's next Forward takes its workspace
+// again — the next step on the stack.
+func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, owned bool) (*tensor.Tensor, error) {
 	if w.closed {
 		return nil, fmt.Errorf("moe: backward: %w", ErrWorldClosed)
 	}
@@ -524,7 +526,7 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, inner bool) (*ten
 		}
 		return nil, err
 	}
-	dx := w.layer.backwardFinish(ws.tokens(inner, n, mdim), ws.tensor(n, mdim), dScattered, planGrad, pr.flat, pr.rc, plan, pr.shape)
+	dx := w.layer.backwardFinish(ws.tokens(owned, n, mdim), ws.tensor(n, mdim), dScattered, planGrad, pr.flat, pr.rc, plan, pr.shape)
 	w.release(cache)
 	return dx, nil
 }

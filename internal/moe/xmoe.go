@@ -15,17 +15,19 @@ import (
 type XMoEGate struct {
 	cfg  GateConfig
 	m    int
-	dim  int      // low-rank dimension
-	tau  float64  // temperature
-	proj *Param   // (M, dim)
-	emb  *Param   // (E, dim) expert embeddings
-	idle *choices // routing scratch between a Backward and the next Route
+	dim  int        // low-rank dimension
+	tau  float64    // temperature
+	proj *Param     // (M, dim)
+	emb  *Param     // (E, dim) expert embeddings
+	idle *xmoeCache // routing scratch between a Backward and the next Route
 }
 
+// xmoeCache is the gate's routing scratch (routing): sel holds the selected
+// experts and their softmax weights.
 type xmoeCache struct {
+	routing
 	u   *tensor.Tensor // x·W_proj, (N, dim)
 	cos *tensor.Tensor // cosine scores, (N, E)
-	sel *choices       // selected experts and their softmax weights
 }
 
 // NewXMoEGate constructs the gate. lowRank is the projection dimension
@@ -60,20 +62,31 @@ func (g *XMoEGate) Name() string { return "xmoe" }
 // Params implements Gate.
 func (g *XMoEGate) Params() []*Param { return []*Param{g.proj, g.emb} }
 
-// Route implements Gate.
+// Route implements Gate. The plan and the RouteCache are the gate's
+// routing scratch (routing), valid until the next Route after their
+// Backward.
 func (g *XMoEGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCache, error) {
 	if err := checkGateInput(x, g.m); err != nil {
 		return nil, nil, err
 	}
-	u := tensor.MatMul(x, g.proj.W)
-	cos := tensor.CosineRows(u, g.emb.W)
-	plan, sel := routeTopK(&g.idle, g.cfg, cos, func(w []float64) {
+	cache := g.idle
+	g.idle = nil
+	if cache == nil {
+		cache = &xmoeCache{}
+	}
+	cache.begin(x, cache)
+	n := x.Dim(0)
+	u := scratchMat(&cache.u, n, g.dim)
+	tensor.MatMulInto(u, x, g.proj.W)
+	cos := scratchMat(&cache.cos, n, g.cfg.Experts)
+	tensor.CosineRowsInto(cos, u, g.emb.W)
+	plan := cache.routeTopK(g.cfg, cos, func(w []float64) {
 		for j := range w {
 			w[j] /= g.tau
 		}
 		tensor.SoftmaxInPlace(w)
 	})
-	return plan, &RouteCache{X: x, Plan: plan, extra: &xmoeCache{u: u, cos: cos, sel: sel}}, nil
+	return plan, &cache.rc, nil
 }
 
 // Backward implements Gate. The gradient flows through the selected-set
@@ -84,7 +97,7 @@ func (g *XMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
 	cache := rc.extra.(*xmoeCache)
 	x := rc.X
 	n, k := x.Dim(0), g.cfg.TopK
-	sel := cache.sel
+	sel := &cache.sel
 	dW := sel.weightGrads(rc.Plan, grad.SlotWeight)
 	dU := tensor.Get(n, g.dim)
 	for t := 0; t < n; t++ {
@@ -115,10 +128,10 @@ func (g *XMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
 			}
 		}
 	}
-	g.idle = sel
 	tensor.MatMulT1AddInto(g.proj.G, x, dU)
 	tensor.MatMulT2Into(dx, dU, g.proj.W)
 	tensor.Put(dU)
+	g.idle = cache
 }
 
 func norm(v []float64) float64 {

@@ -656,14 +656,24 @@ func Transpose2D(a *Tensor) *Tensor {
 	if a.Rank() != 2 {
 		panic("tensor: Transpose2D requires a 2-D tensor")
 	}
+	out := New(a.shape[1], a.shape[0])
+	Transpose2DInto(out, a)
+	return out
+}
+
+// Transpose2DInto writes the transpose of a (m, n) into dst (n, m),
+// overwriting it.
+func Transpose2DInto(dst, a *Tensor) {
+	if a.Rank() != 2 {
+		panic("tensor: Transpose2D requires a 2-D tensor")
+	}
 	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
+	checkDst(dst, n, m, "Transpose2DInto")
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
+			dst.data[j*m+i] = a.data[i*n+j]
 		}
 	}
-	return out
 }
 
 // BatchedMatMul multiplies two 3-D tensors batch-wise: (b,m,k)@(b,k,n) →

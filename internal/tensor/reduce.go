@@ -8,16 +8,23 @@ import (
 // SoftmaxRows applies a numerically stable softmax along the last dimension
 // of a 2-D tensor.
 func SoftmaxRows(a *Tensor) *Tensor {
+	out := New(a.shape...)
+	SoftmaxRowsInto(out, a)
+	return out
+}
+
+// SoftmaxRowsInto writes SoftmaxRows(a) into dst, a's shape, overwriting
+// it: the form for callers that keep the result in their own memory.
+func SoftmaxRowsInto(dst, a *Tensor) {
 	if a.Rank() != 2 {
 		panic("tensor: SoftmaxRows requires a 2-D tensor")
 	}
-	out := a.Clone()
+	checkDst(dst, a.shape[0], a.shape[1], "SoftmaxRowsInto")
+	copy(dst.data, a.data)
 	n := a.shape[1]
 	for i := 0; i < a.shape[0]; i++ {
-		row := out.data[i*n : (i+1)*n]
-		softmaxInPlace(row)
+		softmaxInPlace(dst.data[i*n : (i+1)*n])
 	}
-	return out
 }
 
 // SoftmaxCols applies softmax along the first dimension of a 2-D tensor
@@ -116,13 +123,20 @@ func TopKInto(dst []int, v []float64) {
 // L2NormalizeRows scales each row of a 2-D tensor to unit Euclidean norm.
 // Zero rows are left as zeros.
 func L2NormalizeRows(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
+	out := a.Clone()
+	l2NormalizeRows(out)
+	return out
+}
+
+// l2NormalizeRows scales each row of t, in place, to unit L2 norm (zero
+// rows stay zero).
+func l2NormalizeRows(t *Tensor) {
+	if t.Rank() != 2 {
 		panic("tensor: L2NormalizeRows requires a 2-D tensor")
 	}
-	out := a.Clone()
-	n := a.shape[1]
-	for i := 0; i < a.shape[0]; i++ {
-		row := out.data[i*n : (i+1)*n]
+	n := t.shape[1]
+	for i := 0; i < t.shape[0]; i++ {
+		row := t.data[i*n : (i+1)*n]
 		s := 0.0
 		for _, v := range row {
 			s += v * v
@@ -135,14 +149,26 @@ func L2NormalizeRows(a *Tensor) *Tensor {
 			row[j] *= inv
 		}
 	}
-	return out
 }
 
 // CosineRows returns the (m,e) matrix of cosine similarities between each
 // row of a (m,d) and each row of b (e,d). This is the X-MoE routing score
 // s_i = cos(W_proj x, w_g_i).
 func CosineRows(a, b *Tensor) *Tensor {
-	an := L2NormalizeRows(a)
-	bn := L2NormalizeRows(b)
-	return MatMulT2(an, bn)
+	out := New(a.Dim(0), b.Dim(0))
+	CosineRowsInto(out, a, b)
+	return out
+}
+
+// CosineRowsInto writes CosineRows(a, b) into dst (m, e), overwriting it;
+// the normalized rows go through pooled temporaries.
+func CosineRowsInto(dst, a, b *Tensor) {
+	an, bn := GetUninit(a.shape...), GetUninit(b.shape...)
+	copy(an.data, a.data)
+	copy(bn.data, b.data)
+	l2NormalizeRows(an)
+	l2NormalizeRows(bn)
+	MatMulT2Into(dst, an, bn)
+	Put(an)
+	Put(bn)
 }
