@@ -127,7 +127,7 @@
 // hidden-column range [Cl, Ch) and the *WorkerPool its GEMMs fan out onto — and
 // returns an ExpertPass whose stage methods take a window set of rows
 // (Windows: Count windows of N rows, Stride rows apart):
-// ForwardHidden/ForwardOut, then BeginBackward(dy, dx, hidden, GradDst),
+// ForwardHidden/ForwardOut, then BeginBackward(dy, dx, hidden, overwrite),
 // BackwardHidden/BackwardIn, and one full-block Finish. The sequential
 // Layer runs each expert as the one window [0, n) over the column range
 // [0, H); a World's chunk is one set per stage call — the chunk's rows in
@@ -146,9 +146,11 @@
 // their destination first and address expert-major buffers as (E, S, M)
 // with a block stride S ≥ capacity the caller chose (pad rows +0, see
 // moe.Order); an ExpertPass writes its stages into the PassBufs blocks and
-// its Finish puts the parameter gradients where BeginBackward's GradDst
-// says — nil means "add to Param.G", otherwise overwrite GradDst[i] with the
-// gradient of Params()[i].
+// its Finish puts the parameter gradients into each Param.G — added to it,
+// or, when BeginBackward says overwrite (a training step), written over
+// whatever it held. A step re-points Param.W and Param.G at the stack's flat
+// buffers, so an Expert reads them through its Params on every pass and
+// never keeps the tensors.
 //
 // Because experts execute concurrently, a custom Expert must not share
 // mutable state (scratch buffers, RNGs, tied Param tensors) with another
@@ -193,26 +195,39 @@
 // StepConfig together with every layer's shapes and padded batch
 // capacity — and solved again exactly when one of those compares
 // different (another batch size, another StepConfig, a Recover to fewer
-// ranks); treat it as read-only, later steps share it. The stack keeps one
-// flat buffer in the RankParams layout, which is in turn the gradient — an
-// expert's written by the backward plan's finish task, the gate's by the
-// stepping goroutine, zero for a dead rank's experts — and then w − lr·g.
-// The exposed tail — of a step and of SyncGradients alike — runs on every
-// core of the default tensor pool; the bytes are those of the tail run on
-// one goroutine.
+// ranks); treat it as read-only, later steps share it. The stack keeps its
+// parameters and their gradients as two flat buffers in the RankParams
+// layout, and every Param.W and Param.G is a view of its span of them:
+// the first step or SyncGradients on a stack copies the parameters in
+// (SyncGradients the accumulated gradients too) and re-points each Param,
+// and a later one does so again only when a parameter no longer is its
+// view (another stack over the same first world, a tensor the caller
+// replaced). The backward writes the gradient where the §5 slices read it —
+// an expert's by the backward plan's finish task, the gate's by its
+// backward, zero for a dead rank's experts — and a slice steps the
+// parameters with one row operation, w += (−lr)·g, which has the bits of
+// w − lr·g. A stack in which two entries share a layer's parameters (the
+// same World twice, or two Worlds over one Layer) is refused. The exposed
+// tail — of a step and of SyncGradients alike — runs on every core of the
+// default tensor pool; the bytes are those of the tail run on one
+// goroutine.
 //
-// What a step does to Param.G: nothing, for experts. StepStack neither
-// clears nor writes the gradient accumulators of experts; it clears and
-// fills the gate's. Param.G is the destination
-// of the Forward/Backward you drive yourself, accumulating across calls
-// until Layer.ZeroGrad, and what SyncGradients collects. Param.W is
-// written by the update as the slices complete — a layer's parameters are
-// final once its slices have run, and a step that returns an error may
-// already have stepped the layers whose backward completed (a Recover
-// restores all of them from the checkpoint).
+// What a step does to Param.G: it leaves the step's gradient there. Each
+// expert's finish task writes over its Param.G, a dead rank's experts read
+// zero, and the gate's is cleared and accumulated — the values a
+// Layer.ZeroGrad and a Forward/Backward you drive yourself leave, from the
+// same parameters. Between steps Param.G is the destination of that
+// Forward/Backward, accumulating across calls until Layer.ZeroGrad, and
+// what SyncGradients synchronizes in place. Param.W is written by the
+// update as the slices complete — a layer's parameters are final once its
+// slices have run, and a step that returns an error may already have
+// stepped the layers whose backward completed (a Recover restores all of
+// them from the checkpoint).
 //
-// Ownership: StepResult.RankParams (one row, the post-step parameters) and
-// SyncReport.LayerGrads are views of that stack-owned buffer, not copies.
+// Ownership: StepResult.RankParams (one row, the post-step parameters) is
+// the stack's parameter buffer and SyncReport.LayerGrads are views of its
+// gradient buffer — the memory the live Param.W and Param.G view, not
+// copies.
 // They are valid until the next StepStack or SyncGradients on the same
 // worlds, which overwrites them; copy what must outlive the call. Comparing
 // the rows of two different stacks needs no copy.

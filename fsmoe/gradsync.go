@@ -17,15 +17,16 @@ type (
 	// StepResult is one measured step: the wall time and its
 	// forward/backward/tail parts, the sync report, the post-step
 	// parameters (RankParams, one row), and the backward plans with their
-	// embedded AllReduce slices. RankParams is a view of the stack-owned
-	// buffer that the next step or sync on the same worlds overwrites; copy
-	// to retain.
+	// embedded AllReduce slices. RankParams is the stack-owned parameter
+	// buffer the live Param.W view, which the next step on the same worlds
+	// overwrites; copy to retain.
 	StepResult = moe.StepResult
 	// SyncStrategy selects how Gradient-AllReduce is scheduled.
 	SyncStrategy = gradsync.Strategy
 	// SyncReport is the outcome of a blocking SyncGradients call. Its
-	// LayerGrads, one flat gradient per layer, are views of the same
-	// stack-owned buffer as StepResult.RankParams, under the same rule.
+	// LayerGrads, one flat gradient per layer, are views of the stack-owned
+	// gradient buffer the live Param.G view, under the same rule as
+	// StepResult.RankParams.
 	SyncReport = moe.SyncReport
 	// GradSyncReport summarizes bytes hidden vs exposed and the tail's
 	// wall time.
@@ -50,8 +51,9 @@ const (
 // layer i+1): forward, backward in reverse with the §5 gradient sync
 // overlapped into each backward stream plan per cfg.Strategy and the
 // exposed tail, every sync slice applying the SGD update to what it
-// carries. The step's expert gradients live in the stack's resident
-// buffer, not in Param.G. Every gradient element has one contributor, and
+// carries. The step leaves its gradient in Param.G and the stepped
+// parameters in Param.W, both views of the stack's resident buffers. Every
+// gradient element has one contributor, and
 // the parameters live once: one copy, stepped in place, each slice's
 // elements once (no 1/R scaling — the per-rank gradients already split one
 // batch). So the parameters are bit-identical under every strategy; only
@@ -73,10 +75,11 @@ func StepStack(worlds []*World, x, dy *Tensor, cfg StepConfig) (*StepResult, err
 var ErrStepInputAliased = moe.ErrStepInputAliased
 
 // SyncGradients synchronizes the parameter gradients accumulated in Param.G
-// by the Forward/Backward calls the caller drove, immediately (no overlap):
-// every layer's gradient is copied into the stack's one gradient buffer,
-// which then holds the full-batch gradient, one copy. Use StepStack to hide
-// the same sync inside the backward pipelines instead.
+// by the Forward/Backward calls the caller drove, immediately (no overlap).
+// Every Param.G is a view of the stack's one gradient buffer (the first
+// call on a stack moves them there), so the buffer already holds the
+// full-batch gradient, one copy, and is synchronized in place. Use StepStack
+// to hide the same sync inside the backward pipelines instead.
 func SyncGradients(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	return moe.SyncWorlds(worlds, cfg)
 }

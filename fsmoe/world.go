@@ -24,7 +24,9 @@ type (
 	// Strategy names a parallel execution scheme for the executable world.
 	Strategy = moe.Strategy
 	// ExpertPass is one pass of an Expert: its stage methods, each over
-	// a window set of the pass's rows.
+	// a window set of the pass's rows. Its Finish adds the parameter
+	// gradients into each Param.G, or, when BeginBackward says overwrite
+	// (a training step), writes them over it.
 	ExpertPass = moe.ExpertPass
 	// Windows is a window set of rows — Count windows of N rows, Stride rows
 	// apart — which the ExpertPass stage methods and WorkerPool's
@@ -32,11 +34,6 @@ type (
 	Windows = tensor.Windows
 	// PassBufs is the caller-owned memory Expert.Begin receives.
 	PassBufs = moe.PassBufs
-	// GradDst is where an expert pass's Finish puts its parameter
-	// gradients (ExpertPass.BeginBackward receives it): nil adds to
-	// Param.G, otherwise entry i is overwritten with the gradient of
-	// Params()[i].
-	GradDst = moe.GradDst
 	// DenseRouter marks custom gates whose plans route densely
 	// (SoftMoE-style); StrategyAuto uses it to pick StrategyDenseSlots.
 	DenseRouter = moe.DenseRouter

@@ -321,7 +321,8 @@ func TestSyncerUpdateOncePerElement(t *testing.T) {
 }
 
 // TestFinishParallelMatchesSerial: the tail split across 2 or 4 pool
-// workers leaves the buffers a syncer with an Update leaves on one worker,
+// workers leaves the weights the step's Update (AddScaledRow by −lr into a
+// weight buffer of its own) leaves on one worker,
 // bit for bit, and the same Report but for its wall time — under every
 // strategy, fixed-chunk tail slices cut off the tile edges included.
 func TestFinishParallelMatchesSerial(t *testing.T) {
@@ -346,9 +347,7 @@ func TestFinishParallelMatchesSerial(t *testing.T) {
 				weights[i], _ = randGrads(uint64(80+i), n)
 			}
 			s := plan.NewSyncer(func(layer, lo, hi int) {
-				for k := lo; k < hi; k++ {
-					grads[layer][k] = weights[layer][k] - lr*grads[layer][k]
-				}
+				tensor.AddScaledRow(weights[layer][lo:hi], grads[layer][lo:hi], -lr)
 			})
 			driveBackward(t, s, layers, grads, 3)
 			rep, err := s.Finish()
@@ -360,14 +359,14 @@ func TestFinishParallelMatchesSerial(t *testing.T) {
 			}
 			rep.TailMS = 0
 			if workers == 1 {
-				want, wantRep = grads, rep
+				want, wantRep = weights, rep
 				continue
 			}
 			if !reflect.DeepEqual(rep, wantRep) {
 				t.Fatalf("%s at %d workers: report %+v, one worker %+v", strat, workers, rep, wantRep)
 			}
-			for i := range grads {
-				for k, v := range grads[i] {
+			for i := range weights {
+				for k, v := range weights[i] {
 					if math.Float64bits(v) != math.Float64bits(want[i][k]) {
 						t.Fatalf("%s at %d workers: layer %d elem %d = %v, one worker %v", strat, workers, i, k, v, want[i][k])
 					}
@@ -382,9 +381,11 @@ func TestFinishParallelMatchesSerial(t *testing.T) {
 // a ring over R ranks would hold g on that rank and +0 on every other. The
 // ring sums g with those zeros, and x + 0 = x for every x but −0:
 // −0 + (+0) = +0. So where g = −0 the ring hands SGD a +0, and from a −0
-// weight −0 − lr·(+0) = −0; the update takes the −0 itself, and
-// −0 − lr·(−0) = −0 + (+0) = +0. Without an Update the gradient stays −0
-// where the ring left +0. Every other bit is the ring's.
+// weight −0 + (−lr)·(+0) = −0; the update takes the −0 itself, and
+// −0 + (−lr)·(−0) = −0 + (+0) = +0. Without an Update the gradient stays −0
+// where the ring left +0. Every other bit is the ring's. The update is the
+// step's: AddScaledRow by −lr into a weight buffer of its own, which leaves
+// the gradient as collected.
 func TestGatherNegativeZero(t *testing.T) {
 	const ranks, n, lr = 4, 64, 0.5
 	negZero := math.Copysign(0, -1)
@@ -408,11 +409,14 @@ func TestGatherNegativeZero(t *testing.T) {
 		if _, err := comm.RingAllReduceChunk(ring, 0, comm.RowRange{Lo: 0, Hi: n}); err != nil {
 			t.Fatal(err)
 		}
-		ringW := slices.Clone(weights)
+		// got is what the update leaves, want what the ring's sum gives.
+		got, want := grads, ring[0]
 		var update Update
 		if step {
-			tensor.StepRow(ringW, ring[0], lr)
-			update = func(_, lo, hi int) { tensor.StepRow(weights[lo:hi], grads[lo:hi], lr) }
+			ringW := slices.Clone(weights)
+			tensor.AddScaledRow(ringW, ring[0], -lr)
+			update = func(_, lo, hi int) { tensor.AddScaledRow(weights[lo:hi], grads[lo:hi], -lr) }
+			got, want = weights, ringW
 		}
 		cfg, specs := testSpecs(1, n)
 		cfg.Strategy = StrategyNoOverlap
@@ -429,21 +433,23 @@ func TestGatherNegativeZero(t *testing.T) {
 		}
 		moved := 0
 		for k := 0; k < n; k++ {
-			got, want := grads[k], ring[0][k]
 			switch {
-			case step && isNegZero(truth[k]) && isNegZero(ringW[k]):
+			case step && isNegZero(truth[k]) && isNegZero(want[k]):
 				// Only here: the ring's step leaves −0, the update gives +0.
 				moved++
-				if !isNegZero(want) || math.Float64bits(got) != 0 {
-					t.Fatalf("step, element %d: update %v (%#x), ring %v (%#x); want +0 and −0", k, got, math.Float64bits(got), want, math.Float64bits(want))
+				if math.Float64bits(got[k]) != 0 {
+					t.Fatalf("step, element %d: update %v (%#x), ring %v; want +0 and −0", k, got[k], math.Float64bits(got[k]), want[k])
 				}
 			case !step && isNegZero(truth[k]):
 				moved++
-				if !isNegZero(got) || math.Float64bits(want) != 0 {
-					t.Fatalf("sync, element %d: buffer %v (%#x), ring %v (%#x); want −0 and +0", k, got, math.Float64bits(got), want, math.Float64bits(want))
+				if !isNegZero(got[k]) || math.Float64bits(want[k]) != 0 {
+					t.Fatalf("sync, element %d: buffer %v (%#x), ring %v (%#x); want −0 and +0", k, got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
 				}
-			case math.Float64bits(got) != math.Float64bits(want):
-				t.Fatalf("step %v, element %d: update %v, ring %v", step, k, got, want)
+			case math.Float64bits(got[k]) != math.Float64bits(want[k]):
+				t.Fatalf("step %v, element %d: update %v, ring %v", step, k, got[k], want[k])
+			}
+			if step && math.Float64bits(grads[k]) != math.Float64bits(truth[k]) {
+				t.Fatalf("step, element %d: the update rewrote the gradient %v to %v", k, truth[k], grads[k])
 			}
 		}
 		if moved == 0 {
@@ -454,8 +460,8 @@ func TestGatherNegativeZero(t *testing.T) {
 
 // BenchmarkFinishTail times one exposed tail of the repository benchmark's
 // ep_params size (2.63 M elements) through Finish, the step's update —
-// tensor.StepRow, which writes the stepped value into the gradient buffer
-// and the weight — split over the default tensor pool.
+// tensor.AddScaledRow by −lr into a weight buffer of its own, the gradient
+// only read — split over the default tensor pool.
 func BenchmarkFinishTail(b *testing.B) {
 	const n = 2_630_000
 	cfg, specs := testSpecs(1, n)
@@ -466,7 +472,7 @@ func BenchmarkFinishTail(b *testing.B) {
 	}
 	grads, _ := randGrads(1, n)
 	weights, _ := randGrads(2, n)
-	update := func(_, lo, hi int) { tensor.StepRow(weights[lo:hi], grads[lo:hi], 1e-9) }
+	update := func(_, lo, hi int) { tensor.AddScaledRow(weights[lo:hi], grads[lo:hi], -1e-9) }
 	for i := 0; i < b.N; i++ {
 		s := plan.NewSyncer(update)
 		if err := s.Collect(0, grads); err != nil {

@@ -25,9 +25,10 @@ import (
 //     experts' forward passes are rebuilt from the cached dispatch and
 //     the backward runs sequentially. The aborted plan may have partially
 //     accumulated parameter gradients, so the layer's gradients are
-//     zeroed first (during a training step: every expert's span of the
-//     resident arena is marked unwritten, so what the survivors do not
-//     rewrite is cleared; the §5 slices then step the one copy in place).
+//     zeroed first (during a training step Param.G is the layer's span of
+//     the stack's gradient buffer, and every expert is marked unwritten, so
+//     what the survivors do not rewrite is cleared; the §5 slices then step
+//     the parameters from it).
 //
 // In both modes the router is frozen: the gate backward pairs its
 // RouteCache with the original plan, which no longer describes the
@@ -155,7 +156,7 @@ func (w *World) degradedBackward(cache *WorldCache, dy *tensor.Tensor) (*tensor.
 		if j >= st.lo && j < st.hi {
 			continue // dead expert: no cache, no gradient, block stays zero
 		}
-		st.passes[j].backward(slotBlock(dExpertOut, j, t), slotBlock(dScattered, j, t), w.gradDst(j))
+		st.passes[j].backward(slotBlock(dExpertOut, j, t), slotBlock(dScattered, j, t), w.written != nil)
 		w.wrote(j)
 	}
 	dx := tensor.New(pr.flat.Dim(0), mdim)
@@ -189,9 +190,7 @@ func (w *World) degradedBackwardRecover(cache *WorldCache, dy *tensor.Tensor, re
 	// The aborted plan's W tasks may have accumulated partial parameter
 	// gradients; restart this layer's accumulation from zero.
 	w.layer.ZeroGrad()
-	if w.grads != nil {
-		clear(w.grads.written)
-	}
+	clear(w.written)
 
 	// Only the passes matter; the recomputed outputs are scratch.
 	passes := w.forwardSurvivors(cache.scattered, tensor.New(dplan.Experts, dplan.Capacity, w.layer.cfg.M), lo, hi)

@@ -38,6 +38,10 @@ type Expert interface {
 	Name() string
 	// Params exposes the trainable parameters. The planner prices their
 	// gradient bytes (what Gradient-AllReduce must move) from their sizes.
+	// The set is fixed for the expert's life, but not the tensors: a
+	// training step re-points each Param.W and Param.G at its span of the
+	// stack's flat parameter and gradient buffers, so a pass reads them
+	// through the Param, never from a tensor it kept.
 	Params() []*Param
 	// FwdMACs returns the forward multiply-accumulate count for n tokens,
 	// which drives the performance model (backward is modelled as 2×,
@@ -95,44 +99,41 @@ type ExpertPass interface {
 	// ForwardOut computes the rows w of Out from full-width Hidden rows.
 	ForwardOut(w tensor.Windows)
 	// BeginBackward binds the backward's memory: the full (n, M) output
-	// gradient dy and input gradient dx, the (BwdBands·n, HiddenWidth)
-	// exchange buffer, and where Finish puts the parameter gradients.
-	BeginBackward(dy, dx, hidden *tensor.Tensor, grads GradDst)
+	// gradient dy and input gradient dx and the (BwdBands·n, HiddenWidth)
+	// exchange buffer, and says how Finish puts the parameter gradients
+	// into each Param.G: added to it, as the sequential layer's Backward
+	// accumulates, or with overwrite written over whatever it held, as a
+	// training step does — its Param.G is then the expert's span of the
+	// stack's one gradient buffer, where the §5 update reads it.
+	BeginBackward(dy, dx, hidden *tensor.Tensor, overwrite bool)
 	// BackwardHidden computes the backward exchange buffer's columns
 	// [Cl, Ch) of the rows w from dy — stage 2's adjoint.
 	BackwardHidden(w tensor.Windows)
 	// BackwardIn computes the rows w of dx from full-width exchange rows.
 	BackwardIn(w tensor.Windows)
-	// Finish reduces the full-block parameter gradients into grads: the same
-	// GEMMs and column sums in the same order however the pass was tiled.
+	// Finish reduces the full-block parameter gradients into each Param.G as
+	// BeginBackward says: the same GEMMs and column sums in the same order
+	// however the pass was tiled.
 	Finish()
 }
 
-// GradDst is where a pass puts one expert's parameter gradients. Nil adds
-// them to each Param.G, as the sequential layer's Backward does. Otherwise
-// GradDst[i] is overwritten with the gradient of Params()[i] — during a
-// training step it is the expert's span of the stack's one resident gradient
-// buffer, where the §5 update reads it: nothing is zeroed or copied.
-type GradDst []*tensor.Tensor
-
-// weight puts the weight gradient aᵀ·b of parameter i (p) where d says.
-func (d GradDst) weight(pool *tensor.Pool, i int, p *Param, a, b *tensor.Tensor) {
-	if d == nil {
-		pool.MatMulT1AddInto(p.G, a, b)
+// weightGrad puts the weight gradient aᵀ·b into p.G: added, or with
+// overwrite written over it.
+func weightGrad(pool *tensor.Pool, p *Param, a, b *tensor.Tensor, overwrite bool) {
+	if overwrite {
+		pool.MatMulT1Into(p.G, a, b)
 		return
 	}
-	pool.MatMulT1Into(d[i], a, b)
+	pool.MatMulT1AddInto(p.G, a, b)
 }
 
-// bias puts the bias gradient of parameter i (p), the column sums of m,
-// where d says.
-func (d GradDst) bias(i int, p *Param, m *tensor.Tensor) {
-	g := p.G
-	if d != nil {
-		g = d[i]
-		g.Zero()
+// biasGrad puts the bias gradient, the column sums of m, into p.G: added,
+// or with overwrite written over it.
+func biasGrad(p *Param, m *tensor.Tensor, overwrite bool) {
+	if overwrite {
+		p.G.Zero()
 	}
-	addColSum(g, m)
+	addColSum(p.G, m)
 }
 
 // addColSum accumulates the column sums of m (n, d) into acc (d). It works

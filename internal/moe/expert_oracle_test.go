@@ -29,7 +29,7 @@ func (f *GPTFFN) oracleForward(x, out *tensor.Tensor) *oracleCache {
 	return &oracleCache{x: x, h: h, a: a}
 }
 
-func (f *GPTFFN) oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, grads GradDst) {
+func (f *GPTFFN) oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, overwrite bool) {
 	// y = a·W2 + b2; a = GeLU(h): fold the activation gradient into da in place.
 	da := tensor.New(dy.Dim(0), f.h)
 	tensor.MatMulT2Into(da, dy, f.w2.W)
@@ -38,10 +38,10 @@ func (f *GPTFFN) oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, grads Gra
 	for i := range dd {
 		dd[i] *= tensor.GeLUGrad(hd[i])
 	}
-	grads.weight(nil, 2, f.w2, c.a, dy)
-	grads.bias(3, f.b2, dy)
-	grads.weight(nil, 0, f.w1, c.x, da)
-	grads.bias(1, f.b1, da)
+	weightGrad(nil, f.w2, c.a, dy, overwrite)
+	biasGrad(f.b2, dy, overwrite)
+	weightGrad(nil, f.w1, c.x, da, overwrite)
+	biasGrad(f.b1, da, overwrite)
 	// h = x·W1 + b1.
 	tensor.MatMulT2Into(dx, da, f.w1.W)
 }
@@ -60,7 +60,7 @@ func (f *MixtralFFN) oracleForward(x, out *tensor.Tensor) *oracleCache {
 	return &oracleCache{x: x, g: g, u: u, a: a}
 }
 
-func (f *MixtralFFN) oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, grads GradDst) {
+func (f *MixtralFFN) oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, overwrite bool) {
 	n := dy.Dim(0)
 	dp := tensor.New(n, f.h)
 	tensor.MatMulT2Into(dp, dy, f.w2.W)
@@ -76,9 +76,9 @@ func (f *MixtralFFN) oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, grads
 	}
 	p := dp // reuse: dp is dead once da and du exist
 	tensor.MulInto(p, c.a, c.u)
-	grads.weight(nil, 1, f.w2, p, dy)
-	grads.weight(nil, 0, f.w1, c.x, da)
-	grads.weight(nil, 2, f.w3, c.x, du)
+	weightGrad(nil, f.w2, p, dy, overwrite)
+	weightGrad(nil, f.w1, c.x, da, overwrite)
+	weightGrad(nil, f.w3, c.x, du, overwrite)
 	tensor.MatMulT2Into(dx, da, f.w1.W)
 	dxu := tensor.New(n, f.m)
 	tensor.MatMulT2Into(dxu, du, f.w3.W)
@@ -89,7 +89,7 @@ func (f *MixtralFFN) oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, grads
 type oracleFFN interface {
 	Expert
 	oracleForward(x, out *tensor.Tensor) *oracleCache
-	oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, grads GradDst)
+	oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, overwrite bool)
 }
 
 // tiling cuts [0, n) into disjoint window sets of uneven shape, some empty,
@@ -152,11 +152,12 @@ func exchange(bufs []*tensor.Tensor, g int) {
 // members with uneven shuffled row tilings on a pool of the given width —
 // exchange buffers start as NaN, so a stage reading a column nobody wrote
 // shows — and holds every member's output and input gradient, and the
-// parameter gradients of owner's Finish, to the oracle. into selects
-// overwritten gradient destinations instead of adding to a dirty Param.G.
-func checkStagedTiling(t *testing.T, seed uint64, n, m, h, g, width, owner int, mixtral, into bool) {
+// parameter gradients of owner's Finish, to the oracle. overwrite selects
+// gradients written over Param.G, which then starts as NaN, instead of
+// added to a dirty one.
+func checkStagedTiling(t *testing.T, seed uint64, n, m, h, g, width, owner int, mixtral, overwrite bool) {
 	t.Helper()
-	label := fmt.Sprintf("seed=%d n=%d M=%d H=%d g=%d width=%d owner=%d mixtral=%v into=%v", seed, n, m, h, g, width, owner, mixtral, into)
+	label := fmt.Sprintf("seed=%d n=%d M=%d H=%d g=%d width=%d owner=%d mixtral=%v overwrite=%v", seed, n, m, h, g, width, owner, mixtral, overwrite)
 	rng := xrand.New(seed)
 	var f oracleFFN
 	var err error
@@ -169,31 +170,24 @@ func checkStagedTiling(t *testing.T, seed uint64, n, m, h, g, width, owner int, 
 		t.Fatal(err)
 	}
 	x, dy := tensor.RandN(rng, 1, n, m), tensor.RandN(rng, 1, n, m)
-	// Param.G starts dirty: a nil GradDst adds to it, a non-nil one leaves it.
-	dirty := make([]*tensor.Tensor, len(f.Params()))
-	dsts := func() GradDst {
-		if !into {
-			return nil
-		}
-		d := make(GradDst, len(dirty))
-		for i, p := range f.Params() {
-			d[i] = nanTensor(p.G.Shape()...)
-		}
-		return d
-	}
+	// Param.G starts dirty: added to, or NaN, which an overwrite must not
+	// read.
+	start := make([]*tensor.Tensor, len(f.Params()))
 	for i, p := range f.Params() {
-		dirty[i] = tensor.RandN(rng, 1, p.G.Shape()...)
-		copy(p.G.Data(), dirty[i].Data())
+		if overwrite {
+			start[i] = nanTensor(p.G.Shape()...)
+		} else {
+			start[i] = tensor.RandN(rng, 1, p.G.Shape()...)
+		}
+		copy(p.G.Data(), start[i].Data())
 	}
 
-	wantY, wantDx, wantG := tensor.New(n, m), tensor.New(n, m), dsts()
-	f.oracleBackward(f.oracleForward(x, wantY), dy, wantDx, wantG)
-	if !into {
-		wantG = make(GradDst, len(dirty))
-		for i, p := range f.Params() {
-			wantG[i] = p.G.Clone()
-			copy(p.G.Data(), dirty[i].Data())
-		}
+	wantY, wantDx := tensor.New(n, m), tensor.New(n, m)
+	f.oracleBackward(f.oracleForward(x, wantY), dy, wantDx, overwrite)
+	wantG := make([]*tensor.Tensor, len(start))
+	for i, p := range f.Params() {
+		wantG[i] = p.G.Clone()
+		copy(p.G.Data(), start[i].Data())
 	}
 
 	pool := tensor.NewPool(width)
@@ -201,7 +195,6 @@ func checkStagedTiling(t *testing.T, seed uint64, n, m, h, g, width, owner int, 
 	passes := make([]ExpertPass, g)
 	hf, hb := make([]*tensor.Tensor, g), make([]*tensor.Tensor, g)
 	ys, dxs := make([]*tensor.Tensor, g), make([]*tensor.Tensor, g)
-	gotG := dsts()
 	for k := range passes {
 		cl, ch := colShard(h, k, g)
 		hf[k], hb[k] = nanTensor(f.FwdBands()*n, h), nanTensor(f.BwdBands()*n, h)
@@ -221,7 +214,7 @@ func checkStagedTiling(t *testing.T, seed uint64, n, m, h, g, width, owner int, 
 			ps.ForwardOut(r)
 		}
 		holdTo(t, fmt.Sprintf("%s: member %d output", label, k), wantY, ys[k])
-		ps.BeginBackward(dy, dxs[k], hb[k], gotG)
+		ps.BeginBackward(dy, dxs[k], hb[k], overwrite)
 		for _, r := range tiling(rng, n) {
 			ps.BackwardHidden(r)
 		}
@@ -235,12 +228,7 @@ func checkStagedTiling(t *testing.T, seed uint64, n, m, h, g, width, owner int, 
 	}
 	passes[owner].Finish()
 	for i, p := range f.Params() {
-		got := p.G
-		if into {
-			got = gotG[i]
-			holdTo(t, fmt.Sprintf("%s: Param.G of %s left alone", label, p.Name), dirty[i], p.G)
-		}
-		holdTo(t, fmt.Sprintf("%s: gradient of %s", label, p.Name), wantG[i], got)
+		holdTo(t, fmt.Sprintf("%s: gradient of %s", label, p.Name), wantG[i], p.G)
 	}
 }
 
@@ -270,8 +258,8 @@ func FuzzStagedTiling(f *testing.F) {
 	f.Add(uint64(1), uint8(9), uint8(6), uint8(5), uint8(1), uint8(0), false, false)
 	f.Add(uint64(2), uint8(17), uint8(4), uint8(3), uint8(2), uint8(3), true, true) // H < g: a member with no column
 	f.Add(uint64(3), uint8(70), uint8(64), uint8(66), uint8(1), uint8(2), false, true)
-	f.Fuzz(func(t *testing.T, seed uint64, n, m, h, gsel, sel uint8, mixtral, into bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, n, m, h, gsel, sel uint8, mixtral, overwrite bool) {
 		g := 1 << (gsel % 3)
-		checkStagedTiling(t, seed, int(n%96)+1, int(m%64)+1, int(h%80)+1, g, 1<<(sel%3), int(sel)%g, mixtral, into)
+		checkStagedTiling(t, seed, int(n%96)+1, int(m%64)+1, int(h%80)+1, g, 1<<(sel%3), int(sel)%g, mixtral, overwrite)
 	})
 }

@@ -40,12 +40,12 @@ func plane(scratch []float64, n, cw int) (*tensor.Tensor, []float64) {
 // backBufs is the backward's memory as BeginBackward binds it.
 type backBufs struct {
 	dy, dx, hb *tensor.Tensor
-	grads      GradDst
+	overwrite  bool
 }
 
 // BeginBackward implements ExpertPass for both FFN passes.
-func (b *backBufs) BeginBackward(dy, dx, hidden *tensor.Tensor, grads GradDst) {
-	*b = backBufs{dy, dx, hidden, grads}
+func (b *backBufs) BeginBackward(dy, dx, hidden *tensor.Tensor, overwrite bool) {
+	*b = backBufs{dy, dx, hidden, overwrite}
 }
 
 // GPTFFN is the "simple" expert of Table 4: two dense layers with a GeLU,
@@ -151,11 +151,11 @@ func (p *gptPass) BackwardIn(ws tensor.Windows) {
 // Finish implements ExpertPass, from the input x, the activation a, its
 // gradient da and the output gradient dy.
 func (p *gptPass) Finish() {
-	f, g := p.f, p.grads
-	g.weight(p.Pool, 2, f.w2, p.Hidden, p.dy)
-	g.bias(3, f.b2, p.dy)
-	g.weight(p.Pool, 0, f.w1, p.X, p.hb)
-	g.bias(1, f.b1, p.hb)
+	f, o := p.f, p.overwrite
+	weightGrad(p.Pool, f.w2, p.Hidden, p.dy, o)
+	biasGrad(f.b2, p.dy, o)
+	weightGrad(p.Pool, f.w1, p.X, p.hb, o)
+	biasGrad(f.b1, p.hb, o)
 }
 
 // MixtralFFN is the SwiGLU expert used by Mixtral (§3.1):
@@ -279,8 +279,8 @@ func (p *mixtralPass) BackwardIn(ws tensor.Windows) {
 // Finish implements ExpertPass, from the input x, the gated product, the
 // gradients da and du and the output gradient dy.
 func (p *mixtralPass) Finish() {
-	f, g := p.f, p.grads
-	g.weight(p.Pool, 1, f.w2, p.Hidden, p.dy)
-	g.weight(p.Pool, 0, f.w1, p.X, p.hb.Slice(0, p.n))
-	g.weight(p.Pool, 2, f.w3, p.X, p.hb.Slice(p.n, 2*p.n))
+	f, o := p.f, p.overwrite
+	weightGrad(p.Pool, f.w2, p.Hidden, p.dy, o)
+	weightGrad(p.Pool, f.w1, p.X, p.hb.Slice(0, p.n), o)
+	weightGrad(p.Pool, f.w3, p.X, p.hb.Slice(p.n, 2*p.n), o)
 }

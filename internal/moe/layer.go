@@ -100,11 +100,8 @@ func (l *MOELayer) forEachExpert(f func(e int)) {
 func (l *MOELayer) Gate() Gate { return l.cfg.Gate }
 
 // Params returns all trainable parameters (gate + experts).
-func (l *MOELayer) Params() []*Param { return l.appendParams(nil) }
-
-// appendParams appends Params to out.
-func (l *MOELayer) appendParams(out []*Param) []*Param {
-	out = append(out, l.cfg.Gate.Params()...)
+func (l *MOELayer) Params() []*Param {
+	out := append([]*Param(nil), l.cfg.Gate.Params()...)
 	for _, e := range l.cfg.Experts {
 		out = append(out, e.Params()...)
 	}
@@ -191,11 +188,11 @@ func forwardBlock(ex Expert, x, out *tensor.Tensor) *blockPass {
 }
 
 // backward is forwardBlock's adjoint: dx from dy, the parameter gradients
-// where grads says. It ends the pass.
-func (b *blockPass) backward(dy, dx *tensor.Tensor, grads GradDst) {
+// added to Param.G, or with overwrite written over it. It ends the pass.
+func (b *blockPass) backward(dy, dx *tensor.Tensor, overwrite bool) {
 	n := dy.Dim(0)
 	hb := tensor.GetUninit(b.ex.BwdBands()*n, b.ex.HiddenWidth())
-	b.pass.BeginBackward(dy, dx, hb, grads)
+	b.pass.BeginBackward(dy, dx, hb, overwrite)
 	b.pass.BackwardHidden(tensor.Window(0, n))
 	b.pass.BackwardIn(tensor.Window(0, n))
 	b.pass.Finish()
@@ -268,7 +265,7 @@ func (l *MOELayer) Backward(cache *LayerCache, dy *tensor.Tensor) (*tensor.Tenso
 	dDispatched := tensor.New(plan.Experts, plan.Capacity, l.cfg.M)
 	blk := plan.Capacity * l.cfg.M
 	l.forEachExpert(func(e int) {
-		cache.passes[e].backward(dExpertOut.View(e*blk, plan.Capacity, l.cfg.M), dDispatched.View(e*blk, plan.Capacity, l.cfg.M), nil)
+		cache.passes[e].backward(dExpertOut.View(e*blk, plan.Capacity, l.cfg.M), dDispatched.View(e*blk, plan.Capacity, l.cfg.M), false)
 	})
 
 	n := cache.x.Dim(0)

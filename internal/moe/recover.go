@@ -94,8 +94,8 @@ type RecoveryReport struct {
 // weight re-placement broadcast that still fails after its retries returns
 // with the layers before it already rebuilt.
 func RecoverWorlds(worlds []*World, s *ckpt.Snapshot, pol RecoveryPolicy) ([]*RecoveryReport, error) {
-	if len(worlds) == 0 {
-		return nil, fmt.Errorf("moe: recover needs at least one world")
+	if err := checkStack("recover", worlds); err != nil {
+		return nil, err
 	}
 	if s == nil {
 		return nil, fmt.Errorf("moe: recover needs a snapshot")
@@ -139,9 +139,6 @@ func RecoverWorlds(worlds []*World, s *ckpt.Snapshot, pol RecoveryPolicy) ([]*Re
 	cfgs := make([]WorldConfig, len(worlds))
 	pls := make([]placement, len(worlds))
 	for i, w := range worlds {
-		if w.cfg.Ranks != oldR {
-			return nil, fmt.Errorf("moe: recover: layer %d has %d ranks, layer 0 has %d", i, w.cfg.Ranks, oldR)
-		}
 		err := w.checkRestore(&s.Worlds[i])
 		if err == nil {
 			cfgs[i], pls[i], err = w.recoveryConfig(newR)
@@ -150,9 +147,12 @@ func RecoverWorlds(worlds []*World, s *ckpt.Snapshot, pol RecoveryPolicy) ([]*Re
 			return nil, fmt.Errorf("moe: recover layer %d: %w", i, err)
 		}
 	}
+	// Every parameter a view of the stack's buffer, so each expert's
+	// parameters are one span of it; the restore zeroes the gradients.
+	st := residentFor(worlds, false)
 	reports := make([]*RecoveryReport, len(worlds))
 	for i, w := range worlds {
-		rep, err := w.recoverTo(&s.Worlds[i], mode, down, cfgs[i], pls[i])
+		rep, err := w.recoverTo(&s.Worlds[i], st.params[st.off[i]:st.off[i+1]], mode, down, cfgs[i], pls[i])
 		if err != nil {
 			return nil, fmt.Errorf("moe: recover layer %d: %w", i, err)
 		}
@@ -183,8 +183,10 @@ func (w *World) recoveryConfig(newR int) (WorldConfig, placement, error) {
 }
 
 // recoverTo is the per-world rebuild onto newCfg and pl, which
-// recoveryConfig returned; checkRestore has accepted ws.
-func (w *World) recoverTo(ws *ckpt.WorldState, mode RecoveryMode, downRank int, newCfg WorldConfig, pl placement) (*RecoveryReport, error) {
+// recoveryConfig returned; checkRestore has accepted ws. params is the
+// layer's span of the stack's parameter buffer, which the live Param.W
+// views.
+func (w *World) recoverTo(ws *ckpt.WorldState, params []float64, mode RecoveryMode, downRank int, newCfg WorldConfig, pl placement) (*RecoveryReport, error) {
 	t0 := time.Now()
 	e := len(w.layer.cfg.Experts)
 	oldR, oldEgrp, newR, gpn := w.cfg.Ranks, w.egrp, newCfg.Ranks, newCfg.GPUsPerNode
@@ -220,19 +222,12 @@ func (w *World) recoverTo(ws *ckpt.WorldState, mode RecoveryMode, downRank int, 
 		attempts = 1
 	}
 	for _, ex := range rep.MovedExperts {
-		params := w.layer.cfg.Experts[ex].Params()
-		n := 0
-		for _, p := range params {
-			n += len(p.W.Data())
-		}
+		// Rank 0, the root, sends from the live span itself.
+		span := params[w.gradOff[ex]:w.gradOff[ex+1]]
 		bufs := make([][]float64, newR)
-		for r := range bufs {
-			bufs[r] = make([]float64, n)
-		}
-		off := 0
-		for _, p := range params {
-			copy(bufs[0][off:], p.W.Data())
-			off += len(p.W.Data())
+		bufs[0] = span
+		for r := 1; r < newR; r++ {
+			bufs[r] = make([]float64, len(span))
 		}
 		guard := w.collGuard(nil, recoverStream, sim.KindBroadcast)
 		var st comm.Stats
@@ -249,12 +244,7 @@ func (w *World) recoverTo(ws *ckpt.WorldState, mode RecoveryMode, downRank int, 
 		}
 		rep.Traffic.Merge(st)
 		// The new owner's received copy is authoritative.
-		owner := ex / newEgrp
-		off = 0
-		for _, p := range params {
-			copy(p.W.Data(), bufs[owner][off:off+len(p.W.Data())])
-			off += len(p.W.Data())
-		}
+		copy(span, bufs[ex/newEgrp])
 	}
 	w.addStats(rep.Traffic)
 
@@ -269,7 +259,6 @@ func (w *World) recoverTo(ws *ckpt.WorldState, mode RecoveryMode, downRank int, 
 	w.pl = pl
 	w.ws = nil
 	w.planResources()
-	w.countGradElems()
 	w.faults = w.faults.WithoutDown()
 	w.ResetHealth()
 

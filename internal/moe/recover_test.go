@@ -3,6 +3,7 @@ package moe
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -71,6 +72,72 @@ func TestWorldSnapshotRestore(t *testing.T) {
 	if err := RestoreWorlds(ws, bad); err == nil {
 		t.Fatal("restore of a mismatched snapshot must fail")
 	}
+}
+
+// TestRestoreChecksShapes: a snapshot whose expert tensor has the right
+// name and element count but a transposed shape — ffn.w1 as (H, M) instead
+// of (M, H) — is refused by RestoreWorlds and by RecoverWorlds, and every
+// world stays bit for bit as it was: parameters, gradients, counters, rank
+// count and health.
+func TestRestoreChecksShapes(t *testing.T) {
+	x := tensor.RandN(xrand.New(215), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(216), 1, 96, 32)
+	cfg := StepConfig{LR: 0.05, ChunkBytes: 64 << 10, Slices: 3}
+	ws := stepStack(t, 2, 4, 2, false)
+	if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
+		t.Fatal(err)
+	}
+	bad := SnapshotWorlds(ws)
+	tt := &bad.Worlds[1].Experts[2][0]
+	if tt.Name != "ffn.w1" || len(tt.Shape) != 2 || tt.Shape[0] == tt.Shape[1] {
+		t.Fatalf("expert tensor %q%v: want a non-square ffn.w1", tt.Name, tt.Shape)
+	}
+	tt.Shape = []int{tt.Shape[1], tt.Shape[0]}
+	// The stack moves on from the snapshot, then a rank goes down for good.
+	ws[0].SetFaultPlan(fault.New(fault.Spec{Seed: 3, Down: &fault.Down{Rank: 1, Kind: KindExpert}}))
+	if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	type state struct {
+		w, g               []float64
+		steps, ranks, down int
+	}
+	capture := func() []state {
+		var out []state
+		for _, w := range ws {
+			st := state{steps: w.steps, ranks: w.Ranks(), down: w.down}
+			for _, p := range w.layer.Params() {
+				st.w = append(st.w, p.W.Data()...)
+				st.g = append(st.g, p.G.Data()...)
+			}
+			out = append(out, st)
+		}
+		return out
+	}
+	same := func(label string, want []state) {
+		t.Helper()
+		for i, g := range capture() {
+			w := want[i]
+			if g.steps != w.steps || g.ranks != w.ranks || g.down != w.down {
+				t.Fatalf("%s: layer %d now at step %d, %d ranks, down %d; was %d, %d, %d", label, i, g.steps, g.ranks, g.down, w.steps, w.ranks, w.down)
+			}
+			for k := range w.w {
+				if math.Float64bits(g.w[k]) != math.Float64bits(w.w[k]) || math.Float64bits(g.g[k]) != math.Float64bits(w.g[k]) {
+					t.Fatalf("%s: layer %d element %d changed", label, i, k)
+				}
+			}
+		}
+	}
+	before := capture()
+	if err := RestoreWorlds(ws, bad); err == nil {
+		t.Fatal("restore of a transposed expert tensor must fail")
+	}
+	same("refused restore", before)
+	if _, err := RecoverWorlds(ws, bad, RecoveryPolicy{}); err == nil {
+		t.Fatal("recovery from a transposed expert tensor must fail")
+	}
+	same("refused recovery", before)
 }
 
 // tempManager is a checkpoint manager over a fresh temp directory that

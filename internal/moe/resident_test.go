@@ -18,10 +18,11 @@ import (
 )
 
 // TestStepResidentArenaReuse: a stack stepped repeatedly keeps its one
-// arena, and reusing it changes nothing. After every one of four steps the
-// parameter row is bit-identical to that of a twin stack built from the
-// same seeds and stepped sequentially with the whole AllReduce exposed — a
-// stale or un-cleared arena would diverge from the twin at step two.
+// parameter and one gradient buffer, and reusing them changes nothing.
+// After every one of four steps the parameter row is bit-identical to that
+// of a twin stack built from the same seeds and stepped sequentially with
+// the whole AllReduce exposed — a stale or un-cleared gradient would
+// diverge from the twin at step two.
 func TestStepResidentArenaReuse(t *testing.T) {
 	const layers, ranks = 2, 4
 	x := tensor.RandN(xrand.New(301), 1, 96, 32)
@@ -45,7 +46,7 @@ func TestStepResidentArenaReuse(t *testing.T) {
 		if s == 0 {
 			arena = &got.RankParams[0][0]
 		} else if &got.RankParams[0][0] != arena {
-			t.Fatalf("step %d allocated a new arena", s)
+			t.Fatalf("step %d allocated a new parameter buffer", s)
 		}
 	}
 }
@@ -225,7 +226,7 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 	step("back to adaptive", x, dy, true)
 
 	// Lose rank 1 for good, recover onto two ranks: other volumes, the same
-	// one arena.
+	// buffers.
 	cfg.Checkpoint = nil
 	ws[0].SetFaultPlan(fault.New(fault.Spec{Seed: 7, Down: &fault.Down{Rank: 1, Kind: KindExpert}}))
 	res, err := StepWorlds(ws, x, dy, cfg)
@@ -247,7 +248,7 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 // TestStepAllocationBound pins the resident state from both sides. On a
 // parameter-heavy stack a warm step allocates less than one copy of the
 // parameters — the per-step gradient and replica buffers that the resident
-// arena replaces were 2·R copies — and makes no single allocation as large
+// buffers replace were 2·R copies — and makes no single allocation as large
 // as one expert's weight matrix: a reintroduced per-step make, or a weight
 // gradient that goes through a temporary again, fails here. On a
 // token-heavy stack a warm step allocates stepLayerSlack per layer and no
@@ -368,13 +369,13 @@ func allocSites(buf []runtime.MemProfileRecord) []runtime.MemProfileRecord {
 	return buf[:n]
 }
 
-// TestStepRankDownAfterHealthyStep: the arena holds last step's parameters
-// when a step starts, so an expert span nobody writes must be cleared, not
-// left. One healthy step, then rank 1 of layer 0 goes down for good, then
-// two more steps on the degraded path: the dead experts' parameters stay
-// bit-equal to their pre-fault values in the parameter row and in the live
-// layer, and everything else equals a twin that meets the same fault while
-// stepping sequentially with the AllReduce exposed.
+// TestStepRankDownAfterHealthyStep: the gradient buffer holds last step's
+// gradient when a step starts, so an expert span nobody writes must be
+// cleared, not left. One healthy step, then rank 1 of layer 0 goes down for
+// good, then two more steps on the degraded path: the dead experts'
+// parameters stay bit-equal to their pre-fault values in the parameter row
+// and in the live layer, and everything else equals a twin that meets the
+// same fault while stepping sequentially with the AllReduce exposed.
 func TestStepRankDownAfterHealthyStep(t *testing.T) {
 	const layers, ranks, down = 2, 4, 1
 	x := tensor.RandN(xrand.New(331), 1, 96, 32)
@@ -505,42 +506,50 @@ func TestStepFailedBackwardThenRestore(t *testing.T) {
 }
 
 // TestStepGradsBackwardRankDown: a rank lost while a step's backward plan
-// runs. Finish tasks of the aborted plan may already have written arena
-// spans — the dead rank's experts' included — so the recovery must forget
-// them: the survivors' spans are rewritten, the dead experts' read zero, and
-// the layer's whole span equals that of the same degraded pass driven by
-// hand through Param.G. The arena starts out as NaN, standing in for last
-// step's parameters.
+// runs. Finish tasks of the aborted plan may already have written
+// gradient-buffer spans — the dead rank's experts' included — so the
+// recovery must forget them: the survivors' spans are rewritten, the dead
+// experts' read zero, and the layer's whole span equals that of the same
+// degraded pass driven by hand, adding into a zeroed Param.G. In step mode
+// the expert spans start out as NaN, standing in for last step's gradient,
+// and the gate's is cleared, as StepWorlds does.
 func TestStepGradsBackwardRankDown(t *testing.T) {
 	x := tensor.RandN(xrand.New(341), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(342), 1, 96, 32)
 	var w *World
 	run := func(stepMode bool) []float64 {
 		w = stepStack(t, 1, 4, 2, false)[0]
-		st := residentFor([]*World{w})
-		for k := range st.arena {
-			st.arena[k] = math.NaN()
+		st := residentFor([]*World{w}, true)
+		grads := st.layerGrads(0)
+		if stepMode {
+			for k := range grads {
+				grads[k] = math.NaN()
+			}
+			clear(grads[:w.gradOff[0]])
+		} else {
+			w.layer.ZeroGrad()
 		}
-		w.layer.ZeroGrad()
 		_, cache, err := w.Forward(x, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.SetFaultPlan(fault.New(fault.Spec{Seed: 4, Down: &fault.Down{Rank: 1, Kind: KindExpert}}))
-		var written []bool
 		if stepMode {
-			w.grads, written = &st.grads[0], st.grads[0].written
+			clear(st.written[0])
+			w.written = st.written[0]
 		}
 		_, err = w.Backward(cache, dy)
-		w.grads = nil
+		w.written = nil
 		if err != nil {
 			t.Fatal(err)
 		}
 		if deg := w.LastDegraded(); deg == nil || deg.Phase != "backward" {
 			t.Fatalf("DegradedResult = %+v, want a backward-phase loss", deg)
 		}
-		w.rankGrads(st.views[0], written)
-		return st.views[0]
+		if stepMode {
+			w.clearUnwritten(grads, st.written[0])
+		}
+		return grads
 	}
 	want, got := run(false), run(true)
 	for k, v := range want {
@@ -553,5 +562,121 @@ func TestStepGradsBackwardRankDown(t *testing.T) {
 		if math.Float64bits(v) != 0 {
 			t.Fatalf("dead rank %d's expert gradient %d = %v, want +0", w.down, w.gradOff[lo]+k, v)
 		}
+	}
+}
+
+// TestStepWritesViews: after a step under each placement strategy, every
+// Param.W is a view of the parameter row at its flat offset and every
+// Param.G a view of the stack's gradient buffer, and Param.G holds the
+// step's gradient — bit-equal to what ZeroGrad and a Forward/Backward driven
+// by hand leave in a twin stack given the pre-step parameters (of the second
+// step, so a gradient the first left behind shows). Then two stacks that
+// share their first world and have equal layouts, stepped alternately three
+// times each, each equal their Sequential + SyncNoOverlap twin and their
+// live Param.W: the resident state is recut by memory, not by layout, so
+// neither stack steps the other's parameters.
+func TestStepWritesViews(t *testing.T) {
+	x := tensor.RandN(xrand.New(351), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(352), 1, 96, 32)
+	for _, wc := range []WorldConfig{
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyDenseSlots},
+	} {
+		label := string(wc.Strategy)
+		// The second step is the one checked: a gradient left over from the
+		// first must not leak into it.
+		ws, ref := strategyStack(t, 2, wc), strategyStack(t, 2, wc)
+		var res *StepResult
+		for s := 0; s < 2; s++ {
+			for i, w := range ws {
+				for j, p := range w.layer.Params() {
+					copy(ref[i].layer.Params()[j].W.Data(), p.W.Data())
+				}
+			}
+			var err error
+			if res, err = StepWorlds(ws, x, dy, StepConfig{LR: 0.05, Slices: 3}); err != nil {
+				t.Fatalf("%s step %d: %v", label, s, err)
+			}
+		}
+		handGrads(t, ref, x, dy)
+		row, grads := res.RankParams[0], ws[0].resident.grads
+		base := 0
+		for i, w := range ws {
+			// Each parameter group from its flat offset: the gate's at 0,
+			// expert e's at gradOff[e].
+			groups := [][]*Param{w.layer.cfg.Gate.Params()}
+			refGroups := [][]*Param{ref[i].layer.cfg.Gate.Params()}
+			starts := []int{0}
+			for e, ex := range w.layer.cfg.Experts {
+				groups = append(groups, ex.Params())
+				refGroups = append(refGroups, ref[i].layer.cfg.Experts[e].Params())
+				starts = append(starts, w.gradOff[e])
+			}
+			for gi, ps := range groups {
+				k := base + starts[gi]
+				for j, p := range ps {
+					n := len(p.W.Data())
+					if !sameMemory(p.W.Data(), row[k:k+n]) {
+						t.Fatalf("%s layer %d: Param.W %s is not the parameter row at %d", label, i, p.Name, k)
+					}
+					if !sameMemory(p.G.Data(), grads[k:k+n]) {
+						t.Fatalf("%s layer %d: Param.G %s is not the gradient buffer at %d", label, i, p.Name, k)
+					}
+					for q, v := range refGroups[gi][j].G.Data() {
+						if g := p.G.Data()[q]; math.Float64bits(g) != math.Float64bits(v) {
+							t.Fatalf("%s layer %d group %d: Param.G %s element %d = %v, by hand %v", label, i, gi, p.Name, q, g, v)
+						}
+					}
+					k += n
+				}
+			}
+			base += w.gradElems()
+		}
+		if base != len(row) {
+			t.Fatalf("%s: parameter row of %d elements, the layers have %d", label, len(row), base)
+		}
+
+		// Two stacks over a shared first world, and their twins.
+		shared, twin := strategyStack(t, 3, wc), strategyStack(t, 3, wc)
+		cfg := StepConfig{LR: 0.05, Slices: 3}
+		twinCfg := StepConfig{LR: 0.05, Sequential: true, Strategy: gradsync.StrategyNoOverlap}
+		for s := 0; s < 6; s++ {
+			pick := func(st []*World) []*World { return []*World{st[0], st[1+s%2]} }
+			got, err := StepWorlds(pick(shared), x, dy, cfg)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", label, s, err)
+			}
+			want, err := StepWorlds(pick(twin), x, dy, twinCfg)
+			if err != nil {
+				t.Fatalf("%s twin step %d: %v", label, s, err)
+			}
+			sameAsTwin(t, fmt.Sprintf("%s shared-world step %d", label, s), got, want)
+			sameRow(t, fmt.Sprintf("%s shared-world step %d live", label, s), got, liveParams(pick(shared)))
+		}
+	}
+}
+
+// handGrads zeroes the stack's gradients and drives one Forward/Backward
+// through it by hand, leaving the full-batch gradient in every Param.G.
+func handGrads(t *testing.T, worlds []*World, x, dy *tensor.Tensor) {
+	t.Helper()
+	caches := make([]*WorldCache, len(worlds))
+	cur := x
+	for i, w := range worlds {
+		w.layer.ZeroGrad()
+		y, c, err := w.Forward(cur, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, caches[i] = y, c
+	}
+	for i := len(worlds) - 1; i >= 0; i-- {
+		dx, err := worlds[i].Backward(caches[i], dy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dy = dx
 	}
 }

@@ -14,6 +14,7 @@ package moe
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ckpt"
 )
@@ -63,37 +64,37 @@ func (w *World) snapshot(view bool) *ckpt.WorldState {
 }
 
 // checkRestore reports whether ws can be restored into the world: the world
-// is open and every parameter's name and element count match, so a snapshot
-// is never applied to a differently-shaped layer, not even in part.
+// is open and every parameter's name, shape and element count match, so a
+// snapshot is never applied to a differently-shaped layer, not even in part.
 func (w *World) checkRestore(ws *ckpt.WorldState) error {
 	if w.closed {
 		return fmt.Errorf("moe: restore: %w", ErrWorldClosed)
-	}
-	gate := w.layer.cfg.Gate.Params()
-	if len(gate) != len(ws.Gate) {
-		return fmt.Errorf("moe: restore: gate has %d parameters, snapshot %d", len(gate), len(ws.Gate))
 	}
 	if len(w.layer.cfg.Experts) != len(ws.Experts) {
 		return fmt.Errorf("moe: restore: layer has %d experts, snapshot %d",
 			len(w.layer.cfg.Experts), len(ws.Experts))
 	}
-	for i, p := range gate {
-		if p.Name != ws.Gate[i].Name || len(p.W.Data()) != len(ws.Gate[i].Data) {
-			return fmt.Errorf("moe: restore: gate parameter %d is %q(%d), snapshot %q(%d)",
-				i, p.Name, len(p.W.Data()), ws.Gate[i].Name, len(ws.Gate[i].Data))
-		}
+	if err := checkTensors("gate", w.layer.cfg.Gate.Params(), ws.Gate); err != nil {
+		return err
 	}
 	for e, ex := range w.layer.cfg.Experts {
-		ps := ex.Params()
-		if len(ps) != len(ws.Experts[e]) {
-			return fmt.Errorf("moe: restore: expert %d has %d parameters, snapshot %d",
-				e, len(ps), len(ws.Experts[e]))
+		if err := checkTensors(fmt.Sprintf("expert %d", e), ex.Params(), ws.Experts[e]); err != nil {
+			return err
 		}
-		for i, p := range ps {
-			if p.Name != ws.Experts[e][i].Name || len(p.W.Data()) != len(ws.Experts[e][i].Data) {
-				return fmt.Errorf("moe: restore: expert %d parameter %d is %q(%d), snapshot %q(%d)",
-					e, i, p.Name, len(p.W.Data()), ws.Experts[e][i].Name, len(ws.Experts[e][i].Data))
-			}
+	}
+	return nil
+}
+
+// checkTensors reports whether ts snapshots ps, one tensor per parameter
+// with its name, shape and element count.
+func checkTensors(what string, ps []*Param, ts []ckpt.Tensor) error {
+	if len(ps) != len(ts) {
+		return fmt.Errorf("moe: restore: %s has %d parameters, snapshot %d", what, len(ps), len(ts))
+	}
+	for i, p := range ps {
+		if t := ts[i]; p.Name != t.Name || !slices.Equal(p.W.Shape(), t.Shape) || len(p.W.Data()) != len(t.Data) {
+			return fmt.Errorf("moe: restore: %s parameter %d is %q%v, snapshot %q%v (%d elements)",
+				what, i, p.Name, p.W.Shape(), t.Name, t.Shape, len(t.Data))
 		}
 	}
 	return nil

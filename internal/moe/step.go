@@ -9,15 +9,16 @@ package moe
 // so the post-step parameters are bit-identical under every strategy.
 //
 // What is identical from one step to the next is resident on the stack
-// (resident, below): the solved §5 byte plan and one flat buffer for the
-// whole stack, which is, in turn, the step's gradient (an expert's written
-// there by the backward pass itself) and the post-step parameters.
+// (resident, below): the solved §5 byte plan and two flat buffers for the
+// whole stack, one of parameters and one of gradients, in one layout. Every
+// Param.W is a view of the first and every Param.G of the second, so the
+// backward pass writes the gradient where the §5 slices read it and a slice
+// steps the live parameters with one row operation.
 
 import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"time"
 
 	"repro/internal/ckpt"
@@ -87,12 +88,13 @@ type StepResult struct {
 	// configuration and shapes: read-only.
 	Report gradsync.Report
 
-	// RankParams holds one row, the post-step parameters: one copy, stepped
-	// in place. Each layer's parameters are flat in Params order (gate, then
-	// each expert's), layers concatenated in stack order; the row equals the
-	// live Param.W values, bit for bit, under every strategy. It is the
-	// stack's resident buffer, not a copy: the next StepWorlds or SyncWorlds
-	// on the same worlds overwrites it, so copy what must outlive the step.
+	// RankParams holds one row, the post-step parameters: the stack's flat
+	// parameter buffer itself, of which every live Param.W is a view. Each
+	// layer's parameters are flat in Params order (gate, then each
+	// expert's), layers concatenated in stack order; the row is bit-identical
+	// under every strategy. It is not a copy: the next StepWorlds or
+	// SyncWorlds on the same worlds overwrites it, so copy what must outlive
+	// the step.
 	RankParams [][]float64
 
 	// Plans and Traces hold each layer's backward stream plan and measured
@@ -141,90 +143,104 @@ func (r *StepResult) StepMS() float64 { return r.BackwardMS + r.TailMS }
 
 // resident is the training state a stack keeps from one step to the next,
 // held on the stack's first world: the solved §5 byte plan, reused while
-// the sync configuration and layer specs compare equal, and one arena in
-// the RankParams layout. Within a step the arena holds the gradients
-// (experts' written by the finish tasks, the gate's by rankGrads), then, as
-// the §5 slices step them in place, the post-step parameters.
+// the sync configuration and layer specs compare equal, and the stack's
+// parameters and gradients as two flat buffers in one layout — layer i at
+// [off[i], off[i+1]), within it the world's gradOff layout. Every Param.W
+// is a view of params and every Param.G of grads, at its own offset. A step
+// leaves its gradient in grads (experts' written by the finish tasks, the
+// gate's accumulated by its backward) and w − lr·g in params.
 type resident struct {
-	plan  *gradsync.Plan
-	arena []float64   // [Σ layer gradElems]
-	views [][]float64 // views[i]: layer i's span of arena, what Collect registers
-	grads []stepGrads // [layer] the expert spans of views as gradient destinations
+	plan    *gradsync.Plan
+	params  []float64 // [Σ layer gradElems] the live parameters
+	grads   []float64 // [Σ layer gradElems] the gradients, what Collect registers
+	off     []int     // [layer+1] each layer's first element
+	written [][]bool  // [layer][expert] this step's backward wrote the expert's gradient
 
-	// Per-step scratch, sized with the arena.
+	// Per-step scratch, sized with the buffers.
 	prevSeq []bool
 	specs   []gradsync.LayerSpec
 	caches  []*WorldCache
-	params  [][]*Param // [layer] the live parameters in flat order
 	lr      float64
 }
 
-// stepGrads is one layer's expert-gradient bookkeeping during a training
-// step: where each expert's finish routine writes, and whether it did.
-type stepGrads struct {
-	off     []int     // the gradOff the destinations were cut for
-	into    []GradDst // [expert] parameter-shaped views of the expert's span of the arena
-	written []bool    // [expert] this step's backward wrote the span
-}
+// layerGrads is layer i's span of the gradient buffer.
+func (st *resident) layerGrads(i int) []float64 { return st.grads[st.off[i]:st.off[i+1]] }
 
-// residentFor returns the stack's resident state with the arena cut for the
-// stack as it is now: it is reallocated whenever a layer's gradient layout
-// differs from what it was cut for (another stack sharing the first world),
-// never assumed.
-func residentFor(worlds []*World) *resident {
+// residentFor returns the stack's resident state with every parameter of
+// the stack a view of it. The state is reused only while every Param.W and
+// Param.G still is its view — compared by memory, without allocating; two
+// stacks sharing a first world, or a caller who replaced a tensor, force a
+// new cut. A cut copies the live parameters into new buffers, and with
+// keepGrads the gradients too (a step writes every gradient before it reads
+// one, so it starts from zeros), and re-points each Param at its views.
+// checkStack has accepted the stack.
+func residentFor(worlds []*World, keepGrads bool) *resident {
 	w0 := worlds[0]
 	if w0.resident == nil {
 		w0.resident = &resident{}
 	}
 	st := w0.resident
-	fits := len(st.views) == len(worlds)
-	total := 0
-	for i, w := range worlds {
-		fits = fits && slices.Equal(st.grads[i].off, w.gradOff)
-		total += w.gradElems()
-	}
-	if fits {
+	if st.fits(worlds) {
 		return st
 	}
 	L := len(worlds)
-	*st = resident{
-		plan: st.plan, arena: make([]float64, total), views: make([][]float64, L), grads: make([]stepGrads, L),
-		prevSeq: make([]bool, L), specs: make([]gradsync.LayerSpec, L), caches: make([]*WorldCache, L), params: make([][]*Param, L),
-	}
-	off := 0
+	off := make([]int, L+1)
 	for i, w := range worlds {
-		n := w.gradElems()
-		st.views[i] = st.arena[off : off+n : off+n]
-		off += n
-		experts := w.layer.cfg.Experts
-		g := stepGrads{off: slices.Clone(w.gradOff), into: make([]GradDst, len(experts)), written: make([]bool, len(experts))}
-		for e, ex := range experts {
-			span := st.views[i][w.gradOff[e]:w.gradOff[e+1]]
-			for _, p := range ex.Params() {
-				k := len(p.G.Data())
-				g.into[e] = append(g.into[e], tensor.FromData(span[:k:k], p.G.Shape()...))
-				span = span[k:]
+		off[i+1] = off[i] + w.gradElems()
+	}
+	*st = resident{
+		plan: st.plan, params: make([]float64, off[L]), grads: make([]float64, off[L]), off: off, written: make([][]bool, L),
+		prevSeq: make([]bool, L), specs: make([]gradsync.LayerSpec, L), caches: make([]*WorldCache, L),
+	}
+	for i, w := range worlds {
+		k := off[i]
+		for _, p := range w.params {
+			n := len(p.W.Data())
+			pw, pg := st.params[k:k+n:k+n], st.grads[k:k+n:k+n]
+			copy(pw, p.W.Data())
+			if keepGrads {
+				copy(pg, p.G.Data())
 			}
+			p.W, p.G = tensor.FromData(pw, p.W.Shape()...), tensor.FromData(pg, p.G.Shape()...)
+			k += n
 		}
-		st.grads[i] = g
+		st.written[i] = make([]bool, len(w.layer.cfg.Experts))
 	}
 	return st
 }
 
-// update is the SGD step a §5 slice applies to elements [lo, hi) of layer's
-// gradient: w − lr·g replaces the gradient in the arena and, in the same
-// pass, the live parameter. Every element of every layer comes by exactly
-// once per step.
-func (st *resident) update(layer, lo, hi int) {
-	g := st.views[layer]
-	off := 0
-	for _, p := range st.params[layer] {
-		wd := p.W.Data()
-		if a, b := max(lo, off), min(hi, off+len(wd)); a < b {
-			tensor.StepRow(wd[a-off:b-off], g[a:b], st.lr)
-		}
-		off += len(wd)
+// fits reports whether every parameter of the stack is its view of st.
+func (st *resident) fits(worlds []*World) bool {
+	if len(st.off) != len(worlds)+1 {
+		return false
 	}
+	for i, w := range worlds {
+		k, end := st.off[i], st.off[i+1]
+		for _, p := range w.params {
+			n := len(p.W.Data())
+			if k+n > end || !sameMemory(p.W.Data(), st.params[k:k+n]) || !sameMemory(p.G.Data(), st.grads[k:k+n]) {
+				return false
+			}
+			k += n
+		}
+		if k != end {
+			return false
+		}
+	}
+	return true
+}
+
+// sameMemory reports whether a and b are the same elements of one array.
+func sameMemory(a, b []float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// update is the SGD step a §5 slice applies to elements [lo, hi) of layer:
+// params −= lr·grads, in place, the gradient left as it is. Every element of
+// every layer comes by exactly once per step.
+func (st *resident) update(layer, lo, hi int) {
+	o := st.off[layer]
+	tensor.AddScaledRow(st.params[o+lo:o+hi], st.grads[o+lo:o+hi], -st.lr)
 }
 
 // StepWorlds runs one training step over a stack of Worlds (layer i's
@@ -236,10 +252,11 @@ func (st *resident) update(layer, lo, hi int) {
 // layer's plan may hide, exactly the backward-order greedy fill of §5.2;
 // layer 0's own gradients (and any unhidden remainder) are the tail.
 //
-// Expert parameter gradients of the step go to the resident arena, not to
-// Param.G, which StepWorlds neither clears nor writes for experts (it does
-// both for the gate's). A step that returns an error may already have
-// stepped the parameters of the layers whose backward completed.
+// Param.G ends the step holding the step's gradient — each expert's
+// overwritten by its finish routine, zero for a dead rank's, the gate's
+// cleared and accumulated — and Param.W the stepped parameters. A step that
+// returns an error may already have stepped the parameters of the layers
+// whose backward completed.
 func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepResult, error) {
 	t0 := time.Now()
 	cfg = cfg.withDefaults()
@@ -249,12 +266,12 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	if err := checkUnaliased(worlds, x, dy); err != nil {
 		return nil, err
 	}
-	st := residentFor(worlds)
+	st := residentFor(worlds, false)
 	// The executor mode is scoped to this step; restore whatever the
 	// caller had configured on the worlds afterwards.
 	for i, w := range worlds {
 		st.prevSeq[i] = w.seq
-		zeroGrads(w.layer.cfg.Gate.Params())
+		clear(st.layerGrads(i)[:w.gradOff[0]]) // the gate's backward accumulates
 		w.SetSequential(cfg.Sequential)
 	}
 	defer func() {
@@ -299,7 +316,6 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	// to R′.
 	for i, w := range worlds {
 		st.specs[i] = gradsync.LayerSpec{Elems: w.gradElems(), V: stepVolumes(w, caches[i].tpad)}
-		st.params[i] = w.layer.appendParams(st.params[i][:0])
 	}
 	var err error
 	st.plan, err = st.plan.For(syncConfig(cfg), st.specs)
@@ -310,16 +326,16 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	syncer := st.plan.NewSyncer(st.update)
 
 	// Backward chain in reverse, overlapping the pending pool into each
-	// layer's plan — the expert gradients land in the arena as the plan's
-	// finish tasks run — then filling in the rest of the layer's span.
+	// layer's plan — the expert gradients land in the gradient buffer as the
+	// plan's finish tasks run — then clearing the spans no task wrote.
 	dcur := dy
 	for i := len(worlds) - 1; i >= 0; i-- {
 		w := worlds[i]
 		syncer.StartLayer(i)
-		clear(st.grads[i].written)
-		w.sync, w.grads = syncer, &st.grads[i]
+		clear(st.written[i])
+		w.sync, w.written = syncer, st.written[i]
 		dx, err := w.backward(caches[i], dcur, true)
-		w.sync, w.grads = nil, nil
+		w.sync, w.written = nil, nil
 		if err != nil {
 			return nil, fmt.Errorf("moe: step backward layer %d: %w", i, err)
 		}
@@ -334,8 +350,8 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 			res.BackwardMS += deg.RecoveryMS
 			res.Degraded = append(res.Degraded, deg)
 		}
-		w.rankGrads(st.views[i], st.grads[i].written)
-		if err := syncer.Collect(i, st.views[i]); err != nil {
+		w.clearUnwritten(st.layerGrads(i), st.written[i])
+		if err := syncer.Collect(i, st.layerGrads(i)); err != nil {
 			return nil, err
 		}
 		dcur = dx
@@ -348,7 +364,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	}
 	res.Report = rep
 	res.TailMS = rep.TailMS
-	res.RankParams = [][]float64{st.arena}
+	res.RankParams = [][]float64{st.params}
 	step := worlds[0].steps
 	for _, w := range worlds {
 		w.steps++
@@ -395,7 +411,9 @@ func syncConfig(cfg StepConfig) gradsync.Config {
 }
 
 // checkStack validates what op needs of a stack before touching its
-// resident state: at least one world, all at one rank count.
+// resident state: at least one world, all at one rank count, and no two
+// over one layer — the same World twice, or two Worlds over one MOELayer,
+// would need two views of each of its parameters.
 func checkStack(op string, worlds []*World) error {
 	if len(worlds) == 0 {
 		return fmt.Errorf("moe: %s needs at least one world", op)
@@ -403,6 +421,11 @@ func checkStack(op string, worlds []*World) error {
 	for i, w := range worlds {
 		if w.cfg.Ranks != worlds[0].cfg.Ranks {
 			return fmt.Errorf("moe: world %d has %d ranks, world 0 has %d", i, w.cfg.Ranks, worlds[0].cfg.Ranks)
+		}
+		for j, v := range worlds[:i] {
+			if v.layer == w.layer {
+				return fmt.Errorf("moe: %s: worlds %d and %d share one layer's parameters", op, j, i)
+			}
 		}
 	}
 	return nil
@@ -516,24 +539,25 @@ func buildStepMetrics(worlds []*World, caches []*WorldCache, fwdTraces []*sim.Tr
 type SyncReport struct {
 	Report gradsync.Report
 	// LayerGrads[i] is layer i's synchronized flat gradient, one copy. The
-	// slices are views of the stack's resident buffer: the next SyncWorlds
-	// or StepWorlds on the same worlds overwrites them, so copy what must
-	// outlive the call.
+	// slices are views of the stack's gradient buffer, of which every
+	// Param.G is a view too: the next SyncWorlds or StepWorlds on the same
+	// worlds overwrites them, so copy what must outlive the call.
 	LayerGrads [][]float64
 }
 
 // SyncWorlds synchronizes the stack's accumulated parameter gradients
 // right now, with no pipeline to hide in — the blocking entry point for
-// callers that drove Forward/Backward themselves. Param.G is written into
-// the stack's one gradient buffer and synchronized with no update, so the
-// buffer holds the full-batch gradient; StepWorlds overlaps the sync
+// callers that drove Forward/Backward themselves. Every Param.G is a view of
+// the stack's one gradient buffer (the first call on a stack moves them
+// there), so the buffer already holds the full-batch gradient and is
+// synchronized in place, with no update; StepWorlds overlaps the sync
 // instead.
 func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	cfg = cfg.withDefaults()
 	if err := checkStack("sync", worlds); err != nil {
 		return nil, err
 	}
-	st := residentFor(worlds)
+	st := residentFor(worlds, true)
 	for i, w := range worlds {
 		// No forward cache here; account A2A volumes at the nominal padded
 		// capacity of zero — only GradBytes matters for a tail-only sync.
@@ -544,9 +568,10 @@ func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, w := range worlds {
-		w.rankGrads(st.views[i], nil)
-		if err := syncer.Collect(i, st.views[i]); err != nil {
+	grads := make([][]float64, len(worlds))
+	for i := range worlds {
+		grads[i] = st.layerGrads(i)
+		if err := syncer.Collect(i, grads[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -554,5 +579,5 @@ func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SyncReport{Report: rep, LayerGrads: st.views}, nil
+	return &SyncReport{Report: rep, LayerGrads: grads}, nil
 }

@@ -258,3 +258,41 @@ func TestStepWorldsRejects(t *testing.T) {
 		t.Fatal("unknown strategy must fail")
 	}
 }
+
+// TestStepRejectsSharedParams: a stack in which two entries share a layer's
+// parameters — the same World twice, or two Worlds over one MOELayer —
+// cannot give each parameter one view of the stack's buffers. StepWorlds
+// and SyncWorlds refuse it with an error, before anything is moved.
+func TestStepRejectsSharedParams(t *testing.T) {
+	x := tensor.RandN(xrand.New(93), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(94), 1, 96, 32)
+	twice := stepStack(t, 1, 4, 1, false)
+	l := worldLayer(t, "gshard", TutelOrder{}, false, false)
+	var oneLayer []*World
+	for range 2 {
+		w, err := NewWorld(l, WorldConfig{Ranks: 4, PipelineDegree: 1, Strategy: StrategyEP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneLayer = append(oneLayer, w)
+	}
+	for _, tc := range []struct {
+		name   string
+		worlds []*World
+	}{
+		{"the same World twice", []*World{twice[0], twice[0]}},
+		{"two Worlds over one MOELayer", oneLayer},
+	} {
+		w0 := liveParams(tc.worlds[:1])
+		p0 := tc.worlds[0].layer.Params()[0].W
+		if _, err := StepWorlds(tc.worlds, x, dy, StepConfig{LR: 0.05}); err == nil {
+			t.Fatalf("%s: StepWorlds must fail", tc.name)
+		}
+		if _, err := SyncWorlds(tc.worlds, StepConfig{}); err == nil {
+			t.Fatalf("%s: SyncWorlds must fail", tc.name)
+		}
+		if tc.worlds[0].resident != nil || tc.worlds[0].layer.Params()[0].W != p0 || !slices.Equal(liveParams(tc.worlds[:1]), w0) {
+			t.Fatalf("%s: a refused stack was touched", tc.name)
+		}
+	}
+}

@@ -497,8 +497,9 @@ func (w *World) buildForward(p *runtime.Plan, cache *WorldCache, scatPad, combin
 
 // buildBackward appends the backward schedule to p: everything that turns
 // the padded output gradient dpad into the padded dScattered buffer, puts
-// each expert's parameter gradients where gradDst says on its owner rank,
-// and drives w.sync's emit points.
+// each expert's parameter gradients into its Param.G on its owner rank
+// (written over it during a training step, added outside one), and drives
+// w.sync's emit points.
 func (w *World) buildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatteredPad *tensor.Tensor) {
 	gm := w.groups(cache)
 	b := w.cutPass(cache.ws, cache.ws.bwd, gm, dpad, dScatteredPad, false)
@@ -508,7 +509,7 @@ func (w *World) buildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatter
 	for j := range passes {
 		for le, ps := range passes[j] {
 			// Rank j's output gradient and input gradient of its group's expert le.
-			ps.BeginBackward(slotBlock(b.in[j], le, gm.tpad), slotBlock(b.out[j], le, gm.tpad), b.hid[j][le], w.gradDst(j/gm.g*gm.egg+le))
+			ps.BeginBackward(slotBlock(b.in[j], le, gm.tpad), slotBlock(b.out[j], le, gm.tpad), b.hid[j][le], w.written != nil)
 		}
 	}
 

@@ -92,20 +92,23 @@ type World struct {
 
 	steps int // completed training steps on this world (telemetry ordinal)
 
-	// gradOff[e] is the offset of expert e's first parameter in the flat
-	// gradElems layout: gradOff[0] is the dense (gate) prefix length and
-	// gradOff[E] the total. Counted at NewWorld and at the Recover commit.
+	// params is the layer's parameters in the flat layout, MOELayer.Params
+	// order (gate, then each expert's), and gradOff[e] the offset of expert
+	// e's first element in it: gradOff[0] is the dense (gate) prefix length
+	// and gradOff[E] the total. Listed once, at NewWorld: a layer's
+	// parameter set is fixed for its life.
+	params  []*Param
 	gradOff []int
 
 	// resident is the stack-level training state kept from one step to the
 	// next (step.go); it lives on the stack's first world.
 	resident *resident
 
-	// grads is where this pass's finish routines put the expert parameter
-	// gradients: nil — every backward adds into Param.G — except while
-	// StepWorlds drives the backward, when it is this layer's spans of the
-	// resident arena (step.go).
-	grads *stepGrads
+	// written is nil — every backward adds into Param.G — except while
+	// StepWorlds drives the backward: then each expert's finish routine
+	// overwrites its Param.G, a span of the stack's gradient buffer, and sets
+	// written[e] (step.go).
+	written []bool
 
 	// recov accumulates elastic-recovery reports (recover.go) until the
 	// next completed step drains them into telemetry.
@@ -206,7 +209,7 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 		Kinds:       []string{KindA2A, KindAG, KindRS, gradsync.KindAllReduce},
 	}
 	w.planResources()
-	w.countGradElems()
+	w.indexParams()
 	return w, nil
 }
 
@@ -539,20 +542,11 @@ func retriesIn(tr *sim.Trace) int {
 	return tr.EventCount(sim.EventRetry)
 }
 
-// gradDst is where expert e's pass puts its parameter gradients: nil — added
-// to Param.G — except during a training step.
-func (w *World) gradDst(e int) GradDst {
-	if w.grads == nil {
-		return nil
-	}
-	return w.grads.into[e]
-}
-
 // wrote records that expert e's pass finished: during a training step its
-// arena span now holds this step's gradient.
+// Param.G now holds this step's gradient.
 func (w *World) wrote(e int) {
-	if w.grads != nil {
-		w.grads.written[e] = true
+	if w.written != nil {
+		w.written[e] = true
 	}
 }
 
@@ -566,46 +560,34 @@ func (w *World) addStats(st comm.Stats) {
 	w.statsMu.Unlock()
 }
 
-// gradElems returns the layer's flattened gradient length. The flat layout
-// is gate parameters in Params() order followed by each expert's
-// parameters in expert-index order, matching MOELayer.Params.
+// gradElems returns the layer's flattened parameter count, the length of
+// its span of the stack's parameter and gradient buffers.
 func (w *World) gradElems() int { return w.gradOff[len(w.gradOff)-1] }
 
-// countGradElems walks the parameter list once for gradElems and rankGrads;
-// NewWorld and the Recover commit call it, the step path only reads the
-// result.
-func (w *World) countGradElems() {
+// indexParams lists the layer's parameters and their flat layout once, so
+// the step path never calls Params.
+func (w *World) indexParams() {
 	off := 0
-	for _, p := range w.layer.cfg.Gate.Params() {
-		off += len(p.G.Data())
-	}
-	w.gradOff = append(w.gradOff[:0], off)
-	for _, ex := range w.layer.cfg.Experts {
-		for _, p := range ex.Params() {
-			off += len(p.G.Data())
+	add := func(ps []*Param) {
+		for _, p := range ps {
+			w.params = append(w.params, p)
+			off += len(p.W.Data())
 		}
 		w.gradOff = append(w.gradOff, off)
 	}
+	add(w.layer.cfg.Gate.Params())
+	for _, ex := range w.layer.cfg.Experts {
+		add(ex.Params())
+	}
 }
 
-// rankGrads writes the last backward pass's parameter gradients into the
-// layer's span out of the stack's gradient buffer: the gate's and, when
-// written is nil, every expert's. Experts a step's finish tasks wrote
-// (written[e]) are left alone, and one no finish routine ran for — a dead
-// rank's — has its span cleared.
-func (w *World) rankGrads(out []float64, written []bool) {
-	span := out
-	for _, p := range w.layer.cfg.Gate.Params() {
-		span = span[copy(span, p.G.Data()):]
-	}
-	for e, ex := range w.layer.cfg.Experts {
-		span := out[w.gradOff[e]:w.gradOff[e+1]]
-		if written == nil {
-			for _, p := range ex.Params() {
-				span = span[copy(span, p.G.Data()):]
-			}
-		} else if !written[e] {
-			clear(span)
+// clearUnwritten clears, in the layer's span grads of the stack's gradient
+// buffer, each expert whose finish routine did not run this step (written[e]
+// false) — a dead rank's: its gradient is zero.
+func (w *World) clearUnwritten(grads []float64, written []bool) {
+	for e, done := range written {
+		if !done {
+			clear(grads[w.gradOff[e]:w.gradOff[e+1]])
 		}
 	}
 }

@@ -33,7 +33,3 @@ func addRow512(dst, src *float64, n int) {
 func addScaledRow512(dst, src *float64, a float64, n int) {
 	panic("tensor: no row kernel in this build")
 }
-
-func stepRow512(w, grad *float64, lr float64, n int) {
-	panic("tensor: no row kernel in this build")
-}

@@ -64,7 +64,7 @@ const matmulParallelThreshold = 1 << 21
 // "avx2-fma" for the assembly micro-kernels, which need a CPU with both AVX2
 // and FMA; "avx512-fma" where the CPU also has AVX-512F and the 512-bit
 // kernel, the GeLU rows and the element-wise row kernels (AddRow,
-// AddScaledRow, StepRow) run too; "portable" for the Go loop bodies alone
+// AddScaledRow) run too; "portable" for the Go loop bodies alone
 // (no AVX2 or no FMA, another GOARCH, or a -tags purego build). All three
 // carry the same bits.
 func Kernel() string {

@@ -65,7 +65,8 @@ func AddRow(dst, src []float64) {
 
 // AddScaledRow adds a·src[j] into dst[j] for every j of src, the product
 // rounded before the sum, with AddRow's vector form. dst must not overlap
-// src.
+// src. With a = −lr it is the SGD step w − lr·g, bit for bit: (−lr)·g
+// rounds to −(lr·g), and IEEE 754 defines x − y as x + (−y).
 func AddScaledRow(dst, src []float64, a float64) {
 	dst = dst[:len(src)]
 	v := 0
@@ -76,23 +77,6 @@ func AddScaledRow(dst, src []float64, a float64) {
 	}
 	for j := v; j < len(src); j++ {
 		dst[j] += float64(a * src[j])
-	}
-}
-
-// StepRow is the SGD step over a row: v = w[j] − lr·grad[j], the product
-// rounded before the difference, stored in both grad[j] and w[j] for every j
-// of w, with AddRow's vector form. grad must not overlap w.
-func StepRow(w, grad []float64, lr float64) {
-	grad = grad[:len(w)]
-	v := 0
-	if use512 {
-		if v = len(w) &^ 7; v > 0 {
-			stepRow512(&w[0], &grad[0], lr, v)
-		}
-	}
-	for j := v; j < len(w); j++ {
-		s := w[j] - float64(lr*grad[j])
-		grad[j], w[j] = s, s
 	}
 }
 

@@ -2,10 +2,10 @@
 
 #include "textflag.h"
 
-// The AVX-512 element-wise row kernels behind AddRow, AddScaledRow and
-// StepRow (ops.go): eight lanes per instruction, four vectors per loop
-// trip, each lane the scalar loop's operations — a product rounded on its
-// own (VMULPD), then the sum or difference (VADDPD, VSUBPD), never fused.
+// The AVX-512 element-wise row kernels behind AddRow and AddScaledRow
+// (ops.go): eight lanes per instruction, four vectors per loop trip, each
+// lane the scalar loop's operations — a product rounded on its own
+// (VMULPD), then the sum (VADDPD), never fused.
 // n is a multiple of 8; the callers run the remainder in Go.
 
 // func addRow512(dst, src *float64, n int)
@@ -96,61 +96,5 @@ scaledOne:
 	JMP     scaledOne
 
 scaledDone:
-	VZEROUPPER
-	RET
-
-// func stepRow512(w, grad *float64, lr float64, n int)
-//
-// v = w[j] − lr·grad[j], stored in both grad[j] and w[j], for j < n.
-TEXT ·stepRow512(SB), NOSPLIT, $0-32
-	MOVQ         w+0(FP), DI
-	MOVQ         grad+8(FP), SI
-	VBROADCASTSD lr+16(FP), Z8
-	MOVQ         n+24(FP), CX
-	SHRQ         $3, CX
-	CMPQ         CX, $4
-	JB           stepOne
-
-stepFour:
-	VMULPD  (SI), Z8, Z4
-	VMULPD  64(SI), Z8, Z5
-	VMULPD  128(SI), Z8, Z6
-	VMULPD  192(SI), Z8, Z7
-	VMOVUPD (DI), Z0
-	VMOVUPD 64(DI), Z1
-	VMOVUPD 128(DI), Z2
-	VMOVUPD 192(DI), Z3
-	VSUBPD  Z4, Z0, Z0
-	VSUBPD  Z5, Z1, Z1
-	VSUBPD  Z6, Z2, Z2
-	VSUBPD  Z7, Z3, Z3
-	VMOVUPD Z0, (DI)
-	VMOVUPD Z1, 64(DI)
-	VMOVUPD Z2, 128(DI)
-	VMOVUPD Z3, 192(DI)
-	VMOVUPD Z0, (SI)
-	VMOVUPD Z1, 64(SI)
-	VMOVUPD Z2, 128(SI)
-	VMOVUPD Z3, 192(SI)
-	ADDQ    $256, SI
-	ADDQ    $256, DI
-	SUBQ    $4, CX
-	CMPQ    CX, $4
-	JAE     stepFour
-
-stepOne:
-	TESTQ CX, CX
-	JZ    stepDone
-	VMULPD  (SI), Z8, Z4
-	VMOVUPD (DI), Z0
-	VSUBPD  Z4, Z0, Z0
-	VMOVUPD Z0, (DI)
-	VMOVUPD Z0, (SI)
-	ADDQ    $64, SI
-	ADDQ    $64, DI
-	DECQ    CX
-	JMP     stepOne
-
-stepDone:
 	VZEROUPPER
 	RET

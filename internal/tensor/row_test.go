@@ -11,7 +11,7 @@ import (
 // rowCase is one input of the element-wise row kernels: n elements starting
 // off elements into their buffers (odd offsets give bases off a vector's
 // alignment), specialPct% of them drawn from rowSpecials, and the scalar a
-// of AddScaledRow and StepRow.
+// of AddScaledRow.
 type rowCase struct {
 	seed       uint64
 	n, off     int
@@ -54,7 +54,7 @@ func rowOperand(rng *xrand.RNG, n, off, specialPct int) []float64 {
 	return x
 }
 
-// checkRowKernels runs AddRow, AddScaledRow and StepRow on the case's
+// checkRowKernels runs AddRow and AddScaledRow (by a and by −a) on the case's
 // operands and requires every buffer, sentinels included, to carry the bits
 // of the scalar loops they replace; where the loop gives a NaN any NaN will
 // do.
@@ -87,14 +87,14 @@ func checkRowKernels(t *testing.T, c rowCase) {
 	}
 	equal("AddScaledRow dst", got, want)
 
-	gotW, gotG, wantW, wantG := clone(dst), clone(src), clone(dst), clone(src)
-	StepRow(gotW[lo:hi], gotG[lo:hi], c.a)
-	for i := lo; i < hi; i++ {
-		v := wantW[i] - float64(c.a*wantG[i])
-		wantG[i], wantW[i] = v, v
+	// The SGD step w − a·grad is AddScaledRow by −a, with the bits of the
+	// difference.
+	got, want = clone(dst), clone(dst)
+	AddScaledRow(got[lo:hi], src[lo:hi], -c.a)
+	for i, v := range src[lo:hi] {
+		want[lo+i] -= float64(c.a * v)
 	}
-	equal("StepRow w", gotW, wantW)
-	equal("StepRow grad", gotG, wantG)
+	equal("AddScaledRow by −a", got, want)
 }
 
 func clone(x []float64) []float64 { return append([]float64(nil), x...) }
