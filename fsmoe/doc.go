@@ -243,7 +243,13 @@
 // back, so a WorldCache, and the task closures of the plans in
 // StepResult.Plans and World.LastPlan, view world-owned memory that is
 // valid until that cache's Backward returns — afterwards the next Forward
-// overwrites it. A Forward while an earlier cache is still outstanding
+// overwrites it. The plans are resident too: a workspace keeps its forward
+// and backward plan, built on its first pass and replayed while the batch
+// capacity, the pipeline degrees, the placement and the step's §5 slices
+// hold, and each execution rewrites its plan's one measured trace. So
+// StepResult.Plans and Traces and World.LastPlan and LastTrace are valid
+// until the world's next pass; read what must outlive it first. A Forward
+// while an earlier cache is still outstanding
 // (forward-only evaluation, Forward→Forward→Backward) starts a fresh
 // workspace instead, so nothing a live cache points at is reused; Close
 // and Recover drop the workspace. What World.Forward and World.Backward
@@ -268,8 +274,11 @@
 // StepResult.WallMS is the measured wall of the whole call (telemetry
 // emission excluded); ForwardMS, BackwardMS and TailMS are the parts of
 // it inside measured stream plans and the exposed tail — which contain the
-// weight-gradient reductions and the SGD update; what is left outside is
-// the gates, the Order and writing the gate's shards — and StepMS() —
+// weight-gradient reductions, the SGD update and, on the backward plan's
+// route stream, the gate's backward and the Order adjoint; what is left
+// outside is the routing on the critical path — the gate's Route, the
+// Order's Scatter, Gather and GatherGrad — and clearing the gate's
+// gradients — and StepMS() —
 // backward plus tail — is the quantity the §5 strategy comparison uses,
 // not a wall time.
 //

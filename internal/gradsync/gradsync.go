@@ -122,6 +122,9 @@ type Report struct {
 type Syncer struct {
 	cfg    Config
 	specs  []LayerSpec
+	origin *Plan // the Plan the Syncer was cut from
+	layer  int   // the layer of the last StartLayer
+	em     *Emission
 	plan   *core.GarPlan
 	names  *sliceNames
 	tail   *tailRun
@@ -241,6 +244,8 @@ func (p *Plan) NewSyncer(update Update) *Syncer {
 	return &Syncer{
 		cfg:    p.cfg,
 		specs:  p.specs,
+		origin: p,
+		layer:  -1,
 		plan:   p.gar,
 		names:  &p.names,
 		tail:   &p.tail,
@@ -304,6 +309,7 @@ func (s *Syncer) StartLayer(i int) {
 	if i < 0 || i >= len(s.specs) {
 		return
 	}
+	s.layer = i
 	// Slices parked for a previous plan that never emitted them (a builder
 	// announcing more points than it drives), and slices a previous plan
 	// accepted but never ran (the plan aborted on a fault or deadline
@@ -374,31 +380,82 @@ func (s *Syncer) BeginLayer(points int) {
 	for t, sl := range slices {
 		s.emit[t%points] = append(s.emit[t%points], sl)
 	}
+	s.em = nil
+}
+
+// Emission is what one backward plan absorbed of a Syncer's slices: the
+// Plan and layer they were cut for, the slices of each emit point, and the
+// Syncer whose slices the plan's tasks run. A builder keeps the plan's
+// Emission with the plan (Syncer.Emission); a later pass may replay the plan
+// once Replay has bound the Emission to that pass's Syncer.
+type Emission struct {
+	origin *Plan
+	layer  int
+	points [][]pendingRange
+	s      *Syncer
 }
 
 // EmitAt appends the AllReduce slice tasks assigned to emit point pt onto
 // stream (the plan's shared inter stream). Tasks have no dependencies —
 // their input gradients were produced by plans that already completed —
 // so only stream order schedules them, which is exactly the inter-node
-// link contention §5 budgets for.
+// link contention §5 budgets for. The tasks run the slices on whichever
+// Syncer their Emission is bound to: this one, until a Replay binds another.
 func (s *Syncer) EmitAt(p *runtime.Plan, stream string, pt int) {
 	if pt < 0 || pt >= len(s.emit) {
 		return
 	}
+	if s.em == nil {
+		s.em = &Emission{origin: s.origin, layer: s.layer, points: make([][]pendingRange, len(s.emit)), s: s}
+	}
+	em := s.em
+	em.points[pt] = s.emit[pt]
 	for _, sl := range s.emit[pt] {
-		s.inflight = append(s.inflight, sl)
-		bytes := float64(sl.rr.Len()) * s.cfg.ElemBytes
 		// The estimate lives in the same arbitrary elements/1e6 unit space
 		// as the host plan's other tasks (moe.World's estElems), so the
 		// plan's structural Simulate stays internally consistent. Like the
 		// §5 partition, it prices the paper's AllReduce: ~2 passes.
 		est := float64(2*sl.rr.Len()) / 1e6
 		p.Add(s.names.of(sl), KindAllReduce, stream, est,
-			func() error { return s.reduce(sl) })
+			func() error { return em.s.reduce(sl) })
+	}
+	s.absorb(pt)
+}
+
+// absorb hands emit point pt's slices to the plan that runs them.
+func (s *Syncer) absorb(pt int) {
+	for _, sl := range s.emit[pt] {
+		s.inflight = append(s.inflight, sl)
 		s.rep.Slices++
-		s.rep.HiddenBytes += bytes
+		s.rep.HiddenBytes += float64(sl.rr.Len()) * s.cfg.ElemBytes
 	}
 	s.emit[pt] = nil
+}
+
+// Emission returns the record of the slices EmitAt has appended since the
+// last BeginLayer: nil when it appended none.
+func (s *Syncer) Emission() *Emission { return s.em }
+
+// Replay binds em — the Emission of a plan built on an earlier pass — to s
+// and hands it every slice of the current layer, as EmitAt at each point
+// would have, when em was cut from the same Plan for the same layer and
+// holds exactly the slices BeginLayer spread over the same points. Then the
+// plan may run again unchanged, and Replay reports true. Otherwise it
+// changes nothing and reports false: the plan must be built anew.
+func (s *Syncer) Replay(em *Emission) bool {
+	if em == nil || em.origin != s.origin || em.layer != s.layer || len(em.points) != len(s.emit) {
+		return false
+	}
+	for pt, want := range s.emit {
+		if !slices.Equal(em.points[pt], want) {
+			return false
+		}
+	}
+	em.s, s.em = s, em
+	for pt := range s.emit {
+		s.absorb(pt)
+	}
+	return true
 }
 
 // reduce runs one in-plan AllReduce slice on the task's goroutine: the

@@ -163,9 +163,7 @@ func (w *World) degradedBackward(cache *WorldCache, dy *tensor.Tensor) (*tensor.
 	w.layer.cfg.Order.ScatterGrad(dx, dScattered, dplan)
 	// Frozen router: no Gate.Backward — its RouteCache pairs with the
 	// original plan, not the degraded one (see the package comment above).
-	if len(pr.shape) == 3 {
-		dx = dx.Reshape(pr.shape...)
-	}
+	dx = restoreShape(dx, pr.shape)
 	w.release(cache)
 	st.res.RecoveryMS += time.Since(t0).Seconds() * 1e3
 	w.degraded = st.res

@@ -145,6 +145,17 @@ func scratchMat(t **tensor.Tensor, rows, cols int) *tensor.Tensor {
 	return *t
 }
 
+// zeroMat is scratchMat cleared: routing scratch for a Backward that
+// accumulates into it. A gate's Backward runs inside the backward plan, on
+// whichever executor worker takes it, so its temporaries are routing
+// scratch rather than tensor.Get's per-processor free-lists, which a
+// goroutine on another processor could find empty.
+func zeroMat(t **tensor.Tensor, rows, cols int) *tensor.Tensor {
+	m := scratchMat(t, rows, cols)
+	clear(m.Data())
+	return m
+}
+
 // reuseMat returns t when it is a (rows, cols) matrix, a new one otherwise:
 // kept memory, handed out dirty.
 func reuseMat(t *tensor.Tensor, rows, cols int) *tensor.Tensor {

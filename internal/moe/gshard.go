@@ -37,6 +37,10 @@ type gshardCache struct {
 	spPre  *tensor.Tensor // x·W_noise, nil in eval mode
 	probs  *tensor.Tensor // full softmax over logits, for the aux loss
 	firstC []int          // first-choice counts per expert
+
+	// Backward: the logit gradient (N, E) and, in train mode, the noise
+	// path's (N, E) and its input gradient (N, M).
+	dLogits, dpre, dxn *tensor.Tensor
 }
 
 // NewGShardGate constructs the gate for embedding size m.
@@ -175,7 +179,7 @@ func (g *GShardGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad)
 	sel, k := &cache.sel, g.cfg.TopK
 	// Collect dWeight per (token, selected expert) from the slot grads.
 	dW := sel.weightGrads(rc.Plan, grad.SlotWeight)
-	dLogits := tensor.Get(n, e) // transient; released below
+	dLogits := zeroMat(&cache.dLogits, n, e)
 	for t := 0; t < n; t++ {
 		dl := dW[t*k : (t+1)*k]
 		maskedSoftmaxBackward(sel.w[t*k:(t+1)*k], dl)
@@ -189,7 +193,7 @@ func (g *GShardGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad)
 	tensor.MatMulT2Into(dx, dLogits, g.wg.W)
 	if cache.noise != nil {
 		// Noise path: logits += noise * softplus(x·W_noise).
-		dpre := tensor.GetUninit(n, e)
+		dpre := scratchMat(&cache.dpre, n, e)
 		tensor.MulInto(dpre, dLogits, cache.noise)
 		spd := cache.spPre.Data()
 		dd := dpre.Data()
@@ -197,12 +201,9 @@ func (g *GShardGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad)
 			dd[i] *= tensor.SigmoidAt(spd[i]) // softplus' = sigmoid
 		}
 		tensor.MatMulT1AddInto(g.wnoise.G, x, dpre)
-		dxn := tensor.GetUninit(n, g.m)
+		dxn := scratchMat(&cache.dxn, n, g.m)
 		tensor.MatMulT2Into(dxn, dpre, g.wnoise.W)
 		tensor.AddInPlace(dx, dxn)
-		tensor.Put(dxn)
-		tensor.Put(dpre)
 	}
-	tensor.Put(dLogits)
 	g.idle = cache
 }

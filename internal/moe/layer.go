@@ -158,11 +158,7 @@ func (l *MOELayer) prolog(x *tensor.Tensor, train bool) (*forwardProlog, error) 
 // (E, S, M) back to token order in y (N, M) and restore the caller's shape.
 func (l *MOELayer) epilog(y, combined *tensor.Tensor, plan *DispatchPlan, shape []int) *tensor.Tensor {
 	l.cfg.Order.Gather(y, combined, plan)
-	y = l.hooks.beforeMoeEnd(y)
-	if len(shape) == 3 {
-		y = y.Reshape(shape...)
-	}
-	return y
+	return restoreShape(l.hooks.beforeMoeEnd(y), shape)
 }
 
 // blockPass is a pass over a whole block as one row range and the full
@@ -269,10 +265,13 @@ func (l *MOELayer) Backward(cache *LayerCache, dy *tensor.Tensor) (*tensor.Tenso
 	})
 
 	n := cache.x.Dim(0)
-	gateDx := tensor.GetUninit(n, l.cfg.M)
-	dx := l.backwardFinish(tensor.New(n, l.cfg.M), gateDx, dDispatched, planGrad, cache.x, cache.routeC, plan, cache.shape)
+	dx, gateDx := tensor.New(n, l.cfg.M), tensor.GetUninit(n, l.cfg.M)
+	l.scatterAdjoint(dx, dDispatched, cache.x, plan, planGrad)
+	// Routing path into the gate.
+	l.cfg.Gate.Backward(gateDx, cache.routeC, planGrad)
+	tensor.AddInPlace(dx, gateDx)
 	tensor.Put(gateDx)
-	return dx, nil
+	return restoreShape(dx, cache.shape), nil
 }
 
 // backwardProlog is the shared entry of every backward pass: flatten dy
@@ -291,12 +290,11 @@ func (l *MOELayer) backwardProlog(dOut, expertOut *tensor.Tensor, plan *Dispatch
 	return l.cfg.Order.GatherGrad(dOut, dflat, expertOut, plan), nil
 }
 
-// backwardFinish is the shared exit of every backward pass: differentiate
-// through Scatter (Order) from dScattered (E, S, M) back to tokens in dx
-// (N, M), feed the routing gradients to the gate — whose own contribution
-// to dx goes through gateDx (N, M), scratch — and restore the caller's
-// shape.
-func (l *MOELayer) backwardFinish(dx, gateDx, dScattered *tensor.Tensor, planGrad *PlanGrad, x *tensor.Tensor, rc *RouteCache, plan *DispatchPlan, shape []int) *tensor.Tensor {
+// scatterAdjoint differentiates through Scatter (Order) from dScattered
+// (E, S, M) back to tokens in dx (N, M) and, for a dense plan, computes the
+// dispatch-weight gradient the gate's backward reads. Every backward pass
+// runs it, and the gate's backward, whose dx contribution is then added.
+func (l *MOELayer) scatterAdjoint(dx, dScattered, x *tensor.Tensor, plan *DispatchPlan, planGrad *PlanGrad) {
 	l.cfg.Order.ScatterGrad(dx, dScattered, plan)
 
 	// Dense plans additionally need the dispatch-weight gradient
@@ -309,13 +307,13 @@ func (l *MOELayer) backwardFinish(dx, gateDx, dScattered *tensor.Tensor, planGra
 			tensor.MatMulT2Into(planGrad.DispatchW.Slice(e*t, (e+1)*t), slotBlock(dScattered, e, t), x)
 		}
 	}
+}
 
-	// Routing path into the gate.
-	l.cfg.Gate.Backward(gateDx, rc, planGrad)
-	tensor.AddInPlace(dx, gateDx)
-
+// restoreShape gives a token-major (N, M) result the caller's (B, L, M)
+// shape when that is what it passed.
+func restoreShape(t *tensor.Tensor, shape []int) *tensor.Tensor {
 	if len(shape) == 3 {
-		dx = dx.Reshape(shape...)
+		return t.Reshape(shape...)
 	}
-	return dx
+	return t
 }

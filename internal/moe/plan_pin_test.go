@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/runtime"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
@@ -29,13 +30,8 @@ func streamListing(w *World) []string {
 	tasks := w.LastPlan().Tasks()
 	byStream := map[string][]string{}
 	for _, ti := range tasks {
-		deps := make([]string, len(ti.Deps))
-		for i, d := range ti.Deps {
-			deps[i] = tasks[d].Label
-		}
-		sort.Strings(deps)
 		byStream[ti.Stream] = append(byStream[ti.Stream],
-			fmt.Sprintf("%s %s %s %.6g %v", ti.Stream, ti.Label, ti.Kind, ti.Est, deps))
+			fmt.Sprintf("%s %s %s %.6g %v", ti.Stream, ti.Label, ti.Kind, ti.Est, depLabels(tasks, ti)))
 	}
 	streams := make([]string, 0, len(byStream))
 	for s := range byStream {
@@ -49,9 +45,56 @@ func streamListing(w *World) []string {
 	return out
 }
 
+// depLabels is the sorted labels of the tasks ti waits for.
+func depLabels(tasks []runtime.TaskInfo, ti runtime.TaskInfo) []string {
+	deps := make([]string, len(ti.Deps))
+	for i, d := range ti.Deps {
+		deps[i] = tasks[d].Label
+	}
+	sort.Strings(deps)
+	return deps
+}
+
+// splitRoute separates a listing's route-stream lines from the rest.
+func splitRoute(listing []string) (route, rest []string) {
+	for _, l := range listing {
+		if strings.HasPrefix(l, routeStream+" ") {
+			route = append(route, l)
+		} else {
+			rest = append(rest, l)
+		}
+	}
+	return route, rest
+}
+
+// routePin is the route stream's tasks of the R=4, r=2 backward plans —
+// label, kind and the labels of the tasks each waits for — in stream order.
+// The inter, intra and compute streams are testdata/plan_pin.txt's, which
+// the route tasks leave as they were: on a hard plan the gate backward G
+// waits for nothing and the Order adjoint S for the last dispatch adjoint
+// and G; on a dense plan (one backward chunk: its capacity splits no
+// further) G waits for S, whose dispatch-weight gradient it reads.
+var routePin = map[Strategy][]string{
+	StrategyEP:         {"G Others []", "S Others [D[1] G]"},
+	StrategyDenseSlots: {"S Others [D[0]]", "G Others [S]"},
+}
+
+// routeListing renders the last plan's route-stream tasks as routePin does.
+func routeListing(w *World) []string {
+	tasks := w.LastPlan().Tasks()
+	var out []string
+	for _, ti := range tasks {
+		if ti.Stream == routeStream {
+			out = append(out, fmt.Sprintf("%s %s %v", ti.Label, ti.Kind, depLabels(tasks, ti)))
+		}
+	}
+	return out
+}
+
 // passListing runs one forward and backward pass and returns both plans'
-// stream listings and what the pass computed.
-func passListing(t *testing.T, l *MOELayer, cfg WorldConfig, x, dy *tensor.Tensor) (fwd, bwd []string, snap worldSnapshot) {
+// stream listings, the backward's route stream as routePin lists it, and
+// what the pass computed.
+func passListing(t *testing.T, l *MOELayer, cfg WorldConfig, x, dy *tensor.Tensor) (fwd, bwd, route []string, snap worldSnapshot) {
 	t.Helper()
 	w, err := NewWorld(l, cfg)
 	if err != nil {
@@ -68,7 +111,7 @@ func passListing(t *testing.T, l *MOELayer, cfg WorldConfig, x, dy *tensor.Tenso
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fwd, streamListing(w), worldSnapshot{y: y, dx: dx, grads: snapGrads(l)}
+	return fwd, streamListing(w), routeListing(w), worldSnapshot{y: y, dx: dx, grads: snapGrads(l)}
 }
 
 func sameListing(t *testing.T, label string, want, got []string) {
@@ -88,16 +131,22 @@ func sameListing(t *testing.T, label string, want, got []string) {
 }
 
 // TestWorldPlanPin pins what g = 1 means. The EP and DenseSlots plans the
-// one builder produces at R=4, r=2 are, stream by stream, the plans recorded from the last tree
-// that built them with a dedicated EP builder. And the group width is data:
-// Hybrid at GroupSize 1 is EP's plan and at GroupSize R ESP's, with identical
-// results.
+// one builder produces at R=4, r=2 are, on the inter, intra and compute
+// streams, the plans recorded from the last tree that built them with a
+// dedicated EP builder, and their route streams are routePin's. And the
+// group width is data: Hybrid at GroupSize 1 is EP's plan and at GroupSize R
+// ESP's, with identical results.
 func TestWorldPlanPin(t *testing.T) {
 	x := tensor.RandN(xrand.New(33), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(34), 1, 96, 32)
 	var got []string
 	for _, strat := range []Strategy{StrategyEP, StrategyDenseSlots} {
-		fwd, bwd, _ := passListing(t, strategyLayer(t, strat, false), WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: strat}, x, dy)
+		fwd, bwd, route, _ := passListing(t, strategyLayer(t, strat, false), WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: strat}, x, dy)
+		if fwdRoute, _ := splitRoute(fwd); len(fwdRoute) > 0 {
+			t.Fatalf("%s forward plan has route tasks %v", strat, fwdRoute)
+		}
+		sameListing(t, string(strat)+" route stream", routePin[strat], route)
+		_, bwd = splitRoute(bwd)
 		got = append(got, fmt.Sprintf("# %s forward", strat))
 		got = append(got, fwd...)
 		got = append(got, fmt.Sprintf("# %s backward", strat))
@@ -123,8 +172,8 @@ func TestWorldPlanPin(t *testing.T) {
 		{"hybrid g=R vs esp", 4, StrategyESP},
 	} {
 		layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-		pureFwd, pureBwd, pureSnap := passListing(t, layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: tc.pure}, x, dy)
-		hybFwd, hybBwd, hybSnap := passListing(t, layer,
+		pureFwd, pureBwd, _, pureSnap := passListing(t, layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: tc.pure}, x, dy)
+		hybFwd, hybBwd, _, hybSnap := passListing(t, layer,
 			WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: tc.g}, x, dy)
 		sameListing(t, tc.name+" forward", pureFwd, hybFwd)
 		sameListing(t, tc.name+" backward", pureBwd, hybBwd)

@@ -5,5 +5,5 @@ package moe
 // stepLayerSlack is TestStepAllocationBound's per-layer byte allowance on
 // the token stack. Under -race sync.Pool drops a quarter of what it is
 // handed, so a warm step re-allocates some pooled GEMM temporaries: measured
-// 47–83 KiB per layer over 28 runs, with a margin of about 1.5×.
-const stepLayerSlack = 128 << 10
+// 12–29 KiB per layer over 30 runs, with a margin of about 2×.
+const stepLayerSlack = 64 << 10

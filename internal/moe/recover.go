@@ -229,7 +229,7 @@ func (w *World) recoverTo(ws *ckpt.WorldState, params []float64, mode RecoveryMo
 		for r := 1; r < newR; r++ {
 			bufs[r] = make([]float64, len(span))
 		}
-		guard := w.collGuard(nil, recoverStream, sim.KindBroadcast)
+		guard := w.collGuard(recoverStream, sim.KindBroadcast, -1)
 		var st comm.Stats
 		for a := 0; ; a++ {
 			s, err := comm.BroadcastGuarded(guard, bufs, 0, gpn)

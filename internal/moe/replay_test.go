@@ -1,0 +1,377 @@
+package moe
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/fault"
+	"repro/internal/gradsync"
+	"repro/internal/runtime"
+	"repro/internal/tensor"
+	"repro/internal/xrand"
+)
+
+// residentPlans returns the forward and backward plans of w's idle
+// workspace (nil while no workspace is idle).
+func residentPlans(w *World) (fwd, bwd *layerPlan) {
+	if w.ws == nil || w.ws.fwd == nil || w.ws.bwd == nil {
+		return nil, nil
+	}
+	return w.ws.fwd.plan, w.ws.bwd.plan
+}
+
+// TestStepReplaysPlans: a stack stepped five times on one batch builds each
+// world's forward and backward plan once and replays them, and every step
+// equals the Sequential + SyncNoOverlap twin bit for bit — the replays
+// included, whose backward plans run the §5 slices of the step's own
+// Syncer. StepResult.Plans holds the resident backward plans. A new token
+// count (another capacity) and a new pipeline degree each force a rebuild,
+// whose steps, and their replays, still match the twin.
+func TestStepReplaysPlans(t *testing.T) {
+	const layers, ranks = 2, 4
+	x := tensor.RandN(xrand.New(361), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(362), 1, 96, 32)
+	xs := tensor.RandN(xrand.New(363), 1, 64, 32)
+	dys := tensor.RandN(xrand.New(364), 1, 64, 32)
+	tensor.ScaleInPlace(dy, 1e-3)
+	tensor.ScaleInPlace(dys, 1e-3)
+	ws, twin := stepStack(t, layers, ranks, 2, false), stepStack(t, layers, ranks, 2, false)
+	cfg := StepConfig{LR: 0.05, Slices: 3}
+	twinCfg := StepConfig{LR: 0.05, Sequential: true, Strategy: gradsync.StrategyNoOverlap}
+
+	held := make([][2]*layerPlan, layers)
+	step := func(what string, x, dy *tensor.Tensor, rebuilt bool) {
+		t.Helper()
+		got, err := StepWorlds(ws, x, dy, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		want, err := StepWorlds(twin, x, dy, twinCfg)
+		if err != nil {
+			t.Fatalf("%s twin: %v", what, err)
+		}
+		sameAsTwin(t, what, got, want)
+		if got.Report.Slices == 0 {
+			t.Fatalf("%s: no §5 slice ran inside a plan; the replayed emission is untested", what)
+		}
+		for i, w := range ws {
+			fwd, bwd := residentPlans(w)
+			if fwd == nil || bwd == nil {
+				t.Fatalf("%s: world %d holds no resident plans", what, i)
+			}
+			if got.Plans[layers-1-i] != bwd.Plan {
+				t.Fatalf("%s: StepResult.Plans[%d] is not world %d's resident backward plan", what, layers-1-i, i)
+			}
+			for d, p := range [2]*layerPlan{fwd, bwd} {
+				if (p != held[i][d]) != rebuilt {
+					t.Fatalf("%s: world %d's %s plan rebuilt = %v, want %v", what, i, [2]string{"forward", "backward"}[d], p != held[i][d], rebuilt)
+				}
+			}
+			held[i] = [2]*layerPlan{fwd, bwd}
+		}
+	}
+	step("first step", x, dy, true)
+	for s := 1; s < 5; s++ {
+		step(fmt.Sprintf("replayed step %d", s), x, dy, false)
+	}
+	step("new token count", xs, dys, true)
+	step("new token count replayed", xs, dys, false)
+	for _, w := range ws {
+		w.cfg.PipelineDegree, w.cfg.PipelineDegreeBwd = 1, 1
+	}
+	step("new degree", xs, dys, true)
+	step("new degree replayed", xs, dys, false)
+}
+
+// TestWorldForwardForwardBackwardReplays: two forward passes before either
+// backward check out two workspaces, and each cache's backward runs its own
+// workspace's plans. Driven twice, the second round's first forward replays
+// the plan the first round's first forward built (its workspace came back
+// idle), and its backward replays that workspace's backward plan. Every
+// pass equals the sequential layer on its input.
+func TestWorldForwardForwardBackwardReplays(t *testing.T) {
+	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
+	x1 := tensor.RandN(xrand.New(365), 1, 96, 32)
+	x2 := tensor.RandN(xrand.New(366), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(367), 1, 96, 32)
+	want1, want2 := runSequentialLayer(t, layer, x1, dy), runSequentialLayer(t, layer, x2, dy)
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	same := func(label string, want worldSnapshot, y, dx *tensor.Tensor) {
+		t.Helper()
+		if y.MaxAbsDiff(want.y) != 0 || dx.MaxAbsDiff(want.dx) != 0 {
+			t.Fatalf("%s: output or input gradient differs from the sequential layer", label)
+		}
+	}
+	var first [2]*layerPlan // the first workspace's plans, as the first round built them
+	for round := 0; round < 2; round++ {
+		y1, c1, err := w.Forward(x1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f1 := c1.ws.fwd.plan
+		y2, c2, err := w.Forward(x2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c1.ws == c2.ws || c2.ws.fwd.plan == f1 {
+			t.Fatalf("round %d: two outstanding caches share a workspace or a plan", round)
+		}
+		dx2, err := w.Backward(c2, dy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.LastPlan() == nil || w.LastPlan() != w.ws.bwd.plan.Plan {
+			t.Fatalf("round %d: the second cache's backward did not run its own workspace's plan", round)
+		}
+		ws1 := c1.ws
+		dx1, err := w.Backward(c1, dy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.ws != ws1 || w.LastPlan() != ws1.bwd.plan.Plan {
+			t.Fatalf("round %d: the first cache's backward did not run its own workspace's plan", round)
+		}
+		same(fmt.Sprintf("round %d first input", round), want1, y1, dx1)
+		same(fmt.Sprintf("round %d second input", round), want2, y2, dx2)
+		if round == 0 {
+			first = [2]*layerPlan{f1, ws1.bwd.plan}
+		} else if f1 != first[0] || ws1.bwd.plan != first[1] {
+			t.Fatalf("the first workspace's plans were rebuilt in round 1; they must replay")
+		}
+	}
+}
+
+// faultOpStack is the stack TestStepFaultOpIDsPinned steps: a hybrid (g = 2)
+// world, whose plans guard AlltoAll, AllGather and ReduceScatter tasks, over
+// an EP world, both under one seeded collective-fault plan.
+func faultOpStack(t *testing.T) []*World {
+	var ws []*World
+	for _, wc := range []WorldConfig{
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP},
+	} {
+		w, err := NewWorld(worldLayer(t, "gshard", TutelOrder{}, false, false), wc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetFaultPlan(fault.New(fault.Spec{Seed: 17, CollectiveProb: 0.3, MaxTransientsPerTask: 2}))
+		w.SetRetry(fastRetry())
+		ws = append(ws, w)
+	}
+	return ws
+}
+
+// faultOpPin is each step's collective guards in the order the stack mints
+// them — the forward plans in stack order, then the backward plans in
+// reverse — as (task label, operation id): the sequence the tree before
+// resident plans minted at build time, recorded from it.
+var faultOpPin = []string{
+	"D[0]@0 AGx0[g0]@1 AGx0[g1]@2 D[1]@3 AGx1[g0]@4 AGx1[g1]@5 AGh0[g0]@6 AGh0[g1]@7 RSy0[g0]@8 RSy0[g1]@9 C[0]@10 AGh1[g0]@11 AGh1[g1]@12 RSy1[g0]@13 RSy1[g1]@14 C[1]@15 D[0]@0 D[1]@1 C[0]@2 C[1]@3 C[0]@4 C[1]@5 D[0]@6 D[1]@7 C[0]@16 AGd0[g0]@17 AGd0[g1]@18 C[1]@19 AGd1[g0]@20 AGd1[g1]@21 AGb0[g0]@22 AGb0[g1]@23 RSd0[g0]@24 RSd0[g1]@25 D[0]@26 AGb1[g0]@27 AGb1[g1]@28 RSd1[g0]@29 RSd1[g1]@30 D[1]@31",
+	"D[0]@32 AGx0[g0]@33 AGx0[g1]@34 D[1]@35 AGx1[g0]@36 AGx1[g1]@37 AGh0[g0]@38 AGh0[g1]@39 RSy0[g0]@40 RSy0[g1]@41 C[0]@42 AGh1[g0]@43 AGh1[g1]@44 RSy1[g0]@45 RSy1[g1]@46 C[1]@47 D[0]@8 D[1]@9 C[0]@10 C[1]@11 C[0]@12 C[1]@13 D[0]@14 D[1]@15 C[0]@48 AGd0[g0]@49 AGd0[g1]@50 C[1]@51 AGd1[g0]@52 AGd1[g1]@53 AGb0[g0]@54 AGb0[g1]@55 RSd0[g0]@56 RSd0[g1]@57 D[0]@58 AGb1[g0]@59 AGb1[g1]@60 RSd1[g0]@61 RSd1[g1]@62 D[1]@63",
+	"D[0]@64 AGx0[g0]@65 AGx0[g1]@66 D[1]@67 AGx1[g0]@68 AGx1[g1]@69 AGh0[g0]@70 AGh0[g1]@71 RSy0[g0]@72 RSy0[g1]@73 C[0]@74 AGh1[g0]@75 AGh1[g1]@76 RSy1[g0]@77 RSy1[g1]@78 C[1]@79 D[0]@16 D[1]@17 C[0]@18 C[1]@19 C[0]@20 C[1]@21 D[0]@22 D[1]@23 C[0]@80 AGd0[g0]@81 AGd0[g1]@82 C[1]@83 AGd1[g0]@84 AGd1[g1]@85 AGb0[g0]@86 AGb0[g1]@87 RSd0[g0]@88 RSd0[g1]@89 D[0]@90 AGb1[g0]@91 AGb1[g1]@92 RSd1[g0]@93 RSd1[g1]@94 D[1]@95",
+}
+
+// guardSequence lists the last step's collective guards as faultOpPin does.
+func guardSequence(ws []*World) string {
+	var out []string
+	list := func(lp *layerPlan) {
+		tasks := lp.Tasks()
+		for _, c := range lp.colls {
+			out = append(out, fmt.Sprintf("%s@%d", tasks[c.task].Label, c.op))
+		}
+	}
+	for _, w := range ws {
+		fwd, _ := residentPlans(w)
+		list(fwd)
+	}
+	for i := len(ws) - 1; i >= 0; i-- {
+		_, bwd := residentPlans(ws[i])
+		list(bwd)
+	}
+	return strings.Join(out, " ")
+}
+
+// TestStepFaultOpIDsPinned: replayed plans resolve their collective guards
+// at run time with exactly the operation ids build-time minting gave, so a
+// seeded fault plan fails the same collectives: over three steps the
+// (task label, operation id) sequence is faultOpPin's, and every step
+// equals its fault-free twin. Then each fault setting takes effect on the
+// next replay, with no rebuild: SetFaultPlan(nil) leaves the guards nil and
+// the operation counter still; a retry budget of one attempt fails a step
+// on an injected transient, and the default budget absorbs it again; a
+// deadline shorter than an injected straggler fails a step with
+// context.DeadlineExceeded, and removing it lets the next step through.
+func TestStepFaultOpIDsPinned(t *testing.T) {
+	x := tensor.RandN(xrand.New(371), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(372), 1, 96, 32)
+	tensor.ScaleInPlace(dy, 1e-3)
+	ws := faultOpStack(t)
+	twin := faultOpStack(t)
+	for _, w := range twin {
+		w.SetFaultPlan(nil)
+	}
+	cfg := StepConfig{LR: 0.05, Slices: 3}
+	plans := func() []*layerPlan {
+		var out []*layerPlan
+		for _, w := range ws {
+			fwd, bwd := residentPlans(w)
+			out = append(out, fwd, bwd)
+		}
+		return out
+	}
+	var built []*layerPlan
+	replayed := func(what string) {
+		t.Helper()
+		for i, p := range plans() {
+			if p != built[i] {
+				t.Fatalf("%s: plan %d was rebuilt; the setting must take effect on a replay", what, i)
+			}
+		}
+	}
+	faults := 0
+	for s, want := range faultOpPin {
+		got, err := StepWorlds(ws, x, dy, cfg)
+		if err != nil {
+			t.Fatalf("step %d: %v", s, err)
+		}
+		ref, err := StepWorlds(twin, x, dy, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsTwin(t, fmt.Sprintf("step %d", s), got, ref)
+		if seq := guardSequence(ws); seq != want {
+			t.Fatalf("step %d guards:\n got %s\nwant %s", s, seq, want)
+		}
+		for _, tr := range got.Traces {
+			faults += len(tr.Events)
+		}
+		if s == 0 {
+			built = plans()
+		} else {
+			replayed(fmt.Sprintf("step %d", s))
+		}
+	}
+	if faults == 0 {
+		t.Fatal("the seeded plan injected no fault; the pin would not show a moved guard")
+	}
+
+	// No injector: nil guards, the counter stays, no incident.
+	ops := [2]int{ws[0].collOps, ws[1].collOps}
+	for _, w := range ws {
+		w.SetFaultPlan(nil)
+	}
+	res, err := StepWorlds(ws, x, dy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed("SetFaultPlan(nil)")
+	for i, w := range ws {
+		if w.collOps != ops[i] {
+			t.Fatalf("world %d minted %d guards without an injector", i, w.collOps-ops[i])
+		}
+		for _, p := range plans() {
+			for _, c := range p.colls {
+				if c.guard != nil {
+					t.Fatal("a replayed plan kept a guard after SetFaultPlan(nil)")
+				}
+			}
+		}
+	}
+	for _, tr := range res.Traces {
+		if len(tr.Events) != 0 {
+			t.Fatalf("incidents %v with no injector", tr.Events)
+		}
+	}
+
+	// One attempt: an injected transient on every AlltoAll fails the step.
+	always := fault.New(fault.Spec{Seed: 3, KindProb: map[string]float64{KindA2A: 1}, MaxTransientsPerTask: 1})
+	for _, w := range ws {
+		w.SetFaultPlan(always)
+		w.SetRetry(runtime.RetryPolicy{MaxAttempts: 1, Kinds: []string{KindA2A}})
+	}
+	if _, err := StepWorlds(ws, x, dy, cfg); err == nil || !fault.IsTransient(err) {
+		t.Fatalf("one attempt against an injected transient: err %v, want a transient failure", err)
+	}
+	replayed("SetRetry(one attempt)")
+	for _, w := range ws {
+		w.SetRetry(fastRetry())
+	}
+	if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
+		t.Fatalf("the default budget must absorb one transient per task: %v", err)
+	}
+	replayed("SetRetry(default)")
+
+	// A deadline shorter than an injected straggler.
+	slow := fault.New(fault.Spec{Seed: 5, StragglerProb: 1, StragglerDelay: 20 * time.Millisecond})
+	for _, w := range ws {
+		w.SetFaultPlan(slow)
+		w.SetDeadline(2 * time.Millisecond)
+	}
+	if _, err := StepWorlds(ws, x, dy, cfg); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline under a straggler: err %v, want context.DeadlineExceeded", err)
+	}
+	replayed("SetDeadline")
+	for _, w := range ws {
+		w.SetFaultPlan(nil)
+		w.SetDeadline(0)
+	}
+	if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
+		t.Fatalf("no deadline: %v", err)
+	}
+	replayed("SetDeadline(0)")
+}
+
+// countingGate counts its Backward calls.
+type countingGate struct {
+	Gate
+	backwards int
+}
+
+func (g *countingGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
+	g.backwards++
+	g.Gate.Backward(dx, rc, grad)
+}
+
+// TestWorldGateBackwardOnce: the gate's backward runs inside the backward
+// plan exactly once per pass — on a replayed plan too, pipelined and
+// sequential — and its gradients and the input gradient equal the
+// sequential layer's.
+func TestWorldGateBackwardOnce(t *testing.T) {
+	x := tensor.RandN(xrand.New(368), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(369), 1, 96, 32)
+	for _, strat := range []Strategy{StrategyEP, StrategyDenseSlots} {
+		layer := strategyLayer(t, strat, false)
+		want := runSequentialLayer(t, layer, x, dy)
+		gate := &countingGate{Gate: layer.cfg.Gate}
+		layer.cfg.Gate = gate
+		w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 1; pass <= 3; pass++ {
+			w.SetSequential(pass == 2)
+			layer.ZeroGrad()
+			y, cache, err := w.Forward(x, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dx, err := w.Backward(cache, dy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gate.backwards != pass {
+				t.Fatalf("%s pass %d: the gate's backward ran %d times in all, want %d", strat, pass, gate.backwards, pass)
+			}
+			compareSnapshots(t, fmt.Sprintf("%s pass %d", strat, pass), want, worldSnapshot{y: y, dx: dx, grads: snapGrads(layer)})
+		}
+		w.Close()
+	}
+}

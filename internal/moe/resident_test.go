@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/gradsync"
+	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
@@ -255,12 +256,12 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 // single allocation as large as one (N, M) token plane: the step's output
 // and input gradient are stack-owned workspace slots, and the routing
 // metadata — score matrices, the plan's slot tables, reverse index and
-// slot-weight gradient — is gate-owned scratch, so what remains is, at
-// r = 4, about 35 KiB of tasks, trace intervals and stage closures for the
-// two plans and a few KiB for beginning the layer's 16 expert passes (a pass
-// value, its block views and the headers over its scratch) and the gate and
-// Order's bookkeeping. A batch- or routing-sized allocation per layer does
-// not fit. The collector is off for the window, as in the repository
+// slot-weight gradient, the gate backward's temporaries — is gate-owned
+// scratch, and the two plans are resident and replayed, so what remains is a
+// few KiB for beginning the layer's expert passes (a pass value and the
+// headers over its scratch), the §5 and the gate and Order's bookkeeping and
+// starting two executions. A batch- or routing-sized allocation per layer,
+// or a plan rebuilt every step, does not fit. The collector is off for the window, as in the repository
 // benchmark, so the tensor free-lists stay warm and the figure repeats.
 // Under the race detector sync.Pool drops buffers at random, so the token
 // stack re-allocates a few pooled stage temporaries and its allowance is
@@ -513,12 +514,25 @@ func TestStepFailedBackwardThenRestore(t *testing.T) {
 // degraded pass driven by hand, adding into a zeroed Param.G. In step mode
 // the expert spans start out as NaN, standing in for last step's gradient,
 // and the gate's is cleared, as StepWorlds does.
+//
+// The gate's backward is a plan task that waits for nothing, so it has run
+// when the rank goes down; the degraded pass freezes the router. The gate's
+// gradient is then what it was before the gate's backward moved into the
+// plan — +0, the aborted plan's contribution cleared with the rest — and
+// the gate's backward ran once, not again on the degraded path.
 func TestStepGradsBackwardRankDown(t *testing.T) {
 	x := tensor.RandN(xrand.New(341), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(342), 1, 96, 32)
 	var w *World
 	run := func(stepMode bool) []float64 {
 		w = stepStack(t, 1, 4, 2, false)[0]
+		gate := &countingGate{Gate: w.layer.cfg.Gate}
+		w.layer.cfg.Gate = gate
+		defer func() {
+			if gate.backwards != 1 {
+				t.Fatalf("step mode %v: the gate's backward ran %d times, want once", stepMode, gate.backwards)
+			}
+		}()
 		st := residentFor([]*World{w}, true)
 		grads := st.layerGrads(0)
 		if stepMode {
@@ -546,8 +560,22 @@ func TestStepGradsBackwardRankDown(t *testing.T) {
 		if deg := w.LastDegraded(); deg == nil || deg.Phase != "backward" {
 			t.Fatalf("DegradedResult = %+v, want a backward-phase loss", deg)
 		}
+		// The aborted plan's trace: the gate task ran before the loss.
+		if !slices.ContainsFunc(w.LastTrace().Intervals, func(iv sim.Interval) bool { return iv.Task.Label == "G" }) {
+			t.Fatalf("step mode %v: the aborted backward plan has no gate task", stepMode)
+		}
+		for _, ev := range w.LastTrace().Events {
+			if ev.Label == "G" && ev.Type == sim.EventSkip {
+				t.Fatalf("step mode %v: the gate task was skipped; the loss must come after it ran", stepMode)
+			}
+		}
 		if stepMode {
 			w.clearUnwritten(grads, st.written[0])
+		}
+		for k, v := range grads[:w.gradOff[0]] {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("step mode %v: gate gradient %d = %v after the degraded pass, want +0", stepMode, k, v)
+			}
 		}
 		return grads
 	}

@@ -28,10 +28,11 @@ type SoftMoEGate struct {
 // and its CombineW is c.
 type softmoeCache struct {
 	routing
-	logits *tensor.Tensor // (N, E*T)
-	c      *tensor.Tensor // (N, E*T) row-softmax
-	dt     *tensor.Tensor // (E*T, N): Dᵀ
-	dl     []float64      // Backward: one row's or one column's logit gradient
+	logits  *tensor.Tensor // (N, E*T)
+	c       *tensor.Tensor // (N, E*T) row-softmax
+	dt      *tensor.Tensor // (E*T, N): Dᵀ
+	dl      []float64      // Backward: one row's or one column's logit gradient
+	dLogits *tensor.Tensor // Backward: the logit gradient, (N, E*T)
 }
 
 // NewSoftMoEGate constructs the gate with slotsPerExpert slots each.
@@ -94,7 +95,7 @@ func (g *SoftMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad
 	x := rc.X
 	n := x.Dim(0)
 	slots := g.cfg.Experts * g.slotsPer
-	dLogits := tensor.Get(n, slots)
+	dLogits := zeroMat(&cache.dLogits, n, slots)
 	cache.dl = grow(cache.dl, max(n, slots))
 	if grad.CombineW != nil {
 		// Row softmax backward: per token row.
@@ -122,6 +123,5 @@ func (g *SoftMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad
 	}
 	tensor.MatMulT1AddInto(g.phi.G, x, dLogits)
 	tensor.MatMulT2Into(dx, dLogits, g.phi.W)
-	tensor.Put(dLogits)
 	g.idle = cache
 }

@@ -75,9 +75,10 @@ type StepResult struct {
 	// StepWorlds to the end of the exposed tail and any checkpoint capture
 	// — everything but the telemetry emission itself. ForwardMS, BackwardMS
 	// and TailMS are the parts of it spent inside measured stream plans and
-	// the exposed tail, which hold the SGD update; the rest (gate and order
-	// work, writing the gate's shards, the checkpoint's wait and capture) is
-	// WallMS minus the three.
+	// the exposed tail, which hold the SGD update and the gates' backward;
+	// the rest (the gates' Route, the Order's Scatter, Gather and
+	// GatherGrad, clearing the gates' gradients, the checkpoint's wait and
+	// capture) is WallMS minus the three.
 	WallMS     float64
 	ForwardMS  float64 // summed measured forward-plan makespans
 	BackwardMS float64 // summed measured backward-plan makespans (incl. hidden AllReduce)
@@ -101,7 +102,8 @@ type StepResult struct {
 	// trace in backward (reverse stack) order; the AllReduce slices appear
 	// as "AllReduce"-kind tasks on the inter stream. Layers that completed
 	// on the degraded path contribute no plan/trace (their entries are
-	// skipped — see Degraded).
+	// skipped — see Degraded). They are the worlds' resident plans and each
+	// plan's one trace, not copies: valid until the world's next pass.
 	Plans  []*runtime.Plan
 	Traces []*sim.Trace
 

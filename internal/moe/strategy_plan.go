@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
+	"repro/internal/gradsync"
 	"repro/internal/runtime"
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -52,12 +54,28 @@ import (
 // complete dot products (columns forward, rows backward) and never
 // re-associate a reduction.
 //
+// The backward plan also runs the routing path's adjoint, which needs
+// nothing the expert chain produces until its last step: the gate's
+// backward G and, after the last chunk's dispatch adjoint, the Order adjoint
+// S (ScatterGrad, the gate's dx added in). A dense plan's gate backward
+// needs the dispatch-weight gradient, a product over the whole dScattered,
+// so there S computes it and G follows S and adds the gate's dx.
+//
 // Streams: "inter" serializes the AlltoAll lanes (the NIC of Figs. 3–4),
 // "intra:g<G>" group G's AllGather/ReduceScatter chain, "compute:<rank>"
-// each rank's expert math — nothing else. Every chunk's collectives ahead
-// of its first compute stage are issued before any later stage (the
-// Fig. 3c/d ordering core.buildForwardLayer uses), so chunk c+1 is on the
-// wire while chunk c computes.
+// each rank's expert math, and "route" the backward's G and S — nothing
+// else. Every chunk's collectives ahead of its first compute stage are
+// issued before any later stage (the Fig. 3c/d ordering
+// core.buildForwardLayer uses), so chunk c+1 is on the wire while chunk c
+// computes.
+//
+// Plans are resident: each direction's plan is built once over the
+// workspace buffers it runs on (passBufs) and replayed pass after pass
+// while its planKey holds. Nothing a closure captures changes between
+// passes: per-pass state — the expert passes, the routing operands — is
+// read through holders in the workspace that each pass refreshes before
+// its plan runs, and each collective task's fault guard is resolved at run
+// time (World.run).
 
 // groups is the group geometry of one pass.
 type groups struct {
@@ -185,11 +203,14 @@ type passBufs struct {
 	from, to  int                // the workspace slots the buffers occupy
 	gin, gout *tensor.Tensor     // the (E, Tpad, M) buffers the pass starts from and ends in
 	in, out   []*tensor.Tensor   // per rank (Egg, Tpad, M): its group's expert inputs and outputs
+	xs, outs  [][]*tensor.Tensor // [rank][group expert] (Tpad, M) views of in and out
 	hid       [][]*tensor.Tensor // [rank][group expert] (bands·Tpad, W) hidden exchange buffers
 	scratch   [][][]float64      // [rank][group expert] pass-private memory; forward only
 
 	disp, comb      []ends // per lane: gin → in and out → gout; nG > 1
 	agIn, agHid, rs []ends // per group: the rows of in, the columns of hid, the rows of out; g > 1
+
+	plan *layerPlan // the direction's resident plan over these buffers; nil until built
 }
 
 // cutPass returns a direction's buffers and endpoint lists for the
@@ -216,12 +237,15 @@ func (w *World) cutPass(ws *workspace, held *passBufs, gm groups, gin, gout *ten
 		}
 	}
 	b.hid, b.scratch = make([][]*tensor.Tensor, gm.R), make([][][]float64, gm.R)
+	b.xs, b.outs = make([][]*tensor.Tensor, gm.R), make([][]*tensor.Tensor, gm.R)
 	bands := Expert.BwdBands
 	if fwd {
 		bands = Expert.FwdBands
 	}
 	for j := range b.hid {
-		for _, ex := range w.groupExperts(gm, j) {
+		for le, ex := range w.groupExperts(gm, j) {
+			b.xs[j] = append(b.xs[j], slotBlock(b.in[j], le, gm.tpad))
+			b.outs[j] = append(b.outs[j], slotBlock(b.out[j], le, gm.tpad))
 			b.hid[j] = append(b.hid[j], ws.tensor(bands(ex)*gm.tpad, ex.HiddenWidth()))
 			if fwd {
 				cl, ch := colShard(ex.HiddenWidth(), j%gm.g, gm.g)
@@ -319,7 +343,7 @@ func after(ids []int) func(j int) []int {
 
 // computeTasks adds one expert-compute task per rank — label[rank], on the
 // rank's compute stream, waiting for deps(rank) — and returns the task ids.
-func (w *World) computeTasks(p *runtime.Plan, label string, est func(j int) float64, deps func(j int) []int, fn func(j int)) []int {
+func (w *World) computeTasks(p *layerPlan, label string, est func(j int) float64, deps func(j int) []int, fn func(j int)) []int {
 	ids := make([]int, w.cfg.Ranks)
 	for j := range ids {
 		ids[j] = p.Add(fmt.Sprintf("%s[%d]", label, j), KindExpert, w.computeStreams[j], est(j),
@@ -330,17 +354,18 @@ func (w *World) computeTasks(p *runtime.Plan, label string, est func(j int) floa
 
 // laneTask adds one chunk's dispatch or combine step: the g per-lane
 // AlltoAll collectives issued back to back on the shared inter stream,
-// accumulating traffic stats. The fault guard is minted at plan-build time
-// so in-collective injection is deterministic; it covers the whole step and
-// runs before any lane moves a byte, so a retry repeats the same copies from
-// untouched sources.
-func (w *World) laneTask(p *runtime.Plan, gm groups, label string, lanes []ends, rr comm.RowRange, deps []int) int {
-	guard := w.collGuard(p, "inter", KindA2A)
+// accumulating traffic stats. The task's fault guard is resolved before
+// each execution (World.run) with the operation id its place in the plan
+// gives, so in-collective injection is deterministic; it covers the whole
+// step and runs before any lane moves a byte, so a retry repeats the same
+// copies from untouched sources.
+func (w *World) laneTask(p *layerPlan, gm groups, label string, lanes []ends, rr comm.RowRange, deps []int) int {
+	site := p.collective("inter", KindA2A)
 	gpn := gm.laneGpn(w.cfg.GPUsPerNode)
 	return p.Add(label, KindA2A, "inter", estElems(gm.R*gm.R*gm.eg*rr.Len()*gm.mdim), func() error {
 		// One guard invocation per attempt: lane 0 carries it, the
 		// remaining lanes of the same step run unguarded behind it.
-		lg := guard
+		lg := p.colls[site].guard
 		for _, ln := range lanes {
 			st, err := comm.AlltoAllBlocks(lg, w.cfg.Algo, ln.src, ln.dst, gpn, rr)
 			if err != nil {
@@ -357,20 +382,20 @@ func (w *World) laneTask(p *runtime.Plan, gm groups, label string, lanes []ends,
 // comm.ReduceScatterBlocks over each group's endpoint lists — as one task
 // per group on that group's intra stream, waiting for its members' entries
 // of deps. It returns, per rank, the task of the rank's group.
-func (w *World) groupTasks(p *runtime.Plan, gm groups, label, kind string,
+func (w *World) groupTasks(p *layerPlan, gm groups, label, kind string,
 	coll func(comm.Guard, [][]comm.Block, [][]comm.Block, int, comm.RowRange) (comm.Stats, error),
 	lists []ends, est func(G int) float64, rr comm.RowRange, deps []int) []int {
 	ids := make([]int, gm.R)
 	gpn := gm.groupGpn(w.cfg.GPUsPerNode)
 	for G, e := range lists {
 		stream := w.groupStreams[G]
-		guard := w.collGuard(p, stream, kind)
+		site := p.collective(stream, kind)
 		var members []int
 		if deps != nil {
 			members = deps[G*gm.g:][:gm.g]
 		}
 		id := p.Add(fmt.Sprintf("%s[g%d]", label, G), kind, stream, est(G), func() error {
-			st, err := coll(guard, e.src, e.dst, gpn, rr)
+			st, err := coll(p.colls[site].guard, e.src, e.dst, gpn, rr)
 			if err != nil {
 				return err
 			}
@@ -389,7 +414,7 @@ func (w *World) groupTasks(p *runtime.Plan, gm groups, label, kind string,
 // row AllGather — chunk after chunk. It returns landed[c][j], the task after
 // which chunk c's rows are in rank j's input block (nil: they were never
 // anywhere else).
-func (w *World) arrive(p *runtime.Plan, gm groups, b *passBufs, ranges []comm.RowRange, a2a, ag string) [][]int {
+func (w *World) arrive(p *layerPlan, gm groups, b *passBufs, ranges []comm.RowRange, a2a, ag string) [][]int {
 	landed := make([][]int, len(ranges))
 	for c, rr := range ranges {
 		if gm.nG > 1 {
@@ -408,19 +433,21 @@ func (w *World) arrive(p *runtime.Plan, gm groups, b *passBufs, ranges []comm.Ro
 
 // leave adds the collectives behind chunk c's last compute stage, whose
 // per-rank tasks are done: the in-group ReduceScatter, then the AlltoAll
-// between groups.
-func (w *World) leave(p *runtime.Plan, gm groups, b *passBufs, c int, rr comm.RowRange, rs, a2a string, done []int) {
+// between groups. It returns the tasks after which chunk c's rows are in
+// the pass's expert-major output buffer.
+func (w *World) leave(p *layerPlan, gm groups, b *passBufs, c int, rr comm.RowRange, rs, a2a string, done []int) []int {
 	if gm.g > 1 {
 		done = w.groupTasks(p, gm, fmt.Sprintf("%s%d", rs, c), KindRS, comm.ReduceScatterBlocks, b.rs, gm.rowsEst(rr), rr, done)
 	}
-	if gm.nG > 1 {
-		// One entry per group names every task there is to wait for.
-		var deps []int
-		for j := 0; j < gm.R; j += gm.g {
-			deps = append(deps, done[j])
-		}
-		w.laneTask(p, gm, fmt.Sprintf("%s[%d]", a2a, c), b.comb, rr, deps)
+	// One entry per group names every task there is to wait for.
+	var deps []int
+	for j := 0; j < gm.R; j += gm.g {
+		deps = append(deps, done[j])
 	}
+	if gm.nG > 1 {
+		return []int{w.laneTask(p, gm, fmt.Sprintf("%s[%d]", a2a, c), b.comb, rr, deps)}
+	}
+	return deps
 }
 
 // windows is chunk rr's rows in the shards of the token-side ranks first,
@@ -441,7 +468,7 @@ func (gm groups) windows(first, step int, rr comm.RowRange) tensor.Windows {
 // the column shards (name 1); at g = 1 the one member owns every column,
 // nothing is exchanged, and both run back to back in one task E<c>. scale is
 // the pass's cost in forward passes. It returns each rank's last task.
-func (w *World) expertStages(p *runtime.Plan, gm groups, b *passBufs, passes [][]ExpertPass, c int, rr comm.RowRange, deps func(j int) []int,
+func (w *World) expertStages(p *layerPlan, gm groups, b *passBufs, passes [][]ExpertPass, c int, rr comm.RowRange, deps func(j int) []int,
 	names [3]string, scale float64, hidden, output func(ps ExpertPass, w tensor.Windows)) []int {
 	hiddenStage := func(j int) {
 		for _, ps := range passes[j] {
@@ -466,51 +493,138 @@ func (w *World) expertStages(p *runtime.Plan, gm groups, b *passBufs, passes [][
 	return w.computeTasks(p, fmt.Sprintf("%s%d", names[2], c), outputEst, after(h), outputStage)
 }
 
-// buildForward appends the forward schedule to p: everything that turns the
-// padded scattered buffer into the padded combined buffer. cache.experts
-// receives the passes it begins, per rank one for each expert of its group,
-// which buildBackward continues.
-func (w *World) buildForward(p *runtime.Plan, cache *WorldCache, scatPad, combinedPad *tensor.Tensor) {
+// layerPlan is one direction's resident stream plan, kept with the
+// workspace buffers it runs on (passBufs.plan): built once, replayed while
+// its key holds. colls lists the plan's collective tasks in build order with
+// the guard each runs behind in the current execution; em is the §5 slices
+// a backward plan runs (nil outside a training step).
+type layerPlan struct {
+	*runtime.Plan
+	key   planKey
+	colls []collSite
+	em    *gradsync.Emission
+	ran   bool // executed once: the GEMM scratch free-list is sized for it
+}
+
+// planKey is what a plan's tasks depend on beyond the buffers it runs on:
+// the capacity, the pipeline degree and the group width (placement), and for
+// a backward plan the token count and whether the routing is dense. The
+// §5 slices are keyed through the plan's Emission (gradsync.Syncer.Replay).
+type planKey struct {
+	capacity, degree, g int
+	tokens              int
+	dense               bool
+}
+
+// collSite is one collective task of a plan: its stream, kind and task id,
+// and the fault guard World.run resolved for the current execution, with
+// the operation id it was minted for (a nil guard with injection off).
+type collSite struct {
+	stream, kind string
+	task         int
+	op           int
+	guard        comm.Guard
+}
+
+// collective records that the task about to be added runs a collective on
+// stream, and returns its index in p.colls.
+func (p *layerPlan) collective(stream, kind string) int {
+	p.colls = append(p.colls, collSite{stream: stream, kind: kind, task: p.Len()})
+	return len(p.colls) - 1
+}
+
+// forwardPlan readies a forward pass over the padded scattered and combined
+// buffers: it begins the expert passes into the workspace's holder, per rank
+// one for each expert of its group, which the backward continues, and
+// returns the workspace's forward plan, built when none fits.
+func (w *World) forwardPlan(cache *WorldCache, scatPad, combinedPad *tensor.Tensor) *layerPlan {
 	gm := w.groups(cache)
-	b := w.cutPass(cache.ws, cache.ws.fwd, gm, scatPad, combinedPad, true)
-	cache.ws.fwd = b
-	ranges := comm.SplitRows(gm.spad, w.cfg.PipelineDegree)
-	passes := make([][]ExpertPass, gm.R)
-	cache.experts = passes
+	ws := cache.ws
+	b := w.cutPass(ws, ws.fwd, gm, scatPad, combinedPad, true)
+	ws.fwd = b
+	passes := ws.expertPasses(gm.R, gm.egg)
 	for j := range passes {
 		for le, ex := range w.groupExperts(gm, j) {
 			cl, ch := colShard(ex.HiddenWidth(), j%gm.g, gm.g)
-			passes[j] = append(passes[j], ex.Begin(PassBufs{
-				X: slotBlock(b.in[j], le, gm.tpad), Out: slotBlock(b.out[j], le, gm.tpad),
+			passes[j][le] = ex.Begin(PassBufs{
+				X: b.xs[j][le], Out: b.outs[j][le],
 				Hidden: b.hid[j][le], Scratch: b.scratch[j][le], Cl: cl, Ch: ch, Pool: w.pool,
-			}))
+			})
 		}
 	}
+	key := planKey{capacity: cache.pr.plan.Capacity, degree: w.cfg.PipelineDegree, g: gm.g}
+	if b.plan == nil || b.plan.key != key {
+		b.plan = w.buildForward(gm, b, passes, key)
+	}
+	return b.plan
+}
 
+// buildForward builds the forward schedule over b: everything that turns
+// the padded scattered buffer into the padded combined buffer.
+func (w *World) buildForward(gm groups, b *passBufs, passes [][]ExpertPass, key planKey) *layerPlan {
+	p := &layerPlan{Plan: runtime.NewPlan(), key: key}
+	ranges := comm.SplitRows(gm.spad, key.degree)
 	landed := w.arrive(p, gm, b, ranges, "D", "AGx")
 	for c, rr := range ranges {
 		done := w.expertStages(p, gm, b, passes, c, rr, after(landed[c]), [3]string{"H", "AGh", "O"}, 1,
 			ExpertPass.ForwardHidden, ExpertPass.ForwardOut)
 		w.leave(p, gm, b, c, rr, "RSy", "C", done)
 	}
+	return p
 }
 
-// buildBackward appends the backward schedule to p: everything that turns
-// the padded output gradient dpad into the padded dScattered buffer, puts
-// each expert's parameter gradients into its Param.G on its owner rank
-// (written over it during a training step, added outside one), and drives
-// w.sync's emit points.
-func (w *World) buildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatteredPad *tensor.Tensor) {
+// backwardPlan readies a backward pass from the padded output gradient dpad
+// into the padded dScattered buffer: it begins the expert passes' backward
+// and returns the workspace's backward plan, replayed when its key holds
+// and, in a training step, w.sync hands it the same §5 slices — built
+// otherwise.
+func (w *World) backwardPlan(cache *WorldCache, dpad, dScatteredPad *tensor.Tensor) *layerPlan {
 	gm := w.groups(cache)
-	b := w.cutPass(cache.ws, cache.ws.bwd, gm, dpad, dScatteredPad, false)
-	cache.ws.bwd = b
-	ranges := comm.SplitRows(gm.spad, w.cfg.PipelineDegreeBwd)
-	passes := cache.experts
+	ws := cache.ws
+	b := w.cutPass(ws, ws.bwd, gm, dpad, dScatteredPad, false)
+	ws.bwd = b
+	passes := ws.passes
 	for j := range passes {
 		for le, ps := range passes[j] {
 			// Rank j's output gradient and input gradient of its group's expert le.
-			ps.BeginBackward(slotBlock(b.in[j], le, gm.tpad), slotBlock(b.out[j], le, gm.tpad), b.hid[j][le], w.written != nil)
+			ps.BeginBackward(b.xs[j][le], b.outs[j][le], b.hid[j][le], w.written != nil)
 		}
+	}
+	plan := cache.pr.plan
+	key := planKey{capacity: plan.Capacity, degree: w.cfg.PipelineDegreeBwd, g: gm.g,
+		tokens: cache.pr.flat.Dim(0), dense: plan.IsDense()}
+	points := comm.SplitRows(gm.spad, key.degree)
+	if w.sync != nil {
+		w.sync.BeginLayer(len(points) + 1)
+	}
+	lp := b.plan
+	if lp == nil || lp.key != key || (w.sync == nil) != (lp.em == nil) || (w.sync != nil && !w.sync.Replay(lp.em)) {
+		lp = w.buildBackward(gm, b, passes, &ws.route, key)
+		if w.sync != nil {
+			lp.em = w.sync.Emission()
+		}
+		b.plan = lp
+	}
+	return lp
+}
+
+// buildBackward builds the backward schedule over b: everything that turns
+// the padded output gradient into the padded dScattered buffer and the
+// token gradient rt.dx, puts each expert's parameter gradients into its
+// Param.G on its owner rank (written over it during a training step, added
+// outside one) and the gate's into the gate's Param.G, and drives w.sync's
+// emit points.
+func (w *World) buildBackward(gm groups, b *passBufs, passes [][]ExpertPass, rt *routeState, key planKey) *layerPlan {
+	p := &layerPlan{Plan: runtime.NewPlan(), key: key}
+	ranges := comm.SplitRows(gm.spad, key.degree)
+	l := w.layer
+	E := len(l.cfg.Experts)
+	gateEst := 2 * float64(key.tokens*gm.mdim*E) / 1e6 // two N·M·E products, in MMACs
+	gate := -1
+	if !key.dense {
+		// The gate's backward needs only the routing gradient GatherGrad
+		// left before the plan: it waits for nothing.
+		gate = p.Add("G", sim.KindOthers, routeStream, gateEst, func() error { rt.gate(l); return nil })
 	}
 
 	// The adjoint of the forward's last collectives comes first.
@@ -520,23 +634,34 @@ func (w *World) buildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatter
 	// inter stream behind the combine-gradient chain, in the slack while the
 	// expert chunks compute, before the first dispatch-gradient AlltoAll.
 	if w.sync != nil {
-		w.sync.BeginLayer(len(ranges) + 1)
-		w.sync.EmitAt(p, "inter", 0)
+		w.sync.EmitAt(p.Plan, "inter", 0)
 	}
 
 	// dX rows only; the weight gradients wait for W. Adjoint stage 2 is
 	// column-sharded over every gathered row, adjoint stage 1 row-sharded
 	// over the member's own.
-	var last []int // per rank, its latest expert task
+	var last, landedOut []int // per rank its latest expert task; the last chunk's final tasks
 	for c, rr := range ranges {
 		last = w.expertStages(p, gm, b, passes, c, rr, after(landed[c]), [3]string{"B1", "AGb", "B2"}, 2,
 			ExpertPass.BackwardHidden, ExpertPass.BackwardIn)
-		w.leave(p, gm, b, c, rr, "RSd", "D", last)
+		landedOut = w.leave(p, gm, b, c, rr, "RSd", "D", last)
 		// Emit point c+1: slices here trail chunk c's last gradient
 		// collective, overlapping later expert chunks.
 		if w.sync != nil {
-			w.sync.EmitAt(p, "inter", c+1)
+			w.sync.EmitAt(p.Plan, "inter", c+1)
 		}
+	}
+
+	// S — the Order adjoint, once the last chunk's rows are in dScattered
+	// (stream order holds the earlier chunks' behind them). A dense plan's
+	// gate backward needs S's dispatch-weight gradient and follows it.
+	scatterEst := estElems(gm.R * gm.egg * gm.tpad * gm.mdim)
+	if key.dense {
+		s := p.Add("S", sim.KindOthers, routeStream, scatterEst+float64(E*gm.tpad*key.tokens*gm.mdim)/1e6,
+			func() error { rt.scatter(l); return nil }, landedOut...)
+		p.Add("G", sim.KindOthers, routeStream, gateEst, func() error { rt.gate(l); return nil }, s)
+	} else {
+		p.Add("S", sim.KindOthers, routeStream, scatterEst, func() error { rt.scatter(l); return nil }, append(landedOut, gate)...)
 	}
 
 	// W — the deferred full-block parameter-gradient reductions, off the
@@ -550,4 +675,39 @@ func (w *World) buildBackward(p *runtime.Plan, cache *WorldCache, dpad, dScatter
 			w.wrote(j/gm.g*gm.egg + le)
 		}
 	})
+	return p
+}
+
+// routeStream is the backward plan's stream for the routing path's adjoint.
+const routeStream = "route"
+
+// routeState is one backward pass's routing-path operands, the
+// workspace-held state the route stream's tasks read: set by each pass
+// before its plan runs.
+type routeState struct {
+	dx, gateDx *tensor.Tensor // (N, M): the token gradient, the gate's part of it
+	dScattered *tensor.Tensor // (E, Tpad, M) the experts' input gradient
+	x          *tensor.Tensor // (N, M) the layer's flattened input
+	plan       *DispatchPlan
+	rc         *RouteCache
+	grad       *PlanGrad
+}
+
+// gate runs the gate's backward into gateDx; on a dense plan, which runs it
+// last, it also adds gateDx into dx.
+func (rt *routeState) gate(l *MOELayer) {
+	l.cfg.Gate.Backward(rt.gateDx, rt.rc, rt.grad)
+	if rt.plan.IsDense() {
+		tensor.AddInPlace(rt.dx, rt.gateDx)
+	}
+}
+
+// scatter runs the Order adjoint into dx: then, on a hard plan, whose gate
+// backward has run, it adds gateDx; on a dense plan it computes the
+// dispatch-weight gradient the gate backward reads.
+func (rt *routeState) scatter(l *MOELayer) {
+	l.scatterAdjoint(rt.dx, rt.dScattered, rt.x, rt.plan, rt.grad)
+	if !rt.plan.IsDense() {
+		tensor.AddInPlace(rt.dx, rt.gateDx)
+	}
 }

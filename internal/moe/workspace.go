@@ -37,7 +37,13 @@ type workspace struct {
 	slots []wsSlot
 	next  int
 
-	fwd, bwd *passBufs // each direction's per-rank buffers and endpoint lists (strategy_plan.go)
+	fwd, bwd *passBufs // each direction's per-rank buffers, endpoint lists and plan (strategy_plan.go)
+
+	// The per-pass state the resident plans read through holders: the
+	// expert passes a forward begins and its backward continues, [rank]
+	// [expert of its group], and the backward's routing-path operands.
+	passes [][]ExpertPass
+	route  routeState
 }
 
 // wsShape is everything that decides which slots a pass asks for.
@@ -139,6 +145,18 @@ func (ws *workspace) blocks(ranks int, shape ...int) []*tensor.Tensor {
 		out[r] = ws.tensor(shape...)
 	}
 	return out
+}
+
+// expertPasses returns the workspace's holder of expert passes, ranks rows
+// of per experts each.
+func (ws *workspace) expertPasses(ranks, per int) [][]ExpertPass {
+	if len(ws.passes) != ranks || len(ws.passes[0]) != per {
+		ws.passes = make([][]ExpertPass, ranks)
+		for j := range ws.passes {
+			ws.passes[j] = make([]ExpertPass, per)
+		}
+	}
+	return ws.passes
 }
 
 // checkout takes the world's workspace for a pass at the given capacity:

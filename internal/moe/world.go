@@ -85,7 +85,7 @@ type World struct {
 	faults   *fault.Plan
 	retry    runtime.RetryPolicy
 	deadline time.Duration
-	collOps  int // collectives planned so far: deterministic guard op ids
+	collOps  int // collectives guarded so far: deterministic guard op ids
 	down     int
 	degraded *DegradedResult
 	closed   bool
@@ -215,14 +215,14 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 
 // planResources sizes the world to the machine at construction time. Its
 // plans use at most R compute streams, one intra stream per group when g > 1,
-// and the inter stream, so the executor runs them on k = that count capped
-// at GOMAXPROCS workers (runtime.Plan.ExecuteCtx). The one kernel pool is
-// ⌊GOMAXPROCS/k⌋ wide, so k kernels fanning out at once never exceed the
-// machine.
+// the inter stream and the backward's route stream, so the executor runs
+// them on k = that count capped at GOMAXPROCS workers
+// (runtime.Plan.ExecuteCtx). The one kernel pool is ⌊GOMAXPROCS/k⌋ wide, so
+// k kernels fanning out at once never exceed the machine.
 func (w *World) planResources() {
 	procs := goruntime.GOMAXPROCS(0)
 	R := w.cfg.Ranks
-	streams := R + 1
+	streams := R + 2
 	if w.pl.g > 1 {
 		streams += R / w.pl.g
 	}
@@ -308,14 +308,16 @@ func (w *World) Stats() comm.Stats {
 // LastPlan().SimulateWith(runtime.Durations(LastTrace())) predicts the
 // pipelined makespan from sequential measurements. Both are nil after a
 // pass that ran entirely on the degraded sequential path (no stream plan
-// exists for it).
+// exists for it). Both are resident, not copies: the world replays a plan
+// pass after pass, and each execution rewrites the plan's one trace, so
+// they are valid until the world's next pass.
 func (w *World) LastPlan() *runtime.Plan { return w.lastPlan }
 func (w *World) LastTrace() *sim.Trace   { return w.lastTr }
 
 // SetFaultPlan installs (or, with nil, removes) a seeded fault injector.
 // It is threaded into every subsequently executed plan and, through
 // per-collective guards, into the comm collectives themselves. Takes
-// effect from the next Forward.
+// effect from the next pass, replayed plans included.
 func (w *World) SetFaultPlan(fp *fault.Plan) { w.faults = fp }
 
 // SetRetry replaces the default transient-retry policy (4 attempts,
@@ -357,21 +359,18 @@ func (w *World) ResetHealth() {
 // re-routed or dropped, retries spent, and the recovery-time tail.
 func (w *World) LastDegraded() *DegradedResult { return w.degraded }
 
-// collGuard mints the fault-injection guard for the collective of the task
-// about to be added to p (nil: an operation outside any plan, retried by its
-// caller). Guards are created at plan-build time with a monotone operation
-// id, so which collectives fail is a deterministic function of the fault
-// seed and the sequence of passes, independent of stream interleaving.
-// Returns nil (check nothing) when injection is off.
-func (w *World) collGuard(p *runtime.Plan, stream, kind string) comm.Guard {
+// collGuard mints the fault-injection guard of one collective run by task
+// (negative: an operation outside any plan, retried by its caller). Each
+// guard takes the next of a monotone sequence of operation ids, so which
+// collectives fail is a deterministic function of the fault seed and the
+// sequence of passes, independent of stream interleaving. Returns nil
+// (check nothing) when injection is off.
+func (w *World) collGuard(stream, kind string, task int) comm.Guard {
 	if w.faults == nil {
 		return nil
 	}
-	id, task := w.collOps, -1
+	id := w.collOps
 	w.collOps++
-	if p != nil {
-		task = p.Len()
-	}
 	return comm.Guard(w.faults.Guard(stream, kind, task, id))
 }
 
@@ -381,10 +380,9 @@ func (w *World) collGuard(p *runtime.Plan, stream, kind string) comm.Guard {
 type WorldCache struct {
 	pr         *forwardProlog
 	spad, tpad int
-	ws         *workspace     // checked out by Forward, handed back by Backward
+	ws         *workspace     // checked out by Forward, handed back by Backward; holds the expert passes
 	scattered  *tensor.Tensor // (E, Tpad, M), the sequential layer's expert inputs
 	combined   *tensor.Tensor // (E, Tpad, M), the sequential layer's expertOut in rows [0, T) of each block
-	experts    [][]ExpertPass // [rank][expert of its group] the passes buildForward began
 	deg        *degradedState // non-nil when the forward ran degraded
 }
 
@@ -398,14 +396,22 @@ const (
 	KindExpert = sim.KindExperts
 )
 
-// run executes a plan under the current mode — threading the fault
-// injector, retry policy and deadline in — records it, and returns the
-// joined task errors.
-func (w *World) run(p *runtime.Plan) error {
-	if w.faults != nil {
-		p.SetFaultPlan(w.faults)
-	}
+// run executes a resident plan under the current mode — threading the
+// fault injector, retry policy and deadline in, and resolving each
+// collective task's guard, in build order, as a plan built for this pass
+// would have minted it — records it, and returns the joined task errors.
+// After a plan's first execution the GEMM scratch free-list is sized for it:
+// its products have asked for every size they need, and at most w.workers
+// of them run at once.
+func (w *World) run(lp *layerPlan) error {
+	p := lp.Plan
+	p.SetFaultPlan(w.faults)
 	p.SetRetry(w.retry)
+	for k := range lp.colls {
+		c := &lp.colls[k]
+		c.op = w.collOps
+		c.guard = w.collGuard(c.stream, c.kind, c.task)
+	}
 	ctx := context.Background()
 	if w.deadline > 0 {
 		var cancel context.CancelFunc
@@ -420,6 +426,10 @@ func (w *World) run(p *runtime.Plan) error {
 		tr, err = p.ExecuteCtx(ctx)
 	}
 	w.lastPlan, w.lastTr = p, tr
+	if !lp.ran {
+		lp.ran = true
+		tensor.ReserveScratch(w.workers)
+	}
 	return err
 }
 
@@ -468,9 +478,7 @@ func (w *World) forward(x *tensor.Tensor, train, owned bool) (*tensor.Tensor, *W
 	w.layer.cfg.Order.Scatter(cache.scattered, pr.flat, plan)
 	combined := ws.tensor(plan.Experts, cache.tpad, mdim)
 
-	p := runtime.NewPlan()
-	w.buildForward(p, cache, cache.scattered, combined)
-	if err := w.run(p); err != nil {
+	if err := w.run(w.forwardPlan(cache, cache.scattered, combined)); err != nil {
 		// Every task has drained; nothing of the aborted pass is read again.
 		w.release(cache)
 		if rank, ok := fault.PermanentRank(err); ok {
@@ -520,18 +528,21 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, owned bool) (*ten
 	}
 	dScattered := ws.tensor(plan.Experts, cache.tpad, mdim)
 
-	p := runtime.NewPlan()
-	w.buildBackward(p, cache, dpad, dScattered)
-	if err := w.run(p); err != nil {
+	lp := w.backwardPlan(cache, dpad, dScattered)
+	ws.route = routeState{dx: ws.tokens(owned, n, mdim), gateDx: ws.tensor(n, mdim), dScattered: dScattered,
+		x: pr.flat, plan: plan, rc: pr.rc, grad: planGrad}
+	err = w.run(lp)
+	dx := ws.route.dx
+	ws.route = routeState{}
+	if err != nil {
 		if rank, ok := fault.PermanentRank(err); ok {
 			w.down = rank
 			return w.degradedBackwardRecover(cache, dy, retriesIn(w.lastTr), err.Error())
 		}
 		return nil, err
 	}
-	dx := w.layer.backwardFinish(ws.tokens(owned, n, mdim), ws.tensor(n, mdim), dScattered, planGrad, pr.flat, pr.rc, plan, pr.shape)
 	w.release(cache)
-	return dx, nil
+	return restoreShape(dx, pr.shape), nil
 }
 
 // retriesIn counts the transient-fault retries an aborted trace spent.

@@ -216,15 +216,15 @@ func TestWorldStrategyValidation(t *testing.T) {
 }
 
 // onlyPlanStreams fails on a pack task or a stream outside the one naming
-// rule: inter, a group's intra:g<G>, a rank's compute:<r>.
+// rule: inter, a group's intra:g<G>, a rank's compute:<r>, and route.
 func onlyPlanStreams(t *testing.T, w *World) {
 	t.Helper()
 	for _, iv := range w.LastTrace().Intervals {
 		if iv.Task.Kind == sim.KindPack {
 			t.Fatalf("plan contains a pack task %q", iv.Task.Label)
 		}
-		if s := iv.Task.Stream; s != "inter" && !strings.HasPrefix(s, "intra:g") && !strings.HasPrefix(s, "compute:") {
-			t.Fatalf("%s task %q on stream %q, want inter, intra:g<G> or compute:<r>", iv.Task.Kind, iv.Task.Label, s)
+		if s := iv.Task.Stream; s != "inter" && s != "route" && !strings.HasPrefix(s, "intra:g") && !strings.HasPrefix(s, "compute:") {
+			t.Fatalf("%s task %q on stream %q, want inter, intra:g<G>, compute:<r> or route", iv.Task.Kind, iv.Task.Label, s)
 		}
 	}
 }

@@ -32,8 +32,17 @@
 // always ready or running. Hence no k can deadlock, and at k = 1 the tasks
 // run in id order.
 //
-// Because a task's closure mutates real buffers (and parameter-gradient
-// accumulators), a Plan is single-shot: build a fresh Plan per execution.
+// A Plan is replayable: it may be executed any number of times, one
+// execution at a time, and every execution runs each closure once. What an
+// execution measures is reset when the next one starts: the workers' shared
+// state (stream heads, finished tasks, the incident log) and the measured
+// trace, which is the plan's own — one *sim.Trace per plan, rewritten by
+// each execution, so a trace an execution returned is valid until the plan
+// is executed again. The closures are the caller's: a plan replayed over
+// the same buffers reads whatever per-run state its closures reach through
+// holders the caller refreshes between executions. Execute on a plan that
+// is still running fails; a plan that gained tasks since its last execution
+// sizes its state afresh.
 package runtime
 
 import (
@@ -43,6 +52,7 @@ import (
 	goruntime "runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -140,8 +150,19 @@ type Plan struct {
 	bindings map[string]Binding
 	injector *fault.Plan
 	retry    RetryPolicy
-	executed bool
+
+	// What one execution resets and the next reuses: the workers' shared
+	// state and the measured trace, both sized for the sized tasks the plan
+	// had when they were made. running refuses a second execution while one
+	// is in flight.
+	running atomic.Bool
+	state   execState
+	trace   *sim.Trace
+	sized   int
 }
+
+// errRunning reports an execution of a plan that is already running.
+var errRunning = errors.New("runtime: plan is already running (a plan runs one execution at a time)")
 
 // SetFaultPlan installs a deterministic fault injector consulted before
 // every task attempt (nil removes it). Injection happens strictly before
@@ -235,15 +256,6 @@ func (p *Plan) Simulate() *sim.Trace { return p.g.Run() }
 // entries keep the estimate).
 func (p *Plan) SimulateWith(durations []float64) *sim.Trace { return p.g.RunWith(durations) }
 
-// markExecuted guards the single-shot contract.
-func (p *Plan) markExecuted() error {
-	if p.executed {
-		return fmt.Errorf("runtime: plan already executed (plans are single-shot: closures mutate real buffers)")
-	}
-	p.executed = true
-	return nil
-}
-
 // execState is the state the workers of one execution share. mu guards
 // the incident log and the scheduling state: where each stream's queue
 // stands and which tasks have finished.
@@ -257,6 +269,7 @@ type execState struct {
 	cancel  context.CancelFunc
 	t0      time.Time
 	timings []timing // per task, written by the worker that took it
+	wg      sync.WaitGroup
 
 	mu     sync.Mutex
 	cond   sync.Cond // signalled when a head is ready for a waiting worker
@@ -435,60 +448,86 @@ func (p *Plan) work(e *execState) {
 // execute runs the plan on min(k, streams) workers, at least one, the
 // calling goroutine among them.
 func (p *Plan) execute(ctx context.Context, k int) (*sim.Trace, error) {
-	if err := p.markExecuted(); err != nil {
-		return nil, err
+	if !p.running.CompareAndSwap(false, true) {
+		return nil, errRunning
 	}
-	streams, n := p.Streams(), p.Len()
-	k = max(1, min(k, len(streams)))
-	e := &execState{
-		t0:      time.Now(),
-		timings: make([]timing, n),
-		queues:  make([][]int, len(streams)),
-		head:    make([]int, len(streams)),
-		busy:    make([]bool, len(streams)),
-		done:    make([]bool, n),
-		left:    n,
-	}
-	e.ctx, e.cancel = context.WithCancel(ctx)
+	defer p.running.Store(false)
+	e := p.reset(ctx)
 	defer e.cancel()
-	e.cond.L = &e.mu
-	for i, name := range streams {
-		e.queues[i] = p.g.Queue(name)
-	}
-	var wg sync.WaitGroup
+	k = max(1, min(k, len(e.queues)))
 	for range k - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.work(e)
-		}()
+		e.wg.Add(1)
+		go p.worker(e)
 	}
 	p.work(e)
-	wg.Wait()
-	return p.finishTrace(ctx, e, streams)
+	e.wg.Wait()
+	return p.finishTrace(ctx, e)
 }
 
-// finishTrace assembles the measured trace and the joined error set. Each
-// interval's Task is the plan's own: its Duration is the estimate, the
-// interval holds the measurement.
-func (p *Plan) finishTrace(ctx context.Context, e *execState, streams []string) (*sim.Trace, error) {
+// reset readies the plan's execution state and trace for one execution:
+// sized afresh for a plan that gained tasks since it was last sized, cleared
+// otherwise.
+func (p *Plan) reset(ctx context.Context) *execState {
+	e, n := &p.state, p.Len()
+	if p.trace == nil || p.sized != n {
+		streams := p.g.Streams()
+		*e = execState{
+			timings: make([]timing, n),
+			queues:  make([][]int, len(streams)),
+			head:    make([]int, len(streams)),
+			busy:    make([]bool, len(streams)),
+			done:    make([]bool, n),
+		}
+		for i, name := range streams {
+			e.queues[i] = p.g.Queue(name)
+		}
+		intervals := make([]sim.Interval, n)
+		for i := range intervals {
+			intervals[i].Task = p.g.Task(i)
+		}
+		p.trace, p.sized = sim.NewTrace(intervals, streams), n
+	} else {
+		clear(e.timings)
+		clear(e.head)
+		clear(e.busy)
+		clear(e.done)
+		e.events = e.events[:0]
+	}
+	e.left = n
+	e.cond.L = &e.mu
+	e.t0 = time.Now()
+	e.ctx, e.cancel = context.WithCancel(ctx)
+	return e
+}
+
+// worker is one of the workers execute starts beside the calling goroutine.
+func (p *Plan) worker(e *execState) {
+	defer e.wg.Done()
+	p.work(e)
+}
+
+// finishTrace writes the measured intervals into the plan's trace and
+// returns it with the joined error set. Each interval's Task is the plan's
+// own: its Duration is the estimate, the interval holds the measurement.
+func (p *Plan) finishTrace(ctx context.Context, e *execState) (*sim.Trace, error) {
 	var errs []error
-	intervals := make([]sim.Interval, len(e.timings))
+	tr := p.trace
+	tr.Makespan = 0
 	for i, tm := range e.timings {
 		if tm.err != nil {
 			errs = append(errs, tm.err)
 		}
-		intervals[i] = sim.Interval{
-			Task:   p.g.Task(i),
-			Start:  tm.start.Seconds() * 1e3,
-			Finish: tm.finish.Seconds() * 1e3,
-		}
+		iv := &tr.Intervals[i]
+		iv.Start, iv.Finish = tm.start.Seconds()*1e3, tm.finish.Seconds()*1e3
+		tr.Makespan = max(tr.Makespan, iv.Finish)
 	}
 	if err := ctx.Err(); err != nil {
 		errs = append(errs, fmt.Errorf("runtime: execution canceled: %w", err))
 	}
-	tr := sim.NewTrace(intervals, streams)
-	tr.Events = e.events
+	tr.Events = nil
+	if len(e.events) > 0 {
+		tr.Events = e.events
+	}
 	return tr, errors.Join(errs...)
 }
 
@@ -504,7 +543,9 @@ func (p *Plan) Execute() (*sim.Trace, error) {
 // one task at a time in enqueue order, and at most k task bodies run at
 // once. The lowest unfinished task is always ready or running, so the
 // workers never deadlock. The returned trace holds measured wall-clock
-// intervals in milliseconds relative to the execution start.
+// intervals in milliseconds relative to the execution start; it is the
+// plan's own, rewritten by the plan's next execution. ExecuteCtx on a plan
+// that is running fails without running anything.
 //
 // Failure semantics: an ordinary task error aborts nothing — streams
 // drain fully and downstream tasks still run (their inputs may be

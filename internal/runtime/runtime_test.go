@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -255,26 +256,89 @@ func TestSimulateWithOverrides(t *testing.T) {
 	}
 }
 
-// TestExecuteSequentialRunsAllAndSingleShot: sequential execution runs
-// every closure exactly once in id order, and a Plan refuses re-execution.
-func TestExecuteSequentialRunsAllAndSingleShot(t *testing.T) {
+// TestExecuteSequentialRunsAllAndReplays: a plan is replayable. Executed
+// three times — sequentially, on the k-worker executor, sequentially again —
+// it runs every closure once per execution, each execution in a valid order
+// (every task after its dependencies and its stream predecessor, and at
+// k = 1 in id order), and each returns the plan's one trace with fresh
+// intervals: a task that sleeps only in the second execution is long there
+// and short in the others. An execution started from inside a running task
+// fails without running anything, and the running execution completes.
+func TestExecuteSequentialRunsAllAndReplays(t *testing.T) {
 	p := NewPlan()
-	var calls atomic.Int32
-	for i := 0; i < 5; i++ {
-		p.Add("T", sim.KindPack, "s", 1, func() error { calls.Add(1); return nil })
+	run := 0
+	var mu sync.Mutex
+	var order []int
+	var nested error
+	var calls [5]atomic.Int32
+	body := func(id int) func() error {
+		return func() error {
+			calls[id].Add(1)
+			if id == 2 && run == 2 {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if id == 3 {
+				_, nested = p.Execute()
+			}
+			mu.Lock()
+			order = append(order, id)
+			mu.Unlock()
+			return nil
+		}
 	}
-	tr, err := p.ExecuteSequential()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 5 {
-		t.Fatalf("ran %d closures, want 5", calls.Load())
-	}
-	if len(Durations(tr)) != 5 {
-		t.Fatalf("durations len %d, want 5", len(Durations(tr)))
-	}
-	if _, err := p.Execute(); err == nil {
-		t.Fatal("re-executing a plan must fail")
+	a := p.Add("A", sim.KindPack, "s1", 1, body(0))
+	b := p.Add("B", sim.KindPack, "s2", 1, body(1), a)
+	c := p.Add("C", sim.KindPack, "s2", 1, body(2))
+	p.Add("D", sim.KindPack, "s1", 1, body(3), b, c)
+	p.Add("E", sim.KindPack, "s3", 1, body(4))
+	var first *sim.Trace
+	for run = 1; run <= 3; run++ {
+		order, nested = order[:0], nil
+		exec := p.ExecuteSequential
+		if run == 2 {
+			exec = p.Execute
+		}
+		tr, err := exec()
+		if err != nil {
+			t.Fatalf("execution %d: %v", run, err)
+		}
+		if !errors.Is(nested, errRunning) {
+			t.Fatalf("execution %d: nested Execute returned %v, want errRunning", run, nested)
+		}
+		for id := range calls {
+			if got := calls[id].Load(); got != int32(run) {
+				t.Fatalf("execution %d: task %d ran %d times in all, want %d", run, id, got, run)
+			}
+		}
+		pos := map[int]int{}
+		for i, id := range order {
+			pos[id] = i
+		}
+		for _, iv := range tr.Intervals {
+			for _, d := range iv.Task.Deps {
+				if pos[d] > pos[iv.Task.ID] {
+					t.Fatalf("execution %d: task %d ran before its dependency %d: %v", run, iv.Task.ID, d, order)
+				}
+			}
+		}
+		if pos[2] < pos[1] || pos[3] < pos[0] {
+			t.Fatalf("execution %d: a stream ran out of enqueue order: %v", run, order)
+		}
+		if run != 2 && !slices.IsSorted(order) {
+			t.Fatalf("execution %d: sequential order %v, want id order", run, order)
+		}
+		if first == nil {
+			first = tr
+		} else if tr != first {
+			t.Fatalf("execution %d returned a new trace; a plan keeps one", run)
+		}
+		long := tr.Intervals[2].Finish-tr.Intervals[2].Start >= 5
+		if long != (run == 2) {
+			t.Fatalf("execution %d: task C took %.3f ms, stale or missing interval", run, tr.Intervals[2].Finish-tr.Intervals[2].Start)
+		}
+		if len(Durations(tr)) != 5 {
+			t.Fatalf("execution %d: durations len %d, want 5", run, len(Durations(tr)))
+		}
 	}
 }
 

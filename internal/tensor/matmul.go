@@ -248,16 +248,19 @@ func (p *Pool) windowed(gemm func(p *Pool, dst, a, b []float64, m, k, n int),
 // scratch is windowed's working memory: a free-list of its own rather than
 // Get/Put, because the collector empties a sync.Pool and every refill is an
 // allocation on some later step. These buffers stay: as many as products
-// ever needed one at once, each at the largest size it was asked for.
+// ever needed one at once, or ReserveScratch asked for, each at the largest
+// size it was asked for. most is the largest request so far.
 var scratch struct {
 	sync.Mutex
 	free [][]float64
+	most int
 }
 
 // takeScratch returns n elements of scratch, whatever they held.
 func takeScratch(n int) []float64 {
 	var s []float64
 	scratch.Lock()
+	scratch.most = max(scratch.most, n)
 	if k := len(scratch.free); k > 0 {
 		s, scratch.free = scratch.free[k-1], scratch.free[:k-1]
 	}
@@ -266,6 +269,29 @@ func takeScratch(n int) []float64 {
 		s = make([]float64, n)
 	}
 	return s[:n]
+}
+
+// ReserveScratch sizes the row-form products' scratch free-list for
+// products products running at once: it holds at least 2·products buffers
+// (a product over a@bᵀ holds two at a time), each as large as the largest
+// request so far. A caller whose products repeat — a stream plan replayed
+// step after step, which knows its executor's width — calls it once they
+// have run, and from then on no product of the same shapes allocates
+// scratch, however its executions happen to overlap.
+func ReserveScratch(products int) {
+	scratch.Lock()
+	defer scratch.Unlock()
+	if scratch.most == 0 {
+		return // no product has asked for scratch
+	}
+	for i, s := range scratch.free {
+		if cap(s) < scratch.most {
+			scratch.free[i] = make([]float64, scratch.most)
+		}
+	}
+	for len(scratch.free) < 2*products {
+		scratch.free = append(scratch.free, make([]float64, scratch.most))
+	}
 }
 
 // dropScratch returns a takeScratch buffer to the free-list.

@@ -12,7 +12,6 @@ package tensor
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -20,30 +19,21 @@ import (
 // baseline that shows what tiny index spaces used to pay.
 func fanoutRange(n int, fn func(lo, hi int)) {
 	p := &defaultPool
-	w := p.Workers()
-	if w > n {
-		w = n
-	}
+	w := min(p.Workers(), n)
 	if w <= 1 {
 		fn(0, n)
 		return
 	}
 	p.startWorkers()
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		lo, hi := lo, lo+chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		p.submit(func() {
-			defer wg.Done()
-			fn(lo, hi)
-		})
+	size := (n + w - 1) / w
+	j := p.takeJob(fn, nil)
+	for lo := size; lo < n; lo += size {
+		j.wg.Add(1)
+		p.submit(chunk{j: j, lo: lo, hi: min(lo+size, n)})
 	}
-	fn(0, chunk)
-	p.helpWait(&wg)
+	fn(0, size)
+	p.helpWait(&j.wg)
+	p.dropJob(j)
 }
 
 func BenchmarkParallelRangeTiny(b *testing.B) {

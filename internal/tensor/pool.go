@@ -90,8 +90,63 @@ const serialCutoff = 2
 type Pool struct {
 	width  int // fixed parallel width; 0 = the default pool (tracks Workers())
 	start  sync.Once
-	queue  chan func()
+	queue  chan chunk
 	closed atomic.Bool
+
+	// jobs is the free-list of region records: a parallel region takes one
+	// for its duration and hands it back, so a warm region allocates nothing.
+	jobsMu sync.Mutex
+	jobs   []*job
+}
+
+// job is one parallel region: its body — a range function, or a per-index
+// one that ParallelFor runs over each index of a chunk — and the count of
+// its chunks still running.
+type job struct {
+	fn   func(lo, hi int)
+	each func(i int)
+	wg   sync.WaitGroup
+}
+
+// chunk is one queued piece of a region: indices [lo, hi) of job j.
+type chunk struct {
+	j      *job
+	lo, hi int
+}
+
+// run runs the chunk's indices.
+func (c chunk) run() {
+	if c.j.fn != nil {
+		c.j.fn(c.lo, c.hi)
+		return
+	}
+	for i := c.lo; i < c.hi; i++ {
+		c.j.each(i)
+	}
+}
+
+// takeJob returns a region record for fn or each, from the free-list when
+// it has one.
+func (p *Pool) takeJob(fn func(lo, hi int), each func(i int)) *job {
+	p.jobsMu.Lock()
+	var j *job
+	if k := len(p.jobs); k > 0 {
+		j, p.jobs = p.jobs[k-1], p.jobs[:k-1]
+	}
+	p.jobsMu.Unlock()
+	if j == nil {
+		j = &job{}
+	}
+	j.fn, j.each = fn, each
+	return j
+}
+
+// dropJob hands a finished region's record back.
+func (p *Pool) dropJob(j *job) {
+	j.fn, j.each = nil, nil
+	p.jobsMu.Lock()
+	p.jobs = append(p.jobs, j)
+	p.jobsMu.Unlock()
 }
 
 // defaultPool backs the package-level functions and nil *Pool methods.
@@ -144,11 +199,12 @@ func (p *Pool) startWorkers() {
 		if n < 1 {
 			n = 1
 		}
-		p.queue = make(chan func(), 4*maxPoolGoroutines)
+		p.queue = make(chan chunk, 4*maxPoolGoroutines)
 		for i := 0; i < n; i++ {
 			go func() {
-				for task := range p.queue {
-					task()
+				for c := range p.queue {
+					c.run()
+					c.j.wg.Done()
 				}
 			}()
 		}
@@ -171,19 +227,19 @@ func (p *Pool) Close() {
 	}
 }
 
-// submit hands task to a pool worker, or runs it inline when the queue is
-// full (or the pool was closed). Inline fallback keeps nested ParallelFor
-// calls deadlock-free.
-func (p *Pool) submit(task func()) {
-	if p.closed.Load() {
-		task()
-		return
+// submit hands a chunk to a pool worker, or runs it inline when the queue
+// is full (or the pool was closed). Inline fallback keeps nested
+// ParallelFor calls deadlock-free.
+func (p *Pool) submit(c chunk) {
+	if !p.closed.Load() {
+		select {
+		case p.queue <- c:
+			return
+		default:
+		}
 	}
-	select {
-	case p.queue <- task:
-	default:
-		task()
-	}
+	c.run()
+	c.j.wg.Done()
 }
 
 // ParallelRange splits [0, n) into at most p.Workers() contiguous chunks
@@ -192,50 +248,42 @@ func (p *Pool) submit(task func()) {
 // its chunks finish — so even if every pool worker is itself blocked in a
 // nested ParallelRange, queued tasks always have someone running them and
 // nesting can never deadlock, regardless of how the width compares to the
-// pool's goroutine count.
-func (p *Pool) ParallelRange(n int, fn func(lo, hi int)) {
-	p = p.self()
-	if n <= serialCutoff {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	w := p.Workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		fn(0, n)
-		return
-	}
-	p.startWorkers()
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		lo, hi := lo, lo+chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		p.submit(func() {
-			defer wg.Done()
-			fn(lo, hi)
-		})
-	}
-	fn(0, chunk)
-	p.helpWait(&wg)
-}
+// pool's goroutine count. The region's record comes from the pool's
+// free-list and the chunks travel by value, so a warm call allocates
+// nothing.
+func (p *Pool) ParallelRange(n int, fn func(lo, hi int)) { p.parallel(n, fn, nil) }
 
 // ParallelFor runs fn(i) for every i in [0, n), sharding the index space
 // over the pool. Iterations must be independent: they may run concurrently
 // and in any order across chunks.
-func (p *Pool) ParallelFor(n int, fn func(i int)) {
-	p.ParallelRange(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
+func (p *Pool) ParallelFor(n int, fn func(i int)) { p.parallel(n, nil, fn) }
+
+// parallel is ParallelRange over fn, or ParallelFor over each.
+func (p *Pool) parallel(n int, fn func(lo, hi int), each func(i int)) {
+	p = p.self()
+	w := min(p.Workers(), n)
+	if n <= serialCutoff || w <= 1 {
+		switch {
+		case n <= 0:
+		case fn != nil:
+			fn(0, n)
+		default:
+			for i := range n {
+				each(i)
+			}
 		}
-	})
+		return
+	}
+	p.startWorkers()
+	size := (n + w - 1) / w
+	j := p.takeJob(fn, each)
+	for lo := size; lo < n; lo += size {
+		j.wg.Add(1)
+		p.submit(chunk{j: j, lo: lo, hi: min(lo+size, n)})
+	}
+	chunk{j: j, lo: 0, hi: size}.run()
+	p.helpWait(&j.wg)
+	p.dropJob(j)
 }
 
 // helpWait drains the work queue until it is momentarily empty, then
@@ -249,12 +297,13 @@ func (p *Pool) ParallelFor(n int, fn func(i int)) {
 func (p *Pool) helpWait(wg *sync.WaitGroup) {
 	for {
 		select {
-		case task, ok := <-p.queue:
+		case c, ok := <-p.queue:
 			if !ok {
 				wg.Wait()
 				return
 			}
-			task()
+			c.run()
+			c.j.wg.Done()
 		default:
 			wg.Wait()
 			return

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,6 +128,73 @@ func TestNestedParallelOversubscribed(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("nested ParallelFor/ParallelRange deadlocked")
+	}
+}
+
+// TestParallelRangeAllocatesNothing: a warm ParallelRange or ParallelFor
+// with a prebuilt body allocates nothing, on a scoped pool and on the
+// default one, fanning out and running serially, and still covers every
+// index once.
+func TestParallelRangeAllocatesNothing(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(4)
+	pool := NewPool(2)
+	defer pool.Close()
+	var hits [64]atomic.Int32
+	rangeFn := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			hits[i].Add(1)
+		}
+	}
+	forFn := func(i int) { hits[i].Add(1) }
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"scoped range", func() { pool.ParallelRange(64, rangeFn) }},
+		{"scoped for", func() { pool.ParallelFor(64, forFn) }},
+		{"default range", func() { ParallelRange(64, rangeFn) }},
+		{"default for", func() { ParallelFor(64, forFn) }},
+		{"serial range", func() { ParallelRange(2, rangeFn) }},
+		{"serial for", func() { ParallelFor(2, forFn) }},
+	} {
+		calls := 0
+		if allocs := testing.AllocsPerRun(100, func() { tc.call(); calls++ }); allocs != 0 {
+			t.Errorf("%s: %v allocations per warm call, want 0", tc.name, allocs)
+		}
+		n := 64
+		if strings.HasPrefix(tc.name, "serial") {
+			n = 2
+		}
+		for i := range hits {
+			want := int32(0)
+			if i < n {
+				want = int32(calls)
+			}
+			if got := hits[i].Swap(0); got != want {
+				t.Fatalf("%s: index %d ran %d times in %d calls, want %d", tc.name, i, got, calls, want)
+			}
+		}
+	}
+}
+
+// TestReserveScratch: once ReserveScratch has sized the free-list for k
+// products, 2·k buffers of the largest size asked for so far are taken and
+// dropped without an allocation.
+func TestReserveScratch(t *testing.T) {
+	const k, n = 3, 4096
+	dropScratch(takeScratch(n))
+	ReserveScratch(k)
+	held := make([][]float64, 2*k)
+	if allocs := testing.AllocsPerRun(20, func() {
+		for i := range held {
+			held[i] = takeScratch(n - i)
+		}
+		for _, s := range held {
+			dropScratch(s)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%v allocations taking %d buffers after ReserveScratch(%d), want 0", allocs, 2*k, k)
 	}
 }
 
