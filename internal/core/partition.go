@@ -27,8 +27,8 @@ type GarPlan struct {
 
 // HiddenBytes returns the bytes the plan hides around layer i's backward:
 // the MoE-pipeline window plus the dense-backward window. This is the
-// per-layer budget the executable gradsync.Syncer materializes as
-// AllReduce slices in that layer's backward stream plan.
+// per-layer budget the executable gradsync.Plan cuts into AllReduce slices
+// for that layer's backward stream plan.
 func (g *GarPlan) HiddenBytes(i int) float64 { return g.MoEBytes[i] + g.DenseBytes[i] }
 
 // Overlapped returns the total bytes hidden by the plan.

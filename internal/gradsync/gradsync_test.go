@@ -16,14 +16,15 @@ import (
 	"repro/internal/xrand"
 )
 
-// testSpecs builds L layers of n elements with simulator-consistent byte
-// accounting on Testbed A's models.
+// testSpecs builds L layers of n elements and three emit points each, with
+// simulator-consistent byte accounting on Testbed A's models.
 func testSpecs(l, n int) (Config, []LayerSpec) {
 	cfg := Config{Models: core.ModelsFromCluster(topology.TestbedA()), ElemBytes: 4, Slices: 3}
 	specs := make([]LayerSpec, l)
 	for i := range specs {
 		specs[i] = LayerSpec{
-			Elems: n,
+			Elems:  n,
+			Points: 3,
 			V: core.Volumes{
 				NA2A: 1e6, NAG: 1e5, NRS: 1e5, ExpMACs: 1e8, ExpGEMMs: 2,
 				DenseFwd: 0.1, DenseBwd: 0.3,
@@ -45,50 +46,66 @@ func randGrads(seed uint64, n int) (buf, truth []float64) {
 	return slices.Clone(truth), truth
 }
 
-// driveBackward simulates the plan-builder protocol for one full backward
-// pass in reverse layer order, executing each layer's plan for real.
-func driveBackward(t *testing.T, s *Syncer, layers int, grads [][]float64, points int) {
-	t.Helper()
-	for i := layers - 1; i >= 0; i-- {
-		s.StartLayer(i)
-		p := runtime.NewPlan()
-		s.BeginLayer(points)
-		for pt := 0; pt < points; pt++ {
-			s.EmitAt(p, "inter", pt)
+// backwardPlan builds layer i's stand-in backward plan the way a stream-plan
+// builder does: at each emit point pt, one AllReduce task per slice of
+// Hidden(i)[pt] on the inter stream. poison, when at least 0, puts a task
+// that fails with a permanent fault before point poison's slices.
+func backwardPlan(p *Plan, i, poison int) *runtime.Plan {
+	rp := runtime.NewPlan()
+	for pt, sls := range p.Hidden(i) {
+		if pt == poison {
+			rp.Add("poison", "Experts", "inter", 1, func() error {
+				return fault.NewPermanent(0, "poison", "injected rank-down")
+			})
 		}
-		if p.Len() > 0 {
-			if _, err := p.Execute(); err != nil {
+		for _, sl := range sls {
+			rp.Add(sl.Name, KindAllReduce, "inter", float64(2*sl.Len())/1e6, func() error { p.Run(sl); return nil })
+		}
+	}
+	return rp
+}
+
+// driveBackward runs one step's synchronization under p: Begin, every
+// layer's backward plan in reverse layer order, executed for real, and
+// Finish.
+func driveBackward(t *testing.T, p *Plan, update Update) Report {
+	t.Helper()
+	p.Begin(update)
+	for i := len(p.specs) - 1; i >= 0; i-- {
+		if rp := backwardPlan(p, i, -1); rp.Len() > 0 {
+			if _, err := rp.Execute(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := s.Collect(i, grads[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
+	return p.Finish()
+}
+
+// mustSolve solves the schedule for (cfg, specs).
+func mustSolve(t testing.TB, cfg Config, specs []LayerSpec) *Plan {
+	t.Helper()
+	p, err := Solve(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // TestSyncerStrategiesBitIdentical: all three strategies must leave every
-// layer's gradients the identical bytes — only scheduling differs.
+// layer's gradients the identical bytes — only scheduling differs — and
+// account every byte once, hidden or in the tail.
 func TestSyncerStrategiesBitIdentical(t *testing.T) {
 	const layers, n = 3, 501
 	for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {
 		cfg, specs := testSpecs(layers, n)
 		cfg.Strategy = strat
 		cfg.ChunkBytes = 256 * 4 // small fixed chunks so Lina actually slices
-		s, err := New(cfg, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		grads := make([][]float64, layers)
 		truths := make([][]float64, layers)
 		for i := range grads {
 			grads[i], truths[i] = randGrads(uint64(50+i), n)
 		}
-		driveBackward(t, s, layers, grads, 3)
-		rep, err := s.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := driveBackward(t, mustSolve(t, cfg, specs), nil)
 		for i := range grads {
 			for k := 0; k < n; k++ {
 				if grads[i][k] != truths[i][k] {
@@ -125,69 +142,39 @@ func TestSyncerStrategiesBitIdentical(t *testing.T) {
 func TestSyncerFSMoEHidesBytes(t *testing.T) {
 	const layers, n = 4, 2048
 	cfg, specs := testSpecs(layers, n)
-	s, err := New(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
+	for i := range specs {
+		specs[i].Points = 2
 	}
-	grads := make([][]float64, layers)
-	for i := range grads {
-		grads[i], _ = randGrads(uint64(90+i), n)
-	}
-	driveBackward(t, s, layers, grads, 2)
-	rep, err := s.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := driveBackward(t, mustSolve(t, cfg, specs), nil)
 	if rep.HiddenBytes <= 0 {
 		t.Fatalf("adaptive plan hid nothing (report %+v, gar %+v)", rep, rep.Gar)
 	}
 }
 
-// TestSyncerValidation covers construction and protocol errors.
+// TestSyncerValidation covers Solve's rejection of bad inputs.
 func TestSyncerValidation(t *testing.T) {
 	cfg, specs := testSpecs(2, 64)
-	if _, err := New(cfg, nil); err == nil {
+	if _, err := Solve(cfg, nil); err == nil {
 		t.Fatal("no layers must fail")
 	}
-	bad := append([]LayerSpec(nil), specs...)
+	bad := slices.Clone(specs)
 	bad[0].Elems = 0
-	if _, err := New(cfg, bad); err == nil {
+	if _, err := Solve(cfg, bad); err == nil {
 		t.Fatal("a layer with no gradient elements must fail")
 	}
+	bad = slices.Clone(specs)
+	bad[1].Points = 0
+	if _, err := Solve(cfg, bad); err == nil {
+		t.Fatal("a layer with no emit points must fail")
+	}
+	bad = slices.Clone(specs)
+	bad[0].V.ExpGEMMs = 0
+	if _, err := Solve(cfg, bad); err == nil {
+		t.Fatal("invalid volumes must fail")
+	}
 	cfg.Strategy = "warp-drive"
-	if _, err := New(cfg, specs); err == nil {
+	if _, err := Solve(cfg, specs); err == nil {
 		t.Fatal("unknown strategy must fail")
-	}
-	cfg.Strategy = StrategyNoOverlap
-	s, err := New(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Finish(); err == nil {
-		t.Fatal("Finish before Collect must fail")
-	}
-	g0, _ := randGrads(1, 64)
-	if err := s.Collect(5, g0); err == nil {
-		t.Fatal("unknown layer must fail")
-	}
-	if err := s.Collect(0, []float64{1, 2}); err == nil {
-		t.Fatal("wrong element count must fail")
-	}
-	if err := s.Collect(0, g0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Collect(0, g0); err == nil {
-		t.Fatal("double collect must fail")
-	}
-	g1, _ := randGrads(2, 64)
-	if err := s.Collect(1, g1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Finish(); err == nil {
-		t.Fatal("double Finish must fail")
 	}
 }
 
@@ -220,76 +207,70 @@ func checkSteppedOnce(t *testing.T, label string, grads, truth, seen [][]float64
 	}
 }
 
-// TestSyncerAbortedPlanReclaimsSlices: a plan that absorbed AllReduce
-// slices via EmitAt and then aborted mid-run (a permanent fault cancels
-// the inter stream, skipping the remaining slice tasks) must not lose
-// them — the skipped slices return to the pending pool and Finish updates
-// every element, once, so the stepped values stay exact.
-func TestSyncerAbortedPlanReclaimsSlices(t *testing.T) {
-	const layers, n = 2, 800
-	cfg, specs := testSpecs(layers, n)
-	cfg.Strategy = StrategyFSMoE
-	plan, err := Solve(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grads := make([][]float64, layers)
-	truth := make([][]float64, layers)
-	seen := make([][]float64, layers)
+// stepBuffers builds layers gradient buffers of n elements from seed on,
+// their starting values, and the per-element Update counts.
+func stepBuffers(layers, n int, seed uint64) (grads, truth, seen [][]float64) {
+	grads, truth, seen = make([][]float64, layers), make([][]float64, layers), make([][]float64, layers)
 	for i := range grads {
-		grads[i], truth[i] = randGrads(uint64(900+i), n)
+		grads[i], truth[i] = randGrads(seed+uint64(i), n)
 		seen[i] = make([]float64, n)
 	}
-	s := plan.NewSyncer(stepOnce(grads, seen))
-
-	// Layer 1's backward plan: nothing pending yet, so its emits are empty.
-	s.StartLayer(1)
-	s.BeginLayer(1)
-	p1 := runtime.NewPlan()
-	s.EmitAt(p1, "inter", 0)
-	if err := s.Collect(1, grads[1]); err != nil {
-		t.Fatal(err)
-	}
-
-	// Layer 0's plan absorbs layer 1's pending slices across three emit
-	// points, but a permanent fault lands between points 0 and 1: the
-	// slices already run stay stepped, the rest are skipped when the plan
-	// cancels — and must be reclaimed rather than lost.
-	s.StartLayer(0)
-	s.BeginLayer(3)
-	p0 := runtime.NewPlan()
-	s.EmitAt(p0, "inter", 0)
-	p0.Add("poison", "Experts", "inter", 1, func() error {
-		return fault.NewPermanent(0, "poison", "injected rank-down")
-	})
-	s.EmitAt(p0, "inter", 1)
-	s.EmitAt(p0, "inter", 2)
-	emitted := s.rep.Slices
-	if emitted == 0 {
-		t.Fatal("layer 0's plan absorbed no slices; the scenario never formed")
-	}
-	if _, err := p0.Execute(); err == nil {
-		t.Fatal("poisoned plan must fail")
-	}
-	if err := s.Collect(0, grads[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := s.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TailSlices == 0 {
-		t.Fatal("aborted plan's skipped slices never reached the tail")
-	}
-	checkSteppedOnce(t, "aborted plan", grads, truth, seen)
+	return grads, truth, seen
 }
 
-// TestSyncerUpdateOncePerElement: a Syncer cut with an Update leaves every
+// TestSyncerAbortedPlanReclaimsSlices: a backward plan that aborts mid-run
+// (a permanent fault cancels the inter stream, skipping its remaining slice
+// tasks) loses none of them: Finish runs every slice no plan ran, once, so
+// the stepped values stay exact, and the Report counts each slice where it
+// ran — every byte once, and as many slices as a clean step.
+func TestSyncerAbortedPlanReclaimsSlices(t *testing.T) {
+	const layers, n = 3, 800
+	cfg, specs := testSpecs(layers, n)
+	cfg.Strategy = StrategyFixedChunk
+	cfg.ChunkBytes = 100 * cfg.ElemBytes
+	plan := mustSolve(t, cfg, specs)
+	grads, truth, seen := stepBuffers(layers, n, 900)
+	clean := driveBackward(t, plan, stepOnce(grads, seen))
+	checkSteppedOnce(t, "clean step", grads, truth, seen)
+	planned := clean.Slices + clean.TailSlices
+
+	// Layer 2's plan hides nothing and layer 1's runs whole; layer 0's holds
+	// layer 1's slices over three emit points, and a permanent fault lands
+	// between points 0 and 1: the slices already run stay stepped, the rest
+	// are skipped when the plan cancels.
+	grads, truth, seen = stepBuffers(layers, n, 900)
+	plan.Begin(stepOnce(grads, seen))
+	for i := layers - 1; i >= 0; i-- {
+		poison := -1
+		if i == 0 {
+			poison = 1
+		}
+		_, err := backwardPlan(plan, i, poison).Execute()
+		if (err != nil) != (i == 0) {
+			t.Fatalf("layer %d's plan: err %v", i, err)
+		}
+	}
+	if plan.rep.Slices == 0 || plan.rep.Slices == clean.Slices {
+		t.Fatalf("layer 0's plan ran %d of %d slices; the scenario never formed", plan.rep.Slices, clean.Slices)
+	}
+	rep := plan.Finish()
+	checkSteppedOnce(t, "aborted plan", grads, truth, seen)
+	if rep.HiddenBytes+rep.TailBytes != rep.TotalBytes {
+		t.Fatalf("hidden %v + tail %v != total %v", rep.HiddenBytes, rep.TailBytes, rep.TotalBytes)
+	}
+	if rep.Slices+rep.TailSlices != planned {
+		t.Fatalf("%d hidden + %d tail slices, planned %d", rep.Slices, rep.TailSlices, planned)
+	}
+	if rep.TailSlices <= clean.TailSlices {
+		t.Fatal("aborted plan's skipped slices never reached the tail")
+	}
+}
+
+// TestSyncerUpdateOncePerElement: a step begun with an Update leaves every
 // layer's buffer with update(gradient) — under every strategy's slicing,
 // whether a slice ran inside a plan or in the tail, at tail pool widths 1,
-// 2 and 4, and with task names served from the plan's cache on later passes
-// — having handed the Update each element of each layer exactly once.
+// 2 and 4, on one Plan reused pass after pass — having handed the Update
+// each element of each layer exactly once.
 func TestSyncerUpdateOncePerElement(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	const layers, n = 3, 501
@@ -297,24 +278,11 @@ func TestSyncerUpdateOncePerElement(t *testing.T) {
 		cfg, specs := testSpecs(layers, n)
 		cfg.Strategy = strat
 		cfg.ChunkBytes = 256 * 4
-		plan, err := Solve(cfg, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := mustSolve(t, cfg, specs)
 		for pass, workers := range []int{1, 2, 4} {
 			tensor.SetWorkers(workers)
-			grads := make([][]float64, layers)
-			truth := make([][]float64, layers)
-			seen := make([][]float64, layers)
-			for i := range grads {
-				grads[i], truth[i] = randGrads(uint64(900+i), n)
-				seen[i] = make([]float64, n)
-			}
-			s := plan.NewSyncer(stepOnce(grads, seen))
-			driveBackward(t, s, layers, grads, 3)
-			if _, err := s.Finish(); err != nil {
-				t.Fatal(err)
-			}
+			grads, truth, seen := stepBuffers(layers, n, 900)
+			driveBackward(t, plan, stepOnce(grads, seen))
 			checkSteppedOnce(t, fmt.Sprintf("%s pass %d", strat, pass), grads, truth, seen)
 		}
 	}
@@ -332,10 +300,7 @@ func TestFinishParallelMatchesSerial(t *testing.T) {
 		cfg, specs := testSpecs(layers, n)
 		cfg.Strategy = strat
 		cfg.ChunkBytes = float64(2*comm.RingTile+77) * cfg.ElemBytes
-		plan, err := Solve(cfg, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := mustSolve(t, cfg, specs)
 		var want [][]float64
 		var wantRep Report
 		for _, workers := range []int{1, 2, 4} {
@@ -346,14 +311,9 @@ func TestFinishParallelMatchesSerial(t *testing.T) {
 				grads[i], _ = randGrads(uint64(70+i), n)
 				weights[i], _ = randGrads(uint64(80+i), n)
 			}
-			s := plan.NewSyncer(func(layer, lo, hi int) {
+			rep := driveBackward(t, plan, func(layer, lo, hi int) {
 				tensor.AddScaledRow(weights[layer][lo:hi], grads[layer][lo:hi], -lr)
 			})
-			driveBackward(t, s, layers, grads, 3)
-			rep, err := s.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
 			if rep.TailBytes < float64(3*comm.RingTile)*cfg.ElemBytes {
 				t.Fatalf("%s: tail of %v bytes is too short to fan out", strat, rep.TailBytes)
 			}
@@ -420,17 +380,9 @@ func TestGatherNegativeZero(t *testing.T) {
 		}
 		cfg, specs := testSpecs(1, n)
 		cfg.Strategy = StrategyNoOverlap
-		plan, err := Solve(cfg, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := plan.NewSyncer(update)
-		if err := s.Collect(0, grads); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Finish(); err != nil {
-			t.Fatal(err)
-		}
+		plan := mustSolve(t, cfg, specs)
+		plan.Begin(update)
+		plan.Finish()
 		moved := 0
 		for k := 0; k < n; k++ {
 			switch {
@@ -458,6 +410,107 @@ func TestGatherNegativeZero(t *testing.T) {
 	}
 }
 
+// FuzzSyncSchedule checks the schedule as data for every strategy: up to six
+// layers of drawn element counts, emit points and volumes, drawn Lina chunk
+// and slice counts. The hidden slices and the tail together cover each
+// element of each layer exactly once; layer i's plan hides only slices of
+// layers > i, spread over exactly its emit points; no-overlap hides nothing,
+// and FSMoE's layer i at most its GarPlan budget. A step that skips a drawn
+// subset of the hidden slices (aborted plans) still updates every element
+// once and accounts every byte once.
+func FuzzSyncSchedule(f *testing.F) {
+	f.Add(uint8(3), uint64(1), uint16(256), uint8(3), uint64(0))
+	f.Add(uint8(1), uint64(7), uint16(1), uint8(1), uint64(5))
+	f.Add(uint8(6), uint64(42), uint16(4000), uint8(9), uint64(0xfff))
+	models := core.ModelsFromCluster(topology.TestbedA())
+	f.Fuzz(func(t *testing.T, layers uint8, seed uint64, chunk uint16, nslices uint8, skip uint64) {
+		l := int(layers%6) + 1
+		rng := xrand.New(seed)
+		specs := make([]LayerSpec, l)
+		for i := range specs {
+			n := 1 + rng.Intn(3000)
+			specs[i] = LayerSpec{Elems: n, Points: 1 + rng.Intn(5), V: core.Volumes{
+				NA2A: float64(1 + rng.Intn(1e7)), NAG: float64(rng.Intn(1e6)), NRS: float64(rng.Intn(1e6)),
+				ExpMACs: float64(1 + rng.Intn(1e9)), ExpGEMMs: 2, DenseBwd: rng.Float64(),
+				GradBytes: float64(n) * 4,
+			}}
+		}
+		for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {
+			cfg := Config{Strategy: strat, Models: models, ChunkBytes: 4 * float64(chunk), Slices: int(nslices % 10), ElemBytes: 4}
+			p := mustSolve(t, cfg, specs)
+			cover := make([][]int, l)
+			for i, sp := range specs {
+				cover[i] = make([]int, sp.Elems)
+			}
+			mark := func(sl Slice) {
+				for k := sl.Lo; k < sl.Hi; k++ {
+					cover[sl.Layer][k]++
+				}
+			}
+			var hidden []Slice
+			for i := range specs {
+				if got := len(p.Hidden(i)); got != specs[i].Points {
+					t.Fatalf("%s: layer %d has %d emit points, spec says %d", strat, i, got, specs[i].Points)
+				}
+				elems := 0
+				for _, sls := range p.Hidden(i) {
+					for _, sl := range sls {
+						if sl.Layer <= i || sl.Layer >= l || sl.Lo >= sl.Hi {
+							t.Fatalf("%s: layer %d's plan hides %+v", strat, i, sl)
+						}
+						mark(sl)
+						elems += sl.Len()
+						hidden = append(hidden, sl)
+					}
+				}
+				switch {
+				case strat == StrategyNoOverlap && elems != 0:
+					t.Fatalf("no-overlap layer %d hides %d elements", i, elems)
+				case strat == StrategyFSMoE && float64(elems) > p.gar.HiddenBytes(i)/cfg.ElemBytes:
+					t.Fatalf("fsmoe layer %d hides %d elements, budget %v bytes", i, elems, p.gar.HiddenBytes(i))
+				}
+			}
+			for _, r := range p.tail {
+				mark(r)
+			}
+			for i := range cover {
+				for k, c := range cover[i] {
+					if c != 1 {
+						t.Fatalf("%s: layer %d element %d covered %d times", strat, i, k, c)
+					}
+				}
+			}
+
+			// One step that runs the hidden slices skip does not pick.
+			seen := make([][]int, l)
+			for i, sp := range specs {
+				seen[i] = make([]int, sp.Elems)
+			}
+			p.Begin(func(layer, lo, hi int) {
+				for k := lo; k < hi; k++ {
+					seen[layer][k]++
+				}
+			})
+			for k, sl := range hidden {
+				if skip>>(k%64)&1 == 0 {
+					p.Run(sl)
+				}
+			}
+			rep := p.Finish()
+			for i := range seen {
+				for k, c := range seen[i] {
+					if c != 1 {
+						t.Fatalf("%s: layer %d element %d updated %d times", strat, i, k, c)
+					}
+				}
+			}
+			if rep.HiddenBytes+rep.TailBytes != rep.TotalBytes {
+				t.Fatalf("%s: hidden %v + tail %v != total %v", strat, rep.HiddenBytes, rep.TailBytes, rep.TotalBytes)
+			}
+		}
+	})
+}
+
 // BenchmarkFinishTail times one exposed tail of the repository benchmark's
 // ep_params size (2.63 M elements) through Finish, the step's update —
 // tensor.AddScaledRow by −lr into a weight buffer of its own, the gradient
@@ -466,20 +519,12 @@ func BenchmarkFinishTail(b *testing.B) {
 	const n = 2_630_000
 	cfg, specs := testSpecs(1, n)
 	cfg.Strategy = StrategyNoOverlap
-	plan, err := Solve(cfg, specs)
-	if err != nil {
-		b.Fatal(err)
-	}
+	plan := mustSolve(b, cfg, specs)
 	grads, _ := randGrads(1, n)
 	weights, _ := randGrads(2, n)
 	update := func(_, lo, hi int) { tensor.AddScaledRow(weights[lo:hi], grads[lo:hi], -1e-9) }
 	for i := 0; i < b.N; i++ {
-		s := plan.NewSyncer(update)
-		if err := s.Collect(0, grads); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Finish(); err != nil {
-			b.Fatal(err)
-		}
+		plan.Begin(update)
+		plan.Finish()
 	}
 }

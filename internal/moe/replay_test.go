@@ -27,8 +27,9 @@ func residentPlans(w *World) (fwd, bwd *layerPlan) {
 // TestStepReplaysPlans: a stack stepped five times on one batch builds each
 // world's forward and backward plan once and replays them, and every step
 // equals the Sequential + SyncNoOverlap twin bit for bit — the replays
-// included, whose backward plans run the §5 slices of the step's own
-// Syncer. StepResult.Plans holds the resident backward plans. A new token
+// included, whose backward plans run the §5 slices the stack's schedule
+// hides in them, for the step Begin started. StepResult.Plans holds the
+// resident backward plans. A new token
 // count (another capacity) and a new pipeline degree each force a rebuild,
 // whose steps, and their replays, still match the twin.
 func TestStepReplaysPlans(t *testing.T) {

@@ -153,17 +153,18 @@ func freshGar(t *testing.T, fresh []*World, x *tensor.Tensor, cfg StepConfig) *c
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs[i] = gradsync.LayerSpec{Elems: w.gradElems(), V: stepVolumes(w, cache.tpad)}
+		specs[i] = gradsync.LayerSpec{Elems: w.gradElems(), Points: w.syncPoints(cache), V: stepVolumes(w, cache.tpad)}
 		cur = y
 	}
-	s, err := gradsync.New(gradsync.Config{
+	p, err := gradsync.Solve(gradsync.Config{
 		Strategy: cfg.Strategy, Models: plannerModels, ChunkBytes: cfg.ChunkBytes,
 		Slices: cfg.Slices, ElemBytes: gradElemBytes,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.Report().Gar
+	p.Begin(nil)
+	return p.Finish().Gar
 }
 
 // TestStepPlanReuseAndInvalidation: the §5 plan is solved once and then
@@ -396,6 +397,11 @@ func TestStepRankDownAfterHealthyStep(t *testing.T) {
 			t.Fatalf("%s twin: %v", label, err)
 		}
 		sameAsTwin(t, label, got, want)
+		// A slice counts where it ran, in a plan or in the tail: a degraded
+		// pass's unrun slices count once, in the tail.
+		if r := got.Report; r.HiddenBytes+r.TailBytes != r.TotalBytes {
+			t.Fatalf("%s: hidden %v + tail %v bytes, total %v", label, r.HiddenBytes, r.TailBytes, r.TotalBytes)
+		}
 		return got
 	}
 	if res := step("healthy step"); len(res.Degraded) != 0 {

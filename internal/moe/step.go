@@ -154,7 +154,7 @@ func (r *StepResult) StepMS() float64 { return r.BackwardMS + r.TailMS }
 type resident struct {
 	plan    *gradsync.Plan
 	params  []float64 // [Σ layer gradElems] the live parameters
-	grads   []float64 // [Σ layer gradElems] the gradients, what Collect registers
+	grads   []float64 // [Σ layer gradElems] the gradients, what the §5 slices read
 	off     []int     // [layer+1] each layer's first element
 	written [][]bool  // [layer][expert] this step's backward wrote the expert's gradient
 
@@ -249,10 +249,11 @@ func (st *resident) update(layer, lo, hi int) {
 // output feeds layer i+1): forward through the stack, backward in
 // reverse with the §5 gradient sync overlapped into each layer's
 // backward plan per the strategy, and the exposed tail; every sync slice
-// applies the SGD update to what it gathers. Gradients of layers
-// whose backward already finished are the pending pool each earlier
-// layer's plan may hide, exactly the backward-order greedy fill of §5.2;
-// layer 0's own gradients (and any unhidden remainder) are the tail.
+// applies the SGD update to its elements. The stack's resident schedule
+// (gradsync.Plan) says which slices each layer's plan runs — gradients of
+// later layers, whose backward already finished, exactly the backward-order
+// greedy fill of §5.2; layer 0's own gradients, any unhidden remainder and
+// any slice a plan did not run are the tail.
 //
 // Param.G ends the step holding the step's gradient — each expert's
 // overwritten by its finish routine, zero for a dead rank's, the gate's
@@ -311,13 +312,13 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	}
 	res.Y = cur
 
-	// Register every layer with the syncer using live volumes (the padded
-	// capacity each forward actually dispatched). The byte plan is solved
-	// only when these inputs differ from the ones the resident plan was
-	// solved for — another batch capacity, another StepConfig, a recovery
-	// to R′.
+	// Register every layer with live volumes (the padded capacity each
+	// forward actually dispatched) and its backward plan's emit points. The
+	// schedule is solved only when these inputs differ from the ones the
+	// resident plan was solved for — another batch capacity, another
+	// StepConfig, a recovery to R′.
 	for i, w := range worlds {
-		st.specs[i] = gradsync.LayerSpec{Elems: w.gradElems(), V: stepVolumes(w, caches[i].tpad)}
+		st.specs[i] = gradsync.LayerSpec{Elems: w.gradElems(), Points: w.syncPoints(caches[i]), V: stepVolumes(w, caches[i].tpad)}
 	}
 	var err error
 	st.plan, err = st.plan.For(syncConfig(cfg), st.specs)
@@ -325,19 +326,19 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 		return nil, err
 	}
 	st.lr = cfg.LR
-	syncer := st.plan.NewSyncer(st.update)
+	st.plan.Begin(st.update)
 
-	// Backward chain in reverse, overlapping the pending pool into each
-	// layer's plan — the expert gradients land in the gradient buffer as the
-	// plan's finish tasks run — then clearing the spans no task wrote.
+	// Backward chain in reverse, each layer's plan running the slices the
+	// schedule hides in it — the expert gradients land in the gradient
+	// buffer as the plan's finish tasks run — then clearing the spans no
+	// task wrote.
 	dcur := dy
 	for i := len(worlds) - 1; i >= 0; i-- {
 		w := worlds[i]
-		syncer.StartLayer(i)
 		clear(st.written[i])
-		w.sync, w.written = syncer, st.written[i]
+		w.sync, w.syncLayer, w.written = st.plan, i, st.written[i]
 		dx, err := w.backward(caches[i], dcur, true)
-		w.sync, w.written = nil, nil
+		w.sync, w.syncLayer, w.written = nil, 0, nil
 		if err != nil {
 			return nil, fmt.Errorf("moe: step backward layer %d: %w", i, err)
 		}
@@ -353,19 +354,12 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 			res.Degraded = append(res.Degraded, deg)
 		}
 		w.clearUnwritten(st.layerGrads(i), st.written[i])
-		if err := syncer.Collect(i, st.layerGrads(i)); err != nil {
-			return nil, err
-		}
 		dcur = dx
 	}
 	res.DX = dcur
 
-	rep, err := syncer.Finish()
-	if err != nil {
-		return nil, err
-	}
-	res.Report = rep
-	res.TailMS = rep.TailMS
+	res.Report = st.plan.Finish()
+	res.TailMS = res.Report.TailMS
 	res.RankParams = [][]float64{st.params}
 	step := worlds[0].steps
 	for _, w := range worlds {
@@ -563,23 +557,17 @@ func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	for i, w := range worlds {
 		// No forward cache here; account A2A volumes at the nominal padded
 		// capacity of zero — only GradBytes matters for a tail-only sync.
-		st.specs[i] = gradsync.LayerSpec{Elems: w.gradElems(), V: stepVolumes(w, 0)}
+		st.specs[i] = gradsync.LayerSpec{Elems: w.gradElems(), Points: 1, V: stepVolumes(w, 0)}
 	}
 	cfg.Strategy = gradsync.StrategyNoOverlap
-	syncer, err := gradsync.New(syncConfig(cfg), st.specs)
+	plan, err := gradsync.Solve(syncConfig(cfg), st.specs)
 	if err != nil {
 		return nil, err
 	}
 	grads := make([][]float64, len(worlds))
 	for i := range worlds {
 		grads[i] = st.layerGrads(i)
-		if err := syncer.Collect(i, grads[i]); err != nil {
-			return nil, err
-		}
 	}
-	rep, err := syncer.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return &SyncReport{Report: rep, LayerGrads: grads}, nil
+	plan.Begin(nil)
+	return &SyncReport{Report: plan.Finish(), LayerGrads: grads}, nil
 }

@@ -496,24 +496,26 @@ func (w *World) expertStages(p *layerPlan, gm groups, b *passBufs, passes [][]Ex
 // layerPlan is one direction's resident stream plan, kept with the
 // workspace buffers it runs on (passBufs.plan): built once, replayed while
 // its key holds. colls lists the plan's collective tasks in build order with
-// the guard each runs behind in the current execution; em is the §5 slices
-// a backward plan runs (nil outside a training step).
+// the guard each runs behind in the current execution.
 type layerPlan struct {
 	*runtime.Plan
 	key   planKey
 	colls []collSite
-	em    *gradsync.Emission
 	ran   bool // executed once: the GEMM scratch free-list is sized for it
 }
 
 // planKey is what a plan's tasks depend on beyond the buffers it runs on:
 // the capacity, the pipeline degree and the group width (placement), and for
-// a backward plan the token count and whether the routing is dense. The
-// §5 slices are keyed through the plan's Emission (gradsync.Syncer.Replay).
+// a backward plan the token count, whether the routing is dense, and the §5
+// schedule and stack position whose hidden slices it runs (nil outside a
+// training step). A schedule is immutable, so the pointer stands for its
+// slices.
 type planKey struct {
 	capacity, degree, g int
 	tokens              int
 	dense               bool
+	sched               *gradsync.Plan
+	layer               int
 }
 
 // collSite is one collective task of a plan: its stream, kind and task id,
@@ -575,9 +577,8 @@ func (w *World) buildForward(gm groups, b *passBufs, passes [][]ExpertPass, key 
 
 // backwardPlan readies a backward pass from the padded output gradient dpad
 // into the padded dScattered buffer: it begins the expert passes' backward
-// and returns the workspace's backward plan, replayed when its key holds
-// and, in a training step, w.sync hands it the same §5 slices — built
-// otherwise.
+// and returns the workspace's backward plan, replayed when its key holds —
+// built otherwise.
 func (w *World) backwardPlan(cache *WorldCache, dpad, dScatteredPad *tensor.Tensor) *layerPlan {
 	gm := w.groups(cache)
 	ws := cache.ws
@@ -592,31 +593,46 @@ func (w *World) backwardPlan(cache *WorldCache, dpad, dScatteredPad *tensor.Tens
 	}
 	plan := cache.pr.plan
 	key := planKey{capacity: plan.Capacity, degree: w.cfg.PipelineDegreeBwd, g: gm.g,
-		tokens: cache.pr.flat.Dim(0), dense: plan.IsDense()}
-	points := comm.SplitRows(gm.spad, key.degree)
-	if w.sync != nil {
-		w.sync.BeginLayer(len(points) + 1)
+		tokens: cache.pr.flat.Dim(0), dense: plan.IsDense(), sched: w.sync, layer: w.syncLayer}
+	if b.plan == nil || b.plan.key != key {
+		b.plan = w.buildBackward(gm, b, passes, &ws.route, key)
 	}
-	lp := b.plan
-	if lp == nil || lp.key != key || (w.sync == nil) != (lp.em == nil) || (w.sync != nil && !w.sync.Replay(lp.em)) {
-		lp = w.buildBackward(gm, b, passes, &ws.route, key)
-		if w.sync != nil {
-			lp.em = w.sync.Emission()
-		}
-		b.plan = lp
-	}
-	return lp
+	return b.plan
+}
+
+// syncPoints is how many §5 emit points the backward plan over cache
+// offers: one before its first chunk and one after each (buildBackward).
+func (w *World) syncPoints(cache *WorldCache) int {
+	return min(max(w.cfg.PipelineDegreeBwd, 1), max(cache.spad, 1)) + 1
 }
 
 // buildBackward builds the backward schedule over b: everything that turns
 // the padded output gradient into the padded dScattered buffer and the
 // token gradient rt.dx, puts each expert's parameter gradients into its
 // Param.G on its owner rank (written over it during a training step, added
-// outside one) and the gate's into the gate's Param.G, and drives w.sync's
-// emit points.
+// outside one) and the gate's into the gate's Param.G, and runs the §5
+// slices key.sched hides in this layer's plan at its emit points.
 func (w *World) buildBackward(gm groups, b *passBufs, passes [][]ExpertPass, rt *routeState, key planKey) *layerPlan {
 	p := &layerPlan{Plan: runtime.NewPlan(), key: key}
 	ranges := comm.SplitRows(gm.spad, key.degree)
+	var hidden [][]gradsync.Slice
+	if key.sched != nil {
+		hidden = key.sched.Hidden(key.layer)
+	}
+	emit := func(pt int) {
+		if pt >= len(hidden) {
+			return
+		}
+		for _, sl := range hidden[pt] {
+			// The estimate lives in the same elements/1e6 unit space as the
+			// plan's other tasks (estElems), so the plan's structural
+			// Simulate stays consistent. Like the §5 partition, it prices
+			// the paper's AllReduce: ~2 passes. Only stream order schedules
+			// a slice: its gradient was written by a plan already done.
+			p.Add(sl.Name, gradsync.KindAllReduce, "inter", float64(2*sl.Len())/1e6,
+				func() error { key.sched.Run(sl); return nil })
+		}
+	}
 	l := w.layer
 	E := len(l.cfg.Experts)
 	gateEst := 2 * float64(key.tokens*gm.mdim*E) / 1e6 // two N·M·E products, in MMACs
@@ -633,9 +649,7 @@ func (w *World) buildBackward(gm groups, b *passBufs, passes [][]ExpertPass, rt 
 	// Gradient-sync emit point 0: AllReduce slices enqueued here run on the
 	// inter stream behind the combine-gradient chain, in the slack while the
 	// expert chunks compute, before the first dispatch-gradient AlltoAll.
-	if w.sync != nil {
-		w.sync.EmitAt(p.Plan, "inter", 0)
-	}
+	emit(0)
 
 	// dX rows only; the weight gradients wait for W. Adjoint stage 2 is
 	// column-sharded over every gathered row, adjoint stage 1 row-sharded
@@ -647,9 +661,7 @@ func (w *World) buildBackward(gm groups, b *passBufs, passes [][]ExpertPass, rt 
 		landedOut = w.leave(p, gm, b, c, rr, "RSd", "D", last)
 		// Emit point c+1: slices here trail chunk c's last gradient
 		// collective, overlapping later expert chunks.
-		if w.sync != nil {
-			w.sync.EmitAt(p.Plan, "inter", c+1)
-		}
+		emit(c + 1)
 	}
 
 	// S — the Order adjoint, once the last chunk's rows are in dScattered

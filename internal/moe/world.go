@@ -58,18 +58,17 @@ type World struct {
 
 	seq bool // execute plans sequentially (no-overlap baseline)
 
-	// sync receives the inter-stream emit points while a backward plan is
-	// under construction — the executable seam for §5's Gradient-AllReduce
-	// overlap; nil outside StepWorlds' backward. BeginLayer announces how
-	// many points the plan will offer; EmitAt may then append tasks to the
-	// plan on the shared inter stream at each point. Every strategy offers
-	// point 0 in the slack before its first outbound gradient collective
-	// and point c ≥ 1 after the c-th one, so emitted tasks contend with the
-	// layer's own inter-node chunks exactly as §5 budgets for (under ESP
-	// the inter stream carries no AlltoAll at all, so the slices overlap
-	// the intra-stream AllGather/ReduceScatter freely — the §4 inter/intra
-	// co-scheduling).
-	sync *gradsync.Syncer
+	// sync is the stack's §5 schedule and syncLayer this world's position
+	// in the stack while StepWorlds drives the backward (nil and 0
+	// otherwise): the backward plan runs sync.Hidden(syncLayer) on the
+	// shared inter stream. Every strategy offers emit point 0 in the slack
+	// before its first outbound gradient collective and point c ≥ 1 after
+	// the c-th one, so the slices contend with the layer's own inter-node
+	// chunks exactly as §5 budgets for (under ESP the inter stream carries
+	// no AlltoAll at all, so the slices overlap the intra-stream
+	// AllGather/ReduceScatter freely — the §4 inter/intra co-scheduling).
+	sync      *gradsync.Plan
+	syncLayer int
 
 	statsMu  stdsync.Mutex
 	stats    comm.Stats
