@@ -145,7 +145,8 @@
 // router); a custom Order's Scatter/Gather/ScatterGrad/GatherGrad take
 // their destination first and address expert-major buffers as (E, S, M)
 // with a block stride S ≥ capacity the caller chose (pad rows +0, see
-// moe.Order); an ExpertPass writes its stages into the PassBufs blocks and
+// moe.Order) — a World lays a sparse plan out from the plan itself at
+// R > 1, so there a custom Scatter and GatherGrad go unused; an ExpertPass writes its stages into the PassBufs blocks and
 // its Finish puts the parameter gradients into each Param.G — added to it,
 // or, when BeginBackward says overwrite (a training step), written over
 // whatever it held. A step re-points Param.W and Param.G at the stack's flat
@@ -233,12 +234,18 @@
 // the rows of two different stacks needs no copy.
 //
 // The token path is resident the same way. Every buffer a pass moves
-// tokens through — the padded expert-major buffers the Order scatters
-// straight into and gathers straight from (there is no pad or unpad
-// copy), the per-rank expert blocks, the sharded strategies' wire and
-// exchange buffers — belongs to one workspace per World, cut for the live shape (ranks, experts, batch
-// capacity, width, pipeline degrees, strategy) and reused while that shape
-// holds: a warm pass allocates none of them. Forward checks the workspace
+// tokens through — the padded expert-major buffers the experts' outputs
+// land in and the Order gathers straight from (there is no pad or unpad
+// copy), the per-rank expert blocks, the sharded strategies' exchange
+// buffers — belongs to one workspace per World, cut for the live shape
+// (ranks, experts, batch capacity, width, pipeline degrees, strategy) and
+// reused while that shape holds: a warm pass allocates none of them. A
+// sparse plan at R > 1 is laid out by its collectives, not by the Order:
+// the dispatch reads each slot's token row straight from the layer's input
+// through the plan's slot index, and the combine-gradient exchange reads
+// w·dy rows the same way, so neither expert-major plane exists. At R = 1
+// and for dense plans, with no collective to carry the layout, the Order
+// scatters into a padded buffer of the workspace. Forward checks the workspace
 // out into the WorldCache it returns and that cache's Backward hands it
 // back, so a WorldCache, and the task closures of the plans in
 // StepResult.Plans and World.LastPlan, view world-owned memory that is
@@ -266,21 +273,22 @@
 // weight gradient. A Route takes the gate's idle scratch — or makes another
 // while an earlier RouteCache is still outstanding — and the cache's (one)
 // Backward hands it back, so the plan a Route returns is valid until the
-// next Route after its Backward. Under every strategy a
-// token row is copied once per collective hop, straight between the
-// expert-major buffer and the rank's expert block, or between two ranks'
-// blocks.
+// next Route after its Backward. Under every strategy a token row is
+// copied once per collective hop, straight from the layer's input or
+// output gradient (or the expert-major buffer) into a rank's expert block,
+// between two ranks' blocks, or back to the expert-major buffer.
 //
 // StepResult.WallMS is the measured wall of the whole call (telemetry
 // emission excluded); ForwardMS, BackwardMS and TailMS are the parts of
 // it inside measured stream plans and the exposed tail — which contain the
-// weight-gradient reductions, the SGD update and, on the backward plan's
-// route stream, the gate's backward and the Order adjoint; what is left
-// outside is the routing on the critical path — the gate's Route, the
-// Order's Scatter, Gather and GatherGrad — and clearing the gate's
-// gradients — and StepMS() —
-// backward plus tail — is the quantity the §5 strategy comparison uses,
-// not a wall time.
+// weight-gradient reductions, the SGD update, the token layout of sparse
+// plans (fused into the exchanges) and, on the backward plan's route
+// stream, the gate's backward and the Order adjoint; what is left outside
+// is the routing on the critical path — the gate's Route, the Order's
+// Gather and the slot-weight gradient's dot products — and clearing the
+// gate's gradients (at R = 1 and for dense plans also the Order's Scatter
+// and GatherGrad) — and StepMS() — backward plus tail — is the quantity
+// the §5 strategy comparison uses, not a wall time.
 //
 // # Fault tolerance
 //

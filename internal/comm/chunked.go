@@ -1,6 +1,10 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
 
 // This file holds the row-chunked AlltoAll over the Direct/1DH/2DH
 // algorithms — the communication half of the paper's §4 fine-grained task
@@ -29,22 +33,44 @@ import "fmt"
 // column band of a wider row-major buffer has that buffer's row width as its
 // Stride and Data starting at the band's first column. Data bounds the block:
 // a row window must lie inside it.
+//
+// A source block may instead gather its rows: with Index set, row t is row
+// Index[t] of Data — Data[Index[t]·Stride:][:Width] — or +0 where Index[t]
+// is −1, and with Scale set too, that row times Scale[t], element by element.
+// So a sender moves token rows laid out by a routing plan (internal/moe's
+// slot index) without writing the layout out first. Rows, bytes and Stats
+// are those of the contiguous block the index stands for. Only the sources
+// of AlltoAllBlocks and AllGatherBlocks may be indexed.
 type Block struct {
 	Data          []float64
 	Width, Stride int
+	Index         []int
+	Scale         []float64
 }
 
 // Tile is a contiguous block of rows of width elements.
 func Tile(data []float64, width int) Block { return Block{Data: data, Width: width, Stride: width} }
 
-// check reports whether rows [0, rows) of b exist.
+// check reports whether rows [0, rows) of b exist: in Data, or for an
+// indexed block in Index and Scale, each naming a row of Data or −1.
 func (b Block) check(rows int) error {
 	if b.Width < 0 || b.Stride < b.Width {
 		return fmt.Errorf("invalid block shape: width %d, stride %d", b.Width, b.Stride)
 	}
-	if b.Width > 0 && rows > 0 && (rows-1)*b.Stride+b.Width > len(b.Data) {
-		return fmt.Errorf("%d rows of width %d at stride %d need %d elements, block has %d",
-			rows, b.Width, b.Stride, (rows-1)*b.Stride+b.Width, len(b.Data))
+	if b.Index == nil {
+		if b.Width > 0 && rows > 0 && (rows-1)*b.Stride+b.Width > len(b.Data) {
+			return fmt.Errorf("%d rows of width %d at stride %d need %d elements, block has %d",
+				rows, b.Width, b.Stride, (rows-1)*b.Stride+b.Width, len(b.Data))
+		}
+		return nil
+	}
+	if len(b.Index) < rows || (b.Scale != nil && len(b.Scale) < rows) {
+		return fmt.Errorf("%d indexed rows, index has %d and scale %d", rows, len(b.Index), len(b.Scale))
+	}
+	for t, i := range b.Index[:rows] {
+		if i < -1 || (i >= 0 && b.Width > 0 && i*b.Stride+b.Width > len(b.Data)) {
+			return fmt.Errorf("row %d gathers row %d, which a block of %d elements at stride %d does not hold", t, i, len(b.Data), b.Stride)
+		}
 	}
 	return nil
 }
@@ -52,17 +78,35 @@ func (b Block) check(rows int) error {
 // sameMemory reports whether a and b are one region: a collective whose
 // source and destination coincide there has nothing to move.
 func sameMemory(a, b Block) bool {
-	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0] && a.Stride == b.Stride
+	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0] && a.Stride == b.Stride &&
+		a.Index == nil && b.Index == nil
 }
 
 // copyRows copies n rows of src from row slo into dst from row dlo; the
-// blocks agree in width. Contiguous rows on both sides are one run.
+// blocks agree in width. Contiguous rows on both sides are one run. It is
+// the one reader of an indexed source: each row is a copy of the row its
+// index names, that row scaled (one multiply per element), or +0.
 func copyRows(dst Block, dlo int, src Block, slo, n int) {
 	w := src.Width
 	if w == 0 || n == 0 {
 		return
 	}
 	do, so := dlo*dst.Stride, slo*src.Stride
+	if src.Index != nil {
+		for t := 0; t < n; t++ {
+			d := dst.Data[do+t*dst.Stride:][:w]
+			i := src.Index[slo+t]
+			switch {
+			case i < 0:
+				clear(d)
+			case src.Scale != nil:
+				tensor.ScaleRow(d, src.Data[i*src.Stride:][:w], src.Scale[slo+t])
+			default:
+				copy(d, src.Data[i*src.Stride:][:w])
+			}
+		}
+		return
+	}
 	if dst.Stride == w && src.Stride == w {
 		w, n = n*w, 1
 	}
@@ -89,13 +133,16 @@ func (e endpoint) at(r, i int) Block {
 }
 
 // checkLists checks that every rank of a block-list endpoint names n blocks
-// whose rows [0, rows) exist.
-func checkLists(what string, lists [][]Block, n, rows int) error {
+// whose rows [0, rows) exist, indexed ones only where indexed allows.
+func checkLists(what string, lists [][]Block, n, rows int, indexed bool) error {
 	for r, list := range lists {
 		if len(list) != n {
 			return fmt.Errorf("comm: %s rank %d lists %d blocks, want %d", what, r, len(list), n)
 		}
 		for i, b := range list {
+			if !indexed && (b.Index != nil || b.Scale != nil) {
+				return fmt.Errorf("comm: %s rank %d block %d is indexed; only a source may be", what, r, i)
+			}
 			if err := b.check(rows); err != nil {
 				return fmt.Errorf("comm: %s rank %d block %d: %w", what, r, i, err)
 			}
@@ -198,8 +245,9 @@ func AlltoAllRows(algo A2AAlgo, data, out [][]float64, gpusPerNode int, dims Blo
 // exchanged with peer d, wherever each lives. Rows rr of send[s][d·k+j] land
 // in rows rr of recv[d][s·k+j]; every block has one width. The dense layout
 // with k·width wide blocks is the special case of consecutive tiles, and the
-// Stats are that layout's. Send and receive blocks must not overlap. guard,
-// when non-nil, runs before the first byte moves (see Guard).
+// Stats are that layout's. A send block may be indexed (see Block). Send and
+// receive blocks must not overlap. guard, when non-nil, runs before the
+// first byte moves (see Guard).
 func AlltoAllBlocks(guard Guard, algo A2AAlgo, send, recv [][]Block, gpusPerNode int, rr RowRange) (Stats, error) {
 	if err := guard.check(); err != nil {
 		return Stats{}, err
@@ -218,10 +266,10 @@ func AlltoAllBlocks(guard Guard, algo A2AAlgo, send, recv [][]Block, gpusPerNode
 	if rr.Lo < 0 || rr.Hi < rr.Lo {
 		return Stats{}, fmt.Errorf("comm: invalid row range [%d,%d)", rr.Lo, rr.Hi)
 	}
-	if err := checkLists("alltoall send", send, n, rr.Hi); err != nil {
+	if err := checkLists("alltoall send", send, n, rr.Hi, true); err != nil {
 		return Stats{}, err
 	}
-	if err := checkLists("alltoall receive", recv, n, rr.Hi); err != nil {
+	if err := checkLists("alltoall receive", recv, n, rr.Hi, false); err != nil {
 		return Stats{}, err
 	}
 	w := send[0][0].Width

@@ -54,11 +54,15 @@ func (m ringMove) allGather() Stats {
 
 // land copies source c's window into the blocks member d receives it in and
 // returns the elements moved. A destination that is the source block itself
-// holds the rows already.
+// holds the rows already. An indexed source is gathered once, into c's own
+// copy, which allGather lands first; the other members copy that.
 func (m ringMove) land(d, c int) int {
 	rows, n := m.hi-m.lo, 0
 	for j := 0; j < m.k; j++ {
 		src, dst := m.narrow.at(c, j), m.wide.at(d, c*m.k+j)
+		if src.Index != nil && d != c {
+			src = m.wide.at(c, c*m.k+j)
+		}
 		if !sameMemory(dst, src) {
 			copyRows(dst, m.lo, src, m.lo, rows)
 		}
@@ -124,7 +128,8 @@ func (m ringMove) accumulate(c, r int, first bool) int {
 // ReduceScatterBlocks — p members, k blocks each on the narrow side, p·k on
 // the wide side, rows [0, rr.Hi) present in every block, each wide block as
 // wide as the narrow block it pairs with (or, where absent allows, absent) —
-// and returns k.
+// and returns k. absent marks a ReduceScatter, whose blocks are never
+// indexed; an AllGather's sources, its narrow side, may be.
 func checkRing(what string, wide, narrow [][]Block, rr RowRange, absent bool) (int, error) {
 	p := len(narrow)
 	if p == 0 {
@@ -137,10 +142,10 @@ func checkRing(what string, wide, narrow [][]Block, rr RowRange, absent bool) (i
 		return 0, fmt.Errorf("comm: invalid row range [%d,%d)", rr.Lo, rr.Hi)
 	}
 	k := len(narrow[0])
-	if err := checkLists(what, narrow, k, rr.Hi); err != nil {
+	if err := checkLists(what, narrow, k, rr.Hi, !absent); err != nil {
 		return 0, err
 	}
-	if err := checkLists(what, wide, p*k, rr.Hi); err != nil {
+	if err := checkLists(what, wide, p*k, rr.Hi, false); err != nil {
 		return 0, err
 	}
 	for r, list := range wide {
@@ -158,14 +163,15 @@ func checkRing(what string, wide, narrow [][]Block, rr RowRange, absent bool) (i
 
 // AllGatherBlocks gathers rows rr of every member's blocks onto every
 // member: src[s] lists member s's k blocks and dst[d] the p·k blocks member
-// d receives them in, block s·k+j from src[s][j]. A pair agrees in width;
-// the sources' widths may differ, zero included (the short trailing column
-// shard of a width the group does not divide). A destination block may be
-// the source block itself — the member's own rows, in place — and is then
-// left alone; otherwise sources and destinations must not overlap. With one
-// width and dense packing this is the monolithic ring on the window, Stats
-// included; in general Stats count the elements the ring moves between
-// blocks. guard, when non-nil, runs before the first byte moves (see Guard).
+// d receives them in, block s·k+j from src[s][j]; a source may be indexed
+// (see Block). A pair agrees in width; the sources' widths may differ, zero
+// included (the short trailing column shard of a width the group does not
+// divide). A destination block may be the source block itself — the
+// member's own rows, in place — and is then left alone; otherwise sources
+// and destinations must not overlap. With one width and dense packing this
+// is the monolithic ring on the window, Stats included; in general Stats
+// count the elements the ring moves between blocks. guard, when non-nil,
+// runs before the first byte moves (see Guard).
 func AllGatherBlocks(guard Guard, src, dst [][]Block, gpusPerNode int, rr RowRange) (Stats, error) {
 	if err := guard.check(); err != nil {
 		return Stats{}, err

@@ -210,3 +210,155 @@ func TestAllGatherReduceScatterDuality(t *testing.T) {
 		}
 	}
 }
+
+// indexedSource is one rank's token matrix and an indexed source block over
+// it, with the tile the index stands for: row t is Scale[t]·x[Index[t]] (x's
+// row itself without a scale) or +0 for −1.
+func indexedSource(rng *xrand.RNG, x []float64, rows, width, tokens int, scaled bool) (Block, Block) {
+	b := Block{Data: x, Width: width, Stride: width, Index: make([]int, rows)}
+	if scaled {
+		b.Scale = make([]float64, rows)
+	}
+	tile := make([]float64, rows*width)
+	for t := range b.Index {
+		i := rng.Intn(tokens+2) - 2
+		b.Index[t] = max(i, -1)
+		if b.Index[t] < 0 {
+			continue // the tile's +0
+		}
+		a := 1.0
+		if scaled {
+			a = rng.NormFloat64()
+			if rng.Intn(6) == 0 {
+				a = 0
+			}
+			b.Scale[t] = a
+		}
+		for j, v := range x[b.Index[t]*width:][:width] {
+			if scaled {
+				v = a * v
+			}
+			tile[t*width+j] = v
+		}
+	}
+	return b, Tile(tile, width)
+}
+
+// TestIndexedSourcesMatchMaterialized: an AlltoAllBlocks (Direct, 1DH, 2DH)
+// or AllGatherBlocks whose sources gather their rows through an index — with
+// and without a per-row scale, −1 rows included — lands the bits, and counts
+// the Stats, of the same call over the rows written out into tiles first, at
+// every SplitRows chunking.
+func TestIndexedSourcesMatchMaterialized(t *testing.T) {
+	const p, k, rows, width, tokens, gpn = 4, 2, 7, 5, 9, 2
+	rng := xrand.New(77)
+	tokenRows := func() [][]float64 {
+		xs := make([][]float64, p)
+		for r := range xs {
+			xs[r] = make([]float64, tokens*width)
+			for i := range xs[r] {
+				xs[r][i] = rng.NormFloat64()
+				if rng.Intn(7) == 0 {
+					xs[r][i] = math.Copysign(0, -1)
+				}
+			}
+		}
+		return xs
+	}
+	recv := func(n int) [][]Block {
+		return denseBlocks(nanBuffers(p, n*rows*width), n, BlockDims{Rows: rows, Width: width})
+	}
+	same := func(label string, got, want [][]Block, gst, wst Stats) {
+		t.Helper()
+		if gst != wst {
+			t.Fatalf("%s: stats %+v, want %+v", label, gst, wst)
+		}
+		for r := range want {
+			for i := range want[r] {
+				for j, v := range want[r][i].Data {
+					if g := got[r][i].Data[j]; math.Float64bits(g) != math.Float64bits(v) {
+						t.Fatalf("%s: rank %d block %d element %d = %v, want %v", label, r, i, j, g, v)
+					}
+				}
+			}
+		}
+	}
+	for _, scaled := range []bool{false, true} {
+		xs := tokenRows()
+		// AlltoAll: p·k sources per rank, each its own index over the rank's rows.
+		send, tiles := make([][]Block, p), make([][]Block, p)
+		for r := range send {
+			for i := 0; i < p*k; i++ {
+				b, tile := indexedSource(rng, xs[r], rows, width, tokens, scaled)
+				send[r], tiles[r] = append(send[r], b), append(tiles[r], tile)
+			}
+		}
+		for _, algo := range []A2AAlgo{A2ADirect, A2A1DH, A2A2DH} {
+			for chunks := 1; chunks <= rows; chunks++ {
+				label := fmt.Sprintf("alltoall %s scaled=%v chunks=%d", algo, scaled, chunks)
+				got, want := recv(p*k), recv(p*k)
+				var gst, wst Stats
+				for _, rr := range SplitRows(rows, chunks) {
+					st, err := AlltoAllBlocks(nil, algo, send, got, gpn, rr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gst.Merge(st)
+					if st, err = AlltoAllBlocks(nil, algo, tiles, want, gpn, rr); err != nil {
+						t.Fatal(err)
+					}
+					wst.Merge(st)
+				}
+				same(label, got, want, gst, wst)
+			}
+		}
+		// AllGather: k sources per member, landing in every member's p·k blocks.
+		src, srcTiles := make([][]Block, p), make([][]Block, p)
+		for r := range src {
+			for i := 0; i < k; i++ {
+				b, tile := indexedSource(rng, xs[r], rows, width, tokens, scaled)
+				src[r], srcTiles[r] = append(src[r], b), append(srcTiles[r], tile)
+			}
+		}
+		for chunks := 1; chunks <= rows; chunks++ {
+			label := fmt.Sprintf("allgather scaled=%v chunks=%d", scaled, chunks)
+			got, want := recv(p*k), recv(p*k)
+			var gst, wst Stats
+			for _, rr := range SplitRows(rows, chunks) {
+				st, err := AllGatherBlocks(nil, src, got, gpn, rr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gst.Merge(st)
+				if st, err = AllGatherBlocks(nil, srcTiles, want, gpn, rr); err != nil {
+					t.Fatal(err)
+				}
+				wst.Merge(st)
+			}
+			same(label, got, want, gst, wst)
+		}
+	}
+	// An index naming a row the data does not hold, or a destination that
+	// gathers, is refused before anything moves.
+	bad, _ := indexedSource(rng, make([]float64, tokens*width), rows, width, tokens, false)
+	bad.Index[0] = tokens
+	lists := func(b Block, n int) [][]Block {
+		out := make([][]Block, p)
+		for r := range out {
+			for i := 0; i < n; i++ {
+				out[r] = append(out[r], b)
+			}
+		}
+		return out
+	}
+	if _, err := AlltoAllBlocks(nil, A2ADirect, lists(bad, p*k), recv(p*k), gpn, RowRange{0, rows}); err == nil {
+		t.Fatal("an index past the data must fail")
+	}
+	good, _ := indexedSource(rng, make([]float64, tokens*width), rows, width, tokens, false)
+	if _, err := AlltoAllBlocks(nil, A2ADirect, recv(p*k), lists(good, p*k), gpn, RowRange{0, rows}); err == nil {
+		t.Fatal("an indexed destination must fail")
+	}
+	if _, err := ReduceScatterBlocks(nil, lists(good, p*k), recv(k), gpn, RowRange{0, rows}); err == nil {
+		t.Fatal("an indexed reduce-scatter contribution must fail")
+	}
+}

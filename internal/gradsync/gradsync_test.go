@@ -91,10 +91,10 @@ func mustSolve(t testing.TB, cfg Config, specs []LayerSpec) *Plan {
 	return p
 }
 
-// TestSyncerStrategiesBitIdentical: all three strategies must leave every
+// TestPlanStrategiesBitIdentical: all three strategies must leave every
 // layer's gradients the identical bytes — only scheduling differs — and
 // account every byte once, hidden or in the tail.
-func TestSyncerStrategiesBitIdentical(t *testing.T) {
+func TestPlanStrategiesBitIdentical(t *testing.T) {
 	const layers, n = 3, 501
 	for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {
 		cfg, specs := testSpecs(layers, n)
@@ -137,9 +137,9 @@ func TestSyncerStrategiesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSyncerFSMoEHidesBytes: with Testbed A models and comfortable
+// TestPlanFSMoEHidesBytes: with Testbed A models and comfortable
 // windows, the adaptive plan must hide a positive share inside the plans.
-func TestSyncerFSMoEHidesBytes(t *testing.T) {
+func TestPlanFSMoEHidesBytes(t *testing.T) {
 	const layers, n = 4, 2048
 	cfg, specs := testSpecs(layers, n)
 	for i := range specs {
@@ -151,8 +151,8 @@ func TestSyncerFSMoEHidesBytes(t *testing.T) {
 	}
 }
 
-// TestSyncerValidation covers Solve's rejection of bad inputs.
-func TestSyncerValidation(t *testing.T) {
+// TestSolveValidation covers Solve's rejection of bad inputs.
+func TestSolveValidation(t *testing.T) {
 	cfg, specs := testSpecs(2, 64)
 	if _, err := Solve(cfg, nil); err == nil {
 		t.Fatal("no layers must fail")
@@ -218,12 +218,12 @@ func stepBuffers(layers, n int, seed uint64) (grads, truth, seen [][]float64) {
 	return grads, truth, seen
 }
 
-// TestSyncerAbortedPlanReclaimsSlices: a backward plan that aborts mid-run
+// TestPlanAbortedReclaimsSlices: a backward plan that aborts mid-run
 // (a permanent fault cancels the inter stream, skipping its remaining slice
 // tasks) loses none of them: Finish runs every slice no plan ran, once, so
 // the stepped values stay exact, and the Report counts each slice where it
 // ran — every byte once, and as many slices as a clean step.
-func TestSyncerAbortedPlanReclaimsSlices(t *testing.T) {
+func TestPlanAbortedReclaimsSlices(t *testing.T) {
 	const layers, n = 3, 800
 	cfg, specs := testSpecs(layers, n)
 	cfg.Strategy = StrategyFixedChunk
@@ -266,12 +266,12 @@ func TestSyncerAbortedPlanReclaimsSlices(t *testing.T) {
 	}
 }
 
-// TestSyncerUpdateOncePerElement: a step begun with an Update leaves every
+// TestPlanUpdateOncePerElement: a step begun with an Update leaves every
 // layer's buffer with update(gradient) — under every strategy's slicing,
 // whether a slice ran inside a plan or in the tail, at tail pool widths 1,
 // 2 and 4, on one Plan reused pass after pass — having handed the Update
 // each element of each layer exactly once.
-func TestSyncerUpdateOncePerElement(t *testing.T) {
+func TestPlanUpdateOncePerElement(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	const layers, n = 3, 501
 	for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {

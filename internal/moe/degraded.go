@@ -190,8 +190,13 @@ func (w *World) degradedBackwardRecover(cache *WorldCache, dy *tensor.Tensor, re
 	w.layer.ZeroGrad()
 	clear(w.written)
 
-	// Only the passes matter; the recomputed outputs are scratch.
-	passes := w.forwardSurvivors(cache.scattered, tensor.New(dplan.Experts, dplan.Capacity, w.layer.cfg.M), lo, hi)
+	// Only the passes matter; the recomputed outputs are scratch. The cache
+	// keeps no expert-major input — a sparse forward gathered it from x
+	// through the plan — so it is laid out again from the prolog's input.
+	mdim := w.layer.cfg.M
+	in := tensor.New(pr.plan.Experts, pr.plan.Capacity, mdim)
+	w.layer.cfg.Order.Scatter(in, pr.flat, pr.plan)
+	passes := w.forwardSurvivors(in, tensor.New(dplan.Experts, dplan.Capacity, mdim), lo, hi)
 
 	res := &DegradedResult{
 		Rank:          w.down,

@@ -99,6 +99,11 @@ type routing struct {
 	sel  choices
 }
 
+// scratchGate is a gate that keeps routing scratch (routing) and can take
+// back a RouteCache's without its Backward: a failed training step drops
+// its forward caches, whose backward never runs (StepWorlds).
+type scratchGate interface{ reclaim(rc *RouteCache) }
+
 // choices is the per-token top-k selection of a token-choice gate (GShard,
 // Sigmoid, X-MoE), flat with stride k: token t's j-th choice is entry t·k+j.
 type choices struct {

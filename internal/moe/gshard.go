@@ -170,6 +170,9 @@ func (g *GShardGate) AuxBackward(rc *RouteCache, scale float64) *tensor.Tensor {
 	return dx
 }
 
+// reclaim implements scratchGate.
+func (g *GShardGate) reclaim(rc *RouteCache) { g.idle = rc.extra.(*gshardCache) }
+
 // Backward implements Gate. Dropped assignments contribute no gradient
 // (their combine weight never reached the output).
 func (g *GShardGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {

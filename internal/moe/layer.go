@@ -114,7 +114,8 @@ func (l *MOELayer) ZeroGrad() { zeroGrads(l.Params()) }
 // forwardProlog is the routing stage every forward pass — sequential or
 // multi-rank — runs exactly once before any dispatch chunk moves (§4.1's
 // "gate and order, then pipeline"); the caller then has Order scatter the
-// tokens into the expert-major buffer it owns.
+// tokens into the expert-major buffer it owns, or, a World with a sparse
+// plan at R > 1, dispatches them straight from flat through the plan.
 type forwardProlog struct {
 	shape []int          // original input shape
 	flat  *tensor.Tensor // (N, M)
@@ -276,7 +277,8 @@ func (l *MOELayer) Backward(cache *LayerCache, dy *tensor.Tensor) (*tensor.Tenso
 
 // backwardProlog is the shared entry of every backward pass: flatten dy
 // and differentiate through Gather (I-Order) into dOut, shaped like
-// expertOut.
+// expertOut. A nil dOut — a World's sparse plan at R > 1, whose collectives
+// read w·dy through the plan — leaves only the slot-weight gradient.
 func (l *MOELayer) backwardProlog(dOut, expertOut *tensor.Tensor, plan *DispatchPlan, dy *tensor.Tensor) (*PlanGrad, error) {
 	var dflat *tensor.Tensor
 	switch dy.Rank() {
@@ -286,6 +288,9 @@ func (l *MOELayer) backwardProlog(dOut, expertOut *tensor.Tensor, plan *Dispatch
 		dflat = dy.Reshape(dy.Dim(0)*dy.Dim(1), dy.Dim(2))
 	default:
 		return nil, fmt.Errorf("moe: dy must be (B,L,M) or (N,M), got %v", dy.Shape())
+	}
+	if dOut == nil {
+		return plan.slotWeightGrad(dflat, expertOut), nil
 	}
 	return l.cfg.Order.GatherGrad(dOut, dflat, expertOut, plan), nil
 }

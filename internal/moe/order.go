@@ -10,6 +10,16 @@ import (
 // weights on the way back. Both implementations must produce bit-identical
 // results; they differ only in how a GPU would execute them.
 //
+// That contract fixes a sparse plan's layout bit for bit — slot s of expert
+// e is x's row SlotToken[e][s], its gradient SlotWeight[e][s]·dy's row, +0
+// where the slot is empty — so a World at R > 1 reads it from the plan
+// itself: its dispatch collectives gather x's rows through the slot index,
+// and its combine-gradient collectives w·dy's, with no expert-major plane in
+// between (strategy_plan.go), and it takes the slot weights' gradient from
+// the plan too (DispatchPlan.slotWeightGrad). So Scatter and GatherGrad, a
+// custom Order's included, serve the single-rank layer, R = 1 worlds and
+// dense plans; Gather and ScatterGrad serve every pass.
+//
 // Every method writes into a destination its caller owns and overwrites it
 // whole, whatever it held: a World hands out slots of its dirty resident
 // workspace (its stack-owned step outputs among them), the single-rank layer
@@ -148,32 +158,20 @@ func (GShardOrder) ScatterGrad(dx, dScattered *tensor.Tensor, plan *DispatchPlan
 
 // GatherGrad implements Order.
 func (GShardOrder) GatherGrad(dOut, dy, expertOut *tensor.Tensor, plan *DispatchPlan) *PlanGrad {
-	// One pooled slot matrix, first the experts' outputs for the weight
-	// gradient, then their gradient.
-	flat := packSlots(expertOut, plan)
 	w := plan.CombineW
 	var pg *PlanGrad
+	var flat *tensor.Tensor
 	if plan.IsDense() {
+		// One pooled slot matrix, first the experts' outputs for the weight
+		// gradient, then their gradient.
+		flat = packSlots(expertOut, plan)
 		pg = plan.denseGrad(dy.Dim(0))
 		tensor.MatMulT2Into(pg.CombineW, dy, flat)
 	} else {
+		pg = plan.slotWeightGrad(dy, expertOut)
 		w = weightedSelection(plan, dy.Dim(0))
 		defer tensor.Put(w)
-		pg = plan.weightGrad()
-		for e := range plan.SlotToken {
-			for slot, tok := range plan.SlotToken[e] {
-				if tok < 0 {
-					continue
-				}
-				// dWeight = <dy[token], expertOut[e,slot]>.
-				dot := 0.0
-				outRow := flat.Row(e*plan.Capacity + slot)
-				for j, v := range dy.Row(tok) {
-					dot += v * outRow[j]
-				}
-				pg.SlotWeight[e][slot] = dot
-			}
-		}
+		flat = tensor.GetUninit(plan.Slots(), dy.Dim(1))
 	}
 	tensor.MatMulT1Into(flat, w, dy)
 	unpackSlots(dOut, flat, plan)
@@ -259,7 +257,6 @@ func (TutelOrder) GatherGrad(dOut, dy, expertOut *tensor.Tensor, plan *DispatchP
 		return GShardOrder{}.GatherGrad(dOut, dy, expertOut, plan)
 	}
 	s, m := dOut.Dim(1), dOut.Dim(2)
-	pg := plan.weightGrad()
 	parallelExperts(plan.Experts, func(e int) {
 		blk := dOut.Data()[e*s*m : (e+1)*s*m]
 		for slot, tok := range plan.SlotToken[e] {
@@ -269,17 +266,13 @@ func (TutelOrder) GatherGrad(dOut, dy, expertOut *tensor.Tensor, plan *DispatchP
 				continue
 			}
 			w := plan.SlotWeight[e][slot]
-			outRow := expertOut.Data()[(e*s+slot)*m:][:m]
-			dot := 0.0
 			for j, v := range dy.Row(tok) {
 				dst[j] = w * v
-				dot += v * outRow[j]
 			}
-			pg.SlotWeight[e][slot] = dot
 		}
 		clear(blk[plan.Capacity*m:])
 	})
-	return pg
+	return plan.slotWeightGrad(dy, expertOut)
 }
 
 // parallelExperts runs f(e) for each expert on the shared tensor worker

@@ -253,6 +253,44 @@ func (p *DispatchPlan) weightGrad() *PlanGrad {
 	return g
 }
 
+// slotWeightGrad returns the gradient of a hard plan's slot weights, in the
+// plan's memory (weightGrad): slot (e, s)'s is <dy[token], expertOut[e, s]>,
+// the token's output gradient dotted with the slot's expert output in column
+// order, and an empty slot's +0. expertOut is (E, S, M) at any block stride
+// S ≥ Capacity. Both built-in Orders' GatherGrad and a World's sparse
+// backward, which moves w·dy without an Order, take it from here.
+func (p *DispatchPlan) slotWeightGrad(dy, expertOut *tensor.Tensor) *PlanGrad {
+	pg := p.weightGrad()
+	s, m := expertOut.Dim(1), expertOut.Dim(2)
+	parallelExperts(p.Experts, func(e int) {
+		toks, grad := p.SlotToken[e], pg.SlotWeight[e]
+		out := func(slot int) []float64 { return expertOut.Data()[(e*s+slot)*m:][:m] }
+		// Two occupied slots at a time: each sum keeps its own column order,
+		// and the second chain of adds runs in the first one's latency.
+		slot := 0
+		for ; slot+1 < len(toks) && toks[slot] >= 0 && toks[slot+1] >= 0; slot += 2 {
+			d0, d1, o0, o1 := dy.Row(toks[slot])[:m], dy.Row(toks[slot+1])[:m], out(slot), out(slot+1)
+			a0, a1 := 0.0, 0.0
+			for j := range m {
+				a0 += d0[j] * o0[j]
+				a1 += d1[j] * o1[j]
+			}
+			grad[slot], grad[slot+1] = a0, a1
+		}
+		for ; slot < len(toks); slot++ {
+			if toks[slot] < 0 {
+				continue
+			}
+			outRow, dot := out(slot), 0.0
+			for j, v := range dy.Row(toks[slot]) {
+				dot += v * outRow[j]
+			}
+			grad[slot] = dot
+		}
+	})
+	return pg
+}
+
 // denseGrad returns the gradient of a dense plan's weights in the plan's
 // memory, dirty: CombineW (N, E·T) for Order.GatherGrad and DispatchW
 // (E·T, N) for the layer's backwardFinish, each to overwrite whole.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	goruntime "runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -374,5 +376,85 @@ func TestWorldGateBackwardOnce(t *testing.T) {
 			compareSnapshots(t, fmt.Sprintf("%s pass %d", strat, pass), want, worldSnapshot{y: y, dx: dx, grads: snapGrads(layer)})
 		}
 		w.Close()
+	}
+}
+
+// TestStepAfterFailedStepReplays: a step that fails hands back every
+// forward cache it still holds. A 3-layer EP stack steps warm, then one step
+// fails — in layer 2's forward (a deadline no plan meets), or in layer 1's
+// backward (every AllReduce slice faults, retries exhausted), with layer
+// 0's cache still outstanding — and the next clean step replays each
+// world's resident forward and backward plans on the workspace it had
+// (pointer-equal plans, LastPlan included) and allocates within
+// TestStepAllocationBound's per-layer allowance.
+func TestStepAfterFailedStepReplays(t *testing.T) {
+	const layers, ranks = 3, 4
+	x := tensor.RandN(xrand.New(451), 1, 128, 64)
+	dy := tensor.RandN(xrand.New(452), 1, 128, 64)
+	for _, tc := range []struct {
+		name        string
+		fail, clear func(ws []*World)
+	}{
+		{"forward", func(ws []*World) { ws[2].SetDeadline(time.Nanosecond) }, func(ws []*World) { ws[2].SetDeadline(0) }},
+		{"backward", func(ws []*World) {
+			ws[1].SetFaultPlan(fault.New(fault.Spec{KindProb: map[string]float64{gradsync.KindAllReduce: 1}}))
+			ws[1].SetRetry(runtime.RetryPolicy{MaxAttempts: 1, Kinds: []string{gradsync.KindAllReduce}})
+		}, func(ws []*World) { ws[1].SetFaultPlan(nil) }},
+	} {
+		ws := make([]*World, layers)
+		for i := range ws {
+			w, err := NewWorld(benchWorldLayer(t, 64, 32, 8), WorldConfig{Ranks: ranks, PipelineDegree: 2, Strategy: StrategyEP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			ws[i] = w
+		}
+		cfg := StepConfig{LR: 0.01}
+		// The collector is off from the warm-up on, as in
+		// TestStepAllocationBound, so the tensor free-lists stay warm.
+		goruntime.GC()
+		prev := debug.SetGCPercent(-1)
+		for s := 0; s < 3; s++ {
+			if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		type held struct {
+			ws       *workspace
+			fwd, bwd *layerPlan
+			last     *runtime.Plan
+		}
+		before := make([]held, layers)
+		for i, w := range ws {
+			fwd, bwd := residentPlans(w)
+			before[i] = held{w.ws, fwd, bwd, w.LastPlan()}
+		}
+
+		tc.fail(ws)
+		if res, err := StepWorlds(ws, x, dy, cfg); err == nil {
+			t.Fatalf("%s: the step did not fail (%d degraded passes)", tc.name, len(res.Degraded))
+		}
+		tc.clear(ws)
+
+		var m0, m1 goruntime.MemStats
+		goruntime.ReadMemStats(&m0)
+		_, err := StepWorlds(ws, x, dy, cfg)
+		goruntime.ReadMemStats(&m1)
+		debug.SetGCPercent(prev)
+		if err != nil {
+			t.Fatalf("%s: the step after the failed one: %v", tc.name, err)
+		}
+		for i, w := range ws {
+			fwd, bwd := residentPlans(w)
+			if now := (held{w.ws, fwd, bwd, w.LastPlan()}); now != before[i] {
+				t.Fatalf("%s: world %d cut a new workspace or rebuilt a plan after the failed step", tc.name, i)
+			}
+		}
+		got := m1.TotalAlloc - m0.TotalAlloc
+		t.Logf("%s: the step after the failed one allocated %d bytes", tc.name, got)
+		if got >= layers*stepLayerSlack {
+			t.Fatalf("%s: the step after the failed one allocated %d bytes, want under %d", tc.name, got, layers*stepLayerSlack)
+		}
 	}
 }

@@ -62,6 +62,9 @@ func (g *SigmoidGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *Route
 	return plan, &cache.rc, nil
 }
 
+// reclaim implements scratchGate.
+func (g *SigmoidGate) reclaim(rc *RouteCache) { g.idle = rc.extra.(*sigmoidCache) }
+
 // Backward implements Gate.
 func (g *SigmoidGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
 	cache := rc.extra.(*sigmoidCache)

@@ -88,6 +88,9 @@ func (g *SoftMoEGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *Route
 	return plan, &cache.rc, nil
 }
 
+// reclaim implements scratchGate.
+func (g *SoftMoEGate) reclaim(rc *RouteCache) { g.idle = rc.extra.(*softmoeCache) }
+
 // Backward implements Gate: exact gradients through both softmaxes.
 // grad.DispatchW is ∂L/∂(Dᵀ) and grad.CombineW is ∂L/∂C.
 func (g *SoftMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {

@@ -75,10 +75,12 @@ type StepResult struct {
 	// StepWorlds to the end of the exposed tail and any checkpoint capture
 	// — everything but the telemetry emission itself. ForwardMS, BackwardMS
 	// and TailMS are the parts of it spent inside measured stream plans and
-	// the exposed tail, which hold the SGD update and the gates' backward;
-	// the rest (the gates' Route, the Order's Scatter, Gather and
-	// GatherGrad, clearing the gates' gradients, the checkpoint's wait and
-	// capture) is WallMS minus the three.
+	// the exposed tail, which hold the SGD update, the gates' backward and,
+	// for sparse plans at R > 1, the Order's layout, fused into the token
+	// exchanges; the rest (the gates' Route, the Order's Gather, the
+	// slot-weight gradient's dot products, clearing the gates' gradients,
+	// the checkpoint's wait and capture — and at R = 1 or for a dense plan
+	// the Order's Scatter and GatherGrad) is WallMS minus the three.
 	WallMS     float64
 	ForwardMS  float64 // summed measured forward-plan makespans
 	BackwardMS float64 // summed measured backward-plan makespans (incl. hidden AllReduce)
@@ -259,7 +261,8 @@ func (st *resident) update(layer, lo, hi int) {
 // overwritten by its finish routine, zero for a dead rank's, the gate's
 // cleared and accumulated — and Param.W the stepped parameters. A step that
 // returns an error may already have stepped the parameters of the layers
-// whose backward completed.
+// whose backward completed; every forward cache it still held is released,
+// so the next step replays each world's workspace and plans.
 func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepResult, error) {
 	t0 := time.Now()
 	cfg = cfg.withDefaults()
@@ -277,9 +280,13 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 		clear(st.layerGrads(i)[:w.gradOff[0]]) // the gate's backward accumulates
 		w.SetSequential(cfg.Sequential)
 	}
+	done := false
 	defer func() {
 		for i, w := range worlds {
 			w.SetSequential(st.prevSeq[i])
+			if c := st.caches[i]; c != nil && !done {
+				w.drop(c)
+			}
 		}
 		clear(st.caches)
 	}()
@@ -397,6 +404,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 			s.OnStep(res.Metrics)
 		}
 	}
+	done = true
 	return res, nil
 }
 

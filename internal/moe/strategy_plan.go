@@ -54,6 +54,14 @@ import (
 // complete dot products (columns forward, rows backward) and never
 // re-associate a reduction.
 //
+// A sparse plan's token side is not a buffer at all: the forward's first
+// collectives (D, or at nG = 1 AGx) gather each slot row straight from the
+// layer's input x through the workspace's padded slot index, and the
+// backward's (C, or AGd) gather w·dy rows through the index and the slot
+// weights — the rows Order's Scatter and GatherGrad would have written, bit
+// for bit (tokenRows). Only R = 1 and dense plans, with no collective to
+// carry the layout, start from an expert-major buffer Order fills.
+//
 // The backward plan also runs the routing path's adjoint, which needs
 // nothing the expert chain produces until its last step: the gate's
 // backward G and, after the last chunk's dispatch adjoint, the Order adjoint
@@ -124,15 +132,40 @@ func (gm groups) shard(buf *tensor.Tensor, e, i int) comm.Block {
 	return comm.Tile(buf.Data()[off:off+gm.spad*gm.mdim], gm.mdim)
 }
 
-// tokenSide lists lane m's side of an expert-major (E, Tpad, M) buffer in
-// AlltoAll order: participant q is rank i = q·g+m, and its block e — peer
-// group e/Egg, group expert e%Egg — is expert e's rows of rank i.
-func (gm groups) tokenSide(global *tensor.Tensor, m int) [][]comm.Block {
+// tokenRows is the token side a pass starts from: the padded expert-major
+// (E, Tpad, M) buffer gin, or, with gin nil, the layer's token rows as the
+// padded slot index (E × Tpad, −1 for an empty or pad slot) lays them out,
+// each times its slot weight where scale is set — a sparse plan at R > 1,
+// whose collectives read x, or dy, through them (passBufs.bind).
+type tokenRows struct {
+	gin   *tensor.Tensor
+	index []int
+	scale []float64
+}
+
+// rows is token-side rank i's slot rows of expert e: its shard of gin, or
+// that span of the index (and scale) as an indexed block.
+func (gm groups) rows(src tokenRows, e, i int) comm.Block {
+	if src.gin != nil {
+		return gm.shard(src.gin, e, i)
+	}
+	off := e*gm.tpad + i*gm.spad
+	b := comm.Block{Width: gm.mdim, Stride: gm.mdim, Index: src.index[off : off+gm.spad]}
+	if src.scale != nil {
+		b.Scale = src.scale[off : off+gm.spad]
+	}
+	return b
+}
+
+// tokenSide lists lane m's token side in AlltoAll order: participant q is
+// rank i = q·g+m, and its block e — peer group e/Egg, group expert e%Egg —
+// is expert e's rows of rank i. With one group it is member m's own rows.
+func (gm groups) tokenSide(src tokenRows, m int) [][]comm.Block {
 	out := make([][]comm.Block, gm.nG)
 	for q := range out {
 		out[q] = make([]comm.Block, gm.nG*gm.egg)
 		for e := range out[q] {
-			out[q][e] = gm.shard(global, e, q*gm.g+m)
+			out[q][e] = gm.rows(src, e, q*gm.g+m)
 		}
 	}
 	return out
@@ -195,45 +228,47 @@ func (gm groups) memberCols(hid []*tensor.Tensor, m int) []comm.Block {
 type ends struct{ src, dst [][]comm.Block }
 
 // passBufs is one direction's share of a workspace: the per-rank buffers
-// between the two expert-major buffers of the pass, and every collective's
-// endpoint lists over them. Both depend only on the workspace's buffers and
-// shape, so they are cut with the workspace and a warm pass builds its plan
-// over the same lists.
+// between the pass's token side and its expert-major output buffer, and
+// every collective's endpoint lists over them. Both depend only on the
+// workspace's buffers and shape, so they are cut with the workspace and a
+// warm pass builds its plan over the same lists; an indexed token side's
+// blocks are pointed at each pass's tokens (bind).
 type passBufs struct {
-	from, to  int                // the workspace slots the buffers occupy
-	gin, gout *tensor.Tensor     // the (E, Tpad, M) buffers the pass starts from and ends in
-	in, out   []*tensor.Tensor   // per rank (Egg, Tpad, M): its group's expert inputs and outputs
-	xs, outs  [][]*tensor.Tensor // [rank][group expert] (Tpad, M) views of in and out
-	hid       [][]*tensor.Tensor // [rank][group expert] (bands·Tpad, W) hidden exchange buffers
-	scratch   [][][]float64      // [rank][group expert] pass-private memory; forward only
+	from, to int                // the workspace slots the buffers occupy
+	src      tokenRows          // what the pass starts from
+	gout     *tensor.Tensor     // the (E, Tpad, M) buffer it ends in
+	in, out  []*tensor.Tensor   // per rank (Egg, Tpad, M): its group's expert inputs and outputs
+	xs, outs [][]*tensor.Tensor // [rank][group expert] (Tpad, M) views of in and out
+	hid      [][]*tensor.Tensor // [rank][group expert] (bands·Tpad, W) hidden exchange buffers
+	scratch  [][][]float64      // [rank][group expert] pass-private memory; forward only
 
-	disp, comb      []ends // per lane: gin → in and out → gout; nG > 1
+	disp, comb      []ends // per lane: src → in and out → gout; nG > 1
 	agIn, agHid, rs []ends // per group: the rows of in, the columns of hid, the rows of out; g > 1
 
 	plan *layerPlan // the direction's resident plan over these buffers; nil until built
 }
 
 // cutPass returns a direction's buffers and endpoint lists for the
-// workspace to hold: the held ones when they were cut over these
-// expert-major buffers at this point of the slot sequence, new ones
-// otherwise. The forward's also hold what each expert pass keeps to the end
-// of the backward.
-func (w *World) cutPass(ws *workspace, held *passBufs, gm groups, gin, gout *tensor.Tensor, fwd bool) *passBufs {
-	if held != nil && held.from == ws.next && held.gin == gin && held.gout == gout {
+// workspace to hold: the held ones when they were cut over this token side
+// and output buffer at this point of the slot sequence, new ones otherwise.
+// The forward's also hold what each expert pass keeps to the end of the
+// backward.
+func (w *World) cutPass(ws *workspace, held *passBufs, gm groups, src tokenRows, gout *tensor.Tensor, fwd bool) *passBufs {
+	if held != nil && held.from == ws.next && held.src.gin == src.gin && held.gout == gout {
 		ws.retake(held.to)
 		return held
 	}
 	// One rank is the whole layer: its blocks are the expert-major buffers
 	// themselves, and nothing moves.
-	b := &passBufs{from: ws.next, gin: gin, gout: gout, in: []*tensor.Tensor{gin}, out: []*tensor.Tensor{gout}}
+	b := &passBufs{from: ws.next, src: src, gout: gout, in: []*tensor.Tensor{src.gin}, out: []*tensor.Tensor{gout}}
 	if gm.R > 1 {
 		b.in = ws.blocks(gm.R, gm.egg, gm.tpad, gm.mdim)
 		b.out = ws.blocks(gm.R, gm.egg, gm.tpad, gm.mdim)
 	}
 	if gm.nG > 1 {
 		for m := 0; m < gm.g; m++ {
-			b.disp = append(b.disp, ends{gm.tokenSide(gin, m), gm.memberSide(b.in, m)})
-			b.comb = append(b.comb, ends{gm.memberSide(b.out, m), gm.tokenSide(gout, m)})
+			b.disp = append(b.disp, ends{gm.tokenSide(src, m), gm.memberSide(b.in, m)})
+			b.comb = append(b.comb, ends{gm.memberSide(b.out, m), gm.tokenSide(tokenRows{gin: gout}, m)})
 		}
 	}
 	b.hid, b.scratch = make([][]*tensor.Tensor, gm.R), make([][][]float64, gm.R)
@@ -262,20 +297,23 @@ func (w *World) cutPass(ws *workspace, held *passBufs, gm groups, gin, gout *ten
 
 // cutGroup appends the in-group endpoint lists of the group whose member 0
 // is rank lo. Member s's own rows are in its block once a dispatch landed
-// them there, and in the expert-major buffers themselves when the one group
-// is the whole world; either way every member receives them at the same
-// offsets of its own block. A member contributes to a ReduceScatter segment
-// only its own rows — every other contribution is absent — so where the
-// rows stay in the block they are reduced in place.
+// them there, and on the token side itself when the one group is the whole
+// world; either way every member receives them at the same offsets of its
+// own block. A member contributes to a ReduceScatter segment only its own
+// rows — every other contribution is absent — so where the rows stay in the
+// block they are reduced in place.
 func (b *passBufs) cutGroup(gm groups, lo int) {
 	var agIn, agHid, rs ends
 	k := gm.egg * gm.nG // row blocks per member
 	for s := 0; s < gm.g; s++ {
-		own, ret := b.in[lo+s], b.out[lo+s]
+		var own []comm.Block
+		ret := b.out[lo+s]
 		if gm.nG == 1 {
-			own, ret = b.gin, b.gout
+			own, ret = gm.tokenSide(b.src, s)[0], b.gout
+		} else {
+			own = gm.memberRows(b.in[lo+s], s)
 		}
-		agIn.src = append(agIn.src, gm.memberRows(own, s))
+		agIn.src = append(agIn.src, own)
 		agHid.src = append(agHid.src, gm.memberCols(b.hid[lo+s], s))
 		rs.dst = append(rs.dst, gm.memberRows(ret, s))
 		var in, hid []comm.Block
@@ -288,6 +326,26 @@ func (b *passBufs) cutGroup(gm groups, lo int) {
 		agIn.dst, agHid.dst, rs.src = append(agIn.dst, in), append(agHid.dst, hid), append(rs.src, part)
 	}
 	b.agIn, b.agHid, b.rs = append(b.agIn, agIn), append(b.agHid, agHid), append(b.rs, rs)
+}
+
+// bind points an indexed token side's blocks — the dispatch lanes' sources,
+// or at one group the AllGather's — at this pass's tokens, x or dy as (N, M)
+// rows; a buffer token side is left as cut.
+func (b *passBufs) bind(tokens []float64) {
+	if b.src.gin != nil {
+		return
+	}
+	side := b.disp
+	if side == nil {
+		side = b.agIn
+	}
+	for _, e := range side {
+		for _, list := range e.src {
+			for i := range list {
+				list[i].Data = tokens
+			}
+		}
+	}
 }
 
 // groupExperts returns the experts of rank j's group in block order — at
@@ -535,14 +593,16 @@ func (p *layerPlan) collective(stream, kind string) int {
 	return len(p.colls) - 1
 }
 
-// forwardPlan readies a forward pass over the padded scattered and combined
-// buffers: it begins the expert passes into the workspace's holder, per rank
-// one for each expert of its group, which the backward continues, and
-// returns the workspace's forward plan, built when none fits.
-func (w *World) forwardPlan(cache *WorldCache, scatPad, combinedPad *tensor.Tensor) *layerPlan {
+// forwardPlan readies a forward pass from the token side src — over x's
+// rows, (N, M) flat — into the padded combined buffer: it begins the expert
+// passes into the workspace's holder, per rank one for each expert of its
+// group, which the backward continues, and returns the workspace's forward
+// plan, built when none fits.
+func (w *World) forwardPlan(cache *WorldCache, src tokenRows, x []float64, combinedPad *tensor.Tensor) *layerPlan {
 	gm := w.groups(cache)
 	ws := cache.ws
-	b := w.cutPass(ws, ws.fwd, gm, scatPad, combinedPad, true)
+	b := w.cutPass(ws, ws.fwd, gm, src, combinedPad, true)
+	b.bind(x)
 	ws.fwd = b
 	passes := ws.expertPasses(gm.R, gm.egg)
 	for j := range passes {
@@ -562,7 +622,7 @@ func (w *World) forwardPlan(cache *WorldCache, scatPad, combinedPad *tensor.Tens
 }
 
 // buildForward builds the forward schedule over b: everything that turns
-// the padded scattered buffer into the padded combined buffer.
+// the token side into the padded combined buffer.
 func (w *World) buildForward(gm groups, b *passBufs, passes [][]ExpertPass, key planKey) *layerPlan {
 	p := &layerPlan{Plan: runtime.NewPlan(), key: key}
 	ranges := comm.SplitRows(gm.spad, key.degree)
@@ -575,14 +635,15 @@ func (w *World) buildForward(gm groups, b *passBufs, passes [][]ExpertPass, key 
 	return p
 }
 
-// backwardPlan readies a backward pass from the padded output gradient dpad
-// into the padded dScattered buffer: it begins the expert passes' backward
-// and returns the workspace's backward plan, replayed when its key holds —
-// built otherwise.
-func (w *World) backwardPlan(cache *WorldCache, dpad, dScatteredPad *tensor.Tensor) *layerPlan {
+// backwardPlan readies a backward pass from the output-gradient token side
+// src — over dy's rows, (N, M) flat — into the padded dScattered buffer: it
+// begins the expert passes' backward and returns the workspace's backward
+// plan, replayed when its key holds — built otherwise.
+func (w *World) backwardPlan(cache *WorldCache, src tokenRows, dy []float64, dScatteredPad *tensor.Tensor) *layerPlan {
 	gm := w.groups(cache)
 	ws := cache.ws
-	b := w.cutPass(ws, ws.bwd, gm, dpad, dScatteredPad, false)
+	b := w.cutPass(ws, ws.bwd, gm, src, dScatteredPad, false)
+	b.bind(dy)
 	ws.bwd = b
 	passes := ws.passes
 	for j := range passes {
@@ -607,7 +668,7 @@ func (w *World) syncPoints(cache *WorldCache) int {
 }
 
 // buildBackward builds the backward schedule over b: everything that turns
-// the padded output gradient into the padded dScattered buffer and the
+// the output gradient's token side into the padded dScattered buffer and the
 // token gradient rt.dx, puts each expert's parameter gradients into its
 // Param.G on its owner rank (written over it during a training step, added
 // outside one) and the gate's into the gate's Param.G, and runs the §5
@@ -638,8 +699,8 @@ func (w *World) buildBackward(gm groups, b *passBufs, passes [][]ExpertPass, rt 
 	gateEst := 2 * float64(key.tokens*gm.mdim*E) / 1e6 // two N·M·E products, in MMACs
 	gate := -1
 	if !key.dense {
-		// The gate's backward needs only the routing gradient GatherGrad
-		// left before the plan: it waits for nothing.
+		// The gate's backward needs only the slot-weight gradient the
+		// backward prolog left before the plan: it waits for nothing.
 		gate = p.Add("G", sim.KindOthers, routeStream, gateEst, func() error { rt.gate(l); return nil })
 	}
 

@@ -10,11 +10,12 @@ import (
 )
 
 // workspace is a world's resident token-path memory: every buffer a pass
-// moves tokens through — the padded expert-major buffers Order scatters
-// into and gathers from, the per-rank expert blocks and hidden exchange
-// buffers, the token-major products on a stack's edges, the step's output
-// and input gradient included — is a slot of it, handed out in the order the
-// pass asks. A pass over the same shape asks for the same sizes in the same
+// moves tokens through — the padded expert-major buffers the experts' outputs
+// and input gradients land in (and, for R = 1 or a dense plan, the ones Order
+// scatters into), the per-rank expert blocks and hidden exchange buffers, the
+// token-major products on a stack's edges, the step's output and input
+// gradient included — is a slot of it, handed out in the order the pass
+// asks. A pass over the same shape asks for the same sizes in the same
 // order, so a warm pass replays the slots of the one before it and allocates
 // none — and finds the plan builder's endpoint lists over them (fwd, bwd)
 // already cut.
@@ -44,6 +45,13 @@ type workspace struct {
 	// [expert of its group], and the backward's routing-path operands.
 	passes [][]ExpertPass
 	route  routeState
+
+	// A sparse plan's padded slot index, E × Tpad (SlotToken, −1 in pad
+	// rows), and slot weights (SlotWeight, +0 in pad rows): each pass
+	// refreshes them (slotRows), and the token side of its collectives
+	// gathers x's rows, or w·dy's, through them.
+	slotIdx   []int
+	slotScale []float64
 }
 
 // wsShape is everything that decides which slots a pass asks for.
@@ -159,6 +167,33 @@ func (ws *workspace) expertPasses(ranks, per int) [][]ExpertPass {
 	return ws.passes
 }
 
+// slotRows refreshes the padded slot index — and, with weights, the slot
+// weights — from a sparse plan at block stride tpad, and returns them as a
+// pass's token side. Their length is the workspace shape's, so only a new
+// workspace allocates them.
+func (ws *workspace) slotRows(plan *DispatchPlan, tpad int, weights bool) tokenRows {
+	if n := plan.Experts * tpad; len(ws.slotIdx) != n {
+		ws.slotIdx, ws.slotScale = make([]int, n), make([]float64, n)
+	}
+	t := plan.Capacity
+	for e := 0; e < plan.Experts; e++ {
+		idx := ws.slotIdx[e*tpad : (e+1)*tpad]
+		copy(idx, plan.SlotToken[e])
+		for s := t; s < tpad; s++ {
+			idx[s] = -1
+		}
+		if weights {
+			sc := ws.slotScale[e*tpad : (e+1)*tpad]
+			clear(sc[copy(sc, plan.SlotWeight[e]):])
+		}
+	}
+	src := tokenRows{index: ws.slotIdx}
+	if weights {
+		src.scale = ws.slotScale
+	}
+	return src
+}
+
 // checkout takes the world's workspace for a pass at the given capacity:
 // the idle one rewound when it was cut for this shape, an empty one
 // otherwise.
@@ -183,5 +218,17 @@ func (w *World) release(cache *WorldCache) {
 	cache.combined = nil
 	if cache.ws != nil {
 		w.ws, cache.ws = cache.ws, nil
+	}
+}
+
+// drop retires a cache a failed pass or step leaves behind, whose backward
+// never ran or did not complete: every task has drained and nothing reads
+// the aborted pass again, so the workspace goes back to the world and, where
+// the gate keeps routing scratch, the routing back to the gate — the next
+// pass reuses both.
+func (w *World) drop(cache *WorldCache) {
+	w.release(cache)
+	if g, ok := w.layer.cfg.Gate.(scratchGate); ok {
+		g.reclaim(cache.pr.rc)
 	}
 }

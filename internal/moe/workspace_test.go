@@ -273,3 +273,107 @@ func TestWorkspaceLifetime(t *testing.T) {
 		t.Fatalf("forward after close: %v", err)
 	}
 }
+
+// TestWorkspaceSlotsPinned pins, per strategy, how many workspace slots and
+// bytes one sparse forward and backward at R = 4 take (E = 8, M = 32,
+// capacity 30 padded to Tpad = 32). The token side is no slot: the dispatch
+// gathers x's rows and the combine-gradient exchange w·dy's through the
+// plan's slot index, so neither the Order's expert-major plane nor the
+// output gradient's is taken — two (E, Tpad, M) planes, 2 × 65 536 bytes,
+// fewer than when each pass started from a buffer (EP 45 slots and 843 776
+// bytes, ESP 117 and 2 318 336, Hybrid 69 and 1 400 832). Poisoning is on,
+// so the pass also reads nothing of a slot it did not write.
+func TestWorkspaceSlotsPinned(t *testing.T) {
+	x := tensor.RandN(xrand.New(441), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(442), 1, 96, 32)
+	for _, tc := range []struct {
+		wc           WorldConfig
+		slots, bytes int
+	}{
+		{WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP}, 43, 712704},
+		{WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP}, 115, 2187264},
+		{WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2}, 67, 1269760},
+	} {
+		layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
+		want := runSequentialLayer(t, layer, x, dy)
+		w, err := NewWorld(layer, tc.wc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layer.ZeroGrad()
+		y, cache, err := w.Forward(x, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dx, err := w.Backward(cache, dy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareSnapshots(t, string(tc.wc.Strategy), want, worldSnapshot{y: y, dx: dx, grads: snapGrads(layer)})
+		ws := w.ws
+		if ws.shape.capacity != 30 || len(ws.slotIdx) != 8*32 {
+			t.Fatalf("%s: capacity %d, slot index of %d, want 30 and 8×32", tc.wc.Strategy, ws.shape.capacity, len(ws.slotIdx))
+		}
+		bytes := 0
+		for _, s := range ws.slots[:ws.next] {
+			bytes += 8 * len(s.data)
+		}
+		if ws.next != tc.slots || bytes != tc.bytes {
+			t.Fatalf("%s: a forward and backward took %d slots, %d bytes; want %d, %d", tc.wc.Strategy, ws.next, bytes, tc.slots, tc.bytes)
+		}
+	}
+}
+
+// countingOrder is TutelOrder counting the calls that lay a sparse plan out
+// in an expert-major buffer.
+type countingOrder struct {
+	TutelOrder
+	calls *int
+}
+
+func (o countingOrder) Scatter(dst, x *tensor.Tensor, plan *DispatchPlan) {
+	*o.calls++
+	o.TutelOrder.Scatter(dst, x, plan)
+}
+
+func (o countingOrder) GatherGrad(dOut, dy, expertOut *tensor.Tensor, plan *DispatchPlan) *PlanGrad {
+	*o.calls++
+	return o.TutelOrder.GatherGrad(dOut, dy, expertOut, plan)
+}
+
+// TestStepSparseSkipsOrderLayout: a training step over sparse plans at R = 4
+// calls neither Order.Scatter nor Order.GatherGrad under any strategy — the
+// collectives read the layout from the plan — while at R = 1, with no
+// collective to carry it, every pass still does.
+func TestStepSparseSkipsOrderLayout(t *testing.T) {
+	x := tensor.RandN(xrand.New(443), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(444), 1, 96, 32)
+	for _, wc := range []WorldConfig{
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2},
+		{Ranks: 1, PipelineDegree: 2, Strategy: StrategyEP},
+	} {
+		calls := 0
+		ws := make([]*World, 2)
+		for i := range ws {
+			w, err := NewWorld(worldLayer(t, "gshard", countingOrder{calls: &calls}, false, false), wc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws[i] = w
+		}
+		for s := 0; s < 2; s++ {
+			if _, err := StepWorlds(ws, x, dy, StepConfig{LR: 0.05}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := 0
+		if wc.Ranks == 1 {
+			want = 2 * 2 * 2 // two steps of two layers, a Scatter and a GatherGrad each
+		}
+		if calls != want {
+			t.Fatalf("%s R=%d: %d Scatter and GatherGrad calls in two steps of two layers, want %d", wc.Strategy, wc.Ranks, calls, want)
+		}
+	}
+}

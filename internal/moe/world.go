@@ -30,12 +30,16 @@ import (
 // sharded expert compute with AllGather/ReduceScatter stages (ESP), or
 // groups of sharding members between the two (Hybrid).
 //
-// Data layout: the gate and order run once on the global batch (they are
-// replicated in expert-parallel training); the resulting (E, T, M)
-// expert-major tensor is sharded by slot rows — rank i owns rows
-// [i·S, (i+1)·S) of every expert's block, S = ⌈T/R⌉. What happens to those
-// shards from there is the builder's business; every strategy is
-// bit-identical to MOELayer.Forward/Backward at any (R, r).
+// Data layout: the gate runs once on the global batch (it is replicated in
+// expert-parallel training), and its plan's (E, T, M) expert-major layout
+// is sharded by slot rows — rank i owns rows [i·S, (i+1)·S) of every
+// expert's block, S = ⌈T/R⌉. For a sparse plan at R > 1 that layout is
+// never written out: the first collectives gather each rank's slot rows
+// from the input through the plan's slot index (the Order's Scatter, fused
+// into the dispatch). Otherwise the Order scatters into a padded buffer
+// first. What happens to the shards from there is the builder's business;
+// every strategy is bit-identical to MOELayer.Forward/Backward at any
+// (R, r).
 type World struct {
 	layer *MOELayer
 	cfg   WorldConfig
@@ -374,13 +378,12 @@ func (w *World) collGuard(stream, kind string, task int) comm.Guard {
 }
 
 // WorldCache carries a forward pass's state to Backward. The cache holds
-// the world's workspace: scattered, combined and everything experts points
-// at are world-owned memory, valid until this cache's Backward returns.
+// the world's workspace: combined and everything experts points at are
+// world-owned memory, valid until this cache's Backward returns.
 type WorldCache struct {
 	pr         *forwardProlog
 	spad, tpad int
 	ws         *workspace     // checked out by Forward, handed back by Backward; holds the expert passes
-	scattered  *tensor.Tensor // (E, Tpad, M), the sequential layer's expert inputs
 	combined   *tensor.Tensor // (E, Tpad, M), the sequential layer's expertOut in rows [0, T) of each block
 	deg        *degradedState // non-nil when the forward ran degraded
 }
@@ -470,20 +473,24 @@ func (w *World) forward(x *tensor.Tensor, train, owned bool) (*tensor.Tensor, *W
 	ws := w.checkout(plan.Capacity)
 	cache := &WorldCache{pr: pr, spad: spad, tpad: spad * R, ws: ws}
 
-	// Order scatters straight into the rank-divisible padded layout every
-	// transfer shares (pad rows enter the pipeline as exact zeros, so they
-	// never perturb a result).
-	cache.scattered = ws.tensor(plan.Experts, cache.tpad, mdim)
-	w.layer.cfg.Order.Scatter(cache.scattered, pr.flat, plan)
+	// The tokens enter the rank-divisible padded layout every transfer
+	// shares (pad rows enter the pipeline as exact zeros, so they never
+	// perturb a result): a sparse plan's dispatch gathers them from x
+	// through the slot index; otherwise Order scatters them into it.
+	src := w.tokenSource(cache, false)
+	if src.gin != nil {
+		w.layer.cfg.Order.Scatter(src.gin, pr.flat, plan)
+	}
 	combined := ws.tensor(plan.Experts, cache.tpad, mdim)
 
-	if err := w.run(w.forwardPlan(cache, cache.scattered, combined)); err != nil {
+	if err := w.run(w.forwardPlan(cache, src, pr.flat.Data(), combined)); err != nil {
 		// Every task has drained; nothing of the aborted pass is read again.
-		w.release(cache)
 		if rank, ok := fault.PermanentRank(err); ok {
+			w.release(cache)
 			w.down = rank
 			return w.degradedForward(pr, retriesIn(w.lastTr), err.Error())
 		}
+		w.drop(cache)
 		return nil, nil, err
 	}
 
@@ -520,14 +527,18 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, owned bool) (*ten
 	plan := pr.plan
 	n, mdim := pr.flat.Dim(0), w.layer.cfg.M
 
-	dpad := ws.tensor(plan.Experts, cache.tpad, mdim)
-	planGrad, err := w.layer.backwardProlog(dpad, cache.combined, plan, dy)
+	// The output gradient's token side: a sparse plan's combine-gradient
+	// collectives gather w·dy rows through the slot index, so only the slot
+	// weights' gradient is left to the prolog; otherwise GatherGrad writes
+	// the padded buffer.
+	src := w.tokenSource(cache, true)
+	planGrad, err := w.layer.backwardProlog(src.gin, cache.combined, plan, dy)
 	if err != nil {
 		return nil, err
 	}
 	dScattered := ws.tensor(plan.Experts, cache.tpad, mdim)
 
-	lp := w.backwardPlan(cache, dpad, dScattered)
+	lp := w.backwardPlan(cache, src, dy.Data(), dScattered)
 	ws.route = routeState{dx: ws.tokens(owned, n, mdim), gateDx: ws.tensor(n, mdim), dScattered: dScattered,
 		x: pr.flat, plan: plan, rc: pr.rc, grad: planGrad}
 	err = w.run(lp)
@@ -538,10 +549,24 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, owned bool) (*ten
 			w.down = rank
 			return w.degradedBackwardRecover(cache, dy, retriesIn(w.lastTr), err.Error())
 		}
+		// Every task has drained; nothing of the aborted pass is read again.
+		w.drop(cache)
 		return nil, err
 	}
 	w.release(cache)
 	return restoreShape(dx, pr.shape), nil
+}
+
+// tokenSource is the token side of a pass over cache: for a sparse plan at
+// R > 1 the workspace's slot index, with the slot weights on the backward
+// (bwd), refreshed from the plan; otherwise the next workspace slot, as the
+// padded expert-major buffer Order fills.
+func (w *World) tokenSource(cache *WorldCache, bwd bool) tokenRows {
+	plan, ws := cache.pr.plan, cache.ws
+	if w.cfg.Ranks > 1 && !plan.IsDense() {
+		return ws.slotRows(plan, cache.tpad, bwd)
+	}
+	return tokenRows{gin: ws.tensor(plan.Experts, cache.tpad, w.layer.cfg.M)}
 }
 
 // retriesIn counts the transient-fault retries an aborted trace spent.

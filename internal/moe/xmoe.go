@@ -90,6 +90,9 @@ func (g *XMoEGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCac
 	return plan, &cache.rc, nil
 }
 
+// reclaim implements scratchGate.
+func (g *XMoEGate) reclaim(rc *RouteCache) { g.idle = rc.extra.(*xmoeCache) }
+
 // Backward implements Gate. The gradient flows through the selected-set
 // softmax, the temperature, and the full cosine similarity (both the inner
 // product and the two norms), into the projection, the expert embeddings,

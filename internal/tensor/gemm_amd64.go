@@ -71,3 +71,6 @@ func addRow512(dst, src *float64, n int)
 
 //go:noescape
 func addScaledRow512(dst, src *float64, a float64, n int)
+
+//go:noescape
+func scaleRow512(dst, src *float64, a float64, n int)

@@ -33,3 +33,7 @@ func addRow512(dst, src *float64, n int) {
 func addScaledRow512(dst, src *float64, a float64, n int) {
 	panic("tensor: no row kernel in this build")
 }
+
+func scaleRow512(dst, src *float64, a float64, n int) {
+	panic("tensor: no row kernel in this build")
+}

@@ -80,6 +80,21 @@ func AddScaledRow(dst, src []float64, a float64) {
 	}
 }
 
+// ScaleRow writes a·src[j] into dst[j] for every j of src, one rounded
+// product each, with AddRow's vector form. dst must not overlap src.
+func ScaleRow(dst, src []float64, a float64) {
+	dst = dst[:len(src)]
+	v := 0
+	if use512 {
+		if v = len(src) &^ 7; v > 0 {
+			scaleRow512(&dst[0], &src[0], a, v)
+		}
+	}
+	for j := v; j < len(src); j++ {
+		dst[j] = a * src[j]
+	}
+}
+
 // ScaleInPlace multiplies every element of a by s.
 func ScaleInPlace(a *Tensor, s float64) {
 	for i := range a.data {

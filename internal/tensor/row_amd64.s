@@ -2,10 +2,10 @@
 
 #include "textflag.h"
 
-// The AVX-512 element-wise row kernels behind AddRow and AddScaledRow
-// (ops.go): eight lanes per instruction, four vectors per loop trip, each
-// lane the scalar loop's operations — a product rounded on its own
-// (VMULPD), then the sum (VADDPD), never fused.
+// The AVX-512 element-wise row kernels behind AddRow, AddScaledRow and
+// ScaleRow (ops.go): eight lanes per instruction, four vectors per loop
+// trip, each lane the scalar loop's operations — a product rounded on its
+// own (VMULPD), then the sum (VADDPD), never fused.
 // n is a multiple of 8; the callers run the remainder in Go.
 
 // func addRow512(dst, src *float64, n int)
@@ -96,5 +96,46 @@ scaledOne:
 	JMP     scaledOne
 
 scaledDone:
+	VZEROUPPER
+	RET
+
+// func scaleRow512(dst, src *float64, a float64, n int)
+//
+// dst[j] = a·src[j] for j < n.
+TEXT ·scaleRow512(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	VBROADCASTSD a+16(FP), Z8
+	MOVQ         n+24(FP), CX
+	SHRQ         $3, CX
+	CMPQ         CX, $4
+	JB           scaleOne
+
+scaleFour:
+	VMULPD  (SI), Z8, Z4
+	VMULPD  64(SI), Z8, Z5
+	VMULPD  128(SI), Z8, Z6
+	VMULPD  192(SI), Z8, Z7
+	VMOVUPD Z4, (DI)
+	VMOVUPD Z5, 64(DI)
+	VMOVUPD Z6, 128(DI)
+	VMOVUPD Z7, 192(DI)
+	ADDQ    $256, SI
+	ADDQ    $256, DI
+	SUBQ    $4, CX
+	CMPQ    CX, $4
+	JAE     scaleFour
+
+scaleOne:
+	TESTQ CX, CX
+	JZ    scaleDone
+	VMULPD  (SI), Z8, Z4
+	VMOVUPD Z4, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	DECQ    CX
+	JMP     scaleOne
+
+scaleDone:
 	VZEROUPPER
 	RET

@@ -54,10 +54,10 @@ func rowOperand(rng *xrand.RNG, n, off, specialPct int) []float64 {
 	return x
 }
 
-// checkRowKernels runs AddRow and AddScaledRow (by a and by −a) on the case's
-// operands and requires every buffer, sentinels included, to carry the bits
-// of the scalar loops they replace; where the loop gives a NaN any NaN will
-// do.
+// checkRowKernels runs AddRow, ScaleRow and AddScaledRow (by a and by −a)
+// on the case's operands and requires every buffer, sentinels included, to
+// carry the bits of the scalar loops they replace; where the loop gives a
+// NaN any NaN will do.
 func checkRowKernels(t *testing.T, c rowCase) {
 	t.Helper()
 	rng := xrand.New(c.seed)
@@ -86,6 +86,13 @@ func checkRowKernels(t *testing.T, c rowCase) {
 		want[lo+i] += float64(c.a * v)
 	}
 	equal("AddScaledRow dst", got, want)
+
+	got, want = clone(dst), clone(dst)
+	ScaleRow(got[lo:hi], src[lo:hi], c.a)
+	for i, v := range src[lo:hi] {
+		want[lo+i] = c.a * v
+	}
+	equal("ScaleRow dst", got, want)
 
 	// The SGD step w − a·grad is AddScaledRow by −a, with the bits of the
 	// difference.
