@@ -82,7 +82,9 @@
 // execute concurrently on a lazily-started worker pool sized by
 // GOMAXPROCS, reading and writing their blocks of the
 // (E, T, M) activations through zero-copy views, and transient buffers are
-// recycled through a free-list exposed here as GetTensor/PutTensor.
+// recycled through one free-list, exposed here as GetTensor/PutTensor, that
+// every goroutine shares and the collector does not empty: it keeps each
+// buffer Put back, as many as were ever out at once.
 // Parallelism never reorders floating-point accumulation — results are
 // bit-identical at any worker count.
 //
@@ -115,7 +117,8 @@
 // Ownership rules for pooled buffers: whoever calls GetTensor owns the
 // buffer and must PutTensor it at most once, only after every view of it
 // (Reshape/View/Slice/Row all alias the same backing array) is dead. After
-// Put, the array may be handed to an unrelated GetTensor, so a stale view
+// Put, the array goes to the next GetTensor of its size, on any goroutine,
+// so a stale view
 // — or a second PutTensor of the same tensor — silently corrupts someone
 // else's data. PutTensor ignores tensors it does not own (NewTensor
 // results, views), so releasing a tensor of unknown origin is safe; "at

@@ -193,11 +193,13 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }
 
 // GetTensor returns a zero-filled tensor from the shared buffer free-list;
-// PutTensor returns it. The single-owner rule applies: Put a tensor at most
-// once, only if it came from GetTensor, and only when no view of it is
-// still live (see the internal/tensor package docs). Custom experts and
-// hooks use these to keep their transients off the allocator, like the
-// built-in sub-modules do.
+// PutTensor returns it. The list is one for every goroutine, and it keeps
+// what is Put back — as many buffers of a size as were ever out at once —
+// rather than hand it to the collector. The single-owner rule applies: Put
+// a tensor at most once, only if it came from GetTensor, and only when no
+// view of it is still live (see the internal/tensor package docs). Custom
+// experts and hooks use these to keep their transients off the allocator,
+// like the built-in sub-modules do.
 func GetTensor(shape ...int) *Tensor { return tensor.Get(shape...) }
 
 // PutTensor releases a GetTensor buffer back to the free-list, at most once

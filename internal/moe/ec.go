@@ -11,15 +11,18 @@ import (
 // by construction (no token is ever dropped for capacity; capacity IS the
 // selection budget).
 type ECGate struct {
-	cfg GateConfig
-	m   int
-	wg  *Param
+	cfg  GateConfig
+	m    int
+	wg   *Param
+	idle *ecCache // routing scratch between a Backward and the next Route
 }
 
+// ecCache is the gate's routing scratch (routing). Each expert's row of the
+// plan holds its selected tokens and their masked-softmax weights.
 type ecCache struct {
-	logits *tensor.Tensor // (N, E)
-	selTok [][]int        // per expert: selected token ids
-	selW   [][]float64    // per expert: masked-softmax weights over its tokens
+	routing
+	logits *tensor.Tensor // x·W_g, (N, E)
+	col    []float64      // one expert's column of logits
 }
 
 // NewECGate constructs the gate for embedding size m. The per-expert token
@@ -38,7 +41,9 @@ func (g *ECGate) Name() string { return "ec" }
 // Params implements Gate.
 func (g *ECGate) Params() []*Param { return []*Param{g.wg} }
 
-// Route implements Gate.
+// Route implements Gate. The plan and the RouteCache are the gate's
+// routing scratch (routing), valid until the next Route after their
+// Backward.
 func (g *ECGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCache, error) {
 	if err := checkGateInput(x, g.m); err != nil {
 		return nil, nil, err
@@ -48,53 +53,58 @@ func (g *ECGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCache
 	if capacity <= 0 { // f=∗ degenerates to an even split for EC
 		capacity = (g.cfg.TopK*n + e - 1) / e
 	}
-	if capacity > n {
-		capacity = n
+	capacity = min(capacity, n)
+	cache := g.idle
+	g.idle = nil
+	if cache == nil {
+		cache = &ecCache{}
 	}
-	logits := tensor.MatMul(x, g.wg.W)
-	p := &DispatchPlan{Experts: e, Capacity: capacity}
-	p.SlotToken = make([][]int, e)
-	p.SlotWeight = make([][]float64, e)
-	cache := &ecCache{logits: logits, selTok: make([][]int, e), selW: make([][]float64, e)}
-	col := make([]float64, n)
+	cache.begin(x, cache)
+	logits := scratchMat(&cache.logits, n, e)
+	tensor.MatMulInto(logits, x, g.wg.W)
+	plan := cache.layout(e, capacity)
+	ld, col := logits.Data(), grow(cache.col, n)
 	for ei := 0; ei < e; ei++ {
-		for t := 0; t < n; t++ {
-			col[t] = logits.At(t, ei)
+		for t := range col {
+			col[t] = ld[t*e+ei]
 		}
-		sel := tensor.TopK(col, capacity)
-		w := make([]float64, len(sel))
+		sel, w := plan.SlotToken[ei], plan.SlotWeight[ei]
+		tensor.TopKInto(sel, col)
 		for j, tok := range sel {
 			w[j] = col[tok]
 		}
 		tensor.SoftmaxInPlace(w)
-		p.SlotToken[ei] = append([]int(nil), sel...)
-		p.SlotWeight[ei] = w
-		cache.selTok[ei] = p.SlotToken[ei]
-		cache.selW[ei] = p.SlotWeight[ei]
 	}
-	return p, &RouteCache{X: x, Plan: p, extra: cache}, nil
+	cache.col = col
+	return plan, &cache.rc, nil
 }
+
+// reclaim implements scratchGate.
+func (g *ECGate) reclaim(rc *RouteCache) { g.idle = rc.extra.(*ecCache) }
 
 // Backward implements Gate: per expert, the masked softmax over its
 // selected tokens is differentiated, then the gradient flows through the
 // shared linear scorer.
 func (g *ECGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
-	cache := rc.extra.(*ecCache)
+	plan := rc.Plan
 	x := rc.X
 	n, e := x.Dim(0), g.cfg.Experts
 	dLogits := tensor.Get(n, e)
-	dl := make([]float64, rc.Plan.Capacity) // every expert selects Capacity tokens
+	dlt := tensor.GetUninit(plan.Capacity) // every expert selects Capacity tokens
+	dl := dlt.Data()
 	for ei := 0; ei < e; ei++ {
 		clear(dl)
 		if grad.SlotWeight != nil {
 			copy(dl, grad.SlotWeight[ei])
 		}
-		maskedSoftmaxBackward(cache.selW[ei], dl)
-		for j, tok := range cache.selTok[ei] {
+		maskedSoftmaxBackward(plan.SlotWeight[ei], dl)
+		for j, tok := range plan.SlotToken[ei] {
 			dLogits.Row(tok)[ei] = dl[j]
 		}
 	}
+	tensor.Put(dlt)
 	tensor.MatMulT1AddInto(g.wg.G, x, dLogits)
 	tensor.MatMulT2Into(dx, dLogits, g.wg.W)
 	tensor.Put(dLogits)
+	g.idle = rc.extra.(*ecCache)
 }

@@ -92,7 +92,9 @@ type PassBufs struct {
 // tile [0, n) before a row's ForwardOut. Backward: BeginBackward, then
 // BackwardHidden tiles [0, n) before a row's BackwardIn; Finish runs once,
 // on one pass per expert, over fully assembled buffers. Stages may draw
-// transient buffers from tensor.Get and Put them before returning.
+// transient buffers from tensor.Get and Put them before returning; the
+// free-list is one for every executor worker, so a warm stage finds the
+// buffers an earlier one Put, whichever worker runs it.
 type ExpertPass interface {
 	// ForwardHidden computes Hidden columns [Cl, Ch) of the rows w.
 	ForwardHidden(w tensor.Windows)

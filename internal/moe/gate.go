@@ -85,6 +85,9 @@ func (c GateConfig) Validate() error {
 // training loop routes every step in the same memory. The plan and the
 // RouteCache a Route returns are therefore the gate's: valid until the next
 // Route after their Backward (a forward-only pass keeps them for good).
+// What only a Backward needs — its gradient matrices — it takes from
+// tensor.Get and Puts back before it returns, so routing holds nothing a
+// Backward alone reads.
 //
 // Scratch is handed out dirty, like a workspace slot: Route overwrites
 // every table and matrix it fills, and under poisonWorkspaces every float
@@ -139,26 +142,15 @@ func (r *routing) poison() {
 	}
 }
 
-// scratchMat returns *t as a (rows, cols) matrix of routing scratch — *t
-// itself when it already has that shape, a new one otherwise — poisoned
-// under poisonWorkspaces.
+// scratchMat returns *t as a (rows, cols) matrix of a Route's routing
+// scratch — *t itself when it already has that shape, a new one otherwise —
+// poisoned under poisonWorkspaces.
 func scratchMat(t **tensor.Tensor, rows, cols int) *tensor.Tensor {
 	*t = reuseMat(*t, rows, cols)
 	if poisonWorkspaces.Load() {
 		poisonFloats((*t).Data())
 	}
 	return *t
-}
-
-// zeroMat is scratchMat cleared: routing scratch for a Backward that
-// accumulates into it. A gate's Backward runs inside the backward plan, on
-// whichever executor worker takes it, so its temporaries are routing
-// scratch rather than tensor.Get's per-processor free-lists, which a
-// goroutine on another processor could find empty.
-func zeroMat(t **tensor.Tensor, rows, cols int) *tensor.Tensor {
-	m := scratchMat(t, rows, cols)
-	clear(m.Data())
-	return m
 }
 
 // reuseMat returns t when it is a (rows, cols) matrix, a new one otherwise:

@@ -32,15 +32,13 @@ type GShardGate struct {
 // selected experts and their masked-softmax weights per token.
 type gshardCache struct {
 	routing
-	logits *tensor.Tensor // x·W_g, (N, E): H(x) in eval mode (the noisy path adds to a copy)
-	noise  *tensor.Tensor // sampled N(0,1), nil in eval mode
-	spPre  *tensor.Tensor // x·W_noise, nil in eval mode
-	probs  *tensor.Tensor // full softmax over logits, for the aux loss
+	logits *tensor.Tensor // x·W_g, (N, E): H(x) in eval mode
+	noisy  *tensor.Tensor // train mode: H(x), logits + noise·softplus(spPre)
+	spPre  *tensor.Tensor // train mode: x·W_noise
+	draws  *tensor.Tensor // train mode: the sampled N(0,1), unless the noise is fixed
+	noise  *tensor.Tensor // the noise H(x) added: draws or the fixed noise, nil in eval mode
+	probs  *tensor.Tensor // full softmax over H(x), for the aux loss
 	firstC []int          // first-choice counts per expert
-
-	// Backward: the logit gradient (N, E) and, in train mode, the noise
-	// path's (N, E) and its input gradient (N, M).
-	dLogits, dpre, dxn *tensor.Tensor
 }
 
 // NewGShardGate constructs the gate for embedding size m.
@@ -91,19 +89,25 @@ func (g *GShardGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteC
 	cache.begin(x, cache)
 	logits := scratchMat(&cache.logits, n, e)
 	tensor.MatMulInto(logits, x, g.wg.W)
-	cache.noise, cache.spPre = nil, nil
+	cache.noise = nil
 	if train {
-		spPre := tensor.MatMul(x, g.wnoise.W)
-		sp := tensor.Softplus(spPre)
-		var noise *tensor.Tensor
-		if g.fixedNoise != nil {
-			noise = g.fixedNoise
-		} else {
-			noise = tensor.RandN(g.rng, 1, n, e)
+		spPre := scratchMat(&cache.spPre, n, e)
+		tensor.MatMulInto(spPre, x, g.wnoise.W)
+		noise := g.fixedNoise
+		if noise == nil {
+			noise = scratchMat(&cache.draws, n, e)
+			for i, nz := 0, noise.Data(); i < len(nz); i++ {
+				nz[i] = g.rng.NormFloat64()
+			}
 		}
-		logits = tensor.Add(logits, tensor.Mul(noise, sp))
-		cache.noise = noise
-		cache.spPre = spPre
+		// H(x) = logits + noise·softplus(spPre), the product rounded before
+		// the sum (the conversion keeps the compiler from fusing the two).
+		noisy := scratchMat(&cache.noisy, n, e)
+		nd, ld, zd := noisy.Data(), logits.Data(), noise.Data()
+		for i, s := range spPre.Data() {
+			nd[i] = ld[i] + float64(zd[i]*tensor.SoftplusAt(s))
+		}
+		cache.noise, logits = noise, noisy
 	}
 
 	probs := scratchMat(&cache.probs, n, e) // full softmax for the aux loss
@@ -182,7 +186,7 @@ func (g *GShardGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad)
 	sel, k := &cache.sel, g.cfg.TopK
 	// Collect dWeight per (token, selected expert) from the slot grads.
 	dW := sel.weightGrads(rc.Plan, grad.SlotWeight)
-	dLogits := zeroMat(&cache.dLogits, n, e)
+	dLogits := tensor.Get(n, e)
 	for t := 0; t < n; t++ {
 		dl := dW[t*k : (t+1)*k]
 		maskedSoftmaxBackward(sel.w[t*k:(t+1)*k], dl)
@@ -195,18 +199,19 @@ func (g *GShardGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad)
 	tensor.MatMulT1AddInto(g.wg.G, x, dLogits)
 	tensor.MatMulT2Into(dx, dLogits, g.wg.W)
 	if cache.noise != nil {
-		// Noise path: logits += noise * softplus(x·W_noise).
-		dpre := scratchMat(&cache.dpre, n, e)
-		tensor.MulInto(dpre, dLogits, cache.noise)
-		spd := cache.spPre.Data()
-		dd := dpre.Data()
+		// Noise path: logits += noise * softplus(x·W_noise). dLogits
+		// becomes the gradient of x·W_noise in place.
+		tensor.MulInto(dLogits, dLogits, cache.noise)
+		spd, dd := cache.spPre.Data(), dLogits.Data()
 		for i := range dd {
 			dd[i] *= tensor.SigmoidAt(spd[i]) // softplus' = sigmoid
 		}
-		tensor.MatMulT1AddInto(g.wnoise.G, x, dpre)
-		dxn := scratchMat(&cache.dxn, n, g.m)
-		tensor.MatMulT2Into(dxn, dpre, g.wnoise.W)
+		tensor.MatMulT1AddInto(g.wnoise.G, x, dLogits)
+		dxn := tensor.GetUninit(n, g.m)
+		tensor.MatMulT2Into(dxn, dLogits, g.wnoise.W)
 		tensor.AddInPlace(dx, dxn)
+		tensor.Put(dxn)
 	}
+	tensor.Put(dLogits)
 	g.idle = cache
 }

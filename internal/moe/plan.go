@@ -143,11 +143,6 @@ type assignment struct {
 	choice int // rank of this choice for the token (0 = best)
 }
 
-// buildHardPlan packs assignments into a new plan (see routing.pack).
-func buildHardPlan(tokens, experts, capacity int, asg []assignment) *DispatchPlan {
-	return new(routing).pack(experts, capacity, asg)
-}
-
 // pack packs assignments into r's plan, its slot tables in r's memory, in
 // token order, dropping over-capacity assignments, which is the standard
 // GShard capacity semantics. capacity <= 0 means f=∗: the capacity becomes
@@ -162,19 +157,8 @@ func (r *routing) pack(experts, capacity int, asg []assignment) *DispatchPlan {
 		}
 		capacity = max(1, slices.Max(next))
 	}
-	p := &r.plan
-	p.reset(experts, capacity)
-	r.tok, r.wt = grow(r.tok, experts*capacity), grow(r.wt, experts*capacity)
-	for i := range r.tok {
-		r.tok[i] = -1
-	}
-	clear(r.wt)
-	p.SlotToken, p.SlotWeight = grow(p.SlotToken, experts), grow(p.SlotWeight, experts)
+	p := r.layout(experts, capacity)
 	clear(next)
-	for e := 0; e < experts; e++ {
-		p.SlotToken[e] = r.tok[e*capacity : (e+1)*capacity]
-		p.SlotWeight[e] = r.wt[e*capacity : (e+1)*capacity]
-	}
 	for _, a := range asg {
 		e := a.expert
 		if next[e] >= capacity {
@@ -184,6 +168,24 @@ func (r *routing) pack(experts, capacity int, asg []assignment) *DispatchPlan {
 		p.SlotToken[e][next[e]] = a.token
 		p.SlotWeight[e][next[e]] = a.weight
 		next[e]++
+	}
+	return p
+}
+
+// layout makes r's plan an empty hard plan over experts × capacity slots —
+// every token -1, every weight +0 — its slot tables in r's memory.
+func (r *routing) layout(experts, capacity int) *DispatchPlan {
+	p := &r.plan
+	p.reset(experts, capacity)
+	r.tok, r.wt = grow(r.tok, experts*capacity), grow(r.wt, experts*capacity)
+	for i := range r.tok {
+		r.tok[i] = -1
+	}
+	clear(r.wt)
+	p.SlotToken, p.SlotWeight = grow(p.SlotToken, experts), grow(p.SlotWeight, experts)
+	for e := 0; e < experts; e++ {
+		p.SlotToken[e] = r.tok[e*capacity : (e+1)*capacity]
+		p.SlotWeight[e] = r.wt[e*capacity : (e+1)*capacity]
 	}
 	return p
 }

@@ -7,6 +7,11 @@ import (
 	"repro/internal/xrand"
 )
 
+// buildHardPlan packs assignments into a new plan (see routing.pack).
+func buildHardPlan(tokens, experts, capacity int, asg []assignment) *DispatchPlan {
+	return new(routing).pack(experts, capacity, asg)
+}
+
 func TestCapacityFor(t *testing.T) {
 	// T = k·f·N/E (§2.1): 2 choices × 1.2 × 64 tokens / 8 experts = 19.2 → 19.
 	if got := CapacityFor(64, 8, 2, 1.2); got != 19 {

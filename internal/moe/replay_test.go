@@ -412,7 +412,7 @@ func TestStepAfterFailedStepReplays(t *testing.T) {
 		}
 		cfg := StepConfig{LR: 0.01}
 		// The collector is off from the warm-up on, as in
-		// TestStepAllocationBound, so the tensor free-lists stay warm.
+		// TestStepAllocationBound.
 		goruntime.GC()
 		prev := debug.SetGCPercent(-1)
 		for s := 0; s < 3; s++ {

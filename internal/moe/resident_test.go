@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -247,27 +248,40 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 	step("recovered again", x, dy, false)
 }
 
+// stepLayerSlack is TestStepAllocationBound's per-layer byte allowance on
+// the token stacks, with and without the race detector. In 6 000 runs on a
+// 2-core box (3 000 of each token stack) a warm step allocated 2 852 B per
+// layer in 5 788 and at most 3 748: the expert passes Begin makes, the
+// closures Order and the gate hand ParallelRange, and each execution's
+// context and worker start, where now and then the runtime makes a new
+// goroutine (1.6 KiB). The allowance is 1.37× that most. Under -race, 50
+// runs of each read 2 852 B per layer in 46–47 and at most 2 948. Before
+// the tensor free-list was one list, a Get that missed a per-processor
+// pool, or a GEMM scratch buffer met at a new concurrency peak, added
+// 4–47 KiB, and -race needed 64 KiB; an OS thread the runtime starts inside
+// the window adds 5.1 KiB (spareThreads).
+const stepLayerSlack = 5120
+
 // TestStepAllocationBound pins the resident state from both sides. On a
 // parameter-heavy stack a warm step allocates less than one copy of the
 // parameters — the per-step gradient and replica buffers that the resident
 // buffers replace were 2·R copies — and makes no single allocation as large
 // as one expert's weight matrix: a reintroduced per-step make, or a weight
 // gradient that goes through a temporary again, fails here. On a
-// token-heavy stack a warm step allocates stepLayerSlack per layer and no
+// token-heavy stack, routed in eval mode and in train mode (GShard's noisy
+// gating), a warm step allocates under stepLayerSlack per layer and no
 // single allocation as large as one (N, M) token plane: the step's output
-// and input gradient are stack-owned workspace slots, and the routing
-// metadata — score matrices, the plan's slot tables, reverse index and
-// slot-weight gradient, the gate backward's temporaries — is gate-owned
-// scratch, and the two plans are resident and replayed, so what remains is a
-// few KiB for beginning the layer's expert passes (a pass value and the
-// headers over its scratch), the §5 and the gate and Order's bookkeeping and
-// starting two executions. A batch- or routing-sized allocation per layer,
-// or a plan rebuilt every step, does not fit. The collector is off for the window, as in the repository
-// benchmark, so the tensor free-lists stay warm and the figure repeats.
-// Under the race detector sync.Pool drops buffers at random, so the token
-// stack re-allocates a few pooled stage temporaries and its allowance is
-// larger there (race_on_test.go); the parameter stack's bounds are the same
-// in both modes.
+// and input gradient are stack-owned workspace slots; the routing metadata
+// — score matrices, the noise and the noisy logits, the plan's slot tables,
+// reverse index and slot-weight gradient — is gate-owned scratch; the
+// expert stages', the GEMMs' and the gate backward's temporaries come from
+// the tensor free-list, which keeps every buffer Put back; and the two plans
+// are resident and replayed. What remains is a few KiB for beginning the
+// layer's expert passes (a pass value and the headers over its scratch),
+// the §5 and the gate and Order's bookkeeping and starting two executions.
+// A batch- or routing-sized allocation per layer, or a plan rebuilt every
+// step, does not fit. The collector is off for the window, as in the
+// repository benchmark. The bounds are the same under the race detector.
 func TestStepAllocationBound(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1 // every allocation is sampled: sites() below is exact
@@ -275,10 +289,12 @@ func TestStepAllocationBound(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		m, h, n, deg int
+		train        bool
 		bound        func(params int) int // bytes
 	}{
-		{"parameter-bound", 64, 128, 16, 1, func(params int) int { return 8 * params }},
-		{"token-bound", 256, 16, 192, 4, func(int) int { return layers * stepLayerSlack }},
+		{"parameter-bound", 64, 128, 16, 1, false, func(params int) int { return 8 * params }},
+		{"token-bound", 256, 16, 192, 4, false, func(int) int { return layers * stepLayerSlack }},
+		{"token-bound noisy", 256, 16, 192, 4, true, func(int) int { return layers * stepLayerSlack }},
 	} {
 		ws := make([]*World, layers)
 		params := 0
@@ -294,8 +310,9 @@ func TestStepAllocationBound(t *testing.T) {
 		}
 		x := tensor.RandN(xrand.New(321), 1, tc.n, tc.m)
 		dy := tensor.RandN(xrand.New(322), 1, tc.n, tc.m)
-		cfg := StepConfig{LR: 0.01}
+		cfg := StepConfig{LR: 0.01, Train: tc.train}
 
+		spareThreads(runtime.GOMAXPROCS(0) + 4)
 		runtime.GC()
 		prev := debug.SetGCPercent(-1)
 		var perStep uint64
@@ -303,7 +320,7 @@ func TestStepAllocationBound(t *testing.T) {
 		// before the window, so reading it adds nothing to it.
 		before, after := make([]runtime.MemProfileRecord, 1<<14), make([]runtime.MemProfileRecord, 1<<14)
 		for s := 0; s < 5; s++ {
-			if s == 4 { // one more step, bracketed by profile reads, which flush the free-lists
+			if s == 4 { // one more step, bracketed by profile reads
 				before = allocSites(before)
 			}
 			var m0, m1 runtime.MemStats
@@ -332,7 +349,7 @@ func TestStepAllocationBound(t *testing.T) {
 			size  int64
 		}
 		large, what := int64(tc.m*tc.h*8), "a weight matrix"
-		if tc.name == "token-bound" {
+		if tc.name != "parameter-bound" {
 			large, what = int64(tc.n*tc.m*8), "a token plane"
 		}
 		was := map[site]int64{}
@@ -356,6 +373,33 @@ func TestStepAllocationBound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// spareThreads leaves the Go runtime n idle OS threads: n goroutines hold a
+// thread each (LockOSThread) at once, then let go of it and end, and the
+// runtime keeps the threads for reuse. A thread the runtime starts costs
+// about 5 KiB of heap for its bookkeeping, charged to whatever happens to
+// run when it starts — in TestStepAllocationBound, the step measured when a
+// reading of the allocation counters restarts the world, or a plan worker
+// wakes another, with no idle thread left. With threads to spare, what a
+// step allocates is what the step's code allocates.
+func spareThreads(n int) {
+	var held, release, done sync.WaitGroup
+	held.Add(n)
+	release.Add(1)
+	done.Add(n)
+	for range n {
+		go func() {
+			defer done.Done()
+			runtime.LockOSThread()
+			held.Done()
+			release.Wait()
+			runtime.UnlockOSThread()
+		}()
+	}
+	held.Wait()
+	release.Done()
+	done.Wait()
 }
 
 // allocSites reads the allocation profile, by call stack, into buf: as of

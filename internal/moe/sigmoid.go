@@ -21,8 +21,7 @@ type SigmoidGate struct {
 // selected experts and σ(s) at them.
 type sigmoidCache struct {
 	routing
-	scores  *tensor.Tensor // x·W_g, (N, E)
-	dScores *tensor.Tensor // Backward: the score gradient, (N, E)
+	scores *tensor.Tensor // x·W_g, (N, E)
 }
 
 // NewSigmoidGate constructs the gate for embedding size m.
@@ -72,7 +71,7 @@ func (g *SigmoidGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad
 	x := rc.X
 	n, e, k := x.Dim(0), g.cfg.Experts, g.cfg.TopK
 	dW := sel.weightGrads(rc.Plan, grad.SlotWeight)
-	dScores := zeroMat(&cache.dScores, n, e)
+	dScores := tensor.Get(n, e)
 	for t := 0; t < n; t++ {
 		row := dScores.Row(t)
 		for j, idx := range sel.idx[t*k : (t+1)*k] {
@@ -82,5 +81,6 @@ func (g *SigmoidGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad
 	}
 	tensor.MatMulT1AddInto(g.wg.G, x, dScores)
 	tensor.MatMulT2Into(dx, dScores, g.wg.W)
+	tensor.Put(dScores)
 	g.idle = cache
 }

@@ -28,11 +28,9 @@ type SoftMoEGate struct {
 // and its CombineW is c.
 type softmoeCache struct {
 	routing
-	logits  *tensor.Tensor // (N, E*T)
-	c       *tensor.Tensor // (N, E*T) row-softmax
-	dt      *tensor.Tensor // (E*T, N): Dᵀ
-	dl      []float64      // Backward: one row's or one column's logit gradient
-	dLogits *tensor.Tensor // Backward: the logit gradient, (N, E*T)
+	logits *tensor.Tensor // (N, E*T)
+	c      *tensor.Tensor // (N, E*T) row-softmax
+	dt     *tensor.Tensor // (E*T, N): Dᵀ
 }
 
 // NewSoftMoEGate constructs the gate with slotsPerExpert slots each.
@@ -98,11 +96,11 @@ func (g *SoftMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad
 	x := rc.X
 	n := x.Dim(0)
 	slots := g.cfg.Experts * g.slotsPer
-	dLogits := zeroMat(&cache.dLogits, n, slots)
-	cache.dl = grow(cache.dl, max(n, slots))
+	// dLogits, and one row's or one column's logit gradient.
+	dLogits, dlt := tensor.Get(n, slots), tensor.GetUninit(max(n, slots))
 	if grad.CombineW != nil {
 		// Row softmax backward: per token row.
-		dl := cache.dl[:slots]
+		dl := dlt.Data()[:slots]
 		for t := 0; t < n; t++ {
 			copy(dl, grad.CombineW.Row(t))
 			maskedSoftmaxBackward(cache.c.Row(t), dl)
@@ -115,7 +113,7 @@ func (g *SoftMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad
 		// Column softmax backward: per slot column. grad.DispatchW is
 		// (slots, N) = ∂L/∂Dᵀ, so column s of D — row s of Dᵀ — has
 		// gradient row s of it.
-		dl := cache.dl[:n]
+		dl := dlt.Data()[:n]
 		for s := 0; s < slots; s++ {
 			copy(dl, grad.DispatchW.Row(s))
 			maskedSoftmaxBackward(cache.dt.Row(s), dl)
@@ -124,7 +122,9 @@ func (g *SoftMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad
 			}
 		}
 	}
+	tensor.Put(dlt)
 	tensor.MatMulT1AddInto(g.phi.G, x, dLogits)
 	tensor.MatMulT2Into(dx, dLogits, g.phi.W)
+	tensor.Put(dLogits)
 	g.idle = cache
 }

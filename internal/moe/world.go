@@ -402,9 +402,9 @@ const (
 // fault injector, retry policy and deadline in, and resolving each
 // collective task's guard, in build order, as a plan built for this pass
 // would have minted it — records it, and returns the joined task errors.
-// After a plan's first execution the GEMM scratch free-list is sized for it:
-// its products have asked for every size they need, and at most w.workers
-// of them run at once.
+// After a plan's first execution the tensor free-list is readied for it
+// (tensor.ReserveScratch): its tasks have asked for every size they need,
+// and at most w.workers of them run at once.
 func (w *World) run(lp *layerPlan) error {
 	p := lp.Plan
 	p.SetFaultPlan(w.faults)

@@ -28,7 +28,6 @@ type xmoeCache struct {
 	routing
 	u   *tensor.Tensor // x·W_proj, (N, dim)
 	cos *tensor.Tensor // cosine scores, (N, E)
-	dU  *tensor.Tensor // Backward: the gradient of u, (N, dim)
 }
 
 // NewXMoEGate constructs the gate. lowRank is the projection dimension
@@ -103,7 +102,7 @@ func (g *XMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
 	n, k := x.Dim(0), g.cfg.TopK
 	sel := &cache.sel
 	dW := sel.weightGrads(rc.Plan, grad.SlotWeight)
-	dU := zeroMat(&cache.dU, n, g.dim)
+	dU := tensor.Get(n, g.dim)
 	for t := 0; t < n; t++ {
 		dscore := dW[t*k : (t+1)*k]
 		maskedSoftmaxBackward(sel.w[t*k:(t+1)*k], dscore)
@@ -134,6 +133,7 @@ func (g *XMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
 	}
 	tensor.MatMulT1AddInto(g.proj.G, x, dU)
 	tensor.MatMulT2Into(dx, dU, g.proj.W)
+	tensor.Put(dU)
 	g.idle = cache
 }
 

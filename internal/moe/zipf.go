@@ -2,6 +2,7 @@ package moe
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/tensor"
 	"repro/internal/xrand"
@@ -20,8 +21,13 @@ type ZipfGate struct {
 	cfg  GateConfig
 	m    int
 	seed uint64
-	cdf  []float64 // cumulative p(e), strictly increasing to 1
+	cdf  []float64  // cumulative p(e), strictly increasing to 1
+	idle *zipfCache // routing scratch between a Backward and the next Route
 }
+
+// zipfCache is the gate's routing scratch (routing): sel holds each token's
+// drawn experts and their equal weights.
+type zipfCache struct{ routing }
 
 // NewZipfGate constructs the gate for embedding size m with skew exponent
 // s (s = 0 degenerates to uniform routing; larger s concentrates load on
@@ -52,45 +58,38 @@ func (g *ZipfGate) Name() string { return "zipf" }
 func (g *ZipfGate) Params() []*Param { return nil }
 
 // Route implements Gate. Each token draws TopK distinct experts from the
-// Zipf popularity distribution with equal combine weights 1/TopK.
+// Zipf popularity distribution with equal combine weights 1/TopK. The plan
+// and the RouteCache are the gate's routing scratch (routing), valid until
+// the next Route after their Backward.
 func (g *ZipfGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCache, error) {
 	if err := checkGateInput(x, g.m); err != nil {
 		return nil, nil, err
 	}
 	n, e, k := x.Dim(0), g.cfg.Experts, g.cfg.TopK
+	cache := g.idle
+	g.idle = nil
+	if cache == nil {
+		cache = &zipfCache{}
+	}
+	cache.begin(x, cache)
 	rng := xrand.New(g.seed) // re-seeded per Route: routing is a pure function
 	w := 1 / float64(k)
-	asg := make([]assignment, 0, n*k)
+	c := &cache.sel
+	c.k, c.idx, c.asg = k, grow(c.idx, n*k), c.asg[:0]
 	for t := 0; t < n; t++ {
-		chosen := make([]int, 0, k)
+		chosen := c.idx[t*k : t*k]
 		for len(chosen) < k {
 			idx := g.draw(rng)
-			dup := false
-			for _, c := range chosen {
-				if c == idx {
-					dup = true
-					break
-				}
-			}
-			if dup {
+			if slices.Contains(chosen, idx) {
 				// Duplicate draw: walk to the nearest unchosen expert so the
 				// loop terminates even under extreme skew.
 				for d := 1; d < e; d++ {
-					for _, cand := range []int{(idx + d) % e, (idx - d + e) % e} {
-						dup = false
-						for _, c := range chosen {
-							if c == cand {
-								dup = true
-								break
-							}
-						}
-						if !dup {
-							idx = cand
-							d = e
-							break
-						}
+					if up := (idx + d) % e; !slices.Contains(chosen, up) {
+						idx = up
+						break
 					}
-					if !dup {
+					if down := (idx - d + e) % e; !slices.Contains(chosen, down) {
+						idx = down
 						break
 					}
 				}
@@ -98,12 +97,11 @@ func (g *ZipfGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCac
 			chosen = append(chosen, idx)
 		}
 		for j, idx := range chosen {
-			asg = append(asg, assignment{token: t, expert: idx, weight: w, choice: j})
+			c.asg = append(c.asg, assignment{token: t, expert: idx, weight: w, choice: j})
 		}
 	}
-	capacity := CapacityFor(n, e, k, g.cfg.Factor)
-	plan := buildHardPlan(n, e, capacity, asg)
-	return plan, &RouteCache{X: x, Plan: plan}, nil
+	plan := cache.pack(e, CapacityFor(n, e, k, g.cfg.Factor), c.asg)
+	return plan, &cache.rc, nil
 }
 
 // draw samples one expert index from the Zipf CDF.
@@ -117,8 +115,12 @@ func (g *ZipfGate) draw(rng *xrand.RNG) int {
 	return len(g.cdf) - 1
 }
 
+// reclaim implements scratchGate.
+func (g *ZipfGate) reclaim(rc *RouteCache) { g.idle = rc.extra.(*zipfCache) }
+
 // Backward implements Gate: routing ignores x, so the gradient through the
 // gate is zero and there are no parameters to accumulate into.
 func (g *ZipfGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
 	dx.Zero()
+	g.idle = rc.extra.(*zipfCache)
 }

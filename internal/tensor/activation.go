@@ -228,6 +228,10 @@ func GeLUGradRow(dst, dy, x []float64) {
 // time (the gates' combine weights and the noise path's softplus').
 func SigmoidAt(x float64) float64 { return sigmoid(x) }
 
+// SoftplusAt is log(1+e^x), computed stably: the scale of GShard's noise,
+// which the gate applies one element at a time.
+func SoftplusAt(x float64) float64 { return softplus(x) }
+
 // SiLUAt is the scalar SiLUInto applies, for callers that write the result
 // through a strided column window.
 func SiLUAt(x float64) float64 { return silu(x) }

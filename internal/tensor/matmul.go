@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"sync"
 )
 
 // The GEMM layer (contract: the package comment). Three products — a@b,
@@ -205,8 +204,9 @@ func checkWindows(dst *Tensor, dw Windows, a *Tensor, aw Windows, n int, op stri
 // times b into the rows dw of dst (width n), through gemm — matmulInto or
 // matmulT2Into — on contiguous operands. Sets that are one run of rows each
 // are the operands themselves. Otherwise each window's whole tiles — all of
-// its rows where no kernel would run — run in place, and the rows past them, from every window, run as one product in a
-// scratch buffer: a's rows gathered, the result scattered back to dw's
+// its rows where no kernel would run — run in place, and the rows past
+// them, from every window, run as one product in a scratch buffer from the
+// free-list (GetUninit): a's rows gathered, the result scattered back to dw's
 // rows, on at least a tile of rows, padded with zero rows whose results are
 // never stored. Every element is one accumulation over one row of a, so
 // where a row is computed changes no bit.
@@ -236,69 +236,36 @@ func (p *Pool) windowed(gemm func(p *Pool, dst, a, b []float64, m, k, n int),
 		}
 	}
 	rows := max(m, tileRows)
-	s := takeScratch(rows * (n + k))
-	dd, ad := s[:rows*n], s[rows*n:]
+	s := GetUninit(rows * (n + k))
+	dd, ad := s.data[:rows*n], s.data[rows*n:]
 	gather(ad, a, aw, k)
 	clear(ad[m*k:])
 	gemm(p, dd, ad, b, rows, k, n)
 	scatter(dst, dw, dd, n)
-	dropScratch(s)
+	Put(s)
 }
 
-// scratch is windowed's working memory: a free-list of its own rather than
-// Get/Put, because the collector empties a sync.Pool and every refill is an
-// allocation on some later step. These buffers stay: as many as products
-// ever needed one at once, or ReserveScratch asked for, each at the largest
-// size it was asked for. most is the largest request so far.
-var scratch struct {
-	sync.Mutex
-	free [][]float64
-	most int
-}
-
-// takeScratch returns n elements of scratch, whatever they held.
-func takeScratch(n int) []float64 {
-	var s []float64
-	scratch.Lock()
-	scratch.most = max(scratch.most, n)
-	if k := len(scratch.free); k > 0 {
-		s, scratch.free = scratch.free[k-1], scratch.free[:k-1]
-	}
-	scratch.Unlock()
-	if cap(s) < n {
-		s = make([]float64, n)
-	}
-	return s[:n]
-}
-
-// ReserveScratch sizes the row-form products' scratch free-list for
-// products products running at once: it holds at least 2·products buffers
-// (a product over a@bᵀ holds two at a time), each as large as the largest
-// request so far. A caller whose products repeat — a stream plan replayed
-// step after step, which knows its executor's width — calls it once they
-// have run, and from then on no product of the same shapes allocates
-// scratch, however its executions happen to overlap.
+// ReserveScratch readies the free-list (pool.go) for products row-form
+// products running at once: its class of the largest buffer asked for so
+// far holds at least 3·products buffers, which an empty smaller class hands
+// out in its stead — a caller's own buffer, such as an expert stage's, and
+// the two a product over a@bᵀ holds at a time. While no more than that are
+// out at once, no Get of a size asked for before allocates: a free buffer of
+// the largest class is always left. A caller whose products repeat — a
+// stream plan replayed step after step, which knows its executor's width —
+// calls it once they have run, and from then on no product of the same
+// shapes allocates scratch, however its executions happen to overlap. The
+// reserve stays with the list, as every buffer Put there does.
 func ReserveScratch(products int) {
-	scratch.Lock()
-	defer scratch.Unlock()
-	if scratch.most == 0 {
-		return // no product has asked for scratch
+	free.Lock()
+	defer free.Unlock()
+	if free.most < 0 {
+		return // nothing has been asked for
 	}
-	for i, s := range scratch.free {
-		if cap(s) < scratch.most {
-			scratch.free[i] = make([]float64, scratch.most)
-		}
+	c := &free.class[free.most]
+	for len(*c) < 3*products {
+		*c = append(*c, &Tensor{data: make([]float64, 1<<free.most)})
 	}
-	for len(scratch.free) < 2*products {
-		scratch.free = append(scratch.free, make([]float64, scratch.most))
-	}
-}
-
-// dropScratch returns a takeScratch buffer to the free-list.
-func dropScratch(s []float64) {
-	scratch.Lock()
-	scratch.free = append(scratch.free, s)
-	scratch.Unlock()
 }
 
 // gather copies the rows of set w of src (width k) to the head of dst, in
@@ -563,10 +530,10 @@ func (p *Pool) MatMulT2RowsInto(dst *Tensor, dw Windows, a *Tensor, aw Windows, 
 	case !kernelFits(k, n):
 		p.windowed((*Pool).matmulT2Into, dst.data, dw, a.data, aw, bd, k, n)
 	case 2*n*k <= 3*padCols(m)*(k+n):
-		bt := takeScratch(k * n)
-		transpose(bt, bd, n, k)
-		p.windowed((*Pool).matmulInto, dst.data, dw, a.data, aw, bt, k, n)
-		dropScratch(bt)
+		bt := GetUninit(k * n)
+		transpose(bt.data, bd, n, k)
+		p.windowed((*Pool).matmulInto, dst.data, dw, a.data, aw, bt.data, k, n)
+		Put(bt)
 	default:
 		p.matmulT2ViaA(dst.data, dw, a.data, aw, bd, m, k, n)
 	}
@@ -595,15 +562,15 @@ func padCols(m int) int { return (m + tileCols - 1) &^ (tileCols - 1) }
 // rows, and its transpose's first m rows scattered to dw.
 func (p *Pool) matmulT2ViaA(dst []float64, dw Windows, a []float64, aw Windows, b []float64, m, k, n int) {
 	mp := padCols(m)
-	s := takeScratch(mp * (2*k + 2*n))
-	ag, at, dt, d := s[:mp*k], s[mp*k:2*mp*k], s[2*mp*k:2*mp*k+n*mp], s[2*mp*k+n*mp:]
+	s := GetUninit(mp * (2*k + 2*n))
+	ag, at, dt, d := s.data[:mp*k], s.data[mp*k:2*mp*k], s.data[2*mp*k:2*mp*k+n*mp], s.data[2*mp*k+n*mp:]
 	gather(ag, a, aw, k)
 	clear(ag[m*k:])
 	transpose(at, ag, mp, k)
 	p.matmulInto(dt, b, at, n, k, mp)
 	transpose(d, dt, n, mp)
 	scatter(dst, dw, d, n)
-	dropScratch(s)
+	Put(s)
 }
 
 // transpose writes the (k, n) transpose of the (n, k) matrix b to bt: 4×8

@@ -167,6 +167,3 @@ func Sum(a *Tensor) float64 {
 
 // Sigmoid returns 1/(1+e^-x) elementwise.
 func Sigmoid(a *Tensor) *Tensor { return Apply(a, sigmoid) }
-
-// Softplus returns log(1+e^x) elementwise, computed stably.
-func Softplus(a *Tensor) *Tensor { return Apply(a, softplus) }

@@ -33,7 +33,14 @@ package tensor
 // Buffer free-list
 //
 // Get/GetUninit hand out tensors whose backing arrays are recycled through
-// per-size-class sync.Pools; Put returns them. Ownership rules (violations
+// one free-list, shared by every goroutine: mutex-guarded size classes of
+// powers of two; Put returns them. A buffer Put on one goroutine is the next
+// Get of its class on any other, and the collector never empties the list:
+// it keeps, in each class, as many buffers as were ever out at once, plus
+// ReserveScratch's reserve (matmul.go), and hands none back to the
+// collector. An empty class hands out a buffer of the next larger class that
+// holds one, which goes back to its own class on Put. The GEMM row forms
+// take their scratch from the same list. Ownership rules (violations
 // corrupt unrelated tensors, so they are strict):
 //
 //   - Only the holder of a tensor obtained from Get/GetUninit may Put it,
@@ -322,8 +329,14 @@ func ParallelFor(n int, fn func(i int)) { defaultPool.ParallelFor(n, fn) }
 // anything larger allocates directly and is never recycled.
 const maxPoolBucket = 26
 
-// freeLists[b] holds *Tensor whose backing arrays have capacity exactly 2^b.
-var freeLists [maxPoolBucket + 1]sync.Pool
+// free is the buffer free-list: class[b] holds idle tensors whose backing
+// arrays have capacity exactly 2^b, the last Put on top; most is the largest
+// class asked for so far, -1 before the first Get.
+var free = struct {
+	sync.Mutex
+	class [maxPoolBucket + 1][]*Tensor
+	most  int
+}{most: -1}
 
 // bucketFor returns the free-list class for n elements: the smallest b with
 // 1<<b >= n.
@@ -332,6 +345,22 @@ func bucketFor(n int) int {
 		return 0
 	}
 	return bits.Len(uint(n - 1))
+}
+
+// take returns an idle buffer of class b or, when b has none, of the
+// smallest larger class that has one; nil when none has.
+func take(b int) *Tensor {
+	free.Lock()
+	defer free.Unlock()
+	free.most = max(free.most, b)
+	for ; b <= free.most; b++ {
+		if k := len(free.class[b]); k > 0 {
+			t := free.class[b][k-1]
+			free.class[b] = free.class[b][:k-1]
+			return t
+		}
+	}
+	return nil
 }
 
 // GetUninit returns a tensor of the given shape from the free-list without
@@ -353,7 +382,7 @@ func GetUninit(shape ...int) *Tensor {
 		t.setShape(shape)
 		return t
 	}
-	t, _ := freeLists[b].Get().(*Tensor)
+	t := take(b)
 	if t == nil {
 		t = &Tensor{data: make([]float64, 1<<b)}
 	}
@@ -384,15 +413,10 @@ func Put(t *Tensor) {
 		return
 	}
 	t.poolable = false
-	c := cap(t.data)
-	if c == 0 || c&(c-1) != 0 {
-		return // not a pool-shaped buffer; drop it
-	}
-	b := bits.Len(uint(c)) - 1
-	if b > maxPoolBucket {
-		return
-	}
-	t.data = t.data[:c]
+	b := bits.Len(uint(cap(t.data))) - 1
+	t.data = t.data[:cap(t.data)]
 	t.shape = nil
-	freeLists[b].Put(t)
+	free.Lock()
+	free.class[b] = append(free.class[b], t)
+	free.Unlock()
 }

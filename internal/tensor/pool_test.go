@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -60,16 +61,13 @@ func TestGetPutRecycles(t *testing.T) {
 	a := GetUninit(16, 16)
 	ptr := &a.Data()[0]
 	Put(a)
-	b := GetUninit(200) // 200 ≤ 256 = cap bucket of 16×16: may or may not hit
-	_ = b
-	c := GetUninit(16, 16)
-	// sync.Pool gives no hard guarantee, but single-goroutine put/get of the
-	// same size class should round-trip; tolerate a miss by only checking
-	// shape/zeroing invariants when it does hit.
-	if &c.Data()[0] == ptr && c.Size() != 256 {
-		t.Fatal("recycled buffer has wrong size")
+	c := GetUninit(15, 17) // 255 elements: the class of 16×16
+	if &c.Data()[0] != ptr {
+		t.Fatal("a Get of the class just Put did not recycle its buffer")
 	}
-	Put(b)
+	if c.Size() != 255 || c.Dim(0) != 15 || c.Dim(1) != 17 {
+		t.Fatalf("recycled buffer has shape %v, want [15 17]", c.Shape())
+	}
 	Put(c)
 
 	z := Get(8, 8)
@@ -79,6 +77,50 @@ func TestGetPutRecycles(t *testing.T) {
 		}
 	}
 	Put(z)
+}
+
+// TestPutGetAcrossGoroutines: a buffer one goroutine Puts is the next Get
+// of its class on another goroutine running at the same time, on another
+// processor, with no allocation — the free-list is one list, not one per
+// processor, so a task that lands on a processor where no buffer was Put
+// still finds one.
+func TestPutGetAcrossGoroutines(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const n = 3 << 10
+	for round := range 10 {
+		runtime.GC() // a cache the collector empties starts the round empty
+		runtime.GC()
+		var running, put, got atomic.Int32
+		var ptr *float64
+		done := make(chan *float64)
+		spin := func(v *atomic.Int32, want int32) {
+			for v.Load() < want {
+			}
+		}
+		go func() { // holds its processor until the other goroutine's Get is done
+			running.Add(1)
+			spin(&running, 2)
+			b := GetUninit(n)
+			ptr = &b.Data()[0]
+			Put(b)
+			put.Store(1)
+			spin(&got, 1)
+		}()
+		go func() {
+			running.Add(1)
+			spin(&running, 2)
+			spin(&put, 1)
+			b := GetUninit(n)
+			got.Store(1)
+			done <- &b.Data()[0]
+			Put(b)
+		}()
+		if p := <-done; p != ptr {
+			t.Fatalf("round %d: a Get on one goroutine missed the buffer another goroutine had just Put", round)
+		}
+	}
 }
 
 func TestPutIgnoresNonPoolTensors(t *testing.T) {
@@ -178,23 +220,28 @@ func TestParallelRangeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestReserveScratch: once ReserveScratch has sized the free-list for k
-// products, 2·k buffers of the largest size asked for so far are taken and
-// dropped without an allocation.
+// TestReserveScratch: once ReserveScratch has readied the free-list for k
+// products, 3·k buffers up to the largest size asked for so far — of its
+// class and of smaller ones — are taken and returned without an
+// allocation, the first time as every time after.
 func TestReserveScratch(t *testing.T) {
 	const k, n = 3, 4096
-	dropScratch(takeScratch(n))
+	Put(GetUninit(n))
 	ReserveScratch(k)
-	held := make([][]float64, 2*k)
-	if allocs := testing.AllocsPerRun(20, func() {
+	held := make([]*Tensor, 3*k)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range 3 {
 		for i := range held {
-			held[i] = takeScratch(n - i)
+			held[i] = GetUninit(n>>(i%3) - i)
 		}
 		for _, s := range held {
-			dropScratch(s)
+			Put(s)
 		}
-	}); allocs != 0 {
-		t.Fatalf("%v allocations taking %d buffers after ReserveScratch(%d), want 0", allocs, 2*k, k)
+	}
+	runtime.ReadMemStats(&m1)
+	if d := m1.Mallocs - m0.Mallocs; d != 0 {
+		t.Fatalf("%d allocations taking %d buffers after ReserveScratch(%d), want 0", d, 3*k, k)
 	}
 }
 

@@ -97,7 +97,9 @@
 //
 // # Buffer pool ownership
 //
-// Get/GetUninit/Put (pool.go) recycle backing arrays through a free-list.
+// Get/GetUninit/Put (pool.go) recycle backing arrays through one free-list
+// that every goroutine shares and the collector never empties: buffers stay
+// with it, as many as were ever out at once plus ReserveScratch's reserve.
 // The single-owner rule: only the code that obtained a tensor from Get may
 // Put it, at most once, and only when no view of it is still live — after
 // Put, the backing array may be handed to an unrelated Get. Tensors from
