@@ -175,6 +175,49 @@ func TestPermanentCancelsAndDrains(t *testing.T) {
 	}
 }
 
+// TestPlanStopsOneExecution: a resident plan's execution allocates nothing
+// of its own — no context per execution — and a permanent fault stops only
+// the execution it fires in: the next runs every task body, its straggler
+// sleeps in full, and a fault in the one after stops that one again.
+func TestPlanStopsOneExecution(t *testing.T) {
+	defer leakCheck(t)()
+	p := NewPlan()
+	var down atomic.Bool
+	var ranB atomic.Int32
+	a := p.Add("A", sim.KindPack, "s1", 1, func() error {
+		if down.Load() {
+			return fault.NewPermanent(1, "A", "rank down")
+		}
+		return nil
+	})
+	p.Add("B", sim.KindPack, "s2", 1, func() error {
+		ranB.Add(1)
+		return nil
+	}, a)
+	if _, err := p.ExecuteSequential(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { p.ExecuteSequential() }); allocs != 0 {
+		t.Fatalf("an execution of a resident plan allocates %.0f times, want 0", allocs)
+	}
+	for run := range 3 {
+		stop := run != 1
+		down.Store(stop)
+		p.SetFaultPlan(nil)
+		if !stop {
+			p.SetFaultPlan(fault.New(fault.Spec{Seed: 6, StragglerProb: 1, StragglerDelay: 2 * time.Millisecond}))
+		}
+		before := ranB.Load()
+		tr, err := p.Execute()
+		if fault.IsPermanent(err) != stop || (ranB.Load() == before) != stop {
+			t.Fatalf("execution %d: err %v, B ran %d times; want it stopped: %t", run, err, ranB.Load()-before, stop)
+		}
+		if !stop && tr.EventCount(sim.EventStraggler) != 2 {
+			t.Fatalf("execution %d: %d straggler sleeps, want 2", run, tr.EventCount(sim.EventStraggler))
+		}
+	}
+}
+
 // TestExecuteCtxCancel: external cancellation skips pending work, drains
 // the streams, reports the ctx error, and leaks nothing.
 func TestExecuteCtxCancel(t *testing.T) {

@@ -260,13 +260,17 @@ func (p *Plan) SimulateWith(durations []float64) *sim.Trace { return p.g.RunWith
 // the incident log and the scheduling state: where each stream's queue
 // stands and which tasks have finished.
 type execState struct {
-	// ctx is the caller's context with one more way to end: cancel, on a
-	// permanent fault. Canceled, it stops new task bodies from being issued
-	// (in-flight closures finish naturally) and cuts backoff and straggler
-	// sleeps short; the workers still take every task, so the call returns
-	// with no goroutine left behind.
+	// ctx is the caller's context, and stop the execution's own way to end,
+	// set on a permanent fault, with stopped closed beside it. Either one
+	// stops new task bodies from being issued (in-flight closures finish
+	// naturally) and cuts backoff and straggler sleeps short; the workers
+	// still take every task, so the call returns with no goroutine left
+	// behind. The plan keeps stopped across executions and makes a new one
+	// only after an execution that closed it, so a resident plan's execution
+	// allocates no context.
 	ctx     context.Context
-	cancel  context.CancelFunc
+	stop    atomic.Bool
+	stopped chan struct{}
 	t0      time.Time
 	timings []timing // per task, written by the worker that took it
 	wg      sync.WaitGroup
@@ -281,7 +285,14 @@ type execState struct {
 	left   int     // tasks not yet taken
 }
 
-func (e *execState) canceled() bool { return e.ctx.Err() != nil }
+func (e *execState) canceled() bool { return e.stop.Load() || e.ctx.Err() != nil }
+
+// halt stops the execution (a permanent fault); the first call closes stopped.
+func (e *execState) halt() {
+	if e.stop.CompareAndSwap(false, true) {
+		close(e.stopped)
+	}
+}
 
 func (e *execState) record(ev sim.Event) {
 	ev.AtMS = time.Since(e.t0).Seconds() * 1e3
@@ -302,6 +313,8 @@ func (e *execState) sleep(d time.Duration) bool {
 	case <-timer.C:
 		return true
 	case <-e.ctx.Done():
+		return false
+	case <-e.stopped:
 		return false
 	}
 }
@@ -341,7 +354,7 @@ func (p *Plan) runAttempts(e *execState, t *sim.Task) error {
 		wrapped := fmt.Errorf("runtime: task %q: %w", t.Label, err)
 		if fault.IsPermanent(err) {
 			e.record(taskEvent(sim.EventFault, t, attempt, "permanent: "+err.Error()))
-			e.cancel()
+			e.halt()
 			return wrapped
 		}
 		if !fault.IsTransient(err) {
@@ -453,7 +466,6 @@ func (p *Plan) execute(ctx context.Context, k int) (*sim.Trace, error) {
 	}
 	defer p.running.Store(false)
 	e := p.reset(ctx)
-	defer e.cancel()
 	k = max(1, min(k, len(e.queues)))
 	for range k - 1 {
 		e.wg.Add(1)
@@ -495,8 +507,12 @@ func (p *Plan) reset(ctx context.Context) *execState {
 	}
 	e.left = n
 	e.cond.L = &e.mu
+	if e.stopped == nil || e.stop.Load() {
+		e.stopped = make(chan struct{})
+		e.stop.Store(false)
+	}
 	e.t0 = time.Now()
-	e.ctx, e.cancel = context.WithCancel(ctx)
+	e.ctx = ctx
 	return e
 }
 

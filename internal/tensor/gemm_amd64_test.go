@@ -24,9 +24,10 @@ func TestAVX2Kernels(t *testing.T) {
 	defer func() { use512 = true }()
 	t.Run("GemmKernelsMatchPortable", TestGemmKernelsMatchPortable)
 	t.Run("GemmWindowSetsMatchPortable", TestGemmWindowSetsMatchPortable)
+	t.Run("MatMulT1BlockedMatchesPortable", TestMatMulT1BlockedMatchesPortable)
 	t.Run("FuzzGemmKernelsCorpus", func(t *testing.T) {
 		for _, s := range append(gemmFuzzSeeds, readGemmCorpus(t)...) {
-			checkGemmKernels(t, fuzzGemmCase(s.seed, s.b))
+			checkGemmFuzz(t, fuzzGemmCase(s.seed, s.b))
 		}
 	})
 	t.Run("ActivationBits", TestActivationBits)

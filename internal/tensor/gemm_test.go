@@ -21,17 +21,18 @@ import (
 type gemmCase struct {
 	seed     uint64
 	m, n, k  int
-	win      int // rows in front of the dst/a/b windows (win, win+1, win+2: odd offsets give unaligned bases)
-	count    int // windows per set (0 is 1)
-	gap      int // rows between windows: gap%3 in dst's set, gap/3 in a's
-	zeroTail int // trailing all-zero rows of the token block (capacity padding)
-	zeroPct  int // share of a's elements, and of its aligned 4-groups, forced to ±0
-	special  int // 0: finite operands; 1/2: a NaN/Inf planted in a; 3/4: in b
+	win      int  // rows in front of the dst/a/b windows (win, win+1, win+2: odd offsets give unaligned bases)
+	count    int  // windows per set (0 is 1)
+	gap      int  // rows between windows: gap%3 in dst's set, gap/3 in a's
+	zeroTail int  // trailing all-zero rows of the token block (capacity padding)
+	zeroPct  int  // share of a's elements, and of its aligned 4-groups, forced to ±0
+	special  int  // 0: finite operands; 1/2: a NaN/Inf planted in a; 3/4: in b
+	wide     bool // FuzzGemmKernels' wide mode: aᵀ@b alone (checkMatMulT1), win, count and gap unused
 }
 
 func (c gemmCase) String() string {
-	return fmt.Sprintf("seed=%d m=%d n=%d k=%d win=%d count=%d gap=%d zeroTail=%d zeroPct=%d special=%d",
-		c.seed, c.m, c.n, c.k, c.win, c.count, c.gap, c.zeroTail, c.zeroPct, c.special)
+	return fmt.Sprintf("seed=%d m=%d n=%d k=%d win=%d count=%d gap=%d zeroTail=%d zeroPct=%d special=%d wide=%t",
+		c.seed, c.m, c.n, c.k, c.win, c.count, c.gap, c.zeroTail, c.zeroPct, c.special, c.wide)
 }
 
 // sets returns the row forms' window sets in dst and in a.
@@ -253,6 +254,74 @@ func checkGemmKernels(t *testing.T, c gemmCase) {
 	}
 }
 
+// checkMatMulT1 holds aᵀ@b alone to the portable body, for products too
+// wide for checkGemmKernels' seven: MatMulT1Into and MatMulT1AddInto at pool
+// widths 1/2/4; matmulT1Range in blocks of every depth from 1 past t1Block
+// that splits k differently, and in one block; and the product accumulated
+// over row blocks of a and b — MatMulT1Into on the first, MatMulT1AddInto
+// on the rest, blocks both shallower and deeper than t1Block — which must
+// be the one-call product.
+func checkMatMulT1(t *testing.T, c gemmCase) {
+	t.Helper()
+	rng := xrand.New(c.seed)
+	m, n, k := c.m, c.n, c.k
+	a := gemmOperand(rng, k, m, c.zeroPct)
+	clear(window(a, k-min(c.zeroTail, k), min(c.zeroTail, k)))
+	b := gemmOperand(rng, k, n, 0)
+	base := gemmOperand(rng, m, n, 10)
+	switch c.special {
+	case 1, 2:
+		plant(rng, a, 0, k, c.special)
+	case 3, 4:
+		plant(rng, b, 0, k, c.special)
+	}
+	want := make([]float64, m*n)
+	matmulT1Rows(want, a.data, b.data, 0, m, 0, n, k, m, n)
+	wantAdd := slices.Clone(base.data)
+	matmulT1Rows(wantAdd, a.data, b.data, 0, m, 0, n, k, m, n)
+
+	got := New(m, n)
+	for _, w := range []int{1, 2, 4} {
+		p := NewPool(w)
+		got.Fill(math.NaN())
+		p.MatMulT1Into(got, a, b)
+		gemmEqual(t, c, "MatMulT1Into", w, got.data, want)
+		sum := base.Clone()
+		p.MatMulT1AddInto(sum, a, b)
+		gemmEqual(t, c, "MatMulT1AddInto", w, sum.data, wantAdd)
+		p.Close()
+	}
+	for _, depth := range []int{1, 7, t1Block - 1, t1Block, t1Block + 1, k} {
+		got.Fill(math.NaN())
+		matmulT1Range(got.data, a.data, b.data, 0, m, k, m, n, depth, false)
+		gemmEqual(t, c, fmt.Sprintf("matmulT1Range at depth %d", depth), 1, got.data, want)
+	}
+	cuts := []int{0, k / 3, min(k, k/3+t1Block+1), k}
+	got.Fill(math.NaN())
+	for i := range 3 {
+		lo, hi := cuts[i], cuts[i+1]
+		if i == 0 {
+			MatMulT1Into(got, a.Slice(lo, hi), b.Slice(lo, hi))
+		} else {
+			MatMulT1AddInto(got, a.Slice(lo, hi), b.Slice(lo, hi))
+		}
+	}
+	gemmEqual(t, c, fmt.Sprintf("MatMulT1Into + MatMulT1AddInto over rows %v", cuts), 0, got.data, want)
+}
+
+// TestMatMulT1BlockedMatchesPortable runs checkMatMulT1 at the products the
+// repository benchmark's ep_tokens step runs in depth blocks: the experts'
+// dW1 (116, 512, 16) and dW2 (116, 16, 512) and the gate's dWg (384, 512, 8).
+func TestMatMulT1BlockedMatchesPortable(t *testing.T) {
+	for i, s := range [][3]int{{116, 512, 16}, {116, 16, 512}, {384, 512, 8}} {
+		k, m, n := s[0], s[1], s[2]
+		if t1Depth(k, m, n) == k {
+			t.Fatalf("(k, m, n) = (%d, %d, %d) no longer runs in depth blocks", k, m, n)
+		}
+		checkMatMulT1(t, gemmCase{seed: uint64(300 + i), m: m, n: n, k: k, zeroTail: 3 * i, zeroPct: 15 * i, special: i})
+	}
+}
+
 // TestGemmKernelsMatchPortable sweeps every fringe remainder of the three
 // tile grids (m below, at and past 4 and 8; n below, at and past 8 and 4;
 // k below, at and past a 4-group, and 0) with the operand recipes rotating,
@@ -368,14 +437,27 @@ func TestGemmWindowSetsConcurrent(t *testing.T) {
 // FuzzGemmKernels drives the same check from fuzzed shapes, recipes and
 // window sets. A set of several windows is drawn as thin as the step's
 // chunk windows are, 1 to 10 rows — every height below both tiles, and
-// ep_compute's 10; a single window up to 80.
+// ep_compute's 10; a single window up to 80. With win's top bit set the case
+// is wide: aᵀ@b alone (checkMatMulT1) with m or n at 512 to 591 — a page and
+// more per row, which runs in depth blocks — the other up to 80, and k from
+// 65 to 136, past two blocks.
 func FuzzGemmKernels(f *testing.F) {
 	for _, s := range gemmFuzzSeeds {
 		f.Add(s.seed, s.b[0], s.b[1], s.b[2], s.b[3], s.b[4], s.b[5], s.b[6], s.b[7], s.b[8])
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, m, n, k, win, zeroTail, zeroPct, special, count, gap uint8) {
-		checkGemmKernels(t, fuzzGemmCase(seed, [9]uint8{m, n, k, win, zeroTail, zeroPct, special, count, gap}))
+		checkGemmFuzz(t, fuzzGemmCase(seed, [9]uint8{m, n, k, win, zeroTail, zeroPct, special, count, gap}))
 	})
+}
+
+// checkGemmFuzz runs one FuzzGemmKernels case.
+func checkGemmFuzz(t *testing.T, c gemmCase) {
+	t.Helper()
+	if c.wide {
+		checkMatMulT1(t, c)
+		return
+	}
+	checkGemmKernels(t, c)
 }
 
 // gemmFuzzSeed is one FuzzGemmKernels input: the seed and the nine bytes
@@ -390,6 +472,9 @@ var gemmFuzzSeeds = []gemmFuzzSeed{
 	{2, [9]uint8{40, 64, 3, 0, 12, 20, 0, 0, 0}},
 	{3, [9]uint8{3, 7, 0, 2, 0, 100, 3, 0, 0}},
 	{4, [9]uint8{2, 9, 8, 1, 1, 10, 0, 3, 5}},
+	{5, [9]uint8{0, 15, 51, 0x80, 3, 10, 0, 0, 0}}, // wide: ep_tokens' dW1, (116, 512, 16)
+	{6, [9]uint8{15, 0, 51, 0xc0, 0, 0, 0, 0, 0}},  // wide: ep_tokens' dW2, (116, 16, 512)
+	{7, [9]uint8{7, 8, 200, 0x80, 0, 20, 3, 0, 0}}, // wide: (121, 519, 9), a column fringe, a NaN in b
 }
 
 // fuzzGemmCase maps FuzzGemmKernels' arguments to its case.
@@ -401,6 +486,14 @@ func fuzzGemmCase(seed uint64, b [9]uint8) gemmCase {
 	}
 	if c.count > 1 {
 		c.m = int(m%10) + 1
+	}
+	if win&0x80 != 0 {
+		c.wide, c.k = true, 2*t1Block+1+int(k%72)
+		if win&0x40 != 0 {
+			c.m, c.n = int(m%80)+1, t1PageRow+int(n%80)
+		} else {
+			c.m, c.n = t1PageRow+int(m%80), int(n%80)+1
+		}
 	}
 	return c
 }

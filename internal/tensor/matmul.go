@@ -40,6 +40,18 @@ import (
 // padded with zero rows in scratch, and only its real rows are stored.
 // Neither changes a bit: each element is one accumulation over one row of
 // a, whatever rows share its tile.
+//
+// aᵀ@b reads both operands down their columns: a tile of dst walks four
+// elements of a and a tile width of b from each of k rows, m and n apart. A
+// weight gradient's operands are token blocks (X or dy, k tokens by M) that
+// arrive cold from the exchange, and where a row spans a page (M ≥ 512
+// float64s) each step of p lands on a new page, so a tile that walks all k
+// rows at once runs at a third of a@b's rate. Such a product runs its tiles
+// in depth blocks (matmulT1Range, t1Depth): every tile row of the shard over
+// the first block of p, then every tile row over the next, each block
+// continuing from what the one before stored. An element is still one chain
+// over p ascending — the identity that lets a caller accumulate a
+// row-blocked aᵀ@b (MatMulT1AddInto) — so the blocking changes no bit.
 
 // Tile geometry of the plain kernel — a 4×8 tile of dst, whose pairs the
 // 512-bit kernel runs as one — which is also the sharding unit of the
@@ -427,27 +439,61 @@ func t1Shape(dst, a, b *Tensor, op string) (k, m, n int) {
 // so tile rows of dst (columns of a) shard over the pool like the other two
 // products.
 func (p *Pool) matmulT1(dst, a, b []float64, k, m, n int, add bool) {
+	depth := t1Depth(k, m, n)
 	if p.serialGEMM(m, tileRows, m*k*n) {
-		matmulT1Range(dst, a, b, 0, m, k, m, n, add)
+		matmulT1Range(dst, a, b, 0, m, k, m, n, depth, add)
 		return
 	}
 	nt := m / tileRows
 	p.ParallelRange(nt, func(lo, hi int) {
-		matmulT1Range(dst, a, b, lo*tileRows, shardEnd(hi, nt, tileRows, m), k, m, n, add)
+		matmulT1Range(dst, a, b, lo*tileRows, shardEnd(hi, nt, tileRows, m), k, m, n, depth, add)
 	})
+}
+
+// The depth blocks of aᵀ@b: t1Block rows of p per block, where a row of the
+// operand a tile walks down — a (k, m), or b (k, n) — spans t1PageRow
+// float64s, a 4 KiB page, and k is more than one block. BenchmarkMatMulT1 is
+// the measurement. On the 2-core AVX-512 reference box (medians of three)
+// ep_tokens' three products — m or n = 512, k = 116 and 384 — run cold
+// (operands cycled through 8 MiB) at 8–20 GFLOP/s in one block and 16–29
+// in blocks of 32, and hot no slower in blocks; blocks of 16 are slower
+// than blocks of 32 on all three cold, and no faster hot. The gates' dWg on
+// the other workloads (m ≤ 256, n = 8) lose 15–30 % hot in blocks, and the
+// bench probe's product, one pipeline chunk deep (k = 29), is less than a
+// block.
+const (
+	t1Block   = 32
+	t1PageRow = 512
+)
+
+// t1Depth is the depth of matmulT1Range's blocks for a (k,m), b (k,n): a
+// function of the shapes alone, like the tile grid.
+func t1Depth(k, m, n int) int {
+	if k > t1Block && max(m, n) >= t1PageRow {
+		return t1Block
+	}
+	return k
 }
 
 // matmulT1Range computes rows [lo, hi) of aᵀ @ b into dst — or adds them,
 // when add — in matmulT1Rows' order: full 4×8 tiles through the plain kernel
-// reading a at stride (1, m), from +0 or from dst, the rest through
-// matmulT1Rows on a cleared range or on dst. The product may accumulate, so
-// no tile covers a row twice and the rows past the last full tile row stay
-// a fringe.
-func matmulT1Range(dst, a, b []float64, lo, hi, k, m, n int, add bool) {
+// reading a at stride (1, m), the rest through matmulT1Rows on a cleared
+// range or on dst. The tiles run over p in blocks of depth rows: every tile
+// row over the first block, from +0 or from dst, then every tile row over
+// the next, from what the block before stored, so the rows of a and b that a
+// block walks stay in cache and in the TLB across the tile rows. The kernel
+// stores a tile's chain as it stands and takes it up again from dst — the
+// chain over p ascending that one block would compute, bit for bit. The
+// product may accumulate, so no tile covers a row twice and the rows past
+// the last full tile row stay a fringe.
+func matmulT1Range(dst, a, b []float64, lo, hi, k, m, n, depth int, add bool) {
 	i4, j8 := lo, 0
 	if kernelFits(k, n) && hi-lo >= tileRows {
-		for j8 = n &^ (tileCols - 1); i4+tileRows <= hi; i4 += tileRows {
-			plainTiles(dst[i4*n:], n, a[i4:], 1, m, b, n, k, j8/tileCols, add)
+		i4, j8 = hi-(hi-lo)%tileRows, n&^(tileCols-1)
+		for p0 := 0; p0 < k; p0 += depth {
+			for i := lo; i < i4; i += tileRows {
+				plainTiles(dst[i*n:], n, a[p0*m+i:], 1, m, b[p0*n:], n, min(depth, k-p0), j8/tileCols, add || p0 > 0)
+			}
 		}
 	}
 	if !add {
@@ -574,9 +620,14 @@ func (p *Pool) matmulT2ViaA(dst []float64, dw Windows, a []float64, aw Windows, 
 }
 
 // transpose writes the (k, n) transpose of the (n, k) matrix b to bt: 4×8
-// blocks in registers, the rows and columns past the last block one by one.
+// blocks in registers where the kernels run, the rows and columns past the
+// last block — and every element on other builds — one by one. Either way
+// each element is copied, so its bits do not depend on the route.
 func transpose(bt, b []float64, n, k int) {
 	n4, k8 := n&^3, k&^7
+	if !useKernels {
+		n4, k8 = 0, 0
+	}
 	if n4 > 0 && k8 > 0 {
 		transposeTiles(&bt[0], n, &b[0], k, n4/4, k8/8)
 	}
@@ -655,18 +706,14 @@ func Transpose2D(a *Tensor) *Tensor {
 }
 
 // Transpose2DInto writes the transpose of a (m, n) into dst (n, m),
-// overwriting it.
+// overwriting it, through the register-tile transpose a@bᵀ uses.
 func Transpose2DInto(dst, a *Tensor) {
 	if a.Rank() != 2 {
 		panic("tensor: Transpose2D requires a 2-D tensor")
 	}
 	m, n := a.shape[0], a.shape[1]
 	checkDst(dst, n, m, "Transpose2DInto")
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			dst.data[j*m+i] = a.data[i*n+j]
-		}
-	}
+	transpose(dst.data, a.data, m, n)
 }
 
 // BatchedMatMul multiplies two 3-D tensors batch-wise: (b,m,k)@(b,k,n) →

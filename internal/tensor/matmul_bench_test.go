@@ -77,6 +77,13 @@ func BenchmarkBatchedMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulT1 is the measurement behind t1Block and t1PageRow: the
+// square products of the sweep above, then the aᵀ@b products a step of each
+// repository-benchmark workload runs (t1Shapes) through matmulT1Range on
+// one goroutine, in one block (depth=k) and in blocks of 32 and 16, with
+// the operands hot (one set, reused) and cold (sets cycled through more than
+// L2, as a step's token blocks arrive from the exchange). t1Depth picks
+// blocks of t1Block where they win cold and do not lose hot.
 func BenchmarkMatMulT1(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -92,6 +99,53 @@ func BenchmarkMatMulT1(b *testing.B) {
 			}
 		})
 	}
+	const coldBytes = 8 << 20 // past the reference box's 2 MiB of L2 per core, twice over
+	for _, s := range t1Shapes {
+		for _, cold := range []bool{false, true} {
+			sets := 1
+			if cold {
+				sets = max(2, coldBytes/(8*(s.k*s.m+s.k*s.n+s.m*s.n)))
+			}
+			rng := xrand.New(1)
+			as, bs, ds := make([][]float64, sets), make([][]float64, sets), make([][]float64, sets)
+			for i := range sets {
+				as[i], bs[i], ds[i] = RandN(rng, 1, s.k, s.m).data, RandN(rng, 1, s.k, s.n).data, make([]float64, s.m*s.n)
+			}
+			cache := "hot"
+			if cold {
+				cache = "cold"
+			}
+			for _, depth := range []int{s.k, 32, 16} {
+				d := fmt.Sprint(depth)
+				if depth == s.k {
+					d = "k"
+				}
+				b.Run(fmt.Sprintf("%s/k=%d,m=%d,n=%d/%s/depth=%s", s.name, s.k, s.m, s.n, cache, d), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						j := i % sets
+						matmulT1Range(ds[j], as[j], bs[j], 0, s.m, s.k, s.m, s.n, depth, false)
+					}
+					b.ReportMetric(2*float64(s.k*s.m*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
+		}
+	}
+}
+
+// t1Shapes are the aᵀ@b products (k, m, n) a step of each repository
+// benchmark workload runs: its experts' weight gradients in Finish
+// (dW1 = xᵀ·da at (rows, M, H), dW2 = aᵀ·dy at (rows, H, M)) and its gates'
+// dWg = xᵀ·dLogits (N tokens); and the repository benchmark's
+// tensor.matmul_t1_gflops probe, whose depth is one pipeline chunk.
+var t1Shapes = []struct {
+	name    string
+	k, m, n int
+}{
+	{"ep_tokens.dW1", 116, 512, 16}, {"ep_tokens.dW2", 116, 16, 512}, {"ep_tokens.dWg", 384, 512, 8},
+	{"ep_tokens.probe", 29, 512, 16},
+	{"ep_compute.dW1", 76, 64, 384}, {"ep_compute.dW2", 76, 384, 64}, {"ep_compute.dWg", 256, 64, 8},
+	{"ep_params.dW1", 20, 256, 320}, {"ep_params.dW2", 20, 320, 256}, {"ep_params.dWg", 64, 256, 8},
+	{"mixed_ckpt.dW1", 48, 128, 128}, {"mixed_ckpt.dWg", 160, 128, 8}, {"mixed_ckpt.xmoe.dWg", 160, 128, 16},
 }
 
 // BenchmarkMatMulThreshold is the measurement behind

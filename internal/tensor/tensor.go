@@ -31,7 +31,10 @@
 // of a 512-bit kernel where the CPU also has AVX-512F. a@bᵀ runs on the same
 // kernels through a transpose — of b, or of a's rows and the result,
 // whichever moves fewer elements — which fma's symmetry in its factors
-// leaves bit-identical. The kernels are selected once, at package init, from
+// leaves bit-identical. aᵀ@b walks down the columns of both operands, and
+// where their rows span a page and k is deep its tiles run over p in depth
+// blocks, each block taking up the chains the one before stored in dst:
+// the same chain over p ascending, bit for bit. The kernels are selected once, at package init, from
 // CPUID leaves 1 and 7 and XGETBV — Kernel reports the outcome — and run
 // full tiles only; whatever a tile grid leaves over (columns past the last
 // full tile, the rows of an accumulating product past its last full tile

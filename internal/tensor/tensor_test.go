@@ -207,6 +207,37 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
+// TestTranspose2DMatchesLoop holds Transpose2D and Transpose2DInto, which
+// run on the register-tile transpose, to the scalar double loop bit for bit
+// — ±0, a NaN payload and ±Inf included — over shapes below, at and past
+// its 4×8 blocks.
+func TestTranspose2DMatchesLoop(t *testing.T) {
+	r := xrand.New(5)
+	for _, s := range [][2]int{{1, 1}, {3, 5}, {4, 8}, {7, 13}, {160, 8}} {
+		m, n := s[0], s[1]
+		a := RandN(r, 1, m, n)
+		for i, v := range []float64{math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef), math.Inf(-1)} {
+			a.data[(i*7)%(m*n)] = v
+		}
+		want := make([]uint64, m*n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				want[j*m+i] = math.Float64bits(a.data[i*n+j])
+			}
+		}
+		dst := New(n, m)
+		dst.Fill(7.5)
+		Transpose2DInto(dst, a)
+		for what, got := range map[string]*Tensor{"Transpose2DInto": dst, "Transpose2D": Transpose2D(a)} {
+			for i, w := range want {
+				if g := math.Float64bits(got.data[i]); g != w {
+					t.Fatalf("%d×%d: %s element %d = %#x, the loop gives %#x", m, n, what, i, g, w)
+				}
+			}
+		}
+	}
+}
+
 func TestBatchedMatMul(t *testing.T) {
 	r := xrand.New(4)
 	a := RandN(r, 1, 3, 4, 5)
