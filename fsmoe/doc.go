@@ -334,7 +334,11 @@
 // — parameters, step and collective-op counters, the gate's RNG —
 // and CheckpointManager persists it crash-consistently: the snapshot is
 // written to a temp file in the target directory, fsynced, and renamed
-// into place, so the final name only ever holds a complete file. The
+// into place, so the final name only ever holds a complete file. With
+// Keep >= 2 the oldest retained snapshot becomes the next commit's temp
+// file, overwritten in place: a crash or a failed commit leaves the
+// newest committed snapshot but costs that oldest one, and a path older
+// than the newest Keep may be overwritten, so do not hold it open. The
 // format (version 2) is a metadata record — step, per-world counters and
 // gate RNG, per-tensor names and shapes — then every tensor's float64
 // data as raw little-endian spans, then a CRC-32C trailer; corruption
@@ -352,8 +356,8 @@
 // step's snapshot commits to; it is durable once the manager's next
 // Start, a Wait, or the worlds' Close has returned, and List, Latest and
 // LoadLatest wait for it first. A failed commit fails the next
-// checkpointing step with ErrCheckpointCommit and leaves the previous
-// file in place. StepMetrics carries the stall as CheckpointWaitMS and
+// checkpointing step with ErrCheckpointCommit and leaves the newest
+// previously committed file in place. StepMetrics carries the stall as CheckpointWaitMS and
 // CheckpointCaptureMS.
 //
 // After a permanent rank loss, Recover rebuilds the whole stack (a single

@@ -22,9 +22,10 @@ type (
 	WorldState = ckpt.WorldState
 	// CheckpointManager writes and reads snapshot files in a directory:
 	// atomic (temp + fsync + rename), checksummed, versioned, optionally
-	// pruned to the newest Keep files. Start commits in the background, at
-	// most one commit in flight; Wait (and Save, List, Latest, LoadLatest)
-	// drain it.
+	// pruned to the newest Keep files; with Keep >= 2 the oldest retained
+	// file becomes the next commit's temp file. Start commits in the
+	// background, at most one commit in flight; Wait (and Save, List,
+	// Latest, LoadLatest) drain it.
 	CheckpointManager = ckpt.Manager
 	// RecoveryPolicy configures Recover; the zero value shrinks onto the
 	// surviving ranks.

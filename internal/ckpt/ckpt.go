@@ -30,15 +30,18 @@
 //
 // Each tensor's data span is the product of its dims float64s long. So
 // Encode is one pass of copies and the checksum the only other pass over
-// the bytes. Version 1 (a gob payload under a CRC-64) is not read: it
-// fails with ErrVersion.
+// the bytes; a commit checksums each chunk just before writing it. Version
+// 1 (a gob payload under a CRC-64) is not read: it fails with ErrVersion.
 //
 // Three guarantees hold by construction:
 //
 //   - Atomicity: a snapshot is written to a temp file in the target
 //     directory, fsynced, renamed over the final path, and the directory
 //     is fsynced. A crash at any point leaves either the old snapshot or
-//     the new one, never a torn file under the final name.
+//     the new one, never a torn file under the final name. A Manager that
+//     keeps two or more snapshots makes the oldest one it retains the next
+//     commit's temp file (see Manager): a crash or a failed commit still
+//     leaves the newest committed snapshot, but costs that oldest one.
 //
 //   - Loud corruption: Decode verifies magic, version, lengths and
 //     checksum, and that every shape accounts for its data span, before it
@@ -51,7 +54,9 @@
 //     on the caller's goroutine and hands checksum, write, fsync, rename and
 //     prune to one background goroutine, at most one commit in flight (see
 //     Manager.Start). Once Start returns, the commit reads no caller memory,
-//     so the snapshot may alias live parameters.
+//     so the snapshot may alias live parameters. Every commit, Save's too,
+//     writes in 1 MiB chunks and starts each chunk's writeback as soon as
+//     it is written, so the fsync waits only for the last ones.
 package ckpt
 
 import (
@@ -492,28 +497,78 @@ func floats(span []byte) []float64 {
 // same directory, fsync, rename over path, fsync the directory. A crash
 // mid-save leaves path either absent/old or fully written, never torn.
 func Save(path string, s *Snapshot) error {
-	raw, err := Encode(s)
+	raw, err := appendSnapshot(nil, s)
 	if err != nil {
 		return err
 	}
-	return writeAtomic(path, raw)
+	return writeAtomic(path, raw, "")
 }
 
-// writeAtomic is Save's commit of already-encoded bytes.
-func writeAtomic(path string, raw []byte) (err error) {
+// writeChunk is the span written between writeback hints. Starting each
+// chunk's writeback as soon as it is in the page cache leaves the fsync
+// only the last chunks to wait for. At 21 MB on a 2-core Xeon VM (ext4 on
+// a virtio disk), the fsync after 1 MiB chunks took 0.6–2.5 ms against
+// 10–12 ms after one write; 512 KiB chunks took 1.2–1.6 ms, 2 MiB 1.0–3.3
+// and 4 MiB 3.6–5.1.
+const writeChunk = 1 << 20
+
+// writeAtomic commits encoded bytes to path: a temp file in the same
+// directory, fsync, rename over path, fsync the directory. raw's trailer
+// is filled in as the last chunk is written. A non-empty reuse names a
+// regular file in that directory that the commit takes over as its temp
+// file instead of allocating a fresh one: reuse is renamed to the temp
+// name, overwritten in place and cut to len(raw). Reuse is gone from then
+// on, whether or not the commit succeeds.
+func writeAtomic(path string, raw []byte, reuse string) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*.tmp")
 	if err != nil {
 		return fmt.Errorf("ckpt: save: %w", err)
 	}
+	name := tmp.Name()
+	var size int64 // the reused file's length
 	defer func() {
 		if err != nil {
 			tmp.Close()
-			os.Remove(tmp.Name())
+			os.Remove(name)
 		}
 	}()
-	if _, err = tmp.Write(raw); err != nil {
-		return fmt.Errorf("ckpt: save: %w", err)
+	if reuse != "" {
+		// The empty temp file only reserved a unique name; reuse replaces it.
+		tmp.Close()
+		if err = os.Rename(reuse, name); err != nil {
+			return fmt.Errorf("ckpt: save: %w", err)
+		}
+		if tmp, err = os.OpenFile(name, os.O_WRONLY, 0); err != nil {
+			return fmt.Errorf("ckpt: save: %w", err)
+		}
+		var fi os.FileInfo
+		if fi, err = tmp.Stat(); err != nil {
+			return fmt.Errorf("ckpt: save: %w", err)
+		}
+		size = fi.Size()
+	}
+	// Each chunk is checksummed just before it is written, so the write
+	// copies it from cache; the last one carries the trailer.
+	end := len(raw) - trailerLen
+	var crc uint32
+	for off := 0; off < len(raw); off += writeChunk {
+		next := min(off+writeChunk, len(raw))
+		crc = crc32.Update(crc, castagnoli, raw[min(off, end):min(next, end)])
+		if next == len(raw) {
+			binary.LittleEndian.PutUint32(raw[end:], crc)
+		}
+		if _, err = tmp.WriteAt(raw[off:next], int64(off)); err != nil {
+			return fmt.Errorf("ckpt: save: %w", err)
+		}
+		startWriteback(tmp, int64(off), int64(next-off))
+	}
+	// Cutting a file to the length it has waits for the writeback just
+	// started (3 ms at 21 MB), so only a longer file is cut.
+	if size > int64(len(raw)) {
+		if err = tmp.Truncate(int64(len(raw))); err != nil {
+			return fmt.Errorf("ckpt: save: %w", err)
+		}
 	}
 	if err = tmp.Sync(); err != nil {
 		return fmt.Errorf("ckpt: save: fsync: %w", err)
@@ -521,7 +576,7 @@ func writeAtomic(path string, raw []byte) (err error) {
 	if err = tmp.Close(); err != nil {
 		return fmt.Errorf("ckpt: save: %w", err)
 	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
+	if err = os.Rename(name, path); err != nil {
 		return fmt.Errorf("ckpt: save: %w", err)
 	}
 	return syncDir(dir)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -446,5 +447,191 @@ func TestCkptManagerConcurrentUse(t *testing.T) {
 		if _, err := Load(p); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// saveStep commits sample() under step through m and returns the snapshot.
+func saveStep(t *testing.T, m *Manager, step int) *Snapshot {
+	t.Helper()
+	s := sample()
+	s.Step = step
+	if _, err := m.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// stat is os.Stat that fails the test.
+func stat(t *testing.T, path string) os.FileInfo {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi
+}
+
+// checkCommitted: path Loads, and its bytes are exactly Encode(s).
+func checkCommitted(t *testing.T, path string, s *Snapshot) {
+	t.Helper()
+	want, err := Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s holds %d bytes that are not Encode's %d", filepath.Base(path), len(got), len(want))
+	}
+	if _, err := Load(path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCkptManagerRecyclesOldest: at Keep = 2 each commit takes over the
+// file of the snapshot its prune would delete, and every retained snapshot
+// still Loads to exactly its encoding.
+func TestCkptManagerRecyclesOldest(t *testing.T) {
+	m := &Manager{Dir: t.TempDir(), Keep: 2}
+	snaps := map[string]*Snapshot{m.pathFor(1): saveStep(t, m, 1), m.pathFor(2): saveStep(t, m, 2)}
+	for step := 3; step <= 5; step++ {
+		oldest := stat(t, m.pathFor(step-2))
+		snaps[m.pathFor(step)] = saveStep(t, m, step)
+		if !os.SameFile(oldest, stat(t, m.pathFor(step))) {
+			t.Fatalf("step %d's commit did not reuse step %d's file", step, step-2)
+		}
+		paths, err := m.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{m.pathFor(step - 1), m.pathFor(step)}; !slices.Equal(paths, want) {
+			t.Fatalf("after step %d the directory holds %v, want %v", step, paths, want)
+		}
+		for _, p := range paths {
+			checkCommitted(t, p, snaps[p])
+		}
+	}
+}
+
+// TestCkptManagerRecyclesOnlyWithAnotherSnapshot: at Keep = 1 and with
+// every snapshot kept, no commit takes over an existing file: each commit's
+// file is none of the files that were in the directory before it.
+func TestCkptManagerRecyclesOnlyWithAnotherSnapshot(t *testing.T) {
+	for _, keep := range []int{1, 0} {
+		m := &Manager{Dir: t.TempDir(), Keep: keep}
+		for step := 1; step <= 4; step++ {
+			paths, err := m.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before []os.FileInfo
+			for _, p := range paths {
+				before = append(before, stat(t, p))
+			}
+			s := saveStep(t, m, step)
+			fi := stat(t, m.pathFor(step))
+			for k, old := range before {
+				if os.SameFile(old, fi) {
+					t.Fatalf("Keep=%d: step %d's commit renamed %s", keep, step, filepath.Base(paths[k]))
+				}
+			}
+			checkCommitted(t, m.pathFor(step), s)
+		}
+	}
+}
+
+// TestCkptManagerRecycledFileCut: a recycled file longer than the new
+// encoding ends at exactly its length. Left longer, it would fail to
+// decode with ErrMalformed.
+func TestCkptManagerRecycledFileCut(t *testing.T) {
+	m := &Manager{Dir: t.TempDir(), Keep: 2}
+	big := sample()
+	big.Step = 1
+	big.Worlds[0].Gate[0] = Tensor{Name: "wide", Shape: []int{4, 1000}, Data: make([]float64, 4000)}
+	if _, err := m.Save(big); err != nil {
+		t.Fatal(err)
+	}
+	saveStep(t, m, 2)
+	oldest := stat(t, m.pathFor(1))
+	s := saveStep(t, m, 3)
+	fi := stat(t, m.pathFor(3))
+	if !os.SameFile(oldest, fi) {
+		t.Fatal("step 3's commit did not reuse step 1's file")
+	}
+	if want, _ := Encode(s); fi.Size() != int64(len(want)) || oldest.Size() <= fi.Size() {
+		t.Fatalf("the recycled file went from %d to %d bytes, want %d", oldest.Size(), fi.Size(), len(want))
+	}
+	checkCommitted(t, m.pathFor(3), s)
+}
+
+// TestCkptManagerRecyclesOnlyRegularFiles: an entry named like the oldest
+// snapshot that is not a regular file is never taken over: not an empty
+// directory, and not a symlink, whose target stays as it was.
+func TestCkptManagerRecyclesOnlyRegularFiles(t *testing.T) {
+	target := filepath.Join(t.TempDir(), "outside"+Ext)
+	if err := Save(target, sample()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, plant := range map[string]func(string) error{
+		"directory": func(p string) error { return os.Mkdir(p, 0o755) },
+		"symlink":   func(p string) error { return os.Symlink(target, p) },
+	} {
+		m := &Manager{Dir: t.TempDir(), Keep: 2}
+		if err := plant(m.pathFor(0)); err != nil {
+			t.Fatal(err)
+		}
+		saveStep(t, m, 1)
+		s := saveStep(t, m, 2) // its prune removes step 0's entry
+		if fi, err := os.Lstat(m.pathFor(2)); err != nil || !fi.Mode().IsRegular() {
+			t.Fatalf("%s: step 2's snapshot is not a regular file: %v", what, err)
+		}
+		checkCommitted(t, m.pathFor(2), s)
+		if got, err := os.ReadFile(target); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: the commit wrote through the planted entry (%v)", what, err)
+		}
+	}
+}
+
+// TestCkptManagerRecycledCommitFailure: at Keep = 2 a commit that fails
+// after taking over the oldest snapshot's file leaves the newest committed
+// snapshot, no temp file, and Keep − 1 snapshots; the next commit after
+// the failure is reported commits again.
+func TestCkptManagerRecycledCommitFailure(t *testing.T) {
+	m := &Manager{Dir: t.TempDir(), Keep: 2}
+	saveStep(t, m, 1)
+	newest := saveStep(t, m, 2)
+	block := m.pathFor(3)
+	if err := os.MkdirAll(filepath.Join(block, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s := sample()
+	s.Step = 3
+	if _, err := m.Save(s); !errors.Is(err, ErrCommit) {
+		t.Fatalf("Save onto the blocked name = %v, want ErrCommit", err)
+	}
+	if err := os.RemoveAll(block); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(m.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != m.Keep-1 || entries[0].Name() != filepath.Base(m.pathFor(2)) {
+		t.Fatalf("after the failure the directory holds %v, want only step 2's snapshot", entries)
+	}
+	checkCommitted(t, m.pathFor(2), newest)
+	saveStep(t, m, 3)
+	paths, err := m.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{m.pathFor(2), m.pathFor(3)}; !slices.Equal(paths, want) {
+		t.Fatalf("after the next commit the directory holds %v, want %v", paths, want)
 	}
 }

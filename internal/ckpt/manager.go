@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -14,7 +15,9 @@ const Ext = ".fsmc"
 
 // ErrCommit reports a background commit that failed: the temp file, write,
 // fsync, rename or prune of a snapshot Start had accepted. The wrapped
-// cause says which. The previously committed snapshot is still in place.
+// cause says which. The newest previously committed snapshot is still in
+// place; a commit that had taken over the oldest retained snapshot's file
+// (see Manager) has lost that one.
 var ErrCommit = errors.New("ckpt: checkpoint commit failed")
 
 // Manager owns a directory of step-numbered snapshots, "step-%012d.fsmc",
@@ -28,6 +31,17 @@ var ErrCommit = errors.New("ckpt: checkpoint commit failed")
 // snapshot is durable once the next Start, a Wait or Save has returned
 // without error. List, Latest and LoadLatest wait for the commit in
 // flight first, so they see it. A Manager is safe for concurrent use.
+//
+// With Keep >= 2, a commit whose prune would delete the oldest retained
+// snapshot takes that file over as its temp file instead: it renames it
+// to the temp name and overwrites it in place, which spares allocating a
+// fresh file and freeing the old one. A newer committed snapshot stays
+// under its final name throughout, so a crash or a failed commit leaves
+// the newest committed snapshot, Keep−1 in all: it costs the oldest one.
+// A path older than the newest Keep may be overwritten by the next
+// commit, so do not hold it open; copy it to keep it. Only a regular file
+// is taken over. With Keep = 1 or keep-all, each commit writes a fresh
+// file.
 type Manager struct {
 	Dir  string
 	Keep int // snapshots to retain after each commit; <=0 keeps all
@@ -71,7 +85,9 @@ func (m *Manager) lockIdle() {
 // (wrapping ErrCommit) and commits nothing; the Start after it commits
 // again. Otherwise Start encodes s, hands the rest of the commit to a
 // background goroutine and returns: from then on the commit reads nothing
-// of s, so s may alias memory the caller goes on to change.
+// of s, so s may alias memory the caller goes on to change. With Keep >= 2
+// the commit may overwrite the oldest retained snapshot's file (see
+// Manager), so hold no path older than the newest Keep open.
 func (m *Manager) Start(s *Snapshot) (string, error) {
 	m.lockIdle()
 	defer m.mu.Unlock()
@@ -96,8 +112,7 @@ func (m *Manager) Start(s *Snapshot) (string, error) {
 	m.inflight = c
 	go func() {
 		defer close(c.done)
-		seal(buf)
-		err := writeAtomic(path, buf)
+		err := writeAtomic(path, buf, recyclable(path, keep))
 		if err == nil {
 			err = prune(dir, keep)
 		}
@@ -171,6 +186,31 @@ func (m *Manager) LoadLatest() (*Snapshot, error) {
 		return nil, err
 	}
 	return Load(path)
+}
+
+// recyclable returns the snapshot file that the prune after path's commit
+// would remove first, if the commit may take it over as its temp file: a
+// regular file, older than path, with keep >= 2, so a newer committed
+// snapshot stays under its final name while the commit runs. Otherwise "".
+func recyclable(path string, keep int) string {
+	if keep < 2 {
+		return ""
+	}
+	paths, err := list(filepath.Dir(path))
+	if err != nil || len(paths) == 0 || paths[0] >= path {
+		return ""
+	}
+	n := len(paths) // snapshots once path is committed
+	if _, found := slices.BinarySearch(paths, path); !found {
+		n++
+	}
+	if n <= keep {
+		return ""
+	}
+	if fi, err := os.Lstat(paths[0]); err != nil || !fi.Mode().IsRegular() {
+		return ""
+	}
+	return paths[0]
 }
 
 // prune removes the oldest snapshots in dir beyond keep.
