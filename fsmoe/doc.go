@@ -165,15 +165,19 @@
 // # Resource governance and the planner's cost model
 //
 // A World sizes itself to the machine instead of giving every stream its
-// own processor, as the simulator does. Its plans run on one executor: k =
-// min(GOMAXPROCS, streams in the plan) workers, each taking the ready
-// stream head with the lowest task id — ready by the simulator's own start
-// rule, its stream idle and its dependencies finished. Every expert GEMM
-// fans out onto the World's one kernel pool, ⌊GOMAXPROCS/k⌋ wide for the
-// most workers its plans can have, so the k workers' kernels together never
-// exceed the machine; World.ResourcePlan reports (width, k). The sequential
-// baseline (StepConfig.Sequential) is the same executor at k = 1: task-id
-// order on the calling goroutine. Results are bit-identical at every k and
+// own processor, as the simulator does. Its plans run on one executor, the
+// World's worker set of k = min(GOMAXPROCS, streams its plans can have)
+// workers: the goroutine that runs the pass and k − 1 helpers that NewWorld
+// starts and that park between plan executions, so a warm step starts no
+// goroutine. A plan with fewer streams uses fewer of them. Each worker takes
+// the ready stream head with the lowest task id — ready by the simulator's
+// own start rule, its stream idle and its dependencies finished.
+// Every expert GEMM fans out onto the World's one kernel pool,
+// ⌊GOMAXPROCS/k⌋ wide, so the k workers' kernels together never exceed the
+// machine; World.ResourcePlan reports (width, k). Each World of a stack
+// owns its set, as it owns its pool, and Recover replaces both when the
+// rank count changes k. The sequential baseline (StepConfig.Sequential) is
+// the same executor at k = 1: task-id order on the calling goroutine. Results are bit-identical at every k and
 // width: the executor changes contention, never bytes.
 //
 // The planner has one cost model: Algorithm 1 (StrategyAuto and the
@@ -262,7 +266,8 @@
 // while an earlier cache is still outstanding
 // (forward-only evaluation, Forward→Forward→Backward) starts a fresh
 // workspace instead, so nothing a live cache points at is reused; Close
-// and Recover drop the workspace. What World.Forward and World.Backward
+// and Recover drop the workspace. Close also stops the World's executor
+// helpers and kernel-pool goroutines. What World.Forward and World.Backward
 // return is still the caller's: fresh tensors. What StepStack moves between
 // layers and returns is not. Layer i's output, read by layer i+1, is a slot
 // of layer i's workspace until layer i's own Backward returns, and the input
@@ -357,7 +362,12 @@
 // Start, a Wait, or the worlds' Close has returned, and List, Latest and
 // LoadLatest wait for it first. A failed commit fails the next
 // checkpointing step with ErrCheckpointCommit and leaves the newest
-// previously committed file in place. StepMetrics carries the stall as CheckpointWaitMS and
+// previously committed file in place. With Keep > 0 a manager's directory
+// only moves forward: a step older than its newest snapshot — a run
+// restarted in a directory of a later run's snapshots — is refused with
+// ErrCheckpointStale before anything is encoded or written, as the prune
+// would delete the file just committed; keep-all prunes nothing and commits
+// any step. StepMetrics carries the stall as CheckpointWaitMS and
 // CheckpointCaptureMS.
 //
 // After a permanent rank loss, Recover rebuilds the whole stack (a single

@@ -50,8 +50,10 @@ const (
 )
 
 // Typed checkpoint errors (errors.Is-matchable): a damaged or foreign
-// snapshot file fails loudly instead of restoring garbage, and a
-// background commit that failed surfaces as ErrCheckpointCommit.
+// snapshot file fails loudly instead of restoring garbage, a background
+// commit that failed surfaces as ErrCheckpointCommit, and a step older than
+// the newest snapshot in a pruning manager's directory as
+// ErrCheckpointStale.
 var (
 	ErrCheckpointTruncated = ckpt.ErrTruncated
 	ErrCheckpointChecksum  = ckpt.ErrChecksum
@@ -60,6 +62,7 @@ var (
 	ErrCheckpointVersion   = ckpt.ErrVersion
 	ErrNoCheckpoint        = ckpt.ErrNoCheckpoint
 	ErrCheckpointCommit    = ckpt.ErrCommit
+	ErrCheckpointStale     = ckpt.ErrStaleStep
 )
 
 // Checkpoint captures a stack's full training state — every layer's

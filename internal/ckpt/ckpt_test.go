@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -633,5 +634,100 @@ func TestCkptManagerRecycledCommitFailure(t *testing.T) {
 	}
 	if want := []string{m.pathFor(2), m.pathFor(3)}; !slices.Equal(paths, want) {
 		t.Fatalf("after the next commit the directory holds %v, want %v", paths, want)
+	}
+}
+
+// dirState reads every entry under dir, by relative path: a file's bytes,
+// or "dir/" for a directory.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	state := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			state[rel] = "dir/"
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		state[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
+}
+
+// TestCkptManagerRefusesStaleStep: with Keep 1 or 2, Start and Save refuse
+// a step older than the newest snapshot in the directory with ErrStaleStep,
+// leaving the directory byte for byte and Wait's result as they were — a
+// reported commit failure included — while the newest step itself and a
+// later one commit. Keep-all commits the older step beside the newer ones.
+// No Save returns a nil error with a path that does not exist.
+func TestCkptManagerRefusesStaleStep(t *testing.T) {
+	for _, keep := range []int{1, 2, 0} {
+		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
+			m := &Manager{Dir: t.TempDir(), Keep: keep}
+			save := func(step int) error {
+				s := sample()
+				s.Step = step
+				path, err := m.Save(s)
+				if err == nil {
+					checkCommitted(t, path, s)
+				}
+				return err
+			}
+			refused := func(step int) {
+				t.Helper()
+				before, wait := dirState(t, m.Dir), m.Wait()
+				s := sample()
+				s.Step = step
+				if path, err := m.Start(s); !errors.Is(err, ErrStaleStep) || path != "" {
+					t.Fatalf("Start of step %d = %q, %v; want ErrStaleStep", step, path, err)
+				}
+				if err := save(step); !errors.Is(err, ErrStaleStep) {
+					t.Fatalf("Save of step %d = %v, want ErrStaleStep", step, err)
+				}
+				if err := m.Wait(); err != wait {
+					t.Fatalf("Wait after a refused Start = %v, before it %v", err, wait)
+				}
+				if after := dirState(t, m.Dir); !reflect.DeepEqual(after, before) {
+					t.Fatalf("a refused Start changed the directory: %d entries before, %d after", len(before), len(after))
+				}
+			}
+			for _, step := range []int{5, 6} {
+				if err := save(step); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if keep == 0 {
+				if err := save(1); err != nil {
+					t.Fatalf("keep-all Save of an older step = %v", err)
+				}
+				got, err := m.LoadLatest()
+				if paths, _ := m.List(); err != nil || got.Step != 6 || len(paths) != 3 {
+					t.Fatalf("keep-all after steps 5, 6 and 1: latest %v (%v), %d snapshots", got, err, len(paths))
+				}
+				return
+			}
+			refused(1)
+			refused(5)
+			for _, step := range []int{6, 7} {
+				if err := save(step); err != nil {
+					t.Fatalf("Save of step %d = %v", step, err)
+				}
+			}
+			// A reported commit failure stays Wait's result across a refusal.
+			if err := os.MkdirAll(filepath.Join(m.pathFor(8), "x"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := save(8); !errors.Is(err, ErrCommit) {
+				t.Fatalf("Save onto the blocked name = %v, want ErrCommit", err)
+			}
+			refused(7)
+		})
 	}
 }

@@ -20,9 +20,22 @@ const Ext = ".fsmc"
 // (see Manager) has lost that one.
 var ErrCommit = errors.New("ckpt: checkpoint commit failed")
 
+// ErrStaleStep reports a Start refused because, with Keep > 0, the
+// directory already holds a snapshot of a later step: the prune after the
+// commit could delete the file just committed (see Manager).
+var ErrStaleStep = errors.New("ckpt: step older than the newest snapshot in the directory")
+
 // Manager owns a directory of step-numbered snapshots, "step-%012d.fsmc",
 // pruned to the newest Keep after every commit. The zero Keep retains
 // everything.
+//
+// With Keep > 0 the directory only moves forward: Start refuses, with
+// ErrStaleStep, a step older than the newest snapshot already there — as a
+// run restarted in a directory of a later run's snapshots would commit —
+// before it encodes or writes anything, since the prune would otherwise
+// delete the file it had just committed and reported. A refused Start
+// leaves the directory and what Wait returns as they were. Keep-all prunes
+// nothing, so it commits any step, and LoadLatest returns the newest.
 //
 // Commits run in the background, at most one in flight. Start encodes a
 // snapshot on the caller's goroutine into a buffer the Manager keeps and
@@ -83,9 +96,11 @@ func (m *Manager) lockIdle() {
 // commits to. It first waits for the commit in flight. If the last commit
 // failed and no Start has reported it yet, Start returns that failure
 // (wrapping ErrCommit) and commits nothing; the Start after it commits
-// again. Otherwise Start encodes s, hands the rest of the commit to a
-// background goroutine and returns: from then on the commit reads nothing
-// of s, so s may alias memory the caller goes on to change. With Keep >= 2
+// again. With Keep > 0 it refuses a step older than the directory's newest
+// snapshot (ErrStaleStep; see Manager). Otherwise Start encodes s, hands the
+// rest of the commit to a background goroutine and returns: from then on
+// the commit reads nothing of s, so s may alias memory the caller goes on
+// to change. With Keep >= 2
 // the commit may overwrite the oldest retained snapshot's file (see
 // Manager), so hold no path older than the newest Keep open.
 func (m *Manager) Start(s *Snapshot) (string, error) {
@@ -95,10 +110,20 @@ func (m *Manager) Start(s *Snapshot) (string, error) {
 		m.reported = true
 		return "", m.err
 	}
-	m.err = nil
 	if m.Dir == "" {
 		return "", fmt.Errorf("ckpt: manager needs a directory")
 	}
+	path := m.pathFor(s.Step)
+	if m.Keep > 0 {
+		paths, err := list(m.Dir)
+		if err != nil {
+			return "", err
+		}
+		if n := len(paths); n > 0 && paths[n-1] > path {
+			return "", fmt.Errorf("%w: step %d after %s", ErrStaleStep, s.Step, filepath.Base(paths[n-1]))
+		}
+	}
+	m.err = nil
 	if err := os.MkdirAll(m.Dir, 0o755); err != nil {
 		return "", fmt.Errorf("ckpt: save: %w", err)
 	}
@@ -107,7 +132,7 @@ func (m *Manager) Start(s *Snapshot) (string, error) {
 		return "", err
 	}
 	m.buf = buf
-	path, dir, keep := m.pathFor(s.Step), m.Dir, m.Keep
+	dir, keep := m.Dir, m.Keep
 	c := &commit{done: make(chan struct{})}
 	m.inflight = c
 	go func() {

@@ -248,11 +248,12 @@ func (w *World) recoverTo(ws *ckpt.WorldState, params []float64, mode RecoveryMo
 	}
 	w.addStats(rep.Traffic)
 
-	// Commit the new topology: resize the kernel pool to the new stream
-	// count, install the new placement, drop the workspace cut for the old
-	// one, strip the injector's down trigger (the dead rank no longer
-	// exists in the rebuilt world), and clear the health state exactly as a
-	// manual ResetHealth would.
+	// Commit the new topology: resize the worker set and the kernel pool to
+	// the new stream count, install the new placement, drop the workspace
+	// cut for the old one, strip the injector's down trigger (the dead rank
+	// no longer exists in the rebuilt world), and clear the health state
+	// exactly as a manual ResetHealth would.
+	w.exec.Close()
 	w.pool.Close()
 	w.cfg = newCfg
 	w.egrp = newEgrp

@@ -278,7 +278,8 @@ const stepLayerSlack = 5120
 // the tensor free-list, which keeps every buffer Put back; and the two plans
 // are resident and replayed. What remains is a few KiB for beginning the
 // layer's expert passes (a pass value and the headers over its scratch),
-// the §5 and the gate and Order's bookkeeping and starting two executions.
+// the §5 and the gate and Order's bookkeeping; the two executions run on the
+// worlds' worker sets and start no goroutine.
 // A batch- or routing-sized allocation per layer, or a plan rebuilt every
 // step, does not fit. The collector is off for the window, as in the
 // repository benchmark. The bounds are the same under the race detector.

@@ -46,11 +46,10 @@ type World struct {
 	egrp  int       // experts per rank (expert-sharding owner groups)
 	pl    placement // cfg.Strategy resolved against the layer and rank count
 
-	// Resource governance: up to workers plan tasks run at once (the
-	// executor's k for this world's streams), and every expert kernel fans
-	// out onto the one pool, whose width leaves room for all of them.
-	workers int
-	pool    *tensor.Pool
+	// Resource governance: exec's k workers run up to k plan tasks at once,
+	// and every expert kernel fans out onto the one pool, sized for them all.
+	exec *runtime.WorkerSet
+	pool *tensor.Pool
 
 	// Stream names, built once beside the pool: per rank compute:<r>, per
 	// expert-sharding group intra:g<G>.
@@ -216,12 +215,12 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 	return w, nil
 }
 
-// planResources sizes the world to the machine at construction time. Its
-// plans use at most R compute streams, one intra stream per group when g > 1,
-// the inter stream and the backward's route stream, so the executor runs
-// them on k = that count capped at GOMAXPROCS workers
-// (runtime.Plan.ExecuteCtx). The one kernel pool is ⌊GOMAXPROCS/k⌋ wide, so
-// k kernels fanning out at once never exceed the machine.
+// planResources sizes the world to the machine at NewWorld and recoverTo.
+// Its plans use at most R compute streams, one intra stream per group when
+// g > 1, the inter stream and the backward's route stream, so it starts the
+// world's runtime.WorkerSet, which runs them all, at k = that count capped at
+// GOMAXPROCS. The one kernel pool is ⌊GOMAXPROCS/k⌋ wide, so k kernels
+// fanning out at once never exceed the machine.
 func (w *World) planResources() {
 	procs := goruntime.GOMAXPROCS(0)
 	R := w.cfg.Ranks
@@ -229,8 +228,8 @@ func (w *World) planResources() {
 	if w.pl.g > 1 {
 		streams += R / w.pl.g
 	}
-	w.workers = min(streams, procs)
-	w.pool = tensor.NewPool(max(1, procs/w.workers))
+	w.exec = runtime.NewWorkerSet(min(streams, procs))
+	w.pool = tensor.NewPool(max(1, procs/w.exec.K()))
 	w.computeStreams = make([]string, R)
 	w.groupStreams = make([]string, R/w.pl.g)
 	for r := range w.computeStreams {
@@ -243,17 +242,17 @@ func (w *World) planResources() {
 
 // ResourcePlan reports how the world sizes itself to the machine: the width
 // of its one kernel pool, which every expert GEMM fans out onto, and k, the
-// most plan workers that run at once. Their product never exceeds
-// GOMAXPROCS.
+// width of its worker set: the most plan tasks that run at once. Their
+// product never exceeds GOMAXPROCS.
 func (w *World) ResourcePlan() (width, workers int) {
-	return w.pool.Workers(), w.workers
+	return w.pool.Workers(), w.exec.K()
 }
 
 // ErrWorldClosed reports use of a closed World: a second Close, or a
 // Forward/Backward after Close. Match it with errors.Is.
 var ErrWorldClosed = errors.New("moe: world is closed")
 
-// Close releases the kernel pool's worker goroutines and the token-path
+// Close stops the worker set and the kernel pool, releases the token-path
 // workspace and retires the world: subsequent Forward/Backward/Close calls
 // fail with ErrWorldClosed instead of stepping on a released pool. The
 // world must be idle. Close also waits for the checkpoint commit its stack
@@ -263,6 +262,7 @@ func (w *World) Close() error {
 		return fmt.Errorf("moe: double close: %w", ErrWorldClosed)
 	}
 	w.closed = true
+	w.exec.Close()
 	w.pool.Close()
 	w.ws = nil
 	if m := w.ckpt; m != nil {
@@ -402,9 +402,9 @@ const (
 // fault injector, retry policy and deadline in, and resolving each
 // collective task's guard, in build order, as a plan built for this pass
 // would have minted it — records it, and returns the joined task errors.
-// After a plan's first execution the tensor free-list is readied for it
-// (tensor.ReserveScratch): its tasks have asked for every size they need,
-// and at most w.workers of them run at once.
+// It runs on the world's worker set (on the caller alone when sequential),
+// and after its first execution the tensor free-list is readied for k of its
+// tasks at once (tensor.ReserveScratch): they have asked for every size.
 func (w *World) run(lp *layerPlan) error {
 	p := lp.Plan
 	p.SetFaultPlan(w.faults)
@@ -425,12 +425,12 @@ func (w *World) run(lp *layerPlan) error {
 	if w.seq {
 		tr, err = p.ExecuteSequentialCtx(ctx)
 	} else {
-		tr, err = p.ExecuteCtx(ctx)
+		tr, err = p.ExecuteOn(ctx, w.exec)
 	}
 	w.lastPlan, w.lastTr = p, tr
 	if !lp.ran {
 		lp.ran = true
-		tensor.ReserveScratch(w.workers)
+		tensor.ReserveScratch(w.exec.K())
 	}
 	return err
 }

@@ -219,44 +219,79 @@ func TestPlanStopsOneExecution(t *testing.T) {
 }
 
 // TestExecuteCtxCancel: external cancellation skips pending work, drains
-// the streams, reports the ctx error, and leaks nothing.
+// the streams, reports the ctx error, and leaks nothing — on a set made for
+// the call, and on a set that outlives it, with a second stream so a helper
+// is handed the cancelled plan; that set then runs every task of the next
+// execution.
 func TestExecuteCtxCancel(t *testing.T) {
 	defer leakCheck(t)()
-	p := NewPlan()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var late int32
-	first := p.Add("slow", sim.KindPack, "s", 1, func() error {
-		close(started)
-		<-release
-		return nil
-	})
-	p.Add("next", sim.KindPack, "s", 1, func() error {
-		atomic.AddInt32(&late, 1)
-		return nil
-	}, first)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	var tr *sim.Trace
-	var err error
-	go func() {
-		tr, err = p.ExecuteCtx(ctx)
-		close(done)
-	}()
-	<-started
-	cancel()
-	// The in-flight closure finishes naturally; cancellation only stops
-	// new task bodies from being issued.
-	close(release)
-	<-done
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ctx error not joined: %v", err)
-	}
-	if late != 0 {
-		t.Fatal("task issued after cancellation")
-	}
-	if tr.EventCount(sim.EventSkip) != 1 {
-		t.Fatalf("want 1 skip event, got %d", tr.EventCount(sim.EventSkip))
+	set := NewWorkerSet(2)
+	defer set.Close()
+	for _, tc := range []struct {
+		name    string
+		set     *WorkerSet
+		streams []string
+	}{{"bare", nil, []string{"s"}}, {"set", set, []string{"s", "s2"}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPlan()
+			started := make(chan struct{})
+			release := make(chan struct{})
+			var slow, late int32
+			first := p.Add("slow", sim.KindPack, "s", 1, func() error {
+				if atomic.AddInt32(&slow, 1) == 1 {
+					close(started)
+					<-release
+				}
+				return nil
+			})
+			for _, stream := range tc.streams {
+				p.Add("next", sim.KindPack, stream, 1, func() error {
+					atomic.AddInt32(&late, 1)
+					return nil
+				}, first)
+			}
+			execute := func(ctx context.Context) (*sim.Trace, error) {
+				if tc.set == nil {
+					return p.ExecuteCtx(ctx)
+				}
+				return p.ExecuteOn(ctx, tc.set)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			var tr *sim.Trace
+			var err error
+			go func() {
+				tr, err = execute(ctx)
+				close(done)
+			}()
+			<-started
+			cancel()
+			// The in-flight closure finishes naturally; cancellation only stops
+			// new task bodies from being issued.
+			close(release)
+			<-done
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("ctx error not joined: %v", err)
+			}
+			if late != 0 {
+				t.Fatal("task issued after cancellation")
+			}
+			if got := tr.EventCount(sim.EventSkip); got != len(tc.streams) {
+				t.Fatalf("want %d skip events, got %d", len(tc.streams), got)
+			}
+			if tc.set == nil {
+				return
+			}
+			if tr, err = execute(context.Background()); err != nil {
+				t.Fatalf("the execution after the cancelled one: %v", err)
+			}
+			if skips := tr.EventCount(sim.EventSkip); skips != 0 {
+				t.Fatalf("the execution after the cancelled one skipped %d tasks", skips)
+			}
+			if slow != 2 || int(late) != len(tc.streams) {
+				t.Fatalf("the execution after the cancelled one ran slow %d and next %d times, want 2 and %d", slow, late, len(tc.streams))
+			}
+		})
 	}
 }
 

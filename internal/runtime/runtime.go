@@ -14,10 +14,10 @@
 //   - Simulate() feeds the tasks' estimated durations through the
 //     discrete-event engine, which gives every stream its own processor,
 //     and returns the predicted trace;
-//   - Execute() runs the closures on k = min(GOMAXPROCS, streams) workers
-//     and returns the measured trace; ExecuteSequential() is the same
-//     executor at k = 1 — the no-overlap baseline that turns "pipelining
-//     helps" from a simulator claim into a wall-clock measurement.
+//   - ExecuteOn() runs the closures on a WorkerSet of k long-lived workers
+//     and returns the measured trace; Execute() makes a set for the call and
+//     ExecuteSequential() runs at k = 1 — the no-overlap baseline that turns
+//     "pipelining helps" from a simulator claim into a wall-clock measurement.
 //
 // Add is the one place a task is checked. It rejects a kind outside
 // sim.Kinds(), the closed set breakdowns, fault filters and retry
@@ -264,8 +264,8 @@ type execState struct {
 	// set on a permanent fault, with stopped closed beside it. Either one
 	// stops new task bodies from being issued (in-flight closures finish
 	// naturally) and cuts backoff and straggler sleeps short; the workers
-	// still take every task, so the call returns with no goroutine left
-	// behind. The plan keeps stopped across executions and makes a new one
+	// still take every task, so the call returns with no helper left in
+	// the plan. The plan keeps stopped across executions and makes a new one
 	// only after an execution that closed it, so a resident plan's execution
 	// allocates no context.
 	ctx     context.Context
@@ -458,23 +458,34 @@ func (p *Plan) work(e *execState) {
 	e.mu.Unlock()
 }
 
-// execute runs the plan on min(k, streams) workers, at least one, the
-// calling goroutine among them.
-func (p *Plan) execute(ctx context.Context, k int) (*sim.Trace, error) {
-	if !p.running.CompareAndSwap(false, true) {
-		return nil, errRunning
-	}
-	defer p.running.Store(false)
-	e := p.reset(ctx)
-	k = max(1, min(k, len(e.queues)))
-	for range k - 1 {
-		e.wg.Add(1)
-		go p.worker(e)
-	}
-	p.work(e)
-	e.wg.Wait()
-	return p.finishTrace(ctx, e)
+// WorkerSet is the executor's k workers: an execution's caller and k − 1
+// helpers, parked on one channel between executions, that an execution
+// hands its plan to. A set serves one execution at a time.
+type WorkerSet struct {
+	k     int
+	plans chan *Plan
 }
+
+// NewWorkerSet starts a set of k workers, at least one; Close stops it.
+func NewWorkerSet(k int) *WorkerSet {
+	k = max(1, k)
+	s := &WorkerSet{k: k, plans: make(chan *Plan, k-1)}
+	for range k - 1 {
+		go func() {
+			for p := range s.plans {
+				p.work(&p.state)
+				p.state.wg.Done()
+			}
+		}()
+	}
+	return s
+}
+
+// K returns the set's width: the most task bodies its executions run at once.
+func (s *WorkerSet) K() int { return s.k }
+
+// Close stops an idle set: its helpers exit as they next look for a plan.
+func (s *WorkerSet) Close() { close(s.plans) }
 
 // reset readies the plan's execution state and trace for one execution:
 // sized afresh for a plan that gained tasks since it was last sized, cleared
@@ -516,12 +527,6 @@ func (p *Plan) reset(ctx context.Context) *execState {
 	return e
 }
 
-// worker is one of the workers execute starts beside the calling goroutine.
-func (p *Plan) worker(e *execState) {
-	defer e.wg.Done()
-	p.work(e)
-}
-
 // finishTrace writes the measured intervals into the plan's trace and
 // returns it with the joined error set. Each interval's Task is the plan's
 // own: its Duration is the estimate, the interval holds the measurement.
@@ -552,16 +557,23 @@ func (p *Plan) Execute() (*sim.Trace, error) {
 	return p.ExecuteCtx(context.Background())
 }
 
-// ExecuteCtx runs the plan for real on k = min(GOMAXPROCS, streams)
-// workers, the calling goroutine among them. A worker takes the ready
-// stream head with the lowest task id — ready by sim.Graph.Run's start
-// rule: its stream idle, its dependencies finished — so each stream runs
-// one task at a time in enqueue order, and at most k task bodies run at
+// ExecuteCtx is ExecuteOn on a set of min(GOMAXPROCS, streams) workers.
+func (p *Plan) ExecuteCtx(ctx context.Context) (*sim.Trace, error) {
+	s := NewWorkerSet(min(goruntime.GOMAXPROCS(0), len(p.g.Streams())))
+	defer s.Close()
+	return p.ExecuteOn(ctx, s)
+}
+
+// ExecuteOn runs the plan for real on min(k, streams) workers of s, the
+// calling goroutine among them; it starts no goroutine. A worker takes the
+// ready stream head with the lowest task id — ready by sim.Graph.Run's
+// start rule: its stream idle, its dependencies finished — so each stream
+// runs one task at a time in enqueue order, and at most k task bodies run at
 // once. The lowest unfinished task is always ready or running, so the
 // workers never deadlock. The returned trace holds measured wall-clock
 // intervals in milliseconds relative to the execution start; it is the
-// plan's own, rewritten by the plan's next execution. ExecuteCtx on a plan
-// that is running fails without running anything.
+// plan's own, rewritten by the plan's next execution. ExecuteOn on a
+// running plan fails without running anything.
 //
 // Failure semantics: an ordinary task error aborts nothing — streams
 // drain fully and downstream tasks still run (their inputs may be
@@ -571,11 +583,23 @@ func (p *Plan) Execute() (*sim.Trace, error) {
 // A permanent fault, a ctx cancellation or an expired ctx deadline
 // triggers cooperative cancellation instead: no further task bodies are
 // issued, but the workers still take and skip every remaining task, so
-// the call always returns with zero leaked goroutines. All task errors
-// are collected and returned via errors.Join (plus the ctx error when
-// cancellation came from outside).
-func (p *Plan) ExecuteCtx(ctx context.Context) (*sim.Trace, error) {
-	return p.execute(ctx, goruntime.GOMAXPROCS(0))
+// the call always returns with every helper out of the plan. All task
+// errors are collected and returned via errors.Join (plus the ctx error
+// when cancellation came from outside).
+func (p *Plan) ExecuteOn(ctx context.Context, s *WorkerSet) (*sim.Trace, error) {
+	if !p.running.CompareAndSwap(false, true) {
+		return nil, errRunning
+	}
+	defer p.running.Store(false)
+	e := p.reset(ctx)
+	k := max(1, min(s.k, len(e.queues)))
+	e.wg.Add(k - 1)
+	for range k - 1 {
+		s.plans <- p
+	}
+	p.work(e)
+	e.wg.Wait()
+	return p.finishTrace(ctx, e)
 }
 
 // ExecuteSequential runs every closure one after another with no
@@ -584,7 +608,7 @@ func (p *Plan) ExecuteSequential() (*sim.Trace, error) {
 	return p.ExecuteSequentialCtx(context.Background())
 }
 
-// ExecuteSequentialCtx is ExecuteCtx at k = 1: one worker, the calling
+// ExecuteSequentialCtx is ExecuteOn on a set of one worker, the calling
 // goroutine, which always finds the lowest unfinished task ready and so
 // runs the closures in task-id order with no cross-stream overlap — the
 // measured baseline a pipelined Execute is compared against. The trace
@@ -592,7 +616,7 @@ func (p *Plan) ExecuteSequential() (*sim.Trace, error) {
 // comparable, and the fault decisions are keyed on task ids, so the same
 // faults fire in both modes.
 func (p *Plan) ExecuteSequentialCtx(ctx context.Context) (*sim.Trace, error) {
-	return p.execute(ctx, 1)
+	return p.ExecuteOn(ctx, &WorkerSet{k: 1})
 }
 
 // Durations extracts per-task durations (ms) from a trace indexed by task

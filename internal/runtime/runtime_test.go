@@ -1,10 +1,13 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"maps"
 	goruntime "runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,6 +221,62 @@ func TestExecuteContention(t *testing.T) {
 				}
 			}
 			o.check(p, min(n, streams))
+		})
+	}
+}
+
+// goid returns the calling goroutine's id, from the "goroutine N [...]"
+// header of runtime.Stack.
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:goruntime.Stack(buf[:], false)]))[1]
+}
+
+// TestWorkerSetKeepsItsHelpers: at k = 2 and 4, every body of a k-stream
+// plan waits until all k run at once, so the caller and k − 1 helpers each
+// run one. Two successive executions on one set run their bodies on the
+// same helper goroutines: an execution starts none. Close stops them.
+func TestWorkerSetKeepsItsHelpers(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			defer leakCheck(t)()
+			set := NewWorkerSet(k)
+			var arrived atomic.Int32
+			var mu sync.Mutex
+			ran := map[string]bool{}
+			p := NewPlan()
+			for i := range k {
+				p.Add("T", sim.KindPack, fmt.Sprintf("s%d", i), 1, func() error {
+					arrived.Add(1)
+					for deadline := time.Now().Add(5 * time.Second); arrived.Load() < int32(k); goruntime.Gosched() {
+						if time.Now().After(deadline) {
+							return errors.New("fewer than k bodies ran at once")
+						}
+					}
+					mu.Lock()
+					ran[goid()] = true
+					mu.Unlock()
+					return nil
+				})
+			}
+			caller := goid()
+			var first map[string]bool
+			for run := range 2 {
+				arrived.Store(0)
+				clear(ran)
+				if _, err := p.ExecuteOn(context.Background(), set); err != nil {
+					t.Fatal(err)
+				}
+				if !ran[caller] || len(ran) != k {
+					t.Fatalf("execution %d ran its bodies on %v, want the caller %s and %d helpers", run, ran, caller, k-1)
+				}
+				if run == 0 {
+					first = maps.Clone(ran)
+				} else if !maps.Equal(ran, first) {
+					t.Fatalf("the second execution ran on goroutines %v, the first on %v", ran, first)
+				}
+			}
+			set.Close()
 		})
 	}
 }

@@ -12,11 +12,15 @@ package tensor
 // package-level ParallelFor/ParallelRange and the plain MatMul* kernels; its
 // width follows Workers(). Scoped pools (NewPool) carve a fixed worker
 // budget out of the machine: a World's one kernel pool is ⌊GOMAXPROCS/k⌋
-// wide, so the k executor workers of internal/runtime plans, each inside a
-// kernel at once, never oversubscribe the machine. Pool-bound kernels are
-// methods on *Pool; a nil *Pool designates
-// the default pool, so call sites can thread an optional pool without
-// branching.
+// wide, so the k workers of its plan executor (internal/runtime's
+// WorkerSet: an execution's caller and k − 1 helpers that outlive it), each
+// inside a kernel at once, never oversubscribe the machine. The executor
+// keeps its own workers rather than these: a pool runs regions of
+// serialCutoff items on the caller, and a waiting caller runs whatever is
+// queued, so plan work here could stay on one goroutine at k = 2 or start
+// inside a kernel. Pool-bound kernels are methods on *Pool; a nil *Pool
+// designates the default pool, so call sites can thread an optional pool
+// without branching.
 //
 // ParallelFor and ParallelRange split an index space into at most Workers()
 // contiguous chunks. Chunk boundaries never split a single output element's
