@@ -67,7 +67,7 @@ func newChaosWorld(cfg chaosWorkload, ranks int, strat fsmoe.Strategy, g int) (*
 // transient faults injected into every collective kind (at the task level
 // and inside the collectives) are retried until the pass completes, and
 // the sweep reports completion counts, retries spent, the p50/p99 pass
-// times (retry backoff inflates the tail) and whether the surviving
+// times (the re-run collectives are the tail) and whether the surviving
 // output stayed bit-identical to the fault-free pass. A second table
 // downs a rank permanently and reports how degraded mode completed the
 // step. The iters argument (the -sample flag) is the passes per cell.
@@ -146,7 +146,7 @@ func chaosExperiment(iters int) error {
 	}
 	emit(tb)
 	note("fault-rate = per-attempt transient probability on every collective kind (task-level KindProb and in-collective CollectiveProb); " +
-		"MaxTransientsPerTask=2 under the default 4-attempt retry budget, so every pass recovers")
+		"MaxTransientsPerTask=2 under the World's 4-attempt retry budget, so every pass recovers")
 
 	// Permanent rank-down: the pass must complete degraded, not abort.
 	tb2 := report.NewTable("permanent rank-down mid-forward: degraded-mode completion",

@@ -1,5 +1,5 @@
 // Chaos: run the executable multi-rank runtime under seeded fault
-// injection — transient collective failures retried with backoff, a
+// injection — transient collective failures retried at once, a
 // straggling stream, and finally a permanent rank-down survived in
 // degraded mode.
 //

@@ -301,16 +301,16 @@
 // # Fault tolerance
 //
 // The executable World survives injected failure. NewFaultPlan compiles a
-// FaultSpec — per-kind/per-stream transient probabilities, straggler
+// FaultSpec — per-kind transient probabilities, straggler
 // delays, in-collective failures, an optional permanent rank-down — into
 // a deterministic injector (every decision is a pure function of the
 // seed and the task identity, so chaos runs reproduce under any stream
 // interleaving); World.SetFaultPlan installs it.
 //
-// Transient faults fire before any buffer mutation and are retried with
-// exponential backoff and deterministic jitter under World.SetRetry's
-// policy (default: 4 attempts, collective kinds only — expert W-gradient
-// tasks accumulate in place and are never replayed). A recovered pass is
+// Transient faults fire before any buffer mutation and are retried at
+// once, up to 4 attempts, on AlltoAll, AllGather, ReduceScatter and
+// AllReduce tasks (expert W-gradient tasks accumulate in place and are
+// never replayed). A recovered pass is
 // bit-identical to a fault-free one; the retries appear as events on the
 // measured trace (Trace.Events, Trace.EventCount with EventFault /
 // EventRetry / EventStraggler / EventSkip).
@@ -378,7 +378,7 @@
 // shard. The dead rank's experts are re-assigned, their checkpointed
 // weights re-placed through the guarded Broadcast collective (chaos
 // injection and traffic accounting reach the recovery path; transient
-// faults retry under the world's RetryPolicy), the plan builder
+// faults retry at once under the same 4-attempt budget), the plan builder
 // re-emits the collective chains for the new topology — every strategy
 // recovers as itself, ESP at g′ = R′ and Hybrid at g′ = gcd(g, R′) — and
 // the fault plan's down trigger is stripped so the rebuilt world is not

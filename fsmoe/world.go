@@ -39,16 +39,13 @@ type (
 	DenseRouter = moe.DenseRouter
 
 	// FaultSpec configures the deterministic seeded fault injector:
-	// per-task-kind / per-stream transient probabilities, straggler delays,
+	// per-task-kind transient probabilities, straggler delays,
 	// in-collective failures and permanent rank-down events.
 	FaultSpec = fault.Spec
 	// FaultPlan is a compiled injector; install it with World.SetFaultPlan.
 	FaultPlan = fault.Plan
 	// FaultDown configures a permanent rank-down event inside a FaultSpec.
 	FaultDown = fault.Down
-	// RetryPolicy bounds transient-fault retries with exponential backoff
-	// and deterministic jitter.
-	RetryPolicy = runtime.RetryPolicy
 	// DegradedResult reports how a pass survived a permanent rank failure.
 	DegradedResult = moe.DegradedResult
 	// TraceEvent is one fault/retry/straggler/skip incident on a measured
@@ -79,7 +76,7 @@ const (
 )
 
 // Task kinds as they appear on stream plans — the keys a
-// FaultSpec.KindProb targets and a RetryPolicy.Kinds allows.
+// FaultSpec.KindProb targets.
 const (
 	KindAlltoAll      = moe.KindA2A
 	KindAllGather     = moe.KindAG

@@ -74,7 +74,7 @@ func TestWorldMethodSet(t *testing.T) {
 	want := []string{
 		"Backward", "Close", "Forward", "GroupSize", "Health", "LastDegraded",
 		"LastPlan", "LastTrace", "PipelineDegrees", "Ranks", "ResetHealth",
-		"ResourcePlan", "SetDeadline", "SetFaultPlan", "SetRetry",
+		"ResourcePlan", "SetDeadline", "SetFaultPlan",
 		"SetSequential", "Stats", "Strategy",
 	}
 	typ := reflect.TypeFor[*World]()

@@ -89,64 +89,78 @@ const (
 	KindOthers = sim.KindOthers
 )
 
+// chainKinds are the kinds of a chunk chain's five stages: the first
+// AlltoAll, the intra-node gather, the experts, the intra-node scatter and
+// the second AlltoAll.
+var chainKinds = [5]string{KindA2A, KindAG, KindExpert, KindRS, KindA2A}
+
+// emitChain emits one phase's r-chunk chain, each chunk's five stages
+// labelled and timed per stage and each depending on the chunk's previous
+// stage (the first on dep; dep < 0 means no dependency), and returns the
+// last chunk's final stage. With IIO the stages issue stage-major: every
+// chunk's first AlltoAll, then every gather, and so on (Fig. 3c/d
+// ordering). On a single comm stream (Tutel/PipeMoE) they interleave so
+// chunk i+1's inputs are in flight while chunk i computes — the classic
+// double buffer. garMoE > 0 adds the MoE-window gradient slice on the
+// inter stream: between the two AlltoAll groups with IIO (§4, Fig. 3d),
+// before the last chunk's scatter without.
+func (m Models) emitChain(g *sim.Graph, labels [5]string, times [5]float64, r int, ss streamSet, iio bool, dep int, garMoE float64) int {
+	streams := [5]string{ss.inter, ss.intra, ss.compute, ss.intra, ss.inter}
+	var first []int
+	if dep >= 0 {
+		first = []int{dep}
+	}
+	last := make([]int, r) // per chunk, its latest stage
+	stage := func(s, i int) {
+		if s == 0 {
+			last[i] = g.Add(labels[0], chainKinds[0], streams[0], times[0], first...)
+		} else {
+			last[i] = g.Add(labels[s], chainKinds[s], streams[s], times[s], last[i])
+		}
+	}
+	window := func() {
+		if garMoE > 0 {
+			g.Add("A", KindAR, ss.inter, m.TAR(garMoE))
+		}
+	}
+	if iio {
+		for s := range chainKinds {
+			for i := range r {
+				stage(s, i)
+			}
+			if s == 0 {
+				window()
+			}
+		}
+		return last[r-1]
+	}
+	for i := range r {
+		stage(0, i)
+		stage(1, i)
+		stage(2, i)
+		if i > 0 {
+			stage(3, i-1)
+			stage(4, i-1)
+		}
+	}
+	window()
+	stage(3, r-1)
+	stage(4, r-1)
+	return last[r-1]
+}
+
 // buildForwardLayer emits one generalized layer's forward tasks and returns
 // the id its successor must depend on. dep < 0 means no dependency.
 func (m Models) buildForwardLayer(g *sim.Graph, v Volumes, r int, ss streamSet, a2a perfmodel.Linear, iio bool, dep int) int {
-	deps := func(ids ...int) []int {
-		var out []int
-		for _, id := range ids {
-			if id >= 0 {
-				out = append(out, id)
-			}
-		}
-		return out
+	var deps []int
+	if dep >= 0 {
+		deps = []int{dep}
 	}
 	rf := float64(r)
 	ta2a := a2a.ChunkTime(v.NA2A, rf)
-	tag := m.TAG(v, rf)
-	trs := m.TRS(v, rf)
-	texp := m.TExp(v, rf, Forward)
-
-	others := g.Add("O-fwd", KindOthers, ss.compute, v.DenseFwd, deps(dep)...)
-	disp := make([]int, r)
-	ags := make([]int, r)
-	exps := make([]int, r)
-	rss := make([]int, r)
-	comb := make([]int, r)
-	if iio {
-		// Inter stream: all dispatches, then all combines; intra stream:
-		// all allgathers, then all reduce-scatters (Fig. 3c/d ordering).
-		for i := 0; i < r; i++ {
-			disp[i] = g.Add("D", KindA2A, ss.inter, ta2a, others)
-		}
-		for i := 0; i < r; i++ {
-			ags[i] = g.Add("G", KindAG, ss.intra, tag, disp[i])
-		}
-		for i := 0; i < r; i++ {
-			exps[i] = g.Add("E", KindExpert, ss.compute, texp, ags[i])
-		}
-		for i := 0; i < r; i++ {
-			rss[i] = g.Add("R", KindRS, ss.intra, trs, exps[i])
-		}
-		for i := 0; i < r; i++ {
-			comb[i] = g.Add("C", KindA2A, ss.inter, ta2a, rss[i])
-		}
-		return comb[r-1]
-	}
-	// Single comm stream (Tutel/PipeMoE): interleave so chunk i+1's inputs
-	// are in flight while chunk i computes — the classic double buffer.
-	for i := 0; i < r; i++ {
-		disp[i] = g.Add("D", KindA2A, ss.inter, ta2a, others)
-		ags[i] = g.Add("G", KindAG, ss.intra, tag, disp[i])
-		exps[i] = g.Add("E", KindExpert, ss.compute, texp, ags[i])
-		if i > 0 {
-			rss[i-1] = g.Add("R", KindRS, ss.intra, trs, exps[i-1])
-			comb[i-1] = g.Add("C", KindA2A, ss.inter, ta2a, rss[i-1])
-		}
-	}
-	rss[r-1] = g.Add("R", KindRS, ss.intra, trs, exps[r-1])
-	comb[r-1] = g.Add("C", KindA2A, ss.inter, ta2a, rss[r-1])
-	return comb[r-1]
+	others := g.Add("O-fwd", KindOthers, ss.compute, v.DenseFwd, deps...)
+	return m.emitChain(g, [5]string{"D", "G", "E", "R", "C"},
+		[5]float64{ta2a, m.TAG(v, rf), m.TExp(v, rf, Forward), m.TRS(v, rf), ta2a}, r, ss, iio, others, 0)
 }
 
 // buildBackwardLayer emits one generalized layer's backward tasks plus its
@@ -154,70 +168,18 @@ func (m Models) buildForwardLayer(g *sim.Graph, v Volumes, r int, ss streamSet, 
 // must depend on. garMoE/garDense are byte volumes from the GarPlan;
 // linaChunk > 0 realizes the dense slice as fixed-size chunks.
 func (m Models) buildBackwardLayer(g *sim.Graph, v Volumes, r int, ss streamSet, a2a perfmodel.Linear, iio bool, dep int, garMoE, garDense, linaChunk float64) int {
-	deps := func(ids ...int) []int {
-		var out []int
-		for _, id := range ids {
-			if id >= 0 {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
 	rf := float64(r)
 	ta2a := a2a.ChunkTime(v.NA2A, rf)
-	// Backward adjoints: the first intra collective is the AllGather-shaped
-	// adjoint of the forward ReduceScatter and vice versa; volumes match
-	// their forward counterparts.
-	tag := m.AG.ChunkTime(v.NRS, rf)
-	trs := m.RS.ChunkTime(v.NAG, rf)
-	texp := m.TExp(v, rf, Backward)
-
-	first := make([]int, r) // combine-gradient AlltoAll
-	agb := make([]int, r)
-	exps := make([]int, r)
-	rsb := make([]int, r)
-	second := make([]int, r) // dispatch-gradient AlltoAll
-	if iio {
-		for i := 0; i < r; i++ {
-			first[i] = g.Add("C", KindA2A, ss.inter, ta2a, deps(dep)...)
-		}
-		// The MoE-window gradient slice rides the inter stream between the
-		// two AlltoAll groups (§4, Fig. 3d).
-		if garMoE > 0 {
-			g.Add("A", KindAR, ss.inter, m.TAR(garMoE))
-		}
-		for i := 0; i < r; i++ {
-			agb[i] = g.Add("G", KindAG, ss.intra, tag, first[i])
-		}
-		for i := 0; i < r; i++ {
-			exps[i] = g.Add("E", KindExpert, ss.compute, texp, agb[i])
-		}
-		for i := 0; i < r; i++ {
-			rsb[i] = g.Add("R", KindRS, ss.intra, trs, exps[i])
-		}
-		for i := 0; i < r; i++ {
-			second[i] = g.Add("D", KindA2A, ss.inter, ta2a, rsb[i])
-		}
-	} else {
-		for i := 0; i < r; i++ {
-			first[i] = g.Add("C", KindA2A, ss.inter, ta2a, deps(dep)...)
-			agb[i] = g.Add("G", KindAG, ss.intra, tag, first[i])
-			exps[i] = g.Add("E", KindExpert, ss.compute, texp, agb[i])
-			if i > 0 {
-				rsb[i-1] = g.Add("R", KindRS, ss.intra, trs, exps[i-1])
-				second[i-1] = g.Add("D", KindA2A, ss.inter, ta2a, rsb[i-1])
-			}
-		}
-		if garMoE > 0 {
-			g.Add("A", KindAR, ss.inter, m.TAR(garMoE))
-		}
-		rsb[r-1] = g.Add("R", KindRS, ss.intra, trs, exps[r-1])
-		second[r-1] = g.Add("D", KindA2A, ss.inter, ta2a, rsb[r-1])
-	}
+	// The combine-gradient AlltoAll leads, the dispatch-gradient one
+	// closes. The first intra collective is the AllGather-shaped adjoint of
+	// the forward ReduceScatter and vice versa; volumes match their forward
+	// counterparts.
+	second := m.emitChain(g, [5]string{"C", "G", "E", "R", "D"},
+		[5]float64{ta2a, m.AG.ChunkTime(v.NRS, rf), m.TExp(v, rf, Backward), m.RS.ChunkTime(v.NAG, rf), ta2a}, r, ss, iio, dep, garMoE)
 
 	// Dense backward ("Others") runs after the MoE block; its gradient
 	// slice rides the communication stream in parallel.
-	others := g.Add("O-bwd", KindOthers, ss.compute, v.DenseBwd, second[r-1])
+	others := g.Add("O-bwd", KindOthers, ss.compute, v.DenseBwd, second)
 	if garDense > 0 {
 		if linaChunk > 0 {
 			for rem := garDense; rem > 1e-9; rem -= linaChunk {
@@ -300,14 +262,10 @@ func (m Models) simulateOnce(layers []LayerSpec, sys System, opt BuildOptions) (
 		gar = m.PartitionGradients(layers, opt.RMax)
 	case SystemFSMoENoIIO:
 		gar = m.PartitionGradientsNoIIO(layers, opt.RMax)
-	case SystemLina:
+	case SystemLina, SystemTutelImproved:
+		// Tutel-Improved syncs every layer's gradients right after its
+		// dense backward, as one slice; Lina cuts that slice into chunks.
 		gar = m.FixedChunkGarPlan(layers, opt.LinaChunkBytes)
-	case SystemTutelImproved:
-		gar = &GarPlan{MoEBytes: make([]float64, len(layers)), DenseBytes: make([]float64, len(layers))}
-		for i, l := range layers {
-			gar.DenseBytes[i] = l.V.GradBytes
-			gar.TotalBytes += l.V.GradBytes
-		}
 	default: // DSMoE, Tutel: fully exposed at the end
 		gar = &GarPlan{MoEBytes: make([]float64, len(layers)), DenseBytes: make([]float64, len(layers))}
 		for _, l := range layers {

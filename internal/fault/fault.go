@@ -158,13 +158,11 @@ type Spec struct {
 	Seed uint64
 
 	// TransientProb is the per-attempt probability that a task fails with
-	// a retry-safe transient error before its body runs. KindProb and
-	// StreamProb raise it for specific task kinds / streams (the highest
-	// applicable rate wins), so chaos can target, say, only the AlltoAll
-	// chain or only one rank's streams.
+	// a retry-safe transient error before its body runs. KindProb raises
+	// it for specific task kinds (the higher rate wins), so chaos can
+	// target, say, only the AlltoAll chain.
 	TransientProb float64
 	KindProb      map[string]float64
-	StreamProb    map[string]float64
 
 	// MaxTransientsPerTask caps injection by attempt index: attempts at or
 	// beyond the cap are never failed, so a retried task deterministically
@@ -210,7 +208,6 @@ type Plan struct {
 // memory with the receiver's.
 func (s Spec) own() Spec {
 	s.KindProb = maps.Clone(s.KindProb)
-	s.StreamProb = maps.Clone(s.StreamProb)
 	if s.Down != nil {
 		d := *s.Down
 		s.Down = &d
@@ -228,9 +225,6 @@ func New(s Spec) *Plan {
 	s.CollectiveProb = clamp01(s.CollectiveProb)
 	for k, v := range s.KindProb {
 		s.KindProb[k] = clamp01(v)
-	}
-	for k, v := range s.StreamProb {
-		s.StreamProb[k] = clamp01(v)
 	}
 	if s.StragglerDelay <= 0 {
 		s.StragglerDelay = 200 * time.Microsecond
@@ -287,7 +281,7 @@ func (p *Plan) Check(stream, kind, label string, taskID, attempt int) Decision {
 	if s.StragglerProb > 0 && p.roll(saltStraggler, taskID, attempt) < s.StragglerProb {
 		d.Delay = s.StragglerDelay
 	}
-	if p.transientAt(stream, kind, taskID, attempt) {
+	if p.transientAt(kind, taskID, attempt) {
 		d.Err = NewTransient(rank, label, "injected transient failure")
 	}
 	return d
@@ -295,13 +289,10 @@ func (p *Plan) Check(stream, kind, label string, taskID, attempt int) Decision {
 
 // transientAt reports whether Check fails this attempt of the task with an
 // injected transient.
-func (p *Plan) transientAt(stream, kind string, taskID, attempt int) bool {
+func (p *Plan) transientAt(kind string, taskID, attempt int) bool {
 	s := &p.spec
 	prob := s.TransientProb
 	if v, ok := s.KindProb[kind]; ok && v > prob {
-		prob = v
-	}
-	if v, ok := s.StreamProb[stream]; ok && v > prob {
 		prob = v
 	}
 	return prob > 0 && p.underCap(attempt) && p.roll(saltTransient, taskID, attempt) < prob
@@ -329,7 +320,7 @@ func (p *Plan) Guard(stream, kind string, taskID, opID int) func() error {
 	}
 	attempt := 0
 	return func() error {
-		for taskID >= 0 && p.spec.MaxTransientsPerTask > 0 && p.transientAt(stream, kind, taskID, attempt) {
+		for taskID >= 0 && p.spec.MaxTransientsPerTask > 0 && p.transientAt(kind, taskID, attempt) {
 			attempt++
 		}
 		a := attempt

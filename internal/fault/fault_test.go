@@ -230,10 +230,9 @@ func TestWithoutDown(t *testing.T) {
 // plan's decisions nor its Spec.
 func TestNewOwnsItsSpec(t *testing.T) {
 	spec := Spec{
-		Seed:       4,
-		KindProb:   map[string]float64{"AlltoAll": 0, "AllGather": 1.5},
-		StreamProb: map[string]float64{"intra": -0.5},
-		Down:       &Down{Rank: 3},
+		Seed:     4,
+		KindProb: map[string]float64{"AlltoAll": 0, "AllGather": 1.5, "Pack": -0.5},
+		Down:     &Down{Rank: 3},
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -246,15 +245,14 @@ func TestNewOwnsItsSpec(t *testing.T) {
 	wg.Wait()
 
 	p := New(spec)
-	if spec.KindProb["AllGather"] != 1.5 || spec.StreamProb["intra"] != -0.5 {
-		t.Fatalf("New rewrote the caller's maps: %v %v", spec.KindProb, spec.StreamProb)
+	if spec.KindProb["AllGather"] != 1.5 || spec.KindProb["Pack"] != -0.5 {
+		t.Fatalf("New rewrote the caller's map: %v", spec.KindProb)
 	}
-	if s := p.Spec(); s.KindProb["AllGather"] != 1 || s.StreamProb["intra"] != 0 {
-		t.Fatalf("compiled maps not clamped: %v %v", s.KindProb, s.StreamProb)
+	if s := p.Spec(); s.KindProb["AllGather"] != 1 || s.KindProb["Pack"] != 0 {
+		t.Fatalf("compiled map not clamped: %v", s.KindProb)
 	}
 
 	spec.KindProb["AlltoAll"] = 1
-	spec.StreamProb["inter"] = 1
 	spec.Down.Rank = 0
 	ret := p.Spec()
 	ret.KindProb["AlltoAll"] = 1
@@ -267,7 +265,7 @@ func TestNewOwnsItsSpec(t *testing.T) {
 			t.Fatalf("task %d: the caller's Down edit reached the plan: %v", id, d.Err)
 		}
 	}
-	if s := p.Spec(); s.KindProb["AlltoAll"] != 0 || len(s.StreamProb) != 1 || s.Down.Rank != 3 {
+	if s := p.Spec(); s.KindProb["AlltoAll"] != 0 || len(s.KindProb) != 3 || s.Down.Rank != 3 {
 		t.Fatalf("Spec changed after the caller's edits: %+v down %+v", s, *s.Down)
 	}
 }

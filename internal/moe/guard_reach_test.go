@@ -61,7 +61,6 @@ func TestEveryCollectiveTaskHitsItsGuard(t *testing.T) {
 				t.Fatal(err)
 			}
 			w.SetFaultPlan(fault.New(lv.spec))
-			w.SetRetry(fastRetry())
 			layer.ZeroGrad()
 			y, cache, err := w.Forward(x, false)
 			if err != nil {
@@ -88,7 +87,6 @@ func TestEveryCollectiveTaskHitsItsGuard(t *testing.T) {
 	spec := levels[0].spec
 	spec.Down = &fault.Down{Rank: 1, Kind: KindExpert}
 	w.SetFaultPlan(fault.New(spec))
-	w.SetRetry(fastRetry())
 	layer.ZeroGrad()
 	_, cache, err := w.Forward(x, false)
 	if err != nil {

@@ -217,10 +217,6 @@ func (w *World) recoverTo(ws *ckpt.WorldState, params []float64, mode RecoveryMo
 			rep.MovedExperts = append(rep.MovedExperts, ex)
 		}
 	}
-	attempts := w.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	for _, ex := range rep.MovedExperts {
 		// Rank 0, the root, sends from the live span itself.
 		span := params[w.gradOff[ex]:w.gradOff[ex+1]]
@@ -237,7 +233,7 @@ func (w *World) recoverTo(ws *ckpt.WorldState, params []float64, mode RecoveryMo
 				st = s
 				break
 			}
-			if !fault.IsTransient(err) || a+1 >= attempts {
+			if !fault.IsTransient(err) || a+1 >= retryBudget.MaxAttempts {
 				return nil, fmt.Errorf("moe: recover: broadcast expert %d weights: %w", ex, err)
 			}
 			rep.Retries++

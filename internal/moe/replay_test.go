@@ -166,7 +166,6 @@ func faultOpStack(t *testing.T) []*World {
 			t.Fatal(err)
 		}
 		w.SetFaultPlan(fault.New(fault.Spec{Seed: 17, CollectiveProb: 0.3, MaxTransientsPerTask: 2}))
-		w.SetRetry(fastRetry())
 		ws = append(ws, w)
 	}
 	return ws
@@ -208,8 +207,8 @@ func guardSequence(ws []*World) string {
 // (task label, operation id) sequence is faultOpPin's, and every step
 // equals its fault-free twin. Then each fault setting takes effect on the
 // next replay, with no rebuild: SetFaultPlan(nil) leaves the guards nil and
-// the operation counter still; a retry budget of one attempt fails a step
-// on an injected transient, and the default budget absorbs it again; a
+// the operation counter still; an uncapped transient on every AlltoAll
+// attempt fails a step, and capped at one per task the budget absorbs it; a
 // deadline shorter than an injected straggler fails a step with
 // context.DeadlineExceeded, and removing it lets the next step through.
 func TestStepFaultOpIDsPinned(t *testing.T) {
@@ -294,23 +293,25 @@ func TestStepFaultOpIDsPinned(t *testing.T) {
 		}
 	}
 
-	// One attempt: an injected transient on every AlltoAll fails the step.
-	always := fault.New(fault.Spec{Seed: 3, KindProb: map[string]float64{KindA2A: 1}, MaxTransientsPerTask: 1})
+	// Uncapped, an injected transient on every AlltoAll attempt exhausts
+	// the retry budget and fails the step; capped at one per task, the
+	// budget absorbs it.
+	always := fault.Spec{Seed: 3, KindProb: map[string]float64{KindA2A: 1}}
 	for _, w := range ws {
-		w.SetFaultPlan(always)
-		w.SetRetry(runtime.RetryPolicy{MaxAttempts: 1, Kinds: []string{KindA2A}})
+		w.SetFaultPlan(fault.New(always))
 	}
 	if _, err := StepWorlds(ws, x, dy, cfg); err == nil || !fault.IsTransient(err) {
-		t.Fatalf("one attempt against an injected transient: err %v, want a transient failure", err)
+		t.Fatalf("uncapped transients: err %v, want a transient failure", err)
 	}
-	replayed("SetRetry(one attempt)")
+	replayed("uncapped transients")
+	always.MaxTransientsPerTask = 1
 	for _, w := range ws {
-		w.SetRetry(fastRetry())
+		w.SetFaultPlan(fault.New(always))
 	}
 	if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
-		t.Fatalf("the default budget must absorb one transient per task: %v", err)
+		t.Fatalf("the retry budget must absorb one transient per task: %v", err)
 	}
-	replayed("SetRetry(default)")
+	replayed("one transient per task")
 
 	// A deadline shorter than an injected straggler.
 	slow := fault.New(fault.Spec{Seed: 5, StragglerProb: 1, StragglerDelay: 20 * time.Millisecond})
@@ -398,7 +399,6 @@ func TestStepAfterFailedStepReplays(t *testing.T) {
 		{"forward", func(ws []*World) { ws[2].SetDeadline(time.Nanosecond) }, func(ws []*World) { ws[2].SetDeadline(0) }},
 		{"backward", func(ws []*World) {
 			ws[1].SetFaultPlan(fault.New(fault.Spec{KindProb: map[string]float64{gradsync.KindAllReduce: 1}}))
-			ws[1].SetRetry(runtime.RetryPolicy{MaxAttempts: 1, Kinds: []string{gradsync.KindAllReduce}})
 		}, func(ws []*World) { ws[1].SetFaultPlan(nil) }},
 	} {
 		ws := make([]*World, layers)

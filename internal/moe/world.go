@@ -80,12 +80,10 @@ type World struct {
 
 	// Fault tolerance: an optional seeded injector threaded into every
 	// executed plan (and, via collGuard, into the collectives themselves),
-	// the retry policy for transient collective failures, an optional
-	// per-plan deadline, and the world's rank-health state. down is the
+	// an optional per-plan deadline, and the world's rank-health state. down is the
 	// permanently failed rank (-1 while all ranks are healthy); once a rank
 	// is down every pass runs on the degraded path until ResetHealth.
 	faults   *fault.Plan
-	retry    runtime.RetryPolicy
 	deadline time.Duration
 	collOps  int // collectives guarded so far: deterministic guard op ids
 	down     int
@@ -200,16 +198,6 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 		return nil, err
 	}
 	w := &World{layer: layer, cfg: cfg, egrp: e / cfg.Ranks, pl: pl, down: -1}
-	// Default retry: transient collective failures get a handful of
-	// backed-off attempts; everything else fails fast. Inert until a fault
-	// plan is installed — real errors are never classified transient.
-	w.retry = runtime.RetryPolicy{
-		MaxAttempts: 4,
-		BaseBackoff: 100 * time.Microsecond,
-		MaxBackoff:  2 * time.Millisecond,
-		Jitter:      0.2,
-		Kinds:       []string{KindA2A, KindAG, KindRS, gradsync.KindAllReduce},
-	}
 	w.planResources()
 	w.indexParams()
 	return w, nil
@@ -323,10 +311,6 @@ func (w *World) LastTrace() *sim.Trace   { return w.lastTr }
 // effect from the next pass, replayed plans included.
 func (w *World) SetFaultPlan(fp *fault.Plan) { w.faults = fp }
 
-// SetRetry replaces the default transient-retry policy (4 attempts,
-// exponential backoff with jitter, collective task kinds only).
-func (w *World) SetRetry(rp runtime.RetryPolicy) { w.retry = rp }
-
 // SetDeadline bounds each subsequent plan execution: a pass whose plan
 // exceeds d is cooperatively canceled (its streams drain leak-free) and
 // fails with context.DeadlineExceeded inside the joined error. Zero removes
@@ -398,6 +382,16 @@ const (
 	KindExpert = sim.KindExperts
 )
 
+// retryBudget is every world's transient-retry policy: a transient
+// collective failure is retried at once, up to 4 attempts; everything else
+// fails fast. recoverTo's broadcast loop spends the same budget. Inert
+// until a fault plan is installed — real errors are never classified
+// transient.
+var retryBudget = runtime.RetryPolicy{
+	MaxAttempts: 4,
+	Kinds:       []string{KindA2A, KindAG, KindRS, gradsync.KindAllReduce},
+}
+
 // run executes a resident plan under the current mode — threading the
 // fault injector, retry policy and deadline in, and resolving each
 // collective task's guard, in build order, as a plan built for this pass
@@ -408,7 +402,7 @@ const (
 func (w *World) run(lp *layerPlan) error {
 	p := lp.Plan
 	p.SetFaultPlan(w.faults)
-	p.SetRetry(w.retry)
+	p.SetRetry(retryBudget)
 	for k := range lp.colls {
 		c := &lp.colls[k]
 		c.op = w.collOps

@@ -10,23 +10,10 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/gradsync"
-	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
-
-// fastRetry keeps the chaos sweeps quick: collective-kind retry with
-// microsecond backoffs instead of the World default's milliseconds.
-func fastRetry() runtime.RetryPolicy {
-	return runtime.RetryPolicy{
-		MaxAttempts: 4,
-		BaseBackoff: time.Microsecond,
-		MaxBackoff:  10 * time.Microsecond,
-		Jitter:      0.1,
-		Kinds:       []string{KindA2A, KindAG, KindRS},
-	}
-}
 
 // runFaultWorld runs one forward/backward pass under an injector and
 // returns the snapshot plus the fault/retry/straggler event counts
@@ -38,7 +25,6 @@ func runFaultWorld(t *testing.T, l *MOELayer, cfg WorldConfig, fp *fault.Plan, x
 		t.Fatal(err)
 	}
 	w.SetFaultPlan(fp)
-	w.SetRetry(fastRetry())
 	events := map[string]int{}
 	count := func() {
 		if tr := w.LastTrace(); tr != nil {

@@ -63,7 +63,7 @@ func TestRetryTransient(t *testing.T) {
 		})
 	}
 	p.SetFaultPlan(fault.New(fault.Spec{Seed: 1, TransientProb: 1, MaxTransientsPerTask: 1}))
-	p.SetRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Microsecond})
+	p.SetRetry(RetryPolicy{MaxAttempts: 3})
 	tr, err := p.Execute()
 	if err != nil {
 		t.Fatalf("retried plan failed: %v", err)
@@ -88,7 +88,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	p := NewPlan()
 	p.Add("T", "AlltoAll", "s", 1, nil)
 	p.SetFaultPlan(fault.New(fault.Spec{Seed: 2, TransientProb: 1}))
-	p.SetRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Microsecond})
+	p.SetRetry(RetryPolicy{MaxAttempts: 3})
 	tr, err := p.Execute()
 	if !fault.IsTransient(err) {
 		t.Fatalf("want transient failure after budget, got %v", err)
@@ -124,7 +124,7 @@ func TestRealErrorsNeverRetried(t *testing.T) {
 		atomic.AddInt32(&runs, 1)
 		return boom
 	})
-	p.SetRetry(RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Microsecond})
+	p.SetRetry(RetryPolicy{MaxAttempts: 5})
 	if _, err := p.Execute(); !errors.Is(err, boom) {
 		t.Fatalf("real error lost: %v", err)
 	}
@@ -296,8 +296,8 @@ func TestExecuteCtxCancel(t *testing.T) {
 }
 
 // TestExecuteCtxDeadline: an expired deadline cancels the plan with
-// context.DeadlineExceeded; backoff sleeps are interruptible so retries
-// never outlive the deadline.
+// context.DeadlineExceeded; straggler delays are interruptible, so no task
+// outlives the deadline.
 func TestExecuteCtxDeadline(t *testing.T) {
 	defer leakCheck(t)()
 	p := NewPlan()
@@ -306,10 +306,13 @@ func TestExecuteCtxDeadline(t *testing.T) {
 		return nil
 	})
 	p.Add("tail", "AlltoAll", "s2", 1, nil)
-	// A retry loop with huge backoff on the second stream: the deadline
-	// must cut the backoff sleep short instead of waiting it out.
-	p.SetFaultPlan(fault.New(fault.Spec{Seed: 5, StreamProb: map[string]float64{"s2": 1}}))
-	p.SetRetry(RetryPolicy{MaxAttempts: 100, BaseBackoff: 10 * time.Second, MaxBackoff: 10 * time.Second})
+	// A 10 s straggler delay on the second stream (seed 7 delays task 1,
+	// not task 0): the deadline must cut it short instead of waiting it out.
+	fp := fault.New(fault.Spec{Seed: 7, StragglerProb: 0.5, StragglerDelay: 10 * time.Second})
+	if fp.Check("s", "AlltoAll", "slow", 0, 0).Delay != 0 || fp.Check("s2", "AlltoAll", "tail", 1, 0).Delay == 0 {
+		t.Fatal("the seed no longer delays the tail task alone")
+	}
+	p.SetFaultPlan(fp)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -318,7 +321,36 @@ func TestExecuteCtxDeadline(t *testing.T) {
 		t.Fatalf("deadline not surfaced: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline did not interrupt backoff sleep (took %v)", elapsed)
+		t.Fatalf("deadline did not interrupt the straggler delay (took %v)", elapsed)
+	}
+}
+
+// TestRetriesDoNotWait: a retry follows the failed attempt at once. One
+// task fails its first 99 attempts; under a 100-attempt budget it completes
+// inside a 200 ms deadline with 99 retries on the trace, where a wait of
+// 2 ms before each retry would spend the whole deadline.
+func TestRetriesDoNotWait(t *testing.T) {
+	defer leakCheck(t)()
+	p := NewPlan()
+	var runs int32
+	p.Add("T", "AlltoAll", "s", 1, func() error {
+		atomic.AddInt32(&runs, 1)
+		return nil
+	})
+	p.SetFaultPlan(fault.New(fault.Spec{Seed: 1, TransientProb: 1, MaxTransientsPerTask: 99}))
+	p.SetRetry(RetryPolicy{MaxAttempts: 100})
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	tr, err := p.ExecuteCtx(ctx)
+	if err != nil {
+		t.Fatalf("99 retries did not complete inside the deadline (took %v): %v", time.Since(start), err)
+	}
+	if runs != 1 {
+		t.Fatalf("task body ran %d times, want once", runs)
+	}
+	if got := tr.EventCount(sim.EventRetry); got != 99 {
+		t.Fatalf("trace records %d retries, want 99", got)
 	}
 }
 
@@ -332,7 +364,7 @@ func TestSequentialCtxMatchesFaults(t *testing.T) {
 			p.Add(fmt.Sprintf("T%d", i), "AlltoAll", fmt.Sprintf("s%d", i%3), 1, nil)
 		}
 		p.SetFaultPlan(fault.New(fault.Spec{Seed: 9, TransientProb: 0.8, MaxTransientsPerTask: 2}))
-		p.SetRetry(RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Microsecond})
+		p.SetRetry(RetryPolicy{MaxAttempts: 4})
 		return p
 	}
 	trPar, err := build().Execute()
@@ -365,7 +397,7 @@ func TestSequentialIsOneWorker(t *testing.T) {
 			})
 		}
 		p.SetFaultPlan(fault.New(fault.Spec{Seed: 9, TransientProb: 0.8, MaxTransientsPerTask: 2}))
-		p.SetRetry(RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Microsecond})
+		p.SetRetry(RetryPolicy{MaxAttempts: 4})
 		tr, err := exec(p)
 		if err != nil {
 			t.Fatal(err)

@@ -73,25 +73,17 @@ type Binding struct {
 // moves, so a retried task always replays from clean buffers and the
 // final result stays bit-identical to a fault-free run. Errors that are
 // not classified transient — real task failures whose side effects are
-// unknown — are never retried.
+// unknown — are never retried. A retry runs at once, on the worker that
+// took the task: every injected decision is a pure function of (seed,
+// task, attempt), so waiting between attempts could not change the next
+// one's outcome.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per task (1 or less
 	// disables retry).
 	MaxAttempts int
-	// BaseBackoff is the sleep before the first retry; each further retry
-	// doubles it, capped at MaxBackoff. Zero values default to 100µs and
-	// 5ms.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Jitter adds a deterministic per-(task, attempt) fraction of the
-	// backoff in [0, Jitter], decorrelating retries without introducing
-	// run-to-run nondeterminism.
-	Jitter float64
 	// Kinds restricts retry to these task kinds (nil means every kind) —
 	// the collective kinds in practice, whose closures are pure transfers.
 	Kinds []string
-	// Seed feeds the deterministic jitter.
-	Seed uint64
 }
 
 func (r RetryPolicy) attempts() int {
@@ -111,34 +103,6 @@ func (r RetryPolicy) retryable(kind string) bool {
 		}
 	}
 	return false
-}
-
-// backoff returns the exponential, capped, deterministically jittered
-// sleep before retrying attempt (0-based: the attempt that just failed).
-func (r RetryPolicy) backoff(taskID, attempt int) time.Duration {
-	base := r.BaseBackoff
-	if base <= 0 {
-		base = 100 * time.Microsecond
-	}
-	maxB := r.MaxBackoff
-	if maxB <= 0 {
-		maxB = 5 * time.Millisecond
-	}
-	d := base << uint(attempt)
-	if d > maxB || d <= 0 {
-		d = maxB
-	}
-	if r.Jitter > 0 {
-		// splitmix64 finalizer over (seed, task, attempt): stable across
-		// runs, uncorrelated across tasks.
-		x := r.Seed ^ (uint64(taskID)+1)*0x9E3779B97F4A7C15 ^ (uint64(attempt)+1)*0xD1B54A32D192ED03
-		x += 0x9E3779B97F4A7C15
-		x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-		x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-		frac := float64((x^(x>>31))>>11) / (1 << 53)
-		d += time.Duration(float64(d) * r.Jitter * frac)
-	}
-	return d
 }
 
 // Plan is a schedule under construction: a sim.Graph of tasks whose
@@ -262,12 +226,12 @@ func (p *Plan) SimulateWith(durations []float64) *sim.Trace { return p.g.RunWith
 type execState struct {
 	// ctx is the caller's context, and stop the execution's own way to end,
 	// set on a permanent fault, with stopped closed beside it. Either one
-	// stops new task bodies from being issued (in-flight closures finish
-	// naturally) and cuts backoff and straggler sleeps short; the workers
-	// still take every task, so the call returns with no helper left in
-	// the plan. The plan keeps stopped across executions and makes a new one
-	// only after an execution that closed it, so a resident plan's execution
-	// allocates no context.
+	// stops new task bodies from being issued, retries included (in-flight
+	// closures finish naturally), and cuts straggler delays short; the
+	// workers still take every task, so the call returns with no helper
+	// left in the plan. The plan keeps stopped across executions and makes a
+	// new one only after an execution that closed it, so a resident plan's
+	// execution allocates no context.
 	ctx     context.Context
 	stop    atomic.Bool
 	stopped chan struct{}
@@ -301,12 +265,10 @@ func (e *execState) record(ev sim.Event) {
 	e.mu.Unlock()
 }
 
-// sleep pauses for d unless cancellation arrives first; it reports
-// whether the full pause completed.
+// sleep pauses for d (a straggler's delay, the only wait inside a task)
+// unless cancellation arrives first; it reports whether the full pause
+// completed.
 func (e *execState) sleep(d time.Duration) bool {
-	if d <= 0 {
-		return !e.canceled()
-	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -325,10 +287,11 @@ func taskEvent(typ string, t *sim.Task, attempt int, detail string) sim.Event {
 }
 
 // runAttempts drives one task through injection, execution and bounded
-// retry-with-backoff. Each attempt consults the injector BEFORE the task
-// body, so injected transients never see mutated buffers; body errors are
-// retried only when classified fault-transient (guarded collectives fail
-// before their first byte moves, so they qualify). A permanent fault
+// retry; a retry follows the failed attempt at once, unless the execution
+// was canceled meanwhile. Each attempt consults the injector BEFORE the
+// task body, so injected transients never see mutated buffers; body errors
+// are retried only when classified fault-transient (guarded collectives
+// fail before their first byte moves, so they qualify). A permanent fault
 // triggers cooperative cancellation of the whole plan.
 func (p *Plan) runAttempts(e *execState, t *sim.Task) error {
 	maxAttempts := p.retry.attempts()
@@ -364,11 +327,7 @@ func (p *Plan) runAttempts(e *execState, t *sim.Task) error {
 		if attempt+1 >= maxAttempts || !p.retry.retryable(t.Kind) || e.canceled() {
 			return fmt.Errorf("%w (after %d attempts)", wrapped, attempt+1)
 		}
-		backoff := p.retry.backoff(t.ID, attempt)
-		e.record(taskEvent(sim.EventRetry, t, attempt+1, "backoff "+backoff.String()))
-		if !e.sleep(backoff) {
-			return nil // canceled mid-backoff; caller drains
-		}
+		e.record(taskEvent(sim.EventRetry, t, attempt+1, ""))
 	}
 }
 
@@ -578,8 +537,8 @@ func (p *Plan) ExecuteCtx(ctx context.Context) (*sim.Trace, error) {
 // Failure semantics: an ordinary task error aborts nothing — streams
 // drain fully and downstream tasks still run (their inputs may be
 // garbage, which the caller must treat as fatal). A transient injected
-// fault is retried under the plan's RetryPolicy with exponential backoff;
-// a task's attempts run one after another on the worker that took it.
+// fault is retried at once under the plan's RetryPolicy; a task's attempts
+// run one after another on the worker that took it.
 // A permanent fault, a ctx cancellation or an expired ctx deadline
 // triggers cooperative cancellation instead: no further task bodies are
 // issued, but the workers still take and skip every remaining task, so

@@ -23,7 +23,7 @@ package sim
 // Event types (Event.Type — fault/recovery incidents on measured traces):
 //
 //	fault      an injected failure fired (transient or permanent)
-//	retry      a transient failure is being retried after backoff
+//	retry      a transient failure is being retried, at once
 //	straggler  an injected delay stalled the task
 //	skip       the task was skipped by cooperative cancellation
 
@@ -53,7 +53,7 @@ func Kinds() []string {
 // Canonical event-type strings recorded on measured traces.
 const (
 	EventFault     = "fault"     // an injected failure fired (transient or permanent)
-	EventRetry     = "retry"     // a transient failure is being retried after backoff
+	EventRetry     = "retry"     // a transient failure is being retried, at once
 	EventStraggler = "straggler" // an injected delay stalled the task
 	EventSkip      = "skip"      // the task was skipped by cooperative cancellation
 )

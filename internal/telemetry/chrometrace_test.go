@@ -24,7 +24,7 @@ func testTrace() *sim.Trace {
 		Stream: sim.StreamInter, Attempt: 1, AtMS: 3.5, Detail: "injected",
 	}, sim.Event{
 		Type: sim.EventRetry, TaskID: 1, Label: "dispatch", Kind: sim.KindAlltoAll,
-		Stream: sim.StreamInter, Attempt: 2, AtMS: 3.6, Detail: "backoff 0.1ms",
+		Stream: sim.StreamInter, Attempt: 2, AtMS: 3.6,
 	})
 	return tr
 }
