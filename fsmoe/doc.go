@@ -15,6 +15,19 @@
 //	y, cache, err := layer.Forward(x, true)
 //	dx, err := layer.Backward(cache, dy)
 //
+// A Layer is a one-rank World: its Forward and Backward run the plans of
+// the multi-rank runtime below at one rank and pipeline degree 1, on the
+// calling goroutine, so there is one executor. The six §3.1 hooks
+// (LayerConfig.Hooks) run on the Layer and on every World over it:
+// BeforeMoeStart on the flattened input, the dispatch pair on the
+// expert-major buffer the Order fills, before the plan moves it, the
+// combine pair on the combined buffer after it, BeforeMoeEnd on the
+// output. A dispatch or combine hook may work in place or return a tensor
+// of the buffer's size; at R > 1 that buffer is the padded (E, Tpad, M)
+// layout, pad rows included, so only hooks that treat each row on its own
+// give the same result at every rank count. Hooks are forward-only: the
+// backward runs straight through them.
+//
 // Scheduling a model on a testbed (§4–§6's back-end):
 //
 //	cluster := fsmoe.TestbedA()
@@ -78,9 +91,10 @@
 //
 // # Compute runtime
 //
-// The real tensor path runs on a shared runtime (internal/tensor): experts
-// execute concurrently on a lazily-started worker pool sized by
-// GOMAXPROCS, reading and writing their blocks of the
+// The real tensor path runs on a shared runtime (internal/tensor): a
+// World's ranks run their experts concurrently, every expert GEMM fans out
+// onto a kernel pool (a Layer's is the lazily-started default pool, sized
+// by GOMAXPROCS), and the experts read and write their blocks of the
 // (E, T, M) activations through zero-copy views, and transient buffers are
 // recycled through one free-list, exposed here as GetTensor/PutTensor, that
 // every goroutine shares and the collector does not empty: it keeps each
@@ -131,9 +145,9 @@
 // returns an ExpertPass whose stage methods take a window set of rows
 // (Windows: Count windows of N rows, Stride rows apart):
 // ForwardHidden/ForwardOut, then BeginBackward(dy, dx, hidden, overwrite),
-// BackwardHidden/BackwardIn, and one full-block Finish. The sequential
-// Layer runs each expert as the one window [0, n) over the column range
-// [0, H); a World's chunk is one set per stage call — the chunk's rows in
+// BackwardHidden/BackwardIn, and one full-block Finish. A Layer, at one
+// rank and one chunk, runs each expert as the one window [0, n) over the
+// column range [0, H); a World's chunk is one set per stage call — the chunk's rows in
 // every token-side rank's shard — and its expert-sharding members column
 // ranges of the same methods, which is why every strategy is bit-identical
 // to the Layer. A stage should run each GEMM as one product over the set,
@@ -149,18 +163,21 @@
 // their destination first and address expert-major buffers as (E, S, M)
 // with a block stride S ≥ capacity the caller chose (pad rows +0, see
 // moe.Order) — a World lays a sparse plan out from the plan itself at
-// R > 1, so there a custom Scatter and GatherGrad go unused; an ExpertPass writes its stages into the PassBufs blocks and
+// R > 1, so there a custom Scatter and GatherGrad go unused unless the
+// layer has dispatch hooks, which act on the buffer Scatter fills; an ExpertPass writes its stages into the PassBufs blocks and
 // its Finish puts the parameter gradients into each Param.G — added to it,
 // or, when BeginBackward says overwrite (a training step), written over
 // whatever it held. A step re-points Param.W and Param.G at the stack's flat
 // buffers, so an Expert reads them through its Params on every pass and
 // never keeps the tensors.
 //
-// Because experts execute concurrently, a custom Expert must not share
-// mutable state (scratch buffers, RNGs, tied Param tensors) with another
-// expert instance in the same layer. Registering the same instance at
-// several indices is detected and runs sequentially; state shared between
-// distinct instances is the implementer's responsibility to synchronize.
+// Because a World's ranks run their experts concurrently, a custom Expert
+// must not share mutable state (scratch buffers, RNGs, tied Param tensors)
+// with another expert instance in the same layer. Registering the same
+// instance at several indices is detected: NewWorld refuses it, and the
+// Layer, whose one rank holds every expert, runs such a list one expert
+// after another in index order; state shared between distinct instances
+// is the implementer's responsibility to synchronize.
 //
 // # Resource governance and the planner's cost model
 //

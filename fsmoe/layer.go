@@ -21,7 +21,12 @@ type (
 	// shard groups split one expert's compute bit-exactly (see moe.Expert).
 	// The built-in GPT and Mixtral experts implement it.
 	Expert = moe.Expert
-	// Hooks carries the six non-invasive extension points of §3.1.
+	// Hooks carries the six non-invasive extension points of §3.1. They
+	// run on a Layer and on every World over it, forward only: the backward
+	// runs straight through them. The dispatch and combine hooks see the
+	// padded expert-major (E, Tpad, M) buffer a World moves, with pad rows
+	// at R > 1, so only hooks that treat each row on its own give the same
+	// result at every rank count.
 	Hooks = moe.Hooks
 	// DispatchPlan is a gate's routing decision.
 	DispatchPlan = moe.DispatchPlan
@@ -35,8 +40,6 @@ type (
 	GateConfig = moe.GateConfig
 	// Tensor is the dense CPU tensor all modules exchange.
 	Tensor = tensor.Tensor
-	// LayerCache is a layer's forward cache.
-	LayerCache = moe.LayerCache
 )
 
 // GateKind names a built-in gating function.
@@ -102,10 +105,19 @@ type LayerConfig struct {
 
 // Layer is a fully assembled MoE layer. Forward runs it on x, shaped
 // (B, L, M) or (N, M), with train enabling training-only gate behaviour
-// (GShard's noisy gating); Backward propagates dy, accumulating every
-// parameter gradient, and returns the input gradient; Params lists the
-// trainable parameters (gate + experts), ZeroGrad clears their gradients,
-// and Gate exposes the layer's gate.
+// (GShard's noisy gating), and returns the output and a *WorldCache;
+// Backward propagates dy, accumulating every parameter gradient, and
+// returns the input gradient; Params lists the trainable parameters
+// (gate + experts), ZeroGrad clears their gradients, and Gate exposes the
+// layer's gate.
+//
+// A Layer is a one-rank World: Forward and Backward run the layer's own
+// World, built on first use at pipeline degree 1 on the calling goroutine
+// and the default kernel pool, so it starts no goroutine and needs no
+// Close. It runs the plans every World runs, at one rank — there is one
+// executor — and takes dense and hard routing plans alike. The cache holds the layer's workspace
+// until its Backward returns. The hooks (LayerConfig.Hooks) run on every
+// World over the layer — see Hooks.
 type Layer = moe.MOELayer
 
 // NewLayer validates the configuration and assembles the layer.

@@ -96,8 +96,14 @@ func (w *World) degradedForward(pr *forwardProlog, retries int, cause string) (*
 
 	scattered := tensor.New(e, t, mdim)
 	w.layer.cfg.Order.Scatter(scattered, pr.flat, dplan)
+	if err := w.layer.hooks.applyTo(scattered, beforeDispatch, afterDispatch); err != nil {
+		return nil, nil, err
+	}
 	expertOut := tensor.New(e, t, mdim)
 	passes := w.forwardSurvivors(scattered, expertOut, lo, hi)
+	if err := w.layer.hooks.applyTo(expertOut, beforeCombine, afterCombine); err != nil {
+		return nil, nil, err
+	}
 	y := w.layer.epilog(tensor.New(pr.flat.Dim(0), mdim), expertOut, dplan, pr.shape)
 
 	res := &DegradedResult{
@@ -192,10 +198,14 @@ func (w *World) degradedBackwardRecover(cache *WorldCache, dy *tensor.Tensor, re
 
 	// Only the passes matter; the recomputed outputs are scratch. The cache
 	// keeps no expert-major input — a sparse forward gathered it from x
-	// through the plan — so it is laid out again from the prolog's input.
+	// through the plan — so it is laid out, and hooked, again from the
+	// prolog's input.
 	mdim := w.layer.cfg.M
 	in := tensor.New(pr.plan.Experts, pr.plan.Capacity, mdim)
 	w.layer.cfg.Order.Scatter(in, pr.flat, pr.plan)
+	if err := w.layer.hooks.applyTo(in, beforeDispatch, afterDispatch); err != nil {
+		return nil, err
+	}
 	passes := w.forwardSurvivors(in, tensor.New(dplan.Experts, dplan.Capacity, mdim), lo, hi)
 
 	res := &DegradedResult{

@@ -3,7 +3,7 @@ package moe
 import "repro/internal/tensor"
 
 // Expert is the compute sub-module of §3.1 and the one execution contract
-// everything that runs an expert drives — the sequential layer, the
+// everything that runs an expert drives — the layer's one-rank World, the
 // degraded path and every parallel strategy (§3's unified Expert
 // abstraction, §4.1's chunks, §4's expert sharding). Implementations own
 // their parameters and gradient accumulators. A pass over one (n, M) block
@@ -27,13 +27,14 @@ import "repro/internal/tensor"
 // leaves every output element with exactly one non-zero contributor, so the
 // strategies' ReduceScatter sums are exact (adding zeros never rounds).
 //
-// Concurrency contract: MOELayer runs *different* expert instances
-// concurrently (never the same instance twice at once). An implementation
-// therefore must not share mutable state — scratch buffers, RNGs, or Param
-// tensors (e.g. tied weights) — with another expert instance in the same
-// layer unless it synchronizes access. The layer detects the same instance
-// registered at several indices and falls back to sequential execution for
-// that case, but it cannot see state shared between distinct instances.
+// Concurrency contract: a World runs *different* expert instances
+// concurrently on its ranks (never the same instance twice at once). An
+// implementation therefore must not share mutable state — scratch buffers,
+// RNGs, or Param tensors (e.g. tied weights) — with another expert instance
+// in the same layer unless it synchronizes access. NewWorld refuses the same
+// instance registered at several indices, which the layer's own one-rank
+// World runs one expert after another in index order; nothing can see state
+// shared between distinct instances.
 type Expert interface {
 	Name() string
 	// Params exposes the trainable parameters. The planner prices their
@@ -103,7 +104,7 @@ type ExpertPass interface {
 	// BeginBackward binds the backward's memory: the full (n, M) output
 	// gradient dy and input gradient dx and the (BwdBands·n, HiddenWidth)
 	// exchange buffer, and says how Finish puts the parameter gradients
-	// into each Param.G: added to it, as the sequential layer's Backward
+	// into each Param.G: added to it, as a Backward outside a training step
 	// accumulates, or with overwrite written over whatever it held, as a
 	// training step does — its Param.G is then the expert's span of the
 	// stack's one gradient buffer, where the §5 update reads it.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 
+	"repro/internal/comm"
+	"repro/internal/runtime"
 	"repro/internal/tensor"
 )
 
@@ -25,23 +27,13 @@ type LayerConfig struct {
 // MOELayer is the full MoE layer of Fig. 1: gate → order → dispatch →
 // expert → combine → I-order, with the six hook points of §3.1 threaded
 // through. It can be used like any other layer: Forward produces the output
-// and a cache, Backward consumes the cache and the output gradient.
+// and a cache, Backward consumes the cache and the output gradient. Both run
+// the layer's own one-rank World (world): every pass, the layer's or a
+// multi-rank World's, runs the one plan builder and executor.
 type MOELayer struct {
 	cfg   LayerConfig
 	hooks hookChain
-	// seqExperts disables concurrent expert execution when the expert list
-	// provably or possibly aliases itself (see distinctExperts).
-	seqExperts bool
-}
-
-// LayerCache holds everything Backward needs.
-type LayerCache struct {
-	shape     []int // original input shape
-	x         *tensor.Tensor
-	routeC    *RouteCache
-	plan      *DispatchPlan
-	expertOut *tensor.Tensor // (E, T, M)
-	passes    []*blockPass
+	w     *World // the layer's own one-rank World; nil until the first Forward
 }
 
 // NewMOELayer validates the configuration and assembles the layer.
@@ -58,18 +50,15 @@ func NewMOELayer(cfg LayerConfig) (*MOELayer, error) {
 	if len(cfg.Experts) == 0 {
 		return nil, fmt.Errorf("moe: layer needs at least one expert")
 	}
-	return &MOELayer{
-		cfg:        cfg,
-		hooks:      hookChain(cfg.Hooks),
-		seqExperts: !distinctExperts(cfg.Experts),
-	}, nil
+	return &MOELayer{cfg: cfg, hooks: hookChain(cfg.Hooks)}, nil
 }
 
 // distinctExperts reports whether every expert is a provably distinct
 // instance. Experts of non-comparable dynamic types cannot be told apart,
-// so they count as possibly aliased — the layer then runs them
-// sequentially, as it does the same instance registered at several indices
-// (e.g. for weight tying).
+// so they count as possibly aliased, as does the same instance registered
+// at several indices (e.g. for weight tying): NewWorld cannot shard them,
+// and only the layer's own one-rank World runs them — one after another,
+// in index order.
 func distinctExperts(exps []Expert) bool {
 	seen := make(map[Expert]bool, len(exps))
 	for _, e := range exps {
@@ -84,16 +73,42 @@ func distinctExperts(exps []Expert) bool {
 	return true
 }
 
-// forEachExpert runs f(e) for every expert, concurrently on the shared
-// worker pool unless the expert list requires sequential execution.
-func (l *MOELayer) forEachExpert(f func(e int)) {
-	if l.seqExperts {
-		for e := 0; e < len(l.cfg.Experts); e++ {
-			f(e)
-		}
-		return
+// world returns the layer's own World, built on first use: one rank at
+// pipeline degree 1 on a one-worker set, which starts no goroutine, and the
+// default kernel pool, so it needs no Close. Its placement takes dense and
+// hard plans alike, so it needs no strategy resolved from the gate, and
+// with every expert on its one rank, one compute task runs them in index
+// order, aliased ones included.
+func (l *MOELayer) world() *World {
+	if l.w == nil {
+		cfg := WorldConfig{Ranks: 1, PipelineDegree: 1, PipelineDegreeBwd: 1, Algo: comm.A2ADirect, GPUsPerNode: 1, Strategy: StrategyEP}
+		w := &World{layer: l, cfg: cfg, egrp: len(l.cfg.Experts), pl: placement{g: 1, anyRouting: true}, down: -1,
+			exec: runtime.NewWorkerSet(1)}
+		w.nameStreams()
+		l.w = w
 	}
-	tensor.ParallelFor(len(l.cfg.Experts), f)
+	return l.w
+}
+
+// Forward runs the layer on x, shaped (B, L, M) or (N, M). train enables
+// training-only gate behaviour. The cache holds the layer's workspace until
+// its Backward returns.
+func (l *MOELayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCache, error) {
+	return l.world().Forward(x, train)
+}
+
+// Backward propagates dy (same shape as the forward output) through the
+// layer, accumulating gradients into every gate and expert parameter, and
+// returns the gradient with respect to the input.
+//
+// The routing path is differentiated exactly: the combine-weight gradients
+// flow into the gate (softmax/sigmoid/cosine jacobians), and the data path
+// flows through I-order → experts → order. Hard top-k selection itself is
+// piecewise constant, so its "gradient" is zero almost everywhere, exactly
+// as in the PyTorch implementations the paper builds on. The hooks are
+// forward-only: the backward runs straight through them.
+func (l *MOELayer) Backward(cache *WorldCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
+	return l.world().Backward(cache, dy)
 }
 
 // Gate returns the layer's gate.
@@ -111,11 +126,11 @@ func (l *MOELayer) Params() []*Param {
 // ZeroGrad clears every parameter gradient.
 func (l *MOELayer) ZeroGrad() { zeroGrads(l.Params()) }
 
-// forwardProlog is the routing stage every forward pass — sequential or
-// multi-rank — runs exactly once before any dispatch chunk moves (§4.1's
-// "gate and order, then pipeline"); the caller then has Order scatter the
-// tokens into the expert-major buffer it owns, or, a World with a sparse
-// plan at R > 1, dispatches them straight from flat through the plan.
+// forwardProlog is the routing stage every forward pass runs exactly once
+// before any dispatch chunk moves (§4.1's "gate and order, then pipeline");
+// the World then has Order scatter the tokens into the expert-major buffer
+// it owns, or, with a sparse plan at R > 1 and no dispatch hooks,
+// dispatches them straight from flat through the plan.
 type forwardProlog struct {
 	shape []int          // original input shape
 	flat  *tensor.Tensor // (N, M)
@@ -139,7 +154,7 @@ func (l *MOELayer) prolog(x *tensor.Tensor, train bool) (*forwardProlog, error) 
 	if flat.Dim(1) != l.cfg.M {
 		return nil, fmt.Errorf("moe: input embedding %d, want %d", flat.Dim(1), l.cfg.M)
 	}
-	flat = l.hooks.beforeMoeStart(flat)
+	flat = l.hooks.apply(flat, beforeMoeStart)
 	n := flat.Dim(0)
 
 	plan, rc, err := l.cfg.Gate.Route(flat, train)
@@ -159,12 +174,12 @@ func (l *MOELayer) prolog(x *tensor.Tensor, train bool) (*forwardProlog, error) 
 // (E, S, M) back to token order in y (N, M) and restore the caller's shape.
 func (l *MOELayer) epilog(y, combined *tensor.Tensor, plan *DispatchPlan, shape []int) *tensor.Tensor {
 	l.cfg.Order.Gather(y, combined, plan)
-	return restoreShape(l.hooks.beforeMoeEnd(y), shape)
+	return restoreShape(l.hooks.apply(y, beforeMoeEnd), shape)
 }
 
 // blockPass is a pass over a whole block as one row range and the full
-// column range, on memory of its own: how the sequential layer, the degraded
-// path and the expert tests drive the contract.
+// column range, on memory of its own: how the degraded path and the tests'
+// oracles drive the contract.
 type blockPass struct {
 	ex   Expert
 	pass ExpertPass
@@ -195,84 +210,6 @@ func (b *blockPass) backward(dy, dx *tensor.Tensor, overwrite bool) {
 	b.pass.Finish()
 	tensor.Put(hb)
 	tensor.Put(b.mem)
-}
-
-// Forward runs the layer on x, shaped (B, L, M) or (N, M). train enables
-// training-only gate behaviour.
-func (l *MOELayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *LayerCache, error) {
-	pr, err := l.prolog(x, train)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, shape := pr.plan, pr.shape
-	scattered := tensor.New(plan.Experts, plan.Capacity, l.cfg.M)
-	l.cfg.Order.Scatter(scattered, pr.flat, plan)
-	dispatched := l.hooks.afterDispatch(l.hooks.beforeDispatch(scattered))
-
-	// Experts run concurrently on the shared worker pool, each reading and
-	// writing its own (T, M) block of the (E, T, M) buffers through
-	// zero-copy views. Blocks are disjoint and each expert's GEMMs
-	// accumulate in a fixed order, so the result is bit-identical to the
-	// sequential loop.
-	expertOut := tensor.New(plan.Experts, plan.Capacity, l.cfg.M)
-	passes := make([]*blockPass, plan.Experts)
-	blk := plan.Capacity * l.cfg.M
-	l.forEachExpert(func(e int) {
-		passes[e] = forwardBlock(l.cfg.Experts[e],
-			dispatched.View(e*blk, plan.Capacity, l.cfg.M), expertOut.View(e*blk, plan.Capacity, l.cfg.M))
-	})
-
-	combined := l.hooks.afterCombine(l.hooks.beforeCombine(expertOut))
-
-	y := l.epilog(tensor.New(pr.flat.Dim(0), l.cfg.M), combined, plan, shape)
-
-	cache := &LayerCache{
-		shape:     shape,
-		x:         pr.flat,
-		routeC:    pr.rc,
-		plan:      plan,
-		expertOut: combined,
-		passes:    passes,
-	}
-	return y, cache, nil
-}
-
-// Backward propagates dy (same shape as the forward output) through the
-// layer, accumulating gradients into every gate and expert parameter, and
-// returns the gradient with respect to the input.
-//
-// The routing path is differentiated exactly: the combine-weight gradients
-// flow into the gate (softmax/sigmoid/cosine jacobians), and the data path
-// flows through I-order → experts → order. Hard top-k selection itself is
-// piecewise constant, so its "gradient" is zero almost everywhere, exactly
-// as in the PyTorch implementations the paper builds on.
-func (l *MOELayer) Backward(cache *LayerCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
-	plan := cache.plan
-	// Through Gather (I-Order): gradient of expert outputs and of the
-	// combine weights.
-	dExpertOut := tensor.New(plan.Experts, plan.Capacity, l.cfg.M)
-	planGrad, err := l.backwardProlog(dExpertOut, cache.expertOut, plan, dy)
-	if err != nil {
-		return nil, err
-	}
-
-	// Through each expert, concurrently; every expert accumulates only its
-	// own parameter gradients and writes its own block of dDispatched, so
-	// the shards never race.
-	dDispatched := tensor.New(plan.Experts, plan.Capacity, l.cfg.M)
-	blk := plan.Capacity * l.cfg.M
-	l.forEachExpert(func(e int) {
-		cache.passes[e].backward(dExpertOut.View(e*blk, plan.Capacity, l.cfg.M), dDispatched.View(e*blk, plan.Capacity, l.cfg.M), false)
-	})
-
-	n := cache.x.Dim(0)
-	dx, gateDx := tensor.New(n, l.cfg.M), tensor.GetUninit(n, l.cfg.M)
-	l.scatterAdjoint(dx, dDispatched, cache.x, plan, planGrad)
-	// Routing path into the gate.
-	l.cfg.Gate.Backward(gateDx, cache.routeC, planGrad)
-	tensor.AddInPlace(dx, gateDx)
-	tensor.Put(gateDx)
-	return restoreShape(dx, cache.shape), nil
 }
 
 // backwardProlog is the shared entry of every backward pass: flatten dy

@@ -3,8 +3,10 @@ package moe
 // Benchmarks for the real-compute MoE hot path: a full layer forward and
 // backward with real GPTFFN experts, at the issue's canonical sizes
 // (capacity T=128, embedding M=256, E ∈ {8, 32}). `go test -bench MoELayer
-// -benchmem ./internal/moe` shows both the parallel-expert speedup (on
-// multi-core runners) and the pooled runtime's allocation profile.
+// -benchmem ./internal/moe` shows both the kernel pool's speedup (on
+// multi-core runners: the layer's one-rank World runs its experts one after
+// another, each GEMM fanned out onto the default pool) and its allocation
+// profile.
 
 import (
 	"fmt"

@@ -17,12 +17,14 @@ import (
 // and its combine-gradient collectives w·dy's, with no expert-major plane in
 // between (strategy_plan.go), and it takes the slot weights' gradient from
 // the plan too (DispatchPlan.slotWeightGrad). So Scatter and GatherGrad, a
-// custom Order's included, serve the single-rank layer, R = 1 worlds and
-// dense plans; Gather and ScatterGrad serve every pass.
+// custom Order's included, serve R = 1 worlds (the layer's own among them),
+// dense plans, worlds whose layer has dispatch hooks — the hooks act on the
+// expert-major buffer Scatter writes — and the degraded path; Gather and
+// ScatterGrad serve every pass.
 //
 // Every method writes into a destination its caller owns and overwrites it
 // whole, whatever it held: a World hands out slots of its dirty resident
-// workspace (its stack-owned step outputs among them), the single-rank layer
+// workspace (its stack-owned step outputs among them), the degraded path
 // fresh tensors. What the built-in orders derive from the plan — its
 // reverse index, the PlanGrad GatherGrad returns — lives in the plan's own
 // memory, the routing gate's: valid until the gate routes again after the

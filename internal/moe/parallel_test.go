@@ -81,8 +81,9 @@ func TestParallelExpertsBitIdentical(t *testing.T) {
 
 // TestSharedExpertInstanceRunsSequentially pins the compatibility rule for
 // legacy custom layers: the same Expert instance registered at several
-// indices (weight tying) must not race — the layer detects the aliasing
-// and serializes, so gradients accumulate exactly as in the sequential era.
+// indices (weight tying) must not race. NewWorld refuses to shard it, and
+// the layer's own one-rank World runs the experts one after another in
+// index order, so gradients accumulate exactly as the oracle's do.
 func TestSharedExpertInstanceRunsSequentially(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	tensor.SetWorkers(8)
@@ -104,16 +105,12 @@ func TestSharedExpertInstanceRunsSequentially(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !layer.seqExperts {
+	if _, err := NewWorld(layer, WorldConfig{Ranks: 1, PipelineDegree: 1, Strategy: StrategyEP}); err == nil {
 		t.Fatal("aliased expert list not detected")
 	}
 	x := tensor.RandN(xrand.New(3), 1, 24, m)
-	y, cache, err := layer.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dy := tensor.RandN(xrand.New(4), 1, 24, m)
+	want := runSequentialLayer(t, layer, x, dy)
 	layer.ZeroGrad()
-	if _, err := layer.Backward(cache, y); err != nil {
-		t.Fatal(err)
-	}
+	compareSnapshots(t, "aliased experts", want, runLayer(t, layer, x, dy))
 }

@@ -28,15 +28,16 @@ func stepStack(t *testing.T, layers, ranks, chunks int, wrap bool) []*World {
 }
 
 // refStep runs the sequential single-rank reference: forward/backward
-// through L MOELayers and an SGD step, returning the flattened post-step
-// parameters in the stack's gradElems layout.
+// through L MOELayers' oracles (layer_oracle_test.go) and an SGD step,
+// returning the flattened post-step parameters in the stack's gradElems
+// layout.
 func refStep(t *testing.T, layers []*MOELayer, x, dy *tensor.Tensor, lr float64) []float64 {
 	t.Helper()
-	caches := make([]*LayerCache, len(layers))
+	caches := make([]*oracleLayerCache, len(layers))
 	cur := x
 	for i, l := range layers {
 		l.ZeroGrad()
-		y, c, err := l.Forward(cur, false)
+		y, c, err := oracleLayerForward(l, cur, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func refStep(t *testing.T, layers []*MOELayer, x, dy *tensor.Tensor, lr float64)
 	}
 	dcur := dy
 	for i := len(layers) - 1; i >= 0; i-- {
-		dx, err := layers[i].Backward(caches[i], dcur)
+		dx, err := oracleLayerBackward(layers[i], caches[i], dcur)
 		if err != nil {
 			t.Fatal(err)
 		}

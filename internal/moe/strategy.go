@@ -59,6 +59,10 @@ type placement struct {
 	g      int    // expert-sharding group width
 	dense  bool   // routes dense (SoftMoE) plans, and only those
 	noRows string // why a dense plan cannot run here: it has no token rows to …
+
+	// anyRouting takes dense and hard plans alike: the layer's own one-rank
+	// World (MOELayer.world), which no strategy names.
+	anyRouting bool
 }
 
 // place validates the pairing of a strategy and a rank count at NewWorld
@@ -98,6 +102,7 @@ func place(cfg WorldConfig) (placement, error) {
 // routing kind must be the one the strategy moves.
 func (pl placement) planCheck(name Strategy, plan *DispatchPlan) error {
 	switch {
+	case pl.anyRouting:
 	case pl.dense && !plan.IsDense():
 		return fmt.Errorf("moe: strategy %q requires a dense (SoftMoE) routing plan; hard top-k gates run under strategy %q, %q or %q",
 			name, StrategyEP, StrategyESP, StrategyHybrid)

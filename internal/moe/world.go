@@ -36,10 +36,11 @@ import (
 // expert's block, S = ⌈T/R⌉. For a sparse plan at R > 1 that layout is
 // never written out: the first collectives gather each rank's slot rows
 // from the input through the plan's slot index (the Order's Scatter, fused
-// into the dispatch). Otherwise the Order scatters into a padded buffer
-// first. What happens to the shards from there is the builder's business;
-// every strategy is bit-identical to MOELayer.Forward/Backward at any
-// (R, r).
+// into the dispatch), unless the layer's dispatch hooks need the buffer.
+// Otherwise the Order scatters into a padded buffer first. What happens to
+// the shards from there is the builder's business; every strategy is
+// bit-identical to the layer's own one-rank World (MOELayer.Forward and
+// Backward) at any (R, r).
 type World struct {
 	layer *MOELayer
 	cfg   WorldConfig
@@ -187,10 +188,7 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 		return nil, fmt.Errorf("moe: unknown alltoall algorithm %q (valid: %s, %s, %s)",
 			cfg.Algo, comm.A2ADirect, comm.A2A1DH, comm.A2A2DH)
 	}
-	if len(layer.cfg.Hooks) > 0 {
-		return nil, fmt.Errorf("moe: world does not support layer hooks (they wrap the monolithic dispatch)")
-	}
-	if layer.seqExperts {
+	if !distinctExperts(layer.cfg.Experts) {
 		return nil, fmt.Errorf("moe: world requires provably distinct expert instances (aliased experts cannot be sharded)")
 	}
 	pl, err := place(cfg)
@@ -218,6 +216,12 @@ func (w *World) planResources() {
 	}
 	w.exec = runtime.NewWorkerSet(min(streams, procs))
 	w.pool = tensor.NewPool(max(1, procs/w.exec.K()))
+	w.nameStreams()
+}
+
+// nameStreams names the plans' per-rank compute and per-group intra streams.
+func (w *World) nameStreams() {
+	R := w.cfg.Ranks
 	w.computeStreams = make([]string, R)
 	w.groupStreams = make([]string, R/w.pl.g)
 	for r := range w.computeStreams {
@@ -368,7 +372,7 @@ type WorldCache struct {
 	pr         *forwardProlog
 	spad, tpad int
 	ws         *workspace     // checked out by Forward, handed back by Backward; holds the expert passes
-	combined   *tensor.Tensor // (E, Tpad, M), the sequential layer's expertOut in rows [0, T) of each block
+	combined   *tensor.Tensor // (E, Tpad, M): the combine hooks' result, the experts' outputs in rows [0, T) of each block
 	deg        *degradedState // non-nil when the forward ran degraded
 }
 
@@ -471,9 +475,14 @@ func (w *World) forward(x *tensor.Tensor, train, owned bool) (*tensor.Tensor, *W
 	// shares (pad rows enter the pipeline as exact zeros, so they never
 	// perturb a result): a sparse plan's dispatch gathers them from x
 	// through the slot index; otherwise Order scatters them into it.
+	// The dispatch hooks act on that buffer before the plan moves it.
 	src := w.tokenSource(cache, false)
 	if src.gin != nil {
 		w.layer.cfg.Order.Scatter(src.gin, pr.flat, plan)
+		if err := w.layer.hooks.applyTo(src.gin, beforeDispatch, afterDispatch); err != nil {
+			w.drop(cache)
+			return nil, nil, err
+		}
 	}
 	combined := ws.tensor(plan.Experts, cache.tpad, mdim)
 
@@ -488,6 +497,10 @@ func (w *World) forward(x *tensor.Tensor, train, owned bool) (*tensor.Tensor, *W
 		return nil, nil, err
 	}
 
+	if err := w.layer.hooks.applyTo(combined, beforeCombine, afterCombine); err != nil {
+		w.drop(cache)
+		return nil, nil, err
+	}
 	cache.combined = combined
 	y := w.layer.epilog(ws.tokens(owned, pr.flat.Dim(0), mdim), combined, plan, pr.shape)
 	return y, cache, nil
@@ -553,11 +566,12 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, owned bool) (*ten
 
 // tokenSource is the token side of a pass over cache: for a sparse plan at
 // R > 1 the workspace's slot index, with the slot weights on the backward
-// (bwd), refreshed from the plan; otherwise the next workspace slot, as the
-// padded expert-major buffer Order fills.
+// (bwd), refreshed from the plan; otherwise — or when the layer has dispatch
+// hooks, which act on the buffer — the next workspace slot, as the padded
+// expert-major buffer Order fills.
 func (w *World) tokenSource(cache *WorldCache, bwd bool) tokenRows {
 	plan, ws := cache.pr.plan, cache.ws
-	if w.cfg.Ranks > 1 && !plan.IsDense() {
+	if w.cfg.Ranks > 1 && !plan.IsDense() && !w.layer.hooks.has(beforeDispatch, afterDispatch) {
 		return ws.slotRows(plan, cache.tpad, bwd)
 	}
 	return tokenRows{gin: ws.tensor(plan.Experts, cache.tpad, w.layer.cfg.M)}

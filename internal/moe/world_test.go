@@ -75,14 +75,16 @@ func snapGrads(l *MOELayer) []*tensor.Tensor {
 	return out
 }
 
+// runSequentialLayer runs the oracle (layer_oracle_test.go) from zeroed
+// gradients.
 func runSequentialLayer(t *testing.T, l *MOELayer, x, dy *tensor.Tensor) worldSnapshot {
 	t.Helper()
 	l.ZeroGrad()
-	y, cache, err := l.Forward(x, false)
+	y, cache, err := oracleLayerForward(l, x, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dx, err := l.Backward(cache, dy)
+	dx, err := oracleLayerBackward(l, cache, dy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// gemmCase is one operand recipe, checked over all seven GEMM entry points
+// gemmCase is one operand recipe, checked over all six GEMM entry points
 // at pool widths 1/2/4 against the portable loop bodies run over the whole
 // product — the one definition of each association order. On a build
 // without micro-kernels the drivers are those bodies, so the comparison is
@@ -168,7 +168,6 @@ func framed(w Windows, cols int, fill float64) (*Tensor, func() bool) {
 
 func checkGemmKernels(t *testing.T, c gemmCase) {
 	t.Helper()
-	defer SetWorkers(0)
 	rng := xrand.New(c.seed)
 	dw, aw := c.sets()
 	m, n, k := dw.Len(), c.n, c.k
@@ -186,19 +185,14 @@ func checkGemmKernels(t *testing.T, c gemmCase) {
 	clear(window(a1, k-min(c.zeroTail, k), min(c.zeroTail, k)))
 	b1 := gemmOperand(rng, k, n, 0)
 	base := gemmOperand(rng, m, n, 10) // T1AddInto's prior contents: finite, some −0
-	const bs = 3
-	a3 := gemmOperand(rng, bs*m, k, c.zeroPct).Reshape(bs, m, k)
-	b3 := gemmOperand(rng, bs*k, n, 0).Reshape(bs, k, n)
 	switch c.special {
 	case 1, 2:
 		plant(rng, ag, 0, m, c.special)
 		plant(rng, a1, 0, k, c.special)
-		plant(rng, a3.Reshape(bs*m, k), 0, bs*m, c.special)
 	case 3, 4:
 		plant(rng, b, 0, k, c.special)
 		plant(rng, bT, blo, blo+n, c.special)
 		plant(rng, b1, 0, k, c.special)
-		plant(rng, b3.Reshape(bs*k, n), 0, bs*k, c.special)
 	}
 	a := embedded(ag, aw)
 	bTw := window(bT, blo, n)
@@ -211,10 +205,6 @@ func checkGemmKernels(t *testing.T, c gemmCase) {
 	matmulT1Rows(wantT1Add, a1.data, b1.data, 0, m, 0, n, k, m, n)
 	wantT2 := make([]float64, m*n)
 	matmulT2Rows(wantT2, ag.data, bTw, 0, m, k, n)
-	want3 := make([]float64, bs*m*n)
-	for i := 0; i < bs; i++ {
-		matmulRows(want3[i*m*n:(i+1)*m*n], a3.data[i*m*k:(i+1)*m*k], b3.data[i*k*n:(i+1)*k*n], 0, m, 0, n, k, n)
-	}
 
 	for _, w := range []int{1, 2, 4} {
 		p := NewPool(w)
@@ -230,9 +220,6 @@ func checkGemmKernels(t *testing.T, c gemmCase) {
 		whole.Fill(nan)
 		p.MatMulInto(whole, ag, b)
 		gemmEqual(t, c, "MatMulInto", w, whole.data, want)
-
-		SetWorkers(w)
-		gemmEqual(t, c, "BatchedMatMul", w, BatchedMatMul(a3, b3).data, want3)
 
 		whole.Fill(nan)
 		p.MatMulT1Into(whole, a1, b1)
@@ -255,7 +242,7 @@ func checkGemmKernels(t *testing.T, c gemmCase) {
 }
 
 // checkMatMulT1 holds aᵀ@b alone to the portable body, for products too
-// wide for checkGemmKernels' seven: MatMulT1Into and MatMulT1AddInto at pool
+// wide for checkGemmKernels' six: MatMulT1Into and MatMulT1AddInto at pool
 // widths 1/2/4; matmulT1Range in blocks of every depth from 1 past t1Block
 // that splits k differently, and in one block; and the product accumulated
 // over row blocks of a and b — MatMulT1Into on the first, MatMulT1AddInto

@@ -715,38 +715,3 @@ func Transpose2DInto(dst, a *Tensor) {
 	checkDst(dst, n, m, "Transpose2DInto")
 	transpose(dst.data, a.data, m, n)
 }
-
-// BatchedMatMul multiplies two 3-D tensors batch-wise: (b,m,k)@(b,k,n) →
-// (b,m,n). Batches shard over the shared worker pool when the total work
-// clears the parallel threshold; small batched products run sequentially
-// instead of paying one goroutine per batch.
-func BatchedMatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 3 || b.Rank() != 3 {
-		panic("tensor: BatchedMatMul requires 3-D tensors")
-	}
-	bs, m, k := a.shape[0], a.shape[1], a.shape[2]
-	bs2, k2, n := b.shape[0], b.shape[1], b.shape[2]
-	if bs != bs2 || k != k2 {
-		panic("tensor: BatchedMatMul shape mismatch")
-	}
-	out := New(bs, m, n)
-	if bs*m*k*n < matmulParallelThreshold || Workers() == 1 {
-		for i := 0; i < bs; i++ {
-			matmulRange(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n)
-		}
-		return out
-	}
-	if bs <= serialCutoff {
-		// Too few batches to fan out over; recover the parallelism inside
-		// each product instead (row sharding), which the per-batch leaf
-		// kernel above deliberately skips.
-		for i := 0; i < bs; i++ {
-			defaultPool.matmulInto(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], m, k, n)
-		}
-		return out
-	}
-	ParallelFor(bs, func(i int) {
-		matmulRange(out.data[i*m*n:(i+1)*m*n], a.data[i*m*k:(i+1)*m*k], b.data[i*k*n:(i+1)*k*n], 0, m, k, n)
-	})
-	return out
-}

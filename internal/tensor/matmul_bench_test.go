@@ -66,17 +66,6 @@ func BenchmarkMatMulT2(b *testing.B) {
 	}
 }
 
-func BenchmarkBatchedMatMul(b *testing.B) {
-	rng := xrand.New(1)
-	x := RandN(rng, 1, 16, 128, 64)
-	y := RandN(rng, 1, 16, 64, 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = BatchedMatMul(x, y)
-	}
-}
-
 // BenchmarkMatMulT1 is the measurement behind t1Block and t1PageRow: the
 // square products of the sweep above, then the aᵀ@b products a step of each
 // repository-benchmark workload runs (t1Shapes) through matmulT1Range on

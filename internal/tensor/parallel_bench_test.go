@@ -8,7 +8,7 @@ package tensor
 // at n=2 costs ~0.3–0.5µs over the serial loop — more than light items do
 // in total — while from n=4 upward medium items start winning. Heavy items
 // at n≤2 lose nothing to the serial path because the kernels they call
-// shard their own rows (see BatchedMatMul's small-batch branch).
+// shard their own rows (the MatMul* kernels' row sharding).
 
 import (
 	"fmt"

@@ -1,8 +1,8 @@
 package tensor
 
 // This file is the shared compute-and-memory runtime behind the real tensor
-// path: worker pools that every parallel kernel (MatMul, BatchedMatMul, the
-// per-expert loops in internal/moe) shards work onto, and a size-bucketed
+// path: worker pools that every parallel kernel (the MatMul* GEMMs, the
+// expert stages in internal/moe) shards work onto, and a size-bucketed
 // free-list of tensor buffers that eliminates per-op allocations on the hot
 // path.
 //

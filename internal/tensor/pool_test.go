@@ -327,21 +327,3 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	}
 	Put(d1)
 }
-
-func TestBatchedMatMulSmallAndLarge(t *testing.T) {
-	rng := xrand.New(11)
-	for _, dims := range [][4]int{{3, 4, 5, 6}, {8, 64, 96, 48}} {
-		bs, m, k, n := dims[0], dims[1], dims[2], dims[3]
-		a := RandN(rng, 1, bs, m, k)
-		b := RandN(rng, 1, bs, k, n)
-		got := BatchedMatMul(a, b)
-		for i := 0; i < bs; i++ {
-			ai := a.Slice(i, i+1).Reshape(m, k)
-			bi := b.Slice(i, i+1).Reshape(k, n)
-			want := MatMul(ai, bi)
-			if got.Slice(i, i+1).Reshape(m, n).MaxAbsDiff(want) != 0 {
-				t.Fatalf("batch %d differs", i)
-			}
-		}
-	}
-}

@@ -27,28 +27,6 @@ func SoftmaxRowsInto(dst, a *Tensor) {
 	}
 }
 
-// SoftmaxCols applies softmax along the first dimension of a 2-D tensor
-// (each column sums to 1). Expert-choice and SoftMoE routing normalize over
-// tokens, which is a column softmax of the (token, expert) score matrix.
-func SoftmaxCols(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: SoftmaxCols requires a 2-D tensor")
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := a.Clone()
-	col := make([]float64, m)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			col[i] = out.data[i*n+j]
-		}
-		softmaxInPlace(col)
-		for i := 0; i < m; i++ {
-			out.data[i*n+j] = col[i]
-		}
-	}
-	return out
-}
-
 // SoftmaxInPlace overwrites row with its numerically stable softmax — one
 // row of SoftmaxRows, for callers holding a small vector in their own
 // scratch.
@@ -120,19 +98,11 @@ func TopKInto(dst []int, v []float64) {
 	}
 }
 
-// L2NormalizeRows scales each row of a 2-D tensor to unit Euclidean norm.
-// Zero rows are left as zeros.
-func L2NormalizeRows(a *Tensor) *Tensor {
-	out := a.Clone()
-	l2NormalizeRows(out)
-	return out
-}
-
 // l2NormalizeRows scales each row of t, in place, to unit L2 norm (zero
 // rows stay zero).
 func l2NormalizeRows(t *Tensor) {
 	if t.Rank() != 2 {
-		panic("tensor: L2NormalizeRows requires a 2-D tensor")
+		panic("tensor: l2NormalizeRows requires a 2-D tensor")
 	}
 	n := t.shape[1]
 	for i := 0; i < t.shape[0]; i++ {
@@ -151,17 +121,10 @@ func l2NormalizeRows(t *Tensor) {
 	}
 }
 
-// CosineRows returns the (m,e) matrix of cosine similarities between each
-// row of a (m,d) and each row of b (e,d). This is the X-MoE routing score
-// s_i = cos(W_proj x, w_g_i).
-func CosineRows(a, b *Tensor) *Tensor {
-	out := New(a.Dim(0), b.Dim(0))
-	CosineRowsInto(out, a, b)
-	return out
-}
-
-// CosineRowsInto writes CosineRows(a, b) into dst (m, e), overwriting it;
-// the normalized rows go through pooled temporaries.
+// CosineRowsInto writes into dst (m, e), overwriting it, the cosine
+// similarities between each row of a (m, d) and each row of b (e, d): the
+// X-MoE routing score s_i = cos(W_proj x, w_g_i). The normalized rows go
+// through pooled temporaries.
 func CosineRowsInto(dst, a, b *Tensor) {
 	an, bn := GetUninit(a.shape...), GetUninit(b.shape...)
 	copy(an.data, a.data)

@@ -56,31 +56,6 @@ func TestSoftmaxAllMaskedRow(t *testing.T) {
 	}
 }
 
-func TestSoftmaxColsSumToOne(t *testing.T) {
-	r := xrand.New(9)
-	a := RandN(r, 2, 6, 4)
-	s := SoftmaxCols(a)
-	for j := 0; j < 4; j++ {
-		sum := 0.0
-		for i := 0; i < 6; i++ {
-			sum += s.At(i, j)
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("column %d sums to %v", j, sum)
-		}
-	}
-}
-
-func TestSoftmaxColsMatchesTransposedRows(t *testing.T) {
-	r := xrand.New(10)
-	a := RandN(r, 1, 5, 3)
-	viaCols := SoftmaxCols(a)
-	viaRows := Transpose2D(SoftmaxRows(Transpose2D(a)))
-	if !viaCols.AllClose(viaRows, 1e-12) {
-		t.Fatal("SoftmaxCols inconsistent with row softmax of transpose")
-	}
-}
-
 func TestTopKBasic(t *testing.T) {
 	v := []float64{1, 9, 3, 7, 5}
 	got := TopK(v, 3)
@@ -169,8 +144,8 @@ func TestTopKIntoMatchesTopK(t *testing.T) {
 }
 
 func TestL2NormalizeRows(t *testing.T) {
-	a := FromData([]float64{3, 4, 0, 0}, 2, 2)
-	n := L2NormalizeRows(a)
+	n := FromData([]float64{3, 4, 0, 0}, 2, 2)
+	l2NormalizeRows(n)
 	if math.Abs(n.At(0, 0)-0.6) > 1e-12 || math.Abs(n.At(0, 1)-0.8) > 1e-12 {
 		t.Fatalf("normalize = %v", n.Data())
 	}
@@ -182,7 +157,8 @@ func TestL2NormalizeRows(t *testing.T) {
 func TestCosineRowsSelfIsOne(t *testing.T) {
 	r := xrand.New(12)
 	a := RandN(r, 1, 4, 8)
-	c := CosineRows(a, a)
+	c := New(4, 4)
+	CosineRowsInto(c, a, a)
 	for i := 0; i < 4; i++ {
 		if math.Abs(c.At(i, i)-1) > 1e-9 {
 			t.Fatalf("cos(a,a) = %v", c.At(i, i))
@@ -196,7 +172,9 @@ func TestCosineRowsBounds(t *testing.T) {
 		m, e, d := 1+r.Intn(6), 1+r.Intn(6), 1+r.Intn(10)
 		a := RandN(r, 1, m, d)
 		b := RandN(r, 1, e, d)
-		c := CosineRows(a, b)
+		c := New(m, e)
+		c.Fill(math.NaN()) // overwritten whole
+		CosineRowsInto(c, a, b)
 		for _, v := range c.Data() {
 			if v > 1+1e-9 || v < -1-1e-9 {
 				return false

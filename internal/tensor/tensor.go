@@ -9,7 +9,7 @@
 // # GEMM contract
 //
 // The expert computation is three products — a@b (MatMulInto,
-// MatMulRowsInto, BatchedMatMul), aᵀ@b (MatMulT1Into, MatMulT1AddInto) and
+// MatMulRowsInto), aᵀ@b (MatMulT1Into, MatMulT1AddInto) and
 // a@bᵀ (MatMulT2Into, MatMulT2RowsInto) — and one order defines all three
 // (matmul.go): each element of dst is one chain of fused multiply-adds over
 // the inner index,

@@ -238,22 +238,6 @@ func TestTranspose2DMatchesLoop(t *testing.T) {
 	}
 }
 
-func TestBatchedMatMul(t *testing.T) {
-	r := xrand.New(4)
-	a := RandN(r, 1, 3, 4, 5)
-	b := RandN(r, 1, 3, 5, 6)
-	out := BatchedMatMul(a, b)
-	for i := 0; i < 3; i++ {
-		ai := FromData(a.Data()[i*20:(i+1)*20], 4, 5)
-		bi := FromData(b.Data()[i*30:(i+1)*30], 5, 6)
-		want := MatMul(ai, bi)
-		got := FromData(out.Data()[i*24:(i+1)*24], 4, 6)
-		if !got.AllClose(want, 1e-9) {
-			t.Fatalf("batch %d mismatch", i)
-		}
-	}
-}
-
 func TestMatMulShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
