@@ -519,3 +519,32 @@ func TestWorldStepDegraded(t *testing.T) {
 		t.Fatal("rank 1 still reported healthy after the degraded step")
 	}
 }
+
+// TestWorldDegradedRunsHooks: a pass completed on the degraded path runs
+// the layer's dispatch and combine hooks on its own buffers, as a full-
+// strength pass does: the aborted plan's pass applied the dispatch pair
+// before it failed and never reached the combine pair.
+func TestWorldDegradedRunsHooks(t *testing.T) {
+	counts := map[string]int{}
+	count := func(name string) func(*tensor.Tensor) *tensor.Tensor {
+		return func(x *tensor.Tensor) *tensor.Tensor { counts[name]++; return x }
+	}
+	layer := withHooks(t, worldLayer(t, "gshard", TutelOrder{}, false, false), Hooks{
+		BeforeDispatch: count("dispatch"), AfterCombine: count("combine"),
+	})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.SetFaultPlan(fault.New(fault.Spec{Seed: 3, Down: &fault.Down{Rank: 1, Kind: KindExpert}}))
+	x := tensor.RandN(xrand.New(83), 1, 96, 32)
+	for pass, want := range []map[string]int{{"dispatch": 2, "combine": 1}, {"dispatch": 3, "combine": 2}} {
+		if _, _, err := w.Forward(x, false); err != nil || w.LastDegraded() == nil {
+			t.Fatalf("pass %d: degraded forward must complete, got %v", pass, err)
+		}
+		if fmt.Sprint(counts) != fmt.Sprint(want) {
+			t.Fatalf("pass %d: hooks fired %v, want %v", pass, counts, want)
+		}
+	}
+}
