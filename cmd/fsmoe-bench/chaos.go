@@ -178,7 +178,6 @@ func chaosExperiment(iters int) error {
 			w.Close()
 			return fmt.Errorf("chaos: rank-down produced no DegradedResult (strategy %s)", strat)
 		}
-		captureTrace(fmt.Sprintf("chaos %s rank-down", strat), w.LastTrace())
 		tb2.AddRow(string(strat), deg.Phase, deg.Rank, len(deg.LostExperts),
 			deg.ReroutedTokens, deg.DroppedTokens, deg.Retries,
 			fmt.Sprintf("%.1f", deg.RecoveryMS))
@@ -188,7 +187,8 @@ func chaosExperiment(iters int) error {
 	}
 	emit(tb2)
 	note("a permanent failure completes the pass degraded: the dead rank's tokens are re-routed into surviving experts' " +
-		"free capacity (overflow dropped), dead experts freeze until ResetHealth; recovery-ms is the sequential fallback cost")
+		"free capacity (overflow dropped), dead experts freeze until ResetHealth; recovery-ms is the time of the survivors' passes, " +
+		"which the world keeps no trace of")
 
 	// Elastic recovery: checkpoint, kill a rank, recover from the latest
 	// snapshot onto the surviving topology, and keep stepping — reporting

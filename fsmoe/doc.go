@@ -336,10 +336,12 @@
 // cooperatively and the pass fails with an error matching
 // context.DeadlineExceeded, leaking no goroutines.
 //
-// A permanent rank failure does not abort the pass: forward-time, the
-// dead rank's tokens re-route into surviving experts' free capacity
-// (overflow dropped); backward-time, the routing is kept and the dead
-// experts' gradient slots are cleared. The router is frozen for the
+// A permanent rank failure does not abort the pass: it completes on the
+// surviving experts, one rank's plans over them — the plan builder and
+// executor every pass runs. Forward-time, the dead rank's tokens re-route
+// into surviving experts' free capacity (overflow dropped); backward-time,
+// the routing is kept and the dead experts' tokens are dropped. The World
+// keeps no trace of a degraded pass. The router is frozen for the
 // degraded step and dead experts accumulate zero gradient, so an
 // optimizer step leaves them untouched and ResetHealth resumes from
 // consistent weights. World.LastDegraded reports what was lost
@@ -389,10 +391,9 @@
 //
 // After a permanent rank loss, Recover rebuilds the whole stack (a single
 // layer is a stack of one) instead of limping: under RecoveryPolicy{Mode:
-// RecoverShrink} the world re-plans onto the largest surviving rank
-// count that still divides the expert count; RecoverRejoin keeps the
-// rank count, modeling a replacement host adopting the dead rank's
-// shard. The dead rank's experts are re-assigned, their checkpointed
+// RecoverShrink}, the zero policy's one mode, the world re-plans onto the
+// largest surviving rank count that still divides the expert count. The
+// dead rank's experts are re-assigned, their checkpointed
 // weights re-placed through the guarded Broadcast collective (chaos
 // injection and traffic accounting reach the recovery path; transient
 // faults retry at once under the same 4-attempt budget), the plan builder

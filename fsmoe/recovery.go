@@ -44,9 +44,6 @@ const (
 	// the whole stack, the largest below the old one that divides every
 	// layer's expert count.
 	RecoverShrink = moe.RecoverShrink
-	// RecoverRejoin keeps the rank count: the dead rank is replaced and
-	// its expert shard restored from the checkpoint.
-	RecoverRejoin = moe.RecoverRejoin
 )
 
 // Typed checkpoint errors (errors.Is-matchable): a damaged or foreign
@@ -79,8 +76,8 @@ func Restore(worlds []*World, s *Snapshot) error { return moe.RestoreWorlds(worl
 
 // Recover rebuilds a stack around its permanently failed rank from a
 // snapshot: state rolls back to the checkpoint, the dead rank's experts
-// are re-assigned (shrink) or re-seeded onto a replacement (rejoin) with
-// their restored weights broadcast to the new owners, the strategy
+// are re-assigned across the surviving ranks (shrink) with their restored
+// weights broadcast to the new owners, the strategy
 // re-emits its collective chains for the new placement (every strategy
 // recovers as itself), and the injector's down trigger is stripped so
 // stepping resumes at full strength. Every layer is checked against its

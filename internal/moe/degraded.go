@@ -1,6 +1,7 @@
 package moe
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -8,27 +9,29 @@ import (
 )
 
 // Degraded-mode stepping: a permanent rank-down event mid-plan does not
-// abort training. The world marks the rank dead, drops its expert shard,
-// and completes the pass on a sequential fallback path built around the
-// survivors:
+// abort training. The world marks the rank dead and completes the pass on
+// the survivors' layer: the surviving experts in index order, the layer's
+// Order and hooks, and a frozen router. Its one-rank World (MOELayer.world)
+// runs the pass through the same plan builder and executor as every other
+// pass, on a plan without the dead rank's experts (survivorPlan):
 //
 //   - Forward-time failure: the dead rank's experts can no longer run, so
 //     every token they held is re-routed into surviving experts' free
-//     capacity slots (keeping its original combine weight — the fallback
+//     capacity slots (keeping its original combine weight — the degraded
 //     approximation); tokens with nowhere to go are dropped like
-//     over-capacity tokens in §2.1. The forward is then recomputed
-//     sequentially from the prolog under the re-routed plan.
+//     over-capacity tokens in §2.1. The forward runs again from the prolog
+//     under the re-routed plan.
 //
 //   - Backward-time failure: the forward already completed at full
-//     strength, so the routing is kept and only the dead experts' slots
-//     are cleared — their gradient contribution is dropped. The surviving
-//     experts' forward passes are rebuilt from the cached dispatch and
-//     the backward runs sequentially. The aborted plan may have partially
-//     accumulated parameter gradients, so the layer's gradients are
-//     zeroed first (during a training step Param.G is the layer's span of
-//     the stack's gradient buffer, and every expert is marked unwritten, so
-//     what the survivors do not rewrite is cleared; the §5 slices then step
-//     the parameters from it).
+//     strength, so the routing is kept and the dead experts' tokens are
+//     dropped — their gradient contribution is lost. The survivors' forward
+//     runs again from the prolog to begin the passes its backward
+//     continues. The aborted plan may have partially accumulated parameter
+//     gradients, so the layer's gradients are zeroed first (during a
+//     training step Param.G is the layer's span of the stack's gradient
+//     buffer, and every expert is marked unwritten, so what the survivors
+//     do not rewrite is cleared; the §5 slices then step the parameters
+//     from it).
 //
 // In both modes the router is frozen: the gate backward pairs its
 // RouteCache with the original plan, which no longer describes the
@@ -52,9 +55,9 @@ type DegradedResult struct {
 	DroppedTokens  int
 
 	// Retries is how many transient-fault retries the aborted plan spent
-	// before the permanent failure; RecoveryMS is the sequential fallback
-	// time the failure added on top of the aborted plan — the tail
-	// inflation of surviving the fault.
+	// before the permanent failure; RecoveryMS is the time the survivors'
+	// passes added on top of the aborted plan — the tail inflation of
+	// surviving the fault.
 	Retries    int
 	RecoveryMS float64
 	Cause      string
@@ -63,9 +66,9 @@ type DegradedResult struct {
 // degradedState carries a degraded forward's private state to Backward in
 // place of the strategy caches.
 type degradedState struct {
-	dplan  *DispatchPlan // the re-routed (or slot-cleared) plan actually executed
-	passes []*blockPass  // surviving experts' forward passes; nil for lost ones
-	lo, hi int           // lost expert range [lo, hi)
+	sw     *World      // the survivors' layer's World the pass ran on
+	cache  *WorldCache // its forward cache
+	lo, hi int         // lost expert range [lo, hi)
 	res    *DegradedResult
 }
 
@@ -80,35 +83,53 @@ func lostList(lo, hi int) []int {
 	return out
 }
 
-// degradedForward completes a forward pass around the dead rank: re-route
-// the lost experts' tokens, then recompute sequentially from the prolog
-// (the aborted pipelined buffers are never read — the prolog's flat input
-// is intact).
-func (w *World) degradedForward(pr *forwardProlog, retries int, cause string) (*tensor.Tensor, *WorldCache, error) {
+// survivors returns the survivors' layer's one-rank World, building the
+// layer at the first degraded pass: the experts outside the dead rank's
+// range in index order, the layer's Order and hooks, and the frozen router.
+// Like the layer's own World it needs no Close; ResetHealth drops it.
+func (w *World) survivors() *World {
+	if w.surv == nil {
+		lo, hi := w.lostRange()
+		cfg := w.layer.cfg
+		cfg.Gate = frozenGate{}
+		cfg.Experts = append(cfg.Experts[:lo:lo], cfg.Experts[hi:]...)
+		w.surv = &MOELayer{cfg: cfg, hooks: w.layer.hooks}
+	}
+	return w.surv.world()
+}
+
+// frozenGate is the survivors' layer's router: a degraded pass takes its
+// plan from survivorPlan, so it never routes, and it has no parameters; its
+// backward contributes a zero input gradient.
+type frozenGate struct{}
+
+func (frozenGate) Name() string { return "frozen" }
+func (frozenGate) Route(*tensor.Tensor, bool) (*DispatchPlan, *RouteCache, error) {
+	return nil, nil, errors.New("moe: the frozen router does not route")
+}
+func (frozenGate) Backward(dx *tensor.Tensor, _ *RouteCache, _ *PlanGrad) { clear(dx.Data()) }
+func (frozenGate) Params() []*Param                                       { return nil }
+
+// degradedForward runs the forward of a pass that lost rank w.down in phase
+// ("forward" or "backward") on the survivors' World, from the prolog pr of
+// the aborted (or, with the rank already down, never built) plan: at a
+// forward-time loss the dead rank's tokens move to free surviving slots, at
+// a backward-time loss they are dropped. owned is forward's.
+func (w *World) degradedForward(pr *forwardProlog, owned bool, phase string, retries int, cause string) (*tensor.Tensor, *WorldCache, error) {
 	if pr.plan.IsDense() {
 		return nil, nil, fmt.Errorf("moe: degraded mode needs hard routing; dense plans have no per-token fallback (rank %d down)", w.down)
 	}
 	t0 := time.Now()
 	lo, hi := w.lostRange()
-	dplan, rerouted, dropped := reroutePlan(pr.plan, lo, hi)
-	mdim := w.layer.cfg.M
-	e, t := dplan.Experts, dplan.Capacity
-
-	scattered := tensor.New(e, t, mdim)
-	w.layer.cfg.Order.Scatter(scattered, pr.flat, dplan)
-	if err := w.layer.hooks.applyTo(scattered, beforeDispatch, afterDispatch); err != nil {
+	plan, rerouted, dropped := survivorPlan(pr.plan, lo, hi, phase == "forward")
+	sw := w.survivors()
+	y, sc, err := sw.pass(&forwardProlog{shape: pr.shape, flat: pr.flat, plan: plan}, owned)
+	if err != nil {
 		return nil, nil, err
 	}
-	expertOut := tensor.New(e, t, mdim)
-	passes := w.forwardSurvivors(scattered, expertOut, lo, hi)
-	if err := w.layer.hooks.applyTo(expertOut, beforeCombine, afterCombine); err != nil {
-		return nil, nil, err
-	}
-	y := w.layer.epilog(tensor.New(pr.flat.Dim(0), mdim), expertOut, dplan, pr.shape)
-
 	res := &DegradedResult{
 		Rank:           w.down,
-		Phase:          "forward",
+		Phase:          phase,
 		LostExperts:    lostList(lo, hi),
 		ReroutedTokens: rerouted,
 		DroppedTokens:  dropped,
@@ -117,161 +138,83 @@ func (w *World) degradedForward(pr *forwardProlog, retries int, cause string) (*
 		Cause:          cause,
 	}
 	w.degraded = res
-	cache := &WorldCache{
-		pr:       pr,
-		combined: expertOut,
-		deg:      &degradedState{dplan: dplan, passes: passes, lo: lo, hi: hi, res: res},
-	}
+	cache := &WorldCache{pr: pr, combined: sc.combined, deg: &degradedState{sw: sw, cache: sc, lo: lo, hi: hi, res: res}}
 	return y, cache, nil
 }
 
-// forwardSurvivors runs every expert outside the lost range [lo, hi) on its
-// live rows of in, an (E, S, M) buffer, into the (E, T, M) buffer out (a
-// dead expert's slots are empty and its block is not written), returning
-// the forward passes.
-func (w *World) forwardSurvivors(in, out *tensor.Tensor, lo, hi int) []*blockPass {
-	passes := make([]*blockPass, len(w.layer.cfg.Experts))
-	for j, ex := range w.layer.cfg.Experts {
-		if j < lo || j >= hi {
-			passes[j] = forwardBlock(ex, slotBlock(in, j, out.Dim(1)), slotBlock(out, j, out.Dim(1)))
+// degradedBackward runs the backward paired with a degraded forward cache
+// on the survivors' World: during a training step each surviving expert's
+// finish routine writes its Param.G, and marks it written under its index
+// in the whole layer. The gate's routing goes back to it unread (frozen
+// router).
+func (w *World) degradedBackward(cache *WorldCache, dy *tensor.Tensor, owned bool) (*tensor.Tensor, error) {
+	t0 := time.Now()
+	d := cache.deg
+	if w.written != nil {
+		d.sw.written = make([]bool, len(d.sw.layer.cfg.Experts))
+	}
+	dx, err := d.sw.backward(d.cache, dy, owned)
+	for j, done := range d.sw.written {
+		e := j
+		if e >= d.lo {
+			e += d.hi - d.lo
+		}
+		if done {
+			w.wrote(e)
 		}
 	}
-	return passes
-}
-
-// degradedBackward runs the sequential backward paired with a degraded
-// forward cache: I-Order adjoint under the degraded plan, surviving
-// experts only, frozen router.
-func (w *World) degradedBackward(cache *WorldCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
-	t0 := time.Now()
-	st := cache.deg
-	pr := cache.pr
-	dplan := st.dplan
-	mdim := w.layer.cfg.M
-	e, t := dplan.Experts, dplan.Capacity
-
-	// The forward's outputs keep the stride they were computed at: T after a
-	// degraded forward, Tpad when only the backward plan was lost.
-	stride := cache.combined.Dim(1)
-	dExpertOut := tensor.New(e, stride, mdim)
-	if _, err := w.layer.backwardProlog(dExpertOut, cache.combined, dplan, dy); err != nil {
+	d.sw.written = nil
+	w.drop(cache)
+	if err != nil {
 		return nil, err
 	}
-	dScattered := tensor.New(e, stride, mdim)
-	for j := 0; j < e; j++ {
-		if j >= st.lo && j < st.hi {
-			continue // dead expert: no cache, no gradient, block stays zero
-		}
-		st.passes[j].backward(slotBlock(dExpertOut, j, t), slotBlock(dScattered, j, t), w.written != nil)
-		w.wrote(j)
-	}
-	dx := tensor.New(pr.flat.Dim(0), mdim)
-	w.layer.cfg.Order.ScatterGrad(dx, dScattered, dplan)
-	// Frozen router: no Gate.Backward — its RouteCache pairs with the
-	// original plan, not the degraded one (see the package comment above).
-	dx = restoreShape(dx, pr.shape)
-	w.release(cache)
-	st.res.RecoveryMS += time.Since(t0).Seconds() * 1e3
-	w.degraded = st.res
+	d.res.RecoveryMS += time.Since(t0).Seconds() * 1e3
+	w.degraded = d.res
 	return dx, nil
 }
 
-// degradedBackwardRecover handles a permanent failure during a
-// full-strength backward plan: the forward completed intact, so the
-// routing is kept with the dead experts' gradient slots cleared, the
-// surviving experts' passes are rebuilt by re-running their forward from
-// the cached dispatch, and the partially accumulated gradients of the
-// aborted plan are zeroed before the sequential backward recomputes them.
-func (w *World) degradedBackwardRecover(cache *WorldCache, dy *tensor.Tensor, retries int, cause string) (*tensor.Tensor, error) {
-	pr := cache.pr
-	if pr.plan.IsDense() {
-		return nil, fmt.Errorf("moe: degraded mode needs hard routing; dense plans have no per-token fallback (rank %d down)", w.down)
-	}
-	t0 := time.Now()
-	lo, hi := w.lostRange()
-	dplan, cleared := clearLostSlots(pr.plan, lo, hi)
-
-	// The aborted plan's W tasks may have accumulated partial parameter
-	// gradients; restart this layer's accumulation from zero.
-	w.layer.ZeroGrad()
-	clear(w.written)
-
-	// Only the passes matter; the recomputed outputs are scratch. The cache
-	// keeps no expert-major input — a sparse forward gathered it from x
-	// through the plan — so it is laid out, and hooked, again from the
-	// prolog's input.
-	mdim := w.layer.cfg.M
-	in := tensor.New(pr.plan.Experts, pr.plan.Capacity, mdim)
-	w.layer.cfg.Order.Scatter(in, pr.flat, pr.plan)
-	if err := w.layer.hooks.applyTo(in, beforeDispatch, afterDispatch); err != nil {
-		return nil, err
-	}
-	passes := w.forwardSurvivors(in, tensor.New(dplan.Experts, dplan.Capacity, mdim), lo, hi)
-
-	res := &DegradedResult{
-		Rank:          w.down,
-		Phase:         "backward",
-		LostExperts:   lostList(lo, hi),
-		DroppedTokens: cleared,
-		Retries:       retries,
-		RecoveryMS:    time.Since(t0).Seconds() * 1e3,
-		Cause:         cause,
-	}
-	cache.deg = &degradedState{dplan: dplan, passes: passes, lo: lo, hi: hi, res: res}
-	return w.degradedBackward(cache, dy)
-}
-
-// copyPlan deep-copies a hard routing plan's slot tables.
-func copyPlan(plan *DispatchPlan) *DispatchPlan {
-	np := &DispatchPlan{
-		Experts:  plan.Experts,
-		Capacity: plan.Capacity,
-		Dropped:  plan.Dropped,
-		AuxLoss:  plan.AuxLoss,
-	}
-	np.SlotToken = make([][]int, plan.Experts)
-	np.SlotWeight = make([][]float64, plan.Experts)
-	for e := range plan.SlotToken {
-		np.SlotToken[e] = append([]int(nil), plan.SlotToken[e]...)
-		np.SlotWeight[e] = append([]float64(nil), plan.SlotWeight[e]...)
-	}
-	return np
-}
-
-// reroutePlan moves every occupied slot of experts [lo, hi) into free
-// capacity of the surviving experts: a deterministic cyclic scan with a
-// rotating start spreads the refugees round-robin, and per-expert scan
-// positions keep the whole pass O(slots). Tokens keep their original
+// survivorPlan is the plan of a pass without experts [lo, hi): the
+// surviving experts' slot tables in index order, and the lost experts'
+// occupied slots either dropped or, with reroute, moved into the
+// survivors' free capacity — a deterministic cyclic scan over the experts
+// with a rotating start spreads the refugees round-robin, and per-expert
+// scan positions keep the whole pass O(slots). Tokens keep their original
 // combine weights; refugees with no free slot anywhere are dropped.
-func reroutePlan(plan *DispatchPlan, lo, hi int) (np *DispatchPlan, rerouted, dropped int) {
-	np = copyPlan(plan)
-	next := make([]int, plan.Experts) // per-expert free-slot scan position
-	cursor := hi % plan.Experts
-	for e := lo; e < hi; e++ {
-		for s := 0; s < plan.Capacity; s++ {
-			tok := np.SlotToken[e][s]
+func survivorPlan(plan *DispatchPlan, lo, hi int, reroute bool) (np *DispatchPlan, rerouted, dropped int) {
+	e, t, lost := plan.Experts, plan.Capacity, hi-lo
+	np = &DispatchPlan{Experts: e - lost, Capacity: t, Dropped: plan.Dropped, AuxLoss: plan.AuxLoss}
+	for ex := range e {
+		if ex < lo || ex >= hi {
+			np.SlotToken = append(np.SlotToken, append([]int(nil), plan.SlotToken[ex]...))
+			np.SlotWeight = append(np.SlotWeight, append([]float64(nil), plan.SlotWeight[ex]...))
+		}
+	}
+	next := make([]int, np.Experts) // per-survivor free-slot scan position
+	cursor := hi % e
+	for ex := lo; ex < hi; ex++ {
+		for s, tok := range plan.SlotToken[ex] {
 			if tok < 0 {
 				continue
 			}
-			wgt := np.SlotWeight[e][s]
-			np.SlotToken[e][s], np.SlotWeight[e][s] = -1, 0
 			placed := false
-			for probe := 0; probe < plan.Experts; probe++ {
-				cand := (cursor + probe) % plan.Experts
+			for probe := 0; reroute && !placed && probe < e; probe++ {
+				cand := (cursor + probe) % e
 				if cand >= lo && cand < hi {
 					continue
 				}
-				for next[cand] < plan.Capacity && np.SlotToken[cand][next[cand]] >= 0 {
-					next[cand]++
+				j := cand // its index among the survivors
+				if cand >= hi {
+					j -= lost
 				}
-				if next[cand] < plan.Capacity {
-					np.SlotToken[cand][next[cand]] = tok
-					np.SlotWeight[cand][next[cand]] = wgt
-					next[cand]++
-					cursor = (cand + 1) % plan.Experts
+				for next[j] < t && np.SlotToken[j][next[j]] >= 0 {
+					next[j]++
+				}
+				if next[j] < t {
+					np.SlotToken[j][next[j]], np.SlotWeight[j][next[j]] = tok, plan.SlotWeight[ex][s]
+					next[j]++
+					cursor = (cand + 1) % e
 					rerouted++
 					placed = true
-					break
 				}
 			}
 			if !placed {
@@ -281,20 +224,4 @@ func reroutePlan(plan *DispatchPlan, lo, hi int) (np *DispatchPlan, rerouted, dr
 		}
 	}
 	return np, rerouted, dropped
-}
-
-// clearLostSlots empties the slots of experts [lo, hi), dropping their
-// tokens' contribution; cleared counts the occupied slots lost.
-func clearLostSlots(plan *DispatchPlan, lo, hi int) (np *DispatchPlan, cleared int) {
-	np = copyPlan(plan)
-	for e := lo; e < hi; e++ {
-		for s := range np.SlotToken[e] {
-			if np.SlotToken[e][s] >= 0 {
-				np.SlotToken[e][s], np.SlotWeight[e][s] = -1, 0
-				cleared++
-				np.Dropped++
-			}
-		}
-	}
-	return np, cleared
 }

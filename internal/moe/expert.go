@@ -3,10 +3,10 @@ package moe
 import "repro/internal/tensor"
 
 // Expert is the compute sub-module of §3.1 and the one execution contract
-// everything that runs an expert drives — the layer's one-rank World, the
-// degraded path and every parallel strategy (§3's unified Expert
-// abstraction, §4.1's chunks, §4's expert sharding). Implementations own
-// their parameters and gradient accumulators. A pass over one (n, M) block
+// everything that runs an expert drives — the one plan builder, under every
+// parallel strategy and on the one-rank Worlds of a layer and of a degraded
+// pass's survivors (§3's unified Expert abstraction, §4.1's chunks, §4's
+// expert sharding). Implementations own their parameters and gradient accumulators. A pass over one (n, M) block
 // is two GEMM stages around a hidden exchange buffer, decomposed so that no
 // floating-point reduction is ever re-associated, which is what makes a pass
 // bit-identical however it is tiled and sharded:

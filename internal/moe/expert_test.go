@@ -47,7 +47,7 @@ func checkExpertGradients(t *testing.T, mk func(rng *xrand.RNG) Expert) {
 	}
 	_, pass := forwardOf(exp, x)
 	dx := tensor.New(n, m)
-	pass.backward(r.Clone(), dx, false)
+	pass.backward(r.Clone(), dx)
 
 	f := func(xx *tensor.Tensor) float64 {
 		yy, _ := forwardOf(exp, xx)

@@ -177,41 +177,6 @@ func (l *MOELayer) epilog(y, combined *tensor.Tensor, plan *DispatchPlan, shape 
 	return restoreShape(l.hooks.apply(y, beforeMoeEnd), shape)
 }
 
-// blockPass is a pass over a whole block as one row range and the full
-// column range, on memory of its own: how the degraded path and the tests'
-// oracles drive the contract.
-type blockPass struct {
-	ex   Expert
-	pass ExpertPass
-	mem  *tensor.Tensor // pooled: the forward exchange buffer, then the scratch
-}
-
-// forwardBlock runs ex's forward on x (n, M) into out (n, M). A forward-only
-// caller may drop the result and leak its pooled memory to the GC.
-func forwardBlock(ex Expert, x, out *tensor.Tensor) *blockPass {
-	n, w := x.Dim(0), ex.HiddenWidth()
-	hf := ex.FwdBands() * n * w
-	mem := tensor.GetUninit(hf + ex.ScratchElems(n, 0, w))
-	b := &blockPass{ex: ex, mem: mem}
-	b.pass = ex.Begin(PassBufs{X: x, Out: out, Hidden: tensor.FromData(mem.Data()[:hf], ex.FwdBands()*n, w), Scratch: mem.Data()[hf:], Ch: w})
-	b.pass.ForwardHidden(tensor.Window(0, n))
-	b.pass.ForwardOut(tensor.Window(0, n))
-	return b
-}
-
-// backward is forwardBlock's adjoint: dx from dy, the parameter gradients
-// added to Param.G, or with overwrite written over it. It ends the pass.
-func (b *blockPass) backward(dy, dx *tensor.Tensor, overwrite bool) {
-	n := dy.Dim(0)
-	hb := tensor.GetUninit(b.ex.BwdBands()*n, b.ex.HiddenWidth())
-	b.pass.BeginBackward(dy, dx, hb, overwrite)
-	b.pass.BackwardHidden(tensor.Window(0, n))
-	b.pass.BackwardIn(tensor.Window(0, n))
-	b.pass.Finish()
-	tensor.Put(hb)
-	tensor.Put(b.mem)
-}
-
 // backwardProlog is the shared entry of every backward pass: flatten dy
 // and differentiate through Gather (I-Order) into dOut, shaped like
 // expertOut. A nil dOut — a World's sparse plan at R > 1, whose collectives

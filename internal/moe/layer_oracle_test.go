@@ -19,6 +19,40 @@ import (
 // through the hooks. It shares the routing prolog and epilog and the adjoint
 // helpers with the Worlds, and nothing else.
 
+// blockPass is a pass over a whole block as one row range and the full
+// column range, on memory of its own: how the oracles drive the contract.
+type blockPass struct {
+	ex   Expert
+	pass ExpertPass
+	mem  *tensor.Tensor // pooled: the forward exchange buffer, then the scratch
+}
+
+// forwardBlock runs ex's forward on x (n, M) into out (n, M). A forward-only
+// caller may drop the result and leak its pooled memory to the GC.
+func forwardBlock(ex Expert, x, out *tensor.Tensor) *blockPass {
+	n, w := x.Dim(0), ex.HiddenWidth()
+	hf := ex.FwdBands() * n * w
+	mem := tensor.GetUninit(hf + ex.ScratchElems(n, 0, w))
+	b := &blockPass{ex: ex, mem: mem}
+	b.pass = ex.Begin(PassBufs{X: x, Out: out, Hidden: tensor.FromData(mem.Data()[:hf], ex.FwdBands()*n, w), Scratch: mem.Data()[hf:], Ch: w})
+	b.pass.ForwardHidden(tensor.Window(0, n))
+	b.pass.ForwardOut(tensor.Window(0, n))
+	return b
+}
+
+// backward is forwardBlock's adjoint: dx from dy, the parameter gradients
+// added to Param.G. It ends the pass.
+func (b *blockPass) backward(dy, dx *tensor.Tensor) {
+	n := dy.Dim(0)
+	hb := tensor.GetUninit(b.ex.BwdBands()*n, b.ex.HiddenWidth())
+	b.pass.BeginBackward(dy, dx, hb, false)
+	b.pass.BackwardHidden(tensor.Window(0, n))
+	b.pass.BackwardIn(tensor.Window(0, n))
+	b.pass.Finish()
+	tensor.Put(hb)
+	tensor.Put(b.mem)
+}
+
 // oracleLayerCache holds everything oracleLayerBackward needs.
 type oracleLayerCache struct {
 	shape     []int
@@ -59,7 +93,7 @@ func oracleLayerBackward(l *MOELayer, cache *oracleLayerCache, dy *tensor.Tensor
 	}
 	dDispatched := tensor.New(plan.Experts, plan.Capacity, l.cfg.M)
 	for e, ps := range cache.passes {
-		ps.backward(slotBlock(dExpertOut, e, plan.Capacity), slotBlock(dDispatched, e, plan.Capacity), false)
+		ps.backward(slotBlock(dExpertOut, e, plan.Capacity), slotBlock(dDispatched, e, plan.Capacity))
 	}
 	n := cache.x.Dim(0)
 	dx, gateDx := tensor.New(n, l.cfg.M), tensor.New(n, l.cfg.M)

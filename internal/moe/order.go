@@ -17,18 +17,17 @@ import (
 // and its combine-gradient collectives w·dy's, with no expert-major plane in
 // between (strategy_plan.go), and it takes the slot weights' gradient from
 // the plan too (DispatchPlan.slotWeightGrad). So Scatter and GatherGrad, a
-// custom Order's included, serve R = 1 worlds (the layer's own among them),
-// dense plans, worlds whose layer has dispatch hooks — the hooks act on the
-// expert-major buffer Scatter writes — and the degraded path; Gather and
-// ScatterGrad serve every pass.
+// custom Order's included, serve R = 1 worlds (the layer's own and a
+// degraded pass's survivors' among them), dense plans, and worlds whose layer
+// has dispatch hooks — the hooks act on the expert-major buffer Scatter
+// writes; Gather and ScatterGrad serve every pass.
 //
 // Every method writes into a destination its caller owns and overwrites it
 // whole, whatever it held: a World hands out slots of its dirty resident
-// workspace (its stack-owned step outputs among them), the degraded path
-// fresh tensors. What the built-in orders derive from the plan — its
-// reverse index, the PlanGrad GatherGrad returns — lives in the plan's own
-// memory, the routing gate's: valid until the gate routes again after the
-// plan's Backward. Expert-major buffers are
+// workspace (its stack-owned step outputs among them). What the built-in
+// orders derive from the plan — its reverse index, the PlanGrad GatherGrad
+// returns — lives in the plan's own memory, the routing gate's: valid until
+// the gate routes again after the plan's Backward. Expert-major buffers are
 // (E, S, M) with a block stride S ≥ plan.Capacity chosen by the caller —
 // slot s of expert e is row e·S+s — so a World scatters straight into its
 // rank-divisible padded layout. The pad rows [Capacity, S) of a block are

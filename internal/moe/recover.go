@@ -1,17 +1,16 @@
 package moe
 
-// Elastic recovery: the other half of PR 6's fault tolerance. Degraded
+// Elastic recovery: the other half of the fault tolerance. Degraded
 // mode keeps a pass alive when a rank dies, but the world then degrades
 // monotonically — lost expert state is gone and the dead experts stay
 // frozen until a manual ResetHealth. Recover instead rebuilds: the
 // training state rolls back to a checkpoint, the dead rank's experts are
-// re-assigned across the surviving ranks (shrink) or onto a replacement
-// rank (rejoin), the restored weights of every re-placed expert travel a
-// guarded Broadcast to their new owner (the FastMoE "shadowing" /
-// FlexMoE re-placement move, driven by failure instead of routing skew),
-// and the plan builder re-emits its collective chains for the new
-// placement on the next pass — plan construction derives entirely from
-// the world config, so nothing is patched in place. Every strategy
+// re-assigned across the surviving ranks (shrink), the restored weights of
+// every re-placed expert travel a guarded Broadcast to their new owner (the
+// FastMoE "shadowing" / FlexMoE re-placement move, driven by failure instead
+// of routing skew), and the plan builder re-emits its collective chains for
+// the new placement on the next pass — plan construction derives entirely
+// from the world config, so nothing is patched in place. Every strategy
 // recovers as itself: a new (R′, g′) is the same builder call, with ESP at
 // g′ = R′ and Hybrid at g′ = gcd(g, R′), the widest group the old one and
 // the new rank count both admit.
@@ -42,14 +41,9 @@ const (
 	// contiguous owner mapping (expert e → rank e·R'/E) re-distributes every
 	// expert across the survivors.
 	RecoverShrink RecoveryMode = "shrink"
-	// RecoverRejoin keeps the rank count: the dead rank is replaced by a
-	// fresh worker that receives its expert shard from the checkpoint —
-	// the "failed worker replaced" transition, now with restored state
-	// instead of frozen parameters.
-	RecoverRejoin RecoveryMode = "rejoin"
 )
 
-// RecoveryPolicy configures Recover; the zero value shrinks.
+// RecoveryPolicy configures Recover; the zero value shrinks, the one mode.
 type RecoveryPolicy struct {
 	Mode RecoveryMode // default RecoverShrink
 }
@@ -116,25 +110,22 @@ func RecoverWorlds(worlds []*World, s *ckpt.Snapshot, pol RecoveryPolicy) ([]*Re
 	if mode == "" {
 		mode = RecoverShrink
 	}
+	if mode != RecoverShrink {
+		return nil, fmt.Errorf("moe: recover: unknown mode %q (valid: %s)", mode, RecoverShrink)
+	}
 	oldR := worlds[0].cfg.Ranks
-	newR := oldR
-	switch mode {
-	case RecoverRejoin:
-	case RecoverShrink:
-	shrink:
-		for newR = oldR - 1; newR >= 1; newR-- {
-			for _, w := range worlds {
-				if len(w.layer.cfg.Experts)%newR != 0 {
-					continue shrink
-				}
+	newR := oldR - 1
+shrink:
+	for ; newR >= 1; newR-- {
+		for _, w := range worlds {
+			if len(w.layer.cfg.Experts)%newR != 0 {
+				continue shrink
 			}
-			break
 		}
-		if newR == 0 {
-			return nil, fmt.Errorf("moe: recover: no rank count below %d divides every layer's expert count", oldR)
-		}
-	default:
-		return nil, fmt.Errorf("moe: recover: unknown mode %q (valid: %s, %s)", mode, RecoverShrink, RecoverRejoin)
+		break
+	}
+	if newR == 0 {
+		return nil, fmt.Errorf("moe: recover: no rank count below %d divides every layer's expert count", oldR)
 	}
 	cfgs := make([]WorldConfig, len(worlds))
 	pls := make([]placement, len(worlds))
@@ -207,8 +198,9 @@ func (w *World) recoverTo(ws *ckpt.WorldState, params []float64, mode RecoveryMo
 	w.applyRestore(ws)
 
 	// Re-place weights: every expert whose owner changed under the new
-	// contiguous mapping — including the dead rank's whole shard in rejoin
-	// mode — receives its restored parameters over a guarded Broadcast
+	// contiguous mapping — and the dead rank's whole shard, whose owner index
+	// may survive (a dead rank 0's experts stay with rank 0) — receives its
+	// restored parameters over a guarded Broadcast
 	// from rank 0 (the checkpoint reader), so the recovery traffic is
 	// measured and chaos injection reaches it like any other collective.
 	newEgrp := e / newR

@@ -290,55 +290,6 @@ func TestWorldRecoverBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWorldRecoverRejoin: rejoin mode keeps the rank count — the dead
-// rank is replaced and its expert shard restored from the checkpoint —
-// and the recovered world is bit-identical to the sequential reference.
-func TestWorldRecoverRejoin(t *testing.T) {
-	x := tensor.RandN(xrand.New(207), 1, 96, 32)
-	dy := tensor.RandN(xrand.New(208), 1, 96, 32)
-	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := SnapshotWorlds([]*World{w})
-
-	w.SetFaultPlan(fault.New(fault.Spec{Seed: 3, Down: &fault.Down{Rank: 1, Kind: KindExpert}}))
-	layer.ZeroGrad()
-	_, cache, err := w.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Backward(cache, dy); err != nil {
-		t.Fatal(err)
-	}
-	reps, err := RecoverWorlds([]*World{w}, snap, RecoveryPolicy{Mode: RecoverRejoin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := reps[0]
-	if rep.OldRanks != 4 || rep.NewRanks != 4 {
-		t.Fatalf("rejoin changed the rank count: %+v", rep)
-	}
-	if fmt.Sprint(rep.MovedExperts) != fmt.Sprint([]int{2, 3}) {
-		t.Fatalf("MovedExperts = %v, want the dead rank's shard [2 3]", rep.MovedExperts)
-	}
-
-	// The replacement rank steps at full strength, bit-identical to the
-	// sequential reference on the restored parameters.
-	want := runSequentialLayer(t, worldLayer(t, "gshard", TutelOrder{}, false, false), x, dy)
-	layer.ZeroGrad()
-	y, cache2, err := w.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dx, err := w.Backward(cache2, dy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareSnapshots(t, "post-rejoin", want, worldSnapshot{y: y, dx: dx, grads: snapGrads(layer)})
-}
-
 // TestWorldRecoverKeepsStrategy: a sharded world recovers as itself — a
 // hybrid g=2 world at R=4 as hybrid g′ = gcd(2, 2) = 2 at R′=2, an ESP world
 // as ESP at R′=2 — and the recovered world passes bit-identically to a fresh
@@ -452,7 +403,7 @@ func TestWorldRecoverMatchesResetHealth(t *testing.T) {
 	manual.ResetHealth()
 
 	recovered := degrade()
-	if _, err := RecoverWorlds([]*World{recovered}, snap, RecoveryPolicy{Mode: RecoverRejoin}); err != nil {
+	if _, err := RecoverWorlds([]*World{recovered}, snap, RecoveryPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 

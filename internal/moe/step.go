@@ -102,10 +102,12 @@ type StepResult struct {
 
 	// Plans and Traces hold each layer's backward stream plan and measured
 	// trace in backward (reverse stack) order; the AllReduce slices appear
-	// as "AllReduce"-kind tasks on the inter stream. Layers that completed
-	// on the degraded path contribute no plan/trace (their entries are
-	// skipped — see Degraded). They are the worlds' resident plans and each
-	// plan's one trace, not copies: valid until the world's next pass.
+	// as "AllReduce"-kind tasks on the inter stream. A layer whose pass ran
+	// on its survivors' layer (see Degraded) contributes its aborted
+	// backward plan, when the rank was lost there, and nothing otherwise:
+	// the world keeps no trace of the survivors' passes. They are the
+	// worlds' resident plans and each plan's one trace, not copies: valid
+	// until the world's next pass.
 	Plans  []*runtime.Plan
 	Traces []*sim.Trace
 
@@ -355,8 +357,8 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 			res.Traces = append(res.Traces, tr)
 		}
 		if deg := w.LastDegraded(); deg != nil {
-			// RecoveryMS spans the whole degraded pass (forward fallback
-			// included); charge it to the backward total once.
+			// RecoveryMS spans the whole degraded pass (the survivors'
+			// forward included); charge it to the backward total once.
 			res.BackwardMS += deg.RecoveryMS
 			res.Degraded = append(res.Degraded, deg)
 		}
@@ -441,10 +443,15 @@ func checkStack(op string, worlds []*World) error {
 var ErrStepInputAliased = errors.New("moe: step input shares memory with a stack-owned step output")
 
 // checkUnaliased rejects an x or dy in memory the step overwrites: a slot of
-// a stack world's idle workspace, where the last step left its output and
-// input gradient.
+// a stack world's idle workspace, or of its survivors' World's, where the
+// last step left its output and input gradient.
 func checkUnaliased(worlds []*World, x, dy *tensor.Tensor) error {
 	for _, w := range worlds {
+		if w.surv != nil && w.surv.w != nil {
+			if err := checkUnaliased([]*World{w.surv.w}, x, dy); err != nil {
+				return err
+			}
+		}
 		if w.ws == nil {
 			continue
 		}

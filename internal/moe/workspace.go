@@ -213,11 +213,15 @@ func (w *World) checkout(capacity int) *workspace {
 }
 
 // release retires a cache — it drives at most one backward — and hands its
-// workspace back to the world.
+// workspace back to the world, and a degraded cache's to the survivors'
+// World.
 func (w *World) release(cache *WorldCache) {
 	cache.combined = nil
 	if cache.ws != nil {
 		w.ws, cache.ws = cache.ws, nil
+	}
+	if d := cache.deg; d != nil {
+		d.sw.release(d.cache)
 	}
 }
 

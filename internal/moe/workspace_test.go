@@ -36,7 +36,7 @@ func strategyStack(t *testing.T, layers int, cfg WorldConfig) []*World {
 // row are bit-identical to the twin's.
 func sameAsTwin(t *testing.T, label string, got, want *StepResult) {
 	t.Helper()
-	if got.Y.MaxAbsDiff(want.Y) != 0 || got.DX.MaxAbsDiff(want.DX) != 0 {
+	if sameBits(got.Y.Data(), want.Y.Data()) != nil || sameBits(got.DX.Data(), want.DX.Data()) != nil {
 		t.Fatalf("%s: output or input gradient diverges from the twin", label)
 	}
 	if len(want.RankParams) != 1 {

@@ -83,12 +83,14 @@ type World struct {
 	// executed plan (and, via collGuard, into the collectives themselves),
 	// an optional per-plan deadline, and the world's rank-health state. down is the
 	// permanently failed rank (-1 while all ranks are healthy); once a rank
-	// is down every pass runs on the degraded path until ResetHealth.
+	// is down every pass runs on the survivors' layer surv (degraded.go),
+	// built at the first degraded pass, until ResetHealth.
 	faults   *fault.Plan
 	deadline time.Duration
 	collOps  int // collectives guarded so far: deterministic guard op ids
 	down     int
 	degraded *DegradedResult
+	surv     *MOELayer
 	closed   bool
 
 	steps int // completed training steps on this world (telemetry ordinal)
@@ -301,11 +303,12 @@ func (w *World) Stats() comm.Stats {
 // LastPlan and LastTrace return the stream plan and measured trace of the
 // most recent pass: LastTrace().Gantt(120) renders the measured Fig. 3, and
 // LastPlan().SimulateWith(runtime.Durations(LastTrace())) predicts the
-// pipelined makespan from sequential measurements. Both are nil after a
-// pass that ran entirely on the degraded sequential path (no stream plan
-// exists for it). Both are resident, not copies: the world replays a plan
-// pass after pass, and each execution rewrites the plan's one trace, so
-// they are valid until the world's next pass.
+// pipelined makespan from sequential measurements. After a permanent rank
+// loss they are the aborted plan and its trace; both are nil after a pass
+// that ran entirely on the survivors' layer (degraded.go), whose plans the
+// world keeps no trace of. Both are resident, not copies: the world replays
+// a plan pass after pass, and each execution rewrites the plan's one trace,
+// so they are valid until the world's next pass.
 func (w *World) LastPlan() *runtime.Plan { return w.lastPlan }
 func (w *World) LastTrace() *sim.Trace   { return w.lastTr }
 
@@ -331,16 +334,17 @@ func (w *World) Health() []bool {
 	return h
 }
 
-// ResetHealth clears the rank-down state, the last degraded report, and
-// the aborted pass's stream plan and trace — the "failed worker replaced"
-// transition back to full-strength stepping. After ResetHealth the world
-// reports exactly the health state elastic recovery leaves behind
-// (recover.go), so tooling can treat the two transitions uniformly. Dead
-// experts kept zero gradients while degraded, so their parameters resume
-// unchanged.
+// ResetHealth clears the rank-down state, the last degraded report, the
+// survivors' layer and the aborted pass's stream plan and trace — the
+// "failed worker replaced" transition back to full-strength stepping. After
+// ResetHealth the world reports exactly the health state elastic recovery
+// leaves behind (recover.go), so tooling can treat the two transitions
+// uniformly. Dead experts kept zero gradients while degraded, so their
+// parameters resume unchanged.
 func (w *World) ResetHealth() {
 	w.down = -1
 	w.degraded = nil
+	w.surv = nil
 	w.lastPlan = nil
 	w.lastTr = nil
 }
@@ -373,7 +377,7 @@ type WorldCache struct {
 	spad, tpad int
 	ws         *workspace     // checked out by Forward, handed back by Backward; holds the expert passes
 	combined   *tensor.Tensor // (E, Tpad, M): the combine hooks' result, the experts' outputs in rows [0, T) of each block
-	deg        *degradedState // non-nil when the forward ran degraded
+	deg        *degradedState // non-nil when the forward ran on the survivors' layer
 }
 
 // Task kinds in the trace breakdown — aliases of the canonical sim
@@ -437,8 +441,8 @@ func (w *World) run(lp *layerPlan) error {
 // or (N, M). Results are
 // bit-identical to MOELayer.Forward on the same layer and input under
 // every strategy. A permanent rank failure mid-plan does not abort: the
-// pass completes on the degraded path (see degraded.go) and LastDegraded
-// reports what was lost.
+// pass completes on the survivors' layer (see degraded.go) and
+// LastDegraded reports what was lost.
 func (w *World) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCache, error) {
 	return w.forward(x, train, false)
 }
@@ -460,11 +464,22 @@ func (w *World) forward(x *tensor.Tensor, train, owned bool) (*tensor.Tensor, *W
 		return nil, nil, err
 	}
 	if w.down >= 0 {
-		// The world is already degraded: skip plan construction entirely
-		// and run the sequential fallback around the dead rank.
+		// The world is already degraded: the pass runs on the survivors'
+		// layer alone.
 		w.lastPlan, w.lastTr = nil, nil
-		return w.degradedForward(pr, 0, fmt.Sprintf("rank %d still down", w.down))
+		return w.degradedForward(pr, owned, "forward", 0, fmt.Sprintf("rank %d still down", w.down))
 	}
+	y, cache, err := w.pass(pr, owned)
+	if rank, ok := fault.PermanentRank(err); ok {
+		w.down = rank
+		return w.degradedForward(pr, owned, "forward", retriesIn(w.lastTr), err.Error())
+	}
+	return y, cache, err
+}
+
+// pass runs a forward pass from the prolog pr on the world's plans; owned
+// is forward's. A failed pass drops its cache.
+func (w *World) pass(pr *forwardProlog, owned bool) (*tensor.Tensor, *WorldCache, error) {
 	R, mdim := w.cfg.Ranks, w.layer.cfg.M
 	plan := pr.plan
 	spad := (plan.Capacity + R - 1) / R
@@ -488,11 +503,6 @@ func (w *World) forward(x *tensor.Tensor, train, owned bool) (*tensor.Tensor, *W
 
 	if err := w.run(w.forwardPlan(cache, src, pr.flat.Data(), combined)); err != nil {
 		// Every task has drained; nothing of the aborted pass is read again.
-		if rank, ok := fault.PermanentRank(err); ok {
-			w.release(cache)
-			w.down = rank
-			return w.degradedForward(pr, retriesIn(w.lastTr), err.Error())
-		}
 		w.drop(cache)
 		return nil, nil, err
 	}
@@ -525,10 +535,9 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, owned bool) (*ten
 		return nil, fmt.Errorf("moe: world backward needs a forward cache")
 	}
 	if cache.deg != nil {
-		// The forward already ran degraded; its cache pairs only with the
-		// degraded backward.
+		// The forward ran on the survivors' layer; so does the backward.
 		w.lastPlan, w.lastTr = nil, nil
-		return w.degradedBackward(cache, dy)
+		return w.degradedBackward(cache, dy, owned)
 	}
 	pr, ws := cache.pr, cache.ws
 	plan := pr.plan
@@ -552,12 +561,21 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, owned bool) (*ten
 	dx := ws.route.dx
 	ws.route = routeState{}
 	if err != nil {
-		if rank, ok := fault.PermanentRank(err); ok {
-			w.down = rank
-			return w.degradedBackwardRecover(cache, dy, retriesIn(w.lastTr), err.Error())
-		}
 		// Every task has drained; nothing of the aborted pass is read again.
 		w.drop(cache)
+		if rank, ok := fault.PermanentRank(err); ok {
+			// The survivors' forward runs again under the routing kept, to
+			// begin the passes their backward continues; the aborted plan's
+			// partial gradients are restarted from zero.
+			w.down = rank
+			w.layer.ZeroGrad()
+			clear(w.written)
+			_, dcache, err := w.degradedForward(pr, true, "backward", retriesIn(w.lastTr), err.Error())
+			if err != nil {
+				return nil, err
+			}
+			return w.degradedBackward(dcache, dy, owned)
+		}
 		return nil, err
 	}
 	w.release(cache)

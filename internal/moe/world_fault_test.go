@@ -548,3 +548,103 @@ func TestWorldDegradedRunsHooks(t *testing.T) {
 		}
 	}
 }
+
+// planGate routes every input to one fixed plan and contributes no
+// gradient: the router a degraded pass freezes, over the plan it ran.
+type planGate struct{ plan *DispatchPlan }
+
+func (g planGate) Name() string { return "plan" }
+func (g planGate) Route(x *tensor.Tensor, _ bool) (*DispatchPlan, *RouteCache, error) {
+	return g.plan, &RouteCache{X: x, Plan: g.plan}, nil
+}
+func (planGate) Backward(dx *tensor.Tensor, _ *RouteCache, _ *PlanGrad) { clear(dx.Data()) }
+func (planGate) Params() []*Param                                       { return nil }
+
+// TestWorldDegradedMatchesOracle: a pass that loses rank 1, in its forward
+// or in its backward plan, under EP, ESP and hybrid g = 2 at R = 4, gives
+// the oracle's Y (of a forward-time loss), dx and expert gradients, run over
+// the surviving experts on survivorPlan's plan with a frozen router; the dead
+// experts' and the gate's gradients are exactly zero.
+func TestWorldDegradedMatchesOracle(t *testing.T) {
+	x := tensor.RandN(xrand.New(361), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(362), 1, 96, 32)
+	for _, cfg := range []WorldConfig{
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2},
+	} {
+		for _, phase := range []string{"forward", "backward"} {
+			label := fmt.Sprintf("%s g=%d %s-time loss", cfg.Strategy, cfg.GroupSize, phase)
+			layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
+			w, err := NewWorld(layer, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := 1*w.egrp, 2*w.egrp
+			routed, _, err := layer.cfg.Gate.Route(x.Reshape(96, 32), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, rerouted, dropped := survivorPlan(routed, lo, hi, phase == "forward")
+			oracle, err := NewMOELayer(LayerConfig{M: layer.cfg.M, Gate: planGate{plan}, Order: layer.cfg.Order,
+				Experts: append(layer.cfg.Experts[:lo:lo], layer.cfg.Experts[hi:]...)})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			down := fault.New(fault.Spec{Seed: 3, Down: &fault.Down{Rank: 1, Kind: KindExpert}})
+			if phase == "forward" {
+				w.SetFaultPlan(down)
+			}
+			layer.ZeroGrad()
+			y, cache, err := w.Forward(x, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.SetFaultPlan(down)
+			dx, err := w.Backward(cache, dy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deg := w.LastDegraded()
+			if deg == nil || deg.Phase != phase || fmt.Sprint(deg.LostExperts) != fmt.Sprint(lostList(lo, hi)) {
+				t.Fatalf("%s: DegradedResult = %+v", label, deg)
+			}
+			if deg.ReroutedTokens != rerouted || deg.DroppedTokens != dropped {
+				t.Fatalf("%s: rerouted/dropped %d/%d, survivorPlan's %d/%d", label, deg.ReroutedTokens, deg.DroppedTokens, rerouted, dropped)
+			}
+			expectZeroGrads(t, layer, deg.LostExperts, label)
+			expectZeroGateGrads(t, layer, label)
+			got := worldSnapshot{y: y, dx: dx, grads: snapGrads(oracle)} // the survivors' gradients
+			want := runSequentialLayer(t, oracle, x, dy)
+			if phase == "backward" {
+				want.y = got.y // the forward ran at full strength
+			}
+			compareSnapshots(t, label, want, got)
+			w.Close()
+		}
+	}
+}
+
+// TestStepRejectsAliasedDegradedOutputs: once a layer runs on its
+// survivors' layer, the stack-owned outputs live in the survivors' World's
+// workspace, and a step fed them is refused all the same.
+func TestStepRejectsAliasedDegradedOutputs(t *testing.T) {
+	x := tensor.RandN(xrand.New(363), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(364), 1, 96, 32)
+	ws := stepStack(t, 1, 4, 2, false)
+	ws[0].SetFaultPlan(fault.New(fault.Spec{Seed: 6, Down: &fault.Down{Rank: 1, Kind: KindExpert}}))
+	cfg := StepConfig{LR: 0.05}
+	res, err := StepWorlds(ws, x, dy, cfg)
+	if err != nil || len(res.Degraded) == 0 {
+		t.Fatalf("degraded step: err %v, %d degraded passes", err, len(res.Degraded))
+	}
+	for _, bad := range []struct {
+		name  string
+		x, dy *tensor.Tensor
+	}{{"x = Y", res.Y, dy}, {"dy = DX", x, res.DX}} {
+		if _, err := StepWorlds(ws, bad.x, bad.dy, cfg); !errors.Is(err, ErrStepInputAliased) {
+			t.Fatalf("%s: err %v, want ErrStepInputAliased", bad.name, err)
+		}
+	}
+}

@@ -110,21 +110,26 @@ func runWorld(t *testing.T, l *MOELayer, cfg WorldConfig, x, dy *tensor.Tensor, 
 	return worldSnapshot{y: y, dx: dx, grads: snapGrads(l)}
 }
 
+// compareSnapshots fails unless got holds want's bits: a NaN, which a read
+// of poisoned workspace memory leaves, or a −0 for a +0 differs too.
 func compareSnapshots(t *testing.T, label string, want, got worldSnapshot) {
 	t.Helper()
-	if got.y.MaxAbsDiff(want.y) != 0 {
-		t.Fatalf("%s: forward output not bit-identical (max diff %v)", label, got.y.MaxAbsDiff(want.y))
+	same := func(what string, want, got *tensor.Tensor) {
+		t.Helper()
+		if !got.SameShape(want) {
+			t.Fatalf("%s: %s shaped %v, want %v", label, what, got.Shape(), want.Shape())
+		}
+		if err := sameBits(got.Data(), want.Data()); err != nil {
+			t.Fatalf("%s: %s not bit-identical: %v", label, what, err)
+		}
 	}
-	if got.dx.MaxAbsDiff(want.dx) != 0 {
-		t.Fatalf("%s: input gradient not bit-identical (max diff %v)", label, got.dx.MaxAbsDiff(want.dx))
-	}
+	same("forward output", want.y, got.y)
+	same("input gradient", want.dx, got.dx)
 	if len(want.grads) != len(got.grads) {
 		t.Fatalf("%s: %d vs %d parameter gradients", label, len(want.grads), len(got.grads))
 	}
 	for i := range want.grads {
-		if got.grads[i].MaxAbsDiff(want.grads[i]) != 0 {
-			t.Fatalf("%s: param grad %d not bit-identical (max diff %v)", label, i, got.grads[i].MaxAbsDiff(want.grads[i]))
-		}
+		same(fmt.Sprintf("param grad %d", i), want.grads[i], got.grads[i])
 	}
 }
 
