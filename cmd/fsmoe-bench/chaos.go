@@ -130,7 +130,7 @@ func chaosExperiment(iters int) error {
 				if it == 0 && rate > 0 {
 					captureTrace(fmt.Sprintf("chaos %s rate=%.2f bwd", strat, rate), w.LastTrace())
 				}
-				if y.MaxAbsDiff(ref) != 0 {
+				if !y.SameBits(ref) {
 					identical = false
 				}
 			}

@@ -74,7 +74,7 @@ func main() {
 		fmt.Printf("  [%s] %s kind=%s stream=%s attempt=%d %s\n",
 			ev.Type, ev.Label, ev.Kind, ev.Stream, ev.Attempt, ev.Detail)
 	}
-	if y.MaxAbsDiff(ref) != 0 {
+	if !y.SameBits(ref) {
 		log.Fatal("chaos pass diverged from the clean pass")
 	}
 	fmt.Println("chaos pass output is bit-identical to the clean pass")
@@ -104,7 +104,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if y2.MaxAbsDiff(ref) != 0 {
+	if !y2.SameBits(ref) {
 		log.Fatal("post-recovery pass diverged from the clean pass")
 	}
 	fmt.Println("after ResetHealth: full-strength pass restored, bit-identical to the clean pass")

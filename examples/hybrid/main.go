@@ -69,7 +69,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if y.MaxAbsDiff(wantY) != 0 || dx.MaxAbsDiff(wantDx) != 0 {
+		if !y.SameBits(wantY) || !dx.SameBits(wantDx) {
 			log.Fatalf("hybrid g=%d diverged from the reference layer", g)
 		}
 		kinds := map[string]int{}

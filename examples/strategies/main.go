@@ -64,7 +64,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if y.MaxAbsDiff(wantY) != 0 || dx.MaxAbsDiff(wantDx) != 0 {
+		if !y.SameBits(wantY) || !dx.SameBits(wantDx) {
 			log.Fatalf("strategy %s diverged from the reference layer", strat)
 		}
 		kinds := map[string]int{}

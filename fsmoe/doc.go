@@ -109,12 +109,12 @@
 // where the CPU has AVX-512F): the two are bit-identical, and every
 // bit-identity contract in this package (World ≡ Layer, chunked ≡
 // monolithic, recovered ≡ fresh) holds across them. The activations and the
-// gates' exponentials are the tensor package's own exp and tanh, not the
+// gates' exponentials are the tensor package's own exp and σ, not the
 // math package's, whose amd64 exp rounds differently with and without FMA.
 // So on amd64 a step's parameters do not depend on the CPU: the pinned
 // hashes of TestStepParamHashesPinned are the same with the kernels, with
 // -tags purego, and with GODEBUG=cpu.fma=off. (Across GOARCH only the GEMMs
-// and exp/tanh/σ are bit-identical by construction; the rest of the step
+// and exp/σ are bit-identical by construction; the rest of the step
 // is plain Go, which arm64's compiler may fuse differently.) The kernels are picked once at
 // start-up from CPUID; a host without AVX2 or FMA, another architecture or
 // a -tags purego build runs the loops alone, several times slower. Which

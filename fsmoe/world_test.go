@@ -54,11 +54,11 @@ func TestWorldMatchesLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotY.MaxAbsDiff(wantY) != 0 || gotDx.MaxAbsDiff(wantDx) != 0 {
+	if !gotY.SameBits(wantY) || !gotDx.SameBits(wantDx) {
 		t.Fatal("world output or input gradient differs from the layer path")
 	}
 	for i, p := range layer.Params() {
-		if p.G.MaxAbsDiff(wantGrads[i]) != 0 {
+		if !p.G.SameBits(wantGrads[i]) {
 			t.Fatalf("param grad %d differs from the layer path", i)
 		}
 	}
@@ -247,7 +247,7 @@ func TestWorldStrategySurface(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotY.MaxAbsDiff(wantY) != 0 || gotDx.MaxAbsDiff(wantDx) != 0 {
+		if !gotY.SameBits(wantY) || !gotDx.SameBits(wantDx) {
 			t.Fatalf("strategy %s differs from the layer path", strat)
 		}
 	}
@@ -292,7 +292,7 @@ func TestWorldAutoStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotY.MaxAbsDiff(wantY) != 0 || gotDx.MaxAbsDiff(wantDx) != 0 {
+	if !gotY.SameBits(wantY) || !gotDx.SameBits(wantDx) {
 		t.Fatal("dense-slots world differs from the layer path")
 	}
 
@@ -355,7 +355,7 @@ func TestWorldFaultSurface(t *testing.T) {
 		MaxTransientsPerTask: 2,
 	}))
 	y := pass()
-	if y.MaxAbsDiff(ref) != 0 {
+	if !y.SameBits(ref) {
 		t.Fatal("chaos pass diverged from fault-free pass")
 	}
 
@@ -375,7 +375,7 @@ func TestWorldFaultSurface(t *testing.T) {
 	// Recovery and close semantics.
 	w.SetFaultPlan(nil)
 	w.ResetHealth()
-	if y2 := pass(); y2.MaxAbsDiff(ref) != 0 {
+	if y2 := pass(); !y2.SameBits(ref) {
 		t.Fatal("post-ResetHealth pass diverged from fault-free pass")
 	}
 	if err := w.Close(); err != nil {
@@ -456,7 +456,7 @@ func TestWorldHybridSurface(t *testing.T) {
 	if _, err := ref.Backward(c2, dy); err != nil {
 		t.Fatal(err)
 	}
-	if y1.MaxAbsDiff(y2) != 0 {
+	if !y1.SameBits(y2) {
 		t.Fatal("hybrid world with automatic degrees differs from the configured one")
 	}
 }

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math"
+	"math/rand/v2"
 	"sort"
 	"testing"
 
@@ -87,8 +88,8 @@ func TestChunkedRingAllReduceBitIdentical(t *testing.T) {
 func TestRingAllReduceChunkProperty(t *testing.T) {
 	rng := xrand.New(41)
 	for trial := 0; trial < 200; trial++ {
-		p := []int{2, 3, 4, 8}[rng.Intn(4)]
-		n := 1 + rng.Intn(300)
+		p := []int{2, 3, 4, 8}[int(rng.Uint64()%4)]
+		n := 1 + int(rng.Uint64()%300)
 		if n%p == 0 {
 			n++
 		}
@@ -105,13 +106,13 @@ func TestRingAllReduceChunkProperty(t *testing.T) {
 		}
 		// A random tiling of [0, n): random cut points, empty tiles allowed.
 		cuts := []int{0, n}
-		for i := rng.Intn(6); i > 0; i-- {
-			cuts = append(cuts, rng.Intn(n+1))
+		for i := int(rng.Uint64() % 6); i > 0; i-- {
+			cuts = append(cuts, int(rng.Uint64()%uint64(n+1)))
 		}
 		sort.Ints(cuts)
 		got := cloneRanks(ref)
 		var st Stats
-		for _, i := range rng.Perm(len(cuts) - 1) {
+		for _, i := range rand.New(rng).Perm(len(cuts) - 1) {
 			cst, err := RingAllReduceChunk(got, 2, RowRange{Lo: cuts[i], Hi: cuts[i+1]})
 			if err != nil {
 				t.Fatal(err)
@@ -287,14 +288,14 @@ func untiledRing(data [][]float64, gpusPerNode int, rr RowRange) Stats {
 func TestRingAllReduceTiledMatchesUntiled(t *testing.T) {
 	rng := xrand.New(733)
 	for trial := 0; trial < 60; trial++ {
-		p := 1 + rng.Intn(5)
-		n := RingTile + rng.Intn(4*RingTile)
-		g := []int{0, 1, 2, p}[rng.Intn(4)]
-		lo := rng.Intn(n / 2)
+		p := 1 + int(rng.Uint64()%5)
+		n := RingTile + int(rng.Uint64()%uint64(4*RingTile))
+		g := []int{0, 1, 2, p}[int(rng.Uint64()%4)]
+		lo := int(rng.Uint64() % uint64(n/2))
 		if trial%3 == 0 {
 			lo = (lo / RingTile) * RingTile // some ranges start on a tile edge
 		}
-		rr := RowRange{Lo: lo, Hi: lo + rng.Intn(n-lo+1)}
+		rr := RowRange{Lo: lo, Hi: lo + int(rng.Uint64()%uint64(n-lo+1))}
 		ref := randRanks(uint64(5000+trial), p, n)
 
 		want, got := cloneRanks(ref), cloneRanks(ref)

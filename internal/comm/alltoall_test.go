@@ -43,10 +43,10 @@ func TestDirectAlltoAllSemantics(t *testing.T) {
 func TestHierarchicalAlltoAllsMatchDirect(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		nodes := 1 + r.Intn(4)
-		g := 1 + r.Intn(4)
+		nodes := 1 + int(r.Uint64()%4)
+		g := 1 + int(r.Uint64()%4)
 		p := nodes * g
-		b := 1 + r.Intn(5)
+		b := 1 + int(r.Uint64()%5)
 		data := randWorld(r, p, p*b)
 		want := alltoallOracle(data)
 		for _, algo := range []A2AAlgo{A2ADirect, A2A1DH, A2A2DH} {
@@ -67,10 +67,10 @@ func TestHierarchicalAlltoAllsMatchDirect(t *testing.T) {
 func TestAlltoAllInvolution(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		nodes := 1 + r.Intn(3)
-		g := 1 + r.Intn(4)
+		nodes := 1 + int(r.Uint64()%3)
+		g := 1 + int(r.Uint64()%4)
 		p := nodes * g
-		b := 1 + r.Intn(4)
+		b := 1 + int(r.Uint64()%4)
 		data := randWorld(r, p, p*b)
 		for _, algo := range []A2AAlgo{A2ADirect, A2A1DH, A2A2DH} {
 			mid, _, err := wholeAlltoAll(algo, data, g)

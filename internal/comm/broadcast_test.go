@@ -55,10 +55,10 @@ func TestBroadcast(t *testing.T) {
 func TestBroadcastProperty(t *testing.T) {
 	rng := xrand.New(4242)
 	for trial := 0; trial < 200; trial++ {
-		p := []int{1, 2, 3, 4, 8}[rng.Intn(5)]
-		n := rng.Intn(200)
-		g := []int{0, 1, 2, 3, p}[rng.Intn(5)]
-		root := rng.Intn(p)
+		p := []int{1, 2, 3, 4, 8}[int(rng.Uint64()%5)]
+		n := int(rng.Uint64() % 200)
+		g := []int{0, 1, 2, 3, p}[int(rng.Uint64()%5)]
+		root := int(rng.Uint64() % uint64(p))
 		ref := randRanks(uint64(trial), p, n)
 		got := cloneRanks(ref)
 		st, err := Broadcast(got, root, g)

@@ -30,8 +30,8 @@ func cloneWorld(data [][]float64) [][]float64 {
 func TestRingAllReduceEqualsSum(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		p := 2 + r.Intn(7)
-		n := 1 + r.Intn(40)
+		p := 2 + int(r.Uint64()%7)
+		n := 1 + int(r.Uint64()%40)
 		data := randWorld(r, p, n)
 		want := make([]float64, n)
 		for _, d := range data {

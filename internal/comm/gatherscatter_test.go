@@ -14,10 +14,10 @@ import (
 func TestRingIntoVariantsMatchAllocating(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		nodes := 1 + r.Intn(3)
-		g := 1 + r.Intn(3)
+		nodes := 1 + int(r.Uint64()%3)
+		g := 1 + int(r.Uint64()%3)
 		p := nodes * g
-		n := p * (1 + r.Intn(4))
+		n := p * (1 + int(r.Uint64()%4))
 		data := randWorld(r, p, n)
 
 		wantAG, stAG, err := ringAllGather(data, g)

@@ -125,8 +125,8 @@ func wholeAlltoAll(algo A2AAlgo, data [][]float64, gpusPerNode int) ([][]float64
 func TestRingAllGather(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		p := 2 + r.Intn(7)
-		n := 1 + r.Intn(20)
+		p := 2 + int(r.Uint64()%7)
+		n := 1 + int(r.Uint64()%20)
 		data := randWorld(r, p, n)
 		out, _, err := ringAllGather(data, 0)
 		if err != nil {
@@ -151,8 +151,8 @@ func TestRingAllGather(t *testing.T) {
 func TestRingReduceScatter(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		p := 2 + r.Intn(7)
-		seg := 1 + r.Intn(10)
+		p := 2 + int(r.Uint64()%7)
+		seg := 1 + int(r.Uint64()%10)
 		n := p * seg
 		data := randWorld(r, p, n)
 		orig := cloneWorld(data)
@@ -221,7 +221,7 @@ func indexedSource(rng *xrand.RNG, x []float64, rows, width, tokens int, scaled 
 	}
 	tile := make([]float64, rows*width)
 	for t := range b.Index {
-		i := rng.Intn(tokens+2) - 2
+		i := int(rng.Uint64()%uint64(tokens+2)) - 2
 		b.Index[t] = max(i, -1)
 		if b.Index[t] < 0 {
 			continue // the tile's +0
@@ -229,7 +229,7 @@ func indexedSource(rng *xrand.RNG, x []float64, rows, width, tokens int, scaled 
 		a := 1.0
 		if scaled {
 			a = rng.NormFloat64()
-			if rng.Intn(6) == 0 {
+			if int(rng.Uint64()%6) == 0 {
 				a = 0
 			}
 			b.Scale[t] = a
@@ -258,7 +258,7 @@ func TestIndexedSourcesMatchMaterialized(t *testing.T) {
 			xs[r] = make([]float64, tokens*width)
 			for i := range xs[r] {
 				xs[r][i] = rng.NormFloat64()
-				if rng.Intn(7) == 0 {
+				if int(rng.Uint64()%7) == 0 {
 					xs[r][i] = math.Copysign(0, -1)
 				}
 			}

@@ -13,12 +13,12 @@ import (
 func randomTiling(rng *xrand.RNG, rows int) []RowRange {
 	var out []RowRange
 	for lo := 0; lo < rows; {
-		hi := lo + 1 + rng.Intn(rows-lo)
+		hi := lo + 1 + int(rng.Uint64()%uint64(rows-lo))
 		out = append(out, RowRange{Lo: lo, Hi: hi})
 		lo = hi
 	}
 	for i := len(out) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
+		j := int(rng.Uint64() % uint64(i+1))
 		out[i], out[j] = out[j], out[i]
 	}
 	return out
@@ -58,15 +58,15 @@ type carved struct {
 
 func carve(rng *xrand.RNG, rows, width int) carved {
 	stride := width
-	if rng.Intn(2) == 0 {
-		stride += 1 + rng.Intn(3)
+	if int(rng.Uint64()%2) == 0 {
+		stride += 1 + int(rng.Uint64()%3)
 	}
-	off := rng.Intn(3)
+	off := int(rng.Uint64() % 3)
 	span := 0
 	if width > 0 {
 		span = (rows-1)*stride + width
 	}
-	arena := nanBuffers(1, off+span+rng.Intn(3))[0]
+	arena := nanBuffers(1, off+span+int(rng.Uint64()%3))[0]
 	return carved{Block{Data: arena[off : off+span], Width: width, Stride: stride}, arena, off, rows}
 }
 
@@ -77,7 +77,7 @@ func (c carved) fill(rng *xrand.RNG) []float64 {
 	for t := 0; t < c.nrows; t++ {
 		for col := 0; col < c.Width; col++ {
 			v := rng.NormFloat64()
-			switch rng.Intn(8) {
+			switch int(rng.Uint64() % 8) {
 			case 0:
 				v = 0
 			case 1:
@@ -155,7 +155,7 @@ func members(rng *xrand.RNG, n, p int) []int {
 		perm[i] = i
 	}
 	for i := n - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
+		j := int(rng.Uint64() % uint64(i+1))
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	return perm[:p]
@@ -170,17 +170,17 @@ func members(rng *xrand.RNG, n, p int) []int {
 func TestAlltoAllWindowProperty(t *testing.T) {
 	rng := xrand.New(20240913)
 	for tc := 0; tc < 200; tc++ {
-		p := []int{2, 4, 8}[rng.Intn(3)]
+		p := []int{2, 4, 8}[int(rng.Uint64()%3)]
 		var divs []int
 		for g := 1; g <= p; g++ {
 			if p%g == 0 {
 				divs = append(divs, g)
 			}
 		}
-		g := divs[rng.Intn(len(divs))]
-		k := 1 + rng.Intn(3)
-		tw := 1 + rng.Intn(4)
-		dims := BlockDims{Rows: 1 + rng.Intn(9), Width: k * tw}
+		g := divs[int(rng.Uint64()%uint64(len(divs)))]
+		k := 1 + int(rng.Uint64()%3)
+		tw := 1 + int(rng.Uint64()%4)
+		dims := BlockDims{Rows: 1 + int(rng.Uint64()%9), Width: k * tw}
 		b := dims.Elems()
 		data := randomBuffers(uint64(1000+tc), p, dims)
 		tiling := randomTiling(rng, dims.Rows)
@@ -274,8 +274,8 @@ type ringCase struct {
 // newRingCase draws a case; width gives the width of narrow block j of
 // member c (and of every wide block pairing with it).
 func newRingCase(rng *xrand.RNG, width func(c, j int) int) *ringCase {
-	rc := &ringCase{p: []int{1, 2, 4, 8}[rng.Intn(4)], k: 1 + rng.Intn(3), rows: 1 + rng.Intn(7)}
-	for g := 1 + rng.Intn(rc.p); ; g-- {
+	rc := &ringCase{p: []int{1, 2, 4, 8}[int(rng.Uint64()%4)], k: 1 + int(rng.Uint64()%3), rows: 1 + int(rng.Uint64()%7)}
+	for g := 1 + int(rng.Uint64()%uint64(rc.p)); ; g-- {
 		if rc.p%g == 0 {
 			rc.g = g
 			break
@@ -341,7 +341,7 @@ func (rc *ringCase) windows(t *testing.T, call func(rr RowRange) (Stats, error),
 func TestRingBlocksWindowProperty(t *testing.T) {
 	rng := xrand.New(20261002)
 	for tc := 0; tc < 200; tc++ {
-		widths := []int{1 + rng.Intn(4), 1 + rng.Intn(4), 1 + rng.Intn(4)}
+		widths := []int{1 + int(rng.Uint64()%4), 1 + int(rng.Uint64()%4), 1 + int(rng.Uint64()%4)}
 		uniform := func(_, j int) int { return widths[j] }
 
 		// AllGather: the packed copy of a member is its k blocks end to end.
@@ -387,10 +387,10 @@ func TestRingBlocksWindowProperty(t *testing.T) {
 			inPlace[m] = make([][]float64, rc.k)
 			for i, c := range rc.wide[m] {
 				vals := c.fill(rng)
-				if rng.Intn(3) == 0 {
+				if int(rng.Uint64()%3) == 0 {
 					contrib[m][i] = Block{}
 					vals = make([]float64, len(vals))
-				} else if i/rc.k == m && rng.Intn(2) == 0 {
+				} else if i/rc.k == m && int(rng.Uint64()%2) == 0 {
 					rc.narrow[m][i%rc.k], inPlace[m][i%rc.k] = c, vals
 				} else {
 					others = append(others, []carved{c})
@@ -432,7 +432,7 @@ func TestAllGatherBlocksUnevenWidths(t *testing.T) {
 		var widths [8][3]int
 		for c := range widths {
 			for j := range widths[c] {
-				widths[c][j] = rng.Intn(5)
+				widths[c][j] = int(rng.Uint64() % 5)
 			}
 		}
 		rc := newRingCase(rng, func(c, j int) int { return widths[c][j] })

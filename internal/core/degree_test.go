@@ -79,7 +79,7 @@ func TestAlgorithm1MatchesExhaustive(t *testing.T) {
 		if r.Float64() < 0.5 {
 			phase = Backward
 		}
-		rMax := 1 + r.Intn(MaxPipelineDegree)
+		rMax := 1 + int(r.Uint64()%uint64(MaxPipelineDegree))
 		wantR, wantT := 0, math.Inf(1)
 		for d := 1; d <= rMax; d++ {
 			c := m.Classify(v, tgar, phase, float64(d))

@@ -24,7 +24,7 @@ func TestPartitionConservesBytes(t *testing.T) {
 	m := testModels()
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		layers := randLayers(r, 1+r.Intn(6))
+		layers := randLayers(r, 1+int(r.Uint64()%6))
 		plan := m.PartitionGradients(layers, 8)
 		sum := plan.TailBytes
 		if plan.TailBytes < -1e-6 {
@@ -60,7 +60,7 @@ func TestAllocateQuantaMatchesEnumeration(t *testing.T) {
 	const K = step2Quanta
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		n := 1 + r.Intn(3)
+		n := 1 + int(r.Uint64()%3)
 		cost := make([][]float64, n)
 		tail := make([]float64, K+1)
 		if r.Float64() < 0.5 {
@@ -79,11 +79,11 @@ func TestAllocateQuantaMatchesEnumeration(t *testing.T) {
 			for i := range cost {
 				cost[i] = make([]float64, K+1)
 				for k := range cost[i] {
-					cost[i][k] = float64(r.Intn(4))
+					cost[i][k] = float64(int(r.Uint64() % 4))
 				}
 			}
 			for u := 1; u <= K; u++ {
-				tail[u] = float64(r.Intn(4))
+				tail[u] = float64(int(r.Uint64() % 4))
 			}
 		}
 
@@ -126,7 +126,7 @@ func TestPartitionDeterministic(t *testing.T) {
 	m := testModels()
 	r := xrand.New(21)
 	for trial := 0; trial < 20; trial++ {
-		layers := randLayers(r, 1+r.Intn(6))
+		layers := randLayers(r, 1+int(r.Uint64()%6))
 		if a, b := m.PartitionGradients(layers, 8), m.PartitionGradients(layers, 8); !reflect.DeepEqual(a, b) {
 			t.Fatalf("two solves differ: %+v vs %+v", a, b)
 		}
@@ -151,7 +151,7 @@ func TestPartitionDenseWindowRespected(t *testing.T) {
 	m := testModels()
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		layers := randLayers(r, 1+r.Intn(5))
+		layers := randLayers(r, 1+int(r.Uint64()%5))
 		plan := m.PartitionGradients(layers, 8)
 		for i, l := range layers {
 			if plan.DenseBytes[i] > 0 && m.TAR(plan.DenseBytes[i]) > l.V.DenseBwd+1e-6 {
@@ -171,7 +171,7 @@ func TestPartitionBeatsNoPartition(t *testing.T) {
 	m := testModels()
 	r := xrand.New(11)
 	for trial := 0; trial < 10; trial++ {
-		layers := randLayers(r, 2+r.Intn(4))
+		layers := randLayers(r, 2+int(r.Uint64()%4))
 		fs, err := m.SimulateIteration(layers, SystemFSMoE, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)

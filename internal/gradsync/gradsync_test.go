@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	goruntime "runtime"
 	"slices"
 	"testing"
 
@@ -272,7 +273,7 @@ func TestPlanAbortedReclaimsSlices(t *testing.T) {
 // 2 and 4, on one Plan reused pass after pass — having handed the Update
 // each element of each layer exactly once.
 func TestPlanUpdateOncePerElement(t *testing.T) {
-	defer tensor.SetWorkers(0)
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
 	const layers, n = 3, 501
 	for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {
 		cfg, specs := testSpecs(layers, n)
@@ -280,7 +281,7 @@ func TestPlanUpdateOncePerElement(t *testing.T) {
 		cfg.ChunkBytes = 256 * 4
 		plan := mustSolve(t, cfg, specs)
 		for pass, workers := range []int{1, 2, 4} {
-			tensor.SetWorkers(workers)
+			goruntime.GOMAXPROCS(workers)
 			grads, truth, seen := stepBuffers(layers, n, 900)
 			driveBackward(t, plan, stepOnce(grads, seen))
 			checkSteppedOnce(t, fmt.Sprintf("%s pass %d", strat, pass), grads, truth, seen)
@@ -294,7 +295,7 @@ func TestPlanUpdateOncePerElement(t *testing.T) {
 // bit for bit, and the same Report but for its wall time — under every
 // strategy, fixed-chunk tail slices cut off the tile edges included.
 func TestFinishParallelMatchesSerial(t *testing.T) {
-	defer tensor.SetWorkers(0)
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
 	const layers, n, lr = 3, 5*comm.RingTile + 123, 0.25
 	for _, strat := range []Strategy{StrategyFSMoE, StrategyFixedChunk, StrategyNoOverlap} {
 		cfg, specs := testSpecs(layers, n)
@@ -304,7 +305,7 @@ func TestFinishParallelMatchesSerial(t *testing.T) {
 		var want [][]float64
 		var wantRep Report
 		for _, workers := range []int{1, 2, 4} {
-			tensor.SetWorkers(workers)
+			goruntime.GOMAXPROCS(workers)
 			grads := make([][]float64, layers)
 			weights := make([][]float64, layers)
 			for i := range grads {
@@ -428,10 +429,10 @@ func FuzzSyncSchedule(f *testing.F) {
 		rng := xrand.New(seed)
 		specs := make([]LayerSpec, l)
 		for i := range specs {
-			n := 1 + rng.Intn(3000)
-			specs[i] = LayerSpec{Elems: n, Points: 1 + rng.Intn(5), V: core.Volumes{
-				NA2A: float64(1 + rng.Intn(1e7)), NAG: float64(rng.Intn(1e6)), NRS: float64(rng.Intn(1e6)),
-				ExpMACs: float64(1 + rng.Intn(1e9)), ExpGEMMs: 2, DenseBwd: rng.Float64(),
+			n := 1 + int(rng.Uint64()%3000)
+			specs[i] = LayerSpec{Elems: n, Points: 1 + int(rng.Uint64()%5), V: core.Volumes{
+				NA2A: float64(1 + int(rng.Uint64()%uint64(1e7))), NAG: float64(int(rng.Uint64() % uint64(1e6))), NRS: float64(int(rng.Uint64() % uint64(1e6))),
+				ExpMACs: float64(1 + int(rng.Uint64()%uint64(1e9))), ExpGEMMs: 2, DenseBwd: rng.Float64(),
 				GradBytes: float64(n) * 4,
 			}}
 		}

@@ -3,6 +3,7 @@ package moe
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/tensor"
@@ -21,11 +22,15 @@ func (f *GPTFFN) oracleForward(x, out *tensor.Tensor) *oracleCache {
 	n := x.Dim(0)
 	h := tensor.New(n, f.h)
 	tensor.MatMulInto(h, x, f.w1.W)
-	tensor.AddRowVectorInPlace(h, f.b1.W)
 	a := tensor.New(n, f.h)
-	tensor.GeLUInto(a, h)
+	for i := 0; i < n; i++ {
+		tensor.AddRow(h.Row(i), f.b1.W.Data())
+		tensor.GeLURow(a.Row(i), h.Row(i))
+	}
 	tensor.MatMulInto(out, a, f.w2.W)
-	tensor.AddRowVectorInPlace(out, f.b2.W)
+	for i := 0; i < n; i++ {
+		tensor.AddRow(out.Row(i), f.b2.W.Data())
+	}
 	return &oracleCache{x: x, h: h, a: a}
 }
 
@@ -53,7 +58,9 @@ func (f *MixtralFFN) oracleForward(x, out *tensor.Tensor) *oracleCache {
 	u := tensor.New(n, f.h)
 	tensor.MatMulInto(u, x, f.w3.W)
 	a := tensor.New(n, f.h)
-	tensor.SiLUInto(a, g)
+	for i, v := range g.Data() {
+		a.Data()[i] = tensor.SiLUAt(v)
+	}
 	p := tensor.New(n, f.h)
 	tensor.MulInto(p, a, u)
 	tensor.MatMulInto(out, p, f.w2.W)
@@ -99,12 +106,12 @@ type oracleFFN interface {
 // every block by one set or by two that split the blocks between them; the
 // rows past the last whole block are single windows.
 func tiling(rng *xrand.RNG, n int) []tensor.Windows {
-	s := 1 + rng.Intn(n)
+	s := 1 + int(rng.Uint64()%uint64(n))
 	q := n / s
 	var sets []tensor.Windows
 	for o := 0; o < s && q > 0; {
-		hi := min(s, o+1+rng.Intn(s/2+1))
-		c := rng.Intn(q + 1)
+		hi := min(s, o+1+int(rng.Uint64()%uint64(s/2+1)))
+		c := int(rng.Uint64() % uint64(q+1))
 		if c > 0 {
 			sets = append(sets, tensor.Windows{Lo: o, N: hi - o, Stride: s, Count: c})
 		}
@@ -114,13 +121,13 @@ func tiling(rng *xrand.RNG, n int) []tensor.Windows {
 		o = hi
 	}
 	for lo := q * s; lo < n; {
-		hi := min(n, lo+1+rng.Intn(n/3+1))
+		hi := min(n, lo+1+int(rng.Uint64()%uint64(n/3+1)))
 		sets = append(sets, tensor.Window(lo, hi-lo))
 		lo = hi
 	}
 	sets = append(sets, tensor.Window(n, 0))
 	out := make([]tensor.Windows, len(sets))
-	for i, k := range rng.Perm(len(sets)) {
+	for i, k := range rand.New(rng).Perm(len(sets)) {
 		out[i] = sets[k]
 	}
 	return out

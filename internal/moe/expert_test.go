@@ -10,7 +10,11 @@ import (
 
 // lossOf is the scalar test loss <y, r> for gradient checking.
 func lossOf(y, r *tensor.Tensor) float64 {
-	return tensor.Sum(tensor.Mul(y, r))
+	s, rd := 0.0, r.Data()
+	for i, v := range y.Data() {
+		s += v * rd[i]
+	}
+	return s
 }
 
 // numGradInput estimates d loss/d x[i] by central differences, re-running

@@ -10,8 +10,8 @@ import (
 )
 
 // ecOracleRoute is ECGate's route as it was before the gate kept routing
-// scratch: a fresh plan per Route, each expert's tokens from tensor.TopK's
-// stable sort of its column of logits.
+// scratch: a fresh plan per Route, each expert's tokens the top of its
+// column of logits by tensor.TopKInto.
 func ecOracleRoute(g *ECGate, x *tensor.Tensor) *DispatchPlan {
 	n, e := x.Dim(0), g.cfg.Experts
 	capacity := CapacityFor(n, e, g.cfg.TopK, g.cfg.Factor)
@@ -21,14 +21,16 @@ func ecOracleRoute(g *ECGate, x *tensor.Tensor) *DispatchPlan {
 	if capacity > n {
 		capacity = n
 	}
-	logits := tensor.MatMul(x, g.wg.W)
+	logits := tensor.New(n, e)
+	tensor.MatMulInto(logits, x, g.wg.W)
 	p := &DispatchPlan{Experts: e, Capacity: capacity, SlotToken: make([][]int, e), SlotWeight: make([][]float64, e)}
 	col := make([]float64, n)
 	for ei := 0; ei < e; ei++ {
 		for t := 0; t < n; t++ {
 			col[t] = logits.At(t, ei)
 		}
-		sel := tensor.TopK(col, capacity)
+		sel := make([]int, capacity)
+		tensor.TopKInto(sel, col)
 		w := make([]float64, len(sel))
 		for j, tok := range sel {
 			w[j] = col[tok]
@@ -140,16 +142,19 @@ func TestECGateMatchesOracle(t *testing.T) {
 // gshardNoisyOracle is GShard's noisy Route as the allocating formula:
 // H(x) = x·W_g + N(0,1)·Softplus(x·W_noise) from whole-matrix products,
 // the normals drawn row by row from rng, then each token's top-k by
-// tensor.TopK, masked-softmax weights, the plan packed under the
+// tensor.TopKInto, masked-softmax weights, the plan packed under the
 // capacity, and the aux loss E·Σ_e f_e·p̄_e from the full row softmax.
 func gshardNoisyOracle(g *GShardGate, x *tensor.Tensor, rng *xrand.RNG) *DispatchPlan {
 	n, e, k := x.Dim(0), g.cfg.Experts, g.cfg.TopK
-	sp := tensor.Apply(tensor.MatMul(x, g.wnoise.W), tensor.SoftplusAt)
-	h := tensor.Add(tensor.MatMul(x, g.wg.W), tensor.Mul(tensor.RandN(rng, 1, n, e), sp))
+	sp, h := tensor.New(n, e), tensor.New(n, e)
+	tensor.MatMulInto(sp, x, g.wnoise.W)
+	tensor.MatMulInto(h, x, g.wg.W)
+	tensor.AddInPlace(h, tensor.Mul(tensor.RandN(rng, 1, n, e), tensor.Apply(sp, tensor.SoftplusAt)))
 	var asg []assignment
 	first := make([]int, e)
 	for t := 0; t < n; t++ {
-		sel := tensor.TopK(h.Row(t), k)
+		sel := make([]int, k)
+		tensor.TopKInto(sel, h.Row(t))
 		w := make([]float64, k)
 		for j, ei := range sel {
 			w[j] = h.Row(t)[ei]
@@ -161,7 +166,8 @@ func gshardNoisyOracle(g *GShardGate, x *tensor.Tensor, rng *xrand.RNG) *Dispatc
 		first[sel[0]]++
 	}
 	p := buildHardPlan(n, e, CapacityFor(n, e, k, g.cfg.Factor), asg)
-	probs := tensor.SoftmaxRows(h)
+	probs := tensor.New(n, e)
+	tensor.SoftmaxRowsInto(probs, h)
 	for ei := 0; ei < e; ei++ {
 		mean := 0.0
 		for t := 0; t < n; t++ {

@@ -21,10 +21,6 @@ type GShardGate struct {
 	wnoise *Param
 	rng    *xrand.RNG
 
-	// fixedNoise, when non-nil, replaces sampling; tests use it to make
-	// the noisy path differentiable-checkable.
-	fixedNoise *tensor.Tensor
-
 	idle *gshardCache // routing scratch between a Backward and the next Route
 }
 
@@ -35,8 +31,8 @@ type gshardCache struct {
 	logits *tensor.Tensor // x·W_g, (N, E): H(x) in eval mode
 	noisy  *tensor.Tensor // train mode: H(x), logits + noise·softplus(spPre)
 	spPre  *tensor.Tensor // train mode: x·W_noise
-	draws  *tensor.Tensor // train mode: the sampled N(0,1), unless the noise is fixed
-	noise  *tensor.Tensor // the noise H(x) added: draws or the fixed noise, nil in eval mode
+	draws  *tensor.Tensor // train mode: the sampled N(0,1)
+	noise  *tensor.Tensor // the noise H(x) added: draws, nil in eval mode
 	probs  *tensor.Tensor // full softmax over H(x), for the aux loss
 	firstC []int          // first-choice counts per expert
 }
@@ -60,10 +56,6 @@ func (g *GShardGate) Name() string { return "gshard" }
 
 // Params implements Gate.
 func (g *GShardGate) Params() []*Param { return []*Param{g.wg, g.wnoise} }
-
-// SetFixedNoise pins the noise matrix for the next Route calls; tests use
-// this to verify the noisy-path gradients numerically.
-func (g *GShardGate) SetFixedNoise(n *tensor.Tensor) { g.fixedNoise = n }
 
 // RNGState and SetRNGState implement RNGCarrier: the private noise
 // generator is the gate's only mutable non-parameter state, so
@@ -93,12 +85,9 @@ func (g *GShardGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteC
 	if train {
 		spPre := scratchMat(&cache.spPre, n, e)
 		tensor.MatMulInto(spPre, x, g.wnoise.W)
-		noise := g.fixedNoise
-		if noise == nil {
-			noise = scratchMat(&cache.draws, n, e)
-			for i, nz := 0, noise.Data(); i < len(nz); i++ {
-				nz[i] = g.rng.NormFloat64()
-			}
+		noise := scratchMat(&cache.draws, n, e)
+		for i, nz := 0, noise.Data(); i < len(nz); i++ {
+			nz[i] = g.rng.NormFloat64()
 		}
 		// H(x) = logits + noise·softplus(spPre), the product rounded before
 		// the sum (the conversion keeps the compiler from fusing the two).

@@ -10,6 +10,7 @@ package moe
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
@@ -86,8 +87,7 @@ func BenchmarkMoELayerForwardSequential(b *testing.B) {
 	for _, e := range []int{8, 32} {
 		b.Run(fmt.Sprintf("E=%d", e), func(b *testing.B) {
 			layer, x := benchLayer(b, e)
-			tensor.SetWorkers(1)
-			defer tensor.SetWorkers(0)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -189,8 +189,9 @@ func TestLayerGradientsAllGates(t *testing.T) {
 	}
 }
 
-// TestGShardNoisyPathGradients pins the noise matrix and checks that the
-// W_noise gradient path of the noisy gate is exact.
+// TestGShardNoisyPathGradients pins the noise draws — the gate's generator
+// state, restored before every pass — and checks that the W_noise gradient
+// path of the noisy gate is exact.
 func TestGShardNoisyPathGradients(t *testing.T) {
 	rng := xrand.New(31)
 	cfg := GateConfig{Experts: testE, TopK: testK, Factor: 0}
@@ -198,14 +199,14 @@ func TestGShardNoisyPathGradients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noise := tensor.RandN(xrand.New(99), 1, testN, testE)
-	g.SetFixedNoise(noise)
 	l := newTestLayer(t, rng, g, TutelOrder{})
 	rx := xrand.New(6)
 	x := tensor.RandN(rx, 1, testN, testM)
 	r := tensor.RandN(rx, 1, testN, testM)
 
+	state, gamma := g.RNGState()
 	loss := func(xx *tensor.Tensor) float64 {
+		g.SetRNGState(state, gamma)      // the same noise draws as the analytic pass
 		y, _, err := l.Forward(xx, true) // train mode: noise active
 		if err != nil {
 			t.Fatal(err)
@@ -213,6 +214,7 @@ func TestGShardNoisyPathGradients(t *testing.T) {
 		return lossOf(y, r)
 	}
 	l.ZeroGrad()
+	g.SetRNGState(state, gamma)
 	_, cache, err := l.Forward(x, true)
 	if err != nil {
 		t.Fatal(err)
@@ -300,8 +302,8 @@ func TestHookCanTransformActivations(t *testing.T) {
 		Order:   TutelOrder{},
 		Experts: base.cfg.Experts, // share experts so outputs are comparable
 		Hooks: []Hooks{{
-			BeforeDispatch: func(x *tensor.Tensor) *tensor.Tensor { return tensor.Scale(x, 0.5) },
-			AfterDispatch:  func(x *tensor.Tensor) *tensor.Tensor { return tensor.Scale(x, 2.0) },
+			BeforeDispatch: scaleBy(0.5),
+			AfterDispatch:  scaleBy(2),
 		}},
 	})
 	if err != nil {

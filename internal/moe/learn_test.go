@@ -58,14 +58,17 @@ func fitAdam(t *testing.T, layer *MOELayer, x, target *tensor.Tensor, lr float64
 		if err != nil {
 			t.Fatal(err)
 		}
-		diff := tensor.Sub(y, target)
+		diff := y.Clone()
+		tensor.AddScaledRow(diff.Data(), target.Data(), -1)
 		n := float64(diff.Size())
 		loss := 0.0
 		for _, d := range diff.Data() {
 			loss += d * d
 		}
 		losses = append(losses, loss/(2*n))
-		if _, err := layer.Backward(cache, tensor.Scale(diff, 1/n)); err != nil {
+		dy := tensor.New(diff.Shape()...)
+		tensor.ScaleRow(dy.Data(), diff.Data(), 1/n)
+		if _, err := layer.Backward(cache, dy); err != nil {
 			t.Fatal(err)
 		}
 		c1 := 1 - math.Pow(beta1, float64(s))

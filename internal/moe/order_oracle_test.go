@@ -3,6 +3,8 @@ package moe
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
@@ -59,7 +61,9 @@ func (o oracleOrder) Scatter(x *tensor.Tensor, plan *DispatchPlan) *tensor.Tenso
 	if !plan.IsDense() {
 		sel = oracleSelection(plan, x.Dim(0))
 	}
-	return tensor.MatMul(sel, x).Reshape(plan.Experts, plan.Capacity, m)
+	out := tensor.New(plan.Slots(), m)
+	tensor.MatMulInto(out, sel, x)
+	return out.Reshape(plan.Experts, plan.Capacity, m)
 }
 
 func (o oracleOrder) Gather(expertOut *tensor.Tensor, plan *DispatchPlan, tokens int) *tensor.Tensor {
@@ -85,7 +89,9 @@ func (o oracleOrder) Gather(expertOut *tensor.Tensor, plan *DispatchPlan, tokens
 	if !plan.IsDense() {
 		w = oracleWeightedSelection(plan, tokens)
 	}
-	return tensor.MatMul(w, expertOut.Reshape(plan.Slots(), m))
+	out := tensor.New(tokens, m)
+	tensor.MatMulInto(out, w, expertOut.Reshape(plan.Slots(), m))
+	return out
 }
 
 func (o oracleOrder) ScatterGrad(dScattered *tensor.Tensor, plan *DispatchPlan, tokens int) *tensor.Tensor {
@@ -154,23 +160,23 @@ func (o oracleOrder) GatherGrad(dy, expertOut *tensor.Tensor, plan *DispatchPlan
 // dense one.
 func propertyPlan(r *xrand.RNG, tokens, experts int, dense bool) *DispatchPlan {
 	if dense {
-		capacity := 1 + r.Intn(5)
+		capacity := 1 + int(r.Uint64()%5)
 		return &DispatchPlan{
 			Experts: experts, Capacity: capacity,
 			DispatchW: tensor.RandN(r, 1, experts*capacity, tokens),
 			CombineW:  tensor.RandN(r, 1, tokens, experts*capacity),
 		}
 	}
-	k := 1 + r.Intn(min(2, experts))
+	k := 1 + int(r.Uint64()%uint64(min(2, experts)))
 	var asg []assignment
 	for t := 0; t < tokens; t++ {
-		perm := r.Perm(experts)
+		perm := rand.New(r).Perm(experts)
 		for j := 0; j < k; j++ {
 			asg = append(asg, assignment{token: t, expert: perm[j], weight: 0.1 + r.Float64()})
 		}
 	}
 	// Between "most tokens dropped" and "every expert has empty slots".
-	return buildHardPlan(tokens, experts, 1+r.Intn(1+2*k*tokens/experts), asg)
+	return buildHardPlan(tokens, experts, 1+int(r.Uint64()%uint64(1+2*k*tokens/experts)), asg)
 }
 
 // strided lays an (E, T, M) tensor out at stride S with NaN pad rows: a
@@ -206,13 +212,18 @@ func sameLive(got, want *tensor.Tensor, plan *DispatchPlan) error {
 	return nil
 }
 
+// sameBits is tensor's SameBits over slices; its error names the first
+// element that differs.
 func sameBits(got, want []float64) error {
-	for i := range want {
+	if tensor.FromData(got, len(got)).SameBits(tensor.FromData(want, len(want))) {
+		return nil
+	}
+	for i := range min(len(got), len(want)) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			return fmt.Errorf("element %d = %v, oracle %v", i, got[i], want[i])
 		}
 	}
-	return nil
+	return fmt.Errorf("%d elements, oracle %d", len(got), len(want))
 }
 
 // TestOrderIntoFormsMatchOracle: 200 random hard plans (dropped tokens,
@@ -224,15 +235,15 @@ func sameBits(got, want []float64) error {
 // slots read +0. Inputs carry exact and negative zeros, so a −0 replacing a
 // +0 would show.
 func TestOrderIntoFormsMatchOracle(t *testing.T) {
-	defer tensor.SetWorkers(tensor.Workers())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := xrand.New(777)
 	for trial := 0; trial < 240; trial++ {
-		tokens, experts, m := 1+rng.Intn(24), 1+rng.Intn(6), 1+rng.Intn(9)
+		tokens, experts, m := 1+int(rng.Uint64()%24), 1+int(rng.Uint64()%6), 1+int(rng.Uint64()%9)
 		plan := propertyPlan(rng, tokens, experts, trial >= 200)
 		tcap := plan.Capacity
 		zeros := func(x *tensor.Tensor) *tensor.Tensor {
 			for i := range x.Data() {
-				switch rng.Intn(12) {
+				switch int(rng.Uint64() % 12) {
 				case 0:
 					x.Data()[i] = 0
 				case 1:
@@ -245,7 +256,7 @@ func TestOrderIntoFormsMatchOracle(t *testing.T) {
 		dy := zeros(tensor.RandN(rng, 1, tokens, m))
 		out := zeros(tensor.RandN(rng, 1, experts, tcap, m))
 		dScat := zeros(tensor.RandN(rng, 1, experts, tcap, m))
-		tensor.SetWorkers([]int{1, 2, 4}[trial%3])
+		runtime.GOMAXPROCS([]int{1, 2, 4}[trial%3])
 
 		for _, tutel := range []bool{false, true} {
 			var ord Order = GShardOrder{}
@@ -258,7 +269,7 @@ func TestOrderIntoFormsMatchOracle(t *testing.T) {
 			wantDX := oracle.ScatterGrad(dScat, plan, tokens)
 			wantDOut, wantPG := oracle.GatherGrad(dy, out, plan)
 
-			for _, stride := range []int{tcap, tcap + 1 + rng.Intn(4)} {
+			for _, stride := range []int{tcap, tcap + 1 + int(rng.Uint64()%4)} {
 				label := fmt.Sprintf("trial %d %s dense=%v N=%d E=%d T=%d S=%d M=%d", trial, ord.Name(), plan.IsDense(), tokens, experts, tcap, stride, m)
 				plan.revN = 0 // a fresh plan per stride: the reverse index is rebuilt
 

@@ -2,6 +2,7 @@ package moe
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +14,7 @@ import (
 func randomHardPlan(r *xrand.RNG, tokens, experts, k int) *DispatchPlan {
 	var asg []assignment
 	for t := 0; t < tokens; t++ {
-		perm := r.Perm(experts)
+		perm := rand.New(r).Perm(experts)
 		for j := 0; j < k && j < experts; j++ {
 			asg = append(asg, assignment{token: t, expert: perm[j], weight: 0.1 + r.Float64()})
 		}
@@ -59,10 +60,10 @@ func gatherGrad(ord Order, dy, out *tensor.Tensor, plan *DispatchPlan) (*tensor.
 func TestOrdersProduceIdenticalLayouts(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		tokens := 1 + r.Intn(16)
-		experts := 1 + r.Intn(6)
-		k := 1 + r.Intn(experts)
-		m := 1 + r.Intn(8)
+		tokens := 1 + int(r.Uint64()%16)
+		experts := 1 + int(r.Uint64()%6)
+		k := 1 + int(r.Uint64()%uint64(experts))
+		m := 1 + int(r.Uint64()%8)
 		plan := randomHardPlan(r, tokens, experts, k)
 		x := tensor.RandN(r, 1, tokens, m)
 
@@ -87,9 +88,9 @@ func TestOrdersProduceIdenticalLayouts(t *testing.T) {
 func TestOrderInverse(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		tokens := 1 + r.Intn(16)
-		experts := 1 + r.Intn(6)
-		m := 1 + r.Intn(8)
+		tokens := 1 + int(r.Uint64()%16)
+		experts := 1 + int(r.Uint64()%6)
+		m := 1 + int(r.Uint64()%8)
 		plan := randomHardPlan(r, tokens, experts, 1) // k=1: one slot per token
 		// Force unit weights so gather is an exact inverse.
 		for e := range plan.SlotWeight {
@@ -141,15 +142,15 @@ func TestScatterGradIsAdjoint(t *testing.T) {
 	// property of a correct linear-operator backward.
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		tokens := 1 + r.Intn(10)
-		experts := 1 + r.Intn(4)
-		m := 1 + r.Intn(6)
-		plan := randomHardPlan(r, tokens, experts, 1+r.Intn(experts))
+		tokens := 1 + int(r.Uint64()%10)
+		experts := 1 + int(r.Uint64()%4)
+		m := 1 + int(r.Uint64()%6)
+		plan := randomHardPlan(r, tokens, experts, 1+int(r.Uint64()%uint64(experts)))
 		x := tensor.RandN(r, 1, tokens, m)
 		g := tensor.RandN(r, 1, experts, plan.Capacity, m)
 		for _, ord := range []Order{GShardOrder{}, TutelOrder{}} {
-			lhs := tensor.Sum(tensor.Mul(scatter(ord, x, plan), g))
-			rhs := tensor.Sum(tensor.Mul(x, scatterGrad(ord, g, plan, tokens)))
+			lhs := lossOf(scatter(ord, x, plan), g)
+			rhs := lossOf(x, scatterGrad(ord, g, plan, tokens))
 			if math.Abs(lhs-rhs) > 1e-8*(1+math.Abs(lhs)) {
 				return false
 			}
@@ -171,8 +172,8 @@ func TestGatherGradMatchesNumeric(t *testing.T) {
 	for _, ord := range []Order{GShardOrder{}, TutelOrder{}} {
 		dOut, pg := gatherGrad(ord, dy, out, plan)
 		// Adjoint on the data path: <Gather(out), dy> == <out, dOut>.
-		lhs := tensor.Sum(tensor.Mul(gather(ord, out, plan, tokens), dy))
-		rhs := tensor.Sum(tensor.Mul(out, dOut))
+		lhs := lossOf(gather(ord, out, plan, tokens), dy)
+		rhs := lossOf(out, dOut)
 		if math.Abs(lhs-rhs) > 1e-8 {
 			t.Fatalf("%s: gather adjoint broken: %v vs %v", ord.Name(), lhs, rhs)
 		}
@@ -185,9 +186,9 @@ func TestGatherGradMatchesNumeric(t *testing.T) {
 				}
 				orig := plan.SlotWeight[e][s]
 				plan.SlotWeight[e][s] = orig + eps
-				up := tensor.Sum(tensor.Mul(gather(ord, out, plan, tokens), dy))
+				up := lossOf(gather(ord, out, plan, tokens), dy)
 				plan.SlotWeight[e][s] = orig - eps
-				down := tensor.Sum(tensor.Mul(gather(ord, out, plan, tokens), dy))
+				down := lossOf(gather(ord, out, plan, tokens), dy)
 				plan.SlotWeight[e][s] = orig
 				num := (up - down) / (2 * eps)
 				if math.Abs(num-pg.SlotWeight[e][s]) > 1e-5*(1+math.Abs(num)) {

@@ -1,6 +1,7 @@
 package moe
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
@@ -35,7 +36,7 @@ func testLayer(t *testing.T) *MOELayer {
 // parallelism shards whole experts (and whole GEMM rows) without
 // reordering any single element's accumulation.
 func TestParallelExpertsBitIdentical(t *testing.T) {
-	defer tensor.SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	x := tensor.RandN(xrand.New(9), 1, 64, 32)
 	dy := tensor.RandN(xrand.New(10), 1, 64, 32)
 
@@ -44,7 +45,7 @@ func TestParallelExpertsBitIdentical(t *testing.T) {
 		grads []*tensor.Tensor
 	}
 	run := func(workers int) snapshot {
-		tensor.SetWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		layer := testLayer(t)
 		y, cache, err := layer.Forward(x, false)
 		if err != nil {
@@ -65,14 +66,14 @@ func TestParallelExpertsBitIdentical(t *testing.T) {
 	seq := run(1)
 	for _, w := range []int{2, 4, 8} {
 		par := run(w)
-		if par.y.MaxAbsDiff(seq.y) != 0 {
+		if !par.y.SameBits(seq.y) {
 			t.Fatalf("workers=%d: forward output not bit-identical", w)
 		}
-		if par.dx.MaxAbsDiff(seq.dx) != 0 {
+		if !par.dx.SameBits(seq.dx) {
 			t.Fatalf("workers=%d: input gradient not bit-identical", w)
 		}
 		for i := range seq.grads {
-			if par.grads[i].MaxAbsDiff(seq.grads[i]) != 0 {
+			if !par.grads[i].SameBits(seq.grads[i]) {
 				t.Fatalf("workers=%d: param grad %d not bit-identical", w, i)
 			}
 		}
@@ -85,8 +86,7 @@ func TestParallelExpertsBitIdentical(t *testing.T) {
 // the layer's own one-rank World runs the experts one after another in
 // index order, so gradients accumulate exactly as the oracle's do.
 func TestSharedExpertInstanceRunsSequentially(t *testing.T) {
-	defer tensor.SetWorkers(0)
-	tensor.SetWorkers(8)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	const m, e = 16, 4
 	rng := xrand.New(2)
 	gate, err := NewGShardGate(GateConfig{Experts: e, TopK: 1, Factor: 2}, m, rng)

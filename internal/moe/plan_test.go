@@ -75,11 +75,11 @@ func TestPlanValidateCatchesCorruption(t *testing.T) {
 func TestSlotsOfReverseIndex(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		tokens := 1 + r.Intn(20)
-		experts := 1 + r.Intn(6)
+		tokens := 1 + int(r.Uint64()%20)
+		experts := 1 + int(r.Uint64()%6)
 		var asg []assignment
 		for tk := 0; tk < tokens; tk++ {
-			asg = append(asg, assignment{token: tk, expert: r.Intn(experts), weight: r.Float64()})
+			asg = append(asg, assignment{token: tk, expert: int(r.Uint64() % uint64(experts)), weight: r.Float64()})
 		}
 		p := buildHardPlan(tokens, experts, 0, asg)
 		rev := p.slotsOf(tokens)

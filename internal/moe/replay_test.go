@@ -37,11 +37,9 @@ func residentPlans(w *World) (fwd, bwd *layerPlan) {
 func TestStepReplaysPlans(t *testing.T) {
 	const layers, ranks = 2, 4
 	x := tensor.RandN(xrand.New(361), 1, 96, 32)
-	dy := tensor.RandN(xrand.New(362), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(362), 1e-3, 96, 32)
 	xs := tensor.RandN(xrand.New(363), 1, 64, 32)
-	dys := tensor.RandN(xrand.New(364), 1, 64, 32)
-	tensor.ScaleInPlace(dy, 1e-3)
-	tensor.ScaleInPlace(dys, 1e-3)
+	dys := tensor.RandN(xrand.New(364), 1e-3, 64, 32)
 	ws, twin := stepStack(t, layers, ranks, 2, false), stepStack(t, layers, ranks, 2, false)
 	cfg := StepConfig{LR: 0.05, Slices: 3}
 	twinCfg := StepConfig{LR: 0.05, Sequential: true, Strategy: gradsync.StrategyNoOverlap}
@@ -109,7 +107,7 @@ func TestWorldForwardForwardBackwardReplays(t *testing.T) {
 	defer w.Close()
 	same := func(label string, want worldSnapshot, y, dx *tensor.Tensor) {
 		t.Helper()
-		if y.MaxAbsDiff(want.y) != 0 || dx.MaxAbsDiff(want.dx) != 0 {
+		if !y.SameBits(want.y) || !dx.SameBits(want.dx) {
 			t.Fatalf("%s: output or input gradient differs from the sequential layer", label)
 		}
 	}
@@ -213,8 +211,7 @@ func guardSequence(ws []*World) string {
 // context.DeadlineExceeded, and removing it lets the next step through.
 func TestStepFaultOpIDsPinned(t *testing.T) {
 	x := tensor.RandN(xrand.New(371), 1, 96, 32)
-	dy := tensor.RandN(xrand.New(372), 1, 96, 32)
-	tensor.ScaleInPlace(dy, 1e-3)
+	dy := tensor.RandN(xrand.New(372), 1e-3, 96, 32)
 	ws := faultOpStack(t)
 	twin := faultOpStack(t)
 	for _, w := range twin {

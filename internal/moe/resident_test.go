@@ -177,13 +177,11 @@ func freshGar(t *testing.T, fresh []*World, x *tensor.Tensor, cfg StepConfig) *c
 func TestStepPlanReuseAndInvalidation(t *testing.T) {
 	const layers, ranks = 2, 4
 	x := tensor.RandN(xrand.New(311), 1, 96, 32)
-	dy := tensor.RandN(xrand.New(312), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(312), 1e-3, 96, 32)
 	xs := tensor.RandN(xrand.New(313), 1, 64, 32)
-	dys := tensor.RandN(xrand.New(314), 1, 64, 32)
 	// Fourteen steps on one batch: keep the output gradient small, or the
 	// parameters reach NaN.
-	tensor.ScaleInPlace(dy, 1e-3)
-	tensor.ScaleInPlace(dys, 1e-3)
+	dys := tensor.RandN(xrand.New(314), 1e-3, 64, 32)
 	mgr := tempManager(t)
 	ws := stepStack(t, layers, ranks, 2, false)
 

@@ -66,8 +66,7 @@ func TestStepSyncSchedulePinned(t *testing.T) {
 		"no-overlap bwd=4": {"total 308736 hidden 0 tail 308736 slices 0+3", []string{"", "", ""}},
 	}
 	x := tensor.RandN(xrand.New(401), 1, 96, 32)
-	dy := tensor.RandN(xrand.New(402), 1, 96, 32)
-	tensor.ScaleInPlace(dy, 1e-3)
+	dy := tensor.RandN(xrand.New(402), 1e-3, 96, 32)
 	for _, strat := range []gradsync.Strategy{gradsync.StrategyFSMoE, gradsync.StrategyFixedChunk, gradsync.StrategyNoOverlap} {
 		for _, bwd := range []int{1, 2, 4} {
 			ws := make([]*World, 3)

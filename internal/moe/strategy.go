@@ -48,11 +48,6 @@ const (
 	StrategyHybrid Strategy = "hybrid"
 )
 
-// Strategies lists every built-in parallel strategy.
-func Strategies() []Strategy {
-	return []Strategy{StrategyEP, StrategyESP, StrategyDenseSlots, StrategyHybrid}
-}
-
 // placement is a Strategy resolved against a rank count: what
 // the plan builder reads instead of the name.
 type placement struct {

@@ -62,7 +62,7 @@ func strategyLayer(t *testing.T, strat Strategy, mixtral bool) *MOELayer {
 func TestWorldStrategiesBitIdentical(t *testing.T) {
 	x := tensor.RandN(xrand.New(61), 1, 4, 24, 32) // (B, L, M), N = 96
 	dy := tensor.RandN(xrand.New(62), 1, 4, 24, 32)
-	for _, strat := range Strategies() {
+	for _, strat := range []Strategy{StrategyEP, StrategyESP, StrategyDenseSlots, StrategyHybrid} {
 		layer := strategyLayer(t, strat, false)
 		want := runSequentialLayer(t, layer, x, dy)
 		for _, ranks := range []int{1, 4} {

@@ -143,7 +143,7 @@ func TestMakespanInvariantsProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		g := NewGraph()
-		n := 2 + r.Intn(40)
+		n := 2 + int(r.Uint64()%40)
 		streams := []string{"s0", "s1", "s2"}
 		chain := make([]float64, n) // longest path ending at task i
 		longest := 0.0
@@ -159,7 +159,7 @@ func TestMakespanInvariantsProperty(t *testing.T) {
 					}
 				}
 			}
-			g.Add("t", "k", streams[r.Intn(len(streams))], dur, deps...)
+			g.Add("t", "k", streams[int(r.Uint64()%uint64(len(streams)))], dur, deps...)
 			chain[i] = depMax + dur
 			if chain[i] > longest {
 				longest = chain[i]
@@ -227,7 +227,7 @@ func randomGraph(seed uint64, n int, dur []float64) *Graph {
 				deps = append(deps, j)
 			}
 		}
-		g.Add("t", "k", []string{"s0", "s1", "s2"}[r.Intn(3)], d, deps...)
+		g.Add("t", "k", []string{"s0", "s1", "s2"}[int(r.Uint64()%3)], d, deps...)
 	}
 	return g
 }

@@ -2,16 +2,16 @@ package tensor
 
 import "math"
 
-// The elementary functions of the training step — e^x, tanh and the logistic
-// σ — and the activations built on them. Each is defined here from +, −, ×,
-// ÷ and exact scaling by powers of two, never through math.Exp or
-// math.Tanh: on amd64 math.Exp takes a fused-multiply-add path when the CPU
+// The elementary functions of the training step — e^x and the logistic σ —
+// and the activations built on them. Each is defined here from +, −, ×, ÷
+// and exact scaling by powers of two, never through math.Exp or math.Tanh:
+// on amd64 math.Exp takes a fused-multiply-add path when the CPU
 // has FMA and an unfused one when it has not, so its bits — and every
 // parameter downstream of a softmax, a gate or a GeLU — would depend on the
 // CPU. Every product whose result feeds an addition or a subtraction is
 // written through a float64 conversion, the Go spec's fusion barrier, so no
 // compiler on any GOARCH or GOAMD64 level may fuse it either: the bits of
-// exp, tanh, σ and the activations below are a function of the input alone,
+// exp, σ and the activations below are a function of the input alone,
 // and activation_test.go pins them (on amd64; arm64, whose compiler does
 // fuse unguarded products, is cross-compiled here, not run). softplus is
 // the exception: it takes its logarithm from math.Log1p, plain Go that is
@@ -95,38 +95,6 @@ func exp(x float64) float64 {
 // pow2 returns 2^k for a k in the normal exponent range.
 func pow2(k int) float64 { return math.Float64frombits(uint64(k+1023) << 52) }
 
-// The Cephes rational form of tanh on |x| < 0.625: x + x³·P(x²)/Q(x²).
-const (
-	tanhP0 = -9.64399179425052238628e-1
-	tanhP1 = -9.92877231001918586564e1
-	tanhP2 = -1.61468768441708447952e3
-	tanhQ0 = 1.12811678491632931402e2
-	tanhQ1 = 2.23548839060100448583e3
-	tanhQ2 = 4.84406305325125486048e3
-
-	// tanhClamp is where tanh is ±1 to the last bit: from |x| ≈ 19.06 on,
-	// 2/(e^2|x| + 1) is below half an ulp of 1.
-	tanhClamp = 22
-)
-
-// tanh returns tanh(x): the rational form near 0, 1 − 2/(e^2|x| + 1) with
-// the sign of x up to the clamp, ±1 past it.
-func tanh(x float64) float64 {
-	z := math.Abs(x)
-	switch {
-	case z > tanhClamp:
-		return math.Copysign(1, x)
-	case z >= 0.625:
-		return math.Copysign(1-2/(exp(2*z)+1), x)
-	case x == 0:
-		return x
-	}
-	s := x * x
-	p := float64(float64(float64(tanhP0*s)+tanhP1)*s) + tanhP2
-	q := float64(float64(float64((s+tanhQ0)*s)+tanhQ1)*s) + tanhQ2
-	return x + x*s*p/q
-}
-
 // sigmoidParts returns σ(x) = 1/(1 + e^−x) and its derivative σ(1 − σ),
 // both from one e^−|x|, which never overflows: with a = e^−|x| and
 // d = 1/(1 + a), σ is d for x ≥ 0 and a·d below, and σ(1 − σ) is a·d² on
@@ -193,8 +161,8 @@ var actK = [...]float64{
 	expQ10, expQ11, expQ8, expQ9, expQ6, expQ7, expQ2, expQ3, expQ4, expQ5, expQ0, expQ1,
 }
 
-// GeLURow stores GeLU(x[j]) in dst[j] for every j of x — the scalar GeLUInto
-// applies, over a row, eight lanes at a time where the CPU has AVX-512, with
+// GeLURow stores GeLU(x[j]) in dst[j] for every j of x — the scalar GeLU
+// over a row, eight lanes at a time where the CPU has AVX-512, with
 // the scalar bits. dst must not overlap x.
 func GeLURow(dst, x []float64) {
 	dst = dst[:len(x)]
@@ -232,6 +200,6 @@ func SigmoidAt(x float64) float64 { return sigmoid(x) }
 // which the gate applies one element at a time.
 func SoftplusAt(x float64) float64 { return softplus(x) }
 
-// SiLUAt is the scalar SiLUInto applies, for callers that write the result
-// through a strided column window.
+// SiLUAt is the scalar SiLU, for callers that write the result through a
+// strided column window.
 func SiLUAt(x float64) float64 { return silu(x) }

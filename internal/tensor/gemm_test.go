@@ -78,7 +78,7 @@ func embedded(g *Tensor, w Windows) *Tensor {
 }
 
 func signedZero(rng *xrand.RNG) float64 {
-	if rng.Intn(2) == 0 {
+	if int(rng.Uint64()%2) == 0 {
 		return math.Copysign(0, -1)
 	}
 	return 0
@@ -89,13 +89,13 @@ func signedZero(rng *xrand.RNG) float64 {
 func gemmOperand(rng *xrand.RNG, rows, cols, zeroPct int) *Tensor {
 	t := RandN(rng, 1, rows, cols)
 	for i := range t.data {
-		if rng.Intn(100) < zeroPct {
+		if int(rng.Uint64()%100) < zeroPct {
 			t.data[i] = signedZero(rng)
 		}
 	}
 	for r := 0; r < rows; r++ {
 		for c := 0; c+4 <= cols; c += 4 {
-			if rng.Intn(100) < zeroPct {
+			if int(rng.Uint64()%100) < zeroPct {
 				for q := 0; q < 4; q++ {
 					t.data[r*cols+c+q] = signedZero(rng)
 				}
@@ -114,9 +114,9 @@ func plant(rng *xrand.RNG, t *Tensor, lo, hi, kind int) {
 	}
 	v := math.NaN()
 	if kind%2 == 0 {
-		v = math.Inf(rng.Intn(2)*2 - 1)
+		v = math.Inf(int(rng.Uint64()%2)*2 - 1)
 	}
-	t.data[(lo+rng.Intn(hi-lo))*cols+rng.Intn(cols)] = v
+	t.data[(lo+int(rng.Uint64()%uint64(hi-lo)))*cols+int(rng.Uint64()%uint64(cols))] = v
 }
 
 // gemmEqual requires got to carry want's bits, except that where want is a

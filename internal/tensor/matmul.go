@@ -148,13 +148,6 @@ func shardEnd(hi, nt, tile, rows int) int {
 	return hi * tile
 }
 
-// MatMul returns a @ b for 2-D tensors with shapes (m,k) and (k,n).
-func MatMul(a, b *Tensor) *Tensor {
-	out := New(mmShape(a, b, "MatMul"), b.shape[1])
-	defaultPool.matmulInto(out.data, a.data, b.data, a.shape[0], a.shape[1], b.shape[1])
-	return out
-}
-
 // MatMulInto computes dst = a @ b, overwriting dst, which must be (m,n).
 // With a pooled dst (GetUninit) this is the allocation-free GEMM the hot
 // path uses. Tile rows shard over the default pool; see Pool.MatMulInto for
@@ -695,21 +688,11 @@ func dot4(ai, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 	return s0, s1, s2, s3
 }
 
-// Transpose2D returns the transpose of a 2-D tensor as a new tensor.
-func Transpose2D(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: Transpose2D requires a 2-D tensor")
-	}
-	out := New(a.shape[1], a.shape[0])
-	Transpose2DInto(out, a)
-	return out
-}
-
 // Transpose2DInto writes the transpose of a (m, n) into dst (n, m),
 // overwriting it, through the register-tile transpose a@bᵀ uses.
 func Transpose2DInto(dst, a *Tensor) {
 	if a.Rank() != 2 {
-		panic("tensor: Transpose2D requires a 2-D tensor")
+		panic("tensor: Transpose2DInto requires a 2-D tensor")
 	}
 	m, n := a.shape[0], a.shape[1]
 	checkDst(dst, n, m, "Transpose2DInto")

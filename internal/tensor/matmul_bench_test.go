@@ -1,8 +1,8 @@
 package tensor
 
-// The MatMul size sweep demanded by the pooled runtime: the plain entry
-// points allocate their destination per call, the pooled variants draw it
-// from the free-list. b.ReportAllocs makes the difference visible in
+// The MatMul size sweep demanded by the pooled runtime: the plain rows
+// allocate their destination per call, the pooled variants draw it from
+// the free-list. b.ReportAllocs makes the difference visible in
 // `go test -bench MatMul ./internal/tensor`.
 
 import (
@@ -24,8 +24,7 @@ func BenchmarkMatMul(b *testing.B) {
 			b.SetBytes(int64(8 * n * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out := MatMul(x, y)
-				_ = out
+				MatMulInto(New(n, n), x, y)
 			}
 		})
 	}

@@ -2,41 +2,12 @@ package tensor
 
 import "fmt"
 
-// Add returns a + b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	checkSameShape("Add", a, b)
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out
-}
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	checkSameShape("Sub", a, b)
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] -= v
-	}
-	return out
-}
-
 // Mul returns a * b elementwise (Hadamard product).
 func Mul(a, b *Tensor) *Tensor {
 	checkSameShape("Mul", a, b)
 	out := a.Clone()
 	for i, v := range b.data {
 		out.data[i] *= v
-	}
-	return out
-}
-
-// Scale returns a * s.
-func Scale(a *Tensor, s float64) *Tensor {
-	out := a.Clone()
-	for i := range out.data {
-		out.data[i] *= s
 	}
 	return out
 }
@@ -95,34 +66,12 @@ func ScaleRow(dst, src []float64, a float64) {
 	}
 }
 
-// ScaleInPlace multiplies every element of a by s.
-func ScaleInPlace(a *Tensor, s float64) {
-	for i := range a.data {
-		a.data[i] *= s
-	}
-}
-
 // MulInto stores a * b (Hadamard) into dst; all three must share a shape.
 func MulInto(dst, a, b *Tensor) {
 	checkSameShape("MulInto", a, b)
 	checkSameShape("MulInto", dst, a)
 	for i, v := range a.data {
 		dst.data[i] = v * b.data[i]
-	}
-}
-
-// AddRowVectorInPlace adds a length-n vector v to every row of a 2-D (m,n)
-// tensor in place — the allocation-free bias add of the pooled FFN path.
-func AddRowVectorInPlace(a *Tensor, v *Tensor) {
-	if a.Rank() != 2 || v.Rank() != 1 || a.shape[1] != v.shape[0] {
-		panic("tensor: AddRowVectorInPlace shape mismatch")
-	}
-	n := a.shape[1]
-	for i := 0; i < a.shape[0]; i++ {
-		row := a.data[i*n : (i+1)*n]
-		for j := range row {
-			row[j] += v.data[j]
-		}
 	}
 }
 
@@ -139,30 +88,6 @@ func Apply(a *Tensor, f func(float64) float64) *Tensor {
 		out.data[i] = f(v)
 	}
 	return out
-}
-
-// ApplyInto stores f applied elementwise to a into dst (same shape; dst may
-// be a). Callers pair it with GetUninit for allocation-free activations.
-func ApplyInto(dst, a *Tensor, f func(float64) float64) {
-	checkSameShape("ApplyInto", dst, a)
-	for i, v := range a.data {
-		dst.data[i] = f(v)
-	}
-}
-
-// GeLUInto stores GeLU(a) into dst.
-func GeLUInto(dst, a *Tensor) { ApplyInto(dst, a, gelu) }
-
-// SiLUInto stores SiLU(a) into dst.
-func SiLUInto(dst, a *Tensor) { ApplyInto(dst, a, silu) }
-
-// Sum returns the sum of all elements.
-func Sum(a *Tensor) float64 {
-	s := 0.0
-	for _, v := range a.data {
-		s += v
-	}
-	return s
 }
 
 // Sigmoid returns 1/(1+e^-x) elementwise.

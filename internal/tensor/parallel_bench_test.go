@@ -12,6 +12,7 @@ package tensor
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -40,8 +41,7 @@ func BenchmarkParallelRangeTiny(b *testing.B) {
 	// Pin the width so the fan-out rows exercise real chunk submission even
 	// when GOMAXPROCS is small (the point is the scheduling overhead, which
 	// a width-1 fallback would hide).
-	SetWorkers(8)
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	work := func(iters int) func(lo, hi int) {
 		return func(lo, hi int) {
 			s := 0.0

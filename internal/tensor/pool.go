@@ -64,22 +64,9 @@ import (
 	"sync/atomic"
 )
 
-// workerCount is the configured parallel width of the default pool;
-// 0 means "use GOMAXPROCS".
-var workerCount atomic.Int64
-
-// Workers returns the parallel width kernels shard to on the default pool.
-func Workers() int {
-	if n := int(workerCount.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetWorkers overrides the default pool's parallel width (tests use it to
-// exercise the concurrent paths regardless of GOMAXPROCS). n <= 0 restores
-// the default. Scoped pools (NewPool) are unaffected.
-func SetWorkers(n int) { workerCount.Store(int64(n)) }
+// Workers returns the parallel width kernels shard to on the default pool:
+// GOMAXPROCS, read on every call.
+func Workers() int { return runtime.GOMAXPROCS(0) }
 
 const maxPoolGoroutines = 32
 

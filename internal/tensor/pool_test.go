@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -144,8 +145,7 @@ func TestPutIgnoresNonPoolTensors(t *testing.T) {
 // be blocked inside a nested ParallelRange at once; waiters must help drain
 // the queue or the nest hangs forever.
 func TestNestedParallelOversubscribed(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(64) // well past maxPoolGoroutines
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64)) // well past maxPoolGoroutines
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -178,8 +178,7 @@ func TestNestedParallelOversubscribed(t *testing.T) {
 // default one, fanning out and running serially, and still covers every
 // index once.
 func TestParallelRangeAllocatesNothing(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	pool := NewPool(2)
 	defer pool.Close()
 	var hits [64]atomic.Int32
@@ -246,9 +245,9 @@ func TestReserveScratch(t *testing.T) {
 }
 
 func TestParallelForCoversAllIndices(t *testing.T) {
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range []int{1, 3, 8} {
-		SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		for _, n := range []int{0, 1, 5, 64, 1000} {
 			hits := make([]int32, n)
 			ParallelFor(n, func(i int) { hits[i]++ })
@@ -273,35 +272,37 @@ func shardedGemm(t *testing.T, seed uint64) (a, b, bt, a1, b1 *Tensor) {
 		t.Fatalf("%d×%d×%d no longer clears matmulParallelThreshold = %d", m, k, n, matmulParallelThreshold)
 	}
 	rng := xrand.New(seed)
-	a, b = RandN(rng, 1, m, k), RandN(rng, 1, k, n)
-	return a, b, Transpose2D(b), RandN(rng, 1, k, m), RandN(rng, 1, k, n)
+	a, b, bt = RandN(rng, 1, m, k), RandN(rng, 1, k, n), New(n, k)
+	Transpose2DInto(bt, b)
+	return a, b, bt, RandN(rng, 1, k, m), RandN(rng, 1, k, n)
 }
 
 // TestMatMulDeterministicAcrossWorkers pins the acceptance requirement that
 // parallelism never reorders a single output element's accumulation: every
 // product must be bit-identical at any worker count.
 func TestMatMulDeterministicAcrossWorkers(t *testing.T) {
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a, b, bt, a1, b1 := shardedGemm(t, 7)
-	SetWorkers(1)
-	want := MatMul(a, b)
+	want := New(a.Dim(0), b.Dim(1))
+	MatMulInto(want, a, b)
 	wantT2 := MatMulT2(a, bt)
 	wantT1 := MatMulT1(a1, b1)
 	wantT1Add := want.Clone()
 	MatMulT1AddInto(wantT1Add, a1, b1)
 	for _, w := range []int{2, 4, 9} {
-		SetWorkers(w)
-		if got := MatMul(a, b); got.MaxAbsDiff(want) != 0 {
-			t.Fatalf("workers=%d: MatMul not bit-identical", w)
+		runtime.GOMAXPROCS(w)
+		got := New(a.Dim(0), b.Dim(1))
+		if MatMulInto(got, a, b); !got.SameBits(want) {
+			t.Fatalf("workers=%d: MatMulInto not bit-identical", w)
 		}
-		if got := MatMulT2(a, bt); got.MaxAbsDiff(wantT2) != 0 {
+		if got := MatMulT2(a, bt); !got.SameBits(wantT2) {
 			t.Fatalf("workers=%d: MatMulT2 not bit-identical", w)
 		}
-		if got := MatMulT1(a1, b1); got.MaxAbsDiff(wantT1) != 0 {
+		if got := MatMulT1(a1, b1); !got.SameBits(wantT1) {
 			t.Fatalf("workers=%d: MatMulT1 not bit-identical", w)
 		}
-		got := want.Clone()
-		if MatMulT1AddInto(got, a1, b1); got.MaxAbsDiff(wantT1Add) != 0 {
+		got = want.Clone()
+		if MatMulT1AddInto(got, a1, b1); !got.SameBits(wantT1Add) {
 			t.Fatalf("workers=%d: MatMulT1AddInto not bit-identical", w)
 		}
 	}
@@ -311,18 +312,20 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	rng := xrand.New(3)
 	a := RandN(rng, 1, 33, 17)
 	b := RandN(rng, 1, 17, 21)
-	want := MatMul(a, b)
+	want := New(33, 21)
+	MatMulInto(want, a, b)
 	dst := GetUninit(33, 21)
+	dst.Fill(math.NaN())
 	MatMulInto(dst, a, b)
-	if dst.MaxAbsDiff(want) != 0 {
-		t.Fatal("MatMulInto differs from MatMul")
+	if !dst.SameBits(want) {
+		t.Fatal("MatMulInto into a NaN-filled pooled dst differs from MatMulInto into a zeroed one")
 	}
 	Put(dst)
 
 	wantT1 := MatMulT1(a, a)
 	d1 := GetUninit(17, 17)
 	MatMulT1Into(d1, a, a)
-	if d1.MaxAbsDiff(wantT1) != 0 {
+	if !d1.SameBits(wantT1) {
 		t.Fatal("MatMulT1Into differs from MatMulT1")
 	}
 	Put(d1)

@@ -1,23 +1,12 @@
 package tensor
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// SoftmaxRows applies a numerically stable softmax along the last dimension
-// of a 2-D tensor.
-func SoftmaxRows(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	SoftmaxRowsInto(out, a)
-	return out
-}
-
-// SoftmaxRowsInto writes SoftmaxRows(a) into dst, a's shape, overwriting
-// it: the form for callers that keep the result in their own memory.
+// SoftmaxRowsInto writes into dst, a's shape, overwriting it, the
+// numerically stable softmax of each row of the 2-D tensor a.
 func SoftmaxRowsInto(dst, a *Tensor) {
 	if a.Rank() != 2 {
-		panic("tensor: SoftmaxRows requires a 2-D tensor")
+		panic("tensor: SoftmaxRowsInto requires a 2-D tensor")
 	}
 	checkDst(dst, a.shape[0], a.shape[1], "SoftmaxRowsInto")
 	copy(dst.data, a.data)
@@ -28,7 +17,7 @@ func SoftmaxRowsInto(dst, a *Tensor) {
 }
 
 // SoftmaxInPlace overwrites row with its numerically stable softmax — one
-// row of SoftmaxRows, for callers holding a small vector in their own
+// row of SoftmaxRowsInto, for callers holding a small vector in their own
 // scratch.
 func SoftmaxInPlace(row []float64) { softmaxInPlace(row) }
 
@@ -58,23 +47,9 @@ func softmaxInPlace(row []float64) {
 	}
 }
 
-// TopK returns the indices of the k largest values of v in descending value
-// order. Ties break toward the lower index, matching a stable sort. It
-// panics if k > len(v).
-func TopK(v []float64, k int) []int {
-	if k > len(v) {
-		panic("tensor: TopK k exceeds length")
-	}
-	idx := make([]int, len(v))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return v[idx[a]] > v[idx[b]] })
-	return idx[:k]
-}
-
-// TopKInto writes the indices of the len(dst) largest values of v into dst:
-// TopK(v, len(dst)) without its allocations, by insertion, for the small k of
+// TopKInto writes the indices of the len(dst) largest values of v into dst,
+// in descending value order, ties toward the lower index as a stable sort
+// breaks them — by insertion, without allocating, for the small k of
 // token-choice routing. It panics if len(dst) > len(v).
 func TopKInto(dst []int, v []float64) {
 	k := len(dst)

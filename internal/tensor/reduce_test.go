@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -11,9 +12,10 @@ import (
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		m, n := 1+r.Intn(10), 1+r.Intn(10)
+		m, n := 1+int(r.Uint64()%10), 1+int(r.Uint64()%10)
 		a := RandN(r, 3, m, n)
-		s := SoftmaxRows(a)
+		s := New(m, n)
+		SoftmaxRowsInto(s, a)
 		for i := 0; i < m; i++ {
 			sum := 0.0
 			for j := 0; j < n; j++ {
@@ -37,7 +39,8 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 func TestSoftmaxRowsStability(t *testing.T) {
 	// Huge logits must not overflow.
 	a := FromData([]float64{1000, 1001, 1002}, 1, 3)
-	s := SoftmaxRows(a)
+	s := New(1, 3)
+	SoftmaxRowsInto(s, a)
 	sum := s.At(0, 0) + s.At(0, 1) + s.At(0, 2)
 	if math.IsNaN(sum) || math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("softmax unstable: %v", s.Data())
@@ -50,7 +53,8 @@ func TestSoftmaxRowsStability(t *testing.T) {
 func TestSoftmaxAllMaskedRow(t *testing.T) {
 	inf := math.Inf(-1)
 	a := FromData([]float64{inf, inf}, 1, 2)
-	s := SoftmaxRows(a)
+	s := New(1, 2)
+	SoftmaxRowsInto(s, a)
 	if s.At(0, 0) != 0 || s.At(0, 1) != 0 {
 		t.Fatalf("all-masked row should softmax to zeros, got %v", s.Data())
 	}
@@ -58,36 +62,36 @@ func TestSoftmaxAllMaskedRow(t *testing.T) {
 
 func TestTopKBasic(t *testing.T) {
 	v := []float64{1, 9, 3, 7, 5}
-	got := TopK(v, 3)
+	got := make([]int, 3)
+	TopKInto(got, v)
 	want := []int{1, 3, 4}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("TopK = %v, want %v", got, want)
+			t.Fatalf("TopKInto = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestTopKTieBreaksLowIndex(t *testing.T) {
 	v := []float64{5, 5, 5}
-	got := TopK(v, 2)
+	got := make([]int, 2)
+	TopKInto(got, v)
 	if got[0] != 0 || got[1] != 1 {
-		t.Fatalf("TopK tie = %v, want [0 1]", got)
+		t.Fatalf("TopKInto tie = %v, want [0 1]", got)
 	}
 }
 
 func TestTopKProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		n := 1 + r.Intn(30)
-		k := 1 + r.Intn(n)
+		n := 1 + int(r.Uint64()%30)
+		k := 1 + int(r.Uint64()%uint64(n))
 		v := make([]float64, n)
 		for i := range v {
 			v[i] = r.NormFloat64()
 		}
-		idx := TopK(v, k)
-		if len(idx) != k {
-			return false
-		}
+		idx := make([]int, k)
+		TopKInto(idx, v)
 		// Every selected value must be >= every unselected value.
 		sel := map[int]bool{}
 		minSel := math.Inf(1)
@@ -115,24 +119,30 @@ func TestTopKProperty(t *testing.T) {
 	}
 }
 
-// TestTopKIntoMatchesTopK: the insertion form picks the indices the sorting
-// form picks, in its order, ties (few distinct values) included.
+// TestTopKIntoMatchesTopK: the insertion form picks the indices a stable
+// sort by descending value puts first, in its order, ties (few distinct
+// values) included.
 func TestTopKIntoMatchesTopK(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		n := 1 + r.Intn(30)
-		k := 1 + r.Intn(n)
+		n := 1 + int(r.Uint64()%30)
+		k := 1 + int(r.Uint64()%uint64(n))
 		v := make([]float64, n)
 		for i := range v {
-			v[i] = float64(r.Intn(6)) // many ties
+			v[i] = float64(int(r.Uint64() % 6)) // many ties
 			if seed%2 == 0 {
 				v[i] = r.NormFloat64()
 			}
 		}
 		got := make([]int, k)
 		TopKInto(got, v)
-		for i, want := range TopK(v, k) {
-			if got[i] != want {
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return v[want[a]] > v[want[b]] })
+		for i := range got {
+			if got[i] != want[i] {
 				return false
 			}
 		}
@@ -169,7 +179,7 @@ func TestCosineRowsSelfIsOne(t *testing.T) {
 func TestCosineRowsBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		m, e, d := 1+r.Intn(6), 1+r.Intn(6), 1+r.Intn(10)
+		m, e, d := 1+int(r.Uint64()%6), 1+int(r.Uint64()%6), 1+int(r.Uint64()%10)
 		a := RandN(r, 1, m, d)
 		b := RandN(r, 1, e, d)
 		c := New(m, e)
@@ -222,15 +232,5 @@ func TestXavierBounds(t *testing.T) {
 		if v < -limit || v >= limit {
 			t.Fatalf("xavier value %v outside ±%v", v, limit)
 		}
-	}
-}
-
-func BenchmarkMatMul128(b *testing.B) {
-	r := xrand.New(1)
-	x := RandN(r, 1, 128, 128)
-	y := RandN(r, 1, 128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
 	}
 }

@@ -45,10 +45,10 @@ func rowOperand(rng *xrand.RNG, n, off, specialPct int) []float64 {
 		x[i] = -1234.5
 	}
 	for i := off; i < off+n; i++ {
-		if rng.Intn(100) < specialPct {
-			x[i] = rowSpecials[rng.Intn(len(rowSpecials))]
+		if int(rng.Uint64()%100) < specialPct {
+			x[i] = rowSpecials[int(rng.Uint64()%uint64(len(rowSpecials)))]
 		} else {
-			x[i] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(41)-20)
+			x[i] = rng.NormFloat64() * math.Ldexp(1, int(rng.Uint64()%41)-20)
 		}
 	}
 	return x

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +14,8 @@ import (
 func TestScopedPoolMatchesDefault(t *testing.T) {
 	a, b, bt, a1, b1 := shardedGemm(t, 21)
 	m, n := a.Dim(0), b.Dim(1)
-	want := MatMul(a, b)
+	want := New(m, n)
+	MatMulInto(want, a, b)
 	wantT2 := MatMulT2(a, bt)
 	wantT1 := MatMulT1(a1, b1)
 	wantT1Add := want.Clone()
@@ -22,19 +24,19 @@ func TestScopedPoolMatchesDefault(t *testing.T) {
 		p := NewPool(w)
 		got := GetUninit(m, n)
 		p.MatMulInto(got, a, b)
-		if got.MaxAbsDiff(want) != 0 {
+		if !got.SameBits(want) {
 			t.Fatalf("width %d: pool MatMulInto not bit-identical", w)
 		}
 		p.MatMulT1AddInto(got, a1, b1)
-		if got.MaxAbsDiff(wantT1Add) != 0 {
+		if !got.SameBits(wantT1Add) {
 			t.Fatalf("width %d: pool MatMulT1AddInto not bit-identical", w)
 		}
 		p.MatMulT2Into(got, a, bt)
-		if got.MaxAbsDiff(wantT2) != 0 {
+		if !got.SameBits(wantT2) {
 			t.Fatalf("width %d: pool MatMulT2Into not bit-identical", w)
 		}
 		p.MatMulT1Into(got, a1, b1)
-		if got.MaxAbsDiff(wantT1) != 0 {
+		if !got.SameBits(wantT1) {
 			t.Fatalf("width %d: pool MatMulT1Into not bit-identical", w)
 		}
 		Put(got)
@@ -43,11 +45,11 @@ func TestScopedPoolMatchesDefault(t *testing.T) {
 	var nilPool *Pool
 	got := GetUninit(m, n)
 	nilPool.MatMulInto(got, a, b)
-	if got.MaxAbsDiff(want) != 0 {
+	if !got.SameBits(want) {
 		t.Fatal("nil pool MatMulInto not bit-identical to default")
 	}
 	nilPool.MatMulT1Into(got, a1, b1)
-	if got.MaxAbsDiff(wantT1) != 0 {
+	if !got.SameBits(wantT1) {
 		t.Fatal("nil pool MatMulT1Into not bit-identical to default")
 	}
 	Put(got)
@@ -57,8 +59,7 @@ func TestScopedPoolMatchesDefault(t *testing.T) {
 // its fixed width concurrently, regardless of the machine or the global
 // Workers() setting.
 func TestScopedPoolWidthCap(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(16)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	p := NewPool(2)
 	defer p.Close()
 	var cur, peak atomic.Int64
@@ -122,8 +123,7 @@ func TestScopedPoolCloseDegrades(t *testing.T) {
 // and below the cutoff still visit every index exactly once (and do so on
 // the calling goroutine, though only coverage is asserted here).
 func TestSerialFastPathCoversAllIndices(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(8)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for n := 0; n <= serialCutoff+2; n++ {
 		hits := make([]int32, n)
 		ParallelFor(n, func(i int) { hits[i]++ })

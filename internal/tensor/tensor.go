@@ -62,14 +62,14 @@
 //
 // # Elementary functions
 //
-// e^x, tanh, the logistic σ and the activations built on them (GeLU, SiLU,
-// their gradients, Softmax, Sigmoid, Softplus) are repository functions
-// (activation.go), not math.Exp and math.Tanh: amd64's math.Exp rounds
-// differently on CPUs with and without FMA. exp, tanh, σ, GeLU, SiLU and
-// the gradients are made of +, −, ×, ÷ and exact scaling with every product
-// that feeds a sum rounded through a float64 conversion, so their bits are
-// fixed on every GOARCH too; exp and tanh are within 2 ulp of the math
-// package's. Softplus takes its logarithm from math.Log1p, plain Go that a
+// e^x, the logistic σ and the activations built on them (GeLU — the tanh
+// approximation, computed as x·σ(2u) — SiLU, their gradients, Softmax,
+// Sigmoid, Softplus) are repository functions (activation.go), not
+// math.Exp and math.Tanh: amd64's math.Exp rounds differently on CPUs with
+// and without FMA. exp, σ, GeLU, SiLU and the gradients are made of +, −,
+// ×, ÷ and exact scaling with every product that feeds a sum rounded
+// through a float64 conversion, so their bits are fixed on every GOARCH
+// too; exp is within 2 ulp of the math package's. Softplus takes its logarithm from math.Log1p, plain Go that a
 // compiler which fuses multiply-adds (arm64's) may round differently, and so
 // may any other plain-Go arithmetic of the step: bits past the GEMMs and
 // these functions — the step's parameter hashes among them — are promised
@@ -303,14 +303,13 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 }
 
 // AllClose reports whether every element of t is within tol of the
-// corresponding element of o.
+// corresponding element of o. A NaN difference is never within tol.
 func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
 	if !t.SameShape(o) {
 		return false
 	}
 	for i := range t.data {
-		d := t.data[i] - o.data[i]
-		if math.Abs(d) > tol {
+		if !(math.Abs(t.data[i]-o.data[i]) <= tol) {
 			return false
 		}
 	}
@@ -318,18 +317,37 @@ func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
 }
 
 // MaxAbsDiff returns the maximum elementwise absolute difference between
-// t and o, which must share a shape.
+// t and o, which must share a shape, or NaN when any difference is NaN. It
+// is a tolerance measure: +0 and −0 differ by 0, so a check that two
+// tensors are bit-identical uses SameBits.
 func (t *Tensor) MaxAbsDiff(o *Tensor) float64 {
 	if !t.SameShape(o) {
 		panic("tensor: MaxAbsDiff shape mismatch")
 	}
 	m := 0.0
 	for i := range t.data {
-		if d := math.Abs(t.data[i] - o.data[i]); d > m {
-			m = d
+		d := math.Abs(t.data[i] - o.data[i])
+		if d != d {
+			return d
 		}
+		m = max(m, d)
 	}
 	return m
+}
+
+// SameBits reports whether t and o share a shape and every element's bits
+// (math.Float64bits): a NaN equals only a NaN of the same payload, and +0
+// differs from −0. It is the check behind every bit-identity claim.
+func (t *Tensor) SameBits(o *Tensor) bool {
+	if !t.SameShape(o) {
+		return false
+	}
+	for i, v := range t.data {
+		if math.Float64bits(v) != math.Float64bits(o.data[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Fill sets every element to v.

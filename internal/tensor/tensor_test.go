@@ -91,7 +91,8 @@ func TestRowView(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a := FromData([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromData([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := New(2, 2)
+	MatMulInto(c, a, b)
 	want := FromData([]float64{58, 64, 139, 154}, 2, 2)
 	if !c.AllClose(want, 1e-12) {
 		t.Fatalf("MatMul = %v, want %v", c.Data(), want.Data())
@@ -118,10 +119,12 @@ func TestMatMulMatchesNaiveProperty(t *testing.T) {
 	rng := xrand.New(1)
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		m, k, n := 1+r.Intn(20), 1+r.Intn(20), 1+r.Intn(20)
+		m, k, n := 1+int(r.Uint64()%20), 1+int(r.Uint64()%20), 1+int(r.Uint64()%20)
 		a := RandN(r, 1, m, k)
 		b := RandN(r, 1, k, n)
-		return MatMul(a, b).AllClose(naiveMatMul(a, b), 1e-9)
+		got := New(m, n)
+		MatMulInto(got, a, b)
+		return got.AllClose(naiveMatMul(a, b), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -136,7 +139,8 @@ func TestMatMulParallelLarge(t *testing.T) {
 	if 200*96*150 < matmulParallelThreshold {
 		t.Fatal("shape no longer clears matmulParallelThreshold")
 	}
-	got := MatMul(a, b)
+	got := New(200, 150)
+	MatMulInto(got, a, b)
 	want := naiveMatMul(a, b)
 	if !got.AllClose(want, 1e-9) {
 		t.Fatalf("parallel MatMul differs, max diff %v", got.MaxAbsDiff(want))
@@ -146,10 +150,12 @@ func TestMatMulParallelLarge(t *testing.T) {
 func TestMatMulT1EqualsTransposedMatMul(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		k, m, n := 1+r.Intn(15), 1+r.Intn(15), 1+r.Intn(15)
+		k, m, n := 1+int(r.Uint64()%15), 1+int(r.Uint64()%15), 1+int(r.Uint64()%15)
 		a := RandN(r, 1, k, m)
 		b := RandN(r, 1, k, n)
-		return MatMulT1(a, b).AllClose(MatMul(Transpose2D(a), b), 1e-9)
+		at := New(m, k)
+		Transpose2DInto(at, a)
+		return MatMulT1(a, b).AllClose(naiveMatMul(at, b), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -162,11 +168,11 @@ func TestMatMulT1EqualsTransposedMatMul(t *testing.T) {
 func TestMatMulT1AddIntoRowBlocks(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		k, m, n := 2+r.Intn(15), 1+r.Intn(15), 1+r.Intn(15)
+		k, m, n := 2+int(r.Uint64()%15), 1+int(r.Uint64()%15), 1+int(r.Uint64()%15)
 		a := RandN(r, 1, k, m)
 		b := RandN(r, 1, k, n)
 		want := MatMulT1(a, b)
-		cut := 1 + r.Intn(k-1)
+		cut := 1 + int(r.Uint64()%uint64(k-1))
 		got := New(m, n)
 		got.Fill(math.NaN())
 		MatMulT1Into(got, a.Slice(0, cut), b.Slice(0, cut))
@@ -179,7 +185,8 @@ func TestMatMulT1AddIntoRowBlocks(t *testing.T) {
 		base := RandN(r, 1, m, n)
 		sum := base.Clone()
 		MatMulT1AddInto(sum, a, b)
-		return sum.AllClose(Add(base, want), 1e-9)
+		AddInPlace(base, want)
+		return sum.AllClose(base, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -189,10 +196,12 @@ func TestMatMulT1AddIntoRowBlocks(t *testing.T) {
 func TestMatMulT2EqualsMatMulTransposed(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		m, k, n := 1+r.Intn(15), 1+r.Intn(15), 1+r.Intn(15)
+		m, k, n := 1+int(r.Uint64()%15), 1+int(r.Uint64()%15), 1+int(r.Uint64()%15)
 		a := RandN(r, 1, m, k)
 		b := RandN(r, 1, n, k)
-		return MatMulT2(a, b).AllClose(MatMul(a, Transpose2D(b)), 1e-9)
+		bt := New(k, n)
+		Transpose2DInto(bt, b)
+		return MatMulT2(a, b).AllClose(naiveMatMul(a, bt), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -202,13 +211,16 @@ func TestMatMulT2EqualsMatMulTransposed(t *testing.T) {
 func TestTransposeInvolution(t *testing.T) {
 	r := xrand.New(3)
 	a := RandN(r, 1, 7, 5)
-	if !Transpose2D(Transpose2D(a)).AllClose(a, 0) {
+	at, att := New(5, 7), New(7, 5)
+	Transpose2DInto(at, a)
+	Transpose2DInto(att, at)
+	if !att.SameBits(a) {
 		t.Fatal("transpose twice must be identity")
 	}
 }
 
-// TestTranspose2DMatchesLoop holds Transpose2D and Transpose2DInto, which
-// run on the register-tile transpose, to the scalar double loop bit for bit
+// TestTranspose2DMatchesLoop holds Transpose2DInto, which runs on the
+// register-tile transpose, to the scalar double loop bit for bit
 // — ±0, a NaN payload and ±Inf included — over shapes below, at and past
 // its 4×8 blocks.
 func TestTranspose2DMatchesLoop(t *testing.T) {
@@ -228,11 +240,9 @@ func TestTranspose2DMatchesLoop(t *testing.T) {
 		dst := New(n, m)
 		dst.Fill(7.5)
 		Transpose2DInto(dst, a)
-		for what, got := range map[string]*Tensor{"Transpose2DInto": dst, "Transpose2D": Transpose2D(a)} {
-			for i, w := range want {
-				if g := math.Float64bits(got.data[i]); g != w {
-					t.Fatalf("%d×%d: %s element %d = %#x, the loop gives %#x", m, n, what, i, g, w)
-				}
+		for i, w := range want {
+			if g := math.Float64bits(dst.data[i]); g != w {
+				t.Fatalf("%d×%d: element %d = %#x, the loop gives %#x", m, n, i, g, w)
 			}
 		}
 	}
@@ -244,7 +254,7 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	MatMulInto(New(2, 2), New(2, 3), New(4, 2))
 }
 
 // TestMatMulT1ValidatesBeforeWriting: a shape error panics in the name of
@@ -274,20 +284,24 @@ func TestMatMulT1ValidatesBeforeWriting(t *testing.T) {
 	}
 }
 
+// TestAddSubMul: the element-wise forms on small exact values — AddRow,
+// AddScaledRow by −1 (a difference), Mul and ScaleRow.
 func TestAddSubMul(t *testing.T) {
 	a := FromData([]float64{1, 2, 3}, 3)
 	b := FromData([]float64{4, 5, 6}, 3)
-	if got := Add(a, b); !got.AllClose(FromData([]float64{5, 7, 9}, 3), 0) {
-		t.Fatalf("Add = %v", got.Data())
-	}
-	if got := Sub(b, a); !got.AllClose(FromData([]float64{3, 3, 3}, 3), 0) {
-		t.Fatalf("Sub = %v", got.Data())
-	}
-	if got := Mul(a, b); !got.AllClose(FromData([]float64{4, 10, 18}, 3), 0) {
-		t.Fatalf("Mul = %v", got.Data())
-	}
-	if got := Scale(a, 2); !got.AllClose(FromData([]float64{2, 4, 6}, 3), 0) {
-		t.Fatalf("Scale = %v", got.Data())
+	sum, diff, scaled := a.Clone(), b.Clone(), New(3)
+	AddRow(sum.Data(), b.Data())
+	AddScaledRow(diff.Data(), a.Data(), -1)
+	ScaleRow(scaled.Data(), a.Data(), 2)
+	for name, c := range map[string]struct{ got, want *Tensor }{
+		"AddRow":       {sum, FromData([]float64{5, 7, 9}, 3)},
+		"AddScaledRow": {diff, FromData([]float64{3, 3, 3}, 3)},
+		"Mul":          {Mul(a, b), FromData([]float64{4, 10, 18}, 3)},
+		"ScaleRow":     {scaled, FromData([]float64{2, 4, 6}, 3)},
+	} {
+		if !c.got.SameBits(c.want) {
+			t.Errorf("%s = %v, want %v", name, c.got.Data(), c.want.Data())
+		}
 	}
 }
 
@@ -299,9 +313,38 @@ func TestInPlaceOps(t *testing.T) {
 	}
 }
 
-func TestSumMean(t *testing.T) {
-	a := FromData([]float64{1, 2, 3, 4}, 4)
-	if Sum(a) != 10 {
-		t.Fatalf("Sum = %v", Sum(a))
+// TestSameBitsSeesWhatMaxAbsDiffCannot: SameBits tells NaN payloads and
+// +0/−0 apart, MaxAbsDiff returns NaN on a NaN difference (so a tolerance
+// check fails on it), and AllClose rejects a NaN.
+func TestSameBitsSeesWhatMaxAbsDiffCannot(t *testing.T) {
+	nanA := math.Float64frombits(0x7ff8000000000001)
+	nanB := math.Float64frombits(0x7ff8000000000002)
+	cases := []struct {
+		name     string
+		a, b     float64
+		sameBits bool
+		diffNaN  bool
+	}{
+		{"equal", 1.5, 1.5, true, false},
+		{"one ulp", 1, math.Nextafter(1, 2), false, false},
+		{"+0 and -0", 0, math.Copysign(0, -1), false, false},
+		{"same NaN", nanA, nanA, true, true},
+		{"NaN payloads", nanA, nanB, false, true},
+		{"NaN and finite", nanA, 0, false, true},
+	}
+	for _, c := range cases {
+		a, b := FromData([]float64{2, c.a}, 2), FromData([]float64{2, c.b}, 2)
+		if got := a.SameBits(b); got != c.sameBits {
+			t.Errorf("%s: SameBits = %v, want %v", c.name, got, c.sameBits)
+		}
+		if d := a.MaxAbsDiff(b); math.IsNaN(d) != c.diffNaN {
+			t.Errorf("%s: MaxAbsDiff = %v, NaN wanted: %v", c.name, d, c.diffNaN)
+		}
+		if c.diffNaN && a.AllClose(b, 1) {
+			t.Errorf("%s: AllClose passes a NaN difference", c.name)
+		}
+	}
+	if New(2, 3).SameBits(New(3, 2)) {
+		t.Error("SameBits ignores the shape")
 	}
 }

@@ -84,27 +84,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Intn returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("xrand: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // NormFloat64 returns a standard normal deviate using the Box–Muller
 // transform. It is slightly slower than a ziggurat but has no tables and is
 // trivially deterministic.

@@ -3,7 +3,6 @@ package xrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -51,50 +50,6 @@ func TestFloat64Mean(t *testing.T) {
 	if math.Abs(mean-0.5) > 0.01 {
 		t.Fatalf("mean = %v, want ~0.5", mean)
 	}
-}
-
-func TestIntnBounds(t *testing.T) {
-	r := New(3)
-	seen := map[int]bool{}
-	for i := 0; i < 1000; i++ {
-		v := r.Intn(10)
-		if v < 0 || v >= 10 {
-			t.Fatalf("Intn(10) = %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("Intn(10) only produced %d distinct values", len(seen))
-	}
-}
-
-func TestIntnPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(1).Intn(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(5)
-	if err := quick.Check(func(seed uint64) bool {
-		rr := New(seed)
-		n := 1 + rr.Intn(50)
-		p := rr.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, &quick.Config{MaxCount: 200, Rand: nil}); err != nil {
-		t.Fatal(err)
-	}
-	_ = r
 }
 
 func TestSplitIndependence(t *testing.T) {
