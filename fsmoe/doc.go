@@ -143,12 +143,18 @@
 // blocks, a hidden exchange buffer, ScratchElems of pass-private scratch, a
 // hidden-column range [Cl, Ch) and the *WorkerPool its GEMMs fan out onto — and
 // returns an ExpertPass whose stage methods take a window set of rows
-// (Windows: Count windows of N rows, Stride rows apart):
-// ForwardHidden/ForwardOut, then BeginBackward(dy, dx, hidden, overwrite),
-// BackwardHidden/BackwardIn, and one full-block Finish. A Layer, at one
-// rank and one chunk, runs each expert as the one window [0, n) over the
-// column range [0, H); a World's chunk is one set per stage call — the chunk's rows in
-// every token-side rank's shard — and its expert-sharding members column
+// (Windows: Count windows of N rows, Stride rows apart, less the set's last
+// Clip rows): ForwardHidden/ForwardOut, then BeginBackward(dy, dx, hidden,
+// overwrite), BackwardHidden/BackwardIn, and one Finish(rows) over the
+// block's first rows rows. A pass computes only the rows the router filled:
+// a block's rows past its expert's last occupied slot hold no token, so
+// every set a stage gets is cut there (Windows.Cut), Finish's rows is that
+// fill, and no stage may read the rows past it — they hold whatever the
+// World's memory held (the whole block where the layer has dispatch or
+// combine hooks, which see it computed). A Layer, at one rank and one
+// chunk, runs each expert as the one window [0, n) cut at the fill, over
+// the column range [0, H); a World's chunk is one set per stage call — the chunk's rows
+// in every token-side rank's shard — and its expert-sharding members column
 // ranges of the same methods, which is why every strategy is bit-identical
 // to the Layer. A stage should run each GEMM as one product over the set,
 // through WorkerPool.MatMulRowsInto / MatMulT2RowsInto: a chunk's window in
@@ -162,8 +168,9 @@
 // router); a custom Order's Scatter/Gather/ScatterGrad/GatherGrad take
 // their destination first and address expert-major buffers as (E, S, M)
 // with a block stride S ≥ capacity the caller chose (pad rows +0, see
-// moe.Order) — a World lays a sparse plan out from the plan itself at
-// R > 1, so there a custom Scatter and GatherGrad go unused unless the
+// moe.Order; Gather and ScatterGrad read no row past an expert's last
+// occupied slot, which a World does not compute) — a World lays a sparse
+// plan out from the plan itself at R > 1, so there a custom Scatter and GatherGrad go unused unless the
 // layer has dispatch hooks, which act on the buffer Scatter fills; an ExpertPass writes its stages into the PassBufs blocks and
 // its Finish puts the parameter gradients into each Param.G — added to it,
 // or, when BeginBackward says overwrite (a training step), written over

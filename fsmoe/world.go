@@ -19,18 +19,19 @@ type (
 	Trace = sim.Trace
 	// A2AKind names an AlltoAll algorithm for the executable world.
 	A2AKind = comm.A2AAlgo
-	// CommStats is cumulative collective traffic.
+	// CommStats is cumulative collective traffic: the messages of each
+	// collective and the elements of the rows the router filled.
 	CommStats = comm.Stats
 	// Strategy names a parallel execution scheme for the executable world.
 	Strategy = moe.Strategy
 	// ExpertPass is one pass of an Expert: its stage methods, each over
-	// a window set of the pass's rows. Its Finish adds the parameter
-	// gradients into each Param.G, or, when BeginBackward says overwrite
-	// (a training step), writes them over it.
+	// a window set of the pass's filled rows. Its Finish adds the parameter
+	// gradients of those rows into each Param.G, or, when BeginBackward says
+	// overwrite (a training step), writes them over it.
 	ExpertPass = moe.ExpertPass
 	// Windows is a window set of rows — Count windows of N rows, Stride rows
-	// apart — which the ExpertPass stage methods and WorkerPool's
-	// MatMulRowsInto / MatMulT2RowsInto take.
+	// apart, less the set's last Clip rows — which the ExpertPass stage
+	// methods and WorkerPool's MatMulRowsInto / MatMulT2RowsInto take.
 	Windows = tensor.Windows
 	// PassBufs is the caller-owned memory Expert.Begin receives.
 	PassBufs = moe.PassBufs

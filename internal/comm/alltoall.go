@@ -36,9 +36,10 @@ func checkInto(out [][]float64, p, b int) error {
 }
 
 // a2aMove is one AlltoAll over block endpoints (chunked.go), restricted to
-// rows [lo, hi) of every block: p ranks, k blocks of width w per peer, nodes
-// of g. Block d·k+j of a rank is the j-th block it exchanges with peer d.
-// Rows outside the window are neither read nor written.
+// the filled rows in [lo, hi) of every block: p ranks, k blocks of width w
+// per peer, nodes of g. Block d·k+j of a rank is the j-th block it exchanges
+// with peer d. Rows outside the window, and padding, are neither read nor
+// written; a hop's slot for a peer is the window's size, filled or not.
 type a2aMove struct {
 	dst, src endpoint
 	p, k, g  int
@@ -46,24 +47,36 @@ type a2aMove struct {
 	lo, hi   int
 }
 
-// perPeer is the element count one rank sends one peer.
+// perPeer is the element count of the window of the k blocks one rank
+// sends one peer, filled or not: the size of a hop's slot for them.
 func (m a2aMove) perPeer() int { return m.k * (m.hi - m.lo) * m.w }
 
-// pack copies the window of the k blocks rank s sends to d into slot;
-// unpack lands slot in the window of the k blocks d receives from s.
-func (m a2aMove) pack(slot []float64, s, d int) {
-	rows := m.hi - m.lo
-	n := rows * m.w
+// sent is the element count rank s sends rank d: the filled rows of the
+// window of its k blocks for d.
+func (m a2aMove) sent(s, d int) int {
+	n := 0
 	for j := 0; j < m.k; j++ {
-		copyRows(Tile(slot[j*n:(j+1)*n], m.w), 0, m.src.at(s, d*m.k+j), m.lo, rows)
+		n += m.src.at(s, d*m.k+j).rows(m.lo, m.hi) * m.w
+	}
+	return n
+}
+
+// pack copies the filled rows of the window of the k blocks rank s sends to
+// d into slot; unpack lands them from slot in the window of the k blocks d
+// receives from s, which are filled alike.
+func (m a2aMove) pack(slot []float64, s, d int) {
+	n := (m.hi - m.lo) * m.w
+	for j := 0; j < m.k; j++ {
+		src := m.src.at(s, d*m.k+j)
+		copyRows(Tile(slot[j*n:(j+1)*n], m.w), 0, src, m.lo, src.rows(m.lo, m.hi))
 	}
 }
 
 func (m a2aMove) unpack(slot []float64, s, d int) {
-	rows := m.hi - m.lo
-	n := rows * m.w
+	n := (m.hi - m.lo) * m.w
 	for j := 0; j < m.k; j++ {
-		copyRows(m.dst.at(d, s*m.k+j), m.lo, Tile(slot[j*n:(j+1)*n], m.w), 0, rows)
+		dst := m.dst.at(d, s*m.k+j)
+		copyRows(dst, m.lo, Tile(slot[j*n:(j+1)*n], m.w), 0, dst.rows(m.lo, m.hi))
 	}
 }
 
@@ -99,10 +112,11 @@ func (m a2aMove) direct() Stats {
 	for s := 0; s < m.p; s++ {
 		for d := 0; d < m.p; d++ {
 			for j := 0; j < m.k; j++ {
-				copyRows(m.dst.at(d, s*m.k+j), m.lo, m.src.at(s, d*m.k+j), m.lo, m.hi-m.lo)
+				src := m.src.at(s, d*m.k+j)
+				copyRows(m.dst.at(d, s*m.k+j), m.lo, src, m.lo, src.rows(m.lo, m.hi))
 			}
 			if s != d {
-				st.add(w.sameNode(s, d), m.perPeer())
+				st.add(w.sameNode(s, d), m.sent(s, d))
 			}
 		}
 	}
@@ -148,7 +162,7 @@ func (m a2aMove) hier1D() (Stats, error) {
 			off := ((s-nd*g)*p + d) * b
 			m.pack(ld[off:off+b], s, d)
 			if s != lead {
-				st.add(true, b)
+				st.add(true, m.sent(s, d))
 			}
 		}
 	}
@@ -164,10 +178,10 @@ func (m a2aMove) hier1D() (Stats, error) {
 					src := ((s-nd*g)*p + d) * b
 					dst := (s*g + (d - nd2*g)) * b
 					copy(ad[dst:dst+b], ld[src:src+b])
-					moved += b
+					moved += m.sent(s, d)
 				}
 			}
-			if nd != nd2 && moved > 0 {
+			if nd != nd2 {
 				st.add(false, moved)
 			}
 		}
@@ -181,7 +195,7 @@ func (m a2aMove) hier1D() (Stats, error) {
 			off := (s*g + (d - nd*g)) * b
 			m.unpack(ad[off:off+b], s, d)
 			if d != lead {
-				st.add(true, b)
+				st.add(true, m.sent(s, d))
 			}
 		}
 	}
@@ -226,7 +240,7 @@ func (m a2aMove) hier2D() (Stats, error) {
 			off := ((s-nd*g)*nodes + d/g) * b
 			m.pack(mid[holder].Data()[off:off+b], s, d)
 			if holder != s {
-				st.add(true, b)
+				st.add(true, m.sent(s, d))
 			}
 		}
 	}
@@ -243,9 +257,9 @@ func (m a2aMove) hier2D() (Stats, error) {
 				for s := nd * g; s < (nd+1)*g; s++ {
 					off := ((s-nd*g)*nodes + nd2) * b
 					m.unpack(md[off:off+b], s, peer)
-					moved += b
+					moved += m.sent(s, peer)
 				}
-				if nd != nd2 && moved > 0 {
+				if nd != nd2 {
 					st.add(false, moved)
 				}
 			}

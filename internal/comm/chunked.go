@@ -41,11 +41,20 @@ import (
 // slot index) without writing the layout out first. Rows, bytes and Stats
 // are those of the contiguous block the index stands for. Only the sources
 // of AlltoAllBlocks and AllGatherBlocks may be indexed.
+//
+// With Filled set, only the block's rows [0, *Filled) hold data, and the
+// rows past them are padding: a collective moves, and sums, only the filled
+// rows of its window, and its Stats count only those. The two blocks of a
+// pair — the ones a row leaves and lands in, or the ones it is summed from
+// and into — must say the same: both unset, or the same count. A pointer,
+// so an endpoint list cut once follows a count its owner refreshes between
+// calls (internal/moe's per-pass router fill).
 type Block struct {
 	Data          []float64
 	Width, Stride int
 	Index         []int
 	Scale         []float64
+	Filled        *int
 }
 
 // Tile is a contiguous block of rows of width elements.
@@ -73,6 +82,20 @@ func (b Block) check(rows int) error {
 		}
 	}
 	return nil
+}
+
+// rows is how many of rows [lo, hi) of b hold data: those below its fill.
+func (b Block) rows(lo, hi int) int {
+	if b.Filled != nil {
+		hi = min(hi, *b.Filled)
+	}
+	return max(hi-lo, 0)
+}
+
+// sameFill reports whether a and b, a pair of a collective, agree on their
+// filled rows.
+func sameFill(a, b Block) bool {
+	return a.Filled == b.Filled || a.Filled != nil && b.Filled != nil && *a.Filled == *b.Filled
 }
 
 // sameMemory reports whether a and b are one region: a collective whose
@@ -273,17 +296,21 @@ func AlltoAllBlocks(guard Guard, algo A2AAlgo, send, recv [][]Block, gpusPerNode
 		return Stats{}, err
 	}
 	w := send[0][0].Width
+	k := n / p
 	for r := 0; r < p; r++ {
 		for i := 0; i < n; i++ {
 			if send[r][i].Width != w || recv[r][i].Width != w || w == 0 {
 				return Stats{}, fmt.Errorf("comm: alltoall rank %d block %d is %d/%d wide, want one positive width (%d)", r, i, send[r][i].Width, recv[r][i].Width, w)
+			}
+			if !sameFill(send[r][i], recv[i/k][r*k+i%k]) {
+				return Stats{}, fmt.Errorf("comm: alltoall rank %d block %d and the block it lands in disagree on their filled rows", r, i)
 			}
 		}
 	}
 	if rr.Len() == 0 {
 		return Stats{}, nil
 	}
-	m := a2aMove{dst: endpoint{lists: recv}, src: endpoint{lists: send}, p: p, k: n / p, g: gpusPerNode, w: w, lo: rr.Lo, hi: rr.Hi}
+	m := a2aMove{dst: endpoint{lists: recv}, src: endpoint{lists: send}, p: p, k: k, g: gpusPerNode, w: w, lo: rr.Lo, hi: rr.Hi}
 	return m.run(algo)
 }
 

@@ -30,7 +30,10 @@ import (
 )
 
 // Stats records the traffic an algorithm generated, used to compare
-// algorithms and to sanity-check the cost models.
+// algorithms and to sanity-check the cost models. A message counts once
+// per step of the algorithm whatever it carries; the volumes count the
+// elements of the rows that moved, which for blocks with a fill
+// (Block.Filled) are the filled rows alone.
 type Stats struct {
 	IntraMessages int     // messages between GPUs of one node
 	InterMessages int     // messages crossing nodes

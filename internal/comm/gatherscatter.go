@@ -22,12 +22,12 @@ import (
 // which a segment's contributions are added.
 
 // ringMove is one AllGather or ReduceScatter over block endpoints, restricted
-// to rows [lo, hi) of every block: p members in nodes of g. The narrow side
-// lists k blocks per member, the wide side p·k: block c·k+j of a wide list
-// pairs with block j of member c's narrow list. AllGather copies narrow
-// (every member's own blocks) to wide (where each member receives them);
-// ReduceScatter sums wide (every member's contributions to each segment)
-// into narrow (the segment owner's blocks).
+// to the filled rows in [lo, hi) of every block: p members in nodes of g.
+// The narrow side lists k blocks per member, the wide side p·k: block c·k+j
+// of a wide list pairs with block j of member c's narrow list. AllGather
+// copies narrow (every member's own blocks) to wide (where each member
+// receives them); ReduceScatter sums wide (every member's contributions to
+// each segment) into narrow (the segment owner's blocks).
 type ringMove struct {
 	wide, narrow endpoint
 	p, k, g      int
@@ -57,12 +57,13 @@ func (m ringMove) allGather() Stats {
 // holds the rows already. An indexed source is gathered once, into c's own
 // copy, which allGather lands first; the other members copy that.
 func (m ringMove) land(d, c int) int {
-	rows, n := m.hi-m.lo, 0
+	n := 0
 	for j := 0; j < m.k; j++ {
 		src, dst := m.narrow.at(c, j), m.wide.at(d, c*m.k+j)
 		if src.Index != nil && d != c {
 			src = m.wide.at(c, c*m.k+j)
 		}
+		rows := src.rows(m.lo, m.hi)
 		if !sameMemory(dst, src) {
 			copyRows(dst, m.lo, src, m.lo, rows)
 		}
@@ -100,14 +101,15 @@ func (m ringMove) accumulate(c, r int, first bool) int {
 	n := 0
 	for j := 0; j < m.k; j++ {
 		dst, x := m.narrow.at(c, j), m.wide.at(r, c*m.k+j)
-		n += (m.hi - m.lo) * dst.Width
+		rows := dst.rows(m.lo, m.hi)
+		n += rows * dst.Width
 		if first && x.Data != nil {
 			if !sameMemory(dst, x) {
-				copyRows(dst, m.lo, x, m.lo, m.hi-m.lo)
+				copyRows(dst, m.lo, x, m.lo, rows)
 			}
 			continue
 		}
-		for t := m.lo; t < m.hi && dst.Width > 0; t++ {
+		for t := m.lo; t < m.lo+rows && dst.Width > 0; t++ {
 			d := dst.Data[t*dst.Stride:][:dst.Width]
 			switch {
 			case first:
@@ -155,6 +157,9 @@ func checkRing(what string, wide, narrow [][]Block, rr RowRange, absent bool) (i
 			}
 			if want := narrow[i/k][i%k].Width; b.Width != want {
 				return 0, fmt.Errorf("comm: %s rank %d block %d is %d wide, the block it pairs with %d", what, r, i, b.Width, want)
+			}
+			if !sameFill(b, narrow[i/k][i%k]) {
+				return 0, fmt.Errorf("comm: %s rank %d block %d and the block it pairs with disagree on their filled rows", what, r, i)
 			}
 		}
 	}

@@ -83,16 +83,19 @@ type PassBufs struct {
 
 // ExpertPass is one pass's stage methods. A stage covers a window set of
 // the pass's blocks (tensor.Windows: Count windows of N rows, Stride rows
-// apart — one window is Count = 1) and should run each of its GEMMs as one
-// product over the whole set, the row-form entry points of its PassBufs.Pool
-// (MatMulRowsInto, MatMulT2RowsInto): a World's chunk is a few rows in each
-// token-side rank's shard of a block, and one product per window would
-// leave most windows under a kernel tile's height, on the portable loops,
-// and walk the weights once per window.
+// apart, less the set's last Clip rows — one window is Count = 1) and
+// should run each of its GEMMs as one product over the whole set, the
+// row-form entry points of its PassBufs.Pool (MatMulRowsInto,
+// MatMulT2RowsInto): a World's chunk is a few rows in each token-side
+// rank's shard of a block, and one product per window would leave most
+// windows under a kernel tile's height, on the portable loops, and walk the
+// weights once per window. A World cuts every set at the expert's fill, one
+// past its last occupied slot (tensor.Windows.Cut): the rows past it hold
+// no token and no stage computes or reads them.
 // Calls on one pass never run concurrently. Forward: ForwardHidden calls
-// tile [0, n) before a row's ForwardOut. Backward: BeginBackward, then
-// BackwardHidden tiles [0, n) before a row's BackwardIn; Finish runs once,
-// on one pass per expert, over fully assembled buffers. Stages may draw
+// tile the filled rows before a row's ForwardOut. Backward: BeginBackward,
+// then BackwardHidden tiles them before a row's BackwardIn; Finish runs
+// once, on one pass per expert, over fully assembled buffers. Stages may draw
 // transient buffers from tensor.Get and Put them before returning; the
 // free-list is one for every executor worker, so a warm stage finds the
 // buffers an earlier one Put, whichever worker runs it.
@@ -114,38 +117,28 @@ type ExpertPass interface {
 	BackwardHidden(w tensor.Windows)
 	// BackwardIn computes the rows w of dx from full-width exchange rows.
 	BackwardIn(w tensor.Windows)
-	// Finish reduces the full-block parameter gradients into each Param.G as
-	// BeginBackward says: the same GEMMs and column sums in the same order
-	// however the pass was tiled.
-	Finish()
+	// Finish reduces the parameter gradients of the block's first rows rows
+	// into each Param.G as BeginBackward says: the same GEMMs and column
+	// sums in the same order however the pass was tiled. The rows past them
+	// hold no token — no stage computed them — and it must not read them.
+	Finish(rows int)
 }
 
-// weightGrad puts the weight gradient aᵀ·b into p.G: added, or with
-// overwrite written over it.
-func weightGrad(pool *tensor.Pool, p *Param, a, b *tensor.Tensor, overwrite bool) {
-	if overwrite {
-		pool.MatMulT1Into(p.G, a, b)
-		return
-	}
-	pool.MatMulT1AddInto(p.G, a, b)
+// weightGrad puts the weight gradient over the first rows rows, aᵀ·b, into
+// p.G: added, or with overwrite written over it.
+func weightGrad(pool *tensor.Pool, p *Param, a, b *tensor.Tensor, rows int, overwrite bool) {
+	pool.MatMulT1HeadInto(p.G, a, b, rows, !overwrite)
 }
 
-// biasGrad puts the bias gradient, the column sums of m, into p.G: added,
-// or with overwrite written over it.
-func biasGrad(p *Param, m *tensor.Tensor, overwrite bool) {
+// biasGrad puts the bias gradient, the column sums of m's first rows rows,
+// into p.G: added, or with overwrite written over it. It reads m's rows raw:
+// the variadic At/Set accessors allocate their index slice.
+func biasGrad(p *Param, m *tensor.Tensor, rows int, overwrite bool) {
 	if overwrite {
 		p.G.Zero()
 	}
-	addColSum(p.G, m)
-}
-
-// addColSum accumulates the column sums of m (n, d) into acc (d). It works
-// on the raw storage: the variadic At/Set accessors allocate their index
-// slice, which on the per-token bias-gradient path dominated the backward
-// pass's allocation profile.
-func addColSum(acc, m *tensor.Tensor) {
-	ad := acc.Data()
-	for i := 0; i < m.Dim(0); i++ {
+	ad := p.G.Data()
+	for i := range rows {
 		tensor.AddRow(ad, m.Row(i))
 	}
 }

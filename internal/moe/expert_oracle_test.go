@@ -43,10 +43,10 @@ func (f *GPTFFN) oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, overwrite
 	for i := range dd {
 		dd[i] *= tensor.GeLUGrad(hd[i])
 	}
-	weightGrad(nil, f.w2, c.a, dy, overwrite)
-	biasGrad(f.b2, dy, overwrite)
-	weightGrad(nil, f.w1, c.x, da, overwrite)
-	biasGrad(f.b1, da, overwrite)
+	weightGrad(nil, f.w2, c.a, dy, dy.Dim(0), overwrite)
+	biasGrad(f.b2, dy, dy.Dim(0), overwrite)
+	weightGrad(nil, f.w1, c.x, da, dy.Dim(0), overwrite)
+	biasGrad(f.b1, da, dy.Dim(0), overwrite)
 	// h = x·W1 + b1.
 	tensor.MatMulT2Into(dx, da, f.w1.W)
 }
@@ -83,9 +83,9 @@ func (f *MixtralFFN) oracleBackward(c *oracleCache, dy, dx *tensor.Tensor, overw
 	}
 	p := dp // reuse: dp is dead once da and du exist
 	tensor.MulInto(p, c.a, c.u)
-	weightGrad(nil, f.w2, p, dy, overwrite)
-	weightGrad(nil, f.w1, c.x, da, overwrite)
-	weightGrad(nil, f.w3, c.x, du, overwrite)
+	weightGrad(nil, f.w2, p, dy, dy.Dim(0), overwrite)
+	weightGrad(nil, f.w1, c.x, da, dy.Dim(0), overwrite)
+	weightGrad(nil, f.w3, c.x, du, dy.Dim(0), overwrite)
 	tensor.MatMulT2Into(dx, da, f.w1.W)
 	dxu := tensor.New(n, f.m)
 	tensor.MatMulT2Into(dxu, du, f.w3.W)
@@ -233,7 +233,7 @@ func checkStagedTiling(t *testing.T, seed uint64, n, m, h, g, width, owner int, 
 		}
 		holdTo(t, fmt.Sprintf("%s: member %d input gradient", label, k), wantDx, dxs[k])
 	}
-	passes[owner].Finish()
+	passes[owner].Finish(n)
 	for i, p := range f.Params() {
 		holdTo(t, fmt.Sprintf("%s: gradient of %s", label, p.Name), wantG[i], p.G)
 	}

@@ -150,12 +150,12 @@ func (p *gptPass) BackwardIn(ws tensor.Windows) {
 
 // Finish implements ExpertPass, from the input x, the activation a, its
 // gradient da and the output gradient dy.
-func (p *gptPass) Finish() {
+func (p *gptPass) Finish(rows int) {
 	f, o := p.f, p.overwrite
-	weightGrad(p.Pool, f.w2, p.Hidden, p.dy, o)
-	biasGrad(f.b2, p.dy, o)
-	weightGrad(p.Pool, f.w1, p.X, p.hb, o)
-	biasGrad(f.b1, p.hb, o)
+	weightGrad(p.Pool, f.w2, p.Hidden, p.dy, rows, o)
+	biasGrad(f.b2, p.dy, rows, o)
+	weightGrad(p.Pool, f.w1, p.X, p.hb, rows, o)
+	biasGrad(f.b1, p.hb, rows, o)
 }
 
 // MixtralFFN is the SwiGLU expert used by Mixtral (§3.1):
@@ -278,9 +278,9 @@ func (p *mixtralPass) BackwardIn(ws tensor.Windows) {
 
 // Finish implements ExpertPass, from the input x, the gated product, the
 // gradients da and du and the output gradient dy.
-func (p *mixtralPass) Finish() {
+func (p *mixtralPass) Finish(rows int) {
 	f, o := p.f, p.overwrite
-	weightGrad(p.Pool, f.w2, p.Hidden, p.dy, o)
-	weightGrad(p.Pool, f.w1, p.X, p.hb.Slice(0, p.n), o)
-	weightGrad(p.Pool, f.w3, p.X, p.hb.Slice(p.n, 2*p.n), o)
+	weightGrad(p.Pool, f.w2, p.Hidden, p.dy, rows, o)
+	weightGrad(p.Pool, f.w1, p.X, p.hb, rows, o) // band 0 heads the buffer
+	weightGrad(p.Pool, f.w3, p.X, p.hb.Slice(p.n, 2*p.n), rows, o)
 }

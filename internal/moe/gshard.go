@@ -32,7 +32,7 @@ type gshardCache struct {
 	noisy  *tensor.Tensor // train mode: H(x), logits + noise·softplus(spPre)
 	spPre  *tensor.Tensor // train mode: x·W_noise
 	draws  *tensor.Tensor // train mode: the sampled N(0,1)
-	noise  *tensor.Tensor // the noise H(x) added: draws, nil in eval mode
+	train  bool           // the pass routed in train mode: H(x) added draws
 	probs  *tensor.Tensor // full softmax over H(x), for the aux loss
 	firstC []int          // first-choice counts per expert
 }
@@ -81,7 +81,7 @@ func (g *GShardGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteC
 	cache.begin(x, cache)
 	logits := scratchMat(&cache.logits, n, e)
 	tensor.MatMulInto(logits, x, g.wg.W)
-	cache.noise = nil
+	cache.train = train
 	if train {
 		spPre := scratchMat(&cache.spPre, n, e)
 		tensor.MatMulInto(spPre, x, g.wnoise.W)
@@ -96,7 +96,7 @@ func (g *GShardGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteC
 		for i, s := range spPre.Data() {
 			nd[i] = ld[i] + float64(zd[i]*tensor.SoftplusAt(s))
 		}
-		cache.noise, logits = noise, noisy
+		logits = noisy
 	}
 
 	probs := scratchMat(&cache.probs, n, e) // full softmax for the aux loss
@@ -154,8 +154,8 @@ func (g *GShardGate) AuxBackward(rc *RouteCache, scale float64) *tensor.Tensor {
 	}
 	tensor.AddInPlace(g.wg.G, tensor.MatMulT1(x, dLogits))
 	dx := tensor.MatMulT2(dLogits, g.wg.W)
-	if cache.noise != nil {
-		dsp := tensor.Mul(dLogits, cache.noise)
+	if cache.train {
+		dsp := tensor.Mul(dLogits, cache.draws)
 		dpre := tensor.Mul(dsp, tensor.Sigmoid(cache.spPre))
 		tensor.AddInPlace(g.wnoise.G, tensor.MatMulT1(x, dpre))
 		tensor.AddInPlace(dx, tensor.MatMulT2(dpre, g.wnoise.W))
@@ -187,10 +187,10 @@ func (g *GShardGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad)
 	// dWg += xᵀ dLogits ; dx = dLogits Wgᵀ.
 	tensor.MatMulT1AddInto(g.wg.G, x, dLogits)
 	tensor.MatMulT2Into(dx, dLogits, g.wg.W)
-	if cache.noise != nil {
-		// Noise path: logits += noise * softplus(x·W_noise). dLogits
+	if cache.train {
+		// Noise path: logits += draws * softplus(x·W_noise). dLogits
 		// becomes the gradient of x·W_noise in place.
-		tensor.MulInto(dLogits, dLogits, cache.noise)
+		tensor.MulInto(dLogits, dLogits, cache.draws)
 		spd, dd := cache.spPre.Data(), dLogits.Data()
 		for i := range dd {
 			dd[i] *= tensor.SigmoidAt(spd[i]) // softplus' = sigmoid

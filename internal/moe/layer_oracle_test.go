@@ -48,7 +48,7 @@ func (b *blockPass) backward(dy, dx *tensor.Tensor) {
 	b.pass.BeginBackward(dy, dx, hb, false)
 	b.pass.BackwardHidden(tensor.Window(0, n))
 	b.pass.BackwardIn(tensor.Window(0, n))
-	b.pass.Finish()
+	b.pass.Finish(n)
 	tensor.Put(hb)
 	tensor.Put(b.mem)
 }

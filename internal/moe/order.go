@@ -31,8 +31,10 @@ import (
 // (E, S, M) with a block stride S ≥ plan.Capacity chosen by the caller —
 // slot s of expert e is row e·S+s — so a World scatters straight into its
 // rank-divisible padded layout. The pad rows [Capacity, S) of a block are
-// written +0 by Scatter and GatherGrad and never read by Gather and
-// ScatterGrad; results do not depend on S.
+// written +0 by Scatter and GatherGrad; Gather and ScatterGrad read no row
+// past an expert's last occupied slot, which a World neither moves nor
+// computes (its rows hold whatever the workspace held). Results do not
+// depend on S.
 type Order interface {
 	Name() string
 	// Scatter lays out x (N, M) in dst (E, S, M) according to the plan.
@@ -99,13 +101,15 @@ func weightedSelection(plan *DispatchPlan, tokens int) *tensor.Tensor {
 	return c
 }
 
-// packSlots copies the live rows of an (E, S, M) buffer into a pooled
-// (E·T, M) slot matrix, which the caller Puts or hands to unpackSlots.
+// packSlots copies the filled rows of an (E, S, M) buffer — each block's up
+// to its last occupied slot — into a pooled (E·T, M) slot matrix, the slots
+// past them +0, which the caller Puts or hands to unpackSlots.
 func packSlots(buf *tensor.Tensor, plan *DispatchPlan) *tensor.Tensor {
 	t, s, m := plan.Capacity, buf.Dim(1), buf.Dim(2)
 	flat := tensor.GetUninit(plan.Slots(), m)
 	for e := 0; e < plan.Experts; e++ {
-		copy(flat.Data()[e*t*m:(e+1)*t*m], buf.Data()[e*s*m:])
+		blk := flat.Data()[e*t*m : (e+1)*t*m]
+		clear(blk[copy(blk, buf.Data()[e*s*m:][:plan.fill(e)*m]):])
 	}
 	return flat
 }

@@ -61,6 +61,22 @@ type DispatchPlan struct {
 // IsDense reports whether the plan uses soft (dense) routing.
 func (p *DispatchPlan) IsDense() bool { return p.DispatchW != nil }
 
+// fill is one past expert e's last occupied slot: its block's rows that
+// hold a token, or an empty slot ahead of one, are [0, fill). A gate's pack
+// fills slots in token order, so only a custom plan has empty slots below
+// it. Every slot of a dense plan is occupied.
+func (p *DispatchPlan) fill(e int) int {
+	if p.IsDense() {
+		return p.Capacity
+	}
+	toks := p.SlotToken[e]
+	s := len(toks)
+	for s > 0 && toks[s-1] < 0 {
+		s--
+	}
+	return s
+}
+
 // ExpertLoad returns the number of real tokens routed to each expert —
 // occupied slots for hard plans (capacity padding excluded), Capacity for
 // every expert of a dense plan (each slot is a convex combination of all

@@ -54,6 +54,17 @@ import (
 // complete dot products (columns forward, rows backward) and never
 // re-associate a reduction.
 //
+// The blocks are ragged: each pass refreshes its expert's fill, one past its
+// last occupied slot (workspace.setFill), and the plan moves and computes
+// the rows below it alone. Every block of an endpoint list points at its
+// shard's filled-row count (comm.Block.Filled), every stage's window set is
+// cut at the fill, and the W tasks reduce the filled rows; the plans, their
+// chunk boundaries and their collective tasks stay what the capacity makes
+// them, so a chunk with no filled row still runs its tasks, which consult
+// their fault guards and move nothing. The rows past a fill would only have
+// carried +0 inputs and output gradients — signed-zero terms in a weight
+// gradient — so the bits are the capacity layout's.
+//
 // A sparse plan's token side is not a buffer at all: the forward's first
 // collectives (D, or at nG = 1 AGx) gather each slot row straight from the
 // layer's input x through the workspace's padded slot index, and the
@@ -85,19 +96,26 @@ import (
 // its plan runs, and each collective task's fault guard is resolved at run
 // time (World.run).
 
-// groups is the group geometry of one pass.
+// groups is the group geometry of one pass, and the workspace's router
+// fill its stages and blocks read (workspace.setFill).
 type groups struct {
 	R, g, nG   int // ranks, group width, group count
 	eg, egg    int // experts per rank, per group
 	mdim       int
-	spad, tpad int // slot rows per token-side rank, per expert block
+	spad, tpad int   // slot rows per token-side rank, per expert block
+	fill       []int // per expert: the rows of its block a pass computes
+	shardFill  []int // per (expert, token-side rank): the shard's filled rows
 }
 
 func (w *World) groups(cache *WorldCache) groups {
 	R, g := w.cfg.Ranks, w.pl.g
 	return groups{R: R, g: g, nG: R / g, eg: w.egrp, egg: w.egrp * g,
-		mdim: w.layer.cfg.M, spad: cache.spad, tpad: cache.tpad}
+		mdim: w.layer.cfg.M, spad: cache.spad, tpad: cache.tpad, fill: cache.ws.fill, shardFill: cache.ws.shardFill}
 }
+
+// filled is the filled-row count of token-side rank i's shard of expert e's
+// block, as the shard's blocks carry it.
+func (gm groups) filled(e, i int) *int { return &gm.shardFill[e*gm.R+i] }
 
 // groupGpn models one contiguous member group's node shape for Stats and
 // the ring: consecutive global ranks, so a group either fits inside one
@@ -125,11 +143,14 @@ func (gm groups) laneGpn(gpn int) int {
 	return 1
 }
 
-// shard is token-side rank i's slot rows of expert block e in an
-// (·, Tpad, M) buffer: rows [i·spad, (i+1)·spad).
-func (gm groups) shard(buf *tensor.Tensor, e, i int) comm.Block {
-	off := (e*gm.tpad + i*gm.spad) * gm.mdim
-	return comm.Tile(buf.Data()[off:off+gm.spad*gm.mdim], gm.mdim)
+// shard is token-side rank i's slot rows of block le in an (·, Tpad, M)
+// buffer whose block 0 is expert e0's: rows [i·spad, (i+1)·spad), filled as
+// the router filled them.
+func (gm groups) shard(buf *tensor.Tensor, e0, le, i int) comm.Block {
+	off := (le*gm.tpad + i*gm.spad) * gm.mdim
+	b := comm.Tile(buf.Data()[off:off+gm.spad*gm.mdim], gm.mdim)
+	b.Filled = gm.filled(e0+le, i)
+	return b
 }
 
 // tokenRows is the token side a pass starts from: the padded expert-major
@@ -147,10 +168,10 @@ type tokenRows struct {
 // that span of the index (and scale) as an indexed block.
 func (gm groups) rows(src tokenRows, e, i int) comm.Block {
 	if src.gin != nil {
-		return gm.shard(src.gin, e, i)
+		return gm.shard(src.gin, 0, e, i)
 	}
 	off := e*gm.tpad + i*gm.spad
-	b := comm.Block{Width: gm.mdim, Stride: gm.mdim, Index: src.index[off : off+gm.spad]}
+	b := comm.Block{Width: gm.mdim, Stride: gm.mdim, Index: src.index[off : off+gm.spad], Filled: gm.filled(e, i)}
 	if src.scale != nil {
 		b.Scale = src.scale[off : off+gm.spad]
 	}
@@ -180,21 +201,21 @@ func (gm groups) memberSide(blocks []*tensor.Tensor, m int) [][]comm.Block {
 		out[G] = make([]comm.Block, 0, gm.nG*gm.egg)
 		for q := 0; q < gm.nG; q++ {
 			for le := 0; le < gm.egg; le++ {
-				out[G] = append(out[G], gm.shard(blocks[G*gm.g+m], le, q*gm.g+m))
+				out[G] = append(out[G], gm.shard(blocks[G*gm.g+m], G*gm.egg, le, q*gm.g+m))
 			}
 		}
 	}
 	return out
 }
 
-// memberRows lists, in an (Egg, Tpad, M) buffer, the slot rows that are
-// member m's to compute and return: those of the ranks q·g+m, for every
+// memberRows lists, in group G's (Egg, Tpad, M) buffer, the slot rows that
+// are member m's to compute and return: those of the ranks q·g+m, for every
 // group expert.
-func (gm groups) memberRows(buf *tensor.Tensor, m int) []comm.Block {
+func (gm groups) memberRows(buf *tensor.Tensor, G, m int) []comm.Block {
 	out := make([]comm.Block, 0, gm.egg*gm.nG)
 	for le := 0; le < gm.egg; le++ {
 		for q := 0; q < gm.nG; q++ {
-			out = append(out, gm.shard(buf, le, q*gm.g+m))
+			out = append(out, gm.shard(buf, G*gm.egg, le, q*gm.g+m))
 		}
 	}
 	return out
@@ -208,17 +229,18 @@ func colShard(w, m, g int) (lo, hi int) {
 	return min(m*per, w), min((m+1)*per, w)
 }
 
-// memberCols lists member m's column shard of a rank's hidden exchange
-// buffers — per group expert a (bands·Tpad, W) tensor — as strided blocks,
-// one per (expert, band, token-side rank) so a chunk's row window selects
-// the same rows of every rank's shard.
-func (gm groups) memberCols(hid []*tensor.Tensor, m int) []comm.Block {
+// memberCols lists member m's column shard of a group G rank's hidden
+// exchange buffers — per group expert a (bands·Tpad, W) tensor — as strided
+// blocks, one per (expert, band, token-side rank) so a chunk's row window
+// selects the same rows of every rank's shard.
+func (gm groups) memberCols(hid []*tensor.Tensor, G, m int) []comm.Block {
 	var out []comm.Block
-	for _, h := range hid {
+	for le, h := range hid {
 		width := h.Dim(1)
 		cl, ch := colShard(width, m, gm.g)
 		for row := 0; row < h.Dim(0); row += gm.spad {
-			out = append(out, comm.Block{Data: h.Data()[row*width+cl : (row+gm.spad)*width-(width-ch)], Width: ch - cl, Stride: width})
+			out = append(out, comm.Block{Data: h.Data()[row*width+cl : (row+gm.spad)*width-(width-ch)], Width: ch - cl, Stride: width,
+				Filled: gm.filled(G*gm.egg+le, row/gm.spad%gm.R)})
 		}
 	}
 	return out
@@ -304,25 +326,25 @@ func (w *World) cutPass(ws *workspace, held *passBufs, gm groups, src tokenRows,
 // block they are reduced in place.
 func (b *passBufs) cutGroup(gm groups, lo int) {
 	var agIn, agHid, rs ends
-	k := gm.egg * gm.nG // row blocks per member
+	k, G := gm.egg*gm.nG, lo/gm.g // row blocks per member, the group
 	for s := 0; s < gm.g; s++ {
 		var own []comm.Block
 		ret := b.out[lo+s]
 		if gm.nG == 1 {
 			own, ret = gm.tokenSide(b.src, s)[0], b.gout
 		} else {
-			own = gm.memberRows(b.in[lo+s], s)
+			own = gm.memberRows(b.in[lo+s], G, s)
 		}
 		agIn.src = append(agIn.src, own)
-		agHid.src = append(agHid.src, gm.memberCols(b.hid[lo+s], s))
-		rs.dst = append(rs.dst, gm.memberRows(ret, s))
+		agHid.src = append(agHid.src, gm.memberCols(b.hid[lo+s], G, s))
+		rs.dst = append(rs.dst, gm.memberRows(ret, G, s))
 		var in, hid []comm.Block
 		for c := 0; c < gm.g; c++ {
-			in = append(in, gm.memberRows(b.in[lo+s], c)...)
-			hid = append(hid, gm.memberCols(b.hid[lo+s], c)...)
+			in = append(in, gm.memberRows(b.in[lo+s], G, c)...)
+			hid = append(hid, gm.memberCols(b.hid[lo+s], G, c)...)
 		}
 		part := make([]comm.Block, gm.g*k)
-		copy(part[s*k:], gm.memberRows(b.out[lo+s], s))
+		copy(part[s*k:], gm.memberRows(b.out[lo+s], G, s))
 		agIn.dst, agHid.dst, rs.src = append(agIn.dst, in), append(agHid.dst, hid), append(rs.src, part)
 	}
 	b.agIn, b.agHid, b.rs = append(b.agIn, agIn), append(b.agHid, agHid), append(b.rs, rs)
@@ -520,8 +542,9 @@ func (gm groups) windows(first, step int, rr comm.RowRange) tensor.Windows {
 // token-side rank's shard, forward or backward alike: a member runs hidden,
 // its hidden columns, on every gathered row, then output on its own rows,
 // over full-width hidden rows. Each stage is one call per pass over the
-// chunk's window set — R windows for hidden, nG for output — so each of its
-// GEMMs is one product per chunk, not one per source rank. At g > 1 those
+// chunk's window set — R windows for hidden, nG for output — cut at the
+// expert's fill, so each of its GEMMs is one product per chunk, not one per
+// source rank, over the rows the router filled. At g > 1 those
 // are two tasks per rank (names 0 and 2) around the in-group AllGather of
 // the column shards (name 1); at g = 1 the one member owns every column,
 // nothing is exchanged, and both run back to back in one task E<c>. scale is
@@ -529,13 +552,13 @@ func (gm groups) windows(first, step int, rr comm.RowRange) tensor.Windows {
 func (w *World) expertStages(p *layerPlan, gm groups, b *passBufs, passes [][]ExpertPass, c int, rr comm.RowRange, deps func(j int) []int,
 	names [3]string, scale float64, hidden, output func(ps ExpertPass, w tensor.Windows)) []int {
 	hiddenStage := func(j int) {
-		for _, ps := range passes[j] {
-			hidden(ps, gm.windows(0, 1, rr))
+		for le, ps := range passes[j] {
+			hidden(ps, gm.windows(0, 1, rr).Cut(gm.fill[j/gm.g*gm.egg+le]))
 		}
 	}
 	outputStage := func(j int) {
-		for _, ps := range passes[j] {
-			output(ps, gm.windows(j%gm.g, gm.g, rr))
+		for le, ps := range passes[j] {
+			output(ps, gm.windows(j%gm.g, gm.g, rr).Cut(gm.fill[j/gm.g*gm.egg+le]))
 		}
 	}
 	hiddenEst := func(j int) float64 {
@@ -740,12 +763,14 @@ func (w *World) buildBackward(gm groups, b *passBufs, passes [][]ExpertPass, rt 
 	// W — the deferred full-block parameter-gradient reductions, off the
 	// communication critical path (§4.1's W-grad tasks), each expert on its
 	// owner rank (member m of a group owns the group's experts
-	// [m·Eg, (m+1)·Eg)) from its own fully assembled buffers. The last
-	// chunk's task on a rank implies every earlier one (stream order).
+	// [m·Eg, (m+1)·Eg)) from its own fully assembled buffers, over their
+	// filled rows. The last chunk's task on a rank implies every earlier one
+	// (stream order).
 	w.computeTasks(p, "W", func(j int) float64 { return macsEst(w.layer.cfg.Experts[j*gm.eg:][:gm.eg], gm.tpad) }, after(last), func(j int) {
 		for le := j % gm.g * gm.eg; le < (j%gm.g+1)*gm.eg; le++ {
-			passes[j][le].Finish()
-			w.wrote(j/gm.g*gm.egg + le)
+			e := j/gm.g*gm.egg + le
+			passes[j][le].Finish(gm.fill[e])
+			w.wrote(e)
 		}
 	})
 	return p

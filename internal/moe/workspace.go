@@ -52,6 +52,12 @@ type workspace struct {
 	// gathers x's rows, or w·dy's, through them.
 	slotIdx   []int
 	slotScale []float64
+
+	// The router's fill, refreshed by each forward (setFill): fill[e] is the
+	// rows of expert e's block its pass computes, and shardFill[e·R+i] the
+	// filled rows of token-side rank i's shard of it, which the endpoint
+	// lists' blocks point at. Their length is the workspace shape's.
+	fill, shardFill []int
 }
 
 // wsShape is everything that decides which slots a pass asks for.
@@ -192,6 +198,28 @@ func (ws *workspace) slotRows(plan *DispatchPlan, tpad int, weights bool) tokenR
 		src.scale = ws.slotScale
 	}
 	return src
+}
+
+// setFill refreshes the router fill from plan, for a layout of ranks shards
+// of spad rows per block: each expert's rows up to its last occupied slot
+// (DispatchPlan.fill), or, where hooks act on the expert-major buffers,
+// every row, so a hook sees the whole block computed. The rows past the fill
+// hold no token: no collective moves them and no stage computes them, and
+// they keep whatever the workspace held.
+func (ws *workspace) setFill(plan *DispatchPlan, ranks, spad int, hooked bool) {
+	if len(ws.fill) != plan.Experts {
+		ws.fill, ws.shardFill = make([]int, plan.Experts), make([]int, plan.Experts*ranks)
+	}
+	for e := range ws.fill {
+		f := spad * ranks
+		if !hooked {
+			f = plan.fill(e)
+		}
+		ws.fill[e] = f
+		for i := range ranks {
+			ws.shardFill[e*ranks+i] = min(max(f-i*spad, 0), spad)
+		}
+	}
 }
 
 // checkout takes the world's workspace for a pass at the given capacity:

@@ -487,10 +487,13 @@ func (w *World) pass(pr *forwardProlog, owned bool) (*tensor.Tensor, *WorldCache
 	cache := &WorldCache{pr: pr, spad: spad, tpad: spad * R, ws: ws}
 
 	// The tokens enter the rank-divisible padded layout every transfer
-	// shares (pad rows enter the pipeline as exact zeros, so they never
-	// perturb a result): a sparse plan's dispatch gathers them from x
-	// through the slot index; otherwise Order scatters them into it.
-	// The dispatch hooks act on that buffer before the plan moves it.
+	// shares, ragged: each expert's block holds data up to its last filled
+	// slot, and the plans move and compute those rows alone (setFill) — the
+	// pad rows past them would only have added exact zeros. A sparse plan's
+	// dispatch gathers them from x through the slot index; otherwise Order
+	// scatters them into it. The dispatch hooks act on that buffer before
+	// the plan moves it, and a hooked layer's blocks are filled whole.
+	ws.setFill(plan, R, spad, w.layer.hooks.has(beforeDispatch, afterDispatch, beforeCombine, afterCombine))
 	src := w.tokenSource(cache, false)
 	if src.gin != nil {
 		w.layer.cfg.Order.Scatter(src.gin, pr.flat, plan)

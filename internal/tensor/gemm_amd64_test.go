@@ -105,12 +105,12 @@ func corpusFloat(t *testing.T, lit string) float64 {
 	return v
 }
 
-// readGemmCorpus reads FuzzGemmKernels' committed corpus: a uint64 and nine
+// readGemmCorpus reads FuzzGemmKernels' committed corpus: a uint64 and ten
 // bytes per file.
 func readGemmCorpus(t *testing.T) []gemmFuzzSeed {
 	t.Helper()
 	var seeds []gemmFuzzSeed
-	for _, lits := range readCorpus(t, "FuzzGemmKernels", 10) {
+	for _, lits := range readCorpus(t, "FuzzGemmKernels", 11) {
 		s := gemmFuzzSeed{seed: corpusUint(t, lits[0], 64)}
 		for i, lit := range lits[1:] {
 			s.b[i] = corpusByte(t, lit)

@@ -27,12 +27,13 @@ type gemmCase struct {
 	zeroTail int  // trailing all-zero rows of the token block (capacity padding)
 	zeroPct  int  // share of a's elements, and of its aligned 4-groups, forced to ±0
 	special  int  // 0: finite operands; 1/2: a NaN/Inf planted in a; 3/4: in b
-	wide     bool // FuzzGemmKernels' wide mode: aᵀ@b alone (checkMatMulT1), win, count and gap unused
+	wide     bool // FuzzGemmKernels' wide mode: aᵀ@b alone (checkMatMulT1), win, count, gap and clip unused
+	clip     int  // rows the row forms also run without, off the sets' tail (0: none)
 }
 
 func (c gemmCase) String() string {
-	return fmt.Sprintf("seed=%d m=%d n=%d k=%d win=%d count=%d gap=%d zeroTail=%d zeroPct=%d special=%d wide=%t",
-		c.seed, c.m, c.n, c.k, c.win, c.count, c.gap, c.zeroTail, c.zeroPct, c.special, c.wide)
+	return fmt.Sprintf("seed=%d m=%d n=%d k=%d win=%d count=%d gap=%d zeroTail=%d zeroPct=%d special=%d wide=%t clip=%d",
+		c.seed, c.m, c.n, c.k, c.win, c.count, c.gap, c.zeroTail, c.zeroPct, c.special, c.wide, c.clip)
 }
 
 // sets returns the row forms' window sets in dst and in a.
@@ -135,6 +136,15 @@ func gemmEqual(t *testing.T, c gemmCase, what string, width int, got, want []flo
 	}
 }
 
+// nanRows is rows rows of cols NaNs.
+func nanRows(rows, cols int) []float64 {
+	out := make([]float64, rows*cols)
+	for i := range out {
+		out[i] = math.NaN()
+	}
+	return out
+}
+
 // window returns rows [lo, lo+rows) of a 2-D tensor's backing array.
 func window(t *Tensor, lo, rows int) []float64 {
 	cols := t.shape[1]
@@ -224,9 +234,17 @@ func checkGemmKernels(t *testing.T, c gemmCase) {
 		whole.Fill(nan)
 		p.MatMulT1Into(whole, a1, b1)
 		gemmEqual(t, c, "MatMulT1Into", w, whole.data, wantT1)
+		// The head forms read the first k rows of operands with more, NaN
+		// past them (an expert block past its fill).
+		a1x, b1x := a1.Clone(), b1.Clone()
+		a1x.data, b1x.data = append(a1x.data, nanRows(2, m)...), append(b1x.data, nanRows(3, n)...)
+		a1x.shape[0], b1x.shape[0] = k+2, k+3
+		whole.Fill(nan)
+		p.MatMulT1HeadInto(whole, a1x, b1x, k, false)
+		gemmEqual(t, c, "MatMulT1HeadInto", w, whole.data, wantT1)
 		sum := base.Clone()
-		p.MatMulT1AddInto(sum, a1, b1)
-		gemmEqual(t, c, "MatMulT1AddInto", w, sum.data, wantT1Add)
+		p.MatMulT1HeadInto(sum, a1x, b1x, k, true)
+		gemmEqual(t, c, "MatMulT1HeadInto (add)", w, sum.data, wantT1Add)
 
 		d, intact = framed(dw, n, nan)
 		p.MatMulT2RowsInto(d, dw, a, aw, bT, blo, blo+n)
@@ -237,13 +255,58 @@ func checkGemmKernels(t *testing.T, c gemmCase) {
 		whole.Fill(nan)
 		p.MatMulT2Into(whole, ag, bT.Slice(blo, blo+n))
 		gemmEqual(t, c, "MatMulT2Into", w, whole.data, wantT2)
+
+		if c.clip > 0 {
+			checkClipped(t, c, p, dw, aw, ag, func(p *Pool, d *Tensor, dw Windows, a *Tensor, aw Windows) {
+				p.MatMulRowsInto(d, dw, a, aw, b)
+			}, "MatMulRowsInto", want)
+			checkClipped(t, c, p, dw, aw, ag, func(p *Pool, d *Tensor, dw Windows, a *Tensor, aw Windows) {
+				p.MatMulT2RowsInto(d, dw, a, aw, bT, blo, blo+n)
+			}, "MatMulT2RowsInto", wantT2)
+		}
 		p.Close()
 	}
 }
 
+// poison is the NaN the rows a clipped product must leave alone start as:
+// a payload no product computes.
+var poison = math.Float64frombits(0x7ff8_0000_0bad_f00d)
+
+// checkClipped runs a row-form product over the sets dw and aw less their
+// last c.clip rows, on a's gathered rows ag with the clipped ones NaN: the
+// kept rows must carry want's bits, dst's clipped rows stay poison bit for
+// bit, and every row outside the set keeps its sentinel.
+func checkClipped(t *testing.T, c gemmCase, p *Pool, dw, aw Windows, ag *Tensor,
+	product func(p *Pool, d *Tensor, dw Windows, a *Tensor, aw Windows), what string, want []float64) {
+	t.Helper()
+	n := len(want) / dw.Len()
+	kept := dw.Len() - c.clip
+	agc := ag.Clone()
+	for i := kept * ag.shape[1]; i < len(agc.data); i++ {
+		agc.data[i] = math.NaN()
+	}
+	cw, ca := dw, aw
+	cw.Clip, ca.Clip = c.clip, c.clip
+	if cw.Len() != kept || ca.Len() != kept {
+		t.Fatalf("%v: clipped sets %+v, %+v hold %d and %d rows, want %d", c, cw, ca, cw.Len(), ca.Len(), kept)
+	}
+	d, intact := framed(dw, n, poison)
+	product(p, d, cw, embedded(agc, aw), ca)
+	got := gathered(d, dw)
+	gemmEqual(t, c, what+" clipped", p.Workers(), got[:kept*n], want[:kept*n])
+	for i, v := range got[kept*n:] {
+		if math.Float64bits(v) != math.Float64bits(poison) {
+			t.Fatalf("%v width %d: %s clipped wrote %v over element %d, past the clip", c, p.Workers(), what, v, kept*n+i)
+		}
+	}
+	if !intact() {
+		t.Fatalf("%v width %d: %s clipped wrote outside its window set", c, p.Workers(), what)
+	}
+}
+
 // checkMatMulT1 holds aᵀ@b alone to the portable body, for products too
-// wide for checkGemmKernels' six: MatMulT1Into and MatMulT1AddInto at pool
-// widths 1/2/4; matmulT1Range in blocks of every depth from 1 past t1Block
+// wide for checkGemmKernels' six: MatMulT1Into and MatMulT1HeadInto's add at
+// pool widths 1/2/4; matmulT1Range in blocks of every depth from 1 past t1Block
 // that splits k differently, and in one block; and the product accumulated
 // over row blocks of a and b — MatMulT1Into on the first, MatMulT1AddInto
 // on the rest, blocks both shallower and deeper than t1Block — which must
@@ -274,8 +337,8 @@ func checkMatMulT1(t *testing.T, c gemmCase) {
 		p.MatMulT1Into(got, a, b)
 		gemmEqual(t, c, "MatMulT1Into", w, got.data, want)
 		sum := base.Clone()
-		p.MatMulT1AddInto(sum, a, b)
-		gemmEqual(t, c, "MatMulT1AddInto", w, sum.data, wantAdd)
+		p.MatMulT1HeadInto(sum, a, b, k, true)
+		gemmEqual(t, c, "MatMulT1HeadInto (add)", w, sum.data, wantAdd)
 		p.Close()
 	}
 	for _, depth := range []int{1, 7, t1Block - 1, t1Block, t1Block + 1, k} {
@@ -357,7 +420,8 @@ func TestGemmKernelsMatchPortable(t *testing.T) {
 // TestGemmWindowSetsMatchPortable sweeps window sets: every window height
 // from 1 to 10 — below, at and past both tile heights — in one to five
 // windows, with dst's and a's strides each at or past the height, over
-// column counts and depths a tile does and does not fit; then sets of
+// column counts and depths a tile does and does not fit, each also clipped
+// (checkClipped) at a row that walks the set; then sets of
 // several windows past matmulParallelThreshold, whose gathered product
 // really shards.
 func TestGemmWindowSetsMatchPortable(t *testing.T) {
@@ -368,7 +432,7 @@ func TestGemmWindowSetsMatchPortable(t *testing.T) {
 				i++
 				checkGemmKernels(t, gemmCase{
 					seed: uint64(1000 + i), m: h, n: nk[0], k: nk[1], win: i % 3, count: count, gap: i % 9,
-					zeroTail: i % 4, zeroPct: []int{0, 15, 60, 100}[i/4%4], special: max(i%13-8, 0),
+					zeroTail: i % 4, zeroPct: []int{0, 15, 60, 100}[i/4%4], special: max(i%13-8, 0), clip: 7 * i % (h*count + 1),
 				})
 			}
 		}
@@ -427,13 +491,14 @@ func TestGemmWindowSetsConcurrent(t *testing.T) {
 // ep_compute's 10; a single window up to 80. With win's top bit set the case
 // is wide: aᵀ@b alone (checkMatMulT1) with m or n at 512 to 591 — a page and
 // more per row, which runs in depth blocks — the other up to 80, and k from
-// 65 to 136, past two blocks.
+// 65 to 136, past two blocks. clip draws how many rows off the sets' tail
+// the row forms also run without (checkClipped), none to all of them.
 func FuzzGemmKernels(f *testing.F) {
 	for _, s := range gemmFuzzSeeds {
-		f.Add(s.seed, s.b[0], s.b[1], s.b[2], s.b[3], s.b[4], s.b[5], s.b[6], s.b[7], s.b[8])
+		f.Add(s.seed, s.b[0], s.b[1], s.b[2], s.b[3], s.b[4], s.b[5], s.b[6], s.b[7], s.b[8], s.b[9])
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, m, n, k, win, zeroTail, zeroPct, special, count, gap uint8) {
-		checkGemmFuzz(t, fuzzGemmCase(seed, [9]uint8{m, n, k, win, zeroTail, zeroPct, special, count, gap}))
+	f.Fuzz(func(t *testing.T, seed uint64, m, n, k, win, zeroTail, zeroPct, special, count, gap, clip uint8) {
+		checkGemmFuzz(t, fuzzGemmCase(seed, [10]uint8{m, n, k, win, zeroTail, zeroPct, special, count, gap, clip}))
 	})
 }
 
@@ -447,26 +512,28 @@ func checkGemmFuzz(t *testing.T, c gemmCase) {
 	checkGemmKernels(t, c)
 }
 
-// gemmFuzzSeed is one FuzzGemmKernels input: the seed and the nine bytes
-// m, n, k, win, zeroTail, zeroPct, special, count, gap.
+// gemmFuzzSeed is one FuzzGemmKernels input: the seed and the ten bytes
+// m, n, k, win, zeroTail, zeroPct, special, count, gap, clip.
 type gemmFuzzSeed struct {
 	seed uint64
-	b    [9]uint8
+	b    [10]uint8
 }
 
 var gemmFuzzSeeds = []gemmFuzzSeed{
-	{1, [9]uint8{9, 17, 6, 1, 0, 0, 0, 0, 0}},
-	{2, [9]uint8{40, 64, 3, 0, 12, 20, 0, 0, 0}},
-	{3, [9]uint8{3, 7, 0, 2, 0, 100, 3, 0, 0}},
-	{4, [9]uint8{2, 9, 8, 1, 1, 10, 0, 3, 5}},
-	{5, [9]uint8{0, 15, 51, 0x80, 3, 10, 0, 0, 0}}, // wide: ep_tokens' dW1, (116, 512, 16)
-	{6, [9]uint8{15, 0, 51, 0xc0, 0, 0, 0, 0, 0}},  // wide: ep_tokens' dW2, (116, 16, 512)
-	{7, [9]uint8{7, 8, 200, 0x80, 0, 20, 3, 0, 0}}, // wide: (121, 519, 9), a column fringe, a NaN in b
+	{1, [10]uint8{9, 17, 6, 1, 0, 0, 0, 0, 0, 0}},
+	{2, [10]uint8{40, 64, 3, 0, 12, 20, 0, 0, 0, 0}},
+	{3, [10]uint8{3, 7, 0, 2, 0, 100, 3, 0, 0, 0}},
+	{4, [10]uint8{2, 9, 8, 1, 1, 10, 0, 3, 5, 0}},
+	{5, [10]uint8{0, 15, 51, 0x80, 3, 10, 0, 0, 0, 0}}, // wide: ep_tokens' dW1, (116, 512, 16)
+	{6, [10]uint8{15, 0, 51, 0xc0, 0, 0, 0, 0, 0, 0}},  // wide: ep_tokens' dW2, (116, 16, 512)
+	{7, [10]uint8{7, 8, 200, 0x80, 0, 20, 3, 0, 0, 0}}, // wide: (121, 519, 9), a column fringe, a NaN in b
+	{8, [10]uint8{9, 63, 63, 1, 0, 0, 0, 3, 4, 13}},    // ep_compute's chunk, clipped inside its third window
+	{9, [10]uint8{2, 9, 8, 1, 1, 10, 1, 3, 5, 12}},     // every row clipped, a NaN in a
 }
 
 // fuzzGemmCase maps FuzzGemmKernels' arguments to its case.
-func fuzzGemmCase(seed uint64, b [9]uint8) gemmCase {
-	m, n, k, win, zeroTail, zeroPct, special, count, gap := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8]
+func fuzzGemmCase(seed uint64, b [10]uint8) gemmCase {
+	m, n, k, win, zeroTail, zeroPct, special, count, gap, clip := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8], b[9]
 	c := gemmCase{
 		seed: seed, m: int(m%80) + 1, n: int(n%80) + 1, k: int(k % 72), win: int(win % 4), count: int(count%5) + 1,
 		gap: int(gap % 9), zeroTail: int(zeroTail % 16), zeroPct: int(zeroPct % 101), special: int(special % 5),
@@ -474,6 +541,7 @@ func fuzzGemmCase(seed uint64, b [9]uint8) gemmCase {
 	if c.count > 1 {
 		c.m = int(m%10) + 1
 	}
+	c.clip = int(clip) % (c.m*c.count + 1)
 	if win&0x80 != 0 {
 		c.wide, c.k = true, 2*t1Block+1+int(k%72)
 		if win&0x40 != 0 {

@@ -90,19 +90,37 @@ func Kernel() string {
 
 // Windows is a window set over the rows of a 2-D tensor: Count windows of N
 // rows each, the first starting at row Lo and each next one Stride rows
-// after the start of the one before. The row-form GEMM entry points run a
-// set as one product; a single window is Count = 1 (Window).
-type Windows struct{ Lo, N, Stride, Count int }
+// after the start of the one before, less the set's last Clip rows. The
+// row-form GEMM entry points run a set as one product; a single window is
+// Count = 1 (Window). Rows ascend in set order, so a clipped set is a prefix
+// of the unclipped one: a World's chunk over an expert block whose rows past
+// the router's fill hold no token (Cut). A product over a clipped set
+// neither reads nor writes the rows past the clip.
+type Windows struct{ Lo, N, Stride, Count, Clip int }
 
 // Window is the one-window set of rows [lo, lo+n).
 func Window(lo, n int) Windows { return Windows{Lo: lo, N: n, Stride: n, Count: 1} }
 
 // Len is the number of rows in the set.
-func (w Windows) Len() int { return w.N * w.Count }
+func (w Windows) Len() int { return w.N*w.Count - w.Clip }
+
+// Cut is w less its rows at or past row end.
+func (w Windows) Cut(end int) Windows {
+	kept := 0
+	for c := 0; c < w.Count; c++ {
+		kept += min(max(end-w.Lo-c*w.Stride, 0), w.N)
+	}
+	w.Clip = max(w.Clip, w.N*w.Count-kept)
+	return w
+}
+
+// kept is how many rows of window c are in the set: N, fewer in the window
+// the clip cuts, none past it.
+func (w Windows) kept(c int) int { return min(max(w.Len()-c*w.N, 0), w.N) }
 
 // Packed is the set of w's shape packed from row 0: the rows of a buffer
 // that holds w's rows in order, Len of them.
-func (w Windows) Packed() Windows { return Windows{N: w.N, Stride: w.N, Count: w.Count} }
+func (w Windows) Packed() Windows { return Windows{N: w.N, Stride: w.N, Count: w.Count, Clip: w.Clip} }
 
 // All yields every row of the set in order as (i, t): its position i in the
 // set, which is its row in a product's gathered operand, and its row t.
@@ -110,7 +128,7 @@ func (w Windows) All() iter.Seq2[int, int] {
 	return func(yield func(int, int) bool) {
 		for c := 0; c < w.Count; c++ {
 			lo := w.Lo + c*w.Stride
-			for t := lo; t < lo+w.N; t++ {
+			for t := lo; t < lo+w.kept(c); t++ {
 				if !yield(c*w.N+t-lo, t) {
 					return
 				}
@@ -123,12 +141,17 @@ func (w Windows) All() iter.Seq2[int, int] {
 func (w Windows) contiguous() bool { return w.Count == 1 || w.Stride == w.N }
 
 // within reports whether the set is well formed — windows that do not
-// overlap — and ends by row rows.
+// overlap, a clip no longer than the set — and its rows end by row rows.
 func (w Windows) within(rows int) bool {
-	if w.Lo < 0 || w.N < 0 || w.Count < 0 || w.Count > 1 && w.Stride < w.N {
+	if w.Lo < 0 || w.N < 0 || w.Count < 0 || w.Count > 1 && w.Stride < w.N || w.Clip < 0 || w.Clip > w.N*w.Count {
 		return false
 	}
-	return w.Count == 0 || w.Lo+(w.Count-1)*w.Stride+w.N <= rows
+	m := w.Len()
+	if m == 0 {
+		return true
+	}
+	c := (m - 1) / w.N // the last window with a row in the set
+	return w.Lo+c*w.Stride+w.kept(c) <= rows
 }
 
 // serialGEMM reports whether a product of macs multiply-accumulates over
@@ -200,7 +223,7 @@ func checkWindows(dst *Tensor, dw Windows, a *Tensor, aw Windows, n int, op stri
 	if dst.Rank() != 2 || dst.shape[1] != n {
 		panic("tensor: " + op + " destination shape mismatch")
 	}
-	if dw.N != aw.N || dw.Count != aw.Count || !dw.within(dst.shape[0]) || !aw.within(a.shape[0]) {
+	if dw.N != aw.N || dw.Count != aw.Count || dw.Clip != aw.Clip || !dw.within(dst.shape[0]) || !aw.within(a.shape[0]) {
 		panic(fmt.Sprintf("tensor: %s rows %+v of %v from rows %+v of %v out of range", op, dw, dst.shape, aw, a.shape))
 	}
 }
@@ -226,29 +249,34 @@ func (p *Pool) windowed(gemm func(p *Pool, dst, a, b []float64, m, k, n int),
 		gemm(p, dst[dw.Lo*n:(dw.Lo+m)*n], a[aw.Lo*k:(aw.Lo+m)*k], b, m, k, n)
 		return
 	}
-	full := dw.N
-	if kernel {
-		full = dw.N / tileRows * tileRows
-	}
-	if full > 0 {
-		for c := 0; c < dw.Count; c++ {
+	rest := 0
+	for c := 0; c < dw.Count; c++ {
+		kept := dw.kept(c)
+		full := kept
+		if kernel {
+			full = wholeTiles(kept)
+		}
+		if full > 0 {
 			dlo, alo := dw.Lo+c*dw.Stride, aw.Lo+c*aw.Stride
 			gemm(p, dst[dlo*n:(dlo+full)*n], a[alo*k:(alo+full)*k], b, full, k, n)
 		}
-		dw.Lo, dw.N, aw.Lo, aw.N = dw.Lo+full, dw.N-full, aw.Lo+full, aw.N-full
-		if m = dw.Len(); m == 0 {
-			return
-		}
+		rest += kept - full
 	}
-	rows := max(m, tileRows)
+	if rest == 0 {
+		return
+	}
+	rows := max(rest, tileRows)
 	s := GetUninit(rows * (n + k))
 	dd, ad := s.data[:rows*n], s.data[rows*n:]
-	gather(ad, a, aw, k)
-	clear(ad[m*k:])
+	gather(ad, a, aw, k, true)
+	clear(ad[rest*k:])
 	gemm(p, dd, ad, b, rows, k, n)
-	scatter(dst, dw, dd, n)
+	scatter(dst, dw, dd, n, true)
 	Put(s)
 }
+
+// wholeTiles is the rows of a window of kept rows that fill whole tiles.
+func wholeTiles(kept int) int { return kept / tileRows * tileRows }
 
 // ReserveScratch readies the free-list (pool.go) for products row-form
 // products running at once: its class of the largest buffer asked for so
@@ -274,21 +302,41 @@ func ReserveScratch(products int) {
 }
 
 // gather copies the rows of set w of src (width k) to the head of dst, in
-// set order.
-func gather(dst, src []float64, w Windows, k int) {
+// set order; with tails, only each window's rows past its whole tiles —
+// the rows windowed does not run in place.
+func gather(dst, src []float64, w Windows, k int, tails bool) {
+	i := 0
 	for c := 0; c < w.Count; c++ {
-		lo := (w.Lo + c*w.Stride) * k
-		copy(dst[c*w.N*k:], src[lo:lo+w.N*k])
+		lo, n := w.run(c, tails)
+		copy(dst[i*k:], src[lo*k:(lo+n)*k])
+		i += n
 	}
 }
 
 // scatter copies the head rows of src, in set order, to the rows of set w of
-// dst (width n) — the set's rows only.
-func scatter(dst []float64, w Windows, src []float64, n int) {
+// dst (width n) — the set's rows only, and with tails gather's.
+func scatter(dst []float64, w Windows, src []float64, n int, tails bool) {
+	i := 0
 	for c := 0; c < w.Count; c++ {
-		lo := (w.Lo + c*w.Stride) * n
-		copy(dst[lo:lo+w.N*n], src[c*w.N*n:])
+		lo, m := w.run(c, tails)
+		copy(dst[lo*n:(lo+m)*n], src[i*n:])
+		i += m
 	}
+}
+
+// run is window c's rows in the set as the first row and a count; with
+// tails, those past the window's whole tiles. A window past the clip is 0
+// rows from row 0.
+func (w Windows) run(c int, tails bool) (lo, n int) {
+	n = w.kept(c)
+	if n == 0 {
+		return 0, 0
+	}
+	lo = w.Lo + c*w.Stride
+	if tails {
+		lo, n = lo+wholeTiles(n), n-wholeTiles(n)
+	}
+	return lo, n
 }
 
 // matmulInto computes dst = A @ B where A is (m,k), B is (k,n), all
@@ -399,7 +447,10 @@ func MatMulT1Into(dst, a, b *Tensor) { defaultPool.MatMulT1Into(dst, a, b) }
 // row-blocked product may therefore be accumulated block by block —
 // MatMulT1Into on the first block of rows of a and b, MatMulT1AddInto on the
 // rest — with the bits of the one-call product.
-func MatMulT1AddInto(dst, a, b *Tensor) { defaultPool.MatMulT1AddInto(dst, a, b) }
+func MatMulT1AddInto(dst, a, b *Tensor) {
+	k, m, n := t1Shape(dst, a, b, "MatMulT1AddInto")
+	defaultPool.matmulT1(dst.data, a.data, b.data, k, m, n, true)
+}
 
 // MatMulT1Into computes dst = aᵀ @ b with the pool convention of
 // Pool.MatMulInto.
@@ -408,11 +459,19 @@ func (p *Pool) MatMulT1Into(dst, a, b *Tensor) {
 	p.self().matmulT1(dst.data, a.data, b.data, k, m, n, false)
 }
 
-// MatMulT1AddInto computes dst += aᵀ @ b with the pool convention of
-// Pool.MatMulInto.
-func (p *Pool) MatMulT1AddInto(dst, a, b *Tensor) {
-	k, m, n := t1Shape(dst, a, b, "MatMulT1AddInto")
-	p.self().matmulT1(dst.data, a.data, b.data, k, m, n, true)
+// MatMulT1HeadInto computes dst = aᵀ @ b over the first k rows of a and b
+// alone — dst += aᵀ @ b with add — with the pool convention of
+// Pool.MatMulInto: the bits of MatMulT1Into (MatMulT1AddInto) on the views
+// a.Slice(0, k) and b.Slice(0, k), without making them. a and b may hold
+// more rows than k, and different counts: an expert's weight gradient over
+// the rows of its block the router filled.
+func (p *Pool) MatMulT1HeadInto(dst, a, b *Tensor, k int, add bool) {
+	if a.Rank() != 2 || b.Rank() != 2 || k < 0 || k > a.shape[0] || k > b.shape[0] {
+		panic(fmt.Sprintf("tensor: MatMulT1HeadInto over %d rows of %v and %v", k, a.shape, b.shape))
+	}
+	m, n := a.shape[1], b.shape[1]
+	checkDst(dst, m, n, "MatMulT1HeadInto")
+	p.self().matmulT1(dst.data, a.data[:k*m], b.data[:k*n], k, m, n, add)
 }
 
 // t1Shape validates dst (m,n) += aᵀ @ b for a (k,m) and b (k,n) on behalf
@@ -603,12 +662,12 @@ func (p *Pool) matmulT2ViaA(dst []float64, dw Windows, a []float64, aw Windows, 
 	mp := padCols(m)
 	s := GetUninit(mp * (2*k + 2*n))
 	ag, at, dt, d := s.data[:mp*k], s.data[mp*k:2*mp*k], s.data[2*mp*k:2*mp*k+n*mp], s.data[2*mp*k+n*mp:]
-	gather(ag, a, aw, k)
+	gather(ag, a, aw, k, false)
 	clear(ag[m*k:])
 	transpose(at, ag, mp, k)
 	p.matmulInto(dt, b, at, n, k, mp)
 	transpose(d, dt, n, mp)
-	scatter(dst, dw, d, n)
+	scatter(dst, dw, d, n, false)
 	Put(s)
 }
 

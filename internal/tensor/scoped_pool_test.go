@@ -27,9 +27,9 @@ func TestScopedPoolMatchesDefault(t *testing.T) {
 		if !got.SameBits(want) {
 			t.Fatalf("width %d: pool MatMulInto not bit-identical", w)
 		}
-		p.MatMulT1AddInto(got, a1, b1)
+		p.MatMulT1HeadInto(got, a1, b1, a1.Dim(0), true)
 		if !got.SameBits(wantT1Add) {
-			t.Fatalf("width %d: pool MatMulT1AddInto not bit-identical", w)
+			t.Fatalf("width %d: pool MatMulT1HeadInto (add) not bit-identical", w)
 		}
 		p.MatMulT2Into(got, a, bt)
 		if !got.SameBits(wantT2) {

@@ -9,14 +9,14 @@
 // # GEMM contract
 //
 // The expert computation is three products — a@b (MatMulInto,
-// MatMulRowsInto), aᵀ@b (MatMulT1Into, MatMulT1AddInto) and
-// a@bᵀ (MatMulT2Into, MatMulT2RowsInto) — and one order defines all three
-// (matmul.go): each element of dst is one chain of fused multiply-adds over
-// the inner index,
+// MatMulRowsInto), aᵀ@b (MatMulT1Into, MatMulT1AddInto, MatMulT1HeadInto)
+// and a@bᵀ (MatMulT2Into, MatMulT2RowsInto) — and one order defines all
+// three (matmul.go): each element of dst is one chain of fused
+// multiply-adds over the inner index,
 //
 //	s = fma(a_p, b_p, s) for p = 0, 1, …, k−1,
 //
-// each term rounded once, from +0 (from dst's value for MatMulT1AddInto),
+// each term rounded once, from +0 (from dst's value where aᵀ@b adds),
 // no term skipped. The portable Go loop bodies spell every term as
 // math.FMA, which is exact on every target — a hardware FMA where the CPU
 // has one, a correctly rounded software one where it has not — so no
