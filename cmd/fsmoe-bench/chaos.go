@@ -64,8 +64,8 @@ func newChaosWorld(cfg chaosWorkload, ranks int, strat fsmoe.Strategy, g int) (*
 }
 
 // chaosExperiment sweeps fault rate × strategy on the executable runtime:
-// transient faults injected into every collective kind (at the task level
-// and inside the collectives) are retried until the pass completes, and
+// transient faults injected into every collective task, before its body
+// runs, are retried until the pass completes, and
 // the sweep reports completion counts, retries spent, the p50/p99 pass
 // times (the re-run collectives are the tail) and whether the surviving
 // output stayed bit-identical to the fault-free pass. A second table
@@ -112,7 +112,6 @@ func chaosExperiment(iters int) error {
 							fsmoe.KindAllGather:     rate,
 							fsmoe.KindReduceScatter: rate,
 						},
-						CollectiveProb:       rate,
 						MaxTransientsPerTask: 2,
 					}))
 				} else {
@@ -146,7 +145,7 @@ func chaosExperiment(iters int) error {
 		}
 	}
 	emit(tb)
-	note("fault-rate = per-attempt transient probability on every collective kind (task-level KindProb and in-collective CollectiveProb); " +
+	note("fault-rate = per-attempt transient probability of every collective task (KindProb on AlltoAll, AllGather and ReduceScatter), drawn before the task body runs; " +
 		"MaxTransientsPerTask=2 under the World's 4-attempt retry budget, so every pass recovers")
 
 	// Permanent rank-down: the pass must complete degraded, not abort.

@@ -49,17 +49,17 @@ func main() {
 	}
 	fmt.Println("clean pass: ok")
 
-	// 2. Chaos: transient faults on every collective kind, plus stragglers.
-	// Every decision is a pure function of the seed and the task identity,
-	// so this run is reproducible under any stream interleaving.
+	// 2. Chaos: transient faults on every collective kind, plus stragglers,
+	// drawn before each task attempt runs. Every decision is a pure
+	// function of the seed, the task and the attempt, so this run is
+	// reproducible under any stream interleaving.
 	world.SetFaultPlan(fsmoe.NewFaultPlan(fsmoe.FaultSpec{
 		Seed: 11,
 		KindProb: map[string]float64{
-			fsmoe.KindAlltoAll:      0.25,
-			fsmoe.KindAllGather:     0.25,
-			fsmoe.KindReduceScatter: 0.25,
+			fsmoe.KindAlltoAll:      0.4,
+			fsmoe.KindAllGather:     0.4,
+			fsmoe.KindReduceScatter: 0.4,
 		},
-		CollectiveProb:       0.2,
 		MaxTransientsPerTask: 2, // under the 4-attempt retry budget: recovery guaranteed
 		StragglerProb:        0.15,
 	}))

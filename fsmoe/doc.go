@@ -325,14 +325,16 @@
 // # Fault tolerance
 //
 // The executable World survives injected failure. NewFaultPlan compiles a
-// FaultSpec — per-kind transient probabilities, straggler
-// delays, in-collective failures, an optional permanent rank-down — into
-// a deterministic injector (every decision is a pure function of the
-// seed and the task identity, so chaos runs reproduce under any stream
-// interleaving); World.SetFaultPlan installs it.
+// FaultSpec — per-kind transient probabilities, straggler delays, an
+// optional permanent rank-down — into a deterministic injector (every
+// decision is a pure function of the seed, the task and the attempt, so
+// chaos runs reproduce under any stream interleaving and a replayed plan
+// fails the same attempts); World.SetFaultPlan installs it. The runtime
+// consults it before each task attempt, collectives included: there is
+// one level of injection, the task.
 //
-// Transient faults fire before any buffer mutation and are retried at
-// once, up to 4 attempts, on AlltoAll, AllGather, ReduceScatter and
+// Transient faults fire before the task body runs, so before any buffer
+// mutation, and are retried at once, up to 4 attempts, on AlltoAll, AllGather, ReduceScatter and
 // AllReduce tasks (expert W-gradient tasks accumulate in place and are
 // never replayed). A recovered pass is
 // bit-identical to a fault-free one; the retries appear as events on the
@@ -362,7 +364,7 @@
 //
 // Degraded mode keeps a step alive; checkpoints and recovery keep the
 // run alive. Checkpoint captures the complete training state of a stack
-// — parameters, step and collective-op counters, the gate's RNG —
+// — parameters, step counter, the gate's RNG —
 // and CheckpointManager persists it crash-consistently: the snapshot is
 // written to a temp file in the target directory, fsynced, and renamed
 // into place, so the final name only ever holds a complete file. With
@@ -370,12 +372,12 @@
 // file, overwritten in place: a crash or a failed commit leaves the
 // newest committed snapshot but costs that oldest one, and a path older
 // than the newest Keep may be overwritten, so do not hold it open. The
-// format (version 2) is a metadata record — step, per-world counters and
-// gate RNG, per-tensor names and shapes — then every tensor's float64
+// format (version 3) is a metadata record — step, per-world step counter
+// and gate RNG, per-tensor names and shapes — then every tensor's float64
 // data as raw little-endian spans, then a CRC-32C trailer; corruption
 // surfaces as a typed error — ErrCheckpointTruncated,
 // ErrCheckpointChecksum, ErrCheckpointMalformed, ErrCheckpointBadMagic,
-// ErrCheckpointVersion (version-1 gob files included) — and an empty
+// ErrCheckpointVersion (version-1 gob and version-2 files included) — and an empty
 // directory as ErrNoCheckpoint. Restore validates every world against
 // the snapshot before mutating any of them, so a mismatched snapshot is
 // rejected without tearing the stack. Set StepConfig.Checkpoint (and
@@ -400,10 +402,11 @@
 // layer is a stack of one) instead of limping: under RecoveryPolicy{Mode:
 // RecoverShrink}, the zero policy's one mode, the world re-plans onto the
 // largest surviving rank count that still divides the expert count. The
-// dead rank's experts are re-assigned, their checkpointed
-// weights re-placed through the guarded Broadcast collective (chaos
-// injection and traffic accounting reach the recovery path; transient
-// faults retry at once under the same 4-attempt budget), the plan builder
+// dead rank's experts are re-assigned, their checkpointed weights
+// re-placed through the Broadcast collective (traffic accounting reaches
+// the recovery path, and so does chaos: each attempt draws from
+// FaultSpec.KindProb[KindBroadcast] first, and a transient retries at once
+// under the same 4-attempt budget), the plan builder
 // re-emits the collective chains for the new topology — every strategy
 // recovers as itself, ESP at g′ = R′ and Hybrid at g′ = gcd(g, R′) — and
 // the fault plan's down trigger is stripped so the rebuilt world is not
@@ -411,7 +414,11 @@
 // layer, recording mode, topology delta (ranks and group size), restored
 // step, moved experts, re-placement traffic, retries and the measured
 // MTTR; StepMetrics
-// carries Recoveries/RecoveryMS when a Sink is set. The recovery
+// carries Recoveries/RecoveryMS when a Sink is set. Recovery is
+// all-or-nothing across the stack: every layer's weights are re-placed
+// before any layer's topology changes, so a broadcast that exhausts its
+// retries leaves every layer at the old rank count, rolled back to the
+// snapshot with the down rank still reported, and Recover can run again. The recovery
 // contract: a recovered run is bit-identical to a fresh World built
 // directly on the surviving topology and restored from the same
 // snapshot, and Recover leaves exactly the state surface ResetHealth

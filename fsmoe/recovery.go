@@ -18,7 +18,7 @@ type (
 	// WorldState per layer plus the completed-step stamp.
 	Snapshot = ckpt.Snapshot
 	// WorldState is one world's full mutable training state — gate and
-	// per-expert parameters, step and collective counters, gate RNG.
+	// per-expert parameters, step counter, gate RNG.
 	WorldState = ckpt.WorldState
 	// CheckpointManager writes and reads snapshot files in a directory:
 	// atomic (temp + fsync + rename), checksummed, versioned, optionally
@@ -81,7 +81,10 @@ func Restore(worlds []*World, s *Snapshot) error { return moe.RestoreWorlds(worl
 // re-emits its collective chains for the new placement (every strategy
 // recovers as itself), and the injector's down trigger is stripped so
 // stepping resumes at full strength. Every layer is checked against its
-// snapshot and its new placement before any is rolled back. Post-recovery
+// snapshot and its new placement before any is rolled back, and every
+// layer's weights are re-placed before any topology changes: a failed
+// re-placement leaves the whole stack at its old rank count, rolled back to
+// the snapshot, with the down rank still reported. Post-recovery
 // steps are bit-identical to a fresh run restarted from the same checkpoint
 // on the same topology.
 func Recover(worlds []*World, s *Snapshot, pol RecoveryPolicy) ([]*RecoveryReport, error) {

@@ -35,8 +35,14 @@ func TestRecoveryEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Kill rank 1; the step survives degraded, then the stack recovers.
-	ws[0].SetFaultPlan(NewFaultPlan(FaultSpec{Seed: 7, Down: &FaultDown{Rank: 1, Kind: KindExperts}}))
+	// Kill rank 1; the step survives degraded, then the stack recovers,
+	// layer 0's weight re-placement Broadcasts each failing once first.
+	ws[0].SetFaultPlan(NewFaultPlan(FaultSpec{
+		Seed:                 7,
+		KindProb:             map[string]float64{KindBroadcast: 1},
+		MaxTransientsPerTask: 1,
+		Down:                 &FaultDown{Rank: 1, Kind: KindExperts},
+	}))
 	res, err := StepStack(ws, x, dy, cfg)
 	if err != nil {
 		t.Fatalf("degraded step must complete, got %v", err)
@@ -57,8 +63,8 @@ func TestRecoveryEndToEnd(t *testing.T) {
 			t.Fatalf("recovery report = %+v, want 4→2 shrink with moved experts and measured MTTR", rep)
 		}
 	}
-	if rep := reports[0]; rep.DownRank != 1 {
-		t.Fatalf("layer 0 report = %+v, want the rank-1 rebuild", rep)
+	if rep := reports[0]; rep.DownRank != 1 || rep.Retries != len(rep.MovedExperts) || reports[1].Retries != 0 {
+		t.Fatalf("reports = %+v, %+v: want the rank-1 rebuild, one retry per layer-0 Broadcast and none on layer 1", rep, reports[1])
 	}
 
 	// Reference: a fresh 2-rank stack restored from the same checkpoint.

@@ -40,8 +40,9 @@ type (
 	DenseRouter = moe.DenseRouter
 
 	// FaultSpec configures the deterministic seeded fault injector:
-	// per-task-kind transient probabilities, straggler delays,
-	// in-collective failures and permanent rank-down events.
+	// per-task-kind transient probabilities, straggler delays and
+	// permanent rank-down events, each drawn before a task attempt runs
+	// (a collective's included, and each attempt of a recovery Broadcast).
 	FaultSpec = fault.Spec
 	// FaultPlan is a compiled injector; install it with World.SetFaultPlan.
 	FaultPlan = fault.Plan
@@ -77,7 +78,8 @@ const (
 )
 
 // Task kinds as they appear on stream plans — the keys a
-// FaultSpec.KindProb targets.
+// FaultSpec.KindProb targets. KindBroadcast labels no plan task: it targets
+// Recover's weight re-placement Broadcasts.
 const (
 	KindAlltoAll      = moe.KindA2A
 	KindAllGather     = moe.KindAG
@@ -85,6 +87,7 @@ const (
 	KindExperts       = moe.KindExpert
 	KindAllReduce     = sim.KindAllReduce
 	KindOthers        = sim.KindOthers
+	KindBroadcast     = sim.KindBroadcast
 )
 
 // The three AlltoAll algorithms of §3.1's Dispatch sub-module.

@@ -351,7 +351,6 @@ func TestWorldFaultSurface(t *testing.T) {
 		KindProb: map[string]float64{
 			KindAlltoAll: 0.5, KindAllGather: 0.5, KindReduceScatter: 0.5,
 		},
-		CollectiveProb:       0.3,
 		MaxTransientsPerTask: 2,
 	}))
 	y := pass()

@@ -4,10 +4,10 @@
 // loss (degraded stepping around the dead rank); this package makes the
 // loss *recoverable*: a snapshot taken before the failure carries every
 // byte a rebuilt world needs to resume bit-identically — per-expert and
-// gate parameters, the step and collective-op counters, and the private
-// RNG state of noisy gates.
+// gate parameters, the step counter, and the private RNG state of noisy
+// gates.
 //
-// On-disk format, version 2 (all integers little-endian):
+// On-disk format, version 3 (all integers little-endian):
 //
 //	offset 0        magic "FSMC" (4 bytes)
 //	offset 4        format version, uint32
@@ -21,7 +21,7 @@
 // The metadata record holds everything but the tensor data:
 //
 //	step int64, world count uint32, then per world:
-//	  steps int64, collOps int64,
+//	  steps int64,
 //	  RNG count uint32, per RNG: state uint64, gamma uint64,
 //	  the gate's tensor list,
 //	  expert count uint32, per expert: its tensor list
@@ -31,7 +31,8 @@
 // Each tensor's data span is the product of its dims float64s long. So
 // Encode is one pass of copies and the checksum the only other pass over
 // the bytes; a commit checksums each chunk just before writing it. Version
-// 1 (a gob payload under a CRC-64) is not read: it fails with ErrVersion.
+// 1 (a gob payload under a CRC-64) and version 2 (a collective-op counter
+// after each world's steps) are not read: they fail with ErrVersion.
 //
 // Three guarantees hold by construction:
 //
@@ -74,7 +75,7 @@ import (
 
 // Version is the current snapshot format version. Decoding rejects any
 // other version with ErrVersion; readers never guess at unknown layouts.
-const Version = 2
+const Version = 3
 
 // magic identifies a snapshot file ("FSMoe Checkpoint").
 var magic = [4]byte{'F', 'S', 'M', 'C'}
@@ -125,16 +126,12 @@ type RNGState struct {
 	Gamma uint64
 }
 
-// WorldState is one World's snapshot: its counters, every parameter of
+// WorldState is one World's snapshot: its step counter, every parameter of
 // its layer (gate first, then each expert in index order — the World's
 // flat gradient layout), and the private RNG state of gates that hold one.
 type WorldState struct {
-	// Steps is the world's completed-step counter; CollOps the monotone
-	// collective-operation counter that seeds deterministic fault-guard
-	// ids. Restoring both makes a resumed run replay the same guard
-	// decision space as the original.
-	Steps   int
-	CollOps int
+	// Steps is the world's completed-step counter.
+	Steps int
 
 	Gate    []Tensor   // gate parameters in Params() order
 	Experts [][]Tensor // Experts[e] is expert e's parameters in Params() order
@@ -179,7 +176,6 @@ func appendSnapshot(buf []byte, s *Snapshot) ([]byte, error) {
 	for i := range s.Worlds {
 		ws := &s.Worlds[i]
 		b = binary.LittleEndian.AppendUint64(b, uint64(ws.Steps))
-		b = binary.LittleEndian.AppendUint64(b, uint64(ws.CollOps))
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(ws.GateRNG)))
 		for _, r := range ws.GateRNG {
 			b = binary.LittleEndian.AppendUint64(b, r.State)
@@ -269,7 +265,7 @@ func measure(s *Snapshot) (metaLen, elems int, err error) {
 	metaLen = 8 + 4
 	for i := range s.Worlds {
 		ws := &s.Worlds[i]
-		metaLen += 8 + 8 + 4 + 16*len(ws.GateRNG) + 4 + 4 + 4*len(ws.Experts)
+		metaLen += 8 + 4 + 16*len(ws.GateRNG) + 4 + 4 + 4*len(ws.Experts)
 	}
 	forEachTensor(s, func(t *Tensor) {
 		if n, ok := product(t.Shape); (!ok || n != len(t.Data)) && err == nil {
@@ -373,7 +369,6 @@ func walk(meta, data []byte, build bool) (Snapshot, bool) {
 	for i := 0; i < n && !r.bad; i++ {
 		var ws WorldState
 		ws.Steps = int(int64(r.u64()))
-		ws.CollOps = int(int64(r.u64()))
 		nrng := r.count()
 		ws.GateRNG = alloc[RNGState](&r, nrng)
 		for k := 0; k < nrng && !r.bad; k++ {

@@ -25,16 +25,15 @@ func sample() *Snapshot {
 		Step: 7,
 		Worlds: []WorldState{
 			{
-				Steps:   7,
-				CollOps: 123,
-				Gate:    []Tensor{mk("gshard.wg", 0.5, -1.25), mk("gshard.wnoise", 3.5)},
+				Steps: 7,
+				Gate:  []Tensor{mk("gshard.wg", 0.5, -1.25), mk("gshard.wnoise", 3.5)},
 				Experts: [][]Tensor{
 					{mk("ffn.w1", 1, 2, 3), mk("ffn.b1", 0)},
 					{mk("ffn.w1", -4, 5e-300, 6), mk("ffn.b1", 1)},
 				},
 				GateRNG: []RNGState{{State: 0xdeadbeef, Gamma: 0x9e3779b97f4a7c15}},
 			},
-			{Steps: 7, CollOps: 88, Gate: []Tensor{mk("ec.wg", 9)}},
+			{Steps: 7, Gate: []Tensor{mk("ec.wg", 9)}},
 		},
 	}
 }
@@ -149,6 +148,13 @@ func TestCkptBitFlip(t *testing.T) {
 	if _, err := Decode(flip(4, 0)); !errors.Is(err, ErrVersion) {
 		t.Fatalf("version flip = %v, want ErrVersion", err)
 	}
+	// A sealed version-2 file, whose worlds carried a collective-op counter.
+	v2 := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(v2[4:], 2)
+	seal(v2)
+	if _, err := Decode(v2); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-2 file = %v, want ErrVersion", err)
+	}
 }
 
 // TestCkptHugeLengthField: a length field near 2^64 reads as truncation —
@@ -167,7 +173,7 @@ func TestCkptHugeLengthField(t *testing.T) {
 		{math.MaxUint64 - 3, 0},
 		{1 << 63, 1<<63 + 4}, // 24 + M + D + 4 wraps to exactly the file's 32 bytes
 	} {
-		raw := le.AppendUint32([]byte("FSMC"), 2)
+		raw := le.AppendUint32([]byte("FSMC"), Version)
 		raw = le.AppendUint64(le.AppendUint64(raw, lens[0]), lens[1])
 		raw = append(raw, make([]byte, 8)...)
 		if _, err := Decode(raw); !errors.Is(err, ErrTruncated) {
@@ -219,7 +225,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(le.AppendUint64(le.AppendUint32([]byte("FSMC"), 1), 8))
 	f.Add(valid[:len(valid)/2])
 	f.Add(flipped)
-	f.Add(le.AppendUint64(le.AppendUint64(le.AppendUint32([]byte("FSMC"), 2), 1<<63), 1<<63+4))
+	f.Add(le.AppendUint64(le.AppendUint64(le.AppendUint32([]byte("FSMC"), Version), 1<<63), 1<<63+4))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		decodeOrTypedError(t, raw)
 		if len(raw) >= headerLen+trailerLen {

@@ -62,8 +62,8 @@ func (m a2aMove) sent(s, d int) int {
 }
 
 // pack copies the filled rows of the window of the k blocks rank s sends to
-// d into slot; unpack lands them from slot in the window of the k blocks d
-// receives from s, which are filled alike.
+// d into slot, block j at j·(hi−lo)·w; unpack lands them from slot in the
+// window of the k blocks d receives from s, which are filled alike.
 func (m a2aMove) pack(slot []float64, s, d int) {
 	n := (m.hi - m.lo) * m.w
 	for j := 0; j < m.k; j++ {
@@ -77,6 +77,16 @@ func (m a2aMove) unpack(slot []float64, s, d int) {
 	for j := 0; j < m.k; j++ {
 		dst := m.dst.at(d, s*m.k+j)
 		copyRows(dst, m.lo, Tile(slot[j*n:(j+1)*n], m.w), 0, dst.rows(m.lo, m.hi))
+	}
+}
+
+// relay copies slot src, which pack filled for s → d, into slot dst: per
+// block only the filled rows, the ones pack wrote and unpack reads.
+func (m a2aMove) relay(dst, src []float64, s, d int) {
+	n := (m.hi - m.lo) * m.w
+	for j := 0; j < m.k; j++ {
+		f := j*n + m.src.at(s, d*m.k+j).rows(m.lo, m.hi)*m.w
+		copy(dst[j*n:f], src[j*n:f])
 	}
 }
 
@@ -177,7 +187,7 @@ func (m a2aMove) hier1D() (Stats, error) {
 				for d := nd2 * g; d < (nd2+1)*g; d++ {
 					src := ((s-nd*g)*p + d) * b
 					dst := (s*g + (d - nd2*g)) * b
-					copy(ad[dst:dst+b], ld[src:src+b])
+					m.relay(ad[dst:dst+b], ld[src:src+b], s, d)
 					moved += m.sent(s, d)
 				}
 			}

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -111,28 +110,5 @@ func TestBroadcastErrors(t *testing.T) {
 	}
 	if _, err := Broadcast([][]float64{{1}, {2}}, 2, 1); err == nil {
 		t.Fatal("out-of-range root must error")
-	}
-}
-
-// TestBroadcastGuarded: a failing guard aborts before any byte moves, so
-// a retry starts from pristine buffers; a nil guard checks nothing.
-func TestBroadcastGuarded(t *testing.T) {
-	boom := errors.New("injected")
-	data := bcastBuffers(3, 2, 0)
-	if _, err := BroadcastGuarded(func() error { return boom }, data, 0, 1); !errors.Is(err, boom) {
-		t.Fatalf("guard error not propagated: %v", err)
-	}
-	for r := 1; r < 3; r++ {
-		for i, v := range data[r] {
-			if v != -1 {
-				t.Fatalf("guard failure mutated rank %d elem %d: %v", r, i, v)
-			}
-		}
-	}
-	if _, err := BroadcastGuarded(nil, data, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if data[2][1] != float64(1) {
-		t.Fatalf("retry after guard failure did not complete: %v", data[2])
 	}
 }

@@ -269,12 +269,8 @@ func AlltoAllRows(algo A2AAlgo, data, out [][]float64, gpusPerNode int, dims Blo
 // in rows rr of recv[d][s·k+j]; every block has one width. The dense layout
 // with k·width wide blocks is the special case of consecutive tiles, and the
 // Stats are that layout's. A send block may be indexed (see Block). Send and
-// receive blocks must not overlap. guard, when non-nil, runs before the
-// first byte moves (see Guard).
-func AlltoAllBlocks(guard Guard, algo A2AAlgo, send, recv [][]Block, gpusPerNode int, rr RowRange) (Stats, error) {
-	if err := guard.check(); err != nil {
-		return Stats{}, err
-	}
+// receive blocks must not overlap.
+func AlltoAllBlocks(algo A2AAlgo, send, recv [][]Block, gpusPerNode int, rr RowRange) (Stats, error) {
 	p := len(send)
 	if p == 0 {
 		return Stats{}, fmt.Errorf("comm: no ranks")

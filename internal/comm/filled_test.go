@@ -88,11 +88,11 @@ func TestBlocksMoveFilledRowsOnly(t *testing.T) {
 			sendF := withFill(send, func(s, i int) int { return fills[s*p*k+i] })
 			gotF := withFill(got, func(d, i int) int { return fills[i/k*p*k+d*k+i%k] })
 			for _, rr := range tiling {
-				want, err := AlltoAllBlocks(nil, algo, send, ref, 2, rr)
+				want, err := AlltoAllBlocks(algo, send, ref, 2, rr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, err := AlltoAllBlocks(nil, algo, sendF, gotF, 2, rr)
+				st, err := AlltoAllBlocks(algo, sendF, gotF, 2, rr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,8 +139,8 @@ func TestBlocksMoveFilledRowsOnly(t *testing.T) {
 				run              func(src, dst [][]Block) (Stats, error)
 				src, dst, fs, fd [][]Block
 			}{
-				{"allgather", func(s, d [][]Block) (Stats, error) { return AllGatherBlocks(nil, s, d, 2, rr) }, src, ref, srcF, gotF},
-				{"reduce-scatter", func(s, d [][]Block) (Stats, error) { return ReduceScatterBlocks(nil, s, d, 2, rr) }, contrib, sum, contribF, sumF},
+				{"allgather", func(s, d [][]Block) (Stats, error) { return AllGatherBlocks(s, d, 2, rr) }, src, ref, srcF, gotF},
+				{"reduce-scatter", func(s, d [][]Block) (Stats, error) { return ReduceScatterBlocks(s, d, 2, rr) }, contrib, sum, contribF, sumF},
 			} {
 				want, err := coll.run(coll.src, coll.dst)
 				if err != nil {
@@ -169,7 +169,7 @@ func TestBlocksMoveFilledRowsOnly(t *testing.T) {
 		}
 		return rows
 	})
-	if _, err := AlltoAllBlocks(nil, A2ADirect, send, recv, 2, RowRange{Lo: 0, Hi: rows}); err == nil {
+	if _, err := AlltoAllBlocks(A2ADirect, send, recv, 2, RowRange{Lo: 0, Hi: rows}); err == nil {
 		t.Fatal("an AlltoAll whose paired blocks disagree on their fill ran")
 	}
 	for r := range recv {

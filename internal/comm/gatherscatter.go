@@ -175,12 +175,8 @@ func checkRing(what string, wide, narrow [][]Block, rr RowRange, absent bool) (i
 // member's own rows, in place — and is then left alone; otherwise sources
 // and destinations must not overlap. With one width and dense packing this
 // is the monolithic ring on the window, Stats included; in general Stats
-// count the elements the ring moves between blocks. guard, when non-nil,
-// runs before the first byte moves (see Guard).
-func AllGatherBlocks(guard Guard, src, dst [][]Block, gpusPerNode int, rr RowRange) (Stats, error) {
-	if err := guard.check(); err != nil {
-		return Stats{}, err
-	}
+// count the elements the ring moves between blocks.
+func AllGatherBlocks(src, dst [][]Block, gpusPerNode int, rr RowRange) (Stats, error) {
 	k, err := checkRing("allgather", dst, src, rr, false)
 	if err != nil || rr.Len() == 0 {
 		return Stats{}, err
@@ -198,12 +194,8 @@ func AllGatherBlocks(guard Guard, src, dst [][]Block, gpusPerNode int, rr RowRan
 // nothing to that block — and the result is bit for bit the ring's over
 // explicit zeros. A destination block may be its own member's contribution
 // (reduced in place); otherwise contributions and destinations must not
-// overlap, and contributions are never written. guard, when non-nil, runs
-// before the first byte moves (see Guard).
-func ReduceScatterBlocks(guard Guard, contrib, dst [][]Block, gpusPerNode int, rr RowRange) (Stats, error) {
-	if err := guard.check(); err != nil {
-		return Stats{}, err
-	}
+// overlap, and contributions are never written.
+func ReduceScatterBlocks(contrib, dst [][]Block, gpusPerNode int, rr RowRange) (Stats, error) {
 	k, err := checkRing("reduce-scatter", contrib, dst, rr, true)
 	if err != nil || rr.Len() == 0 {
 		return Stats{}, err

@@ -299,12 +299,12 @@ func TestIndexedSourcesMatchMaterialized(t *testing.T) {
 				got, want := recv(p*k), recv(p*k)
 				var gst, wst Stats
 				for _, rr := range SplitRows(rows, chunks) {
-					st, err := AlltoAllBlocks(nil, algo, send, got, gpn, rr)
+					st, err := AlltoAllBlocks(algo, send, got, gpn, rr)
 					if err != nil {
 						t.Fatal(err)
 					}
 					gst.Merge(st)
-					if st, err = AlltoAllBlocks(nil, algo, tiles, want, gpn, rr); err != nil {
+					if st, err = AlltoAllBlocks(algo, tiles, want, gpn, rr); err != nil {
 						t.Fatal(err)
 					}
 					wst.Merge(st)
@@ -325,12 +325,12 @@ func TestIndexedSourcesMatchMaterialized(t *testing.T) {
 			got, want := recv(p*k), recv(p*k)
 			var gst, wst Stats
 			for _, rr := range SplitRows(rows, chunks) {
-				st, err := AllGatherBlocks(nil, src, got, gpn, rr)
+				st, err := AllGatherBlocks(src, got, gpn, rr)
 				if err != nil {
 					t.Fatal(err)
 				}
 				gst.Merge(st)
-				if st, err = AllGatherBlocks(nil, srcTiles, want, gpn, rr); err != nil {
+				if st, err = AllGatherBlocks(srcTiles, want, gpn, rr); err != nil {
 					t.Fatal(err)
 				}
 				wst.Merge(st)
@@ -351,14 +351,14 @@ func TestIndexedSourcesMatchMaterialized(t *testing.T) {
 		}
 		return out
 	}
-	if _, err := AlltoAllBlocks(nil, A2ADirect, lists(bad, p*k), recv(p*k), gpn, RowRange{0, rows}); err == nil {
+	if _, err := AlltoAllBlocks(A2ADirect, lists(bad, p*k), recv(p*k), gpn, RowRange{0, rows}); err == nil {
 		t.Fatal("an index past the data must fail")
 	}
 	good, _ := indexedSource(rng, make([]float64, tokens*width), rows, width, tokens, false)
-	if _, err := AlltoAllBlocks(nil, A2ADirect, recv(p*k), lists(good, p*k), gpn, RowRange{0, rows}); err == nil {
+	if _, err := AlltoAllBlocks(A2ADirect, recv(p*k), lists(good, p*k), gpn, RowRange{0, rows}); err == nil {
 		t.Fatal("an indexed destination must fail")
 	}
-	if _, err := ReduceScatterBlocks(nil, lists(good, p*k), recv(k), gpn, RowRange{0, rows}); err == nil {
+	if _, err := ReduceScatterBlocks(lists(good, p*k), recv(k), gpn, RowRange{0, rows}); err == nil {
 		t.Fatal("an indexed reduce-scatter contribution must fail")
 	}
 }

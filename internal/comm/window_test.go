@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -223,7 +222,7 @@ func TestAlltoAllWindowProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("case %d %s rows %v: %v", tc, algo, rr, err)
 				}
-				bst, err := AlltoAllBlocks(nil, algo, sendB, recvB, g, rr)
+				bst, err := AlltoAllBlocks(algo, sendB, recvB, g, rr)
 				if err != nil {
 					t.Fatalf("case %d %s blocks %v: %v", tc, algo, rr, err)
 				}
@@ -358,7 +357,7 @@ func TestRingBlocksWindowProperty(t *testing.T) {
 		}
 		was := bitsOf(rc.narrow)
 		src, dst := rc.lists(rc.narrow), rc.lists(rc.wide)
-		sum := rc.windows(t, func(rr RowRange) (Stats, error) { return AllGatherBlocks(nil, src, dst, rc.g, rr) }, func(moved []bool) {
+		sum := rc.windows(t, func(rr RowRange) (Stats, error) { return AllGatherBlocks(src, dst, rc.g, rr) }, func(moved []bool) {
 			for d := range rc.wide {
 				off := 0
 				for _, c := range rc.wide[d] {
@@ -404,7 +403,7 @@ func TestRingBlocksWindowProperty(t *testing.T) {
 		}
 		was = bitsOf(others)
 		dst = rc.lists(rc.narrow)
-		sum = rc.windows(t, func(rr RowRange) (Stats, error) { return ReduceScatterBlocks(nil, contrib, dst, rc.g, rr) }, func(moved []bool) {
+		sum = rc.windows(t, func(rr RowRange) (Stats, error) { return ReduceScatterBlocks(contrib, dst, rc.g, rr) }, func(moved []bool) {
 			for c := range rc.narrow {
 				off := 0
 				for j, blk := range rc.narrow[c] {
@@ -446,7 +445,7 @@ func TestAllGatherBlocksUnevenWidths(t *testing.T) {
 		}
 		was := bitsOf(rc.narrow)
 		src, dst := rc.lists(rc.narrow), rc.lists(rc.wide)
-		sum := rc.windows(t, func(rr RowRange) (Stats, error) { return AllGatherBlocks(nil, src, dst, rc.g, rr) }, func(moved []bool) {
+		sum := rc.windows(t, func(rr RowRange) (Stats, error) { return AllGatherBlocks(src, dst, rc.g, rr) }, func(moved []bool) {
 			for d := range rc.wide {
 				for i, c := range rc.wide[d] {
 					c.check(t, "uneven allgather", moved, srcVals[i/rc.k][i%rc.k], nil)
@@ -464,47 +463,42 @@ func TestAllGatherBlocksUnevenWidths(t *testing.T) {
 }
 
 // blockFixture is one small problem per block-endpoint collective over
-// carved blocks, rows [1, 3) of 4: what the allocation and guard tests run.
-func blockFixture(rng *xrand.RNG) (calls map[string]func(g Guard) error, dsts [][]carved) {
+// carved blocks, rows [1, 3) of 4: what the allocation test runs.
+func blockFixture(rng *xrand.RNG) map[string]func() error {
 	const p, k, rows, width = 4, 2, 4, 3
 	rr := RowRange{Lo: 1, Hi: 3}
-	side := func(n int, fill bool) ([][]Block, [][]carved) {
-		cs := make([][]carved, p)
+	side := func(n int, fill bool) [][]Block {
 		lists := make([][]Block, p)
-		for r := range cs {
-			for i := 0; i < n; i++ {
-				c := carve(rng, rows, width)
+		for r := range lists {
+			cs := make([]carved, n)
+			for i := range cs {
+				cs[i] = carve(rng, rows, width)
 				if fill {
-					c.fill(rng)
+					cs[i].fill(rng)
 				}
-				cs[r] = append(cs[r], c)
 			}
-			lists[r] = blocksOf(cs[r])
+			lists[r] = blocksOf(cs)
 		}
-		return lists, cs
+		return lists
 	}
-	send, _ := side(p*k, true)
-	recv, recvC := side(p*k, false)
-	src, _ := side(k, true)
-	gathered, gatheredC := side(p*k, false)
-	contrib, _ := side(p*k, true)
+	send, recv := side(p*k, true), side(p*k, false)
+	src, gathered := side(k, true), side(p*k, false)
+	contrib, reduced := side(p*k, true), side(k, false)
 	contrib[1][3] = Block{}
-	reduced, reducedC := side(k, false)
-	calls = map[string]func(g Guard) error{
-		"alltoall": func(g Guard) error {
-			_, err := AlltoAllBlocks(g, A2ADirect, send, recv, 2, rr)
+	return map[string]func() error{
+		"alltoall": func() error {
+			_, err := AlltoAllBlocks(A2ADirect, send, recv, 2, rr)
 			return err
 		},
-		"allgather": func(g Guard) error {
-			_, err := AllGatherBlocks(g, src, gathered, 2, rr)
+		"allgather": func() error {
+			_, err := AllGatherBlocks(src, gathered, 2, rr)
 			return err
 		},
-		"reduce-scatter": func(g Guard) error {
-			_, err := ReduceScatterBlocks(g, contrib, reduced, 2, rr)
+		"reduce-scatter": func() error {
+			_, err := ReduceScatterBlocks(contrib, reduced, 2, rr)
 			return err
 		},
 	}
-	return calls, append(append(recvC, gatheredC...), reducedC...)
 }
 
 // TestAlltoAllRowsDirectAllocFree: a Direct window moves straight between
@@ -527,38 +521,14 @@ func TestAlltoAllRowsDirectAllocFree(t *testing.T) {
 // TestBlockCollectivesAllocFree: a window of any block-endpoint collective
 // moves straight between the caller's blocks — no staging, no allocation.
 func TestBlockCollectivesAllocFree(t *testing.T) {
-	calls, _ := blockFixture(xrand.New(5))
-	for name, call := range calls {
+	for name, call := range blockFixture(xrand.New(5)) {
 		allocs := testing.AllocsPerRun(20, func() {
-			if err := call(nil); err != nil {
+			if err := call(); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
 			t.Fatalf("a %s window allocates %v times, want 0", name, allocs)
-		}
-	}
-}
-
-// TestBlockCollectivesGuard: a failing guard aborts every block-endpoint
-// collective before its first byte moves — the destinations are NaN still —
-// and the same call then completes behind a passing one.
-func TestBlockCollectivesGuard(t *testing.T) {
-	calls, dsts := blockFixture(xrand.New(6))
-	boom := errors.New("boom")
-	for name, call := range calls {
-		if err := call(func() error { return boom }); !errors.Is(err, boom) {
-			t.Fatalf("%s: guard error not surfaced: %v", name, err)
-		}
-	}
-	for _, list := range dsts {
-		for _, c := range list {
-			c.check(t, "after a failed guard", make([]bool, c.nrows), nil, nil)
-		}
-	}
-	for name, call := range calls {
-		if err := call(func() error { return nil }); err != nil {
-			t.Fatalf("%s behind a passing guard: %v", name, err)
 		}
 	}
 }

@@ -176,13 +176,6 @@ type Spec struct {
 	StragglerProb  float64
 	StragglerDelay time.Duration
 
-	// CollectiveProb is the transient-failure rate of the in-collective
-	// Guard hook: the failure fires inside the collective call, immediately
-	// before its first byte moves. It is independent of TransientProb so
-	// task-level and comm-level injection compose; MaxTransientsPerTask
-	// caps the two together.
-	CollectiveProb float64
-
 	// Down, when non-nil, permanently fails one rank mid-step.
 	Down *Down
 }
@@ -222,7 +215,6 @@ func New(s Spec) *Plan {
 	s = s.own()
 	s.TransientProb = clamp01(s.TransientProb)
 	s.StragglerProb = clamp01(s.StragglerProb)
-	s.CollectiveProb = clamp01(s.CollectiveProb)
 	for k, v := range s.KindProb {
 		s.KindProb[k] = clamp01(v)
 	}
@@ -245,7 +237,7 @@ func (p *Plan) Spec() Spec {
 // trigger removed — the injector the recovered world keeps running under
 // after elastic recovery: the dead rank was re-placed, so replaying its
 // down event against the rebuilt topology would re-kill a healthy rank.
-// Transient, straggler and in-collective injection carry over unchanged.
+// Transient and straggler injection carry over unchanged.
 // Safe on a nil Plan (stays nil), and a no-op when no Down is configured.
 func (p *Plan) WithoutDown() *Plan {
 	if p == nil || p.spec.Down == nil {
@@ -281,67 +273,22 @@ func (p *Plan) Check(stream, kind, label string, taskID, attempt int) Decision {
 	if s.StragglerProb > 0 && p.roll(saltStraggler, taskID, attempt) < s.StragglerProb {
 		d.Delay = s.StragglerDelay
 	}
-	if p.transientAt(kind, taskID, attempt) {
+	prob := s.TransientProb
+	if v, ok := s.KindProb[kind]; ok && v > prob {
+		prob = v
+	}
+	underCap := s.MaxTransientsPerTask <= 0 || attempt < s.MaxTransientsPerTask
+	if prob > 0 && underCap && p.roll(saltTransient, taskID, attempt) < prob {
 		d.Err = NewTransient(rank, label, "injected transient failure")
 	}
 	return d
 }
 
-// transientAt reports whether Check fails this attempt of the task with an
-// injected transient.
-func (p *Plan) transientAt(kind string, taskID, attempt int) bool {
-	s := &p.spec
-	prob := s.TransientProb
-	if v, ok := s.KindProb[kind]; ok && v > prob {
-		prob = v
-	}
-	return prob > 0 && p.underCap(attempt) && p.roll(saltTransient, taskID, attempt) < prob
-}
-
-// Guard returns a comm-level guard for one collective operation, or nil
-// when in-collective injection is off. The guard is invoked by the
-// collective immediately before it moves its first byte; a returned
-// transient error therefore aborts the collective with every buffer
-// untouched, and a retry replays it bit-safely. Each invocation counts as
-// one attempt of operation opID (callers must create one guard per planned
-// collective — the closure carries the attempt counter, and a task's
-// attempts run one at a time on whichever executor worker holds the task,
-// so it needs no locking).
-//
-// taskID names the plan task the collective runs in (negative: none, the
-// caller retries the operation itself). Check fails some of that task's
-// attempts before its body, and with it the guard, ever runs; under a
-// capped spec the guard counts those attempts as spent, so the cap bounds
-// the transients one task absorbs from both levels together and a retry
-// budget above the cap always completes it.
-func (p *Plan) Guard(stream, kind string, taskID, opID int) func() error {
-	if p == nil || p.spec.CollectiveProb <= 0 {
-		return nil
-	}
-	attempt := 0
-	return func() error {
-		for taskID >= 0 && p.spec.MaxTransientsPerTask > 0 && p.transientAt(kind, taskID, attempt) {
-			attempt++
-		}
-		a := attempt
-		attempt++
-		if p.underCap(a) && p.roll(saltGuard, opID, a) < p.spec.CollectiveProb {
-			return NewTransient(StreamRank(stream), kind, "injected collective failure")
-		}
-		return nil
-	}
-}
-
-func (p *Plan) underCap(attempt int) bool {
-	return p.spec.MaxTransientsPerTask <= 0 || attempt < p.spec.MaxTransientsPerTask
-}
-
-// Decision salts keep the straggler, transient and guard decision spaces
+// Decision salts keep the straggler and transient decision spaces
 // independent for one (taskID, attempt).
 const (
 	saltTransient = 0x7472616E7369656E // "transien"
 	saltStraggler = 0x7374726167676C65 // "straggle"
-	saltGuard     = 0x636F6C6C67756172 // "collguar"
 )
 
 // roll maps (seed, salt, id, attempt) to a uniform float in [0, 1) via a

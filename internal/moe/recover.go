@@ -6,20 +6,19 @@ package moe
 // frozen until a manual ResetHealth. Recover instead rebuilds: the
 // training state rolls back to a checkpoint, the dead rank's experts are
 // re-assigned across the surviving ranks (shrink), the restored weights of
-// every re-placed expert travel a guarded Broadcast to their new owner (the
-// FastMoE "shadowing" / FlexMoE re-placement move, driven by failure instead
-// of routing skew), and the plan builder re-emits its collective chains for
+// every re-placed expert travel a Broadcast to their new owner (the FastMoE
+// "shadowing" / FlexMoE re-placement move, driven by failure instead of
+// routing skew), and the plan builder re-emits its collective chains for
 // the new placement on the next pass — plan construction derives entirely
 // from the world config, so nothing is patched in place. Every strategy
 // recovers as itself: a new (R′, g′) is the same builder call, with ESP at
 // g′ = R′ and Hybrid at g′ = gcd(g, R′), the widest group the old one and
 // the new rank count both admit.
 //
-// Recovery is rollback-based: parameters, step counter, collective-op
-// counter and gate RNG state all return to the snapshot point, so a
-// recovered run is bit-identical to a fresh run restarted from the same
-// checkpoint on the same surviving topology (the headline contract,
-// asserted by TestWorldRecoverBitIdentical).
+// Recovery is rollback-based: parameters, step counter and gate RNG state
+// all return to the snapshot point, so a recovered run is bit-identical to
+// a fresh run restarted from the same checkpoint on the same surviving
+// topology (the headline contract, asserted by TestWorldRecoverBitIdentical).
 
 import (
 	"fmt"
@@ -49,7 +48,8 @@ type RecoveryPolicy struct {
 }
 
 // recoverStream labels the recovery broadcasts for fault injection; it is
-// not a per-rank stream, so injected guard failures attribute to no rank.
+// not a per-rank stream, so injected failures attribute to no rank and no
+// rank-down trigger matches it.
 const recoverStream = "recover"
 
 // RecoveryReport describes one world's completed recovery.
@@ -71,12 +71,12 @@ type RecoveryReport struct {
 	MovedExperts []int
 
 	// Traffic is the weight re-placement broadcast volume; Retries counts
-	// transient guard failures absorbed while moving it.
+	// injected transient failures absorbed while moving it.
 	Traffic comm.Stats
 	Retries int
 
-	// RecoveryMS is the wall time of the whole rebuild — the MTTR of this
-	// failure.
+	// RecoveryMS is the wall time of this world's rebuild — its rollback,
+	// weight re-placement and topology swap: its share of the MTTR.
 	RecoveryMS float64
 }
 
@@ -84,9 +84,11 @@ type RecoveryReport struct {
 // down rank is located on whichever world saw the failure, and every
 // world — degraded or not — is rebuilt to the same surviving topology,
 // since a stack steps only at a uniform rank count. Every world is checked
-// against its snapshot and its new placement before any is rolled back; a
-// weight re-placement broadcast that still fails after its retries returns
-// with the layers before it already rebuilt.
+// against its snapshot and its new placement before any is rolled back, and
+// every world's weights are re-placed before any topology changes: a
+// re-placement broadcast that still fails after its retries leaves the whole
+// stack rolled back to the snapshot at its old rank count, with the down
+// rank still reported, so the stack recovers again once the fault clears.
 func RecoverWorlds(worlds []*World, s *ckpt.Snapshot, pol RecoveryPolicy) ([]*RecoveryReport, error) {
 	if err := checkStack("recover", worlds); err != nil {
 		return nil, err
@@ -143,11 +145,15 @@ shrink:
 	st := residentFor(worlds, false)
 	reports := make([]*RecoveryReport, len(worlds))
 	for i, w := range worlds {
-		rep, err := w.recoverTo(&s.Worlds[i], st.params[st.off[i]:st.off[i+1]], mode, down, cfgs[i], pls[i])
-		if err != nil {
+		reports[i] = w.rollback(&s.Worlds[i], mode, down, cfgs[i])
+	}
+	for i, w := range worlds {
+		if err := w.replace(reports[i], st.params[st.off[i]:st.off[i+1]], cfgs[i]); err != nil {
 			return nil, fmt.Errorf("moe: recover layer %d: %w", i, err)
 		}
-		reports[i] = rep
+	}
+	for i, w := range worlds {
+		w.commit(reports[i], cfgs[i], pls[i])
 	}
 	return reports, nil
 }
@@ -173,39 +179,45 @@ func (w *World) recoveryConfig(newR int) (WorldConfig, placement, error) {
 	return cfg, pl, err
 }
 
-// recoverTo is the per-world rebuild onto newCfg and pl, which
-// recoveryConfig returned; checkRestore has accepted ws. params is the
-// layer's span of the stack's parameter buffer, which the live Param.W
-// views.
-func (w *World) recoverTo(ws *ckpt.WorldState, params []float64, mode RecoveryMode, downRank int, newCfg WorldConfig, pl placement) (*RecoveryReport, error) {
+// rollback starts the world's recovery report and rolls the full training
+// state back to ws, which checkRestore accepted: parameters, step counter,
+// gate RNG. Aborted-plan residue (partial gradients, partial parameter
+// writes) dies here.
+func (w *World) rollback(ws *ckpt.WorldState, mode RecoveryMode, downRank int, newCfg WorldConfig) *RecoveryReport {
 	t0 := time.Now()
-	e := len(w.layer.cfg.Experts)
-	oldR, oldEgrp, newR, gpn := w.cfg.Ranks, w.egrp, newCfg.Ranks, newCfg.GPUsPerNode
 	rep := &RecoveryReport{
 		Mode:         mode,
 		DownRank:     downRank,
-		OldRanks:     oldR,
-		NewRanks:     newR,
+		OldRanks:     w.cfg.Ranks,
+		NewRanks:     newCfg.Ranks,
 		OldStrategy:  w.cfg.Strategy,
 		NewStrategy:  newCfg.Strategy,
 		OldGroupSize: w.GroupSize(),
 		RestoredStep: ws.Steps,
 	}
-
-	// Roll the full training state back to the snapshot: parameters, step
-	// counter, collective-op counter, gate RNG. Aborted-plan residue
-	// (partial gradients, partial parameter writes) dies here.
 	w.applyRestore(ws)
+	rep.RecoveryMS = time.Since(t0).Seconds() * 1e3
+	return rep
+}
 
-	// Re-place weights: every expert whose owner changed under the new
-	// contiguous mapping — and the dead rank's whole shard, whose owner index
-	// may survive (a dead rank 0's experts stay with rank 0) — receives its
-	// restored parameters over a guarded Broadcast
-	// from rank 0 (the checkpoint reader), so the recovery traffic is
-	// measured and chaos injection reaches it like any other collective.
+// replace moves the weights of every expert whose owner changes at
+// newCfg's rank count to that owner. params is the layer's span of the
+// stack's parameter buffer, which the live Param.W views. The world's
+// topology is untouched; commit installs the new one.
+func (w *World) replace(rep *RecoveryReport, params []float64, newCfg WorldConfig) error {
+	t0 := time.Now()
+	e, oldEgrp, newR := len(w.layer.cfg.Experts), w.egrp, newCfg.Ranks
+
+	// Every expert whose owner changed under the new contiguous mapping —
+	// and the dead rank's whole shard, whose owner index may survive (a dead
+	// rank 0's experts stay with rank 0) — receives its restored parameters
+	// over a Broadcast from rank 0 (the checkpoint reader), so the recovery
+	// traffic is measured. Each attempt consults the injector first, as a
+	// plan task does: chaos reaches the broadcasts through
+	// KindProb[Broadcast], and a transient is retried within retryBudget.
 	newEgrp := e / newR
 	for ex := 0; ex < e; ex++ {
-		if ex/oldEgrp != ex/newEgrp || ex/oldEgrp == downRank {
+		if ex/oldEgrp != ex/newEgrp || ex/oldEgrp == rep.DownRank {
 			rep.MovedExperts = append(rep.MovedExperts, ex)
 		}
 	}
@@ -217,16 +229,17 @@ func (w *World) recoverTo(ws *ckpt.WorldState, params []float64, mode RecoveryMo
 		for r := 1; r < newR; r++ {
 			bufs[r] = make([]float64, len(span))
 		}
-		guard := w.collGuard(recoverStream, sim.KindBroadcast, -1)
 		var st comm.Stats
 		for a := 0; ; a++ {
-			s, err := comm.BroadcastGuarded(guard, bufs, 0, gpn)
+			err := w.faults.Check(recoverStream, sim.KindBroadcast, sim.KindBroadcast, ex, a).Err
 			if err == nil {
-				st = s
+				st, err = comm.Broadcast(bufs, 0, newCfg.GPUsPerNode)
+			}
+			if err == nil {
 				break
 			}
 			if !fault.IsTransient(err) || a+1 >= retryBudget.MaxAttempts {
-				return nil, fmt.Errorf("moe: recover: broadcast expert %d weights: %w", ex, err)
+				return fmt.Errorf("moe: recover: broadcast expert %d weights: %w", ex, err)
 			}
 			rep.Retries++
 		}
@@ -234,17 +247,23 @@ func (w *World) recoverTo(ws *ckpt.WorldState, params []float64, mode RecoveryMo
 		// The new owner's received copy is authoritative.
 		copy(span, bufs[ex/newEgrp])
 	}
-	w.addStats(rep.Traffic)
+	rep.RecoveryMS += time.Since(t0).Seconds() * 1e3
+	return nil
+}
 
-	// Commit the new topology: resize the worker set and the kernel pool to
-	// the new stream count, install the new placement, drop the workspace
-	// cut for the old one, strip the injector's down trigger (the dead rank
-	// no longer exists in the rebuilt world), and clear the health state
-	// exactly as a manual ResetHealth would.
+// commit installs the topology replace moved the world's weights for: it
+// resizes the worker set and the kernel pool to the new stream count,
+// installs the new placement, drops the workspace cut for the old one,
+// strips the injector's down trigger (the dead rank no longer exists in the
+// rebuilt world), and clears the health state exactly as a manual
+// ResetHealth would.
+func (w *World) commit(rep *RecoveryReport, newCfg WorldConfig, pl placement) {
+	t0 := time.Now()
+	w.addStats(rep.Traffic)
 	w.exec.Close()
 	w.pool.Close()
 	w.cfg = newCfg
-	w.egrp = newEgrp
+	w.egrp = len(w.layer.cfg.Experts) / newCfg.Ranks
 	w.pl = pl
 	w.ws = nil
 	w.planResources()
@@ -252,9 +271,8 @@ func (w *World) recoverTo(ws *ckpt.WorldState, params []float64, mode RecoveryMo
 	w.ResetHealth()
 
 	rep.NewGroupSize = w.GroupSize()
-	rep.RecoveryMS = time.Since(t0).Seconds() * 1e3
+	rep.RecoveryMS += time.Since(t0).Seconds() * 1e3
 	w.recov = append(w.recov, rep)
-	return rep, nil
 }
 
 func gcd(a, b int) int {

@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/fault"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
@@ -288,6 +290,66 @@ func TestWorldRecoverBitIdentical(t *testing.T) {
 		}
 		sameAsTwin(t, fmt.Sprintf("post-recovery step %d", s), got, want)
 	}
+}
+
+// TestRecoverWorldsAllOrNothing: a weight re-placement broadcast that
+// exhausts its retries on layer 1 fails the whole recovery with a transient
+// error and leaves every world at its old rank count, the down rank still
+// reported: the stack still steps (degraded), and once the injector is
+// removed a second recovery succeeds and steps bit-identically to a fresh
+// stack at the surviving rank count restored from the same snapshot.
+func TestRecoverWorldsAllOrNothing(t *testing.T) {
+	const layers, ranks = 2, 4
+	x := tensor.RandN(xrand.New(217), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(218), 1, 96, 32)
+	cfg := StepConfig{LR: 0.05, ChunkBytes: 64 << 10, Slices: 3}
+	ws := stepStack(t, layers, ranks, 2, false)
+	if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
+		t.Fatal(err)
+	}
+	snap := SnapshotWorlds(ws)
+	ws[0].SetFaultPlan(fault.New(fault.Spec{Seed: 3, Down: &fault.Down{Rank: 1, Kind: KindExpert}}))
+	ws[1].SetFaultPlan(fault.New(fault.Spec{Seed: 3, KindProb: map[string]float64{sim.KindBroadcast: 1}}))
+	if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(label string) {
+		t.Helper()
+		for i, w := range ws {
+			if w.Ranks() != ranks {
+				t.Fatalf("%s: layer %d has %d ranks, want %d", label, i, w.Ranks(), ranks)
+			}
+		}
+		if ws[0].Health()[1] {
+			t.Fatalf("%s: rank 1 no longer reported down", label)
+		}
+	}
+	if _, err := RecoverWorlds(ws, snap, RecoveryPolicy{}); !fault.IsTransient(err) || !strings.Contains(err.Error(), "layer 1") {
+		t.Fatalf("recovery under failing layer-1 broadcasts: err %v, want layer 1's transient", err)
+	}
+	unchanged("failed recovery")
+	if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
+		t.Fatalf("the stack must still step after a failed recovery: %v", err)
+	}
+	unchanged("step after the failed recovery")
+
+	ws[1].SetFaultPlan(nil)
+	if _, err := RecoverWorlds(ws, snap, RecoveryPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	ref := stepStack(t, layers, 2, 2, false)
+	if err := RestoreWorlds(ref, snap); err != nil {
+		t.Fatal(err)
+	}
+	got, err := StepWorlds(ws, x, dy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := StepWorlds(ref, x, dy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsTwin(t, "recovered step", got, want)
 }
 
 // TestWorldRecoverKeepsStrategy: a sharded world recovers as itself — a

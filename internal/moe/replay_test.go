@@ -6,6 +6,7 @@ import (
 	"fmt"
 	goruntime "runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gradsync"
 	"repro/internal/runtime"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
@@ -150,70 +153,70 @@ func TestWorldForwardForwardBackwardReplays(t *testing.T) {
 	}
 }
 
-// faultOpStack is the stack TestStepFaultOpIDsPinned steps: a hybrid (g = 2)
-// world, whose plans guard AlltoAll, AllGather and ReduceScatter tasks, over
-// an EP world, both under one seeded collective-fault plan.
-func faultOpStack(t *testing.T) []*World {
+// faultStack is the stack TestStepFaultsFollowTaskAndAttempt steps: a
+// hybrid (g = 2) world, whose plans run AlltoAll, AllGather and
+// ReduceScatter tasks, over an EP world, both under one seeded, capped
+// collective-fault plan. The stack's sink appends each step's fault and
+// retry counts, forward plans included, to counts.
+func faultStack(t *testing.T, counts *[]string) []*World {
+	sink := telemetry.SinkFunc(func(m *telemetry.StepMetrics) {
+		*counts = append(*counts, fmt.Sprintf("%d faults %d retries", m.Faults, m.Retries))
+	})
 	var ws []*World
 	for _, wc := range []WorldConfig{
-		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2},
-		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2, Sink: sink},
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP, Sink: sink},
 	} {
 		w, err := NewWorld(worldLayer(t, "gshard", TutelOrder{}, false, false), wc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.SetFaultPlan(fault.New(fault.Spec{Seed: 17, CollectiveProb: 0.3, MaxTransientsPerTask: 2}))
+		w.SetFaultPlan(fault.New(fault.Spec{
+			Seed:                 17,
+			KindProb:             map[string]float64{KindA2A: 0.3, KindAG: 0.3, KindRS: 0.3},
+			MaxTransientsPerTask: 2,
+		}))
 		ws = append(ws, w)
 	}
 	return ws
 }
 
-// faultOpPin is each step's collective guards in the order the stack mints
-// them — the forward plans in stack order, then the backward plans in
-// reverse — as (task label, operation id): the sequence the tree before
-// resident plans minted at build time, recorded from it.
-var faultOpPin = []string{
-	"D[0]@0 AGx0[g0]@1 AGx0[g1]@2 D[1]@3 AGx1[g0]@4 AGx1[g1]@5 AGh0[g0]@6 AGh0[g1]@7 RSy0[g0]@8 RSy0[g1]@9 C[0]@10 AGh1[g0]@11 AGh1[g1]@12 RSy1[g0]@13 RSy1[g1]@14 C[1]@15 D[0]@0 D[1]@1 C[0]@2 C[1]@3 C[0]@4 C[1]@5 D[0]@6 D[1]@7 C[0]@16 AGd0[g0]@17 AGd0[g1]@18 C[1]@19 AGd1[g0]@20 AGd1[g1]@21 AGb0[g0]@22 AGb0[g1]@23 RSd0[g0]@24 RSd0[g1]@25 D[0]@26 AGb1[g0]@27 AGb1[g1]@28 RSd1[g0]@29 RSd1[g1]@30 D[1]@31",
-	"D[0]@32 AGx0[g0]@33 AGx0[g1]@34 D[1]@35 AGx1[g0]@36 AGx1[g1]@37 AGh0[g0]@38 AGh0[g1]@39 RSy0[g0]@40 RSy0[g1]@41 C[0]@42 AGh1[g0]@43 AGh1[g1]@44 RSy1[g0]@45 RSy1[g1]@46 C[1]@47 D[0]@8 D[1]@9 C[0]@10 C[1]@11 C[0]@12 C[1]@13 D[0]@14 D[1]@15 C[0]@48 AGd0[g0]@49 AGd0[g1]@50 C[1]@51 AGd1[g0]@52 AGd1[g1]@53 AGb0[g0]@54 AGb0[g1]@55 RSd0[g0]@56 RSd0[g1]@57 D[0]@58 AGb1[g0]@59 AGb1[g1]@60 RSd1[g0]@61 RSd1[g1]@62 D[1]@63",
-	"D[0]@64 AGx0[g0]@65 AGx0[g1]@66 D[1]@67 AGx1[g0]@68 AGx1[g1]@69 AGh0[g0]@70 AGh0[g1]@71 RSy0[g0]@72 RSy0[g1]@73 C[0]@74 AGh1[g0]@75 AGh1[g1]@76 RSy1[g0]@77 RSy1[g1]@78 C[1]@79 D[0]@16 D[1]@17 C[0]@18 C[1]@19 C[0]@20 C[1]@21 D[0]@22 D[1]@23 C[0]@80 AGd0[g0]@81 AGd0[g1]@82 C[1]@83 AGd1[g0]@84 AGd1[g1]@85 AGb0[g0]@86 AGb0[g1]@87 RSd0[g0]@88 RSd0[g1]@89 D[0]@90 AGb1[g0]@91 AGb1[g1]@92 RSd1[g0]@93 RSd1[g1]@94 D[1]@95",
-}
-
-// guardSequence lists the last step's collective guards as faultOpPin does.
-func guardSequence(ws []*World) string {
+// stepFaults lists a step's injected faults: per backward plan, in stack
+// order, its faulted (task label, attempt) pairs sorted, since streams
+// interleave.
+func stepFaults(res *StepResult) string {
 	var out []string
-	list := func(lp *layerPlan) {
-		tasks := lp.Tasks()
-		for _, c := range lp.colls {
-			out = append(out, fmt.Sprintf("%s@%d", tasks[c.task].Label, c.op))
+	for _, tr := range res.Traces {
+		var evs []string
+		for _, ev := range tr.Events {
+			if ev.Type == sim.EventFault {
+				evs = append(evs, fmt.Sprintf("%s@%d", ev.Label, ev.Attempt))
+			}
 		}
+		slices.Sort(evs)
+		out = append(out, strings.Join(evs, " "))
 	}
-	for _, w := range ws {
-		fwd, _ := residentPlans(w)
-		list(fwd)
-	}
-	for i := len(ws) - 1; i >= 0; i-- {
-		_, bwd := residentPlans(ws[i])
-		list(bwd)
-	}
-	return strings.Join(out, " ")
+	return strings.Join(out, " | ")
 }
 
-// TestStepFaultOpIDsPinned: replayed plans resolve their collective guards
-// at run time with exactly the operation ids build-time minting gave, so a
-// seeded fault plan fails the same collectives: over three steps the
-// (task label, operation id) sequence is faultOpPin's, and every step
-// equals its fault-free twin. Then each fault setting takes effect on the
-// next replay, with no rebuild: SetFaultPlan(nil) leaves the guards nil and
-// the operation counter still; an uncapped transient on every AlltoAll
-// attempt fails a step, and capped at one per task the budget absorbs it; a
-// deadline shorter than an injected straggler fails a step with
-// context.DeadlineExceeded, and removing it lets the next step through.
-func TestStepFaultOpIDsPinned(t *testing.T) {
+// TestStepFaultsFollowTaskAndAttempt: a fault decision is a pure function of
+// (seed, task, attempt), so a resident plan replayed under one seeded spec
+// fails the same task attempts every step: over three steps each step's
+// backward plans record step 0's (label, attempt) fault events and the
+// stack's sinks step 0's fault and retry counts, forward plans included;
+// so does a freshly built twin stack stepped once, and every step equals
+// its fault-free twin. The plans are replayed, never rebuilt. Then each
+// fault setting takes effect on the next replay, with no rebuild:
+// SetFaultPlan(nil) records no incident; an uncapped transient on every
+// AlltoAll attempt fails a step, and capped at one per task the budget
+// absorbs it; a deadline shorter than an injected straggler fails a step
+// with context.DeadlineExceeded, and removing it lets the next step through.
+func TestStepFaultsFollowTaskAndAttempt(t *testing.T) {
 	x := tensor.RandN(xrand.New(371), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(372), 1e-3, 96, 32)
-	ws := faultOpStack(t)
-	twin := faultOpStack(t)
+	var counts, scratch []string
+	ws := faultStack(t, &counts)
+	twin := faultStack(t, &scratch)
 	for _, w := range twin {
 		w.SetFaultPlan(nil)
 	}
@@ -235,8 +238,8 @@ func TestStepFaultOpIDsPinned(t *testing.T) {
 			}
 		}
 	}
-	faults := 0
-	for s, want := range faultOpPin {
+	var first string
+	for s := 0; s < 3; s++ {
 		got, err := StepWorlds(ws, x, dy, cfg)
 		if err != nil {
 			t.Fatalf("step %d: %v", s, err)
@@ -246,48 +249,47 @@ func TestStepFaultOpIDsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameAsTwin(t, fmt.Sprintf("step %d", s), got, ref)
-		if seq := guardSequence(ws); seq != want {
-			t.Fatalf("step %d guards:\n got %s\nwant %s", s, seq, want)
-		}
-		for _, tr := range got.Traces {
-			faults += len(tr.Events)
-		}
+		faults := stepFaults(got)
 		if s == 0 {
-			built = plans()
-		} else {
-			replayed(fmt.Sprintf("step %d", s))
+			first, built = faults, plans()
+			continue
+		}
+		replayed(fmt.Sprintf("step %d", s))
+		if faults != first {
+			t.Fatalf("step %d faults:\n got %s\nwant %s", s, faults, first)
+		}
+		if counts[s] != counts[0] {
+			t.Fatalf("step %d: %s, step 0 %s", s, counts[s], counts[0])
 		}
 	}
-	if faults == 0 {
-		t.Fatal("the seeded plan injected no fault; the pin would not show a moved guard")
+	if !strings.Contains(first, "@") || counts[0] == "0 faults 0 retries" {
+		t.Fatalf("the seeded plan injected no fault (%s; %s): the test would not see a moved decision", first, counts[0])
+	}
+	var freshCounts []string
+	res, err := StepWorlds(faultStack(t, &freshCounts), x, dy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stepFaults(res); got != first || freshCounts[0] != counts[0] {
+		t.Fatalf("a fresh stack's step: %s (%s), want %s (%s)", got, freshCounts[0], first, counts[0])
 	}
 
-	// No injector: nil guards, the counter stays, no incident.
-	ops := [2]int{ws[0].collOps, ws[1].collOps}
+	// No injector: no incident.
 	for _, w := range ws {
 		w.SetFaultPlan(nil)
 	}
-	res, err := StepWorlds(ws, x, dy, cfg)
+	res, err = StepWorlds(ws, x, dy, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replayed("SetFaultPlan(nil)")
-	for i, w := range ws {
-		if w.collOps != ops[i] {
-			t.Fatalf("world %d minted %d guards without an injector", i, w.collOps-ops[i])
-		}
-		for _, p := range plans() {
-			for _, c := range p.colls {
-				if c.guard != nil {
-					t.Fatal("a replayed plan kept a guard after SetFaultPlan(nil)")
-				}
-			}
-		}
-	}
 	for _, tr := range res.Traces {
 		if len(tr.Events) != 0 {
 			t.Fatalf("incidents %v with no injector", tr.Events)
 		}
+	}
+	if c := counts[len(counts)-1]; c != "0 faults 0 retries" {
+		t.Fatalf("%s with no injector", c)
 	}
 
 	// Uncapped, an injected transient on every AlltoAll attempt exhausts

@@ -2,8 +2,8 @@ package moe
 
 // Checkpointing: SnapshotWorlds captures everything a training run
 // mutates, one ckpt.WorldState per layer of the stack — gate and per-expert
-// parameters, the step and collective-op counters, and the private RNG
-// state of noisy gates — and RestoreWorlds writes it back. The tensors are
+// parameters, the step counter, and the private RNG state of noisy gates —
+// and RestoreWorlds writes it back. The tensors are
 // copied both ways, so a snapshot taken before a fault is immune to the
 // partial gradient and parameter writes an aborted plan may have left
 // behind. The one snapshot that is not a copy is StepWorlds' checkpoint: a
@@ -46,7 +46,7 @@ func snapTensor(p *Param, view bool) ckpt.Tensor {
 // alias into the snapshot; with view its tensors alias the live parameters
 // instead, valid only until the next pass writes them.
 func (w *World) snapshot(view bool) *ckpt.WorldState {
-	ws := &ckpt.WorldState{Steps: w.steps, CollOps: w.collOps}
+	ws := &ckpt.WorldState{Steps: w.steps}
 	for _, p := range w.layer.cfg.Gate.Params() {
 		ws.Gate = append(ws.Gate, snapTensor(p, view))
 	}
@@ -101,8 +101,7 @@ func checkTensors(what string, ps []*Param, ts []ckpt.Tensor) error {
 }
 
 // applyRestore writes a snapshot checkRestore accepted back into the world:
-// every parameter, the step and collective-op counters, and the gate's RNG
-// state. Restoring rolls the whole training state back to the snapshot
+// every parameter, the step counter, and the gate's RNG state. Restoring rolls the whole training state back to the snapshot
 // point — partially accumulated gradients are zeroed, since they belong to
 // the abandoned timeline. The world's topology (ranks, strategy, health) is
 // untouched; elastic recovery layers on top (see recover.go).
@@ -119,7 +118,6 @@ func (w *World) applyRestore(ws *ckpt.WorldState) {
 		rc.SetRNGState(ws.GateRNG[0].State, ws.GateRNG[0].Gamma)
 	}
 	w.steps = ws.Steps
-	w.collOps = ws.CollOps
 	w.layer.ZeroGrad()
 }
 

@@ -61,7 +61,7 @@ import (
 // cut at the fill, and the W tasks reduce the filled rows; the plans, their
 // chunk boundaries and their collective tasks stay what the capacity makes
 // them, so a chunk with no filled row still runs its tasks, which consult
-// their fault guards and move nothing. The rows past a fill would only have
+// the fault injector and move nothing. The rows past a fill would only have
 // carried +0 inputs and output gradients — signed-zero terms in a weight
 // gradient — so the bits are the capacity layout's.
 //
@@ -93,8 +93,8 @@ import (
 // while its planKey holds. Nothing a closure captures changes between
 // passes: per-pass state — the expert passes, the routing operands — is
 // read through holders in the workspace that each pass refreshes before
-// its plan runs, and each collective task's fault guard is resolved at run
-// time (World.run).
+// its plan runs, and a fault decision is a function of (seed, task,
+// attempt), which a replay keeps.
 
 // groups is the group geometry of one pass, and the workspace's router
 // fill its stages and blocks read (workspace.setFill).
@@ -434,24 +434,17 @@ func (w *World) computeTasks(p *layerPlan, label string, est func(j int) float64
 
 // laneTask adds one chunk's dispatch or combine step: the g per-lane
 // AlltoAll collectives issued back to back on the shared inter stream,
-// accumulating traffic stats. The task's fault guard is resolved before
-// each execution (World.run) with the operation id its place in the plan
-// gives, so in-collective injection is deterministic; it covers the whole
-// step and runs before any lane moves a byte, so a retry repeats the same
-// copies from untouched sources.
+// accumulating traffic stats. An injected fault fails the task before its
+// body runs (fault.Plan.Check), so a retry repeats the same copies from
+// untouched sources.
 func (w *World) laneTask(p *layerPlan, gm groups, label string, lanes []ends, rr comm.RowRange, deps []int) int {
-	site := p.collective("inter", KindA2A)
 	gpn := gm.laneGpn(w.cfg.GPUsPerNode)
 	return p.Add(label, KindA2A, "inter", estElems(gm.R*gm.R*gm.eg*rr.Len()*gm.mdim), func() error {
-		// One guard invocation per attempt: lane 0 carries it, the
-		// remaining lanes of the same step run unguarded behind it.
-		lg := p.colls[site].guard
 		for _, ln := range lanes {
-			st, err := comm.AlltoAllBlocks(lg, w.cfg.Algo, ln.src, ln.dst, gpn, rr)
+			st, err := comm.AlltoAllBlocks(w.cfg.Algo, ln.src, ln.dst, gpn, rr)
 			if err != nil {
 				return err
 			}
-			lg = nil
 			w.addStats(st)
 		}
 		return nil
@@ -463,19 +456,18 @@ func (w *World) laneTask(p *layerPlan, gm groups, label string, lanes []ends, rr
 // per group on that group's intra stream, waiting for its members' entries
 // of deps. It returns, per rank, the task of the rank's group.
 func (w *World) groupTasks(p *layerPlan, gm groups, label, kind string,
-	coll func(comm.Guard, [][]comm.Block, [][]comm.Block, int, comm.RowRange) (comm.Stats, error),
+	coll func([][]comm.Block, [][]comm.Block, int, comm.RowRange) (comm.Stats, error),
 	lists []ends, est func(G int) float64, rr comm.RowRange, deps []int) []int {
 	ids := make([]int, gm.R)
 	gpn := gm.groupGpn(w.cfg.GPUsPerNode)
 	for G, e := range lists {
 		stream := w.groupStreams[G]
-		site := p.collective(stream, kind)
 		var members []int
 		if deps != nil {
 			members = deps[G*gm.g:][:gm.g]
 		}
 		id := p.Add(fmt.Sprintf("%s[g%d]", label, G), kind, stream, est(G), func() error {
-			st, err := coll(p.colls[site].guard, e.src, e.dst, gpn, rr)
+			st, err := coll(e.src, e.dst, gpn, rr)
 			if err != nil {
 				return err
 			}
@@ -576,13 +568,11 @@ func (w *World) expertStages(p *layerPlan, gm groups, b *passBufs, passes [][]Ex
 
 // layerPlan is one direction's resident stream plan, kept with the
 // workspace buffers it runs on (passBufs.plan): built once, replayed while
-// its key holds. colls lists the plan's collective tasks in build order with
-// the guard each runs behind in the current execution.
+// its key holds.
 type layerPlan struct {
 	*runtime.Plan
-	key   planKey
-	colls []collSite
-	ran   bool // executed once: the GEMM scratch free-list is sized for it
+	key planKey
+	ran bool // executed once: the GEMM scratch free-list is sized for it
 }
 
 // planKey is what a plan's tasks depend on beyond the buffers it runs on:
@@ -597,23 +587,6 @@ type planKey struct {
 	dense               bool
 	sched               *gradsync.Plan
 	layer               int
-}
-
-// collSite is one collective task of a plan: its stream, kind and task id,
-// and the fault guard World.run resolved for the current execution, with
-// the operation id it was minted for (a nil guard with injection off).
-type collSite struct {
-	stream, kind string
-	task         int
-	op           int
-	guard        comm.Guard
-}
-
-// collective records that the task about to be added runs a collective on
-// stream, and returns its index in p.colls.
-func (p *layerPlan) collective(stream, kind string) int {
-	p.colls = append(p.colls, collSite{stream: stream, kind: kind, task: p.Len()})
-	return len(p.colls) - 1
 }
 
 // forwardPlan readies a forward pass from the token side src — over x's

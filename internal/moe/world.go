@@ -80,14 +80,13 @@ type World struct {
 	lastTr   *sim.Trace
 
 	// Fault tolerance: an optional seeded injector threaded into every
-	// executed plan (and, via collGuard, into the collectives themselves),
-	// an optional per-plan deadline, and the world's rank-health state. down is the
-	// permanently failed rank (-1 while all ranks are healthy); once a rank
-	// is down every pass runs on the survivors' layer surv (degraded.go),
-	// built at the first degraded pass, until ResetHealth.
+	// executed plan, an optional per-plan deadline, and the world's
+	// rank-health state. down is the permanently failed rank (-1 while all
+	// ranks are healthy); once a rank is down every pass runs on the
+	// survivors' layer surv (degraded.go), built at the first degraded pass,
+	// until ResetHealth.
 	faults   *fault.Plan
 	deadline time.Duration
-	collOps  int // collectives guarded so far: deterministic guard op ids
 	down     int
 	degraded *DegradedResult
 	surv     *MOELayer
@@ -313,9 +312,10 @@ func (w *World) LastPlan() *runtime.Plan { return w.lastPlan }
 func (w *World) LastTrace() *sim.Trace   { return w.lastTr }
 
 // SetFaultPlan installs (or, with nil, removes) a seeded fault injector.
-// It is threaded into every subsequently executed plan and, through
-// per-collective guards, into the comm collectives themselves. Takes
-// effect from the next pass, replayed plans included.
+// It is threaded into every subsequently executed plan, whose runtime
+// consults it before each task attempt, and into recovery's weight
+// re-placement Broadcasts. Takes effect from the next pass, replayed plans
+// included.
 func (w *World) SetFaultPlan(fp *fault.Plan) { w.faults = fp }
 
 // SetDeadline bounds each subsequent plan execution: a pass whose plan
@@ -354,21 +354,6 @@ func (w *World) ResetHealth() {
 // re-routed or dropped, retries spent, and the recovery-time tail.
 func (w *World) LastDegraded() *DegradedResult { return w.degraded }
 
-// collGuard mints the fault-injection guard of one collective run by task
-// (negative: an operation outside any plan, retried by its caller). Each
-// guard takes the next of a monotone sequence of operation ids, so which
-// collectives fail is a deterministic function of the fault seed and the
-// sequence of passes, independent of stream interleaving. Returns nil
-// (check nothing) when injection is off.
-func (w *World) collGuard(stream, kind string, task int) comm.Guard {
-	if w.faults == nil {
-		return nil
-	}
-	id := w.collOps
-	w.collOps++
-	return comm.Guard(w.faults.Guard(stream, kind, task, id))
-}
-
 // WorldCache carries a forward pass's state to Backward. The cache holds
 // the world's workspace: combined and everything experts points at are
 // world-owned memory, valid until this cache's Backward returns.
@@ -401,9 +386,8 @@ var retryBudget = runtime.RetryPolicy{
 }
 
 // run executes a resident plan under the current mode — threading the
-// fault injector, retry policy and deadline in, and resolving each
-// collective task's guard, in build order, as a plan built for this pass
-// would have minted it — records it, and returns the joined task errors.
+// fault injector, retry policy and deadline in — records it, and returns
+// the joined task errors.
 // It runs on the world's worker set (on the caller alone when sequential),
 // and after its first execution the tensor free-list is readied for k of its
 // tasks at once (tensor.ReserveScratch): they have asked for every size.
@@ -411,11 +395,6 @@ func (w *World) run(lp *layerPlan) error {
 	p := lp.Plan
 	p.SetFaultPlan(w.faults)
 	p.SetRetry(retryBudget)
-	for k := range lp.colls {
-		c := &lp.colls[k]
-		c.op = w.collOps
-		c.guard = w.collGuard(c.stream, c.kind, c.task)
-	}
 	ctx := context.Background()
 	if w.deadline > 0 {
 		var cancel context.CancelFunc

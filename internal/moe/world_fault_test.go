@@ -65,10 +65,9 @@ func TestWorldZeroSpecInjector(t *testing.T) {
 }
 
 // TestWorldTransientBitIdentical is the chaos acceptance matrix:
-// transient faults injected into every collective kind — at the task
-// level (KindProb) and inside the collectives themselves
-// (CollectiveProb) — are retried until the pass completes bit-identically
-// to the sequential reference, across strategy × R × r. The transient cap
+// transient faults injected into every collective kind (KindProb) are
+// retried until the pass completes bit-identically to the sequential
+// reference, across strategy × R × r. The transient cap
 // (2) stays below the retry budget (4 attempts) so recovery is
 // guaranteed; the fault events must still be visible on the traces.
 func TestWorldTransientBitIdentical(t *testing.T) {
@@ -79,7 +78,6 @@ func TestWorldTransientBitIdentical(t *testing.T) {
 		KindProb: map[string]float64{
 			KindA2A: 0.4, KindAG: 0.4, KindRS: 0.4,
 		},
-		CollectiveProb:       0.3,
 		MaxTransientsPerTask: 2,
 	}
 	totalFaults, totalRetries := 0, 0
@@ -118,9 +116,9 @@ func TestWorldStragglerBitIdentical(t *testing.T) {
 }
 
 // TestWorldTransientBitIdenticalHybrid extends the chaos matrix to the
-// hybrid EP×ESP strategy: transient faults at the task level and inside
-// the group-scoped collectives themselves are retried until the pass
-// completes bit-identically, across group widths g ∈ {2, 4}.
+// hybrid EP×ESP strategy: transient faults on the group-scoped
+// collectives are retried until the pass completes bit-identically, across
+// group widths g ∈ {2, 4}.
 func TestWorldTransientBitIdenticalHybrid(t *testing.T) {
 	x := tensor.RandN(xrand.New(95), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(96), 1, 96, 32)
@@ -129,7 +127,6 @@ func TestWorldTransientBitIdenticalHybrid(t *testing.T) {
 		KindProb: map[string]float64{
 			KindA2A: 0.4, KindAG: 0.4, KindRS: 0.4,
 		},
-		CollectiveProb:       0.3,
 		MaxTransientsPerTask: 2,
 	}
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)

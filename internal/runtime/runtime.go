@@ -69,9 +69,8 @@ type Binding struct {
 
 // RetryPolicy bounds the re-execution of tasks that fail with a
 // retry-safe (fault.Transient) error: injected faults fire before the
-// task body runs, and guarded collectives fail before their first byte
-// moves, so a retried task always replays from clean buffers and the
-// final result stays bit-identical to a fault-free run. Errors that are
+// task body runs, so a retried task always replays from clean buffers and
+// the final result stays bit-identical to a fault-free run. Errors that are
 // not classified transient — real task failures whose side effects are
 // unknown — are never retried. A retry runs at once, on the worker that
 // took the task: every injected decision is a pure function of (seed,
@@ -290,9 +289,9 @@ func taskEvent(typ string, t *sim.Task, attempt int, detail string) sim.Event {
 // retry; a retry follows the failed attempt at once, unless the execution
 // was canceled meanwhile. Each attempt consults the injector BEFORE the
 // task body, so injected transients never see mutated buffers; body errors
-// are retried only when classified fault-transient (guarded collectives
-// fail before their first byte moves, so they qualify). A permanent fault
-// triggers cooperative cancellation of the whole plan.
+// are retried only when classified fault-transient (a body may return one
+// only before it mutates anything). A permanent fault triggers cooperative
+// cancellation of the whole plan.
 func (p *Plan) runAttempts(e *execState, t *sim.Task) error {
 	maxAttempts := p.retry.attempts()
 	fn := p.fns[t.ID]

@@ -38,10 +38,11 @@ const (
 	KindOthers        = "Others"
 )
 
-// KindBroadcast is the guard/retry kind of the recovery weight
-// re-placement Broadcasts: what an injected collective failure in them is
-// attributed to. Those broadcasts run outside any plan, so the kind never
-// labels a plan task and is deliberately not one of Kinds().
+// KindBroadcast is the fault/retry kind of the recovery weight
+// re-placement Broadcasts: the kind their injected transients are drawn
+// for (fault.Spec.KindProb) and attributed to. Those broadcasts run outside
+// any plan, so the kind never labels a plan task and is deliberately not
+// one of Kinds().
 const KindBroadcast = "Broadcast"
 
 // Kinds returns the canonical task-kind strings in presentation order —
