@@ -186,8 +186,8 @@ func chaosExperiment(iters int) error {
 	}
 	emit(tb2)
 	note("a permanent failure completes the pass degraded: the dead rank's tokens are re-routed into surviving experts' " +
-		"free capacity (overflow dropped), dead experts freeze until ResetHealth; recovery-ms is the time of the survivors' passes, " +
-		"which the world keeps no trace of")
+		"free capacity (overflow dropped), dead experts freeze until ResetHealth; recovery-ms is the time of the degraded passes, " +
+		"which run on each layer's own one-rank World with every expert in place and leave the world no trace")
 
 	// Elastic recovery: checkpoint, kill a rank, recover from the latest
 	// snapshot onto the surviving topology, and keep stepping — reporting

@@ -182,9 +182,10 @@
 // must not share mutable state (scratch buffers, RNGs, tied Param tensors)
 // with another expert instance in the same layer. Registering the same
 // instance at several indices is detected: NewWorld refuses it, and the
-// Layer, whose one rank holds every expert, runs such a list one expert
-// after another in index order; state shared between distinct instances
-// is the implementer's responsibility to synchronize.
+// Layer, whose one rank holds every expert and fans distinct ones out over
+// the default kernel pool, runs such a list one expert after another in
+// index order; state shared between distinct instances is the
+// implementer's responsibility to synchronize.
 //
 // # Resource governance and the planner's cost model
 //
@@ -345,15 +346,16 @@
 // cooperatively and the pass fails with an error matching
 // context.DeadlineExceeded, leaking no goroutines.
 //
-// A permanent rank failure does not abort the pass: it completes on the
-// surviving experts, one rank's plans over them — the plan builder and
-// executor every pass runs. Forward-time, the dead rank's tokens re-route
+// A permanent rank failure does not abort the pass: it completes
+// degraded, on the layer's own one-rank World — the plan builder and
+// executor every pass runs — with every expert in place and the dead
+// rank's holding no token. Forward-time, the dead rank's tokens re-route
 // into surviving experts' free capacity (overflow dropped); backward-time,
 // the routing is kept and the dead experts' tokens are dropped. The World
 // keeps no trace of a degraded pass. The router is frozen for the
-// degraded step and dead experts accumulate zero gradient, so an
-// optimizer step leaves them untouched and ResetHealth resumes from
-// consistent weights. World.LastDegraded reports what was lost
+// degraded step (no gate backward, a +0 gate gradient) and dead experts
+// get a +0 gradient, so an optimizer step leaves them untouched and
+// ResetHealth resumes from consistent weights. World.LastDegraded reports what was lost
 // (DegradedResult); World.Health tracks per-rank state, and a
 // still-degraded World keeps completing degraded steps until ResetHealth
 // (a closed World fails fast with ErrWorldClosed). StepStack completes

@@ -47,6 +47,8 @@ type (
 	// FaultPlan is a compiled injector; install it with World.SetFaultPlan.
 	FaultPlan = fault.Plan
 	// FaultDown configures a permanent rank-down event inside a FaultSpec.
+	// It fires only on a stream pinned to its rank ("compute:<rank>"): a
+	// negative Rank downs nothing.
 	FaultDown = fault.Down
 	// DegradedResult reports how a pass survived a permanent rank failure.
 	DegradedResult = moe.DegradedResult

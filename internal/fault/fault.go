@@ -141,7 +141,9 @@ func StreamRank(stream string) int {
 
 // Down describes a permanent rank-down event: the first task that matches
 // (a stream of Rank, and Kind when non-empty) fails permanently, and every
-// later task on that rank's streams fails too — the rank is gone.
+// later task on that rank's streams fails too — the rank is gone. Only a
+// stream pinned to a rank (StreamRank ≥ 0) matches: a negative Rank matches
+// no task, and the shared streams never fire a Down.
 type Down struct {
 	Rank int
 	// Kind restricts the trigger to one task kind ("Experts", "AlltoAll",
@@ -266,7 +268,7 @@ func (p *Plan) Check(stream, kind, label string, taskID, attempt int) Decision {
 	var d Decision
 	s := &p.spec
 	rank := StreamRank(stream)
-	if s.Down != nil && rank == s.Down.Rank && (s.Down.Kind == "" || s.Down.Kind == kind) {
+	if s.Down != nil && rank >= 0 && rank == s.Down.Rank && (s.Down.Kind == "" || s.Down.Kind == kind) {
 		d.Err = NewPermanent(rank, label, "injected rank-down")
 		return d
 	}

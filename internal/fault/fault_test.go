@@ -134,6 +134,17 @@ func TestDown(t *testing.T) {
 	}
 }
 
+// TestDownNegativeRank: a Down at rank −1 matches none of the shared
+// streams, whose StreamRank is −1 too, nor any pinned one.
+func TestDownNegativeRank(t *testing.T) {
+	p := New(Spec{Seed: 3, Down: &Down{Rank: -1}})
+	for _, stream := range []string{"inter", "intra:g0", "intra:g1", "route", "compute:0", "compute:3"} {
+		if d := p.Check(stream, "AlltoAll", "D[0]", 7, 0); d.Err != nil {
+			t.Fatalf("%s: rank −1 fired: %v", stream, d.Err)
+		}
+	}
+}
+
 // TestNilAndZero: a nil plan and a zero spec both inject nothing, and the
 // zero-delay straggler default is applied.
 func TestNilAndZero(t *testing.T) {

@@ -1,7 +1,6 @@
 package moe
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -9,11 +8,12 @@ import (
 )
 
 // Degraded-mode stepping: a permanent rank-down event mid-plan does not
-// abort training. The world marks the rank dead and completes the pass on
-// the survivors' layer: the surviving experts in index order, the layer's
-// Order and hooks, and a frozen router. Its one-rank World (MOELayer.world)
-// runs the pass through the same plan builder and executor as every other
-// pass, on a plan without the dead rank's experts (survivorPlan):
+// abort training. The world marks the rank dead and completes the pass
+// degraded: on the layer's own one-rank World (MOELayer.world), through the
+// same plan builder and executor as every other pass, with all E experts in
+// place and the dead rank's holding no occupied slot (survivorPlan). An
+// expert with no filled row moves and multiplies nothing, and its finish
+// routine puts a +0 gradient.
 //
 //   - Forward-time failure: the dead rank's experts can no longer run, so
 //     every token they held is re-routed into surviving experts' free
@@ -24,22 +24,23 @@ import (
 //
 //   - Backward-time failure: the forward already completed at full
 //     strength, so the routing is kept and the dead experts' tokens are
-//     dropped — their gradient contribution is lost. The survivors' forward
+//     dropped — their gradient contribution is lost. The degraded forward
 //     runs again from the prolog to begin the passes its backward
 //     continues. The aborted plan may have partially accumulated parameter
 //     gradients, so the layer's gradients are zeroed first (during a
 //     training step Param.G is the layer's span of the stack's gradient
-//     buffer, and every expert is marked unwritten, so what the survivors
-//     do not rewrite is cleared; the §5 slices then step the parameters
-//     from it).
+//     buffer, and every expert is marked unwritten, so what the degraded
+//     pass does not rewrite is cleared; the §5 slices then step the
+//     parameters from it).
 //
-// In both modes the router is frozen: the gate backward pairs its
-// RouteCache with the original plan, which no longer describes the
-// executed routing, so the routing gradient is dropped for the degraded
-// step. Dead experts accumulate no gradient, so an optimizer step leaves
-// them untouched and a later ResetHealth resumes from consistent weights.
-// Dense (SoftMoE) plans spread every token over every expert and have no
-// per-token fallback, so degraded mode requires hard routing.
+// In both modes the router is frozen (call.frozen): the gate backward pairs
+// its RouteCache with the original plan, which no longer describes the
+// executed routing, so the gate runs no backward, adds a +0 input gradient
+// and has its routing handed back unread. Dead experts accumulate no
+// gradient, so an optimizer step leaves them untouched and a later
+// ResetHealth resumes from consistent weights. Dense (SoftMoE) plans spread
+// every token over every expert and have no per-token fallback, so degraded
+// mode requires hard routing.
 
 // DegradedResult reports how a degraded pass completed.
 type DegradedResult struct {
@@ -55,21 +56,12 @@ type DegradedResult struct {
 	DroppedTokens  int
 
 	// Retries is how many transient-fault retries the aborted plan spent
-	// before the permanent failure; RecoveryMS is the time the survivors'
+	// before the permanent failure; RecoveryMS is the time the degraded
 	// passes added on top of the aborted plan — the tail inflation of
 	// surviving the fault.
 	Retries    int
 	RecoveryMS float64
 	Cause      string
-}
-
-// degradedState carries a degraded forward's private state to Backward in
-// place of the strategy caches.
-type degradedState struct {
-	sw     *World      // the survivors' layer's World the pass ran on
-	cache  *WorldCache // its forward cache
-	lo, hi int         // lost expert range [lo, hi)
-	res    *DegradedResult
 }
 
 // lostRange returns the dead rank's owned expert range.
@@ -83,51 +75,23 @@ func lostList(lo, hi int) []int {
 	return out
 }
 
-// survivors returns the survivors' layer's one-rank World, building the
-// layer at the first degraded pass: the experts outside the dead rank's
-// range in index order, the layer's Order and hooks, and the frozen router.
-// Like the layer's own World it needs no Close; ResetHealth drops it.
-func (w *World) survivors() *World {
-	if w.surv == nil {
-		lo, hi := w.lostRange()
-		cfg := w.layer.cfg
-		cfg.Gate = frozenGate{}
-		cfg.Experts = append(cfg.Experts[:lo:lo], cfg.Experts[hi:]...)
-		w.surv = &MOELayer{cfg: cfg, hooks: w.layer.hooks}
-	}
-	return w.surv.world()
-}
-
-// frozenGate is the survivors' layer's router: a degraded pass takes its
-// plan from survivorPlan, so it never routes, and it has no parameters; its
-// backward contributes a zero input gradient.
-type frozenGate struct{}
-
-func (frozenGate) Name() string { return "frozen" }
-func (frozenGate) Route(*tensor.Tensor, bool) (*DispatchPlan, *RouteCache, error) {
-	return nil, nil, errors.New("moe: the frozen router does not route")
-}
-func (frozenGate) Backward(dx *tensor.Tensor, _ *RouteCache, _ *PlanGrad) { clear(dx.Data()) }
-func (frozenGate) Params() []*Param                                       { return nil }
-
 // degradedForward runs the forward of a pass that lost rank w.down in phase
-// ("forward" or "backward") on the survivors' World, from the prolog pr of
+// ("forward" or "backward") on the layer's own World, from the prolog pr of
 // the aborted (or, with the rank already down, never built) plan: at a
 // forward-time loss the dead rank's tokens move to free surviving slots, at
-// a backward-time loss they are dropped. owned is forward's.
-func (w *World) degradedForward(pr *forwardProlog, owned bool, phase string, retries int, cause string) (*tensor.Tensor, *WorldCache, error) {
+// a backward-time loss they are dropped. c is forward's.
+func (w *World) degradedForward(pr *forwardProlog, c call, phase string, retries int, cause string) (*tensor.Tensor, *WorldCache, error) {
 	if pr.plan.IsDense() {
 		return nil, nil, fmt.Errorf("moe: degraded mode needs hard routing; dense plans have no per-token fallback (rank %d down)", w.down)
 	}
 	t0 := time.Now()
 	lo, hi := w.lostRange()
 	plan, rerouted, dropped := survivorPlan(pr.plan, lo, hi, phase == "forward")
-	sw := w.survivors()
-	y, sc, err := sw.pass(&forwardProlog{shape: pr.shape, flat: pr.flat, plan: plan}, owned)
+	y, cache, err := w.layer.world().pass(&forwardProlog{shape: pr.shape, flat: pr.flat, plan: plan, rc: pr.rc}, c)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := &DegradedResult{
+	cache.deg = &DegradedResult{
 		Rank:           w.down,
 		Phase:          phase,
 		LostExperts:    lostList(lo, hi),
@@ -137,82 +101,67 @@ func (w *World) degradedForward(pr *forwardProlog, owned bool, phase string, ret
 		RecoveryMS:     time.Since(t0).Seconds() * 1e3,
 		Cause:          cause,
 	}
-	w.degraded = res
-	cache := &WorldCache{pr: pr, combined: sc.combined, deg: &degradedState{sw: sw, cache: sc, lo: lo, hi: hi, res: res}}
+	w.degraded = cache.deg
 	return y, cache, nil
 }
 
 // degradedBackward runs the backward paired with a degraded forward cache
-// on the survivors' World: during a training step each surviving expert's
-// finish routine writes its Param.G, and marks it written under its index
-// in the whole layer. The gate's routing goes back to it unread (frozen
-// router).
-func (w *World) degradedBackward(cache *WorldCache, dy *tensor.Tensor, owned bool) (*tensor.Tensor, error) {
+// on the layer's own World, under the call c with the router frozen and no
+// §5 slices: during a training step every expert's finish routine writes
+// its Param.G — the dead ones' +0 — and marks it written.
+func (w *World) degradedBackward(cache *WorldCache, dy *tensor.Tensor, c call) (*tensor.Tensor, error) {
 	t0 := time.Now()
-	d := cache.deg
-	if w.written != nil {
-		d.sw.written = make([]bool, len(d.sw.layer.cfg.Experts))
-	}
-	dx, err := d.sw.backward(d.cache, dy, owned)
-	for j, done := range d.sw.written {
-		e := j
-		if e >= d.lo {
-			e += d.hi - d.lo
-		}
-		if done {
-			w.wrote(e)
-		}
-	}
-	d.sw.written = nil
-	w.drop(cache)
+	lw := w.layer.world()
+	c.frozen, c.sched = true, nil
+	dx, err := lw.backPass(cache, dy, c)
 	if err != nil {
 		return nil, err
 	}
-	d.res.RecoveryMS += time.Since(t0).Seconds() * 1e3
-	w.degraded = d.res
+	lw.drop(cache) // the frozen router's routing goes back unread
+	cache.deg.RecoveryMS += time.Since(t0).Seconds() * 1e3
+	w.degraded = cache.deg
 	return dx, nil
 }
 
-// survivorPlan is the plan of a pass without experts [lo, hi): the
-// surviving experts' slot tables in index order, and the lost experts'
-// occupied slots either dropped or, with reroute, moved into the
-// survivors' free capacity — a deterministic cyclic scan over the experts
-// with a rotating start spreads the refugees round-robin, and per-expert
-// scan positions keep the whole pass O(slots). Tokens keep their original
-// combine weights; refugees with no free slot anywhere are dropped.
+// survivorPlan is the plan of a pass without experts [lo, hi): every
+// expert's slot table in place, in one flat block as a gate's routing keeps
+// them, the lost experts' emptied and their occupied slots either dropped
+// or, with reroute, moved into the survivors' free capacity — a
+// deterministic cyclic scan over the experts with a rotating start spreads
+// the refugees round-robin, and per-expert scan positions keep the whole
+// pass O(slots). Tokens keep their original combine weights; refugees with
+// no free slot anywhere are dropped.
 func survivorPlan(plan *DispatchPlan, lo, hi int, reroute bool) (np *DispatchPlan, rerouted, dropped int) {
-	e, t, lost := plan.Experts, plan.Capacity, hi-lo
-	np = &DispatchPlan{Experts: e - lost, Capacity: t, Dropped: plan.Dropped, AuxLoss: plan.AuxLoss}
+	e, t := plan.Experts, plan.Capacity
+	np = &DispatchPlan{Experts: e, Capacity: t, Dropped: plan.Dropped, AuxLoss: plan.AuxLoss,
+		SlotToken: make([][]int, e), SlotWeight: make([][]float64, e)}
+	toks, wts := make([]int, e*t), make([]float64, e*t)
+	next := make([]int, e) // per-expert free-slot scan position; the lost experts' start full
 	for ex := range e {
-		if ex < lo || ex >= hi {
-			np.SlotToken = append(np.SlotToken, append([]int(nil), plan.SlotToken[ex]...))
-			np.SlotWeight = append(np.SlotWeight, append([]float64(nil), plan.SlotWeight[ex]...))
+		np.SlotToken[ex], np.SlotWeight[ex] = toks[ex*t:(ex+1)*t:(ex+1)*t], wts[ex*t:(ex+1)*t:(ex+1)*t]
+		copy(np.SlotToken[ex], plan.SlotToken[ex])
+		copy(np.SlotWeight[ex], plan.SlotWeight[ex])
+		if ex >= lo && ex < hi {
+			next[ex] = t
 		}
 	}
-	next := make([]int, np.Experts) // per-survivor free-slot scan position
 	cursor := hi % e
 	for ex := lo; ex < hi; ex++ {
 		for s, tok := range plan.SlotToken[ex] {
+			np.SlotToken[ex][s], np.SlotWeight[ex][s] = -1, 0
 			if tok < 0 {
 				continue
 			}
 			placed := false
 			for probe := 0; reroute && !placed && probe < e; probe++ {
-				cand := (cursor + probe) % e
-				if cand >= lo && cand < hi {
-					continue
-				}
-				j := cand // its index among the survivors
-				if cand >= hi {
-					j -= lost
-				}
+				j := (cursor + probe) % e
 				for next[j] < t && np.SlotToken[j][next[j]] >= 0 {
 					next[j]++
 				}
 				if next[j] < t {
 					np.SlotToken[j][next[j]], np.SlotWeight[j][next[j]] = tok, plan.SlotWeight[ex][s]
 					next[j]++
-					cursor = (cand + 1) % e
+					cursor = (j + 1) % e
 					rerouted++
 					placed = true
 				}

@@ -4,8 +4,8 @@ import "repro/internal/tensor"
 
 // Expert is the compute sub-module of §3.1 and the one execution contract
 // everything that runs an expert drives — the one plan builder, under every
-// parallel strategy and on the one-rank Worlds of a layer and of a degraded
-// pass's survivors (§3's unified Expert abstraction, §4.1's chunks, §4's
+// parallel strategy and on a layer's one-rank World, which also runs its
+// degraded passes (§3's unified Expert abstraction, §4.1's chunks, §4's
 // expert sharding). Implementations own their parameters and gradient accumulators. A pass over one (n, M) block
 // is two GEMM stages around a hidden exchange buffer, decomposed so that no
 // floating-point reduction is ever re-associated, which is what makes a pass
@@ -28,7 +28,8 @@ import "repro/internal/tensor"
 // strategies' ReduceScatter sums are exact (adding zeros never rounds).
 //
 // Concurrency contract: a World runs *different* expert instances
-// concurrently on its ranks (never the same instance twice at once). An
+// concurrently — on its ranks, and at one rank over the kernel pool — never
+// the same instance twice at once. An
 // implementation therefore must not share mutable state — scratch buffers,
 // RNGs, or Param tensors (e.g. tied weights) — with another expert instance
 // in the same layer unless it synchronizes access. NewWorld refuses the same

@@ -17,8 +17,8 @@ import (
 // and its combine-gradient collectives w·dy's, with no expert-major plane in
 // between (strategy_plan.go), and it takes the slot weights' gradient from
 // the plan too (DispatchPlan.slotWeightGrad). So Scatter and GatherGrad, a
-// custom Order's included, serve R = 1 worlds (the layer's own and a
-// degraded pass's survivors' among them), dense plans, and worlds whose layer
+// custom Order's included, serve R = 1 worlds (the layer's own, which runs
+// every degraded pass too), dense plans, and worlds whose layer
 // has dispatch hooks — the hooks act on the expert-major buffer Scatter
 // writes; Gather and ScatterGrad serve every pass.
 //

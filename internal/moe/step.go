@@ -103,18 +103,18 @@ type StepResult struct {
 	// Plans and Traces hold each layer's backward stream plan and measured
 	// trace in backward (reverse stack) order; the AllReduce slices appear
 	// as "AllReduce"-kind tasks on the inter stream. A layer whose pass ran
-	// on its survivors' layer (see Degraded) contributes its aborted
-	// backward plan, when the rank was lost there, and nothing otherwise:
-	// the world keeps no trace of the survivors' passes. They are the
-	// worlds' resident plans and each plan's one trace, not copies: valid
-	// until the world's next pass.
+	// degraded (see Degraded) contributes its aborted backward plan, when
+	// the rank was lost there, and nothing otherwise: the degraded passes
+	// run on the layer's own World, and the world keeps no trace of them.
+	// They are the worlds' resident plans and each plan's one trace, not
+	// copies: valid until the world's next pass.
 	Plans  []*runtime.Plan
 	Traces []*sim.Trace
 
 	// Degraded reports every layer pass that survived a permanent rank
 	// failure this step (empty when the step ran at full strength). The
-	// step still completes, with the dead experts' parameters frozen (zero
-	// gradient).
+	// step still completes, on each such layer's own one-rank World, with
+	// the dead experts' parameters and the router frozen (+0 gradient).
 	Degraded []*DegradedResult
 
 	// Y is the last layer's output and DX the input gradient of layer 0.
@@ -163,10 +163,9 @@ type resident struct {
 	written [][]bool  // [layer][expert] this step's backward wrote the expert's gradient
 
 	// Per-step scratch, sized with the buffers.
-	prevSeq []bool
-	specs   []gradsync.LayerSpec
-	caches  []*WorldCache
-	lr      float64
+	specs  []gradsync.LayerSpec
+	caches []*WorldCache
+	lr     float64
 }
 
 // layerGrads is layer i's span of the gradient buffer.
@@ -196,7 +195,7 @@ func residentFor(worlds []*World, keepGrads bool) *resident {
 	}
 	*st = resident{
 		plan: st.plan, params: make([]float64, off[L]), grads: make([]float64, off[L]), off: off, written: make([][]bool, L),
-		prevSeq: make([]bool, L), specs: make([]gradsync.LayerSpec, L), caches: make([]*WorldCache, L),
+		specs: make([]gradsync.LayerSpec, L), caches: make([]*WorldCache, L),
 	}
 	for i, w := range worlds {
 		k := off[i]
@@ -275,17 +274,12 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 		return nil, err
 	}
 	st := residentFor(worlds, false)
-	// The executor mode is scoped to this step; restore whatever the
-	// caller had configured on the worlds afterwards.
 	for i, w := range worlds {
-		st.prevSeq[i] = w.seq
 		clear(st.layerGrads(i)[:w.gradOff[0]]) // the gate's backward accumulates
-		w.SetSequential(cfg.Sequential)
 	}
 	done := false
 	defer func() {
 		for i, w := range worlds {
-			w.SetSequential(st.prevSeq[i])
 			if c := st.caches[i]; c != nil && !done {
 				w.drop(c)
 			}
@@ -306,7 +300,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	caches := st.caches
 	cur := x
 	for i, w := range worlds {
-		y, cache, err := w.forward(cur, cfg.Train, true)
+		y, cache, err := w.forward(cur, cfg.Train, call{owned: true, seq: cfg.Sequential})
 		if err != nil {
 			return nil, fmt.Errorf("moe: step forward layer %d: %w", i, err)
 		}
@@ -345,9 +339,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	for i := len(worlds) - 1; i >= 0; i-- {
 		w := worlds[i]
 		clear(st.written[i])
-		w.sync, w.syncLayer, w.written = st.plan, i, st.written[i]
-		dx, err := w.backward(caches[i], dcur, true)
-		w.sync, w.syncLayer, w.written = nil, 0, nil
+		dx, err := w.backward(caches[i], dcur, call{owned: true, seq: cfg.Sequential, sched: st.plan, layer: i, written: st.written[i]})
 		if err != nil {
 			return nil, fmt.Errorf("moe: step backward layer %d: %w", i, err)
 		}
@@ -357,8 +349,8 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 			res.Traces = append(res.Traces, tr)
 		}
 		if deg := w.LastDegraded(); deg != nil {
-			// RecoveryMS spans the whole degraded pass (the survivors'
-			// forward included); charge it to the backward total once.
+			// RecoveryMS spans the whole degraded pass (its forward
+			// included); charge it to the backward total once.
 			res.BackwardMS += deg.RecoveryMS
 			res.Degraded = append(res.Degraded, deg)
 		}
@@ -443,23 +435,21 @@ func checkStack(op string, worlds []*World) error {
 var ErrStepInputAliased = errors.New("moe: step input shares memory with a stack-owned step output")
 
 // checkUnaliased rejects an x or dy in memory the step overwrites: a slot of
-// a stack world's idle workspace, or of its survivors' World's, where the
-// last step left its output and input gradient.
+// a stack world's idle workspace, or of its layer's own World's, where the
+// last step left its output and input gradient (the latter after a degraded
+// pass).
 func checkUnaliased(worlds []*World, x, dy *tensor.Tensor) error {
 	for _, w := range worlds {
-		if w.surv != nil && w.surv.w != nil {
-			if err := checkUnaliased([]*World{w.surv.w}, x, dy); err != nil {
-				return err
+		for _, v := range []*World{w, w.layer.w} {
+			if v == nil || v.ws == nil {
+				continue
 			}
-		}
-		if w.ws == nil {
-			continue
-		}
-		if w.ws.holds(x) {
-			return fmt.Errorf("moe: step x: %w", ErrStepInputAliased)
-		}
-		if w.ws.holds(dy) {
-			return fmt.Errorf("moe: step dy: %w", ErrStepInputAliased)
+			if v.ws.holds(x) {
+				return fmt.Errorf("moe: step x: %w", ErrStepInputAliased)
+			}
+			if v.ws.holds(dy) {
+				return fmt.Errorf("moe: step dy: %w", ErrStepInputAliased)
+			}
 		}
 	}
 	return nil
@@ -507,7 +497,9 @@ func sameSink(a, b telemetry.Sink) bool {
 // buildStepMetrics assembles the step's structured record from quantities
 // the step already measured: the forward and backward traces (serial time,
 // per-stream busy time, fault/retry incidents), each layer's routing plan
-// (the FlexMoE per-expert load signal) and the §5 sync report. Called only
+// (the FlexMoE per-expert load signal; a degraded layer's is the plan its
+// degraded pass ran, re-routed and dropped assignments counted) and the §5
+// sync report. Called only
 // when a sink is configured. The routing plans are gate-owned scratch, which
 // each layer's Backward has handed back; reading them here is safe because
 // the next Route is in the next step.

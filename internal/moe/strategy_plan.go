@@ -422,12 +422,27 @@ func after(ids []int) func(j int) []int {
 }
 
 // computeTasks adds one expert-compute task per rank — label[rank], on the
-// rank's compute stream, waiting for deps(rank) — and returns the task ids.
-func (w *World) computeTasks(p *layerPlan, label string, est func(j int) float64, deps func(j int) []int, fn func(j int)) []int {
+// rank's compute stream, waiting for deps(rank) — that runs fn(rank, i) for
+// each of the rank's n experts, and returns the task ids. At one rank with
+// distinct experts they fan out over the kernel pool; otherwise they run one
+// after another in index order, as aliased experts must. The bodies are
+// built here, with the plan, so an execution allocates none.
+func (w *World) computeTasks(p *layerPlan, label string, est func(j int) float64, deps func(j int) []int, n int, fn func(j, i int)) []int {
 	ids := make([]int, w.cfg.Ranks)
 	for j := range ids {
-		ids[j] = p.Add(fmt.Sprintf("%s[%d]", label, j), KindExpert, w.computeStreams[j], est(j),
-			func() error { fn(j); return nil }, deps(j)...)
+		var body func() error
+		if w.cfg.Ranks == 1 && !w.aliased {
+			each := func(i int) { fn(j, i) }
+			body = func() error { w.pool.ParallelFor(n, each); return nil }
+		} else {
+			body = func() error {
+				for i := range n {
+					fn(j, i)
+				}
+				return nil
+			}
+		}
+		ids[j] = p.Add(fmt.Sprintf("%s[%d]", label, j), KindExpert, w.computeStreams[j], est(j), body, deps(j)...)
 	}
 	return ids
 }
@@ -543,27 +558,23 @@ func (gm groups) windows(first, step int, rr comm.RowRange) tensor.Windows {
 // the pass's cost in forward passes. It returns each rank's last task.
 func (w *World) expertStages(p *layerPlan, gm groups, b *passBufs, passes [][]ExpertPass, c int, rr comm.RowRange, deps func(j int) []int,
 	names [3]string, scale float64, hidden, output func(ps ExpertPass, w tensor.Windows)) []int {
-	hiddenStage := func(j int) {
-		for le, ps := range passes[j] {
-			hidden(ps, gm.windows(0, 1, rr).Cut(gm.fill[j/gm.g*gm.egg+le]))
-		}
+	hiddenStage := func(j, le int) {
+		hidden(passes[j][le], gm.windows(0, 1, rr).Cut(gm.fill[j/gm.g*gm.egg+le]))
 	}
-	outputStage := func(j int) {
-		for le, ps := range passes[j] {
-			output(ps, gm.windows(j%gm.g, gm.g, rr).Cut(gm.fill[j/gm.g*gm.egg+le]))
-		}
+	outputStage := func(j, le int) {
+		output(passes[j][le], gm.windows(j%gm.g, gm.g, rr).Cut(gm.fill[j/gm.g*gm.egg+le]))
 	}
 	hiddenEst := func(j int) float64 {
 		return scale * macsEst(w.groupExperts(gm, j), gm.R*rr.Len()) / (2 * float64(gm.g))
 	}
 	outputEst := func(j int) float64 { return scale * macsEst(w.groupExperts(gm, j), gm.nG*rr.Len()) / 2 }
 	if gm.g == 1 {
-		return w.computeTasks(p, fmt.Sprintf("E%d", c), func(j int) float64 { return hiddenEst(j) + outputEst(j) }, deps,
-			func(j int) { hiddenStage(j); outputStage(j) })
+		return w.computeTasks(p, fmt.Sprintf("E%d", c), func(j int) float64 { return hiddenEst(j) + outputEst(j) }, deps, gm.egg,
+			func(j, le int) { hiddenStage(j, le); outputStage(j, le) })
 	}
-	h := w.computeTasks(p, fmt.Sprintf("%s%d", names[0], c), hiddenEst, deps, hiddenStage)
+	h := w.computeTasks(p, fmt.Sprintf("%s%d", names[0], c), hiddenEst, deps, gm.egg, hiddenStage)
 	h = w.groupTasks(p, gm, fmt.Sprintf("%s%d", names[1], c), KindAG, comm.AllGatherBlocks, b.agHid, b.colsEst(gm, rr), rr, h)
-	return w.computeTasks(p, fmt.Sprintf("%s%d", names[2], c), outputEst, after(h), outputStage)
+	return w.computeTasks(p, fmt.Sprintf("%s%d", names[2], c), outputEst, after(h), gm.egg, outputStage)
 }
 
 // layerPlan is one direction's resident stream plan, kept with the
@@ -632,10 +643,10 @@ func (w *World) buildForward(gm groups, b *passBufs, passes [][]ExpertPass, key 
 }
 
 // backwardPlan readies a backward pass from the output-gradient token side
-// src — over dy's rows, (N, M) flat — into the padded dScattered buffer: it
-// begins the expert passes' backward and returns the workspace's backward
-// plan, replayed when its key holds — built otherwise.
-func (w *World) backwardPlan(cache *WorldCache, src tokenRows, dy []float64, dScatteredPad *tensor.Tensor) *layerPlan {
+// src — over dy's rows, (N, M) flat — into the padded dScattered buffer under
+// the call c: it begins the expert passes' backward and returns the
+// workspace's backward plan, replayed when its key holds — built otherwise.
+func (w *World) backwardPlan(cache *WorldCache, src tokenRows, dy []float64, dScatteredPad *tensor.Tensor, c call) *layerPlan {
 	gm := w.groups(cache)
 	ws := cache.ws
 	b := w.cutPass(ws, ws.bwd, gm, src, dScatteredPad, false)
@@ -645,12 +656,12 @@ func (w *World) backwardPlan(cache *WorldCache, src tokenRows, dy []float64, dSc
 	for j := range passes {
 		for le, ps := range passes[j] {
 			// Rank j's output gradient and input gradient of its group's expert le.
-			ps.BeginBackward(b.xs[j][le], b.outs[j][le], b.hid[j][le], w.written != nil)
+			ps.BeginBackward(b.xs[j][le], b.outs[j][le], b.hid[j][le], c.written != nil)
 		}
 	}
 	plan := cache.pr.plan
 	key := planKey{capacity: plan.Capacity, degree: w.cfg.PipelineDegreeBwd, g: gm.g,
-		tokens: cache.pr.flat.Dim(0), dense: plan.IsDense(), sched: w.sync, layer: w.syncLayer}
+		tokens: cache.pr.flat.Dim(0), dense: plan.IsDense(), sched: c.sched, layer: c.layer}
 	if b.plan == nil || b.plan.key != key {
 		b.plan = w.buildBackward(gm, b, passes, &ws.route, key)
 	}
@@ -739,11 +750,12 @@ func (w *World) buildBackward(gm groups, b *passBufs, passes [][]ExpertPass, rt 
 	// [m·Eg, (m+1)·Eg)) from its own fully assembled buffers, over their
 	// filled rows. The last chunk's task on a rank implies every earlier one
 	// (stream order).
-	w.computeTasks(p, "W", func(j int) float64 { return macsEst(w.layer.cfg.Experts[j*gm.eg:][:gm.eg], gm.tpad) }, after(last), func(j int) {
-		for le := j % gm.g * gm.eg; le < (j%gm.g+1)*gm.eg; le++ {
-			e := j/gm.g*gm.egg + le
-			passes[j][le].Finish(gm.fill[e])
-			w.wrote(e)
+	w.computeTasks(p, "W", func(j int) float64 { return macsEst(w.layer.cfg.Experts[j*gm.eg:][:gm.eg], gm.tpad) }, after(last), gm.eg, func(j, i int) {
+		le := j%gm.g*gm.eg + i
+		e := j/gm.g*gm.egg + le
+		passes[j][le].Finish(gm.fill[e])
+		if rt.written != nil {
+			rt.written[e] = true
 		}
 	})
 	return p
@@ -752,9 +764,10 @@ func (w *World) buildBackward(gm groups, b *passBufs, passes [][]ExpertPass, rt 
 // routeStream is the backward plan's stream for the routing path's adjoint.
 const routeStream = "route"
 
-// routeState is one backward pass's routing-path operands, the
-// workspace-held state the route stream's tasks read: set by each pass
-// before its plan runs.
+// routeState is one backward pass's per-pass state, held by the workspace
+// and set by each pass before its plan runs: the routing-path operands the
+// route stream's tasks read, and the pass's call, whose frozen rule the gate
+// task and whose written marks the W tasks read.
 type routeState struct {
 	dx, gateDx *tensor.Tensor // (N, M): the token gradient, the gate's part of it
 	dScattered *tensor.Tensor // (E, Tpad, M) the experts' input gradient
@@ -762,11 +775,17 @@ type routeState struct {
 	plan       *DispatchPlan
 	rc         *RouteCache
 	grad       *PlanGrad
+	call
 }
 
 // gate runs the gate's backward into gateDx; on a dense plan, which runs it
-// last, it also adds gateDx into dx.
+// last, it also adds gateDx into dx. A frozen router runs no backward: its
+// part of dx is +0.
 func (rt *routeState) gate(l *MOELayer) {
+	if rt.frozen {
+		clear(rt.gateDx.Data())
+		return
+	}
 	l.cfg.Gate.Backward(rt.gateDx, rt.rc, rt.grad)
 	if rt.plan.IsDense() {
 		tensor.AddInPlace(rt.dx, rt.gateDx)

@@ -241,15 +241,15 @@ func (w *World) checkout(capacity int) *workspace {
 }
 
 // release retires a cache — it drives at most one backward — and hands its
-// workspace back to the world, and a degraded cache's to the survivors'
-// World.
+// workspace back to the World it came from: a degraded cache's to the
+// layer's own.
 func (w *World) release(cache *WorldCache) {
+	if cache.deg != nil {
+		w = w.layer.world()
+	}
 	cache.combined = nil
 	if cache.ws != nil {
 		w.ws, cache.ws = cache.ws, nil
-	}
-	if d := cache.deg; d != nil {
-		d.sw.release(d.cache)
 	}
 }
 

@@ -60,19 +60,11 @@ type World struct {
 	// first backward hands one back and while a forward cache holds it.
 	ws *workspace
 
-	seq bool // execute plans sequentially (no-overlap baseline)
+	seq bool // a plain Forward/Backward executes its plan sequentially (no-overlap baseline)
 
-	// sync is the stack's §5 schedule and syncLayer this world's position
-	// in the stack while StepWorlds drives the backward (nil and 0
-	// otherwise): the backward plan runs sync.Hidden(syncLayer) on the
-	// shared inter stream. Every strategy offers emit point 0 in the slack
-	// before its first outbound gradient collective and point c ≥ 1 after
-	// the c-th one, so the slices contend with the layer's own inter-node
-	// chunks exactly as §5 budgets for (under ESP the inter stream carries
-	// no AlltoAll at all, so the slices overlap the intra-stream
-	// AllGather/ReduceScatter freely — the §4 inter/intra co-scheduling).
-	sync      *gradsync.Plan
-	syncLayer int
+	// aliased: a layer's own World over possibly aliased experts, which
+	// NewWorld refuses; its one rank runs them one after another.
+	aliased bool
 
 	statsMu  stdsync.Mutex
 	stats    comm.Stats
@@ -82,14 +74,13 @@ type World struct {
 	// Fault tolerance: an optional seeded injector threaded into every
 	// executed plan, an optional per-plan deadline, and the world's
 	// rank-health state. down is the permanently failed rank (-1 while all
-	// ranks are healthy); once a rank is down every pass runs on the
-	// survivors' layer surv (degraded.go), built at the first degraded pass,
-	// until ResetHealth.
+	// ranks are healthy); once a rank is down every pass runs degraded, on
+	// the layer's own one-rank World without the dead rank's experts
+	// (degraded.go), until ResetHealth.
 	faults   *fault.Plan
 	deadline time.Duration
 	down     int
 	degraded *DegradedResult
-	surv     *MOELayer
 	closed   bool
 
 	steps int // completed training steps on this world (telemetry ordinal)
@@ -105,12 +96,6 @@ type World struct {
 	// resident is the stack-level training state kept from one step to the
 	// next (step.go); it lives on the stack's first world.
 	resident *resident
-
-	// written is nil — every backward adds into Param.G — except while
-	// StepWorlds drives the backward: then each expert's finish routine
-	// overwrites its Param.G, a span of the stack's gradient buffer, and sets
-	// written[e] (step.go).
-	written []bool
 
 	// recov accumulates elastic-recovery reports (recover.go) until the
 	// next completed step drains them into telemetry.
@@ -304,10 +289,11 @@ func (w *World) Stats() comm.Stats {
 // LastPlan().SimulateWith(runtime.Durations(LastTrace())) predicts the
 // pipelined makespan from sequential measurements. After a permanent rank
 // loss they are the aborted plan and its trace; both are nil after a pass
-// that ran entirely on the survivors' layer (degraded.go), whose plans the
-// world keeps no trace of. Both are resident, not copies: the world replays
-// a plan pass after pass, and each execution rewrites the plan's one trace,
-// so they are valid until the world's next pass.
+// that ran entirely degraded (degraded.go): the layer's own World ran its
+// plans, and this world keeps no trace of them. Both are resident, not
+// copies: the world replays a plan pass after pass, and each execution
+// rewrites the plan's one trace, so they are valid until the world's next
+// pass.
 func (w *World) LastPlan() *runtime.Plan { return w.lastPlan }
 func (w *World) LastTrace() *sim.Trace   { return w.lastTr }
 
@@ -334,9 +320,10 @@ func (w *World) Health() []bool {
 	return h
 }
 
-// ResetHealth clears the rank-down state, the last degraded report, the
-// survivors' layer and the aborted pass's stream plan and trace — the
-// "failed worker replaced" transition back to full-strength stepping. After
+// ResetHealth clears the rank-down state, the last degraded report and the
+// aborted pass's stream plan and trace — the "failed worker replaced"
+// transition back to full-strength stepping — and drops the idle workspace
+// of the layer's own World, which only the degraded passes used. After
 // ResetHealth the world reports exactly the health state elastic recovery
 // leaves behind (recover.go), so tooling can treat the two transitions
 // uniformly. Dead experts kept zero gradients while degraded, so their
@@ -344,9 +331,11 @@ func (w *World) Health() []bool {
 func (w *World) ResetHealth() {
 	w.down = -1
 	w.degraded = nil
-	w.surv = nil
 	w.lastPlan = nil
 	w.lastTr = nil
+	if lw := w.layer.w; lw != nil {
+		lw.ws = nil
+	}
 }
 
 // LastDegraded returns the degraded-mode report of the most recent pass,
@@ -360,9 +349,9 @@ func (w *World) LastDegraded() *DegradedResult { return w.degraded }
 type WorldCache struct {
 	pr         *forwardProlog
 	spad, tpad int
-	ws         *workspace     // checked out by Forward, handed back by Backward; holds the expert passes
-	combined   *tensor.Tensor // (E, Tpad, M): the combine hooks' result, the experts' outputs in rows [0, T) of each block
-	deg        *degradedState // non-nil when the forward ran on the survivors' layer
+	ws         *workspace      // checked out by Forward, handed back by Backward; holds the expert passes
+	combined   *tensor.Tensor  // (E, Tpad, M): the combine hooks' result, the experts' outputs in rows [0, T) of each block
+	deg        *DegradedResult // non-nil when the forward ran degraded, on the layer's own World
 }
 
 // Task kinds in the trace breakdown — aliases of the canonical sim
@@ -385,13 +374,12 @@ var retryBudget = runtime.RetryPolicy{
 	Kinds:       []string{KindA2A, KindAG, KindRS, gradsync.KindAllReduce},
 }
 
-// run executes a resident plan under the current mode — threading the
-// fault injector, retry policy and deadline in — records it, and returns
-// the joined task errors.
-// It runs on the world's worker set (on the caller alone when sequential),
+// run executes a resident plan — threading the fault injector, retry policy
+// and deadline in — records it, and returns the joined task errors.
+// It runs on the world's worker set (on the caller alone when seq),
 // and after its first execution the tensor free-list is readied for k of its
 // tasks at once (tensor.ReserveScratch): they have asked for every size.
-func (w *World) run(lp *layerPlan) error {
+func (w *World) run(lp *layerPlan, seq bool) error {
 	p := lp.Plan
 	p.SetFaultPlan(w.faults)
 	p.SetRetry(retryBudget)
@@ -403,7 +391,7 @@ func (w *World) run(lp *layerPlan) error {
 	}
 	var tr *sim.Trace
 	var err error
-	if w.seq {
+	if seq {
 		tr, err = p.ExecuteSequentialCtx(ctx)
 	} else {
 		tr, err = p.ExecuteOn(ctx, w.exec)
@@ -420,17 +408,32 @@ func (w *World) run(lp *layerPlan) error {
 // or (N, M). Results are
 // bit-identical to MOELayer.Forward on the same layer and input under
 // every strategy. A permanent rank failure mid-plan does not abort: the
-// pass completes on the survivors' layer (see degraded.go) and
-// LastDegraded reports what was lost.
+// pass completes degraded (see degraded.go) and LastDegraded reports what
+// was lost.
 func (w *World) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCache, error) {
-	return w.forward(x, train, false)
+	return w.forward(x, train, call{seq: w.seq})
 }
 
-// forward is Forward; owned says the output is stack-owned: StepWorlds
-// feeds it to the next world of the stack, or returns it as StepResult.Y,
-// valid until the next step on the stack — so it is a workspace slot
-// instead of a tensor the caller keeps.
-func (w *World) forward(x *tensor.Tensor, train, owned bool) (*tensor.Tensor, *WorldCache, error) {
+// call is what a caller decides for one pass, handed down by value: owned,
+// that the output (forward) or input gradient (backward) is stack-owned — a
+// workspace slot StepWorlds passes on or returns as StepResult.Y or DX,
+// valid until the stack's next step; seq, that the plan runs sequentially;
+// frozen, that the router runs no backward and adds a +0 input gradient (a
+// degraded pass, degraded.go). Under StepWorlds a backward also gets the
+// stack's §5 schedule sched, whose Hidden(layer) slices its plan runs at its
+// emit points (buildBackward), and the step's written marks: each expert's
+// finish routine then overwrites its Param.G, a span of the stack's
+// gradient buffer, and sets written[e]; with written nil every backward
+// adds into Param.G.
+type call struct {
+	owned, seq, frozen bool
+	sched              *gradsync.Plan
+	layer              int
+	written            []bool
+}
+
+// forward is Forward under the call c.
+func (w *World) forward(x *tensor.Tensor, train bool, c call) (*tensor.Tensor, *WorldCache, error) {
 	if w.closed {
 		return nil, nil, fmt.Errorf("moe: forward: %w", ErrWorldClosed)
 	}
@@ -443,22 +446,21 @@ func (w *World) forward(x *tensor.Tensor, train, owned bool) (*tensor.Tensor, *W
 		return nil, nil, err
 	}
 	if w.down >= 0 {
-		// The world is already degraded: the pass runs on the survivors'
-		// layer alone.
+		// The world is already degraded: the pass runs degraded alone.
 		w.lastPlan, w.lastTr = nil, nil
-		return w.degradedForward(pr, owned, "forward", 0, fmt.Sprintf("rank %d still down", w.down))
+		return w.degradedForward(pr, c, "forward", 0, fmt.Sprintf("rank %d still down", w.down))
 	}
-	y, cache, err := w.pass(pr, owned)
+	y, cache, err := w.pass(pr, c)
 	if rank, ok := fault.PermanentRank(err); ok {
 		w.down = rank
-		return w.degradedForward(pr, owned, "forward", retriesIn(w.lastTr), err.Error())
+		return w.degradedForward(pr, c, "forward", retriesIn(w.lastTr), err.Error())
 	}
 	return y, cache, err
 }
 
-// pass runs a forward pass from the prolog pr on the world's plans; owned
-// is forward's. A failed pass drops its cache.
-func (w *World) pass(pr *forwardProlog, owned bool) (*tensor.Tensor, *WorldCache, error) {
+// pass runs a forward pass from the prolog pr on the world's plans under
+// the call c. A failed pass drops its cache.
+func (w *World) pass(pr *forwardProlog, c call) (*tensor.Tensor, *WorldCache, error) {
 	R, mdim := w.cfg.Ranks, w.layer.cfg.M
 	plan := pr.plan
 	spad := (plan.Capacity + R - 1) / R
@@ -483,7 +485,7 @@ func (w *World) pass(pr *forwardProlog, owned bool) (*tensor.Tensor, *WorldCache
 	}
 	combined := ws.tensor(plan.Experts, cache.tpad, mdim)
 
-	if err := w.run(w.forwardPlan(cache, src, pr.flat.Data(), combined)); err != nil {
+	if err := w.run(w.forwardPlan(cache, src, pr.flat.Data(), combined), c.seq); err != nil {
 		// Every task has drained; nothing of the aborted pass is read again.
 		w.drop(cache)
 		return nil, nil, err
@@ -494,7 +496,7 @@ func (w *World) pass(pr *forwardProlog, owned bool) (*tensor.Tensor, *WorldCache
 		return nil, nil, err
 	}
 	cache.combined = combined
-	y := w.layer.epilog(ws.tokens(owned, pr.flat.Dim(0), mdim), combined, plan, pr.shape)
+	y := w.layer.epilog(ws.tokens(c.owned, pr.flat.Dim(0), mdim), combined, plan, pr.shape)
 	return y, cache, nil
 }
 
@@ -502,14 +504,11 @@ func (w *World) pass(pr *forwardProlog, owned bool) (*tensor.Tensor, *WorldCache
 // same parameter gradients and returning the same input gradient as
 // MOELayer.Backward.
 func (w *World) Backward(cache *WorldCache, dy *tensor.Tensor) (*tensor.Tensor, error) {
-	return w.backward(cache, dy, false)
+	return w.backward(cache, dy, call{seq: w.seq})
 }
 
-// backward is Backward; owned says the input gradient is stack-owned:
-// StepWorlds feeds it to the previous world of the stack, or returns it as
-// StepResult.DX, valid until this world's next Forward takes its workspace
-// again — the next step on the stack.
-func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, owned bool) (*tensor.Tensor, error) {
+// backward is Backward under the call c.
+func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, c call) (*tensor.Tensor, error) {
 	if w.closed {
 		return nil, fmt.Errorf("moe: backward: %w", ErrWorldClosed)
 	}
@@ -517,10 +516,30 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, owned bool) (*ten
 		return nil, fmt.Errorf("moe: world backward needs a forward cache")
 	}
 	if cache.deg != nil {
-		// The forward ran on the survivors' layer; so does the backward.
+		// The forward ran degraded; so does the backward.
 		w.lastPlan, w.lastTr = nil, nil
-		return w.degradedBackward(cache, dy, owned)
+		return w.degradedBackward(cache, dy, c)
 	}
+	dx, err := w.backPass(cache, dy, c)
+	if rank, ok := fault.PermanentRank(err); ok {
+		// The forward runs again degraded under the routing kept, to begin
+		// the passes the degraded backward continues; the aborted plan's
+		// partial gradients are restarted from zero.
+		w.down = rank
+		w.layer.ZeroGrad()
+		clear(c.written)
+		_, dcache, err := w.degradedForward(cache.pr, c, "backward", retriesIn(w.lastTr), err.Error())
+		if err != nil {
+			return nil, err
+		}
+		return w.degradedBackward(dcache, dy, c)
+	}
+	return dx, err
+}
+
+// backPass runs a backward pass over cache on the world's plans under the
+// call c. A failed pass drops its cache.
+func (w *World) backPass(cache *WorldCache, dy *tensor.Tensor, c call) (*tensor.Tensor, error) {
 	pr, ws := cache.pr, cache.ws
 	plan := pr.plan
 	n, mdim := pr.flat.Dim(0), w.layer.cfg.M
@@ -536,28 +555,15 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, owned bool) (*ten
 	}
 	dScattered := ws.tensor(plan.Experts, cache.tpad, mdim)
 
-	lp := w.backwardPlan(cache, src, dy.Data(), dScattered)
-	ws.route = routeState{dx: ws.tokens(owned, n, mdim), gateDx: ws.tensor(n, mdim), dScattered: dScattered,
-		x: pr.flat, plan: plan, rc: pr.rc, grad: planGrad}
-	err = w.run(lp)
+	lp := w.backwardPlan(cache, src, dy.Data(), dScattered, c)
+	ws.route = routeState{dx: ws.tokens(c.owned, n, mdim), gateDx: ws.tensor(n, mdim), dScattered: dScattered,
+		x: pr.flat, plan: plan, rc: pr.rc, grad: planGrad, call: c}
+	err = w.run(lp, c.seq)
 	dx := ws.route.dx
 	ws.route = routeState{}
 	if err != nil {
 		// Every task has drained; nothing of the aborted pass is read again.
 		w.drop(cache)
-		if rank, ok := fault.PermanentRank(err); ok {
-			// The survivors' forward runs again under the routing kept, to
-			// begin the passes their backward continues; the aborted plan's
-			// partial gradients are restarted from zero.
-			w.down = rank
-			w.layer.ZeroGrad()
-			clear(w.written)
-			_, dcache, err := w.degradedForward(pr, true, "backward", retriesIn(w.lastTr), err.Error())
-			if err != nil {
-				return nil, err
-			}
-			return w.degradedBackward(dcache, dy, owned)
-		}
 		return nil, err
 	}
 	w.release(cache)
@@ -583,14 +589,6 @@ func retriesIn(tr *sim.Trace) int {
 		return 0
 	}
 	return tr.EventCount(sim.EventRetry)
-}
-
-// wrote records that expert e's pass finished: during a training step its
-// Param.G now holds this step's gradient.
-func (w *World) wrote(e int) {
-	if w.written != nil {
-		w.written[e] = true
-	}
 }
 
 // addStats accumulates collective traffic. Locked: the groups' intra

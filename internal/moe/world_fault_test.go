@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -558,74 +560,89 @@ func (planGate) Backward(dx *tensor.Tensor, _ *RouteCache, _ *PlanGrad) { clear(
 func (planGate) Params() []*Param                                       { return nil }
 
 // TestWorldDegradedMatchesOracle: a pass that loses rank 1, in its forward
-// or in its backward plan, under EP, ESP and hybrid g = 2 at R = 4, gives
-// the oracle's Y (of a forward-time loss), dx and expert gradients, run over
-// the surviving experts on survivorPlan's plan with a frozen router; the dead
-// experts' and the gate's gradients are exactly zero.
+// or in its backward plan, under EP, ESP and hybrid g = 2 at R = 4 and
+// under both orders, gives the oracle's Y (of a forward-time loss), dx and
+// expert gradients, run over the surviving experts alone on survivorPlan's
+// plan with the dead experts' slot tables — which must be empty — left out,
+// and a frozen router; the dead experts' and the gate's gradients are
+// exactly zero.
 func TestWorldDegradedMatchesOracle(t *testing.T) {
 	x := tensor.RandN(xrand.New(361), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(362), 1, 96, 32)
-	for _, cfg := range []WorldConfig{
-		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP},
-		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP},
-		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2},
-	} {
-		for _, phase := range []string{"forward", "backward"} {
-			label := fmt.Sprintf("%s g=%d %s-time loss", cfg.Strategy, cfg.GroupSize, phase)
-			layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-			w, err := NewWorld(layer, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lo, hi := 1*w.egrp, 2*w.egrp
-			routed, _, err := layer.cfg.Gate.Route(x.Reshape(96, 32), false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, rerouted, dropped := survivorPlan(routed, lo, hi, phase == "forward")
-			oracle, err := NewMOELayer(LayerConfig{M: layer.cfg.M, Gate: planGate{plan}, Order: layer.cfg.Order,
-				Experts: append(layer.cfg.Experts[:lo:lo], layer.cfg.Experts[hi:]...)})
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, order := range []Order{TutelOrder{}, GShardOrder{}} {
+		for _, cfg := range []WorldConfig{
+			{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP},
+			{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP},
+			{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2},
+		} {
+			for _, phase := range []string{"forward", "backward"} {
+				label := fmt.Sprintf("%T %s g=%d %s-time loss", order, cfg.Strategy, cfg.GroupSize, phase)
+				layer := worldLayer(t, "gshard", order, false, false)
+				w, err := NewWorld(layer, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lo, hi := 1*w.egrp, 2*w.egrp
+				routed, _, err := layer.cfg.Gate.Route(x.Reshape(96, 32), false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan, rerouted, dropped := survivorPlan(routed, lo, hi, phase == "forward")
+				for e := lo; e < hi; e++ {
+					for s, tok := range plan.SlotToken[e] {
+						if tok >= 0 || math.Float64bits(plan.SlotWeight[e][s]) != 0 {
+							t.Fatalf("%s: dead expert %d keeps slot %d (token %d, weight %v)", label, e, s, tok, plan.SlotWeight[e][s])
+						}
+					}
+				}
+				surv := *plan
+				surv.Experts -= hi - lo
+				surv.SlotToken = append(plan.SlotToken[:lo:lo], plan.SlotToken[hi:]...)
+				surv.SlotWeight = append(plan.SlotWeight[:lo:lo], plan.SlotWeight[hi:]...)
+				oracle, err := NewMOELayer(LayerConfig{M: layer.cfg.M, Gate: planGate{&surv}, Order: layer.cfg.Order,
+					Experts: append(layer.cfg.Experts[:lo:lo], layer.cfg.Experts[hi:]...)})
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			down := fault.New(fault.Spec{Seed: 3, Down: &fault.Down{Rank: 1, Kind: KindExpert}})
-			if phase == "forward" {
+				down := fault.New(fault.Spec{Seed: 3, Down: &fault.Down{Rank: 1, Kind: KindExpert}})
+				if phase == "forward" {
+					w.SetFaultPlan(down)
+				}
+				layer.ZeroGrad()
+				y, cache, err := w.Forward(x, false)
+				if err != nil {
+					t.Fatal(err)
+				}
 				w.SetFaultPlan(down)
+				dx, err := w.Backward(cache, dy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				deg := w.LastDegraded()
+				if deg == nil || deg.Phase != phase || fmt.Sprint(deg.LostExperts) != fmt.Sprint(lostList(lo, hi)) {
+					t.Fatalf("%s: DegradedResult = %+v", label, deg)
+				}
+				if deg.ReroutedTokens != rerouted || deg.DroppedTokens != dropped {
+					t.Fatalf("%s: rerouted/dropped %d/%d, survivorPlan's %d/%d", label, deg.ReroutedTokens, deg.DroppedTokens, rerouted, dropped)
+				}
+				expectZeroGrads(t, layer, deg.LostExperts, label)
+				expectZeroGateGrads(t, layer, label)
+				got := worldSnapshot{y: y, dx: dx, grads: snapGrads(oracle)} // the survivors' gradients
+				want := runSequentialLayer(t, oracle, x, dy)
+				if phase == "backward" {
+					want.y = got.y // the forward ran at full strength
+				}
+				compareSnapshots(t, label, want, got)
+				w.Close()
 			}
-			layer.ZeroGrad()
-			y, cache, err := w.Forward(x, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.SetFaultPlan(down)
-			dx, err := w.Backward(cache, dy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			deg := w.LastDegraded()
-			if deg == nil || deg.Phase != phase || fmt.Sprint(deg.LostExperts) != fmt.Sprint(lostList(lo, hi)) {
-				t.Fatalf("%s: DegradedResult = %+v", label, deg)
-			}
-			if deg.ReroutedTokens != rerouted || deg.DroppedTokens != dropped {
-				t.Fatalf("%s: rerouted/dropped %d/%d, survivorPlan's %d/%d", label, deg.ReroutedTokens, deg.DroppedTokens, rerouted, dropped)
-			}
-			expectZeroGrads(t, layer, deg.LostExperts, label)
-			expectZeroGateGrads(t, layer, label)
-			got := worldSnapshot{y: y, dx: dx, grads: snapGrads(oracle)} // the survivors' gradients
-			want := runSequentialLayer(t, oracle, x, dy)
-			if phase == "backward" {
-				want.y = got.y // the forward ran at full strength
-			}
-			compareSnapshots(t, label, want, got)
-			w.Close()
 		}
 	}
 }
 
-// TestStepRejectsAliasedDegradedOutputs: once a layer runs on its
-// survivors' layer, the stack-owned outputs live in the survivors' World's
-// workspace, and a step fed them is refused all the same.
+// TestStepRejectsAliasedDegradedOutputs: once a layer runs degraded, the
+// stack-owned outputs live in the layer's own World's workspace, and a step
+// fed them is refused all the same.
 func TestStepRejectsAliasedDegradedOutputs(t *testing.T) {
 	x := tensor.RandN(xrand.New(363), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(364), 1, 96, 32)
@@ -643,5 +660,31 @@ func TestStepRejectsAliasedDegradedOutputs(t *testing.T) {
 		if _, err := StepWorlds(ws, bad.x, bad.dy, cfg); !errors.Is(err, ErrStepInputAliased) {
 			t.Fatalf("%s: err %v, want ErrStepInputAliased", bad.name, err)
 		}
+	}
+}
+
+// TestStepDownNegativeRank: a Down at rank −1 matches no stream — the
+// shared ones ("inter", "intra:g<G>", "route") report rank −1 too — so a
+// 1-layer EP stack at R = 4 steps at full strength, bit-identical to a
+// fault-free twin.
+func TestStepDownNegativeRank(t *testing.T) {
+	x := tensor.RandN(xrand.New(365), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(366), 1, 96, 32)
+	ws, twin := stepStack(t, 1, 4, 2, false), stepStack(t, 1, 4, 2, false)
+	ws[0].SetFaultPlan(fault.New(fault.Spec{Seed: 8, Down: &fault.Down{Rank: -1}}))
+	cfg := StepConfig{LR: 0.05}
+	for s := 0; s < 2; s++ {
+		got, err := StepWorlds(ws, x, dy, cfg)
+		if err != nil {
+			t.Fatalf("step %d: %v", s, err)
+		}
+		if len(got.Degraded) != 0 || ws[0].LastDegraded() != nil || !slices.Equal(ws[0].Health(), []bool{true, true, true, true}) {
+			t.Fatalf("step %d: a rank −1 Down degraded the step: %v", s, got.Degraded)
+		}
+		want, err := StepWorlds(twin, x, dy, cfg)
+		if err != nil {
+			t.Fatalf("step %d twin: %v", s, err)
+		}
+		sameAsTwin(t, fmt.Sprintf("step %d", s), got, want)
 	}
 }
