@@ -215,7 +215,7 @@ func chaosExperiment(iters int) error {
 
 		// done closes w and removes dir. It returns err joined with the
 		// error of Close, which drains the last checkpoint commit and
-		// returns its failure (ErrCheckpointCommit).
+		// returns its failure (ckpt.ErrCommit).
 		done := func(err error) error {
 			err = errors.Join(err, w.Close())
 			os.RemoveAll(dir)

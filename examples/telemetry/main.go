@@ -33,9 +33,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A registry sink folds every step's metrics into live instruments;
-	// a SinkFunc can sit beside it for custom handling. Both see each
-	// step exactly once.
+	// A registry sink folds every step's metrics into live instruments; it
+	// sees each step exactly once. Any type with an OnStep method is a Sink.
 	reg := fsmoe.NewTelemetry()
 	world, err := fsmoe.NewWorld(layer, fsmoe.WorldConfig{
 		Ranks: ranks, PipelineDegree: 2, BatchTokens: tokens,

@@ -46,7 +46,7 @@
 //     per rank, tokens moved by r-chunked dispatch/combine AlltoAll on
 //     the shared inter stream;
 //   - StrategyESP — expert-sharding parallelism, g = R: every rank
-//     computes a shard of every expert (Expert), with chunked
+//     computes a shard of every expert, with chunked
 //     AllGather and ReduceScatter stages on the one group's intra:g0
 //     stream and an empty inter stream (so §5 Gradient-AllReduce slices
 //     overlap freely);
@@ -80,7 +80,11 @@
 //
 // Every strategy is bit-identical to the single-rank Layer path at every
 // (R, r); they differ only in which collectives move the data and where
-// the slack for gradient synchronization appears.
+// the slack for gradient synchronization appears. The same holds for
+// WorldConfig.Algo, §3.1's three AlltoAll algorithms (A2ADirect, A2A1DH,
+// A2A2DH): they move the same rows and differ in how many messages stay
+// inside a node of WorldConfig.GPUsPerNode ranks and how many cross nodes
+// (Example_alltoAllAlgorithms).
 //
 // NewWorld resolves StrategyAuto, an unset hybrid GroupSize and unset
 // pipeline degrees inside the runtime, which holds the one Algorithm-1
@@ -96,9 +100,9 @@
 // onto a kernel pool (a Layer's is the lazily-started default pool, sized
 // by GOMAXPROCS), and the experts read and write their blocks of the
 // (E, T, M) activations through zero-copy views, and transient buffers are
-// recycled through one free-list, exposed here as GetTensor/PutTensor, that
-// every goroutine shares and the collector does not empty: it keeps each
-// buffer Put back, as many as were ever out at once.
+// recycled through one free-list that every goroutine shares and the
+// collector does not empty: it keeps each buffer put back, as many as were
+// ever out at once.
 // Parallelism never reorders floating-point accumulation — results are
 // bit-identical at any worker count.
 //
@@ -128,64 +132,12 @@
 // run on AVX-512 row kernels under the same rule:
 // eight lanes of the scalar operations, unfused, so the same bits.
 //
-// Ownership rules for pooled buffers: whoever calls GetTensor owns the
-// buffer and must PutTensor it at most once, only after every view of it
-// (Reshape/View/Slice/Row all alias the same backing array) is dead. After
-// Put, the array goes to the next GetTensor of its size, on any goroutine,
-// so a stale view
-// — or a second PutTensor of the same tensor — silently corrupts someone
-// else's data. PutTensor ignores tensors it does not own (NewTensor
-// results, views), so releasing a tensor of unknown origin is safe; "at
-// most once" still binds for pooled ones.
-//
-// Experts run under one execution contract, Expert: Begin(PassBufs)
-// starts a pass over one (n, M) block on memory the caller owns — the
-// blocks, a hidden exchange buffer, ScratchElems of pass-private scratch, a
-// hidden-column range [Cl, Ch) and the *WorkerPool its GEMMs fan out onto — and
-// returns an ExpertPass whose stage methods take a window set of rows
-// (Windows: Count windows of N rows, Stride rows apart, less the set's last
-// Clip rows): ForwardHidden/ForwardOut, then BeginBackward(dy, dx, hidden,
-// overwrite), BackwardHidden/BackwardIn, and one Finish(rows) over the
-// block's first rows rows. A pass computes only the rows the router filled:
-// a block's rows past its expert's last occupied slot hold no token, so
-// every set a stage gets is cut there (Windows.Cut), Finish's rows is that
-// fill, and no stage may read the rows past it — they hold whatever the
-// World's memory held (the whole block where the layer has dispatch or
-// combine hooks, which see it computed). A Layer, at one rank and one
-// chunk, runs each expert as the one window [0, n) cut at the fill, over
-// the column range [0, H); a World's chunk is one set per stage call — the chunk's rows
-// in every token-side rank's shard — and its expert-sharding members column
-// ranges of the same methods, which is why every strategy is bit-identical
-// to the Layer. A stage should run each GEMM as one product over the set,
-// through WorkerPool.MatMulRowsInto / MatMulT2RowsInto: a chunk's window in
-// one shard is often thinner than a kernel tile, and one product per window
-// streams the weights once per window.
-//
-// One rule runs through the extension contracts: a producer writes into a
-// destination its consumer owns, whatever it held, and returns nothing to
-// copy. A custom Gate's Backward(dx, cache, grad) overwrites dx (N, M)
-// with its input-gradient contribution (dx.Zero() for a parameter-free
-// router); a custom Order's Scatter/Gather/ScatterGrad/GatherGrad take
-// their destination first and address expert-major buffers as (E, S, M)
-// with a block stride S ≥ capacity the caller chose (pad rows +0, see
-// moe.Order; Gather and ScatterGrad read no row past an expert's last
-// occupied slot, which a World does not compute) — a World lays a sparse
-// plan out from the plan itself at R > 1, so there a custom Scatter and GatherGrad go unused unless the
-// layer has dispatch hooks, which act on the buffer Scatter fills; an ExpertPass writes its stages into the PassBufs blocks and
-// its Finish puts the parameter gradients into each Param.G — added to it,
-// or, when BeginBackward says overwrite (a training step), written over
-// whatever it held. A step re-points Param.W and Param.G at the stack's flat
-// buffers, so an Expert reads them through its Params on every pass and
-// never keeps the tensors.
-//
-// Because a World's ranks run their experts concurrently, a custom Expert
-// must not share mutable state (scratch buffers, RNGs, tied Param tensors)
-// with another expert instance in the same layer. Registering the same
-// instance at several indices is detected: NewWorld refuses it, and the
-// Layer, whose one rank holds every expert and fans distinct ones out over
-// the default kernel pool, runs such a list one expert after another in
-// index order; state shared between distinct instances is the
-// implementer's responsibility to synchronize.
+// A custom Gate's Backward(dx, cache, grad) writes into a destination its
+// consumer owns, whatever it held, and returns nothing to copy: it
+// overwrites dx (N, M) with its input-gradient contribution (dx.Zero() for
+// a parameter-free router). A step re-points every Param.W and Param.G at
+// the stack's flat buffers, so a gate reads them through its Params on
+// every pass and never keeps the tensors.
 //
 // # Resource governance and the planner's cost model
 //
@@ -210,9 +162,6 @@
 // Testbed A's fitted §4.1 models with a degree cap of 16, defined once in
 // the runtime's planner; no config field chooses another.
 // Fitting them to the machine from measured step traces is future work.
-// Custom Expert implementations must route their GEMMs through
-// PassBufs.Pool, the World's kernel pool (nil means the shared default
-// pool).
 //
 // # Training steps and resident state
 //
@@ -299,8 +248,8 @@
 // gradient it hands layer i−1 until its next Forward. StepResult.Y and
 // StepResult.DX are such slots too — of the last and the first world — so,
 // like RankParams, they are valid until the next StepStack on the same
-// worlds; feeding either back in as that step's x or dy fails with
-// ErrStepInputAliased (pass a Clone). A gate's routing lives in gate-owned
+// worlds; feeding either back in as that step's x or dy fails (pass a
+// Clone). A gate's routing lives in gate-owned
 // scratch under the same rule as the workspace: the RouteCache, the
 // DispatchPlan with its slot tables, the score matrices and the plan's
 // weight gradient. A Route takes the gate's idle scratch — or makes another
@@ -340,11 +289,14 @@
 // never replayed). A recovered pass is
 // bit-identical to a fault-free one; the retries appear as events on the
 // measured trace (Trace.Events, Trace.EventCount with EventFault /
-// EventRetry / EventStraggler / EventSkip).
+// EventRetry / EventStraggler). IsTransient and IsPermanent classify an
+// injected fault an error carries; a transient that exhausts its attempts
+// fails the pass (ExampleIsTransient).
 //
 // World.SetDeadline bounds each pass: on expiry the streams drain
 // cooperatively and the pass fails with an error matching
-// context.DeadlineExceeded, leaking no goroutines.
+// context.DeadlineExceeded, leaking no goroutines
+// (ExampleWorld_SetDeadline).
 //
 // A permanent rank failure does not abort the pass: it completes
 // degraded, on the layer's own one-rank World — the plan builder and
@@ -376,11 +328,10 @@
 // than the newest Keep may be overwritten, so do not hold it open. The
 // format (version 3) is a metadata record — step, per-world step counter
 // and gate RNG, per-tensor names and shapes — then every tensor's float64
-// data as raw little-endian spans, then a CRC-32C trailer; corruption
-// surfaces as a typed error — ErrCheckpointTruncated,
-// ErrCheckpointChecksum, ErrCheckpointMalformed, ErrCheckpointBadMagic,
-// ErrCheckpointVersion (version-1 gob and version-2 files included) — and an empty
-// directory as ErrNoCheckpoint. Restore validates every world against
+// data as raw little-endian spans, then a CRC-32C trailer; a damaged or
+// foreign file fails loudly instead of restoring garbage — a flipped bit
+// as ErrCheckpointChecksum (ExampleCheckpointManager) — and so does an
+// empty directory. Restore validates every world against
 // the snapshot before mutating any of them, so a mismatched snapshot is
 // rejected without tearing the stack. Set StepConfig.Checkpoint (and
 // optionally CheckpointEvery) to snapshot the stack every n-th step
@@ -391,11 +342,10 @@
 // step's snapshot commits to; it is durable once the manager's next
 // Start, a Wait, or the worlds' Close has returned, and List, Latest and
 // LoadLatest wait for it first. A failed commit fails the next
-// checkpointing step with ErrCheckpointCommit and leaves the newest
-// previously committed file in place. With Keep > 0 a manager's directory
-// only moves forward: a step older than its newest snapshot — a run
-// restarted in a directory of a later run's snapshots — is refused with
-// ErrCheckpointStale before anything is encoded or written, as the prune
+// checkpointing step and leaves the newest previously committed file in
+// place. With Keep > 0 a manager's directory only moves forward: a step
+// older than its newest snapshot — a run restarted in a directory of a
+// later run's snapshots — is refused before anything is encoded or written, as the prune
 // would delete the file just committed; keep-all prunes nothing and commits
 // any step. StepMetrics carries the stall as CheckpointWaitMS and
 // CheckpointCaptureMS.
@@ -407,7 +357,7 @@
 // dead rank's experts are re-assigned, their checkpointed weights
 // re-placed through the Broadcast collective (traffic accounting reaches
 // the recovery path, and so does chaos: each attempt draws from
-// FaultSpec.KindProb[KindBroadcast] first, and a transient retries at once
+// FaultSpec.KindProb["Broadcast"] first, and a transient retries at once
 // under the same 4-attempt budget), the plan builder
 // re-emits the collective chains for the new topology — every strategy
 // recovers as itself, ESP at g′ = R′ and Hybrid at g′ = gcd(g, R′) — and
@@ -430,7 +380,7 @@
 //
 // The runtime reports what it executed. Set WorldConfig.Sink and every
 // StepStack call builds one *StepMetrics — the measured wall, its
-// forward/backward/tail parts and the remainder outside them (OutsideMS),
+// forward/backward/tail parts,
 // per-stream busy fractions, the overlap ratio vs the serialized task
 // time, per-expert token loads with utilization entropy and imbalance,
 // and fault/retry/degraded tallies — returns it on

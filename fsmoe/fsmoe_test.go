@@ -1,10 +1,10 @@
 package fsmoe
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/workload"
 )
 
 func TestNewLayerAllKinds(t *testing.T) {
@@ -87,7 +87,7 @@ func TestDeterministicBySeed(t *testing.T) {
 		}
 		return y
 	}
-	if !mk().AllClose(mk(), 0) {
+	if !mk().SameBits(mk()) {
 		t.Fatal("same seed must reproduce outputs exactly")
 	}
 }
@@ -158,18 +158,11 @@ func TestSimulationFacade(t *testing.T) {
 	if sp[SystemFSMoE] <= 1 {
 		t.Fatalf("FSMoE speedup %v", sp[SystemFSMoE])
 	}
-	one, err := SimulateModel(a, spec, SystemFSMoE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(one-times[SystemFSMoE]) > 1e-9 {
-		t.Fatal("SimulateModel disagrees with CompareSystems")
-	}
 }
 
 func TestSimulateLayerFacade(t *testing.T) {
 	a := TestbedA()
-	cfg := ConfigGrid(a)[0]
+	cfg := workload.Grid(a)[0]
 	res, err := SimulateLayer(a, cfg, SystemFSMoE)
 	if err != nil {
 		t.Fatal(err)
@@ -179,34 +172,13 @@ func TestSimulateLayerFacade(t *testing.T) {
 	}
 }
 
-func TestProfileFacade(t *testing.T) {
-	pm, err := Profile(TestbedB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pm.A2A.R2 < 0.99 {
-		t.Fatalf("A2A fit R2 = %v", pm.A2A.R2)
-	}
-}
-
-func TestPPFacade(t *testing.T) {
-	a := TestbedA()
-	times, err := CompareSystemsPP(a, Mixtral7B(a), 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(times[SystemFSMoE] < times[SystemDSMoE]) {
-		t.Fatal("FSMoE should beat DS-MoE under PP")
-	}
-}
-
 func TestOptimalDegreeFacade(t *testing.T) {
 	a := TestbedA()
 	s, err := CanonicalScenario(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := LayerVolumes(ConfigGrid(a)[100], s)
+	v := LayerVolumes(workload.Grid(a)[100], s)
 	fwd := OptimalDegree(a, v, 0, false)
 	bwd := OptimalDegree(a, v, 0, true)
 	if fwd.R < 1 || bwd.R < 1 {
@@ -215,10 +187,6 @@ func TestOptimalDegreeFacade(t *testing.T) {
 }
 
 func TestTensorHelpers(t *testing.T) {
-	z := NewTensor(2, 3)
-	if !z.SameBits(tensor.New(2, 3)) {
-		t.Fatal("NewTensor not zeroed")
-	}
 	r := RandTensor(1, 2, 3)
 	if !(r.MaxAbsDiff(tensor.New(2, 3)) > 0) {
 		t.Fatal("RandTensor degenerate")

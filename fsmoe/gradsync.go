@@ -65,14 +65,10 @@ const (
 //
 // StepResult.Y and StepResult.DX are stack-owned like RankParams: valid
 // until the next StepStack on the same worlds. An x or dy that shares
-// memory with them fails with ErrStepInputAliased; pass a Clone.
+// memory with them fails; pass a Clone.
 func StepStack(worlds []*World, x, dy *Tensor, cfg StepConfig) (*StepResult, error) {
 	return moe.StepWorlds(worlds, x, dy, cfg)
 }
-
-// ErrStepInputAliased reports a StepStack input that shares memory with a
-// stack-owned output of an earlier step (errors.Is-matchable).
-var ErrStepInputAliased = moe.ErrStepInputAliased
 
 // SyncGradients synchronizes the parameter gradients accumulated in Param.G
 // by the Forward/Backward calls the caller drove, immediately (no overlap).

@@ -8,19 +8,12 @@ import (
 	"repro/internal/xrand"
 )
 
-// Re-exported sub-module interfaces, so user code can implement custom
-// gates, orders, experts and hooks against the same contracts the
-// built-ins use (§3.3's CustomizedExpert / CustomizedCallback pattern).
+// Re-exported sub-module interfaces, so user code can implement a custom
+// gate and hooks against the same contracts the built-ins use (§3.3's
+// CustomizedCallback pattern).
 type (
 	// Gate is the routing sub-module contract.
 	Gate = moe.Gate
-	// Order is the data-layout sub-module contract.
-	Order = moe.Order
-	// Expert is the expert-network contract every strategy drives: GEMM
-	// stages over a hidden-column range and over token rows, so chunks and
-	// shard groups split one expert's compute bit-exactly (see moe.Expert).
-	// The built-in GPT and Mixtral experts implement it.
-	Expert = moe.Expert
 	// Hooks carries the six non-invasive extension points of §3.1. They
 	// run on a Layer and on every World over it, forward only: the backward
 	// runs straight through them. The dispatch and combine hooks see the
@@ -36,8 +29,6 @@ type (
 	PlanGrad = moe.PlanGrad
 	// Param is one trainable parameter with its gradient.
 	Param = moe.Param
-	// GateConfig carries shared routing hyperparameters.
-	GateConfig = moe.GateConfig
 	// Tensor is the dense CPU tensor all modules exchange.
 	Tensor = tensor.Tensor
 )
@@ -75,9 +66,8 @@ const (
 	ExpertMixtral ExpertKind = "mixtral-ffn"
 )
 
-// LayerConfig assembles an MoE layer from named sub-modules. CustomGate,
-// CustomOrder and CustomExperts override the respective Kind fields when
-// non-nil, which is how user-defined implementations plug in.
+// LayerConfig assembles an MoE layer from named sub-modules. CustomGate
+// overrides Gate when non-nil, which is how a user-defined gate plugs in.
 type LayerConfig struct {
 	M              int     // token embedding size
 	H              int     // expert hidden size
@@ -91,16 +81,12 @@ type LayerConfig struct {
 
 	// Gate-specific knobs.
 	SlotsPerExpert int     // SoftMoE slots per expert (default 1)
-	XMoELowRank    int     // X-MoE projection rank (default M/8)
-	XMoETau        float64 // X-MoE temperature (default 0.3)
 	ZipfSkew       float64 // Zipf gate skew exponent s (default 1.0; negative routes uniformly)
 
 	Seed  uint64 // parameter initialization seed (default 1)
 	Hooks []Hooks
 
-	CustomGate    Gate
-	CustomOrder   Order
-	CustomExperts []Expert
+	CustomGate Gate
 }
 
 // Layer is a fully assembled MoE layer. Forward runs it on x, shaped
@@ -137,7 +123,7 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 		case GateSigmoid:
 			gate, err = moe.NewSigmoidGate(gcfg, cfg.M, rng)
 		case GateXMoE:
-			gate, err = moe.NewXMoEGate(gcfg, cfg.M, cfg.XMoELowRank, cfg.XMoETau, rng)
+			gate, err = moe.NewXMoEGate(gcfg, cfg.M, 0, 0, rng) // rank M/8 (at least 2), τ 0.3
 		case GateEC:
 			gate, err = moe.NewECGate(gcfg, cfg.M, rng)
 		case GateSoftMoE:
@@ -156,35 +142,28 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 		}
 	}
 
-	order := cfg.CustomOrder
-	if order == nil {
-		switch cfg.Order {
-		case OrderTutel, "":
-			order = moe.TutelOrder{}
-		case OrderGShard:
-			order = moe.GShardOrder{}
-		default:
-			return nil, fmt.Errorf("fsmoe: unknown order kind %q", cfg.Order)
-		}
+	var order moe.Order
+	switch cfg.Order {
+	case OrderTutel, "":
+		order = moe.TutelOrder{}
+	case OrderGShard:
+		order = moe.GShardOrder{}
+	default:
+		return nil, fmt.Errorf("fsmoe: unknown order kind %q", cfg.Order)
 	}
 
-	experts := cfg.CustomExperts
-	if experts == nil {
-		experts = make([]Expert, cfg.Experts)
-		for i := range experts {
-			var e Expert
-			switch cfg.Expert {
-			case ExpertGPT, "":
-				e, err = moe.NewGPTFFN(cfg.M, cfg.H, rng)
-			case ExpertMixtral:
-				e, err = moe.NewMixtralFFN(cfg.M, cfg.H, rng)
-			default:
-				return nil, fmt.Errorf("fsmoe: unknown expert kind %q", cfg.Expert)
-			}
-			if err != nil {
-				return nil, err
-			}
-			experts[i] = e
+	experts := make([]moe.Expert, cfg.Experts)
+	for i := range experts {
+		switch cfg.Expert {
+		case ExpertGPT, "":
+			experts[i], err = moe.NewGPTFFN(cfg.M, cfg.H, rng)
+		case ExpertMixtral:
+			experts[i], err = moe.NewMixtralFFN(cfg.M, cfg.H, rng)
+		default:
+			return nil, fmt.Errorf("fsmoe: unknown expert kind %q", cfg.Expert)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 
@@ -199,36 +178,8 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 	})
 }
 
-// NewTensor allocates a zero tensor; RandTensor fills one with N(0,1)
-// values from the given seed. They keep example code free of internal
-// imports.
-func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }
-
-// GetTensor returns a zero-filled tensor from the shared buffer free-list;
-// PutTensor returns it. The list is one for every goroutine, and it keeps
-// what is Put back — as many buffers of a size as were ever out at once —
-// rather than hand it to the collector. The single-owner rule applies: Put
-// a tensor at most once, only if it came from GetTensor, and only when no
-// view of it is still live (see the internal/tensor package docs). Custom
-// experts and hooks use these to keep their transients off the allocator,
-// like the built-in sub-modules do.
-func GetTensor(shape ...int) *Tensor { return tensor.Get(shape...) }
-
-// PutTensor releases a GetTensor buffer back to the free-list, at most once
-// per GetTensor. It is a safe no-op for tensors of any other origin.
-func PutTensor(t *Tensor) { tensor.Put(t) }
-
-// WorkerPool is a scoped tensor worker pool with a fixed width: a World's
-// kernel pool is one. Custom Expert implementations receive one in
-// PassBufs.Pool and should route their GEMMs through its MatMul*Into
-// methods; a nil *WorkerPool designates the shared default pool.
-type WorkerPool = tensor.Pool
-
-// NewWorkerPool returns a scoped pool of fixed width n (at least 1). Its
-// goroutines start lazily; Close releases them.
-func NewWorkerPool(n int) *WorkerPool { return tensor.NewPool(n) }
-
-// RandTensor returns a tensor of standard-normal values.
+// RandTensor returns a tensor of standard-normal values from the given
+// seed. It keeps example code free of internal imports.
 func RandTensor(seed uint64, shape ...int) *Tensor {
 	return tensor.RandN(xrand.New(seed), 1, shape...)
 }

@@ -24,8 +24,8 @@ type (
 	// atomic (temp + fsync + rename), checksummed, versioned, optionally
 	// pruned to the newest Keep files; with Keep >= 2 the oldest retained
 	// file becomes the next commit's temp file. Start commits in the
-	// background, at most one commit in flight; Wait (and Save, List,
-	// Latest, LoadLatest) drain it.
+	// background, at most one commit in flight; Wait (and List, Latest,
+	// LoadLatest) drain it.
 	CheckpointManager = ckpt.Manager
 	// RecoveryPolicy configures Recover; the zero value shrinks onto the
 	// surviving ranks.
@@ -46,21 +46,10 @@ const (
 	RecoverShrink = moe.RecoverShrink
 )
 
-// Typed checkpoint errors (errors.Is-matchable): a damaged or foreign
-// snapshot file fails loudly instead of restoring garbage, a background
-// commit that failed surfaces as ErrCheckpointCommit, and a step older than
-// the newest snapshot in a pruning manager's directory as
-// ErrCheckpointStale.
-var (
-	ErrCheckpointTruncated = ckpt.ErrTruncated
-	ErrCheckpointChecksum  = ckpt.ErrChecksum
-	ErrCheckpointMalformed = ckpt.ErrMalformed
-	ErrCheckpointBadMagic  = ckpt.ErrBadMagic
-	ErrCheckpointVersion   = ckpt.ErrVersion
-	ErrNoCheckpoint        = ckpt.ErrNoCheckpoint
-	ErrCheckpointCommit    = ckpt.ErrCommit
-	ErrCheckpointStale     = ckpt.ErrStaleStep
-)
+// ErrCheckpointChecksum reports a snapshot file whose bytes do not match
+// its checksum (errors.Is-matchable): a damaged file fails loudly instead
+// of restoring garbage.
+var ErrCheckpointChecksum = ckpt.ErrChecksum
 
 // Checkpoint captures a stack's full training state — every layer's
 // parameters, counters and gate RNG — as one Snapshot, deep-copied so

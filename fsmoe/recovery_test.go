@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/sim"
 )
 
 // TestRecoveryEndToEnd drives the whole public fault-tolerance surface:
@@ -39,7 +40,7 @@ func TestRecoveryEndToEnd(t *testing.T) {
 	// layer 0's weight re-placement Broadcasts each failing once first.
 	ws[0].SetFaultPlan(NewFaultPlan(FaultSpec{
 		Seed:                 7,
-		KindProb:             map[string]float64{KindBroadcast: 1},
+		KindProb:             map[string]float64{sim.KindBroadcast: 1},
 		MaxTransientsPerTask: 1,
 		Down:                 &FaultDown{Rank: 1, Kind: KindExperts},
 	}))
@@ -90,7 +91,10 @@ func TestRecoveryEndToEnd(t *testing.T) {
 func TestRecoveryCorruptCheckpoint(t *testing.T) {
 	ws := syncTestStack(t, 1, 4)
 	mgr := tempCheckpoints(t, 0)
-	path, err := mgr.Save(Checkpoint(ws))
+	path, err := mgr.Start(Checkpoint(ws))
+	if err == nil {
+		err = mgr.Wait()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +110,8 @@ func TestRecoveryCorruptCheckpoint(t *testing.T) {
 		t.Fatalf("corrupt checkpoint load = %v, want ErrCheckpointChecksum", err)
 	}
 	empty := &CheckpointManager{Dir: t.TempDir()}
-	if _, err := empty.Latest(); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("empty dir Latest = %v, want ErrNoCheckpoint", err)
+	if _, err := empty.Latest(); !errors.Is(err, ckpt.ErrNoCheckpoint) {
+		t.Fatalf("empty dir Latest = %v, want ckpt.ErrNoCheckpoint", err)
 	}
 }
 
@@ -239,8 +243,8 @@ func TestCkptCommitFailure(t *testing.T) {
 		t.Fatalf("step 2 = (%v, %v), want its snapshot accepted for %s", res, err, block)
 	}
 	_, stepErr := step()
-	if !errors.Is(stepErr, ErrCheckpointCommit) {
-		t.Fatalf("step after the failed commit = %v, want ErrCheckpointCommit", stepErr)
+	if !errors.Is(stepErr, ckpt.ErrCommit) {
+		t.Fatalf("step after the failed commit = %v, want ckpt.ErrCommit", stepErr)
 	}
 	if werr := mgr.Wait(); werr == nil || !errors.Is(stepErr, werr) {
 		t.Fatalf("Wait = %v, want the error the step returned: %v", werr, stepErr)

@@ -2,7 +2,6 @@ package fsmoe
 
 import (
 	"repro/internal/core"
-	"repro/internal/perfmodel"
 	"repro/internal/topology"
 	"repro/internal/trainsim"
 	"repro/internal/workload"
@@ -30,8 +29,6 @@ type (
 	ModelSpec = workload.ModelSpec
 	// WorkloadConfig is one Table 4 layer configuration.
 	WorkloadConfig = workload.Config
-	// PerfModels is a profiled model set with fit quality.
-	PerfModels = perfmodel.ClusterModels
 	// DegreeResult is Algorithm 1's output.
 	DegreeResult = core.DegreeResult
 	// GarPlan is the adaptive gradient-partitioning outcome (§5).
@@ -54,20 +51,9 @@ func AllSystems() []System { return core.AllSystems() }
 // TestbedA returns the paper's 48-GPU cluster preset (6 × 8 A6000).
 func TestbedA() *Cluster { return topology.TestbedA() }
 
-// TestbedB returns the paper's 32-GPU cluster preset (8 × 4 2080Ti).
-func TestbedB() *Cluster { return topology.TestbedB() }
-
-// GPT2XLMoE, Mixtral7B and Mixtral22B are the §6.4 model presets.
-func GPT2XLMoE(c *Cluster) ModelSpec  { return workload.GPT2XLMoE(c) }
-func Mixtral7B(c *Cluster) ModelSpec  { return workload.Mixtral7B(c) }
-func Mixtral22B(c *Cluster) ModelSpec { return workload.Mixtral22B(c) }
-
-// ConfigGrid returns the Table 4 sweep (1458 configurations) for a testbed.
-func ConfigGrid(c *Cluster) []WorkloadConfig { return workload.Grid(c) }
-
-// Profile runs the Fig. 5 microbenchmark-and-fit workflow on a testbed and
-// returns the fitted models with their R².
-func Profile(c *Cluster) (*PerfModels, error) { return perfmodel.ProfileCluster(c) }
+// GPT2XLMoE and Mixtral7B are §6.4 model presets.
+func GPT2XLMoE(c *Cluster) ModelSpec { return workload.GPT2XLMoE(c) }
+func Mixtral7B(c *Cluster) ModelSpec { return workload.Mixtral7B(c) }
 
 // ModelsOf returns the exact scheduler models for a testbed (what a
 // perfect profiling run recovers).
@@ -96,20 +82,6 @@ func SimulateLayer(c *Cluster, cfg WorkloadConfig, sys System) (*IterationResult
 	return m.SimulateSingleLayer(workload.VolumesFor(cfg, s), sys, core.BuildOptions{})
 }
 
-// SimulateModel runs a full model iteration under a system.
-func SimulateModel(c *Cluster, spec ModelSpec, sys System) (float64, error) {
-	s, err := topology.CanonicalScenario(c, 1)
-	if err != nil {
-		return 0, err
-	}
-	m := core.ModelsFromCluster(c)
-	r, err := trainsim.Iteration(m, spec, s, sys, core.BuildOptions{})
-	if err != nil {
-		return 0, err
-	}
-	return r.TimeMS, nil
-}
-
 // CompareSystems runs every system on the model and returns iteration
 // times in milliseconds keyed by system.
 func CompareSystems(c *Cluster, spec ModelSpec) (map[System]float64, error) {
@@ -118,15 +90,6 @@ func CompareSystems(c *Cluster, spec ModelSpec) (map[System]float64, error) {
 		return nil, err
 	}
 	return trainsim.Compare(core.ModelsFromCluster(c), spec, s, core.BuildOptions{})
-}
-
-// CompareSystemsPP is CompareSystems with GPipe pipeline parallelism.
-func CompareSystemsPP(c *Cluster, spec ModelSpec, npp, microbatches int) (map[System]float64, error) {
-	s, err := topology.CanonicalScenario(c, npp)
-	if err != nil {
-		return nil, err
-	}
-	return trainsim.ComparePP(core.ModelsFromCluster(c), spec, s, npp, microbatches, core.BuildOptions{})
 }
 
 // Speedups converts absolute times into ratios over a baseline.

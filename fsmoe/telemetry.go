@@ -18,8 +18,6 @@ type (
 	TelemetrySnapshot = telemetry.Snapshot
 	// Sink consumes one StepMetrics per completed training step.
 	Sink = telemetry.Sink
-	// SinkFunc adapts a function to the Sink interface.
-	SinkFunc = telemetry.SinkFunc
 	// StepMetrics is the structured record of one training step: wall-time
 	// decomposition, overlap ratio vs sequential, per-stream busy
 	// fractions, per-expert routed token loads with utilization entropy

@@ -6,7 +6,6 @@ import (
 	"repro/internal/moe"
 	"repro/internal/runtime"
 	"repro/internal/sim"
-	"repro/internal/tensor"
 )
 
 // Executable-runtime vocabulary.
@@ -24,20 +23,6 @@ type (
 	CommStats = comm.Stats
 	// Strategy names a parallel execution scheme for the executable world.
 	Strategy = moe.Strategy
-	// ExpertPass is one pass of an Expert: its stage methods, each over
-	// a window set of the pass's filled rows. Its Finish adds the parameter
-	// gradients of those rows into each Param.G, or, when BeginBackward says
-	// overwrite (a training step), writes them over it.
-	ExpertPass = moe.ExpertPass
-	// Windows is a window set of rows — Count windows of N rows, Stride rows
-	// apart, less the set's last Clip rows — which the ExpertPass stage
-	// methods and WorkerPool's MatMulRowsInto / MatMulT2RowsInto take.
-	Windows = tensor.Windows
-	// PassBufs is the caller-owned memory Expert.Begin receives.
-	PassBufs = moe.PassBufs
-	// DenseRouter marks custom gates whose plans route densely
-	// (SoftMoE-style); StrategyAuto uses it to pick StrategyDenseSlots.
-	DenseRouter = moe.DenseRouter
 
 	// FaultSpec configures the deterministic seeded fault injector:
 	// per-task-kind transient probabilities, straggler delays and
@@ -76,20 +61,15 @@ const (
 	EventFault     = sim.EventFault
 	EventRetry     = sim.EventRetry
 	EventStraggler = sim.EventStraggler
-	EventSkip      = sim.EventSkip
 )
 
 // Task kinds as they appear on stream plans — the keys a
-// FaultSpec.KindProb targets. KindBroadcast labels no plan task: it targets
-// Recover's weight re-placement Broadcasts.
+// FaultSpec.KindProb targets.
 const (
 	KindAlltoAll      = moe.KindA2A
 	KindAllGather     = moe.KindAG
 	KindReduceScatter = moe.KindRS
 	KindExperts       = moe.KindExpert
-	KindAllReduce     = sim.KindAllReduce
-	KindOthers        = sim.KindOthers
-	KindBroadcast     = sim.KindBroadcast
 )
 
 // The three AlltoAll algorithms of §3.1's Dispatch sub-module.

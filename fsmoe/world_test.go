@@ -87,40 +87,15 @@ func TestWorldMethodSet(t *testing.T) {
 	}
 }
 
-// TestExpertMethodSet pins the expert contract, the way TestWorldMethodSet
-// pins *World's methods: a custom expert implements exactly these, and every
-// strategy drives it through them alone.
-func TestExpertMethodSet(t *testing.T) {
-	want := []string{
-		"Begin", "BwdBands", "FwdBands", "FwdMACs", "HiddenWidth", "Name",
-		"Params", "ScratchElems",
-	}
-	typ := reflect.TypeFor[Expert]()
-	var got []string
-	for i := range typ.NumMethod() {
-		got = append(got, typ.Method(i).Name)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("Expert methods = %q\nwant %q", got, want)
-	}
-}
-
 // TestLayerConfigFields pins the fields of LayerConfig, sorted by name, the
 // way TestWorldMethodSet pins the methods of *World: a field added there is
 // a settable value added to the public API.
 func TestLayerConfigFields(t *testing.T) {
 	want := []string{
-		"CapacityFactor", "CustomExperts", "CustomGate", "CustomOrder",
-		"Expert", "Experts", "Gate", "H", "Hooks", "M", "Order", "Seed",
-		"SlotsPerExpert", "TopK", "XMoELowRank", "XMoETau", "ZipfSkew",
+		"CapacityFactor", "CustomGate", "Expert", "Experts", "Gate", "H",
+		"Hooks", "M", "Order", "Seed", "SlotsPerExpert", "TopK", "ZipfSkew",
 	}
-	typ := reflect.TypeFor[LayerConfig]()
-	var got []string
-	for i := range typ.NumField() {
-		got = append(got, typ.Field(i).Name)
-	}
-	slices.Sort(got)
-	if !slices.Equal(got, want) {
+	if got := sortedFields(reflect.TypeFor[LayerConfig]()); !slices.Equal(got, want) {
 		t.Fatalf("LayerConfig fields = %q\nwant %q", got, want)
 	}
 }
@@ -132,15 +107,43 @@ func TestWorldConfigFields(t *testing.T) {
 		"Algo", "BatchTokens", "GPUsPerNode", "GroupSize", "PipelineDegree",
 		"PipelineDegreeBwd", "Ranks", "Sink", "Strategy",
 	}
-	typ := reflect.TypeFor[WorldConfig]()
+	if got := sortedFields(reflect.TypeFor[WorldConfig]()); !slices.Equal(got, want) {
+		t.Fatalf("WorldConfig fields = %q\nwant %q", got, want)
+	}
+}
+
+// TestStepConfigFields pins the fields of StepConfig, sorted by name, the
+// way TestLayerConfigFields pins LayerConfig's.
+func TestStepConfigFields(t *testing.T) {
+	want := []string{
+		"Checkpoint", "CheckpointEvery", "ChunkBytes", "LR", "Sequential",
+		"Slices", "Strategy", "Train",
+	}
+	if got := sortedFields(reflect.TypeFor[StepConfig]()); !slices.Equal(got, want) {
+		t.Fatalf("StepConfig fields = %q\nwant %q", got, want)
+	}
+}
+
+// TestFaultSpecFields pins the fields of FaultSpec, sorted by name, the way
+// TestLayerConfigFields pins LayerConfig's.
+func TestFaultSpecFields(t *testing.T) {
+	want := []string{
+		"Down", "KindProb", "MaxTransientsPerTask", "Seed", "StragglerDelay",
+		"StragglerProb", "TransientProb",
+	}
+	if got := sortedFields(reflect.TypeFor[FaultSpec]()); !slices.Equal(got, want) {
+		t.Fatalf("FaultSpec fields = %q\nwant %q", got, want)
+	}
+}
+
+// sortedFields lists a struct type's field names, sorted.
+func sortedFields(typ reflect.Type) []string {
 	var got []string
 	for i := range typ.NumField() {
 		got = append(got, typ.Field(i).Name)
 	}
 	slices.Sort(got)
-	if !slices.Equal(got, want) {
-		t.Fatalf("WorldConfig fields = %q\nwant %q", got, want)
-	}
+	return got
 }
 
 // TestLayerMethodSet pins the public method set of *Layer, the way

@@ -282,7 +282,7 @@ func TestCkptManager(t *testing.T) {
 	for _, step := range []int{1, 2, 3} {
 		s := sample()
 		s.Step = step
-		if _, err := m.Save(s); err != nil {
+		if _, err := save(m, s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,7 +311,7 @@ func TestCkptManagerKeepAll(t *testing.T) {
 	for step := 0; step < 4; step++ {
 		s := sample()
 		s.Step = step
-		if _, err := m.Save(s); err != nil {
+		if _, err := save(m, s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -365,7 +365,7 @@ func TestCkptManagerCommitFailure(t *testing.T) {
 	m := &Manager{Dir: t.TempDir(), Keep: 1}
 	s := sample()
 	s.Step = 1
-	if _, err := m.Save(s); err != nil {
+	if _, err := save(m, s); err != nil {
 		t.Fatal(err)
 	}
 	// A non-empty directory on step 2's final name: the rename fails
@@ -392,13 +392,13 @@ func TestCkptManagerCommitFailure(t *testing.T) {
 		t.Fatalf("the Start that reported the failure committed anyway: %v", err)
 	}
 	s.Step = 2
-	if _, err := m.Save(s); !errors.Is(err, ErrCommit) {
+	if _, err := save(m, s); !errors.Is(err, ErrCommit) {
 		t.Fatalf("Save onto the blocked name = %v, want ErrCommit", err)
 	}
 	if err := os.RemoveAll(block); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Save(s); err != nil {
+	if _, err := save(m, s); err != nil {
 		t.Fatalf("Save after a reported failure = %v, want a fresh commit", err)
 	}
 	entries, err := os.ReadDir(m.Dir)
@@ -427,7 +427,7 @@ func TestCkptManagerConcurrentUse(t *testing.T) {
 				if i%2 == 0 {
 					_, err = m.Start(s)
 				} else {
-					_, err = m.Save(s)
+					_, err = save(m, s)
 				}
 				if err == nil {
 					_, err = m.List()
@@ -462,7 +462,7 @@ func saveStep(t *testing.T, m *Manager, step int) *Snapshot {
 	t.Helper()
 	s := sample()
 	s.Step = step
-	if _, err := m.Save(s); err != nil {
+	if _, err := save(m, s); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -557,7 +557,7 @@ func TestCkptManagerRecycledFileCut(t *testing.T) {
 	big := sample()
 	big.Step = 1
 	big.Worlds[0].Gate[0] = Tensor{Name: "wide", Shape: []int{4, 1000}, Data: make([]float64, 4000)}
-	if _, err := m.Save(big); err != nil {
+	if _, err := save(m, big); err != nil {
 		t.Fatal(err)
 	}
 	saveStep(t, m, 2)
@@ -619,7 +619,7 @@ func TestCkptManagerRecycledCommitFailure(t *testing.T) {
 	}
 	s := sample()
 	s.Step = 3
-	if _, err := m.Save(s); !errors.Is(err, ErrCommit) {
+	if _, err := save(m, s); !errors.Is(err, ErrCommit) {
 		t.Fatalf("Save onto the blocked name = %v, want ErrCommit", err)
 	}
 	if err := os.RemoveAll(block); err != nil {
@@ -680,7 +680,7 @@ func TestCkptManagerRefusesStaleStep(t *testing.T) {
 			save := func(step int) error {
 				s := sample()
 				s.Step = step
-				path, err := m.Save(s)
+				path, err := save(m, s)
 				if err == nil {
 					checkCommitted(t, path, s)
 				}
@@ -736,4 +736,21 @@ func TestCkptManagerRefusesStaleStep(t *testing.T) {
 			refused(7)
 		})
 	}
+}
+
+// save is Start followed by Wait: it returns once s is durable, with the
+// written path. A commit failure it returns counts as reported, so the
+// next Start commits again.
+func save(m *Manager, s *Snapshot) (string, error) {
+	path, err := m.Start(s)
+	if err != nil {
+		return "", err
+	}
+	m.lockIdle()
+	defer m.mu.Unlock()
+	if m.err != nil {
+		m.reported = true
+		return "", m.err
+	}
+	return path, nil
 }

@@ -41,8 +41,8 @@ var ErrStaleStep = errors.New("ckpt: step older than the newest snapshot in the 
 // snapshot on the caller's goroutine into a buffer the Manager keeps and
 // returns; one goroutine then checksums it, writes a temp file, fsyncs,
 // renames it over the final name, fsyncs the directory and prunes. The
-// snapshot is durable once the next Start, a Wait or Save has returned
-// without error. List, Latest and LoadLatest wait for the commit in
+// snapshot is durable once the next Start or a Wait has returned without
+// error. List, Latest and LoadLatest wait for the commit in
 // flight first, so they see it. A Manager is safe for concurrent use.
 //
 // With Keep >= 2, a commit whose prune would delete the oldest retained
@@ -155,23 +155,6 @@ func (m *Manager) Wait() error {
 	m.lockIdle()
 	defer m.mu.Unlock()
 	return m.err
-}
-
-// Save is Start followed by Wait: it returns once s is durable, with the
-// written path. A commit failure it returns counts as reported, so the
-// next Start commits again.
-func (m *Manager) Save(s *Snapshot) (string, error) {
-	path, err := m.Start(s)
-	if err != nil {
-		return "", err
-	}
-	m.lockIdle()
-	defer m.mu.Unlock()
-	if m.err != nil {
-		m.reported = true
-		return "", m.err
-	}
-	return path, nil
 }
 
 // List returns every snapshot path in the directory, oldest first, once

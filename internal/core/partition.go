@@ -31,15 +31,6 @@ type GarPlan struct {
 // for that layer's backward stream plan.
 func (g *GarPlan) HiddenBytes(i int) float64 { return g.MoEBytes[i] + g.DenseBytes[i] }
 
-// Overlapped returns the total bytes hidden by the plan.
-func (g *GarPlan) Overlapped() float64 {
-	s := 0.0
-	for i := range g.MoEBytes {
-		s += g.MoEBytes[i] + g.DenseBytes[i]
-	}
-	return s
-}
-
 // PartitionGradients runs the two-step partitioning of §5 over the model's
 // layers (index 0 = first layer; backward visits them in reverse).
 //

@@ -31,18 +31,18 @@ func AllSystems() []System {
 // calibrated to the Table 6 gap between DS-MoE and FSMoE iterations.
 const DSMoEKernelOverhead = 1.25
 
+// LinaChunkBytes is Lina's fixed gradient chunk, 30 MB (§6.4): the
+// simulated Lina schedule and the executable one both cut at it.
+const LinaChunkBytes = 30e6
+
 // BuildOptions tunes schedule construction.
 type BuildOptions struct {
-	RMax           int     // maximum pipeline degree considered (default MaxPipelineDegree)
-	LinaChunkBytes float64 // Lina's fixed chunk size (default 30 MB, §6.4)
+	RMax int // maximum pipeline degree considered (default MaxPipelineDegree)
 }
 
 func (o BuildOptions) withDefaults() BuildOptions {
 	if o.RMax <= 0 {
 		o.RMax = MaxPipelineDegree
-	}
-	if o.LinaChunkBytes <= 0 {
-		o.LinaChunkBytes = 30e6
 	}
 	return o
 }
@@ -265,7 +265,7 @@ func (m Models) simulateOnce(layers []LayerSpec, sys System, opt BuildOptions) (
 	case SystemLina, SystemTutelImproved:
 		// Tutel-Improved syncs every layer's gradients right after its
 		// dense backward, as one slice; Lina cuts that slice into chunks.
-		gar = m.FixedChunkGarPlan(layers, opt.LinaChunkBytes)
+		gar = m.FixedChunkGarPlan(layers, LinaChunkBytes)
 	default: // DSMoE, Tutel: fully exposed at the end
 		gar = &GarPlan{MoEBytes: make([]float64, len(layers)), DenseBytes: make([]float64, len(layers))}
 		for _, l := range layers {
@@ -304,7 +304,7 @@ func (m Models) simulateOnce(layers []LayerSpec, sys System, opt BuildOptions) (
 	for i := len(layers) - 1; i >= 0; i-- {
 		lina := 0.0
 		if sys == SystemLina {
-			lina = opt.LinaChunkBytes
+			lina = LinaChunkBytes
 		}
 		dep = m.buildBackwardLayer(g, layers[i].V, degB[i], ss, a2a, iio, dep,
 			gar.MoEBytes[i], gar.DenseBytes[i], lina)

@@ -226,15 +226,6 @@ func New(s Spec) *Plan {
 	return &Plan{spec: s}
 }
 
-// Spec returns a copy of the compiled specification; editing it does not
-// change the plan.
-func (p *Plan) Spec() Spec {
-	if p == nil {
-		return Spec{}
-	}
-	return p.spec.own()
-}
-
 // WithoutDown returns a plan identical to p with the permanent rank-down
 // trigger removed — the injector the recovered world keeps running under
 // after elastic recovery: the dead rank was re-placed, so replaying its

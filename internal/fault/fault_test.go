@@ -158,7 +158,7 @@ func TestNilAndZero(t *testing.T) {
 			t.Fatal("zero spec injected")
 		}
 	}
-	if New(Spec{StragglerProb: 1}).Spec().StragglerDelay != 200*time.Microsecond {
+	if New(Spec{StragglerProb: 1}).spec.StragglerDelay != 200*time.Microsecond {
 		t.Fatal("zero straggler delay not defaulted")
 	}
 }
@@ -173,10 +173,10 @@ func TestWithoutDown(t *testing.T) {
 	if q == p {
 		t.Fatal("WithoutDown returned the same plan despite a Down")
 	}
-	if p.Spec().Down == nil {
+	if p.spec.Down == nil {
 		t.Fatal("WithoutDown mutated the original plan")
 	}
-	if s := q.Spec(); s.Down != nil || s.TransientProb != 0.5 || s.StragglerProb != 0.25 || s.Seed != 3 {
+	if s := q.spec; s.Down != nil || s.TransientProb != 0.5 || s.StragglerProb != 0.25 || s.Seed != 3 {
 		t.Fatalf("stripped spec = %+v", s)
 	}
 	if d := q.Check("compute:1", "Experts", "E", 0, 0); IsPermanent(d.Err) {
@@ -198,8 +198,8 @@ func TestWithoutDown(t *testing.T) {
 // TestNewOwnsItsSpec: New copies the caller's maps before clamping. Plans
 // compiled concurrently from one Spec do not race on it, the caller's
 // values stay as passed (out-of-range ones included), and editing the
-// caller's maps, or the ones Spec returns, afterwards changes neither the
-// plan's decisions nor its Spec.
+// caller's maps afterwards changes neither the plan's decisions nor its
+// compiled spec.
 func TestNewOwnsItsSpec(t *testing.T) {
 	spec := Spec{
 		Seed:     4,
@@ -220,15 +220,12 @@ func TestNewOwnsItsSpec(t *testing.T) {
 	if spec.KindProb["AllGather"] != 1.5 || spec.KindProb["Pack"] != -0.5 {
 		t.Fatalf("New rewrote the caller's map: %v", spec.KindProb)
 	}
-	if s := p.Spec(); s.KindProb["AllGather"] != 1 || s.KindProb["Pack"] != 0 {
+	if s := p.spec; s.KindProb["AllGather"] != 1 || s.KindProb["Pack"] != 0 {
 		t.Fatalf("compiled map not clamped: %v", s.KindProb)
 	}
 
 	spec.KindProb["AlltoAll"] = 1
 	spec.Down.Rank = 0
-	ret := p.Spec()
-	ret.KindProb["AlltoAll"] = 1
-	ret.Down.Rank = 0
 	for id := 0; id < 100; id++ {
 		if d := p.Check("inter", "AlltoAll", "D", id, 0); d.Err != nil {
 			t.Fatalf("task %d failed after the caller edited a map New was given: %v", id, d.Err)
@@ -237,7 +234,7 @@ func TestNewOwnsItsSpec(t *testing.T) {
 			t.Fatalf("task %d: the caller's Down edit reached the plan: %v", id, d.Err)
 		}
 	}
-	if s := p.Spec(); s.KindProb["AlltoAll"] != 0 || len(s.KindProb) != 3 || s.Down.Rank != 3 {
-		t.Fatalf("Spec changed after the caller's edits: %+v down %+v", s, *s.Down)
+	if s := p.spec; s.KindProb["AlltoAll"] != 0 || len(s.KindProb) != 3 || s.Down.Rank != 3 {
+		t.Fatalf("compiled spec changed after the caller's edits: %+v down %+v", s, *s.Down)
 	}
 }

@@ -75,7 +75,7 @@ type LayerSpec struct {
 type Config struct {
 	Strategy   Strategy
 	Models     core.Models // performance models driving the GarPlan and task estimates
-	ChunkBytes float64     // StrategyFixedChunk chunk size (default 30 MiB, the paper's Lina setting)
+	ChunkBytes float64     // StrategyFixedChunk chunk size (default core.LinaChunkBytes, the simulated Lina's)
 	Slices     int         // AllReduce slices per hidden window (default 4)
 	ElemBytes  float64     // accounting bytes per gradient element (default 4, fp32 master grads)
 }
@@ -85,7 +85,7 @@ func (c Config) withDefaults() Config {
 		c.Strategy = StrategyFSMoE
 	}
 	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 30 << 20
+		c.ChunkBytes = core.LinaChunkBytes
 	}
 	if c.Slices < 1 {
 		c.Slices = 4

@@ -529,3 +529,36 @@ func BenchmarkFinishTail(b *testing.B) {
 		plan.Finish()
 	}
 }
+
+// TestLinaChunkMatchesSimulated: at default settings the executable Lina
+// baseline cuts a layer's gradient into as many AllReduce slices as the
+// simulated Lina schedule prices. A 31 MB gradient is one chunk at 30 MiB
+// and two at 30 MB, so the two defaults must be one size.
+func TestLinaChunkMatchesSimulated(t *testing.T) {
+	const gradBytes = 31e6
+	m := core.ModelsFromCluster(topology.TestbedA())
+	v := core.Volumes{NA2A: 1e6, NAG: 1e5, NRS: 1e5, ExpMACs: 1e8, ExpGEMMs: 2,
+		DenseFwd: 0.1, DenseBwd: 0.3, GradBytes: gradBytes}
+	res, err := m.SimulateIteration([]core.LayerSpec{{V: v}}, core.SystemLina, core.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulated := 0
+	for _, iv := range res.Trace.Intervals {
+		if iv.Task.Kind == KindAllReduce {
+			simulated++
+		}
+	}
+	p, err := Solve(Config{Strategy: StrategyFixedChunk, Models: m},
+		[]LayerSpec{{Elems: int(gradBytes / 4), Points: 1, V: v}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	executed := p.tailSlices
+	for _, pt := range p.Hidden(0) {
+		executed += len(pt)
+	}
+	if simulated != 2 || executed != simulated {
+		t.Fatalf("Lina slices of a %.0f B gradient: simulated %d, executed %d; want 2 each", gradBytes, simulated, executed)
+	}
+}

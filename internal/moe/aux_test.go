@@ -77,9 +77,9 @@ func TestAuxLossTrainingBalancesLoad(t *testing.T) {
 	// 16/64 share).
 	wg := g.Params()[0]
 	for i := 0; i < wg.W.Dim(0); i++ {
-		wg.W.Set(wg.W.At(i, 0)+2.0, i, 0)
+		wg.W.Row(i)[0] += 2.0
 		for e := 1; e < 4; e++ {
-			wg.W.Set(wg.W.At(i, e)*0.3, i, e)
+			wg.W.Row(i)[e] *= 0.3
 		}
 	}
 	x := tensor.RandN(xrand.New(10), 1, 64, testM)

@@ -37,7 +37,6 @@ import "repro/internal/tensor"
 // World runs one expert after another in index order; nothing can see state
 // shared between distinct instances.
 type Expert interface {
-	Name() string
 	// Params exposes the trainable parameters. The planner prices their
 	// gradient bytes (what Gradient-AllReduce must move) from their sizes.
 	// The set is fixed for the expert's life, but not the tensors: a

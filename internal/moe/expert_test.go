@@ -62,7 +62,7 @@ func checkExpertGradients(t *testing.T, mk func(rng *xrand.RNG) Expert) {
 		num := numGradInput(f, x, i, eps)
 		ana := dx.Data()[i]
 		if math.Abs(num-ana) > 1e-5*(1+math.Abs(num)) {
-			t.Fatalf("%s: input grad[%d]: numeric %v vs analytic %v", exp.Name(), i, num, ana)
+			t.Fatalf("%T: input grad[%d]: numeric %v vs analytic %v", exp, i, num, ana)
 		}
 	}
 
@@ -79,7 +79,7 @@ func checkExpertGradients(t *testing.T, mk func(rng *xrand.RNG) Expert) {
 			num := (lossOf(yu, r) - lossOf(yd, r)) / (2 * eps)
 			ana := p.G.Data()[i]
 			if math.Abs(num-ana) > 1e-5*(1+math.Abs(num)) {
-				t.Fatalf("%s: %s grad[%d]: numeric %v vs analytic %v", exp.Name(), p.Name, i, num, ana)
+				t.Fatalf("%T: %s grad[%d]: numeric %v vs analytic %v", exp, p.Name, i, num, ana)
 			}
 		}
 	}
@@ -117,7 +117,7 @@ func TestExpertShapes(t *testing.T) {
 		}
 		y, _ := forwardOf(e, tensor.RandN(rng, 1, 3, 8))
 		if y.Dim(0) != 3 || y.Dim(1) != 8 {
-			t.Fatalf("%s: output shape %v", e.Name(), y.Shape())
+			t.Fatalf("%T: output shape %v", e, y.Shape())
 		}
 	}
 }

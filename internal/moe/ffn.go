@@ -69,9 +69,6 @@ func NewGPTFFN(m, h int, rng *xrand.RNG) (*GPTFFN, error) {
 	}, nil
 }
 
-// Name implements Expert.
-func (f *GPTFFN) Name() string { return "gpt-ffn" }
-
 // Params implements Expert.
 func (f *GPTFFN) Params() []*Param { return []*Param{f.w1, f.b1, f.w2, f.b2} }
 
@@ -177,9 +174,6 @@ func NewMixtralFFN(m, h int, rng *xrand.RNG) (*MixtralFFN, error) {
 		w3: newParam("ffn.w3", tensor.Xavier(rng, m, h)),
 	}, nil
 }
-
-// Name implements Expert.
-func (f *MixtralFFN) Name() string { return "mixtral-ffn" }
 
 // Params implements Expert.
 func (f *MixtralFFN) Params() []*Param { return []*Param{f.w1, f.w2, f.w3} }

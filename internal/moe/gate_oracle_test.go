@@ -27,7 +27,7 @@ func ecOracleRoute(g *ECGate, x *tensor.Tensor) *DispatchPlan {
 	col := make([]float64, n)
 	for ei := 0; ei < e; ei++ {
 		for t := 0; t < n; t++ {
-			col[t] = logits.At(t, ei)
+			col[t] = logits.Row(t)[ei]
 		}
 		sel := make([]int, capacity)
 		tensor.TopKInto(sel, col)

@@ -96,7 +96,7 @@ func TestGateDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		if p1.IsDense() {
-			if !p1.DispatchW.AllClose(p2.DispatchW, 0) {
+			if !p1.DispatchW.SameBits(p2.DispatchW) {
 				t.Fatalf("%s: dense routing not deterministic", g.Name())
 			}
 			continue
@@ -201,7 +201,7 @@ func TestCapacityDropsApplied(t *testing.T) {
 	x := tensor.New(32, testM)
 	for i := 0; i < 32; i++ {
 		for j := 0; j < testM; j++ {
-			x.Set(1.0, i, j)
+			x.Row(i)[j] = 1.0
 		}
 	}
 	g, _ := NewGShardGate(GateConfig{Experts: testE, TopK: 1, Factor: 1.0}, testM, rng)
@@ -257,7 +257,7 @@ func TestSoftMoEPlanIsDense(t *testing.T) {
 	for s := 0; s < slots; s++ {
 		sum := 0.0
 		for tok := 0; tok < testN; tok++ {
-			sum += plan.DispatchW.At(s, tok)
+			sum += plan.DispatchW.Row(s)[tok]
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("dispatch slot %d sums to %v", s, sum)
@@ -266,7 +266,7 @@ func TestSoftMoEPlanIsDense(t *testing.T) {
 	for tok := 0; tok < testN; tok++ {
 		sum := 0.0
 		for s := 0; s < slots; s++ {
-			sum += plan.CombineW.At(tok, s)
+			sum += plan.CombineW.Row(tok)[s]
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("combine token %d sums to %v", tok, sum)

@@ -115,7 +115,7 @@ func TestLayerOrderEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ya.AllClose(yb, 1e-9) {
+		if !allClose(ya, yb, 1e-9) {
 			t.Fatalf("case %d: outputs differ between orders: max %v", i, ya.MaxAbsDiff(yb))
 		}
 	}
@@ -318,7 +318,7 @@ func TestHookCanTransformActivations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !y1.AllClose(y2, 1e-9) {
+	if !allClose(y1, y2, 1e-9) {
 		t.Fatalf("hook round trip changed output: %v", y1.MaxAbsDiff(y2))
 	}
 }
@@ -366,4 +366,19 @@ func TestLayerGateExpertCountMismatch(t *testing.T) {
 	if _, _, err := l.Forward(tensor.RandN(rng, 1, 4, testM), false); err == nil {
 		t.Fatal("expected expert-count mismatch error")
 	}
+}
+
+// allClose reports whether every element of a is within tol of b's, shapes
+// equal; a NaN difference is never within tol.
+func allClose(a, b *tensor.Tensor, tol float64) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	bd := b.Data()
+	for i, v := range a.Data() {
+		if !(math.Abs(v-bd[i]) <= tol) {
+			return false
+		}
+	}
+	return true
 }

@@ -36,7 +36,6 @@ import (
 // computes (its rows hold whatever the workspace held). Results do not
 // depend on S.
 type Order interface {
-	Name() string
 	// Scatter lays out x (N, M) in dst (E, S, M) according to the plan.
 	// Weights are NOT applied here; empty slots and pad rows are +0.
 	Scatter(dst, x *tensor.Tensor, plan *DispatchPlan)
@@ -69,9 +68,6 @@ func slotBlock(buf *tensor.Tensor, e, t int) *tensor.Tensor {
 // strided buffers — the accumulation order is that of the (E·T)-slot product
 // whatever the stride.
 type GShardOrder struct{}
-
-// Name implements Order.
-func (GShardOrder) Name() string { return "gshard-einsum" }
 
 // selection builds the (E*T, N) 0/1 dispatch matrix for a hard plan. The
 // matrix is transient — callers Put it back once the GEMM consumed it.
@@ -189,9 +185,6 @@ func (GShardOrder) GatherGrad(dOut, dy, expertOut *tensor.Tensor, plan *Dispatch
 // routing has no sparse structure to exploit; there both orders share the
 // matmul formulation.
 type TutelOrder struct{}
-
-// Name implements Order.
-func (TutelOrder) Name() string { return "tutel-sparse" }
 
 // Scatter implements Order.
 func (TutelOrder) Scatter(dst, x *tensor.Tensor, plan *DispatchPlan) {

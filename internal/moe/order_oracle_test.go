@@ -21,7 +21,7 @@ func oracleSelection(plan *DispatchPlan, tokens int) *tensor.Tensor {
 	for e := range plan.SlotToken {
 		for slot, tok := range plan.SlotToken[e] {
 			if tok >= 0 {
-				s.Set(1, e*plan.Capacity+slot, tok)
+				s.Row(e*plan.Capacity + slot)[tok] = 1
 			}
 		}
 	}
@@ -33,7 +33,7 @@ func oracleWeightedSelection(plan *DispatchPlan, tokens int) *tensor.Tensor {
 	for e := range plan.SlotToken {
 		for slot, tok := range plan.SlotToken[e] {
 			if tok >= 0 {
-				c.Set(plan.SlotWeight[e][slot], tok, e*plan.Capacity+slot)
+				c.Row(tok)[e*plan.Capacity+slot] = plan.SlotWeight[e][slot]
 			}
 		}
 	}
@@ -270,7 +270,7 @@ func TestOrderIntoFormsMatchOracle(t *testing.T) {
 			wantDOut, wantPG := oracle.GatherGrad(dy, out, plan)
 
 			for _, stride := range []int{tcap, tcap + 1 + int(rng.Uint64()%4)} {
-				label := fmt.Sprintf("trial %d %s dense=%v N=%d E=%d T=%d S=%d M=%d", trial, ord.Name(), plan.IsDense(), tokens, experts, tcap, stride, m)
+				label := fmt.Sprintf("trial %d %T dense=%v N=%d E=%d T=%d S=%d M=%d", trial, ord, plan.IsDense(), tokens, experts, tcap, stride, m)
 				plan.revN = 0 // a fresh plan per stride: the reverse index is rebuilt
 
 				gotS := nanTensor(experts, stride, m)

@@ -69,13 +69,13 @@ func TestOrdersProduceIdenticalLayouts(t *testing.T) {
 
 		sg := scatter(GShardOrder{}, x, plan)
 		st := scatter(TutelOrder{}, x, plan)
-		if !sg.AllClose(st, 1e-12) {
+		if !allClose(sg, st, 1e-12) {
 			return false
 		}
 		out := tensor.RandN(r, 1, experts, plan.Capacity, m)
 		gg := gather(GShardOrder{}, out, plan, tokens)
 		gt := gather(TutelOrder{}, out, plan, tokens)
-		return gg.AllClose(gt, 1e-9)
+		return allClose(gg, gt, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestOrderInverse(t *testing.T) {
 		x := tensor.RandN(r, 1, tokens, m)
 		for _, ord := range []Order{GShardOrder{}, TutelOrder{}} {
 			y := gather(ord, scatter(ord, x, plan), plan, tokens)
-			if !y.AllClose(x, 1e-9) {
+			if !allClose(y, x, 1e-9) {
 				return false
 			}
 		}
@@ -130,8 +130,8 @@ func TestScatterDroppedTokensZero(t *testing.T) {
 	for _, ord := range []Order{GShardOrder{}, TutelOrder{}} {
 		y := gather(ord, scatter(ord, x, plan), plan, 2)
 		for j := 0; j < 4; j++ {
-			if y.At(1, j) != 0 {
-				t.Fatalf("%s: dropped token got output %v", ord.Name(), y.Row(1))
+			if y.Row(1)[j] != 0 {
+				t.Fatalf("%T: dropped token got output %v", ord, y.Row(1))
 			}
 		}
 	}
@@ -175,7 +175,7 @@ func TestGatherGradMatchesNumeric(t *testing.T) {
 		lhs := lossOf(gather(ord, out, plan, tokens), dy)
 		rhs := lossOf(out, dOut)
 		if math.Abs(lhs-rhs) > 1e-8 {
-			t.Fatalf("%s: gather adjoint broken: %v vs %v", ord.Name(), lhs, rhs)
+			t.Fatalf("%T: gather adjoint broken: %v vs %v", ord, lhs, rhs)
 		}
 		// Weight gradient numerically.
 		const eps = 1e-6
@@ -192,7 +192,7 @@ func TestGatherGradMatchesNumeric(t *testing.T) {
 				plan.SlotWeight[e][s] = orig
 				num := (up - down) / (2 * eps)
 				if math.Abs(num-pg.SlotWeight[e][s]) > 1e-5*(1+math.Abs(num)) {
-					t.Fatalf("%s: weight grad (%d,%d): numeric %v vs %v", ord.Name(), e, s, num, pg.SlotWeight[e][s])
+					t.Fatalf("%T: weight grad (%d,%d): numeric %v vs %v", ord, e, s, num, pg.SlotWeight[e][s])
 				}
 			}
 		}
@@ -214,13 +214,13 @@ func TestDensePlanOrderPaths(t *testing.T) {
 	x := tensor.RandN(r, 1, tokens, m)
 	sg := scatter(GShardOrder{}, x, plan)
 	st := scatter(TutelOrder{}, x, plan)
-	if !sg.AllClose(st, 1e-12) {
+	if !allClose(sg, st, 1e-12) {
 		t.Fatal("dense scatter differs between orders")
 	}
 	out := tensor.RandN(r, 1, experts, capacity, m)
 	gg := gather(GShardOrder{}, out, plan, tokens)
 	gt := gather(TutelOrder{}, out, plan, tokens)
-	if !gg.AllClose(gt, 1e-12) {
+	if !allClose(gg, gt, 1e-12) {
 		t.Fatal("dense gather differs between orders")
 	}
 }

@@ -159,7 +159,7 @@ func TestWorldStepCheckpointCadence(t *testing.T) {
 	dy := tensor.RandN(xrand.New(204), 1, 96, 32)
 	mgr := tempManager(t)
 	ws := stepStack(t, 1, 4, 2, false)
-	ws[0].cfg.Sink = telemetry.SinkFunc(func(*telemetry.StepMetrics) {})
+	ws[0].cfg.Sink = sinkFunc(func(*telemetry.StepMetrics) {})
 	cfg := StepConfig{LR: 0.05, ChunkBytes: 64 << 10, Slices: 3, Checkpoint: mgr, CheckpointEvery: 2}
 	for s := 0; s < 4; s++ {
 		res, err := StepWorlds(ws, x, dy, cfg)
@@ -505,7 +505,10 @@ func TestWorldRecoverGuards(t *testing.T) {
 	// A corrupted checkpoint file fails loudly with the typed error before
 	// any recovery can consume it.
 	mgr := tempManager(t)
-	path, err := mgr.Save(snap)
+	path, err := mgr.Start(snap)
+	if err == nil {
+		err = mgr.Wait()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +531,7 @@ func TestWorldRecoverTelemetry(t *testing.T) {
 	x := tensor.RandN(xrand.New(215), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(216), 1, 96, 32)
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP, Sink: telemetry.SinkFunc(func(*telemetry.StepMetrics) {})})
+	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP, Sink: sinkFunc(func(*telemetry.StepMetrics) {})})
 	if err != nil {
 		t.Fatal(err)
 	}

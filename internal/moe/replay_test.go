@@ -159,7 +159,7 @@ func TestWorldForwardForwardBackwardReplays(t *testing.T) {
 // collective-fault plan. The stack's sink appends each step's fault and
 // retry counts, forward plans included, to counts.
 func faultStack(t *testing.T, counts *[]string) []*World {
-	sink := telemetry.SinkFunc(func(m *telemetry.StepMetrics) {
+	sink := sinkFunc(func(m *telemetry.StepMetrics) {
 		*counts = append(*counts, fmt.Sprintf("%d faults %d retries", m.Faults, m.Retries))
 	})
 	var ws []*World

@@ -207,7 +207,7 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 	}
 
 	step("first step", x, dy, true)
-	if held.Overlapped() <= 0 {
+	if slices.Max(held.MoEBytes)+slices.Max(held.DenseBytes) <= 0 {
 		t.Fatalf("adaptive plan hides nothing, the reuse checks would be vacuous: %+v", held)
 	}
 	step("same inputs", x, dy, false)

@@ -41,7 +41,7 @@ type StepConfig struct {
 	// otherwise make the routing — and so the step — run-dependent.
 	Train bool
 
-	ChunkBytes float64 // Lina fixed-chunk size (default 30 MiB)
+	ChunkBytes float64 // Lina fixed-chunk size (default core.LinaChunkBytes, 30 MB)
 	Slices     int     // AllReduce slices per hidden window (default 4)
 
 	// Sequential executes every stream plan on one goroutine (the
@@ -480,7 +480,7 @@ func stepSinks(worlds []*World) []telemetry.Sink {
 }
 
 // sameSink reports whether two sinks are the same emission target.
-// Interface equality would panic on uncomparable dynamic types (SinkFunc),
+// Interface equality would panic on uncomparable dynamic types (a func),
 // so reference kinds compare by identity instead.
 func sameSink(a, b telemetry.Sink) bool {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)

@@ -129,9 +129,10 @@ func TestStepMetricsStrategies(t *testing.T) {
 			// The wall is measured around the whole step, so it holds the
 			// plans, the tail and a positive remainder outside them; the
 			// sink's gauge observes that wall, not the sum of the parts.
-			if mtr.WallMS != res.WallMS || mtr.OutsideMS() <= 0 {
+			outside := mtr.WallMS - mtr.ForwardMS - mtr.BackwardMS - mtr.TailMS
+			if mtr.WallMS != res.WallMS || outside <= 0 {
 				t.Fatalf("wall %v (result %v) = fwd %v + bwd %v + tail %v + outside %v",
-					mtr.WallMS, res.WallMS, mtr.ForwardMS, mtr.BackwardMS, mtr.TailMS, mtr.OutsideMS())
+					mtr.WallMS, res.WallMS, mtr.ForwardMS, mtr.BackwardMS, mtr.TailMS, outside)
 			}
 			if g := reg.Gauge("step_wall_ms").Value(); g != res.WallMS {
 				t.Fatalf("step_wall_ms gauge = %v, measured wall %v", g, res.WallMS)
@@ -186,7 +187,7 @@ func TestStepMetricsStrategies(t *testing.T) {
 func TestStepMetricsStack(t *testing.T) {
 	const n, m = 48, 32
 	var got []*telemetry.StepMetrics
-	sink := telemetry.SinkFunc(func(sm *telemetry.StepMetrics) { got = append(got, sm) })
+	sink := sinkFunc(func(sm *telemetry.StepMetrics) { got = append(got, sm) })
 	mkWorld := func() *World {
 		w, err := NewWorld(zipfLayer(t, 1.0), WorldConfig{Ranks: 2, PipelineDegree: 2, Sink: sink, Strategy: StrategyEP})
 		if err != nil {
@@ -248,3 +249,8 @@ func TestStepNoSinkNoMetrics(t *testing.T) {
 		t.Fatalf("no-sink telemetry guard allocated %v times per run, want 0", a)
 	}
 }
+
+// sinkFunc adapts a function to telemetry.Sink.
+type sinkFunc func(*telemetry.StepMetrics)
+
+func (f sinkFunc) OnStep(m *telemetry.StepMetrics) { f(m) }

@@ -199,9 +199,6 @@ func (p *Plan) Add(label, kind, stream string, est float64, fn func() error, dep
 // Len returns the number of tasks.
 func (p *Plan) Len() int { return p.g.Len() }
 
-// Streams returns the stream names in first-use order.
-func (p *Plan) Streams() []string { return p.g.Streams() }
-
 // Verify returns nil: Add checks every invariant as each task goes in, so
 // a finished plan has nothing left to check. It stays for the repository
 // benchmark's verification probe, its last caller.

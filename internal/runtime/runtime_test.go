@@ -131,7 +131,7 @@ func (o *occupancy) check(p *Plan, k int) {
 	if peak := o.peak.Load(); peak > int32(k) {
 		o.t.Fatalf("%d task bodies ran at once on k = %d workers", peak, k)
 	}
-	for _, name := range p.Streams() {
+	for _, name := range p.g.Streams() {
 		if got, want := fmt.Sprint(o.started[name]), fmt.Sprint(p.g.Queue(name)); got != want {
 			o.t.Fatalf("stream %s started %v, enqueue order %v", name, got, want)
 		}

@@ -190,18 +190,6 @@ func (tr *Trace) StreamBusy() map[string]float64 {
 	return out
 }
 
-// CriticalPathLowerBound returns max over streams of busy time — a lower
-// bound on any legal makespan for this task set, used by tests.
-func (tr *Trace) CriticalPathLowerBound() float64 {
-	lb := 0.0
-	for _, busy := range tr.StreamBusy() {
-		if busy > lb {
-			lb = busy
-		}
-	}
-	return lb
-}
-
 // Gantt renders an ASCII timeline, one row per stream, width columns wide.
 // Each task paints its label's first rune across its interval; idle time is
 // '.'. It is the textual analogue of the paper's Fig. 3 diagrams.

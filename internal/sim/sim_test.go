@@ -316,3 +316,15 @@ func BenchmarkRun100Tasks(b *testing.B) {
 		g.Run()
 	}
 }
+
+// CriticalPathLowerBound returns max over streams of busy time — a lower
+// bound on any legal makespan for this task set.
+func (tr *Trace) CriticalPathLowerBound() float64 {
+	lb := 0.0
+	for _, busy := range tr.StreamBusy() {
+		if busy > lb {
+			lb = busy
+		}
+	}
+	return lb
+}

@@ -25,7 +25,7 @@ type StepMetrics struct {
 	// Wall-time decomposition (ms, measured). WallMS is the step's full
 	// wall, entry to StepWorlds through the SGD update and any checkpoint
 	// write; the three below it are the parts spent inside measured stream
-	// plans and the exposed tail, and OutsideMS reads out the remainder.
+	// plans and the exposed tail; the rest is the step outside them.
 	WallMS     float64 `json:"wall_ms"`
 	ForwardMS  float64 `json:"forward_ms"`  // summed forward-plan makespans
 	BackwardMS float64 `json:"backward_ms"` // summed backward-plan makespans (hidden AllReduce included)
@@ -34,8 +34,8 @@ type StepMetrics struct {
 	// Checkpoint stall on steps that hit the checkpoint cadence (ms, zero
 	// on the others): CheckpointWaitMS waiting for the previous commit
 	// still in flight, CheckpointCaptureMS snapshotting and encoding the
-	// stack before the commit runs on behind the next steps. Both are
-	// inside OutsideMS.
+	// stack before the commit runs on behind the next steps. Both lie
+	// outside the plans and the tail.
 	CheckpointWaitMS    float64 `json:"checkpoint_wait_ms,omitempty"`
 	CheckpointCaptureMS float64 `json:"checkpoint_capture_ms,omitempty"`
 
@@ -83,15 +83,6 @@ type StepMetrics struct {
 	// vs bytes left to the exposed tail.
 	SyncHiddenBytes float64 `json:"sync_hidden_bytes"`
 	SyncTailBytes   float64 `json:"sync_tail_bytes"`
-}
-
-// OutsideMS is the part of the step's wall spent outside the measured
-// plans and the exposed tail: gate and order work, padding, gradient
-// collection, the SGD update, and on a checkpointing step the wait for
-// the previous commit and the capture (CheckpointWaitMS,
-// CheckpointCaptureMS). The commit itself runs behind later steps.
-func (m *StepMetrics) OutsideMS() float64 {
-	return m.WallMS - m.ForwardMS - m.BackwardMS - m.TailMS
 }
 
 // AddTrace folds one measured trace's intervals and incident events into

@@ -29,9 +29,3 @@ package telemetry
 type Sink interface {
 	OnStep(m *StepMetrics)
 }
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(m *StepMetrics)
-
-// OnStep implements Sink.
-func (f SinkFunc) OnStep(m *StepMetrics) { f(m) }

@@ -184,27 +184,6 @@ func (t *Tensor) Size() int { return len(t.data) }
 // Data returns the underlying storage. Mutations are visible to the tensor.
 func (t *Tensor) Data() []float64 { return t.data }
 
-// offset converts a multi-index to a flat offset.
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match shape %v", len(idx), t.shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
-// At returns the element at the multi-index idx.
-func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx)] }
-
-// Set stores v at the multi-index idx.
-func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.shape...)
@@ -296,20 +275,6 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 	}
 	for i := range t.shape {
 		if t.shape[i] != o.shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AllClose reports whether every element of t is within tol of the
-// corresponding element of o. A NaN difference is never within tol.
-func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
-	if !t.SameShape(o) {
-		return false
-	}
-	for i := range t.data {
-		if !(math.Abs(t.data[i]-o.data[i]) <= tol) {
 			return false
 		}
 	}

@@ -58,20 +58,6 @@ type Cluster struct {
 	NoiseAmp float64
 }
 
-// TotalGPUs returns Nodes*GPUsPerNode.
-func (c *Cluster) TotalGPUs() int { return c.Nodes * c.GPUsPerNode }
-
-// Validate reports configuration errors.
-func (c *Cluster) Validate() error {
-	if c.Nodes <= 0 || c.GPUsPerNode <= 0 {
-		return fmt.Errorf("topology: cluster %q must have positive nodes and gpus per node", c.Name)
-	}
-	if c.BetaGEMM <= 0 || c.BetaA2A <= 0 || c.BetaAG <= 0 || c.BetaRS <= 0 || c.BetaAR <= 0 {
-		return fmt.Errorf("topology: cluster %q has non-positive beta coefficients", c.Name)
-	}
-	return nil
-}
-
 // TestbedA models the paper's 48-GPU cluster: 6 nodes × 8 RTX A6000,
 // NVLink intra-node, 200 Gb/s InfiniBand inter-node (Table 3). GEMM,
 // AlltoAll and AllReduce coefficients are the paper's own Fig. 5(a)/(b)
@@ -170,7 +156,3 @@ func CanonicalScenario(c *Cluster, npp int) (*Scenario, error) {
 	}
 	return s, nil
 }
-
-// IntraNode reports whether a group of size g fits inside one node, which
-// is what makes its collectives intra-node traffic (§2.2).
-func (s *Scenario) IntraNode(g int) bool { return g <= s.Cluster.GPUsPerNode }
