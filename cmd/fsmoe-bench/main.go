@@ -126,7 +126,7 @@ func table2() error {
 				cell := func(t float64) string {
 					return fmt.Sprintf("%.1f(%.1f%%)", t, 100*t/total)
 				}
-				tb.AddRow(fmt.Sprintf("%s-%s", model.Name, phase),
+				tb.AddRow(fmt.Sprintf("%s-%s", model.Name, phase.String()),
 					cell(a2a), cell(ar), cell(ag), cell(rs), cell(exp), cell(others))
 			}
 		}
@@ -155,7 +155,7 @@ func fig4() error {
 	}
 	for _, cse := range cases {
 		got := m.Classify(cse.v, cse.tgar, core.Backward, 2)
-		note("%s → classified %v", cse.name, got)
+		note("%s → classified %s", cse.name, got.String())
 		res, err := m.SimulateSingleLayer(cse.v, core.SystemFSMoE, core.BuildOptions{RMax: 2})
 		if err != nil {
 			return err

@@ -54,7 +54,7 @@ func main() {
 	}
 	models := core.ModelsFromCluster(cluster)
 	v := workload.VolumesFor(cfg, scenario)
-	fmt.Printf("config %s on testbed %s (N_MP=N_ESP=%d, N_EP=%d)\n", cfg, cluster.Name, scenario.NMP, scenario.NEP)
+	fmt.Printf("config %s on testbed %s (N_MP=N_ESP=%d, N_EP=%d)\n", cfg.String(), cluster.Name, scenario.NMP, scenario.NEP)
 	fmt.Printf("volumes: a2a=%.1fMB esp=%.1fMB expert=%.2fGMAC grads=%.1fMB\n\n",
 		v.NA2A/1e6, v.NAG/1e6, v.ExpMACs/1e9, v.GradBytes/1e6)
 

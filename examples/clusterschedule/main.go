@@ -32,7 +32,7 @@ func main() {
 	// Zoom into one configured layer: where does the win come from?
 	cfg := spec.Layer
 	cfg.B = 4
-	fmt.Printf("\nsingle layer (%s), Tutel then FSMoE:\n\n", cfg)
+	fmt.Printf("\nsingle layer (%s), Tutel then FSMoE:\n\n", cfg.String())
 	for _, sys := range []fsmoe.System{fsmoe.SystemTutel, fsmoe.SystemFSMoE} {
 		res, err := fsmoe.SimulateLayer(cluster, cfg, sys)
 		if err != nil {
@@ -52,6 +52,6 @@ func main() {
 	v := fsmoe.LayerVolumes(cfg, s)
 	fwd := fsmoe.OptimalDegree(cluster, v, 0, false)
 	bwd := fsmoe.OptimalDegree(cluster, v, 0, true)
-	fmt.Printf("Algorithm 1: forward degree %d (%v), backward degree %d (%v)\n",
-		fwd.R, fwd.Case, bwd.R, bwd.Case)
+	fmt.Printf("Algorithm 1: forward degree %d (%s), backward degree %d (%s)\n",
+		fwd.R, fwd.Case.String(), bwd.R, bwd.Case.String())
 }

@@ -94,10 +94,11 @@ func main() {
 	}
 
 	x := fsmoe.RandTensor(5, 16, 32) // 16 tokens
-	y, _, err := layer.Forward(x, false)
+	y, cache, err := layer.Forward(x, false)
 	if err != nil {
 		log.Fatal(err)
 	}
+	layer.Release(cache) // forward-only: hand the workspace and routing back
 	fmt.Printf("custom gate %q routed 16 tokens through %d experts -> output %v\n",
 		layer.Gate().Name(), experts, y.Shape())
 }

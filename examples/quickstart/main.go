@@ -66,9 +66,12 @@ func main() {
 		}
 	}
 	layer.ZeroGrad()
-	y2, _, err := layer.Forward(x, false)
+	y2, cache2, err := layer.Forward(x, false)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// An evaluation pass drives no Backward: Release hands the layer's
+	// workspace and the gate's routing scratch back for the next Forward.
+	layer.Release(cache2)
 	fmt.Printf("after one SGD step the output changed by max |Δ| = %.4g\n", y.MaxAbsDiff(y2))
 }

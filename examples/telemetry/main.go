@@ -61,8 +61,9 @@ func main() {
 		lastTraces = res.Traces
 	}
 
-	// The registry is a point-in-time snapshot away (and an expvar.Var:
-	// expvar.Publish("fsmoe", reg) would serve it on /debug/vars).
+	// The registry is a point-in-time snapshot away (a JSON document:
+	// expvar.Publish("fsmoe", expvar.Func(func() any { return reg.Snapshot() }))
+	// would serve it on /debug/vars).
 	snap := reg.Snapshot()
 	fmt.Printf("registry: %d steps recorded, step_ms histogram count %d\n",
 		snap.Counters["step_total"], snap.Histograms["step_ms"].Count)

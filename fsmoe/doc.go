@@ -13,7 +13,7 @@
 //	    Expert: fsmoe.ExpertGPT, Seed: 42,
 //	})
 //	y, cache, err := layer.Forward(x, true)
-//	dx, err := layer.Backward(cache, dy)
+//	dx, err := layer.Backward(cache, dy) // after an eval Forward: layer.Release(cache)
 //
 // A Layer is a one-rank World: its Forward and Backward run the plans of
 // the multi-rank runtime below at one rank and pipeline degree 1, on the
@@ -237,8 +237,8 @@
 // hold, and each execution rewrites its plan's one measured trace. So
 // StepResult.Plans and Traces and World.LastPlan and LastTrace are valid
 // until the world's next pass; read what must outlive it first. A Forward
-// while an earlier cache is still outstanding
-// (forward-only evaluation, Forward→Forward→Backward) starts a fresh
+// while an earlier cache is still outstanding (Forward→Forward→Backward,
+// a World's forward-only call; a Layer's ends with Release) starts a fresh
 // workspace instead, so nothing a live cache points at is reused; Close
 // and Recover drop the workspace. Close also stops the World's executor
 // helpers and kernel-pool goroutines. What World.Forward and World.Backward
@@ -253,10 +253,10 @@
 // scratch under the same rule as the workspace: the RouteCache, the
 // DispatchPlan with its slot tables, the score matrices and the plan's
 // weight gradient. A Route takes the gate's idle scratch — or makes another
-// while an earlier RouteCache is still outstanding — and the cache's (one)
-// Backward hands it back, so the plan a Route returns is valid until the
-// next Route after its Backward. Under every strategy a token row is
-// copied once per collective hop, straight from the layer's input or
+// while an earlier RouteCache is still outstanding — and the cache's one
+// Backward (or Release) hands it back, so the plan a Route returns is
+// valid until the next Route after that. Under every strategy a token row
+// is copied once per collective hop, straight from the layer's input or
 // output gradient (or the expert-major buffer) into a rank's expert block,
 // between two ranks' blocks, or back to the expert-major buffer.
 //
@@ -386,7 +386,8 @@
 // and fault/retry/degraded tallies — returns it on
 // StepResult.Metrics and hands it to the sink. NewTelemetry creates a
 // metrics registry (counters, gauges, fixed-bucket histograms; an
-// expvar.Var), and NewRegistrySink folds step metrics into one.
+// expvar.Func publishes its Snapshot), and NewRegistrySink folds step
+// metrics into one.
 // ChromeTraceJSON exports one measured or simulated Trace, and
 // ChromeTraceBuilder's AddTrace/WriteTo several, as Chrome trace_event JSON
 // for Perfetto or chrome://tracing: one process per trace, one thread row

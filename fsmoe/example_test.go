@@ -67,6 +67,33 @@ func Example_worldClosed() {
 	// Output: true
 }
 
+// A forward-only call is Forward, then Release: the next Forward reuses the
+// layer's workspace and the gate's routing scratch, and the released cache
+// can drive no Backward.
+func ExampleLayer_Release() {
+	layer, err := fsmoe.NewLayer(fsmoe.LayerConfig{M: 8, H: 16, Experts: 4, TopK: 2, Seed: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	x := fsmoe.RandTensor(1, 16, 8)
+	y, cache, err := layer.Forward(x, false)
+	if err != nil {
+		log.Fatal(err)
+	}
+	layer.Release(cache)
+	y2, cache2, err := layer.Forward(x, false)
+	if err != nil {
+		log.Fatal(err)
+	}
+	layer.Release(cache2)
+	_, err = layer.Backward(cache, fsmoe.RandTensor(2, 16, 8))
+	fmt.Println("same output:", y.SameBits(y2))
+	fmt.Println("released:", errors.Is(err, fsmoe.ErrCacheReleased))
+	// Output:
+	// same output: true
+	// released: true
+}
+
 // An injected fault that fires on every attempt of every AlltoAll exhausts
 // the task's retries, and the pass fails with it: a transient fault, which
 // would have been retried bit-safely, not a permanent rank loss.

@@ -101,10 +101,15 @@ type LayerConfig struct {
 // World, built on first use at pipeline degree 1 on the calling goroutine
 // and the default kernel pool, so it starts no goroutine and needs no
 // Close. It runs the plans every World runs, at one rank — there is one
-// executor — and takes dense and hard routing plans alike. The cache holds the layer's workspace
-// until its Backward returns. The hooks (LayerConfig.Hooks) run on every
-// World over the layer — see Hooks.
+// executor — and takes dense and hard routing plans alike. The cache holds
+// the layer's workspace and the gate's routing scratch until its Backward
+// returns, or until Release(cache) ends a forward-only call (evaluation):
+// the next Forward replays the resident forward plan in the same memory.
+// The hooks (LayerConfig.Hooks) run on every World over the layer.
 type Layer = moe.MOELayer
+
+// ErrCacheReleased reports a Backward over a released or consumed cache.
+var ErrCacheReleased = moe.ErrCacheReleased
 
 // NewLayer validates the configuration and assembles the layer.
 func NewLayer(cfg LayerConfig) (*Layer, error) {
@@ -123,7 +128,7 @@ func NewLayer(cfg LayerConfig) (*Layer, error) {
 		case GateSigmoid:
 			gate, err = moe.NewSigmoidGate(gcfg, cfg.M, rng)
 		case GateXMoE:
-			gate, err = moe.NewXMoEGate(gcfg, cfg.M, 0, 0, rng) // rank M/8 (at least 2), τ 0.3
+			gate, err = moe.NewXMoEGate(gcfg, cfg.M, rng)
 		case GateEC:
 			gate, err = moe.NewECGate(gcfg, cfg.M, rng)
 		case GateSoftMoE:

@@ -4,15 +4,14 @@ import "repro/internal/telemetry"
 
 // Telemetry vocabulary: the observability surface of the executable
 // runtime. A Telemetry registry holds live counters/gauges/histograms
-// (race-safe, allocation-free on the hot path, expvar-publishable); a
+// (race-safe, allocation-free on the hot path, its Snapshot JSON); a
 // Sink receives one structured StepMetrics per completed training step;
 // ChromeTrace converts measured traces into Perfetto-loadable trace_event
 // JSON. See the package documentation (doc.go) for the ownership and
 // threading rules.
 type (
-	// Telemetry is a named collection of live metric instruments. It
-	// implements expvar.Var, so expvar.Publish("fsmoe", reg) exposes it on
-	// /debug/vars.
+	// Telemetry is a named collection of live metric instruments; an
+	// expvar.Func returning its Snapshot publishes it on /debug/vars.
 	Telemetry = telemetry.Registry
 	// TelemetrySnapshot is a point-in-time copy of every instrument.
 	TelemetrySnapshot = telemetry.Snapshot

@@ -149,7 +149,7 @@ func sortedFields(typ reflect.Type) []string {
 // TestLayerMethodSet pins the public method set of *Layer, the way
 // TestWorldMethodSet pins *World's.
 func TestLayerMethodSet(t *testing.T) {
-	want := []string{"Backward", "Forward", "Gate", "Params", "ZeroGrad"}
+	want := []string{"Backward", "Forward", "Gate", "Params", "Release", "ZeroGrad"}
 	typ := reflect.TypeFor[*Layer]()
 	var got []string
 	for i := range typ.NumMethod() {

@@ -66,7 +66,7 @@ func (e *Error) Error() string {
 	if e.Rank >= 0 {
 		r = strconv.Itoa(e.Rank)
 	}
-	return fmt.Sprintf("fault: %s failure in %q (rank %s): %s", e.Class, e.Op, r, e.Msg)
+	return fmt.Sprintf("fault: %s failure in %q (rank %s): %s", e.Class.String(), e.Op, r, e.Msg)
 }
 
 // NewTransient builds a retry-safe injected failure attributed to rank

@@ -25,8 +25,7 @@ import (
 //   - Backward-time failure: the forward already completed at full
 //     strength, so the routing is kept and the dead experts' tokens are
 //     dropped — their gradient contribution is lost. The degraded forward
-//     runs again from the prolog to begin the passes its backward
-//     continues. The aborted plan may have partially accumulated parameter
+//     runs again from the prolog to arm the passes its backward continues. The aborted plan may have partially accumulated parameter
 //     gradients, so the layer's gradients are zeroed first (during a
 //     training step Param.G is the layer's span of the stack's gradient
 //     buffer, and every expert is marked unwritten, so what the degraded

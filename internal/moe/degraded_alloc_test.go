@@ -12,15 +12,15 @@ import (
 
 // degradedStepBound is TestDegradedStepAllocationBound's byte allowance for
 // one warm degraded step of its 2-layer stack, with and without the race
-// detector. When the degraded passes ran on a survivors-only layer, a warm
-// step read 24 096 B in 151 allocations on every one of 20 runs (24 112 to
-// 24 608 B in 5 runs under -race). With all eight experts in place, each
-// pass also carries the two dead experts' empty slot tables and expert
-// passes: 27 808 B, but in 127 allocations, the plan's slot tables being
-// one flat block (to 28 056 B under -race). The allowance is 1.5× the
-// survivors-only reading: room for one OS thread the runtime starts inside
-// the window (5.1 KiB, see stepLayerSlack), not for a per-layer plane.
-const degradedStepBound = 36 << 10
+// detector. The degraded passes run on the layers' own Worlds with all
+// eight experts in place, the dead ones' passes resident and re-armed like
+// the rest, so a warm step begins no pass: it read 23 712 B in 63
+// allocations on 1 999 of 2 000 runs, and at most 23 760 B (23 712 to
+// 24 208 B in 50 runs under -race). When every forward began every pass,
+// the dead experts' included, it read 27 808 B in 127. The allowance is 1.5×
+// the reading: room for one OS thread the runtime starts inside the window
+// (5.1 KiB, see stepLayerSlack), not for a per-layer plane.
+const degradedStepBound = 23712 * 3 / 2
 
 // TestDegradedStepAllocationBound: a warm degraded step — a 2-layer EP
 // stack at R = 4 whose rank 1 is down on every layer — allocates under

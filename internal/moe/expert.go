@@ -58,16 +58,21 @@ type Expert interface {
 	// ScratchElems is the size of PassBufs.Scratch for a pass over n rows
 	// and hidden columns [cl, ch).
 	ScratchElems(n, cl, ch int) int
-	// Begin starts one pass of one holder of the column range b.Cl, b.Ch. One
-	// expert instance is driven by g members at once under expert sharding,
-	// each through its own pass, so everything mutable is the pass's.
+	// Begin binds one pass of one holder of the column range b.Cl, b.Ch to
+	// its memory b, once: a World begins its passes when it cuts a
+	// workspace, and every forward over that workspace re-arms them
+	// (ExpertPass.BeginForward). One expert instance is driven by g members
+	// at once under expert sharding, each through its own pass, so
+	// everything mutable is the pass's.
 	Begin(b PassBufs) ExpertPass
 }
 
 // PassBufs is the memory of one pass, all of it the caller's — workspace
-// slots under a World, so an aborted pass leaves nothing to free. A pass
-// reads hidden columns outside its range only after the caller filled them
-// with the other members' columns.
+// slots under a World, so an aborted pass leaves nothing to free — and
+// bound to it for the pass's life: a World's pass over a warm workspace
+// runs in the same buffers forward after forward. A pass reads hidden
+// columns outside its range only after the caller filled them with the
+// other members' columns.
 type PassBufs struct {
 	X, Out  *tensor.Tensor // the full (n, M) input and output blocks
 	Hidden  *tensor.Tensor // (FwdBands·n, HiddenWidth) forward exchange buffer
@@ -92,14 +97,20 @@ type PassBufs struct {
 // weights once per window. A World cuts every set at the expert's fill, one
 // past its last occupied slot (tensor.Windows.Cut): the rows past it hold
 // no token and no stage computes or reads them.
-// Calls on one pass never run concurrently. Forward: ForwardHidden calls
-// tile the filled rows before a row's ForwardOut. Backward: BeginBackward,
+// Calls on one pass never run concurrently. Forward: BeginForward, then
+// ForwardHidden calls tile the filled rows before a row's ForwardOut.
+// Backward: BeginBackward,
 // then BackwardHidden tiles them before a row's BackwardIn; Finish runs
 // once, on one pass per expert, over fully assembled buffers. Stages may draw
 // transient buffers from tensor.Get and Put them before returning; the
 // free-list is one for every executor worker, so a warm stage finds the
 // buffers an earlier one Put, whichever worker runs it.
 type ExpertPass interface {
+	// BeginForward arms the pass for one forward, the first included, and
+	// allocates nothing: it re-reads what the pass takes from the live
+	// parameters — each Param.W, which a training step re-points, and any
+	// copy of its columns the pass multiplies by.
+	BeginForward()
 	// ForwardHidden computes Hidden columns [Cl, Ch) of the rows w.
 	ForwardHidden(w tensor.Windows)
 	// ForwardOut computes the rows w of Out from full-width Hidden rows.

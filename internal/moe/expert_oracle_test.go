@@ -211,6 +211,7 @@ func checkStagedTiling(t *testing.T, seed uint64, n, m, h, g, width, owner int, 
 			scratch[i] = math.NaN()
 		}
 		passes[k] = f.Begin(PassBufs{X: x, Out: ys[k], Hidden: hf[k], Scratch: scratch, Cl: cl, Ch: ch, Pool: pool})
+		passes[k].BeginForward()
 		for _, r := range tiling(rng, n) {
 			passes[k].ForwardHidden(r)
 		}

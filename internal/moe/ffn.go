@@ -7,24 +7,33 @@ import (
 	"repro/internal/xrand"
 )
 
-// weightCols returns columns [cl, ch) of the (rows, w) weight matrix as a
-// dense (rows, ch−cl) matrix the standard kernel can run on, and what is left
-// of scratch: the matrix itself at full width, a copy at the head of scratch
-// otherwise. Element (i, j) of x·copy equals element (i, cl+j) of x·W bit for
-// bit: the kernel accumulates each output element over k in an order
-// independent of the output width.
-func weightCols(w *tensor.Tensor, cl, ch int, scratch []float64) (*tensor.Tensor, []float64) {
+// colPlane cuts the (rows, ch−cl) plane that columns [cl, ch) of the
+// (rows, w) weight matrix w are copied into off the head of scratch, and
+// returns it and what is left of scratch; at full width the pass multiplies
+// by w itself and the plane is nil.
+func colPlane(w *tensor.Tensor, cl, ch int, scratch []float64) (*tensor.Tensor, []float64) {
 	if ch-cl == w.Dim(1) {
-		return w, scratch
+		return nil, scratch
 	}
-	out, rest := plane(scratch, w.Dim(0), ch-cl)
-	for i := 0; i < w.Dim(0); i++ {
-		copy(out.Row(i), w.Row(i)[cl:ch])
-	}
-	return out, rest
+	return plane(scratch, w.Dim(0), ch-cl)
 }
 
-// weightColsElems is the scratch weightCols takes.
+// weightCols returns columns [cl, …) of the weight matrix w as a dense matrix
+// the standard kernel can run on: w itself when c, its colPlane, is nil,
+// else c refreshed from w. Element (i, j) of x·c equals element (i, cl+j) of
+// x·W bit for bit: the kernel accumulates each output element over k in an
+// order independent of the output width.
+func weightCols(w, c *tensor.Tensor, cl int) *tensor.Tensor {
+	if c == nil {
+		return w
+	}
+	for i := range w.Dim(0) {
+		copy(c.Row(i), w.Row(i)[cl:])
+	}
+	return c
+}
+
+// weightColsElems is the scratch colPlane takes.
 func weightColsElems(w *tensor.Tensor, cl, ch int) int {
 	if ch-cl == w.Dim(1) {
 		return 0
@@ -90,7 +99,7 @@ func (f *GPTFFN) ScratchElems(n, cl, ch int) int {
 // Begin implements Expert.
 func (f *GPTFFN) Begin(b PassBufs) ExpertPass {
 	p := &gptPass{f: f, PassBufs: b}
-	p.w1, b.Scratch = weightCols(f.w1.W, b.Cl, b.Ch, b.Scratch)
+	p.w1c, b.Scratch = colPlane(f.w1.W, b.Cl, b.Ch, b.Scratch)
 	p.hpre, _ = plane(b.Scratch, b.X.Dim(0), b.Ch-b.Cl)
 	return p
 }
@@ -100,9 +109,12 @@ type gptPass struct {
 	f *GPTFFN
 	PassBufs
 	backBufs
-	w1   *tensor.Tensor // (M, cw) columns [Cl, Ch) of W1
-	hpre *tensor.Tensor // (n, cw) pre-activation x·W1 + b1
+	w1, w1c *tensor.Tensor // (M, cw) columns [Cl, Ch) of W1: W1 itself, or their copy in w1c
+	hpre    *tensor.Tensor // (n, cw) pre-activation x·W1 + b1
 }
+
+// BeginForward implements ExpertPass: W1's columns from the live W1.
+func (p *gptPass) BeginForward() { p.w1 = weightCols(p.f.w1.W, p.w1c, p.Cl) }
 
 // ForwardHidden implements ExpertPass: the pass's columns of h = x·W1 + b1,
 // and a = GeLU(h) straight into their window of the exchange rows.
@@ -198,8 +210,8 @@ func (f *MixtralFFN) ScratchElems(n, cl, ch int) int {
 func (f *MixtralFFN) Begin(b PassBufs) ExpertPass {
 	p := &mixtralPass{f: f, PassBufs: b, n: b.X.Dim(0)}
 	s, cw := b.Scratch, b.Ch-b.Cl
-	p.w1, s = weightCols(f.w1.W, b.Cl, b.Ch, s)
-	p.w3, s = weightCols(f.w3.W, b.Cl, b.Ch, s)
+	p.w1c, s = colPlane(f.w1.W, b.Cl, b.Ch, s)
+	p.w3c, s = colPlane(f.w3.W, b.Cl, b.Ch, s)
 	p.g, s = plane(s, p.n, cw)
 	p.u, s = plane(s, p.n, cw)
 	p.a, _ = plane(s, p.n, cw)
@@ -211,9 +223,25 @@ type mixtralPass struct {
 	f *MixtralFFN
 	PassBufs
 	backBufs
-	n       int
-	w1, w3  *tensor.Tensor // (M, cw) columns [Cl, Ch) of W1 and W3
-	g, u, a *tensor.Tensor // (n, cw) columns of x·W1, x·W3 and SiLU(x·W1)
+	n                int
+	w1, w3, w1c, w3c *tensor.Tensor // (M, cw) columns [Cl, Ch) of W1 and W3, as gptPass's w1
+	g, u, a          *tensor.Tensor // (n, cw) columns of x·W1, x·W3 and SiLU(x·W1)
+	du               *tensor.Tensor // (n, W) band 1 of the backward exchange buffer
+}
+
+// BeginBackward implements ExpertPass, and views band 1 of the exchange
+// buffer once per buffer: a warm backward gets the one it had.
+func (p *mixtralPass) BeginBackward(dy, dx, hidden *tensor.Tensor, overwrite bool) {
+	if hidden != p.hb {
+		p.du = hidden.Slice(p.n, 2*p.n)
+	}
+	p.backBufs.BeginBackward(dy, dx, hidden, overwrite)
+}
+
+// BeginForward implements ExpertPass: W1's and W3's columns from the live
+// W1 and W3.
+func (p *mixtralPass) BeginForward() {
+	p.w1, p.w3 = weightCols(p.f.w1.W, p.w1c, p.Cl), weightCols(p.f.w3.W, p.w3c, p.Cl)
 }
 
 // ForwardHidden implements ExpertPass.
@@ -276,5 +304,5 @@ func (p *mixtralPass) Finish(rows int) {
 	f, o := p.f, p.overwrite
 	weightGrad(p.Pool, f.w2, p.Hidden, p.dy, rows, o)
 	weightGrad(p.Pool, f.w1, p.X, p.hb, rows, o) // band 0 heads the buffer
-	weightGrad(p.Pool, f.w3, p.X, p.hb.Slice(p.n, 2*p.n), rows, o)
+	weightGrad(p.Pool, f.w3, p.X, p.du, rows, o)
 }

@@ -26,7 +26,7 @@ func allGates(t *testing.T, rng *xrand.RNG) []Gate {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xm, err := NewXMoEGate(cfg, testM, 4, 0.3, rng)
+	xm, err := NewXMoEGate(cfg, testM, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

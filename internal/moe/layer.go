@@ -1,6 +1,7 @@
 package moe
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 
@@ -91,10 +92,29 @@ func (l *MOELayer) world() *World {
 }
 
 // Forward runs the layer on x, shaped (B, L, M) or (N, M). train enables
-// training-only gate behaviour. The cache holds the layer's workspace until
-// its Backward returns.
+// training-only gate behaviour. The output is the caller's. The cache holds
+// the layer's workspace and the gate's routing scratch until its Backward
+// returns or Release hands them back.
 func (l *MOELayer) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCache, error) {
 	return l.world().Forward(x, train)
+}
+
+// ErrCacheReleased reports a Backward over a cache that is no longer live:
+// one Release handed back, or one an earlier Backward already consumed.
+// Match it with errors.Is.
+var ErrCacheReleased = errors.New("moe: forward cache released")
+
+// Release ends a forward that will not be backwarded — an eval or inference
+// call: it hands the cache's workspace back to the layer and its routing
+// scratch back to the gate, so the next Forward replays the layer's resident
+// forward plan in the same memory. The output that Forward returned stays
+// the caller's; the cache, its plan and its RouteCache are dead, and a
+// Backward over the cache fails with ErrCacheReleased. Releasing a cache
+// twice, or one a Backward consumed, does nothing.
+func (l *MOELayer) Release(cache *WorldCache) {
+	if cache != nil && cache.combined != nil {
+		l.world().drop(cache)
+	}
 }
 
 // Backward propagates dy (same shape as the forward output) through the

@@ -19,7 +19,7 @@ import (
 
 // benchLayer builds a GShard-gated, Tutel-ordered layer of E GPTFFN experts
 // sized so every expert's block is (128, 256), plus a matching input.
-func benchLayer(b *testing.B, experts int) (*MOELayer, *tensor.Tensor) {
+func benchLayer(b testing.TB, experts int) (*MOELayer, *tensor.Tensor) {
 	b.Helper()
 	const m, topK = 256, 2
 	tokens := experts * 128 / topK // capacity f·k·N/E = 128 at f=1
@@ -50,9 +50,11 @@ func BenchmarkMoELayerForward(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := layer.Forward(x, false); err != nil {
+				_, cache, err := layer.Forward(x, false)
+				if err != nil {
 					b.Fatal(err)
 				}
+				layer.Release(cache)
 			}
 		})
 	}
@@ -91,9 +93,11 @@ func BenchmarkMoELayerForwardSequential(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := layer.Forward(x, false); err != nil {
+				_, cache, err := layer.Forward(x, false)
+				if err != nil {
 					b.Fatal(err)
 				}
+				layer.Release(cache)
 			}
 		})
 	}

@@ -35,6 +35,7 @@ func forwardBlock(ex Expert, x, out *tensor.Tensor) *blockPass {
 	mem := tensor.GetUninit(hf + ex.ScratchElems(n, 0, w))
 	b := &blockPass{ex: ex, mem: mem}
 	b.pass = ex.Begin(PassBufs{X: x, Out: out, Hidden: tensor.FromData(mem.Data()[:hf], ex.FwdBands()*n, w), Scratch: mem.Data()[hf:], Ch: w})
+	b.pass.BeginForward()
 	b.pass.ForwardHidden(tensor.Window(0, n))
 	b.pass.ForwardOut(tensor.Window(0, n))
 	return b

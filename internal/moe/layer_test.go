@@ -1,7 +1,10 @@
 package moe
 
 import (
+	"errors"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/tensor"
@@ -81,6 +84,15 @@ func TestLayerRejectsBadShapes(t *testing.T) {
 func mustSigmoid(t *testing.T, rng *xrand.RNG) Gate {
 	t.Helper()
 	g, err := NewSigmoidGate(GateConfig{Experts: testE, TopK: testK, Factor: 0}, testM, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func mustGShard(t *testing.T, rng *xrand.RNG) Gate {
+	t.Helper()
+	g, err := NewGShardGate(GateConfig{Experts: testE, TopK: testK, Factor: 1.5}, testM, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,4 +393,103 @@ func allClose(a, b *tensor.Tensor, tol float64) bool {
 		}
 	}
 	return true
+}
+
+// TestLayerReleaseReplays: a released forward hands its workspace and
+// routing scratch back, so the next Forward runs in the same workspace with
+// the bits of a fresh layer's, and a released or consumed cache's Backward
+// fails with ErrCacheReleased.
+func TestLayerReleaseReplays(t *testing.T) {
+	const seed = 31
+	l, twin := newTestLayer(t, xrand.New(seed), mustGShard(t, xrand.New(seed+1)), TutelOrder{}),
+		newTestLayer(t, xrand.New(seed), mustGShard(t, xrand.New(seed+1)), TutelOrder{})
+	rng := xrand.New(seed + 2)
+	x0, x, dy := tensor.RandN(rng, 1, testN, testM), tensor.RandN(rng, 1, testN, testM), tensor.RandN(rng, 1, testN, testM)
+
+	_, released, err := l.Forward(x0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := released.ws
+	l.Release(released)
+	l.Release(released) // a second Release does nothing
+	if _, err := l.Backward(released, dy); !errors.Is(err, ErrCacheReleased) {
+		t.Fatalf("Backward over a released cache: %v, want ErrCacheReleased", err)
+	}
+
+	y, cache, err := l.Forward(x, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.ws != ws {
+		t.Fatal("the Forward after a Release cut a new workspace")
+	}
+	dx, err := l.Backward(cache, dy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Backward(cache, dy); !errors.Is(err, ErrCacheReleased) {
+		t.Fatalf("a second Backward over one cache: %v, want ErrCacheReleased", err)
+	}
+	l.Release(cache) // a consumed cache: nothing to hand back
+
+	wantY, wantCache, err := twin.Forward(x, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDx, err := twin.Backward(wantCache, dy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !y.SameBits(wantY) || !dx.SameBits(wantDx) {
+		t.Fatal("the pass after a Release differs from a fresh layer's")
+	}
+	for i, p := range l.Params() {
+		if !p.G.SameBits(twin.Params()[i].G) {
+			t.Fatalf("param %s: gradient differs from a fresh layer's", p.Name)
+		}
+	}
+}
+
+// layerReleaseSlack is TestLayerForwardOnlyAllocations' byte allowance per
+// forward-only call beyond its (N, M) output, with and without the race
+// detector. On a 2-core box a warm call allocated 2 192 B besides at E = 8
+// and 7 680 B at E = 32 on every one of 20 runs, and on each of 5 under
+// -race: per-call bookkeeping — the prolog and the cache, the closures the
+// gate's GEMMs hand the kernel pool — growing with E. The allowance is about twice the most: room for one OS
+// thread the runtime starts inside the window (5.1 KiB, see stepLayerSlack),
+// not for a workspace slot or a routing matrix.
+const layerReleaseSlack = 16 << 10
+
+// TestLayerForwardOnlyAllocations: after the first call, a forward-only
+// Layer call — Forward, then Release — allocates its output and under
+// layerReleaseSlack besides, at E = 8 and E = 32
+// (BenchmarkMoELayerForward's layers): the workspace, the resident forward
+// plan, the expert passes and the gate's routing scratch are all reused.
+func TestLayerForwardOnlyAllocations(t *testing.T) {
+	for _, e := range []int{8, 32} {
+		l, x := benchLayer(t, e)
+		call := func() {
+			_, cache, err := l.Forward(x, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Release(cache)
+		}
+		call()
+		spareThreads(runtime.GOMAXPROCS(0) + 4)
+		runtime.GC()
+		prev := debug.SetGCPercent(-1)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		call()
+		runtime.ReadMemStats(&m1)
+		debug.SetGCPercent(prev)
+		out := uint64(8 * x.Dim(0) * x.Dim(1))
+		got := m1.TotalAlloc - m0.TotalAlloc
+		t.Logf("E=%d: a forward-only call allocated %d B in %d allocations: its %d B output and %d B", e, got, m1.Mallocs-m0.Mallocs, out, got-out)
+		if got >= out+layerReleaseSlack {
+			t.Fatalf("E=%d: a forward-only call allocated %d B, want under its %d B output plus %d", e, got, out, layerReleaseSlack)
+		}
+	}
 }

@@ -24,7 +24,7 @@ func newLearningLayer(t *testing.T, rng *xrand.RNG, gateKind string) *MOELayer {
 	case "softmoe":
 		gate, err = NewSoftMoEGate(cfg, m, 2, rng)
 	case "xmoe":
-		gate, err = NewXMoEGate(cfg, m, 4, 0.3, rng)
+		gate, err = NewXMoEGate(cfg, m, rng)
 	default:
 		gate, err = NewGShardGate(cfg, m, rng)
 	}

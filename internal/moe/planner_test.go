@@ -27,7 +27,7 @@ func shapeLayer(t *testing.T, m, h int, gate string, mixtral bool, seed uint64) 
 	case "sigmoid":
 		g, err = NewSigmoidGate(gcfg, m, rng)
 	case "xmoe":
-		g, err = NewXMoEGate(gcfg, m, 0, 0, rng)
+		g, err = NewXMoEGate(gcfg, m, rng)
 	case "softmoe":
 		g, err = NewSoftMoEGate(gcfg, m, 1, rng)
 	default:

@@ -247,18 +247,21 @@ func TestStepPlanReuseAndInvalidation(t *testing.T) {
 }
 
 // stepLayerSlack is TestStepAllocationBound's per-layer byte allowance on
-// the token stacks, with and without the race detector. In 6 000 runs on a
-// 2-core box (3 000 of each token stack) a warm step allocated 2 852 B per
-// layer in 5 788 and at most 3 748: the expert passes Begin makes, the
-// closures Order and the gate hand ParallelRange, and each execution's
-// context and worker start, where now and then the runtime makes a new
-// goroutine (1.6 KiB). The allowance is 1.37× that most. Under -race, 50
-// runs of each read 2 852 B per layer in 46–47 and at most 2 948. Before
-// the tensor free-list was one list, a Get that missed a per-processor
-// pool, or a GEMM scratch buffer met at a new concurrency peak, added
-// 4–47 KiB, and -race needed 64 KiB; an OS thread the runtime starts inside
-// the window adds 5.1 KiB (spareThreads).
-const stepLayerSlack = 5120
+// the token stacks, with and without the race detector. The expert passes
+// are bound when a workspace is cut and re-armed by each forward without
+// allocating, so what a warm step allocates is the step's, the prolog's and
+// the caches' bookkeeping and the closures Order hands ParallelRange. In
+// 6 000 runs on a 2-core box (2 000 of each token stack: EP in eval and in
+// train mode, and an ESP layer beside a Hybrid g = 2 layer of Mixtral
+// experts) a warm step allocated 564 B per layer on every run, and so did
+// 50 runs of each under -race, and 3 of each at GOMAXPROCS 1, 4, 8 and 16.
+// The allowance is 1.37× that. Before the passes were resident (5 120 B
+// then), Begin made a pass value and the headers over its scratch for every
+// expert of every rank on every forward. Before the tensor free-list was one
+// list, a Get that missed a per-processor pool, or a GEMM scratch buffer met
+// at a new concurrency peak, added 4–47 KiB, and -race needed 64 KiB; an OS
+// thread the runtime starts inside the window adds 5.1 KiB (spareThreads).
+const stepLayerSlack = 773
 
 // TestStepAllocationBound pins the resident state from both sides. On a
 // parameter-heavy stack a warm step allocates less than one copy of the
@@ -267,17 +270,19 @@ const stepLayerSlack = 5120
 // as one expert's weight matrix: a reintroduced per-step make, or a weight
 // gradient that goes through a temporary again, fails here. On a
 // token-heavy stack, routed in eval mode and in train mode (GShard's noisy
-// gating), a warm step allocates under stepLayerSlack per layer and no
+// gating), and on one of an ESP and a Hybrid g = 2 layer, the second of
+// Mixtral experts, a warm step allocates under stepLayerSlack per layer and no
 // single allocation as large as one (N, M) token plane: the step's output
 // and input gradient are stack-owned workspace slots; the routing metadata
 // — score matrices, the noise and the noisy logits, the plan's slot tables,
 // reverse index and slot-weight gradient — is gate-owned scratch; the
 // expert stages', the GEMMs' and the gate backward's temporaries come from
 // the tensor free-list, which keeps every buffer Put back; and the two plans
-// are resident and replayed. What remains is a few KiB for beginning the
-// layer's expert passes (a pass value and the headers over its scratch),
-// the §5 and the gate and Order's bookkeeping; the two executions run on the
-// worlds' worker sets and start no goroutine.
+// are resident and replayed, and so are the expert passes, which a forward
+// re-arms — at ESP and Hybrid by copying its hidden columns of W1 (and W3)
+// into scratch it already holds. What remains is the §5 and the gate and
+// Order's bookkeeping; the two executions run on the worlds' worker sets
+// and start no goroutine.
 // A batch- or routing-sized allocation per layer, or a plan rebuilt every
 // step, does not fit. The collector is off for the window, as in the
 // repository benchmark. The bounds are the same under the race detector.
@@ -285,20 +290,42 @@ func TestStepAllocationBound(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1 // every allocation is sampled: sites() below is exact
 	const layers, ranks = 2, 4
+	ep := func(deg int) [layers]WorldConfig {
+		c := WorldConfig{Ranks: ranks, PipelineDegree: deg, Strategy: StrategyEP}
+		return [layers]WorldConfig{c, c}
+	}
+	slack := func(int) int { return layers * stepLayerSlack }
 	for _, tc := range []struct {
-		name         string
-		m, h, n, deg int
-		train        bool
-		bound        func(params int) int // bytes
+		name    string
+		m, h, n int
+		cfgs    [layers]WorldConfig
+		mixtral bool // layer 1's experts are MixtralFFN
+		train   bool
+		bound   func(params int) int // bytes
 	}{
-		{"parameter-bound", 64, 128, 16, 1, false, func(params int) int { return 8 * params }},
-		{"token-bound", 256, 16, 192, 4, false, func(int) int { return layers * stepLayerSlack }},
-		{"token-bound noisy", 256, 16, 192, 4, true, func(int) int { return layers * stepLayerSlack }},
+		{"parameter-bound", 64, 128, 16, ep(1), false, false, func(params int) int { return 8 * params }},
+		{"token-bound", 256, 16, 192, ep(4), false, false, slack},
+		{"token-bound noisy", 256, 16, 192, ep(4), false, true, slack},
+		// Every pass re-arms on a copy of its hidden columns of W1 (and W3).
+		{"column-sharded", 256, 16, 192, [layers]WorldConfig{
+			{Ranks: ranks, PipelineDegree: 4, Strategy: StrategyESP},
+			{Ranks: ranks, PipelineDegree: 4, Strategy: StrategyHybrid, GroupSize: 2},
+		}, true, false, slack},
 	} {
 		ws := make([]*World, layers)
 		params := 0
 		for i := range ws {
-			w, err := NewWorld(benchWorldLayer(t, tc.m, tc.h, 8), WorldConfig{Ranks: ranks, PipelineDegree: tc.deg, Strategy: StrategyEP})
+			l := benchWorldLayer(t, tc.m, tc.h, 8)
+			if tc.mixtral && i == 1 {
+				rng := xrand.New(8)
+				for e := range l.cfg.Experts {
+					var err error
+					if l.cfg.Experts[e], err = NewMixtralFFN(tc.m, tc.h, rng); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			w, err := NewWorld(l, tc.cfgs[i])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -121,6 +121,52 @@ func TestWorldStepFallbackExperts(t *testing.T) {
 	sameRow(t, "custom experts", res, want)
 }
 
+// TestStepColumnShardsMatchOracle: expert passes are bound once and re-armed
+// by every forward, and under ESP and Hybrid a pass multiplies by its copy
+// of W1's (and W3's) hidden columns. A stack of an ESP world and a Hybrid
+// g = 2 world at R = 4, over GPT and over Mixtral experts, stepped four
+// times at LR > 0 holds the sequential oracle's parameters, stepped
+// alongside, bit for bit: a pass that kept the columns an earlier step
+// copied would run on stale weights.
+func TestStepColumnShardsMatchOracle(t *testing.T) {
+	const lr, steps = 0.05, 4
+	x := tensor.RandN(xrand.New(75), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(76), 1, 96, 32)
+	cfgs := []WorldConfig{
+		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP},
+		{Ranks: 4, PipelineDegree: 3, Strategy: StrategyHybrid, GroupSize: 2},
+	}
+	for _, mixtral := range []bool{false, true} {
+		ref, ws := make([]*MOELayer, len(cfgs)), make([]*World, len(cfgs))
+		for i, cfg := range cfgs {
+			ref[i] = worldLayer(t, "gshard", TutelOrder{}, mixtral, false)
+			w, err := NewWorld(worldLayer(t, "gshard", TutelOrder{}, mixtral, false), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			ws[i] = w
+		}
+		for s := range steps {
+			label := fmt.Sprintf("mixtral=%v step %d", mixtral, s)
+			want := refStep(t, ref, x, dy, lr)
+			res, err := StepWorlds(ws, x, dy, StepConfig{LR: lr})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if len(res.RankParams) != 1 || !tensor.FromData(res.RankParams[0], len(want)).SameBits(tensor.FromData(want, len(want))) {
+				t.Fatalf("%s: the stack's parameters differ from the oracle's", label)
+			}
+			off := 0 // the oracle takes the step too
+			for _, l := range ref {
+				for _, p := range l.Params() {
+					off += copy(p.W.Data(), want[off:])
+				}
+			}
+		}
+	}
+}
+
 // TestStepKeepsOneParameterCopy: the parameters live once. After one step
 // at R = 4 under every placement strategy and every §5 sync strategy, the
 // result holds one parameter row, and it is the live Param.W values,

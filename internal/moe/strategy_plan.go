@@ -91,10 +91,12 @@ import (
 // Plans are resident: each direction's plan is built once over the
 // workspace buffers it runs on (passBufs) and replayed pass after pass
 // while its planKey holds. Nothing a closure captures changes between
-// passes: per-pass state — the expert passes, the routing operands — is
-// read through holders in the workspace that each pass refreshes before
-// its plan runs, and a fault decision is a function of (seed, task,
-// attempt), which a replay keeps.
+// passes: the expert passes are bound to the buffers once, when they are
+// cut, and each forward re-arms them from the live parameters
+// (ExpertPass.BeginForward); the routing operands are read through a
+// holder in the workspace that each pass refreshes before its plan runs;
+// and a fault decision is a function of (seed, task, attempt), which a
+// replay keeps.
 
 // groups is the group geometry of one pass, and the workspace's router
 // fill its stages and blocks read (workspace.setFill).
@@ -262,7 +264,6 @@ type passBufs struct {
 	in, out  []*tensor.Tensor   // per rank (Egg, Tpad, M): its group's expert inputs and outputs
 	xs, outs [][]*tensor.Tensor // [rank][group expert] (Tpad, M) views of in and out
 	hid      [][]*tensor.Tensor // [rank][group expert] (bands·Tpad, W) hidden exchange buffers
-	scratch  [][][]float64      // [rank][group expert] pass-private memory; forward only
 
 	disp, comb      []ends // per lane: src → in and out → gout; nG > 1
 	agIn, agHid, rs []ends // per group: the rows of in, the columns of hid, the rows of out; g > 1
@@ -274,7 +275,8 @@ type passBufs struct {
 // workspace to hold: the held ones when they were cut over this token side
 // and output buffer at this point of the slot sequence, new ones otherwise.
 // The forward's also hold what each expert pass keeps to the end of the
-// backward.
+// backward, and cutting them begins the passes over them, into the
+// workspace's holder: a warm pass finds its expert passes bound.
 func (w *World) cutPass(ws *workspace, held *passBufs, gm groups, src tokenRows, gout *tensor.Tensor, fwd bool) *passBufs {
 	if held != nil && held.from == ws.next && held.src.gin == src.gin && held.gout == gout {
 		ws.retake(held.to)
@@ -293,12 +295,13 @@ func (w *World) cutPass(ws *workspace, held *passBufs, gm groups, src tokenRows,
 			b.comb = append(b.comb, ends{gm.memberSide(b.out, m), gm.tokenSide(tokenRows{gin: gout}, m)})
 		}
 	}
-	b.hid, b.scratch = make([][]*tensor.Tensor, gm.R), make([][][]float64, gm.R)
+	b.hid = make([][]*tensor.Tensor, gm.R)
 	b.xs, b.outs = make([][]*tensor.Tensor, gm.R), make([][]*tensor.Tensor, gm.R)
 	bands := Expert.BwdBands
 	if fwd {
 		bands = Expert.FwdBands
 	}
+	passes := ws.expertPasses(gm.R, gm.egg)
 	for j := range b.hid {
 		for le, ex := range w.groupExperts(gm, j) {
 			b.xs[j] = append(b.xs[j], slotBlock(b.in[j], le, gm.tpad))
@@ -306,7 +309,10 @@ func (w *World) cutPass(ws *workspace, held *passBufs, gm groups, src tokenRows,
 			b.hid[j] = append(b.hid[j], ws.tensor(bands(ex)*gm.tpad, ex.HiddenWidth()))
 			if fwd {
 				cl, ch := colShard(ex.HiddenWidth(), j%gm.g, gm.g)
-				b.scratch[j] = append(b.scratch[j], ws.take(ex.ScratchElems(gm.tpad, cl, ch)).data)
+				passes[j][le] = ex.Begin(PassBufs{
+					X: b.xs[j][le], Out: b.outs[j][le], Hidden: b.hid[j][le],
+					Scratch: ws.take(ex.ScratchElems(gm.tpad, cl, ch)).data, Cl: cl, Ch: ch, Pool: w.pool,
+				})
 			}
 		}
 	}
@@ -601,8 +607,8 @@ type planKey struct {
 }
 
 // forwardPlan readies a forward pass from the token side src — over x's
-// rows, (N, M) flat — into the padded combined buffer: it begins the expert
-// passes into the workspace's holder, per rank one for each expert of its
+// rows, (N, M) flat — into the padded combined buffer: it re-arms the expert
+// passes in the workspace's holder, per rank one for each expert of its
 // group, which the backward continues, and returns the workspace's forward
 // plan, built when none fits.
 func (w *World) forwardPlan(cache *WorldCache, src tokenRows, x []float64, combinedPad *tensor.Tensor) *layerPlan {
@@ -611,14 +617,10 @@ func (w *World) forwardPlan(cache *WorldCache, src tokenRows, x []float64, combi
 	b := w.cutPass(ws, ws.fwd, gm, src, combinedPad, true)
 	b.bind(x)
 	ws.fwd = b
-	passes := ws.expertPasses(gm.R, gm.egg)
-	for j := range passes {
-		for le, ex := range w.groupExperts(gm, j) {
-			cl, ch := colShard(ex.HiddenWidth(), j%gm.g, gm.g)
-			passes[j][le] = ex.Begin(PassBufs{
-				X: b.xs[j][le], Out: b.outs[j][le],
-				Hidden: b.hid[j][le], Scratch: b.scratch[j][le], Cl: cl, Ch: ch, Pool: w.pool,
-			})
+	passes := ws.passes
+	for _, ps := range passes {
+		for _, p := range ps {
+			p.BeginForward()
 		}
 	}
 	key := planKey{capacity: cache.pr.plan.Capacity, degree: w.cfg.PipelineDegree, g: gm.g}

@@ -41,8 +41,9 @@ type workspace struct {
 	fwd, bwd *passBufs // each direction's per-rank buffers, endpoint lists and plan (strategy_plan.go)
 
 	// The per-pass state the resident plans read through holders: the
-	// expert passes a forward begins and its backward continues, [rank]
-	// [expert of its group], and the backward's routing-path operands.
+	// expert passes, [rank][expert of its group], begun when the forward's
+	// buffers are cut (cutPass), re-armed by every forward and continued by
+	// its backward, and the backward's routing-path operands.
 	passes [][]ExpertPass
 	route  routeState
 

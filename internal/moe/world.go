@@ -512,8 +512,11 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, c call) (*tensor.
 	if w.closed {
 		return nil, fmt.Errorf("moe: backward: %w", ErrWorldClosed)
 	}
-	if cache == nil || cache.combined == nil {
+	if cache == nil {
 		return nil, fmt.Errorf("moe: world backward needs a forward cache")
+	}
+	if cache.combined == nil {
+		return nil, fmt.Errorf("moe: backward: %w", ErrCacheReleased)
 	}
 	if cache.deg != nil {
 		// The forward ran degraded; so does the backward.
@@ -522,7 +525,7 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, c call) (*tensor.
 	}
 	dx, err := w.backPass(cache, dy, c)
 	if rank, ok := fault.PermanentRank(err); ok {
-		// The forward runs again degraded under the routing kept, to begin
+		// The forward runs again degraded under the routing kept, to arm
 		// the passes the degraded backward continues; the aborted plan's
 		// partial gradients are restarted from zero.
 		w.down = rank

@@ -29,7 +29,7 @@ func worldLayer(t *testing.T, gate string, order Order, mixtral, wrap bool) *MOE
 	case "sigmoid":
 		g, err = NewSigmoidGate(gcfg, m, rng)
 	case "xmoe":
-		g, err = NewXMoEGate(gcfg, m, 8, 0.3, rng)
+		g, err = NewXMoEGate(gcfg, m, rng)
 	case "ec":
 		g, err = NewECGate(gcfg, m, rng)
 	default:

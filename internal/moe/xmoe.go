@@ -16,7 +16,6 @@ type XMoEGate struct {
 	cfg  GateConfig
 	m    int
 	dim  int        // low-rank dimension
-	tau  float64    // temperature
 	proj *Param     // (M, dim)
 	emb  *Param     // (E, dim) expert embeddings
 	idle *xmoeCache // routing scratch between a Backward and the next Route
@@ -30,29 +29,22 @@ type xmoeCache struct {
 	cos *tensor.Tensor // cosine scores, (N, E)
 }
 
-// NewXMoEGate constructs the gate. lowRank is the projection dimension
-// (the X-MoE paper uses a small value such as M/8); tau is the softmax
-// temperature (0 selects the X-MoE default of 0.3).
-func NewXMoEGate(cfg GateConfig, m, lowRank int, tau float64, rng *xrand.RNG) (*XMoEGate, error) {
+// xmoeTau is X-MoE's softmax temperature τ.
+const xmoeTau = 0.3
+
+// NewXMoEGate constructs the gate with X-MoE's defaults: projection rank
+// M/8 (at least 2) and temperature xmoeTau.
+func NewXMoEGate(cfg GateConfig, m int, rng *xrand.RNG) (*XMoEGate, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if lowRank <= 0 {
-		lowRank = m / 8
-		if lowRank < 2 {
-			lowRank = 2
-		}
-	}
-	if tau <= 0 {
-		tau = 0.3
-	}
+	dim := max(m/8, 2)
 	return &XMoEGate{
 		cfg:  cfg,
 		m:    m,
-		dim:  lowRank,
-		tau:  tau,
-		proj: newParam("xmoe.proj", tensor.Xavier(rng, m, lowRank)),
-		emb:  newParam("xmoe.emb", tensor.Xavier(rng, cfg.Experts, lowRank)),
+		dim:  dim,
+		proj: newParam("xmoe.proj", tensor.Xavier(rng, m, dim)),
+		emb:  newParam("xmoe.emb", tensor.Xavier(rng, cfg.Experts, dim)),
 	}, nil
 }
 
@@ -82,7 +74,7 @@ func (g *XMoEGate) Route(x *tensor.Tensor, train bool) (*DispatchPlan, *RouteCac
 	tensor.CosineRowsInto(cos, u, g.emb.W)
 	plan := cache.routeTopK(g.cfg, cos, func(w []float64) {
 		for j := range w {
-			w[j] /= g.tau
+			w[j] /= xmoeTau
 		}
 		tensor.SoftmaxInPlace(w)
 	})
@@ -113,7 +105,7 @@ func (g *XMoEGate) Backward(dx *tensor.Tensor, rc *RouteCache, grad *PlanGrad) {
 		}
 		du := dU.Row(t)
 		for j, eIdx := range sel.idx[t*k : (t+1)*k] {
-			ds := dscore[j] / g.tau
+			ds := dscore[j] / xmoeTau
 			if ds == 0 {
 				continue
 			}

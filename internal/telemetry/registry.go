@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"math"
 	"sort"
 	"sync"
@@ -143,8 +142,9 @@ type HistogramSnap struct {
 	Sum    float64   `json:"sum"`
 }
 
-// Snapshot is a point-in-time copy of every instrument, sorted map keys —
-// the JSON document the expvar export publishes.
+// Snapshot is a point-in-time copy of every instrument, sorted map keys,
+// and a JSON document: expvar.Publish("fsmoe", expvar.Func(func() any {
+// return registry.Snapshot() })) serves the live registry on /debug/vars.
 type Snapshot struct {
 	Counters   map[string]int64         `json:"counters,omitempty"`
 	Gauges     map[string]float64       `json:"gauges,omitempty"`
@@ -185,17 +185,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// String renders the current snapshot as JSON, which makes *Registry an
-// expvar.Var: expvar.Publish("fsmoe", registry) exposes the live registry
-// on /debug/vars without this package importing net/http.
-func (r *Registry) String() string {
-	data, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(data)
 }
 
 // StepMSBuckets is the default step-latency histogram edge set (ms).

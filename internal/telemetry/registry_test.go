@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"expvar"
 	"math"
 	"sync"
 	"testing"
@@ -129,8 +130,9 @@ func TestRegistryExpvarString(t *testing.T) {
 	r.Counter("a").Add(2)
 	r.Gauge("b").Set(0.5)
 	var snap Snapshot
-	if err := json.Unmarshal([]byte(r.String()), &snap); err != nil {
-		t.Fatalf("String() is not valid JSON: %v", err)
+	v := expvar.Func(func() any { return r.Snapshot() }) // how a program publishes it
+	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
+		t.Fatalf("the published snapshot is not valid JSON: %v", err)
 	}
 	if snap.Counters["a"] != 2 || snap.Gauges["b"] != 0.5 {
 		t.Fatalf("round-tripped snapshot mismatch: %+v", snap)

@@ -324,8 +324,3 @@ func (t *Tensor) Fill(v float64) {
 
 // Zero sets every element to 0.
 func (t *Tensor) Zero() { t.Fill(0) }
-
-// String renders a compact description, not the full contents.
-func (t *Tensor) String() string {
-	return fmt.Sprintf("Tensor%v", t.shape)
-}

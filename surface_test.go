@@ -39,8 +39,12 @@ var surfaceAllowlist = map[string]string{
 //     runnable fsmoe Example (one with an "// Output:" comment that go test
 //     checks) refers to it.
 //   - A method is also used when its receiver type implements an interface
-//     whose method is used so, or one declared in the standard library,
-//     whose callers this test does not read.
+//     whose method is used so, or when non-test code converts a value of
+//     the type to an interface the standard library declares — assigns,
+//     passes, returns or asserts it — which names the method: the
+//     library's callers are code this test does not read. A value handed
+//     over as an any (fmt's arguments) uses nothing: call String()
+//     explicitly where its text is printed.
 //   - A var or func that an assembly file of its package names is used.
 //   - A const block of one named type is one enumeration: it is used when
 //     any member is.
@@ -66,8 +70,10 @@ func TestSurfaceIsWhatNonTestCodeCalls(t *testing.T) {
 // TestSurfaceCheckerFixture runs the checker on testdata/surface, a tree
 // whose every case is known: a dead method that a same-named field in
 // another package hides from a name-based resolver, a method reached only
-// through an interface, a var only assembly names, and files only a
-// non-default build context selects.
+// through an interface, a var only assembly names, files only a
+// non-default build context selects, and two String methods, one of a
+// type the tree converts to fmt.Stringer and one of a type it only hands
+// fmt as an any.
 func TestSurfaceCheckerFixture(t *testing.T) {
 	got, err := surfaceViolations(filepath.Join("testdata", "surface"), "fixture", nil)
 	if err != nil {
@@ -80,6 +86,7 @@ func TestSurfaceCheckerFixture(t *testing.T) {
 	}
 	want := []string{
 		"a.Conn.Close has no reference from non-test code: delete it, or move it into a test file",
+		"stringer.Dead.String has no reference from non-test code: delete it, or move it into a test file",
 		"tagged.deadOther has no reference from non-test code: delete it, or move it into a test file",
 	}
 	if !slices.Equal(got, want) {
@@ -234,7 +241,7 @@ func (tr *surfaceTree) check(ctx *build.Context) error {
 	})
 	conf := types.Config{Importer: imp, Error: func(err error) { errs = append(errs, err) }}
 	typecheck := func(c *checkedPkg) {
-		c.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+		c.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 		c.types, _ = conf.Check(c.src.path, tr.fset, c.files, c.info)
 	}
 	load = func(p string) (*checkedPkg, error) {
@@ -377,8 +384,9 @@ func (tr *surfaceTree) resolve(ctx *build.Context, all []*checkedPkg) {
 			tr.used[pos], tr.used[d.group] = true, true
 		}
 	}
-	// ifaces holds, for each interface, its methods that count as used:
-	// the ones a reference names, and all of a standard-library one's.
+	// ifaces holds, for each interface, its methods that count as used: the
+	// ones a reference names, and all of a standard-library one's that a
+	// value of an interface type is converted or asserted to.
 	ifaces := map[*types.Interface]map[string]bool{}
 	useIface := func(it *types.Interface, names ...string) {
 		if ifaces[it] == nil {
@@ -390,12 +398,8 @@ func (tr *surfaceTree) resolve(ctx *build.Context, all []*checkedPkg) {
 	}
 	useIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface), "Error")
 	for _, c := range all {
-		for _, f := range c.files {
-			for _, ip := range f.Imports {
-				if p := strings.Trim(ip.Path.Value, `"`); tr.pkgs[p] == nil {
-					tr.useStdInterfaces(p, useIface)
-				}
-			}
+		if !c.examples {
+			tr.stdConversions(c, use, useIface)
 		}
 		for id, obj := range c.info.Uses {
 			if c.examples && !within(id, c.users) {
@@ -463,25 +467,113 @@ func (tr *surfaceTree) resolve(ctx *build.Context, all []*checkedPkg) {
 	tr.keepNamed(all, use)
 }
 
-// useStdInterfaces counts every method of every exported interface of a
-// standard-library package as used: their callers are in code this check
-// does not read.
-func (tr *surfaceTree) useStdInterfaces(path string, useIface func(*types.Interface, ...string)) {
-	pkg, err := tr.std.Import(path)
-	if err != nil {
-		return
-	}
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || !tn.Exported() {
-			continue
+// stdConversions applies the standard-library interface rule to c's
+// files: where a value is converted to an interface the standard library
+// declares — assigned, passed as an argument, returned or converted
+// explicitly — the methods of the value's type that the interface names are
+// used, for the library's code, which this check does not read, may call
+// them. A value of an interface type, and a type assertion or type switch
+// case, use the interface's methods on every implementer. A conversion to
+// an unnamed interface such as any uses nothing.
+func (tr *surfaceTree) stdConversions(c *checkedPkg, use func(token.Pos), useIface func(*types.Interface, ...string)) {
+	stdIface := func(t types.Type) *types.Interface {
+		n, ok := types.Unalias(t).(*types.Named)
+		if !ok || n.Obj().Pkg() == nil || tr.pkgs[n.Obj().Pkg().Path()] != nil {
+			return nil
 		}
-		if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.IsMethodSet() {
+		it, _ := n.Underlying().(*types.Interface)
+		return it
+	}
+	all := func(it *types.Interface) {
+		for i := range it.NumMethods() {
+			useIface(it, it.Method(i).Name())
+		}
+	}
+	conv := func(to types.Type, e ast.Expr) {
+		it, from := stdIface(to), c.info.TypeOf(e)
+		switch {
+		case it == nil || from == nil:
+		case types.IsInterface(from):
+			all(it)
+		default:
 			for i := range it.NumMethods() {
-				useIface(it, it.Method(i).Name())
+				if m, _, _ := types.LookupFieldOrMethod(from, true, c.types, it.Method(i).Name()); m != nil {
+					use(m.Pos())
+				}
 			}
 		}
+	}
+	for _, f := range c.files {
+		var stack []ast.Node // the enclosing nodes, innermost last
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+					for i, lhs := range n.Lhs {
+						conv(c.info.TypeOf(lhs), n.Rhs[i])
+					}
+				}
+			case *ast.ValueSpec:
+				if n.Type != nil {
+					for _, v := range n.Values {
+						conv(c.info.TypeOf(n.Type), v)
+					}
+				}
+			case *ast.CallExpr:
+				tv := c.info.Types[n.Fun]
+				if tv.IsType() && len(n.Args) == 1 {
+					conv(tv.Type, n.Args[0])
+				} else if sig, ok := tv.Type.(*types.Signature); ok {
+					ps := sig.Params()
+					for i, arg := range n.Args {
+						switch {
+						case sig.Variadic() && i >= ps.Len()-1 && !n.Ellipsis.IsValid():
+							conv(ps.At(ps.Len()-1).Type().(*types.Slice).Elem(), arg)
+						case i < ps.Len():
+							conv(ps.At(i).Type(), arg)
+						}
+					}
+				}
+			case *ast.ReturnStmt:
+				for i := len(stack) - 1; i >= 0; i-- {
+					var fn types.Type
+					switch f := stack[i].(type) {
+					case *ast.FuncDecl:
+						fn = c.info.Defs[f.Name].Type()
+					case *ast.FuncLit:
+						fn = c.info.TypeOf(f)
+					default:
+						continue
+					}
+					if sig, ok := fn.(*types.Signature); ok && sig.Results().Len() == len(n.Results) {
+						for j, r := range n.Results {
+							conv(sig.Results().At(j).Type(), r)
+						}
+					}
+					break
+				}
+			case *ast.TypeAssertExpr:
+				if n.Type != nil {
+					if it := stdIface(c.info.TypeOf(n.Type)); it != nil {
+						all(it)
+					}
+				}
+			case *ast.CaseClause:
+				for _, e := range n.List {
+					if tv := c.info.Types[e]; tv.IsType() {
+						if it := stdIface(tv.Type); it != nil {
+							all(it)
+						}
+					}
+				}
+			}
+			stack = append(stack, n)
+			return true
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"fixture/internal/asm"
 	"fixture/internal/b"
 	"fixture/internal/iface"
+	"fixture/internal/stringer"
 	"fixture/internal/tagged"
 )
 
@@ -16,5 +17,5 @@ func main() {
 	c := a.Dial()
 	h := b.Handle{Close: func() {}}
 	h.Close() // a field of the same name as Conn's dead method
-	fmt.Println(c, iface.New().Name(), asm.Sum(), tagged.Hint())
+	fmt.Println(c, iface.New().Name(), asm.Sum(), tagged.Hint(), stringer.Label(), stringer.Dead{N: 1})
 }
