@@ -23,8 +23,9 @@ func chaosConfig() chaosWorkload {
 	return chaosWorkload{m: 128, h: 64, e: 8, tokens: 512, degree: 2}
 }
 
-// chaosStrategies are the hard-routing strategies the sweep runs
-// (DenseSlots routes differently). The hybrid rows run at GroupSize
+// chaosStrategies are the strategies the sweep runs, over hard routing:
+// DenseSlots is EP's g = 1 schedule, and a rank lost on a dense plan fails
+// the pass instead of finishing degraded. The hybrid rows run at GroupSize
 // ranks/2 — the genuinely nested schedule; its degenerate group sizes are
 // the EP and ESP rows themselves.
 func chaosStrategies() []fsmoe.Strategy {

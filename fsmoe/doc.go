@@ -38,9 +38,9 @@
 //
 // The executable multi-rank runtime (NewWorld) splits one layer's work
 // across R in-process ranks under a parallel strategy, the
-// WorldConfig.Strategy field. Every strategy is the same §4 schedule —
-// one plan builder — at an expert-sharding group width g: the R ranks
-// form R/g expert-parallel groups of g sharding members.
+// WorldConfig.Strategy field, over any routing. Every strategy is the same
+// §4 schedule — one plan builder — at an expert-sharding group width g:
+// the R ranks form R/g expert-parallel groups of g sharding members.
 //
 //   - StrategyEP — pure expert parallelism, g = 1: experts sharded E/R
 //     per rank, tokens moved by r-chunked dispatch/combine AlltoAll on
@@ -50,8 +50,8 @@
 //     AllGather and ReduceScatter stages on the one group's intra:g0
 //     stream and an empty inter stream (so §5 Gradient-AllReduce slices
 //     overlap freely);
-//   - StrategyDenseSlots — SoftMoE dense plans chunked over expert slots
-//     instead of token rows, through the g = 1 schedule;
+//   - StrategyDenseSlots — EP's schedule under the name StrategyAuto gives
+//     dense routers, chunked over expert slots instead of token rows;
 //   - StrategyHybrid — nested EP×ESP, g = WorldConfig.GroupSize (which
 //     must divide R), combining both collective families in one
 //     schedule;
@@ -298,7 +298,7 @@
 // context.DeadlineExceeded, leaking no goroutines
 // (ExampleWorld_SetDeadline).
 //
-// A permanent rank failure does not abort the pass: it completes
+// A permanent rank failure does not abort a hard-routing pass: it completes
 // degraded, on the layer's own one-rank World — the plan builder and
 // executor every pass runs — with every expert in place and the dead
 // rank's holding no token. Forward-time, the dead rank's tokens re-route
@@ -312,7 +312,8 @@
 // still-degraded World keeps completing degraded steps until ResetHealth
 // (a closed World fails fast with ErrWorldClosed). StepStack completes
 // multi-layer §5 steps around a degraded layer, the dead experts'
-// parameters frozen.
+// parameters frozen. A dense (SoftMoE) pass has no per-token fallback: it
+// fails with the permanent fault (IsPermanent), the rank reported down.
 //
 // # Checkpoint/restore and elastic recovery
 //

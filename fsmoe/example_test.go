@@ -96,7 +96,10 @@ func ExampleLayer_Release() {
 
 // An injected fault that fires on every attempt of every AlltoAll exhausts
 // the task's retries, and the pass fails with it: a transient fault, which
-// would have been retried bit-safely, not a permanent rank loss.
+// would have been retried bit-safely, not a permanent rank loss. A rank lost
+// on a dense (SoftMoE) pass is one: such a plan spreads every token over
+// every expert and has no per-token fallback, so the pass fails with the
+// permanent fault and the world reports the rank down.
 func ExampleIsTransient() {
 	w := exampleWorld(2, 2, fsmoe.A2ADirect)
 	defer w.Close()
@@ -106,9 +109,23 @@ func ExampleIsTransient() {
 	_, _, err := w.Forward(fsmoe.RandTensor(1, 16, 8), false)
 	fmt.Println("transient:", fsmoe.IsTransient(err))
 	fmt.Println("permanent:", fsmoe.IsPermanent(err))
+
+	soft, err := fsmoe.NewLayer(fsmoe.LayerConfig{M: 8, H: 16, Experts: 4, TopK: 1, Gate: fsmoe.GateSoftMoE, SlotsPerExpert: 2, Seed: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	dw, err := fsmoe.NewWorld(soft, fsmoe.WorldConfig{Ranks: 2, Strategy: fsmoe.StrategyEP, PipelineDegree: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer dw.Close()
+	dw.SetFaultPlan(fsmoe.NewFaultPlan(fsmoe.FaultSpec{Down: &fsmoe.FaultDown{Rank: 1, Kind: fsmoe.KindExperts}}))
+	_, _, err = dw.Forward(fsmoe.RandTensor(1, 16, 8), false)
+	fmt.Println("dense rank loss permanent:", fsmoe.IsPermanent(err), "health:", dw.Health())
 	// Output:
 	// transient: true
 	// permanent: false
+	// dense rank loss permanent: true health: [true false]
 }
 
 // A deadline bounds each pass: a straggler far slower than it is canceled,

@@ -100,8 +100,7 @@ type LayerConfig struct {
 // A Layer is a one-rank World: Forward and Backward run the layer's own
 // World, built on first use at pipeline degree 1 on the calling goroutine
 // and the default kernel pool, so it starts no goroutine and needs no
-// Close. It runs the plans every World runs, at one rank — there is one
-// executor — and takes dense and hard routing plans alike. The cache holds
+// Close. It runs the plans every World runs, at one rank. The cache holds
 // the layer's workspace and the gate's routing scratch until its Backward
 // returns, or until Release(cache) ends a forward-only call (evaluation):
 // the next Forward replays the resident forward plan in the same memory.

@@ -80,7 +80,7 @@ const (
 )
 
 // The parallel strategies of the generalized MoE layer (§4): how one
-// layer's work is split across the world's ranks.
+// layer's work is split across the world's ranks, over any routing.
 const (
 	// StrategyAuto (the zero value) lets NewWorld pick the strategy from
 	// the layer (see "Parallel strategies" in the package doc).
@@ -101,8 +101,8 @@ const (
 	// to ESP (one plan builder reads the group size as data, so the edges
 	// are the pure strategies exactly).
 	StrategyHybrid = moe.StrategyHybrid
-	// StrategyDenseSlots runs dense (SoftMoE) plans through the EP
-	// pipeline chunked over expert slots instead of token rows.
+	// StrategyDenseSlots is EP's schedule under the name StrategyAuto
+	// gives dense routers, its chunks cut over SoftMoE's expert slots.
 	StrategyDenseSlots = moe.StrategyDenseSlots
 )
 
@@ -115,7 +115,7 @@ type WorldConfig = moe.WorldConfig
 // World executes a Layer across in-process ranks under a pluggable
 // parallel strategy, with chunked collectives pipelined on real streams.
 // Forward and Backward are bit-identical to the Layer's single-rank path
-// under every strategy.
+// under every strategy and routing kind.
 type World = moe.World
 
 // NewWorld resolves cfg against the layer and builds the executable

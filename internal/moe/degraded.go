@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/tensor"
 )
 
@@ -25,12 +26,12 @@ import (
 //   - Backward-time failure: the forward already completed at full
 //     strength, so the routing is kept and the dead experts' tokens are
 //     dropped — their gradient contribution is lost. The degraded forward
-//     runs again from the prolog to arm the passes its backward continues. The aborted plan may have partially accumulated parameter
-//     gradients, so the layer's gradients are zeroed first (during a
-//     training step Param.G is the layer's span of the stack's gradient
-//     buffer, and every expert is marked unwritten, so what the degraded
-//     pass does not rewrite is cleared; the §5 slices then step the
-//     parameters from it).
+//     runs again from the prolog to arm the passes its backward continues.
+//     The aborted plan may have partially accumulated parameter gradients,
+//     so the layer's gradients are zeroed first (during a training step
+//     Param.G is the layer's span of the stack's gradient buffer, which the
+//     degraded pass's finish routines then overwrite for every expert, the
+//     dead ones' with +0; the §5 slices step the parameters from it).
 //
 // In both modes the router is frozen (call.frozen): the gate backward pairs
 // its RouteCache with the original plan, which no longer describes the
@@ -38,8 +39,9 @@ import (
 // and has its routing handed back unread. Dead experts accumulate no
 // gradient, so an optimizer step leaves them untouched and a later
 // ResetHealth resumes from consistent weights. Dense (SoftMoE) plans spread
-// every token over every expert and have no per-token fallback, so degraded
-// mode requires hard routing.
+// every token over every expert and have no per-token fallback: a rank lost
+// on a dense pass fails it, under every strategy, with the permanent fault
+// (fault.PermanentRank names the rank), and the world reports it down.
 
 // DegradedResult reports how a degraded pass completed.
 type DegradedResult struct {
@@ -78,10 +80,20 @@ func lostList(lo, hi int) []int {
 // ("forward" or "backward") on the layer's own World, from the prolog pr of
 // the aborted (or, with the rank already down, never built) plan: at a
 // forward-time loss the dead rank's tokens move to free surviving slots, at
-// a backward-time loss they are dropped. c is forward's.
-func (w *World) degradedForward(pr *forwardProlog, c call, phase string, retries int, cause string) (*tensor.Tensor, *WorldCache, error) {
+// a backward-time loss they are dropped. c is forward's, and cause the
+// permanent fault that aborted the pass, nil when the rank was already down.
+func (w *World) degradedForward(pr *forwardProlog, c call, phase string, retries int, cause error) (*tensor.Tensor, *WorldCache, error) {
 	if pr.plan.IsDense() {
-		return nil, nil, fmt.Errorf("moe: degraded mode needs hard routing; dense plans have no per-token fallback (rank %d down)", w.down)
+		if cause == nil {
+			cause = fault.NewPermanent(w.down, phase, "rank still down")
+		}
+		return nil, nil, fmt.Errorf("moe: degraded mode needs hard routing; dense plans have no per-token fallback: %w", cause)
+	}
+	var why string
+	if cause != nil {
+		why = cause.Error()
+	} else {
+		why = fmt.Sprintf("rank %d still down", w.down)
 	}
 	t0 := time.Now()
 	lo, hi := w.lostRange()
@@ -98,7 +110,7 @@ func (w *World) degradedForward(pr *forwardProlog, c call, phase string, retries
 		DroppedTokens:  dropped,
 		Retries:        retries,
 		RecoveryMS:     time.Since(t0).Seconds() * 1e3,
-		Cause:          cause,
+		Cause:          why,
 	}
 	w.degraded = cache.deg
 	return y, cache, nil
@@ -107,7 +119,7 @@ func (w *World) degradedForward(pr *forwardProlog, c call, phase string, retries
 // degradedBackward runs the backward paired with a degraded forward cache
 // on the layer's own World, under the call c with the router frozen and no
 // §5 slices: during a training step every expert's finish routine writes
-// its Param.G — the dead ones' +0 — and marks it written.
+// its Param.G, the dead ones' +0.
 func (w *World) degradedBackward(cache *WorldCache, dy *tensor.Tensor, c call) (*tensor.Tensor, error) {
 	t0 := time.Now()
 	lw := w.layer.world()

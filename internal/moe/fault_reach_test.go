@@ -11,8 +11,9 @@ import (
 )
 
 // TestEveryCollectiveTaskTakesOneFault: every collective task of every plan
-// the one builder emits — EP, ESP, hybrid g = 2 and DenseSlots, forward and
-// backward, R = 4, r = 2 — is reachable by the injector, and no other task
+// the one builder emits — EP, ESP, hybrid g = 2 and DenseSlots, and ESP and
+// hybrid g = 2 over dense routing, forward and backward, R = 4, r = 2 — is
+// reachable by the injector, and no other task
 // is hit. Under task-level injection at probability 1 on the AlltoAll,
 // AllGather and ReduceScatter kinds, capped at one transient per task, each
 // such task carries exactly one fault and every other task none, and the
@@ -29,10 +30,12 @@ func TestEveryCollectiveTaskTakesOneFault(t *testing.T) {
 	for _, tc := range []struct {
 		strat Strategy
 		g     int
-	}{{StrategyEP, 0}, {StrategyESP, 0}, {StrategyHybrid, 2}, {StrategyDenseSlots, 0}} {
-		layer := strategyLayer(t, tc.strat, false)
+		dense bool
+	}{{StrategyEP, 0, false}, {StrategyESP, 0, false}, {StrategyHybrid, 2, false}, {StrategyDenseSlots, 0, true},
+		{StrategyESP, 0, true}, {StrategyHybrid, 2, true}} {
+		layer := routingLayer(t, tc.dense, false)
 		want := runSequentialLayer(t, layer, x, dy)
-		label := fmt.Sprintf("%s g=%d", tc.strat, tc.g)
+		label := fmt.Sprintf("%s g=%d dense=%v", tc.strat, tc.g, tc.dense)
 		w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: tc.strat, GroupSize: tc.g})
 		if err != nil {
 			t.Fatal(err)

@@ -76,14 +76,13 @@ func distinctExperts(exps []Expert) bool {
 
 // world returns the layer's own World, built on first use: one rank at
 // pipeline degree 1 on a one-worker set, which starts no goroutine, and the
-// default kernel pool, so it needs no Close. Its placement takes dense and
-// hard plans alike, so it needs no strategy resolved from the gate, and
-// with every expert on its one rank, one compute task fans distinct experts
-// out over the default pool and runs aliased ones in index order.
+// default kernel pool, so it needs no Close. It is plain g = 1, and with
+// every expert on its one rank, one compute task fans distinct experts out
+// over the default pool and runs aliased ones in index order.
 func (l *MOELayer) world() *World {
 	if l.w == nil {
 		cfg := WorldConfig{Ranks: 1, PipelineDegree: 1, PipelineDegreeBwd: 1, Algo: comm.A2ADirect, GPUsPerNode: 1, Strategy: StrategyEP}
-		w := &World{layer: l, cfg: cfg, egrp: len(l.cfg.Experts), pl: placement{g: 1, anyRouting: true}, down: -1,
+		w := &World{layer: l, cfg: cfg, egrp: len(l.cfg.Experts), g: 1, down: -1,
 			exec: runtime.NewWorkerSet(1), aliased: !distinctExperts(l.cfg.Experts)}
 		w.nameStreams()
 		l.w = w

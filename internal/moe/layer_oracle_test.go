@@ -313,7 +313,9 @@ func (g softGate) Params() []*Param { return g.inner.Params() }
 
 // TestLayerCustomDenseGate: a custom dense gate that does not implement
 // DenseRouter steps through the layer, bit-identical to the oracle, and a
-// hard-routing layer after it on the same code path.
+// hard-routing layer after it on the same code path; a World under
+// StrategyAuto prices the undeclared gate as hard and runs its dense plans
+// bit-identically too.
 func TestLayerCustomDenseGate(t *testing.T) {
 	soft := softmoeLayer(t, false, 3)
 	cfg := soft.cfg
@@ -337,14 +339,6 @@ func TestLayerCustomDenseGate(t *testing.T) {
 	hard.ZeroGrad()
 	compareSnapshots(t, "hard gate", want, runLayer(t, hard, x, dy))
 
-	// A World the caller builds still resolves the gate's routing kind up
-	// front: undeclared, it is hard, and the dense plan is refused.
-	w, err := NewWorld(layer, WorldConfig{Ranks: 2, PipelineDegree: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if _, _, err := w.Forward(x, false); err == nil {
-		t.Fatalf("an undeclared dense gate ran under %s", w.Strategy())
-	}
+	want = runSequentialLayer(t, layer, x, dy)
+	compareSnapshots(t, "undeclared dense gate under StrategyAuto", want, runWorld(t, layer, WorldConfig{Ranks: 2, PipelineDegree: 1}, x, dy, false))
 }

@@ -135,7 +135,8 @@ func sameListing(t *testing.T, label string, want, got []string) {
 // streams, the plans recorded from the last tree that built them with a
 // dedicated EP builder, and their route streams are routePin's. And the
 // group width is data: Hybrid at GroupSize 1 is EP's plan and at GroupSize R
-// ESP's, with identical results.
+// ESP's, EP over a dense gate is DenseSlots' plan and DenseSlots over a hard
+// gate EP's, with identical results.
 func TestWorldPlanPin(t *testing.T) {
 	x := tensor.RandN(xrand.New(33), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(34), 1, 96, 32)
@@ -164,19 +165,23 @@ func TestWorldPlanPin(t *testing.T) {
 	sameListing(t, "recorded plans", strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n"), got)
 
 	for _, tc := range []struct {
-		name string
-		g    int
-		pure Strategy
+		name  string
+		dense bool
+		cfg   WorldConfig
+		pure  Strategy
 	}{
-		{"hybrid g=1 vs ep", 1, StrategyEP},
-		{"hybrid g=R vs esp", 4, StrategyESP},
+		{"hybrid g=1 vs ep", false, WorldConfig{Strategy: StrategyHybrid, GroupSize: 1}, StrategyEP},
+		{"hybrid g=R vs esp", false, WorldConfig{Strategy: StrategyHybrid, GroupSize: 4}, StrategyESP},
+		{"ep vs dense-slots over a dense gate", true, WorldConfig{Strategy: StrategyEP}, StrategyDenseSlots},
+		{"dense-slots vs ep over a hard gate", false, WorldConfig{Strategy: StrategyDenseSlots}, StrategyEP},
 	} {
-		layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
-		pureFwd, pureBwd, _, pureSnap := passListing(t, layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: tc.pure}, x, dy)
-		hybFwd, hybBwd, _, hybSnap := passListing(t, layer,
-			WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: tc.g}, x, dy)
-		sameListing(t, tc.name+" forward", pureFwd, hybFwd)
-		sameListing(t, tc.name+" backward", pureBwd, hybBwd)
-		compareSnapshots(t, tc.name, pureSnap, hybSnap)
+		layer := routingLayer(t, tc.dense, false)
+		pureFwd, pureBwd, pureRoute, pureSnap := passListing(t, layer, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: tc.pure}, x, dy)
+		tc.cfg.Ranks, tc.cfg.PipelineDegree = 4, 2
+		fwd, bwd, route, snap := passListing(t, layer, tc.cfg, x, dy)
+		sameListing(t, tc.name+" forward", pureFwd, fwd)
+		sameListing(t, tc.name+" backward", pureBwd, bwd)
+		sameListing(t, tc.name+" route stream", pureRoute, route)
+		compareSnapshots(t, tc.name, pureSnap, snap)
 	}
 }

@@ -92,7 +92,7 @@ func resolve(l *MOELayer, cfg WorldConfig) (rc WorldConfig, fwd, bwd core.Degree
 // winner's per-phase degree results are returned for reuse (picked true),
 // saving the caller an identical pair of searches.
 func chooseStrategy(l *MOELayer, tokens, ranks int) (strat Strategy, groupSize int, degF, degB core.DegreeResult, picked bool) {
-	if dr, ok := l.cfg.Gate.(DenseRouter); ok && dr.DenseRouting() {
+	if l.routesDense() {
 		return StrategyDenseSlots, 0, degF, degB, false
 	}
 	g, f, b := hybridGroupPick(l, tokens, ranks)
@@ -103,6 +103,13 @@ func chooseStrategy(l *MOELayer, tokens, ranks int) (strat Strategy, groupSize i
 		return StrategyESP, 0, f, b, true
 	}
 	return StrategyHybrid, g, f, b, true
+}
+
+// routesDense reports whether the layer's gate declares dense routing
+// (DenseRouter).
+func (l *MOELayer) routesDense() bool {
+	dr, ok := l.cfg.Gate.(DenseRouter)
+	return ok && dr.DenseRouting()
 }
 
 // hybridGroupPick scans the (group size × degree) grid: for each divisor
@@ -180,9 +187,10 @@ func paramBytes(experts []Expert) float64 {
 // under one strategy: the strategy decides which collectives carry the
 // dispatched activations — EP and DenseSlots move them twice over the
 // AlltoAll links, ESP moves them through the AllGather/ReduceScatter
-// stages plus the hidden-activation exchange — and expert MACs / gradient
-// bytes come from the live expert implementations, so custom experts
-// steer the choice through their own FwdMACs/Params/HiddenWidth.
+// stages plus the hidden-activation exchange — the gate's routing kind how
+// many rows are dispatched, and expert MACs / gradient bytes come from the
+// live expert implementations, so custom experts steer the choice through
+// their own FwdMACs/Params/HiddenWidth.
 func layerVolumes(l *MOELayer, tokens int, strat Strategy) core.Volumes {
 	effF := l.cfg.GateConfig.Factor
 	if effF <= 0 {
@@ -191,7 +199,7 @@ func layerVolumes(l *MOELayer, tokens int, strat Strategy) core.Volumes {
 	k := max(l.cfg.GateConfig.TopK, 1)
 	e := len(l.cfg.Experts)
 	dispatched := float64(k) * effF * float64(tokens)
-	if strat == StrategyDenseSlots {
+	if l.routesDense() {
 		// Dense plans dispatch E·slotsPerExpert slot rows, independent of
 		// the token count.
 		dispatched = float64(e * max(l.cfg.SlotsPerExpert, 1))

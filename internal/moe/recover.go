@@ -130,11 +130,11 @@ shrink:
 		return nil, fmt.Errorf("moe: recover: no rank count below %d divides every layer's expert count", oldR)
 	}
 	cfgs := make([]WorldConfig, len(worlds))
-	pls := make([]placement, len(worlds))
+	gs := make([]int, len(worlds))
 	for i, w := range worlds {
 		err := w.checkRestore(&s.Worlds[i])
 		if err == nil {
-			cfgs[i], pls[i], err = w.recoveryConfig(newR)
+			cfgs[i], gs[i], err = w.recoveryConfig(newR)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("moe: recover layer %d: %w", i, err)
@@ -153,17 +153,17 @@ shrink:
 		}
 	}
 	for i, w := range worlds {
-		w.commit(reports[i], cfgs[i], pls[i])
+		w.commit(reports[i], cfgs[i], gs[i])
 	}
 	return reports, nil
 }
 
-// recoveryConfig is the configuration and placement the world moves to at
-// newR ranks. The strategy stays; a hybrid group keeps the widest width
+// recoveryConfig is the configuration and group width the world moves to
+// at newR ranks. The strategy stays; a hybrid group keeps the widest width
 // that still divides the rank count (the staged contract holds at every
 // width), and the node shape the largest width not exceeding the old one
 // that divides it.
-func (w *World) recoveryConfig(newR int) (WorldConfig, placement, error) {
+func (w *World) recoveryConfig(newR int) (WorldConfig, int, error) {
 	cfg := w.cfg
 	if cfg.Strategy == StrategyHybrid {
 		cfg.GroupSize = gcd(cfg.GroupSize, newR)
@@ -175,8 +175,8 @@ func (w *World) recoveryConfig(newR int) (WorldConfig, placement, error) {
 		}
 	}
 	cfg.Ranks, cfg.GPUsPerNode = newR, gpn
-	pl, err := place(cfg)
-	return cfg, pl, err
+	g, err := place(cfg)
+	return cfg, g, err
 }
 
 // rollback starts the world's recovery report and rolls the full training
@@ -253,18 +253,18 @@ func (w *World) replace(rep *RecoveryReport, params []float64, newCfg WorldConfi
 
 // commit installs the topology replace moved the world's weights for: it
 // resizes the worker set and the kernel pool to the new stream count,
-// installs the new placement, drops the workspace cut for the old one,
+// installs the new group width, drops the workspace cut for the old one,
 // strips the injector's down trigger (the dead rank no longer exists in the
 // rebuilt world), and clears the health state exactly as a manual
 // ResetHealth would.
-func (w *World) commit(rep *RecoveryReport, newCfg WorldConfig, pl placement) {
+func (w *World) commit(rep *RecoveryReport, newCfg WorldConfig, g int) {
 	t0 := time.Now()
 	w.addStats(rep.Traffic)
 	w.exec.Close()
 	w.pool.Close()
 	w.cfg = newCfg
 	w.egrp = len(w.layer.cfg.Experts) / newCfg.Ranks
-	w.pl = pl
+	w.g = g
 	w.ws = nil
 	w.planResources()
 	w.faults = w.faults.WithoutDown()

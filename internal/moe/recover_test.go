@@ -427,6 +427,61 @@ func TestWorldRecoverKeepsStrategy(t *testing.T) {
 	}
 }
 
+// TestDenseRankDownIsPermanent: a dense (SoftMoE) plan spreads every token
+// over every expert and has no per-token fallback, so under EP, ESP and
+// Hybrid g = 2 alike a rank lost mid-step fails the step with an error that
+// wraps the permanent fault and names the rank, as does the next step while
+// the rank stays down; the world reports it down, and RecoverWorlds from a
+// snapshot then steps bit-identically to a fresh stack restored from it at
+// the surviving rank count.
+func TestDenseRankDownIsPermanent(t *testing.T) {
+	const layers = 2
+	x := tensor.RandN(xrand.New(213), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(214), 1, 96, 32)
+	cfg := StepConfig{LR: 0.05, Slices: 3}
+	for _, tc := range []struct {
+		strat    Strategy
+		g, wantG int // configured, and after recovery to R′ = 2
+	}{{StrategyEP, 0, 0}, {StrategyESP, 0, 0}, {StrategyHybrid, 2, 2}} {
+		ws := routingStack(t, layers, WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: tc.strat, GroupSize: tc.g}, true)
+		if _, err := StepWorlds(ws, x, dy, cfg); err != nil {
+			t.Fatal(err)
+		}
+		snap := SnapshotWorlds(ws)
+		ws[0].SetFaultPlan(fault.New(fault.Spec{Seed: 13, Down: &fault.Down{Rank: 1, Kind: KindExpert}}))
+		for _, when := range []string{"at the loss", "with the rank still down"} {
+			_, err := StepWorlds(ws, x, dy, cfg)
+			if rank, ok := fault.PermanentRank(err); !ok || rank != 1 || !fault.IsPermanent(err) || !strings.Contains(err.Error(), "dense") {
+				t.Fatalf("%s %s: step error %v, want the dense plan's permanent fault on rank 1", tc.strat, when, err)
+			}
+			if h := ws[0].Health(); h[1] || !h[0] {
+				t.Fatalf("%s %s: health %v, want rank 1 down", tc.strat, when, h)
+			}
+		}
+		if _, err := RecoverWorlds(ws, snap, RecoveryPolicy{}); err != nil {
+			t.Fatal(err)
+		}
+		if w := ws[0]; w.Ranks() != 2 || w.Strategy() != tc.strat || w.GroupSize() != tc.wantG {
+			t.Fatalf("recovered to R=%d %s g=%d, want R=2 %s g=%d", w.Ranks(), w.Strategy(), w.GroupSize(), tc.strat, tc.wantG)
+		}
+		fresh := routingStack(t, layers, WorldConfig{Ranks: 2, PipelineDegree: 2, Strategy: tc.strat, GroupSize: tc.wantG}, true)
+		if err := RestoreWorlds(fresh, snap); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < 2; s++ {
+			got, err := StepWorlds(ws, x, dy, cfg)
+			if err != nil {
+				t.Fatalf("%s recovered step %d: %v", tc.strat, s, err)
+			}
+			want, err := StepWorlds(fresh, x, dy, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAsTwin(t, fmt.Sprintf("%s recovered step %d", tc.strat, s), got, want)
+		}
+	}
+}
+
 // TestWorldRecoverMatchesResetHealth is the residue audit: elastic
 // recovery and a manual ResetHealth must leave the identical health
 // surface — down cleared, no degraded report, no aborted plan or trace

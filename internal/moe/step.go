@@ -156,11 +156,10 @@ func (r *StepResult) StepMS() float64 { return r.BackwardMS + r.TailMS }
 // leaves its gradient in grads (experts' written by the finish tasks, the
 // gate's accumulated by its backward) and w − lr·g in params.
 type resident struct {
-	plan    *gradsync.Plan
-	params  []float64 // [Σ layer gradElems] the live parameters
-	grads   []float64 // [Σ layer gradElems] the gradients, what the §5 slices read
-	off     []int     // [layer+1] each layer's first element
-	written [][]bool  // [layer][expert] this step's backward wrote the expert's gradient
+	plan   *gradsync.Plan
+	params []float64 // [Σ layer gradElems] the live parameters
+	grads  []float64 // [Σ layer gradElems] the gradients, what the §5 slices read
+	off    []int     // [layer+1] each layer's first element
 
 	// Per-step scratch, sized with the buffers.
 	specs  []gradsync.LayerSpec
@@ -194,7 +193,7 @@ func residentFor(worlds []*World, keepGrads bool) *resident {
 		off[i+1] = off[i] + w.gradElems()
 	}
 	*st = resident{
-		plan: st.plan, params: make([]float64, off[L]), grads: make([]float64, off[L]), off: off, written: make([][]bool, L),
+		plan: st.plan, params: make([]float64, off[L]), grads: make([]float64, off[L]), off: off,
 		specs: make([]gradsync.LayerSpec, L), caches: make([]*WorldCache, L),
 	}
 	for i, w := range worlds {
@@ -209,7 +208,6 @@ func residentFor(worlds []*World, keepGrads bool) *resident {
 			p.W, p.G = tensor.FromData(pw, p.W.Shape()...), tensor.FromData(pg, p.G.Shape()...)
 			k += n
 		}
-		st.written[i] = make([]bool, len(w.layer.cfg.Experts))
 	}
 	return st
 }
@@ -332,14 +330,12 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	st.plan.Begin(st.update)
 
 	// Backward chain in reverse, each layer's plan running the slices the
-	// schedule hides in it — the expert gradients land in the gradient
-	// buffer as the plan's finish tasks run — then clearing the spans no
-	// task wrote.
+	// schedule hides in it; every expert's gradient lands in the gradient
+	// buffer as the plan's finish tasks run.
 	dcur := dy
 	for i := len(worlds) - 1; i >= 0; i-- {
 		w := worlds[i]
-		clear(st.written[i])
-		dx, err := w.backward(caches[i], dcur, call{owned: true, seq: cfg.Sequential, sched: st.plan, layer: i, written: st.written[i]})
+		dx, err := w.backward(caches[i], dcur, call{owned: true, seq: cfg.Sequential, step: true, sched: st.plan, layer: i})
 		if err != nil {
 			return nil, fmt.Errorf("moe: step backward layer %d: %w", i, err)
 		}
@@ -354,7 +350,6 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 			res.BackwardMS += deg.RecoveryMS
 			res.Degraded = append(res.Degraded, deg)
 		}
-		w.clearUnwritten(st.layerGrads(i), st.written[i])
 		dcur = dx
 	}
 	res.DX = dcur

@@ -168,25 +168,31 @@ func TestStepColumnShardsMatchOracle(t *testing.T) {
 }
 
 // TestStepKeepsOneParameterCopy: the parameters live once. After one step
-// at R = 4 under every placement strategy and every §5 sync strategy, the
-// result holds one parameter row, and it is the live Param.W values,
-// flattened in Params order (gate, then experts), bit for bit.
+// at R = 4 under every placement strategy (ESP and Hybrid g = 2 over dense
+// routing too) and every §5 sync strategy, the result holds one parameter
+// row, and it is the live Param.W values, flattened in Params order (gate,
+// then experts), bit for bit.
 func TestStepKeepsOneParameterCopy(t *testing.T) {
 	x := tensor.RandN(xrand.New(75), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(76), 1, 96, 32)
-	for _, wc := range []WorldConfig{
-		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP},
-		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP},
-		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2},
-		{Ranks: 4, PipelineDegree: 2, Strategy: StrategyDenseSlots},
+	for _, tc := range []struct {
+		wc    WorldConfig
+		dense bool
+	}{
+		{WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyEP}, false},
+		{WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP}, false},
+		{WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2}, false},
+		{WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyDenseSlots}, true},
+		{WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyESP}, true},
+		{WorldConfig{Ranks: 4, PipelineDegree: 2, Strategy: StrategyHybrid, GroupSize: 2}, true},
 	} {
 		for _, strat := range []gradsync.Strategy{gradsync.StrategyFSMoE, gradsync.StrategyFixedChunk, gradsync.StrategyNoOverlap} {
-			ws := strategyStack(t, 2, wc)
+			ws := routingStack(t, 2, tc.wc, tc.dense)
 			res, err := StepWorlds(ws, x, dy, StepConfig{LR: 0.05, Strategy: strat, ChunkBytes: 64 << 10, Slices: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameRow(t, fmt.Sprintf("%s %s", wc.Strategy, strat), res, liveParams(ws))
+			sameRow(t, fmt.Sprintf("%s dense=%v %s", tc.wc.Strategy, tc.dense, strat), res, liveParams(ws))
 		}
 	}
 }

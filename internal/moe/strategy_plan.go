@@ -89,8 +89,9 @@ import (
 // computes.
 //
 // Plans are resident: each direction's plan is built once over the
-// workspace buffers it runs on (passBufs) and replayed pass after pass
-// while its planKey holds. Nothing a closure captures changes between
+// workspace buffers it runs on (passBufs), whose shape fixes the capacity,
+// the degrees and g, and replayed as long as they are (a backward plan
+// while its planKey holds too). Nothing a closure captures changes between
 // passes: the expert passes are bound to the buffers once, when they are
 // cut, and each forward re-arms them from the live parameters
 // (ExpertPass.BeginForward); the routing operands are read through a
@@ -110,7 +111,7 @@ type groups struct {
 }
 
 func (w *World) groups(cache *WorldCache) groups {
-	R, g := w.cfg.Ranks, w.pl.g
+	R, g := w.cfg.Ranks, w.g
 	return groups{R: R, g: g, nG: R / g, eg: w.egrp, egg: w.egrp * g,
 		mdim: w.layer.cfg.M, spad: cache.spad, tpad: cache.tpad, fill: cache.ws.fill, shardFill: cache.ws.shardFill}
 }
@@ -585,32 +586,30 @@ func (w *World) expertStages(p *layerPlan, gm groups, b *passBufs, passes [][]Ex
 
 // layerPlan is one direction's resident stream plan, kept with the
 // workspace buffers it runs on (passBufs.plan): built once, replayed while
-// its key holds.
+// its key (a backward plan's; a forward plan's is zero) holds.
 type layerPlan struct {
 	*runtime.Plan
 	key planKey
 	ran bool // executed once: the GEMM scratch free-list is sized for it
 }
 
-// planKey is what a plan's tasks depend on beyond the buffers it runs on:
-// the capacity, the pipeline degree and the group width (placement), and for
-// a backward plan the token count, whether the routing is dense, and the §5
+// planKey is what a backward plan's tasks depend on beyond the buffers it
+// runs on: the token count, whether the routing is dense, and the §5
 // schedule and stack position whose hidden slices it runs (nil outside a
 // training step). A schedule is immutable, so the pointer stands for its
 // slices.
 type planKey struct {
-	capacity, degree, g int
-	tokens              int
-	dense               bool
-	sched               *gradsync.Plan
-	layer               int
+	tokens int
+	dense  bool
+	sched  *gradsync.Plan
+	layer  int
 }
 
 // forwardPlan readies a forward pass from the token side src — over x's
 // rows, (N, M) flat — into the padded combined buffer: it re-arms the expert
 // passes in the workspace's holder, per rank one for each expert of its
-// group, which the backward continues, and returns the workspace's forward
-// plan, built when none fits.
+// group, which the backward continues, and returns the forward plan over
+// the buffers, built once when they are cut.
 func (w *World) forwardPlan(cache *WorldCache, src tokenRows, x []float64, combinedPad *tensor.Tensor) *layerPlan {
 	gm := w.groups(cache)
 	ws := cache.ws
@@ -623,18 +622,17 @@ func (w *World) forwardPlan(cache *WorldCache, src tokenRows, x []float64, combi
 			p.BeginForward()
 		}
 	}
-	key := planKey{capacity: cache.pr.plan.Capacity, degree: w.cfg.PipelineDegree, g: gm.g}
-	if b.plan == nil || b.plan.key != key {
-		b.plan = w.buildForward(gm, b, passes, key)
+	if b.plan == nil {
+		b.plan = w.buildForward(gm, b, passes)
 	}
 	return b.plan
 }
 
 // buildForward builds the forward schedule over b: everything that turns
 // the token side into the padded combined buffer.
-func (w *World) buildForward(gm groups, b *passBufs, passes [][]ExpertPass, key planKey) *layerPlan {
-	p := &layerPlan{Plan: runtime.NewPlan(), key: key}
-	ranges := comm.SplitRows(gm.spad, key.degree)
+func (w *World) buildForward(gm groups, b *passBufs, passes [][]ExpertPass) *layerPlan {
+	p := &layerPlan{Plan: runtime.NewPlan()}
+	ranges := comm.SplitRows(gm.spad, w.cfg.PipelineDegree)
 	landed := w.arrive(p, gm, b, ranges, "D", "AGx")
 	for c, rr := range ranges {
 		done := w.expertStages(p, gm, b, passes, c, rr, after(landed[c]), [3]string{"H", "AGh", "O"}, 1,
@@ -658,12 +656,11 @@ func (w *World) backwardPlan(cache *WorldCache, src tokenRows, dy []float64, dSc
 	for j := range passes {
 		for le, ps := range passes[j] {
 			// Rank j's output gradient and input gradient of its group's expert le.
-			ps.BeginBackward(b.xs[j][le], b.outs[j][le], b.hid[j][le], c.written != nil)
+			ps.BeginBackward(b.xs[j][le], b.outs[j][le], b.hid[j][le], c.step)
 		}
 	}
 	plan := cache.pr.plan
-	key := planKey{capacity: plan.Capacity, degree: w.cfg.PipelineDegreeBwd, g: gm.g,
-		tokens: cache.pr.flat.Dim(0), dense: plan.IsDense(), sched: c.sched, layer: c.layer}
+	key := planKey{tokens: cache.pr.flat.Dim(0), dense: plan.IsDense(), sched: c.sched, layer: c.layer}
 	if b.plan == nil || b.plan.key != key {
 		b.plan = w.buildBackward(gm, b, passes, &ws.route, key)
 	}
@@ -684,7 +681,7 @@ func (w *World) syncPoints(cache *WorldCache) int {
 // slices key.sched hides in this layer's plan at its emit points.
 func (w *World) buildBackward(gm groups, b *passBufs, passes [][]ExpertPass, rt *routeState, key planKey) *layerPlan {
 	p := &layerPlan{Plan: runtime.NewPlan(), key: key}
-	ranges := comm.SplitRows(gm.spad, key.degree)
+	ranges := comm.SplitRows(gm.spad, w.cfg.PipelineDegreeBwd)
 	var hidden [][]gradsync.Slice
 	if key.sched != nil {
 		hidden = key.sched.Hidden(key.layer)
@@ -756,9 +753,6 @@ func (w *World) buildBackward(gm groups, b *passBufs, passes [][]ExpertPass, rt 
 		le := j%gm.g*gm.eg + i
 		e := j/gm.g*gm.egg + le
 		passes[j][le].Finish(gm.fill[e])
-		if rt.written != nil {
-			rt.written[e] = true
-		}
 	})
 	return p
 }
@@ -769,7 +763,7 @@ const routeStream = "route"
 // routeState is one backward pass's per-pass state, held by the workspace
 // and set by each pass before its plan runs: the routing-path operands the
 // route stream's tasks read, and the pass's call, whose frozen rule the gate
-// task and whose written marks the W tasks read.
+// task reads.
 type routeState struct {
 	dx, gateDx *tensor.Tensor // (N, M): the token gradient, the gate's part of it
 	dScattered *tensor.Tensor // (E, Tpad, M) the experts' input gradient

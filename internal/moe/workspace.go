@@ -61,11 +61,12 @@ type workspace struct {
 	fill, shardFill []int
 }
 
-// wsShape is everything that decides which slots a pass asks for.
+// wsShape is everything that decides which slots a pass asks for, and so
+// everything a forward plan over them depends on: the group width g stands
+// for the strategy.
 type wsShape struct {
-	strategy                        Strategy
-	ranks, group, experts, capacity int
-	m, chunksFwd, chunksBwd         int
+	ranks, g, experts, capacity int
+	m, chunksFwd, chunksBwd     int
 }
 
 type wsSlot struct {
@@ -228,8 +229,7 @@ func (ws *workspace) setFill(plan *DispatchPlan, ranks, spad int, hooked bool) {
 // otherwise.
 func (w *World) checkout(capacity int) *workspace {
 	shape := wsShape{
-		strategy: w.cfg.Strategy, ranks: w.cfg.Ranks, group: w.cfg.GroupSize,
-		experts: len(w.layer.cfg.Experts), capacity: capacity, m: w.layer.cfg.M,
+		ranks: w.cfg.Ranks, g: w.g, experts: len(w.layer.cfg.Experts), capacity: capacity, m: w.layer.cfg.M,
 		chunksFwd: w.cfg.PipelineDegree, chunksBwd: w.cfg.PipelineDegreeBwd,
 	}
 	ws := w.ws

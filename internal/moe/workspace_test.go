@@ -18,12 +18,19 @@ import (
 // read a stale row of the previous step — shows up as diverging parameters.
 
 // strategyStack builds a stack of identically seeded layers under one
-// strategy at R=4; every layer pads (T % 4 ≠ 0).
+// strategy at R=4, over the gate strategyLayer pairs with it; every layer
+// pads (T % 4 ≠ 0).
 func strategyStack(t *testing.T, layers int, cfg WorldConfig) []*World {
+	t.Helper()
+	return routingStack(t, layers, cfg, cfg.Strategy == StrategyDenseSlots)
+}
+
+// routingStack is strategyStack over dense or hard routing.
+func routingStack(t *testing.T, layers int, cfg WorldConfig, dense bool) []*World {
 	t.Helper()
 	ws := make([]*World, layers)
 	for i := range ws {
-		w, err := NewWorld(strategyLayer(t, cfg.Strategy, false), cfg)
+		w, err := NewWorld(routingLayer(t, dense, false), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

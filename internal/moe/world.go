@@ -26,9 +26,10 @@ import (
 // trace capture. How the layer's work is split across ranks — which collectives
 // move what, on which streams, interleaved how — is the one plan builder's
 // business (strategy_plan.go), which reads the configured Strategy as an
-// expert-sharding group width: pure expert parallelism (EP, DenseSlots),
-// sharded expert compute with AllGather/ReduceScatter stages (ESP), or
-// groups of sharding members between the two (Hybrid).
+// expert-sharding group width g: pure expert parallelism (EP, DenseSlots,
+// g = 1), sharded expert compute with AllGather/ReduceScatter stages (ESP,
+// g = R), or groups of sharding members between the two (Hybrid). Every
+// width runs hard and dense routing plans alike.
 //
 // Data layout: the gate runs once on the global batch (it is replicated in
 // expert-parallel training), and its plan's (E, T, M) expert-major layout
@@ -44,8 +45,8 @@ import (
 type World struct {
 	layer *MOELayer
 	cfg   WorldConfig
-	egrp  int       // experts per rank (expert-sharding owner groups)
-	pl    placement // cfg.Strategy resolved against the layer and rank count
+	egrp  int // experts per rank (expert-sharding owner groups)
+	g     int // expert-sharding group width: cfg.Strategy resolved against the rank count
 
 	// Resource governance: exec's k workers run up to k plan tasks at once,
 	// and every expert kernel fans out onto the one pool, sized for them all.
@@ -119,7 +120,7 @@ type WorldConfig struct {
 	Ranks             int          // R; how the layer is sharded depends on Strategy
 	PipelineDegree    int          // forward r; 0 = Algorithm 1 (<0 means 1)
 	PipelineDegreeBwd int          // backward r; 0 inherits (auto mode optimizes it separately)
-	Algo              comm.A2AAlgo // AlltoAll algorithm for EP/DenseSlots (default Direct)
+	Algo              comm.A2AAlgo // AlltoAll algorithm for every strategy with dispatch lanes, g < R (default Direct)
 	GPUsPerNode       int          // node shape for 1DH/2DH and ring Stats (default Ranks)
 	Strategy          Strategy     // parallel scheme (default StrategyAuto)
 
@@ -145,11 +146,9 @@ type WorldConfig struct {
 }
 
 // NewWorld resolves the configuration against the layer (planner.go) and
-// validates the pairing of the layer, the resolved configuration and its
-// parallel strategy. Requirements every strategy shares are checked here;
-// strategy-specific ones (expert execution contracts, routing kinds) are
-// checked by the strategy itself so the error names the strategy and the
-// unsupported combination.
+// validates the pairing of the layer and the resolved configuration; a
+// strategy's own requirement, a hybrid GroupSize that divides the rank
+// count, fails naming the strategy (place).
 func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 	if layer == nil {
 		return nil, fmt.Errorf("moe: world needs a layer")
@@ -177,11 +176,11 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 	if !distinctExperts(layer.cfg.Experts) {
 		return nil, fmt.Errorf("moe: world requires provably distinct expert instances (aliased experts cannot be sharded)")
 	}
-	pl, err := place(cfg)
+	g, err := place(cfg)
 	if err != nil {
 		return nil, err
 	}
-	w := &World{layer: layer, cfg: cfg, egrp: e / cfg.Ranks, pl: pl, down: -1}
+	w := &World{layer: layer, cfg: cfg, egrp: e / cfg.Ranks, g: g, down: -1}
 	w.planResources()
 	w.indexParams()
 	return w, nil
@@ -197,8 +196,8 @@ func (w *World) planResources() {
 	procs := goruntime.GOMAXPROCS(0)
 	R := w.cfg.Ranks
 	streams := R + 2
-	if w.pl.g > 1 {
-		streams += R / w.pl.g
+	if w.g > 1 {
+		streams += R / w.g
 	}
 	w.exec = runtime.NewWorkerSet(min(streams, procs))
 	w.pool = tensor.NewPool(max(1, procs/w.exec.K()))
@@ -209,7 +208,7 @@ func (w *World) planResources() {
 func (w *World) nameStreams() {
 	R := w.cfg.Ranks
 	w.computeStreams = make([]string, R)
-	w.groupStreams = make([]string, R/w.pl.g)
+	w.groupStreams = make([]string, R/w.g)
 	for r := range w.computeStreams {
 		w.computeStreams[r] = fmt.Sprintf("compute:%d", r)
 	}
@@ -405,11 +404,10 @@ func (w *World) run(lp *layerPlan, seq bool) error {
 }
 
 // Forward runs the pipelined multi-rank forward pass on x, shaped (B, L, M)
-// or (N, M). Results are
-// bit-identical to MOELayer.Forward on the same layer and input under
-// every strategy. A permanent rank failure mid-plan does not abort: the
-// pass completes degraded (see degraded.go) and LastDegraded reports what
-// was lost.
+// or (N, M). Results are bit-identical to MOELayer.Forward on the same
+// layer and input under every strategy. A permanent rank failure mid-plan
+// does not abort a hard-routing pass: it completes degraded (see
+// degraded.go) and LastDegraded reports what was lost.
 func (w *World) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCache, error) {
 	return w.forward(x, train, call{seq: w.seq})
 }
@@ -421,15 +419,13 @@ func (w *World) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, *WorldCac
 // frozen, that the router runs no backward and adds a +0 input gradient (a
 // degraded pass, degraded.go). Under StepWorlds a backward also gets the
 // stack's §5 schedule sched, whose Hidden(layer) slices its plan runs at its
-// emit points (buildBackward), and the step's written marks: each expert's
-// finish routine then overwrites its Param.G, a span of the stack's
-// gradient buffer, and sets written[e]; with written nil every backward
-// adds into Param.G.
+// emit points (buildBackward), and step: each expert's finish routine then
+// overwrites its Param.G, a span of the stack's gradient buffer; outside a
+// step every backward adds into Param.G.
 type call struct {
-	owned, seq, frozen bool
-	sched              *gradsync.Plan
-	layer              int
-	written            []bool
+	owned, seq, frozen, step bool
+	sched                    *gradsync.Plan
+	layer                    int
 }
 
 // forward is Forward under the call c.
@@ -442,18 +438,15 @@ func (w *World) forward(x *tensor.Tensor, train bool, c call) (*tensor.Tensor, *
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := w.pl.planCheck(w.cfg.Strategy, pr.plan); err != nil {
-		return nil, nil, err
-	}
 	if w.down >= 0 {
 		// The world is already degraded: the pass runs degraded alone.
 		w.lastPlan, w.lastTr = nil, nil
-		return w.degradedForward(pr, c, "forward", 0, fmt.Sprintf("rank %d still down", w.down))
+		return w.degradedForward(pr, c, "forward", 0, nil)
 	}
 	y, cache, err := w.pass(pr, c)
 	if rank, ok := fault.PermanentRank(err); ok {
 		w.down = rank
-		return w.degradedForward(pr, c, "forward", retriesIn(w.lastTr), err.Error())
+		return w.degradedForward(pr, c, "forward", retriesIn(w.lastTr), err)
 	}
 	return y, cache, err
 }
@@ -530,8 +523,7 @@ func (w *World) backward(cache *WorldCache, dy *tensor.Tensor, c call) (*tensor.
 		// partial gradients are restarted from zero.
 		w.down = rank
 		w.layer.ZeroGrad()
-		clear(c.written)
-		_, dcache, err := w.degradedForward(cache.pr, c, "backward", retriesIn(w.lastTr), err.Error())
+		_, dcache, err := w.degradedForward(cache.pr, c, "backward", retriesIn(w.lastTr), err)
 		if err != nil {
 			return nil, err
 		}
@@ -622,16 +614,5 @@ func (w *World) indexParams() {
 	add(w.layer.cfg.Gate.Params())
 	for _, ex := range w.layer.cfg.Experts {
 		add(ex.Params())
-	}
-}
-
-// clearUnwritten clears, in the layer's span grads of the stack's gradient
-// buffer, each expert whose finish routine did not run this step (written[e]
-// false) — a dead rank's: its gradient is zero.
-func (w *World) clearUnwritten(grads []float64, written []bool) {
-	for e, done := range written {
-		if !done {
-			clear(grads[w.gradOff[e]:w.gradOff[e+1]])
-		}
 	}
 }

@@ -100,25 +100,27 @@ func BenchmarkWorldDegrees(b *testing.B) {
 
 // BenchmarkWorldGrid measures one fwd+bwd pass per cell of the (group
 // width, degree) grid at R=4 — g=1 is EP's plan, g=4 ESP's, g=2 the interior
-// hybrid — plus DenseSlots over a SoftMoE gate: the sweep the CI smoke step
-// executes with -benchtime=1x. Every cell runs its plans on the k-worker
-// executor over the world's one kernel pool.
+// hybrid — over a hard GShard gate and a dense SoftMoE gate alike: the sweep
+// the CI smoke step executes with -benchtime=1x. Every cell runs its plans
+// on the k-worker executor over the world's one kernel pool.
 func BenchmarkWorldGrid(b *testing.B) {
 	const m, e, h, tokens = 64, 8, 128, 512
 	type cell struct {
-		name string
-		cfg  WorldConfig
+		name  string
+		dense bool
+		cfg   WorldConfig
 	}
 	var cells []cell
-	for _, r := range []int{1, 2, 4} {
-		row := []cell{{name: "dense-slots", cfg: WorldConfig{Strategy: StrategyDenseSlots}}}
-		for _, g := range []int{1, 2, 4} {
-			row = append(row, cell{name: fmt.Sprintf("g=%d", g), cfg: WorldConfig{Strategy: StrategyHybrid, GroupSize: g}})
-		}
-		for _, c := range row {
-			c.cfg.Ranks, c.cfg.PipelineDegree = 4, r
-			c.name = fmt.Sprintf("%s/r=%d", c.name, r)
-			cells = append(cells, c)
+	for _, dense := range []bool{false, true} {
+		for _, r := range []int{1, 2, 4} {
+			for _, g := range []int{1, 2, 4} {
+				name := fmt.Sprintf("g=%d/r=%d", g, r)
+				if dense {
+					name = "softmoe/" + name
+				}
+				cells = append(cells, cell{name: name, dense: dense,
+					cfg: WorldConfig{Ranks: 4, PipelineDegree: r, Strategy: StrategyHybrid, GroupSize: g}})
+			}
 		}
 	}
 	for _, c := range cells {
@@ -126,7 +128,7 @@ func BenchmarkWorldGrid(b *testing.B) {
 			rng := xrand.New(91)
 			var g Gate
 			var err error
-			if c.cfg.Strategy == StrategyDenseSlots {
+			if c.dense {
 				g, err = NewSoftMoEGate(GateConfig{Experts: e, TopK: 1, Factor: 1}, m, tokens/e, rng)
 			} else {
 				g, err = NewGShardGate(GateConfig{Experts: e, TopK: 2, Factor: 1.2}, m, rng)

@@ -72,7 +72,8 @@ func TestWorldHybridBitIdenticalVariants(t *testing.T) {
 
 // TestWorldHybridValidation: hybrid misconfiguration fails at NewWorld
 // with errors naming the strategy and the offending field. (GroupSize 0 is
-// not among them: it asks the planner for a group size.)
+// not among them: it asks the planner for a group size.) A dense plan is
+// not one either: it runs bit-identically to the sequential layer.
 func TestWorldHybridValidation(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
 	for _, g := range []int{-1, 5} {
@@ -87,16 +88,11 @@ func TestWorldHybridValidation(t *testing.T) {
 		t.Fatalf("GroupSize=3 over 4 ranks: %v", err)
 	}
 
-	// Dense plans are rejected at Forward, naming both strategies.
 	dense := softmoeLayer(t, false, 2)
-	w, err := NewWorld(dense, WorldConfig{Ranks: 2, Strategy: StrategyHybrid, GroupSize: 2, PipelineDegree: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.Forward(tensor.RandN(xrand.New(5), 1, 16, 32), false); err == nil ||
-		!strings.Contains(err.Error(), string(StrategyHybrid)) || !strings.Contains(err.Error(), string(StrategyDenseSlots)) {
-		t.Fatalf("hybrid on dense plan: %v", err)
-	}
+	x, dy := tensor.RandN(xrand.New(5), 1, 16, 32), tensor.RandN(xrand.New(6), 1, 16, 32)
+	want := runSequentialLayer(t, dense, x, dy)
+	got := runWorld(t, dense, WorldConfig{Ranks: 2, Strategy: StrategyHybrid, GroupSize: 2, PipelineDegree: 1}, x, dy, false)
+	compareSnapshots(t, "hybrid over a dense plan", want, got)
 }
 
 // TestWorldHybridTraceShape pins the two-stream schedule: dispatch and

@@ -6,14 +6,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
 
-// softmoeLayer builds a SoftMoE (dense routing) layer for the DenseSlots
-// strategy tests. slotsPer is chosen so E·slotsPer does not divide by
-// R=4, exercising the slot padding path.
+// softmoeLayer builds a SoftMoE (dense routing) layer. slotsPer is chosen
+// so E·slotsPer does not divide by R=4, exercising the slot padding path.
 func softmoeLayer(t *testing.T, mixtral bool, slotsPer int) *MOELayer {
 	t.Helper()
 	const m, e, h = 32, 8, 48
@@ -42,73 +42,91 @@ func softmoeLayer(t *testing.T, mixtral bool, slotsPer int) *MOELayer {
 	return layer
 }
 
-// strategyLayer builds the reference layer for one strategy: hard GShard
-// routing for EP/ESP, SoftMoE for DenseSlots. The token count (96) and
-// capacity factor are chosen so the per-rank slot shard pads at R=4.
-func strategyLayer(t *testing.T, strat Strategy, mixtral bool) *MOELayer {
+// routingLayer builds the reference layer for one routing kind: SoftMoE
+// (dense) or hard GShard routing. The token count (96) and capacity factor
+// are chosen so the per-rank slot shard pads at R=4.
+func routingLayer(t *testing.T, dense, mixtral bool) *MOELayer {
 	t.Helper()
-	if strat == StrategyDenseSlots {
+	if dense {
 		return softmoeLayer(t, mixtral, 3) // T=3 pads at R=4
 	}
 	return worldLayer(t, "gshard", TutelOrder{}, mixtral, false)
 }
 
+// strategyLayer builds the reference layer under the gate StrategyAuto
+// pairs with a strategy's name: dense routing for DenseSlots, hard for the
+// rest.
+func strategyLayer(t *testing.T, strat Strategy, mixtral bool) *MOELayer {
+	t.Helper()
+	return routingLayer(t, strat == StrategyDenseSlots, mixtral)
+}
+
+// allStrategies is every named strategy; strategyConfig gives Hybrid the
+// genuine mixed path at R=4 (two groups of two) and R/2 elsewhere (R=1
+// only admits the degenerate g=1).
+var allStrategies = []Strategy{StrategyEP, StrategyESP, StrategyDenseSlots, StrategyHybrid}
+
+func strategyConfig(strat Strategy, cfg WorldConfig) WorldConfig {
+	cfg.Strategy = strat
+	if strat == StrategyHybrid {
+		cfg.GroupSize = max(cfg.Ranks/2, 1)
+	}
+	return cfg
+}
+
 // TestWorldStrategiesBitIdentical is the strategy-interface acceptance
-// test: every parallel strategy must produce bit-identical outputs, input
-// gradients and parameter gradients to the sequential single-process
-// MOELayer, across pipeline degrees r ∈ {1, 2, 4} and world sizes
-// R ∈ {1, 4}, including the slot-padding path (capacities that do not
-// divide by R).
+// test: every parallel strategy, over hard and dense routing alike, must
+// produce bit-identical outputs, input gradients and parameter gradients
+// to the sequential single-process MOELayer, with GPT and Mixtral experts,
+// across pipeline degrees r ∈ {1, 2, 3, 4} and world sizes R ∈ {1, 2, 4},
+// including the slot-padding path (capacities that do not divide by R).
 func TestWorldStrategiesBitIdentical(t *testing.T) {
 	x := tensor.RandN(xrand.New(61), 1, 4, 24, 32) // (B, L, M), N = 96
 	dy := tensor.RandN(xrand.New(62), 1, 4, 24, 32)
-	for _, strat := range []Strategy{StrategyEP, StrategyESP, StrategyDenseSlots, StrategyHybrid} {
-		layer := strategyLayer(t, strat, false)
-		want := runSequentialLayer(t, layer, x, dy)
-		for _, ranks := range []int{1, 4} {
-			for _, r := range []int{1, 2, 4} {
-				label := fmt.Sprintf("strategy=%s R=%d r=%d", strat, ranks, r)
-				cfg := WorldConfig{Ranks: ranks, PipelineDegree: r, Strategy: strat}
-				if strat == StrategyHybrid {
-					// The genuine mixed path at R=4 (two groups of two);
-					// R=1 only admits the degenerate g=1.
-					cfg.GroupSize = max(ranks/2, 1)
+	for _, dense := range []bool{false, true} {
+		for _, mixtral := range []bool{false, true} {
+			layer := routingLayer(t, dense, mixtral)
+			want := runSequentialLayer(t, layer, x, dy)
+			for _, strat := range allStrategies {
+				for _, ranks := range []int{1, 2, 4} {
+					for _, r := range []int{1, 2, 3, 4} {
+						cfg := strategyConfig(strat, WorldConfig{Ranks: ranks, PipelineDegree: r})
+						label := fmt.Sprintf("strategy=%s dense=%v mixtral=%v R=%d g=%d r=%d", strat, dense, mixtral, ranks, cfg.GroupSize, r)
+						compareSnapshots(t, label, want, runWorld(t, layer, cfg, x, dy, false))
+					}
 				}
-				got := runWorld(t, layer, cfg, x, dy, false)
-				compareSnapshots(t, label, want, got)
 			}
 		}
 	}
 }
 
 // TestWorldStrategiesBitIdenticalVariants covers the remaining strategy
-// axes: Mixtral (two-band backward exchange under ESP), split
-// forward/backward degrees, the sequential executor, hierarchical
-// AlltoAll under DenseSlots, and a hidden width that does not divide by
-// the rank count (ESP's ceiling column allocation).
+// axes for every strategy over hard and dense routing: Mixtral (two-band
+// backward exchange under ESP) at split forward/backward degrees, the
+// sequential executor, and hierarchical AlltoAll over nodes of two.
 func TestWorldStrategiesBitIdenticalVariants(t *testing.T) {
 	x := tensor.RandN(xrand.New(63), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(64), 1, 96, 32)
 	cases := []struct {
 		name    string
-		strat   Strategy
 		mixtral bool
 		cfg     WorldConfig
 		seqExec bool
 	}{
-		{"esp-mixtral", StrategyESP, true, WorldConfig{Ranks: 4, PipelineDegree: 2}, false},
-		{"esp-split-degrees", StrategyESP, false, WorldConfig{Ranks: 2, PipelineDegree: 4, PipelineDegreeBwd: 2}, false},
-		{"esp-sequential-exec", StrategyESP, false, WorldConfig{Ranks: 4, PipelineDegree: 3}, true},
-		{"esp-nodes", StrategyESP, false, WorldConfig{Ranks: 4, PipelineDegree: 2, GPUsPerNode: 2}, false},
-		{"dense-mixtral", StrategyDenseSlots, true, WorldConfig{Ranks: 4, PipelineDegree: 2}, false},
-		{"dense-sequential-exec", StrategyDenseSlots, false, WorldConfig{Ranks: 4, PipelineDegree: 4}, true},
+		{"mixtral-split-degrees", true, WorldConfig{Ranks: 4, PipelineDegree: 2, PipelineDegreeBwd: 3}, false},
+		{"split-degrees", false, WorldConfig{Ranks: 2, PipelineDegree: 4, PipelineDegreeBwd: 2}, false},
+		{"sequential-exec", false, WorldConfig{Ranks: 4, PipelineDegree: 3}, true},
+		{"nodes-1dh", false, WorldConfig{Ranks: 4, PipelineDegree: 2, GPUsPerNode: 2, Algo: comm.A2A1DH}, false},
 	}
-	for _, tc := range cases {
-		tc.cfg.Strategy = tc.strat
-		layer := strategyLayer(t, tc.strat, tc.mixtral)
-		want := runSequentialLayer(t, layer, x, dy)
-		got := runWorld(t, layer, tc.cfg, x, dy, tc.seqExec)
-		compareSnapshots(t, tc.name, want, got)
+	for _, dense := range []bool{false, true} {
+		for _, tc := range cases {
+			layer := routingLayer(t, dense, tc.mixtral)
+			want := runSequentialLayer(t, layer, x, dy)
+			for _, strat := range allStrategies {
+				got := runWorld(t, layer, strategyConfig(strat, tc.cfg), x, dy, tc.seqExec)
+				compareSnapshots(t, fmt.Sprintf("%s %s dense=%v", tc.name, strat, dense), want, got)
+			}
+		}
 	}
 }
 
@@ -172,8 +190,10 @@ func TestWorldDenseFallbackExperts(t *testing.T) {
 	compareSnapshots(t, "dense custom experts", want, got)
 }
 
-// TestWorldStrategyValidation: strategy-aware validation names the
-// strategy and the unsupported combination, at NewWorld and at Forward.
+// TestWorldStrategyValidation: an unknown strategy fails at NewWorld,
+// naming it, and a strategy runs either routing kind: EP and ESP over dense
+// plans and DenseSlots over hard ones are bit-identical to the sequential
+// layer.
 func TestWorldStrategyValidation(t *testing.T) {
 	hard := worldLayer(t, "gshard", TutelOrder{}, false, false)
 	dense := softmoeLayer(t, false, 2)
@@ -183,35 +203,15 @@ func TestWorldStrategyValidation(t *testing.T) {
 		t.Fatalf("unknown strategy: %v", err)
 	}
 
-	// EP rejects dense plans, naming the strategy that accepts them.
-	w, err := NewWorld(dense, WorldConfig{Ranks: 2, Strategy: StrategyEP, PipelineDegree: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	x := tensor.RandN(xrand.New(5), 1, 16, 32)
-	if _, _, err := w.Forward(x, false); err == nil ||
-		!strings.Contains(err.Error(), string(StrategyEP)) || !strings.Contains(err.Error(), string(StrategyDenseSlots)) {
-		t.Fatalf("ep on dense plan: %v", err)
-	}
-
-	// ESP rejects dense plans the same way.
-	w, err = NewWorld(dense, WorldConfig{Ranks: 2, Strategy: StrategyESP, PipelineDegree: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.Forward(x, false); err == nil || !strings.Contains(err.Error(), string(StrategyDenseSlots)) {
-		t.Fatalf("esp on dense plan: %v", err)
-	}
-
-	// DenseSlots rejects hard plans, naming the hard-routing strategies.
-	w, err = NewWorld(hard, WorldConfig{Ranks: 2, Strategy: StrategyDenseSlots, PipelineDegree: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.Forward(tensor.RandN(xrand.New(6), 1, 16, 32), false); err == nil ||
-		!strings.Contains(err.Error(), string(StrategyDenseSlots)) || !strings.Contains(err.Error(), string(StrategyEP)) ||
-		!strings.Contains(err.Error(), string(StrategyESP)) || !strings.Contains(err.Error(), string(StrategyHybrid)) {
-		t.Fatalf("dense-slots on hard plan: %v", err)
+	dy := tensor.RandN(xrand.New(6), 1, 16, 32)
+	for _, tc := range []struct {
+		layer *MOELayer
+		strat Strategy
+	}{{dense, StrategyEP}, {dense, StrategyESP}, {hard, StrategyDenseSlots}} {
+		want := runSequentialLayer(t, tc.layer, x, dy)
+		got := runWorld(t, tc.layer, WorldConfig{Ranks: 2, Strategy: tc.strat, PipelineDegree: 1}, x, dy, false)
+		compareSnapshots(t, fmt.Sprintf("%s over dense=%v", tc.strat, tc.layer == dense), want, got)
 	}
 }
 

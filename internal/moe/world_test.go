@@ -97,6 +97,7 @@ func runWorld(t *testing.T, l *MOELayer, cfg WorldConfig, x, dy *tensor.Tensor, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	w.SetSequential(sequentialExec)
 	l.ZeroGrad()
 	y, cache, err := w.Forward(x, false)
@@ -194,7 +195,8 @@ func TestWorldFallbackExperts(t *testing.T) {
 	compareSnapshots(t, "custom experts", want, got)
 }
 
-// TestWorldRejects covers the configuration errors.
+// TestWorldRejects covers the configuration errors; a dense plan under EP
+// is not one.
 func TestWorldRejects(t *testing.T) {
 	layer := worldLayer(t, "gshard", TutelOrder{}, false, false)
 	if _, err := NewWorld(layer, WorldConfig{Ranks: 3, PipelineDegree: 1, Strategy: StrategyEP}); err == nil {
@@ -225,7 +227,7 @@ func TestWorldRejects(t *testing.T) {
 		t.Fatal("aliased experts must fail")
 	}
 
-	// Dense (SoftMoE) routing has no token dimension to chunk.
+	// Dense (SoftMoE) routing runs under EP too, its chunks cut over slots.
 	soft, err := NewSoftMoEGate(GateConfig{Experts: 4, TopK: 1, Factor: 1}, 32, 2, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -240,13 +242,9 @@ func TestWorldRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw, err := NewWorld(denseLayer, WorldConfig{Ranks: 2, PipelineDegree: 1, Strategy: StrategyEP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := dw.Forward(tensor.RandN(xrand.New(5), 1, 16, 32), false); err == nil {
-		t.Fatal("dense plan must be rejected at Forward")
-	}
+	x, dy := tensor.RandN(xrand.New(5), 1, 16, 32), tensor.RandN(xrand.New(6), 1, 16, 32)
+	want := runSequentialLayer(t, denseLayer, x, dy)
+	compareSnapshots(t, "ep over a dense plan", want, runWorld(t, denseLayer, WorldConfig{Ranks: 2, PipelineDegree: 1, Strategy: StrategyEP}, x, dy, false))
 }
 
 // TestWorldTraceShape: the measured trace of a pipelined pass exposes the
