@@ -2,8 +2,9 @@
 // layer runs under expert parallelism (EP: chunked AlltoAll on the inter
 // stream) and expert-sharding parallelism (ESP: chunked AllGather /
 // ReduceScatter on the intra stream) with bit-identical results, and a
-// SoftMoE layer — rejected outright before the strategy API — runs its
-// dense plans slot-chunked under StrategyAuto.
+// SoftMoE layer under StrategyAuto goes through the same group-width grid
+// as a hard-routing one: it resolves to EP, its plans chunked over expert
+// slots.
 //
 //	go run ./examples/strategies
 package main
@@ -75,8 +76,9 @@ func main() {
 			w.Strategy(), kinds[fsmoe.KindAlltoAll], kinds[fsmoe.KindAllGather], kinds[fsmoe.KindReduceScatter])
 	}
 
-	// Dense routing: StrategyAuto resolves SoftMoE to DenseSlots and the
-	// plan chunks over expert slots instead of token rows.
+	// Dense routing: StrategyAuto prices SoftMoE's slot rows on the same
+	// (g × r) grid and picks g = 1, EP, whose plan chunks over expert slots
+	// instead of token rows.
 	soft, err := fsmoe.NewLayer(fsmoe.LayerConfig{
 		M: m, H: h, Experts: 8, TopK: 1, CapacityFactor: 1,
 		Gate: fsmoe.GateSoftMoE, SlotsPerExpert: 3, Seed: 9,

@@ -50,15 +50,15 @@
 //     AllGather and ReduceScatter stages on the one group's intra:g0
 //     stream and an empty inter stream (so §5 Gradient-AllReduce slices
 //     overlap freely);
-//   - StrategyDenseSlots — EP's schedule under the name StrategyAuto gives
-//     dense routers, chunked over expert slots instead of token rows;
+//   - StrategyDenseSlots — EP's g = 1 schedule, chunked over expert slots
+//     instead of token rows; a configured name, never picked;
 //   - StrategyHybrid — nested EP×ESP, g = WorldConfig.GroupSize (which
 //     must divide R), combining both collective families in one
 //     schedule;
-//   - StrategyAuto (the zero value) — dense gates get DenseSlots, and
-//     hard-routing layers run Algorithm 1 as a 2-D grid over (group size
-//     × pipeline degree) on per-g volume models, selecting EP (g=1),
-//     ESP (g=R) or an interior hybrid cell.
+//   - StrategyAuto (the zero value) — every router, dense ones included,
+//     runs Algorithm 1 as a 2-D grid over (group width × pipeline
+//     degree) on per-g volume models, naming the winner EP (g=1), ESP
+//     (g=R) or an interior hybrid cell.
 //
 // The hybrid schedule, for R=4 ranks and GroupSize g=2 (two EP groups
 // of two shard members), per pipeline chunk:

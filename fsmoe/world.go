@@ -82,7 +82,7 @@ const (
 // The parallel strategies of the generalized MoE layer (§4): how one
 // layer's work is split across the world's ranks, over any routing.
 const (
-	// StrategyAuto (the zero value) lets NewWorld pick the strategy from
+	// StrategyAuto (the zero value) lets NewWorld pick the group width from
 	// the layer (see "Parallel strategies" in the package doc).
 	StrategyAuto = moe.StrategyAuto
 	// StrategyEP is pure expert parallelism: experts sharded across ranks,
@@ -101,8 +101,8 @@ const (
 	// to ESP (one plan builder reads the group size as data, so the edges
 	// are the pure strategies exactly).
 	StrategyHybrid = moe.StrategyHybrid
-	// StrategyDenseSlots is EP's schedule under the name StrategyAuto
-	// gives dense routers, its chunks cut over SoftMoE's expert slots.
+	// StrategyDenseSlots is EP's g = 1 schedule, its chunks cut over
+	// SoftMoE's expert slots: a configured name NewWorld never picks.
 	StrategyDenseSlots = moe.StrategyDenseSlots
 )
 

@@ -256,11 +256,31 @@ func TestWorldStrategySurface(t *testing.T) {
 	}
 }
 
-// TestWorldAutoStrategy: StrategyAuto resolves from the layer — dense
-// gates get DenseSlots (and the previously rejected SoftMoE world now
-// runs end to end), and a hard-routing layer gets a hard strategy whose
-// degrees come from that strategy's volumes.
+// TestWorldAutoStrategy: StrategyAuto resolves every router through the
+// one (group width × degree) grid — a dense SoftMoE layer as a hard-routing
+// one — and names the width it picks: EP or ESP without a GroupSize, or a
+// Hybrid at an interior divisor, with Algorithm 1's degrees. The SoftMoE
+// world it builds is bit-identical to the layer path.
 func TestWorldAutoStrategy(t *testing.T) {
+	gridPick := func(router string, w *World) {
+		t.Helper()
+		switch s := w.Strategy(); s {
+		case StrategyEP, StrategyESP:
+			if w.GroupSize() != 0 {
+				t.Fatalf("%s: pure strategy %q carries GroupSize %d", router, s, w.GroupSize())
+			}
+		case StrategyHybrid:
+			if g := w.GroupSize(); g <= 1 || g >= 4 || 4%g != 0 {
+				t.Fatalf("%s: auto hybrid picked an edge or non-divisor group size %d", router, g)
+			}
+		default:
+			t.Fatalf("%s: auto strategy = %q, not a grid pick", router, s)
+		}
+		if f, b := w.PipelineDegrees(); f < 1 || b < 1 {
+			t.Fatalf("%s: auto strategy should still run Algorithm 1 for the degrees: (%d, %d)", router, f, b)
+		}
+	}
+
 	soft, err := NewLayer(LayerConfig{
 		M: 32, H: 48, Experts: 8, TopK: 1, CapacityFactor: 1,
 		Gate: GateSoftMoE, SlotsPerExpert: 3, Seed: 13,
@@ -283,9 +303,8 @@ func TestWorldAutoStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Strategy() != StrategyDenseSlots {
-		t.Fatalf("auto strategy for SoftMoE = %q, want %q", w.Strategy(), StrategyDenseSlots)
-	}
+	defer w.Close()
+	gridPick("SoftMoE", w)
 	soft.ZeroGrad()
 	gotY, wc, err := w.Forward(x, false)
 	if err != nil {
@@ -296,29 +315,15 @@ func TestWorldAutoStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !gotY.SameBits(wantY) || !gotDx.SameBits(wantDx) {
-		t.Fatal("dense-slots world differs from the layer path")
+		t.Fatalf("auto %s world over SoftMoE differs from the layer path", w.Strategy())
 	}
 
-	hard := worldTestLayer(t)
-	hw, err := NewWorld(hard, WorldConfig{Ranks: 4})
+	hw, err := NewWorld(worldTestLayer(t), WorldConfig{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch s := hw.Strategy(); s {
-	case StrategyEP, StrategyESP:
-		if hw.GroupSize() != 0 {
-			t.Fatalf("pure strategy %q carries GroupSize %d", s, hw.GroupSize())
-		}
-	case StrategyHybrid:
-		if g := hw.GroupSize(); g <= 1 || g >= 4 || 4%g != 0 {
-			t.Fatalf("auto hybrid picked an edge or non-divisor group size %d", g)
-		}
-	default:
-		t.Fatalf("auto strategy for hard routing = %q", s)
-	}
-	if f, b := hw.PipelineDegrees(); f < 1 || b < 1 {
-		t.Fatalf("auto strategy should still run Algorithm 1 for the degrees: (%d, %d)", f, b)
-	}
+	defer hw.Close()
+	gridPick("GShard", hw)
 }
 
 // TestWorldFaultSurface exercises the public fault-tolerance API end to
@@ -488,6 +493,7 @@ func TestAutoPicksPinned(t *testing.T) {
 		{m: 128, h: 128, n: 160, gate: GateXMoE, want: pick{StrategyEP, 0, 1, 1}},
 		{m: 128, h: 128, n: 160, gate: GateSigmoid, want: pick{StrategyEP, 0, 1, 1}},
 		{m: 128, h: 128, n: 160, gate: GateSoftMoE, strat: StrategyDenseSlots, want: pick{StrategyDenseSlots, 0, 1, 1}},
+		{m: 128, h: 128, n: 160, gate: GateSoftMoE, want: pick{StrategyEP, 0, 1, 1}},
 		{m: 128, h: 128, n: 160, gate: GateSigmoid, strat: StrategyHybrid, want: pick{StrategyHybrid, 1, 1, 1}},
 		{m: 64, h: 1024, n: 65536, want: pick{StrategyESP, 0, 1, 2}},
 		{m: 64, h: 1024, n: 16384, expert: ExpertMixtral, want: pick{StrategyEP, 0, 1, 2}},

@@ -51,15 +51,17 @@ func NewMOELayer(cfg LayerConfig) (*MOELayer, error) {
 	if len(cfg.Experts) == 0 {
 		return nil, fmt.Errorf("moe: layer needs at least one expert")
 	}
+	if !distinctExperts(cfg.Experts) {
+		return nil, fmt.Errorf("moe: layer requires provably distinct expert instances (aliased experts cannot be sharded)")
+	}
 	return &MOELayer{cfg: cfg, hooks: hookChain(cfg.Hooks)}, nil
 }
 
 // distinctExperts reports whether every expert is a provably distinct
 // instance. Experts of non-comparable dynamic types cannot be told apart,
 // so they count as possibly aliased, as does the same instance registered
-// at several indices (e.g. for weight tying): NewWorld cannot shard them,
-// and only the layer's own one-rank World runs them — one after another,
-// in index order.
+// at several indices (e.g. for weight tying): no World can shard them or run
+// them at once, so NewMOELayer refuses them.
 func distinctExperts(exps []Expert) bool {
 	seen := make(map[Expert]bool, len(exps))
 	for _, e := range exps {
@@ -77,13 +79,13 @@ func distinctExperts(exps []Expert) bool {
 // world returns the layer's own World, built on first use: one rank at
 // pipeline degree 1 on a one-worker set, which starts no goroutine, and the
 // default kernel pool, so it needs no Close. It is plain g = 1, and with
-// every expert on its one rank, one compute task fans distinct experts out
-// over the default pool and runs aliased ones in index order.
+// every expert on its one rank, one compute task fans them out over the
+// default pool.
 func (l *MOELayer) world() *World {
 	if l.w == nil {
 		cfg := WorldConfig{Ranks: 1, PipelineDegree: 1, PipelineDegreeBwd: 1, Algo: comm.A2ADirect, GPUsPerNode: 1, Strategy: StrategyEP}
 		w := &World{layer: l, cfg: cfg, egrp: len(l.cfg.Experts), g: 1, down: -1,
-			exec: runtime.NewWorkerSet(1), aliased: !distinctExperts(l.cfg.Experts)}
+			exec: runtime.NewWorkerSet(1)}
 		w.nameStreams()
 		l.w = w
 	}

@@ -80,13 +80,12 @@ func TestParallelExpertsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSharedExpertInstanceRunsSequentially pins the compatibility rule for
-// legacy custom layers: the same Expert instance registered at several
-// indices (weight tying) must not race. NewWorld refuses to shard it, and
-// the layer's own one-rank World runs the experts one after another in
-// index order, so gradients accumulate exactly as the oracle's do.
-func TestSharedExpertInstanceRunsSequentially(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+// TestSharedExpertInstanceRejected: the same Expert instance registered at
+// several indices (weight tying) would race, and an expert of a
+// non-comparable type cannot be told apart from another, so NewMOELayer
+// refuses both: every layer it builds has provably distinct experts, which
+// every World may run at once.
+func TestSharedExpertInstanceRejected(t *testing.T) {
 	const m, e = 16, 4
 	rng := xrand.New(2)
 	gate, err := NewGShardGate(GateConfig{Experts: e, TopK: 1, Factor: 2}, m, rng)
@@ -101,16 +100,22 @@ func TestSharedExpertInstanceRunsSequentially(t *testing.T) {
 	for i := range exps {
 		exps[i] = shared
 	}
-	layer, err := NewMOELayer(LayerConfig{M: m, Gate: gate, Order: TutelOrder{}, Experts: exps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewWorld(layer, WorldConfig{Ranks: 1, PipelineDegree: 1, Strategy: StrategyEP}); err == nil {
+	if _, err := NewMOELayer(LayerConfig{M: m, Gate: gate, Order: TutelOrder{}, Experts: exps}); err == nil {
 		t.Fatal("aliased expert list not detected")
 	}
-	x := tensor.RandN(xrand.New(3), 1, 24, m)
-	dy := tensor.RandN(xrand.New(4), 1, 24, m)
-	want := runSequentialLayer(t, layer, x, dy)
-	layer.ZeroGrad()
-	compareSnapshots(t, "aliased experts", want, runLayer(t, layer, x, dy))
+	for i := range exps {
+		if exps[i], err = NewGPTFFN(m, 32, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exps[1] = uncomparableExpert{Expert: exps[1]}
+	if _, err := NewMOELayer(LayerConfig{M: m, Gate: gate, Order: TutelOrder{}, Experts: exps}); err == nil {
+		t.Fatal("expert of a non-comparable type not refused")
+	}
+}
+
+// uncomparableExpert is an Expert whose dynamic type has no ==.
+type uncomparableExpert struct {
+	Expert
+	_ []int
 }

@@ -1,11 +1,14 @@
 package moe
 
 // This file is the planner: what NewWorld resolves a configuration to —
-// StrategyAuto and the unset pipeline degrees through §4.4's Algorithm 1
-// and the strategy grid — and the byte volumes both it and the §5 partition
-// of every step (step.go) price a layer by.
+// the group width every strategy names (widths), and StrategyAuto, an open
+// hybrid and the unset pipeline degrees through one (g × r) grid of §4.4's
+// Algorithm 1 — and the byte volumes both it and the §5 partition of every
+// step (step.go) price a layer by.
 
 import (
+	"fmt"
+
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/topology"
@@ -27,12 +30,15 @@ const (
 )
 
 // resolve turns a configuration into the one a World executes, defaults
-// applied: StrategyAuto and an explicit hybrid's unset group size become a
-// concrete strategy and group size, and an unset forward degree becomes
-// Algorithm 1's per-phase picks on that configuration's volumes. fwd and
-// bwd are those picks' full results; a phase whose degree was configured
-// reports the zero value.
-func resolve(l *MOELayer, cfg WorldConfig) (rc WorldConfig, fwd, bwd core.DegreeResult) {
+// applied, and the expert-sharding group width g it executes at. When the
+// strategy leaves more than one width open (widths) or the forward degree is
+// unset, Algorithm 1 runs per phase on each open width's volumes and the
+// width with the least summed forward and backward time wins — one g serves
+// both phases, the degrees stay per-phase (§4.4). StrategyAuto then names
+// the winner (EP at g = 1, ESP at g = R, Hybrid between) and an open hybrid
+// takes it as its GroupSize. fwd and bwd are the winner's Algorithm-1
+// results; a phase whose degree was configured reports the zero value.
+func resolve(l *MOELayer, cfg WorldConfig) (rc WorldConfig, g int, fwd, bwd core.DegreeResult, err error) {
 	if cfg.BatchTokens <= 0 {
 		cfg.BatchTokens = 4096
 	}
@@ -42,33 +48,35 @@ func resolve(l *MOELayer, cfg WorldConfig) (rc WorldConfig, fwd, bwd core.Degree
 	if cfg.GPUsPerNode <= 0 {
 		cfg.GPUsPerNode = cfg.Ranks
 	}
-	tokens := cfg.BatchTokens
-
-	// pickF/pickB are Algorithm 1's results on the executing configuration's
-	// volumes once picked is set: the strategy (or group-size) grid already
-	// ran it on the winner's volumes.
+	gs, err := widths(cfg)
+	if err != nil {
+		return cfg, 0, fwd, bwd, err
+	}
+	g = gs[0]
 	var pickF, pickB core.DegreeResult
-	picked := false
-	if cfg.Strategy == StrategyAuto {
-		cfg.Strategy, cfg.GroupSize, pickF, pickB, picked = chooseStrategy(l, tokens, cfg.Ranks)
-	} else if cfg.Strategy == StrategyHybrid && cfg.GroupSize == 0 {
-		// Explicit hybrid with an unset group size: the 2-D grid picks g
-		// (and the per-phase degrees) over every divisor of the rank
-		// count — including the degenerate edges, which are the pure
-		// strategies' plans.
-		cfg.GroupSize, pickF, pickB = hybridGroupPick(l, tokens, cfg.Ranks)
-		picked = true
+	if len(gs) > 1 || cfg.PipelineDegree == 0 {
+		for i, w := range gs {
+			f, b := phaseDegrees(volumes(l, cfg.BatchTokens, cfg.Ranks, w))
+			if i == 0 || f.TMoE+b.TMoE < pickF.TMoE+pickB.TMoE {
+				g, pickF, pickB = w, f, b
+			}
+		}
+	}
+	switch cfg.Strategy {
+	case StrategyAuto:
+		cfg.Strategy, cfg.GroupSize = StrategyHybrid, g
+		switch g {
+		case 1:
+			cfg.Strategy, cfg.GroupSize = StrategyEP, 0
+		case cfg.Ranks:
+			cfg.Strategy, cfg.GroupSize = StrategyESP, 0
+		}
+	case StrategyHybrid:
+		cfg.GroupSize = g
 	}
 
 	degF, degB := cfg.PipelineDegree, cfg.PipelineDegreeBwd
 	if degF == 0 {
-		if !picked {
-			v := layerVolumes(l, tokens, cfg.Strategy)
-			if cfg.Strategy == StrategyHybrid {
-				v = hybridLayerVolumes(l, tokens, cfg.Ranks, cfg.GroupSize)
-			}
-			pickF, pickB = phaseDegrees(v)
-		}
 		fwd, degF = pickF, pickF.R
 		// An explicit backward degree overrides Algorithm 1's choice even
 		// in auto mode; bwd then stays the zero value.
@@ -81,28 +89,40 @@ func resolve(l *MOELayer, cfg WorldConfig) (rc WorldConfig, fwd, bwd core.Degree
 		degB = cfg.PipelineDegree
 	}
 	cfg.PipelineDegreeBwd = degB
-	return cfg, fwd, bwd
+	return cfg, g, fwd, bwd, nil
 }
 
-// chooseStrategy is StrategyAuto: dense routers shard over slots; hard
-// routers run the 2-D Algorithm-1 grid over (group size × degree), whose
-// g=1 and g=Ranks edges carry the pure EP and ESP volume sets — so the
-// EP-vs-ESP comparison is this grid restricted to its edges, and an interior
-// winner selects StrategyHybrid with its group size. When the grid ran, the
-// winner's per-phase degree results are returned for reuse (picked true),
-// saving the caller an identical pair of searches.
-func chooseStrategy(l *MOELayer, tokens, ranks int) (strat Strategy, groupSize int, degF, degB core.DegreeResult, picked bool) {
-	if l.routesDense() {
-		return StrategyDenseSlots, 0, degF, degB, false
+// widths is the one switch from a strategy to the expert-sharding group
+// widths it allows at cfg.Ranks: EP and DenseSlots g = 1, ESP g = R, a
+// Hybrid its GroupSize, and StrategyAuto or a Hybrid without a GroupSize
+// every divisor of R, ascending — the degenerate edges are the pure
+// strategies' plans. A GroupSize must divide the rank count inside [1, R];
+// the expert contract holds at every width, and Recover re-places a hybrid
+// at gcd(g, R′). Errors name the strategy and the unsupported combination.
+func widths(cfg WorldConfig) ([]int, error) {
+	r, g := cfg.Ranks, cfg.GroupSize
+	switch cfg.Strategy {
+	case StrategyEP, StrategyDenseSlots:
+		return []int{1}, nil
+	case StrategyESP:
+		return []int{r}, nil
+	case StrategyAuto:
+		return divisors(r), nil
+	case StrategyHybrid:
+		switch {
+		case g == 0:
+			return divisors(r), nil
+		case g < 1 || g > r:
+			return nil, fmt.Errorf("moe: strategy %q needs GroupSize in [1, %d] (the rank count), got GroupSize=%d",
+				StrategyHybrid, r, g)
+		case r%g != 0:
+			return nil, fmt.Errorf("moe: strategy %q needs GroupSize dividing the rank count, got %d ranks over GroupSize=%d",
+				StrategyHybrid, r, g)
+		}
+		return []int{g}, nil
 	}
-	g, f, b := hybridGroupPick(l, tokens, ranks)
-	switch g {
-	case 1:
-		return StrategyEP, 0, f, b, true
-	case ranks:
-		return StrategyESP, 0, f, b, true
-	}
-	return StrategyHybrid, g, f, b, true
+	return nil, fmt.Errorf("moe: unknown parallel strategy %q (valid: %s, %s, %s, %s)",
+		cfg.Strategy, StrategyEP, StrategyESP, StrategyDenseSlots, StrategyHybrid)
 }
 
 // routesDense reports whether the layer's gate declares dense routing
@@ -112,23 +132,8 @@ func (l *MOELayer) routesDense() bool {
 	return ok && dr.DenseRouting()
 }
 
-// hybridGroupPick scans the (group size × degree) grid: for each divisor
-// g of the rank count it runs Algorithm 1 per phase on that cell's
-// volumes, and picks the g minimizing the summed forward+backward
-// predicted time — one g must serve both phases, while the degrees stay
-// per-phase (§4.4).
-func hybridGroupPick(l *MOELayer, tokens, ranks int) (groupSize int, degF, degB core.DegreeResult) {
-	for _, g := range divisors(ranks) {
-		f, b := phaseDegrees(hybridLayerVolumes(l, tokens, ranks, g))
-		if groupSize == 0 || f.TMoE+b.TMoE < degF.TMoE+degB.TMoE {
-			groupSize, degF, degB = g, f, b
-		}
-	}
-	return groupSize, degF, degB
-}
-
-// divisors returns the divisors of n in ascending order — the candidate
-// hybrid group sizes of an n-rank world.
+// divisors returns the divisors of n in ascending order — the widths an
+// n-rank world can shard experts at.
 func divisors(n int) []int {
 	var out []int
 	for d := 1; d <= n; d++ {
@@ -183,15 +188,20 @@ func paramBytes(experts []Expert) float64 {
 	return gradElemBytes * float64(elems)
 }
 
-// layerVolumes derives Algorithm-1 scheduling volumes from the real layer
-// under one strategy: the strategy decides which collectives carry the
-// dispatched activations — EP and DenseSlots move them twice over the
-// AlltoAll links, ESP moves them through the AllGather/ReduceScatter
-// stages plus the hidden-activation exchange — the gate's routing kind how
-// many rows are dispatched, and expert MACs / gradient bytes come from the
-// live expert implementations, so custom experts steer the choice through
-// their own FwdMACs/Params/HiddenWidth.
-func layerVolumes(l *MOELayer, tokens int, strat Strategy) core.Volumes {
+// volumes derives Algorithm-1 scheduling volumes from the real layer at
+// group width g of ranks: the width decides which collectives carry the
+// dispatched activations, the gate's routing kind how many rows are
+// dispatched, and expert MACs / gradient bytes come from the live expert
+// implementations, so custom experts steer the choice through their own
+// FwdMACs/Params/HiddenWidth. At g = 1 (and at one rank) they move twice
+// over the AlltoAll links; at g = R through the AllGather/ReduceScatter
+// stages plus the hidden-activation exchange. Widths between interpolate:
+// with lanes of R/g ranks, the fraction of dispatched rows crossing lanes is
+// 1-g/R, normalized by g = 1's 1-1/R; the in-group AllGather/ReduceScatter
+// traffic carries the ring factor (g-1)/g, normalized by g = R's (R-1)/R.
+// Larger groups thus trade AlltoAll volume for in-group collective volume —
+// the axis resolve's grid optimizes.
+func volumes(l *MOELayer, tokens, ranks, g int) core.Volumes {
 	effF := l.cfg.GateConfig.Factor
 	if effF <= 0 {
 		effF = 1.0
@@ -216,42 +226,19 @@ func layerVolumes(l *MOELayer, tokens int, strat Strategy) core.Volumes {
 		DenseBwd:  0.2,
 		GradBytes: paramBytes(l.cfg.Experts),
 	}
-	if strat == StrategyESP {
+	switch {
+	case g <= 1:
+		v.NA2A = wire
+	case g >= ranks:
 		// Two gather stages (inputs, then hidden activations) and the
 		// output ReduceScatter; no AlltoAll at all.
-		v.NAG = wire + hiddenWire
-		v.NRS = wire
-	} else {
-		v.NA2A = wire
+		v.NAG, v.NRS = wire+hiddenWire, wire
+	default:
+		rf, gf := float64(ranks), float64(g)
+		ring := ((gf - 1) / gf) / ((rf - 1) / rf)
+		v.NA2A = wire * (rf - gf) / (rf - 1)
+		v.NAG, v.NRS = (wire+hiddenWire)*ring, wire*ring
 	}
-	return v
-}
-
-// hybridLayerVolumes derives the volumes of one hybrid grid cell. The
-// degenerate group sizes return the pure strategies' volume sets exactly
-// (those cells execute the pure strategies' plans, so the grid's edges
-// must coincide with the 1-D comparisons). Interior cells interpolate: with lanes of
-// R/g ranks, the fraction of dispatched rows crossing lanes is 1-g/R,
-// normalized by EP's 1-1/R so g=1 recovers EP's convention; the in-group
-// AllGather/ReduceScatter traffic carries the ring factor (g-1)/g,
-// normalized by ESP's (R-1)/R so g=R recovers ESP's. Larger groups thus
-// trade AlltoAll volume for in-group collective volume — the axis the
-// 2-D grid optimizes.
-func hybridLayerVolumes(l *MOELayer, tokens, ranks, g int) core.Volumes {
-	if g <= 1 || ranks <= 1 {
-		return layerVolumes(l, tokens, StrategyEP)
-	}
-	if g >= ranks {
-		return layerVolumes(l, tokens, StrategyESP)
-	}
-	ep := layerVolumes(l, tokens, StrategyEP)
-	esp := layerVolumes(l, tokens, StrategyESP)
-	rf, gf := float64(ranks), float64(g)
-	ring := ((gf - 1) / gf) / ((rf - 1) / rf)
-	v := ep
-	v.NA2A = ep.NA2A * (rf - gf) / (rf - 1)
-	v.NAG = esp.NAG * ring
-	v.NRS = esp.NRS * ring
 	return v
 }
 

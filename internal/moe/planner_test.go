@@ -150,6 +150,7 @@ func TestAutoPicksPinned(t *testing.T) {
 		{m: 128, h: 128, n: 160, gate: GateXMoE, want: pick{StrategyEP, 0, 1, 1, c2, c2}},
 		{m: 128, h: 128, n: 160, gate: GateSigmoid, want: pick{StrategyEP, 0, 1, 1, c2, c2}},
 		{m: 128, h: 128, n: 160, gate: GateSoftMoE, strat: StrategyDenseSlots, want: pick{StrategyDenseSlots, 0, 1, 1, c2, c2}},
+		{m: 128, h: 128, n: 160, gate: GateSoftMoE, want: pick{StrategyEP, 0, 1, 1, c2, c2}},
 		{m: 128, h: 128, n: 160, gate: GateSigmoid, strat: StrategyHybrid, want: pick{StrategyHybrid, 1, 1, 1, c2, c2}},
 		{m: 64, h: 1024, n: 65536, want: pick{StrategyESP, 0, 1, 2, c2, c4}},
 		{m: 64, h: 1024, n: 16384, expert: ExpertMixtral, want: pick{StrategyEP, 0, 1, 2, c2, c3}},
@@ -172,7 +173,10 @@ func TestAutoPicksPinned(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			l := shapeLayer(t, tc.m, tc.h, gate, expert == ExpertMixtral, 1)
 			cfg := WorldConfig{Ranks: 4, Strategy: tc.strat, BatchTokens: tc.n}
-			mc, df, db := resolve(l, cfg)
+			mc, g, df, db, err := resolve(l, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if df.R != mc.PipelineDegree || db.R != mc.PipelineDegreeBwd {
 				t.Fatalf("degree results R = (%d, %d), resolved (%d, %d)", df.R, db.R, mc.PipelineDegree, mc.PipelineDegreeBwd)
 			}
@@ -186,8 +190,8 @@ func TestAutoPicksPinned(t *testing.T) {
 			}
 			defer w.Close()
 			fwd, bwd := w.PipelineDegrees()
-			if w.Strategy() != mc.Strategy || w.GroupSize() != mc.GroupSize || fwd != mc.PipelineDegree || bwd != mc.PipelineDegreeBwd {
-				t.Errorf("world executes %s g=%d r=(%d, %d), resolved %+v", w.Strategy(), w.GroupSize(), fwd, bwd, mc)
+			if w.Strategy() != mc.Strategy || w.GroupSize() != mc.GroupSize || w.g != g || fwd != mc.PipelineDegree || bwd != mc.PipelineDegreeBwd {
+				t.Errorf("world executes %s GroupSize %d at width %d r=(%d, %d), resolved %+v at width %d", w.Strategy(), w.GroupSize(), w.g, fwd, bwd, mc, g)
 			}
 		})
 	}
@@ -209,13 +213,19 @@ func TestResolveDegreeResults(t *testing.T) {
 		{"hybrid-auto-g", WorldConfig{Ranks: 4, Strategy: StrategyHybrid}},
 		{"explicit-bwd", WorldConfig{Ranks: 2, Strategy: StrategyEP, BatchTokens: 4096, PipelineDegreeBwd: 7}},
 	} {
-		rc, df, db := resolve(l, tc.cfg)
+		rc, g, df, db, err := resolve(l, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		w, err := NewWorld(l, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fwd, bwd := w.PipelineDegrees()
 		w.Close()
+		if w.g != g {
+			t.Fatalf("%s: resolved width %d, executing %d", tc.name, g, w.g)
+		}
 		if df.R != fwd || df.TMoE <= 0 || fwd != rc.PipelineDegree || bwd != rc.PipelineDegreeBwd {
 			t.Fatalf("%s: forward result %+v, resolved %+v, executing (%d, %d)", tc.name, df, rc, fwd, bwd)
 		}

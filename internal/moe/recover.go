@@ -175,8 +175,11 @@ func (w *World) recoveryConfig(newR int) (WorldConfig, int, error) {
 		}
 	}
 	cfg.Ranks, cfg.GPUsPerNode = newR, gpn
-	g, err := place(cfg)
-	return cfg, g, err
+	gs, err := widths(cfg)
+	if err != nil {
+		return cfg, 0, err
+	}
+	return cfg, gs[0], nil
 }
 
 // rollback starts the world's recovery report and rolls the full training

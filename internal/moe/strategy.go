@@ -1,9 +1,5 @@
 package moe
 
-import (
-	"fmt"
-)
-
 // Strategy names a parallel execution scheme for World — the §4
 // generalized MoE layer's configuration axis made a first-class API
 // object. Every name resolves to the same schedule (strategy_plan.go) at
@@ -13,12 +9,11 @@ import (
 type Strategy string
 
 const (
-	// StrategyAuto (the zero value) lets NewWorld pick the strategy from
-	// the layer (planner.go): dense-routing gates get StrategyDenseSlots,
-	// and hard-routing layers run the 2-D Algorithm-1 grid over (group
-	// size × pipeline degree) — its g=1 edge is pure EP, its g=R edge pure
-	// ESP, and an interior winner selects StrategyHybrid with that
-	// GroupSize.
+	// StrategyAuto (the zero value) lets NewWorld pick the group width
+	// from the layer (planner.go): every router, hard or dense, runs the
+	// 2-D Algorithm-1 grid over (group width × pipeline degree), and the
+	// winner is named — StrategyEP at g = 1, StrategyESP at g = R, and
+	// StrategyHybrid with that GroupSize between.
 	StrategyAuto Strategy = ""
 	// StrategyEP is pure expert parallelism, g = 1: experts are sharded E/R
 	// per rank, tokens move to their experts over r-chunked dispatch/combine
@@ -31,10 +26,12 @@ const (
 	// ReduceScatter returning each rank's slot rows, all on the one group's
 	// intra stream (§4's intra-node collective stages).
 	StrategyESP Strategy = "esp"
-	// StrategyDenseSlots is EP's g = 1 schedule under the name StrategyAuto
-	// gives dense routers (DenseRouter): over a dense plan the chunks and
-	// the dispatch/combine AlltoAll cut expert slot rows, and the convex
-	// token mixing stays in the replicated gate/order stages.
+	// StrategyDenseSlots is EP's g = 1 schedule under the name of its dense
+	// use: over a dense (DenseRouter) plan the chunks and the
+	// dispatch/combine AlltoAll cut expert slot rows, and the convex token
+	// mixing stays in the replicated gate/order stages. The planner never
+	// picks it (StrategyAuto names g = 1 StrategyEP); it is accepted and
+	// reported as configured.
 	StrategyDenseSlots Strategy = "dense-slots"
 	// StrategyHybrid is the §4 generalized configuration between the two
 	// pure endpoints, g = WorldConfig.GroupSize. Dispatch and combine
@@ -45,37 +42,9 @@ const (
 	StrategyHybrid Strategy = "hybrid"
 )
 
-// place resolves a strategy against a rank count to its expert-sharding
-// group width g, the one thing the plan builder reads, at NewWorld and
-// Recover time. Errors name the strategy and the unsupported combination.
-func place(cfg WorldConfig) (g int, err error) {
-	switch cfg.Strategy {
-	case StrategyEP, StrategyDenseSlots:
-		return 1, nil
-	case StrategyESP:
-		return cfg.Ranks, nil
-	case StrategyHybrid:
-		// GroupSize must be a divisor of the rank count inside [1, R]; the
-		// expert contract holds at every group size, so the Algorithm-1 grid
-		// sweeps g freely, and Recover re-places at gcd(g, R′).
-		r, g := cfg.Ranks, cfg.GroupSize
-		if g < 1 || g > r {
-			return 0, fmt.Errorf("moe: strategy %q needs GroupSize in [1, %d] (the rank count), got GroupSize=%d",
-				StrategyHybrid, r, g)
-		}
-		if r%g != 0 {
-			return 0, fmt.Errorf("moe: strategy %q needs GroupSize dividing the rank count, got %d ranks over GroupSize=%d",
-				StrategyHybrid, r, g)
-		}
-		return g, nil
-	}
-	return 0, fmt.Errorf("moe: unknown parallel strategy %q (valid: %s, %s, %s, %s)",
-		cfg.Strategy, StrategyEP, StrategyESP, StrategyDenseSlots, StrategyHybrid)
-}
-
 // DenseRouter marks gates whose plans use dense (SoftMoE-style) routing.
-// Strategy auto-selection and the planner's volumes read it without
-// running a routing pass; custom dense gates should implement it.
+// The planner's volumes read it without running a routing pass; custom
+// dense gates should implement it.
 type DenseRouter interface {
 	DenseRouting() bool
 }

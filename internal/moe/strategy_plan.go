@@ -430,15 +430,15 @@ func after(ids []int) func(j int) []int {
 
 // computeTasks adds one expert-compute task per rank — label[rank], on the
 // rank's compute stream, waiting for deps(rank) — that runs fn(rank, i) for
-// each of the rank's n experts, and returns the task ids. At one rank with
-// distinct experts they fan out over the kernel pool; otherwise they run one
-// after another in index order, as aliased experts must. The bodies are
-// built here, with the plan, so an execution allocates none.
+// each of the rank's n experts, and returns the task ids. At one rank they
+// fan out over the kernel pool; beside other ranks' tasks they run one after
+// another in index order. The bodies are built here, with the plan, so an
+// execution allocates none.
 func (w *World) computeTasks(p *layerPlan, label string, est func(j int) float64, deps func(j int) []int, n int, fn func(j, i int)) []int {
 	ids := make([]int, w.cfg.Ranks)
 	for j := range ids {
 		var body func() error
-		if w.cfg.Ranks == 1 && !w.aliased {
+		if w.cfg.Ranks == 1 {
 			each := func(i int) { fn(j, i) }
 			body = func() error { w.pool.ParallelFor(n, each); return nil }
 		} else {

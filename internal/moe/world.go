@@ -46,7 +46,7 @@ type World struct {
 	layer *MOELayer
 	cfg   WorldConfig
 	egrp  int // experts per rank (expert-sharding owner groups)
-	g     int // expert-sharding group width: cfg.Strategy resolved against the rank count
+	g     int // expert-sharding group width: what cfg.Strategy resolved to (resolve)
 
 	// Resource governance: exec's k workers run up to k plan tasks at once,
 	// and every expert kernel fans out onto the one pool, sized for them all.
@@ -62,10 +62,6 @@ type World struct {
 	ws *workspace
 
 	seq bool // a plain Forward/Backward executes its plan sequentially (no-overlap baseline)
-
-	// aliased: a layer's own World over possibly aliased experts, which
-	// NewWorld refuses; its one rank runs them one after another.
-	aliased bool
 
 	statsMu  stdsync.Mutex
 	stats    comm.Stats
@@ -114,8 +110,9 @@ type World struct {
 // split into. Zero means automatic: Algorithm 1 (§4.4) runs per phase on
 // the planner's cost model — Testbed A's fitted performance models and a
 // degree cap of 16 (planner.go) — with volumes derived from the layer's
-// real shape, BatchTokens and the chosen strategy. NewWorld resolves both;
-// the chosen strategy and degrees are what actually execute.
+// real shape, BatchTokens and each group width the strategy allows.
+// NewWorld resolves both; the chosen width and degrees are what actually
+// execute.
 type WorldConfig struct {
 	Ranks             int          // R; how the layer is sharded depends on Strategy
 	PipelineDegree    int          // forward r; 0 = Algorithm 1 (<0 means 1)
@@ -148,16 +145,19 @@ type WorldConfig struct {
 // NewWorld resolves the configuration against the layer (planner.go) and
 // validates the pairing of the layer and the resolved configuration; a
 // strategy's own requirement, a hybrid GroupSize that divides the rank
-// count, fails naming the strategy (place).
+// count, fails naming the strategy (widths).
 func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 	if layer == nil {
 		return nil, fmt.Errorf("moe: world needs a layer")
 	}
-	cfg, _, _ = resolve(layer, cfg)
-	e := len(layer.cfg.Experts)
 	if cfg.Ranks < 1 {
 		return nil, fmt.Errorf("moe: world needs at least one rank, got %d", cfg.Ranks)
 	}
+	cfg, g, _, _, err := resolve(layer, cfg)
+	if err != nil {
+		return nil, err
+	}
+	e := len(layer.cfg.Experts)
 	if e%cfg.Ranks != 0 {
 		return nil, fmt.Errorf("moe: %d experts not divisible across %d ranks", e, cfg.Ranks)
 	}
@@ -172,13 +172,6 @@ func NewWorld(layer *MOELayer, cfg WorldConfig) (*World, error) {
 		// on zeroed buffers first.
 		return nil, fmt.Errorf("moe: unknown alltoall algorithm %q (valid: %s, %s, %s)",
 			cfg.Algo, comm.A2ADirect, comm.A2A1DH, comm.A2A2DH)
-	}
-	if !distinctExperts(layer.cfg.Experts) {
-		return nil, fmt.Errorf("moe: world requires provably distinct expert instances (aliased experts cannot be sharded)")
-	}
-	g, err := place(cfg)
-	if err != nil {
-		return nil, err
 	}
 	w := &World{layer: layer, cfg: cfg, egrp: e / cfg.Ranks, g: g, down: -1}
 	w.planResources()

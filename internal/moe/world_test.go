@@ -209,25 +209,8 @@ func TestWorldRejects(t *testing.T) {
 		t.Fatal("nil layer must fail")
 	}
 
-	// Aliased experts cannot be sharded across ranks.
-	rng := xrand.New(3)
-	shared, err := NewGPTFFN(32, 16, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate, err := NewGShardGate(GateConfig{Experts: 2, TopK: 1, Factor: 1.0}, 32, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aliased, err := NewMOELayer(LayerConfig{M: 32, Gate: gate, Order: TutelOrder{}, Experts: []Expert{shared, shared}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewWorld(aliased, WorldConfig{Ranks: 2, PipelineDegree: 1, Strategy: StrategyEP}); err == nil {
-		t.Fatal("aliased experts must fail")
-	}
-
 	// Dense (SoftMoE) routing runs under EP too, its chunks cut over slots.
+	rng := xrand.New(3)
 	soft, err := NewSoftMoEGate(GateConfig{Experts: 4, TopK: 1, Factor: 1}, 32, 2, rng)
 	if err != nil {
 		t.Fatal(err)

@@ -339,17 +339,48 @@ func (w Windows) run(c int, tails bool) (lo, n int) {
 	return lo, n
 }
 
+// gemmRows is one product the pool shards by tile rows of its m rows: a @ b,
+// aᵀ @ b (t1, at depth blocks depth, adding into dst when add) or a @ bᵀ
+// (t2), with dst's width n and the depth k. It is a value, not a closure,
+// so a parallel product allocates nothing.
+type gemmRows struct {
+	t1, t2, add bool
+	dst, a, b   []float64
+	m, k, n     int
+	depth       int
+}
+
+// rows computes rows [lo, hi) of the product.
+func (g *gemmRows) rows(lo, hi int) {
+	switch {
+	case g.t1:
+		matmulT1Range(g.dst, g.a, g.b, lo, hi, g.k, g.m, g.n, g.depth, g.add)
+	case g.t2:
+		matmulT2Rows(g.dst, g.a, g.b, lo, hi, g.k, g.n)
+	default:
+		matmulRange(g.dst, g.a, g.b, lo, hi, g.k, g.n)
+	}
+}
+
+// tiles computes tile rows [lo, hi) of the product: the shard ending at the
+// last full tile row also takes the rows past it.
+func (g *gemmRows) tiles(lo, hi int) {
+	g.rows(lo*tileRows, shardEnd(hi, g.m/tileRows, tileRows, g.m))
+}
+
+// gemm runs the product, sharding its tile rows over the pool.
+func (p *Pool) gemm(g gemmRows) {
+	if p.serialGEMM(g.m, tileRows, g.m*g.k*g.n) {
+		g.rows(0, g.m)
+		return
+	}
+	p.parallel(g.m/tileRows, body{mm: g})
+}
+
 // matmulInto computes dst = A @ B where A is (m,k), B is (k,n), all
 // row-major, sharding tile rows of dst over the pool.
 func (p *Pool) matmulInto(dst, a, b []float64, m, k, n int) {
-	if p.serialGEMM(m, tileRows, m*k*n) {
-		matmulRange(dst, a, b, 0, m, k, n)
-		return
-	}
-	nt := m / tileRows
-	p.ParallelRange(nt, func(lo, hi int) {
-		matmulRange(dst, a, b, lo*tileRows, shardEnd(hi, nt, tileRows, m), k, n)
-	})
+	p.gemm(gemmRows{dst: dst, a: a, b: b, m: m, k: k, n: n})
 }
 
 // matmulRange computes rows [lo, hi) of dst = a @ b in matmulRows' order.
@@ -491,15 +522,7 @@ func t1Shape(dst, a, b *Tensor, op string) (k, m, n int) {
 // so tile rows of dst (columns of a) shard over the pool like the other two
 // products.
 func (p *Pool) matmulT1(dst, a, b []float64, k, m, n int, add bool) {
-	depth := t1Depth(k, m, n)
-	if p.serialGEMM(m, tileRows, m*k*n) {
-		matmulT1Range(dst, a, b, 0, m, k, m, n, depth, add)
-		return
-	}
-	nt := m / tileRows
-	p.ParallelRange(nt, func(lo, hi int) {
-		matmulT1Range(dst, a, b, lo*tileRows, shardEnd(hi, nt, tileRows, m), k, m, n, depth, add)
-	})
+	p.gemm(gemmRows{t1: true, add: add, dst: dst, a: a, b: b, m: m, k: k, n: n, depth: t1Depth(k, m, n)})
 }
 
 // The depth blocks of aᵀ@b: t1Block rows of p per block, where a row of the
@@ -697,14 +720,7 @@ func transpose(bt, b []float64, n, k int) {
 // matmulT2Into is the portable dst = a @ bᵀ for a (m,k) and b (n,k), all
 // row-major, sharding tile rows of dst over the pool.
 func (p *Pool) matmulT2Into(dst, a, b []float64, m, k, n int) {
-	if p.serialGEMM(m, tileRows, m*k*n) {
-		matmulT2Rows(dst, a, b, 0, m, k, n)
-		return
-	}
-	nt := m / tileRows
-	p.ParallelRange(nt, func(lo, hi int) {
-		matmulT2Rows(dst, a, b, lo*tileRows, shardEnd(hi, nt, tileRows, m), k, n)
-	})
+	p.gemm(gemmRows{t2: true, dst: dst, a: a, b: b, m: m, k: k, n: n})
 }
 
 // matmulT2Rows is the portable a @ bᵀ body over rows [lo, hi) of dst: each

@@ -27,7 +27,7 @@ func fanoutRange(n int, fn func(lo, hi int)) {
 	}
 	p.startWorkers()
 	size := (n + w - 1) / w
-	j := p.takeJob(fn, nil)
+	j := p.takeJob(body{fn: fn})
 	for lo := size; lo < n; lo += size {
 		j.wg.Add(1)
 		p.submit(chunk{j: j, lo: lo, hi: min(lo+size, n)})

@@ -97,13 +97,35 @@ type Pool struct {
 	jobs   []*job
 }
 
-// job is one parallel region: its body — a range function, or a per-index
-// one that ParallelFor runs over each index of a chunk — and the count of
-// its chunks still running.
-type job struct {
+// body is what a parallel region runs over each chunk: a range function, a
+// per-index one that ParallelFor runs over each index of the chunk, or, with
+// neither, a product's tile rows (gemmRows, matmul.go), which travel as a
+// value, so a product hands the pool no closure to allocate.
+type body struct {
 	fn   func(lo, hi int)
 	each func(i int)
-	wg   sync.WaitGroup
+	mm   gemmRows
+}
+
+// run runs the body over indices [lo, hi).
+func (b *body) run(lo, hi int) {
+	switch {
+	case b.fn != nil:
+		b.fn(lo, hi)
+	case b.each != nil:
+		for i := lo; i < hi; i++ {
+			b.each(i)
+		}
+	default:
+		b.mm.tiles(lo, hi)
+	}
+}
+
+// job is one parallel region: its body and the count of its chunks still
+// running.
+type job struct {
+	body
+	wg sync.WaitGroup
 }
 
 // chunk is one queued piece of a region: indices [lo, hi) of job j.
@@ -113,19 +135,10 @@ type chunk struct {
 }
 
 // run runs the chunk's indices.
-func (c chunk) run() {
-	if c.j.fn != nil {
-		c.j.fn(c.lo, c.hi)
-		return
-	}
-	for i := c.lo; i < c.hi; i++ {
-		c.j.each(i)
-	}
-}
+func (c chunk) run() { c.j.run(c.lo, c.hi) }
 
-// takeJob returns a region record for fn or each, from the free-list when
-// it has one.
-func (p *Pool) takeJob(fn func(lo, hi int), each func(i int)) *job {
+// takeJob returns a region record for b, from the free-list when it has one.
+func (p *Pool) takeJob(b body) *job {
 	p.jobsMu.Lock()
 	var j *job
 	if k := len(p.jobs); k > 0 {
@@ -135,13 +148,13 @@ func (p *Pool) takeJob(fn func(lo, hi int), each func(i int)) *job {
 	if j == nil {
 		j = &job{}
 	}
-	j.fn, j.each = fn, each
+	j.body = b
 	return j
 }
 
 // dropJob hands a finished region's record back.
 func (p *Pool) dropJob(j *job) {
-	j.fn, j.each = nil, nil
+	j.body = body{}
 	p.jobsMu.Lock()
 	p.jobs = append(p.jobs, j)
 	p.jobsMu.Unlock()
@@ -249,32 +262,26 @@ func (p *Pool) submit(c chunk) {
 // pool's goroutine count. The region's record comes from the pool's
 // free-list and the chunks travel by value, so a warm call allocates
 // nothing.
-func (p *Pool) ParallelRange(n int, fn func(lo, hi int)) { p.parallel(n, fn, nil) }
+func (p *Pool) ParallelRange(n int, fn func(lo, hi int)) { p.parallel(n, body{fn: fn}) }
 
 // ParallelFor runs fn(i) for every i in [0, n), sharding the index space
 // over the pool. Iterations must be independent: they may run concurrently
 // and in any order across chunks.
-func (p *Pool) ParallelFor(n int, fn func(i int)) { p.parallel(n, nil, fn) }
+func (p *Pool) ParallelFor(n int, fn func(i int)) { p.parallel(n, body{each: fn}) }
 
-// parallel is ParallelRange over fn, or ParallelFor over each.
-func (p *Pool) parallel(n int, fn func(lo, hi int), each func(i int)) {
+// parallel splits [0, n) over the pool and runs b on each chunk.
+func (p *Pool) parallel(n int, b body) {
 	p = p.self()
 	w := min(p.Workers(), n)
 	if n <= serialCutoff || w <= 1 {
-		switch {
-		case n <= 0:
-		case fn != nil:
-			fn(0, n)
-		default:
-			for i := range n {
-				each(i)
-			}
+		if n > 0 {
+			b.run(0, n)
 		}
 		return
 	}
 	p.startWorkers()
 	size := (n + w - 1) / w
-	j := p.takeJob(fn, each)
+	j := p.takeJob(b)
 	for lo := size; lo < n; lo += size {
 		j.wg.Add(1)
 		p.submit(chunk{j: j, lo: lo, hi: min(lo+size, n)})
