@@ -169,8 +169,11 @@
 // step: forward, backward with the gradient sync sliced into the backward
 // plans' slack, the exposed tail — and the SGD update riding that sync.
 // Every gradient element has one contributor (there is no data-parallel
-// axis), and the parameters live once: one copy, stepped in place. A slice
-// has nothing to reduce or copy; it steps its elements, once each. What
+// axis), and the parameters live once: one copy, stepped in place — except
+// on the step after a checkpoint, whose commit still reads that copy: that
+// step writes its update into a second buffer, made on first use, which
+// then becomes the live one. A slice has nothing to reduce or copy; it
+// steps its elements, once each. What
 // does not change from one step to the next is kept on the stack. The §5
 // byte plan (StepResult.Report.Gar) is solved once per distinct input — the
 // sync strategy, models, degree cap, chunk and slice settings of
@@ -184,9 +187,11 @@
 // (SyncGradients the accumulated gradients too) and re-points each Param,
 // and a later one does so again only when a parameter no longer is its
 // view (another stack over the same first world, a tensor the caller
-// replaced). The backward writes the gradient where the §5 slices read it —
-// an expert's by the backward plan's finish task, the gate's by its
-// backward, zero for a dead rank's experts — and a slice steps the
+// replaced). The step after a checkpoint re-points every Param.W at its
+// view of the second buffer, without allocating. The backward writes the
+// gradient where the §5 slices read it — an expert's by the backward
+// plan's finish task, the gate's by its backward, zero for a dead rank's
+// experts — and a slice steps the
 // parameters with one row operation, w += (−lr)·g, which has the bits of
 // w − lr·g. A stack in which two entries share a layer's parameters (the
 // same World twice, or two Worlds over one Layer) is refused. The exposed
@@ -204,7 +209,8 @@
 // update as the slices complete — a layer's parameters are final once its
 // slices have run, and a step that returns an error may already have
 // stepped the layers whose backward completed (a Recover restores all of
-// them from the checkpoint).
+// them from the checkpoint). The step after a checkpoint steps none before
+// it completes: its update writes the second buffer.
 //
 // Ownership: StepResult.RankParams (one row, the post-step parameters) is
 // the stack's parameter buffer and SyncReport.LayerGrads are views of its
@@ -336,10 +342,14 @@
 // the snapshot before mutating any of them, so a mismatched snapshot is
 // rejected without tearing the stack. Set StepConfig.Checkpoint (and
 // optionally CheckpointEvery) to snapshot the stack every n-th step
-// from inside the training loop. The step only encodes the live
-// parameters (CheckpointManager.Start); checksum, write, fsync, rename
-// and prune run on one background goroutine behind the next steps, at
-// most one commit in flight. StepResult.CheckpointPath is the file that
+// from inside the training loop. The step encodes only the header and the
+// metadata (CheckpointManager.Start); checksum, write, fsync, rename and
+// prune run on one background goroutine behind the next steps, at most one
+// commit in flight, and the write reads the live parameters where they
+// are. The commit reads the caller's tensors until the next Start, Wait or
+// List returns: the next step writes its update around them, Restore and
+// Recover wait for the commit, and a Param.W you write by hand waits for
+// the manager's Wait. StepResult.CheckpointPath is the file that
 // step's snapshot commits to; it is durable once the manager's next
 // Start, a Wait, or the worlds' Close has returned, and List, Latest and
 // LoadLatest wait for it first. A failed commit fails the next
@@ -348,8 +358,9 @@
 // older than its newest snapshot — a run restarted in a directory of a
 // later run's snapshots — is refused before anything is encoded or written, as the prune
 // would delete the file just committed; keep-all prunes nothing and commits
-// any step. StepMetrics carries the stall as CheckpointWaitMS and
-// CheckpointCaptureMS.
+// any step. StepMetrics carries the stall as CheckpointWaitMS, the wait
+// for the previous commit, and CheckpointCaptureMS, the snapshot's views
+// and its header and metadata encoded: no parameter is copied.
 //
 // After a permanent rank loss, Recover rebuilds the whole stack (a single
 // layer is a stack of one) instead of limping: under RecoveryPolicy{Mode:

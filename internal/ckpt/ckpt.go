@@ -28,9 +28,11 @@
 //	tensor list: count uint32, per tensor:
 //	  name length uint32, name bytes, rank uint32, rank × dim uint64
 //
-// Each tensor's data span is the product of its dims float64s long. So
-// Encode is one pass of copies and the checksum the only other pass over
-// the bytes; a commit checksums each chunk just before writing it. Version
+// Each tensor's data span is the product of its dims float64s long, and on
+// a little-endian host it is the tensor's memory byte for byte. So a commit
+// writes the data straight from the tensors, checksumming each piece just
+// before it writes it, and the checksum is the only other pass over the
+// bytes. Version
 // 1 (a gob payload under a CRC-64) and version 2 (a collective-op counter
 // after each world's steps) are not read: they fail with ErrVersion.
 //
@@ -51,13 +53,15 @@
 //     ErrBadMagic, ErrVersion) matchable with errors.Is — never silent
 //     wrong state.
 //
-//   - The commit stays off the caller's path: a Manager encodes a snapshot
-//     on the caller's goroutine and hands checksum, write, fsync, rename and
-//     prune to one background goroutine, at most one commit in flight (see
-//     Manager.Start). Once Start returns, the commit reads no caller memory,
-//     so the snapshot may alias live parameters. Every commit, Save's too,
-//     writes in 1 MiB chunks and starts each chunk's writeback as soon as
-//     it is written, so the fsync waits only for the last ones.
+//   - The commit stays off the caller's path: a Manager encodes a
+//     snapshot's header and metadata on the caller's goroutine and hands
+//     checksum, write, fsync, rename and prune to one background goroutine,
+//     at most one commit in flight (see Manager.Start). That goroutine
+//     reads the tensors' data where the caller keeps it: the commit reads
+//     the caller's tensors until the next Start, Wait or List returns, and
+//     the caller writes none of them before then. Every commit, Save's
+//     too, writes in 1 MiB chunks and starts each chunk's writeback as
+//     soon as it is written, so the fsync waits only for the last ones.
 package ckpt
 
 import (
@@ -69,7 +73,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"unsafe"
 )
 
@@ -148,25 +151,42 @@ type Snapshot struct {
 	Worlds []WorldState
 }
 
-// Encode writes s in the versioned, checksummed wire format. It fails only
-// on a tensor whose shape does not account for its data.
+// Encode writes s in the versioned, checksummed wire format: the bytes a
+// commit of s writes. It fails only on a tensor whose shape does not
+// account for its data.
 func Encode(s *Snapshot) ([]byte, error) {
-	b, err := appendSnapshot(nil, s)
-	if err != nil {
+	var e encoding
+	if err := e.reset(s); err != nil {
 		return nil, err
 	}
-	seal(b)
-	return b, nil
+	b := make([]byte, 0, e.size+trailerLen)
+	e.each(make([]byte, 0, scratchLen), func(p []byte) { b = append(b, p...) })
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
 }
 
-// appendSnapshot lays s out over buf's storage, growing it only when it is
-// too small: header, metadata, data, and a zero trailer for seal to fill.
-func appendSnapshot(buf []byte, s *Snapshot) ([]byte, error) {
+// encoding is a snapshot's wire format by reference: the header and the
+// metadata record encoded, and the tensors' data still the caller's, read
+// when the bytes are written.
+type encoding struct {
+	head  []byte      // header and metadata record
+	spans [][]float64 // every tensor's data, in snapshot order
+	size  int         // the encoded length before the trailer
+}
+
+// scratchLen is the staging buffer of each: data spans shorter than it are
+// gathered there so a commit does not pay a write per small tensor, and a
+// big-endian host encodes every span through it.
+const scratchLen = 64 << 10
+
+// reset encodes s's header and metadata into e.head and lists its tensors'
+// data in e.spans, over the storage both already have. It leaves e as it
+// was when a shape does not account for its tensor's data.
+func (e *encoding) reset(s *Snapshot) error {
 	metaLen, elems, err := measure(s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	b := slices.Grow(buf[:0], headerLen+metaLen+8*elems+trailerLen)
+	b := e.head[:0]
 	b = append(b, magic[:]...)
 	b = binary.LittleEndian.AppendUint32(b, Version)
 	b = binary.LittleEndian.AppendUint64(b, uint64(metaLen))
@@ -187,35 +207,56 @@ func appendSnapshot(buf []byte, s *Snapshot) ([]byte, error) {
 			b = appendTensorMeta(b, ts)
 		}
 	}
-	// The data is one memory-bound copy, which one core does not saturate:
-	// two goroutines, each moving half of every tensor, take 2.1 ms for
-	// 21 MB where one takes 3.6 (2-core Xeon).
-	base := len(b)
-	b = b[:base+8*elems]
-	copyHalf := func(second bool) {
-		off := base
-		forEachTensor(s, func(t *Tensor) {
-			h := len(t.Data) / 2
-			if second {
-				putFloats(b[off+8*h:], t.Data[h:])
-			} else {
-				putFloats(b[off:], t.Data[:h])
-			}
-			off += 8 * len(t.Data)
-		})
+	e.head, e.spans, e.size = b, e.spans[:0], len(b)+8*elems
+	forEachTensor(s, func(t *Tensor) { e.spans = append(e.spans, t.Data) })
+	return nil
+}
+
+// each hands emit the encoding's bytes in order, the trailer excepted. On a
+// little-endian host a span's memory is its encoding, so a span at least as
+// long as scratch's capacity goes to emit as it is; shorter pieces are
+// gathered in scratch first. A big-endian host encodes every span through
+// scratch. emit must not keep what it is handed.
+func (e *encoding) each(scratch []byte, emit func([]byte)) {
+	buf := scratch[:0]
+	flush := func() {
+		if len(buf) > 0 {
+			emit(buf)
+			buf = buf[:0]
+		}
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		copyHalf(true)
-	}()
-	copyHalf(false)
-	<-done
-	return append(b, make([]byte, trailerLen)...), nil
+	put := func(p []byte) {
+		if len(p) > cap(buf)-len(buf) {
+			flush()
+			if len(p) >= cap(buf) {
+				emit(p)
+				return
+			}
+		}
+		buf = append(buf, p...)
+	}
+	put(e.head)
+	for _, d := range e.spans {
+		if nativeLE {
+			put(floatBytes(d))
+			continue
+		}
+		for len(d) > 0 {
+			if cap(buf)-len(buf) < 8 {
+				flush()
+			}
+			n := min(len(d), (cap(buf)-len(buf))/8)
+			for _, v := range d[:n] {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+			d = d[n:]
+		}
+	}
+	flush()
 }
 
 // nativeLE reports a little-endian host, where a float64 slice's memory is
-// already its encoding and a copy moves it.
+// already its encoding.
 var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // floatBytes is d's memory as bytes.
@@ -223,18 +264,7 @@ func floatBytes(d []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(d))), 8*len(d))
 }
 
-// putFloats writes src as little-endian float64 bits into dst[:8·len(src)].
-func putFloats(dst []byte, src []float64) {
-	if nativeLE {
-		copy(dst, floatBytes(src))
-		return
-	}
-	for k, v := range src {
-		binary.LittleEndian.PutUint64(dst[8*k:], math.Float64bits(v))
-	}
-}
-
-// getFloats is putFloats' inverse: dst from the little-endian bits in src.
+// getFloats writes into dst the little-endian float64 bits in src.
 func getFloats(dst []float64, src []byte) {
 	if nativeLE {
 		copy(floatBytes(dst), src)
@@ -303,12 +333,6 @@ func forEachTensor(s *Snapshot, f func(*Tensor)) {
 			}
 		}
 	}
-}
-
-// seal writes the CRC-32C of everything before the trailer into it.
-func seal(b []byte) {
-	end := len(b) - trailerLen
-	binary.LittleEndian.PutUint32(b[end:], crc32.Checksum(b[:end], castagnoli))
 }
 
 // Decode parses a snapshot, verifying magic, version, lengths, checksum and
@@ -492,11 +516,11 @@ func floats(span []byte) []float64 {
 // same directory, fsync, rename over path, fsync the directory. A crash
 // mid-save leaves path either absent/old or fully written, never torn.
 func Save(path string, s *Snapshot) error {
-	raw, err := appendSnapshot(nil, s)
-	if err != nil {
+	var e encoding
+	if err := e.reset(s); err != nil {
 		return err
 	}
-	return writeAtomic(path, raw, "")
+	return writeAtomic(path, &e, make([]byte, 0, scratchLen), "")
 }
 
 // writeChunk is the span written between writeback hints. Starting each
@@ -507,14 +531,14 @@ func Save(path string, s *Snapshot) error {
 // and 4 MiB 3.6–5.1.
 const writeChunk = 1 << 20
 
-// writeAtomic commits encoded bytes to path: a temp file in the same
-// directory, fsync, rename over path, fsync the directory. raw's trailer
-// is filled in as the last chunk is written. A non-empty reuse names a
-// regular file in that directory that the commit takes over as its temp
-// file instead of allocating a fresh one: reuse is renamed to the temp
-// name, overwritten in place and cut to len(raw). Reuse is gone from then
-// on, whether or not the commit succeeds.
-func writeAtomic(path string, raw []byte, reuse string) (err error) {
+// writeAtomic commits an encoding to path: a temp file in the same
+// directory, fsync, rename over path, fsync the directory. It reads e's
+// spans as it writes them, through scratch (see encoding.each). A
+// non-empty reuse names a regular file in that directory that the commit
+// takes over as its temp file instead of allocating a fresh one: reuse is
+// renamed to the temp name, overwritten in place and cut to the encoding's
+// length. Reuse is gone from then on, whether or not the commit succeeds.
+func writeAtomic(path string, e *encoding, scratch []byte, reuse string) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*.tmp")
 	if err != nil {
@@ -543,25 +567,15 @@ func writeAtomic(path string, raw []byte, reuse string) (err error) {
 		}
 		size = fi.Size()
 	}
-	// Each chunk is checksummed just before it is written, so the write
-	// copies it from cache; the last one carries the trailer.
-	end := len(raw) - trailerLen
-	var crc uint32
-	for off := 0; off < len(raw); off += writeChunk {
-		next := min(off+writeChunk, len(raw))
-		crc = crc32.Update(crc, castagnoli, raw[min(off, end):min(next, end)])
-		if next == len(raw) {
-			binary.LittleEndian.PutUint32(raw[end:], crc)
-		}
-		if _, err = tmp.WriteAt(raw[off:next], int64(off)); err != nil {
-			return fmt.Errorf("ckpt: save: %w", err)
-		}
-		startWriteback(tmp, int64(off), int64(next-off))
+	w := chunkWriter{f: tmp}
+	e.each(scratch, w.put)
+	if err = w.seal(); err != nil {
+		return fmt.Errorf("ckpt: save: %w", err)
 	}
 	// Cutting a file to the length it has waits for the writeback just
 	// started (3 ms at 21 MB), so only a longer file is cut.
-	if size > int64(len(raw)) {
-		if err = tmp.Truncate(int64(len(raw))); err != nil {
+	if size > w.off {
+		if err = tmp.Truncate(w.off); err != nil {
 			return fmt.Errorf("ckpt: save: %w", err)
 		}
 	}
@@ -575,6 +589,45 @@ func writeAtomic(path string, raw []byte, reuse string) (err error) {
 		return fmt.Errorf("ckpt: save: %w", err)
 	}
 	return syncDir(dir)
+}
+
+// chunkWriter writes a file front to back in writeChunk chunks: it
+// checksums each piece just before it writes it, so the write copies it
+// from cache, and starts a chunk's writeback as soon as the chunk is whole.
+// The first error sticks, and later writes do nothing.
+type chunkWriter struct {
+	f   *os.File
+	off int64  // bytes written
+	crc uint32 // CRC-32C of the bytes written
+	err error
+}
+
+// put writes p at w.off, cut at the chunk boundaries, and adds it to the
+// checksum.
+func (w *chunkWriter) put(p []byte) {
+	for len(p) > 0 && w.err == nil {
+		n := min(int64(len(p)), writeChunk-w.off%writeChunk)
+		w.crc = crc32.Update(w.crc, castagnoli, p[:n])
+		if _, w.err = w.f.WriteAt(p[:n], w.off); w.err != nil {
+			return
+		}
+		if w.off += n; w.off%writeChunk == 0 {
+			startWriteback(w.f, w.off-writeChunk, writeChunk)
+		}
+		p = p[n:]
+	}
+}
+
+// seal writes the trailer, the checksum of everything before it, and starts
+// the last chunk's writeback.
+func (w *chunkWriter) seal() error {
+	var t [trailerLen]byte
+	binary.LittleEndian.PutUint32(t[:], w.crc)
+	w.put(t[:])
+	if tail := w.off % writeChunk; w.err == nil && tail != 0 {
+		startWriteback(w.f, w.off-tail, tail)
+	}
+	return w.err
 }
 
 // syncDir fsyncs a directory so a completed rename is durable.

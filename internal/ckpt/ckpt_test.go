@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -324,29 +325,36 @@ func TestCkptManagerKeepAll(t *testing.T) {
 	}
 }
 
-// TestCkptStartOwnsNoCallerMemory: once Start returns, the commit reads
-// nothing of the snapshot it was handed: scribbling over every tensor while
-// it runs still commits the bytes Start saw.
-func TestCkptStartOwnsNoCallerMemory(t *testing.T) {
+// TestCkptStartReadsTensorsUntilWait: Start encodes everything of the
+// snapshot but its tensors' data, which the commit reads from the caller's
+// memory until a Wait returns. Scribbling over every name, shape, counter
+// and RNG state, and every tensor's slice header, once Start has returned
+// still commits the bytes Start was handed; data written after the Wait
+// reaches no file; and the Manager holds no tensor once the commit is done.
+func TestCkptStartReadsTensorsUntilWait(t *testing.T) {
 	m := &Manager{Dir: t.TempDir()}
 	s := sample()
 	want, err := Encode(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var data [][]float64
+	forEachTensor(s, func(tn *Tensor) { data = append(data, tn.Data) })
 	path, err := m.Start(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	forEachTensor(s, func(tn *Tensor) {
-		tn.Name = "scribbled"
-		for k := range tn.Data {
-			tn.Data[k] = -1
-		}
+		tn.Name, tn.Shape, tn.Data = "scribbled", []int{99}, nil
 	})
-	s.Worlds[0].Steps = 99
+	s.Step, s.Worlds[0].Steps, s.Worlds[0].GateRNG[0].State = 99, 99, 99
 	if err := m.Wait(); err != nil {
 		t.Fatal(err)
+	}
+	for _, d := range data {
+		for k := range d {
+			d[k] = -1
+		}
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
@@ -354,6 +362,72 @@ func TestCkptStartOwnsNoCallerMemory(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("the committed file is not the snapshot Start was handed")
+	}
+	for i, d := range m.enc.spans {
+		if d != nil {
+			t.Fatalf("the idle manager still holds tensor %d's data", i)
+		}
+	}
+}
+
+// TestCkptCommitMatchesEncode: Save and a Manager's commit write Encode's
+// bytes for a snapshot whose spans cross the write chunks and the staging
+// buffer both ways — one tensor longer than a chunk, runs of tensors far
+// shorter than the buffer, one just over it — on the little-endian copy and
+// on the per-element encoding a big-endian host runs.
+func TestCkptCommitMatchesEncode(t *testing.T) {
+	s := sample()
+	span := func(n int, seed float64) []float64 {
+		d := make([]float64, n)
+		for k := range d {
+			d[k] = seed * float64(k+1) / 3
+		}
+		return d
+	}
+	big := []int{writeChunk/8 + 1001, 5, scratchLen/8 + 3, 17, 1}
+	for i, n := range big {
+		s.Worlds[1].Gate = append(s.Worlds[1].Gate, Tensor{Name: fmt.Sprint("big", i), Shape: []int{n}, Data: span(n, float64(i)-1.5)})
+	}
+	want, err := Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(le bool) { nativeLE = le }(nativeLE)
+	for _, le := range []bool{true, false} {
+		nativeLE = le
+		if enc, err := Encode(s); err != nil || !bytes.Equal(enc, want) {
+			t.Fatalf("nativeLE %v: Encode differs from the native encoding (err %v)", le, err)
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "save"+Ext)
+		if err := Save(path, s); err != nil {
+			t.Fatal(err)
+		}
+		m := &Manager{Dir: dir, Keep: 2}
+		for step := 1; step <= 3; step++ { // the third commit recycles the first's file
+			s.Step = step
+			started, err := m.Start(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			enc, err := Encode(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p, b := range map[string][]byte{path: want, started: enc} {
+				got, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, b) {
+					t.Fatalf("nativeLE %v: %s is not Encode's bytes", le, filepath.Base(p))
+				}
+			}
+		}
+		s.Step = sample().Step
 	}
 }
 
@@ -753,4 +827,12 @@ func save(m *Manager, s *Snapshot) (string, error) {
 		return "", m.err
 	}
 	return path, nil
+}
+
+// seal writes the CRC-32C of everything before the trailer into it, as a
+// commit does: a test's hand-edited bytes pass the checksum and reach the
+// check behind it.
+func seal(b []byte) {
+	end := len(b) - trailerLen
+	binary.LittleEndian.PutUint32(b[end:], crc32.Checksum(b[:end], castagnoli))
 }

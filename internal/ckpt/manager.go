@@ -38,12 +38,14 @@ var ErrStaleStep = errors.New("ckpt: step older than the newest snapshot in the 
 // nothing, so it commits any step, and LoadLatest returns the newest.
 //
 // Commits run in the background, at most one in flight. Start encodes a
-// snapshot on the caller's goroutine into a buffer the Manager keeps and
-// returns; one goroutine then checksums it, writes a temp file, fsyncs,
-// renames it over the final name, fsyncs the directory and prunes. The
-// snapshot is durable once the next Start or a Wait has returned without
-// error. List, Latest and LoadLatest wait for the commit in
-// flight first, so they see it. A Manager is safe for concurrent use.
+// snapshot's header and metadata on the caller's goroutine and returns; one
+// goroutine then checksums and writes the tensors' data straight from the
+// caller's memory into a temp file, fsyncs, renames it over the final
+// name, fsyncs the directory and prunes. So the commit reads the caller's
+// tensors until the next Start, Wait or List returns: write none of them
+// before that. The snapshot is durable once the next Start or a Wait has
+// returned without error. List, Latest and LoadLatest wait for the commit
+// in flight first, so they see it. A Manager is safe for concurrent use.
 //
 // With Keep >= 2, a commit whose prune would delete the oldest retained
 // snapshot takes that file over as its temp file instead: it renames it
@@ -63,7 +65,11 @@ type Manager struct {
 	inflight *commit // the commit handed off last, until a wait collects it
 	err      error   // the collected commit's failure
 	reported bool    // a Start has returned err
-	buf      []byte  // the encode buffer; the commit in flight owns it
+
+	// The last Start's encoding and the commit's write scratch, kept from
+	// one Start to the next; the commit in flight owns both.
+	enc     encoding
+	scratch []byte
 }
 
 // commit is one background commit; err is set before done is closed.
@@ -97,12 +103,13 @@ func (m *Manager) lockIdle() {
 // failed and no Start has reported it yet, Start returns that failure
 // (wrapping ErrCommit) and commits nothing; the Start after it commits
 // again. With Keep > 0 it refuses a step older than the directory's newest
-// snapshot (ErrStaleStep; see Manager). Otherwise Start encodes s, hands the
-// rest of the commit to a background goroutine and returns: from then on
-// the commit reads nothing of s, so s may alias memory the caller goes on
-// to change. With Keep >= 2
-// the commit may overwrite the oldest retained snapshot's file (see
-// Manager), so hold no path older than the newest Keep open.
+// snapshot (ErrStaleStep; see Manager). Otherwise Start encodes s's header
+// and metadata, hands the rest of the commit to a background goroutine and
+// returns. The commit reads the data of s's tensors, the caller's memory,
+// until the next Start, Wait or List returns, so the caller writes none of
+// it before then; it reads nothing else of s once Start has returned. With
+// Keep >= 2 the commit may overwrite the oldest retained snapshot's file
+// (see Manager), so hold no path older than the newest Keep open.
 func (m *Manager) Start(s *Snapshot) (string, error) {
 	m.lockIdle()
 	defer m.mu.Unlock()
@@ -127,17 +134,20 @@ func (m *Manager) Start(s *Snapshot) (string, error) {
 	if err := os.MkdirAll(m.Dir, 0o755); err != nil {
 		return "", fmt.Errorf("ckpt: save: %w", err)
 	}
-	buf, err := appendSnapshot(m.buf, s)
-	if err != nil {
+	if err := m.enc.reset(s); err != nil {
 		return "", err
 	}
-	m.buf = buf
-	dir, keep := m.Dir, m.Keep
+	if m.scratch == nil {
+		m.scratch = make([]byte, 0, scratchLen)
+	}
+	e, scratch, dir, keep := &m.enc, m.scratch, m.Dir, m.Keep
 	c := &commit{done: make(chan struct{})}
 	m.inflight = c
 	go func() {
 		defer close(c.done)
-		err := writeAtomic(path, buf, recyclable(path, keep))
+		err := writeAtomic(path, e, scratch, recyclable(path, keep))
+		// The caller's tensors are theirs again: hold none of them alive.
+		clear(e.spans)
 		if err == nil {
 			err = prune(dir, keep)
 		}

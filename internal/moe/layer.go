@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/runtime"
 	"repro/internal/tensor"
@@ -35,6 +36,18 @@ type MOELayer struct {
 	cfg   LayerConfig
 	hooks hookChain
 	w     *World // the layer's own one-rank World; nil until the first Forward
+
+	// scratch is the gate as a scratchGate, nil for a gate without routing
+	// scratch: resolved once, since a dynamic interface assertion on every
+	// pass now and then grows its call site's cache on the heap.
+	scratch scratchGate
+
+	// commit is the checkpoint manager whose commit a step last started
+	// over the layer's parameters. The commit reads them until it
+	// completes, so whatever writes them outside a step, through any World
+	// over the layer, waits for it first (waitCommit); the World's Close
+	// drains it.
+	commit *ckpt.Manager
 }
 
 // NewMOELayer validates the configuration and assembles the layer.
@@ -54,7 +67,8 @@ func NewMOELayer(cfg LayerConfig) (*MOELayer, error) {
 	if !distinctExperts(cfg.Experts) {
 		return nil, fmt.Errorf("moe: layer requires provably distinct expert instances (aliased experts cannot be sharded)")
 	}
-	return &MOELayer{cfg: cfg, hooks: hookChain(cfg.Hooks)}, nil
+	sg, _ := cfg.Gate.(scratchGate)
+	return &MOELayer{cfg: cfg, hooks: hookChain(cfg.Hooks), scratch: sg}, nil
 }
 
 // distinctExperts reports whether every expert is a provably distinct

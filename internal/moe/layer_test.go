@@ -458,9 +458,9 @@ func TestLayerReleaseReplays(t *testing.T) {
 // and at E = 32, in 11 allocations, on every one of 20 runs and of 10 under
 // -race, at GOMAXPROCS 1 and 2: the prolog and the cache, the same at every
 // E and pool width, since a parallel product hands the pool a value, not a
-// closure. At GOMAXPROCS 4, 9 of 80 readings were 496 B. The allowance is
-// 1.5× the reading: no room for a routing matrix, a workspace slot or a
-// closure per expert.
+// closure; at GOMAXPROCS 4 and 8 too, on 20 runs each, once the runtime
+// has spare sudogs (spareSudogs). The allowance is 1.5× the reading: no
+// room for a routing matrix, a workspace slot or a closure per expert.
 const layerReleaseSlack = 600
 
 // TestLayerForwardOnlyAllocations: after the first call, a forward-only
@@ -482,6 +482,7 @@ func TestLayerForwardOnlyAllocations(t *testing.T) {
 		spareThreads(runtime.GOMAXPROCS(0) + 4)
 		runtime.GC()
 		prev := debug.SetGCPercent(-1)
+		spareSudogs(1024)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		call()

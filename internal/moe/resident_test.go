@@ -428,6 +428,33 @@ func spareThreads(n int) {
 	done.Wait()
 }
 
+// spareSudogs leaves the runtime a stock of the records (sudogs) a
+// goroutine takes to park on a channel or a WaitGroup: n goroutines park at
+// once, then are let go. The runtime keeps what they free, up to 128 on each
+// P and the rest centrally until the next collection. Without that stock a
+// collection empties the central list, and a park that then finds its P's
+// list empty allocates 96 B, charged to whatever is measured: the kernel
+// pool's workers and waiters park on one P and wake on another, so some
+// lists drain. At GOMAXPROCS 8 one warm forward-only call in five paid one
+// or more such records, now and then three (runtime.acquireSudog under
+// tensor.(*Pool).helpWait's WaitGroup, in a MemProfileRate = 1 profile).
+func spareSudogs(n int) {
+	var parked, done sync.WaitGroup
+	release := make(chan struct{})
+	parked.Add(n)
+	done.Add(n)
+	for range n {
+		go func() {
+			defer done.Done()
+			parked.Done()
+			<-release
+		}()
+	}
+	parked.Wait()
+	close(release)
+	done.Wait()
+}
+
 // allocSites reads the allocation profile, by call stack, into buf: as of
 // now — the collector publishes it, two cycles behind.
 func allocSites(buf []runtime.MemProfileRecord) []runtime.MemProfileRecord {

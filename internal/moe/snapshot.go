@@ -7,8 +7,11 @@ package moe
 // copied both ways, so a snapshot taken before a fault is immune to the
 // partial gradient and parameter writes an aborted plan may have left
 // behind. The one snapshot that is not a copy is StepWorlds' checkpoint: a
-// view of the live parameters that ckpt.Manager.Start has encoded by the
-// time it returns.
+// view of the live parameters, which the commit reads until the next
+// Start, Wait or List returns (ckpt.Manager.Start). Nothing writes them
+// meanwhile: the next step writes its update into the stack's spare buffer
+// (resident, step.go), and a restore, a recovery or a new cut of the
+// stack's buffers waits for the commit first.
 // Serialization, checksums and atomic file I/O live in internal/ckpt; this
 // file is only the mapping between a live World and its ckpt.WorldState.
 
@@ -44,7 +47,7 @@ func snapTensor(p *Param, view bool) ckpt.Tensor {
 // snapshot captures the world's full mutable training state. The world
 // must not be mid-pass. Parameters are deep-copied, so later steps never
 // alias into the snapshot; with view its tensors alias the live parameters
-// instead, valid only until the next pass writes them.
+// instead, valid until something writes them.
 func (w *World) snapshot(view bool) *ckpt.WorldState {
 	ws := &ckpt.WorldState{Steps: w.steps}
 	for _, p := range w.layer.cfg.Gate.Params() {
@@ -101,11 +104,14 @@ func checkTensors(what string, ps []*Param, ts []ckpt.Tensor) error {
 }
 
 // applyRestore writes a snapshot checkRestore accepted back into the world:
-// every parameter, the step counter, and the gate's RNG state. Restoring rolls the whole training state back to the snapshot
-// point — partially accumulated gradients are zeroed, since they belong to
-// the abandoned timeline. The world's topology (ranks, strategy, health) is
+// every parameter, the step counter, and the gate's RNG state, once the
+// checkpoint commit reading the live parameters has completed. Restoring
+// rolls the whole training state back to the snapshot point — partially
+// accumulated gradients are zeroed, since they belong to the abandoned
+// timeline. The world's topology (ranks, strategy, health) is
 // untouched; elastic recovery layers on top (see recover.go).
 func (w *World) applyRestore(ws *ckpt.WorldState) {
+	w.waitCommit()
 	for i, p := range w.layer.cfg.Gate.Params() {
 		copy(p.W.Data(), ws.Gate[i].Data)
 	}
@@ -126,7 +132,7 @@ func (w *World) applyRestore(ws *ckpt.WorldState) {
 func SnapshotWorlds(worlds []*World) *ckpt.Snapshot { return snapshotWorlds(worlds, false) }
 
 // snapshotWorlds is SnapshotWorlds, or with view the aliasing snapshot a
-// ckpt.Manager's Start encodes before it returns.
+// ckpt.Manager's commit reads.
 func snapshotWorlds(worlds []*World, view bool) *ckpt.Snapshot {
 	s := &ckpt.Snapshot{}
 	if len(worlds) > 0 {

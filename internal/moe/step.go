@@ -13,7 +13,9 @@ package moe
 // whole stack, one of parameters and one of gradients, in one layout. Every
 // Param.W is a view of the first and every Param.G of the second, so the
 // backward pass writes the gradient where the §5 slices read it and a slice
-// steps the live parameters with one row operation.
+// steps the live parameters with one row operation. A checkpoint commits
+// the live parameter buffer by reference, so the step after one writes its
+// update into a spare buffer instead, which then becomes the live one.
 
 import (
 	"errors"
@@ -54,10 +56,13 @@ type StepConfig struct {
 	// CheckpointEvery-th completed step (default: every step) through the
 	// manager's atomic, checksummed writer — the state elastic recovery
 	// rolls back to after a permanent rank loss. The step encodes the
-	// snapshot and leaves the commit running behind the next steps
-	// (ckpt.Manager.Start); a failed commit fails the next checkpointing
-	// step with ckpt.ErrCommit. A nil Checkpoint adds nothing to the step
-	// path.
+	// snapshot's header and metadata and leaves the commit running behind
+	// the next steps, reading the live parameters (ckpt.Manager.Start);
+	// the next step writes its update into a spare buffer meanwhile, and
+	// RestoreWorlds and RecoverWorlds wait for the commit. Write no Param.W
+	// by hand until the manager's Wait returns. A failed commit fails the
+	// next checkpointing step with ckpt.ErrCommit. A nil Checkpoint adds
+	// nothing to the step path.
 	Checkpoint      *ckpt.Manager
 	CheckpointEvery int
 }
@@ -155,16 +160,27 @@ func (r *StepResult) StepMS() float64 { return r.BackwardMS + r.TailMS }
 // is a view of params and every Param.G of grads, at its own offset. A step
 // leaves its gradient in grads (experts' written by the finish tasks, the
 // gate's accumulated by its backward) and w − lr·g in params.
+//
+// A checkpoint's commit reads params until it completes (ckpt.Manager.Start),
+// so the step after a checkpoint, pinned, writes w − lr·g into spare and
+// then swaps the two buffers, re-pointing every Param.W at its pre-built
+// view of the new params. A stack that never checkpoints never makes spare.
 type resident struct {
 	plan   *gradsync.Plan
 	params []float64 // [Σ layer gradElems] the live parameters
 	grads  []float64 // [Σ layer gradElems] the gradients, what the §5 slices read
 	off    []int     // [layer+1] each layer's first element
 
+	spare  []float64        // the second parameter buffer, made on first use
+	views  []*tensor.Tensor // every parameter's view of params, in stack order
+	spareV []*tensor.Tensor // and of spare
+	pinned bool             // a checkpoint commit may still read params
+
 	// Per-step scratch, sized with the buffers.
 	specs  []gradsync.LayerSpec
 	caches []*WorldCache
 	lr     float64
+	target []float64 // where this step's update writes: params, or spare when pinned
 }
 
 // layerGrads is layer i's span of the gradient buffer.
@@ -174,10 +190,11 @@ func (st *resident) layerGrads(i int) []float64 { return st.grads[st.off[i]:st.o
 // the stack a view of it. The state is reused only while every Param.W and
 // Param.G still is its view — compared by memory, without allocating; two
 // stacks sharing a first world, or a caller who replaced a tensor, force a
-// new cut. A cut copies the live parameters into new buffers, and with
-// keepGrads the gradients too (a step writes every gradient before it reads
-// one, so it starts from zeros), and re-points each Param at its views.
-// checkStack has accepted the stack.
+// new cut. A cut waits for the checkpoint commit over each layer, copies
+// the live parameters into new buffers, and with keepGrads the gradients
+// too (a step writes every gradient before it reads one, so it starts from
+// zeros), and re-points each Param at its views. checkStack has accepted
+// the stack.
 func residentFor(worlds []*World, keepGrads bool) *resident {
 	w0 := worlds[0]
 	if w0.resident == nil {
@@ -186,6 +203,9 @@ func residentFor(worlds []*World, keepGrads bool) *resident {
 	st := w0.resident
 	if st.fits(worlds) {
 		return st
+	}
+	for _, w := range worlds {
+		w.waitCommit()
 	}
 	L := len(worlds)
 	off := make([]int, L+1)
@@ -206,10 +226,46 @@ func residentFor(worlds []*World, keepGrads bool) *resident {
 				copy(pg, p.G.Data())
 			}
 			p.W, p.G = tensor.FromData(pw, p.W.Shape()...), tensor.FromData(pg, p.G.Shape()...)
+			st.views = append(st.views, p.W)
 			k += n
 		}
 	}
 	return st
+}
+
+// updateTarget is where this step's update writes: the live parameters, or
+// when pinned the spare buffer, made with its views on the first call.
+func (st *resident) updateTarget() []float64 {
+	if !st.pinned {
+		return st.params
+	}
+	if st.spare == nil {
+		st.spare = make([]float64, len(st.params))
+		k := 0
+		for _, v := range st.views {
+			n := v.Size()
+			st.spareV = append(st.spareV, tensor.FromData(st.spare[k:k+n:k+n], v.Shape()...))
+			k += n
+		}
+	}
+	return st.spare
+}
+
+// swap makes the spare buffer, which a pinned step's update wrote, the
+// live parameters, and re-points every Param.W at its view of it. The
+// buffer it retires is the one a checkpoint commit may still read; it stays
+// untouched until the stack's next checkpoint, which waits for the commit.
+func (st *resident) swap(worlds []*World) {
+	st.params, st.spare = st.spare, st.params
+	st.views, st.spareV = st.spareV, st.views
+	j := 0
+	for _, w := range worlds {
+		for _, p := range w.params {
+			p.W = st.views[j]
+			j++
+		}
+	}
+	st.pinned = false
 }
 
 // fits reports whether every parameter of the stack is its view of st.
@@ -239,11 +295,12 @@ func sameMemory(a, b []float64) bool {
 }
 
 // update is the SGD step a §5 slice applies to elements [lo, hi) of layer:
-// params −= lr·grads, in place, the gradient left as it is. Every element of
-// every layer comes by exactly once per step.
+// target = params − lr·grads, in place unless the step is pinned, the
+// gradient left as it is. Every element of every layer comes by exactly
+// once per step, so a pinned step writes the whole spare buffer.
 func (st *resident) update(layer, lo, hi int) {
 	o := st.off[layer]
-	tensor.AddScaledRow(st.params[o+lo:o+hi], st.grads[o+lo:o+hi], -st.lr)
+	tensor.AddScaledRowTo(st.target[o+lo:o+hi], st.params[o+lo:o+hi], st.grads[o+lo:o+hi], -st.lr)
 }
 
 // StepWorlds runs one training step over a stack of Worlds (layer i's
@@ -260,8 +317,10 @@ func (st *resident) update(layer, lo, hi int) {
 // overwritten by its finish routine, zero for a dead rank's, the gate's
 // cleared and accumulated — and Param.W the stepped parameters. A step that
 // returns an error may already have stepped the parameters of the layers
-// whose backward completed; every forward cache it still held is released,
-// so the next step replays each world's workspace and plans.
+// whose backward completed (the first step after a checkpoint steps none:
+// its update writes the spare buffer, which only a completed step makes
+// live); every forward cache it still held is released, so the next step
+// replays each world's workspace and plans.
 func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepResult, error) {
 	t0 := time.Now()
 	cfg = cfg.withDefaults()
@@ -326,7 +385,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	if err != nil {
 		return nil, err
 	}
-	st.lr = cfg.LR
+	st.lr, st.target = cfg.LR, st.updateTarget()
 	st.plan.Begin(st.update)
 
 	// Backward chain in reverse, each layer's plan running the slices the
@@ -355,6 +414,9 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	res.DX = dcur
 
 	res.Report = st.plan.Finish()
+	if st.pinned {
+		st.swap(worlds)
+	}
 	res.TailMS = res.Report.TailMS
 	res.RankParams = [][]float64{st.params}
 	step := worlds[0].steps
@@ -371,17 +433,33 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	var ckptWaitMS, ckptCaptureMS float64
 	if m := cfg.Checkpoint; m != nil && (step+1)%max(cfg.CheckpointEvery, 1) == 0 {
 		// What the previous commit still has to do after a whole step is
-		// the stall; its failure, if any, is Start's to report.
+		// the stall; its failure, if any, is Start's to report. A commit
+		// another manager started may still read the retired buffer, which
+		// the next step writes: it is waited for too, and its failure
+		// fails this step.
 		t1 := time.Now()
+		var prevErr error
+		for _, w := range worlds {
+			if p := w.layer.commit; p != nil && p != m {
+				if err := p.Wait(); err != nil && prevErr == nil {
+					prevErr = err
+				}
+				w.layer.commit = nil
+			}
+		}
 		_ = m.Wait()
 		t2 := time.Now()
+		if prevErr != nil {
+			return nil, fmt.Errorf("moe: step checkpoint: %w", prevErr)
+		}
 		path, err := m.Start(snapshotWorlds(worlds, true))
 		if err != nil {
 			return nil, fmt.Errorf("moe: step checkpoint: %w", err)
 		}
 		ckptWaitMS, ckptCaptureMS = float64(t2.Sub(t1))/1e6, float64(time.Since(t2))/1e6
+		st.pinned = true
 		for _, w := range worlds {
-			w.ckpt = m
+			w.layer.commit = m
 		}
 		res.CheckpointPath = path
 	}

@@ -261,7 +261,7 @@ func (w *World) release(cache *WorldCache) {
 // pass reuses both.
 func (w *World) drop(cache *WorldCache) {
 	w.release(cache)
-	if g, ok := w.layer.cfg.Gate.(scratchGate); ok {
+	if g := w.layer.scratch; g != nil {
 		g.reclaim(cache.pr.rc)
 	}
 }

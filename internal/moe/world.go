@@ -8,7 +8,6 @@ import (
 	stdsync "sync"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/fault"
 	"repro/internal/gradsync"
@@ -97,10 +96,6 @@ type World struct {
 	// recov accumulates elastic-recovery reports (recover.go) until the
 	// next completed step drains them into telemetry.
 	recov []*RecoveryReport
-
-	// ckpt is the checkpoint manager a step of this world's stack last
-	// started a commit on; Close drains it.
-	ckpt *ckpt.Manager
 }
 
 // WorldConfig configures multi-rank pipelined execution of a layer.
@@ -225,8 +220,9 @@ var ErrWorldClosed = errors.New("moe: world is closed")
 // Close stops the worker set and the kernel pool, releases the token-path
 // workspace and retires the world: subsequent Forward/Backward/Close calls
 // fail with ErrWorldClosed instead of stepping on a released pool. The
-// world must be idle. Close also waits for the checkpoint commit its stack
-// last started and returns that commit's failure (ckpt.ErrCommit), if any.
+// world must be idle. Close also waits for the checkpoint commit a step last
+// started over its layer and returns that commit's failure (ckpt.ErrCommit),
+// if any.
 func (w *World) Close() error {
 	if w.closed {
 		return fmt.Errorf("moe: double close: %w", ErrWorldClosed)
@@ -235,11 +231,21 @@ func (w *World) Close() error {
 	w.exec.Close()
 	w.pool.Close()
 	w.ws = nil
-	if m := w.ckpt; m != nil {
-		w.ckpt = nil
+	if m := w.layer.commit; m != nil {
+		w.layer.commit = nil
 		return m.Wait()
 	}
 	return nil
+}
+
+// waitCommit waits for the checkpoint commit a step last started over the
+// world's layer, which reads its parameters until it completes: whatever
+// writes them outside a step waits here first. The commit's failure stays
+// for the next checkpointing step, or Close, to report.
+func (w *World) waitCommit() {
+	if m := w.layer.commit; m != nil {
+		_ = m.Wait()
+	}
 }
 
 // Ranks returns R.

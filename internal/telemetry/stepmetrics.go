@@ -33,9 +33,10 @@ type StepMetrics struct {
 
 	// Checkpoint stall on steps that hit the checkpoint cadence (ms, zero
 	// on the others): CheckpointWaitMS waiting for the previous commit
-	// still in flight, CheckpointCaptureMS snapshotting and encoding the
-	// stack before the commit runs on behind the next steps. Both lie
-	// outside the plans and the tail.
+	// still in flight, CheckpointCaptureMS taking the stack's snapshot as
+	// views and encoding its header and metadata before the commit, which
+	// reads the parameters where they are, runs on behind the next steps.
+	// Both lie outside the plans and the tail.
 	CheckpointWaitMS    float64 `json:"checkpoint_wait_ms,omitempty"`
 	CheckpointCaptureMS float64 `json:"checkpoint_capture_ms,omitempty"`
 

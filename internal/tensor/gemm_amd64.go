@@ -9,7 +9,7 @@ var useKernels = detectAVX2FMA()
 
 // use512 adds the 512-bit plain kernel (gemmPlain512), the GeLU row kernels
 // (activation_amd64.s) and the element-wise row kernels under AddRow and
-// AddScaledRow (row_amd64.s) where the CPU has AVX-512F and the OS saves the ZMM state: XCR0 bits 5–7 and CPUID.7.0:EBX AVX512F. Its terms
+// AddScaledRowTo (row_amd64.s) where the CPU has AVX-512F and the OS saves the ZMM state: XCR0 bits 5–7 and CPUID.7.0:EBX AVX512F. Its terms
 // are the AVX2 kernel's and the scalar code's, so it changes no bit. On a
 // 2-core AVX-512 host, switching the 512-bit GEMM off raises the repository
 // benchmark's step_ms_min 5–15 % on all four workloads, the scalar GeLU rows
@@ -70,7 +70,7 @@ func geluGradRow512(dst, dy, x *float64, n int) (special bool)
 func addRow512(dst, src *float64, n int)
 
 //go:noescape
-func addScaledRow512(dst, src *float64, a float64, n int)
+func addScaledRowTo512(dst, base, src *float64, a float64, n int)
 
 //go:noescape
 func scaleRow512(dst, src *float64, a float64, n int)

@@ -30,7 +30,7 @@ func addRow512(dst, src *float64, n int) {
 	panic("tensor: no row kernel in this build")
 }
 
-func addScaledRow512(dst, src *float64, a float64, n int) {
+func addScaledRowTo512(dst, base, src *float64, a float64, n int) {
 	panic("tensor: no row kernel in this build")
 }
 

@@ -34,20 +34,25 @@ func AddRow(dst, src []float64) {
 	}
 }
 
-// AddScaledRow adds a·src[j] into dst[j] for every j of src, the product
-// rounded before the sum, with AddRow's vector form. dst must not overlap
-// src. With a = −lr it is the SGD step w − lr·g, bit for bit: (−lr)·g
-// rounds to −(lr·g), and IEEE 754 defines x − y as x + (−y).
-func AddScaledRow(dst, src []float64, a float64) {
-	dst = dst[:len(src)]
+// AddScaledRow adds a·src[j] into dst[j] for every j of src: AddScaledRowTo
+// in place. dst must not overlap src. With a = −lr it is the SGD step
+// w − lr·g, bit for bit: (−lr)·g rounds to −(lr·g), and IEEE 754 defines
+// x − y as x + (−y).
+func AddScaledRow(dst, src []float64, a float64) { AddScaledRowTo(dst, dst, src, a) }
+
+// AddScaledRowTo writes base[j] + a·src[j] into dst[j] for every j of src,
+// the product rounded before the sum, with AddRow's vector form. dst is
+// base itself or overlaps neither base nor src.
+func AddScaledRowTo(dst, base, src []float64, a float64) {
+	dst, base = dst[:len(src)], base[:len(src)]
 	v := 0
 	if use512 {
 		if v = len(src) &^ 7; v > 0 {
-			addScaledRow512(&dst[0], &src[0], a, v)
+			addScaledRowTo512(&dst[0], &base[0], &src[0], a, v)
 		}
 	}
 	for j := v; j < len(src); j++ {
-		dst[j] += float64(a * src[j])
+		dst[j] = base[j] + float64(a*src[j])
 	}
 }
 

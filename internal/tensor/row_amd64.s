@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// The AVX-512 element-wise row kernels behind AddRow, AddScaledRow and
+// The AVX-512 element-wise row kernels behind AddRow, AddScaledRowTo and
 // ScaleRow (ops.go): eight lanes per instruction, four vectors per loop
 // trip, each lane the scalar loop's operations — a product rounded on its
 // own (VMULPD), then the sum (VADDPD), never fused.
@@ -53,14 +53,15 @@ addDone:
 	VZEROUPPER
 	RET
 
-// func addScaledRow512(dst, src *float64, a float64, n int)
+// func addScaledRowTo512(dst, base, src *float64, a float64, n int)
 //
-// dst[j] += a·src[j] for j < n.
-TEXT ·addScaledRow512(SB), NOSPLIT, $0-32
+// dst[j] = base[j] + a·src[j] for j < n; dst is base or overlaps neither.
+TEXT ·addScaledRowTo512(SB), NOSPLIT, $0-40
 	MOVQ         dst+0(FP), DI
-	MOVQ         src+8(FP), SI
-	VBROADCASTSD a+16(FP), Z8
-	MOVQ         n+24(FP), CX
+	MOVQ         base+8(FP), BX
+	MOVQ         src+16(FP), SI
+	VBROADCASTSD a+24(FP), Z8
+	MOVQ         n+32(FP), CX
 	SHRQ         $3, CX
 	CMPQ         CX, $4
 	JB           scaledOne
@@ -70,15 +71,16 @@ scaledFour:
 	VMULPD  64(SI), Z8, Z5
 	VMULPD  128(SI), Z8, Z6
 	VMULPD  192(SI), Z8, Z7
-	VADDPD  (DI), Z4, Z4
-	VADDPD  64(DI), Z5, Z5
-	VADDPD  128(DI), Z6, Z6
-	VADDPD  192(DI), Z7, Z7
+	VADDPD  (BX), Z4, Z4
+	VADDPD  64(BX), Z5, Z5
+	VADDPD  128(BX), Z6, Z6
+	VADDPD  192(BX), Z7, Z7
 	VMOVUPD Z4, (DI)
 	VMOVUPD Z5, 64(DI)
 	VMOVUPD Z6, 128(DI)
 	VMOVUPD Z7, 192(DI)
 	ADDQ    $256, SI
+	ADDQ    $256, BX
 	ADDQ    $256, DI
 	SUBQ    $4, CX
 	CMPQ    CX, $4
@@ -88,9 +90,10 @@ scaledOne:
 	TESTQ CX, CX
 	JZ    scaledDone
 	VMULPD  (SI), Z8, Z4
-	VADDPD  (DI), Z4, Z4
+	VADDPD  (BX), Z4, Z4
 	VMOVUPD Z4, (DI)
 	ADDQ    $64, SI
+	ADDQ    $64, BX
 	ADDQ    $64, DI
 	DECQ    CX
 	JMP     scaledOne

@@ -11,7 +11,7 @@ import (
 // rowCase is one input of the element-wise row kernels: n elements starting
 // off elements into their buffers (odd offsets give bases off a vector's
 // alignment), specialPct% of them drawn from rowSpecials, and the scalar a
-// of AddScaledRow.
+// of AddScaledRowTo.
 type rowCase struct {
 	seed       uint64
 	n, off     int
@@ -54,10 +54,11 @@ func rowOperand(rng *xrand.RNG, n, off, specialPct int) []float64 {
 	return x
 }
 
-// checkRowKernels runs AddRow, ScaleRow and AddScaledRow (by a and by −a)
-// on the case's operands and requires every buffer, sentinels included, to
-// carry the bits of the scalar loops they replace; where the loop gives a
-// NaN any NaN will do.
+// checkRowKernels runs AddRow, ScaleRow, AddScaledRow (by a and by −a) and
+// AddScaledRowTo into a third buffer on the case's operands and requires
+// every buffer, sentinels included, to carry the bits of the scalar loops
+// they replace; where the loop gives a NaN any NaN will do. AddScaledRow is
+// AddScaledRowTo with dst = base, so both of its forms run.
 func checkRowKernels(t *testing.T, c rowCase) {
 	t.Helper()
 	rng := xrand.New(c.seed)
@@ -102,6 +103,19 @@ func checkRowKernels(t *testing.T, c rowCase) {
 		want[lo+i] -= float64(c.a * v)
 	}
 	equal("AddScaledRow by −a", got, want)
+
+	// Out of place, as the step's update into a spare parameter buffer:
+	// base and src are read, not written.
+	out := rowOperand(rng, c.n, c.off, c.specialPct)
+	base, grad := clone(dst), clone(src)
+	got, want = clone(out), clone(out)
+	AddScaledRowTo(got[lo:hi], base[lo:hi], grad[lo:hi], -c.a)
+	for i, v := range src[lo:hi] {
+		want[lo+i] = dst[lo+i] - float64(c.a*v)
+	}
+	equal("AddScaledRowTo dst", got, want)
+	equal("AddScaledRowTo base", base, dst)
+	equal("AddScaledRowTo src", grad, src)
 }
 
 func clone(x []float64) []float64 { return append([]float64(nil), x...) }

@@ -79,9 +79,10 @@
 //
 // # Element-wise rows
 //
-// AddRow (dst += src) and AddScaledRow (dst += a·src) carry the step's
-// element-wise float64 loops: the §5 slices' SGD update (AddScaledRow by
-// −lr), the combine's slot sums, bias adds and gradients. Where the CPU has AVX-512 they run
+// AddRow (dst += src) and AddScaledRowTo (dst = base + a·src; AddScaledRow
+// is its in-place form, dst += a·src) carry the step's element-wise float64
+// loops: the §5 slices' SGD update (AddScaledRowTo by −lr), the combine's
+// slot sums, bias adds and gradients. Where the CPU has AVX-512 they run
 // eight lanes at a time (row_amd64.s), each lane the scalar operations —
 // the product rounded, then the sum or difference, never fused — so an
 // element's bits do not depend on the lane width, the CPU or the build; the
