@@ -165,39 +165,38 @@
 //
 // # Training steps and resident state
 //
-// StepStack (on a one-element slice for one layer) is the §5 training
-// step: forward, backward with the gradient sync sliced into the backward
-// plans' slack, the exposed tail — and the SGD update riding that sync.
-// Every gradient element has one contributor (there is no data-parallel
-// axis), and the parameters live once: one copy, stepped in place — except
-// on the step after a checkpoint, whose commit still reads that copy: that
-// step writes its update into a second buffer, made on first use, which
-// then becomes the live one. A slice has nothing to reduce or copy; it
-// steps its elements, once each. What
-// does not change from one step to the next is kept on the stack. The §5
-// byte plan (StepResult.Report.Gar) is solved once per distinct input — the
-// sync strategy, models, degree cap, chunk and slice settings of
-// StepConfig together with every layer's shapes and padded batch
-// capacity — and solved again exactly when one of those compares
-// different (another batch size, another StepConfig, a Recover to fewer
-// ranks); treat it as read-only, later steps share it. The stack keeps its
-// parameters and their gradients as two flat buffers in the RankParams
-// layout, and every Param.W and Param.G is a view of its span of them:
-// the first step or SyncGradients on a stack copies the parameters in
-// (SyncGradients the accumulated gradients too) and re-points each Param,
-// and a later one does so again only when a parameter no longer is its
-// view (another stack over the same first world, a tensor the caller
-// replaced). The step after a checkpoint re-points every Param.W at its
-// view of the second buffer, without allocating. The backward writes the
-// gradient where the §5 slices read it — an expert's by the backward
-// plan's finish task, the gate's by its backward, zero for a dead rank's
-// experts — and a slice steps the
+// StepStack (on a one-element slice for one layer) is the §5 training step:
+// forward, backward with the gradient sync sliced into the backward plans'
+// slack, the exposed tail — and the SGD update riding that sync. Every
+// gradient element has one contributor (there is no data-parallel axis),
+// and the parameters live once: one copy, stepped in place — except on the
+// step after a checkpoint, whose commit still reads that copy: that step
+// writes its update into a second buffer, made on first use, which then
+// becomes the live one. A slice has nothing to reduce or copy; it steps its
+// elements, once each. What does not change from one step to the next is
+// kept on the stack. The §5 byte plan (StepResult.Report.Gar) is solved
+// once per distinct input — the sync strategy, models, degree cap, chunk
+// and slice settings of StepConfig together with every layer's shapes and
+// padded batch capacity — and solved again exactly when one of those
+// compares different (another batch size, another StepConfig, a Recover to
+// fewer ranks); treat it as read-only, later steps share it. The stack
+// keeps its parameters and their gradients as two flat buffers in the
+// RankParams layout, and every Param.W and Param.G is a view of its span of
+// them: the first step or SyncGradients on a slice copies the parameters in
+// (SyncGradients the accumulated gradients too) and re-points each Param; a
+// later call finds that stack by identity (the same Worlds in order, no
+// layer since taken by another stack) and cuts any other slice anew. Once a
+// stack has stepped a Param, its W and G are views the stack owns: write
+// them through Data(), never replace the tensor. The step after a
+// checkpoint re-points every Param.W at its view of the second buffer,
+// without allocating. The backward writes the gradient where the §5 slices
+// read it — an expert's by the backward plan's finish task, the gate's by
+// its backward, zero for a dead rank's experts — and a slice steps the
 // parameters with one row operation, w += (−lr)·g, which has the bits of
-// w − lr·g. A stack in which two entries share a layer's parameters (the
-// same World twice, or two Worlds over one Layer) is refused. The exposed
-// tail — of a step and of SyncGradients alike — runs on every core of the
-// default tensor pool; the bytes are those of the tail run on one
-// goroutine.
+// w − lr·g. A stack in which two entries share a layer's parameters (the same
+// World twice, or two Worlds over one Layer) is refused. The exposed tail —
+// of a step and of SyncGradients alike — runs on every core of the default
+// tensor pool; the bytes are those of the tail run on one goroutine.
 //
 // What a step does to Param.G: it leaves the step's gradient there. Each
 // expert's finish task writes over its Param.G, a dead rank's experts read
@@ -347,9 +346,9 @@
 // prune run on one background goroutine behind the next steps, at most one
 // commit in flight, and the write reads the live parameters where they
 // are. The commit reads the caller's tensors until the next Start, Wait or
-// List returns: the next step writes its update around them, Restore and
-// Recover wait for the commit, and a Param.W you write by hand waits for
-// the manager's Wait. StepResult.CheckpointPath is the file that
+// List returns. It belongs to the stack: its next step writes around them,
+// Restore, Recover and each World's Close wait for it, and a Param.W you
+// write by hand waits for the manager's Wait. StepResult.CheckpointPath is the file that
 // step's snapshot commits to; it is durable once the manager's next
 // Start, a Wait, or the worlds' Close has returned, and List, Latest and
 // LoadLatest wait for it first. A failed commit fails the next
@@ -411,14 +410,14 @@
 // files or sockets must do its own buffering if it cannot afford to block
 // the training loop. The metrics value is fully formed when OnStep runs
 // and the runtime never mutates or retains it afterwards; the sink may
-// keep it. Several Worlds stepped together by StepWorlds may share one
-// Sink value — it is deduplicated and receives each step exactly once.
-// A nil Sink disables emission entirely; the guard is a single nil check,
-// so unconfigured telemetry adds zero allocations to the step hot path
-// (BenchmarkStepTelemetryGuard pins this). Registry instruments are
-// shared handles: any goroutine may Add/Set/Observe concurrently, and
-// Snapshot may run concurrently with writers (it reads atomically, not
-// transactionally).
+// keep it. Several Worlds stepped together by StepStack may share one
+// Sink value — the stack resolves its distinct sinks once, when it is
+// cut, and each receives each step exactly once. A nil Sink disables
+// emission entirely; the guard is a single nil check, so unconfigured
+// telemetry adds zero allocations to the step hot path. Registry
+// instruments are shared handles: any goroutine may Add/Set/Observe
+// concurrently, and Snapshot may run concurrently with writers (it reads
+// atomically, not transactionally).
 //
 // # Plan verification
 //

@@ -276,6 +276,37 @@ func TestCkptCommitFailure(t *testing.T) {
 	}
 }
 
+// TestCkptCommitFailureOnClose: the commit belongs to the stack, so once a
+// checkpoint step's commit has failed, with no further step to report it,
+// every World of the stack returns ckpt.ErrCommit from Close.
+func TestCkptCommitFailureOnClose(t *testing.T) {
+	x := RandTensor(131, 96, 32)
+	dy := RandTensor(132, 96, 32)
+	mgr := tempCheckpoints(t, 3)
+	ws := syncTestStack(t, 2, 4)
+	cfg := StepConfig{LR: 0.02, ChunkBytes: 64 << 10, Checkpoint: mgr}
+	if _, err := StepStack(ws, x, dy, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// A non-empty directory on step 2's final name: the commit's rename
+	// fails whatever the process may do.
+	block := filepath.Join(mgr.Dir, fmt.Sprintf("step-%012d%s", 2, ckpt.Ext))
+	if err := os.MkdirAll(filepath.Join(block, "squatter"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := StepStack(ws, x, dy, cfg); err != nil || res.CheckpointPath != block {
+		t.Fatalf("step 2 = (%v, %v), want its snapshot accepted for %s", res, err, block)
+	}
+	for i, w := range ws {
+		if err := w.Close(); !errors.Is(err, ckpt.ErrCommit) {
+			t.Fatalf("world %d: Close = %v, want ckpt.ErrCommit", i, err)
+		}
+	}
+}
+
 // TestCkptDrainOnClose: a stack that checkpoints every step and is then
 // closed leaves no commit running: the goroutine count is back to its
 // baseline, the directory already holds exactly the last Keep snapshots,

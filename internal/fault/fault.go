@@ -155,7 +155,7 @@ type Down struct {
 }
 
 // Spec configures a deterministic injector. The zero value injects
-// nothing; probabilities are clamped to [0, 1] by New.
+// nothing; probabilities are clamped to [0, 1] by New, NaN to 0.
 type Spec struct {
 	Seed uint64
 
@@ -182,8 +182,9 @@ type Spec struct {
 	Down *Down
 }
 
+// clamp01 clamps p into [0, 1]; NaN, which compares false both ways, is 0.
 func clamp01(p float64) float64 {
-	if p < 0 {
+	if !(p > 0) {
 		return 0
 	}
 	if p > 1 {
@@ -210,7 +211,7 @@ func (s Spec) own() Spec {
 	return s
 }
 
-// New compiles a Spec, clamping probabilities into [0, 1]. The plan keeps
+// New compiles a Spec, clamping probabilities into [0, 1] (NaN to 0). The plan keeps
 // its own copies of the spec's maps and Down: it never writes to the
 // caller's, and editing them afterwards does not change its decisions.
 func New(s Spec) *Plan {

@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -199,7 +200,7 @@ func TestWithoutDown(t *testing.T) {
 // compiled concurrently from one Spec do not race on it, the caller's
 // values stay as passed (out-of-range ones included), and editing the
 // caller's maps afterwards changes neither the plan's decisions nor its
-// compiled spec.
+// compiled spec. NaN clamps to 0 and ±Inf to the nearer bound.
 func TestNewOwnsItsSpec(t *testing.T) {
 	spec := Spec{
 		Seed:     4,
@@ -222,6 +223,17 @@ func TestNewOwnsItsSpec(t *testing.T) {
 	}
 	if s := p.spec; s.KindProb["AllGather"] != 1 || s.KindProb["Pack"] != 0 {
 		t.Fatalf("compiled map not clamped: %v", s.KindProb)
+	}
+
+	// NaN and ±Inf clamp too: NaN to 0, as the docs promise.
+	nan := New(Spec{TransientProb: math.NaN(), StragglerProb: math.Inf(1),
+		KindProb: map[string]float64{"AlltoAll": math.NaN(), "AllGather": math.Inf(1), "Pack": math.Inf(-1)}})
+	if s := nan.spec; s.TransientProb != 0 || s.StragglerProb != 1 ||
+		s.KindProb["AlltoAll"] != 0 || s.KindProb["AllGather"] != 1 || s.KindProb["Pack"] != 0 {
+		t.Fatalf("NaN or ±Inf not clamped: %+v", s)
+	}
+	if s := New(Spec{StragglerProb: math.NaN(), TransientProb: math.Inf(-1)}).spec; s.StragglerProb != 0 || s.TransientProb != 0 {
+		t.Fatalf("NaN or -Inf not clamped: %+v", s)
 	}
 
 	spec.KindProb["AlltoAll"] = 1

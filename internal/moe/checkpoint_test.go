@@ -96,6 +96,11 @@ func checkCommitted(t *testing.T, label, path string, want *ckpt.Snapshot) {
 	}
 }
 
+// sameMemory reports whether a and b are the same elements of one array.
+func sameMemory(a, b []float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // TestStepCheckpointCommitsTheStep: a checkpoint commits the live
 // parameters by reference while the next steps run, the first of them into
 // the spare buffer. At CheckpointEvery 1, 2 and 5 under EP, ESP and Hybrid
@@ -252,7 +257,7 @@ func TestStepWithoutCheckpointMakesNoSpare(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := ws[0].resident
+	st := ws[0].layer.stack
 	if st.spare != nil || st.spareV != nil {
 		t.Fatal("a stack stepped without a checkpoint made the spare buffer")
 	}
@@ -358,4 +363,82 @@ func TestRestoreThroughSecondWorldWaitsForCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkCommitted(t, "second World", res.CheckpointPath, want)
+}
+
+// TestStepResliced: a stack is found by identity, so a slice that is not
+// the stack's worlds in order, every layer pointing to it, is cut anew. A
+// two-layer stack [a, b] steps with a checkpoint, then [b] alone, then
+// [a, b] — whose first layer still points to the first stack, while b's
+// parameters live in [b]'s buffers — then [b, a], each checkpointing
+// through its own manager. Every step equals a fresh twin stepped through
+// the same slices without checkpoints, and every file holds its step's
+// parameters. Then [b] checkpoints once more and RestoreWorlds([a, b])
+// runs while that commit is in flight: it returns only once the file is in
+// place.
+func TestStepResliced(t *testing.T) {
+	x := tensor.RandN(xrand.New(711), 1, 96, 32)
+	dy := tensor.RandN(xrand.New(712), 1e-2, 96, 32)
+	c := checkpointStacks[0]
+	ws, twin := c.build(t), c.build(t)
+	back := SnapshotWorlds(ws)
+	plain := StepConfig{LR: 0.05, Train: true, Slices: 3}
+	mgrs := map[string]*ckpt.Manager{}
+	want := map[string]*ckpt.Snapshot{}
+	step := func(order ...int) *StepResult {
+		t.Helper()
+		pick := func(st []*World) []*World {
+			var out []*World
+			for _, i := range order {
+				out = append(out, st[i])
+			}
+			return out
+		}
+		label := fmt.Sprint("slice ", order)
+		if mgrs[label] == nil {
+			mgrs[label] = tempManager(t)
+		}
+		cfg := plain
+		cfg.Checkpoint = mgrs[label]
+		res, err := StepWorlds(pick(ws), x, dy, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want[res.CheckpointPath] = SnapshotWorlds(pick(ws))
+		twinRes, err := StepWorlds(pick(twin), x, dy, plain)
+		if err != nil {
+			t.Fatalf("%s (twin): %v", label, err)
+		}
+		sameAsTwin(t, label, res, twinRes)
+		if err := sameBits(liveParams(ws), liveParams(twin)); err != nil {
+			t.Fatalf("%s: Param.W: %v", label, err)
+		}
+		return res
+	}
+	step(0, 1)
+	step(1)
+	step(0, 1)
+	step(1, 0)
+	res := step(1)
+	if err := RestoreWorlds(ws, back); err != nil {
+		t.Fatal(err)
+	}
+	// The commit renames its file into place last.
+	if _, err := os.Stat(res.CheckpointPath); err != nil {
+		t.Fatalf("RestoreWorlds returned before [b]'s commit: %v", err)
+	}
+	for _, m := range mgrs {
+		if err := m.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(want) != 5 {
+		t.Fatalf("%d checkpoint files, want 5", len(want))
+	}
+	for path, snap := range want {
+		checkCommitted(t, "resliced", path, snap)
+	}
+	if err := RestoreWorlds(twin, back); err != nil {
+		t.Fatal(err)
+	}
+	step(0, 1)
 }

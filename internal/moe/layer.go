@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"repro/internal/ckpt"
 	"repro/internal/comm"
 	"repro/internal/runtime"
 	"repro/internal/tensor"
@@ -42,12 +41,11 @@ type MOELayer struct {
 	// pass now and then grows its call site's cache on the heap.
 	scratch scratchGate
 
-	// commit is the checkpoint manager whose commit a step last started
-	// over the layer's parameters. The commit reads them until it
-	// completes, so whatever writes them outside a step, through any World
-	// over the layer, waits for it first (waitCommit); the World's Close
-	// drains it.
-	commit *ckpt.Manager
+	// stack is the stack whose buffers hold the layer's parameters, nil
+	// until a World over the layer steps or syncs (stack.go). It owns the
+	// checkpoint commit that reads them, so whatever writes them outside a
+	// step, through any World over the layer, waits for it first.
+	stack *stack
 }
 
 // NewMOELayer validates the configuration and assembles the layer.

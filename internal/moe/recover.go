@@ -90,7 +90,10 @@ type RecoveryReport struct {
 // stack rolled back to the snapshot at its old rank count, with the down
 // rank still reported, so the stack recovers again once the fault clears.
 func RecoverWorlds(worlds []*World, s *ckpt.Snapshot, pol RecoveryPolicy) ([]*RecoveryReport, error) {
-	if err := checkStack("recover", worlds); err != nil {
+	// Every parameter a view of the stack's buffer, so each expert's
+	// parameters are one span of it; the restore zeroes the gradients.
+	st, err := stackFor("recover", worlds, false)
+	if err != nil {
 		return nil, err
 	}
 	if s == nil {
@@ -140,9 +143,6 @@ shrink:
 			return nil, fmt.Errorf("moe: recover layer %d: %w", i, err)
 		}
 	}
-	// Every parameter a view of the stack's buffer, so each expert's
-	// parameters are one span of it; the restore zeroes the gradients.
-	st := residentFor(worlds, false)
 	reports := make([]*RecoveryReport, len(worlds))
 	for i, w := range worlds {
 		reports[i] = w.rollback(&s.Worlds[i], mode, down, cfgs[i])
@@ -153,8 +153,9 @@ shrink:
 		}
 	}
 	for i, w := range worlds {
-		w.commit(reports[i], cfgs[i], gs[i])
+		w.install(reports[i], cfgs[i], gs[i])
 	}
+	st.recov = append(st.recov, reports...)
 	return reports, nil
 }
 
@@ -206,7 +207,7 @@ func (w *World) rollback(ws *ckpt.WorldState, mode RecoveryMode, downRank int, n
 // replace moves the weights of every expert whose owner changes at
 // newCfg's rank count to that owner. params is the layer's span of the
 // stack's parameter buffer, which the live Param.W views. The world's
-// topology is untouched; commit installs the new one.
+// topology is untouched; install sets up the new one.
 func (w *World) replace(rep *RecoveryReport, params []float64, newCfg WorldConfig) error {
 	t0 := time.Now()
 	e, oldEgrp, newR := len(w.layer.cfg.Experts), w.egrp, newCfg.Ranks
@@ -254,13 +255,13 @@ func (w *World) replace(rep *RecoveryReport, params []float64, newCfg WorldConfi
 	return nil
 }
 
-// commit installs the topology replace moved the world's weights for: it
+// install sets up the topology replace moved the world's weights for: it
 // resizes the worker set and the kernel pool to the new stream count,
 // installs the new group width, drops the workspace cut for the old one,
 // strips the injector's down trigger (the dead rank no longer exists in the
 // rebuilt world), and clears the health state exactly as a manual
 // ResetHealth would.
-func (w *World) commit(rep *RecoveryReport, newCfg WorldConfig, g int) {
+func (w *World) install(rep *RecoveryReport, newCfg WorldConfig, g int) {
 	t0 := time.Now()
 	w.addStats(rep.Traffic)
 	w.exec.Close()
@@ -275,7 +276,6 @@ func (w *World) commit(rep *RecoveryReport, newCfg WorldConfig, g int) {
 
 	rep.NewGroupSize = w.GroupSize()
 	rep.RecoveryMS += time.Since(t0).Seconds() * 1e3
-	w.recov = append(w.recov, rep)
 }
 
 func gcd(a, b int) int {
@@ -283,12 +283,4 @@ func gcd(a, b int) int {
 		a, b = b, a%b
 	}
 	return a
-}
-
-// drainRecoveries returns and clears the recovery reports accumulated
-// since the previous completed step — the step-telemetry feed.
-func (w *World) drainRecoveries() []*RecoveryReport {
-	r := w.recov
-	w.recov = nil
-	return r
 }

@@ -637,7 +637,10 @@ func TestStepGradsBackwardRankDown(t *testing.T) {
 				t.Fatalf("step mode %v: the gate's backward ran %d times, want once", stepMode, gate.backwards)
 			}
 		}()
-		st := residentFor([]*World{w}, true)
+		st, err := stackFor("sync", []*World{w}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
 		grads := st.layerGrads(0)
 		if stepMode {
 			for k := range grads {
@@ -697,8 +700,8 @@ func TestStepGradsBackwardRankDown(t *testing.T) {
 // step, so a gradient the first left behind shows). Then two stacks that
 // share their first world and have equal layouts, stepped alternately three
 // times each, each equal their Sequential + SyncNoOverlap twin and their
-// live Param.W: the resident state is recut by memory, not by layout, so
-// neither stack steps the other's parameters.
+// live Param.W: a stack is found by identity, not by layout, so neither
+// stack steps the other's parameters.
 func TestStepWritesViews(t *testing.T) {
 	x := tensor.RandN(xrand.New(351), 1, 96, 32)
 	dy := tensor.RandN(xrand.New(352), 1, 96, 32)
@@ -725,7 +728,7 @@ func TestStepWritesViews(t *testing.T) {
 			}
 		}
 		handGrads(t, ref, x, dy)
-		row, grads := res.RankParams[0], ws[0].resident.grads
+		row, grads := res.RankParams[0], ws[0].layer.stack.grads
 		base := 0
 		for i, w := range ws {
 			// Each parameter group from its flat offset: the gate's at 0,

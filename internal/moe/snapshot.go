@@ -8,10 +8,11 @@ package moe
 // partial gradient and parameter writes an aborted plan may have left
 // behind. The one snapshot that is not a copy is StepWorlds' checkpoint: a
 // view of the live parameters, which the commit reads until the next
-// Start, Wait or List returns (ckpt.Manager.Start). Nothing writes them
-// meanwhile: the next step writes its update into the stack's spare buffer
-// (resident, step.go), and a restore, a recovery or a new cut of the
-// stack's buffers waits for the commit first.
+// Start, Wait or List returns (ckpt.Manager.Start). The commit belongs to
+// the stack whose buffers hold the parameters (stack.go), and nothing writes
+// them meanwhile: the next step writes its update into the stack's spare
+// buffer, and a restore, a recovery or a new cut waits for the commit first,
+// found through each layer's pointer to its stack.
 // Serialization, checksums and atomic file I/O live in internal/ckpt; this
 // file is only the mapping between a live World and its ckpt.WorldState.
 
@@ -111,7 +112,7 @@ func checkTensors(what string, ps []*Param, ts []ckpt.Tensor) error {
 // timeline. The world's topology (ranks, strategy, health) is
 // untouched; elastic recovery layers on top (see recover.go).
 func (w *World) applyRestore(ws *ckpt.WorldState) {
-	w.waitCommit()
+	w.layer.stack.wait()
 	for i, p := range w.layer.cfg.Gate.Params() {
 		copy(p.W.Data(), ws.Gate[i].Data)
 	}

@@ -9,18 +9,17 @@ package moe
 // so the post-step parameters are bit-identical under every strategy.
 //
 // What is identical from one step to the next is resident on the stack
-// (resident, below): the solved §5 byte plan and two flat buffers for the
-// whole stack, one of parameters and one of gradients, in one layout. Every
-// Param.W is a view of the first and every Param.G of the second, so the
-// backward pass writes the gradient where the §5 slices read it and a slice
-// steps the live parameters with one row operation. A checkpoint commits
+// (stack.go), found by identity: the solved §5 byte plan and two flat
+// buffers for the whole stack, one of parameters and one of gradients, in
+// one layout. Every Param.W is a view of the first and every Param.G of the
+// second, so the backward pass writes the gradient where the §5 slices read
+// it and a slice steps the live parameters with one row operation. A checkpoint commits
 // the live parameter buffer by reference, so the step after one writes its
 // update into a spare buffer instead, which then becomes the live one.
 
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"time"
 
 	"repro/internal/ckpt"
@@ -57,12 +56,13 @@ type StepConfig struct {
 	// manager's atomic, checksummed writer — the state elastic recovery
 	// rolls back to after a permanent rank loss. The step encodes the
 	// snapshot's header and metadata and leaves the commit running behind
-	// the next steps, reading the live parameters (ckpt.Manager.Start);
-	// the next step writes its update into a spare buffer meanwhile, and
-	// RestoreWorlds and RecoverWorlds wait for the commit. Write no Param.W
-	// by hand until the manager's Wait returns. A failed commit fails the
-	// next checkpointing step with ckpt.ErrCommit. A nil Checkpoint adds
-	// nothing to the step path.
+	// the next steps, reading the live parameters (ckpt.Manager.Start).
+	// The commit belongs to the stack: its next step writes its update into
+	// a spare buffer meanwhile, and RestoreWorlds, RecoverWorlds, a new cut
+	// and each World's Close wait for it. Write no Param.W by hand until the
+	// manager's Wait returns. A failed commit fails the next checkpointing
+	// step with ckpt.ErrCommit, and each World's Close. A nil Checkpoint
+	// adds nothing to the step path.
 	Checkpoint      *ckpt.Manager
 	CheckpointEvery int
 }
@@ -152,157 +152,6 @@ type StepResult struct {
 // everything that runs outside the measured plans.
 func (r *StepResult) StepMS() float64 { return r.BackwardMS + r.TailMS }
 
-// resident is the training state a stack keeps from one step to the next,
-// held on the stack's first world: the solved §5 byte plan, reused while
-// the sync configuration and layer specs compare equal, and the stack's
-// parameters and gradients as two flat buffers in one layout — layer i at
-// [off[i], off[i+1]), within it the world's gradOff layout. Every Param.W
-// is a view of params and every Param.G of grads, at its own offset. A step
-// leaves its gradient in grads (experts' written by the finish tasks, the
-// gate's accumulated by its backward) and w − lr·g in params.
-//
-// A checkpoint's commit reads params until it completes (ckpt.Manager.Start),
-// so the step after a checkpoint, pinned, writes w − lr·g into spare and
-// then swaps the two buffers, re-pointing every Param.W at its pre-built
-// view of the new params. A stack that never checkpoints never makes spare.
-type resident struct {
-	plan   *gradsync.Plan
-	params []float64 // [Σ layer gradElems] the live parameters
-	grads  []float64 // [Σ layer gradElems] the gradients, what the §5 slices read
-	off    []int     // [layer+1] each layer's first element
-
-	spare  []float64        // the second parameter buffer, made on first use
-	views  []*tensor.Tensor // every parameter's view of params, in stack order
-	spareV []*tensor.Tensor // and of spare
-	pinned bool             // a checkpoint commit may still read params
-
-	// Per-step scratch, sized with the buffers.
-	specs  []gradsync.LayerSpec
-	caches []*WorldCache
-	lr     float64
-	target []float64 // where this step's update writes: params, or spare when pinned
-}
-
-// layerGrads is layer i's span of the gradient buffer.
-func (st *resident) layerGrads(i int) []float64 { return st.grads[st.off[i]:st.off[i+1]] }
-
-// residentFor returns the stack's resident state with every parameter of
-// the stack a view of it. The state is reused only while every Param.W and
-// Param.G still is its view — compared by memory, without allocating; two
-// stacks sharing a first world, or a caller who replaced a tensor, force a
-// new cut. A cut waits for the checkpoint commit over each layer, copies
-// the live parameters into new buffers, and with keepGrads the gradients
-// too (a step writes every gradient before it reads one, so it starts from
-// zeros), and re-points each Param at its views. checkStack has accepted
-// the stack.
-func residentFor(worlds []*World, keepGrads bool) *resident {
-	w0 := worlds[0]
-	if w0.resident == nil {
-		w0.resident = &resident{}
-	}
-	st := w0.resident
-	if st.fits(worlds) {
-		return st
-	}
-	for _, w := range worlds {
-		w.waitCommit()
-	}
-	L := len(worlds)
-	off := make([]int, L+1)
-	for i, w := range worlds {
-		off[i+1] = off[i] + w.gradElems()
-	}
-	*st = resident{
-		plan: st.plan, params: make([]float64, off[L]), grads: make([]float64, off[L]), off: off,
-		specs: make([]gradsync.LayerSpec, L), caches: make([]*WorldCache, L),
-	}
-	for i, w := range worlds {
-		k := off[i]
-		for _, p := range w.params {
-			n := len(p.W.Data())
-			pw, pg := st.params[k:k+n:k+n], st.grads[k:k+n:k+n]
-			copy(pw, p.W.Data())
-			if keepGrads {
-				copy(pg, p.G.Data())
-			}
-			p.W, p.G = tensor.FromData(pw, p.W.Shape()...), tensor.FromData(pg, p.G.Shape()...)
-			st.views = append(st.views, p.W)
-			k += n
-		}
-	}
-	return st
-}
-
-// updateTarget is where this step's update writes: the live parameters, or
-// when pinned the spare buffer, made with its views on the first call.
-func (st *resident) updateTarget() []float64 {
-	if !st.pinned {
-		return st.params
-	}
-	if st.spare == nil {
-		st.spare = make([]float64, len(st.params))
-		k := 0
-		for _, v := range st.views {
-			n := v.Size()
-			st.spareV = append(st.spareV, tensor.FromData(st.spare[k:k+n:k+n], v.Shape()...))
-			k += n
-		}
-	}
-	return st.spare
-}
-
-// swap makes the spare buffer, which a pinned step's update wrote, the
-// live parameters, and re-points every Param.W at its view of it. The
-// buffer it retires is the one a checkpoint commit may still read; it stays
-// untouched until the stack's next checkpoint, which waits for the commit.
-func (st *resident) swap(worlds []*World) {
-	st.params, st.spare = st.spare, st.params
-	st.views, st.spareV = st.spareV, st.views
-	j := 0
-	for _, w := range worlds {
-		for _, p := range w.params {
-			p.W = st.views[j]
-			j++
-		}
-	}
-	st.pinned = false
-}
-
-// fits reports whether every parameter of the stack is its view of st.
-func (st *resident) fits(worlds []*World) bool {
-	if len(st.off) != len(worlds)+1 {
-		return false
-	}
-	for i, w := range worlds {
-		k, end := st.off[i], st.off[i+1]
-		for _, p := range w.params {
-			n := len(p.W.Data())
-			if k+n > end || !sameMemory(p.W.Data(), st.params[k:k+n]) || !sameMemory(p.G.Data(), st.grads[k:k+n]) {
-				return false
-			}
-			k += n
-		}
-		if k != end {
-			return false
-		}
-	}
-	return true
-}
-
-// sameMemory reports whether a and b are the same elements of one array.
-func sameMemory(a, b []float64) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// update is the SGD step a §5 slice applies to elements [lo, hi) of layer:
-// target = params − lr·grads, in place unless the step is pinned, the
-// gradient left as it is. Every element of every layer comes by exactly
-// once per step, so a pinned step writes the whole spare buffer.
-func (st *resident) update(layer, lo, hi int) {
-	o := st.off[layer]
-	tensor.AddScaledRowTo(st.target[o+lo:o+hi], st.params[o+lo:o+hi], st.grads[o+lo:o+hi], -st.lr)
-}
-
 // StepWorlds runs one training step over a stack of Worlds (layer i's
 // output feeds layer i+1): forward through the stack, backward in
 // reverse with the §5 gradient sync overlapped into each layer's
@@ -324,13 +173,13 @@ func (st *resident) update(layer, lo, hi int) {
 func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepResult, error) {
 	t0 := time.Now()
 	cfg = cfg.withDefaults()
-	if err := checkStack("step", worlds); err != nil {
+	st, err := stackFor("step", worlds, false)
+	if err != nil {
 		return nil, err
 	}
 	if err := checkUnaliased(worlds, x, dy); err != nil {
 		return nil, err
 	}
-	st := residentFor(worlds, false)
 	for i, w := range worlds {
 		clear(st.layerGrads(i)[:w.gradOff[0]]) // the gate's backward accumulates
 	}
@@ -349,7 +198,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	// Telemetry is pay-for-use: with no sink configured anywhere on the
 	// stack, sinks is nil and every metrics branch below is a single nil
 	// check — no traces retained, no metrics built, no allocations added.
-	sinks := stepSinks(worlds)
+	sinks := st.sinks
 	var fwdTraces []*sim.Trace
 
 	// Forward chain. Every output, the stack's last included, stays in the
@@ -380,7 +229,6 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	for i, w := range worlds {
 		st.specs[i] = gradsync.LayerSpec{Elems: w.gradElems(), Points: w.syncPoints(caches[i]), V: stepVolumes(w, caches[i].tpad)}
 	}
-	var err error
 	st.plan, err = st.plan.For(syncConfig(cfg), st.specs)
 	if err != nil {
 		return nil, err
@@ -415,7 +263,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 
 	res.Report = st.plan.Finish()
 	if st.pinned {
-		st.swap(worlds)
+		st.swap()
 	}
 	res.TailMS = res.Report.TailMS
 	res.RankParams = [][]float64{st.params}
@@ -426,10 +274,8 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 	// Recovery reports accumulated since the previous completed step (the
 	// stack recovered between steps) drain into this step's telemetry;
 	// drained unconditionally so they never pile up sink-less.
-	var recovs []*RecoveryReport
-	for _, w := range worlds {
-		recovs = append(recovs, w.drainRecoveries()...)
-	}
+	recovs := st.recov
+	st.recov = nil
 	var ckptWaitMS, ckptCaptureMS float64
 	if m := cfg.Checkpoint; m != nil && (step+1)%max(cfg.CheckpointEvery, 1) == 0 {
 		// What the previous commit still has to do after a whole step is
@@ -439,13 +285,8 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 		// fails this step.
 		t1 := time.Now()
 		var prevErr error
-		for _, w := range worlds {
-			if p := w.layer.commit; p != nil && p != m {
-				if err := p.Wait(); err != nil && prevErr == nil {
-					prevErr = err
-				}
-				w.layer.commit = nil
-			}
+		if p := st.commit; p != nil && p != m {
+			prevErr, st.commit = p.Wait(), nil
 		}
 		_ = m.Wait()
 		t2 := time.Now()
@@ -457,10 +298,7 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 			return nil, fmt.Errorf("moe: step checkpoint: %w", err)
 		}
 		ckptWaitMS, ckptCaptureMS = float64(t2.Sub(t1))/1e6, float64(time.Since(t2))/1e6
-		st.pinned = true
-		for _, w := range worlds {
-			w.layer.commit = m
-		}
+		st.pinned, st.commit = true, m
 		res.CheckpointPath = path
 	}
 	res.WallMS = float64(time.Since(t0)) / 1e6
@@ -479,27 +317,6 @@ func StepWorlds(worlds []*World, x, dy *tensor.Tensor, cfg StepConfig) (*StepRes
 func syncConfig(cfg StepConfig) gradsync.Config {
 	return gradsync.Config{Strategy: cfg.Strategy, Models: plannerModels, ChunkBytes: cfg.ChunkBytes,
 		Slices: cfg.Slices, ElemBytes: gradElemBytes}
-}
-
-// checkStack validates what op needs of a stack before touching its
-// resident state: at least one world, all at one rank count, and no two
-// over one layer — the same World twice, or two Worlds over one MOELayer,
-// would need two views of each of its parameters.
-func checkStack(op string, worlds []*World) error {
-	if len(worlds) == 0 {
-		return fmt.Errorf("moe: %s needs at least one world", op)
-	}
-	for i, w := range worlds {
-		if w.cfg.Ranks != worlds[0].cfg.Ranks {
-			return fmt.Errorf("moe: world %d has %d ranks, world 0 has %d", i, w.cfg.Ranks, worlds[0].cfg.Ranks)
-		}
-		for j, v := range worlds[:i] {
-			if v.layer == w.layer {
-				return fmt.Errorf("moe: %s: worlds %d and %d share one layer's parameters", op, j, i)
-			}
-		}
-	}
-	return nil
 }
 
 // ErrStepInputAliased reports a step input that shares memory with a
@@ -526,45 +343,6 @@ func checkUnaliased(worlds []*World, x, dy *tensor.Tensor) error {
 		}
 	}
 	return nil
-}
-
-// stepSinks collects the distinct non-nil telemetry sinks configured
-// across the stack (nil when telemetry is disabled everywhere — the
-// common case, which must not allocate).
-func stepSinks(worlds []*World) []telemetry.Sink {
-	var sinks []telemetry.Sink
-	for _, w := range worlds {
-		s := w.cfg.Sink
-		if s == nil {
-			continue
-		}
-		dup := false
-		for _, have := range sinks {
-			if sameSink(have, s) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			sinks = append(sinks, s)
-		}
-	}
-	return sinks
-}
-
-// sameSink reports whether two sinks are the same emission target.
-// Interface equality would panic on uncomparable dynamic types (a func),
-// so reference kinds compare by identity instead.
-func sameSink(a, b telemetry.Sink) bool {
-	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
-	if va.Type() != vb.Type() {
-		return false
-	}
-	switch va.Kind() {
-	case reflect.Func, reflect.Pointer, reflect.Map, reflect.Chan, reflect.Slice:
-		return va.Pointer() == vb.Pointer()
-	}
-	return va.Type().Comparable() && a == b
 }
 
 // buildStepMetrics assembles the step's structured record from quantities
@@ -630,10 +408,10 @@ type SyncReport struct {
 // instead.
 func SyncWorlds(worlds []*World, cfg StepConfig) (*SyncReport, error) {
 	cfg = cfg.withDefaults()
-	if err := checkStack("sync", worlds); err != nil {
+	st, err := stackFor("sync", worlds, true)
+	if err != nil {
 		return nil, err
 	}
-	st := residentFor(worlds, true)
 	for i, w := range worlds {
 		// No forward cache here; account A2A volumes at the nominal padded
 		// capacity of zero — only GradBytes matters for a tail-only sync.

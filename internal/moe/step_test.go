@@ -344,7 +344,7 @@ func TestStepRejectsSharedParams(t *testing.T) {
 		if _, err := SyncWorlds(tc.worlds, StepConfig{}); err == nil {
 			t.Fatalf("%s: SyncWorlds must fail", tc.name)
 		}
-		if tc.worlds[0].resident != nil || tc.worlds[0].layer.Params()[0].W != p0 || !slices.Equal(liveParams(tc.worlds[:1]), w0) {
+		if tc.worlds[0].layer.stack != nil || tc.worlds[0].layer.Params()[0].W != p0 || !slices.Equal(liveParams(tc.worlds[:1]), w0) {
 			t.Fatalf("%s: a refused stack was touched", tc.name)
 		}
 	}

@@ -223,7 +223,8 @@ func TestStepMetricsStack(t *testing.T) {
 }
 
 // TestStepNoSinkNoMetrics: without a sink the step must not build metrics,
-// and the telemetry guard itself (stepSinks) must not allocate.
+// the stack resolves no sink, and resolving them (distinctSinks, once per
+// cut) must not allocate.
 func TestStepNoSinkNoMetrics(t *testing.T) {
 	const n, m = 48, 32
 	w, err := NewWorld(zipfLayer(t, 1.0), WorldConfig{Ranks: 2, PipelineDegree: 1, Strategy: StrategyEP})
@@ -237,12 +238,12 @@ func TestStepNoSinkNoMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics != nil {
-		t.Fatal("no sink configured but Metrics is non-nil")
+	if res.Metrics != nil || w.layer.stack.sinks != nil {
+		t.Fatal("no sink configured but Metrics or the stack's sinks are non-nil")
 	}
 	worlds := []*World{w, w}
 	if a := testing.AllocsPerRun(100, func() {
-		if stepSinks(worlds) != nil {
+		if distinctSinks(worlds) != nil {
 			t.Fatal("phantom sink")
 		}
 	}); a != 0 {

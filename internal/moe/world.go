@@ -88,14 +88,6 @@ type World struct {
 	// parameter set is fixed for its life.
 	params  []*Param
 	gradOff []int
-
-	// resident is the stack-level training state kept from one step to the
-	// next (step.go); it lives on the stack's first world.
-	resident *resident
-
-	// recov accumulates elastic-recovery reports (recover.go) until the
-	// next completed step drains them into telemetry.
-	recov []*RecoveryReport
 }
 
 // WorldConfig configures multi-rank pipelined execution of a layer.
@@ -220,9 +212,9 @@ var ErrWorldClosed = errors.New("moe: world is closed")
 // Close stops the worker set and the kernel pool, releases the token-path
 // workspace and retires the world: subsequent Forward/Backward/Close calls
 // fail with ErrWorldClosed instead of stepping on a released pool. The
-// world must be idle. Close also waits for the checkpoint commit a step last
-// started over its layer and returns that commit's failure (ckpt.ErrCommit),
-// if any.
+// world must be idle. Close also waits for the checkpoint commit of the
+// stack whose buffers hold its layer's parameters, and returns that commit's
+// failure (ckpt.ErrCommit), if any: every World of the stack does.
 func (w *World) Close() error {
 	if w.closed {
 		return fmt.Errorf("moe: double close: %w", ErrWorldClosed)
@@ -231,21 +223,10 @@ func (w *World) Close() error {
 	w.exec.Close()
 	w.pool.Close()
 	w.ws = nil
-	if m := w.layer.commit; m != nil {
-		w.layer.commit = nil
-		return m.Wait()
+	if st := w.layer.stack; st != nil && st.commit != nil {
+		return st.commit.Wait()
 	}
 	return nil
-}
-
-// waitCommit waits for the checkpoint commit a step last started over the
-// world's layer, which reads its parameters until it completes: whatever
-// writes them outside a step waits here first. The commit's failure stays
-// for the next checkpointing step, or Close, to report.
-func (w *World) waitCommit() {
-	if m := w.layer.commit; m != nil {
-		_ = m.Wait()
-	}
 }
 
 // Ranks returns R.

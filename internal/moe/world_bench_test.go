@@ -167,26 +167,3 @@ func BenchmarkWorldGrid(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkStepTelemetryGuard measures the telemetry branch of the step
-// path in isolation — the sink scan plus the nil guard that StepWorlds
-// runs once per step when no Sink is configured. The acceptance contract
-// is 0 allocs/op: unconfigured telemetry must add nothing to the step hot
-// path (TestStepNoSinkNoMetrics asserts the same via AllocsPerRun).
-func BenchmarkStepTelemetryGuard(b *testing.B) {
-	layer := benchWorldLayer(b, 64, 96, 8)
-	w, err := NewWorld(layer, WorldConfig{Ranks: 4, PipelineDegree: 1, Strategy: StrategyEP})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	worlds := []*World{w}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sinks := stepSinks(worlds); sinks != nil {
-			b.Fatal("phantom sink")
-		}
-		w.steps++
-	}
-}
